@@ -18,13 +18,12 @@ import (
 	_ "gostats/internal/bench/all"
 	"gostats/internal/bench/facetrack"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 	"gostats/internal/experiments"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 	"gostats/internal/trace"
 )
 
@@ -176,12 +175,12 @@ func BenchmarkSTATSRuntimeFacetrack(b *testing.B) {
 	p.Frames = 150
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
-	cfg := core.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	cfg := engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := machine.New(machine.DefaultConfig(8))
 		err := m.Run("main", func(th *machine.Thread) {
-			if _, err := core.Run(core.NewSimExec(th), ft, ins, cfg); err != nil {
+			if _, err := engine.Run(engine.NewSimExec(th), ft, ins, cfg); err != nil {
 				b.Error(err)
 			}
 		})
@@ -200,8 +199,8 @@ func BenchmarkCritpathWhatIf(b *testing.B) {
 	tr := trace.New()
 	m := machine.New(machine.DefaultConfig(8), machine.WithTrace(tr))
 	err := m.Run("main", func(th *machine.Thread) {
-		if _, err := core.Run(core.NewSimExec(th), ft, ins,
-			core.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
+		if _, err := engine.Run(engine.NewSimExec(th), ft, ins,
+			engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
 			b.Error(err)
 		}
 	})
@@ -219,7 +218,7 @@ func BenchmarkCritpathWhatIf(b *testing.B) {
 }
 
 // BenchmarkStreamPipeline measures the streaming STATS pipeline
-// (internal/stream, the engine behind statsserved) end to end on
+// (engine.Pipeline, the engine behind statsserved) end to end on
 // facetrack at several worker-pool widths, reporting committed inputs
 // per second alongside ns/op.
 func BenchmarkStreamPipeline(b *testing.B) {
@@ -232,7 +231,7 @@ func BenchmarkStreamPipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				pl, err := stream.New(ctx, ft, stream.Config{
+				pl, err := engine.NewStream(ctx, ft, engine.StreamConfig{
 					ChunkSize: 16, Lookback: 4, ExtraStates: 1,
 					Workers: workers, Seed: 3,
 				})
@@ -270,10 +269,10 @@ func BenchmarkNativeRuntime(b *testing.B) {
 	p.Frames = 100
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
-	cfg := core.Config{Chunks: 4, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	cfg := engine.Config{Chunks: 4, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(core.NewNativeExec(), ft, ins, cfg); err != nil {
+		if _, err := engine.Run(engine.NewNativeExec(), ft, ins, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

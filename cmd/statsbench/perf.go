@@ -9,15 +9,13 @@ import (
 	"time"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
 	"gostats/internal/engine"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 )
 
 // The -perf mode benchmarks the repo's own hot path — not the simulated
-// machine, the real one: batch (core.Run) and streaming (stream.Pipeline)
-// executions on core.NativeExec, measured in wall time and allocator
+// machine, the real one: batch (engine.Run) and streaming (engine.Pipeline)
+// executions on engine.NativeExec, measured in wall time and allocator
 // traffic per input. Results land in BENCH_streaming.json so the perf
 // trajectory is tracked in-repo and regressions show up in review.
 
@@ -109,7 +107,7 @@ type perfReport struct {
 // online adaptive chunk sizing — and writes the report.
 func runPerf(names []string, nInputs int, seed, inputSeed uint64, outPath string, autotune bool, repeat int) error {
 	report := perfReport{
-		Note:     "per-op figures are per input processed on core.NativeExec; regenerate with: go run ./cmd/statsbench -perf",
+		Note:     "per-op figures are per input processed on engine.NativeExec; regenerate with: go run ./cmd/statsbench -perf",
 		Go:       runtime.Version(),
 		MaxProcs: runtime.GOMAXPROCS(0),
 		Baseline: prePRBaseline,
@@ -214,15 +212,15 @@ func measure(fn func() error) (time.Duration, uint64, uint64, error) {
 	return el, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, err
 }
 
-func perfBatch(b bench.Benchmark, inputs []core.Input, seed uint64, repeat int) (perfRow, error) {
+func perfBatch(b bench.Benchmark, inputs []engine.Input, seed uint64, repeat int) (perfRow, error) {
 	// Match the streaming shape: one chunk per 16 inputs.
 	chunks := max(1, len(inputs)/16)
-	cfg := core.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
-	var rep *core.Report
+	cfg := engine.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
+	var rep *engine.Report
 	el, mallocs, bytes, err := measure(func() error {
 		for it := 0; it < repeat; it++ {
 			var err error
-			rep, err = core.Run(core.NewNativeExec(), b, inputs, cfg)
+			rep, err = engine.Run(engine.NewNativeExec(), b, inputs, cfg)
 			if err != nil {
 				return err
 			}
@@ -247,7 +245,7 @@ func perfBatch(b bench.Benchmark, inputs []core.Input, seed uint64, repeat int) 
 // stream attached (a Counters sink): the instrumented engine path. Commit,
 // abort and overhead figures are rendered from the event stream, not from
 // scheduler-private state.
-func perfBatchEvents(b bench.Benchmark, inputs []core.Input, seed uint64, repeat int) (perfRow, error) {
+func perfBatchEvents(b bench.Benchmark, inputs []engine.Input, seed uint64, repeat int) (perfRow, error) {
 	chunks := max(1, len(inputs)/16)
 	cfg := engine.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
 	var snap engine.CounterSnapshot
@@ -283,7 +281,7 @@ func scalePerOp(row perfRow, repeat int) perfRow {
 // perfAdaptive measures the batch workload under online adaptive chunk
 // sizing (engine.RunAdaptive): same inputs, but the chunking emerges from
 // commit/abort feedback instead of being fixed up front.
-func perfAdaptive(b bench.Benchmark, inputs []core.Input, seed uint64) (perfRow, error) {
+func perfAdaptive(b bench.Benchmark, inputs []engine.Input, seed uint64) (perfRow, error) {
 	const workers = 4
 	cfg := engine.Config{Chunks: max(1, len(inputs)/16), Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
 	var ctr engine.Counters
@@ -305,14 +303,14 @@ func (t teeSink) Event(e engine.Event) { t.a.Event(e); t.b.Event(e) }
 
 // perfStream measures the streaming pipeline and summarizes its
 // per-stage latency distribution (percentiles pooled across repeats).
-func perfStream(b bench.Benchmark, inputs []core.Input, workers int, seed uint64, repeat int) (perfRow, map[string]stageLatency, error) {
+func perfStream(b bench.Benchmark, inputs []engine.Input, workers int, seed uint64, repeat int) (perfRow, map[string]stageLatency, error) {
 	var snap engine.CounterSnapshot
 	var reused int64
 	met := engine.NewMetrics()
 	el, mallocs, bytes, err := measure(func() error {
 		for it := 0; it < repeat; it++ {
 			var ctr engine.Counters
-			p, err := stream.New(context.Background(), b, stream.Config{
+			p, err := engine.NewStream(context.Background(), b, engine.StreamConfig{
 				ChunkSize:   16,
 				Lookback:    4,
 				ExtraStates: 1,

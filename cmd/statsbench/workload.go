@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"gostats/internal/bench"
-	"gostats/internal/stream"
+	"gostats/internal/engine"
 	"gostats/internal/workload"
 )
 
@@ -184,16 +184,16 @@ func runWorkload(specPath, outPath string, repeat int) error {
 // and returns its drained stats plus the measured wall/allocator cost.
 // The protocol counters come from the last repeat (identical each pass —
 // same seed, same inputs); the cost totals cover all repeats.
-func runWorkloadSession(s workload.Session, repeat int) (stream.Stats, time.Duration, uint64, uint64, error) {
+func runWorkloadSession(s workload.Session, repeat int) (engine.StreamStats, time.Duration, uint64, uint64, error) {
 	b, err := bench.New(s.Benchmark)
 	if err != nil {
-		return stream.Stats{}, 0, 0, 0, err
+		return engine.StreamStats{}, 0, 0, 0, err
 	}
 	inputs := workload.SessionInputs(b, s.Inputs, s.Seed)
-	var stats stream.Stats
+	var stats engine.StreamStats
 	el, mallocs, bytes, err := measure(func() error {
 		for it := 0; it < repeat; it++ {
-			p, err := stream.New(context.Background(), b, stream.Config{
+			p, err := engine.NewStream(context.Background(), b, engine.StreamConfig{
 				ChunkSize:   16,
 				Lookback:    4,
 				ExtraStates: 1,

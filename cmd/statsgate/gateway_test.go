@@ -25,14 +25,13 @@ import (
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/cluster"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 	"gostats/internal/serve"
-	"gostats/internal/stream"
 )
 
-func baseConfig() stream.Config {
-	return stream.Config{ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 7}
+func baseConfig() engine.StreamConfig {
+	return engine.StreamConfig{ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 7}
 }
 
 // newBackend starts one in-process statsserved with the shared pipeline
@@ -65,7 +64,7 @@ func newGate(t *testing.T, policy cluster.RoutingPolicy, bucket *cluster.TokenBu
 }
 
 // sessionInputs truncates a benchmark's native inputs to n.
-func sessionInputs(t *testing.T, name string, n int) []core.Input {
+func sessionInputs(t *testing.T, name string, n int) []engine.Input {
 	t.Helper()
 	b, err := bench.New(name)
 	if err != nil {
@@ -79,7 +78,7 @@ func sessionInputs(t *testing.T, name string, n int) []core.Input {
 }
 
 // ndjsonBody encodes inputs as a session request body.
-func ndjsonBody(t *testing.T, name string, inputs []core.Input) []byte {
+func ndjsonBody(t *testing.T, name string, inputs []engine.Input) []byte {
 	t.Helper()
 	codec, err := bench.CodecFor(name)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/profiler"
 	"gostats/internal/rng"
@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := core.Config{Chunks: *chunks, Lookback: *lookback, ExtraStates: *extra, InnerWidth: *width}
+	cfg := engine.Config{Chunks: *chunks, Lookback: *lookback, ExtraStates: *extra, InnerWidth: *width}
 	spec := profiler.Spec{
 		Bench:        b,
 		Mode:         profiler.ModeParSTATS,
@@ -134,8 +134,8 @@ func main() {
 	// Full decomposition with oracles.
 	inputs := b.Inputs(rng.New(*inputSeed))
 	cpi := machine.DefaultConfig(*cores).BaseCPI
-	ot := core.OracleRegionCycles(b, inputs, *chunks, *width, *cores, cpi, *seed)
-	om := core.OracleRegionCycles(b, inputs, core.MaxChunks(len(inputs), *cores, *width), *width, *cores, cpi, *seed)
+	ot := engine.OracleRegionCycles(b, inputs, *chunks, *width, *cores, cpi, *seed)
+	om := engine.OracleRegionCycles(b, inputs, engine.MaxChunks(len(inputs), *cores, *width), *width, *cores, cpi, *seed)
 	bd := critpath.Decompose(an, seqRes.Cycles, *cores, critpath.Oracle{
 		CleanTuned: float64(seqRes.Cycles) / float64(ot),
 		CleanMax:   float64(seqRes.Cycles) / float64(om),

@@ -16,7 +16,7 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/profiler"
 	"gostats/internal/report"
 	"gostats/internal/trace"
@@ -57,7 +57,7 @@ func main() {
 		Bench: b,
 		Mode:  m,
 		Cores: *cores,
-		Cfg: core.Config{
+		Cfg: engine.Config{
 			Chunks:      *chunks,
 			Lookback:    *lookback,
 			ExtraStates: *extra,

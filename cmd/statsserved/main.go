@@ -55,9 +55,9 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
+	"gostats/internal/engine"
 	"gostats/internal/profiling"
 	"gostats/internal/serve"
-	"gostats/internal/stream"
 	"gostats/internal/workload"
 )
 
@@ -103,14 +103,14 @@ func main() {
 		return
 	}
 
-	base := stream.Config{
+	base := engine.StreamConfig{
 		ChunkSize:   *chunk,
 		Lookback:    *lookback,
 		ExtraStates: *extra,
 		Workers:     *workers,
 		Adapt:       *adapt,
 		Seed:        *seed,
-		Fault: stream.FaultPolicy{
+		Fault: engine.FaultPolicy{
 			ChunkDeadline: *chunkDeadline,
 			MaxRetries:    *retries,
 			RetryBase:     *retryBase,

@@ -5,7 +5,7 @@
 // The repository contains, from the bottom up: a deterministic
 // discrete-event multicore simulator (internal/machine) with a sampling
 // cache-hierarchy and branch-predictor model (internal/memsim); the STATS
-// execution model as a reusable runtime library (internal/core) that runs
+// execution model as a reusable runtime library (internal/engine) that runs
 // both on the simulator and on real goroutines; the paper's six
 // nondeterministic benchmarks rebuilt as Go kernels (internal/bench/...);
 // an OpenTuner-style autotuner (internal/autotune); the paper's

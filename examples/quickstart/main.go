@@ -15,12 +15,12 @@ import (
 	"math"
 	"time"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
 
-// smoother implements core.Program: the semantic part (StateDependence)
+// smoother implements engine.Program: the semantic part (StateDependence)
 // drives both executors; the cost part (CostModel) is only used by the
 // simulated machine.
 type smoother struct{}
@@ -29,14 +29,14 @@ type smootherState struct{ v float64 }
 
 func (smoother) Name() string { return "smoother" }
 
-func (smoother) Initial(r *rng.Stream) core.State { return &smootherState{v: 50} }
+func (smoother) Initial(r *rng.Stream) engine.State { return &smootherState{v: 50} }
 
 // Fresh is the cold state an alternative producer starts from: thanks to
 // the decay, replaying a handful of recent inputs from zero reproduces
 // the running estimate.
-func (smoother) Fresh(r *rng.Stream) core.State { return &smootherState{} }
+func (smoother) Fresh(r *rng.Stream) engine.State { return &smootherState{} }
 
-func (smoother) Update(s core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (smoother) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := s.(*smootherState)
 	x := in.(float64)
 	// Nondeterministic update: dithered exponential smoothing.
@@ -44,17 +44,17 @@ func (smoother) Update(s core.State, in core.Input, r *rng.Stream) (core.State, 
 	return st, st.v
 }
 
-func (smoother) Clone(s core.State) core.State { c := *s.(*smootherState); return &c }
+func (smoother) Clone(s engine.State) engine.State { c := *s.(*smootherState); return &c }
 
-func (smoother) Match(a, b core.State) bool {
+func (smoother) Match(a, b engine.State) bool {
 	return math.Abs(a.(*smootherState).v-b.(*smootherState).v) < 0.5
 }
 
 func (smoother) StateBytes() int64 { return 8 }
 
 // Cost model: each update charges 200k simulated instructions.
-func (smoother) UpdateCost(core.Input, core.State) core.UpdateWork {
-	return core.UpdateWork{Serial: machine.Work{Instr: 200_000}, Grain: 1}
+func (smoother) UpdateCost(engine.Input, engine.State) engine.UpdateWork {
+	return engine.UpdateWork{Serial: machine.Work{Instr: 200_000}, Grain: 1}
 }
 func (smoother) CompareCost() machine.Work         { return machine.Work{Instr: 100} }
 func (smoother) SetupWork(chunks int) machine.Work { return machine.Work{Instr: int64(chunks) * 1000} }
@@ -64,7 +64,7 @@ func (smoother) PostRegionWork() machine.Work      { return machine.Work{Instr: 
 
 func main() {
 	// The input stream: a noisy ramp.
-	inputs := make([]core.Input, 2000)
+	inputs := make([]engine.Input, 2000)
 	for i := range inputs {
 		inputs[i] = float64(i % 100)
 	}
@@ -75,12 +75,12 @@ func main() {
 	// too-small Lookback here is exactly the paper's mispeculation case
 	// (i): "the length of the short memory property was incorrectly
 	// estimated".
-	cfg := core.Config{Chunks: 8, Lookback: 20, ExtraStates: 2, InnerWidth: 1, Seed: 42}
+	cfg := engine.Config{Chunks: 8, Lookback: 20, ExtraStates: 2, InnerWidth: 1, Seed: 42}
 
 	// 1. Run natively (real goroutines): the library as an actual
 	//    parallelization runtime.
 	start := time.Now()
-	rep, err := core.Run(core.NewNativeExec(), smoother{}, inputs, cfg)
+	rep, err := engine.Run(engine.NewNativeExec(), smoother{}, inputs, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -89,16 +89,16 @@ func main() {
 
 	// 2. Run on the simulated machine to measure the speedup the model
 	//    would deliver on an 8-core platform.
-	simTime := func(fn func(ex core.Exec)) int64 {
+	simTime := func(fn func(ex engine.Exec)) int64 {
 		m := machine.New(machine.DefaultConfig(8))
-		if err := m.Run("main", func(th *machine.Thread) { fn(core.NewSimExec(th)) }); err != nil {
+		if err := m.Run("main", func(th *machine.Thread) { fn(engine.NewSimExec(th)) }); err != nil {
 			panic(err)
 		}
 		return m.Now()
 	}
-	seq := simTime(func(ex core.Exec) { core.RunSequential(ex, smoother{}, inputs, 42) })
-	par := simTime(func(ex core.Exec) {
-		if _, err := core.Run(ex, smoother{}, inputs, cfg); err != nil {
+	seq := simTime(func(ex engine.Exec) { engine.RunSequential(ex, smoother{}, inputs, 42) })
+	par := simTime(func(ex engine.Exec) {
+		if _, err := engine.Run(ex, smoother{}, inputs, cfg); err != nil {
 			panic(err)
 		}
 	})

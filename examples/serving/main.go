@@ -1,4 +1,4 @@
-// Serving example: drive the streaming STATS pipeline (internal/stream)
+// Serving example: drive the streaming STATS pipeline (engine.Pipeline)
 // directly — the same engine cmd/statsserved puts behind HTTP — and watch
 // the protocol work an unbounded input feed:
 //
@@ -19,8 +19,8 @@ import (
 	"os"
 
 	"gostats/internal/bench/facetrack"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 )
 
 func main() {
@@ -29,9 +29,9 @@ func main() {
 	ft := facetrack.NewWithParams(params)
 	feed := ft.Inputs(rng.New(1))
 
-	met := stream.NewMetrics()
+	met := engine.NewMetrics()
 	ctx := context.Background()
-	p, err := stream.New(ctx, ft, stream.Config{
+	p, err := engine.NewStream(ctx, ft, engine.StreamConfig{
 		ChunkSize:   12,
 		Lookback:    4,
 		ExtraStates: 1,

@@ -16,7 +16,7 @@ import (
 
 	"gostats/internal/autotune"
 	"gostats/internal/bench/streamcluster"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -31,12 +31,12 @@ func main() {
 
 	// Autotune on the training inputs.
 	objective := func(p autotune.Point) float64 {
-		cfg := core.Config{Chunks: p.Chunks, Lookback: p.Lookback,
+		cfg := engine.Config{Chunks: p.Chunks, Lookback: p.Lookback,
 			ExtraStates: p.ExtraStates, InnerWidth: p.InnerWidth, Seed: 5}
 		m := machine.New(machine.DefaultConfig(cores))
 		var runErr error
 		if err := m.Run("main", func(th *machine.Thread) {
-			_, runErr = core.Run(core.NewSimExec(th), b, training, cfg)
+			_, runErr = engine.Run(engine.NewSimExec(th), b, training, cfg)
 		}); err != nil || runErr != nil {
 			return 1e18
 		}
@@ -50,22 +50,22 @@ func main() {
 	fmt.Printf("autotuned over %d configurations: best %s\n\n", res.Evaluations, res.Best)
 
 	// Evaluate the tuned configuration on the native inputs.
-	cfg := core.Config{Chunks: res.Best.Chunks, Lookback: res.Best.Lookback,
+	cfg := engine.Config{Chunks: res.Best.Chunks, Lookback: res.Best.Lookback,
 		ExtraStates: res.Best.ExtraStates, InnerWidth: res.Best.InnerWidth, Seed: 5}
 
 	run := func(stats bool) (cycles, instr int64, quality float64) {
 		m := machine.New(machine.DefaultConfig(cores))
-		var rep *core.Report
+		var rep *engine.Report
 		err := m.Run("main", func(th *machine.Thread) {
-			ex := core.NewSimExec(th)
+			ex := engine.NewSimExec(th)
 			if stats {
 				var runErr error
-				rep, runErr = core.Run(ex, b, inputs, cfg)
+				rep, runErr = engine.Run(ex, b, inputs, cfg)
 				if runErr != nil {
 					panic(runErr)
 				}
 			} else {
-				rep = core.RunSequential(ex, b, inputs, 5)
+				rep = engine.RunSequential(ex, b, inputs, 5)
 			}
 		})
 		if err != nil {

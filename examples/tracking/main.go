@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"gostats/internal/bench/bodytrack"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -33,9 +33,9 @@ func main() {
 	fmt.Printf("tracking %d frames, state = %d bytes of particles\n\n", len(inputs), b.StateBytes())
 
 	// Sequential reference (native execution, real computation).
-	ex := core.NewNativeExec()
+	ex := engine.NewNativeExec()
 	t0 := time.Now()
-	seqRep := core.RunSequential(ex, b, inputs, 7)
+	seqRep := engine.RunSequential(ex, b, inputs, 7)
 	seqWall := time.Since(t0)
 	fmt.Printf("sequential: quality %.3f (mean pose error), %v\n", -b.Quality(seqRep.Outputs), seqWall)
 
@@ -45,9 +45,9 @@ func main() {
 	// (Wall-clock gains require real cores: GOMAXPROCS here is
 	// runtime-dependent, and the model adds ~40% real work for the
 	// alternative producers and replicas.)
-	cfg := core.Config{Chunks: 6, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 7}
+	cfg := engine.Config{Chunks: 6, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 7}
 	t0 = time.Now()
-	rep, err := core.Run(ex, b, inputs, cfg)
+	rep, err := engine.Run(ex, b, inputs, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -70,15 +70,15 @@ func main() {
 
 // simCycles measures a run on the simulated machine (nil cfg =
 // sequential).
-func simCycles(b *bodytrack.BodyTrack, inputs []core.Input, cfg *core.Config) int64 {
+func simCycles(b *bodytrack.BodyTrack, inputs []engine.Input, cfg *engine.Config) int64 {
 	m := machine.New(machine.DefaultConfig(16))
 	err := m.Run("main", func(th *machine.Thread) {
-		ex := core.NewSimExec(th)
+		ex := engine.NewSimExec(th)
 		if cfg == nil {
-			core.RunSequential(ex, b, inputs, 7)
+			engine.RunSequential(ex, b, inputs, 7)
 			return
 		}
-		if _, err := core.Run(ex, b, inputs, *cfg); err != nil {
+		if _, err := engine.Run(ex, b, inputs, *cfg); err != nil {
 			panic(err)
 		}
 	})

@@ -15,8 +15,8 @@ import (
 	"os"
 
 	"gostats/internal/bench/facedetrack"
-	"gostats/internal/core"
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 	"gostats/internal/trace"
@@ -29,21 +29,21 @@ func main() {
 	params.Occlusions = 4
 	b := facedetrack.NewWithParams(params)
 	inputs := b.Inputs(rng.New(1))
-	cfg := core.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	cfg := engine.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 
 	// Sequential baseline.
 	seqM := machine.New(machine.DefaultConfig(1))
 	must(seqM.Run("main", func(th *machine.Thread) {
-		core.RunSequential(core.NewSimExec(th), b, inputs, 3)
+		engine.RunSequential(engine.NewSimExec(th), b, inputs, 3)
 	}))
 
 	// Traced STATS run.
 	tr := trace.New()
 	parM := machine.New(machine.DefaultConfig(cores), machine.WithTrace(tr))
-	var rep *core.Report
+	var rep *engine.Report
 	must(parM.Run("main", func(th *machine.Thread) {
 		var err error
-		rep, err = core.Run(core.NewSimExec(th), b, inputs, cfg)
+		rep, err = engine.Run(engine.NewSimExec(th), b, inputs, cfg)
 		must(err)
 	}))
 	fmt.Printf("%s on %d cores: %.2fx speedup, %d/%d chunks committed\n\n",
@@ -74,8 +74,8 @@ func main() {
 
 	// The full decomposition, with oracle runs for the §III-E categories.
 	cpi := machine.DefaultConfig(cores).BaseCPI
-	ot := core.OracleRegionCycles(b, inputs, cfg.Chunks, cfg.InnerWidth, cores, cpi, 3)
-	om := core.OracleRegionCycles(b, inputs, core.MaxChunks(len(inputs), cores, 1), 1, cores, cpi, 3)
+	ot := engine.OracleRegionCycles(b, inputs, cfg.Chunks, cfg.InnerWidth, cores, cpi, 3)
+	om := engine.OracleRegionCycles(b, inputs, engine.MaxChunks(len(inputs), cores, 1), 1, cores, cpi, 3)
 	bd := critpath.Decompose(an, seqM.Now(), cores, critpath.Oracle{
 		CleanTuned: float64(seqM.Now()) / float64(ot),
 		CleanMax:   float64(seqM.Now()) / float64(om),

@@ -4,7 +4,7 @@ import "fmt"
 
 // The offline tuner (Tune) reproduces OpenTuner's role in the paper: a
 // search over the STATS design space against a profiled objective. A
-// long-running streaming deployment (internal/stream) cannot afford that
+// long-running streaming deployment (engine.Pipeline) cannot afford that
 // loop per session, but it observes the one signal the offline objective
 // only estimates — the actual commit/abort outcome of every chunk. Online
 // is the feedback half of the tuner: a deterministic controller that

@@ -6,7 +6,7 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
@@ -48,7 +48,7 @@ func TestRegistryComplete(t *testing.T) {
 				inputs = inputs[:32]
 			}
 
-			rep := core.RunSequential(core.NewNativeExec(), b, inputs, 5)
+			rep := engine.RunSequential(engine.NewNativeExec(), b, inputs, 5)
 			if len(rep.Outputs) != len(inputs) {
 				t.Fatalf("sequential run: %d outputs for %d inputs", len(rep.Outputs), len(inputs))
 			}
@@ -83,7 +83,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if len(inputs) > 16 {
 				inputs = inputs[:16]
 			}
-			decoded := make([]core.Input, len(inputs))
+			decoded := make([]engine.Input, len(inputs))
 			for i, in := range inputs {
 				wire, err := codec.EncodeInput(in)
 				if err != nil {
@@ -96,12 +96,12 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			// Same seed, original vs round-tripped inputs: the sequential
 			// runs must emit identical wire-encoded outputs.
-			a := core.RunSequential(core.NewNativeExec(), b, inputs, 5)
+			a := engine.RunSequential(engine.NewNativeExec(), b, inputs, 5)
 			bb, err := bench.New(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := core.RunSequential(core.NewNativeExec(), bb, decoded, 5)
+			c := engine.RunSequential(engine.NewNativeExec(), bb, decoded, 5)
 			for i := range a.Outputs {
 				wa, err := codec.EncodeOutput(a.Outputs[i])
 				if err != nil {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
@@ -14,13 +14,13 @@ import (
 // staggered points. The mix deliberately contains both near pairs (same
 // lineage, adjacent samples, or parallel lineages over the same inputs)
 // and far pairs (different stream positions, cold vs. locked states).
-func genStates(b bench.Benchmark, n int) []core.State {
+func genStates(b bench.Benchmark, n int) []engine.State {
 	ins := b.Inputs(rng.New(11))
-	states := make([]core.State, 0, n)
+	states := make([]engine.State, 0, n)
 	lineage := 0
 	for len(states) < n {
 		lineage++
-		var s core.State
+		var s engine.State
 		if lineage%2 == 0 {
 			s = b.Initial(rng.New(uint64(lineage)).Derive("init"))
 		} else {
@@ -52,23 +52,23 @@ func TestDigestGatedMatchAnyAgreesWithMatch(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			b := bench.MustNew(name)
-			fp, ok := core.Program(b).(core.Fingerprinter)
+			fp, ok := engine.Program(b).(engine.Fingerprinter)
 			if !ok {
-				t.Fatalf("%s does not implement core.Fingerprinter", name)
+				t.Fatalf("%s does not implement engine.Fingerprinter", name)
 			}
 			states := genStates(b, 64)
-			ex := core.NewNativeExec()
+			ex := engine.NewNativeExec()
 			pick := rng.New(99).Derive(name)
 			rejected := 0
 			for i := 0; i < pairs; i++ {
 				a := states[pick.Intn(len(states))]
 				c := states[pick.Intn(len(states))]
 				deep := b.Match(a, c)
-				gated := core.MatchAny(ex, b, []core.State{a}, c)
+				gated := engine.MatchAny(ex, b, []engine.State{a}, c)
 				if deep != gated {
 					t.Fatalf("pair %d: MatchAny = %v, deep Match = %v", i, gated, deep)
 				}
-				if !core.DigestsMayMatch(fp.Fingerprint(a), fp.Fingerprint(c)) {
+				if !engine.DigestsMayMatch(fp.Fingerprint(a), fp.Fingerprint(c)) {
 					rejected++
 					if deep {
 						t.Fatalf("pair %d: digest rejected a matching pair (unsound fingerprint)", i)
@@ -88,11 +88,11 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			b := bench.MustNew(name)
-			rec, ok := core.Program(b).(core.StateRecycler)
+			rec, ok := engine.Program(b).(engine.StateRecycler)
 			if !ok {
-				t.Fatalf("%s does not implement core.StateRecycler", name)
+				t.Fatalf("%s does not implement engine.StateRecycler", name)
 			}
-			fp := core.Program(b).(core.Fingerprinter)
+			fp := engine.Program(b).(engine.Fingerprinter)
 			states := genStates(b, 8)
 			for i, src := range states {
 				retired := states[(i+1)%len(states)] // arbitrary dead buffer
@@ -118,7 +118,7 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 // path is made of. Run with:
 //
 //	go test -run=NONE -bench='BenchmarkClone|BenchmarkMatch' -benchmem ./internal/bench/all
-func benchStates(b bench.Benchmark) (core.State, core.State) {
+func benchStates(b bench.Benchmark) (engine.State, engine.State) {
 	states := genStates(b, 2)
 	return states[0], states[1]
 }
@@ -141,7 +141,7 @@ func BenchmarkCloneIntoPooled(b *testing.B) {
 		bm := bench.MustNew(name)
 		s, _ := benchStates(bm)
 		b.Run(name, func(b *testing.B) {
-			pool := core.NewStatePool(bm)
+			pool := engine.NewStatePool(bm)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pool.Release(pool.Clone(s))
@@ -167,12 +167,12 @@ func BenchmarkMatchAnyGated(b *testing.B) {
 	for _, name := range bench.Names() {
 		bm := bench.MustNew(name)
 		s1, s2 := benchStates(bm)
-		origs := []core.State{s1}
-		ex := core.NewNativeExec()
+		origs := []engine.State{s1}
+		ex := engine.NewNativeExec()
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = core.MatchAny(ex, bm, origs, s2)
+				_ = engine.MatchAny(ex, bm, origs, s2)
 			}
 		})
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
@@ -35,7 +35,7 @@ func TestCheckpointWireStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := core.Program(b).(core.Fingerprinter)
+			fp := engine.Program(b).(engine.Fingerprinter)
 			states := genStates(b, 16)
 			ins := b.Inputs(rng.New(7))
 			for i, s := range states {
@@ -66,7 +66,7 @@ func TestCheckpointWireStateRoundTrip(t *testing.T) {
 					in := ins[(i*11+k)%len(ins)]
 					ra := rng.New(uint64(i)).DeriveN("fut", k)
 					rc := rng.New(uint64(i)).DeriveN("fut", k)
-					var oa, oc core.Output
+					var oa, oc engine.Output
 					a, oa = b.Update(a, in, ra)
 					c, oc = b.Update(c, in, rc)
 					ea, err := wc.EncodeOutput(oa)

@@ -15,23 +15,23 @@ import (
 	"fmt"
 	"sort"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
 // Benchmark is one workload: a STATS program plus its inputs, output
 // quality metric, and original-TLP shape.
 type Benchmark interface {
-	core.Program
+	engine.Program
 	// Inputs generates the native input stream (§IV-C "Inputs").
-	Inputs(r *rng.Stream) []core.Input
+	Inputs(r *rng.Stream) []engine.Input
 	// TrainingInputs generates the distinct, smaller stream the autotuner
 	// profiles with.
-	TrainingInputs(r *rng.Stream) []core.Input
+	TrainingInputs(r *rng.Stream) []engine.Input
 	// Quality scores a run's outputs; higher is better. It corresponds to
 	// the paper's per-benchmark output-quality metrics (§IV-C), negated
 	// where the paper uses a distance.
-	Quality(outputs []core.Output) float64
+	Quality(outputs []engine.Output) float64
 	// MaxInnerWidth bounds the useful width of the program's original TLP
 	// (e.g. swaptions parallelizes across its 4 swaptions).
 	MaxInnerWidth() int

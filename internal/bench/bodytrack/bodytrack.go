@@ -19,7 +19,7 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -79,7 +79,7 @@ func New() *BodyTrack { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *BodyTrack { return &BodyTrack{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (b *BodyTrack) Name() string { return "bodytrack" }
 
 // Describe implements bench.Benchmark.
@@ -89,25 +89,25 @@ func (b *BodyTrack) Describe() string {
 
 // Initial locks a tight cloud on the first frame region (the original
 // initializes from a known first pose).
-func (b *BodyTrack) Initial(r *rng.Stream) core.State {
+func (b *BodyTrack) Initial(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 0.05, r)
 }
 
 // Fresh spreads guesses widely: the cold tracker of §II-A that takes
 // "random guesses on where the body could be in the space".
-func (b *BodyTrack) Fresh(r *rng.Stream) core.State {
+func (b *BodyTrack) Fresh(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 3.0, r)
 }
 
-// FreshInto implements core.FreshRecycler: Fresh rebuilt into a retired
+// FreshInto implements engine.FreshRecycler: Fresh rebuilt into a retired
 // cloud's buffers, with the identical draw sequence.
-func (b *BodyTrack) FreshInto(dst core.State, r *rng.Stream) core.State {
+func (b *BodyTrack) FreshInto(dst engine.State, r *rng.Stream) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.FreshCloudInto(d, particles, poseDims, nil, 3.0, r)
 }
 
 // Update runs the annealed filter on one frame.
-func (b *BodyTrack) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (b *BodyTrack) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	c := stv.(*trackutil.Cloud)
 	fr := in.(trackutil.Frame)
 	// Two annealing layers with tempered likelihoods: in 50 dimensions an
@@ -127,27 +127,27 @@ type Result struct {
 }
 
 // Clone deep-copies the 500 KB particle set.
-func (b *BodyTrack) Clone(stv core.State) core.State { return stv.(*trackutil.Cloud).Clone() }
+func (b *BodyTrack) Clone(stv engine.State) engine.State { return stv.(*trackutil.Cloud).Clone() }
 
-// CloneInto implements core.StateRecycler: the clone lands in a retired
+// CloneInto implements engine.StateRecycler: the clone lands in a retired
 // cloud's buffers instead of allocating 500 KB.
-func (b *BodyTrack) CloneInto(dst, src core.State) core.State {
+func (b *BodyTrack) CloneInto(dst, src engine.State) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements core.Fingerprinter: the leading pose-estimate
+// Fingerprint implements engine.Fingerprinter: the leading pose-estimate
 // coordinates quantized at MatchTol. Match bounds the estimates'
 // Euclidean distance by MatchTol, which bounds every coordinate
 // difference by MatchTol, so matching clouds are always
 // digest-compatible.
-func (b *BodyTrack) Fingerprint(stv core.State) uint64 {
+func (b *BodyTrack) Fingerprint(stv engine.State) uint64 {
 	return stv.(*trackutil.Cloud).Digest(b.p.MatchTol)
 }
 
 // Match accepts speculative clouds whose pose estimate is within
 // MatchTol of an original state's estimate.
-func (b *BodyTrack) Match(av, bv core.State) bool {
+func (b *BodyTrack) Match(av, bv engine.State) bool {
 	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
 	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= b.p.MatchTol
 }
@@ -172,14 +172,14 @@ var bodyProfile = memsim.AccessProfile{
 }
 
 // UpdateCost charges one native annealed filter pass.
-func (b *BodyTrack) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (b *BodyTrack) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	instr := b.p.NativeInstrPerFrame
 	serial := int64(float64(instr) * 0.12) // resampling + image pyramid setup
 	var access *memsim.AccessProfile
 	if c, ok := stv.(*trackutil.Cloud); ok {
 		access = c.Profile(&bodyProfile, "bodytrack.state.", b.StateBytes())
 	}
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: access},
 		Parallel:    machine.Work{Instr: instr - serial, Access: access},
 		Grain:       32,
@@ -207,7 +207,7 @@ func (b *BodyTrack) PreRegionWork() machine.Work { return machine.Work{Instr: 60
 func (b *BodyTrack) PostRegionWork() machine.Work { return machine.Work{Instr: 45_000_000} }
 
 // Inputs generates the native synthetic sequence.
-func (b *BodyTrack) Inputs(r *rng.Stream) []core.Input {
+func (b *BodyTrack) Inputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("native"), trackutil.TrajConfig{
 		Frames:     b.p.Frames,
 		Dims:       poseDims,
@@ -220,7 +220,7 @@ func (b *BodyTrack) Inputs(r *rng.Stream) []core.Input {
 }
 
 // TrainingInputs is a different sequence at ~3/4 scale.
-func (b *BodyTrack) TrainingInputs(r *rng.Stream) []core.Input {
+func (b *BodyTrack) TrainingInputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("training"), trackutil.TrajConfig{
 		Frames:     b.p.Frames * 3 / 4,
 		Dims:       poseDims,
@@ -239,8 +239,8 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func framesToInputs(frames []trackutil.Frame) []core.Input {
-	ins := make([]core.Input, len(frames))
+func framesToInputs(frames []trackutil.Frame) []engine.Input {
+	ins := make([]engine.Input, len(frames))
 	for i, f := range frames {
 		ins[i] = f
 	}
@@ -249,7 +249,7 @@ func framesToInputs(frames []trackutil.Frame) []core.Input {
 
 // Quality is minus the mean pose error (the paper's Euclidean-distance
 // metric, negated so higher is better).
-func (b *BodyTrack) Quality(outputs []core.Output) float64 {
+func (b *BodyTrack) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

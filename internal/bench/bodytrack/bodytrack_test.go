@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -31,7 +31,7 @@ func TestTrackerFollowsPose(t *testing.T) {
 	var clearErr, clearN float64
 	for _, in := range ins {
 		fr := in.(trackutil.Frame)
-		var out core.Output
+		var out engine.Output
 		st, out = b.Update(st, in, r)
 		if !fr.Occluded {
 			clearErr += out.(Result).Err
@@ -156,8 +156,8 @@ func TestCostScale(t *testing.T) {
 
 func TestQualityOrdering(t *testing.T) {
 	b := small()
-	good := []core.Output{Result{Err: 0.1}, Result{Err: 0.2}}
-	bad := []core.Output{Result{Err: 2.0}, Result{Err: 3.0}}
+	good := []engine.Output{Result{Err: 0.1}, Result{Err: 0.2}}
+	bad := []engine.Output{Result{Err: 2.0}, Result{Err: 3.0}}
 	if b.Quality(good) <= b.Quality(bad) {
 		t.Fatal("quality ordering wrong")
 	}
@@ -170,11 +170,11 @@ func TestEndToEndMostlyCommits(t *testing.T) {
 	b := small()
 	ins := b.Inputs(rng.New(20))
 	m := machine.New(machine.DefaultConfig(8))
-	var rep *core.Report
+	var rep *engine.Report
 	var rerr error
 	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = core.Run(core.NewSimExec(th), b, ins,
-			core.Config{Chunks: 4, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 21})
+		rep, rerr = engine.Run(engine.NewSimExec(th), b, ins,
+			engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 21})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +196,8 @@ func TestCombinedTLPFasterThanSeqSTATS(t *testing.T) {
 	runWith := func(width int) int64 {
 		m := machine.New(machine.DefaultConfig(16))
 		if err := m.Run("main", func(th *machine.Thread) {
-			_, err := core.Run(core.NewSimExec(th), b, ins,
-				core.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: width, Seed: 3})
+			_, err := engine.Run(engine.NewSimExec(th), b, ins,
+				engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: width, Seed: 3})
 			if err != nil {
 				t.Error(err)
 			}

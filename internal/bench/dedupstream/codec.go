@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -18,7 +18,7 @@ func init() {
 // index as state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var seg Segment
 	if err := json.Unmarshal(data, &seg); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
@@ -26,7 +26,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return seg, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	seg, ok := in.(Segment)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: input is %T, want Segment", in)
@@ -34,7 +34,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(seg)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	ss, ok := out.(SegmentStats)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: output is %T, want SegmentStats", out)
@@ -42,7 +42,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(ss)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var ss SegmentStats
 	if err := json.Unmarshal(data, &ss); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment stats: %w", err)
@@ -64,7 +64,7 @@ type wireState struct {
 	EMA  float64  `json:"ema"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*dedupState)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: state is %T, want *dedupState", s)
@@ -82,7 +82,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad state: %w", err)

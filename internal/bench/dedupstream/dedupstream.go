@@ -26,7 +26,7 @@ import (
 	"math"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -143,7 +143,7 @@ func New() *DedupStream { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *DedupStream { return &DedupStream{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (d *DedupStream) Name() string { return "dedupstream" }
 
 // Describe implements bench.Benchmark.
@@ -152,10 +152,10 @@ func (d *DedupStream) Describe() string {
 }
 
 // Initial is an empty table sized for the steady state.
-func (d *DedupStream) Initial(r *rng.Stream) core.State { return d.fresh() }
+func (d *DedupStream) Initial(r *rng.Stream) engine.State { return d.fresh() }
 
 // Fresh is identical: the table rebuilds from recent segments.
-func (d *DedupStream) Fresh(r *rng.Stream) core.State { return d.fresh() }
+func (d *DedupStream) Fresh(r *rng.Stream) engine.State { return d.fresh() }
 
 func (d *DedupStream) fresh() *dedupState {
 	return &dedupState{
@@ -171,9 +171,9 @@ func (d *DedupStream) tableCap() int {
 	return d.p.TTL * perSeg
 }
 
-// FreshInto implements core.FreshRecycler: rebuild a cold state into a
+// FreshInto implements engine.FreshRecycler: rebuild a cold state into a
 // retired buffer, reusing its map and log storage.
-func (d *DedupStream) FreshInto(dst core.State, r *rng.Stream) core.State {
+func (d *DedupStream) FreshInto(dst engine.State, r *rng.Stream) engine.State {
 	st, ok := dst.(*dedupState)
 	if !ok || st == nil {
 		return d.fresh()
@@ -202,7 +202,7 @@ var gearTable = func() [256]uint64 {
 }()
 
 // Update deduplicates one segment against the table.
-func (d *DedupStream) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (d *DedupStream) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := stv.(*dedupState)
 	seg := in.(Segment)
 	st.gen++
@@ -300,7 +300,7 @@ func chunkFP(b []byte) uint64 {
 }
 
 // Clone deep-copies the table and log.
-func (d *DedupStream) Clone(stv core.State) core.State {
+func (d *DedupStream) Clone(stv engine.State) engine.State {
 	st := stv.(*dedupState)
 	c := &dedupState{
 		table:  make(map[uint64]uint32, len(st.table)),
@@ -314,9 +314,9 @@ func (d *DedupStream) Clone(stv core.State) core.State {
 	return c
 }
 
-// CloneInto implements core.StateRecycler: copy into a retired buffer,
+// CloneInto implements engine.StateRecycler: copy into a retired buffer,
 // reusing its map and log storage. Observably identical to Clone.
-func (d *DedupStream) CloneInto(dst, src core.State) core.State {
+func (d *DedupStream) CloneInto(dst, src engine.State) engine.State {
 	s := src.(*dedupState)
 	t, ok := dst.(*dedupState)
 	if !ok || t == nil {
@@ -353,7 +353,7 @@ func (d *DedupStream) recentSet(st *dedupState) map[uint64]struct{} {
 // Recency is what makes this sound under the short-memory property: a
 // fresh lineage replayed over the lookback window indexes the same
 // recent chunks as the original, up to admission sampling.
-func (d *DedupStream) Match(a, b core.State) bool {
+func (d *DedupStream) Match(a, b engine.State) bool {
 	sa, sb := a.(*dedupState), b.(*dedupState)
 	if math.Abs(sa.emaDup-sb.emaDup) > d.p.EMATol {
 		return false
@@ -372,17 +372,17 @@ func (d *DedupStream) Match(a, b core.State) bool {
 	return float64(inter)/float64(union) >= d.p.MatchJaccard
 }
 
-// Fingerprint implements core.Fingerprinter with conservative lanes:
+// Fingerprint implements engine.Fingerprinter with conservative lanes:
 // the recent-set size's log2 (Jaccard >= 1/2 bounds the size ratio by 2,
 // so matching states differ by at most one cell) and the duplicate-rate
 // estimator quantized at its own tolerance. Both lanes are implied by
 // Match, so digest incompatibility always means a deep-match miss.
-func (d *DedupStream) Fingerprint(stv core.State) uint64 {
+func (d *DedupStream) Fingerprint(stv engine.State) uint64 {
 	st := stv.(*dedupState)
 	recent := d.recentSet(st)
-	return core.PackLanes(
-		core.QuantizeLane(math.Log2(float64(len(recent)+1)), 1.0),
-		core.QuantizeLane(st.emaDup, d.p.EMATol),
+	return engine.PackLanes(
+		engine.QuantizeLane(math.Log2(float64(len(recent)+1)), 1.0),
+		engine.QuantizeLane(st.emaDup, d.p.EMATol),
 	)
 }
 
@@ -413,10 +413,10 @@ var dedupProfile = memsim.AccessProfile{
 // probe per chunk; body work is mostly serial (the rolling hash carries
 // a loop dependence), which is what makes state copies, not compute,
 // the bottleneck under speculation.
-func (d *DedupStream) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (d *DedupStream) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	instr := d.p.NativeSegmentBytes * 9
 	serial := int64(float64(instr) * 0.55)
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: &dedupProfile},
 		Parallel:    machine.Work{Instr: instr - serial, Access: &dedupProfile},
 		Grain:       4,
@@ -452,23 +452,23 @@ func (d *DedupStream) MaxInnerWidth() int { return 4 }
 // Inputs generates the native segment stream: extents drawn fresh or
 // re-emitted from a recency-biased pool, so duplicate chunks cluster in
 // time — the locality that gives the fingerprint table its short memory.
-func (d *DedupStream) Inputs(r *rng.Stream) []core.Input {
+func (d *DedupStream) Inputs(r *rng.Stream) []engine.Input {
 	return d.inputs(r.Derive("native"), d.p.Segments)
 }
 
 // TrainingInputs is a different stream at ~3/4 scale.
-func (d *DedupStream) TrainingInputs(r *rng.Stream) []core.Input {
+func (d *DedupStream) TrainingInputs(r *rng.Stream) []engine.Input {
 	return d.inputs(r.Derive("training"), d.p.Segments*3/4)
 }
 
-func (d *DedupStream) inputs(r *rng.Stream, segments int) []core.Input {
+func (d *DedupStream) inputs(r *rng.Stream, segments int) []engine.Input {
 	// The extent pool holds recently emitted byte runs; re-emission
 	// prefers young extents (recency bias) so duplicates are mostly
 	// short-range.
 	const poolCap = 512
 	const recentBias = 96
 	var pool [][]byte
-	ins := make([]core.Input, segments)
+	ins := make([]engine.Input, segments)
 	for s := 0; s < segments; s++ {
 		data := make([]byte, 0, d.p.SegmentBytes)
 		for len(data) < d.p.SegmentBytes {
@@ -503,7 +503,7 @@ func (d *DedupStream) inputs(r *rng.Stream, segments int) []core.Input {
 
 // Quality is the mean duplicate-byte fraction detected over the final
 // quarter of the stream: higher means the index caught more redundancy.
-func (d *DedupStream) Quality(outputs []core.Output) float64 {
+func (d *DedupStream) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -19,7 +19,7 @@ func init() {
 // cloud as state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var fr trackutil.Frame
 	if err := json.Unmarshal(data, &fr); err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad frame: %w", err)
@@ -27,7 +27,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return fr, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	fr, ok := in.(trackutil.Frame)
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: input is %T, want trackutil.Frame", in)
@@ -35,7 +35,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(fr)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	res, ok := out.(Result)
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: output is %T, want Result", out)
@@ -43,7 +43,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(res)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var res Result
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad result: %w", err)
@@ -51,7 +51,7 @@ func (codec) DecodeOutput(data []byte) (core.Output, error) {
 	return res, nil
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	c, ok := s.(*trackutil.Cloud)
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: state is %T, want *trackutil.Cloud", s)
@@ -59,7 +59,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(c.Wire())
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w trackutil.WireCloud
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad state: %w", err)

@@ -19,7 +19,7 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -81,7 +81,7 @@ func New() *FaceDetTrack { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *FaceDetTrack { return &FaceDetTrack{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (f *FaceDetTrack) Name() string { return "facedet-and-track" }
 
 // Describe implements bench.Benchmark.
@@ -90,25 +90,25 @@ func (f *FaceDetTrack) Describe() string {
 }
 
 // Initial locks on the first-frame detection.
-func (f *FaceDetTrack) Initial(r *rng.Stream) core.State {
+func (f *FaceDetTrack) Initial(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 0.03, r)
 }
 
 // Fresh scatters guesses over the frame; the next detectable frame
 // re-locks it (a short short-memory length — unless inside an occlusion).
-func (f *FaceDetTrack) Fresh(r *rng.Stream) core.State {
+func (f *FaceDetTrack) Fresh(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 2.0, r)
 }
 
-// FreshInto implements core.FreshRecycler: Fresh rebuilt into a retired
+// FreshInto implements engine.FreshRecycler: Fresh rebuilt into a retired
 // cloud's buffers, with the identical draw sequence.
-func (f *FaceDetTrack) FreshInto(dst core.State, r *rng.Stream) core.State {
+func (f *FaceDetTrack) FreshInto(dst engine.State, r *rng.Stream) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.FreshCloudInto(d, particles, poseDims, nil, 2.0, r)
 }
 
 // Update runs detection or, when it fails, the particle filter.
-func (f *FaceDetTrack) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (f *FaceDetTrack) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	c := stv.(*trackutil.Cloud)
 	fr := in.(trackutil.Frame)
 	var est []float64
@@ -136,22 +136,22 @@ type Result struct {
 }
 
 // Clone deep-copies the particle set.
-func (f *FaceDetTrack) Clone(stv core.State) core.State { return stv.(*trackutil.Cloud).Clone() }
+func (f *FaceDetTrack) Clone(stv engine.State) engine.State { return stv.(*trackutil.Cloud).Clone() }
 
-// CloneInto implements core.StateRecycler.
-func (f *FaceDetTrack) CloneInto(dst, src core.State) core.State {
+// CloneInto implements engine.StateRecycler.
+func (f *FaceDetTrack) CloneInto(dst, src engine.State) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements core.Fingerprinter: box-estimate coordinates
+// Fingerprint implements engine.Fingerprinter: box-estimate coordinates
 // quantized at MatchTol, as for facetrack.
-func (f *FaceDetTrack) Fingerprint(stv core.State) uint64 {
+func (f *FaceDetTrack) Fingerprint(stv engine.State) uint64 {
 	return stv.(*trackutil.Cloud).Digest(f.p.MatchTol)
 }
 
 // Match compares box estimates, as for facetrack.
-func (f *FaceDetTrack) Match(av, bv core.State) bool {
+func (f *FaceDetTrack) Match(av, bv engine.State) bool {
 	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
 	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= f.p.MatchTol
 }
@@ -189,7 +189,7 @@ var filterProfile = memsim.AccessProfile{
 }
 
 // UpdateCost is bimodal: cheap detection or expensive filtering.
-func (f *FaceDetTrack) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (f *FaceDetTrack) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	fr := in.(trackutil.Frame)
 	var instr int64
 	base := &detProfile
@@ -206,7 +206,7 @@ func (f *FaceDetTrack) UpdateCost(in core.Input, stv core.State) core.UpdateWork
 	} else {
 		access = base
 	}
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: access},
 		Parallel:    machine.Work{Instr: instr - serial, Access: access},
 		Grain:       8,
@@ -234,7 +234,7 @@ func (f *FaceDetTrack) PreRegionWork() machine.Work { return machine.Work{Instr:
 func (f *FaceDetTrack) PostRegionWork() machine.Work { return machine.Work{Instr: 28_000_000} }
 
 // Inputs generates the native 1,050-frame video.
-func (f *FaceDetTrack) Inputs(r *rng.Stream) []core.Input {
+func (f *FaceDetTrack) Inputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("native"), trackutil.TrajConfig{
 		Frames:     f.p.Frames,
 		Dims:       poseDims,
@@ -248,7 +248,7 @@ func (f *FaceDetTrack) Inputs(r *rng.Stream) []core.Input {
 
 // TrainingInputs is a different video at ~3/4 scale with the same
 // occlusion density.
-func (f *FaceDetTrack) TrainingInputs(r *rng.Stream) []core.Input {
+func (f *FaceDetTrack) TrainingInputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("training"), trackutil.TrajConfig{
 		Frames:     f.p.Frames * 3 / 4,
 		Dims:       poseDims,
@@ -260,8 +260,8 @@ func (f *FaceDetTrack) TrainingInputs(r *rng.Stream) []core.Input {
 	}))
 }
 
-func framesToInputs(frames []trackutil.Frame) []core.Input {
-	ins := make([]core.Input, len(frames))
+func framesToInputs(frames []trackutil.Frame) []engine.Input {
+	ins := make([]engine.Input, len(frames))
 	for i, fr := range frames {
 		ins[i] = fr
 	}
@@ -269,7 +269,7 @@ func framesToInputs(frames []trackutil.Frame) []core.Input {
 }
 
 // Quality is minus the mean box distance to ground truth (§IV-C).
-func (f *FaceDetTrack) Quality(outputs []core.Output) float64 {
+func (f *FaceDetTrack) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

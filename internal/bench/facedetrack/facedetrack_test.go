@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -35,7 +35,7 @@ func TestDetectorHandlesClearFrames(t *testing.T) {
 	r := rng.New(4)
 	for _, in := range ins {
 		fr := in.(trackutil.Frame)
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		res := out.(Result)
 		if res.Detected != !fr.Occluded {
@@ -68,7 +68,7 @@ func TestFilterCoversOcclusion(t *testing.T) {
 	r := rng.New(8)
 	worst := 0.0
 	for _, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		if e := out.(Result).Err; e > worst {
 			worst = e
@@ -89,7 +89,7 @@ func TestRecoveryAfterOcclusion(t *testing.T) {
 	prevOccluded := false
 	for _, in := range ins {
 		fr := in.(trackutil.Frame)
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		if prevOccluded && !fr.Occluded {
 			// First frame after occlusion: detector must re-lock to the
@@ -133,13 +133,13 @@ func TestEndToEndFewerChunksFewerAborts(t *testing.T) {
 	// and at 14 chunks most speculation must commit.
 	f := New()
 	ins := f.Inputs(rng.New(17))
-	runWith := func(chunks int) *core.Report {
+	runWith := func(chunks int) *engine.Report {
 		m := machine.New(machine.DefaultConfig(8))
-		var rep *core.Report
+		var rep *engine.Report
 		var rerr error
 		if err := m.Run("main", func(th *machine.Thread) {
-			rep, rerr = core.Run(core.NewSimExec(th), f, ins,
-				core.Config{Chunks: chunks, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+			rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
+				engine.Config{Chunks: chunks, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +162,8 @@ func TestEndToEndFewerChunksFewerAborts(t *testing.T) {
 
 func TestQualityOrdering(t *testing.T) {
 	f := small()
-	good := []core.Output{Result{Err: 0.05}}
-	bad := []core.Output{Result{Err: 0.8}}
+	good := []engine.Output{Result{Err: 0.05}}
+	bad := []engine.Output{Result{Err: 0.8}}
 	if f.Quality(good) <= f.Quality(bad) {
 		t.Fatal("quality ordering wrong")
 	}

@@ -18,7 +18,7 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -75,7 +75,7 @@ func New() *FaceTrack { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *FaceTrack { return &FaceTrack{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (f *FaceTrack) Name() string { return "facetrack" }
 
 // Describe implements bench.Benchmark.
@@ -84,24 +84,24 @@ func (f *FaceTrack) Describe() string {
 }
 
 // Initial locks on the known first-frame face box.
-func (f *FaceTrack) Initial(r *rng.Stream) core.State {
+func (f *FaceTrack) Initial(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 0.03, r)
 }
 
 // Fresh scatters guesses over the frame.
-func (f *FaceTrack) Fresh(r *rng.Stream) core.State {
+func (f *FaceTrack) Fresh(r *rng.Stream) engine.State {
 	return trackutil.NewCloud(particles, poseDims, nil, 2.0, r)
 }
 
-// FreshInto implements core.FreshRecycler: Fresh rebuilt into a retired
+// FreshInto implements engine.FreshRecycler: Fresh rebuilt into a retired
 // cloud's buffers, with the identical draw sequence.
-func (f *FaceTrack) FreshInto(dst core.State, r *rng.Stream) core.State {
+func (f *FaceTrack) FreshInto(dst engine.State, r *rng.Stream) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.FreshCloudInto(d, particles, poseDims, nil, 2.0, r)
 }
 
 // Update runs one filter step.
-func (f *FaceTrack) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (f *FaceTrack) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	c := stv.(*trackutil.Cloud)
 	fr := in.(trackutil.Frame)
 	est := c.Step(fr, f.p.ProcNoise, f.p.ObsNoise, r)
@@ -116,24 +116,24 @@ type Result struct {
 }
 
 // Clone deep-copies the 8 KB particle set.
-func (f *FaceTrack) Clone(stv core.State) core.State { return stv.(*trackutil.Cloud).Clone() }
+func (f *FaceTrack) Clone(stv engine.State) engine.State { return stv.(*trackutil.Cloud).Clone() }
 
-// CloneInto implements core.StateRecycler.
-func (f *FaceTrack) CloneInto(dst, src core.State) core.State {
+// CloneInto implements engine.StateRecycler.
+func (f *FaceTrack) CloneInto(dst, src engine.State) engine.State {
 	d, _ := dst.(*trackutil.Cloud)
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements core.Fingerprinter: face-box estimate
+// Fingerprint implements engine.Fingerprinter: face-box estimate
 // coordinates quantized at MatchTol (a bound on each coordinate's
 // difference under Match's Euclidean-distance test).
-func (f *FaceTrack) Fingerprint(stv core.State) uint64 {
+func (f *FaceTrack) Fingerprint(stv engine.State) uint64 {
 	return stv.(*trackutil.Cloud).Digest(f.p.MatchTol)
 }
 
 // Match compares face-box estimates: the paper's "average Euclidean
 // distance between the boxes containing the detected faces".
-func (f *FaceTrack) Match(av, bv core.State) bool {
+func (f *FaceTrack) Match(av, bv engine.State) bool {
 	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
 	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= f.p.MatchTol
 }
@@ -159,14 +159,14 @@ var faceProfile = memsim.AccessProfile{
 }
 
 // UpdateCost charges one native tracking pass over the frame.
-func (f *FaceTrack) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (f *FaceTrack) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	instr := f.p.NativeInstrPerFrame
 	serial := int64(float64(instr) * 0.30) // color conversion, resampling
 	var access *memsim.AccessProfile
 	if c, ok := stv.(*trackutil.Cloud); ok {
 		access = c.Profile(&faceProfile, "facetrack.state.", f.StateBytes())
 	}
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: access},
 		Parallel:    machine.Work{Instr: instr - serial, Access: access},
 		Grain:       4,
@@ -194,7 +194,7 @@ func (f *FaceTrack) PreRegionWork() machine.Work { return machine.Work{Instr: 30
 func (f *FaceTrack) PostRegionWork() machine.Work { return machine.Work{Instr: 22_000_000} }
 
 // Inputs generates the native 600-frame video.
-func (f *FaceTrack) Inputs(r *rng.Stream) []core.Input {
+func (f *FaceTrack) Inputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("native"), trackutil.TrajConfig{
 		Frames:     f.p.Frames,
 		Dims:       poseDims,
@@ -208,7 +208,7 @@ func (f *FaceTrack) Inputs(r *rng.Stream) []core.Input {
 
 // TrainingInputs is a different video at ~3/4 scale with the same
 // occlusion density.
-func (f *FaceTrack) TrainingInputs(r *rng.Stream) []core.Input {
+func (f *FaceTrack) TrainingInputs(r *rng.Stream) []engine.Input {
 	return framesToInputs(trackutil.GenTrajectory(r.Derive("training"), trackutil.TrajConfig{
 		Frames:     f.p.Frames * 3 / 4,
 		Dims:       poseDims,
@@ -220,8 +220,8 @@ func (f *FaceTrack) TrainingInputs(r *rng.Stream) []core.Input {
 	}))
 }
 
-func framesToInputs(frames []trackutil.Frame) []core.Input {
-	ins := make([]core.Input, len(frames))
+func framesToInputs(frames []trackutil.Frame) []engine.Input {
+	ins := make([]engine.Input, len(frames))
 	for i, fr := range frames {
 		ins[i] = fr
 	}
@@ -229,7 +229,7 @@ func framesToInputs(frames []trackutil.Frame) []core.Input {
 }
 
 // Quality is minus the mean box distance to ground truth (§IV-C).
-func (f *FaceTrack) Quality(outputs []core.Output) float64 {
+func (f *FaceTrack) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

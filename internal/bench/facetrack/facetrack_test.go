@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -34,9 +34,9 @@ func TestTrackerAccuracy(t *testing.T) {
 	ins := f.Inputs(rng.New(2))
 	st := f.Initial(rng.New(3))
 	r := rng.New(4)
-	var rep []core.Output
+	var rep []engine.Output
 	for _, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		rep = append(rep, out)
 	}
@@ -53,7 +53,7 @@ func TestOcclusionDegradesTracking(t *testing.T) {
 	var clearErr, occErr, clearN, occN float64
 	for _, in := range ins {
 		fr := in.(trackutil.Frame)
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		if fr.Occluded {
 			occErr += out.(Result).Err
@@ -81,12 +81,12 @@ func TestMatchClearVsOccludedBoundary(t *testing.T) {
 	// Build the original lineage once.
 	long := f.Initial(rng.New(9))
 	rl := rng.New(10)
-	lineage := make([]core.State, len(ins))
+	lineage := make([]engine.State, len(ins))
 	for i := range ins {
 		long, _ = f.Update(long, ins[i], rl)
 		lineage[i] = f.Clone(long)
 	}
-	specAt := func(boundary, k int, seed uint64) core.State {
+	specAt := func(boundary, k int, seed uint64) engine.State {
 		spec := f.Fresh(rng.New(seed))
 		rs := rng.New(seed + 1)
 		for i := boundary - k; i < boundary; i++ {
@@ -144,11 +144,11 @@ func TestEndToEndMispeculationPresent(t *testing.T) {
 	f := New()
 	ins := f.Inputs(rng.New(11))
 	m := machine.New(machine.DefaultConfig(8))
-	var rep *core.Report
+	var rep *engine.Report
 	var rerr error
 	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = core.Run(core.NewSimExec(th), f, ins,
-			core.Config{Chunks: 28, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+		rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
+			engine.Config{Chunks: 28, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -18,7 +18,7 @@ func init() {
 // state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var f Force
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad force: %w", err)
@@ -26,7 +26,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return f, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	f, ok := in.(Force)
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: input is %T, want Force", in)
@@ -34,7 +34,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(f)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	se, ok := out.(StepEnergy)
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: output is %T, want StepEnergy", out)
@@ -42,7 +42,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(se)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var se StepEnergy
 	if err := json.Unmarshal(data, &se); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad step energy: %w", err)
@@ -58,7 +58,7 @@ type wireField struct {
 	VY []float64 `json:"vy"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*field)
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: state is %T, want *field", s)
@@ -66,7 +66,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireField{VX: st.vx[:], VY: st.vy[:]})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireField
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad state: %w", err)

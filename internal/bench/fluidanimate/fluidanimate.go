@@ -22,7 +22,7 @@ import (
 	"math"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -97,7 +97,7 @@ func New() *FluidAnimate { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *FluidAnimate { return &FluidAnimate{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (f *FluidAnimate) Name() string { return "fluidanimate" }
 
 // Describe implements bench.Benchmark.
@@ -106,15 +106,15 @@ func (f *FluidAnimate) Describe() string {
 }
 
 // Initial is the fluid at rest.
-func (f *FluidAnimate) Initial(r *rng.Stream) core.State { return &field{} }
+func (f *FluidAnimate) Initial(r *rng.Stream) engine.State { return &field{} }
 
 // Fresh is also the fluid at rest: there is nothing better a cold
 // alternative producer could start from, which is precisely the problem.
-func (f *FluidAnimate) Fresh(r *rng.Stream) core.State { return &field{} }
+func (f *FluidAnimate) Fresh(r *rng.Stream) engine.State { return &field{} }
 
 // Update applies one timestep: the input force (with nondeterministic
 // jitter), viscosity diffusion, and damping.
-func (f *FluidAnimate) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (f *FluidAnimate) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := stv.(*field)
 	fr := in.(Force)
 	// Apply the impulse with nondeterministic jitter over a small stencil.
@@ -156,14 +156,14 @@ type StepEnergy struct {
 }
 
 // Clone deep-copies the 64 KB field.
-func (f *FluidAnimate) Clone(stv core.State) core.State {
+func (f *FluidAnimate) Clone(stv engine.State) engine.State {
 	c := *stv.(*field)
 	return &c
 }
 
-// CloneInto implements core.StateRecycler: the 64 KB field lands in a
+// CloneInto implements engine.StateRecycler: the 64 KB field lands in a
 // retired field instead of allocating.
-func (f *FluidAnimate) CloneInto(dst, src core.State) core.State {
+func (f *FluidAnimate) CloneInto(dst, src engine.State) engine.State {
 	d, ok := dst.(*field)
 	if !ok {
 		return f.Clone(src)
@@ -172,27 +172,27 @@ func (f *FluidAnimate) CloneInto(dst, src core.State) core.State {
 	return d
 }
 
-// Fingerprint implements core.Fingerprinter: the field's mean x and y
+// Fingerprint implements engine.Fingerprinter: the field's mean x and y
 // velocities quantized at MatchTol. The mean absolute per-cell
 // difference is bounded by the RMS distance Match tests, so matching
 // fields are always digest-compatible.
-func (f *FluidAnimate) Fingerprint(stv core.State) uint64 {
+func (f *FluidAnimate) Fingerprint(stv engine.State) uint64 {
 	st := stv.(*field)
 	var mx, my float64
 	for i := 0; i < cells; i++ {
 		mx += st.vx[i]
 		my += st.vy[i]
 	}
-	return core.PackLanes(
-		core.QuantizeLane(mx/cells, f.p.MatchTol),
-		core.QuantizeLane(my/cells, f.p.MatchTol),
+	return engine.PackLanes(
+		engine.QuantizeLane(mx/cells, f.p.MatchTol),
+		engine.QuantizeLane(my/cells, f.p.MatchTol),
 	)
 }
 
 // Match compares fields by RMS distance. Because the field integrates
 // the whole force history, a fresh-start lineage essentially never
 // matches — mispeculation by construction.
-func (f *FluidAnimate) Match(a, b core.State) bool {
+func (f *FluidAnimate) Match(a, b engine.State) bool {
 	fa, fb := a.(*field), b.(*field)
 	var sum float64
 	for i := 0; i < cells; i++ {
@@ -220,10 +220,10 @@ var fluidProfile = memsim.AccessProfile{
 
 // UpdateCost charges one native timestep (the original simulates ~500k
 // particles; the grid stands in at reduced width).
-func (f *FluidAnimate) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (f *FluidAnimate) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	instr := f.p.NativeInstrPerStep
 	serial := int64(float64(instr) * 0.10)
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: &fluidProfile},
 		Parallel:    machine.Work{Instr: instr - serial, Access: &fluidProfile},
 		Grain:       16,
@@ -252,17 +252,17 @@ func (f *FluidAnimate) PostRegionWork() machine.Work { return machine.Work{Instr
 
 // Inputs generates the native force sequence: a stirring pattern with
 // drifting position.
-func (f *FluidAnimate) Inputs(r *rng.Stream) []core.Input {
+func (f *FluidAnimate) Inputs(r *rng.Stream) []engine.Input {
 	return f.inputs(r.Derive("native"), f.p.Steps)
 }
 
 // TrainingInputs is a different sequence at ~3/4 scale.
-func (f *FluidAnimate) TrainingInputs(r *rng.Stream) []core.Input {
+func (f *FluidAnimate) TrainingInputs(r *rng.Stream) []engine.Input {
 	return f.inputs(r.Derive("training"), f.p.Steps*3/4)
 }
 
-func (f *FluidAnimate) inputs(r *rng.Stream, steps int) []core.Input {
-	ins := make([]core.Input, steps)
+func (f *FluidAnimate) inputs(r *rng.Stream, steps int) []engine.Input {
+	ins := make([]engine.Input, steps)
 	x, y := gridW/2, gridH/2
 	for s := 0; s < steps; s++ {
 		x = (x + r.Intn(5) - 2 + gridW) % gridW
@@ -282,7 +282,7 @@ func (f *FluidAnimate) inputs(r *rng.Stream, steps int) []core.Input {
 // from the sequential reference regime: a proxy for simulation fidelity
 // (the paper's fluidanimate has no tolerance for semantic drift, which is
 // the other face of its missing short memory).
-func (f *FluidAnimate) Quality(outputs []core.Output) float64 {
+func (f *FluidAnimate) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

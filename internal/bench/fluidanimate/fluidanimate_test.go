@@ -3,7 +3,7 @@ package fluidanimate
 import (
 	"testing"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -27,7 +27,7 @@ func TestEnergyAccumulates(t *testing.T) {
 	r := rng.New(3)
 	var first, last float64
 	for i, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		e := out.(StepEnergy).Energy
 		if i == 0 {
@@ -89,16 +89,16 @@ func TestSTATSGainsNothing(t *testing.T) {
 	ins := f.Inputs(rng.New(14))
 	mSeq := machine.New(machine.DefaultConfig(1))
 	if err := mSeq.Run("main", func(th *machine.Thread) {
-		core.RunSequential(core.NewSimExec(th), f, ins, 3)
+		engine.RunSequential(engine.NewSimExec(th), f, ins, 3)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	m := machine.New(machine.DefaultConfig(8))
-	var rep *core.Report
+	var rep *engine.Report
 	var rerr error
 	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = core.Run(core.NewSimExec(th), f, ins,
-			core.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+		rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
+			engine.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +143,9 @@ func TestQualityFinite(t *testing.T) {
 	ins := f.Inputs(rng.New(15))
 	st := f.Initial(rng.New(16))
 	r := rng.New(17)
-	var outs []core.Output
+	var outs []engine.Output
 	for _, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = f.Update(st, in, r)
 		outs = append(outs, out)
 	}

@@ -4,25 +4,25 @@ import (
 	"fmt"
 	"sort"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 // StreamCodec translates one benchmark's inputs and outputs to and from a
 // wire form (one JSON object per line — NDJSON). It is what lets the
 // serving layer (cmd/statsserved) speak a benchmark's native types
-// without knowing them: sessions decode request lines into core.Input and
-// encode committed core.Output values back out.
+// without knowing them: sessions decode request lines into engine.Input and
+// encode committed engine.Output values back out.
 //
 // A codec must round-trip inputs exactly: DecodeInput(EncodeInput(in))
 // yields an input that drives the program identically to in. That is what
 // makes a served session reproducible from its request log.
 type StreamCodec interface {
 	// DecodeInput parses one request line into the benchmark's input type.
-	DecodeInput(data []byte) (core.Input, error)
+	DecodeInput(data []byte) (engine.Input, error)
 	// EncodeInput renders an input as one line (no trailing newline).
-	EncodeInput(in core.Input) ([]byte, error)
+	EncodeInput(in engine.Input) ([]byte, error)
 	// EncodeOutput renders a committed output as one line.
-	EncodeOutput(out core.Output) ([]byte, error)
+	EncodeOutput(out engine.Output) ([]byte, error)
 }
 
 var codecs = map[string]func() StreamCodec{}
@@ -73,11 +73,11 @@ type WireCodec interface {
 	// the return half of the out-of-process chunk protocol. Like inputs,
 	// outputs must round-trip exactly: EncodeOutput(DecodeOutput(line))
 	// reproduces line byte for byte.
-	DecodeOutput(data []byte) (core.Output, error)
+	DecodeOutput(data []byte) (engine.Output, error)
 	// EncodeState renders a benchmark state as one line (no newline).
-	EncodeState(s core.State) ([]byte, error)
+	EncodeState(s engine.State) ([]byte, error)
 	// DecodeState parses an EncodeState line back into a live state.
-	DecodeState(data []byte) (core.State, error)
+	DecodeState(data []byte) (engine.State, error)
 }
 
 var wires = map[string]func() WireCodec{}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -19,7 +19,7 @@ func init() {
 // execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var blk Block
 	if err := json.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block: %w", err)
@@ -27,7 +27,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return blk, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	blk, ok := in.(Block)
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: input is %T, want Block", in)
@@ -35,7 +35,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(blk)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	ba, ok := out.(BlockAccuracy)
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: output is %T, want BlockAccuracy", out)
@@ -43,7 +43,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(ba)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var ba BlockAccuracy
 	if err := json.Unmarshal(data, &ba); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block accuracy: %w", err)
@@ -59,7 +59,7 @@ type wireState struct {
 	Protos  float64           `json:"protos"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*sgdState)
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: state is %T, want *sgdState", s)
@@ -67,7 +67,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireState{W: st.w, N: st.n, ErrRate: st.errRate, Protos: st.protos})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad state: %w", err)

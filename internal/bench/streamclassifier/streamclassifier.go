@@ -23,7 +23,7 @@ import (
 	"math"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -97,7 +97,7 @@ func New() *StreamClassifier { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *StreamClassifier { return &StreamClassifier{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (s *StreamClassifier) Name() string { return "streamclassifier" }
 
 // Describe implements bench.Benchmark.
@@ -106,13 +106,13 @@ func (s *StreamClassifier) Describe() string {
 }
 
 // Initial is the zero weight vector.
-func (s *StreamClassifier) Initial(r *rng.Stream) core.State { return &sgdState{errRate: 0.5} }
+func (s *StreamClassifier) Initial(r *rng.Stream) engine.State { return &sgdState{errRate: 0.5} }
 
 // Fresh is identical: SGD needs no history.
-func (s *StreamClassifier) Fresh(r *rng.Stream) core.State { return &sgdState{errRate: 0.5} }
+func (s *StreamClassifier) Fresh(r *rng.Stream) engine.State { return &sgdState{errRate: 0.5} }
 
 // Update runs one randomized SGD pass over the block.
-func (s *StreamClassifier) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (s *StreamClassifier) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := stv.(*sgdState)
 	blk := in.(Block)
 	order := r.Perm(len(blk.X))
@@ -158,13 +158,13 @@ func (s *StreamClassifier) Update(stv core.State, in core.Input, r *rng.Stream) 
 type BlockAccuracy struct{ Accuracy float64 }
 
 // Clone copies the state.
-func (s *StreamClassifier) Clone(stv core.State) core.State {
+func (s *StreamClassifier) Clone(stv engine.State) engine.State {
 	c := *stv.(*sgdState)
 	return &c
 }
 
-// CloneInto implements core.StateRecycler.
-func (s *StreamClassifier) CloneInto(dst, src core.State) core.State {
+// CloneInto implements engine.StateRecycler.
+func (s *StreamClassifier) CloneInto(dst, src engine.State) engine.State {
 	d, ok := dst.(*sgdState)
 	if !ok {
 		return s.Clone(src)
@@ -173,37 +173,37 @@ func (s *StreamClassifier) CloneInto(dst, src core.State) core.State {
 	return d
 }
 
-// Fingerprint implements core.Fingerprinter: the first four coordinates
+// Fingerprint implements engine.Fingerprinter: the first four coordinates
 // of the normalized weight vector, quantized at sqrt(2*(1-MatchCos)).
 // Two unit vectors with cosine >= MatchCos are within that Euclidean
 // distance, which bounds every coordinate difference — so matching
 // states are always digest-compatible. The zero vector (which Match
 // treats specially) gets a sentinel lane far outside the unit ball.
-func (s *StreamClassifier) Fingerprint(stv core.State) uint64 {
+func (s *StreamClassifier) Fingerprint(stv engine.State) uint64 {
 	w := stv.(*sgdState).w
 	var n float64
 	for d := 0; d < features; d++ {
 		n += w[d] * w[d]
 	}
 	if n == 0 {
-		return core.PackLanes(core.ExactLane(1 << 12))
+		return engine.PackLanes(engine.ExactLane(1 << 12))
 	}
 	cell := math.Sqrt(2 * (1 - s.p.MatchCos))
 	if cell <= 0 {
 		return 0 // exact-cosine tolerance: disable gating, always deep-match
 	}
 	inv := 1 / math.Sqrt(n)
-	return core.PackLanes(
-		core.QuantizeLane(w[0]*inv, cell),
-		core.QuantizeLane(w[1]*inv, cell),
-		core.QuantizeLane(w[2]*inv, cell),
-		core.QuantizeLane(w[3]*inv, cell),
+	return engine.PackLanes(
+		engine.QuantizeLane(w[0]*inv, cell),
+		engine.QuantizeLane(w[1]*inv, cell),
+		engine.QuantizeLane(w[2]*inv, cell),
+		engine.QuantizeLane(w[3]*inv, cell),
 	)
 }
 
 // Match accepts weight vectors whose cosine similarity is at least
 // MatchCos (direction defines the classifier; scale does not).
-func (s *StreamClassifier) Match(a, b core.State) bool {
+func (s *StreamClassifier) Match(a, b engine.State) bool {
 	wa, wb := a.(*sgdState).w, b.(*sgdState).w
 	var dot, na, nb float64
 	for d := 0; d < features; d++ {
@@ -238,14 +238,14 @@ var sgdProfile = memsim.AccessProfile{
 
 // UpdateCost charges the native block, inflated by the recent error rate
 // (each margin violation costs a gradient update).
-func (s *StreamClassifier) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (s *StreamClassifier) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	factor := 1.0
 	if st, ok := stv.(*sgdState); ok {
 		factor += st.protos / 220
 	}
 	instr := int64(float64(s.p.NativePointsBlock*features*64) * factor)
 	serial := int64(float64(instr) * 0.25)
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: &sgdProfile},
 		Parallel:    machine.Work{Instr: instr - serial, Access: &sgdProfile},
 		Grain:       8,
@@ -274,16 +274,16 @@ func (s *StreamClassifier) PreRegionWork() machine.Work { return machine.Work{In
 func (s *StreamClassifier) PostRegionWork() machine.Work { return machine.Work{Instr: 28_000_000} }
 
 // Inputs generates the native stream with a slowly rotating boundary.
-func (s *StreamClassifier) Inputs(r *rng.Stream) []core.Input {
+func (s *StreamClassifier) Inputs(r *rng.Stream) []engine.Input {
 	return s.inputs(r.Derive("native"), s.p.Blocks)
 }
 
 // TrainingInputs is a different stream at ~3/4 scale.
-func (s *StreamClassifier) TrainingInputs(r *rng.Stream) []core.Input {
+func (s *StreamClassifier) TrainingInputs(r *rng.Stream) []engine.Input {
 	return s.inputs(r.Derive("training"), s.p.Blocks*3/4)
 }
 
-func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []core.Input {
+func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []engine.Input {
 	var w [features]float64
 	for d := range w {
 		w[d] = r.NormFloat64()
@@ -292,7 +292,7 @@ func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []core.Input {
 	// The boundary rotates with a persistent angular velocity, so a
 	// frozen lineage lags it linearly.
 	var wvel [features]float64
-	ins := make([]core.Input, blocks)
+	ins := make([]engine.Input, blocks)
 	for b := 0; b < blocks; b++ {
 		for d := range w {
 			wvel[d] = 0.98*wvel[d] + 0.24*s.p.Drift*r.NormFloat64()
@@ -341,7 +341,7 @@ func normalize(w *[features]float64) {
 
 // Quality is the mean pre-update accuracy over the final quarter of the
 // stream.
-func (s *StreamClassifier) Quality(outputs []core.Output) float64 {
+func (s *StreamClassifier) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -60,7 +60,7 @@ func TestLearnerTracksBoundary(t *testing.T) {
 	var acc float64
 	n := 0
 	for i, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = s.Update(st, in, r)
 		if i >= 250 {
 			acc += out.(BlockAccuracy).Accuracy
@@ -77,7 +77,7 @@ func TestPrototypeBudgetGrowsAndSaturates(t *testing.T) {
 	ins := s.Inputs(rng.New(5))
 	st := s.Initial(rng.New(6)).(*sgdState)
 	r := rng.New(7)
-	var sv core.State = st
+	var sv engine.State = st
 	for _, in := range ins[:20] {
 		sv, _ = s.Update(sv, in, r)
 	}
@@ -183,8 +183,8 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestQuality(t *testing.T) {
 	s := small()
-	good := make([]core.Output, 40)
-	bad := make([]core.Output, 40)
+	good := make([]engine.Output, 40)
+	bad := make([]engine.Output, 40)
 	for i := range good {
 		good[i] = BlockAccuracy{Accuracy: 0.95}
 		bad[i] = BlockAccuracy{Accuracy: 0.6}
@@ -202,16 +202,16 @@ func TestEndToEndSavesInstructions(t *testing.T) {
 	ins := s.Inputs(rng.New(20))
 	mSeq := machine.New(machine.DefaultConfig(1))
 	if err := mSeq.Run("main", func(th *machine.Thread) {
-		core.RunSequential(core.NewSimExec(th), s, ins, 1)
+		engine.RunSequential(engine.NewSimExec(th), s, ins, 1)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	mPar := machine.New(machine.DefaultConfig(8))
-	var rep *core.Report
+	var rep *engine.Report
 	var rerr error
 	if err := mPar.Run("main", func(th *machine.Thread) {
-		rep, rerr = core.Run(core.NewSimExec(th), s, ins,
-			core.Config{Chunks: 14, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 5})
+		rep, rerr = engine.Run(engine.NewSimExec(th), s, ins,
+			engine.Config{Chunks: 14, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 5})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -18,7 +18,7 @@ func init() {
 // state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var blk Block
 	if err := json.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
@@ -26,7 +26,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return blk, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	blk, ok := in.(Block)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: input is %T, want Block", in)
@@ -34,7 +34,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(blk)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	bc, ok := out.(BlockCost)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: output is %T, want BlockCost", out)
@@ -42,7 +42,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(bc)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var bc BlockCost
 	if err := json.Unmarshal(data, &bc); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block cost: %w", err)
@@ -57,7 +57,7 @@ type wireState struct {
 	Lag     float64          `json:"lag"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*clusterState)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: state is %T, want *clusterState", s)
@@ -65,7 +65,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireState{Centers: st.centers, N: st.n, Lag: st.lag})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad state: %w", err)

@@ -23,7 +23,7 @@ import (
 	"math"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -102,7 +102,7 @@ func New() *StreamCluster { return NewWithParams(Default()) }
 // NewWithParams builds a custom-scale benchmark.
 func NewWithParams(p Params) *StreamCluster { return &StreamCluster{p: p} }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (s *StreamCluster) Name() string { return "streamcluster" }
 
 // Describe implements bench.Benchmark.
@@ -112,7 +112,7 @@ func (s *StreamCluster) Describe() string {
 
 // Initial spreads the centers over the unit cube deterministically, like
 // the original's first-k initialization.
-func (s *StreamCluster) Initial(r *rng.Stream) core.State {
+func (s *StreamCluster) Initial(r *rng.Stream) engine.State {
 	st := &clusterState{}
 	for i := 0; i < k; i++ {
 		for d := 0; d < dims; d++ {
@@ -123,7 +123,7 @@ func (s *StreamCluster) Initial(r *rng.Stream) core.State {
 }
 
 // Fresh starts with the same cold layout: the clusterer needs no history.
-func (s *StreamCluster) Fresh(r *rng.Stream) core.State { return s.Initial(r) }
+func (s *StreamCluster) Fresh(r *rng.Stream) engine.State { return s.Initial(r) }
 
 func dist2(a, b [dims]float64) float64 {
 	var sum float64
@@ -135,7 +135,7 @@ func dist2(a, b [dims]float64) float64 {
 }
 
 // Update clusters one block of points.
-func (s *StreamCluster) Update(stv core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (s *StreamCluster) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := stv.(*clusterState)
 	blk := in.(Block)
 	var cost float64
@@ -180,13 +180,13 @@ func (s *StreamCluster) Update(stv core.State, in core.Input, r *rng.Stream) (co
 type BlockCost struct{ Cost float64 }
 
 // Clone copies the state.
-func (s *StreamCluster) Clone(stv core.State) core.State {
+func (s *StreamCluster) Clone(stv engine.State) engine.State {
 	c := *stv.(*clusterState)
 	return &c
 }
 
-// CloneInto implements core.StateRecycler.
-func (s *StreamCluster) CloneInto(dst, src core.State) core.State {
+// CloneInto implements engine.StateRecycler.
+func (s *StreamCluster) CloneInto(dst, src engine.State) engine.State {
 	d, ok := dst.(*clusterState)
 	if !ok {
 		return s.Clone(src)
@@ -195,12 +195,12 @@ func (s *StreamCluster) CloneInto(dst, src core.State) core.State {
 	return d
 }
 
-// Fingerprint implements core.Fingerprinter: the centroid of the k
+// Fingerprint implements engine.Fingerprinter: the centroid of the k
 // centers, one lane per dimension, quantized at MatchTol/k. The centroid
 // is permutation-invariant, and under the best-permutation matching each
 // centroid coordinate moves by at most (sum of per-center distances)/k ≤
 // MatchTol/k — so matching states are always digest-compatible.
-func (s *StreamCluster) Fingerprint(stv core.State) uint64 {
+func (s *StreamCluster) Fingerprint(stv engine.State) uint64 {
 	st := stv.(*clusterState)
 	cell := s.p.MatchTol / k
 	var lanes [dims]int64
@@ -209,14 +209,14 @@ func (s *StreamCluster) Fingerprint(stv core.State) uint64 {
 		for i := 0; i < k; i++ {
 			m += st.centers[i][d]
 		}
-		lanes[d] = core.QuantizeLane(m/k, cell)
+		lanes[d] = engine.QuantizeLane(m/k, cell)
 	}
-	return core.PackLanes(lanes[0], lanes[1], lanes[2], lanes[3])
+	return engine.PackLanes(lanes[0], lanes[1], lanes[2], lanes[3])
 }
 
 // Match compares center sets under the best of all k! assignments (k=3:
 // 6 permutations), ignoring the count.
-func (s *StreamCluster) Match(a, b core.State) bool {
+func (s *StreamCluster) Match(a, b engine.State) bool {
 	sa, sb := a.(*clusterState), b.(*clusterState)
 	perms := [][k]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 	best := math.Inf(1)
@@ -255,7 +255,7 @@ var clusterProfile = memsim.AccessProfile{
 // UpdateCost charges the native block: distance evaluations over
 // NativePointsPerBlock points, inflated by the state's instability (the
 // reseed-and-reassign work of the original program).
-func (s *StreamCluster) UpdateCost(in core.Input, stv core.State) core.UpdateWork {
+func (s *StreamCluster) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
 	factor := 1.0
 	if st, ok := stv.(*clusterState); ok {
 		if excess := st.lag - 0.13; excess > 0 {
@@ -264,7 +264,7 @@ func (s *StreamCluster) UpdateCost(in core.Input, stv core.State) core.UpdateWor
 	}
 	instr := int64(float64(s.p.NativePointsPerBlock*dims*k*48) * factor)
 	serial := int64(float64(instr) * 0.30) // center updates and bookkeeping
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: &clusterProfile},
 		Parallel:    machine.Work{Instr: instr - serial, Access: &clusterProfile},
 		Grain:       8,
@@ -294,16 +294,16 @@ func (s *StreamCluster) PreRegionWork() machine.Work { return machine.Work{Instr
 func (s *StreamCluster) PostRegionWork() machine.Work { return machine.Work{Instr: 35_000_000} }
 
 // Inputs generates the native stream from 3 drifting Gaussian clusters.
-func (s *StreamCluster) Inputs(r *rng.Stream) []core.Input {
+func (s *StreamCluster) Inputs(r *rng.Stream) []engine.Input {
 	return s.inputs(r.Derive("native"), s.p.Blocks)
 }
 
 // TrainingInputs is a different stream at ~3/4 scale.
-func (s *StreamCluster) TrainingInputs(r *rng.Stream) []core.Input {
+func (s *StreamCluster) TrainingInputs(r *rng.Stream) []engine.Input {
 	return s.inputs(r.Derive("training"), s.p.Blocks*3/4)
 }
 
-func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []core.Input {
+func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []engine.Input {
 	var truth [k][dims]float64
 	for i := 0; i < k; i++ {
 		for d := 0; d < dims; d++ {
@@ -313,7 +313,7 @@ func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []core.Input {
 	// Clusters move with persistent velocities, so a frozen lineage
 	// accumulates lag linearly rather than diffusively.
 	var vel [k][dims]float64
-	ins := make([]core.Input, blocks)
+	ins := make([]engine.Input, blocks)
 	for b := 0; b < blocks; b++ {
 		for i := 0; i < k; i++ {
 			for d := 0; d < dims; d++ {
@@ -336,7 +336,7 @@ func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []core.Input {
 // Quality is minus the mean block cost over the final quarter of the
 // stream (the paper's clustering-cost metric, negated so higher is
 // better).
-func (s *StreamCluster) Quality(outputs []core.Output) float64 {
+func (s *StreamCluster) Quality(outputs []engine.Output) float64 {
 	if len(outputs) == 0 {
 		return math.Inf(-1)
 	}

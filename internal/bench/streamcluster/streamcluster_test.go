@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -43,7 +43,7 @@ func TestClustersFollowDrift(t *testing.T) {
 	r := rng.New(4)
 	var lastCost float64
 	for _, in := range ins {
-		var out core.Output
+		var out engine.Output
 		st, out = s.Update(st, in, r)
 		lastCost = out.(BlockCost).Cost
 	}
@@ -139,8 +139,8 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestQualityOrdering(t *testing.T) {
 	s := small()
-	good := make([]core.Output, 100)
-	bad := make([]core.Output, 100)
+	good := make([]engine.Output, 100)
+	bad := make([]engine.Output, 100)
 	for i := range good {
 		good[i] = BlockCost{Cost: 0.1}
 		bad[i] = BlockCost{Cost: 0.9}
@@ -169,16 +169,16 @@ func TestEndToEndChunkedSavesInstructions(t *testing.T) {
 	ins := s.Inputs(rng.New(20))
 	mSeq := machine.New(machine.DefaultConfig(1))
 	if err := mSeq.Run("main", func(th *machine.Thread) {
-		core.RunSequential(core.NewSimExec(th), s, ins, 1)
+		engine.RunSequential(engine.NewSimExec(th), s, ins, 1)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	mPar := machine.New(machine.DefaultConfig(8))
-	var rep *core.Report
+	var rep *engine.Report
 	var rerr error
 	if err := mPar.Run("main", func(th *machine.Thread) {
-		rep, rerr = core.Run(core.NewSimExec(th), s, ins,
-			core.Config{Chunks: 14, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 5})
+		rep, rerr = engine.Run(engine.NewSimExec(th), s, ins,
+			engine.Config{Chunks: 14, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 5})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
@@ -18,7 +18,7 @@ func init() {
 // out-of-process chunk execution — the raw 24-byte estimator as state.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var b Batch
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("swaptions: bad batch: %w", err)
@@ -26,7 +26,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return b, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	b, ok := in.(Batch)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: input is %T, want Batch", in)
@@ -34,7 +34,7 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(b)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	p, ok := out.(Price)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: output is %T, want Price", out)
@@ -42,7 +42,7 @@ func (codec) EncodeOutput(out core.Output) ([]byte, error) {
 	return json.Marshal(p)
 }
 
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
+func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	var p Price
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("swaptions: bad price: %w", err)
@@ -59,7 +59,7 @@ type wireState struct {
 	Sw    int     `json:"sw"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	e, ok := s.(*estState)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: state is %T, want *estState", s)
@@ -67,7 +67,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireState{Sum: e.sum, SumSq: e.sumSq, N: e.n, Sw: e.sw})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("swaptions: bad state: %w", err)

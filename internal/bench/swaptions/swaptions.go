@@ -23,7 +23,7 @@ import (
 	"sort"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
@@ -111,7 +111,7 @@ func NewWithParams(p Params) *Swaptions {
 	return s
 }
 
-// Name implements core.Program.
+// Name implements engine.Program.
 func (s *Swaptions) Name() string { return "swaptions" }
 
 // Describe implements bench.Benchmark.
@@ -120,10 +120,10 @@ func (s *Swaptions) Describe() string {
 }
 
 // Initial starts with an empty estimator, like the original program.
-func (s *Swaptions) Initial(r *rng.Stream) core.State { return &estState{sw: -1} }
+func (s *Swaptions) Initial(r *rng.Stream) engine.State { return &estState{sw: -1} }
 
 // Fresh is identical: the estimator needs no history to start.
-func (s *Swaptions) Fresh(r *rng.Stream) core.State { return &estState{sw: -1} }
+func (s *Swaptions) Fresh(r *rng.Stream) engine.State { return &estState{sw: -1} }
 
 // swaptionPayoff simulates one path and returns the discounted payoff.
 // Vasicek short rate: dr = a(b - r)dt + sigma dW; payoff on the terminal
@@ -166,7 +166,7 @@ func (s *Swaptions) TruePrice(sw int) float64 {
 }
 
 // Update simulates one batch and folds it into the estimator.
-func (s *Swaptions) Update(st core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (s *Swaptions) Update(st engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	e := st.(*estState)
 	batch := in.(Batch)
 	if e.sw != batch.Swaption {
@@ -208,13 +208,13 @@ type Price struct {
 }
 
 // Clone copies the 24-byte estimator.
-func (s *Swaptions) Clone(st core.State) core.State {
+func (s *Swaptions) Clone(st engine.State) engine.State {
 	c := *st.(*estState)
 	return &c
 }
 
-// CloneInto implements core.StateRecycler.
-func (s *Swaptions) CloneInto(dst, src core.State) core.State {
+// CloneInto implements engine.StateRecycler.
+func (s *Swaptions) CloneInto(dst, src engine.State) engine.State {
 	d, ok := dst.(*estState)
 	if !ok {
 		return s.Clone(src)
@@ -223,19 +223,19 @@ func (s *Swaptions) CloneInto(dst, src core.State) core.State {
 	return d
 }
 
-// Fingerprint implements core.Fingerprinter. Match's mean tolerance is
+// Fingerprint implements engine.Fingerprinter. Match's mean tolerance is
 // relative to the original estimate's magnitude, so the mean itself has
 // no state-independent quantization cell; the digest instead encodes the
 // discrete preconditions — the swaption index and estimator emptiness —
 // which Match requires to be equal, via ExactLane so any difference is
 // digest-incompatible.
-func (s *Swaptions) Fingerprint(st core.State) uint64 {
+func (s *Swaptions) Fingerprint(st engine.State) uint64 {
 	e := st.(*estState)
 	var empty int64
 	if e.n == 0 {
 		empty = 1
 	}
-	return core.PackLanes(core.ExactLane(int64(e.sw)), core.ExactLane(empty))
+	return engine.PackLanes(engine.ExactLane(int64(e.sw)), engine.ExactLane(empty))
 }
 
 // Match accepts a speculative estimator whose mean is within MatchRelTol
@@ -243,7 +243,7 @@ func (s *Swaptions) Fingerprint(st core.State) uint64 {
 // scaled by the speculative state's own standard error) forces
 // alternative producers to process enough simulations for a trustworthy
 // estimate — the short-memory length the autotuner searches for.
-func (s *Swaptions) Match(a, b core.State) bool {
+func (s *Swaptions) Match(a, b engine.State) bool {
 	ea, eb := a.(*estState), b.(*estState)
 	if ea.sw != eb.sw {
 		return false
@@ -277,10 +277,10 @@ var simProfile = memsim.AccessProfile{
 
 // UpdateCost charges the native-scale batch: ~240 instructions per
 // simulated path step.
-func (s *Swaptions) UpdateCost(in core.Input, st core.State) core.UpdateWork {
+func (s *Swaptions) UpdateCost(in engine.Input, st engine.State) engine.UpdateWork {
 	instr := s.p.NativeSimsPerBatch * int64(s.p.Steps) * 10
 	serial := instr / 100 // estimator fold + batch bookkeeping
-	return core.UpdateWork{
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: serial, Access: &simProfile},
 		Parallel:    machine.Work{Instr: instr - serial, Access: &simProfile},
 		Grain:       64,
@@ -309,12 +309,12 @@ func (s *Swaptions) PostRegionWork() machine.Work { return machine.Work{Instr: 9
 
 // Inputs generates the native batch stream: swaptions in sequence, each
 // split into batches.
-func (s *Swaptions) Inputs(r *rng.Stream) []core.Input {
+func (s *Swaptions) Inputs(r *rng.Stream) []engine.Input {
 	return s.inputs(r, s.p.BatchesPerSwaption)
 }
 
 // TrainingInputs is a distinct stream at ~3/4 scale for the autotuner.
-func (s *Swaptions) TrainingInputs(r *rng.Stream) []core.Input {
+func (s *Swaptions) TrainingInputs(r *rng.Stream) []engine.Input {
 	n := s.p.BatchesPerSwaption * 3 / 4
 	if n < 4 {
 		n = 4
@@ -322,8 +322,8 @@ func (s *Swaptions) TrainingInputs(r *rng.Stream) []core.Input {
 	return s.inputs(r.Derive("training"), n)
 }
 
-func (s *Swaptions) inputs(r *rng.Stream, batches int) []core.Input {
-	var ins []core.Input
+func (s *Swaptions) inputs(r *rng.Stream, batches int) []engine.Input {
+	var ins []engine.Input
 	for sw := 0; sw < s.p.Swaptions; sw++ {
 		for b := 0; b < batches; b++ {
 			ins = append(ins, Batch{Swaption: sw, Index: b, Seed: r.Uint64()})
@@ -334,7 +334,7 @@ func (s *Swaptions) inputs(r *rng.Stream, batches int) []core.Input {
 
 // Quality is minus the mean absolute pricing error of each swaption's
 // final estimate against the analytic price.
-func (s *Swaptions) Quality(outputs []core.Output) float64 {
+func (s *Swaptions) Quality(outputs []engine.Output) float64 {
 	final := map[int]float64{}
 	for _, o := range outputs {
 		p := o.(Price)

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -49,10 +49,10 @@ func TestTruePriceReasonable(t *testing.T) {
 func TestMonteCarloConvergesToTruePrice(t *testing.T) {
 	s := small()
 	r := rng.New(1)
-	var st core.State = s.Initial(r)
+	var st engine.State = s.Initial(r)
 	var est float64
 	for i := 0; i < 64; i++ {
-		var out core.Output
+		var out engine.Output
 		st, out = s.Update(st, Batch{Swaption: 0, Index: i}, r)
 		est = out.(Price).Estimate
 	}
@@ -151,8 +151,8 @@ func TestInputsShape(t *testing.T) {
 
 func TestQualityPrefersAccurateEstimates(t *testing.T) {
 	s := small()
-	good := []core.Output{Price{Swaption: 0, Estimate: s.TruePrice(0)}}
-	bad := []core.Output{Price{Swaption: 0, Estimate: s.TruePrice(0) + 0.01}}
+	good := []engine.Output{Price{Swaption: 0, Estimate: s.TruePrice(0)}}
+	bad := []engine.Output{Price{Swaption: 0, Estimate: s.TruePrice(0) + 0.01}}
 	if s.Quality(good) <= s.Quality(bad) {
 		t.Fatal("quality did not prefer the accurate estimate")
 	}
@@ -185,12 +185,12 @@ func TestStateBytes(t *testing.T) {
 func TestEndToEndSTATSCommits(t *testing.T) {
 	s := small()
 	ins := s.Inputs(rng.New(8))
-	cfg := core.Config{Chunks: 4, Lookback: 6, ExtraStates: 2, InnerWidth: 1, Seed: 9}
-	var rep *core.Report
+	cfg := engine.Config{Chunks: 4, Lookback: 6, ExtraStates: 2, InnerWidth: 1, Seed: 9}
+	var rep *engine.Report
 	var err error
 	m := machine.New(machine.DefaultConfig(8))
 	if runErr := m.Run("main", func(th *machine.Thread) {
-		rep, err = core.Run(core.NewSimExec(th), s, ins, cfg)
+		rep, err = engine.Run(engine.NewSimExec(th), s, ins, cfg)
 	}); runErr != nil {
 		t.Fatal(runErr)
 	}
@@ -214,7 +214,7 @@ func TestDeterministicUpdates(t *testing.T) {
 	run := func() float64 {
 		r := rng.New(11)
 		st := s.Initial(r)
-		var out core.Output
+		var out engine.Output
 		for i := 0; i < 8; i++ {
 			st, out = s.Update(st, Batch{Swaption: 1, Index: i}, r)
 		}

@@ -17,7 +17,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -272,12 +272,12 @@ func (w WireCloud) Live() *Cloud {
 }
 
 // Digest summarizes the cloud for digest-gated validation
-// (core.Fingerprinter): the leading coordinates of the posterior-mean
+// (engine.Fingerprinter): the leading coordinates of the posterior-mean
 // estimate, quantized at cell. Trackers match on the Euclidean distance
 // between estimates, and each coordinate of that distance is bounded by
 // it — so with cell set to the tracker's match tolerance, two clouds
 // that Match always land within one quantization step per lane, which is
-// exactly the conservativeness core.DigestsMayMatch requires.
+// exactly the conservativeness engine.DigestsMayMatch requires.
 func (c *Cloud) Digest(cell float64) uint64 {
 	lanes := c.Dims
 	if lanes > 4 {
@@ -293,9 +293,9 @@ func (c *Cloud) Digest(cell float64) uint64 {
 	}
 	var packed [4]int64
 	for d := 0; d < lanes; d++ {
-		packed[d] = core.QuantizeLane(est[d], cell)
+		packed[d] = engine.QuantizeLane(est[d], cell)
 	}
-	return core.PackLanes(packed[0], packed[1], packed[2], packed[3])
+	return engine.PackLanes(packed[0], packed[1], packed[2], packed[3])
 }
 
 // Profile returns the cloud's memory-access profile for the given base,

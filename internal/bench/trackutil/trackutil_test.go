@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -288,10 +288,10 @@ func TestDigestSeparatesDistantClouds(t *testing.T) {
 	nearTwin := NewCloud(64, 4, []float64{1.05, 1, 1, 1}, 0.01, r)
 	far := NewCloud(64, 4, []float64{40, -7, 3, 0}, 0.01, r)
 	cell := 0.5
-	if !core.DigestsMayMatch(near.Digest(cell), nearTwin.Digest(cell)) {
+	if !engine.DigestsMayMatch(near.Digest(cell), nearTwin.Digest(cell)) {
 		t.Fatal("clouds 0.05 apart must be digest-compatible at cell 0.5")
 	}
-	if core.DigestsMayMatch(near.Digest(cell), far.Digest(cell)) {
+	if engine.DigestsMayMatch(near.Digest(cell), far.Digest(cell)) {
 		t.Fatal("clouds tens of units apart must be digest-incompatible")
 	}
 }

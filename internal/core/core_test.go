@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 	"gostats/internal/trace"
@@ -32,11 +33,11 @@ type toyState struct {
 
 func (p *toyProg) Name() string { return "toy" }
 
-func (p *toyProg) Initial(r *rng.Stream) State { return &toyState{v: 100} }
+func (p *toyProg) Initial(r *rng.Stream) engine.State { return &toyState{v: 100} }
 
-func (p *toyProg) Fresh(r *rng.Stream) State { return &toyState{v: 0} }
+func (p *toyProg) Fresh(r *rng.Stream) engine.State { return &toyState{v: 0} }
 
-func (p *toyProg) Update(s State, in Input, r *rng.Stream) (State, Output) {
+func (p *toyProg) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := s.(*toyState)
 	x := in.(float64)
 	st.v = p.decay*st.v + x + p.noise*(2*r.Float64()-1)
@@ -44,12 +45,12 @@ func (p *toyProg) Update(s State, in Input, r *rng.Stream) (State, Output) {
 	return st, st.v
 }
 
-func (p *toyProg) Clone(s State) State {
+func (p *toyProg) Clone(s engine.State) engine.State {
 	c := *s.(*toyState)
 	return &c
 }
 
-func (p *toyProg) Match(a, b State) bool {
+func (p *toyProg) Match(a, b engine.State) bool {
 	if p.neverMatch {
 		return false
 	}
@@ -58,8 +59,8 @@ func (p *toyProg) Match(a, b State) bool {
 
 func (p *toyProg) StateBytes() int64 { return 16 }
 
-func (p *toyProg) UpdateCost(in Input, s State) UpdateWork {
-	return UpdateWork{
+func (p *toyProg) UpdateCost(in engine.Input, s engine.State) engine.UpdateWork {
+	return engine.UpdateWork{
 		Serial:      machine.Work{Instr: p.updInstr},
 		Parallel:    machine.Work{Instr: p.parInstr},
 		Grain:       p.grain,
@@ -77,8 +78,8 @@ func (p *toyProg) TeardownWork(chunks int) machine.Work {
 func (p *toyProg) PreRegionWork() machine.Work  { return machine.Work{Instr: p.preInstr} }
 func (p *toyProg) PostRegionWork() machine.Work { return machine.Work{Instr: p.postInstr} }
 
-func toyInputs(n int) []Input {
-	ins := make([]Input, n)
+func toyInputs(n int) []engine.Input {
+	ins := make([]engine.Input, n)
 	for i := range ins {
 		ins[i] = float64(i%7) + 1
 	}
@@ -90,22 +91,22 @@ func easyProg() *toyProg {
 	return &toyProg{decay: 0.5, noise: 0.01, tol: 5, updInstr: 20_000, parInstr: 0, grain: 1}
 }
 
-func simRun(t *testing.T, cores int, fn func(ex Exec)) (*machine.Machine, *trace.Trace) {
+func simRun(t *testing.T, cores int, fn func(ex engine.Exec)) (*machine.Machine, *trace.Trace) {
 	t.Helper()
 	tr := trace.New()
 	m := machine.New(machine.DefaultConfig(cores), machine.WithTrace(tr))
-	if err := m.Run("main", func(th *machine.Thread) { fn(NewSimExec(th)) }); err != nil {
+	if err := m.Run("main", func(th *machine.Thread) { fn(engine.NewSimExec(th)) }); err != nil {
 		t.Fatal(err)
 	}
 	return m, tr
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{Chunks: 4, Lookback: 2, ExtraStates: 1, InnerWidth: 1}
+	good := engine.Config{Chunks: 4, Lookback: 2, ExtraStates: 1, InnerWidth: 1}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
+	bad := []engine.Config{
 		{Chunks: 0, Lookback: 1, InnerWidth: 1},
 		{Chunks: 1, Lookback: 0, InnerWidth: 1},
 		{Chunks: 1, Lookback: 1, ExtraStates: -1, InnerWidth: 1},
@@ -122,7 +123,7 @@ func TestPartitionProperties(t *testing.T) {
 	f := func(n16, k8 uint8) bool {
 		n := int(n16) + 1
 		k := int(k8)%(n+2) + 1
-		b := partition(n, k)
+		b := engine.Partition(n, k)
 		if len(b) > n || len(b) < 1 {
 			return false
 		}
@@ -151,9 +152,9 @@ func TestPartitionProperties(t *testing.T) {
 func TestSequentialOutputsAllInputs(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(50)
-	var rep *Report
-	m, _ := simRun(t, 1, func(ex Exec) {
-		rep = RunSequential(ex, p, ins, 1)
+	var rep *engine.Report
+	m, _ := simRun(t, 1, func(ex engine.Exec) {
+		rep = engine.RunSequential(ex, p, ins, 1)
 	})
 	if len(rep.Outputs) != 50 {
 		t.Fatalf("got %d outputs", len(rep.Outputs))
@@ -166,11 +167,11 @@ func TestSequentialOutputsAllInputs(t *testing.T) {
 func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(120)
-	cfg := Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 1, Seed: 7}
-	var rep *Report
+	cfg := engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 1, Seed: 7}
+	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex Exec) {
-		rep, err = Run(ex, p, ins, cfg)
+	simRun(t, 8, func(ex engine.Exec) {
+		rep, err = engine.Run(ex, p, ins, cfg)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +190,11 @@ func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 func TestStatsSpeedsUpOverSequential(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(400)
-	mSeq, _ := simRun(t, 1, func(ex Exec) { RunSequential(ex, p, ins, 1) })
-	cfg := Config{Chunks: 8, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: 7}
-	var rep *Report
+	mSeq, _ := simRun(t, 1, func(ex engine.Exec) { engine.RunSequential(ex, p, ins, 1) })
+	cfg := engine.Config{Chunks: 8, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: 7}
+	var rep *engine.Report
 	var err error
-	mPar, _ := simRun(t, 8, func(ex Exec) { rep, err = Run(ex, p, ins, cfg) })
+	mPar, _ := simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +211,10 @@ func TestNeverMatchAbortsEverySpeculation(t *testing.T) {
 	p := easyProg()
 	p.neverMatch = true
 	ins := toyInputs(80)
-	cfg := Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 3}
-	var rep *Report
+	cfg := engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex Exec) { rep, err = Run(ex, p, ins, cfg) })
+	simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +232,11 @@ func TestAbortedRunMatchesSequentialSemantics(t *testing.T) {
 	// sequential execution exactly.
 	p := &toyProg{decay: 0.9, noise: 0, tol: 0, neverMatch: true, updInstr: 1000}
 	ins := toyInputs(60)
-	var seq, par *Report
+	var seq, par *engine.Report
 	var err error
-	simRun(t, 1, func(ex Exec) { seq = RunSequential(ex, p, ins, 1) })
-	simRun(t, 4, func(ex Exec) {
-		par, err = Run(ex, p, ins, Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 9})
+	simRun(t, 1, func(ex engine.Exec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	simRun(t, 4, func(ex engine.Exec) {
+		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 9})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +255,11 @@ func TestCommittedOutputsAreSpeculative(t *testing.T) {
 	// sequential run but stay within the short-memory envelope.
 	p := easyProg()
 	ins := toyInputs(100)
-	var seq, par *Report
+	var seq, par *engine.Report
 	var err error
-	simRun(t, 1, func(ex Exec) { seq = RunSequential(ex, p, ins, 1) })
-	simRun(t, 8, func(ex Exec) {
-		par, err = Run(ex, p, ins, Config{Chunks: 4, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 11})
+	simRun(t, 1, func(ex engine.Exec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	simRun(t, 8, func(ex engine.Exec) {
+		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 11})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,10 +277,10 @@ func TestCommittedOutputsAreSpeculative(t *testing.T) {
 func TestThreadAndStateCounts(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(90)
-	cfg := Config{Chunks: 3, Lookback: 5, ExtraStates: 2, InnerWidth: 2, Seed: 1}
-	var rep *Report
+	cfg := engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 2, InnerWidth: 2, Seed: 1}
+	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex Exec) { rep, err = Run(ex, p, ins, cfg) })
+	simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +303,8 @@ func TestInnerTLPReducesMakespan(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 16
 	ins := toyInputs(40)
-	m1, _ := simRun(t, 8, func(ex Exec) { RunOriginal(ex, p, ins, 1, 1) })
-	m4, _ := simRun(t, 8, func(ex Exec) { RunOriginal(ex, p, ins, 4, 1) })
+	m1, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 1, 1) })
+	m4, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 4, 1) })
 	sp := float64(m1.Now()) / float64(m4.Now())
 	if sp < 2 {
 		t.Fatalf("4-wide gang speedup only %.2fx", sp)
@@ -315,8 +316,8 @@ func TestGrainLimitsGangWidth(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 2 // only 2-way parallel
 	ins := toyInputs(30)
-	m2, _ := simRun(t, 8, func(ex Exec) { RunOriginal(ex, p, ins, 2, 1) })
-	m8, _ := simRun(t, 8, func(ex Exec) { RunOriginal(ex, p, ins, 8, 1) })
+	m2, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 2, 1) })
+	m8, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 8, 1) })
 	// Width 8 cannot beat width 2 by much when grain is 2.
 	if float64(m2.Now())/float64(m8.Now()) > 1.3 {
 		t.Fatalf("grain-2 update sped up too much at width 8: %d vs %d", m2.Now(), m8.Now())
@@ -327,8 +328,8 @@ func TestTraceContainsStatsPhases(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(100)
 	var err error
-	_, tr := simRun(t, 8, func(ex Exec) {
-		_, err = Run(ex, p, ins, Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 1, Seed: 5})
+	_, tr := simRun(t, 8, func(ex engine.Exec) {
+		_, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 1, Seed: 5})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,10 +349,10 @@ func TestTraceContainsStatsPhases(t *testing.T) {
 func TestLookbackLargerThanChunkClamps(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(12)
-	var rep *Report
+	var rep *engine.Report
 	var err error
-	simRun(t, 4, func(ex Exec) {
-		rep, err = Run(ex, p, ins, Config{Chunks: 4, Lookback: 100, ExtraStates: 1, InnerWidth: 1, Seed: 2})
+	simRun(t, 4, func(ex engine.Exec) {
+		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 100, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,10 +365,10 @@ func TestLookbackLargerThanChunkClamps(t *testing.T) {
 func TestMoreChunksThanInputsCaps(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(5)
-	var rep *Report
+	var rep *engine.Report
 	var err error
-	simRun(t, 4, func(ex Exec) {
-		rep, err = Run(ex, p, ins, Config{Chunks: 50, Lookback: 1, ExtraStates: 1, InnerWidth: 1, Seed: 2})
+	simRun(t, 4, func(ex engine.Exec) {
+		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 50, Lookback: 1, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +384,8 @@ func TestMoreChunksThanInputsCaps(t *testing.T) {
 func TestEmptyInputsRejected(t *testing.T) {
 	p := easyProg()
 	var err error
-	simRun(t, 2, func(ex Exec) {
-		_, err = Run(ex, p, nil, Config{Chunks: 2, Lookback: 1, InnerWidth: 1})
+	simRun(t, 2, func(ex engine.Exec) {
+		_, err = engine.Run(ex, p, nil, engine.Config{Chunks: 2, Lookback: 1, InnerWidth: 1})
 	})
 	if err == nil {
 		t.Fatal("empty input stream accepted")
@@ -394,8 +395,8 @@ func TestEmptyInputsRejected(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	p := easyProg()
 	var err error
-	simRun(t, 2, func(ex Exec) {
-		_, err = Run(ex, p, toyInputs(4), Config{Chunks: 0, Lookback: 1, InnerWidth: 1})
+	simRun(t, 2, func(ex engine.Exec) {
+		_, err = engine.Run(ex, p, toyInputs(4), engine.Config{Chunks: 0, Lookback: 1, InnerWidth: 1})
 	})
 	if err == nil {
 		t.Fatal("invalid config accepted")
@@ -405,11 +406,11 @@ func TestInvalidConfigRejected(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(100)
-	cfg := Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 42}
+	cfg := engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 42}
 	runOnce := func() (int64, float64) {
-		var rep *Report
+		var rep *engine.Report
 		var err error
-		m, _ := simRun(t, 8, func(ex Exec) { rep, err = Run(ex, p, ins, cfg) })
+		m, _ := simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,9 +428,9 @@ func TestDifferentSeedsDifferentNondeterminism(t *testing.T) {
 	p.noise = 0.5
 	ins := toyInputs(100)
 	out := func(seed uint64) float64 {
-		var rep *Report
-		simRun(t, 4, func(ex Exec) {
-			rep, _ = Run(ex, p, ins, Config{Chunks: 2, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: seed})
+		var rep *engine.Report
+		simRun(t, 4, func(ex engine.Exec) {
+			rep, _ = engine.Run(ex, p, ins, engine.Config{Chunks: 2, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: seed})
 		})
 		return rep.Outputs[99].(float64)
 	}
@@ -441,8 +442,8 @@ func TestDifferentSeedsDifferentNondeterminism(t *testing.T) {
 func TestNativeExecutorRunsModel(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(200)
-	cfg := Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 2, Seed: 13}
-	rep, err := Run(NewNativeExec(), p, ins, cfg)
+	cfg := engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 2, Seed: 13}
+	rep, err := engine.Run(engine.NewNativeExec(), p, ins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestNativeExecutorRunsModel(t *testing.T) {
 
 func TestNativeSequential(t *testing.T) {
 	p := easyProg()
-	rep := RunSequential(NewNativeExec(), p, toyInputs(30), 1)
+	rep := engine.RunSequential(engine.NewNativeExec(), p, toyInputs(30), 1)
 	if len(rep.Outputs) != 30 {
 		t.Fatalf("outputs = %d", len(rep.Outputs))
 	}
@@ -466,16 +467,16 @@ func TestOracleRegionCycles(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(100)
 	cpi := 1.0
-	seq := OracleRegionCycles(p, ins, 1, 1, 1, cpi, 1)
+	seq := engine.OracleRegionCycles(p, ins, 1, 1, 1, cpi, 1)
 	if seq != 100*p.updInstr {
 		t.Fatalf("1-chunk oracle = %d, want %d", seq, 100*p.updInstr)
 	}
-	four := OracleRegionCycles(p, ins, 4, 1, 4, cpi, 1)
+	four := engine.OracleRegionCycles(p, ins, 4, 1, 4, cpi, 1)
 	if four != seq/4 {
 		t.Fatalf("4-chunk oracle = %d, want %d", four, seq/4)
 	}
 	// Chunks beyond cores are capacity-bound.
-	many := OracleRegionCycles(p, ins, 20, 1, 4, cpi, 1)
+	many := engine.OracleRegionCycles(p, ins, 20, 1, 4, cpi, 1)
 	if many < seq/4 {
 		t.Fatalf("oracle beat core capacity: %d < %d", many, seq/4)
 	}
@@ -484,9 +485,9 @@ func TestOracleRegionCycles(t *testing.T) {
 func TestOracleMonotoneInCores(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(64)
-	prev := OracleRegionCycles(p, ins, 64, 1, 1, 1, 1)
+	prev := engine.OracleRegionCycles(p, ins, 64, 1, 1, 1, 1)
 	for _, cores := range []int{2, 4, 8, 16} {
-		cur := OracleRegionCycles(p, ins, 64, 1, cores, 1, 1)
+		cur := engine.OracleRegionCycles(p, ins, 64, 1, cores, 1, 1)
 		if cur > prev {
 			t.Fatalf("oracle time grew with cores: %d -> %d at %d cores", prev, cur, cores)
 		}
@@ -503,8 +504,8 @@ func TestMaxChunks(t *testing.T) {
 		{10, 4, 3, 1},
 	}
 	for _, c := range cases {
-		if got := MaxChunks(c.inputs, c.cores, c.width); got != c.want {
-			t.Errorf("MaxChunks(%d,%d,%d) = %d, want %d", c.inputs, c.cores, c.width, got, c.want)
+		if got := engine.MaxChunks(c.inputs, c.cores, c.width); got != c.want {
+			t.Errorf("engine.MaxChunks(%d,%d,%d) = %d, want %d", c.inputs, c.cores, c.width, got, c.want)
 		}
 	}
 }
@@ -516,7 +517,7 @@ func TestPropertyCommitsPlusAbortsEqualsChunks(t *testing.T) {
 			p.tol = 0.001
 			p.noise = 1
 		}
-		cfg := Config{
+		cfg := engine.Config{
 			Chunks:      int(chunks8%6) + 1,
 			Lookback:    int(look8%10) + 1,
 			ExtraStates: int(extra8 % 3),
@@ -524,11 +525,11 @@ func TestPropertyCommitsPlusAbortsEqualsChunks(t *testing.T) {
 			Seed:        seed,
 		}
 		ins := toyInputs(60)
-		var rep *Report
+		var rep *engine.Report
 		var err error
 		m := machine.New(machine.DefaultConfig(4))
 		if runErr := m.Run("main", func(th *machine.Thread) {
-			rep, err = Run(NewSimExec(th), p, ins, cfg)
+			rep, err = engine.Run(engine.NewSimExec(th), p, ins, cfg)
 		}); runErr != nil || err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 )
 
@@ -16,17 +17,17 @@ func TestSimAndNativeProduceIdenticalOutputs(t *testing.T) {
 	p := easyProg()
 	p.noise = 0.3
 	ins := toyInputs(160)
-	cfg := Config{Chunks: 5, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 99}
+	cfg := engine.Config{Chunks: 5, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 99}
 
-	nat, err := Run(NewNativeExec(), p, ins, cfg)
+	nat, err := engine.Run(engine.NewNativeExec(), p, ins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sim *Report
+	var sim *engine.Report
 	m := machine.New(machine.DefaultConfig(8))
 	if err := m.Run("main", func(th *machine.Thread) {
 		var runErr error
-		sim, runErr = Run(NewSimExec(th), p, ins, cfg)
+		sim, runErr = engine.Run(engine.NewSimExec(th), p, ins, cfg)
 		if runErr != nil {
 			t.Error(runErr)
 		}
@@ -54,11 +55,11 @@ func TestSequentialCrossExecutorIdentical(t *testing.T) {
 	p := easyProg()
 	p.noise = 0.5
 	ins := toyInputs(80)
-	nat := RunSequential(NewNativeExec(), p, ins, 7)
-	var sim *Report
+	nat := engine.RunSequential(engine.NewNativeExec(), p, ins, 7)
+	var sim *engine.Report
 	m := machine.New(machine.DefaultConfig(1))
 	if err := m.Run("main", func(th *machine.Thread) {
-		sim = RunSequential(NewSimExec(th), p, ins, 7)
+		sim = engine.RunSequential(engine.NewSimExec(th), p, ins, 7)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestSequentialCrossExecutorIdentical(t *testing.T) {
 func TestOneInputPerChunk(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(6)
-	var rep *Report
+	var rep *engine.Report
 	var err error
 	m := machine.New(machine.DefaultConfig(8))
 	if runErr := m.Run("main", func(th *machine.Thread) {
-		rep, err = Run(NewSimExec(th), p, ins, Config{Chunks: 6, Lookback: 4, ExtraStates: 2, InnerWidth: 1, Seed: 1})
+		rep, err = engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 2, InnerWidth: 1, Seed: 1})
 	}); runErr != nil {
 		t.Fatal(runErr)
 	}
@@ -99,7 +100,7 @@ func TestGangWiderThanMachine(t *testing.T) {
 	ins := toyInputs(20)
 	m := machine.New(machine.DefaultConfig(2))
 	if err := m.Run("main", func(th *machine.Thread) {
-		if _, err := Run(NewSimExec(th), p, ins, Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 6, Seed: 1}); err != nil {
+		if _, err := engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 6, Seed: 1}); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -111,11 +112,11 @@ func TestGangWiderThanMachine(t *testing.T) {
 func TestManyReplicas(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(40)
-	var rep *Report
+	var rep *engine.Report
 	m := machine.New(machine.DefaultConfig(2))
 	if err := m.Run("main", func(th *machine.Thread) {
 		var runErr error
-		rep, runErr = Run(NewSimExec(th), p, ins, Config{Chunks: 4, Lookback: 4, ExtraStates: 3, InnerWidth: 1, Seed: 1})
+		rep, runErr = engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 3, InnerWidth: 1, Seed: 1})
 		if runErr != nil {
 			t.Error(runErr)
 		}
@@ -135,7 +136,7 @@ func TestOutputsFiniteUnderHeavyNoise(t *testing.T) {
 	p.noise = 50
 	p.tol = 1e9 // commit everything
 	ins := toyInputs(60)
-	rep, err := Run(NewNativeExec(), p, ins, Config{Chunks: 3, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 5})
+	rep, err := engine.Run(engine.NewNativeExec(), p, ins, engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,17 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/trace"
 )
 
 func TestNativeExecSpawnJoin(t *testing.T) {
-	ex := NewNativeExec()
+	ex := engine.NewNativeExec()
 	var ran atomic.Int32
-	var hs []Handle
+	var hs []engine.Handle
 	for i := 0; i < 16; i++ {
-		hs = append(hs, ex.Spawn("w", func(child Exec) {
+		hs = append(hs, ex.Spawn("w", func(child engine.Exec) {
 			ran.Add(1)
 		}))
 	}
@@ -26,11 +27,11 @@ func TestNativeExecSpawnJoin(t *testing.T) {
 }
 
 func TestNativeExecMutexCond(t *testing.T) {
-	ex := NewNativeExec()
+	ex := engine.NewNativeExec()
 	mu := ex.NewMutex()
 	cond := ex.NewCond(mu)
 	ready := false
-	h := ex.Spawn("waiter", func(child Exec) {
+	h := ex.Spawn("waiter", func(child engine.Exec) {
 		mu.Lock(child)
 		for !ready {
 			cond.Wait(child)
@@ -45,7 +46,7 @@ func TestNativeExecMutexCond(t *testing.T) {
 }
 
 func TestNativeExecNoOps(t *testing.T) {
-	ex := NewNativeExec()
+	ex := engine.NewNativeExec()
 	// Charging and category changes must be harmless no-ops.
 	ex.Compute(machine.Work{Instr: 1 << 40})
 	ex.Copy(1<<40, 3, "x")
@@ -64,7 +65,7 @@ func TestSimExecDelegation(t *testing.T) {
 	tr := trace.New()
 	m := machine.New(machine.DefaultConfig(4), machine.WithTrace(tr))
 	err := m.Run("main", func(th *machine.Thread) {
-		ex := NewSimExec(th)
+		ex := engine.NewSimExec(th)
 		if ex.Thread() != th {
 			t.Error("Thread() lost the underlying thread")
 		}
@@ -75,7 +76,7 @@ func TestSimExecDelegation(t *testing.T) {
 		ex.Compute(machine.Work{Instr: 1000})
 		ex.Copy(800, -1, "s")
 		var childLoc int
-		h := ex.Spawn("child", func(c Exec) {
+		h := ex.Spawn("child", func(c engine.Exec) {
 			c.Compute(machine.Work{Instr: 500})
 			childLoc = c.Loc()
 		})
@@ -111,7 +112,7 @@ func TestNativeRuntimeParallelismRace(t *testing.T) {
 	p.tol = 0.01 // force some aborts
 	ins := toyInputs(150)
 	for seed := uint64(1); seed <= 4; seed++ {
-		rep, err := Run(NewNativeExec(), p, ins, Config{
+		rep, err := engine.Run(engine.NewNativeExec(), p, ins, engine.Config{
 			Chunks: 5, Lookback: 6, ExtraStates: 2, InnerWidth: 3, Seed: seed,
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -26,7 +27,7 @@ type faultyProg struct {
 	badCostNegInst bool
 }
 
-func (f *faultyProg) Update(s State, in Input, r *rng.Stream) (State, Output) {
+func (f *faultyProg) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	n := f.updates.Add(1)
 	if f.panicOnUpdate > 0 && (n == f.panicOnUpdate || (f.persistent && n > f.panicOnUpdate)) {
 		panic("injected update failure")
@@ -34,21 +35,21 @@ func (f *faultyProg) Update(s State, in Input, r *rng.Stream) (State, Output) {
 	return f.toyProg.Update(s, in, r)
 }
 
-func (f *faultyProg) Match(a, b State) bool {
+func (f *faultyProg) Match(a, b engine.State) bool {
 	if f.panicInMatch {
 		panic("injected match failure")
 	}
 	return f.toyProg.Match(a, b)
 }
 
-func (f *faultyProg) Clone(s State) State {
+func (f *faultyProg) Clone(s engine.State) engine.State {
 	if f.panicInClone {
 		panic("injected clone failure")
 	}
 	return f.toyProg.Clone(s)
 }
 
-func (f *faultyProg) UpdateCost(in Input, s State) UpdateWork {
+func (f *faultyProg) UpdateCost(in engine.Input, s engine.State) engine.UpdateWork {
 	uw := f.toyProg.UpdateCost(in, s)
 	if f.badCostNegInst {
 		uw.Serial.Instr = -5
@@ -58,11 +59,11 @@ func (f *faultyProg) UpdateCost(in Input, s State) UpdateWork {
 
 // runFaulty executes the STATS model on the simulated machine and returns
 // the machine error (the runtime must never hang on injected failures).
-func runFaulty(t *testing.T, f *faultyProg, cfg Config) error {
+func runFaulty(t *testing.T, f *faultyProg, cfg engine.Config) error {
 	t.Helper()
 	m := machine.New(machine.DefaultConfig(4))
 	return m.Run("main", func(th *machine.Thread) {
-		_, err := Run(NewSimExec(th), f, toyInputs(40), cfg)
+		_, err := engine.Run(engine.NewSimExec(th), f, toyInputs(40), cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -75,7 +76,7 @@ func runFaulty(t *testing.T, f *faultyProg, cfg Config) error {
 // hang or kill the process.
 func TestUpdatePanicInWorkerPropagates(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 15, persistent: true}
-	err := runFaulty(t, f, Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "injected update failure") {
 		t.Fatalf("worker panic not propagated: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestUpdatePanicInAltProducerPropagates(t *testing.T) {
 	// The very first updates of a non-first worker run in its alternative
 	// producer; a persistent panic there must surface too.
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 2, persistent: true}
-	err := runFaulty(t, f, Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "injected update failure") {
 		t.Fatalf("alt-producer panic not propagated: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestUpdatePanicInAltProducerPropagates(t *testing.T) {
 
 func TestMatchPanicPropagates(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicInMatch: true}
-	err := runFaulty(t, f, Config{Chunks: 3, Lookback: 3, ExtraStates: 0, InnerWidth: 1, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 3, Lookback: 3, ExtraStates: 0, InnerWidth: 1, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "injected match failure") {
 		t.Fatalf("match panic not propagated: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestMatchPanicPropagates(t *testing.T) {
 
 func TestClonePanicPropagates(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicInClone: true}
-	err := runFaulty(t, f, Config{Chunks: 3, Lookback: 3, ExtraStates: 1, InnerWidth: 1, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 3, Lookback: 3, ExtraStates: 1, InnerWidth: 1, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "injected clone failure") {
 		t.Fatalf("clone panic not propagated: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestClonePanicPropagates(t *testing.T) {
 
 func TestNegativeCostPanicsDeterministically(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), badCostNegInst: true}
-	err := runFaulty(t, f, Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 1, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 1, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "negative instruction count") {
 		t.Fatalf("negative cost not caught: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestGangHelperPanicPropagates(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 10, persistent: true}
 	f.parInstr = 50_000
 	f.grain = 4
-	err := runFaulty(t, f, Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 3, Seed: 1})
+	err := runFaulty(t, f, engine.Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 3, Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "injected update failure") {
 		t.Fatalf("gang-mode panic not propagated: %v", err)
 	}
@@ -131,13 +132,13 @@ func TestGangHelperPanicPropagates(t *testing.T) {
 // faulted attempt is isolated and retried, and because RNG derivation is
 // pure the retry commits outputs byte-identical to a fault-free run.
 func TestTransientUpdatePanicIsolated(t *testing.T) {
-	cfg := Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
-	clean, err := Run(NewNativeExec(), easyProg(), toyInputs(40), cfg)
+	cfg := engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
+	clean, err := engine.Run(engine.NewNativeExec(), easyProg(), toyInputs(40), cfg)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 15}
-	rep, err := Run(NewNativeExec(), f, toyInputs(40), cfg)
+	rep, err := engine.Run(engine.NewNativeExec(), f, toyInputs(40), cfg)
 	if err != nil {
 		t.Fatalf("transient panic not isolated: %v", err)
 	}
@@ -152,15 +153,15 @@ func TestTransientUpdatePanicIsolated(t *testing.T) {
 // "this session is poisoned" from transport or configuration errors.
 func TestPersistentPanicReturnsFaultError(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 15, persistent: true}
-	cfg := Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
-	_, err := Run(NewNativeExec(), f, toyInputs(40), cfg)
-	var fe *FaultError
+	cfg := engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
+	_, err := engine.Run(engine.NewNativeExec(), f, toyInputs(40), cfg)
+	var fe *engine.FaultError
 	if !errors.As(err, &fe) {
-		t.Fatalf("want *FaultError, got %T: %v", err, err)
+		t.Fatalf("want *engine.FaultError, got %T: %v", err, err)
 	}
-	var cf *ChunkFault
+	var cf *engine.ChunkFault
 	if !errors.As(err, &cf) {
-		t.Fatalf("FaultError does not unwrap to *ChunkFault: %v", err)
+		t.Fatalf("engine.FaultError does not unwrap to *ChunkFault: %v", err)
 	}
 	if cf.Panic == nil || !strings.Contains(err.Error(), "injected update failure") {
 		t.Fatalf("fault lost the panic value: %+v", cf)

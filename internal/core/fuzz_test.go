@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"gostats/internal/engine"
+)
 
 // FuzzPartition checks the chunk partitioner's invariants over arbitrary
 // sizes: full coverage, contiguity, and near-equal sizes.
@@ -12,12 +16,12 @@ func FuzzPartition(f *testing.F) {
 		if n < 1 || n > 1_000_000 || k < 1 || k > 1_000_000 {
 			return
 		}
-		b := partition(n, k)
+		b := engine.Partition(n, k)
 		prev := 0
 		minSz, maxSz := n+1, 0
 		for _, bb := range b {
 			if bb[0] != prev || bb[1] <= bb[0] {
-				t.Fatalf("partition(%d,%d) not contiguous: %v", n, k, b)
+				t.Fatalf("engine.Partition(%d,%d) not contiguous: %v", n, k, b)
 			}
 			sz := bb[1] - bb[0]
 			if sz < minSz {
@@ -29,10 +33,10 @@ func FuzzPartition(f *testing.F) {
 			prev = bb[1]
 		}
 		if prev != n {
-			t.Fatalf("partition(%d,%d) covers %d", n, k, prev)
+			t.Fatalf("engine.Partition(%d,%d) covers %d", n, k, prev)
 		}
 		if maxSz-minSz > 1 {
-			t.Fatalf("partition(%d,%d) uneven: %d..%d", n, k, minSz, maxSz)
+			t.Fatalf("engine.Partition(%d,%d) uneven: %d..%d", n, k, minSz, maxSz)
 		}
 	})
 }

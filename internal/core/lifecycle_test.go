@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"gostats/internal/engine"
+)
 
 func TestDigestsMayMatchLaneAdjacency(t *testing.T) {
 	cases := []struct {
@@ -15,18 +19,18 @@ func TestDigestsMayMatchLaneAdjacency(t *testing.T) {
 		{"two-steps", []int64{5, -3, 0, 7}, []int64{7, -3, 0, 7}, false},
 		{"far-lane", []int64{5, -3, 0, 7}, []int64{5, -3, 100, 7}, false},
 		{"negative-boundary", []int64{0, 0, 0, 0}, []int64{-1, 0, 0, 0}, true},
-		{"exact-lane-differs", []int64{ExactLane(2)}, []int64{ExactLane(3)}, false},
-		{"exact-lane-same", []int64{ExactLane(2)}, []int64{ExactLane(2)}, true},
+		{"exact-lane-differs", []int64{engine.ExactLane(2)}, []int64{engine.ExactLane(3)}, false},
+		{"exact-lane-same", []int64{engine.ExactLane(2)}, []int64{engine.ExactLane(2)}, true},
 	}
 	for _, c := range cases {
-		got := DigestsMayMatch(PackLanes(c.a...), PackLanes(c.b...))
+		got := engine.DigestsMayMatch(engine.PackLanes(c.a...), engine.PackLanes(c.b...))
 		if got != c.want {
-			t.Errorf("%s: DigestsMayMatch(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+			t.Errorf("%s: engine.DigestsMayMatch(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
 		}
 		// Compatibility is symmetric.
-		rev := DigestsMayMatch(PackLanes(c.b...), PackLanes(c.a...))
+		rev := engine.DigestsMayMatch(engine.PackLanes(c.b...), engine.PackLanes(c.a...))
 		if rev != got {
-			t.Errorf("%s: DigestsMayMatch not symmetric", c.name)
+			t.Errorf("%s: engine.DigestsMayMatch not symmetric", c.name)
 		}
 	}
 }
@@ -38,9 +42,9 @@ func TestQuantizeLaneNeighborsWithinCell(t *testing.T) {
 	cell := 0.45
 	for _, v := range []float64{-3.2, -0.4499, 0, 0.1, 2.25, 100.0} {
 		for _, d := range []float64{-cell, -cell / 2, 0, cell / 3, cell} {
-			qa, qb := QuantizeLane(v, cell), QuantizeLane(v+d, cell)
+			qa, qb := engine.QuantizeLane(v, cell), engine.QuantizeLane(v+d, cell)
 			if diff := qa - qb; diff < -1 || diff > 1 {
-				t.Errorf("QuantizeLane(%v)=%d vs QuantizeLane(%v)=%d: more than one step apart", v, qa, v+d, qb)
+				t.Errorf("engine.QuantizeLane(%v)=%d vs engine.QuantizeLane(%v)=%d: more than one step apart", v, qa, v+d, qb)
 			}
 		}
 	}
@@ -48,16 +52,16 @@ func TestQuantizeLaneNeighborsWithinCell(t *testing.T) {
 
 // poolProg is a minimal recycling program: its state is a one-element
 // buffer so reuse is observable through pointer identity.
-type poolProg struct{ Program }
+type poolProg struct{ engine.Program }
 
 type poolState struct{ v float64 }
 
-func (poolProg) Clone(s State) State {
+func (poolProg) Clone(s engine.State) engine.State {
 	c := *s.(*poolState)
 	return &c
 }
 
-func (poolProg) CloneInto(dst, src State) State {
+func (poolProg) CloneInto(dst, src engine.State) engine.State {
 	d, ok := dst.(*poolState)
 	if !ok {
 		c := *src.(*poolState)
@@ -68,7 +72,7 @@ func (poolProg) CloneInto(dst, src State) State {
 }
 
 func TestStatePoolReusesReleasedStates(t *testing.T) {
-	sp := NewStatePool(poolProg{})
+	sp := engine.NewStatePool(poolProg{})
 	a := sp.Clone(&poolState{v: 1}).(*poolState)
 	sp.Release(a)
 	b := sp.Clone(&poolState{v: 2}).(*poolState)
@@ -85,25 +89,25 @@ func TestStatePoolReusesReleasedStates(t *testing.T) {
 }
 
 func TestStatePoolNilSafety(t *testing.T) {
-	var nilPool *StatePool
+	var nilPool *engine.StatePool
 	nilPool.Release(&poolState{}) // must not panic
-	if s := nilPool.Stats(); s != (PoolStats{}) {
+	if s := nilPool.Stats(); s != (engine.PoolStats{}) {
 		t.Fatalf("nil pool stats = %+v, want zero", s)
 	}
-	sp := NewStatePool(poolProg{})
+	sp := engine.NewStatePool(poolProg{})
 	sp.Release(nil) // must not panic
 	sp.ReleaseReplicas(nil)
-	sp.ReleaseReplicas([]State{&poolState{}}) // origs[0] alone: nothing to release
+	sp.ReleaseReplicas([]engine.State{&poolState{}}) // origs[0] alone: nothing to release
 	if st := sp.Stats(); st.Released != 0 {
 		t.Fatalf("released = %d, want 0", st.Released)
 	}
 }
 
 func TestStatePoolReleaseReplicasKeepsFinal(t *testing.T) {
-	sp := NewStatePool(poolProg{})
+	sp := engine.NewStatePool(poolProg{})
 	final := &poolState{v: 10}
 	r1, r2 := &poolState{v: 11}, &poolState{v: 12}
-	sp.ReleaseReplicas([]State{final, r1, r2})
+	sp.ReleaseReplicas([]engine.State{final, r1, r2})
 	if st := sp.Stats(); st.Released != 2 {
 		t.Fatalf("released = %d, want 2 (replicas only)", st.Released)
 	}
@@ -119,15 +123,15 @@ func TestStatePoolReleaseReplicasKeepsFinal(t *testing.T) {
 
 // nonRecycler lacks CloneInto: the pool must degrade to plain Clone and
 // never retain released states.
-type nonRecycler struct{ Program }
+type nonRecycler struct{ engine.Program }
 
-func (nonRecycler) Clone(s State) State {
+func (nonRecycler) Clone(s engine.State) engine.State {
 	c := *s.(*poolState)
 	return &c
 }
 
 func TestStatePoolWithoutRecyclerDegradesToClone(t *testing.T) {
-	sp := NewStatePool(nonRecycler{})
+	sp := engine.NewStatePool(nonRecycler{})
 	a := sp.Clone(&poolState{v: 1}).(*poolState)
 	sp.Release(a)
 	b := sp.Clone(&poolState{v: 2}).(*poolState)

@@ -69,7 +69,7 @@ func (p *Pipeline) assemble() {
 		if !p.dispatch(j, buf, prevWindow) {
 			return
 		}
-		prevWindow = p.chunkWindow(buf)
+		prevWindow = p.window(buf)
 		j++
 		if size, ok = p.sizeFor(j, &consumed); !ok {
 			return
@@ -121,15 +121,17 @@ func (p *Pipeline) sizeFor(j int, consumed *int) (int, bool) {
 func (p *Pipeline) dispatch(j int, inputs, prevWindow []Input) bool {
 	jb := &job{index: j, inputs: inputs}
 	if j == 0 {
-		jb.initial = p.prog.Initial(p.root.Derive("init"))
+		jb.initial = p.initial()
 		p.countState()
 	} else {
 		jb.prevWindow = prevWindow
 	}
-	if err := p.jobs.Push(p.ctx.Done(), jb); err != nil {
-		return false
-	}
+	// Announce the chunk before a worker can see it, so that each chunk's
+	// events reach the sinks in one order — assembler, then worker, then
+	// frontier — whatever the worker count. A chunk announced but dropped by
+	// a teardown in the push below is reconciled with the other in-flight
+	// chunks of an abandoned run (see NewStream's janitor).
 	p.chunks.Add(1)
 	p.emit(Event{Kind: EvChunk, Chunk: j, Worker: -1, N: len(inputs)})
-	return true
+	return p.jobs.Push(p.ctx.Done(), jb) == nil
 }

@@ -1,0 +1,349 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync/atomic"
+	"time"
+
+	"gostats/internal/rng"
+	"gostats/internal/trace"
+)
+
+// This file is the one copy of the STATS chunk protocol (§II-B, Fig. 5):
+// the speculative attempt (alternative producer → published speculative
+// copy → chunk body → original states), the recovery attempt, the fault
+// discipline around both, and the timed boundary comparison. The batch
+// runtime (batch.go), the streaming pipeline (worker.go, commit.go,
+// frontier.go) and the out-of-process worker (ChunkWorker) all run these;
+// they differ only in how chunks map to threads and where results park.
+//
+// Determinism: every RNG substream is derived purely from (seed, program,
+// chunk index) — root = New(seed).Derive("stats:"+name), per chunk
+// root.DeriveN("worker", j), and labels off that — so an attempt's
+// products are a pure function of (session, chunk index, window, inputs),
+// whichever runtime, worker or process computes them and however many
+// faulted attempts preceded it.
+
+// proto is the session-scoped part of the protocol: what every chunk of
+// one session shares. Both runtimes embed one.
+type proto struct {
+	prog Program
+	root *rng.Stream
+	pool *StatePool
+	sink Sink        // nil: no events, and no clock reads
+	inj  Injector    // prog's fault injector, if it carries one
+	pol  FaultPolicy // normalized
+
+	lookback, extra int
+
+	states, threads, faults, retries atomic.Int64
+}
+
+func (pr *proto) init(p Program, seed uint64, lookback, extra int, fault FaultPolicy, sink Sink) {
+	pr.prog = p
+	pr.root = rng.New(seed).Derive("stats:" + p.Name())
+	pr.pool = NewStatePool(p)
+	pr.sink = sink
+	pr.inj, _ = p.(Injector)
+	pr.pol = fault.normalized()
+	pr.lookback, pr.extra = lookback, extra
+}
+
+// emit delivers e to the attached sink, if any.
+func (pr *proto) emit(e Event) {
+	if pr.sink != nil {
+		pr.sink.Event(e)
+	}
+}
+
+// now reads the wall clock only when timing is being collected.
+func (pr *proto) now() time.Time {
+	if pr.sink == nil {
+		return time.Time{}
+	}
+	//statslint:allow detpath instrumentation helper: value only feeds Event timing via since()
+	return time.Now()
+}
+
+// since converts a phase start from now() into a duration.
+func (pr *proto) since(t0 time.Time) time.Duration {
+	if pr.sink == nil || t0.IsZero() {
+		return 0
+	}
+	//statslint:allow detpath instrumentation helper: durations land in Event fields, never in outputs
+	return time.Since(t0)
+}
+
+// countState and countThread are the accounting hooks the chunk
+// primitives report through.
+func (pr *proto) countState()  { pr.states.Add(1) }
+func (pr *proto) countThread() { pr.threads.Add(1) }
+
+// initial builds the program's initial state — chunk 0's true start
+// state. The derivation is pure, so a rebuilt state equals the dispatched
+// one.
+func (pr *proto) initial() State { return pr.prog.Initial(pr.root.Derive("init")) }
+
+// window returns the last min(lookback, len) inputs of chunk: the inputs
+// replayed both by the chunk's original-state replicas and by its
+// successor's alternative producer.
+func (pr *proto) window(chunk []Input) []Input {
+	k := pr.lookback
+	if k > len(chunk) {
+		k = len(chunk)
+	}
+	return chunk[len(chunk)-k:]
+}
+
+// verdict is one boundary's timed comparison: whether the speculative
+// state matched an original state, how many comparisons were charged,
+// and who ran the wave when (worker is -1 at the commit frontier).
+type verdict struct {
+	start  time.Time
+	dur    time.Duration
+	n      int
+	worker int32
+	ok     bool
+}
+
+// validate runs the comparison wave for one chunk boundary on ex — the
+// engine's one timed comparison. The verdict and inspected count are pure
+// functions of the states; the wall time rides along only to reach the
+// EvValidated event the caller emits, possibly from another goroutine.
+func (pr *proto) validate(ex Exec, worker int, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) verdict {
+	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; no protocol decision reads it
+	t0 := pr.now()
+	ok, n := matchAnyWave(ex, pr.prog, origs, origFPs, spec, specFP, haveFP)
+	//statslint:allow detpath the duration lands in the EvValidated event the commit side emits; no protocol decision reads it
+	return verdict{ok: ok, n: n, worker: int32(worker), start: t0, dur: pr.since(t0)}
+}
+
+// chunkRun is one chunk's view of the protocol: where it executes, the
+// RNG substreams every attempt re-derives from, and the attempt in
+// progress. Events it emits carry worker as their worker slot.
+type chunkRun struct {
+	*proto
+	ex     Exec
+	g      *gang
+	j      int
+	worker int
+	rng    *rng.Stream // the chunk's worker stream
+	jit    *rng.Stream // gang share jitter; simulated cost only
+
+	// The attempt in progress (arm).
+	n       int
+	site    FaultSite // protocol phase executing, for fault attribution
+	guarded Program   // prog under this attempt's deadline
+	t0      time.Time
+}
+
+func (pr *proto) chunk(ex Exec, g *gang, j, worker int) chunkRun {
+	r := pr.root.DeriveN("worker", j)
+	return chunkRun{proto: pr, ex: ex, g: g, j: j, worker: worker, rng: r, jit: r.Derive("jitter")}
+}
+
+// arm begins attempt n at site: a fresh deadline, a fresh clock.
+func (c *chunkRun) arm(n int, site FaultSite) {
+	c.n, c.site = n, site
+	c.guarded = guardProgram(c.prog, c.pol.ChunkDeadline)
+	//statslint:allow detpath the attempt's start time only reaches the Start/Dur of the EvSpeculated or EvReexec event that closes it
+	c.t0 = c.now()
+}
+
+// retry is the engine's fault discipline: it runs fn as attempt 0, 1, …
+// of the chunk under panic isolation until one completes, reporting each
+// fault (a panic, a missed deadline, or an error fn returns) as EvFault
+// and sleeping the policy's jittered backoff between attempts. It
+// returns nil on success, or the last fault once the retry budget is
+// spent or ctx ends — what to degrade to is the caller's decision.
+func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *ChunkFault {
+	for n := 0; ; n++ {
+		c.arm(n, site)
+		var err error
+		fault := runProtected(c.j, n, &c.site, func() { err = fn() })
+		if fault == nil && err != nil {
+			fault = &ChunkFault{Chunk: c.j, Site: c.site, Attempt: n,
+				Deadline: errors.Is(err, context.DeadlineExceeded), Panic: err}
+		}
+		if fault == nil || ctx.Err() != nil {
+			// Done — or the run is being torn down, and there is nobody
+			// left to report to or retry for.
+			return fault
+		}
+		c.faults.Add(1)
+		c.emit(Event{Kind: EvFault, Chunk: c.j, Worker: c.worker, N: n, M: int(fault.Site)})
+		if n >= c.pol.MaxRetries {
+			return fault
+		}
+		d := c.pol.backoff(n, c.rng)
+		c.retries.Add(1)
+		c.emit(Event{Kind: EvRetry, Chunk: c.j, Worker: c.worker, N: n + 1, Dur: d})
+		if !sleepCtx(ctx, d) {
+			return fault
+		}
+	}
+}
+
+// start is the first half of a speculative attempt: it produces the
+// state the chunk body will run from. Chunk 0 uses the dispatched initial
+// state (rebuilt when absent, or consumed by a faulted attempt); every
+// later chunk runs the alternative producer over the predecessor's
+// lookback window (§III-B "Generating speculative states") and, with
+// wantSpec, clones the result for the boundary validation. The caller
+// parks the clone where its runtime validates — the batch runtime
+// publishes it at once, to be checked while the body runs — then calls
+// finish.
+func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, spec State) {
+	if c.j == 0 {
+		injectAt(c.inj, SiteAltProducer, 0, c.n, nil)
+		if initial == nil || c.n > 0 {
+			initial = c.initial()
+			c.countState()
+		}
+		return initial, nil
+	}
+	t0 := c.now()
+	s = speculativeState(c.ex, c.guarded, c.pool, prevWindow, c.rng, c.countState)
+	// The injector sees the produced state before it is cloned: a
+	// corrupted speculative state poisons the published copy and the body
+	// run together, so boundary validation catches it.
+	s = injectAt(c.inj, SiteAltProducer, c.j, c.n, s)
+	c.emit(Event{Kind: EvAltProduced, Chunk: c.j, Worker: c.worker,
+		N: len(prevWindow), Start: t0, Dur: c.since(t0)})
+	if wantSpec {
+		t1 := c.now()
+		spec = c.pool.Clone(s)
+		c.countState()
+		if !costFree(c.ex) {
+			c.ex.Copy(c.prog.StateBytes(), c.ex.Loc(), c.prog.Name()+".spec")
+		}
+		c.emit(Event{Kind: EvSpecPublished, Chunk: c.j, Worker: c.worker, Start: t1, Dur: c.since(t1)})
+	}
+	return s, spec
+}
+
+// finish is the second half of a speculative attempt: the chunk body
+// from s, then — unless the chunk is known to be the last of a bounded
+// run — the original states its successor will be validated against
+// (origs[0] is final). outBuf, when non-nil, is a retired slab the
+// outputs are accumulated into.
+func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output) (outs []Output, final State, origs []State) {
+	c.site = SiteBody
+	s = injectAt(c.inj, SiteBody, c.j, c.n, s)
+	t0 := c.now()
+	outs, snapshot, final := c.process(s, inputs, last, false, outBuf)
+	c.emit(Event{Kind: EvBody, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: t0, Dur: c.since(t0)})
+	if !last {
+		c.site = SiteOrigStates
+		injectAt(c.inj, SiteOrigStates, c.j, c.n, nil)
+		origs = c.origStates(inputs, snapshot, final, c.rng)
+	}
+	c.speculated(len(inputs))
+	return outs, final, origs
+}
+
+// speculated reports the end of a successful worker-side attempt.
+func (c *chunkRun) speculated(inputs int) {
+	c.emit(Event{Kind: EvSpeculated, Chunk: c.j, Worker: c.worker,
+		N: inputs, Start: c.t0, Dur: c.since(c.t0)})
+}
+
+// reexec is a recovery attempt (§III-E): it re-runs the chunk from a
+// copy of the true state the committed predecessor produced (nil for
+// chunk 0, whose true start state is a rebuilt initial state) and
+// regenerates the original states. srcLoc is the locality hint of the
+// thread that owns trueFinal.
+func (c *chunkRun) reexec(trueFinal State, srcLoc int, inputs []Input, last bool, outBuf []Output) (outs []Output, final State, origs []State) {
+	injectAt(c.inj, SiteReexec, c.j, c.n, nil)
+	var s State
+	if trueFinal != nil {
+		s = c.pool.Clone(trueFinal)
+	} else {
+		s = c.initial()
+	}
+	c.countState()
+	if !costFree(c.ex) {
+		c.ex.Copy(c.prog.StateBytes(), srcLoc, c.prog.Name()+".recover")
+	}
+	outs, snapshot, final := c.process(s, inputs, last, true, outBuf)
+	c.emit(Event{Kind: EvReexec, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: c.t0, Dur: c.since(c.t0)})
+	if !last {
+		origs = c.origStates(inputs, snapshot, final, c.rng.Derive("reorig"))
+	}
+	return outs, final, origs
+}
+
+// process runs the chunk's updates from s, snapshotting the state
+// window-length inputs before the end (the base the original-state
+// replicas replay from) unless the chunk is last.
+func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf []Output) (outs []Output, snapshot, final State) {
+	snapAt := -1
+	if !last {
+		snapAt = len(inputs) - len(c.window(inputs))
+	}
+	label, cat := "body", trace.CatChunkWork
+	if recovery {
+		label, cat = "reexec", trace.CatReexec
+	}
+	return processChunk(c.ex, c.guarded, c.pool, c.g, inputs, snapAt, s,
+		c.rng.Derive(label), c.jit, cat, c.countState, outBuf)
+}
+
+// origStates generates the boundary's original states from the snapshot
+// process took — final plus the configured replicas, each replaying the
+// chunk's window from snapshot with fresh nondeterminism drawn from rnd
+// (Fig. 5, cores 0–2) — and retires the snapshot.
+func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream) []State {
+	if snapshot != nil {
+		c.emit(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
+	}
+	win := c.window(inputs)
+	t0 := c.now()
+	origs := originalStates(c.ex, c.guarded, c.pool, fmt.Sprintf("%s-r%d", c.prog.Name(), c.j),
+		win, snapshot, final, c.extra, rnd, c.countThread, c.countState)
+	c.emit(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
+		N: len(origs) - 1, M: len(win), Start: t0, Dur: c.since(t0)})
+	c.pool.Release(snapshot)
+	return origs
+}
+
+// ChunkWorker runs the worker side of the chunk protocol for one session
+// outside any pipeline — the body of an out-of-process executor
+// (internal/procexec serves it over a pipe). Its replies are the ones
+// ChunkRunner promises: byte-identical to what a pool worker of a
+// pipeline with the same seed and shape produces for the same request.
+type ChunkWorker struct {
+	proto
+	inner int
+}
+
+// NewChunkWorker binds p to a session's seed and shape.
+func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth int) *ChunkWorker {
+	w := &ChunkWorker{inner: innerWidth}
+	w.init(p, seed, lookback, extraStates, FaultPolicy{}, nil)
+	return w
+}
+
+// Run executes one speculative attempt of the requested chunk. A panic in
+// the program propagates; the caller owns the fault boundary.
+func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
+	ex := NewNativeExec()
+	g := newGang(ex, fmt.Sprintf("%s-w%d", w.prog.Name(), req.Chunk), w.inner, w.countThread)
+	defer g.Close(ex)
+	c := w.chunk(ex, g, req.Chunk, -1)
+	c.arm(req.Attempt, SiteAltProducer)
+	s, spec := c.start(nil, req.Window, true)
+	outs, final, origs := c.finish(s, req.Inputs, false, nil)
+	return &ChunkReply{Spec: spec, Outs: outs, Final: final, Origs: origs}
+}
+
+// Release retires a reply's states into the worker's pool once the
+// caller is done with them.
+func (w *ChunkWorker) Release(r *ChunkReply) {
+	w.pool.Release(r.Spec)
+	for _, o := range r.Origs {
+		w.pool.Release(o)
+	}
+}

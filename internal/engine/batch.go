@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gostats/internal/rng"
 	"gostats/internal/trace"
@@ -44,20 +44,13 @@ type slot struct {
 
 // run holds one execution of the STATS model.
 type run struct {
-	prog   Program
+	proto
 	cfg    Config
 	inputs []Input
 	bounds [][2]int
 	slots  []*slot
 	outs   [][]Output
-	root   *rng.Stream
-	pool   *StatePool
-	sink   Sink
-	inj    Injector    // prog's fault injector, if it carries one
-	pol    FaultPolicy // normalized fault policy
 
-	threads atomic.Int64
-	states  atomic.Int64
 	commits atomic.Int64
 	aborts  atomic.Int64
 
@@ -87,16 +80,11 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 		return nil, fmt.Errorf("engine: empty input stream")
 	}
 	rt := &run{
-		prog:   p,
 		cfg:    cfg,
 		inputs: inputs,
 		bounds: Partition(len(inputs), cfg.Chunks),
-		root:   rng.New(cfg.Seed).Derive("stats:" + p.Name()),
-		pool:   NewStatePool(p),
-		sink:   sink,
-		pol:    cfg.Fault.normalized(),
 	}
-	rt.inj, _ = p.(Injector)
+	rt.init(p, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, sink)
 	chunks := len(rt.bounds)
 	rt.slots = make([]*slot, chunks)
 	rt.outs = make([][]Output, chunks)
@@ -117,10 +105,10 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 		rt.slots[j] = &slot{mu: mu, cv: ex.NewCond(mu), srcLoc: -1}
 	}
 	rt.slots[0].dec = decisionCommit
-	initial := p.Initial(rt.root.Derive("init"))
-	rt.states.Add(1)
+	initial := rt.initial()
+	rt.countState()
 	ex.Copy(p.StateBytes(), -1, p.Name()+".init")
-	rt.states.Add(1) // the copy handed to the first worker
+	rt.countState() // the copy handed to the first worker
 
 	// --- Spawn one worker per chunk. ---
 	ex.SetCat(trace.CatChunkWork)
@@ -134,7 +122,7 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 		handles[j] = ex.Spawn(fmt.Sprintf("%s-w%d", p.Name(), j), func(we Exec) {
 			rt.worker(we, j, start)
 		})
-		rt.threads.Add(1)
+		rt.countThread()
 	}
 	for _, h := range handles {
 		ex.Join(h)
@@ -164,111 +152,52 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 	return rep, nil
 }
 
-// emit delivers e to the attached sink, if any.
-func (rt *run) emit(e Event) {
-	if rt.sink != nil {
-		rt.sink.Event(e)
-	}
-}
-
-// now reads the wall clock only when timing is being collected.
-func (rt *run) now() time.Time {
-	if rt.sink == nil {
-		return time.Time{}
-	}
-	//statslint:allow detpath instrumentation helper: value only feeds Event timing via since()
-	return time.Now()
-}
-
-// since converts a phase start from now() into a duration.
-func (rt *run) since(t0 time.Time) time.Duration {
-	if rt.sink == nil || t0.IsZero() {
-		return 0
-	}
-	//statslint:allow detpath instrumentation helper: durations land in Event fields, never in outputs
-	return time.Since(t0)
-}
-
 // chunkInputs returns chunk j's input slice.
 func (rt *run) chunkInputs(j int) []Input {
 	b := rt.bounds[j]
 	return rt.inputs[b[0]:b[1]]
 }
 
-// window returns the last min(Lookback, len) inputs of chunk j: the
-// inputs replayed both by chunk j's original-state replicas and by chunk
-// j+1's alternative producer.
-func (rt *run) window(j int) []Input {
-	c := rt.chunkInputs(j)
-	k := rt.cfg.Lookback
-	if k > len(c) {
-		k = len(c)
-	}
-	return c[len(c)-k:]
-}
-
-// worker runs the lifecycle of chunk j (§II-B and Fig. 5 of the paper).
-// Each protocol phase runs under fault isolation: a panic or missed
-// deadline in the speculative phase is retried with backoff, then — if
-// the retry budget exhausts — degraded to an abort-style re-execution
-// from the true predecessor state; only a fault there too fails the
-// session (with a structured error, never a process crash).
+// worker runs the lifecycle of chunk j (§II-B and Fig. 5 of the paper) on
+// its own thread: the speculative attempt, the wait for its own commit
+// decision, recovery if that decision (or an exhausted retry budget)
+// demands it, and the decision for the successor. Only a fault in the
+// recovery too fails the session (with a structured error, never a
+// process crash).
 func (rt *run) worker(ex Exec, j int, start State) {
-	p := rt.prog
-	myRng := rt.root.DeriveN("worker", j)
-	jit := myRng.Derive("jitter")
-	g := NewGang(ex, fmt.Sprintf("%s-w%d", p.Name(), j), rt.cfg.InnerWidth,
-		func() { rt.threads.Add(1) })
-	defer func() {
-		if g != nil {
-			g.Close(ex)
-		}
-	}()
-
+	g := newGang(ex, fmt.Sprintf("%s-w%d", rt.prog.Name(), j), rt.cfg.InnerWidth, rt.countThread)
+	defer g.Close(ex)
+	c := rt.chunk(ex, g, j, j)
+	inputs := rt.chunkInputs(j)
 	last := j == len(rt.bounds)-1
-	rt.emit(Event{Kind: EvChunk, Chunk: j, Worker: j, N: len(rt.chunkInputs(j))})
-	tSpec := rt.now()
+	rt.emit(Event{Kind: EvChunk, Chunk: j, Worker: j, N: len(inputs)})
 
-	// --- Speculative phase, fault-isolated with retry/backoff. RNG
-	// derivation is pure, so a retried attempt re-derives the exact
-	// substreams of the faulted one and its results are byte-identical to
-	// a fault-free run. ---
+	var prevWindow []Input
+	if j > 0 {
+		prevWindow = rt.window(rt.chunkInputs(j - 1))
+	}
 	var outs []Output
 	var final State
 	var origs []State
-	var specFault *ChunkFault
 	published := false
-	for attempt := 0; ; attempt++ {
-		outs, final, origs = nil, nil, nil
-		site := SiteAltProducer
-		fault := runProtected(j, attempt, &site, func() {
-			outs, final, origs = rt.speculateOnce(ex, g, j, attempt, start, myRng, jit, &published, &site)
-		})
-		if fault == nil {
-			break
+	specFault := c.retry(context.Background(), SiteAltProducer, func() error {
+		// The speculative copy is published once; retries reuse it, as it
+		// is still the state validation must check.
+		s, spec := c.start(start, prevWindow, !published)
+		if spec != nil {
+			// Publish it before the body runs, so the predecessor can check
+			// it while this worker speculatively computes the chunk.
+			rt.publish(ex, j, spec, false)
+			published = true
 		}
-		rt.emit(Event{Kind: EvFault, Chunk: j, Worker: j, N: attempt, M: int(fault.Site)})
-		if attempt >= rt.pol.MaxRetries {
-			specFault = fault
-			break
-		}
-		d := rt.pol.backoff(attempt, myRng)
-		rt.emit(Event{Kind: EvRetry, Chunk: j, Worker: j, N: attempt + 1, Dur: d})
-		time.Sleep(d)
-	}
-	if specFault == nil {
-		rt.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: j,
-			N: len(rt.chunkInputs(j)), Start: tSpec, Dur: rt.since(tSpec)})
-	} else if j > 0 && !published {
+		outs, final, origs = c.finish(s, inputs, last, nil)
+		return nil
+	})
+	if specFault != nil && j > 0 && !published {
 		// The predecessor is (or will be) waiting on a speculative state
 		// that will never arrive; mark the slot faulted so it decides
 		// abort without a comparison instead of blocking forever.
-		sl := rt.slots[j]
-		sl.mu.Lock(ex)
-		sl.specReady = true
-		sl.specFault = true
-		sl.cv.Broadcast(ex)
-		sl.mu.Unlock(ex)
+		rt.publish(ex, j, nil, true)
 	}
 
 	// Wait for this chunk's own commit decision (program order).
@@ -285,12 +214,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	if dec == decisionFatal {
 		// A predecessor already failed the session; release what this
 		// chunk holds and pass the poison down the chain.
-		if last {
-			rt.pool.Release(final)
-		}
-		for _, o := range origs {
-			rt.pool.Release(o)
-		}
+		rt.pool.releaseRun(final, origs)
 		rt.poison(ex, j)
 		return
 	}
@@ -306,31 +230,11 @@ func (rt *run) worker(ex Exec, j int, start State) {
 			rt.emit(Event{Kind: EvDegraded, Chunk: j, Worker: j, N: specFault.Attempt})
 		}
 		rt.emit(Event{Kind: EvAborted, Chunk: j, Worker: j})
-		if last {
-			rt.pool.Release(final)
-		}
-		for _, o := range origs {
-			rt.pool.Release(o)
-		}
-		var rexFault *ChunkFault
-		for attempt := 0; ; attempt++ {
-			outs, final, origs = nil, nil, nil
-			site := SiteReexec
-			fault := runProtected(j, attempt, &site, func() {
-				outs, final, origs = rt.reexecOnce(ex, g, j, attempt, tf, srcLoc, myRng, jit, last)
-			})
-			if fault == nil {
-				break
-			}
-			rt.emit(Event{Kind: EvFault, Chunk: j, Worker: j, N: attempt, M: int(fault.Site)})
-			if attempt >= rt.pol.MaxRetries {
-				rexFault = fault
-				break
-			}
-			d := rt.pol.backoff(attempt, myRng)
-			rt.emit(Event{Kind: EvRetry, Chunk: j, Worker: j, N: attempt + 1, Dur: d})
-			time.Sleep(d)
-		}
+		rt.pool.releaseRun(final, origs)
+		rexFault := c.retry(context.Background(), SiteReexec, func() error {
+			outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil)
+			return nil
+		})
 		if rexFault != nil {
 			rt.setFatal(&FaultError{Fault: rexFault})
 			rt.poison(ex, j)
@@ -356,11 +260,10 @@ func (rt *run) worker(ex Exec, j int, start State) {
 
 		matched := false
 		if !sFault {
-			t0 := rt.now()
-			var inspected int
-			matched, inspected = matchAnyN(ex, p, origs, spec)
-			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: j,
-				N: inspected, Matched: matched, Start: t0, Dur: rt.since(t0)})
+			v := rt.validate(ex, j, origs, nil, spec, 0, false)
+			matched = v.ok
+			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: int(v.worker),
+				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved: the replica originals and the
 		// successor's published speculative copy are both dead. origs[0]
@@ -381,6 +284,18 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	}
 }
 
+// publish hands chunk j's speculative copy to its predecessor — or, with
+// fault set, the news that none will ever come.
+func (rt *run) publish(ex Exec, j int, spec State, fault bool) {
+	sl := rt.slots[j]
+	sl.mu.Lock(ex)
+	sl.spec = spec
+	sl.specReady = true
+	sl.specFault = fault
+	sl.cv.Broadcast(ex)
+	sl.mu.Unlock(ex)
+}
+
 // poison propagates a fatal failure to chunk j+1's decision slot so the
 // rest of the chain unwinds instead of deadlocking on a decision that
 // will never be published.
@@ -393,141 +308,6 @@ func (rt *run) poison(ex Exec, j int) {
 	nxt.dec = decisionFatal
 	nxt.cv.Broadcast(ex)
 	nxt.mu.Unlock(ex)
-}
-
-// speculateOnce is one fault-isolated attempt at chunk j's speculative
-// phase: alternative production (chunk 0 instead uses the dispatched
-// initial state), publishing the speculative copy — once; retries reuse
-// the already published copy, which is still the state validation must
-// check — the chunk body, and original-state generation. site tracks the
-// protocol phase for fault attribution.
-func (rt *run) speculateOnce(ex Exec, g *Gang, j, attempt int, start State, myRng, jit *rng.Stream, published *bool, site *FaultSite) ([]Output, State, []State) {
-	p := guardProgram(rt.prog, rt.pol.ChunkDeadline)
-	last := j == len(rt.bounds)-1
-	s := start
-	if j == 0 {
-		injectAt(rt.inj, SiteAltProducer, j, attempt, nil)
-		if attempt > 0 {
-			// The dispatched initial state was consumed (and possibly
-			// half-mutated) by the faulted attempt; rebuild it from the
-			// same derivation the setup phase used.
-			s = rt.prog.Initial(rt.root.Derive("init"))
-			rt.states.Add(1)
-		}
-	} else {
-		// Alternative producer: build the speculative start state by
-		// replaying only the last k inputs of the previous chunk from a
-		// cold state (§III-B "Generating speculative states").
-		t0 := rt.now()
-		s = SpeculativeState(ex, p, rt.pool, rt.window(j-1), myRng, rt.countState)
-		// The injector sees the produced state before it is published:
-		// a corrupted speculative state poisons the published copy and
-		// the body run together, so boundary validation catches it.
-		s = injectAt(rt.inj, SiteAltProducer, j, attempt, s)
-		rt.emit(Event{Kind: EvAltProduced, Chunk: j, Worker: j,
-			N: len(rt.window(j - 1)), Start: t0, Dur: rt.since(t0)})
-		if !*published {
-			// Publish a copy of the speculative state so the predecessor
-			// can check it while this worker speculatively computes the
-			// chunk.
-			t1 := rt.now()
-			spec := rt.pool.Clone(s)
-			rt.states.Add(1)
-			ex.Copy(p.StateBytes(), ex.Loc(), p.Name()+".spec")
-			rt.emit(Event{Kind: EvSpecPublished, Chunk: j, Worker: j, Start: t1, Dur: rt.since(t1)})
-			sl := rt.slots[j]
-			sl.mu.Lock(ex)
-			sl.spec = spec
-			sl.specReady = true
-			sl.cv.Broadcast(ex)
-			sl.mu.Unlock(ex)
-			*published = true
-		}
-	}
-
-	*site = SiteBody
-	s = injectAt(rt.inj, SiteBody, j, attempt, s)
-	// Speculatively (for j > 0) process the chunk.
-	outs, snapshot, final := rt.runChunk(ex, p, g, j, s, myRng.Derive("body"), jit, trace.CatChunkWork, EvBody)
-
-	var origs []State
-	if !last {
-		*site = SiteOrigStates
-		injectAt(rt.inj, SiteOrigStates, j, attempt, nil)
-		origs = rt.genOrigStates(ex, p, j, snapshot, final, myRng)
-		// The snapshot has been replayed into the replicas; retire it.
-		rt.pool.Release(snapshot)
-	}
-	return outs, final, origs
-}
-
-// reexecOnce is one fault-isolated attempt at recovery re-execution from
-// the true predecessor state tf (nil for chunk 0, whose true start state
-// is a rebuilt initial state).
-func (rt *run) reexecOnce(ex Exec, g *Gang, j, attempt int, tf State, srcLoc int, myRng, jit *rng.Stream, last bool) ([]Output, State, []State) {
-	p := guardProgram(rt.prog, rt.pol.ChunkDeadline)
-	injectAt(rt.inj, SiteReexec, j, attempt, nil)
-	t0 := rt.now()
-	var s2 State
-	if tf != nil {
-		s2 = rt.pool.Clone(tf)
-	} else {
-		s2 = rt.prog.Initial(rt.root.Derive("init"))
-	}
-	rt.states.Add(1)
-	ex.Copy(p.StateBytes(), srcLoc, p.Name()+".recover")
-	outs, snapshot, final := rt.runChunk(ex, p, g, j, s2, myRng.Derive("reexec"), jit, trace.CatReexec, EvReexec)
-	rt.emit(Event{Kind: EvReexec, Chunk: j, Worker: j,
-		N: len(rt.chunkInputs(j)), Start: t0, Dur: rt.since(t0)})
-	var origs []State
-	if !last {
-		origs = rt.genOrigStates(ex, p, j, snapshot, final, myRng.Derive("reorig"))
-		rt.pool.Release(snapshot)
-	}
-	return outs, final, origs
-}
-
-// countState and countThread are the accounting hooks the chunk
-// primitives report through.
-func (rt *run) countState()  { rt.states.Add(1) }
-func (rt *run) countThread() { rt.threads.Add(1) }
-
-// runChunk runs chunk j's updates from state s via the ProcessChunk
-// primitive, snapshotting the state window-length inputs before the end
-// (the base the original-state replicas replay from). It returns the
-// outputs, the snapshot (nil for the last chunk) and the final state.
-// bodyKind labels the body event (EvBody for speculative runs, EvReexec
-// timing is emitted by the caller around the recovery run).
-func (rt *run) runChunk(ex Exec, p Program, g *Gang, j int, s State, rnd, jit *rng.Stream, cat trace.Category, bodyKind Kind) ([]Output, State, State) {
-	chunk := rt.chunkInputs(j)
-	snapAt := -1
-	if j != len(rt.bounds)-1 {
-		snapAt = len(chunk) - len(rt.window(j))
-	}
-	t0 := rt.now()
-	outs, snapshot, final := ProcessChunk(ex, p, rt.pool, g, chunk, snapAt, s, rnd, jit, cat, rt.countState, nil)
-	if bodyKind == EvBody {
-		rt.emit(Event{Kind: EvBody, Chunk: j, Worker: j, N: len(chunk), Start: t0, Dur: rt.since(t0)})
-	}
-	if snapshot != nil {
-		rt.emit(Event{Kind: EvSnapshot, Chunk: j, Worker: j})
-	}
-	return outs, snapshot, final
-}
-
-// genOrigStates produces the set of original states for chunk j's
-// boundary via the OriginalStates primitive: the worker's own final state
-// plus ExtraStates replicas, each re-running the last window inputs from
-// the snapshot with fresh nondeterminism on its own thread (Fig. 5,
-// cores 0–2).
-func (rt *run) genOrigStates(ex Exec, p Program, j int, snapshot, final State, rnd *rng.Stream) []State {
-	tag := fmt.Sprintf("%s-r%d", rt.prog.Name(), j)
-	t0 := rt.now()
-	origs := OriginalStates(ex, p, rt.pool, tag, rt.window(j), snapshot, final,
-		rt.cfg.ExtraStates, rnd, rt.countThread, rt.countState)
-	rt.emit(Event{Kind: EvOrigStates, Chunk: j, Worker: j,
-		N: len(origs) - 1, M: len(rt.window(j)), Start: t0, Dur: rt.since(t0)})
-	return origs
 }
 
 // RunSequential executes the original sequential program (the Fig. 9
@@ -550,7 +330,7 @@ func runPlain(ex Exec, p Program, inputs []Input, width int, seed uint64) *Repor
 
 	ex.SetCat(trace.CatChunkWork)
 	threads := 0
-	g := NewGang(ex, p.Name()+"-orig", width, func() { threads++ })
+	g := newGang(ex, p.Name()+"-orig", width, func() { threads++ })
 	s := p.Initial(root.Derive("init"))
 	jit := root.Derive("jitter")
 	upd := root.Derive("updates")

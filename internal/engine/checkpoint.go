@@ -299,7 +299,7 @@ func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkpoint.Snapshot {
 	snap := t.skeleton()
 	snap.NextChunk = j + 1
-	for i, in := range t.p.chunkWindow(jobInputs) {
+	for i, in := range t.p.window(jobInputs) {
 		b, err := t.cfg.Codec.EncodeInput(in)
 		if err != nil {
 			t.disable(fmt.Errorf("checkpoint: encode window input %d: %w", i, err))

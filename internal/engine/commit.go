@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"gostats/internal/ring"
-	"gostats/internal/trace"
 )
 
 // committed is the commit frontier's view of the last committed chunk:
@@ -52,12 +50,7 @@ func (p *Pipeline) commit() {
 		if len(rs.lineage) > 0 {
 			prev.final = rs.lineage[0]
 			prev.origs = rs.lineage
-			if p.fper != nil {
-				prev.origFPs = make([]uint64, len(rs.lineage))
-				for i, s := range rs.lineage {
-					prev.origFPs[i] = p.fper.Fingerprint(s)
-				}
-			}
+			prev.origFPs = p.fingerprints(rs.lineage)
 		}
 	}
 	for {
@@ -109,22 +102,18 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 	if j > 0 {
 		// Settle the boundary's validation slot first: after this no
 		// prevalidator can be reading prev's replicas or r's spec.
-		vOK, vN, vStart, vDur, have := p.fr.settle(j)
+		v, have := p.fr.settle(j)
 		if r.fault == nil {
-			var inspected int
-			start, dur := vStart, vDur
-			if have && prev.spec {
-				// The verdict was computed against exactly the states the
-				// inline wave below would use; consume it.
-				ok, inspected = vOK, vN
-			} else {
-				//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; the verdict and inspected count are pure functions of the states
-				t0 := time.Now()
-				ok, inspected = matchAnyWave(p.ex, p.prog, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
-				start, dur = t0, time.Since(t0) //statslint:allow detpath the duration lands in the EvValidated event below; no protocol decision reads it
+			// A recorded verdict is consumed only when it was computed
+			// against exactly the states the inline wave would use; it is
+			// reported with the worker that ran it, so its time is charged
+			// there and not to the frontier.
+			if !have || !prev.spec {
+				v = p.validate(p.ex, -1, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
 			}
-			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
-				N: inspected, Matched: ok, Start: start, Dur: dur})
+			ok = v.ok
+			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: int(v.worker),
+				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved either way: the predecessor's replica
 		// originals and this chunk's published speculative copy are dead.
@@ -148,11 +137,9 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		// against these very states, and once the slot is spent no new
 		// claim can reach them. (Faulted results carry none.)
 		p.fr.quiesce(j + 1)
-		for _, o := range r.origs {
-			p.pool.Release(o)
-		}
+		p.pool.releaseRun(r.final, r.origs)
 		var fault *ChunkFault
-		outs, final, origs, fault = p.reexecProtected(r, prev.final)
+		outs, final, origs, fault = p.recoverChunk(r, prev.final)
 		if fault != nil {
 			p.fail(&FaultError{Fault: fault}) //statslint:allow hotalloc fault path: boxes the terminal fault at most once per session
 			return false
@@ -161,13 +148,7 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		// computed against; refresh the fingerprint cache for the next
 		// boundary's inline wave.
 		specLineage = false
-		origFPs = nil
-		if p.fper != nil {
-			origFPs = make([]uint64, len(origs))
-			for i, o := range origs {
-				origFPs[i] = p.fper.Fingerprint(o)
-			}
-		}
+		origFPs = p.fingerprints(origs)
 	} else {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
@@ -212,84 +193,4 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		return false
 	}
 	return true
-}
-
-// reexecProtected wraps recovery re-execution in the same fault
-// isolation and retry/backoff discipline as speculative attempts. It is
-// the last rung of the degradation ladder: if every re-execution attempt
-// faults too, the session fails with a structured FaultError (the caller
-// stops the pipeline; the process survives).
-func (p *Pipeline) reexecProtected(r *result, trueFinal State) ([]Output, State, []State, *ChunkFault) {
-	j := r.job.index
-	for attempt := 0; ; attempt++ {
-		var outs []Output
-		var final State
-		var origs []State
-		site := SiteReexec
-		//statslint:allow hotalloc recovery path: reexec runs only on mispeculation or fault, off the steady state
-		fault := runProtected(j, attempt, &site, func() {
-			outs, final, origs = p.reexecOnce(r, trueFinal, attempt)
-		})
-		if fault == nil {
-			return outs, final, origs, nil
-		}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: -1, N: attempt, M: int(fault.Site)})
-		if attempt >= p.pol.MaxRetries {
-			return nil, nil, nil, fault
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: -1, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return nil, nil, nil, fault
-		}
-	}
-}
-
-// reexecOnce recovers a mispeculated or faulted chunk (§III-E): it
-// re-runs the chunk in place from the true state the committed
-// predecessor produced (for chunk 0, a rebuilt initial state), then
-// regenerates the original states the successor will be validated
-// against. Recovery runs at the commit frontier, serializing the pipeline
-// for the chunk's length — that serialization is exactly the
-// mispeculation cost the paper's loss decomposition charges.
-func (p *Pipeline) reexecOnce(r *result, trueFinal State, attempt int) ([]Output, State, []State) {
-	t0 := time.Now()
-	prog := guardProgram(p.prog, p.pol.ChunkDeadline)
-	j := r.job.index
-	myRng := p.workerRng(j)
-	jit := myRng.Derive("jitter")
-	g := NewGang(p.ex, fmt.Sprintf("%s-x%d", prog.Name(), j), p.cfg.InnerWidth, p.countThread) //statslint:allow hotalloc recovery path: gang naming runs only on reexec, off the steady state
-	defer g.Close(p.ex)
-
-	injectAt(p.inj, SiteReexec, j, attempt, nil)
-	var s2 State
-	if trueFinal != nil {
-		s2 = p.pool.Clone(trueFinal)
-	} else {
-		// Chunk 0 has no committed predecessor: its true start state is the
-		// program's initial state, rebuilt from the same derivation the
-		// dispatcher used.
-		s2 = p.prog.Initial(p.root.Derive("init"))
-	}
-	p.countState()
-	win := p.chunkWindow(r.job.inputs)
-	snapAt := len(r.job.inputs) - len(win)
-	// The speculative outputs are dead on abort; reuse their slab.
-	outs, snapshot, final := ProcessChunk(p.ex, prog, p.pool, g, r.job.inputs,
-		snapAt, s2, myRng.Derive("reexec"), jit, trace.CatReexec, p.countState, r.outs)
-	p.emit(Event{Kind: EvReexec, Chunk: j, Worker: -1,
-		N: len(r.job.inputs), Start: t0, Dur: time.Since(t0)})
-	if snapshot != nil {
-		p.emit(Event{Kind: EvSnapshot, Chunk: j, Worker: -1})
-	}
-	tOrig := time.Now()
-	origs := OriginalStates(p.ex, prog, p.pool, fmt.Sprintf("%s-r%d", prog.Name(), j), //statslint:allow hotalloc recovery path: state naming runs only on reexec, off the steady state
-		win, snapshot, final, p.cfg.ExtraStates, myRng.Derive("reorig"), p.countThread, p.countState)
-	p.emit(Event{Kind: EvOrigStates, Chunk: j, Worker: -1,
-		N: len(origs) - 1, M: len(win), Start: tOrig, Dur: time.Since(tOrig)})
-	p.pool.Release(snapshot)
-
-	return outs, final, origs
 }

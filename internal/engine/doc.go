@@ -3,11 +3,10 @@
 // states, digest-gated validation, ordered commit/abort with in-place
 // re-execution, and state recycling.
 //
-// Before this package existed the protocol was orchestrated three
-// separate ways — the batch loop in internal/core, the hand-rolled
-// assembler/worker/commit pipeline in internal/stream, and the simulated
-// timeline driven through internal/machine. The engine factors that into
-// one protocol layer driven through a pluggable Scheduler:
+// The protocol exists once (attempt.go: the speculative attempt, the
+// recovery attempt, the fault/retry discipline and the timed boundary
+// comparison, over the primitives in protocol.go) and is driven through
+// a pluggable Scheduler, which decides only how chunks map to threads:
 //
 //   - BatchScheduler: one worker per chunk over a bounded input slice, on
 //     either execution substrate (Run is its body).
@@ -17,11 +16,12 @@
 //   - SimScheduler: the batch protocol on the deterministic discrete-event
 //     machine (internal/machine), producing cycle-accurate traces.
 //
-// All three run the same primitives (SpeculativeState, ProcessChunk,
-// OriginalStates, MatchAny) with the same RNG derivations keyed by chunk
-// index, so committed outputs are a pure function of (seed, inputs, chunk
-// boundaries) — byte-identical across schedulers when the boundaries
-// coincide, regardless of goroutine scheduling or worker count.
+// All three run that one attempt with the same RNG derivations keyed by
+// chunk index, as does ChunkWorker, the body of an out-of-process
+// executor (internal/procexec); so committed outputs are a pure function
+// of (seed, inputs, chunk boundaries) — byte-identical across schedulers
+// when the boundaries coincide, regardless of goroutine scheduling, worker
+// count, or which process ran a chunk.
 //
 // The engine emits one canonical event stream (Event) that every consumer
 // shares: Metrics renders the binned stage latencies and counters served
@@ -30,7 +30,4 @@
 // trace.Trace from a native streaming session so internal/critpath can
 // attribute the gap to linear speedup to the paper's six overhead
 // categories for streaming sessions too, not just simulated runs.
-//
-// internal/core and internal/stream remain as thin compatibility façades
-// over this package.
 package engine

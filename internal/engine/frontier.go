@@ -3,7 +3,6 @@ package engine
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the sharded commit frontier: a lock-free slot
@@ -56,21 +55,20 @@ const (
 )
 
 // valSlot is one frontier slot. res is the published result for the
-// slot's chunk index this lap; the verdict fields are written between
-// the claim and the valDone store, and read only after observing
-// valDone (the atomic state transitions order them).
+// slot's chunk index this lap; the verdict — including which worker
+// computed it — is written between the claim and the valDone store, and
+// read only after observing valDone (the atomic state transitions order
+// them).
 type valSlot struct {
 	res   atomic.Pointer[result]
 	state atomic.Int32
-	ok    bool
-	n     int
-	start time.Time
-	dur   time.Duration
+	v     verdict
 	_     pad
 }
 
-// pad keeps adjacent slots off one cache line.
-type pad [64]byte
+// pad, behind a slot's 64 live bytes, keeps adjacent slots off one cache
+// line.
+type pad [56]byte
 
 // frontier is the slot array. Its length is a power of two at least
 // Workers+2: chunk j+len is dispatched only after the assembler has
@@ -101,18 +99,18 @@ func (f *frontier) publish(r *result) { f.slot(r.job.index).res.Store(r) }
 // verdict if one exists, waits out a prevalidator that is mid-claim,
 // and in all cases leaves the slot spent so no new claim can begin.
 // have reports whether a verdict was recorded.
-func (f *frontier) settle(j int) (ok bool, n int, start time.Time, dur time.Duration, have bool) {
+func (f *frontier) settle(j int) (v verdict, have bool) {
 	sl := f.slot(j)
 	for {
 		if sl.state.CompareAndSwap(valIdle, valSpent) {
-			return false, 0, time.Time{}, 0, false
+			return verdict{}, false
 		}
 		switch sl.state.Load() {
 		case valDone:
 			sl.state.Store(valSpent)
-			return sl.ok, sl.n, sl.start, sl.dur, true
+			return sl.v, true
 		case valSpent:
-			return false, 0, time.Time{}, 0, false
+			return verdict{}, false
 		}
 		// valClaimed: the prevalidator is one bounded comparison away
 		// from valDone (or from bailing back to valIdle); yield to it.
@@ -125,20 +123,7 @@ func (f *frontier) settle(j int) (ok bool, n int, start time.Time, dur time.Dura
 // before releasing the aborted chunk's original states: a prevalidator
 // may be comparing against exactly those states, and once the slot is
 // spent no new claim can reach them.
-func (f *frontier) quiesce(j int) {
-	sl := f.slot(j)
-	for {
-		if sl.state.CompareAndSwap(valIdle, valSpent) {
-			return
-		}
-		switch sl.state.Load() {
-		case valDone, valSpent:
-			sl.state.Store(valSpent)
-			return
-		}
-		runtime.Gosched()
-	}
-}
+func (f *frontier) quiesce(j int) { f.settle(j) }
 
 // clear resets slot j for its next lap. Called by applyCommit(j+1) after
 // settling boundary j+1: slot j's result has served as that boundary's
@@ -150,12 +135,12 @@ func (f *frontier) clear(j int) {
 }
 
 // prevalidate opportunistically validates boundary (j-1 → j) on the
-// calling worker: if both results are published and healthy it claims
-// the slot, runs the fingerprint-gated comparison wave, and records the
-// verdict for the commit stage. It never blocks and never touches the
-// committed lineage; losing every race just means the frontier
-// validates inline as before.
-func (p *Pipeline) prevalidate(j int) {
+// calling worker (pool slot worker): if both results are published and
+// healthy it claims the slot, runs the fingerprint-gated comparison wave,
+// and records the verdict for the commit stage. It never blocks and never
+// touches the committed lineage; losing every race just means the
+// frontier validates inline as before.
+func (p *Pipeline) prevalidate(j, worker int) {
 	if j <= 0 {
 		return
 	}
@@ -177,9 +162,6 @@ func (p *Pipeline) prevalidate(j int) {
 		ssl.state.Store(valIdle)
 		return
 	}
-	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; the verdict and inspected count are pure functions of the states
-	t0 := time.Now()
-	ok, n := matchAnyWave(p.ex, p.prog, pred.origs, pred.origFPs, succ.spec, succ.specFP, succ.fpOK)
-	ssl.ok, ssl.n, ssl.start, ssl.dur = ok, n, t0, time.Since(t0) //statslint:allow detpath the recorded duration lands in the EvValidated event the commit stage emits; no protocol decision reads it
+	ssl.v = p.validate(p.ex, worker, pred.origs, pred.origFPs, succ.spec, succ.specFP, succ.fpOK)
 	ssl.state.Store(valDone)
 }

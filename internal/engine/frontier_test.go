@@ -32,7 +32,7 @@ func claim(f *frontier, j int, ok bool, n int) bool {
 		ssl.state.Store(valIdle)
 		return false
 	}
-	ssl.ok, ssl.n, ssl.start, ssl.dur = ok, n, time.Time{}, 0
+	ssl.v = verdict{ok: ok, n: n}
 	ssl.state.Store(valDone)
 	return true
 }
@@ -41,7 +41,7 @@ func publishIdx(f *frontier, j int) { f.publish(&result{job: &job{index: j}}) }
 
 func TestFrontierSettleWithoutVerdict(t *testing.T) {
 	f := newFrontier(3)
-	_, _, _, _, have := f.settle(1)
+	_, have := f.settle(1)
 	if have {
 		t.Fatal("settle on an untouched slot reported a verdict")
 	}
@@ -60,12 +60,13 @@ func TestFrontierVerdictRoundTrip(t *testing.T) {
 	if !claim(f, 1, true, 7) {
 		t.Fatal("uncontended claim failed")
 	}
-	ok, n, _, _, have := f.settle(1)
+	v, have := f.settle(1)
+	ok, n := v.ok, v.n
 	if !have || !ok || n != 7 {
 		t.Fatalf("settle = (%v, %d, have=%v), want (true, 7, true)", ok, n, have)
 	}
 	// A verdict is consumed exactly once.
-	if _, _, _, _, have := f.settle(1); have {
+	if _, have := f.settle(1); have {
 		t.Fatal("second settle re-delivered the verdict")
 	}
 }
@@ -98,10 +99,11 @@ func TestFrontierSettleWaitsOutClaim(t *testing.T) {
 		// Hold the claim briefly, then publish the verdict; settle must
 		// spin through valClaimed and deliver it.
 		time.Sleep(100 * time.Microsecond)
-		sl.ok, sl.n = true, 3
+		sl.v = verdict{ok: true, n: 3}
 		sl.state.Store(valDone)
 	}()
-	ok, n, _, _, have := f.settle(1)
+	v, have := f.settle(1)
+	ok, n := v.ok, v.n
 	<-done
 	if !have || !ok || n != 3 {
 		t.Fatalf("settle = (%v, %d, have=%v), want the in-flight verdict (true, 3, true)", ok, n, have)
@@ -119,7 +121,7 @@ func TestFrontierQuiesceSpendsWithoutConsuming(t *testing.T) {
 	if got := f.slot(1).state.Load(); got != valSpent {
 		t.Fatalf("state after quiesce = %d, want valSpent", got)
 	}
-	if _, _, _, _, have := f.settle(1); have {
+	if _, have := f.settle(1); have {
 		t.Fatal("settle consumed a verdict quiesce should have discarded")
 	}
 	// And once spent, no new claim can reach the slot's states.
@@ -144,7 +146,8 @@ func TestFrontierClearReopensSlot(t *testing.T) {
 	if !claim(f, lap, true, 9) {
 		t.Fatal("claim failed on a cleared slot")
 	}
-	ok, n, _, _, have := f.settle(lap)
+	v, have := f.settle(lap)
+	ok, n := v.ok, v.n
 	if !have || !ok || n != 9 {
 		t.Fatalf("settle = (%v, %d, have=%v) after slot reuse, want (true, 9, true)", ok, n, have)
 	}
@@ -231,7 +234,8 @@ func TestFrontierStress(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
-			ok, n, _, _, have := f.settle(j)
+			v, have := f.settle(j)
+			ok, n := v.ok, v.n
 			if have {
 				wantOK, wantN := verdict(j)
 				if ok != wantOK || n != wantN {

@@ -8,14 +8,14 @@ import (
 	"gostats/internal/trace"
 )
 
-// Gang is a persistent worker pool implementing the program's *original*
+// gang is a persistent worker pool implementing the program's *original*
 // TLP inside one STATS chunk: each update's parallel part is split across
 // the gang with a condvar barrier per update, the way the PARSEC pthread
 // versions fork/join worker threads per frame. The per-update kernel
 // round-trips are what makes the original TLP's synchronization overhead
-// emerge in the simulation. A nil *Gang is valid and runs everything on
+// emerge in the simulation. A nil *gang is valid and runs everything on
 // the calling context (width 1).
-type Gang struct {
+type gang struct {
 	width   int
 	mu      Mutex
 	start   Cond
@@ -29,13 +29,13 @@ type Gang struct {
 	handles []Handle
 }
 
-// NewGang spawns width-1 helper threads, reporting each spawn through
-// counter (may be nil). A width of 1 returns nil (no gang needed).
-func NewGang(ex Exec, name string, width int, counter func()) *Gang {
+// newGang spawns width-1 helper threads, reporting each spawn through
+// counter. A width of 1 returns nil (no gang needed).
+func newGang(ex Exec, name string, width int, counter func()) *gang {
 	if width <= 1 {
 		return nil
 	}
-	g := &Gang{
+	g := &gang{
 		width:  width,
 		mu:     ex.NewMutex(),
 		shares: make([]machine.Work, width-1),
@@ -47,14 +47,12 @@ func NewGang(ex Exec, name string, width int, counter func()) *Gang {
 		i := i
 		h := ex.Spawn(fmt.Sprintf("%s-g%d", name, i), func(he Exec) { g.helper(he, i) })
 		g.handles = append(g.handles, h)
-		if counter != nil {
-			counter()
-		}
+		counter()
 	}
 	return g
 }
 
-func (g *Gang) helper(he Exec, i int) {
+func (g *gang) helper(he Exec, i int) {
 	var seen int64
 	g.mu.Lock(he)
 	for {
@@ -83,7 +81,7 @@ func (g *Gang) helper(he Exec, i int) {
 // master, the parallel part split across min(width, Grain) contexts with
 // per-share jitter (input-dependent latency variation, a §III-A imbalance
 // source).
-func (g *Gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, jitterAmt float64) {
+func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, jitterAmt float64) {
 	ex.SetCat(cat)
 	ex.Compute(uw.Serial)
 	w := uw.Grain
@@ -127,7 +125,7 @@ func (g *Gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, 
 }
 
 // Close stops and joins the helpers.
-func (g *Gang) Close(ex Exec) {
+func (g *gang) Close(ex Exec) {
 	if g == nil {
 		return
 	}

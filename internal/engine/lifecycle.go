@@ -178,6 +178,12 @@ func (sp *StatePool) Clone(s State) State {
 		sp.fresh.Add(1)
 		return sp.prog.Clone(s)
 	}
+	return sp.rec.CloneInto(sp.take(), s)
+}
+
+// take pops a retired state off the free list — nil when there is none —
+// and counts the outcome.
+func (sp *StatePool) take() State {
 	var dst State
 	sp.mu.Lock()
 	if n := len(sp.free); n > 0 {
@@ -191,7 +197,7 @@ func (sp *StatePool) Clone(s State) State {
 	} else {
 		sp.reused.Add(1)
 	}
-	return sp.rec.CloneInto(dst, s)
+	return dst
 }
 
 // Fresh builds a cold state as the program's Fresh would, rebuilding it
@@ -205,20 +211,7 @@ func (sp *StatePool) Fresh(r *rng.Stream) State {
 		sp.fresh.Add(1)
 		return sp.prog.Fresh(r)
 	}
-	var dst State
-	sp.mu.Lock()
-	if n := len(sp.free); n > 0 {
-		dst = sp.free[n-1]
-		sp.free[n-1] = nil
-		sp.free = sp.free[:n-1]
-	}
-	sp.mu.Unlock()
-	if dst == nil {
-		sp.fresh.Add(1)
-	} else {
-		sp.reused.Add(1)
-	}
-	return sp.frec.FreshInto(dst, r)
+	return sp.frec.FreshInto(sp.take(), r)
 }
 
 // Release retires a dead state for reuse. The caller must not touch s
@@ -240,7 +233,7 @@ func (sp *StatePool) Release(s State) {
 }
 
 // ReleaseReplicas retires the replica original states of a validated
-// chunk boundary — origs[1:], the extra states OriginalStates generated.
+// chunk boundary — origs[1:], the extra states originalStates generated.
 // origs[0] is the chunk's own final state and follows the committed
 // lineage's lifecycle instead, so it is never released here.
 func (sp *StatePool) ReleaseReplicas(origs []State) {
@@ -248,6 +241,18 @@ func (sp *StatePool) ReleaseReplicas(origs []State) {
 		return
 	}
 	for _, o := range origs[1:] {
+		sp.Release(o)
+	}
+}
+
+// releaseRun retires everything a dead chunk run produced: its original
+// states, of which origs[0] is the final state — or, when the run
+// generated none (the last chunk of a bounded run), final alone.
+func (sp *StatePool) releaseRun(final State, origs []State) {
+	if origs == nil {
+		sp.Release(final)
+	}
+	for _, o := range origs {
 		sp.Release(o)
 	}
 }
@@ -263,22 +268,4 @@ func (sp *StatePool) Stats() PoolStats {
 		Released: sp.released.Load(),
 		Dropped:  sp.dropped.Load(),
 	}
-}
-
-// cloneVia is the primitives' clone operator: pooled when a pool is
-// supplied, plain otherwise.
-func cloneVia(sp *StatePool, p Program, s State) State {
-	if sp != nil {
-		return sp.Clone(s)
-	}
-	return p.Clone(s)
-}
-
-// freshVia is the primitives' cold-state constructor: pooled when a pool
-// is supplied, plain otherwise.
-func freshVia(sp *StatePool, p Program, r *rng.Stream) State {
-	if sp != nil {
-		return sp.Fresh(r)
-	}
-	return p.Fresh(r)
 }

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"gostats/internal/rng"
@@ -25,7 +25,7 @@ func OracleRegionCycles(p Program, inputs []Input, chunks, width, cores int, cpi
 	if width < 1 {
 		width = 1
 	}
-	bounds := partition(len(inputs), chunks)
+	bounds := Partition(len(inputs), chunks)
 	root := rng.New(seed).Derive("oracle:" + p.Name())
 	var total, maxChunk float64
 	for j, b := range bounds {

@@ -10,7 +10,6 @@ import (
 
 	"gostats/internal/autotune"
 	"gostats/internal/ring"
-	"gostats/internal/rng"
 )
 
 // This file is the streaming side of the engine: the STATS speculation
@@ -30,11 +29,10 @@ import (
 //	  - The assembler groups inputs into chunks (fixed size, or retuned
 //	    online from commit/abort feedback via autotune.Online) and carries
 //	    the previous chunk's lookback window with each job.
-//	  - Workers execute the chunk speculatively on NativeExec: the
-//	    alternative producer replays the predecessor's window from a cold
-//	    state (SpeculativeState), the chunk body runs from that state
-//	    (ProcessChunk), and original states are generated for the
-//	    successor's validation (OriginalStates).
+//	  - Workers execute the chunk's speculative attempt (attempt.go) on
+//	    NativeExec: the alternative producer replays the predecessor's
+//	    window from a cold state, the chunk body runs from that state, and
+//	    original states are generated for the successor's validation.
 //	  - The commit stage reorders worker results into input order, validates
 //	    each chunk's speculative start state against the committed
 //	    predecessor's original states (MatchAny), and on mispeculation
@@ -234,15 +232,12 @@ type result struct {
 // Wait. StreamScheduler drives a Pipeline over a bounded slice through
 // the Scheduler interface.
 type Pipeline struct {
+	proto  // the protocol this pipeline schedules (attempt.go)
 	cfg    StreamConfig
-	prog   Program
 	ex     Exec
-	root   *rng.Stream
 	ctx    context.Context // derived: canceled by the caller, a fault, or teardown
 	outer  context.Context // the caller's context, for abandonment reporting
 	cancel context.CancelFunc
-	inj    Injector    // prog's fault injector, if it carries one
-	pol    FaultPolicy // normalized fault policy
 
 	// The intra-pipeline hops are lock-free rings (internal/ring), not
 	// channels: ingest and the outcome window are single-producer
@@ -259,9 +254,7 @@ type Pipeline struct {
 	fper     Fingerprinter // prog's Fingerprinter extension, if any
 
 	ctl      *autotune.Online
-	met      *Metrics
-	sink     Sink // met plus cfg.Sink: the engine event stream
-	pool     *StatePool
+	met      *Metrics // also the first sink of the event stream, ahead of cfg.Sink
 	slabs    slabs
 	closed   atomic.Bool
 	failOnce sync.Once
@@ -288,10 +281,6 @@ type Pipeline struct {
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is assembler-owned)
-	states   atomic.Int64
-	threads  atomic.Int64
-	faults   atomic.Int64
-	retries  atomic.Int64
 	degraded atomic.Int64
 }
 
@@ -347,13 +336,10 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 
 	p := &Pipeline{
 		cfg:    cfg,
-		prog:   prog,
 		ex:     NewNativeExec(),
-		root:   rng.New(cfg.Seed).Derive("stats:" + prog.Name()),
 		ctx:    ctx,
 		outer:  outer,
 		cancel: cancel,
-		pol:    cfg.Fault.normalized(),
 		in:     ring.NewSPSC[Input](cfg.QueueDepth),
 		// jobs is kept at the ring minimum (2): chunks in flight are
 		// bounded by the outcome window below, not by this hop, and a
@@ -374,10 +360,8 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		fr:       newFrontier(cfg.Workers),
 		ctl:      ctl,
 		met:      cfg.Metrics,
-		sink:     combineSinks(cfg.Metrics, cfg.Sink),
-		pool:     NewStatePool(prog),
 	}
-	p.inj, _ = prog.(Injector)
+	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, combineSinks(cfg.Metrics, cfg.Sink))
 	p.fper, _ = prog.(Fingerprinter)
 	p.slabs.limit = 2*cfg.Workers + 4
 	p.resume = rs
@@ -458,9 +442,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	}()
 	return p, nil
 }
-
-// emit delivers one engine event to the pipeline's sinks.
-func (p *Pipeline) emit(e Event) { p.sink.Event(e) }
 
 // fail records the run's terminal error (first one wins) and cancels the
 // pipeline context, tearing every stage down promptly.
@@ -571,21 +552,4 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 
 		Checkpoints: p.checkpoints.Load(),
 	}
-}
-
-func (p *Pipeline) countState()  { p.states.Add(1) }
-func (p *Pipeline) countThread() { p.threads.Add(1) }
-
-// workerRng returns chunk j's worker stream, mirroring the batch
-// scheduler's derivation so a stream session and a batch Run with
-// matching chunk boundaries produce identical outputs.
-func (p *Pipeline) workerRng(j int) *rng.Stream { return p.root.DeriveN("worker", j) }
-
-// chunkWindow returns the last min(Lookback, len) elements of chunk.
-func (p *Pipeline) chunkWindow(chunk []Input) []Input {
-	k := p.cfg.Lookback
-	if k > len(chunk) {
-		k = len(chunk)
-	}
-	return chunk[len(chunk)-k:]
 }

@@ -8,56 +8,57 @@ import (
 	"gostats/internal/trace"
 )
 
-// This file exports the chunk-level primitives of the STATS protocol —
+// This file holds the chunk-level primitives of the STATS protocol —
 // alternative production, chunk execution, original-state generation, and
-// speculation validation — so that runtimes other than the batch Run
-// (notably the streaming pipeline in internal/stream) can drive the same
-// protocol over their own scheduling structure. Run itself is implemented
-// on top of these primitives; their Exec call sequences and RNG
+// speculation validation. attempt.go composes them into the one chunk
+// attempt every runtime executes; their Exec call sequences and RNG
 // derivations are exactly those of the original batch runtime, which keeps
-// simulated executions bit-reproducible across the refactor.
+// simulated executions bit-reproducible.
 
-// SpeculativeState runs an alternative producer (§III-B "Generating
+// speculativeState runs an alternative producer (§III-B "Generating
 // speculative states"): it builds the speculative start state for a chunk
 // whose predecessor ends with window, by replaying only those inputs from
 // a cold state. workerRng is the owning chunk's worker stream; the
-// producer derives its "fresh" and "altprod" substreams from it. pool,
-// when non-nil, rebuilds the cold state into a retired state's buffers
-// (FreshRecycler). onState is invoked once per state materialized (may
-// be nil).
-func SpeculativeState(ex Exec, p Program, pool *StatePool, window []Input, workerRng *rng.Stream, onState func()) State {
+// producer derives its "fresh" and "altprod" substreams from it. pool
+// rebuilds the cold state into a retired state's buffers when it can
+// (FreshRecycler). onState is invoked once per state materialized.
+func speculativeState(ex Exec, p Program, pool *StatePool, window []Input, workerRng *rng.Stream, onState func()) State {
 	ex.SetCat(trace.CatAltProducer)
-	s := freshVia(pool, p, workerRng.Derive("fresh"))
-	if onState != nil {
-		onState()
-	}
-	apRng := workerRng.Derive("altprod")
-	if costFree(ex) {
-		for _, in := range window {
-			s, _ = p.Update(s, in, apRng)
-		}
-		return s
-	}
+	s := pool.Fresh(workerRng.Derive("fresh"))
+	onState()
+	return replay(ex, p, s, window, workerRng.Derive("altprod"), trace.CatAltProducer)
+}
+
+// replay advances s over window — the lookback replay both the
+// alternative producer and the original-state replicas perform —
+// charging each update's modelled cost to cat. On a cost-discarding
+// executor the cost model feeds nothing: Update itself is the work.
+func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat trace.Category) State {
+	free := costFree(ex)
 	for _, in := range window {
+		if free {
+			s, _ = p.Update(s, in, rnd)
+			continue
+		}
 		uw := p.UpdateCost(in, s)
-		s, _ = p.Update(s, in, apRng)
-		ex.SetCat(trace.CatAltProducer)
+		s, _ = p.Update(s, in, rnd)
+		ex.SetCat(cat)
 		ex.Compute(uw.Serial)
 		ex.Compute(uw.Parallel)
 	}
 	return s
 }
 
-// ProcessChunk executes one chunk's updates from state s, snapshotting the
+// processChunk executes one chunk's updates from state s, snapshotting the
 // state just before input index snapAt (the base the original-state
 // replicas replay from; snapAt < 0 disables the snapshot, as for the last
 // chunk of a bounded stream). g may be nil when the program's original TLP
-// is not used. pool, when non-nil, serves the snapshot clone from retired
-// state buffers; outBuf, when non-nil, is a retired output slab the
+// is not used. pool serves the snapshot clone from retired state buffers;
+// outBuf, when non-nil, is a retired output slab the
 // returned outputs are accumulated into (the caller transfers ownership).
 // It returns the outputs, the snapshot (nil if disabled) and the final
 // state.
-func ProcessChunk(ex Exec, p Program, pool *StatePool, g *Gang, chunk []Input, snapAt int, s State, rnd, jit *rng.Stream, cat trace.Category, onState func(), outBuf []Output) ([]Output, State, State) {
+func processChunk(ex Exec, p Program, pool *StatePool, g *gang, chunk []Input, snapAt int, s State, rnd, jit *rng.Stream, cat trace.Category, onState func(), outBuf []Output) ([]Output, State, State) {
 	var snapshot State
 	outs := outBuf[:0]
 	if outBuf == nil {
@@ -69,10 +70,8 @@ func ProcessChunk(ex Exec, p Program, pool *StatePool, g *Gang, chunk []Input, s
 	if costFree(ex) && g == nil {
 		for i, in := range chunk {
 			if i == snapAt {
-				snapshot = cloneVia(pool, p, s)
-				if onState != nil {
-					onState()
-				}
+				snapshot = pool.Clone(s)
+				onState()
 			}
 			var out Output
 			s, out = p.Update(s, in, rnd)
@@ -82,10 +81,8 @@ func ProcessChunk(ex Exec, p Program, pool *StatePool, g *Gang, chunk []Input, s
 	}
 	for i, in := range chunk {
 		if i == snapAt {
-			snapshot = cloneVia(pool, p, s)
-			if onState != nil {
-				onState()
-			}
+			snapshot = pool.Clone(s)
+			onState()
 			ex.Copy(p.StateBytes(), ex.Loc(), p.Name()+".snap")
 			ex.SetCat(cat)
 		}
@@ -98,16 +95,15 @@ func ProcessChunk(ex Exec, p Program, pool *StatePool, g *Gang, chunk []Input, s
 	return outs, snapshot, s
 }
 
-// OriginalStates produces the set of original states for a chunk boundary:
+// originalStates produces the set of original states for a chunk boundary:
 // the chunk's own final state plus extra replicas, each re-running the
 // last window inputs from the snapshot with fresh nondeterminism on its
 // own thread (Fig. 5, cores 0–2). tag names the replica threads (replica i
-// spawns as "tag.i"). pool, when non-nil, serves replica start clones from
-// retired state buffers; the runtime retires them back via
-// StatePool.ReleaseReplicas once the boundary has been validated.
-// onThread/onState count spawned threads and materialized states (either
-// may be nil).
-func OriginalStates(ex Exec, p Program, pool *StatePool, tag string, window []Input, snapshot, final State, extra int, rnd *rng.Stream, onThread, onState func()) []State {
+// spawns as "tag.i"). pool serves replica start clones from retired state
+// buffers; the runtime retires them back via StatePool.ReleaseReplicas
+// once the boundary has been validated. onThread/onState count spawned
+// threads and materialized states.
+func originalStates(ex Exec, p Program, pool *StatePool, tag string, window []Input, snapshot, final State, extra int, rnd *rng.Stream, onThread, onState func()) []State {
 	origs := []State{final}
 	if extra == 0 || snapshot == nil {
 		return origs
@@ -130,29 +126,12 @@ func OriginalStates(ex Exec, p Program, pool *StatePool, tag string, window []In
 				}
 			}()
 			re.SetCat(trace.CatOrigStates)
-			sr := cloneVia(pool, p, snapshot)
-			if onState != nil {
-				onState()
-			}
+			sr := pool.Clone(snapshot)
+			onState()
 			re.Copy(p.StateBytes(), myLoc, p.Name()+".orig")
-			re.SetCat(trace.CatOrigStates)
-			if costFree(re) {
-				for _, in := range window {
-					sr, _ = p.Update(sr, in, rr)
-				}
-			} else {
-				for _, in := range window {
-					uw := p.UpdateCost(in, sr)
-					sr, _ = p.Update(sr, in, rr)
-					re.Compute(uw.Serial)
-					re.Compute(uw.Parallel)
-				}
-			}
-			results[i] = sr
+			results[i] = replay(re, p, sr, window, rr, trace.CatOrigStates)
 		})
-		if onThread != nil {
-			onThread()
-		}
+		onThread()
 	}
 	for _, h := range handles {
 		ex.Join(h)
@@ -175,24 +154,20 @@ func OriginalStates(ex Exec, p Program, pool *StatePool, tag string, window []In
 // model says it costs — so traces, critical-path attribution, and the
 // returned result are identical with and without the digest fast path.
 func MatchAny(ex Exec, p Program, origs []State, spec State) bool {
-	ok, _ := matchAnyN(ex, p, origs, spec)
+	ok, _ := matchAnyWave(ex, p, origs, nil, spec, 0, false)
 	return ok
 }
 
-// matchAnyN is MatchAny plus the number of comparisons charged (original
-// states inspected before the first match, or all of them on a miss) —
-// the count the event stream reports per EvValidated.
-func matchAnyN(ex Exec, p Program, origs []State, spec State) (bool, int) {
-	return matchAnyWave(ex, p, origs, nil, spec, 0, false)
-}
-
-// matchAnyWave is matchAnyN over a validation wave whose fingerprint
-// lanes may have been computed ahead of time: origFPs, when non-nil,
-// holds Fingerprint(origs[i]) for every original state, and specFP
-// (valid when haveFP) holds Fingerprint(spec). Cached or not, the
-// digests are the same pure functions of the same states, so the
-// result and the inspected count are exactly matchAnyN's; the cache
-// only removes recomputation from the commit frontier's critical path.
+// matchAnyWave is MatchAny plus the number of comparisons charged
+// (original states inspected before the first match, or all of them on a
+// miss — the count the event stream reports per EvValidated), over a
+// validation wave whose fingerprint lanes may have been computed ahead of
+// time: origFPs, when non-nil, holds Fingerprint(origs[i]) for every
+// original state, and specFP (valid when haveFP) holds Fingerprint(spec).
+// Cached or not, the digests are the same pure functions of the same
+// states, so the result and the inspected count do not depend on the
+// cache; it only removes recomputation from the commit frontier's
+// critical path.
 func matchAnyWave(ex Exec, p Program, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) (bool, int) {
 	ex.SetCat(trace.CatCompare)
 	fp, gated := p.(Fingerprinter)

@@ -12,29 +12,35 @@ import (
 // giving native (wall-clock) sessions the same post-mortem critical-path
 // analysis the simulator's cycle-exact traces get. Thread 0 is the commit
 // frontier (events with Worker == -1); worker pool slot w maps to thread
-// w+1. Interval categories follow the paper's overhead taxonomy: the
-// alternative producer, published state copies, chunk bodies,
-// original-state generation, validation comparisons, recovery re-execution
-// and output emission each land in their §III category.
+// w+1 — an event is filed on the thread that spent the time, which for a
+// prevalidated boundary comparison is the worker that ran it, not the
+// frontier that later consumed the verdict. Interval categories follow
+// the paper's overhead taxonomy: the alternative producer, published state
+// copies, chunk bodies, original-state generation, validation comparisons,
+// recovery re-execution and output emission each land in their §III
+// category.
 //
 // A Recorder is an opt-in Sink: attach it via StreamConfig.Sink (or a
 // scheduler's Sink) only when attribution is wanted — it takes a mutex per
 // event, unlike the atomic-only Counters and Metrics sinks.
 type Recorder struct {
-	mu      sync.Mutex
-	started bool
-	t0      time.Time
-	tr      *trace.Trace
-	seqNs   int64
+	mu sync.Mutex
+	// t0 is the trace's time origin: provisionally the start of the first
+	// event to arrive, which need not be the earliest — workers deliver
+	// events out of start order — so Trace rebases it.
+	t0    time.Time
+	tr    *trace.Trace
+	seqNs int64
 	// done maps a chunk index to the worker-side end of its speculation,
 	// pending the commit-dependence edge to the frontier.
 	done map[int]recPoint
 }
 
-// recPoint is one (thread, time-offset) trace coordinate.
+// recPoint is one (thread, time) trace coordinate, kept in wall time so
+// it survives a rebase of the trace's origin.
 type recPoint struct {
 	thread int
-	at     int64
+	at     time.Time
 }
 
 // NewRecorder returns an empty recorder ready to use as a Sink.
@@ -54,8 +60,7 @@ func (r *Recorder) Event(e Event) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.started {
-		r.started = true
+	if r.t0.IsZero() {
 		r.t0 = e.Start
 	}
 	start := e.Start.Sub(r.t0).Nanoseconds()
@@ -79,7 +84,7 @@ func (r *Recorder) Event(e Event) {
 		// The speculation span overlaps the fine-grained worker intervals
 		// above; it contributes no interval of its own, only the source
 		// point of the chunk's commit-dependence edge.
-		r.done[e.Chunk] = recPoint{thread: th, at: end}
+		r.done[e.Chunk] = recPoint{thread: th, at: e.Start.Add(e.Dur)}
 	case EvValidated:
 		r.tr.Record(th, trace.CatCompare, start, end, "")
 		r.edge(e.Chunk, th, start)
@@ -105,21 +110,46 @@ func (r *Recorder) edge(chunk, toThread int, toTime int64) {
 		return
 	}
 	delete(r.done, chunk)
-	if d.at > toTime {
-		// Clock readings from different goroutines; clamp to keep the
-		// edge well-formed.
-		d.at = toTime
-	}
-	r.tr.AddEdge(trace.EdgeCommit, d.thread, d.at, toThread, toTime)
+	// Clock readings from different goroutines; clamp to keep the edge
+	// well-formed.
+	from := min(d.at.Sub(r.t0).Nanoseconds(), toTime)
+	r.tr.AddEdge(trace.EdgeCommit, d.thread, from, toThread, toTime)
 }
 
-// Trace returns the trace accumulated so far. Call it only after the
-// session has drained (Wait returned, or the batch run finished): the
-// returned value aliases the recorder's internal state.
+// Trace returns the trace accumulated so far, with its earliest point at
+// time zero. Call it only after the session has drained (Wait returned,
+// or the batch run finished): the returned value aliases the recorder's
+// internal state.
 func (r *Recorder) Trace() *trace.Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.rebase()
 	return r.tr
+}
+
+// rebase moves the time origin back to the earliest recorded point, so no
+// interval or edge precedes it.
+func (r *Recorder) rebase() {
+	var lo int64
+	for _, iv := range r.tr.Intervals {
+		lo = min(lo, iv.Start)
+	}
+	for _, e := range r.tr.Edges {
+		lo = min(lo, e.FromTime)
+	}
+	if lo == 0 {
+		return
+	}
+	for i := range r.tr.Intervals {
+		r.tr.Intervals[i].Start -= lo
+		r.tr.Intervals[i].End -= lo
+	}
+	for i := range r.tr.Edges {
+		r.tr.Edges[i].FromTime -= lo
+		r.tr.Edges[i].ToTime -= lo
+	}
+	r.tr.Span -= lo
+	r.t0 = r.t0.Add(time.Duration(lo))
 }
 
 // SeqEstimateNs estimates the sequential execution time in nanoseconds as

@@ -76,30 +76,38 @@ func (s *StreamScheduler) Name() string { return "stream" }
 
 // RunSlice implements Scheduler.
 func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
+	scfg, err := streamConfig(inputs, cfg, s.Workers, s.Sink)
+	if err != nil {
 		return nil, err
 	}
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("engine: empty input stream")
-	}
 	bounds := Partition(len(inputs), cfg.Chunks)
-	plan := make([]int, len(bounds))
+	scfg.Plan = make([]int, len(bounds))
 	for i, b := range bounds {
-		plan[i] = b[1] - b[0]
+		scfg.Plan[i] = b[1] - b[0]
 	}
-	scfg := StreamConfig{
-		ChunkSize:   plan[0], // Partition puts the largest chunks first
+	scfg.ChunkSize = scfg.Plan[0] // Partition puts the largest chunks first
+	scfg.Metrics = s.Metrics
+	return runStream(s.Ctx, p, inputs, scfg)
+}
+
+// streamConfig is the pipeline configuration running cfg's point in the
+// design space over a bounded slice; chunk sizing is the caller's.
+func streamConfig(inputs []Input, cfg Config, workers int, sink Sink) (StreamConfig, error) {
+	if err := cfg.Validate(); err != nil {
+		return StreamConfig{}, err
+	}
+	if len(inputs) == 0 {
+		return StreamConfig{}, fmt.Errorf("engine: empty input stream")
+	}
+	return StreamConfig{
 		Lookback:    cfg.Lookback,
 		ExtraStates: cfg.ExtraStates,
 		InnerWidth:  cfg.InnerWidth,
-		Workers:     s.Workers,
+		Workers:     workers,
 		Seed:        cfg.Seed,
-		Plan:        plan,
 		Fault:       cfg.Fault,
-		Metrics:     s.Metrics,
-		Sink:        s.Sink,
-	}
-	return runStream(s.Ctx, p, inputs, scfg)
+		Sink:        sink,
+	}, nil
 }
 
 // SimScheduler runs the batch chunk mapping on the cycle-accurate
@@ -165,24 +173,12 @@ func (s *SimScheduler) Machine() *machine.Machine { return s.m }
 // the batch path's "-autotune" mode — same inputs, same protocol, but the
 // chunking emerges online instead of being fixed up front.
 func RunAdaptive(ctx context.Context, p Program, inputs []Input, cfg Config, workers int, sink Sink) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
+	scfg, err := streamConfig(inputs, cfg, workers, sink)
+	if err != nil {
 		return nil, err
 	}
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("engine: empty input stream")
-	}
-	size := (len(inputs) + cfg.Chunks - 1) / cfg.Chunks
-	scfg := StreamConfig{
-		ChunkSize:   size,
-		Lookback:    cfg.Lookback,
-		ExtraStates: cfg.ExtraStates,
-		InnerWidth:  cfg.InnerWidth,
-		Workers:     workers,
-		Seed:        cfg.Seed,
-		Adapt:       true,
-		Fault:       cfg.Fault,
-		Sink:        sink,
-	}
+	scfg.ChunkSize = (len(inputs) + cfg.Chunks - 1) / cfg.Chunks
+	scfg.Adapt = true
 	return runStream(ctx, p, inputs, scfg)
 }
 

@@ -54,70 +54,49 @@ func slabCap(size int) int {
 	return size
 }
 
-// putSlab appends b to the class list if it has room; the caller holds
-// the slabs mutex.
-func putSlab[T any](list *[][]T, b []T, limit int) {
-	if len(*list) < limit {
-		*list = append(*list, b)
+// takeSlab returns an empty slab with capacity at least size, recycled
+// from the request's size class in lists when possible.
+func takeSlab[T any](mu *sync.Mutex, lists *[slabClasses][][]T, size int) []T {
+	list := &lists[slabClass(size)]
+	mu.Lock()
+	n := len(*list)
+	if n == 0 {
+		mu.Unlock()
+		return make([]T, 0, slabCap(size))
 	}
+	b := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	mu.Unlock()
+	if cap(b) < size {
+		// The largest class holds mixed capacities; this one is too small.
+		return make([]T, 0, slabCap(size))
+	}
+	return b[:0]
 }
 
-// takeIn returns an empty input slab with capacity at least size,
-// recycled from the request's size class when possible.
-func (s *slabs) takeIn(size int) []Input {
-	c := slabClass(size)
-	s.mu.Lock()
-	if n := len(s.ins[c]); n > 0 {
-		b := s.ins[c][n-1]
-		s.ins[c][n-1] = nil
-		s.ins[c] = s.ins[c][:n-1]
-		s.mu.Unlock()
-		if cap(b) >= size {
-			return b[:0]
-		}
-		// Largest class holds mixed capacities; this one is too small.
-	} else {
-		s.mu.Unlock()
+// putSlab retires b into its size class in lists if the class has room.
+func putSlab[T any](mu *sync.Mutex, lists *[slabClasses][][]T, b []T, limit int) {
+	if cap(b) == 0 {
+		return
 	}
-	return make([]Input, 0, slabCap(size))
+	list := &lists[slabClass(cap(b))]
+	mu.Lock()
+	if len(*list) < limit {
+		*list = append(*list, b[:0])
+	}
+	mu.Unlock()
 }
+
+// takeIn returns an empty input slab with capacity at least size.
+func (s *slabs) takeIn(size int) []Input { return takeSlab(&s.mu, &s.ins, size) }
 
 // putIn retires a dead input slab. The caller must hold the only live
 // reference — no window or job may still alias it.
-func (s *slabs) putIn(b []Input) {
-	if cap(b) == 0 {
-		return
-	}
-	s.mu.Lock()
-	putSlab(&s.ins[slabClass(cap(b))], b[:0], s.limit)
-	s.mu.Unlock()
-}
+func (s *slabs) putIn(b []Input) { putSlab(&s.mu, &s.ins, b, s.limit) }
 
-// takeOut returns an empty output slab with capacity at least size,
-// recycled from the request's size class when possible.
-func (s *slabs) takeOut(size int) []Output {
-	c := slabClass(size)
-	s.mu.Lock()
-	if n := len(s.outs[c]); n > 0 {
-		b := s.outs[c][n-1]
-		s.outs[c][n-1] = nil
-		s.outs[c] = s.outs[c][:n-1]
-		s.mu.Unlock()
-		if cap(b) >= size {
-			return b[:0]
-		}
-	} else {
-		s.mu.Unlock()
-	}
-	return make([]Output, 0, slabCap(size))
-}
+// takeOut returns an empty output slab with capacity at least size.
+func (s *slabs) takeOut(size int) []Output { return takeSlab(&s.mu, &s.outs, size) }
 
 // putOut retires a flushed output slab.
-func (s *slabs) putOut(b []Output) {
-	if cap(b) == 0 {
-		return
-	}
-	s.mu.Lock()
-	putSlab(&s.outs[slabClass(cap(b))], b[:0], s.limit)
-	s.mu.Unlock()
-}
+func (s *slabs) putOut(b []Output) { putSlab(&s.mu, &s.outs, b, s.limit) }

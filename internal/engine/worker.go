@@ -2,11 +2,7 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
-
-	"gostats/internal/trace"
 )
 
 // worker is one member of the speculative worker pool: it pulls assembled
@@ -28,123 +24,98 @@ func (p *Pipeline) worker(slotID int) {
 		// happens-before the results push, so the commit stage always
 		// finds the slot occupied when it applies this chunk.
 		p.fr.publish(res)
-		p.prevalidate(jb.index)
-		p.prevalidate(jb.index + 1)
+		p.prevalidate(jb.index, slotID)
+		p.prevalidate(jb.index+1, slotID)
 		if err := p.results.Push(p.ctx.Done(), res); err != nil {
 			return
 		}
 	}
 }
 
-// speculate runs the worker-side protocol for one chunk with fault
-// isolation: a panic or missed deadline inside the attempt becomes a
-// chunk fault, retried with backoff up to the policy's budget. A
-// successful attempt re-derives exactly the RNG substreams the first one
-// did, so its result is byte-identical no matter how many faulted
-// attempts preceded it. When the budget exhausts, the returned result
-// carries only the fault; the commit frontier degrades the chunk to
-// sequential re-execution from the last committed state.
+// speculate runs the worker-side protocol for one chunk down the executor
+// ladder: the external executor when one is configured, then in-process —
+// each rung under the engine's one retry discipline (chunkRun.retry), and
+// byte-identical whichever succeeds. When the in-process budget exhausts
+// too, the returned result carries only the fault; the commit frontier
+// degrades the chunk to sequential re-execution from the last committed
+// state.
+//
+// Unlike the batch worker, a streaming chunk never knows it is last, so
+// original states are always generated; for a session's final chunk they
+// go unused.
 func (p *Pipeline) speculate(jb *job, slotID int) *result {
-	if p.cfg.Runner != nil {
-		if res, done := p.speculateRemote(jb, slotID); done {
-			return res
-		}
-		// The external executor exhausted its budget; the chunk degrades
-		// to the in-process path below — identical bytes either way.
-	}
 	j := jb.index
-	for attempt := 0; ; attempt++ {
-		res, fault := p.attemptSpeculate(jb, slotID, attempt)
+	c := p.chunk(p.ex, nil, j, slotID)
+	res := &result{job: jb}
+	if p.cfg.Runner != nil {
+		// Executor failures — a dead or wedged worker process, a reply that
+		// would not parse — are SiteProc faults of the same discipline.
+		fault := c.retry(p.ctx, SiteProc, func() error {
+			ctx, cancel := p.ctx, context.CancelFunc(func() {})
+			if p.pol.ChunkDeadline > 0 {
+				ctx, cancel = context.WithTimeout(p.ctx, p.pol.ChunkDeadline)
+			}
+			reply, err := p.cfg.Runner.RunChunk(ctx, ChunkRequest{
+				Chunk: j, Attempt: c.n, Window: jb.prevWindow, Inputs: jb.inputs})
+			cancel()
+			if err != nil {
+				return err
+			}
+			res.spec, res.outs, res.final, res.origs = reply.Spec, reply.Outs, reply.Final, reply.Origs
+			p.cacheFingerprints(res)
+			c.speculated(len(jb.inputs))
+			return nil
+		})
 		if fault == nil {
 			return res
-		}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: slotID, N: attempt, M: int(fault.Site)})
-		p.scrap(res)
-		if attempt >= p.pol.MaxRetries {
-			return &result{job: jb, fault: fault}
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: slotID, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return &result{job: jb, fault: fault}
-		}
-	}
-}
-
-// speculateRemote runs the chunk through the configured external executor
-// (an out-of-process worker pool). Executor failures — a dead or wedged
-// worker process, a reply that would not parse — surface as retryable
-// SiteProc faults with the same backoff discipline as in-process panics;
-// a successful attempt re-derives the same RNG substreams in the worker
-// process, so its reply is byte-identical no matter how many dead
-// processes preceded it. done=false means the retry budget is exhausted
-// and the caller should degrade to the in-process path.
-func (p *Pipeline) speculateRemote(jb *job, slotID int) (*result, bool) {
-	j := jb.index
-	for attempt := 0; ; attempt++ {
-		ctx, cancel := p.ctx, context.CancelFunc(func() {})
-		if p.pol.ChunkDeadline > 0 {
-			ctx, cancel = context.WithTimeout(p.ctx, p.pol.ChunkDeadline)
-		}
-		t0 := time.Now()
-		reply, err := p.cfg.Runner.RunChunk(ctx, ChunkRequest{
-			Chunk: j, Attempt: attempt, Window: jb.prevWindow, Inputs: jb.inputs})
-		cancel()
-		if err == nil && reply != nil {
-			res := &result{job: jb, spec: reply.Spec, outs: reply.Outs,
-				final: reply.Final, origs: reply.Origs}
-			if p.fper != nil {
-				if res.spec != nil {
-					res.specFP = p.fper.Fingerprint(res.spec)
-					res.fpOK = true
-				}
-				res.origFPs = make([]uint64, len(res.origs))
-				for i, o := range res.origs {
-					res.origFPs[i] = p.fper.Fingerprint(o)
-				}
-			}
-			p.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: slotID,
-				N: len(jb.inputs), Start: t0, Dur: time.Since(t0)})
-			return res, true
 		}
 		if p.ctx.Err() != nil {
 			// The run is being torn down; report the chunk as faulted so
 			// the frontier never sees half-filled remote state.
-			return &result{job: jb, fault: &ChunkFault{Chunk: j, Site: SiteProc, Attempt: attempt}}, true
+			res.fault = fault
+			return res
 		}
-		fault := &ChunkFault{Chunk: j, Site: SiteProc, Attempt: attempt,
-			Deadline: errors.Is(err, context.DeadlineExceeded), Panic: err}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: slotID, N: attempt, M: int(SiteProc)})
-		if attempt >= p.pol.MaxRetries {
-			// Out of remote attempts: degrade to in-process execution
-			// rather than to the frontier — the chunk is still healthy,
-			// only its executor is gone.
-			p.degraded.Add(1)
-			p.emit(Event{Kind: EvDegraded, Chunk: j, Worker: slotID, N: attempt})
-			return nil, false
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: slotID, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return &result{job: jb, fault: fault}, true
-		}
+		// Out of remote attempts: degrade to in-process execution rather
+		// than to the frontier — the chunk is still healthy, only its
+		// executor is gone.
+		p.degraded.Add(1)
+		p.emit(Event{Kind: EvDegraded, Chunk: j, Worker: slotID, N: fault.Attempt})
 	}
+	c.g = newGang(p.ex, fmt.Sprintf("%s-w%d", p.prog.Name(), j), p.cfg.InnerWidth, p.countThread)
+	defer c.g.Close(p.ex)
+	res.fault = c.retry(p.ctx, SiteAltProducer, func() error {
+		p.scrap(res) // whatever a faulted attempt left behind
+		var s State
+		s, res.spec = c.start(jb.initial, jb.prevWindow, true)
+		res.outs, res.final, res.origs = c.finish(s, jb.inputs, false, p.slabs.takeOut(len(jb.inputs)))
+		// Cache the validation wave's fingerprint lanes while the states
+		// are hot in cache.
+		p.cacheFingerprints(res)
+		return nil
+	})
+	if res.fault != nil {
+		p.scrap(res)
+	}
+	return res
 }
 
-// attemptSpeculate runs one protected execution attempt of the
-// worker-side protocol. The returned result is partially filled when the
-// attempt faulted; the caller scraps it.
-func (p *Pipeline) attemptSpeculate(jb *job, slotID, attempt int) (*result, *ChunkFault) {
-	res := &result{job: jb}
-	site := SiteAltProducer
-	fault := runProtected(jb.index, attempt, &site, func() {
-		p.speculateOnce(res, slotID, attempt, &site)
+// recoverChunk re-executes a mispeculated or faulted chunk in place from
+// the true state its committed predecessor produced. It runs at the commit
+// frontier, serializing the pipeline for the chunk's length — exactly the
+// mispeculation cost the paper's loss decomposition charges — and it is
+// the last rung of the degradation ladder: a returned fault means every
+// attempt faulted too, and the session must fail.
+func (p *Pipeline) recoverChunk(r *result, trueFinal State) (outs []Output, final State, origs []State, fault *ChunkFault) {
+	j := r.job.index
+	g := newGang(p.ex, fmt.Sprintf("%s-x%d", p.prog.Name(), j), p.cfg.InnerWidth, p.countThread)
+	defer g.Close(p.ex)
+	c := p.chunk(p.ex, g, j, -1)
+	fault = c.retry(p.ctx, SiteReexec, func() error {
+		// The speculative outputs are dead on abort; reuse their slab.
+		outs, final, origs = c.reexec(trueFinal, -1, r.job.inputs, false, r.outs)
+		return nil
 	})
-	return res, fault
+	return outs, final, origs, fault
 }
 
 // scrap retires the states a faulted attempt materialized before it
@@ -152,110 +123,30 @@ func (p *Pipeline) attemptSpeculate(jb *job, slotID, attempt int) (*result, *Chu
 // left to the garbage collector — correctness never depends on the pool.
 func (p *Pipeline) scrap(res *result) {
 	p.pool.Release(res.spec)
-	if res.origs != nil {
-		for _, o := range res.origs {
-			p.pool.Release(o)
-		}
-	} else {
-		p.pool.Release(res.final)
-	}
+	p.pool.releaseRun(res.final, res.origs)
 	res.spec, res.outs, res.final, res.origs = nil, nil, nil, nil
 	res.specFP, res.origFPs, res.fpOK = 0, nil, false
 }
 
-// speculateOnce is one execution attempt of the worker-side protocol,
-// mirroring the batch worker exactly — same primitives, same RNG
-// derivations keyed by the chunk index — so the committed output sequence
-// depends only on (seed, inputs, chunk boundaries), not on which pool
-// worker ran it or when:
-//
-//  1. the alternative producer replays the predecessor's lookback window
-//     from a cold state (chunk 0 instead starts from the initial state),
-//  2. the chunk body runs speculatively from that state, snapshotting
-//     window-length inputs before the end, and
-//  3. original states for the successor's validation are generated from
-//     the snapshot.
-//
-// Unlike the batch worker, a streaming chunk never knows it is last, so
-// original states are always generated; for a session's final chunk they
-// go unused.
-//
-// site tracks which protocol phase is executing so a fault is attributed
-// to the right place; the injector (if any) is consulted at each phase.
-func (p *Pipeline) speculateOnce(res *result, slotID, attempt int, site *FaultSite) {
-	t0 := time.Now()
-	prog := guardProgram(p.prog, p.pol.ChunkDeadline)
-	jb := res.job
-	j := jb.index
-	myRng := p.workerRng(j)
-	jit := myRng.Derive("jitter")
-	g := NewGang(p.ex, fmt.Sprintf("%s-w%d", prog.Name(), j), p.cfg.InnerWidth, p.countThread)
-	defer g.Close(p.ex)
-
-	var s State
-	if j == 0 {
-		injectAt(p.inj, SiteAltProducer, j, attempt, nil)
-		s = jb.initial
-		if attempt > 0 {
-			// The faulted attempt consumed (and may have corrupted) the
-			// dispatched initial state; rebuild it from the same derivation.
-			s = p.prog.Initial(p.root.Derive("init"))
-			p.countState()
-		}
-	} else {
-		tAlt := time.Now()
-		s = SpeculativeState(p.ex, prog, p.pool, jb.prevWindow, myRng, p.countState)
-		// The injector sees the produced state before it is published: a
-		// corrupted speculative state poisons the published copy and the
-		// body run together, so boundary validation catches it.
-		s = injectAt(p.inj, SiteAltProducer, j, attempt, s)
-		p.emit(Event{Kind: EvAltProduced, Chunk: j, Worker: slotID,
-			N: len(jb.prevWindow), Start: tAlt, Dur: time.Since(tAlt)})
-		tPub := time.Now()
-		res.spec = p.pool.Clone(s)
-		p.countState()
-		p.emit(Event{Kind: EvSpecPublished, Chunk: j, Worker: slotID,
-			Start: tPub, Dur: time.Since(tPub)})
+// fingerprints returns the fingerprint lane of every state, nil when the
+// program publishes none. The boundary comparisons reuse the cached lanes
+// instead of recomputing them; they are pure functions of the states, so
+// the validation result and inspected count are unchanged.
+func (p *Pipeline) fingerprints(states []State) []uint64 {
+	if p.fper == nil {
+		return nil
 	}
-
-	*site = SiteBody
-	s = injectAt(p.inj, SiteBody, j, attempt, s)
-	win := p.chunkWindow(jb.inputs)
-	snapAt := len(jb.inputs) - len(win)
-	var snapshot State
-	tBody := time.Now()
-	res.outs, snapshot, res.final = ProcessChunk(p.ex, prog, p.pool, g, jb.inputs,
-		snapAt, s, myRng.Derive("body"), jit, trace.CatChunkWork, p.countState,
-		p.slabs.takeOut(len(jb.inputs)))
-	p.emit(Event{Kind: EvBody, Chunk: j, Worker: slotID,
-		N: len(jb.inputs), Start: tBody, Dur: time.Since(tBody)})
-	if snapshot != nil {
-		p.emit(Event{Kind: EvSnapshot, Chunk: j, Worker: slotID})
+	fps := make([]uint64, len(states))
+	for i, s := range states {
+		fps[i] = p.fper.Fingerprint(s)
 	}
-	*site = SiteOrigStates
-	injectAt(p.inj, SiteOrigStates, j, attempt, nil)
-	tOrig := time.Now()
-	res.origs = OriginalStates(p.ex, prog, p.pool, fmt.Sprintf("%s-r%d", prog.Name(), j),
-		win, snapshot, res.final, p.cfg.ExtraStates, myRng, p.countThread, p.countState)
-	p.emit(Event{Kind: EvOrigStates, Chunk: j, Worker: slotID,
-		N: len(res.origs) - 1, M: len(win), Start: tOrig, Dur: time.Since(tOrig)})
-	// The replicas have replayed the window from the snapshot; retire it.
-	p.pool.Release(snapshot)
+	return fps
+}
 
-	// Cache the validation wave's fingerprint lanes while the states are
-	// hot in cache: the boundary comparisons (prevalidated on a worker or
-	// run inline at the frontier) reuse them instead of recomputing.
-	if p.fper != nil {
-		if res.spec != nil {
-			res.specFP = p.fper.Fingerprint(res.spec)
-			res.fpOK = true
-		}
-		res.origFPs = make([]uint64, len(res.origs))
-		for i, o := range res.origs {
-			res.origFPs[i] = p.fper.Fingerprint(o)
-		}
+// cacheFingerprints fills res's fingerprint lanes from its states.
+func (p *Pipeline) cacheFingerprints(res *result) {
+	if p.fper != nil && res.spec != nil {
+		res.specFP, res.fpOK = p.fper.Fingerprint(res.spec), true
 	}
-
-	p.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: slotID,
-		N: len(jb.inputs), Start: t0, Dur: time.Since(t0)})
+	res.origFPs = p.fingerprints(res.origs)
 }

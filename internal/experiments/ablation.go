@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/profiler"
 	"gostats/internal/report"
@@ -51,7 +51,7 @@ func (a *Ablation) Render(w io.Writer) { a.Table().Render(w) }
 // mutation and an optional STATS-config mutation, returning the speedup
 // against the *unmutated* sequential baseline.
 func (s *Session) ablationRun(name string, cores int,
-	mutateMachine func(*machine.Config), mutateCfg func(*core.Config)) (AblationRow, error) {
+	mutateMachine func(*machine.Config), mutateCfg func(*engine.Config)) (AblationRow, error) {
 	seq, err := s.seqRun(name)
 	if err != nil {
 		return AblationRow{}, err
@@ -60,7 +60,7 @@ func (s *Session) ablationRun(name string, cores int,
 	if err != nil {
 		return AblationRow{}, err
 	}
-	cfg := core.Config{
+	cfg := engine.Config{
 		Chunks:      tc.ParSTATS.Chunks,
 		Lookback:    tc.ParSTATS.Lookback,
 		ExtraStates: tc.ParSTATS.ExtraStates,
@@ -173,7 +173,7 @@ func (s *Session) AblationLookback() (*Ablation, error) {
 	for _, name := range s.pick("facetrack") {
 		for _, k := range []int{1, 3, 6, 12, 18, 24} {
 			k := k
-			row, err := s.ablationRun(name, cores, nil, func(c *core.Config) { c.Lookback = k })
+			row, err := s.ablationRun(name, cores, nil, func(c *engine.Config) { c.Lookback = k })
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +193,7 @@ func (s *Session) AblationExtraStates() (*Ablation, error) {
 	for _, name := range s.pick("facetrack", "streamclassifier") {
 		for _, e := range []int{0, 1, 2, 3} {
 			e := e
-			row, err := s.ablationRun(name, cores, nil, func(c *core.Config) { c.ExtraStates = e })
+			row, err := s.ablationRun(name, cores, nil, func(c *engine.Config) { c.ExtraStates = e })
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/quality"
 	"gostats/internal/report"
 	"gostats/internal/stat"
@@ -35,7 +35,7 @@ func (s *Session) Fig16() (*Fig16, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.Config{
+		cfg := engine.Config{
 			Chunks:      tc.ParSTATS.Chunks,
 			Lookback:    tc.ParSTATS.Lookback,
 			ExtraStates: tc.ParSTATS.ExtraStates,

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 
-	"gostats/internal/core"
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/profiler"
@@ -90,7 +91,15 @@ func (f *Fig9) Table() *report.Table {
 		t.AddRow(r.Benchmark, fmt.Sprint(r.Cores),
 			report.Speedup(r.Original), report.Speedup(r.SeqSTATS), report.Speedup(r.ParSTATS))
 	}
-	for cores, g := range f.Geomean {
+	// Core counts ascending: map order would shuffle the artifact's rows
+	// from run to run.
+	counts := make([]int, 0, len(f.Geomean))
+	for cores := range f.Geomean {
+		counts = append(counts, cores)
+	}
+	sort.Ints(counts)
+	for _, cores := range counts {
+		g := f.Geomean[cores]
 		t.AddRow("geomean", fmt.Sprint(cores),
 			report.Speedup(g[0]), report.Speedup(g[1]), report.Speedup(g[2]))
 	}
@@ -148,9 +157,9 @@ func (s *Session) decompose(name string, r *profiler.Result, cores, chunks, widt
 	b := s.benches[name]
 	inputs := b.Inputs(rng.New(s.opt.InputSeed))
 	cpi := machine.DefaultConfig(cores).BaseCPI
-	otC := core.OracleRegionCycles(b, inputs, chunks, width, cores, cpi, s.opt.Seed)
-	maxChunks := core.MaxChunks(len(inputs), cores, width)
-	omC := core.OracleRegionCycles(b, inputs, maxChunks, width, cores, cpi, s.opt.Seed)
+	otC := engine.OracleRegionCycles(b, inputs, chunks, width, cores, cpi, s.opt.Seed)
+	maxChunks := engine.MaxChunks(len(inputs), cores, width)
+	omC := engine.OracleRegionCycles(b, inputs, maxChunks, width, cores, cpi, s.opt.Seed)
 	oracle := critpath.Oracle{
 		CleanTuned: oracleSpeedup(seq.Cycles, otC),
 		CleanMax:   oracleSpeedup(seq.Cycles, omC),
@@ -491,7 +500,7 @@ func (s *Session) Table2() (*Table2, error) {
 	for _, name := range s.opt.Benchmarks {
 		b := s.benches[name]
 		row := Table2Row{Benchmark: name}
-		runMem := func(mode profiler.Mode, c int, cfg core.Config) (memsim.Counters, error) {
+		runMem := func(mode profiler.Mode, c int, cfg engine.Config) (memsim.Counters, error) {
 			mc := memsim.DefaultConfig(c, 1)
 			spec := profiler.Spec{
 				Bench:     b,
@@ -510,11 +519,11 @@ func (s *Session) Table2() (*Table2, error) {
 			return r.Mem, nil
 		}
 		var err error
-		row.Sequential.Mem, err = runMem(profiler.ModeSequential, 1, core.Config{})
+		row.Sequential.Mem, err = runMem(profiler.ModeSequential, 1, engine.Config{})
 		if err != nil {
 			return nil, err
 		}
-		row.Original.Mem, err = runMem(profiler.ModeOriginal, cores, core.Config{})
+		row.Original.Mem, err = runMem(profiler.ModeOriginal, cores, engine.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -522,7 +531,7 @@ func (s *Session) Table2() (*Table2, error) {
 		if err != nil {
 			return nil, err
 		}
-		row.STATS.Mem, err = runMem(profiler.ModeSeqSTATS, cores, core.Config{
+		row.STATS.Mem, err = runMem(profiler.ModeSeqSTATS, cores, engine.Config{
 			Chunks:      tc.SeqSTATS.Chunks,
 			Lookback:    tc.SeqSTATS.Lookback,
 			ExtraStates: tc.SeqSTATS.ExtraStates,

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/profiler"
 	"gostats/internal/report"
 )
@@ -45,7 +45,7 @@ func (s *Session) Scaling() (*Scaling, error) {
 			return nil, err
 		}
 		for _, nc := range cores {
-			chunks := core.MaxChunks(s.inputLen[name], nc, 1)
+			chunks := engine.MaxChunks(s.inputLen[name], nc, 1)
 			// Respect the tuned chunk ceiling: if the autotuner backed off
 			// below the core count (mispeculation avoidance), scale that
 			// ceiling proportionally.
@@ -59,7 +59,7 @@ func (s *Session) Scaling() (*Scaling, error) {
 				}
 			}
 			r, err := s.run(runKey{bench: name, mode: profiler.ModeSeqSTATS, cores: nc, chunksOverride: chunks},
-				core.Config{
+				engine.Config{
 					Chunks:      chunks,
 					Lookback:    tc.SeqSTATS.Lookback,
 					ExtraStates: tc.SeqSTATS.ExtraStates,

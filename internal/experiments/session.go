@@ -14,7 +14,7 @@ import (
 	"io"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/profiler"
 	"gostats/internal/rng"
 )
@@ -142,24 +142,24 @@ func (s *Session) Options() Options { return s.opt }
 
 // seqRun returns (cached) the sequential baseline on one core.
 func (s *Session) seqRun(name string) (*profiler.Result, error) {
-	return s.run(runKey{bench: name, mode: profiler.ModeSequential, cores: 1}, core.Config{})
+	return s.run(runKey{bench: name, mode: profiler.ModeSequential, cores: 1}, engine.Config{})
 }
 
 // cfgFor resolves the tuned STATS configuration for a mode (zero config
 // for the non-STATS modes).
-func (s *Session) cfgFor(name string, mode profiler.Mode, cores int) (core.Config, error) {
+func (s *Session) cfgFor(name string, mode profiler.Mode, cores int) (engine.Config, error) {
 	if mode != profiler.ModeSeqSTATS && mode != profiler.ModeParSTATS {
-		return core.Config{}, nil
+		return engine.Config{}, nil
 	}
 	tc, err := s.tunedFor(name, cores)
 	if err != nil {
-		return core.Config{}, err
+		return engine.Config{}, err
 	}
 	pt := tc.SeqSTATS
 	if mode == profiler.ModeParSTATS {
 		pt = tc.ParSTATS
 	}
-	return core.Config{
+	return engine.Config{
 		Chunks:      pt.Chunks,
 		Lookback:    pt.Lookback,
 		ExtraStates: pt.ExtraStates,
@@ -196,7 +196,7 @@ func (s *Session) forcedChunksRun(name string, cores, chunks int) (*profiler.Res
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
+	cfg := engine.Config{
 		Chunks:      chunks,
 		Lookback:    tc.SeqSTATS.Lookback,
 		ExtraStates: tc.SeqSTATS.ExtraStates,
@@ -205,7 +205,7 @@ func (s *Session) forcedChunksRun(name string, cores, chunks int) (*profiler.Res
 	return s.run(runKey{bench: name, mode: profiler.ModeSeqSTATS, cores: cores, chunksOverride: chunks}, cfg)
 }
 
-func (s *Session) run(key runKey, cfg core.Config) (*profiler.Result, error) {
+func (s *Session) run(key runKey, cfg engine.Config) (*profiler.Result, error) {
 	if r, ok := s.runs[key]; ok {
 		return r, nil
 	}
@@ -244,7 +244,7 @@ func speedup(seq, par *profiler.Result) float64 {
 // are within 5% of the median (or the repeat budget is exhausted), and
 // returns the median cycles. With Repeats == 1 it returns the cached
 // single run's cycles.
-func (s *Session) medianCycles(name string, mode profiler.Mode, cores int, cfg core.Config) (int64, error) {
+func (s *Session) medianCycles(name string, mode profiler.Mode, cores int, cfg engine.Config) (int64, error) {
 	base, err := s.run(runKey{bench: name, mode: mode, cores: cores}, cfg)
 	if err != nil {
 		return 0, err

@@ -5,7 +5,7 @@ import (
 
 	"gostats/internal/autotune"
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
@@ -101,7 +101,7 @@ func (s *Session) tunedFor(name string, cores int) (TunedConfig, error) {
 	// Heuristic fallback for unlisted core counts.
 	b := s.benches[name]
 	pt := autotune.Point{
-		Chunks:      core.MaxChunks(s.inputLen[name], cores, 1),
+		Chunks:      engine.MaxChunks(s.inputLen[name], cores, 1),
 		Lookback:    6,
 		ExtraStates: 1,
 		InnerWidth:  1,
@@ -109,7 +109,7 @@ func (s *Session) tunedFor(name string, cores int) (TunedConfig, error) {
 	tc := TunedConfig{SeqSTATS: pt, ParSTATS: pt}
 	if w := b.MaxInnerWidth(); w > 1 && cores >= 2*2 {
 		tc.ParSTATS.InnerWidth = 2
-		tc.ParSTATS.Chunks = core.MaxChunks(s.inputLen[name], cores, 2)
+		tc.ParSTATS.Chunks = engine.MaxChunks(s.inputLen[name], cores, 2)
 	}
 	s.tuned[key] = tc
 	return tc, nil
@@ -145,11 +145,11 @@ func TuneBenchmark(b bench.Benchmark, cores, budget int, inputSeed, seed uint64)
 // simulated makespan over two nondeterminism seeds, so configurations
 // whose commit behaviour is fragile (an abort on some executions but not
 // others) are priced by their expected cost rather than one lucky draw.
-func TrainingObjective(b bench.Benchmark, training []core.Input, cores int, seed uint64) autotune.Objective {
+func TrainingObjective(b bench.Benchmark, training []engine.Input, cores int, seed uint64) autotune.Objective {
 	return func(p autotune.Point) float64 {
 		total := 0.0
 		for _, s := range []uint64{seed, seed*2654435761 + 97} {
-			cfg := core.Config{
+			cfg := engine.Config{
 				Chunks:      p.Chunks,
 				Lookback:    p.Lookback,
 				ExtraStates: p.ExtraStates,
@@ -159,7 +159,7 @@ func TrainingObjective(b bench.Benchmark, training []core.Input, cores int, seed
 			m := machine.New(machine.DefaultConfig(cores))
 			var runErr error
 			if err := m.Run("main", func(th *machine.Thread) {
-				_, runErr = core.Run(core.NewSimExec(th), b, training, cfg)
+				_, runErr = engine.Run(engine.NewSimExec(th), b, training, cfg)
 			}); err != nil || runErr != nil {
 				return float64(int64(1) << 62)
 			}

@@ -10,7 +10,6 @@ func TestDefaultConfigCoversDeterminismCriticalPackages(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, pkg := range []string{
 		"gostats/internal/engine",
-		"gostats/internal/stream",
 		"gostats/internal/rng",
 		"gostats/internal/cluster",
 		"gostats/internal/workload",

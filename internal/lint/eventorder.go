@@ -144,7 +144,7 @@ func collectEmissions(p *Pass, fn *ast.FuncDecl) []emission {
 			}
 			if tn, _ := namedStruct(p.TypeOf(lit)); tn == nil || tn.Name() != "Event" {
 				// Fall back to the syntactic type name for packages that
-				// mirror the engine shapes (testdata, façades).
+				// mirror the engine shapes (testdata).
 				if id, isID := lit.Type.(*ast.Ident); !isID || id.Name != "Event" {
 					continue
 				}

@@ -113,9 +113,9 @@ type Config struct {
 	HotPathFiles map[string][]string
 }
 
-// DefaultConfig marks the protocol engine, its façades, the benchmark
-// programs, and every other component whose behavior must be a pure
-// function of (inputs, seed) as determinism-critical. Deliberately not
+// DefaultConfig marks the protocol engine, the benchmark programs, and
+// every other component whose behavior must be a pure function of
+// (inputs, seed) as determinism-critical. Deliberately not
 // listed: cmd/* (serving and CLI glue), internal/report, internal/
 // experiments, internal/critpath, internal/profiler, internal/trace,
 // internal/stat, internal/quality — analysis-side code whose outputs are
@@ -132,8 +132,6 @@ func DefaultConfig() *Config {
 		CriticalPrefixes: []string{
 			"gostats/internal/engine",
 			"gostats/internal/ring",
-			"gostats/internal/core",
-			"gostats/internal/stream",
 			"gostats/internal/bench",
 			"gostats/internal/autotune",
 			"gostats/internal/rng",

@@ -267,23 +267,13 @@ func (pr *proc) exchange(req wireRequest) (*wireReply, error) {
 // engine's SiteProc retry discipline; the borrowed slot is recycled as a
 // fresh-spawn token.
 func (p *Pool) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.ChunkReply, error) {
-	wreq := wireRequest{Op: "chunk", Chunk: req.Chunk,
-		Window: make([]json.RawMessage, len(req.Window)),
-		Inputs: make([]json.RawMessage, len(req.Inputs)),
+	wreq := wireRequest{Op: "chunk", Chunk: req.Chunk}
+	var err error
+	if wreq.Window, err = p.encodeInputs("window", req.Window); err != nil {
+		return nil, err
 	}
-	for i, in := range req.Window {
-		raw, err := p.cfg.Codec.EncodeInput(in)
-		if err != nil {
-			return nil, fmt.Errorf("procexec: encode window[%d]: %w", i, err)
-		}
-		wreq.Window[i] = raw
-	}
-	for i, in := range req.Inputs {
-		raw, err := p.cfg.Codec.EncodeInput(in)
-		if err != nil {
-			return nil, fmt.Errorf("procexec: encode input[%d]: %w", i, err)
-		}
-		wreq.Inputs[i] = raw
+	if wreq.Inputs, err = p.encodeInputs("input", req.Inputs); err != nil {
+		return nil, err
 	}
 	if kind, ok := p.cfg.Plan.At(req.Chunk, req.Attempt); ok {
 		switch kind {
@@ -304,7 +294,6 @@ func (p *Pool) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.C
 		return nil, ctx.Err()
 	}
 	if pr == nil {
-		var err error
 		if pr, err = p.spawn(); err != nil {
 			p.slots <- nil
 			return nil, err
@@ -346,6 +335,20 @@ func (p *Pool) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.C
 	}
 	p.slots <- pr
 	return out, nil
+}
+
+// encodeInputs translates an input list to the wire; what names it in
+// errors.
+func (p *Pool) encodeInputs(what string, ins []engine.Input) ([]json.RawMessage, error) {
+	raws := make([]json.RawMessage, len(ins))
+	for i, in := range ins {
+		raw, err := p.cfg.Codec.EncodeInput(in)
+		if err != nil {
+			return nil, fmt.Errorf("procexec: encode %s[%d]: %w", what, i, err)
+		}
+		raws[i] = raw
+	}
+	return raws, nil
 }
 
 // fail kills a process after a transport failure and returns its slot as

@@ -10,7 +10,6 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
 	"gostats/internal/engine"
 	"gostats/internal/faultinject"
 	"gostats/internal/procexec"
@@ -61,7 +60,7 @@ func newPool(t *testing.T, name string, cfg engine.StreamConfig, procs int, plan
 
 // encodeRun streams inputs through a pipeline and returns the committed
 // outputs in wire encoding plus the final stats.
-func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []core.Input) ([]byte, engine.StreamStats) {
+func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) ([]byte, engine.StreamStats) {
 	t.Helper()
 	prog, err := bench.New(name)
 	if err != nil {
@@ -101,7 +100,7 @@ func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []core
 	return buf.Bytes(), stats
 }
 
-func truncInputs(b bench.Benchmark, n int) []core.Input {
+func truncInputs(b bench.Benchmark, n int) []engine.Input {
 	ins := b.Inputs(rng.New(9))
 	if len(ins) > n {
 		ins = ins[:n]
@@ -183,7 +182,11 @@ func TestWorkerProcessRespawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := truncInputs(b, 40)
+	// 10 chunks: respawning is lazy (a dead worker's slot is refilled by
+	// the next borrower), so every planned death needs at least two later
+	// RunChunk calls behind it — its own retry and a chunk the speculation
+	// window only admits after it commits — for its respawn to be certain.
+	inputs := truncInputs(b, 50)
 	cfg := engine.StreamConfig{
 		ChunkSize: 5, Lookback: 2, ExtraStates: 1, Workers: 3, Seed: 17,
 	}

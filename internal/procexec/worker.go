@@ -10,41 +10,45 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/engine"
-	"gostats/internal/rng"
-	"gostats/internal/trace"
 )
 
 // workerSession is the per-process execution context a hello establishes.
 type workerSession struct {
-	prog  bench.Benchmark
 	codec bench.WireCodec
-	ex    *engine.NativeExec
-	pool  *engine.StatePool
-	root  *rng.Stream
-	cfg   wireRequest // the hello (session shape)
+	run   *engine.ChunkWorker
 }
+
+// workerAction is what the serve loop does with a handled request line.
+type workerAction int
+
+const (
+	actReply  workerAction = iota // write the reply
+	actDie                        // planned process death: exit without replying
+	actHang                       // planned wedge: never reply
+	actGarble                     // planned corruption: write an unparseable line
+)
 
 // ServeWorker runs the worker side of the out-of-process chunk protocol
 // over (r, w): a "hello" line binds the process to a session, then each
 // "chunk" line executes the full §III-B chunk protocol and replies with
 // the speculative state, outputs, and original states in wire form.
 //
-// The worker re-derives every RNG substream exactly as the in-process
-// pool worker does — root = New(seed).Derive("stats:"+name), per chunk j
-// myRng = root.DeriveN("worker", j), jitter/body/replica substreams off
-// myRng — so a reply is a pure function of (session, chunk index, window,
-// inputs): byte-identical no matter which process computes it, or how
-// many died trying.
+// The chunk itself is executed by engine.ChunkWorker — the same attempt
+// the in-process pool worker runs, with every RNG substream re-derived
+// from (seed, benchmark, chunk index) — so a reply is a pure function of
+// (session, chunk index, window, inputs): byte-identical no matter which
+// process computes it, or how many died trying.
 //
 // It returns when r reaches EOF (the parent closed stdin) and on
-// transport errors; a per-chunk execution failure is reported in-band as
-// an {ok:false} reply instead, keeping the process reusable. Planned
-// fault instructions (die/hang/garble) are honored unconditionally —
-// they exist so chaos tests can schedule real process deaths.
+// transport errors; a request that cannot be parsed or executed is
+// reported in-band as an {ok:false} reply instead, keeping the process
+// reusable. Planned fault instructions (die/hang/garble) are honored
+// unconditionally — they exist so chaos tests can schedule real process
+// deaths.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	bw := bufio.NewWriter(w)
-	var sess *workerSession
+	var sess workerSession
 	for {
 		line, err := br.ReadBytes('\n')
 		if err == io.EOF && len(line) == 0 {
@@ -53,63 +57,67 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("procexec: worker read: %w", err)
 		}
-		var req wireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			return fmt.Errorf("procexec: worker: bad request: %w", err)
-		}
-		var reply wireReply
-		switch req.Op {
-		case "hello":
-			sess, err = newWorkerSession(req)
-			if err != nil {
-				reply = wireReply{Err: err.Error()}
-			} else {
-				reply = wireReply{OK: true}
+		reply, act := sess.handle(line)
+		var out []byte
+		switch act {
+		case actDie:
+			// The parent sees a truncated stream and respawns.
+			os.Exit(3)
+		case actHang:
+			// A timer loop, not select{}, so the runtime's deadlock detector
+			// stays quiet. The parent's chunk deadline fires and it kills
+			// this process.
+			for {
+				time.Sleep(time.Hour)
 			}
-		case "chunk":
-			if sess == nil {
-				reply = wireReply{Err: "chunk before hello"}
-				break
-			}
-			if req.Die {
-				// Planned process death: exit without replying. The parent
-				// sees a truncated stream and respawns.
-				os.Exit(3)
-			}
-			if req.Hang {
-				// Planned wedge: never reply (a timer loop, not select{},
-				// so the runtime's deadlock detector stays quiet). The
-				// parent's chunk deadline fires and it kills this process.
-				for {
-					time.Sleep(time.Hour)
-				}
-			}
-			reply = sess.runChunk(req)
-			if req.Garble {
-				// Planned corruption: an unparseable reply line.
-				if _, err := bw.WriteString("!garbage reply!\n"); err != nil {
-					return fmt.Errorf("procexec: worker write: %w", err)
-				}
-				if err := bw.Flush(); err != nil {
-					return fmt.Errorf("procexec: worker flush: %w", err)
-				}
-				continue
-			}
+		case actGarble:
+			out = []byte("!garbage reply!")
 		default:
-			reply = wireReply{Err: fmt.Sprintf("unknown op %q", req.Op)}
+			if out, err = json.Marshal(reply); err != nil {
+				return fmt.Errorf("procexec: worker encode: %w", err)
+			}
 		}
-		out, err := json.Marshal(reply)
-		if err != nil {
-			return fmt.Errorf("procexec: worker encode: %w", err)
-		}
-		out = append(out, '\n')
-		if _, err := bw.Write(out); err != nil {
+		if _, err := bw.Write(append(out, '\n')); err != nil {
 			return fmt.Errorf("procexec: worker write: %w", err)
 		}
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("procexec: worker flush: %w", err)
 		}
 	}
+}
+
+// handle executes one request line against the session and says what the
+// serve loop should do with the reply. It never panics, whatever the
+// line holds: anything it cannot parse or run becomes an {ok:false} reply.
+func (s *workerSession) handle(line []byte) (wireReply, workerAction) {
+	var req wireRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return wireReply{Err: fmt.Sprintf("bad request: %v", err)}, actReply
+	}
+	switch req.Op {
+	case "hello":
+		sess, err := newWorkerSession(req)
+		if err != nil {
+			return wireReply{Err: err.Error()}, actReply
+		}
+		*s = *sess
+		return wireReply{OK: true}, actReply
+	case "chunk":
+		switch {
+		case s.run == nil:
+			return wireReply{Err: "chunk before hello"}, actReply
+		case req.Die:
+			return wireReply{}, actDie
+		case req.Hang:
+			return wireReply{}, actHang
+		}
+		reply := s.runChunk(req)
+		if req.Garble {
+			return reply, actGarble
+		}
+		return reply, actReply
+	}
+	return wireReply{Err: fmt.Sprintf("unknown op %q", req.Op)}, actReply
 }
 
 func newWorkerSession(req wireRequest) (*workerSession, error) {
@@ -121,17 +129,30 @@ func newWorkerSession(req wireRequest) (*workerSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Lookback <= 0 {
-		return nil, fmt.Errorf("lookback %d out of range", req.Lookback)
+	// Each replica and each gang helper is a thread per chunk; a count
+	// beyond maxWidth is a corrupted frame, not a session shape.
+	const maxWidth = 1 << 10
+	if req.Lookback <= 0 || req.Extra < 0 || req.Extra > maxWidth || req.Inner < 0 || req.Inner > maxWidth {
+		return nil, fmt.Errorf("session shape out of range: lookback %d, extra %d, inner %d",
+			req.Lookback, req.Extra, req.Inner)
 	}
 	return &workerSession{
-		prog:  prog,
 		codec: codec,
-		ex:    engine.NewNativeExec(),
-		pool:  engine.NewStatePool(prog),
-		root:  rng.New(req.Seed).Derive("stats:" + prog.Name()),
-		cfg:   req,
+		run:   engine.NewChunkWorker(prog, req.Seed, req.Lookback, req.Extra, req.Inner),
 	}, nil
+}
+
+// decodeInputs translates a wire input list; what names it in errors.
+func (s *workerSession) decodeInputs(what string, raws []json.RawMessage) ([]engine.Input, error) {
+	ins := make([]engine.Input, len(raws))
+	for i, raw := range raws {
+		in, err := s.codec.DecodeInput(raw)
+		if err != nil {
+			return nil, fmt.Errorf("decode %s[%d]: %v", what, i, err)
+		}
+		ins[i] = in
+	}
+	return ins, nil
 }
 
 // runChunk executes one chunk and encodes the reply. Failures (decode
@@ -142,81 +163,50 @@ func (s *workerSession) runChunk(req wireRequest) (reply wireReply) {
 			reply = wireReply{Err: fmt.Sprintf("chunk %d panicked: %v", req.Chunk, r)}
 		}
 	}()
-	window := make([]engine.Input, len(req.Window))
-	for i, raw := range req.Window {
-		in, err := s.codec.DecodeInput(raw)
-		if err != nil {
-			return wireReply{Err: fmt.Sprintf("decode window[%d]: %v", i, err)}
-		}
-		window[i] = in
+	window, err := s.decodeInputs("window", req.Window)
+	if err != nil {
+		return wireReply{Err: err.Error()}
 	}
-	inputs := make([]engine.Input, len(req.Inputs))
-	for i, raw := range req.Inputs {
-		in, err := s.codec.DecodeInput(raw)
-		if err != nil {
-			return wireReply{Err: fmt.Sprintf("decode input[%d]: %v", i, err)}
-		}
-		inputs[i] = in
+	inputs, err := s.decodeInputs("input", req.Inputs)
+	if err != nil {
+		return wireReply{Err: err.Error()}
 	}
-	if len(inputs) == 0 {
+	switch {
+	case req.Chunk < 0:
+		return wireReply{Err: fmt.Sprintf("chunk index %d out of range", req.Chunk)}
+	case len(inputs) == 0:
 		return wireReply{Err: "empty chunk"}
-	}
-	if req.Chunk > 0 && len(window) == 0 {
+	case req.Chunk > 0 && len(window) == 0:
 		return wireReply{Err: fmt.Sprintf("chunk %d has no predecessor window", req.Chunk)}
 	}
 
-	// The chunk protocol, with the in-process worker's exact derivations.
-	j := req.Chunk
-	prog := s.prog
-	myRng := s.root.DeriveN("worker", j)
-	jit := myRng.Derive("jitter")
-	g := engine.NewGang(s.ex, fmt.Sprintf("%s-w%d", prog.Name(), j), s.cfg.Inner, nil)
-	defer g.Close(s.ex)
-
-	var spec, start engine.State
-	if j == 0 {
-		start = prog.Initial(s.root.Derive("init"))
-	} else {
-		start = engine.SpeculativeState(s.ex, prog, s.pool, window, myRng, nil)
-		spec = s.pool.Clone(start)
-	}
-	win := inputs
-	if k := s.cfg.Lookback; k < len(win) {
-		win = win[len(win)-k:]
-	}
-	snapAt := len(inputs) - len(win)
-	outs, snapshot, final := engine.ProcessChunk(s.ex, prog, s.pool, g, inputs,
-		snapAt, start, myRng.Derive("body"), jit, trace.CatChunkWork, nil, nil)
-	origs := engine.OriginalStates(s.ex, prog, s.pool, fmt.Sprintf("%s-r%d", prog.Name(), j),
-		win, snapshot, final, s.cfg.Extra, myRng, nil, nil)
-	s.pool.Release(snapshot)
+	res := s.run.Run(engine.ChunkRequest{Chunk: req.Chunk, Window: window, Inputs: inputs})
+	defer s.run.Release(res)
 
 	reply = wireReply{OK: true,
-		Outs:  make([]json.RawMessage, len(outs)),
-		Origs: make([]json.RawMessage, len(origs)),
+		Outs:  make([]json.RawMessage, len(res.Outs)),
+		Origs: make([]json.RawMessage, len(res.Origs)),
 	}
-	if spec != nil {
-		raw, err := s.codec.EncodeState(spec)
+	if res.Spec != nil {
+		raw, err := s.codec.EncodeState(res.Spec)
 		if err != nil {
 			return wireReply{Err: fmt.Sprintf("encode spec: %v", err)}
 		}
 		reply.Spec = raw
-		s.pool.Release(spec)
 	}
-	for i, o := range outs {
+	for i, o := range res.Outs {
 		raw, err := s.codec.EncodeOutput(o)
 		if err != nil {
 			return wireReply{Err: fmt.Sprintf("encode output[%d]: %v", i, err)}
 		}
 		reply.Outs[i] = raw
 	}
-	for i, o := range origs {
+	for i, o := range res.Origs {
 		raw, err := s.codec.EncodeState(o)
 		if err != nil {
 			return wireReply{Err: fmt.Sprintf("encode orig[%d]: %v", i, err)}
 		}
 		reply.Origs[i] = raw
-		s.pool.Release(o)
 	}
 	return reply
 }

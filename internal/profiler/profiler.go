@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
 	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
@@ -61,7 +60,7 @@ type Spec struct {
 	Cores int
 	// Cfg is the STATS configuration (STATS modes only). Its InnerWidth
 	// is forced to 1 for ModeSeqSTATS.
-	Cfg core.Config
+	Cfg engine.Config
 	// Width is the gang width for ModeOriginal (defaults to the
 	// benchmark's MaxInnerWidth capped at Cores).
 	Width int
@@ -89,7 +88,7 @@ type Result struct {
 	Spec   Spec
 	Cycles int64
 	Acct   machine.Accounting
-	Report *core.Report
+	Report *engine.Report
 	Trace  *trace.Trace
 	Mem    memsim.Counters
 	// Quality is the benchmark's output-quality score for this run.
@@ -138,9 +137,9 @@ func Run(spec Spec) (*Result, error) {
 	case ModeSequential, ModeOriginal:
 		m := machine.New(mcfg, opts...)
 		err := m.Run("main", func(th *machine.Thread) {
-			ex := core.NewSimExec(th)
+			ex := engine.NewSimExec(th)
 			if spec.Mode == ModeSequential {
-				res.Report = core.RunSequential(ex, spec.Bench, inputs, spec.Seed)
+				res.Report = engine.RunSequential(ex, spec.Bench, inputs, spec.Seed)
 				return
 			}
 			width := spec.Width
@@ -150,7 +149,7 @@ func Run(spec Spec) (*Result, error) {
 			if width > spec.Cores {
 				width = spec.Cores
 			}
-			res.Report = core.RunOriginal(ex, spec.Bench, inputs, width, spec.Seed)
+			res.Report = engine.RunOriginal(ex, spec.Bench, inputs, width, spec.Seed)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("profiler: %s/%s: %w", spec.Bench.Name(), spec.Mode, err)

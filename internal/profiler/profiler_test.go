@@ -6,7 +6,7 @@ import (
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/bench/swaptions"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/trace"
 )
@@ -23,7 +23,7 @@ func baseSpec(mode Mode, cores int) Spec {
 		Bench:     smallSwaptions(),
 		Mode:      mode,
 		Cores:     cores,
-		Cfg:       core.Config{Chunks: 4, Lookback: 3, ExtraStates: 1, InnerWidth: 2},
+		Cfg:       engine.Config{Chunks: 4, Lookback: 3, ExtraStates: 1, InnerWidth: 2},
 		InputSeed: 1,
 		Seed:      2,
 	}

@@ -14,7 +14,7 @@ import (
 	"sort"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 	"gostats/internal/stat"
 )
@@ -33,7 +33,7 @@ type Sweep struct {
 // times each (seeds varying the nondeterminism, inputs fixed) and returns
 // the quality samples, reproducing Fig. 16's methodology ("we run the
 // original program two hundred times...").
-func Distributions(b bench.Benchmark, cfg core.Config, runs int, inputSeed, seed uint64) (*Sweep, error) {
+func Distributions(b bench.Benchmark, cfg engine.Config, runs int, inputSeed, seed uint64) (*Sweep, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("quality: runs must be >= 1")
 	}
@@ -42,15 +42,15 @@ func Distributions(b bench.Benchmark, cfg core.Config, runs int, inputSeed, seed
 	}
 	inputs := b.Inputs(rng.New(inputSeed))
 	sw := &Sweep{Benchmark: b.Name()}
-	ex := core.NewNativeExec()
+	ex := engine.NewNativeExec()
 	for i := 0; i < runs; i++ {
 		s := seed + uint64(i)*104729
-		rep := core.RunSequential(ex, b, inputs, s)
+		rep := engine.RunSequential(ex, b, inputs, s)
 		sw.Original = append(sw.Original, b.Quality(rep.Outputs))
 
 		c := cfg
 		c.Seed = s
-		prep, err := core.Run(ex, b, inputs, c)
+		prep, err := engine.Run(ex, b, inputs, c)
 		if err != nil {
 			return nil, fmt.Errorf("quality: STATS run %d: %w", i, err)
 		}

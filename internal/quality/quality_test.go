@@ -5,7 +5,7 @@ import (
 
 	"gostats/internal/bench/streamcluster"
 	"gostats/internal/bench/swaptions"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func TestDistributionsShape(t *testing.T) {
@@ -13,7 +13,7 @@ func TestDistributionsShape(t *testing.T) {
 	p.BatchesPerSwaption = 12
 	p.RealSimsPerBatch = 150
 	b := swaptions.NewWithParams(p)
-	cfg := core.Config{Chunks: 4, Lookback: 3, ExtraStates: 1, InnerWidth: 1}
+	cfg := engine.Config{Chunks: 4, Lookback: 3, ExtraStates: 1, InnerWidth: 1}
 	sw, err := Distributions(b, cfg, 8, 1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestSTATSImprovesClusteringQuality(t *testing.T) {
 	p := streamcluster.Default()
 	p.Blocks = 800
 	b := streamcluster.NewWithParams(p)
-	cfg := core.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1}
+	cfg := engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1}
 	sw, err := Distributions(b, cfg, 5, 3, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -71,10 +71,10 @@ func TestSTATSImprovesClusteringQuality(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	b := swaptions.NewWithParams(swaptions.Training())
-	if _, err := Distributions(b, core.Config{Chunks: 1, Lookback: 1, InnerWidth: 1}, 0, 1, 1); err == nil {
+	if _, err := Distributions(b, engine.Config{Chunks: 1, Lookback: 1, InnerWidth: 1}, 0, 1, 1); err == nil {
 		t.Fatal("zero runs accepted")
 	}
-	if _, err := Distributions(b, core.Config{}, 2, 1, 1); err == nil {
+	if _, err := Distributions(b, engine.Config{}, 2, 1, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

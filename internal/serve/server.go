@@ -26,7 +26,6 @@ import (
 	"gostats/internal/checkpoint"
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
-	"gostats/internal/stream"
 )
 
 // Options bounds what one statsserved process will accept and labels it
@@ -76,8 +75,8 @@ var errBadRequest = errors.New("bad request")
 // overridden per request by query parameters) but shares one Metrics
 // collector, so /metrics aggregates across all sessions served.
 type Server struct {
-	base stream.Config
-	met  *stream.Metrics
+	base engine.StreamConfig
+	met  *engine.Metrics
 	lim  Options
 
 	sem      chan struct{} // session slots; acquiring may not block
@@ -89,14 +88,14 @@ type Server struct {
 	// StartDrain halts each at its commit frontier so the session emits a
 	// final checkpoint and a #migrate marker instead of running to
 	// completion on a process that is going away.
-	halters sync.Map // *stream.Pipeline -> struct{}
+	halters sync.Map // *engine.Pipeline -> struct{}
 }
 
 // New builds a Server from a base pipeline config (cloned per session)
 // and serving options.
-func New(base stream.Config, lim Options) *Server {
+func New(base engine.StreamConfig, lim Options) *Server {
 	if base.Metrics == nil {
-		base.Metrics = stream.NewMetrics()
+		base.Metrics = engine.NewMetrics()
 	}
 	if lim.MaxSessions == 0 {
 		lim.MaxSessions = defaultMaxSessions
@@ -165,7 +164,7 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 func (s *Server) StartDrain() {
 	s.draining.Store(true)
 	s.halters.Range(func(k, _ any) bool {
-		k.(*stream.Pipeline).Halt()
+		k.(*engine.Pipeline).Halt()
 		return true
 	})
 }
@@ -272,10 +271,10 @@ const haltDrainGrace = time.Second
 // Trailer is the final NDJSON line of every session: it tells the
 // client the stream drained (or why it didn't) and summarizes the run.
 type Trailer struct {
-	Done      bool         `json:"done"`
-	Benchmark string       `json:"benchmark"`
-	Stats     stream.Stats `json:"stats"`
-	Error     string       `json:"error,omitempty"`
+	Done      bool               `json:"done"`
+	Benchmark string             `json:"benchmark"`
+	Stats     engine.StreamStats `json:"stats"`
+	Error     string             `json:"error,omitempty"`
 	// Migrated reports that the server halted this session at its commit
 	// frontier for migration: the output stream is a valid prefix, the
 	// last #ckpt line resumes it elsewhere, and Done is false.
@@ -457,7 +456,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("session exceeded -session-timeout %s", s.lim.SessionTimeout))
 		defer tcancel()
 	}
-	p, err := stream.New(ctx, prog, cfg)
+	p, err := engine.NewStream(ctx, prog, cfg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -694,7 +693,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // applyQuery overrides the session's pipeline config from request query
 // parameters: seed, chunk, lookback, extra, workers, adapt.
-func applyQuery(cfg *stream.Config, r *http.Request) error {
+func applyQuery(cfg *engine.StreamConfig, r *http.Request) error {
 	q := r.URL.Query()
 	setInt := func(key string, dst *int) error {
 		if v := q.Get(key); v != "" {

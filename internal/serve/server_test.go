@@ -16,17 +16,16 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 )
 
-func baseConfig() stream.Config {
-	return stream.Config{ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 7}
+func baseConfig() engine.StreamConfig {
+	return engine.StreamConfig{ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 7}
 }
 
 // sessionInputs truncates a benchmark's native inputs to n.
-func sessionInputs(t *testing.T, name string, n int) []core.Input {
+func sessionInputs(t *testing.T, name string, n int) []engine.Input {
 	t.Helper()
 	b, err := bench.New(name)
 	if err != nil {
@@ -40,7 +39,7 @@ func sessionInputs(t *testing.T, name string, n int) []core.Input {
 }
 
 // ndjsonBody encodes inputs as a session request body.
-func ndjsonBody(t *testing.T, name string, inputs []core.Input) []byte {
+func ndjsonBody(t *testing.T, name string, inputs []engine.Input) []byte {
 	t.Helper()
 	codec, err := bench.CodecFor(name)
 	if err != nil {
@@ -60,7 +59,7 @@ func ndjsonBody(t *testing.T, name string, inputs []core.Input) []byte {
 
 // wantLines computes the session's expected response body by running the
 // same pipeline locally and encoding its committed outputs.
-func wantLines(t *testing.T, name string, cfg stream.Config, inputs []core.Input) []string {
+func wantLines(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) []string {
 	t.Helper()
 	cfg.Metrics = nil // private collector; the server's is shared
 	prog, err := bench.New(name)
@@ -72,7 +71,7 @@ func wantLines(t *testing.T, name string, cfg stream.Config, inputs []core.Input
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	p, err := stream.New(ctx, prog, cfg)
+	p, err := engine.NewStream(ctx, prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

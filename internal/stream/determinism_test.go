@@ -1,4 +1,4 @@
-package stream_test
+package stream
 
 import (
 	"bytes"
@@ -7,14 +7,13 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 )
 
 // encodeRun streams inputs through a fresh pipeline and returns the
 // committed outputs in the benchmark's wire encoding, one line each.
-func encodeRun(t *testing.T, name string, cfg stream.Config, inputs []core.Input) []byte {
+func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) []byte {
 	t.Helper()
 	prog, err := bench.New(name)
 	if err != nil {
@@ -25,7 +24,7 @@ func encodeRun(t *testing.T, name string, cfg stream.Config, inputs []core.Input
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	p, err := stream.New(ctx, prog, cfg)
+	p, err := engine.NewStream(ctx, prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestStreamingDeterminism(t *testing.T) {
 			if len(inputs) > 90 {
 				inputs = inputs[:90]
 			}
-			cfg := stream.Config{
+			cfg := engine.StreamConfig{
 				ChunkSize: 7, Lookback: 3, ExtraStates: 1, Workers: 4, Seed: 13,
 				Adapt: true, MinChunk: 2, MaxChunk: 28,
 			}
@@ -106,7 +105,7 @@ func TestStreamingDeterminismAcrossWorkerCounts(t *testing.T) {
 	// Fixed chunk size: adaptive sizing consumes outcomes at a
 	// Workers-dependent lag, so boundaries (legitimately) shift with the
 	// window; with sizing fixed, the committed bytes must not.
-	base := stream.Config{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Seed: 21}
+	base := engine.StreamConfig{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Seed: 21}
 	var want []byte
 	for _, workers := range []int{1, 2, 5} {
 		cfg := base

@@ -1,4 +1,4 @@
-package stream_test
+package stream
 
 import (
 	"context"
@@ -8,10 +8,9 @@ import (
 	"time"
 
 	"gostats/internal/bench/facetrack"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
-	"gostats/internal/stream"
 )
 
 // toyProg mirrors the core tests' minimal short-memory program:
@@ -26,23 +25,23 @@ type toyState struct {
 	n int
 }
 
-func (p *toyProg) Name() string                     { return "toy" }
-func (p *toyProg) Initial(r *rng.Stream) core.State { return &toyState{v: 100} }
-func (p *toyProg) Fresh(r *rng.Stream) core.State   { return &toyState{} }
+func (p *toyProg) Name() string                       { return "toy" }
+func (p *toyProg) Initial(r *rng.Stream) engine.State { return &toyState{v: 100} }
+func (p *toyProg) Fresh(r *rng.Stream) engine.State   { return &toyState{} }
 
-func (p *toyProg) Update(s core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (p *toyProg) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := s.(*toyState)
 	st.v = p.decay*st.v + in.(float64) + p.noise*(2*r.Float64()-1)
 	st.n++
 	return st, st.v
 }
 
-func (p *toyProg) Clone(s core.State) core.State {
+func (p *toyProg) Clone(s engine.State) engine.State {
 	c := *s.(*toyState)
 	return &c
 }
 
-func (p *toyProg) Match(a, b core.State) bool {
+func (p *toyProg) Match(a, b engine.State) bool {
 	if p.neverMatch {
 		return false
 	}
@@ -50,8 +49,8 @@ func (p *toyProg) Match(a, b core.State) bool {
 }
 
 func (p *toyProg) StateBytes() int64 { return 16 }
-func (p *toyProg) UpdateCost(core.Input, core.State) core.UpdateWork {
-	return core.UpdateWork{Grain: 1}
+func (p *toyProg) UpdateCost(engine.Input, engine.State) engine.UpdateWork {
+	return engine.UpdateWork{Grain: 1}
 }
 func (p *toyProg) CompareCost() machine.Work     { return machine.Work{} }
 func (p *toyProg) SetupWork(int) machine.Work    { return machine.Work{} }
@@ -59,8 +58,8 @@ func (p *toyProg) TeardownWork(int) machine.Work { return machine.Work{} }
 func (p *toyProg) PreRegionWork() machine.Work   { return machine.Work{} }
 func (p *toyProg) PostRegionWork() machine.Work  { return machine.Work{} }
 
-func toyInputs(n int) []core.Input {
-	ins := make([]core.Input, n)
+func toyInputs(n int) []engine.Input {
+	ins := make([]engine.Input, n)
 	for i := range ins {
 		ins[i] = float64(i%7) + 1
 	}
@@ -69,7 +68,7 @@ func toyInputs(n int) []core.Input {
 
 // collect pushes every input, closes the pipeline, and gathers the
 // committed output sequence.
-func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []core.Input) ([]core.Output, stream.Stats) {
+func collect(t *testing.T, ctx context.Context, p *engine.Pipeline, inputs []engine.Input) ([]engine.Output, engine.StreamStats) {
 	t.Helper()
 	pushErr := make(chan error, 1)
 	go func() {
@@ -82,7 +81,7 @@ func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []cor
 		}
 		pushErr <- nil
 	}()
-	var outs []core.Output
+	var outs []engine.Output
 	for out := range p.Outputs() {
 		outs = append(outs, out)
 	}
@@ -97,7 +96,7 @@ func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []cor
 }
 
 // TestStreamMatchesBatchRun is the pipeline's semantic anchor: with chunk
-// boundaries matching core.Run's partition, the streaming committed
+// boundaries matching engine.Run's partition, the streaming committed
 // output sequence is IDENTICAL to the batch runtime's, for a real
 // benchmark with real nondeterminism and occasional mispeculation.
 func TestStreamMatchesBatchRun(t *testing.T) {
@@ -107,7 +106,7 @@ func TestStreamMatchesBatchRun(t *testing.T) {
 	inputs := ft.Inputs(rng.New(7))
 
 	const chunkSize, seed = 20, 11
-	batch, err := core.Run(core.NewNativeExec(), ft, inputs, core.Config{
+	batch, err := engine.Run(engine.NewNativeExec(), ft, inputs, engine.Config{
 		Chunks: len(inputs) / chunkSize, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: seed,
 	})
 	if err != nil {
@@ -115,7 +114,7 @@ func TestStreamMatchesBatchRun(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	p, err := stream.New(ctx, ft, stream.Config{
+	p, err := engine.NewStream(ctx, ft, engine.StreamConfig{
 		ChunkSize: chunkSize, Lookback: 6, ExtraStates: 1, Workers: 3, Seed: seed,
 	})
 	if err != nil {
@@ -146,10 +145,10 @@ func TestStreamMatchesBatchRun(t *testing.T) {
 func TestAbortsRecoverInOrder(t *testing.T) {
 	prog := &toyProg{decay: 0.9, neverMatch: true}
 	inputs := toyInputs(100)
-	seq := core.RunSequential(core.NewNativeExec(), prog, inputs, 5)
+	seq := engine.RunSequential(engine.NewNativeExec(), prog, inputs, 5)
 
 	ctx := context.Background()
-	p, err := stream.New(ctx, prog, stream.Config{
+	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
 		ChunkSize: 10, Lookback: 4, ExtraStates: 1, Workers: 4, Seed: 5,
 	})
 	if err != nil {
@@ -177,10 +176,10 @@ func TestAbortsRecoverInOrder(t *testing.T) {
 func TestAdaptiveGrowsChunksUnderAborts(t *testing.T) {
 	prog := &toyProg{decay: 0.9, neverMatch: true}
 	inputs := toyInputs(300)
-	seq := core.RunSequential(core.NewNativeExec(), prog, inputs, 5)
+	seq := engine.RunSequential(engine.NewNativeExec(), prog, inputs, 5)
 
 	ctx := context.Background()
-	p, err := stream.New(ctx, prog, stream.Config{
+	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
 		ChunkSize: 4, Lookback: 2, ExtraStates: 0, Workers: 4, Seed: 5,
 		Adapt: true, MinChunk: 2, MaxChunk: 64,
 	})
@@ -207,7 +206,7 @@ func TestBackpressureBlocksPush(t *testing.T) {
 	prog := &toyProg{decay: 0.9, tol: 1e9}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p, err := stream.New(ctx, prog, stream.Config{
+	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
 		ChunkSize: 2, Lookback: 1, Workers: 1, QueueDepth: 2, Seed: 1,
 	})
 	if err != nil {
@@ -238,7 +237,7 @@ func TestBackpressureBlocksPush(t *testing.T) {
 func TestCancelDrainsGoroutines(t *testing.T) {
 	prog := &toyProg{decay: 0.9, tol: 1e9}
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := stream.New(ctx, prog, stream.Config{
+	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
 		ChunkSize: 5, Lookback: 2, Workers: 2, Seed: 1,
 	})
 	if err != nil {
@@ -274,7 +273,7 @@ func TestCancelDrainsGoroutines(t *testing.T) {
 func TestEmptySession(t *testing.T) {
 	prog := &toyProg{decay: 0.9, tol: 1e9}
 	ctx := context.Background()
-	p, err := stream.New(ctx, prog, stream.Config{ChunkSize: 4, Lookback: 2, Seed: 1})
+	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{ChunkSize: 4, Lookback: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestEmptySession(t *testing.T) {
 	if stats.Chunks != 0 || stats.Outputs != 0 {
 		t.Fatalf("empty session stats: %+v", stats)
 	}
-	if err := p.Push(ctx, 1.0); err != stream.ErrClosed {
+	if err := p.Push(ctx, 1.0); err != engine.ErrClosed {
 		t.Fatalf("Push after Close = %v, want ErrClosed", err)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"io"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
@@ -16,7 +16,7 @@ import (
 // bytes the session will stream — record once, replay anywhere.
 //
 // n <= 0 or beyond the native length means the full native stream.
-func SessionInputs(b bench.Benchmark, n int, seed uint64) []core.Input {
+func SessionInputs(b bench.Benchmark, n int, seed uint64) []engine.Input {
 	inputs := b.Inputs(rng.New(seed))
 	if n > 0 && n < len(inputs) {
 		inputs = inputs[:n]
@@ -26,7 +26,7 @@ func SessionInputs(b bench.Benchmark, n int, seed uint64) []core.Input {
 
 // WriteNDJSON encodes inputs one per line through the benchmark's stream
 // codec — the body of a POST /v1/stream/{benchmark} session.
-func WriteNDJSON(w io.Writer, codec bench.StreamCodec, inputs []core.Input) error {
+func WriteNDJSON(w io.Writer, codec bench.StreamCodec, inputs []engine.Input) error {
 	bw := bufio.NewWriter(w)
 	for i, in := range inputs {
 		line, err := codec.EncodeInput(in)
