@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,17 +18,6 @@ import (
 
 	"gostats/internal/checkpoint"
 	"gostats/internal/cluster"
-)
-
-// Control lines of the checkpointed-session protocol (mirrors
-// internal/serve). With -migrate the gateway asks every backend for them
-// and consumes them in the relay — recording #ckpt snapshots, trimming
-// replay memory to the checkpoint frontier, resuming on #migrate — so
-// the client sees one plain, uninterrupted NDJSON session.
-const (
-	ckptPrefix   = "#ckpt "
-	resumePrefix = "#resume "
-	migrateLine  = "#migrate"
 )
 
 // maxCrashResumes bounds checkpoint resumes after *unplanned* backend
@@ -217,6 +207,24 @@ func (g *gateway) fetch(ctx context.Context, url string) (string, int, error) {
 // determinism contract (committed NDJSON bytes are the backend's,
 // untouched).
 func (g *gateway) handleStream(w http.ResponseWriter, r *http.Request) {
+	rr := newReplayReader(r.Body)
+	rc := http.NewResponseController(w)
+
+	// Whatever path exits — the gateway's own refusals below included — no
+	// goroutine may be left reading the request body (net/http forbids it
+	// after the handler returns), and no status line may wait on a client
+	// that holds its body open: kill every attempt view, and — unless the
+	// body already drained to EOF — poison the connection read deadline so
+	// a blocked read fails, then take the reader lock once to wait that
+	// read out.
+	defer func() {
+		rr.killAll()
+		if !rr.sawEOF() && rc.SetReadDeadline(time.Now()) == nil {
+			rr.quiesce()
+			_, _ = io.CopyN(io.Discard, r.Body, 64<<10)
+		}
+	}()
+
 	if g.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
@@ -227,133 +235,19 @@ func (g *gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster admission rate exceeded", http.StatusTooManyRequests)
 		return
 	}
-
-	key := cluster.SessionKey{
-		Benchmark: r.PathValue("benchmark"),
-		Seq:       g.seq.Add(1) - 1,
-	}
-	rr := newReplayReader(r.Body)
-	rc := http.NewResponseController(w)
-
-	// Whatever path exits, no goroutine may be left reading the request
-	// body (net/http forbids it after the handler returns): kill every
-	// attempt view, and — unless the body already drained to EOF —
-	// poison the connection read deadline so a blocked read fails, then
-	// take the reader lock once to wait that read out.
-	defer func() {
-		rr.killAll()
-		if !rr.sawEOF() && rc.SetReadDeadline(time.Now()) == nil {
-			rr.quiesce()
-			_, _ = io.CopyN(io.Discard, r.Body, 64<<10)
-		}
-	}()
-
 	if g.migrate {
 		rr.trackLines()
-		g.streamMigratable(w, r, rc, rr, key)
-		return
 	}
-
-	hints := []int{}
-	candidates := g.reg.Ready()
-	for len(candidates) > 0 {
-		i := g.policy.Pick(candidates, key)
-		b := candidates[i]
-		done, hint := g.tryBackend(w, r, rc, b, rr, key.Benchmark)
-		if done {
-			return
-		}
-		if hint > 0 {
-			hints = append(hints, hint)
-		}
-		g.met.Reroutes.Add(1)
-		candidates = append(candidates[:i:i], candidates[i+1:]...)
-	}
-
-	// Every candidate shed or was unreachable: shed to the client with
-	// the soonest Retry-After hint any backend offered.
-	g.met.ShedCapacity.Add(1)
-	retry := 1
-	for _, h := range hints {
-		if retry == 1 || h < retry {
-			retry = h
-		}
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	http.Error(w, "no backend can take the session", http.StatusTooManyRequests)
+	g.route(w, r, rc, rr, cluster.SessionKey{
+		Benchmark: r.PathValue("benchmark"),
+		Seq:       g.seq.Add(1) - 1,
+	})
 }
 
-// tryBackend proxies the session to one backend. done means the session
-// was answered (successfully or with a non-retryable error) and the
-// handler must return; !done means the backend shed or was unreachable
-// before any output byte, and the caller may re-route with hint (the
-// backend's Retry-After in seconds, 0 if none).
-func (g *gateway) tryBackend(w http.ResponseWriter, r *http.Request, rc *http.ResponseController,
-	b cluster.Backend, rr *replayReader, benchmark string) (done bool, hint int) {
-	url := b.Addr + "/v1/stream/" + benchmark
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	view := rr.view()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, view)
-	if err != nil {
-		view.Close()
-		g.met.BackendErrors.Add(1)
-		return false, 0
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	// Session bodies stream; never let the transport wait to buffer one.
-	req.ContentLength = -1
-
-	g.reg.StartSession(b.ID)
-	defer g.reg.EndSession(b.ID)
-	resp, err := g.client.Do(req)
-	if err != nil {
-		view.Close()
-		g.met.BackendErrors.Add(1)
-		return false, 0
-	}
-	defer resp.Body.Close()
-	defer view.Close()
-
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		// The backend shed before reading the session: re-routable.
-		g.reg.MarkShed(b.ID)
-		if s, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil {
-			hint = s
-		}
-		return false, hint
-	}
-
-	// Anything else is the session's answer. Relay it: status, content
-	// type, then the body with a flush per read so committed outputs
-	// stream to the client as the backend emits them. Full duplex first:
-	// outputs flow while the client is still uploading inputs.
-	g.met.Routed.Add(1)
-	g.reg.MarkRouted(b.ID)
-	rr.release(view)
-	_ = rc.EnableFullDuplex()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return true, 0
-			}
-			_ = rc.Flush()
-		}
-		if rerr != nil {
-			return true, 0
-		}
-	}
-}
-
-// migSession tracks one checkpointed session across backend attempts.
-type migSession struct {
+// relayState tracks one session across backend attempts. Only a
+// checkpointed session (-migrate) ever gets past its first relayed byte
+// to use more than started.
+type relayState struct {
 	started  bool   // response status + headers committed to the client
 	relayed  int64  // lines relayed to the client so far
 	snap     string // latest checkpoint (base64), "" before the first
@@ -361,45 +255,41 @@ type migSession struct {
 	crashes  int    // unplanned backend losses resumed so far
 }
 
-// Outcomes of one migratable proxy attempt.
+// Outcomes of one proxy attempt.
 const (
 	attemptDone    = iota // session answered; the handler must return
-	attemptShed    = iota // backend refused before output; re-routable
-	attemptMigrate = iota // backend halted (or died) with a checkpoint to resume
+	attemptShed           // backend refused before output; re-routable
+	attemptMigrate        // backend halted (or died) with a checkpoint to resume
 )
 
-// streamMigratable runs one checkpointed session across as many backends
-// as it takes: ordinary re-routes for sheds before any output, and
-// checkpoint resume after a drain halt (#migrate) or a lost backend. The
-// client sees a single uninterrupted NDJSON stream whose committed lines
-// are byte-identical to an unmigrated run.
-func (g *gateway) streamMigratable(w http.ResponseWriter, r *http.Request,
+// route runs one session across as many backends as it takes: ordinary
+// re-routes for sheds before any output and, for a checkpointed session,
+// a resume after a drain halt (#migrate) or a lost backend. The client
+// sees a single uninterrupted NDJSON stream whose committed lines are
+// byte-identical to a run that never moved.
+func (g *gateway) route(w http.ResponseWriter, r *http.Request,
 	rc *http.ResponseController, rr *replayReader, key cluster.SessionKey) {
-	st := &migSession{}
-	hints := []int{}
-	for {
-		migrated := false
+	st := &relayState{}
+	var hints []int
+	for migrated := true; migrated; {
+		migrated = false
 		candidates := g.reg.Ready()
-		for len(candidates) > 0 {
+		for len(candidates) > 0 && !migrated {
 			i := g.policy.Pick(candidates, key)
-			b := candidates[i]
-			outcome, hint := g.tryMigratable(w, r, rc, b, rr, key.Benchmark, st)
-			if outcome == attemptDone {
+			outcome, hint := g.attempt(w, r, rc, candidates[i], rr, key.Benchmark, st)
+			switch outcome {
+			case attemptDone:
 				return
-			}
-			if outcome == attemptMigrate {
+			case attemptMigrate:
 				g.met.Migrations.Add(1)
-				migrated = true
-				break // re-snapshot Ready: the halted backend is on its way out
+				migrated = true // re-snapshot Ready: the halted backend is on its way out
+			case attemptShed:
+				if hint > 0 {
+					hints = append(hints, hint)
+				}
+				g.met.Reroutes.Add(1)
+				candidates = append(candidates[:i:i], candidates[i+1:]...)
 			}
-			if hint > 0 {
-				hints = append(hints, hint)
-			}
-			g.met.Reroutes.Add(1)
-			candidates = append(candidates[:i:i], candidates[i+1:]...)
-		}
-		if !migrated {
-			break
 		}
 	}
 
@@ -410,61 +300,67 @@ func (g *gateway) streamMigratable(w http.ResponseWriter, r *http.Request,
 			key.Benchmark, key.Seq)
 		return
 	}
+	// Every candidate shed or was unreachable: shed to the client with
+	// the soonest Retry-After hint any backend offered.
 	g.met.ShedCapacity.Add(1)
-	retry := 1
-	for _, h := range hints {
-		if retry == 1 || h < retry {
-			retry = h
-		}
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	w.Header().Set("Retry-After", strconv.Itoa(soonest(hints)))
 	http.Error(w, "no backend can take the session", http.StatusTooManyRequests)
 }
 
-// sessionURL builds a backend session URL carrying the client's query
-// plus the gateway-managed checkpoint parameters.
-func (g *gateway) sessionURL(b cluster.Backend, r *http.Request, benchmark string, resume bool) string {
-	q := r.URL.Query()
-	q.Set("migrate", "1")
-	if g.ckptEvery > 0 {
-		q.Set("ckpt", strconv.Itoa(g.ckptEvery))
+// soonest is the smallest Retry-After hint, 1 when no backend gave one.
+func soonest(hints []int) int {
+	if len(hints) == 0 {
+		return 1
 	}
-	if resume {
-		q.Set("resume", "1")
-	} else {
-		q.Del("resume")
-	}
-	return b.Addr + "/v1/stream/" + benchmark + "?" + q.Encode()
+	return slices.Min(hints)
 }
 
-// tryMigratable proxies one attempt of a checkpointed session to backend
-// b, relaying line-aware: output lines go to the client whole, #ckpt
-// lines are recorded (and trim the replay window to the checkpoint
-// frontier — retained request memory is bounded by checkpoint lag, not
-// session length), and #migrate plus the halt trailer are consumed. On a
-// resume attempt the body is the latest snapshot's #resume line followed
-// by the retained inputs from its frontier, and outputs the new backend
-// recomputes below what the client already has are skipped.
-func (g *gateway) tryMigratable(w http.ResponseWriter, r *http.Request, rc *http.ResponseController,
-	b cluster.Backend, rr *replayReader, benchmark string, st *migSession) (outcome, hint int) {
+// sessionURL builds a backend session URL: the client's query verbatim,
+// or — checkpointed — with the gateway-managed parameters set.
+func (g *gateway) sessionURL(b cluster.Backend, r *http.Request, benchmark string, resume bool) string {
+	query := r.URL.RawQuery
+	if g.migrate {
+		q := r.URL.Query()
+		q.Set("migrate", "1")
+		if g.ckptEvery > 0 {
+			q.Set("ckpt", strconv.Itoa(g.ckptEvery))
+		}
+		if resume {
+			q.Set("resume", "1")
+		} else {
+			q.Del("resume")
+		}
+		query = q.Encode()
+	}
+	url := b.Addr + "/v1/stream/" + benchmark
+	if query != "" {
+		url += "?" + query
+	}
+	return url
+}
+
+// attempt proxies the session to one backend. attemptShed means the
+// backend shed or was unreachable before any output byte, and the caller
+// may re-route with hint (the backend's Retry-After in seconds, 0 if
+// none). On a resume attempt the body is the latest snapshot's #resume
+// line followed by the retained inputs from its frontier.
+func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.ResponseController,
+	b cluster.Backend, rr *replayReader, benchmark string, st *relayState) (outcome, hint int) {
 	resume := st.snap != ""
-	var view *replayView
-	var body io.Reader
+	view := rr.view()
+	var body io.Reader = view
 	if resume {
 		view = rr.viewAtLine(st.frontier)
-		body = io.MultiReader(strings.NewReader(resumePrefix+st.snap+"\n"), view)
-	} else {
-		view = rr.view()
-		body = view
+		body = io.MultiReader(strings.NewReader(checkpoint.ResumePrefix+st.snap+"\n"), view)
 	}
 	defer view.Close()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		g.sessionURL(b, r, benchmark, resume), body)
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, g.sessionURL(b, r, benchmark, resume), body)
 	if err != nil {
 		g.met.BackendErrors.Add(1)
 		return attemptShed, 0
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
+	// Session bodies stream; never let the transport wait to buffer one.
 	req.ContentLength = -1
 
 	g.reg.StartSession(b.ID)
@@ -477,25 +373,25 @@ func (g *gateway) tryMigratable(w http.ResponseWriter, r *http.Request, rc *http
 	defer resp.Body.Close()
 
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+		// The backend shed before reading the session: re-routable.
 		g.reg.MarkShed(b.ID)
 		if s, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil {
 			hint = s
 		}
 		return attemptShed, hint
 	}
+
+	// Anything else is the session's answer. Relay it: status and content
+	// type once, then the body. Full duplex first: outputs flow while the
+	// client is still uploading inputs.
 	g.met.Routed.Add(1)
 	g.reg.MarkRouted(b.ID)
-	if resp.StatusCode != http.StatusOK {
-		// The session's answer, but not a stream: relay it verbatim (or
-		// swallow it if the stream already started — headers are out).
-		if !st.started {
-			if ct := resp.Header.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(w, resp.Body)
+	lines := g.migrate && resp.StatusCode == http.StatusOK
+	if !lines {
+		if st.started {
+			return attemptDone, 0 // a resume was refused mid-stream: headers are out, swallow it
 		}
-		return attemptDone, 0
+		rr.release(view)
 	}
 	if !st.started {
 		_ = rc.EnableFullDuplex()
@@ -505,68 +401,90 @@ func (g *gateway) tryMigratable(w http.ResponseWriter, r *http.Request, rc *http
 		w.WriteHeader(resp.StatusCode)
 		st.started = true
 	}
-
-	skip := int64(0)
-	if resume {
-		// Outputs below what the client already received are recomputed by
-		// the resumed backend (frontier ≤ relayed); drop them.
-		skip = st.relayed - st.frontier
+	if lines {
+		return g.relayLines(w, rc, resp.Body, rr, st), 0
 	}
-	br := bufio.NewReaderSize(resp.Body, 64<<10)
-	migrating := false
+	// The plain relay: the backend's bytes untouched, a flush per read so
+	// committed outputs stream to the client as the backend emits them.
+	buf := make([]byte, 32<<10)
 	for {
-		line, rerr := br.ReadString('\n')
-		if rerr == nil {
-			trimmed := line[:len(line)-1]
-			switch {
-			case strings.HasPrefix(trimmed, ckptPrefix):
-				b64 := trimmed[len(ckptPrefix):]
-				if snap, err := checkpoint.DecodeString(b64); err == nil {
-					st.snap, st.frontier = b64, snap.Inputs
-					rr.trimToLine(snap.Inputs)
-				}
-				continue
-			case trimmed == migrateLine:
-				migrating = true
-				continue
-			case migrating:
-				// The halt trailer — the last line the backend writes, and
-				// the client gets the final backend's instead. Hand off now
-				// rather than waiting for EOF: the backend holds its side
-				// open until we close the request body, and closing it (the
-				// deferred Body.Close) is what releases the backend.
-				return attemptMigrate, 0
-			case skip > 0:
-				skip--
-				continue
-			}
-			if _, werr := io.WriteString(w, line); werr != nil {
+		n, rerr := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
 				return attemptDone, 0
 			}
 			_ = rc.Flush()
-			st.relayed++
-			continue
 		}
-		// Stream over. A clean EOF after #migrate is the handoff; a clean
-		// EOF otherwise means the trailer went out whole and the session is
-		// complete. Anything else — a transport error, or a torn final line
-		// (never relayed: client lines stay whole) — is a lost backend,
-		// resumable iff a checkpoint is in hand.
-		if rerr == io.EOF && len(line) == 0 {
-			if migrating {
-				return attemptMigrate, 0
-			}
+		if rerr != nil {
 			return attemptDone, 0
 		}
-		g.met.BackendErrors.Add(1)
-		switch {
-		case st.snap != "" && st.crashes < maxCrashResumes:
-			st.crashes++
-			return attemptMigrate, 0
-		case st.relayed == 0 && st.snap == "":
-			return attemptShed, 0 // nothing reached the client; replay in full
+	}
+}
+
+// relayLines is the checkpointed relay: output lines go to the client
+// whole, #ckpt lines are recorded (and trim the replay window to the
+// checkpoint frontier — retained request memory is bounded by checkpoint
+// lag, not session length), and #migrate plus the halt trailer are
+// consumed. Outputs a resumed backend recomputes below what the client
+// already has are skipped.
+func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
+	from io.Reader, rr *replayReader, st *relayState) (outcome int) {
+	// Outputs below what the client already received are recomputed by a
+	// resumed backend (frontier ≤ relayed); drop them.
+	var skip int64
+	if st.snap != "" {
+		skip = st.relayed - st.frontier
+	}
+	br := bufio.NewReaderSize(from, 64<<10)
+	migrating := false
+	for {
+		line, rerr := br.ReadString('\n')
+		if rerr != nil {
+			// Stream over. A clean EOF after #migrate is the handoff; a clean
+			// EOF otherwise means the trailer went out whole and the session is
+			// complete. Anything else — a transport error, or a torn final line
+			// (never relayed: client lines stay whole) — is a lost backend,
+			// resumable iff a checkpoint is in hand.
+			switch {
+			case rerr == io.EOF && len(line) == 0 && migrating:
+				return attemptMigrate
+			case rerr == io.EOF && len(line) == 0:
+				return attemptDone
+			}
+			g.met.BackendErrors.Add(1)
+			switch {
+			case st.snap != "" && st.crashes < maxCrashResumes:
+				st.crashes++
+				return attemptMigrate
+			case st.relayed == 0 && st.snap == "":
+				return attemptShed // nothing reached the client; replay in full
+			}
+			return attemptDone // truncated mid-stream with nothing to resume from
 		}
-		return attemptDone, 0 // truncated mid-stream with nothing to resume from
+		switch kind, b64 := checkpoint.ParseControl(line[:len(line)-1]); {
+		case kind == checkpoint.Ckpt:
+			if snap, err := checkpoint.DecodeString(b64); err == nil {
+				st.snap, st.frontier = b64, snap.Inputs
+				rr.trimToLine(snap.Inputs)
+			}
+		case kind == checkpoint.Migrate:
+			migrating = true
+		case migrating:
+			// The halt trailer — the last line the backend writes, and
+			// the client gets the final backend's instead. Hand off now
+			// rather than waiting for EOF: the backend holds its side
+			// open until we close the request body, and closing it (the
+			// deferred Body.Close) is what releases the backend.
+			return attemptMigrate
+		case skip > 0:
+			skip--
+		default:
+			if _, werr := io.WriteString(w, line); werr != nil {
+				return attemptDone
+			}
+			_ = rc.Flush()
+			st.relayed++
+		}
 	}
 }
 
@@ -629,7 +547,7 @@ type replayReader struct {
 }
 
 func newReplayReader(src io.Reader) *replayReader {
-	rr := &replayReader{src: src, tmp: make([]byte, 32<<10)}
+	rr := &replayReader{src: src}
 	rr.cond = sync.NewCond(&rr.mu)
 	return rr
 }
@@ -793,6 +711,9 @@ func (v *replayView) Read(p []byte) (int, error) {
 		// Pull a fresh chunk into the shared buffer, mu dropped during
 		// the read; even if this view is abandoned mid-read, the bytes
 		// are retained for successors.
+		if rr.tmp == nil {
+			rr.tmp = make([]byte, 32<<10) // on first use: a refused session never reads
+		}
 		rr.reading = true
 		rr.mu.Unlock()
 		n, err := rr.src.Read(rr.tmp)

@@ -394,6 +394,7 @@ func TestGateDrainMidRun(t *testing.T) {
 	// Session seq 0: round-robin routes it to b0. Feed half the inputs,
 	// then keep the body open so it is mid-run when the drain lands.
 	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() }) // a failed assertion must fail, not hang on the open body
 	req, err := http.NewRequest(http.MethodPost, gts.URL+"/v1/stream/facetrack", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +427,10 @@ func TestGateDrainMidRun(t *testing.T) {
 	if _, err := pw.Write(firstHalf); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session in flight on b0", func() bool { return reg.Snapshots()[0].InFlight == 1 })
+	// b0's own gauge, not the registry's InFlight: that one is set before
+	// the request leaves the gateway, and a drain landing before b0 admits
+	// the session is a re-route, not a mid-run drain.
+	waitFor(t, "session admitted on b0", func() bool { return activeSessions(t, ts0.URL) == 1 })
 
 	// The drain: /readyz flips to 503, the prober observes it, and the
 	// registry stops offering b0 to new sessions.

@@ -52,8 +52,8 @@ func splitControl(t *testing.T, lines []string) (outs []string, snaps []*checkpo
 	t.Helper()
 	for _, line := range lines {
 		switch {
-		case strings.HasPrefix(line, ckptPrefix):
-			snap, err := checkpoint.DecodeString(line[len(ckptPrefix):])
+		case strings.HasPrefix(line, checkpoint.CkptPrefix):
+			snap, err := checkpoint.DecodeString(line[len(checkpoint.CkptPrefix):])
 			if err != nil {
 				t.Fatalf("bad #ckpt line: %v", err)
 			}
@@ -62,7 +62,7 @@ func splitControl(t *testing.T, lines []string) (outs []string, snaps []*checkpo
 					snap.Inputs, len(outs))
 			}
 			snaps = append(snaps, snap)
-		case line == migrateLine:
+		case line == checkpoint.MigrateLine:
 			// position is asserted by the callers that expect it
 		default:
 			outs = append(outs, line)
@@ -114,7 +114,7 @@ func TestServeCheckpointResume(t *testing.T) {
 	ts2 := httptest.NewServer(New(cfg, Options{}).Handler())
 	defer ts2.Close()
 	var resumeBody bytes.Buffer
-	resumeBody.WriteString(resumePrefix + b64 + "\n")
+	resumeBody.WriteString(checkpoint.ResumePrefix + b64 + "\n")
 	resumeBody.Write(ndjsonBody(t, name, inputs[snap.Inputs:]))
 	tail, tr2 := postSession(t, ts2.URL+"/v1/stream/"+name+"?resume=1", resumeBody.Bytes())
 	if !tr2.Done || tr2.Error != "" {
@@ -137,9 +137,9 @@ func TestServeResumeRejectsBadPrologue(t *testing.T) {
 	ts := httptest.NewServer(New(baseConfig(), Options{}).Handler())
 	defer ts.Close()
 	for _, body := range []string{
-		"{\"x\":1}\n",              // input line where #resume belongs
-		resumePrefix + "corrupt\n", // undecodable snapshot
-		"",                         // empty body
+		"{\"x\":1}\n",                         // input line where #resume belongs
+		checkpoint.ResumePrefix + "corrupt\n", // undecodable snapshot
+		"",                                    // empty body
 	} {
 		resp, err := http.Post(ts.URL+"/v1/stream/streamcluster?resume=1",
 			"application/x-ndjson", strings.NewReader(body))
@@ -200,7 +200,7 @@ func TestServeMigrateDrain(t *testing.T) {
 		if migrated {
 			break
 		}
-		migrated = sc.Text() == migrateLine
+		migrated = sc.Text() == checkpoint.MigrateLine
 		if !drained && len(lines) >= 8 {
 			app.StartDrain() // mid-stream: outputs are still flowing
 			drained = true
@@ -220,8 +220,8 @@ func TestServeMigrateDrain(t *testing.T) {
 	if !tr.Migrated || tr.Done {
 		t.Fatalf("drained session trailer: %+v", tr)
 	}
-	if len(lines) < 2 || lines[len(lines)-2] != migrateLine {
-		t.Fatalf("drained session does not end with %q before the trailer", migrateLine)
+	if len(lines) < 2 || lines[len(lines)-2] != checkpoint.MigrateLine {
+		t.Fatalf("drained session does not end with %q before the trailer", checkpoint.MigrateLine)
 	}
 
 	outs, snaps := splitControl(t, lines[:len(lines)-1])
@@ -249,7 +249,7 @@ func TestServeMigrateDrain(t *testing.T) {
 	ts2 := httptest.NewServer(New(cfg, Options{}).Handler())
 	defer ts2.Close()
 	var resumeBody bytes.Buffer
-	resumeBody.WriteString(resumePrefix + b64 + "\n")
+	resumeBody.WriteString(checkpoint.ResumePrefix + b64 + "\n")
 	resumeBody.Write(ndjsonBody(t, name, inputs[last.Inputs:]))
 	tail, tr2 := postSession(t, ts2.URL+"/v1/stream/"+name+"?resume=1", resumeBody.Bytes())
 	if !tr2.Done || tr2.Error != "" {

@@ -7,23 +7,17 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gostats/internal/bench"
-	"gostats/internal/checkpoint"
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
 )
@@ -248,26 +242,6 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Session control lines. A session that opts into checkpointing
-// (ckpt=N or migrate=1) gets #ckpt lines interleaved in its NDJSON
-// output — each carries a base64 snapshot covering exactly the output
-// lines written above it — and, if the server drains it away, a final
-// #migrate marker before the trailer. A resume=1 session instead
-// *starts* with a control line: its first body line must be
-// "#resume <base64>", the snapshot to restore; input lines follow from
-// the snapshot frontier onward. Plain sessions never see control lines.
-const (
-	ckptPrefix   = "#ckpt "
-	resumePrefix = "#resume "
-	migrateLine  = "#migrate"
-)
-
-// haltDrainGrace bounds how long a halted session waits for its client
-// to see #migrate, stop uploading, and close the request body. Long
-// enough for a round trip to a well-behaved client; short enough that a
-// stuck one cannot pin the draining server.
-const haltDrainGrace = time.Second
-
 // Trailer is the final NDJSON line of every session: it tells the
 // client the stream drained (or why it didn't) and summarizes the run.
 type Trailer struct {
@@ -312,472 +286,4 @@ func attribute(rec *engine.Recorder, workers int) *Attribution {
 		a.LostPct[critpath.Loss(l).String()] = b.LostPct[l]
 	}
 	return a
-}
-
-// handleStream runs one streaming session: NDJSON inputs in the request
-// body, committed NDJSON outputs in the response, a trailer line last.
-// Outputs stream back while inputs are still arriving; the pipeline's
-// backpressure propagates to the client through unread request bytes.
-//
-// Failures before the first output byte get a plain HTTP status —
-// 4xx when the request itself is at fault (malformed or oversized
-// input), 429 at the session cap, 503 while draining. Once output has
-// streamed, errors travel in the trailer line instead.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			http.Error(w, "session capacity reached", http.StatusTooManyRequests)
-			return
-		}
-	}
-	if r.ContentLength > s.lim.MaxBody {
-		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.lim.MaxBody)
-
-	name := r.PathValue("benchmark")
-	codec, err := bench.CodecFor(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	prog, err := bench.New(name)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	cfg := s.base
-	if err := applyQuery(&cfg, r); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// attrib=1 attaches a recorder to the session's engine event stream;
-	// the trailer then carries the overhead breakdown of this session.
-	var rec *engine.Recorder
-	if v := r.URL.Query().Get("attrib"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("query attrib=%q: %v", v, err), http.StatusBadRequest)
-			return
-		}
-		if on {
-			rec = engine.NewRecorder()
-			cfg.Sink = rec
-		}
-	}
-
-	// Checkpointed-session options (the statsgate relay speaks these):
-	// ckpt=N interleaves a #ckpt control line every N commits, migrate=1
-	// registers the session for drain-halt (and guarantees a final
-	// checkpoint on halt), resume=1 restores the session from a #resume
-	// first body line instead of starting fresh.
-	ckptEvery, err := queryInt(r, "ckpt")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	migrate, err := queryBool(r, "migrate")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	resumeSess, err := queryBool(r, "resume")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var wire bench.WireCodec
-	if ckptEvery > 0 || migrate || resumeSess {
-		if wire, err = bench.WireFor(name); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-
-	// The line scanner is shared between the resume prologue (which must
-	// read the #resume line before the pipeline exists) and the pusher.
-	sc := bench.NewLineScanner(r.Body, s.lim.MaxLine)
-	var resumeBase int64 // outputs the restored session already delivered
-	if resumeSess {
-		snap, err := readResumeLine(sc)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg.Resume = &engine.ResumeConfig{Snap: snap, Codec: wire}
-		resumeBase = snap.Inputs
-	}
-
-	// Snapshots arrive synchronously from the commit stage, but a #ckpt
-	// line may only be written after every output it covers: queue them
-	// with their due output count and flush from the output loop.
-	type ckptLine struct {
-		due int64
-		b64 string
-	}
-	var (
-		ckptMu sync.Mutex
-		ckptQ  []ckptLine
-	)
-	if ckptEvery > 0 || migrate {
-		cfg.Checkpoint = engine.CheckpointConfig{
-			Codec:        wire,
-			EveryCommits: ckptEvery,
-			OnSnapshot: func(snap *checkpoint.Snapshot) {
-				b64, err := checkpoint.EncodeString(snap)
-				if err != nil {
-					return // surfaced via CheckpointErr after drain
-				}
-				ckptMu.Lock()
-				ckptQ = append(ckptQ, ckptLine{due: snap.Inputs - resumeBase, b64: b64})
-				ckptMu.Unlock()
-			},
-		}
-	}
-
-	// The session lives inside the request context — a client disconnect
-	// or a forced server close tears the pipeline down — further bounded
-	// by the per-session deadline when one is configured.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	if s.lim.SessionTimeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeoutCause(ctx, s.lim.SessionTimeout,
-			fmt.Errorf("session exceeded -session-timeout %s", s.lim.SessionTimeout))
-		defer tcancel()
-	}
-	p, err := engine.NewStream(ctx, prog, cfg)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if migrate {
-		// Register for drain-halt, then re-check: a StartDrain that raced
-		// past registration must still halt this session.
-		s.halters.Store(p, struct{}{})
-		defer s.halters.Delete(p)
-		if s.draining.Load() {
-			p.Halt()
-		}
-	}
-	// Whatever path exits this handler, fully unwind the session: cancel,
-	// drain the output channel, and wait for every pipeline goroutine.
-	defer func() {
-		cancel()
-		for range p.Outputs() {
-		}
-		p.Wait()
-	}()
-
-	// Full duplex is enabled lazily, at the first output write (below):
-	// error-only responses leave the body to net/http's usual
-	// consume-or-close handling, which — unlike the full-duplex path —
-	// never re-arms a background read after the handler returns. (With
-	// full duplex on, finishRequest aborts pending reads *before* closing
-	// the body; the close's drain then hits EOF and starts a background
-	// read nothing aborts, and the next keep-alive read panics.)
-	rc := http.NewResponseController(w)
-
-	// Pusher: the single producer. It owns Push and Close, decoding body
-	// lines until EOF or error. Oversized lines stop it with a typed
-	// error instead of buffering without bound. It continues the scanner
-	// the resume prologue may already have read a control line from.
-	pushDone := make(chan error, 1)
-	go func() {
-		defer p.Close()
-		for sc.Scan() {
-			b := sc.Bytes()
-			if len(bytes.TrimSpace(b)) == 0 {
-				continue
-			}
-			in, err := codec.DecodeInput(b)
-			if err != nil {
-				pushDone <- fmt.Errorf("%w: input line %d: %v", errBadRequest, sc.Line(), err)
-				return
-			}
-			if err := p.Push(ctx, in); err != nil {
-				pushDone <- fmt.Errorf("input line %d: %w", sc.Line(), err)
-				return
-			}
-		}
-		err := sc.Err()
-		if errors.Is(err, bench.ErrLineTooLong) {
-			err = fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		pushDone <- err
-	}()
-
-	out := bufio.NewWriter(w)
-	flusher, _ := w.(http.Flusher)
-	started := false // true once a response byte is committed
-	writeLine := func(b []byte) {
-		if !started {
-			// Outputs stream back while the client is still sending
-			// inputs. Without full duplex, this first write would try
-			// to drain the request body and deadlock against
-			// backpressure. (Errors mean the transport is full duplex
-			// already, e.g. HTTP/2.)
-			_ = rc.EnableFullDuplex()
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			started = true
-		}
-		out.Write(b)
-		out.WriteByte('\n')
-		out.Flush()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// flushCkpt writes every queued #ckpt line whose covered outputs have
-	// all been written — a snapshot may only appear below the last line it
-	// accounts for. Lines are popped under the lock but written outside
-	// it: OnSnapshot runs on the commit path and must never wait on a slow
-	// client.
-	var written int64 // output lines written (control lines excluded)
-	flushCkpt := func() {
-		ckptMu.Lock()
-		var due []ckptLine
-		for len(ckptQ) > 0 && ckptQ[0].due <= written {
-			due = append(due, ckptQ[0])
-			ckptQ = ckptQ[1:]
-		}
-		ckptMu.Unlock()
-		for _, c := range due {
-			writeLine([]byte(ckptPrefix + c.b64))
-		}
-	}
-	var encErr error
-	for o := range p.Outputs() {
-		b, err := codec.EncodeOutput(o)
-		if err != nil {
-			encErr = err
-			cancel() // abandon the session; drain happens in the defer
-			break
-		}
-		writeLine(b)
-		written++
-		flushCkpt()
-	}
-	flushCkpt() // the halt-frontier snapshot lands after the last output
-
-	// A halted session was stopped at its commit frontier for migration:
-	// tell the client now — before waiting on the pusher — so a gateway
-	// parked on this response knows to stop sending inputs and close the
-	// body, which in turn unblocks the pusher. The read deadline is set a
-	// beat into the future, not poisoned to now: the client is likely
-	// still uploading, and an immediate poison closes the connection
-	// under its in-flight bytes, RSTing the #migrate line and trailer out
-	// of its receive buffer. The grace window unblocks a parked pusher
-	// soon while leaving room for the client to see #migrate, stop, and
-	// close the body for a clean EOF (the drain after the trailer below).
-	halted := p.Halted()
-	if halted {
-		writeLine([]byte(migrateLine))
-		_ = rc.SetReadDeadline(time.Now().Add(haltDrainGrace))
-	}
-
-	// The pusher can be blocked reading a body the client holds open; when
-	// the session context ends first (timeout, disconnect, drain), poison
-	// the connection read deadline so that read fails, then wait for the
-	// pusher: the handler must never return with a body read in flight.
-	var pushErr error
-	pusherExited := false
-	select {
-	case pushErr = <-pushDone:
-		pusherExited = true
-	case <-ctx.Done():
-		if rc.SetReadDeadline(time.Now()) == nil {
-			<-pushDone
-			pusherExited = true
-		}
-		pushErr = context.Cause(ctx)
-	}
-	stats, runErr := p.Wait()
-	if halted {
-		// Push-after-halt and poisoned-read errors are expected fallout of
-		// halting, not session failures.
-		pushErr = nil
-	}
-	var sessionErr error
-	for _, err := range []error{encErr, pushErr, runErr} {
-		if err != nil {
-			sessionErr = err
-			break
-		}
-	}
-
-	// An errored session leaves unread body bytes, with the client
-	// possibly still sending — and net/http's post-handler cleanup
-	// reads them in ways that misbehave here: the pre-response drain can
-	// block the error status against a streaming client, and (with full
-	// duplex on) a drain that reaches EOF after the handler's pending
-	// reads were aborted re-arms a background read nothing cancels,
-	// panicking the next keep-alive read. So finish the body story
-	// in-handler: poison the connection read deadline, then drain
-	// whatever is already buffered. Either the body hits EOF here — where
-	// finishRequest still reaps the read it triggers — or every later
-	// read fails fast and the connection is simply not reused.
-	// (Halted sessions get the gentler post-trailer drain below instead:
-	// their client is healthy and needs the trailer intact.)
-	if sessionErr != nil && !halted && pusherExited && rc.SetReadDeadline(time.Now()) == nil {
-		_, _ = io.CopyN(io.Discard, r.Body, 64<<10)
-	}
-
-	// Nothing written yet: the failure can still be a clean status line.
-	if !started && sessionErr != nil {
-		status := http.StatusInternalServerError
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(sessionErr, &mbe):
-			status = http.StatusRequestEntityTooLarge
-		case errors.Is(sessionErr, errBadRequest):
-			status = http.StatusBadRequest
-		}
-		http.Error(w, sessionErr.Error(), status)
-		return
-	}
-
-	if !started {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	tr := Trailer{Done: true, Benchmark: name, Stats: stats}
-	if rec != nil {
-		workers := cfg.Workers
-		if workers == 0 {
-			workers = 4 // the pipeline default
-		}
-		tr.Attribution = attribute(rec, workers)
-	}
-	if sessionErr != nil {
-		tr.Done, tr.Error = false, sessionErr.Error()
-	}
-	if halted {
-		tr.Done, tr.Migrated = false, true
-		if tr.Error == "" {
-			tr.Error = "session migrated"
-		}
-		if err := p.CheckpointErr(); err != nil {
-			tr.Error = "migration checkpoint failed: " + err.Error()
-		}
-	}
-	if b, err := json.Marshal(tr); err == nil {
-		out.Write(b)
-		out.WriteByte('\n')
-	}
-	out.Flush()
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	// A halted session's client was mid-upload when the session migrated
-	// away. Returning now would close the connection under its in-flight
-	// bytes and RST the #migrate line and trailer out of its receive
-	// buffer — so read the body to EOF instead: the client sees #migrate,
-	// stops, and closes for a clean EOF. The read deadline armed when
-	// #migrate was written bounds how long a misbehaving client can hold
-	// the handler here.
-	if halted && pusherExited {
-		_, _ = io.Copy(io.Discard, r.Body)
-	}
-}
-
-// applyQuery overrides the session's pipeline config from request query
-// parameters: seed, chunk, lookback, extra, workers, adapt.
-func applyQuery(cfg *engine.StreamConfig, r *http.Request) error {
-	q := r.URL.Query()
-	setInt := func(key string, dst *int) error {
-		if v := q.Get(key); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("query %s=%q: %w", key, v, err)
-			}
-			*dst = n
-		}
-		return nil
-	}
-	for key, dst := range map[string]*int{
-		"chunk": &cfg.ChunkSize, "lookback": &cfg.Lookback,
-		"extra": &cfg.ExtraStates, "workers": &cfg.Workers,
-	} {
-		if err := setInt(key, dst); err != nil {
-			return err
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("query seed=%q: %w", v, err)
-		}
-		cfg.Seed = n
-	}
-	if v := q.Get("adapt"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("query adapt=%q: %w", v, err)
-		}
-		cfg.Adapt = b
-	}
-	return cfg.Validate()
-}
-
-// queryInt parses an optional non-negative integer query parameter;
-// absent means 0.
-func queryInt(r *http.Request, key string) (int, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("query %s=%q: want a non-negative integer", key, v)
-	}
-	return n, nil
-}
-
-// queryBool parses an optional boolean query parameter; absent means
-// false.
-func queryBool(r *http.Request, key string) (bool, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("query %s=%q: %v", key, v, err)
-	}
-	return b, nil
-}
-
-// readResumeLine consumes a resume=1 session's first body line, which
-// must be a "#resume <base64>" control line, and decodes its snapshot.
-// Input lines follow it from the snapshot frontier onward.
-func readResumeLine(sc *bench.LineScanner) (*checkpoint.Snapshot, error) {
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !bytes.HasPrefix(line, []byte(resumePrefix)) {
-			return nil, fmt.Errorf("resume=1 session must start with a %q line", resumePrefix)
-		}
-		snap, err := checkpoint.DecodeString(string(line[len(resumePrefix):]))
-		if err != nil {
-			return nil, fmt.Errorf("resume line: %v", err)
-		}
-		return snap, nil
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading resume line: %v", err)
-	}
-	return nil, errors.New("resume=1 session has an empty body")
 }
