@@ -1,6 +1,7 @@
 package dedupstream
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 
@@ -19,6 +20,9 @@ func init() {
 type codec struct{}
 
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
+	if seg, ok := scanSegment(data); ok {
+		return seg, nil
+	}
 	var seg Segment
 	if err := json.Unmarshal(data, &seg); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
@@ -26,12 +30,24 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return seg, nil
 }
 
+func scanSegment(data []byte) (seg Segment, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"data":`)
+	seg.Data = c.Base64()
+	c.Lit("}")
+	return seg, c.End()
+}
+
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	seg, ok := in.(Segment)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: input is %T, want Segment", in)
 	}
-	return json.Marshal(seg)
+	e := bench.NewEnc(16 + base64.StdEncoding.EncodedLen(len(seg.Data)))
+	e.Lit(`{"data":`)
+	e.Base64(seg.Data)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -39,15 +55,42 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: output is %T, want SegmentStats", out)
 	}
-	return json.Marshal(ss)
+	e := bench.NewEnc(128)
+	e.Lit(`{"chunks":`)
+	e.Int(ss.Chunks)
+	e.Lit(`,"dup_bytes":`)
+	e.Int(ss.DupBytes)
+	e.Lit(`,"unique_bytes":`)
+	e.Int(ss.UniqueBytes)
+	e.Lit(`,"dup_rate":`)
+	e.Float(ss.DupRate)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if ss, ok := scanStats(data); ok {
+		return ss, nil
+	}
 	var ss SegmentStats
 	if err := json.Unmarshal(data, &ss); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment stats: %w", err)
 	}
 	return ss, nil
+}
+
+func scanStats(data []byte) (ss SegmentStats, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"chunks":`)
+	ss.Chunks = c.Int()
+	c.Lit(`,"dup_bytes":`)
+	ss.DupBytes = c.Int()
+	c.Lit(`,"unique_bytes":`)
+	ss.UniqueBytes = c.Int()
+	c.Lit(`,"dup_rate":`)
+	ss.DupRate = c.Float()
+	c.Lit("}")
+	return ss, c.End()
 }
 
 // wireState is dedupState's serialized form: the live insertion-log tail
@@ -70,23 +113,63 @@ func (codec) EncodeState(s engine.State) ([]byte, error) {
 		return nil, fmt.Errorf("dedupstream: state is %T, want *dedupState", s)
 	}
 	live := st.log[st.head:]
-	w := wireState{
-		FPs:  make([]uint64, len(live)),
-		Gens: make([]uint32, len(live)),
-		Gen:  st.gen,
-		EMA:  st.emaDup,
+	// Room for the line: a fingerprint is up to 20 digits, and no live
+	// generation has more digits than the current one; each has its comma.
+	genLen := 2
+	for g := st.gen; g >= 10; g /= 10 {
+		genLen++
 	}
-	for i, e := range live {
-		w.FPs[i], w.Gens[i] = e.fp, e.gen
+	e := bench.NewEnc(64 + (21+genLen)*len(live))
+	e.Lit(`{"fps":[`)
+	for i, ent := range live {
+		e.Comma(i)
+		e.Uint(ent.fp)
 	}
-	return json.Marshal(w)
+	e.Lit(`],"gens":[`)
+	for i, ent := range live {
+		e.Comma(i)
+		e.Uint(uint64(ent.gen))
+	}
+	e.Lit(`],"gen":`)
+	e.Uint(uint64(st.gen))
+	e.Lit(`,"ema":`)
+	e.Float(st.emaDup)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
+	if w, ok := scanState(data); ok {
+		return w.live()
+	}
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad state: %w", err)
 	}
+	return w.live()
+}
+
+func scanState(data []byte) (w wireState, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"fps":[`)
+	w.FPs = make([]uint64, 0, c.Elems(",", "]", 2))
+	for i := 0; c.Next(i); i++ {
+		w.FPs = append(w.FPs, c.Uint(64))
+	}
+	c.Lit(`,"gens":[`)
+	w.Gens = make([]uint32, 0, c.Elems(",", "]", 2))
+	for i := 0; c.Next(i); i++ {
+		w.Gens = append(w.Gens, uint32(c.Uint(32)))
+	}
+	c.Lit(`,"gen":`)
+	w.Gen = uint32(c.Uint(32))
+	c.Lit(`,"ema":`)
+	w.EMA = c.Float()
+	c.Lit("}")
+	return w, c.End()
+}
+
+func (w wireState) live() (engine.State, error) {
 	if len(w.FPs) != len(w.Gens) {
 		return nil, fmt.Errorf("dedupstream: state has %d fingerprints but %d generations", len(w.FPs), len(w.Gens))
 	}

@@ -20,8 +20,8 @@ func init() {
 type codec struct{}
 
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
-	var fr trackutil.Frame
-	if err := json.Unmarshal(data, &fr); err != nil {
+	fr, err := trackutil.DecodeFrame(data)
+	if err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad frame: %w", err)
 	}
 	return fr, nil
@@ -32,7 +32,7 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: input is %T, want trackutil.Frame", in)
 	}
-	return json.Marshal(fr)
+	return trackutil.EncodeFrame(fr)
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -40,10 +40,23 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: output is %T, want Result", out)
 	}
-	return json.Marshal(res)
+	e := bench.NewEnc(64 + bench.FloatLen*len(res.Est))
+	e.Lit(`{"Frame":`)
+	e.Int(res.Frame)
+	e.Lit(`,"Est":`)
+	e.Floats(res.Est)
+	e.Lit(`,"Err":`)
+	e.Float(res.Err)
+	e.Lit(`,"Detected":`)
+	e.Bool(res.Detected)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if res, ok := scanResult(data); ok {
+		return res, nil
+	}
 	var res Result
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad result: %w", err)
@@ -51,18 +64,32 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	return res, nil
 }
 
+func scanResult(data []byte) (res Result, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Frame":`)
+	res.Frame = c.Int()
+	c.Lit(`,"Est":`)
+	res.Est = c.FloatSlice()
+	c.Lit(`,"Err":`)
+	res.Err = c.Float()
+	c.Lit(`,"Detected":`)
+	res.Detected = c.Bool()
+	c.Lit("}")
+	return res, c.End()
+}
+
 func (codec) EncodeState(s engine.State) ([]byte, error) {
 	c, ok := s.(*trackutil.Cloud)
 	if !ok {
 		return nil, fmt.Errorf("facedet-and-track: state is %T, want *trackutil.Cloud", s)
 	}
-	return json.Marshal(c.Wire())
+	return trackutil.EncodeCloud(c)
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
-	var w trackutil.WireCloud
-	if err := json.Unmarshal(data, &w); err != nil {
+	c, err := trackutil.DecodeCloud(data, particles, poseDims)
+	if err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad state: %w", err)
 	}
-	return w.Live(), nil
+	return c, nil
 }

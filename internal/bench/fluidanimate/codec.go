@@ -19,6 +19,9 @@ func init() {
 type codec struct{}
 
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
+	if f, ok := scanForce(data); ok {
+		return f, nil
+	}
 	var f Force
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad force: %w", err)
@@ -26,12 +29,40 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return f, nil
 }
 
+func scanForce(data []byte) (f Force, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Step":`)
+	f.Step = c.Int()
+	c.Lit(`,"X":`)
+	f.X = c.Int()
+	c.Lit(`,"Y":`)
+	f.Y = c.Int()
+	c.Lit(`,"FX":`)
+	f.FX = c.Float()
+	c.Lit(`,"FY":`)
+	f.FY = c.Float()
+	c.Lit("}")
+	return f, c.End()
+}
+
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	f, ok := in.(Force)
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: input is %T, want Force", in)
 	}
-	return json.Marshal(f)
+	e := bench.NewEnc(128)
+	e.Lit(`{"Step":`)
+	e.Int(f.Step)
+	e.Lit(`,"X":`)
+	e.Int(f.X)
+	e.Lit(`,"Y":`)
+	e.Int(f.Y)
+	e.Lit(`,"FX":`)
+	e.Float(f.FX)
+	e.Lit(`,"FY":`)
+	e.Float(f.FY)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -39,10 +70,19 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: output is %T, want StepEnergy", out)
 	}
-	return json.Marshal(se)
+	e := bench.NewEnc(64)
+	e.Lit(`{"Step":`)
+	e.Int(se.Step)
+	e.Lit(`,"Energy":`)
+	e.Float(se.Energy)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if se, ok := scanEnergy(data); ok {
+		return se, nil
+	}
 	var se StepEnergy
 	if err := json.Unmarshal(data, &se); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad step energy: %w", err)
@@ -50,9 +90,20 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	return se, nil
 }
 
+func scanEnergy(data []byte) (se StepEnergy, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Step":`)
+	se.Step = c.Int()
+	c.Lit(`,"Energy":`)
+	se.Energy = c.Float()
+	c.Lit("}")
+	return se, c.End()
+}
+
 // wireField is field's serialized form: the two velocity planes as
-// slices (JSON has no fixed-size arrays; lengths are validated on
-// decode).
+// arrays of cells numbers each. encoding/json, which decodes every line
+// that is not in EncodeState's form, has no fixed-size arrays, so for it
+// they are slices and their lengths are checked afterwards.
 type wireField struct {
 	VX []float64 `json:"vx"`
 	VY []float64 `json:"vy"`
@@ -63,10 +114,19 @@ func (codec) EncodeState(s engine.State) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: state is %T, want *field", s)
 	}
-	return json.Marshal(wireField{VX: st.vx[:], VY: st.vy[:]})
+	e := bench.NewEnc(32 + bench.FloatLen*2*cells)
+	e.Lit(`{"vx":`)
+	e.Floats(st.vx[:])
+	e.Lit(`,"vy":`)
+	e.Floats(st.vy[:])
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
+	if st, ok := scanField(data); ok {
+		return st, nil
+	}
 	var w wireField
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad state: %w", err)
@@ -78,4 +138,15 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 	copy(st.vx[:], w.VX)
 	copy(st.vy[:], w.VY)
 	return st, nil
+}
+
+func scanField(data []byte) (*field, bool) {
+	st := &field{}
+	c := bench.NewCursor(data)
+	c.Lit(`{"vx":`)
+	c.Floats(st.vx[:])
+	c.Lit(`,"vy":`)
+	c.Floats(st.vy[:])
+	c.Lit("}")
+	return st, c.End()
 }

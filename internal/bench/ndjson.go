@@ -1,0 +1,361 @@
+package bench
+
+import (
+	"encoding/base64"
+	"errors"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"unsafe"
+)
+
+// This file is what the eight codecs build their NDJSON lines with: Enc
+// writes a line, Cursor reads one. The wire format is encoding/json's —
+// an Enc line equals json.Marshal of the same value byte for byte, and a
+// Cursor takes exactly the lines an Enc writes (the canonical form: keys
+// in declaration order, no whitespace, no escapes, arrays of their full
+// length). A codec hands any line its Cursor does not take to
+// json.Unmarshal, so what is accepted and what it decodes to are
+// encoding/json's by construction; the Cursor only has to be right about
+// the one form that is sent a million times.
+
+// errNonFinite is what an Enc reports for NaN and ±Inf, which JSON cannot
+// carry (json.Marshal fails on them too).
+var errNonFinite = errors.New("bench: NaN or Inf has no JSON form")
+
+// AppendFloat appends f in encoding/json's float64 format: the shortest
+// decimal that round-trips, as 'f', or as 'e' below 1e-6 and from 1e21
+// with a one-digit negative exponent left unpadded (1e-7, not 1e-07).
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, errNonFinite
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// FloatLen is room for one float64 at full precision and its comma, for
+// sizing an Enc.
+const FloatLen = 24
+
+// Enc builds one line. Its error is sticky, so a codec writes the whole
+// line and checks once, in Bytes.
+type Enc struct {
+	b   []byte
+	err error
+}
+
+// NewEnc returns an Enc with room for n bytes; a codec passes its line's
+// usual size, so the line is one allocation.
+func NewEnc(n int) Enc { return Enc{b: make([]byte, 0, n)} }
+
+// Lit writes s as is: punctuation and keys.
+func (e *Enc) Lit(s string) {
+	n := len(e.b)
+	if cap(e.b)-n < len(s) {
+		e.b = slices.Grow(e.b, len(s))
+	}
+	e.b = e.b[:n+len(s)]
+	copy(e.b[n:], s)
+}
+
+// Comma writes the ',' before element i of an array, none before the
+// first.
+func (e *Enc) Comma(i int) {
+	if i > 0 {
+		e.Lit(",")
+	}
+}
+
+// Float writes f as AppendFloat does.
+func (e *Enc) Float(f float64) {
+	b, err := AppendFloat(e.b, f)
+	e.b = b
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+}
+
+// Floats writes fs as an array, a nil slice as null.
+func (e *Enc) Floats(fs []float64) {
+	if fs == nil {
+		e.Lit("null")
+		return
+	}
+	e.Lit("[")
+	for i, f := range fs {
+		e.Comma(i)
+		e.Float(f)
+	}
+	e.Lit("]")
+}
+
+// Int writes v in decimal.
+func (e *Enc) Int(v int) { e.b = strconv.AppendInt(e.b, int64(v), 10) }
+
+// Uint writes v in decimal.
+func (e *Enc) Uint(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
+
+// Bool writes true or false.
+func (e *Enc) Bool(v bool) { e.b = strconv.AppendBool(e.b, v) }
+
+// Base64 writes p as a standard-base64 string, a nil slice as null.
+func (e *Enc) Base64(p []byte) {
+	if p == nil {
+		e.Lit("null")
+		return
+	}
+	e.Lit(`"`)
+	e.b = base64.StdEncoding.AppendEncode(e.b, p)
+	e.Lit(`"`)
+}
+
+// Bytes returns the line, or the first error a write met.
+func (e *Enc) Bytes() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+// Cursor reads one line front to back. Its failure is sticky too: after
+// the first mismatch every read is a no-op returning zero, and End
+// reports false, so a codec reads the whole shape and checks once.
+type Cursor struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+// NewCursor starts at the front of line, which it reads but never
+// writes or keeps.
+func NewCursor(line []byte) Cursor { return Cursor{b: line} }
+
+// str views b as a string without copying it, for strconv, which has no
+// []byte parsers. Nothing writes the cursor's line while a view is
+// live, and strconv keeps no view past its return (its errors clone
+// their input), so the string's immutability holds.
+func str(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Try consumes s if the line continues with it.
+func (c *Cursor) Try(s string) bool {
+	if c.bad || len(c.b)-c.i < len(s) || str(c.b[c.i:c.i+len(s)]) != s {
+		return false
+	}
+	c.i += len(s)
+	return true
+}
+
+// Lit consumes s or fails.
+func (c *Cursor) Lit(s string) {
+	if !c.Try(s) {
+		c.bad = true
+	}
+}
+
+// Comma consumes the ',' before element i of an array of known length,
+// none before the first.
+func (c *Cursor) Comma(i int) {
+	if i > 0 {
+		c.Lit(",")
+	}
+}
+
+// End reports whether every read matched and the line is used up.
+func (c *Cursor) End() bool { return !c.bad && c.i == len(c.b) }
+
+// digits returns the index after the run of decimal digits at b[i:].
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// number consumes a JSON number literal — the integer part only unless
+// frac — and returns it, or fails and returns nil. strconv accepts more
+// than JSON does (hex, underscores, "+1", "Inf", "01"), so the grammar is
+// checked here.
+func (c *Cursor) number(frac bool) []byte {
+	if c.bad {
+		return nil
+	}
+	b, i := c.b, c.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	end := digits(b, i)
+	if end == i || b[i] == '0' && end > i+1 {
+		return c.fail() // no digits, or a leading zero
+	}
+	if i = end; frac && i < len(b) && b[i] == '.' {
+		if end = digits(b, i+1); end == i+1 {
+			return c.fail()
+		}
+		i = end
+	}
+	if frac && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if end = digits(b, i); end == i {
+			return c.fail()
+		}
+		i = end
+	}
+	lit := b[c.i:i]
+	c.i = i
+	return lit
+}
+
+func (c *Cursor) fail() []byte {
+	c.bad = true
+	return nil
+}
+
+// Float reads a number as encoding/json does, with strconv.ParseFloat.
+func (c *Cursor) Float() float64 {
+	lit := c.number(true)
+	if lit == nil {
+		return 0
+	}
+	f, err := strconv.ParseFloat(str(lit), 64)
+	if err != nil {
+		c.bad = true
+		return 0
+	}
+	return f
+}
+
+// Int reads an integer that fits an int.
+func (c *Cursor) Int() int {
+	lit := c.number(false)
+	if lit == nil {
+		return 0
+	}
+	v, err := strconv.ParseInt(str(lit), 10, strconv.IntSize)
+	if err != nil {
+		c.bad = true
+		return 0
+	}
+	return int(v)
+}
+
+// Uint reads a non-negative integer that fits in bits bits.
+func (c *Cursor) Uint(bits int) uint64 {
+	lit := c.number(false)
+	if lit == nil {
+		return 0
+	}
+	v, err := strconv.ParseUint(str(lit), 10, bits)
+	if err != nil {
+		c.bad = true
+		return 0
+	}
+	return v
+}
+
+// Bool reads true or false.
+func (c *Cursor) Bool() bool {
+	if c.Try("true") {
+		return true
+	}
+	c.Lit("false")
+	return false
+}
+
+// Floats reads an array of exactly len(dst) numbers into dst.
+func (c *Cursor) Floats(dst []float64) {
+	c.Lit("[")
+	for i := range dst {
+		c.Comma(i)
+		dst[i] = c.Float()
+	}
+	c.Lit("]")
+}
+
+// Elems sizes the slice for the array whose '[' was just consumed. Its
+// elements are one more than the seps before end — "," and "]" for an
+// array of numbers, "]," and "]]" for an array of arrays of them — and
+// never more than the rest of the line could hold at minBytes bytes an
+// element, separator included, so a line of nothing but separators
+// cannot ask for more memory than a few times its own length. It is a
+// capacity, not a promise; the reads that follow decide what the array
+// holds.
+func (c *Cursor) Elems(sep, end string, minBytes int) int {
+	if c.bad {
+		return 0
+	}
+	rest := str(c.b[c.i:])
+	if i := strings.Index(rest, end); i >= 0 {
+		rest = rest[:i]
+	}
+	return min(strings.Count(rest, sep), len(rest)/minBytes) + 1
+}
+
+// Next walks the elements of an array whose '[' was just consumed:
+// called with the count of elements read so far, it consumes the ','
+// before another element or the closing ']' and reports which it found.
+//
+//	for i := 0; c.Next(i); i++ { ... read one element ... }
+func (c *Cursor) Next(i int) bool {
+	if i == 0 {
+		return !c.Try("]") && !c.bad
+	}
+	if c.Try(",") {
+		return true
+	}
+	c.Lit("]")
+	return false
+}
+
+// FloatSlice reads an array of numbers of any length. Like
+// encoding/json, it returns an empty non-nil slice for [].
+func (c *Cursor) FloatSlice() []float64 {
+	c.Lit("[")
+	out := make([]float64, 0, c.Elems(",", "]", 2))
+	for i := 0; c.Next(i); i++ {
+		out = append(out, c.Float())
+	}
+	return out
+}
+
+// Base64 reads a string of standard base64 and returns its bytes.
+// Escapes and anything else outside the alphabet fail; the one thing
+// base64 skips that JSON forbids, a raw CR or LF, is refused here.
+func (c *Cursor) Base64() []byte {
+	c.Lit(`"`)
+	if c.bad {
+		return nil
+	}
+	j := c.i
+	for j < len(c.b) && c.b[j] != '"' {
+		if c.b[j] < ' ' {
+			c.bad = true
+			return nil
+		}
+		j++
+	}
+	src := c.b[c.i:j]
+	c.i = j
+	c.Lit(`"`)
+	if c.bad {
+		return nil
+	}
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(out, src)
+	if err != nil {
+		c.bad = true
+		return nil
+	}
+	return out[:n]
+}

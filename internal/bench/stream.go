@@ -62,11 +62,22 @@ func CodecNames() []string {
 // (speculative/final/original states) need that a served session does
 // not. The contract is stronger than "round-trips": DecodeState must
 // yield a state that is bit-equivalent to the original under Update,
-// Fingerprint, and EncodeState — float64 fields must survive exactly
-// (encoders use encoding/json, which round-trips float64 losslessly) and
+// Fingerprint, and EncodeState — float64 fields must survive exactly and
 // any internal derived structure (caches, hash tables) must be rebuilt to
 // the same observable contents. That is what makes a resumed or remotely
 // executed session byte-identical to an uninterrupted in-process one.
+//
+// The wire format of all six methods is encoding/json's, and the codecs
+// hold to it without calling it: every encoder writes, with Enc, exactly
+// the bytes json.Marshal would (floats as the shortest decimal that
+// round-trips, which is what carries float64 losslessly), and every
+// decoder reads that one canonical form with a Cursor. Any other line —
+// whitespace, reordered or case-folded keys, unknown fields, escapes,
+// null — goes to json.Unmarshal, in the decoder's fallback in each
+// benchmark's codec.go: the only calls into encoding/json outside tests.
+// So the lines accepted and the values decoded are encoding/json's by
+// construction, and internal/bench/all's differential tests and fuzz
+// targets check the rest against it.
 type WireCodec interface {
 	StreamCodec
 	// DecodeOutput parses an EncodeOutput line back into a live output —

@@ -19,7 +19,13 @@ func init() {
 // execution.
 type codec struct{}
 
+// sampleBytes is the least one encoded sample can occupy, comma included.
+const sampleBytes = 2*features + 2
+
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
+	if blk, ok := scanBlock(data); ok {
+		return blk, nil
+	}
 	var blk Block
 	if err := json.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block: %w", err)
@@ -27,12 +33,58 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return blk, nil
 }
 
+func scanBlock(data []byte) (blk Block, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"X":[`)
+	blk.X = make([][features]float64, 0, c.Elems("],", "]]", sampleBytes))
+	for i := 0; c.Next(i); i++ {
+		var x [features]float64
+		c.Floats(x[:])
+		blk.X = append(blk.X, x)
+	}
+	c.Lit(`,"Y":[`)
+	blk.Y = make([]int, 0, c.Elems(",", "]", 2))
+	for i := 0; c.Next(i); i++ {
+		blk.Y = append(blk.Y, c.Int())
+	}
+	c.Lit(`,"TruthW":`)
+	c.Floats(blk.TruthW[:])
+	c.Lit("}")
+	return blk, c.End()
+}
+
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	blk, ok := in.(Block)
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: input is %T, want Block", in)
 	}
-	return json.Marshal(blk)
+	e := bench.NewEnc(64 + bench.FloatLen*features*(len(blk.X)+1) + 3*len(blk.Y))
+	e.Lit(`{"X":`)
+	if blk.X == nil {
+		e.Lit("null")
+	} else {
+		e.Lit("[")
+		for i := range blk.X {
+			e.Comma(i)
+			e.Floats(blk.X[i][:])
+		}
+		e.Lit("]")
+	}
+	e.Lit(`,"Y":`)
+	if blk.Y == nil {
+		e.Lit("null")
+	} else {
+		e.Lit("[")
+		for i, y := range blk.Y {
+			e.Comma(i)
+			e.Int(y)
+		}
+		e.Lit("]")
+	}
+	e.Lit(`,"TruthW":`)
+	e.Floats(blk.TruthW[:])
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -40,15 +92,30 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: output is %T, want BlockAccuracy", out)
 	}
-	return json.Marshal(ba)
+	e := bench.NewEnc(40)
+	e.Lit(`{"Accuracy":`)
+	e.Float(ba.Accuracy)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if ba, ok := scanAccuracy(data); ok {
+		return ba, nil
+	}
 	var ba BlockAccuracy
 	if err := json.Unmarshal(data, &ba); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block accuracy: %w", err)
 	}
 	return ba, nil
+}
+
+func scanAccuracy(data []byte) (ba BlockAccuracy, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Accuracy":`)
+	ba.Accuracy = c.Float()
+	c.Lit("}")
+	return ba, c.End()
 }
 
 // wireState is sgdState's serialized form.
@@ -64,13 +131,44 @@ func (codec) EncodeState(s engine.State) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: state is %T, want *sgdState", s)
 	}
-	return json.Marshal(wireState{W: st.w, N: st.n, ErrRate: st.errRate, Protos: st.protos})
+	e := bench.NewEnc(64 + bench.FloatLen*(features+3))
+	e.Lit(`{"w":`)
+	e.Floats(st.w[:])
+	e.Lit(`,"n":`)
+	e.Float(st.n)
+	e.Lit(`,"err_rate":`)
+	e.Float(st.errRate)
+	e.Lit(`,"protos":`)
+	e.Float(st.protos)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
+	if w, ok := scanState(data); ok {
+		return w.live(), nil
+	}
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad state: %w", err)
 	}
-	return &sgdState{w: w.W, n: w.N, errRate: w.ErrRate, protos: w.Protos}, nil
+	return w.live(), nil
+}
+
+func scanState(data []byte) (w wireState, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"w":`)
+	c.Floats(w.W[:])
+	c.Lit(`,"n":`)
+	w.N = c.Float()
+	c.Lit(`,"err_rate":`)
+	w.ErrRate = c.Float()
+	c.Lit(`,"protos":`)
+	w.Protos = c.Float()
+	c.Lit("}")
+	return w, c.End()
+}
+
+func (w wireState) live() *sgdState {
+	return &sgdState{w: w.W, n: w.N, errRate: w.ErrRate, protos: w.Protos}
 }

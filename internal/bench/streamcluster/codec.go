@@ -15,10 +15,18 @@ func init() {
 
 // codec streams streamcluster over NDJSON: one point Block per request
 // line, one BlockCost per committed output line, and the 104-byte center
-// state for checkpoints and out-of-process chunk execution.
+// state for checkpoints and out-of-process chunk execution. Encoders
+// write encoding/json's bytes with bench.Enc; decoders read that form
+// with bench.Cursor and leave every other line to json.Unmarshal.
 type codec struct{}
 
+// pointBytes is the least one encoded point can occupy, comma included.
+const pointBytes = 2*dims + 2
+
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
+	if blk, ok := scanBlock(data); ok {
+		return blk, nil
+	}
 	var blk Block
 	if err := json.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
@@ -26,12 +34,60 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return blk, nil
 }
 
+func scanBlock(data []byte) (blk Block, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Points":[`)
+	blk.Points = make([][dims]float64, 0, c.Elems("],", "]]", pointBytes))
+	for i := 0; c.Next(i); i++ {
+		var p [dims]float64
+		c.Floats(p[:])
+		blk.Points = append(blk.Points, p)
+	}
+	c.Lit(`,"Truth":`)
+	scanCenters(&c, &blk.Truth)
+	c.Lit("}")
+	return blk, c.End()
+}
+
+func scanCenters(c *bench.Cursor, m *[k][dims]float64) {
+	c.Lit("[")
+	for i := range m {
+		c.Comma(i)
+		c.Floats(m[i][:])
+	}
+	c.Lit("]")
+}
+
+func encCenters(e *bench.Enc, m *[k][dims]float64) {
+	e.Lit("[")
+	for i := range m {
+		e.Comma(i)
+		e.Floats(m[i][:])
+	}
+	e.Lit("]")
+}
+
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	blk, ok := in.(Block)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: input is %T, want Block", in)
 	}
-	return json.Marshal(blk)
+	e := bench.NewEnc(32 + bench.FloatLen*dims*(len(blk.Points)+k))
+	e.Lit(`{"Points":`)
+	if blk.Points == nil {
+		e.Lit("null")
+	} else {
+		e.Lit("[")
+		for i := range blk.Points {
+			e.Comma(i)
+			e.Floats(blk.Points[i][:])
+		}
+		e.Lit("]")
+	}
+	e.Lit(`,"Truth":`)
+	encCenters(&e, &blk.Truth)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -39,15 +95,30 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: output is %T, want BlockCost", out)
 	}
-	return json.Marshal(bc)
+	e := bench.NewEnc(32)
+	e.Lit(`{"Cost":`)
+	e.Float(bc.Cost)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if bc, ok := scanCost(data); ok {
+		return bc, nil
+	}
 	var bc BlockCost
 	if err := json.Unmarshal(data, &bc); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block cost: %w", err)
 	}
 	return bc, nil
+}
+
+func scanCost(data []byte) (bc BlockCost, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Cost":`)
+	bc.Cost = c.Float()
+	c.Lit("}")
+	return bc, c.End()
 }
 
 // wireState is clusterState's serialized form.
@@ -62,13 +133,40 @@ func (codec) EncodeState(s engine.State) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: state is %T, want *clusterState", s)
 	}
-	return json.Marshal(wireState{Centers: st.centers, N: st.n, Lag: st.lag})
+	e := bench.NewEnc(32 + bench.FloatLen*(dims*k+2))
+	e.Lit(`{"centers":`)
+	encCenters(&e, &st.centers)
+	e.Lit(`,"n":`)
+	e.Float(st.n)
+	e.Lit(`,"lag":`)
+	e.Float(st.lag)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
+	if w, ok := scanState(data); ok {
+		return w.live(), nil
+	}
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad state: %w", err)
 	}
-	return &clusterState{centers: w.Centers, n: w.N, lag: w.Lag}, nil
+	return w.live(), nil
+}
+
+func (w wireState) live() *clusterState {
+	return &clusterState{centers: w.Centers, n: w.N, lag: w.Lag}
+}
+
+func scanState(data []byte) (w wireState, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"centers":`)
+	scanCenters(&c, &w.Centers)
+	c.Lit(`,"n":`)
+	w.N = c.Float()
+	c.Lit(`,"lag":`)
+	w.Lag = c.Float()
+	c.Lit("}")
+	return w, c.End()
 }

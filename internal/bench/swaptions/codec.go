@@ -19,6 +19,9 @@ func init() {
 type codec struct{}
 
 func (codec) DecodeInput(data []byte) (engine.Input, error) {
+	if b, ok := scanBatch(data); ok {
+		return b, nil
+	}
 	var b Batch
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("swaptions: bad batch: %w", err)
@@ -26,12 +29,32 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return b, nil
 }
 
+func scanBatch(data []byte) (b Batch, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Swaption":`)
+	b.Swaption = c.Int()
+	c.Lit(`,"Index":`)
+	b.Index = c.Int()
+	c.Lit(`,"Seed":`)
+	b.Seed = c.Uint(64)
+	c.Lit("}")
+	return b, c.End()
+}
+
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	b, ok := in.(Batch)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: input is %T, want Batch", in)
 	}
-	return json.Marshal(b)
+	e := bench.NewEnc(80)
+	e.Lit(`{"Swaption":`)
+	e.Int(b.Swaption)
+	e.Lit(`,"Index":`)
+	e.Int(b.Index)
+	e.Lit(`,"Seed":`)
+	e.Uint(b.Seed)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
@@ -39,10 +62,21 @@ func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("swaptions: output is %T, want Price", out)
 	}
-	return json.Marshal(p)
+	e := bench.NewEnc(96)
+	e.Lit(`{"Swaption":`)
+	e.Int(p.Swaption)
+	e.Lit(`,"Estimate":`)
+	e.Float(p.Estimate)
+	e.Lit(`,"N":`)
+	e.Float(p.N)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if p, ok := scanPrice(data); ok {
+		return p, nil
+	}
 	var p Price
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("swaptions: bad price: %w", err)
@@ -50,8 +84,21 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	return p, nil
 }
 
-// wireState is estState's serialized form. encoding/json round-trips
-// float64 losslessly, so a decoded estimator is bit-identical.
+func scanPrice(data []byte) (p Price, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Swaption":`)
+	p.Swaption = c.Int()
+	c.Lit(`,"Estimate":`)
+	p.Estimate = c.Float()
+	c.Lit(`,"N":`)
+	p.N = c.Float()
+	c.Lit("}")
+	return p, c.End()
+}
+
+// wireState is estState's serialized form. The shortest decimal that
+// round-trips a float64 is what goes on the wire, so a decoded estimator
+// is bit-identical.
 type wireState struct {
 	Sum   float64 `json:"sum"`
 	SumSq float64 `json:"sum_sq"`
@@ -60,17 +107,48 @@ type wireState struct {
 }
 
 func (codec) EncodeState(s engine.State) ([]byte, error) {
-	e, ok := s.(*estState)
+	st, ok := s.(*estState)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: state is %T, want *estState", s)
 	}
-	return json.Marshal(wireState{Sum: e.sum, SumSq: e.sumSq, N: e.n, Sw: e.sw})
+	e := bench.NewEnc(128)
+	e.Lit(`{"sum":`)
+	e.Float(st.sum)
+	e.Lit(`,"sum_sq":`)
+	e.Float(st.sumSq)
+	e.Lit(`,"n":`)
+	e.Float(st.n)
+	e.Lit(`,"sw":`)
+	e.Int(st.sw)
+	e.Lit("}")
+	return e.Bytes()
 }
 
 func (codec) DecodeState(data []byte) (engine.State, error) {
+	if w, ok := scanState(data); ok {
+		return w.live(), nil
+	}
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("swaptions: bad state: %w", err)
 	}
-	return &estState{sum: w.Sum, sumSq: w.SumSq, n: w.N, sw: w.Sw}, nil
+	return w.live(), nil
+}
+
+func scanState(data []byte) (w wireState, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"sum":`)
+	w.Sum = c.Float()
+	c.Lit(`,"sum_sq":`)
+	w.SumSq = c.Float()
+	c.Lit(`,"n":`)
+	w.N = c.Float()
+	c.Lit(`,"sw":`)
+	w.Sw = c.Int()
+	c.Lit("}")
+	return w, c.End()
+}
+
+func (w wireState) live() *estState {
+	return &estState{sum: w.Sum, sumSq: w.SumSq, n: w.N, sw: w.Sw}
 }

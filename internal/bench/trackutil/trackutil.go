@@ -14,6 +14,7 @@
 package trackutil
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -259,7 +260,14 @@ func (c *Cloud) Wire() WireCloud {
 }
 
 // Live rebuilds a cloud from its wire form, assigning a fresh region ID.
-func (w WireCloud) Live() *Cloud {
+// The wire form comes from outside the process (a client's #resume
+// line, a worker's reply), so its shape is checked here: every loop over
+// a cloud trusts len(P) == N*Dims and len(W) == N.
+func (w WireCloud) Live() (*Cloud, error) {
+	// Dims <= len(P) first, so that N*Dims cannot overflow back onto len(P).
+	if w.N < 0 || w.Dims < 0 || len(w.W) != w.N || (w.N > 0 && w.Dims > len(w.P)) || len(w.P) != w.N*w.Dims {
+		return nil, fmt.Errorf("cloud says n=%d dims=%d but carries %d coordinates and %d weights", w.N, w.Dims, len(w.P), len(w.W))
+	}
 	return &Cloud{
 		P:    append([]float64(nil), w.P...),
 		W:    append([]float64(nil), w.W...),
@@ -268,7 +276,7 @@ func (w WireCloud) Live() *Cloud {
 		ID:   idCounter.Add(1),
 		Age:  w.Age,
 		Cold: w.Cold,
-	}
+	}, nil
 }
 
 // Digest summarizes the cloud for digest-gated validation

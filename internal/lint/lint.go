@@ -122,12 +122,15 @@ type Config struct {
 // derived artifacts, not committed protocol outputs.
 // The hot-path seeds mirror where PR 7's allocation wins live: every
 // ring operation runs once per pipeline hop, and the engine's frontier/
-// commit/assemble files run once per input on the committed path.
+// commit/assemble files run once per input on the committed path — as
+// does bench's ndjson.go, which every served line is read and written
+// with.
 func DefaultConfig() *Config {
 	return &Config{
 		HotPathPackages: []string{"gostats/internal/ring"},
 		HotPathFiles: map[string][]string{
 			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go"},
+			"gostats/internal/bench":  {"ndjson.go"},
 		},
 		CriticalPrefixes: []string{
 			"gostats/internal/engine",

@@ -153,6 +153,51 @@ func TestServeResumeRejectsBadPrologue(t *testing.T) {
 	}
 }
 
+// TestServeResumeRejectsMisshapenState: a snapshot is client-supplied
+// bytes, and a tracker state inside it that claims five particles and
+// carries none used to decode fine and panic in the next Update — a 500
+// once the engine's fault retries ran out, or worse a 200 computed on a
+// cloud of the wrong size. It must be a 400 before any output.
+func TestServeResumeRejectsMisshapenState(t *testing.T) {
+	const name = "facetrack"
+	app := New(baseConfig(), Options{})
+	ts := httptest.NewServer(app.Handler())
+	defer ts.Close()
+
+	inputs := sessionInputs(t, name, 24)
+	lines, _ := postSession(t, ts.URL+"/v1/stream/"+name+"?ckpt=1", ndjsonBody(t, name, inputs))
+	_, snaps := splitControl(t, lines)
+	if len(snaps) == 0 || len(snaps[0].Lineage) == 0 {
+		t.Fatalf("ckpt=1 session gave no snapshot with a lineage")
+	}
+	snap := snaps[0]
+	for _, state := range []string{
+		`{"p":[],"w":[],"n":5,"dims":3,"age":0}`,            // fewer coordinates and weights than particles
+		`{"p":[1,2,3],"w":[1],"n":1,"dims":3,"age":0}`,      // consistent, but not a facetrack cloud
+		`{"p":[0,0],"w":[1,1],"n":-2,"dims":-1,"age":0}`,    // negative shape whose product fits
+		`{"p":[0],"w":[],"n":0,"dims":0,"age":0,"zz":true}`, // through the encoding/json path
+	} {
+		snap.Lineage[0] = []byte(state)
+		b64, err := checkpoint.EncodeString(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := checkpoint.ResumePrefix + b64 + "\n" + string(ndjsonBody(t, name, inputs[snap.Inputs:]))
+		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?resume=1", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("resume with state %s: status %d %.200q, want 400", state, resp.StatusCode, msg)
+		}
+	}
+	if n := app.panics.Load(); n != 0 {
+		t.Errorf("%d handler panics: a misshapen state reached Update", n)
+	}
+}
+
 // TestServeMigrateDrain is the session-mobility e2e at the serve layer:
 // a migrate=1 session is drained mid-stream, ends with a final #ckpt, a
 // #migrate marker, and a Migrated trailer; resuming that checkpoint on a

@@ -55,6 +55,7 @@ type session struct {
 	r     *http.Request
 	rc    *http.ResponseController
 	out   *bufio.Writer // made by start
+	dirty bool          // out holds lines not yet flushed to the client
 	phase phase
 	err   error // first failure of an admitted session
 
@@ -298,7 +299,23 @@ func (ss *session) pump() {
 	ss.reading = true
 	go func() { ss.pushDone <- ss.push() }()
 
-	for o := range ss.p.Outputs() {
+	outs := ss.p.Outputs()
+	for {
+		// Flush when idle: lines gather in the buffer while more outputs
+		// are ready — a committed chunk's worth leaves as one write — and
+		// go out the moment none is, before this blocks. A client never
+		// waits for bytes behind anything but the pipeline itself.
+		var o engine.Output
+		var ok bool
+		select {
+		case o, ok = <-outs:
+		default:
+			ss.flush()
+			o, ok = <-outs
+		}
+		if !ok {
+			break
+		}
 		b, err := ss.codec.EncodeOutput(o)
 		if err != nil {
 			ss.err = err
@@ -310,6 +327,7 @@ func (ss *session) pump() {
 		ss.flushCkpt()
 	}
 	ss.flushCkpt() // the halt-frontier snapshot lands after the last output
+	ss.flush()
 }
 
 // start commits the 200. Full duplex is enabled lazily, here at the first
@@ -327,14 +345,24 @@ func (ss *session) start() {
 	ss.phase = streaming
 }
 
+// writeLine buffers one response line; flush sends what is buffered.
 func (ss *session) writeLine(b []byte) {
 	if ss.phase == admitted {
 		ss.start()
 	}
 	ss.out.Write(b)
 	ss.out.WriteByte('\n')
-	ss.out.Flush()
-	_ = ss.rc.Flush()
+	ss.dirty = true
+}
+
+// flush pushes every buffered line to the client. Control lines and the
+// trailer call it at once; output lines leave it to pump.
+func (ss *session) flush() {
+	if ss.dirty {
+		ss.out.Flush()
+		_ = ss.rc.Flush()
+		ss.dirty = false
+	}
 }
 
 // queueCkpt is the pipeline's OnSnapshot hook.
@@ -365,6 +393,9 @@ func (ss *session) flushCkpt() {
 	for _, c := range due {
 		ss.writeLine([]byte(checkpoint.CkptPrefix + c.b64))
 	}
+	if len(due) > 0 {
+		ss.flush()
+	}
 }
 
 // close joins the pusher and the pipeline, settles the session's terminal
@@ -382,6 +413,7 @@ func (ss *session) close() {
 	// close the body for a clean EOF (finish drains to it).
 	if ss.p.Halted() {
 		ss.writeLine([]byte(checkpoint.MigrateLine))
+		ss.flush()
 		ss.phase = halted
 		_ = ss.rc.SetReadDeadline(time.Now().Add(haltDrainGrace))
 	}
@@ -469,6 +501,7 @@ func (ss *session) finish(tr Trailer) {
 	if b, err := json.Marshal(tr); err == nil {
 		ss.writeLine(b)
 	}
+	ss.flush()
 
 	// A halted session's client was mid-upload when the session migrated
 	// away. Returning now would close the connection under its in-flight
