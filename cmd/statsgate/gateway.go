@@ -437,7 +437,23 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 	}
 	br := bufio.NewReaderSize(from, 64<<10)
 	migrating := false
+	// Flush when the backend has nothing more buffered, not per line: what
+	// one backend write carried — a committed chunk's outputs — leaves in
+	// one write, and an interactive client still sees every line before
+	// the relay blocks on the next read (serve's pump does the same with
+	// Outputs). dirty: lines written since the last flush.
+	dirty := false
+	flush := func() {
+		if dirty {
+			_ = rc.Flush()
+			dirty = false
+		}
+	}
+	defer flush() // a hand-off must not sit on relayed lines while the next backend resumes
 	for {
+		if br.Buffered() == 0 {
+			flush()
+		}
 		line, rerr := br.ReadString('\n')
 		if rerr != nil {
 			// Stream over. A clean EOF after #migrate is the handoff; a clean
@@ -482,7 +498,7 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 			if _, werr := io.WriteString(w, line); werr != nil {
 				return attemptDone
 			}
-			_ = rc.Flush()
+			dirty = true
 			st.relayed++
 		}
 	}

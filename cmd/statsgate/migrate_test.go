@@ -14,7 +14,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gostats/internal/cluster"
 	"gostats/internal/serve"
@@ -165,5 +167,97 @@ func TestGateMigrateMidSession(t *testing.T) {
 	if snaps[0].Routed < 1 || snaps[1].Routed < 1 {
 		t.Fatalf("routed b0=%d b1=%d: session did not span both backends",
 			snaps[0].Routed, snaps[1].Routed)
+	}
+}
+
+// flushCounter counts the flushes the gateway asks of its client
+// connection. http.ResponseController finds Flush here and everything
+// else (full duplex, read deadlines) through Unwrap.
+type flushCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (f flushCounter) Flush() {
+	f.n.Add(1)
+	f.ResponseWriter.(http.Flusher).Flush()
+}
+
+func (f flushCounter) Unwrap() http.ResponseWriter { return f.ResponseWriter }
+
+// TestGateRelayFlushesWhenIdle holds the checkpointed relay to the flush
+// rule serve's pump follows (TestOutputsFlushWhenIdle), one hop out. An
+// interactive client — some lines sent, the body held open — must see the
+// outputs those lines commit without sending anything more: the relay
+// flushes before it blocks on the backend. And a client whose whole body
+// is already there must not pay a write per line: lines that arrive from
+// the backend together leave together.
+func TestGateRelayFlushesWhenIdle(t *testing.T) {
+	const name = "streamcluster"
+	cfg := baseConfig()
+	_, direct := newBackend(t, serve.Options{Instance: "direct"})
+	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	g, _, _ := newMigrateGate(t, 2, ts0.URL)
+	var flushes atomic.Int64
+	h := g.handler()
+	gts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(flushCounter{w, &flushes}, r)
+	}))
+	defer gts.Close()
+
+	// One chunk a worker: the first chunk's commit waits for nothing the
+	// client has not sent, so its outputs are owed at once.
+	inputs := sessionInputs(t, name, cfg.Workers*cfg.ChunkSize)
+	_, want, _, _ := postSession(t, direct.URL, name, ndjsonBody(t, name, inputs))
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, gts.URL+"/v1/stream/"+name, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go pw.Write(ndjsonBody(t, name, inputs)) // then the body stays open
+	lines := make(chan string, len(inputs)+1)
+	go func() {
+		defer close(lines)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			lines <- sc.Text()
+		}
+	}()
+	timeout := time.After(time.Second)
+	for i := 0; i < cfg.ChunkSize; i++ {
+		select {
+		case got, ok := <-lines:
+			if !ok || got != want[i] {
+				t.Fatalf("output %d = %q (stream open: %v), want %q", i, got, ok, want[i])
+			}
+		case <-timeout:
+			t.Fatalf("%d of the first chunk's %d outputs within 1s of sending a window: the rest sit unflushed in the relay", i, cfg.ChunkSize)
+		}
+	}
+	pw.Close()
+	n := cfg.ChunkSize
+	for range lines {
+		n++
+	}
+	if n != len(inputs)+1 {
+		t.Fatalf("interactive session ended with %d lines, want %d outputs and a trailer", n, len(inputs))
+	}
+
+	// The buffered session: every input is in the request before the
+	// first output is out, so the backend's lines arrive a chunk at a time.
+	inputs = sessionInputs(t, name, 32*cfg.ChunkSize)
+	flushes.Store(0)
+	status, outs, tr, _ := postSession(t, gts.URL, name, ndjsonBody(t, name, inputs))
+	if status != http.StatusOK || !tr.Done || len(outs) != len(inputs) {
+		t.Fatalf("buffered session: status %d, %d outputs, trailer %+v", status, len(outs), tr)
+	}
+	if got := flushes.Load(); got == 0 || got >= int64(len(outs)) {
+		t.Fatalf("%d flushes for %d relayed lines: want at least one and fewer than one a line", got, len(outs))
 	}
 }

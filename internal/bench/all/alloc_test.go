@@ -1,11 +1,14 @@
 package all
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"gostats/internal/bench"
 	"gostats/internal/engine"
 	"gostats/internal/rng"
+	"gostats/internal/workload"
 )
 
 // allocs reports the allocations of one call of f.
@@ -81,5 +84,85 @@ func TestCodecAllocations(t *testing.T) {
 	dd := newSample(t, "dedupstream")
 	if n := allocs(func() { _, _ = dd.wc.EncodeState(dd.st) }); n > 1 {
 		t.Errorf("dedupstream EncodeState: %v allocations, want at most 1 (the line)", n)
+	}
+}
+
+// mallocs returns the number of heap objects f allocates, on any
+// goroutine, after the garbage collector has been made to settle.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestPipelineAllocations pins what the engine itself allocates for a
+// chunk on the fault-free path: nothing. A warmed streamcluster pipeline's
+// heap objects per chunk, less those the kernel allocates for the same
+// inputs in a sequential run, are what the protocol's extra Update calls
+// allocate — the lookback replays of the alternative producer and of the
+// replica and an aborted chunk's re-execution box an output apiece, and
+// every chunk builds a cold state — and measure 12.1–12.6 at either
+// worker count (42.5 before chunk records, RNG streams and replica
+// hand-offs stopped being allocated per chunk). One object more per chunk
+// in the engine fails.
+func TestPipelineAllocations(t *testing.T) {
+	const (
+		chunkSize   = 16
+		warm, timed = 47, 128 // chunks
+		budget      = 13.0
+	)
+	b := bench.MustNew("streamcluster")
+	inputs := workload.SessionInputs(b, (warm+timed)*chunkSize, 11)
+	if len(inputs) != (warm+timed)*chunkSize {
+		t.Fatalf("streamcluster has %d inputs, the test wants %d", len(inputs), (warm+timed)*chunkSize)
+	}
+	timedIn := inputs[warm*chunkSize:]
+	kernel := mallocs(func() { engine.RunSequential(engine.NewNativeExec(), b, timedIn, 3) })
+
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p, err := engine.NewStream(ctx, b, engine.StreamConfig{
+			ChunkSize: chunkSize, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Whole chunks in, as many outputs out: the pipeline is idle at a
+		// chunk boundary on either side of the measurement.
+		run := func(ins []engine.Input) {
+			go func() {
+				for _, in := range ins {
+					if p.Push(ctx, in) != nil {
+						return
+					}
+				}
+			}()
+			for range ins {
+				if _, ok := <-p.Outputs(); !ok {
+					t.Fatal("pipeline closed early")
+				}
+			}
+		}
+		run(inputs[:warm*chunkSize])
+		// The count's noise is one-sided — a state cloned while the pool
+		// happened to be empty — so the least of three rounds is the figure.
+		got := mallocs(func() { run(timedIn) })
+		for round := 1; round < 3; round++ {
+			got = min(got, mallocs(func() { run(timedIn) }))
+		}
+		p.Close()
+		for range p.Outputs() {
+		}
+		st, err := p.Wait()
+		cancel()
+		if err != nil || st.Faults != 0 {
+			t.Fatalf("workers=%d: err %v, %d faults", workers, err, st.Faults)
+		}
+		if perChunk := (float64(got) - float64(kernel)) / timed; perChunk > budget {
+			t.Errorf("workers=%d: %.2f heap objects per chunk beyond the kernel's own (%d objects over %d chunks, kernel %d), want at most %.0f",
+				workers, perChunk, got, timed, kernel, budget)
+		}
 	}
 }

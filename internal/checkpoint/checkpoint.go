@@ -97,7 +97,7 @@ type Snapshot struct {
 	// chunks (oldest first) that the chunk assembler had not yet folded
 	// into the adaptive controller when the snapshot was taken — the
 	// in-flight window between the commit stage and the assembler, at
-	// most Workers entries. A restored pipeline preloads its outcome
+	// most Window(Workers) entries. A restored pipeline preloads its outcome
 	// queue with these so the controller sees the exact same outcome
 	// sequence at the exact same decision points.
 	Pending []bool `json:"pending,omitempty"`
@@ -105,6 +105,13 @@ type Snapshot struct {
 	// Pending outcomes excluded; nil when the session does not adapt.
 	Controller *autotune.OnlineState `json:"controller,omitempty"`
 }
+
+// Window is the speculation window of a session with the given worker
+// count: the most chunks its pipeline keeps in flight past the commit
+// frontier, and so the most outcomes a snapshot can hold pending. Two
+// chunks a worker: one executing, one queued behind it, so a worker that
+// finishes never waits for the frontier to open its next slot.
+func Window(workers int) int { return 2 * workers }
 
 // Validate checks internal consistency of a decoded snapshot.
 func (s *Snapshot) Validate() error {
@@ -121,8 +128,8 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("checkpoint: next_chunk 0 cannot carry lineage or window")
 	case s.NextChunk > 0 && len(s.Lineage) == 0:
 		return fmt.Errorf("checkpoint: next_chunk %d without committed lineage", s.NextChunk)
-	case len(s.Pending) > s.Workers:
-		return fmt.Errorf("checkpoint: %d pending outcomes exceed %d workers", len(s.Pending), s.Workers)
+	case len(s.Pending) > Window(s.Workers):
+		return fmt.Errorf("checkpoint: %d pending outcomes exceed the window of %d workers", len(s.Pending), s.Workers)
 	}
 	return nil
 }

@@ -147,7 +147,7 @@ func TestCheckpointValidate(t *testing.T) {
 		{Benchmark: "x", NextChunk: -1},
 		{Benchmark: "x", NextChunk: 0, Lineage: [][]byte{{1}}},
 		{Benchmark: "x", NextChunk: 3},
-		{Benchmark: "x", Workers: 1, Pending: []bool{true, false}},
+		{Benchmark: "x", Workers: 1, Pending: make([]bool, Window(1)+1)},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -40,31 +40,30 @@ func (p *Pipeline) assemble() {
 	buf := p.slabs.takeIn(size)
 	for {
 		// Fill the chunk: drain whatever the ingest ring already holds in
-		// one batched cursor move, then park for the rest.
-		if n := p.in.PopBatch(buf[len(buf):size]); n > 0 {
-			buf = buf[:len(buf)+n]
-		} else {
+		// one batched cursor move, then park until the rest of it is
+		// buffered — one wake-up per chunk, not one per input.
+		buf = buf[:len(buf)+p.in.PopBatch(buf[len(buf):size])]
+		if len(buf) < size {
 			// Park on down, not the context alone: Halt stops assembly here
 			// with ErrCanceled, deliberately NOT the ErrClosed path below —
 			// a halted session must not flush a partial chunk, because the
 			// resumed session will re-read those inputs and re-derive the
 			// boundary itself.
-			in, err := p.in.Pop(p.down)
+			err := p.in.Await(p.down, size-len(buf))
+			if err == nil {
+				continue
+			}
 			if err == ring.ErrClosed {
-				// End of stream: flush the final partial chunk. No sizing
-				// decision is needed for it, so no outcome wait either.
+				// End of stream: flush the final partial chunk — the ring
+				// holds less than the chunk still wants, so one move takes
+				// it all. No sizing decision is needed for it, so no
+				// outcome wait either.
+				buf = buf[:len(buf)+p.in.PopBatch(buf[len(buf):size])]
 				if len(buf) > 0 {
 					p.dispatch(j, buf, prevWindow)
 				}
-				return
 			}
-			if err != nil {
-				return
-			}
-			buf = append(buf, in) //statslint:allow hotalloc buf is a takeIn(size) slab with cap >= size, and len(buf) < size here, so append never grows it
-		}
-		if len(buf) < size {
-			continue
+			return
 		}
 		if !p.dispatch(j, buf, prevWindow) {
 			return
@@ -81,13 +80,13 @@ func (p *Pipeline) assemble() {
 }
 
 // sizeFor decides chunk j's size. Before deciding it consumes commit
-// outcomes until exactly max(0, j-Workers) have been seen. That wait is
-// the speculation window — at most Workers chunks run past the commit
+// outcomes until exactly max(0, j-window) have been seen. That wait is
+// the speculation window — at most window chunks run past the commit
 // frontier — and it is also what makes adaptive sizing deterministic:
 // the decision for chunk j reads a fixed, scheduling-independent prefix
 // of the outcome sequence, never "whatever has committed by now".
 func (p *Pipeline) sizeFor(j int, consumed *int) (int, bool) {
-	need := j - p.cfg.Workers
+	need := j - p.cfg.window()
 	for *consumed < need {
 		committed, err := p.outcomes.Pop(p.down)
 		if err != nil {
@@ -119,12 +118,15 @@ func (p *Pipeline) sizeFor(j int, consumed *int) (int, bool) {
 // starts from); every later chunk starts from an alternative-produced
 // speculative state instead.
 func (p *Pipeline) dispatch(j int, inputs, prevWindow []Input) bool {
-	jb := &job{index: j, inputs: inputs}
+	// Chunk j's record is free: the window let the assembler get here only
+	// after chunk j-len's successor was applied (frontier.go).
+	ck := p.fr.chunk(j)
+	ck.bind(&p.proto, p.ex, nil, j, -1)
+	ck.inputs, ck.prevWindow, ck.initState, ck.fault = inputs, prevWindow, nil, nil
+	ck.clearResult()
 	if j == 0 {
-		jb.initial = p.initial()
+		ck.initState = p.initial()
 		p.countState()
-	} else {
-		jb.prevWindow = prevWindow
 	}
 	// Announce the chunk before a worker can see it, so that each chunk's
 	// events reach the sinks in one order — assembler, then worker, then
@@ -133,5 +135,5 @@ func (p *Pipeline) dispatch(j int, inputs, prevWindow []Input) bool {
 	// chunks of an abandoned run (see NewStream's janitor).
 	p.chunks.Add(1)
 	p.emit(Event{Kind: EvChunk, Chunk: j, Worker: -1, N: len(inputs)})
-	return p.jobs.Push(p.ctx.Done(), jb) == nil
+	return p.jobs.Push(p.ctx.Done(), ck) == nil
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -122,15 +121,23 @@ func (pr *proto) validate(ex Exec, worker int, origs []State, origFPs []uint64, 
 
 // chunkRun is one chunk's view of the protocol: where it executes, the
 // RNG substreams every attempt re-derives from, and the attempt in
-// progress. Events it emits carry worker as their worker slot.
+// progress. Events it emits carry worker as their worker slot. The
+// streams are embedded by value (rng.Sub), so a chunkRun that lives in
+// storage its runtime already owns — the pipeline keeps one per frontier
+// slot — costs no allocation per chunk.
 type chunkRun struct {
 	*proto
 	ex     Exec
 	g      *gang
 	j      int
 	worker int
-	rng    *rng.Stream // the chunk's worker stream
-	jit    *rng.Stream // gang share jitter; simulated cost only
+	rng    rng.Stream // the chunk's worker stream: derived from, never drawn from
+	jit    rng.Stream // gang share jitter; simulated cost only
+	// sub is the substream of the phase executing — "fresh", "altprod",
+	// "body" or "reexec", then one "replica" after the other. The phases
+	// of one attempt run in sequence on the owning context, so one slot
+	// serves them all. reorig parents a recovery's replica streams.
+	sub, reorig rng.Stream
 
 	// The attempt in progress (arm).
 	n       int
@@ -139,9 +146,11 @@ type chunkRun struct {
 	t0      time.Time
 }
 
-func (pr *proto) chunk(ex Exec, g *gang, j, worker int) chunkRun {
-	r := pr.root.DeriveN("worker", j)
-	return chunkRun{proto: pr, ex: ex, g: g, j: j, worker: worker, rng: r, jit: r.Derive("jitter")}
+// bind points c at chunk j of pr's session, executing on ex as worker.
+func (c *chunkRun) bind(pr *proto, ex Exec, g *gang, j, worker int) {
+	c.proto, c.ex, c.g, c.j, c.worker = pr, ex, g, j, worker
+	c.rng = pr.root.SubN("worker", j)
+	c.jit = c.rng.Sub("jitter")
 }
 
 // arm begins attempt n at site: a fresh deadline, a fresh clock.
@@ -161,8 +170,7 @@ func (c *chunkRun) arm(n int, site FaultSite) {
 func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *ChunkFault {
 	for n := 0; ; n++ {
 		c.arm(n, site)
-		var err error
-		fault := runProtected(c.j, n, &c.site, func() { err = fn() })
+		fault, err := runProtected(c.j, n, &c.site, fn)
 		if fault == nil && err != nil {
 			fault = &ChunkFault{Chunk: c.j, Site: c.site, Attempt: n,
 				Deadline: errors.Is(err, context.DeadlineExceeded), Panic: err}
@@ -177,7 +185,7 @@ func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *
 		if n >= c.pol.MaxRetries {
 			return fault
 		}
-		d := c.pol.backoff(n, c.rng)
+		d := c.pol.backoff(n, &c.rng)
 		c.retries.Add(1)
 		c.emit(Event{Kind: EvRetry, Chunk: c.j, Worker: c.worker, N: n + 1, Dur: d})
 		if !sleepCtx(ctx, d) {
@@ -205,7 +213,7 @@ func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, s
 		return initial, nil
 	}
 	t0 := c.now()
-	s = speculativeState(c.ex, c.guarded, c.pool, prevWindow, c.rng, c.countState)
+	s = c.speculativeState(prevWindow)
 	// The injector sees the produced state before it is cloned: a
 	// corrupted speculative state poisons the published copy and the body
 	// run together, so boundary validation catches it.
@@ -227,9 +235,9 @@ func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, s
 // finish is the second half of a speculative attempt: the chunk body
 // from s, then — unless the chunk is known to be the last of a bounded
 // run — the original states its successor will be validated against
-// (origs[0] is final). outBuf, when non-nil, is a retired slab the
-// outputs are accumulated into.
-func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output) (outs []Output, final State, origs []State) {
+// (origs[0] is final). outBuf and origBuf, when non-nil, are retired
+// buffers the outputs and the original states are accumulated into.
+func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, origBuf []State) (outs []Output, final State, origs []State) {
 	c.site = SiteBody
 	s = injectAt(c.inj, SiteBody, c.j, c.n, s)
 	t0 := c.now()
@@ -238,7 +246,7 @@ func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output) (
 	if !last {
 		c.site = SiteOrigStates
 		injectAt(c.inj, SiteOrigStates, c.j, c.n, nil)
-		origs = c.origStates(inputs, snapshot, final, c.rng)
+		origs = c.origStates(inputs, snapshot, final, &c.rng, origBuf)
 	}
 	c.speculated(len(inputs))
 	return outs, final, origs
@@ -255,7 +263,7 @@ func (c *chunkRun) speculated(inputs int) {
 // chunk 0, whose true start state is a rebuilt initial state) and
 // regenerates the original states. srcLoc is the locality hint of the
 // thread that owns trueFinal.
-func (c *chunkRun) reexec(trueFinal State, srcLoc int, inputs []Input, last bool, outBuf []Output) (outs []Output, final State, origs []State) {
+func (c *chunkRun) reexec(trueFinal State, srcLoc int, inputs []Input, last bool, outBuf []Output, origBuf []State) (outs []Output, final State, origs []State) {
 	injectAt(c.inj, SiteReexec, c.j, c.n, nil)
 	var s State
 	if trueFinal != nil {
@@ -270,7 +278,8 @@ func (c *chunkRun) reexec(trueFinal State, srcLoc int, inputs []Input, last bool
 	outs, snapshot, final := c.process(s, inputs, last, true, outBuf)
 	c.emit(Event{Kind: EvReexec, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: c.t0, Dur: c.since(c.t0)})
 	if !last {
-		origs = c.origStates(inputs, snapshot, final, c.rng.Derive("reorig"))
+		c.reorig = c.rng.Sub("reorig")
+		origs = c.origStates(inputs, snapshot, final, &c.reorig, origBuf)
 	}
 	return outs, final, origs
 }
@@ -287,63 +296,22 @@ func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf 
 	if recovery {
 		label, cat = "reexec", trace.CatReexec
 	}
-	return processChunk(c.ex, c.guarded, c.pool, c.g, inputs, snapAt, s,
-		c.rng.Derive(label), c.jit, cat, c.countState, outBuf)
+	return c.processChunk(inputs, snapAt, s, label, cat, outBuf)
 }
 
 // origStates generates the boundary's original states from the snapshot
 // process took — final plus the configured replicas, each replaying the
 // chunk's window from snapshot with fresh nondeterminism drawn from rnd
 // (Fig. 5, cores 0–2) — and retires the snapshot.
-func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream) []State {
+func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream, origBuf []State) []State {
 	if snapshot != nil {
 		c.emit(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
 	}
 	win := c.window(inputs)
 	t0 := c.now()
-	origs := originalStates(c.ex, c.guarded, c.pool, fmt.Sprintf("%s-r%d", c.prog.Name(), c.j),
-		win, snapshot, final, c.extra, rnd, c.countThread, c.countState)
+	origs := c.originalStates(win, snapshot, final, rnd, origBuf)
 	c.emit(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
 		N: len(origs) - 1, M: len(win), Start: t0, Dur: c.since(t0)})
 	c.pool.Release(snapshot)
 	return origs
-}
-
-// ChunkWorker runs the worker side of the chunk protocol for one session
-// outside any pipeline — the body of an out-of-process executor
-// (internal/procexec serves it over a pipe). Its replies are the ones
-// ChunkRunner promises: byte-identical to what a pool worker of a
-// pipeline with the same seed and shape produces for the same request.
-type ChunkWorker struct {
-	proto
-	inner int
-}
-
-// NewChunkWorker binds p to a session's seed and shape.
-func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth int) *ChunkWorker {
-	w := &ChunkWorker{inner: innerWidth}
-	w.init(p, seed, lookback, extraStates, FaultPolicy{}, nil)
-	return w
-}
-
-// Run executes one speculative attempt of the requested chunk. A panic in
-// the program propagates; the caller owns the fault boundary.
-func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
-	ex := NewNativeExec()
-	g := newGang(ex, fmt.Sprintf("%s-w%d", w.prog.Name(), req.Chunk), w.inner, w.countThread)
-	defer g.Close(ex)
-	c := w.chunk(ex, g, req.Chunk, -1)
-	c.arm(req.Attempt, SiteAltProducer)
-	s, spec := c.start(nil, req.Window, true)
-	outs, final, origs := c.finish(s, req.Inputs, false, nil)
-	return &ChunkReply{Spec: spec, Outs: outs, Final: final, Origs: origs}
-}
-
-// Release retires a reply's states into the worker's pool once the
-// caller is done with them.
-func (w *ChunkWorker) Release(r *ChunkReply) {
-	w.pool.Release(r.Spec)
-	for _, o := range r.Origs {
-		w.pool.Release(o)
-	}
 }

@@ -165,9 +165,10 @@ func (rt *run) chunkInputs(j int) []Input {
 // recovery too fails the session (with a structured error, never a
 // process crash).
 func (rt *run) worker(ex Exec, j int, start State) {
-	g := newGang(ex, fmt.Sprintf("%s-w%d", rt.prog.Name(), j), rt.cfg.InnerWidth, rt.countThread)
+	g := chunkGang(ex, rt.prog, "w", j, rt.cfg.InnerWidth, rt.countThread)
 	defer g.Close(ex)
-	c := rt.chunk(ex, g, j, j)
+	var c chunkRun
+	c.bind(&rt.proto, ex, g, j, j)
 	inputs := rt.chunkInputs(j)
 	last := j == len(rt.bounds)-1
 	rt.emit(Event{Kind: EvChunk, Chunk: j, Worker: j, N: len(inputs)})
@@ -190,7 +191,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 			rt.publish(ex, j, spec, false)
 			published = true
 		}
-		outs, final, origs = c.finish(s, inputs, last, nil)
+		outs, final, origs = c.finish(s, inputs, last, nil, nil)
 		return nil
 	})
 	if specFault != nil && j > 0 && !published {
@@ -232,7 +233,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 		rt.emit(Event{Kind: EvAborted, Chunk: j, Worker: j})
 		rt.pool.releaseRun(final, origs)
 		rexFault := c.retry(context.Background(), SiteReexec, func() error {
-			outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil)
+			outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil, nil)
 			return nil
 		})
 		if rexFault != nil {

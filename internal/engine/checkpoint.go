@@ -105,6 +105,46 @@ type ChunkRunner interface {
 	RunChunk(ctx context.Context, req ChunkRequest) (*ChunkReply, error)
 }
 
+// ChunkWorker runs the worker side of the chunk protocol for one session
+// outside any pipeline — the body of an out-of-process executor
+// (internal/procexec serves it over a pipe). Its replies are the ones
+// ChunkRunner promises: byte-identical to what a pool worker of a
+// pipeline with the same seed and shape produces for the same request.
+type ChunkWorker struct {
+	proto
+	inner int
+}
+
+// NewChunkWorker binds p to a session's seed and shape.
+func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth int) *ChunkWorker {
+	w := &ChunkWorker{inner: innerWidth}
+	w.init(p, seed, lookback, extraStates, FaultPolicy{}, nil)
+	return w
+}
+
+// Run executes one speculative attempt of the requested chunk. A panic in
+// the program propagates; the caller owns the fault boundary.
+func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
+	ex := NewNativeExec()
+	g := chunkGang(ex, w.prog, "w", req.Chunk, w.inner, w.countThread)
+	defer g.Close(ex)
+	var c chunkRun
+	c.bind(&w.proto, ex, g, req.Chunk, -1)
+	c.arm(req.Attempt, SiteAltProducer)
+	s, spec := c.start(nil, req.Window, true)
+	outs, final, origs := c.finish(s, req.Inputs, false, nil, nil)
+	return &ChunkReply{Spec: spec, Outs: outs, Final: final, Origs: origs}
+}
+
+// Release retires a reply's states into the worker's pool once the
+// caller is done with them.
+func (w *ChunkWorker) Release(r *ChunkReply) {
+	w.pool.Release(r.Spec)
+	for _, o := range r.Origs {
+		w.pool.Release(o)
+	}
+}
+
 // Halt stops the pipeline at the commit frontier: chunk assembly stops
 // without flushing a partial chunk (the undispatched ingest tail is
 // deliberately dropped — a resumed session re-reads it from the source),
@@ -191,7 +231,7 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 
 // ckptTracker lives in the commit stage and decides when to capture. It
 // shadows the assembler's adaptive controller by folding outcomes exactly
-// as the restored assembler will: the last min(commits, Workers) outcomes
+// as the restored assembler will: the last min(commits, window) outcomes
 // stay pending (the restored outcome-window preload), everything older is
 // recorded into the shadow controller.
 type ckptTracker struct {
@@ -239,7 +279,7 @@ func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
 // job inputs and the just-updated lineage still live.
 func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *committed, committedOK bool) {
 	t.pending = append(t.pending, committedOK)
-	for len(t.pending) > t.p.cfg.Workers {
+	for len(t.pending) > t.p.cfg.window() {
 		if t.shadow != nil {
 			t.shadow.Record(t.pending[0])
 		}

@@ -36,7 +36,9 @@ func (p *Pipeline) commit() {
 		}
 	}()
 
-	pending := map[int]*result{} //statslint:allow hotalloc session-scoped reorder buffer, allocated once per stage
+	// The reorder buffer: a record that arrived ahead of its turn waits
+	// in the slot it lives in.
+	pending := make([]*chunk, len(p.fr.slots))
 	next := 0
 	var prev committed
 	var prevInputs []Input // committed predecessor's chunk inputs
@@ -50,11 +52,11 @@ func (p *Pipeline) commit() {
 		if len(rs.lineage) > 0 {
 			prev.final = rs.lineage[0]
 			prev.origs = rs.lineage
-			prev.origFPs = p.fingerprints(rs.lineage)
+			prev.origFPs = p.fingerprints(nil, rs.lineage)
 		}
 	}
 	for {
-		res, err := p.results.Pop(p.ctx.Done())
+		ck, err := p.results.Pop(p.ctx.Done())
 		if err != nil {
 			// ring.ErrClosed: workers are done and the ring is drained;
 			// everything dispatched has been committed in order. On a
@@ -66,13 +68,14 @@ func (p *Pipeline) commit() {
 			}
 			return
 		}
-		pending[res.job.index] = res
+		pending[uint64(ck.j)&p.fr.mask] = ck
 		for {
-			r, ready := pending[next]
-			if !ready {
+			at := uint64(next) & p.fr.mask
+			r := pending[at]
+			if r == nil {
 				break
 			}
-			delete(pending, next)
+			pending[at] = nil
 			if !p.applyCommit(r, &prev) {
 				return
 			}
@@ -81,7 +84,7 @@ func (p *Pipeline) commit() {
 			// aliases it) and chunk next's possible re-exec, both
 			// finished inside apply.
 			p.slabs.putIn(prevInputs)
-			prevInputs = r.job.inputs
+			prevInputs = r.inputs
 			next++
 		}
 	}
@@ -96,8 +99,8 @@ func (p *Pipeline) commit() {
 // committed state, exactly like a mispeculation abort. applyCommit
 // returns false if the context was canceled or the session failed
 // terminally.
-func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
-	j := r.job.index
+func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
+	j := r.j
 	ok := r.fault == nil
 	if j > 0 {
 		// Settle the boundary's validation slot first: after this no
@@ -122,8 +125,7 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		p.pool.ReleaseReplicas(prev.origs)
 		p.pool.Release(r.spec)
 	}
-	outs, final, origs := r.outs, r.final, r.origs
-	origFPs, specLineage := r.origFPs, true
+	specLineage := true
 	if !ok {
 		p.aborts.Add(1)
 		if r.fault != nil {
@@ -135,12 +137,11 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		// replicas — are dead. Spend the successor's validation slot
 		// before retiring them: a prevalidator may be mid-comparison
 		// against these very states, and once the slot is spent no new
-		// claim can reach them. (Faulted results carry none.)
+		// claim can reach them — or the record recovery is about to
+		// rewrite. (Faulted results carry none.)
 		p.fr.quiesce(j + 1)
 		p.pool.releaseRun(r.final, r.origs)
-		var fault *ChunkFault
-		outs, final, origs, fault = p.recoverChunk(r, prev.final)
-		if fault != nil {
+		if fault := r.recoverChunk(prev.final); fault != nil {
 			p.fail(&FaultError{Fault: fault}) //statslint:allow hotalloc fault path: boxes the terminal fault at most once per session
 			return false
 		}
@@ -148,31 +149,41 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		// computed against; refresh the fingerprint cache for the next
 		// boundary's inline wave.
 		specLineage = false
-		origFPs = p.fingerprints(origs)
+		r.origFPs = p.fingerprints(r.origFPs, r.origs)
 	} else {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
+	outs := r.outs
 	if j > 0 {
 		// Slot j-1 has served as boundary j's predecessor for the last
 		// time; reset it for its next lap.
 		p.fr.clear(j - 1)
 	}
+	// prev aliases the record's original-state and fingerprint buffers;
+	// the record outlives its turn as predecessor (pipeline.go).
 	oldFinal := prev.final
-	prev.final, prev.origs = final, origs
-	prev.origFPs, prev.spec = origFPs, specLineage
+	prev.final, prev.origs = r.final, r.origs
+	prev.origFPs, prev.spec = r.origFPs, specLineage
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)
 
 	t1 := time.Now()
 	for _, out := range outs {
+		// A consumer that keeps up leaves room in the buffer: a plain
+		// non-blocking send, no selectgo. Only a full buffer needs the
+		// two-way wait.
 		select {
-		case <-p.ctx.Done():
-			return false
 		case p.out <- out:
-			p.outputs.Add(1)
+		default:
+			select {
+			case <-p.ctx.Done():
+				return false
+			case p.out <- out:
+			}
 		}
+		p.outputs.Add(1)
 	}
 	p.emit(Event{Kind: EvOutputs, Chunk: j, Worker: -1,
 		N: len(outs), Start: t1, Dur: time.Since(t1)})
@@ -180,7 +191,7 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 	// snapshot must never cover outputs the consumer has not been offered)
 	// and before the slab recycles (byte-interval counting reads outs).
 	if p.ckpt != nil {
-		p.ckpt.onCommit(j, r.job.inputs, outs, prev, ok)
+		p.ckpt.onCommit(j, r.inputs, outs, prev, ok)
 	}
 	// The outputs have been copied downstream; recycle the slab.
 	p.slabs.putOut(outs)

@@ -57,7 +57,9 @@ type Report struct {
 	// input length).
 	Chunks int
 	// ThreadsCreated counts threads the runtime spawned: chunk workers,
-	// gang helpers, and original-state replicas (Table I).
+	// gang helpers, and original-state replicas where the substrate gives
+	// them threads of their own (Table I: the simulated machine; a native
+	// run replays them on the chunk's worker).
 	ThreadsCreated int
 	// StatesCreated counts computational states materialized: initial,
 	// fresh, and cloned states (Table I).

@@ -227,9 +227,9 @@ type replicaFault struct {
 
 // runProtected executes fn, converting a panic into a *ChunkFault
 // attributed to chunk/attempt and the site *site held when the panic
-// fired (fn advances *site as it crosses protocol phases). It returns nil
-// when fn completes.
-func runProtected(chunk, attempt int, site *FaultSite, fn func()) (fault *ChunkFault) {
+// fired (fn advances *site as it crosses protocol phases). It returns
+// fn's own error when fn completes.
+func runProtected(chunk, attempt int, site *FaultSite, fn func() error) (fault *ChunkFault, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -250,8 +250,7 @@ func runProtected(chunk, attempt int, site *FaultSite, fn func()) (fault *ChunkF
 		}
 		fault = f
 	}()
-	fn()
-	return nil
+	return nil, fn()
 }
 
 // deadlineProgram wraps a Program so every Update checks the attempt's

@@ -39,14 +39,22 @@ import (
 //	   │              valIdle                              │
 //	   └────────────CAS (apply: no verdict)────────────────┘
 //
-// A prevalidator claims the slot, re-verifies that both results are
-// still the ones it loaded (the slot array is reused across laps), runs
-// the comparison, and publishes valDone. The apply path settles the
+// A prevalidator claims the slot, re-verifies that both slots still
+// publish the chunks it came for (the slot array is reused across laps),
+// runs the comparison, and publishes valDone. The apply path settles the
 // slot — consuming a verdict, waiting out an in-flight claim, or
 // marking it spent so no later claim can start — before it releases any
 // state a prevalidator could be reading. That settle-before-release
 // rule is what makes the concurrent reads safe: states handed to the
 // pool are never reachable from a claimable slot.
+//
+// The slots also hold the chunk records themselves (pipeline.go), reused
+// lap after lap, so the same rule guards the records: outside a claim a
+// prevalidator reads nothing of a slot but its atomics. A claim on slot
+// j with slots j-1 and j re-verified pins both records — record j-1 is
+// reused only after clear(j-1), record j only after clear(j), and both
+// clears come after settle(j), which waits the claim out; a recovery
+// rewrites record j-1 sooner, behind quiesce(j), which does the same.
 const (
 	valIdle int32 = iota
 	valClaimed
@@ -54,35 +62,36 @@ const (
 	valSpent
 )
 
-// valSlot is one frontier slot. res is the published result for the
-// slot's chunk index this lap; the verdict — including which worker
+// valSlot is one frontier slot. pub names the chunk whose result the
+// slot's record holds this lap; the verdict — including which worker
 // computed it — is written between the claim and the valDone store, and
 // read only after observing valDone (the atomic state transitions order
 // them).
 type valSlot struct {
-	res   atomic.Pointer[result]
+	pub   atomic.Int64 // 1 + the published chunk's index; 0 when none
 	state atomic.Int32
 	v     verdict
 	_     pad
+	ck    chunk
 }
 
-// pad, behind a slot's 64 live bytes, keeps adjacent slots off one cache
-// line.
+// pad, behind a slot's atomics and verdict, keeps them a cache line away
+// from the record the owning worker is writing.
 type pad [56]byte
 
 // frontier is the slot array. Its length is a power of two at least
-// Workers+2: chunk j+len is dispatched only after the assembler has
+// window+2: chunk j+len is dispatched only after the assembler has
 // consumed outcome j+1, which means applyCommit(j+1) — the step that resets
-// slot j — has finished, so a slot is never claimed for two chunks at
-// once.
+// slot j and reads record j for the last time — has finished, so a slot
+// is never claimed, and a record never written, for two chunks at once.
 type frontier struct {
 	mask  uint64
 	slots []valSlot
 }
 
-func newFrontier(workers int) *frontier {
+func newFrontier(window int) *frontier {
 	n := uint64(2)
-	for n < uint64(workers)+2 {
+	for n < uint64(window)+2 {
 		n <<= 1
 	}
 	return &frontier{mask: n - 1, slots: make([]valSlot, n)}
@@ -90,10 +99,16 @@ func newFrontier(workers int) *frontier {
 
 func (f *frontier) slot(j int) *valSlot { return &f.slots[uint64(j)&f.mask] }
 
+// chunk returns the record chunk j lives in.
+func (f *frontier) chunk(j int) *chunk { return &f.slot(j).ck }
+
 // publish makes a worker's result visible to prevalidators. The commit
-// stage still receives the result through the results ring; the slot is
+// stage still receives the record through the results ring; the slot is
 // only the validation rendezvous.
-func (f *frontier) publish(r *result) { f.slot(r.job.index).res.Store(r) }
+func (f *frontier) publish(ck *chunk) { f.slot(ck.j).pub.Store(int64(ck.j) + 1) }
+
+// published reports whether slot j holds chunk j's result this lap.
+func (f *frontier) published(j int) bool { return f.slot(j).pub.Load() == int64(j)+1 }
 
 // settle resolves slot j for the applyCommit path: it returns a recorded
 // verdict if one exists, waits out a prevalidator that is mid-claim,
@@ -130,8 +145,41 @@ func (f *frontier) quiesce(j int) { f.settle(j) }
 // predecessor for the last time.
 func (f *frontier) clear(j int) {
 	sl := f.slot(j)
-	sl.res.Store(nil)
+	sl.pub.Store(0)
 	sl.state.Store(valIdle)
+}
+
+// claim takes slot j for a prevalidation of boundary (j-1 → j) if both
+// results are published, and reports whether the caller now holds it —
+// and with it the right to read both records. A caller that does must
+// end the claim with a verdict (record) or give the slot back (unclaim).
+func (f *frontier) claim(j int) bool {
+	if !f.published(j) || !f.published(j-1) {
+		return false
+	}
+	sl := f.slot(j)
+	if !sl.state.CompareAndSwap(valIdle, valClaimed) {
+		return false
+	}
+	// Re-verify under the claim: between our loads and the CAS the
+	// applyCommit path may have recycled either slot for a later lap, in
+	// which case the records are being rewritten and the states behind
+	// them can already be back in the pool.
+	if !f.published(j) || !f.published(j-1) {
+		sl.state.Store(valIdle)
+		return false
+	}
+	return true
+}
+
+// unclaim gives a claimed slot back without a verdict.
+func (f *frontier) unclaim(j int) { f.slot(j).state.Store(valIdle) }
+
+// record ends a claim on slot j with its verdict.
+func (f *frontier) record(j int, v verdict) {
+	sl := f.slot(j)
+	sl.v = v
+	sl.state.Store(valDone)
 }
 
 // prevalidate opportunistically validates boundary (j-1 → j) on the
@@ -141,27 +189,13 @@ func (f *frontier) clear(j int) {
 // touches the committed lineage; losing every race just means the
 // frontier validates inline as before.
 func (p *Pipeline) prevalidate(j, worker int) {
-	if j <= 0 {
+	if j <= 0 || !p.fr.claim(j) {
 		return
 	}
-	ssl, psl := p.fr.slot(j), p.fr.slot(j-1)
-	succ, pred := ssl.res.Load(), psl.res.Load()
-	if succ == nil || pred == nil || succ.job.index != j || pred.job.index != j-1 {
-		return
-	}
+	succ, pred := p.fr.chunk(j), p.fr.chunk(j-1)
 	if succ.fault != nil || pred.fault != nil || succ.spec == nil {
+		p.fr.unclaim(j)
 		return
 	}
-	if !ssl.state.CompareAndSwap(valIdle, valClaimed) {
-		return
-	}
-	// Re-verify under the claim: between our loads and the CAS the applyCommit
-	// path may have recycled either slot for a later lap, in which case
-	// the states behind our pointers can already be back in the pool.
-	if ssl.res.Load() != succ || psl.res.Load() != pred {
-		ssl.state.Store(valIdle)
-		return
-	}
-	ssl.v = p.validate(p.ex, worker, pred.origs, pred.origFPs, succ.spec, succ.specFP, succ.fpOK)
-	ssl.state.Store(valDone)
+	p.fr.record(j, p.validate(p.ex, worker, pred.origs, pred.origFPs, succ.spec, succ.specFP, succ.fpOK))
 }

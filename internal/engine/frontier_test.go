@@ -15,29 +15,25 @@ import (
 // input order regardless of validation completion order — is asserted
 // against the real pipeline in frontier_order_test.go.
 
-// claim simulates the prevalidator's slot protocol for boundary j:
-// CAS-claim, re-verify both published results, record the verdict,
-// publish valDone. Returns false when the claim was lost or the
-// re-verification bailed.
+// claim runs the prevalidator's slot protocol for boundary j: CAS-claim
+// with both published results re-verified under it, then record the
+// verdict. Returns false when the claim was lost or the re-verification
+// bailed.
 func claim(f *frontier, j int, ok bool, n int) bool {
-	ssl, psl := f.slot(j), f.slot(j-1)
-	succ, pred := ssl.res.Load(), psl.res.Load()
-	if succ == nil || pred == nil || succ.job.index != j || pred.job.index != j-1 {
+	if !f.claim(j) {
 		return false
 	}
-	if !ssl.state.CompareAndSwap(valIdle, valClaimed) {
-		return false
-	}
-	if ssl.res.Load() != succ || psl.res.Load() != pred {
-		ssl.state.Store(valIdle)
-		return false
-	}
-	ssl.v = verdict{ok: ok, n: n}
-	ssl.state.Store(valDone)
+	f.record(j, verdict{ok: ok, n: n})
 	return true
 }
 
-func publishIdx(f *frontier, j int) { f.publish(&result{job: &job{index: j}}) }
+// publishIdx stands in for the assembler and a worker: it names slot
+// j&mask's record chunk j and publishes it.
+func publishIdx(f *frontier, j int) {
+	ck := f.chunk(j)
+	ck.j = j
+	f.publish(ck)
+}
 
 func TestFrontierSettleWithoutVerdict(t *testing.T) {
 	f := newFrontier(3)
@@ -78,8 +74,8 @@ func TestFrontierClaimRequiresBothResults(t *testing.T) {
 		t.Fatal("claim succeeded without the predecessor's result")
 	}
 	publishIdx(f, 0)
-	// Stale predecessor from an earlier lap must be rejected by index.
-	f.slot(0).res.Store(&result{job: &job{index: 4}})
+	// A predecessor slot recycled for a later lap must be rejected by index.
+	publishIdx(f, len(f.slots))
 	if claim(f, 1, true, 1) {
 		t.Fatal("claim accepted a recycled predecessor slot")
 	}
@@ -136,7 +132,7 @@ func TestFrontierClearReopensSlot(t *testing.T) {
 	publishIdx(f, 1)
 	f.quiesce(1)
 	f.clear(1)
-	if f.slot(1).res.Load() != nil {
+	if f.published(1) {
 		t.Fatal("clear left a published result behind")
 	}
 	// Next lap: the same physical slot serves a later boundary.
@@ -227,11 +223,7 @@ func TestFrontierStress(t *testing.T) {
 		if j > 0 {
 			// Wait for the result to be published, as the results ring
 			// guarantees before applyCommit(j) runs.
-			sl := f.slot(j)
-			for {
-				if r := sl.res.Load(); r != nil && r.job.index == j {
-					break
-				}
+			for !f.published(j) {
 				runtime.Gosched()
 			}
 			v, have := f.settle(j)
@@ -257,23 +249,20 @@ func TestFrontierStress(t *testing.T) {
 func BenchmarkFrontier(b *testing.B) {
 	b.Run("prevalidated", func(b *testing.B) {
 		f := newFrontier(4)
-		pred := &result{job: &job{index: 0}}
-		succ := &result{job: &job{index: 1}}
-		f.publish(pred)
+		publishIdx(f, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.publish(succ)
+			publishIdx(f, 1)
 			claim(f, 1, true, 1)
 			f.settle(1)
 			f.clear(0)
 			f.clear(1)
-			f.publish(pred)
+			publishIdx(f, 0)
 		}
 	})
 	b.Run("inline", func(b *testing.B) {
 		f := newFrontier(4)
-		pred := &result{job: &job{index: 0}}
-		f.publish(pred)
+		publishIdx(f, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f.settle(1)

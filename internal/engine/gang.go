@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gostats/internal/machine"
 	"gostats/internal/rng"
@@ -50,6 +51,15 @@ func newGang(ex Exec, name string, width int, counter func()) *gang {
 		counter()
 	}
 	return g
+}
+
+// chunkGang is newGang for chunk j's gang, named "<program>-<role><j>";
+// the name is built only when there are helpers to carry it.
+func chunkGang(ex Exec, p Program, role string, j, width int, counter func()) *gang {
+	if width <= 1 {
+		return nil
+	}
+	return newGang(ex, fmt.Sprintf("%s-%s%d", p.Name(), role, j), width, counter)
 }
 
 func (g *gang) helper(he Exec, i int) {
@@ -136,4 +146,44 @@ func (g *gang) Close(ex Exec) {
 	for _, h := range g.handles {
 		ex.Join(h)
 	}
+}
+
+// spawnReplicas runs the chunk's original-state replicas each on a thread
+// of its own ("<program>-r<j>.<i>") and appends their states to origs —
+// the shape of Fig. 5 on a substrate that charges for the work, where
+// the replicas' overlap with each other is part of what is measured.
+func (c *chunkRun) spawnReplicas(window []Input, snapshot State, rnd *rng.Stream, origs []State) []State {
+	ex, p := c.ex, c.guarded
+	results := make([]State, c.extra)
+	handles := make([]Handle, c.extra)
+	myLoc := ex.Loc()
+	// A panic on a replica thread cannot unwind into the owning worker's
+	// recover; capture the first one here and re-raise it on the worker
+	// after the joins, so the protocol's thread structure (spawn/join
+	// pairing) is undisturbed by the fault.
+	var rf atomic.Pointer[replicaFault]
+	for i := range results {
+		i := i
+		rr := rnd.DeriveN("replica", i)
+		handles[i] = ex.Spawn(fmt.Sprintf("%s-r%d.%d", p.Name(), c.j, i), func(re Exec) {
+			defer func() {
+				if r := recover(); r != nil {
+					rf.CompareAndSwap(nil, &replicaFault{val: r, stack: stack()})
+				}
+			}()
+			re.SetCat(trace.CatOrigStates)
+			sr := c.pool.Clone(snapshot)
+			c.countState()
+			re.Copy(p.StateBytes(), myLoc, p.Name()+".orig")
+			results[i] = replay(re, p, sr, window, rr, trace.CatOrigStates)
+		})
+		c.countThread()
+	}
+	for _, h := range handles {
+		ex.Join(h)
+	}
+	if f := rf.Load(); f != nil {
+		panic(f)
+	}
+	return append(origs, results...)
 }

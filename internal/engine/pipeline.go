@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gostats/internal/autotune"
+	"gostats/internal/checkpoint"
 	"gostats/internal/ring"
 )
 
@@ -40,8 +41,8 @@ import (
 //	    exactly the §II-B protocol, so outputs are committed in input order
 //	    with batch-identical semantics.
 //
-// Backpressure: the assembler may run at most Workers chunks ahead of the
-// commit frontier; when the window is full, chunk assembly stalls, the
+// Backpressure: the assembler may run at most a window of chunks — two a
+// worker — ahead of the commit frontier; when the window is full, chunk assembly stalls, the
 // ingest queue fills, and Push blocks. Chunk-size decisions read only
 // outcomes behind the frontier, which makes them — and therefore the whole
 // committed output sequence — a pure function of (seed, input sequence),
@@ -70,8 +71,11 @@ type StreamConfig struct {
 	// InnerWidth is the gang width for the program's original TLP inside
 	// each update; 1 (the default 0 maps to 1) uses only STATS TLP.
 	InnerWidth int
-	// Workers is the worker-pool size and the speculation window: at most
-	// Workers chunks are in flight past the commit frontier. Default 4.
+	// Workers is the number of goroutines doing protocol work: each runs
+	// whole chunks — alternative producer, body and, on this substrate,
+	// the original-state replicas too — and validates boundaries ahead of
+	// the commit stage. It also sets the speculation window: at most
+	// 2*Workers chunks are in flight past the commit frontier. Default 4.
 	Workers int
 	// QueueDepth bounds the ingest queue (and output buffer). Default
 	// 2*ChunkSize.
@@ -136,6 +140,12 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
+// window is the speculation window: the most chunks dispatched past the
+// commit frontier. Everything sized by chunks in flight — the outcome
+// wait in sizeFor, the jobs, results and outcomes rings, the frontier's
+// slots, the slab free lists, a snapshot's pending outcomes — reads it.
+func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
+
 // Validate reports configuration errors.
 func (c StreamConfig) Validate() error {
 	if c.ChunkSize < 1 {
@@ -177,7 +187,11 @@ type StreamStats struct {
 	Resizes int64 // online chunk-size changes
 	States  int64 // computational states materialized
 	Reused  int64 // state clones served from retired buffers (StatePool)
-	Threads int64 // goroutine contexts spawned by the protocol
+	// Threads counts the goroutines the protocol spawned chunk by chunk:
+	// gang helpers, when InnerWidth > 1. The worker pool is not in it, nor
+	// are the original-state replicas, which run on the worker that owns
+	// the chunk.
+	Threads int64
 
 	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
 	Retries  int64 // faulted attempts retried after backoff
@@ -195,26 +209,40 @@ type StreamStats struct {
 // ErrClosed is returned by Push after Close.
 var ErrClosed = errors.New("stream: pipeline closed")
 
-// job is one assembled chunk handed to the worker pool.
-type job struct {
-	index      int     // session-monotonic chunk index
+// chunk is one in-flight chunk of a pipeline: the job the assembler hands
+// to the worker pool, the worker's speculative result, and the protocol
+// view (chunkRun) that executes both. The records are not allocated per
+// chunk: they live in the frontier's slot array (frontier.go), chunk j in
+// slot j&mask, and travel through the jobs and results rings by pointer.
+//
+// Ownership follows the hand-offs. The assembler fills the job half and
+// binds the run before the jobs push; the worker that pops it fills the
+// result half and publishes it; from then on the record is read-only —
+// by the commit stage, and by prevalidators holding a claim on a slot
+// that pins it — except that recovery, at the commit stage and only
+// after the slots that could read them are spent, rewrites outs, final
+// and origs in place. The record is dead once its successor has been
+// applied, one outcome before the assembler may reach the slot again.
+type chunk struct {
+	chunkRun // run.j is the session-monotonic chunk index
+	p        *Pipeline
+
+	// The job.
 	inputs     []Input // the chunk's inputs
 	prevWindow []Input // last k inputs of the previous chunk; nil for chunk 0
-	initial    State   // chunk 0 only: the program's initial state
-}
+	initState  State   // chunk 0 only: the program's initial state
 
-// result is a worker's speculative execution of one chunk. The snapshot
-// the worker took is not carried: it is consumed by original-state
-// generation and retired worker-side. A result whose worker exhausted its
-// retry budget carries only the fault; the commit frontier degrades it to
-// an in-place sequential re-execution.
-type result struct {
-	job   *job
+	// The result. The snapshot the worker took is not carried: it is
+	// consumed by original-state generation and retired worker-side. A
+	// result whose worker exhausted its retry budget carries only the
+	// fault; the commit frontier degrades it to an in-place sequential
+	// re-execution. origs and origFPs keep their backing arrays from lap
+	// to lap.
 	spec  State // speculative start state (clone), nil for chunk 0
 	outs  []Output
 	final State
 	origs []State
-	fault *ChunkFault // retries exhausted; all other fields are dead
+	fault *ChunkFault // retries exhausted; all other result fields are dead
 
 	// Fingerprint caches for the validation wave, computed worker-side
 	// when the program implements Fingerprinter: the lanes of spec and of
@@ -225,6 +253,8 @@ type result struct {
 	specFP  uint64
 	origFPs []uint64
 	fpOK    bool
+
+	trueFinal State // recovery only: the committed predecessor's final state
 }
 
 // Pipeline is a running streaming STATS execution. Create with NewStream,
@@ -246,8 +276,8 @@ type Pipeline struct {
 	// channel. See the package doc in internal/ring for the memory-model
 	// and parking discipline.
 	in       *ring.SPSC[Input]
-	jobs     *ring.MPMC[*job]
-	results  *ring.MPMC[*result]
+	jobs     *ring.MPMC[*chunk]
+	results  *ring.MPMC[*chunk]
 	outcomes *ring.SPSC[bool]
 	out      chan Output
 	fr       *frontier
@@ -341,29 +371,30 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		outer:  outer,
 		cancel: cancel,
 		in:     ring.NewSPSC[Input](cfg.QueueDepth),
-		// jobs is kept at the ring minimum (2): chunks in flight are
-		// bounded by the outcome window below, not by this hop, and a
-		// small ring keeps the assembler at most one chunk ahead of the
-		// pool — the same backpressure shape the old unbuffered hand-off
-		// had.
-		jobs: ring.NewMPMC[*job](2),
+		// jobs holds one slot per in-flight chunk, like results: chunks in
+		// flight are bounded by the outcome window below, so the assembler
+		// never spins or parks on this hop.
+		jobs: ring.NewMPMC[*chunk](cfg.window() + 1),
 		// results holds one slot per in-flight chunk so workers never
 		// block behind the commit stage's reorder buffer.
-		results: ring.NewMPMC[*result](cfg.Workers + 1),
+		results: ring.NewMPMC[*chunk](cfg.window() + 1),
 		// outcomes is the speculation window: the assembler consumes
-		// exactly max(0, j-Workers) outcomes before sizing chunk j, which
+		// exactly max(0, j-window) outcomes before sizing chunk j, which
 		// both bounds chunks in flight and keeps sizing deterministic.
-		// Capacity Workers+2 exceeds the maximum unconsumed backlog, so
+		// Capacity window+2 exceeds the maximum unconsumed backlog, so
 		// the commit stage never parks here.
-		outcomes: ring.NewSPSC[bool](cfg.Workers + 2),
+		outcomes: ring.NewSPSC[bool](cfg.window() + 2),
 		out:      make(chan Output, cfg.QueueDepth),
-		fr:       newFrontier(cfg.Workers),
+		fr:       newFrontier(cfg.window()),
 		ctl:      ctl,
 		met:      cfg.Metrics,
 	}
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, combineSinks(cfg.Metrics, cfg.Sink))
+	for i := range p.fr.slots {
+		p.fr.slots[i].ck.p = p
+	}
 	p.fper, _ = prog.(Fingerprinter)
-	p.slabs.limit = 2*cfg.Workers + 4
+	p.slabs.limit = 2*cfg.window() + 4
 	p.resume = rs
 	p.haltCh = make(chan struct{})
 	p.down = make(chan struct{})
@@ -376,8 +407,8 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	if rs != nil {
 		// Preload the outcome window with the snapshot's pending outcomes:
 		// the restored assembler consumes them at exactly the decision
-		// points the uninterrupted one would have. At most Workers entries
-		// (snapshot-validated), so TryPush on a Workers+2 ring cannot fail.
+		// points the uninterrupted one would have. At most window entries
+		// (snapshot-validated), so TryPush on a window+2 ring cannot fail.
 		for _, ok := range rs.pending {
 			p.outcomes.TryPush(ok)
 		}

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"gostats/internal/rng"
 	"gostats/internal/trace"
 )
@@ -18,15 +15,16 @@ import (
 // speculativeState runs an alternative producer (§III-B "Generating
 // speculative states"): it builds the speculative start state for a chunk
 // whose predecessor ends with window, by replaying only those inputs from
-// a cold state. workerRng is the owning chunk's worker stream; the
-// producer derives its "fresh" and "altprod" substreams from it. pool
-// rebuilds the cold state into a retired state's buffers when it can
-// (FreshRecycler). onState is invoked once per state materialized.
-func speculativeState(ex Exec, p Program, pool *StatePool, window []Input, workerRng *rng.Stream, onState func()) State {
-	ex.SetCat(trace.CatAltProducer)
-	s := pool.Fresh(workerRng.Derive("fresh"))
-	onState()
-	return replay(ex, p, s, window, workerRng.Derive("altprod"), trace.CatAltProducer)
+// a cold state, drawing from the "fresh" and then the "altprod" substream
+// of the chunk's worker stream. The pool rebuilds the cold state into a
+// retired state's buffers when it can (FreshRecycler).
+func (c *chunkRun) speculativeState(window []Input) State {
+	c.ex.SetCat(trace.CatAltProducer)
+	c.sub = c.rng.Sub("fresh")
+	s := c.pool.Fresh(&c.sub)
+	c.countState()
+	c.sub = c.rng.Sub("altprod")
+	return replay(c.ex, c.guarded, s, window, &c.sub, trace.CatAltProducer)
 }
 
 // replay advances s over window — the lookback replay both the
@@ -49,16 +47,18 @@ func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat tr
 	return s
 }
 
-// processChunk executes one chunk's updates from state s, snapshotting the
-// state just before input index snapAt (the base the original-state
-// replicas replay from; snapAt < 0 disables the snapshot, as for the last
-// chunk of a bounded stream). g may be nil when the program's original TLP
-// is not used. pool serves the snapshot clone from retired state buffers;
-// outBuf, when non-nil, is a retired output slab the
-// returned outputs are accumulated into (the caller transfers ownership).
-// It returns the outputs, the snapshot (nil if disabled) and the final
-// state.
-func processChunk(ex Exec, p Program, pool *StatePool, g *gang, chunk []Input, snapAt int, s State, rnd, jit *rng.Stream, cat trace.Category, onState func(), outBuf []Output) ([]Output, State, State) {
+// processChunk executes one chunk's updates from state s under cat,
+// drawing from the label substream of the chunk's worker stream and
+// snapshotting the state just before input index snapAt (the base the
+// original-state replicas replay from; snapAt < 0 disables the snapshot,
+// as for the last chunk of a bounded stream). The pool serves the
+// snapshot clone from retired state buffers; outBuf, when non-nil, is a
+// retired output slab the returned outputs are accumulated into (the
+// caller transfers ownership). It returns the outputs, the snapshot (nil
+// if disabled) and the final state.
+func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output) ([]Output, State, State) {
+	ex, p := c.ex, c.guarded
+	c.sub = c.rng.Sub(label)
 	var snapshot State
 	outs := outBuf[:0]
 	if outBuf == nil {
@@ -67,79 +67,70 @@ func processChunk(ex Exec, p Program, pool *StatePool, g *gang, chunk []Input, s
 	ex.SetCat(cat)
 	// With no gang and a cost-discarding executor the per-input cost
 	// model feeds nothing: Update itself is the work.
-	if costFree(ex) && g == nil {
+	if costFree(ex) && c.g == nil {
 		for i, in := range chunk {
 			if i == snapAt {
-				snapshot = pool.Clone(s)
-				onState()
+				snapshot = c.pool.Clone(s)
+				c.countState()
 			}
 			var out Output
-			s, out = p.Update(s, in, rnd)
+			s, out = p.Update(s, in, &c.sub)
 			outs = append(outs, out)
 		}
 		return outs, snapshot, s
 	}
 	for i, in := range chunk {
 		if i == snapAt {
-			snapshot = pool.Clone(s)
-			onState()
+			snapshot = c.pool.Clone(s)
+			c.countState()
 			ex.Copy(p.StateBytes(), ex.Loc(), p.Name()+".snap")
 			ex.SetCat(cat)
 		}
 		uw := p.UpdateCost(in, s)
 		var out Output
-		s, out = p.Update(s, in, rnd)
-		g.Run(ex, uw, cat, jit, uw.ShareJitter)
+		s, out = p.Update(s, in, &c.sub)
+		c.g.Run(ex, uw, cat, &c.jit, uw.ShareJitter)
 		outs = append(outs, out)
 	}
 	return outs, snapshot, s
 }
 
-// originalStates produces the set of original states for a chunk boundary:
-// the chunk's own final state plus extra replicas, each re-running the
-// last window inputs from the snapshot with fresh nondeterminism on its
-// own thread (Fig. 5, cores 0–2). tag names the replica threads (replica i
-// spawns as "tag.i"). pool serves replica start clones from retired state
-// buffers; the runtime retires them back via StatePool.ReleaseReplicas
-// once the boundary has been validated. onThread/onState count spawned
-// threads and materialized states.
-func originalStates(ex Exec, p Program, pool *StatePool, tag string, window []Input, snapshot, final State, extra int, rnd *rng.Stream, onThread, onState func()) []State {
-	origs := []State{final}
-	if extra == 0 || snapshot == nil {
+// originalStates produces the set of original states for the chunk's
+// boundary: its own final state plus the configured replicas, each
+// re-running the last window inputs from the snapshot with fresh
+// nondeterminism drawn from rnd (Fig. 5, cores 0–2). Where a replica
+// runs is the substrate's business. On a simulated machine each gets a
+// thread of its own (spawnReplicas). On a cost-free executor replaying
+// the window costs less than spawning and joining a goroutine for it, so
+// the replicas run here, on the context that owns the chunk, one after
+// the other. RNG substreams are derived from rnd by label, so where a
+// replica runs cannot change a state. The pool serves replica start
+// clones from retired state buffers; the runtime retires them back via
+// StatePool.ReleaseReplicas once the boundary has been validated. dst,
+// when it has the room, is the buffer the set is returned in.
+func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rng.Stream, dst []State) []State {
+	extra := c.extra
+	if snapshot == nil {
+		extra = 0
+	}
+	origs := dst[:0]
+	if cap(dst) < 1+extra {
+		origs = make([]State, 0, 1+extra)
+	}
+	origs = append(origs, final)
+	if extra == 0 {
 		return origs
 	}
-	results := make([]State, extra)
-	handles := make([]Handle, extra)
-	myLoc := ex.Loc()
-	// A panic on a replica thread cannot unwind into the owning worker's
-	// recover; capture the first one here and re-raise it on the worker
-	// after the joins, so the protocol's thread structure (spawn/join
-	// pairing on both substrates) is undisturbed by the fault.
-	var rf atomic.Pointer[replicaFault]
+	if !costFree(c.ex) {
+		return c.spawnReplicas(window, snapshot, rnd, origs)
+	}
 	for i := 0; i < extra; i++ {
-		i := i
-		rr := rnd.DeriveN("replica", i)
-		handles[i] = ex.Spawn(fmt.Sprintf("%s.%d", tag, i), func(re Exec) {
-			defer func() {
-				if r := recover(); r != nil {
-					rf.CompareAndSwap(nil, &replicaFault{val: r, stack: stack()})
-				}
-			}()
-			re.SetCat(trace.CatOrigStates)
-			sr := pool.Clone(snapshot)
-			onState()
-			re.Copy(p.StateBytes(), myLoc, p.Name()+".orig")
-			results[i] = replay(re, p, sr, window, rr, trace.CatOrigStates)
-		})
-		onThread()
+		sr := c.pool.Clone(snapshot)
+		c.countState()
+		c.sub = rnd.SubN("replica", i)
+		origs = append(origs, replay(c.ex, c.guarded, sr, window, &c.sub, trace.CatOrigStates))
 	}
-	for _, h := range handles {
-		ex.Join(h)
-	}
-	if f := rf.Load(); f != nil {
-		panic(f)
-	}
-	return append(origs, results...)
+	return origs
 }
 
 // MatchAny is the runtime's state comparison (§II-B): it reports whether

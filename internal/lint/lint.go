@@ -124,12 +124,13 @@ type Config struct {
 // ring operation runs once per pipeline hop, and the engine's frontier/
 // commit/assemble files run once per input on the committed path — as
 // does bench's ndjson.go, which every served line is read and written
-// with.
+// with. worker/attempt/protocol are the chunk protocol itself, which
+// runs once per chunk and allocates nothing there on the fault-free path.
 func DefaultConfig() *Config {
 	return &Config{
 		HotPathPackages: []string{"gostats/internal/ring"},
 		HotPathFiles: map[string][]string{
-			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go"},
+			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go", "worker.go", "attempt.go", "protocol.go"},
 			"gostats/internal/bench":  {"ndjson.go"},
 		},
 		CriticalPrefixes: []string{

@@ -26,6 +26,12 @@ type SPSC[T any] struct {
 	closeCh  chan struct{} // closed by Close: wakes every parked caller
 	notEmpty gate          // consumer parks here
 	notFull  gate          // producer parks here
+	// want is the consumer's low-water mark: the tail position at which
+	// the parked consumer can make progress. The consumer publishes it
+	// before arming notEmpty, and the producer wakes the gate only once
+	// its tail has reached it — a consumer waiting for a batch is woken
+	// once, when the batch is there, not once per element.
+	want atomic.Uint64
 }
 
 // NewSPSC returns an empty ring with capacity ≥ capacity, rounded up to
@@ -59,47 +65,16 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1) // publish: slot write happens-before this store
-	q.notEmpty.wake()
+	if q.notEmpty.waiters.Load() > 0 && t+1 >= q.want.Load() {
+		q.notEmpty.wake()
+	}
 	return true
 }
 
 // Push appends v, parking while the ring is full. done (which may be
 // nil) cancels the wait: Push then returns ErrCanceled. Pushing to a
 // closed ring returns ErrClosed.
-func (q *SPSC[T]) Push(done <-chan struct{}, v T) error {
-	for spin := 0; ; spin++ {
-		if q.TryPush(v) {
-			return nil
-		}
-		if q.closed.Load() {
-			return ErrClosed
-		}
-		if spin < spinRounds {
-			runtime.Gosched()
-			continue
-		}
-		q.notFull.waiters.Add(1)
-		// Recheck after arming: a consumer that popped before seeing the
-		// waiter count would otherwise never wake us (store-load fence
-		// via the seq-cst atomics).
-		if q.TryPush(v) {
-			q.notFull.waiters.Add(-1)
-			return nil
-		}
-		if q.closed.Load() {
-			q.notFull.waiters.Add(-1)
-			return ErrClosed
-		}
-		select {
-		case <-q.notFull.ch:
-		case <-q.closeCh:
-		case <-done:
-			q.notFull.waiters.Add(-1)
-			return ErrCanceled
-		}
-		q.notFull.waiters.Add(-1)
-	}
-}
+func (q *SPSC[T]) Push(done <-chan struct{}, v T) error { return q.PushWait(done, nil, v) }
 
 // PushWait is Push with two cancellation channels (either may be nil):
 // the pipeline hands it the per-call context's done channel and its own.
@@ -118,6 +93,9 @@ func (q *SPSC[T]) PushWait(done1, done2 <-chan struct{}, v T) error {
 			continue
 		}
 		q.notFull.waiters.Add(1)
+		// Recheck after arming: a consumer that popped before seeing the
+		// waiter count would otherwise never wake us (store-load fence
+		// via the seq-cst atomics).
 		if q.TryPush(v) {
 			q.notFull.waiters.Add(-1)
 			return nil
@@ -180,6 +158,7 @@ func (q *SPSC[T]) Pop(done <-chan struct{}) (T, error) {
 			runtime.Gosched()
 			continue
 		}
+		q.want.Store(q.head.Load() + 1)
 		q.notEmpty.waiters.Add(1)
 		if v, ok := q.TryPop(); ok {
 			q.notEmpty.waiters.Add(-1)
@@ -203,9 +182,54 @@ func (q *SPSC[T]) Pop(done <-chan struct{}) (T, error) {
 	}
 }
 
+// Await parks the consumer until at least n elements are buffered — n
+// is clamped to the capacity, so a full ring always satisfies the wait
+// and a batch larger than the ring is collected in ring-sized waves. It
+// returns nil when they are there, ErrClosed when the ring closed with
+// fewer (what is buffered stays poppable), ErrCanceled if done fires
+// first. The producer wakes the gate once, when its tail reaches the
+// published mark.
+func (q *SPSC[T]) Await(done <-chan struct{}, n int) error {
+	target := q.head.Load() + uint64(min(n, len(q.buf)))
+	for spin := 0; ; spin++ {
+		if q.tail.Load() >= target {
+			return nil
+		}
+		if q.closed.Load() {
+			// Drain race: the producer may have pushed between our load
+			// and its Close.
+			if q.tail.Load() >= target {
+				return nil
+			}
+			return ErrClosed
+		}
+		if spin < spinRounds {
+			runtime.Gosched()
+			continue
+		}
+		q.want.Store(target)
+		q.notEmpty.waiters.Add(1)
+		// Recheck after arming: a producer that pushed before seeing the
+		// waiter count would otherwise never wake us.
+		if q.tail.Load() >= target || q.closed.Load() {
+			q.notEmpty.waiters.Add(-1)
+			continue
+		}
+		select {
+		case <-q.notEmpty.ch:
+		case <-q.closeCh:
+		case <-done:
+			q.notEmpty.waiters.Add(-1)
+			return ErrCanceled
+		}
+		q.notEmpty.waiters.Add(-1)
+	}
+}
+
 // PopBatch moves up to len(dst) buffered elements into dst with one
 // cursor update, returning how many were moved (possibly 0). It never
-// blocks; pair it with Pop for the first element of a wave.
+// blocks; pair it with Await (or Pop for the first element) to wait for
+// a wave.
 func (q *SPSC[T]) PopBatch(dst []T) int {
 	var zero T
 	h := q.head.Load()

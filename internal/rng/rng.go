@@ -42,6 +42,12 @@ type Stream struct {
 // New returns a Stream seeded from seed. Two streams built from the same
 // seed produce identical sequences.
 func New(seed uint64) *Stream {
+	st := seeded(seed)
+	return &st
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Stream {
 	var st Stream
 	sm := seed
 	for i := range st.s {
@@ -51,7 +57,7 @@ func New(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &st
+	return st
 }
 
 // Derive returns a new independent Stream identified by label. Derivation
@@ -59,23 +65,36 @@ func New(seed uint64) *Stream {
 // creates is independent of the order in which other components draw
 // numbers.
 func (r *Stream) Derive(label string) *Stream {
-	h := r.s[0] ^ 0x51afd54ed5d1c355
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * 0x100000001b3
-	}
-	h ^= r.s[2]
-	return New(h)
+	st := r.Sub(label)
+	return &st
 }
 
 // DeriveN returns a new independent Stream identified by an integer, for
 // per-thread or per-chunk substreams.
 func (r *Stream) DeriveN(label string, n int) *Stream {
+	st := r.SubN(label, n)
+	return &st
+}
+
+// Sub is Derive by value — the same bits, no allocation — for callers
+// that embed their substreams in a structure they already own.
+func (r *Stream) Sub(label string) Stream {
+	h := r.s[0] ^ 0x51afd54ed5d1c355
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * 0x100000001b3
+	}
+	h ^= r.s[2]
+	return seeded(h)
+}
+
+// SubN is DeriveN by value.
+func (r *Stream) SubN(label string, n int) Stream {
 	h := r.s[0] ^ (uint64(n)+1)*0x2545f4914f6cdd1d
 	for i := 0; i < len(label); i++ {
 		h = (h ^ uint64(label[i])) * 0x100000001b3
 	}
 	h ^= r.s[2] ^ uint64(n)<<32
-	return New(h)
+	return seeded(h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -75,6 +75,33 @@ func TestDeriveNDistinct(t *testing.T) {
 	}
 }
 
+// TestSubIsDeriveByValue pins the by-value derivation to the bits Derive
+// and DeriveN have always produced (the constants predate Sub), and to
+// what it is for: a substream in storage the caller owns, no allocation.
+func TestSubIsDeriveByValue(t *testing.T) {
+	root := New(7)
+	a, n := root.Sub("alpha"), root.SubN("thread", 3)
+	if got := a.Uint64(); got != 0x91e991dabee84a15 {
+		t.Errorf(`Sub("alpha") first draw = %#x`, got)
+	}
+	if got := n.Uint64(); got != 0x74d2cf06e52d785f {
+		t.Errorf(`SubN("thread", 3) first draw = %#x`, got)
+	}
+	if got := root.Derive("alpha").Uint64(); got != 0x91e991dabee84a15 {
+		t.Errorf(`Derive("alpha") first draw = %#x`, got)
+	}
+	if got := root.DeriveN("thread", 3).Uint64(); got != 0x74d2cf06e52d785f {
+		t.Errorf(`DeriveN("thread", 3) first draw = %#x`, got)
+	}
+	var slot Stream
+	if allocs := testing.AllocsPerRun(100, func() {
+		slot = root.SubN("worker", 1)
+		slot = slot.Sub("body")
+	}); allocs != 0 {
+		t.Errorf("Sub/SubN into an owned slot allocate %v objects a run", allocs)
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	for n := 1; n < 40; n++ {

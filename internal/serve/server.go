@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"gostats/internal/bench"
+	"gostats/internal/checkpoint"
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
 )
@@ -208,7 +209,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // retryAfterSeconds computes the Retry-After hint sent with a 429 shed.
 // The flag-tunable base (-retry-after) is scaled by how saturated the
 // in-flight sessions' speculation windows are: a server whose sessions
-// all have full windows (InFlight chunks ≈ active·Workers) is further
+// all have full windows (InFlight chunks ≈ active·Window(Workers)) is further
 // from freeing a session slot than one shedding on a brief spike, so its
 // clients — and the gateway using this hint to schedule re-routes — back
 // off for up to twice the base. Clamped to [1s, 60s].
@@ -217,11 +218,11 @@ func (s *Server) retryAfterSeconds() int {
 	active := s.met.Active.Load()
 	occ := 0.0
 	if active > 0 {
-		window := s.base.Workers
-		if window <= 0 {
-			window = 4 // the pipeline default
+		workers := s.base.Workers
+		if workers <= 0 {
+			workers = 4 // the pipeline default
 		}
-		occ = float64(s.met.InFlight.Load()) / float64(active*int64(window))
+		occ = float64(s.met.InFlight.Load()) / float64(active*int64(checkpoint.Window(workers)))
 		occ = math.Min(occ, 1)
 	}
 	secs := int(math.Ceil(base * (1 + occ)))
