@@ -76,8 +76,8 @@ func (c OnlineConfig) Validate() error {
 
 // Online retunes the streaming chunk size from commit/abort outcomes. It
 // is NOT goroutine-safe by design: determinism requires a single owner
-// (the pipeline's chunk assembler) that records outcomes in commit order
-// and reads ChunkSize at deterministic points between records.
+// (the pipeline's producer, inside Push) that records outcomes in commit
+// order and reads ChunkSize at deterministic points between records.
 type Online struct {
 	cfg      OnlineConfig
 	size     int

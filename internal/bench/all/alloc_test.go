@@ -107,7 +107,11 @@ func mallocs(f func()) uint64 {
 // every chunk builds a cold state — and measure 12.1–12.6 at either
 // worker count (42.5 before chunk records, RNG streams and replica
 // hand-offs stopped being allocated per chunk). One object more per chunk
-// in the engine fails.
+// in the engine fails. The producer side is inside the measurement: Push
+// fills and dispatches every chunk, parks on the speculation window with
+// a cancellable context of its own, and — in the adaptive case, pinned to
+// the same boundaries — records an outcome into the controller under the
+// boundary lock once a chunk.
 func TestPipelineAllocations(t *testing.T) {
 	const (
 		chunkSize   = 16
@@ -122,10 +126,15 @@ func TestPipelineAllocations(t *testing.T) {
 	timedIn := inputs[warm*chunkSize:]
 	kernel := mallocs(func() { engine.RunSequential(engine.NewNativeExec(), b, timedIn, 3) })
 
-	for _, workers := range []int{1, 2} {
+	for _, tc := range []struct {
+		workers int
+		adapt   bool
+	}{{1, false}, {2, false}, {2, true}} {
+		workers := tc.workers
 		ctx, cancel := context.WithCancel(context.Background())
 		p, err := engine.NewStream(ctx, b, engine.StreamConfig{
-			ChunkSize: chunkSize, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 3})
+			ChunkSize: chunkSize, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 3,
+			Adapt: tc.adapt, MinChunk: chunkSize, MaxChunk: chunkSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +166,12 @@ func TestPipelineAllocations(t *testing.T) {
 		}
 		st, err := p.Wait()
 		cancel()
-		if err != nil || st.Faults != 0 {
-			t.Fatalf("workers=%d: err %v, %d faults", workers, err, st.Faults)
+		if err != nil || st.Faults != 0 || st.Chunks != warm+3*timed {
+			t.Fatalf("workers=%d adapt=%v: err %v, %d faults, %d chunks (want %d)", workers, tc.adapt, err, st.Faults, st.Chunks, warm+3*timed)
 		}
 		if perChunk := (float64(got) - float64(kernel)) / timed; perChunk > budget {
-			t.Errorf("workers=%d: %.2f heap objects per chunk beyond the kernel's own (%d objects over %d chunks, kernel %d), want at most %.0f",
-				workers, perChunk, got, timed, kernel, budget)
+			t.Errorf("workers=%d adapt=%v: %.2f heap objects per chunk beyond the kernel's own (%d objects over %d chunks, kernel %d), want at most %.0f",
+				workers, tc.adapt, perChunk, got, timed, kernel, budget)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // (benchmark, seed, committed input prefix). Everything a fresh pipeline
 // needs to produce byte-identical remaining outputs fits in a few fields:
 // the session parameters (which fix every rng derivation), the index of
-// the next chunk to assemble, the committed-state lineage at the frontier
+// the next chunk to dispatch, the committed-state lineage at the frontier
 // (final state plus the extra original-state replicas the next boundary
 // validation will compare against), the previous chunk's lookback window,
 // and the adaptive controller's decision state. Nothing else is captured
@@ -75,7 +75,7 @@ type Snapshot struct {
 	MaxChunk    int  `json:"max_chunk,omitempty"`
 
 	// NextChunk is the index of the first chunk not yet committed; the
-	// restored assembler and commit stage both start here.
+	// restored producer and commit stage both start here.
 	NextChunk int `json:"next_chunk"`
 	// Inputs is the absolute count of committed inputs (== committed
 	// outputs; the protocol emits exactly one output per input). A
@@ -94,9 +94,9 @@ type Snapshot struct {
 	Lineage [][]byte `json:"lineage,omitempty"`
 
 	// Pending is the commit/abort outcome of the most recent committed
-	// chunks (oldest first) that the chunk assembler had not yet folded
+	// chunks (oldest first) that the producer had not yet folded
 	// into the adaptive controller when the snapshot was taken — the
-	// in-flight window between the commit stage and the assembler, at
+	// in-flight window between the commit stage and the producer, at
 	// most Window(Workers) entries. A restored pipeline preloads its outcome
 	// queue with these so the controller sees the exact same outcome
 	// sequence at the exact same decision points.

@@ -1,82 +1,80 @@
 package engine
 
-import "gostats/internal/ring"
+import (
+	"context"
+	"time"
+)
 
-// assemble is the chunk-assembly stage: it groups ingested inputs into
-// chunks, attaches the previous chunk's lookback window (what the next
-// chunk's alternative producer will replay), and dispatches jobs to the
-// worker pool. It is the single owner of the online chunk-size controller
-// and of the outcome window that implements backpressure.
-func (p *Pipeline) assemble() {
-	defer p.stages.Done()
-	defer p.jobs.Close()
-	// A panic here (e.g. the program's Initial) has no chunk to charge it
-	// to; it fails the session as a whole — structured error, not a crash.
-	//statslint:allow hotalloc session-scoped panic guard: the closure is built once per stage, not per input
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&FaultError{Fault: &ChunkFault{ //statslint:allow hotalloc panic path: boxes the fault at most once per session
-				Chunk: -1, Site: SiteAssemble, Panic: r, Stack: stack()}})
-		}
-	}()
+// This file is the producer side of the pipeline. There is no assembler
+// stage: Push groups inputs into the chunk's slab on its caller's
+// goroutine, attaches the previous chunk's lookback window (what the
+// chunk's alternative producer will replay), and dispatches the chunk to
+// the worker pool on its last input. The producer is the single owner of
+// the outcome window that implements backpressure and the only writer of
+// the online chunk-size controller.
 
-	j := 0        // next chunk index
-	consumed := 0 // commit outcomes consumed so far
-	var prevWindow []Input
-	if rs := p.resume; rs != nil {
-		// Resume at the snapshot frontier: the first chunk to assemble is
-		// the first uncommitted one, its window was decoded from the
-		// snapshot, and the outcomes preloaded into the ring stand in for
-		// the ones the interrupted assembler had not consumed yet.
-		j = rs.next
-		consumed = rs.next - len(rs.pending)
-		prevWindow = rs.prevWindow
+// producer is the chunk being filled. It belongs to the one goroutine
+// that calls Push and Close.
+type producer struct {
+	j          int     // index of the chunk being filled
+	consumed   int     // commit outcomes consumed so far
+	buf        []Input // chunk j's slab, as long as the chunk; nil until its first input
+	n          int     // inputs written into buf
+	prevWindow []Input // the lookback window chunk j-1 left behind
+}
+
+// Push ingests one input on the caller's goroutine. The first input of a
+// chunk sizes it, which blocks while the speculation window is full —
+// that wait is the pipeline's backpressure — and the last one dispatches
+// it. ctx bounds this one call; a call it cuts short consumed nothing and
+// may be repeated.
+//
+// A session that has ended — its context canceled, a terminal fault, or
+// Halt — stops taking input: Push returns the session's terminal error
+// (the context's error, the FaultError, or ErrClosed after Halt) no
+// later than the next chunk boundary, and no chunk is announced after it.
+// Inputs accepted into a chunk that is never announced are dropped.
+//
+// Push and Close form the producer side of the pipeline and must not be
+// called concurrently with each other; Halt may be called from anywhere.
+func (p *Pipeline) Push(ctx context.Context, in Input) error {
+	if p.closed.Load() {
+		return ErrClosed
 	}
+	a := &p.prod
+	if a.buf == nil {
+		// Size the chunk when its first input arrives, not when its
+		// predecessor is dispatched: Close must never wait on the window.
+		size, err := p.sizeFor(ctx, a.j)
+		if err != nil {
+			return err
+		}
+		a.buf = p.slabs.takeIn(size)[:size]
+	}
+	a.buf[a.n] = in
+	a.n++
+	p.inputs.Add(1)
+	p.emit(Event{Kind: EvIngest, Chunk: -1, Worker: -1, N: 1})
+	if a.n < len(a.buf) {
+		return nil
+	}
+	return p.dispatch()
+}
 
-	size, ok := p.sizeFor(j, &consumed)
-	if !ok {
+// Close ends the input stream: the final partial chunk is flushed and the
+// pipeline drains. Push returns ErrClosed afterwards. Close is
+// idempotent.
+func (p *Pipeline) Close() {
+	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	buf := p.slabs.takeIn(size)
-	for {
-		// Fill the chunk: drain whatever the ingest ring already holds in
-		// one batched cursor move, then park until the rest of it is
-		// buffered — one wake-up per chunk, not one per input.
-		buf = buf[:len(buf)+p.in.PopBatch(buf[len(buf):size])]
-		if len(buf) < size {
-			// Park on down, not the context alone: Halt stops assembly here
-			// with ErrCanceled, deliberately NOT the ErrClosed path below —
-			// a halted session must not flush a partial chunk, because the
-			// resumed session will re-read those inputs and re-derive the
-			// boundary itself.
-			err := p.in.Await(p.down, size-len(buf))
-			if err == nil {
-				continue
-			}
-			if err == ring.ErrClosed {
-				// End of stream: flush the final partial chunk — the ring
-				// holds less than the chunk still wants, so one move takes
-				// it all. No sizing decision is needed for it, so no
-				// outcome wait either.
-				buf = buf[:len(buf)+p.in.PopBatch(buf[len(buf):size])]
-				if len(buf) > 0 {
-					p.dispatch(j, buf, prevWindow)
-				}
-			}
-			return
-		}
-		if !p.dispatch(j, buf, prevWindow) {
-			return
-		}
-		prevWindow = p.window(buf)
-		j++
-		if size, ok = p.sizeFor(j, &consumed); !ok {
-			return
-		}
-		// The dispatched job owns buf now (and prevWindow aliases its
-		// tail); start the next chunk on a recycled slab.
-		buf = p.slabs.takeIn(size)
+	if p.prod.n > 0 {
+		// No sizing decision is needed for the tail, so no outcome wait
+		// either. A session that is already dead announces nothing; Wait
+		// reports why.
+		_ = p.dispatch()
 	}
+	p.jobs.Close()
 }
 
 // sizeFor decides chunk j's size. Before deciding it consumes commit
@@ -85,19 +83,28 @@ func (p *Pipeline) assemble() {
 // frontier — and it is also what makes adaptive sizing deterministic:
 // the decision for chunk j reads a fixed, scheduling-independent prefix
 // of the outcome sequence, never "whatever has committed by now".
-func (p *Pipeline) sizeFor(j int, consumed *int) (int, bool) {
-	need := j - p.cfg.window()
-	for *consumed < need {
-		committed, err := p.outcomes.Pop(p.down)
-		if err != nil {
-			return 0, false
+func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
+	a := &p.prod
+	for need := j - p.cfg.window(); a.consumed < need; a.consumed++ {
+		committed, ok := p.outcomes.TryPop()
+		if !ok {
+			t0 := time.Now()
+			var err error
+			if committed, err = p.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
+				if ctx.Err() != nil {
+					return 0, ctx.Err()
+				}
+				return 0, p.endErr()
+			}
+			p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: time.Since(t0)})
 		}
-		*consumed++
 		if p.ctl == nil {
 			continue
 		}
+		p.mu.Lock() // Wait may be reading the controller
 		p.ctl.Record(committed)
 		n, _, _ := p.ctl.Resizes()
+		p.mu.Unlock()
 		if delta := int64(n) - p.resizes.Load(); delta > 0 {
 			p.resizes.Store(int64(n))
 			p.emit(Event{Kind: EvResize, Chunk: j, Worker: -1,
@@ -105,35 +112,57 @@ func (p *Pipeline) sizeFor(j int, consumed *int) (int, bool) {
 		}
 	}
 	if j < len(p.cfg.Plan) {
-		return p.cfg.Plan[j], true
+		return p.cfg.Plan[j], nil
 	}
 	if p.ctl != nil {
-		return p.ctl.ChunkSize(), true
+		return p.ctl.ChunkSize(), nil
 	}
-	return p.cfg.ChunkSize, true
+	return p.cfg.ChunkSize, nil
 }
 
-// dispatch hands one assembled chunk to the worker pool. Chunk 0 carries
-// the program's initial state (the state the original sequential code
-// starts from); every later chunk starts from an alternative-produced
-// speculative state instead.
-func (p *Pipeline) dispatch(j int, inputs, prevWindow []Input) bool {
-	// Chunk j's record is free: the window let the assembler get here only
+// dispatch hands the chunk being filled to the worker pool and starts the
+// next one. Chunk 0 carries the program's initial state (the state the
+// original sequential code starts from); every later chunk starts from an
+// alternative-produced speculative state instead. On a session that has
+// ended it announces nothing, drops the chunk, and returns the terminal
+// error.
+func (p *Pipeline) dispatch() error {
+	a := &p.prod
+	j, inputs := a.j, a.buf[:a.n]
+	a.buf, a.n = nil, 0
+	// Chunk j's record is free: the window let the producer get here only
 	// after chunk j-len's successor was applied (frontier.go).
 	ck := p.fr.chunk(j)
 	ck.bind(&p.proto, p.ex, nil, j, -1)
-	ck.inputs, ck.prevWindow, ck.initState, ck.fault = inputs, prevWindow, nil, nil
+	ck.inputs, ck.prevWindow, ck.initState, ck.fault = inputs, a.prevWindow, nil, nil
 	ck.clearResult()
 	if j == 0 {
-		ck.initState = p.initial()
-		p.countState()
+		ck.initState = p.initialState()
+	}
+	// The boundary lock makes "announce + jobs push" one step against
+	// Halt's jobs close: an announced chunk is never dropped. The halt
+	// check comes first and under the lock because a jobs push with room
+	// never looks at a done channel — after a cancel, a fault or a halt
+	// the chunk must not be announced at all.
+	p.mu.Lock()
+	if p.halt.Err() != nil {
+		p.mu.Unlock()
+		return p.endErr()
 	}
 	// Announce the chunk before a worker can see it, so that each chunk's
-	// events reach the sinks in one order — assembler, then worker, then
-	// frontier — whatever the worker count. A chunk announced but dropped by
-	// a teardown in the push below is reconciled with the other in-flight
-	// chunks of an abandoned run (see NewStream's janitor).
+	// events reach the sinks in one order — producer, then worker, then
+	// frontier — whatever the worker count. The jobs ring has a slot for
+	// every chunk the window admits, so the push never waits.
 	p.chunks.Add(1)
 	p.emit(Event{Kind: EvChunk, Chunk: j, Worker: -1, N: len(inputs)})
-	return p.jobs.Push(p.ctx.Done(), ck) == nil
+	err := p.jobs.Push(p.halt.Done(), ck)
+	p.mu.Unlock()
+	if err != nil {
+		return p.endErr()
+	}
+	// The dispatched job owns the slab now, and prevWindow aliases its
+	// tail.
+	a.prevWindow = p.window(inputs)
+	a.j++
+	return nil
 }

@@ -145,20 +145,26 @@ func (w *ChunkWorker) Release(r *ChunkReply) {
 	}
 }
 
-// Halt stops the pipeline at the commit frontier: chunk assembly stops
-// without flushing a partial chunk (the undispatched ingest tail is
-// deliberately dropped — a resumed session re-reads it from the source),
-// in-flight chunks drain and commit normally, and — when checkpointing is
+// Halt stops the pipeline at the commit frontier: dispatch stops without
+// flushing the partial chunk (the inputs it holds are deliberately
+// dropped — a resumed session re-reads them from the source, and flushing
+// them would move the boundary it will re-derive), the chunks already
+// announced drain and commit normally, and — when checkpointing is
 // configured — the commit stage emits one final snapshot before Outputs
-// closes. Push returns ErrClosed afterwards. Halt after Close is a no-op:
-// the stream is already ending normally, boundaries included.
+// closes. Push returns ErrClosed afterwards. Halt may be called from any
+// goroutine, concurrently with Push. Halt after Close is a no-op: the
+// stream is already ending normally, boundaries included.
 func (p *Pipeline) Halt() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if p.halted.CompareAndSwap(false, true) {
-		close(p.haltCh)
-	}
+	p.halted.Store(true)
+	// Under the boundary lock: a chunk the producer has announced is in
+	// the jobs ring before the ring closes (assemble.go).
+	p.mu.Lock()
+	p.haltCancel() // releases a producer parked on the window
+	p.jobs.Close()
+	p.mu.Unlock()
 }
 
 // Halted reports whether Halt stopped this pipeline (as opposed to a
@@ -166,13 +172,13 @@ func (p *Pipeline) Halt() {
 func (p *Pipeline) Halted() bool { return p.halted.Load() }
 
 // resumeState is the decoded, engine-typed form of a snapshot, built once
-// in NewStream and consumed by the assembler and commit stages at start.
+// in NewStream and consumed by the producer and the commit stage at start.
 type resumeState struct {
-	next       int   // first chunk to assemble and commit
+	next       int   // first chunk to fill and commit
 	inputs     int64 // committed inputs so far (absolute)
 	prevWindow []Input
 	lineage    []State // [0] is the frontier final state
-	pending    []bool  // outcome preload for the assembler's window
+	pending    []bool  // outcome preload for the producer's window
 	ctl        *autotune.OnlineState
 	// rawWindow/rawLineage keep the snapshot's encoded forms so a session
 	// that halts before committing anything new can re-emit its resume
@@ -230,8 +236,8 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 }
 
 // ckptTracker lives in the commit stage and decides when to capture. It
-// shadows the assembler's adaptive controller by folding outcomes exactly
-// as the restored assembler will: the last min(commits, window) outcomes
+// shadows the producer's adaptive controller by folding outcomes exactly
+// as the restored producer will: the last min(commits, window) outcomes
 // stay pending (the restored outcome-window preload), everything older is
 // recorded into the shadow controller.
 type ckptTracker struct {
@@ -411,7 +417,7 @@ func (p *Pipeline) CheckpointErr() error {
 }
 
 // onlineConfig is the adaptive controller configuration shared by the
-// assembler's controller and the tracker's shadow.
+// producer's controller and the tracker's shadow.
 func (p *Pipeline) onlineConfig() autotune.OnlineConfig {
 	return autotune.OnlineConfig{
 		Initial: p.cfg.ChunkSize,

@@ -25,7 +25,6 @@ type committed struct {
 // the only stage that touches the true (committed) lineage, so it needs
 // no locks — order is enforced structurally.
 func (p *Pipeline) commit() {
-	defer p.stages.Done()
 	defer p.emit(Event{Kind: EvSessionEnd, Chunk: -1, Worker: -1})
 	defer close(p.out)
 	//statslint:allow hotalloc session-scoped panic guard: the closure is built once per stage, not per input
@@ -197,7 +196,7 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 	p.slabs.putOut(outs)
 
 	// Feed the outcome window: this both opens one speculation slot for
-	// the assembler and, in commit order, drives adaptive chunk sizing.
+	// the producer and, in commit order, drives adaptive chunk sizing.
 	// The ring's capacity exceeds the window's maximum backlog, so this
 	// push parks only if the run is being torn down.
 	if err := p.outcomes.Push(p.ctx.Done(), ok); err != nil {

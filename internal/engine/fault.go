@@ -123,8 +123,9 @@ const (
 	SiteOrigStates
 	// SiteReexec is recovery re-execution from the true predecessor state.
 	SiteReexec
-	// SiteAssemble and SiteCommit are the pipeline's non-worker stages;
-	// they exist for recovery only, never for injection.
+	// SiteAssemble (the producer side: the program's Initial, built as
+	// Push dispatches chunk 0) and SiteCommit are the pipeline's non-worker
+	// sites; they exist for recovery only, never for injection.
 	SiteAssemble
 	SiteCommit
 	// SiteProc is an out-of-process chunk executor failing as a whole —

@@ -80,7 +80,7 @@ type valSlot struct {
 type pad [56]byte
 
 // frontier is the slot array. Its length is a power of two at least
-// window+2: chunk j+len is dispatched only after the assembler has
+// window+2: chunk j+len is dispatched only after the producer has
 // consumed outcome j+1, which means applyCommit(j+1) — the step that resets
 // slot j and reads record j for the last time — has finished, so a slot
 // is never claimed, and a record never written, for two chunks at once.

@@ -27,8 +27,9 @@ import (
 type Stage int
 
 const (
-	// StageIngestWait is time Push spent blocked on backpressure (the
-	// speculation window or ingest queue was full).
+	// StageIngestWait is time Push spent blocked on backpressure: the
+	// speculation window was full when the input that starts a chunk
+	// arrived.
 	StageIngestWait Stage = iota
 	// StageSpeculate is per-chunk speculative work on a pipeline worker:
 	// alternative production, chunk body, original-state generation.

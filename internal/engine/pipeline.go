@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gostats/internal/autotune"
 	"gostats/internal/checkpoint"
@@ -21,15 +20,17 @@ import (
 // video frames, point blocks, sample batches — are really streams, so the
 // pipeline rebuilds the protocol as stages:
 //
-//		Push → [ingest queue] → assembler → [jobs] → worker pool → [results]
-//		                ▲                                              │
-//		                └───── outcome window (backpressure) ──────────┤
-//		                                                               ▼
-//		                               ordered commit / abort+re-exec → Outputs
+//		Push (fills the chunk's slab) → [jobs] → worker pool → [results]
+//		  ▲                                                        │
+//		  └─────────── outcome window (backpressure) ──────────────┤
+//		                                                           ▼
+//		                           ordered commit / abort+re-exec → Outputs
 //
-//	  - The assembler groups inputs into chunks (fixed size, or retuned
-//	    online from commit/abort feedback via autotune.Online) and carries
-//	    the previous chunk's lookback window with each job.
+//	  - Push groups inputs into chunks on its caller's goroutine (fixed
+//	    size, or retuned online from commit/abort feedback via
+//	    autotune.Online) and dispatches each with the previous chunk's
+//	    lookback window (assemble.go). There is no ingest queue and no
+//	    assembler stage between the caller and the worker pool.
 //	  - Workers execute the chunk's speculative attempt (attempt.go) on
 //	    NativeExec: the alternative producer replays the predecessor's
 //	    window from a cold state, the chunk body runs from that state, and
@@ -41,13 +42,15 @@ import (
 //	    exactly the §II-B protocol, so outputs are committed in input order
 //	    with batch-identical semantics.
 //
-// Backpressure: the assembler may run at most a window of chunks — two a
-// worker — ahead of the commit frontier; when the window is full, chunk assembly stalls, the
-// ingest queue fills, and Push blocks. Chunk-size decisions read only
-// outcomes behind the frontier, which makes them — and therefore the whole
-// committed output sequence — a pure function of (seed, input sequence),
-// independent of goroutine scheduling. Same seed, same inputs:
-// byte-identical committed outputs, even under -race.
+// Backpressure: the producer may run at most a window of chunks — two a
+// worker — ahead of the commit frontier; when the window is full, the
+// Push that would start the next chunk blocks until the frontier moves.
+// Chunk-size decisions read only outcomes behind the frontier, and chunk
+// boundaries are a function of the producer's own input sequence, which
+// makes them — and therefore the whole committed output sequence — a
+// pure function of (seed, input sequence), independent of goroutine
+// scheduling. Same seed, same inputs: byte-identical committed outputs,
+// even under -race.
 //
 // Every protocol action is reported on the engine event stream: the
 // pipeline's Metrics (and any additional StreamConfig.Sink) consume the
@@ -55,7 +58,8 @@ import (
 // trace synthesis need no pipeline-private aggregation.
 //
 // Lifecycle: Close ends the input stream and drains the pipeline; cancel
-// the context to abandon it. Wait blocks until every pipeline goroutine
+// the context to abandon it. A session runs Workers+2 goroutines — the
+// pool, the commit stage and a reaper — and Wait blocks until every one
 // has exited, so no run can leak.
 
 // StreamConfig parameterizes a streaming pipeline.
@@ -77,9 +81,6 @@ type StreamConfig struct {
 	// the commit stage. It also sets the speculation window: at most
 	// 2*Workers chunks are in flight past the commit frontier. Default 4.
 	Workers int
-	// QueueDepth bounds the ingest queue (and output buffer). Default
-	// 2*ChunkSize.
-	QueueDepth int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
 	// Adapt enables online chunk-size retuning from commit/abort feedback.
@@ -125,9 +126,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Workers == 0 {
 		c.Workers = 4
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.ChunkSize
-	}
 	if c.MinChunk == 0 {
 		c.MinChunk = max(1, c.ChunkSize/4)
 	}
@@ -157,8 +155,8 @@ func (c StreamConfig) Validate() error {
 	if c.ExtraStates < 0 {
 		return fmt.Errorf("stream: ExtraStates must be >= 0, got %d", c.ExtraStates)
 	}
-	if c.InnerWidth < 0 || c.Workers < 0 || c.QueueDepth < 0 {
-		return fmt.Errorf("stream: negative InnerWidth/Workers/QueueDepth")
+	if c.InnerWidth < 0 || c.Workers < 0 {
+		return fmt.Errorf("stream: negative InnerWidth/Workers")
 	}
 	if c.MinChunk < 0 || (c.MaxChunk > 0 && c.MaxChunk < c.MinChunk) {
 		return fmt.Errorf("stream: bad adaptive bounds [%d,%d]", c.MinChunk, c.MaxChunk)
@@ -206,23 +204,23 @@ type StreamStats struct {
 	Trajectory []autotune.SizeChange `json:"Trajectory,omitempty"`
 }
 
-// ErrClosed is returned by Push after Close.
+// ErrClosed is returned by Push after Close or Halt.
 var ErrClosed = errors.New("stream: pipeline closed")
 
-// chunk is one in-flight chunk of a pipeline: the job the assembler hands
-// to the worker pool, the worker's speculative result, and the protocol
+// chunk is one in-flight chunk of a pipeline: the job Push hands to the
+// worker pool, the worker's speculative result, and the protocol
 // view (chunkRun) that executes both. The records are not allocated per
 // chunk: they live in the frontier's slot array (frontier.go), chunk j in
 // slot j&mask, and travel through the jobs and results rings by pointer.
 //
-// Ownership follows the hand-offs. The assembler fills the job half and
+// Ownership follows the hand-offs. The producer fills the job half and
 // binds the run before the jobs push; the worker that pops it fills the
 // result half and publishes it; from then on the record is read-only —
 // by the commit stage, and by prevalidators holding a claim on a slot
 // that pins it — except that recovery, at the commit stage and only
 // after the slots that could read them are spent, rewrites outs, final
 // and origs in place. The record is dead once its successor has been
-// applied, one outcome before the assembler may reach the slot again.
+// applied, one outcome before the producer may reach the slot again.
 type chunk struct {
 	chunkRun // run.j is the session-monotonic chunk index
 	p        *Pipeline
@@ -268,14 +266,19 @@ type Pipeline struct {
 	ctx    context.Context // derived: canceled by the caller, a fault, or teardown
 	outer  context.Context // the caller's context, for abandonment reporting
 	cancel context.CancelFunc
+	// halt is a child of ctx that Halt cancels too: done means "dispatch
+	// nothing more", whichever of the two ended the session. The producer
+	// parks on it; workers and the commit stage park on ctx, because a
+	// halted session still drains what it announced.
+	halt       context.Context
+	haltCancel context.CancelFunc
 
 	// The intra-pipeline hops are lock-free rings (internal/ring), not
-	// channels: ingest and the outcome window are single-producer
-	// single-consumer, jobs and results are multi-producer/consumer on
-	// the worker-pool side. Only the public output stream stays a
-	// channel. See the package doc in internal/ring for the memory-model
-	// and parking discipline.
-	in       *ring.SPSC[Input]
+	// channels: the outcome window is single-producer single-consumer,
+	// jobs and results are multi-producer/consumer on the worker-pool
+	// side. Only the public output stream stays a channel. See the
+	// package doc in internal/ring for the memory-model and parking
+	// discipline.
 	jobs     *ring.MPMC[*chunk]
 	results  *ring.MPMC[*chunk]
 	outcomes *ring.SPSC[bool]
@@ -283,23 +286,21 @@ type Pipeline struct {
 	fr       *frontier
 	fper     Fingerprinter // prog's Fingerprinter extension, if any
 
+	// mu is the boundary lock, taken at chunk boundaries only. It makes
+	// the producer's "announce + jobs push" one step against Halt's jobs
+	// close, and it guards ctl, which the producer writes and Wait reads.
+	mu       sync.Mutex
+	prod     producer // the chunk being filled (assemble.go)
 	ctl      *autotune.Online
 	met      *Metrics // also the first sink of the event stream, ahead of cfg.Sink
 	slabs    slabs
 	closed   atomic.Bool
 	failOnce sync.Once
-	failure  atomic.Value   // error: the terminal fault that tore the run down
-	stages   sync.WaitGroup // the pipeline's stage goroutines
-	all      sync.WaitGroup // stages + the teardown janitor
+	failure  atomic.Value  // error: the terminal fault that tore the run down
+	done     chan struct{} // closed by the reaper, after every other goroutine exited
 
-	// Checkpointed-session machinery (checkpoint.go). haltCh/down stop
-	// chunk assembly at the frontier without closing the ingest ring —
-	// closing it would flush a partial chunk and move the boundaries a
-	// resumed session will re-derive. down is closed when either the
-	// pipeline context or haltCh fires; the assembler parks on it.
-	haltCh chan struct{}
+	// Checkpointed-session machinery (checkpoint.go).
 	halted atomic.Bool
-	down   chan struct{}
 	resume *resumeState
 	ckpt   *ckptTracker
 
@@ -310,7 +311,7 @@ type Pipeline struct {
 	chunks   atomic.Int64
 	commits  atomic.Int64
 	aborts   atomic.Int64
-	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is assembler-owned)
+	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is producer-owned)
 	degraded atomic.Int64
 }
 
@@ -370,25 +371,28 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		ctx:    ctx,
 		outer:  outer,
 		cancel: cancel,
-		in:     ring.NewSPSC[Input](cfg.QueueDepth),
 		// jobs holds one slot per in-flight chunk, like results: chunks in
-		// flight are bounded by the outcome window below, so the assembler
+		// flight are bounded by the outcome window below, so the producer
 		// never spins or parks on this hop.
 		jobs: ring.NewMPMC[*chunk](cfg.window() + 1),
 		// results holds one slot per in-flight chunk so workers never
 		// block behind the commit stage's reorder buffer.
 		results: ring.NewMPMC[*chunk](cfg.window() + 1),
-		// outcomes is the speculation window: the assembler consumes
+		// outcomes is the speculation window: the producer consumes
 		// exactly max(0, j-window) outcomes before sizing chunk j, which
 		// both bounds chunks in flight and keeps sizing deterministic.
 		// Capacity window+2 exceeds the maximum unconsumed backlog, so
 		// the commit stage never parks here.
 		outcomes: ring.NewSPSC[bool](cfg.window() + 2),
-		out:      make(chan Output, cfg.QueueDepth),
-		fr:       newFrontier(cfg.window()),
-		ctl:      ctl,
-		met:      cfg.Metrics,
+		// Two chunks of committed outputs may wait for the consumer before
+		// the commit stage does.
+		out:  make(chan Output, 2*cfg.ChunkSize),
+		fr:   newFrontier(cfg.window()),
+		ctl:  ctl,
+		met:  cfg.Metrics,
+		done: make(chan struct{}),
 	}
+	p.halt, p.haltCancel = context.WithCancel(ctx)
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, combineSinks(cfg.Metrics, cfg.Sink))
 	for i := range p.fr.slots {
 		p.fr.slots[i].ck.p = p
@@ -396,8 +400,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	p.fper, _ = prog.(Fingerprinter)
 	p.slabs.limit = 2*cfg.window() + 4
 	p.resume = rs
-	p.haltCh = make(chan struct{})
-	p.down = make(chan struct{})
 	if ctl != nil {
 		// Keep the resizes mirror consistent with a restored controller so
 		// sizeFor's delta detection doesn't re-report historical resizes.
@@ -405,10 +407,14 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		p.resizes.Store(int64(n))
 	}
 	if rs != nil {
-		// Preload the outcome window with the snapshot's pending outcomes:
-		// the restored assembler consumes them at exactly the decision
-		// points the uninterrupted one would have. At most window entries
-		// (snapshot-validated), so TryPush on a window+2 ring cannot fail.
+		// Resume at the snapshot frontier: the first chunk to fill is the
+		// first uncommitted one and its window was decoded from the
+		// snapshot. Preload the outcome window with the snapshot's pending
+		// outcomes: the restored producer consumes them at exactly the
+		// decision points the uninterrupted one would have. At most window
+		// entries (snapshot-validated), so TryPush on a window+2 ring
+		// cannot fail.
+		p.prod = producer{j: rs.next, consumed: rs.next - len(rs.pending), prevWindow: rs.prevWindow}
 		for _, ok := range rs.pending {
 			p.outcomes.TryPush(ok)
 		}
@@ -423,50 +429,33 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	}
 	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1, N: cfg.ChunkSize})
 
-	// down: the assembler's park signal — closed on context teardown or
-	// Halt, whichever comes first.
-	p.all.Add(1)
-	go func() {
-		defer p.all.Done()
-		select {
-		case <-p.ctx.Done():
-		case <-p.haltCh:
-		}
-		close(p.down)
-	}()
-
-	p.stages.Add(1)
-	go p.assemble()
-
 	var workers sync.WaitGroup
+	workers.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
-		p.stages.Add(1)
-		workers.Add(1)
 		go func() {
 			defer workers.Done()
 			p.worker(w)
 		}()
 	}
-	p.stages.Add(1)
+	committed := make(chan struct{})
 	go func() {
-		defer p.stages.Done()
-		workers.Wait()
-		p.results.Close()
+		defer close(committed)
+		p.commit()
 	}()
 
-	p.stages.Add(1)
-	go p.commit()
-
-	// Janitor: once every stage has exited, reconcile the shared gauges.
-	// An abandoned run drops its in-flight chunks without committing
-	// them; without this, each abandoned session would leave the shared
-	// collector's in-flight gauge drifted upward for good.
-	p.all.Add(1)
+	// The reaper closes the results ring behind the last worker — which
+	// is what ends a draining commit stage — and, once that has exited
+	// too, reconciles the shared gauges: an abandoned run drops its
+	// in-flight chunks without committing them, and each would otherwise
+	// leave the shared collector's in-flight gauge drifted upward for
+	// good.
 	go func() {
-		defer p.all.Done()
+		defer close(p.done)
 		defer p.cancel() // every stage has exited; release the context
-		p.stages.Wait()
+		workers.Wait()
+		p.results.Close()
+		<-committed
 		if dropped := p.chunks.Load() - p.commits.Load() - p.aborts.Load(); dropped > 0 {
 			p.met.InFlight.Add(-dropped)
 		}
@@ -491,51 +480,31 @@ func (p *Pipeline) failErr() error {
 	return nil
 }
 
-// Push ingests one input, blocking while the pipeline exerts backpressure
-// (ingest queue full because the speculation window is full). ctx bounds
-// this one call; the pipeline's own context also aborts it. Push and
-// Close form the producer side of the pipeline and must not be called
-// concurrently with each other.
-func (p *Pipeline) Push(ctx context.Context, in Input) error {
-	if p.closed.Load() {
+// endErr is why a session that stopped taking input did.
+func (p *Pipeline) endErr() error {
+	if err := p.failErr(); err != nil {
+		return err
+	}
+	if p.halted.Load() {
 		return ErrClosed
 	}
-	if p.in.TryPush(in) { // fast path: queue has room
-		p.inputs.Add(1)
-		p.emit(Event{Kind: EvIngest, Chunk: -1, Worker: -1, N: 1})
-		return nil
-	}
-	t0 := time.Now()
-	err := p.in.PushWait(ctx.Done(), p.down, in)
-	switch err {
-	case nil:
-		p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: time.Since(t0)})
-		p.inputs.Add(1)
-		p.emit(Event{Kind: EvIngest, Chunk: -1, Worker: -1, N: 1})
-		return nil
-	case ring.ErrClosed:
-		return ErrClosed
-	default: // ring.ErrCanceled: the caller's context, a halt, or teardown
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if p.halted.Load() {
-			return ErrClosed
-		}
-		if ferr := p.failErr(); ferr != nil {
-			return ferr
-		}
-		return p.ctx.Err()
-	}
+	return p.ctx.Err()
 }
 
-// Close ends the input stream: the final partial chunk is flushed and the
-// pipeline drains. Push returns ErrClosed afterwards. Close is
-// idempotent.
-func (p *Pipeline) Close() {
-	if p.closed.CompareAndSwap(false, true) {
-		p.in.Close()
-	}
+// initialState builds chunk 0's start state — the only code of the
+// program the producer side runs. A panic there has no worker to isolate
+// it and no chunk to charge it to: it fails the session as a whole, with
+// a structured error, instead of crashing the Push caller.
+func (p *Pipeline) initialState() State {
+	defer func() {
+		if r := recover(); r != nil {
+			p.fail(&FaultError{Fault: &ChunkFault{
+				Chunk: -1, Site: SiteAssemble, Panic: r, Stack: stack()}})
+		}
+	}()
+	s := p.initial()
+	p.countState()
+	return s
 }
 
 // Outputs returns the committed outputs in input order. The channel
@@ -548,17 +517,20 @@ func (p *Pipeline) Outputs() <-chan Output { return p.out }
 // FaultError after fault tolerance exhausted) or the context's error if
 // it was abandoned rather than drained.
 func (p *Pipeline) Wait() (StreamStats, error) {
-	p.all.Wait()
+	<-p.done
 	st := p.StatsSnapshot()
 	if p.ctl != nil {
-		// The stages have drained (all.Wait above), so the assembler-owned
-		// controller is quiescent and safe to read from here.
+		// The controller's writer is the producer, and nothing here waited
+		// for it: an abandoned session's caller drains and waits while its
+		// pusher may still be inside Push.
+		p.mu.Lock()
 		st.Trajectory = p.ctl.History()
+		p.mu.Unlock()
 	}
 	if err := p.failErr(); err != nil {
 		return st, err
 	}
-	// The janitor cancels the derived context even on clean drains; only
+	// The reaper cancels the derived context even on clean drains; only
 	// the caller's context says whether the run was abandoned.
 	return st, p.outer.Err()
 }

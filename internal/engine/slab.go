@@ -5,9 +5,8 @@ import (
 	"sync"
 )
 
-// slabs recycles the pipeline's per-chunk slices — input chunks built by
-// the assembler and output buffers filled by workers — through the commit
-// stage. A chunk's input slab is dead once its successor has been
+// slabs recycles the pipeline's per-chunk slices — input chunks filled by
+// Push and output buffers filled by workers — through the commit stage. A chunk's input slab is dead once its successor has been
 // committed (the successor's alternative producer and a possible re-exec
 // are its last readers); an output slab is dead once its outputs have
 // been flushed downstream.
@@ -18,8 +17,8 @@ import (
 // chunk size, retired slabs of the old class still serve requests that
 // round to the same class instead of being burned on a capacity
 // mismatch. A returned slab's capacity is always at least the requested
-// size — the assembler's batched ingest drain writes into the slack
-// directly. Each class list is bounded: under steady state the pipeline
+// size — Push reslices it to the chunk's length and writes by index.
+// Each class list is bounded: under steady state the pipeline
 // holds about one slab per in-flight chunk, and a burst beyond the
 // limit just falls back to the allocator.
 const slabClasses = 16 // classes 0..15: capacities 1, 2, 4, ... 32768

@@ -2,12 +2,11 @@ package engine
 
 import "context"
 
-// worker is one member of the speculative worker pool: it pulls assembled
+// worker is one member of the speculative worker pool: it pulls dispatched
 // chunks and executes them on NativeExec, out of commit order. slotID
 // identifies the pool slot for event attribution (Recorder maps it to a
 // trace thread).
 func (p *Pipeline) worker(slotID int) {
-	defer p.stages.Done()
 	for {
 		ck, err := p.jobs.Pop(p.ctx.Done())
 		if err != nil {

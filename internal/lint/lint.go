@@ -122,9 +122,9 @@ type Config struct {
 // derived artifacts, not committed protocol outputs.
 // The hot-path seeds mirror where PR 7's allocation wins live: every
 // ring operation runs once per pipeline hop, and the engine's frontier/
-// commit/assemble files run once per input on the committed path — as
-// does bench's ndjson.go, which every served line is read and written
-// with. worker/attempt/protocol are the chunk protocol itself, which
+// commit/assemble files run once per input on the committed path
+// (assemble.go is Push itself: the fill and the dispatch) — as does
+// bench's ndjson.go, which every served line is read and written with. worker/attempt/protocol are the chunk protocol itself, which
 // runs once per chunk and allocates nothing there on the fault-free path.
 func DefaultConfig() *Config {
 	return &Config{

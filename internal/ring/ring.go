@@ -1,7 +1,7 @@
 // Package ring provides the engine's lock-free bounded queues: the
-// stage-to-stage hand-offs of the streaming pipeline (ingest →
-// assembler → workers → commit frontier) ride on these instead of
-// channels.
+// stage-to-stage hand-offs of the streaming pipeline (producer →
+// workers → commit frontier, and the commit outcomes on their way back
+// to the producer) ride on these instead of channels.
 //
 // Why not channels: a channel hand-off takes a runtime mutex on every
 // operation and wakes the peer once per element. At the pipeline's rates

@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -155,6 +153,17 @@ func TestRingSPSCCancelWhileBlocked(t *testing.T) {
 	close(done)
 	if err := <-got; err != ErrCanceled {
 		t.Fatalf("canceled Pop: %v, want ErrCanceled", err)
+	}
+
+	// The second cancellation channel releases a parked Pop as the first does.
+	alt := make(chan struct{})
+	go func() {
+		_, err := q.Pop(nil, alt)
+		got <- err
+	}()
+	close(alt)
+	if err := <-got; err != ErrCanceled {
+		t.Fatalf("Pop canceled through its second channel: %v, want ErrCanceled", err)
 	}
 
 	q2 := NewSPSC[int](2)
@@ -331,157 +340,5 @@ func TestRingMPMCCancelWhileBlocked(t *testing.T) {
 	close(done)
 	if err := <-got; err != ErrCanceled {
 		t.Fatalf("canceled Pop: %v, want ErrCanceled", err)
-	}
-}
-
-// parked waits until the ring's consumer has armed its gate.
-func parked[T any](q *SPSC[T]) {
-	for q.notEmpty.waiters.Load() == 0 {
-		runtime.Gosched()
-	}
-}
-
-func TestRingSPSCAwaitWakesOncePerBatch(t *testing.T) {
-	q := NewSPSC[int](16)
-	got := make(chan error, 1)
-	go func() { got <- q.Await(nil, 5) }()
-	parked(q)
-	// The consumer asked for five: four must not wake it.
-	for i := 0; i < 4; i++ {
-		if !q.TryPush(i) {
-			t.Fatalf("push %d failed", i)
-		}
-		if len(q.notEmpty.ch) != 0 {
-			t.Fatalf("push %d of 5 left a wake token for a consumer waiting for 5", i+1)
-		}
-	}
-	select {
-	case err := <-got:
-		t.Fatalf("Await(5) returned %v with 4 buffered", err)
-	default:
-	}
-	q.TryPush(4)
-	if err := <-got; err != nil {
-		t.Fatalf("Await(5) with 5 buffered: %v", err)
-	}
-	dst := make([]int, 8)
-	if n := q.PopBatch(dst); n != 5 {
-		t.Fatalf("PopBatch after Await(5) = %d, want 5", n)
-	}
-	// A plain Pop still wakes on the first element, whatever an earlier
-	// Await published.
-	go func() { _, err := q.Pop(nil); got <- err }()
-	parked(q)
-	q.TryPush(9)
-	if err := <-got; err != nil {
-		t.Fatalf("Pop after Await: %v", err)
-	}
-}
-
-func TestRingSPSCAwaitClampsToCapacity(t *testing.T) {
-	q := NewSPSC[int](4)
-	got := make(chan error, 1)
-	go func() { got <- q.Await(nil, 100) }()
-	for i := 0; i < 4; i++ {
-		if err := q.Push(nil, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The ring is full: a producer would park now, so the consumer must
-	// be released to make room.
-	if err := <-got; err != nil {
-		t.Fatalf("Await(100) on a full 4-ring: %v", err)
-	}
-}
-
-func TestRingSPSCAwaitCloseAndCancel(t *testing.T) {
-	q := NewSPSC[int](8)
-	q.TryPush(1)
-	q.TryPush(2)
-	got := make(chan error, 1)
-	go func() { got <- q.Await(nil, 5) }()
-	parked(q)
-	q.Close()
-	if err := <-got; err != ErrClosed {
-		t.Fatalf("Await(5) closed with 2 buffered: %v, want ErrClosed", err)
-	}
-	if n := q.PopBatch(make([]int, 8)); n != 2 {
-		t.Fatalf("PopBatch after the close = %d, want the 2 buffered", n)
-	}
-	// Closed with enough buffered is not an error: the batch is there.
-	q2 := NewSPSC[int](8)
-	q2.TryPush(1)
-	q2.Close()
-	if err := q2.Await(nil, 1); err != nil {
-		t.Fatalf("Await(1) on a closed ring holding 1: %v", err)
-	}
-
-	q3 := NewSPSC[int](8)
-	done := make(chan struct{})
-	go func() { got <- q3.Await(done, 3) }()
-	parked(q3)
-	q3.TryPush(1) // below the mark: no wake
-	close(done)
-	if err := <-got; err != ErrCanceled {
-		t.Fatalf("canceled Await: %v, want ErrCanceled", err)
-	}
-}
-
-// TestRingSPSCAwaitBurstStress pairs random push bursts with random batch
-// waits, some wider than the ring: every element arrives once, in order,
-// and neither side is left parked.
-func TestRingSPSCAwaitBurstStress(t *testing.T) {
-	const n = 50000
-	q := NewSPSC[int](8)
-	go func() {
-		defer q.Close()
-		r := rand.New(rand.NewSource(1))
-		for i := 0; i < n; {
-			for burst := 1 + r.Intn(20); burst > 0 && i < n; burst-- {
-				if err := q.Push(nil, i); err != nil {
-					t.Errorf("push %d: %v", i, err)
-					return
-				}
-				i++
-			}
-			runtime.Gosched()
-		}
-	}()
-	r := rand.New(rand.NewSource(2))
-	buf := make([]int, 32)
-	for want := 0; ; {
-		k := 1 + r.Intn(len(buf))
-		err := q.Await(nil, k)
-		got := q.PopBatch(buf[:k])
-		for _, v := range buf[:got] {
-			if v != want {
-				t.Fatalf("popped %d, want %d (FIFO violated)", v, want)
-			}
-			want++
-		}
-		if err == ErrClosed {
-			if want += drain(t, q, want); want != n {
-				t.Fatalf("closed after %d elements, want %d", want, n)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("await: %v", err)
-		}
-	}
-}
-
-// drain pops what a closed ring still holds, checking order from want on.
-func drain(t *testing.T, q *SPSC[int], want int) int {
-	n := 0
-	for {
-		v, ok := q.TryPop()
-		if !ok {
-			return n
-		}
-		if v != want+n {
-			t.Fatalf("drained %d, want %d", v, want+n)
-		}
-		n++
 	}
 }

@@ -26,12 +26,6 @@ type SPSC[T any] struct {
 	closeCh  chan struct{} // closed by Close: wakes every parked caller
 	notEmpty gate          // consumer parks here
 	notFull  gate          // producer parks here
-	// want is the consumer's low-water mark: the tail position at which
-	// the parked consumer can make progress. The consumer publishes it
-	// before arming notEmpty, and the producer wakes the gate only once
-	// its tail has reached it — a consumer waiting for a batch is woken
-	// once, when the batch is there, not once per element.
-	want atomic.Uint64
 }
 
 // NewSPSC returns an empty ring with capacity ≥ capacity, rounded up to
@@ -65,22 +59,14 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1) // publish: slot write happens-before this store
-	if q.notEmpty.waiters.Load() > 0 && t+1 >= q.want.Load() {
-		q.notEmpty.wake()
-	}
+	q.notEmpty.wake()
 	return true
 }
 
 // Push appends v, parking while the ring is full. done (which may be
 // nil) cancels the wait: Push then returns ErrCanceled. Pushing to a
 // closed ring returns ErrClosed.
-func (q *SPSC[T]) Push(done <-chan struct{}, v T) error { return q.PushWait(done, nil, v) }
-
-// PushWait is Push with two cancellation channels (either may be nil):
-// the pipeline hands it the per-call context's done channel and its own.
-// It returns ErrCanceled when either fires; the caller distinguishes
-// them by inspecting its contexts.
-func (q *SPSC[T]) PushWait(done1, done2 <-chan struct{}, v T) error {
+func (q *SPSC[T]) Push(done <-chan struct{}, v T) error {
 	for spin := 0; ; spin++ {
 		if q.TryPush(v) {
 			return nil
@@ -107,10 +93,7 @@ func (q *SPSC[T]) PushWait(done1, done2 <-chan struct{}, v T) error {
 		select {
 		case <-q.notFull.ch:
 		case <-q.closeCh:
-		case <-done1:
-			q.notFull.waiters.Add(-1)
-			return ErrCanceled
-		case <-done2:
+		case <-done:
 			q.notFull.waiters.Add(-1)
 			return ErrCanceled
 		}
@@ -139,9 +122,16 @@ func (q *SPSC[T]) TryPop() (T, bool) {
 
 // Pop removes the oldest element, parking while the ring is empty. It
 // returns ErrClosed once the ring is closed and drained, ErrCanceled if
-// done fires first.
-func (q *SPSC[T]) Pop(done <-chan struct{}) (T, error) {
+// done (which may be nil) fires first. A caller with two reasons to give
+// up — the pipeline's producer has its call's context and the session's
+// — passes the second channel as done2; the caller tells them apart by
+// inspecting its contexts.
+func (q *SPSC[T]) Pop(done <-chan struct{}, done2 ...<-chan struct{}) (T, error) {
 	var zero T
+	var alt <-chan struct{}
+	if len(done2) > 0 {
+		alt = done2[0]
+	}
 	for spin := 0; ; spin++ {
 		if v, ok := q.TryPop(); ok {
 			return v, nil
@@ -158,7 +148,6 @@ func (q *SPSC[T]) Pop(done <-chan struct{}) (T, error) {
 			runtime.Gosched()
 			continue
 		}
-		q.want.Store(q.head.Load() + 1)
 		q.notEmpty.waiters.Add(1)
 		if v, ok := q.TryPop(); ok {
 			q.notEmpty.waiters.Add(-1)
@@ -177,50 +166,9 @@ func (q *SPSC[T]) Pop(done <-chan struct{}) (T, error) {
 		case <-done:
 			q.notEmpty.waiters.Add(-1)
 			return zero, ErrCanceled
-		}
-		q.notEmpty.waiters.Add(-1)
-	}
-}
-
-// Await parks the consumer until at least n elements are buffered — n
-// is clamped to the capacity, so a full ring always satisfies the wait
-// and a batch larger than the ring is collected in ring-sized waves. It
-// returns nil when they are there, ErrClosed when the ring closed with
-// fewer (what is buffered stays poppable), ErrCanceled if done fires
-// first. The producer wakes the gate once, when its tail reaches the
-// published mark.
-func (q *SPSC[T]) Await(done <-chan struct{}, n int) error {
-	target := q.head.Load() + uint64(min(n, len(q.buf)))
-	for spin := 0; ; spin++ {
-		if q.tail.Load() >= target {
-			return nil
-		}
-		if q.closed.Load() {
-			// Drain race: the producer may have pushed between our load
-			// and its Close.
-			if q.tail.Load() >= target {
-				return nil
-			}
-			return ErrClosed
-		}
-		if spin < spinRounds {
-			runtime.Gosched()
-			continue
-		}
-		q.want.Store(target)
-		q.notEmpty.waiters.Add(1)
-		// Recheck after arming: a producer that pushed before seeing the
-		// waiter count would otherwise never wake us.
-		if q.tail.Load() >= target || q.closed.Load() {
+		case <-alt:
 			q.notEmpty.waiters.Add(-1)
-			continue
-		}
-		select {
-		case <-q.notEmpty.ch:
-		case <-q.closeCh:
-		case <-done:
-			q.notEmpty.waiters.Add(-1)
-			return ErrCanceled
+			return zero, ErrCanceled
 		}
 		q.notEmpty.waiters.Add(-1)
 	}
@@ -228,8 +176,7 @@ func (q *SPSC[T]) Await(done <-chan struct{}, n int) error {
 
 // PopBatch moves up to len(dst) buffered elements into dst with one
 // cursor update, returning how many were moved (possibly 0). It never
-// blocks; pair it with Await (or Pop for the first element) to wait for
-// a wave.
+// blocks; pair it with Pop for the first element to wait for a wave.
 func (q *SPSC[T]) PopBatch(dst []T) int {
 	var zero T
 	h := q.head.Load()

@@ -207,7 +207,7 @@ func TestBackpressureBlocksPush(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
-		ChunkSize: 2, Lookback: 1, Workers: 1, QueueDepth: 2, Seed: 1,
+		ChunkSize: 2, Lookback: 1, Workers: 1, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
