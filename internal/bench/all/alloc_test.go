@@ -3,6 +3,7 @@ package all
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 
 	"gostats/internal/bench"
@@ -139,9 +140,14 @@ func TestPipelineAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Whole chunks in, as many outputs out: the pipeline is idle at a
-		// chunk boundary on either side of the measurement.
+		// chunk boundary on either side of the measurement. Each round's
+		// producer has returned before the next one starts: Push has one
+		// caller at a time.
+		var pushed sync.WaitGroup
 		run := func(ins []engine.Input) {
+			pushed.Add(1)
 			go func() {
+				defer pushed.Done()
 				for _, in := range ins {
 					if p.Push(ctx, in) != nil {
 						return
@@ -153,6 +159,7 @@ func TestPipelineAllocations(t *testing.T) {
 					t.Fatal("pipeline closed early")
 				}
 			}
+			pushed.Wait()
 		}
 		run(inputs[:warm*chunkSize])
 		// The count's noise is one-sided — a state cloned while the pool

@@ -1,0 +1,270 @@
+// Copyright 2020 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+package bench
+
+// eiselLemire64 and the rows of powersOfTen are taken from the Go
+// toolchain's strconv/eisel_lemire.go (the license above is Go's, at
+// https://go.dev/LICENSE); decimalToFloat, around them, is this
+// repository's. strconv has no entry point that takes digits already
+// gathered, and gathering them is what Cursor.Float has to do anyway to
+// check JSON's number grammar, so the conversion is repeated here and the
+// line is walked once.
+
+import (
+	"math"
+	"math/bits"
+)
+
+// decimalToFloat returns the float64 nearest man·10^exp10, negated if
+// neg, by the two exact methods strconv.ParseFloat tries first. Each
+// either gives the correctly rounded result or declines, so a result
+// from here equals ParseFloat's bit for bit; ok is false for what
+// neither settles — an exponent outside the table, a value half-way
+// between two floats, a subnormal, an overflow — and the caller hands
+// those literals to ParseFloat.
+func decimalToFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	// Clinger's fast path: a mantissa below 2^53 and a power of ten up to
+	// 1e22 are both exact float64s, so one multiplication or division
+	// rounds once, correctly.
+	if man>>53 == 0 && -22 <= exp10 && exp10 <= 22 {
+		f = float64(man)
+		if neg {
+			f = -f
+		}
+		if exp10 < 0 {
+			return f / pow10[-exp10], true
+		}
+		return f * pow10[exp10], true
+	}
+	return eiselLemire64(man, exp10, neg)
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21, 1e22,
+}
+
+// eiselLemire64 is the Eisel-Lemire ParseFloat algorithm, published in
+// 2020 and discussed extensively at
+// https://nigeltao.github.io/blog/2020/eisel-lemire.html
+// The terse comments in its body refer to sections of that blog post.
+func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	// Exp10 Range.
+	if man == 0 {
+		if neg {
+			f = math.Float64frombits(0x8000000000000000) // Negative zero.
+		}
+		return f, true
+	}
+	if exp10 < powersOfTenMinExp10 || powersOfTenMaxExp10 < exp10 {
+		return 0, false
+	}
+
+	// Normalization.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
+
+	// Multiplication.
+	xHi, xLo := bits.Mul64(man, powersOfTen[exp10-powersOfTenMinExp10][1])
+
+	// Wider Approximation.
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, powersOfTen[exp10-powersOfTenMinExp10][0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shifting to 54 Bits.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+
+	// Half-way Ambiguity.
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// From 54 to 53 Bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2 += 1
+	}
+	// retExp2 is a uint64. Zero or underflow means that we're in subnormal
+	// float64 space. 0x7FF or above means that we're in Inf/NaN float64 space.
+	//
+	// The if block is equivalent to (but has fewer branches than):
+	//   if retExp2 <= 0 || retExp2 >= 0x7FF { etc }
+	if retExp2-1 >= 0x7FF-1 {
+		return 0, false
+	}
+	retBits := retExp2<<52 | retMantissa&0x000FFFFFFFFFFFFF
+	if neg {
+		retBits |= 0x8000000000000000
+	}
+	return math.Float64frombits(retBits), true
+}
+
+// powersOfTen{Min,Max}Exp10 is the power of 10 represented by the first
+// and last rows of powersOfTen. Both bounds are inclusive. strconv's
+// table runs from 1e-348 to 1e347; the numbers on this wire are written
+// by AppendFloat with at most 19 digits and magnitudes a benchmark's
+// data has, and a literal beyond these rows is still read, by ParseFloat.
+const (
+	powersOfTenMinExp10 = -64
+	powersOfTenMaxExp10 = +64
+)
+
+// powersOfTen contains 128-bit mantissa approximations (rounded down)
+// to the powers of 10. For example:
+//
+//   - 1e43 ≈ (0xE596B7B0_C643C719                   * (2 ** 79))
+//   - 1e43 = (0xE596B7B0_C643C719_6D9CCD05_D0000000 * (2 ** 15))
+//
+// The mantissas are explicitly listed, low word first. The exponents are
+// implied by a linear expression with slope 217706.0/65536.0 ≈
+// log(10)/log(2). TestPowersOfTen recomputes every row.
+var powersOfTen = [...][2]uint64{
+	{0x3F2398D747B36224, 0xA87FEA27A539E9A5}, // 1e-64
+	{0x8EEC7F0D19A03AAD, 0xD29FE4B18E88640E}, // 1e-63
+	{0x1953CF68300424AC, 0x83A3EEEEF9153E89}, // 1e-62
+	{0x5FA8C3423C052DD7, 0xA48CEAAAB75A8E2B}, // 1e-61
+	{0x3792F412CB06794D, 0xCDB02555653131B6}, // 1e-60
+	{0xE2BBD88BBEE40BD0, 0x808E17555F3EBF11}, // 1e-59
+	{0x5B6ACEAEAE9D0EC4, 0xA0B19D2AB70E6ED6}, // 1e-58
+	{0xF245825A5A445275, 0xC8DE047564D20A8B}, // 1e-57
+	{0xEED6E2F0F0D56712, 0xFB158592BE068D2E}, // 1e-56
+	{0x55464DD69685606B, 0x9CED737BB6C4183D}, // 1e-55
+	{0xAA97E14C3C26B886, 0xC428D05AA4751E4C}, // 1e-54
+	{0xD53DD99F4B3066A8, 0xF53304714D9265DF}, // 1e-53
+	{0xE546A8038EFE4029, 0x993FE2C6D07B7FAB}, // 1e-52
+	{0xDE98520472BDD033, 0xBF8FDB78849A5F96}, // 1e-51
+	{0x963E66858F6D4440, 0xEF73D256A5C0F77C}, // 1e-50
+	{0xDDE7001379A44AA8, 0x95A8637627989AAD}, // 1e-49
+	{0x5560C018580D5D52, 0xBB127C53B17EC159}, // 1e-48
+	{0xAAB8F01E6E10B4A6, 0xE9D71B689DDE71AF}, // 1e-47
+	{0xCAB3961304CA70E8, 0x9226712162AB070D}, // 1e-46
+	{0x3D607B97C5FD0D22, 0xB6B00D69BB55C8D1}, // 1e-45
+	{0x8CB89A7DB77C506A, 0xE45C10C42A2B3B05}, // 1e-44
+	{0x77F3608E92ADB242, 0x8EB98A7A9A5B04E3}, // 1e-43
+	{0x55F038B237591ED3, 0xB267ED1940F1C61C}, // 1e-42
+	{0x6B6C46DEC52F6688, 0xDF01E85F912E37A3}, // 1e-41
+	{0x2323AC4B3B3DA015, 0x8B61313BBABCE2C6}, // 1e-40
+	{0xABEC975E0A0D081A, 0xAE397D8AA96C1B77}, // 1e-39
+	{0x96E7BD358C904A21, 0xD9C7DCED53C72255}, // 1e-38
+	{0x7E50D64177DA2E54, 0x881CEA14545C7575}, // 1e-37
+	{0xDDE50BD1D5D0B9E9, 0xAA242499697392D2}, // 1e-36
+	{0x955E4EC64B44E864, 0xD4AD2DBFC3D07787}, // 1e-35
+	{0xBD5AF13BEF0B113E, 0x84EC3C97DA624AB4}, // 1e-34
+	{0xECB1AD8AEACDD58E, 0xA6274BBDD0FADD61}, // 1e-33
+	{0x67DE18EDA5814AF2, 0xCFB11EAD453994BA}, // 1e-32
+	{0x80EACF948770CED7, 0x81CEB32C4B43FCF4}, // 1e-31
+	{0xA1258379A94D028D, 0xA2425FF75E14FC31}, // 1e-30
+	{0x096EE45813A04330, 0xCAD2F7F5359A3B3E}, // 1e-29
+	{0x8BCA9D6E188853FC, 0xFD87B5F28300CA0D}, // 1e-28
+	{0x775EA264CF55347D, 0x9E74D1B791E07E48}, // 1e-27
+	{0x95364AFE032A819D, 0xC612062576589DDA}, // 1e-26
+	{0x3A83DDBD83F52204, 0xF79687AED3EEC551}, // 1e-25
+	{0xC4926A9672793542, 0x9ABE14CD44753B52}, // 1e-24
+	{0x75B7053C0F178293, 0xC16D9A0095928A27}, // 1e-23
+	{0x5324C68B12DD6338, 0xF1C90080BAF72CB1}, // 1e-22
+	{0xD3F6FC16EBCA5E03, 0x971DA05074DA7BEE}, // 1e-21
+	{0x88F4BB1CA6BCF584, 0xBCE5086492111AEA}, // 1e-20
+	{0x2B31E9E3D06C32E5, 0xEC1E4A7DB69561A5}, // 1e-19
+	{0x3AFF322E62439FCF, 0x9392EE8E921D5D07}, // 1e-18
+	{0x09BEFEB9FAD487C2, 0xB877AA3236A4B449}, // 1e-17
+	{0x4C2EBE687989A9B3, 0xE69594BEC44DE15B}, // 1e-16
+	{0x0F9D37014BF60A10, 0x901D7CF73AB0ACD9}, // 1e-15
+	{0x538484C19EF38C94, 0xB424DC35095CD80F}, // 1e-14
+	{0x2865A5F206B06FB9, 0xE12E13424BB40E13}, // 1e-13
+	{0xF93F87B7442E45D3, 0x8CBCCC096F5088CB}, // 1e-12
+	{0xF78F69A51539D748, 0xAFEBFF0BCB24AAFE}, // 1e-11
+	{0xB573440E5A884D1B, 0xDBE6FECEBDEDD5BE}, // 1e-10
+	{0x31680A88F8953030, 0x89705F4136B4A597}, // 1e-9
+	{0xFDC20D2B36BA7C3D, 0xABCC77118461CEFC}, // 1e-8
+	{0x3D32907604691B4C, 0xD6BF94D5E57A42BC}, // 1e-7
+	{0xA63F9A49C2C1B10F, 0x8637BD05AF6C69B5}, // 1e-6
+	{0x0FCF80DC33721D53, 0xA7C5AC471B478423}, // 1e-5
+	{0xD3C36113404EA4A8, 0xD1B71758E219652B}, // 1e-4
+	{0x645A1CAC083126E9, 0x83126E978D4FDF3B}, // 1e-3
+	{0x3D70A3D70A3D70A3, 0xA3D70A3D70A3D70A}, // 1e-2
+	{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}, // 1e-1
+	{0x0000000000000000, 0x8000000000000000}, // 1e0
+	{0x0000000000000000, 0xA000000000000000}, // 1e1
+	{0x0000000000000000, 0xC800000000000000}, // 1e2
+	{0x0000000000000000, 0xFA00000000000000}, // 1e3
+	{0x0000000000000000, 0x9C40000000000000}, // 1e4
+	{0x0000000000000000, 0xC350000000000000}, // 1e5
+	{0x0000000000000000, 0xF424000000000000}, // 1e6
+	{0x0000000000000000, 0x9896800000000000}, // 1e7
+	{0x0000000000000000, 0xBEBC200000000000}, // 1e8
+	{0x0000000000000000, 0xEE6B280000000000}, // 1e9
+	{0x0000000000000000, 0x9502F90000000000}, // 1e10
+	{0x0000000000000000, 0xBA43B74000000000}, // 1e11
+	{0x0000000000000000, 0xE8D4A51000000000}, // 1e12
+	{0x0000000000000000, 0x9184E72A00000000}, // 1e13
+	{0x0000000000000000, 0xB5E620F480000000}, // 1e14
+	{0x0000000000000000, 0xE35FA931A0000000}, // 1e15
+	{0x0000000000000000, 0x8E1BC9BF04000000}, // 1e16
+	{0x0000000000000000, 0xB1A2BC2EC5000000}, // 1e17
+	{0x0000000000000000, 0xDE0B6B3A76400000}, // 1e18
+	{0x0000000000000000, 0x8AC7230489E80000}, // 1e19
+	{0x0000000000000000, 0xAD78EBC5AC620000}, // 1e20
+	{0x0000000000000000, 0xD8D726B7177A8000}, // 1e21
+	{0x0000000000000000, 0x878678326EAC9000}, // 1e22
+	{0x0000000000000000, 0xA968163F0A57B400}, // 1e23
+	{0x0000000000000000, 0xD3C21BCECCEDA100}, // 1e24
+	{0x0000000000000000, 0x84595161401484A0}, // 1e25
+	{0x0000000000000000, 0xA56FA5B99019A5C8}, // 1e26
+	{0x0000000000000000, 0xCECB8F27F4200F3A}, // 1e27
+	{0x4000000000000000, 0x813F3978F8940984}, // 1e28
+	{0x5000000000000000, 0xA18F07D736B90BE5}, // 1e29
+	{0xA400000000000000, 0xC9F2C9CD04674EDE}, // 1e30
+	{0x4D00000000000000, 0xFC6F7C4045812296}, // 1e31
+	{0xF020000000000000, 0x9DC5ADA82B70B59D}, // 1e32
+	{0x6C28000000000000, 0xC5371912364CE305}, // 1e33
+	{0xC732000000000000, 0xF684DF56C3E01BC6}, // 1e34
+	{0x3C7F400000000000, 0x9A130B963A6C115C}, // 1e35
+	{0x4B9F100000000000, 0xC097CE7BC90715B3}, // 1e36
+	{0x1E86D40000000000, 0xF0BDC21ABB48DB20}, // 1e37
+	{0x1314448000000000, 0x96769950B50D88F4}, // 1e38
+	{0x17D955A000000000, 0xBC143FA4E250EB31}, // 1e39
+	{0x5DCFAB0800000000, 0xEB194F8E1AE525FD}, // 1e40
+	{0x5AA1CAE500000000, 0x92EFD1B8D0CF37BE}, // 1e41
+	{0xF14A3D9E40000000, 0xB7ABC627050305AD}, // 1e42
+	{0x6D9CCD05D0000000, 0xE596B7B0C643C719}, // 1e43
+	{0xE4820023A2000000, 0x8F7E32CE7BEA5C6F}, // 1e44
+	{0xDDA2802C8A800000, 0xB35DBF821AE4F38B}, // 1e45
+	{0xD50B2037AD200000, 0xE0352F62A19E306E}, // 1e46
+	{0x4526F422CC340000, 0x8C213D9DA502DE45}, // 1e47
+	{0x9670B12B7F410000, 0xAF298D050E4395D6}, // 1e48
+	{0x3C0CDD765F114000, 0xDAF3F04651D47B4C}, // 1e49
+	{0xA5880A69FB6AC800, 0x88D8762BF324CD0F}, // 1e50
+	{0x8EEA0D047A457A00, 0xAB0E93B6EFEE0053}, // 1e51
+	{0x72A4904598D6D880, 0xD5D238A4ABE98068}, // 1e52
+	{0x47A6DA2B7F864750, 0x85A36366EB71F041}, // 1e53
+	{0x999090B65F67D924, 0xA70C3C40A64E6C51}, // 1e54
+	{0xFFF4B4E3F741CF6D, 0xD0CF4B50CFE20765}, // 1e55
+	{0xBFF8F10E7A8921A4, 0x82818F1281ED449F}, // 1e56
+	{0xAFF72D52192B6A0D, 0xA321F2D7226895C7}, // 1e57
+	{0x9BF4F8A69F764490, 0xCBEA6F8CEB02BB39}, // 1e58
+	{0x02F236D04753D5B4, 0xFEE50B7025C36A08}, // 1e59
+	{0x01D762422C946590, 0x9F4F2726179A2245}, // 1e60
+	{0x424D3AD2B7B97EF5, 0xC722F0EF9D80AAD6}, // 1e61
+	{0xD2E0898765A7DEB2, 0xF8EBAD2B84E0D58B}, // 1e62
+	{0x63CC55F49F88EB2F, 0x9B934C3B330C8577}, // 1e63
+	{0x3CBF6B71C76B25FB, 0xC2781F49FFCFA6D5}, // 1e64
+}

@@ -1,7 +1,6 @@
 package bodytrack
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -56,7 +55,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return res, nil
 	}
 	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := bench.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("bodytrack: bad result: %w", err)
 	}
 	return res, nil

@@ -2,7 +2,6 @@ package dedupstream
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -24,7 +23,7 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 		return seg, nil
 	}
 	var seg Segment
-	if err := json.Unmarshal(data, &seg); err != nil {
+	if err := bench.Unmarshal(data, &seg); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
 	}
 	return seg, nil
@@ -73,7 +72,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return ss, nil
 	}
 	var ss SegmentStats
-	if err := json.Unmarshal(data, &ss); err != nil {
+	if err := bench.Unmarshal(data, &ss); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment stats: %w", err)
 	}
 	return ss, nil
@@ -143,7 +142,7 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 		return w.live()
 	}
 	var w wireState
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := bench.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad state: %w", err)
 	}
 	return w.live()

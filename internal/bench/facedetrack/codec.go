@@ -1,7 +1,6 @@
 package facedetrack
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -58,7 +57,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return res, nil
 	}
 	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := bench.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("facedet-and-track: bad result: %w", err)
 	}
 	return res, nil

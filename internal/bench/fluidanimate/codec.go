@@ -1,7 +1,6 @@
 package fluidanimate
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -23,7 +22,7 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 		return f, nil
 	}
 	var f Force
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := bench.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad force: %w", err)
 	}
 	return f, nil
@@ -84,7 +83,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return se, nil
 	}
 	var se StepEnergy
-	if err := json.Unmarshal(data, &se); err != nil {
+	if err := bench.Unmarshal(data, &se); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad step energy: %w", err)
 	}
 	return se, nil
@@ -128,7 +127,7 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 		return st, nil
 	}
 	var w wireField
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := bench.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("fluidanimate: bad state: %w", err)
 	}
 	if len(w.VX) != cells || len(w.VY) != cells {

@@ -16,9 +16,19 @@ import (
 // Cursor takes exactly the lines an Enc writes (the canonical form: keys
 // in declaration order, no whitespace, no escapes, arrays of their full
 // length). A codec hands any line its Cursor does not take to
-// json.Unmarshal, so what is accepted and what it decodes to are
-// encoding/json's by construction; the Cursor only has to be right about
-// the one form that is sent a million times.
+// Unmarshal (stream.go), which is json.Unmarshal, so what is accepted and
+// what it decodes to are encoding/json's by construction; the Cursor only
+// has to be right about the one form that is sent a million times.
+//
+// A line is mostly numbers — streamcluster's 1 KB is 52 of them at 16 to
+// 19 significant digits — so a number is read once: Cursor.Float checks
+// the grammar and gathers the digits in the same walk and converts them
+// itself (atof.go), where strconv.ParseFloat behind a grammar check
+// walked every digit twice and was half of a served session's serial
+// stage. strconv still writes every float (AppendFloat), reads every
+// integer, and reads the float literals the exact conversion declines:
+// a non-zero digit past the 19th, a power of ten beyond ±64, a value
+// half-way between two floats, a subnormal, an overflow.
 
 // errNonFinite is what an Enc reports for NaN and ±Inf, which JSON cannot
 // carry (json.Marshal fails on them too).
@@ -162,11 +172,21 @@ func (c *Cursor) Lit(s string) {
 	}
 }
 
+// tryByte is Try for one byte: the separators of an array, read once an
+// element, for which Try's string compare is most of the cost.
+func (c *Cursor) tryByte(ch byte) bool {
+	if c.bad || c.i >= len(c.b) || c.b[c.i] != ch {
+		return false
+	}
+	c.i++
+	return true
+}
+
 // Comma consumes the ',' before element i of an array of known length,
 // none before the first.
 func (c *Cursor) Comma(i int) {
-	if i > 0 {
-		c.Lit(",")
+	if i > 0 && !c.tryByte(',') {
+		c.bad = true
 	}
 }
 
@@ -181,11 +201,10 @@ func digits(b []byte, i int) int {
 	return i
 }
 
-// number consumes a JSON number literal — the integer part only unless
-// frac — and returns it, or fails and returns nil. strconv accepts more
-// than JSON does (hex, underscores, "+1", "Inf", "01"), so the grammar is
-// checked here.
-func (c *Cursor) number(frac bool) []byte {
+// number consumes the integer form of a JSON number literal and returns
+// it, or fails and returns nil. strconv accepts more than JSON does
+// (underscores, "+1", "01"), so the grammar is checked here.
+func (c *Cursor) number() []byte {
 	if c.bad {
 		return nil
 	}
@@ -195,38 +214,104 @@ func (c *Cursor) number(frac bool) []byte {
 	}
 	end := digits(b, i)
 	if end == i || b[i] == '0' && end > i+1 {
-		return c.fail() // no digits, or a leading zero
+		c.bad = true // no digits, or a leading zero
+		return nil
 	}
-	if i = end; frac && i < len(b) && b[i] == '.' {
-		if end = digits(b, i+1); end == i+1 {
-			return c.fail()
-		}
-		i = end
-	}
-	if frac && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if end = digits(b, i); end == i {
-			return c.fail()
-		}
-		i = end
-	}
-	lit := b[c.i:i]
-	c.i = i
+	lit := b[c.i:end]
+	c.i = end
 	return lit
 }
 
-func (c *Cursor) fail() []byte {
-	c.bad = true
-	return nil
-}
+// manRoom bounds a mantissa that can take one more digit: below it there
+// are at most 18, and 19 always fit a uint64.
+const manRoom = 1e18
 
-// Float reads a number as encoding/json does, with strconv.ParseFloat.
+// Float reads a number to the float64 encoding/json reads it to, which
+// is strconv.ParseFloat's. One walk over the literal checks JSON's
+// grammar — strconv accepts more than JSON does (hex, underscores, "+1",
+// "Inf", "01", "1.") — and gathers what the conversion needs: the first
+// 19 significant digits as an integer, the power of ten that scales it,
+// and whether any non-zero digit was left out. decimalToFloat converts
+// that exactly or declines; what it declines, and a literal whose
+// digits did not all fit, goes to ParseFloat as the slice just
+// delimited, the way a codec hands a line it does not take to
+// json.Unmarshal.
 func (c *Cursor) Float() float64 {
-	lit := c.number(true)
-	if lit == nil {
+	if c.bad {
 		return 0
+	}
+	b, i := c.b, c.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var (
+		man   uint64 // the first 19 significant digits
+		exp10 int    // the value is man·10^exp10, plus any dropped tail
+		exact = true // no non-zero digit was dropped
+	)
+	// Integer part: a lone 0, or digits that start with 1-9. A digit
+	// past the 19th is dropped and scales the kept ones up.
+	first := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		d := uint64(b[i] - '0')
+		if man < manRoom {
+			man = man*10 + d
+		} else {
+			exp10++
+			exact = exact && d == 0
+		}
+	}
+	if i == first || b[first] == '0' && i > first+1 {
+		c.bad = true // no digits, or a leading zero
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		first = i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			d := uint64(b[i] - '0')
+			if man < manRoom {
+				man = man*10 + d // a zero ahead of the first non-zero digit only scales
+				exp10--
+			} else {
+				exact = exact && d == 0
+			}
+		}
+		if i == first {
+			c.bad = true
+			return 0
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		first = i
+		e := 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // past any float64; keeps a long run from overflowing e
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == first {
+			c.bad = true
+			return 0
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	lit := b[c.i:i]
+	c.i = i
+	if exact {
+		if f, ok := decimalToFloat(man, exp10, neg); ok {
+			return f
+		}
 	}
 	f, err := strconv.ParseFloat(str(lit), 64)
 	if err != nil {
@@ -238,7 +323,7 @@ func (c *Cursor) Float() float64 {
 
 // Int reads an integer that fits an int.
 func (c *Cursor) Int() int {
-	lit := c.number(false)
+	lit := c.number()
 	if lit == nil {
 		return 0
 	}
@@ -252,7 +337,7 @@ func (c *Cursor) Int() int {
 
 // Uint reads a non-negative integer that fits in bits bits.
 func (c *Cursor) Uint(bits int) uint64 {
-	lit := c.number(false)
+	lit := c.number()
 	if lit == nil {
 		return 0
 	}
@@ -309,12 +394,14 @@ func (c *Cursor) Elems(sep, end string, minBytes int) int {
 //	for i := 0; c.Next(i); i++ { ... read one element ... }
 func (c *Cursor) Next(i int) bool {
 	if i == 0 {
-		return !c.Try("]") && !c.bad
+		return !c.tryByte(']') && !c.bad
 	}
-	if c.Try(",") {
+	if c.tryByte(',') {
 		return true
 	}
-	c.Lit("]")
+	if !c.tryByte(']') {
+		c.bad = true
+	}
 	return false
 }
 

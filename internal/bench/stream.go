@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"gostats/internal/engine"
 )
@@ -73,11 +75,13 @@ func CodecNames() []string {
 // round-trips, which is what carries float64 losslessly), and every
 // decoder reads that one canonical form with a Cursor. Any other line —
 // whitespace, reordered or case-folded keys, unknown fields, escapes,
-// null — goes to json.Unmarshal, in the decoder's fallback in each
-// benchmark's codec.go: the only calls into encoding/json outside tests.
-// So the lines accepted and the values decoded are encoding/json's by
+// null — goes to Unmarshal below, the fallback at the bottom of every
+// decoder and the only call into encoding/json outside tests. So the
+// lines accepted and the values decoded are encoding/json's by
 // construction, and internal/bench/all's differential tests and fuzz
-// targets check the rest against it.
+// targets check the rest against it. strconv stands in two places:
+// writing a float (AppendFloat's shortest digits are its Ryu) and reading
+// the rare literal Cursor.Float's own exact conversion declines.
 type WireCodec interface {
 	StreamCodec
 	// DecodeOutput parses an EncodeOutput line back into a live output —
@@ -90,6 +94,23 @@ type WireCodec interface {
 	// DecodeState parses an EncodeState line back into a live state.
 	DecodeState(data []byte) (engine.State, error)
 }
+
+// fallbackLines counts Unmarshal calls.
+var fallbackLines atomic.Uint64
+
+// Unmarshal is json.Unmarshal, counted: where a decoder sends a line its
+// Cursor did not take. Such a line costs about three times a canonical
+// one, and a client whose encoder writes ", " and ": " (Python's
+// json.dumps by default) sends nothing else, so the count is published
+// (statsserved /metrics, decode_fallback_lines) for an operator to see.
+func Unmarshal(data []byte, v any) error {
+	fallbackLines.Add(1)
+	return json.Unmarshal(data, v)
+}
+
+// FallbackLines reports how many lines this process has decoded with
+// Unmarshal rather than with a Cursor.
+func FallbackLines() uint64 { return fallbackLines.Load() }
 
 var wires = map[string]func() WireCodec{}
 

@@ -1,7 +1,6 @@
 package streamclassifier
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -27,7 +26,7 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 		return blk, nil
 	}
 	var blk Block
-	if err := json.Unmarshal(data, &blk); err != nil {
+	if err := bench.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block: %w", err)
 	}
 	return blk, nil
@@ -104,7 +103,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return ba, nil
 	}
 	var ba BlockAccuracy
-	if err := json.Unmarshal(data, &ba); err != nil {
+	if err := bench.Unmarshal(data, &ba); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block accuracy: %w", err)
 	}
 	return ba, nil
@@ -149,7 +148,7 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 		return w.live(), nil
 	}
 	var w wireState
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := bench.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad state: %w", err)
 	}
 	return w.live(), nil

@@ -1,7 +1,6 @@
 package streamcluster
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -17,7 +16,7 @@ func init() {
 // line, one BlockCost per committed output line, and the 104-byte center
 // state for checkpoints and out-of-process chunk execution. Encoders
 // write encoding/json's bytes with bench.Enc; decoders read that form
-// with bench.Cursor and leave every other line to json.Unmarshal.
+// with bench.Cursor and leave every other line to bench.Unmarshal.
 type codec struct{}
 
 // pointBytes is the least one encoded point can occupy, comma included.
@@ -28,7 +27,7 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 		return blk, nil
 	}
 	var blk Block
-	if err := json.Unmarshal(data, &blk); err != nil {
+	if err := bench.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
 	}
 	return blk, nil
@@ -107,7 +106,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return bc, nil
 	}
 	var bc BlockCost
-	if err := json.Unmarshal(data, &bc); err != nil {
+	if err := bench.Unmarshal(data, &bc); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block cost: %w", err)
 	}
 	return bc, nil
@@ -149,7 +148,7 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 		return w.live(), nil
 	}
 	var w wireState
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := bench.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad state: %w", err)
 	}
 	return w.live(), nil

@@ -1,7 +1,6 @@
 package swaptions
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -23,7 +22,7 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 		return b, nil
 	}
 	var b Batch
-	if err := json.Unmarshal(data, &b); err != nil {
+	if err := bench.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("swaptions: bad batch: %w", err)
 	}
 	return b, nil
@@ -78,7 +77,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 		return p, nil
 	}
 	var p Price
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := bench.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("swaptions: bad price: %w", err)
 	}
 	return p, nil
@@ -129,7 +128,7 @@ func (codec) DecodeState(data []byte) (engine.State, error) {
 		return w.live(), nil
 	}
 	var w wireState
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := bench.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("swaptions: bad state: %w", err)
 	}
 	return w.live(), nil

@@ -1,7 +1,6 @@
 package trackutil
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -11,7 +10,7 @@ import (
 // those halves of their codecs: a Frame per request line and a WireCloud
 // per state line, written as encoding/json writes them. Decoders read
 // that form with a bench.Cursor and leave every other line to
-// json.Unmarshal.
+// bench.Unmarshal.
 
 // EncodeFrame renders fr as one line.
 func EncodeFrame(fr Frame) ([]byte, error) {
@@ -37,7 +36,7 @@ func DecodeFrame(data []byte) (Frame, error) {
 		return fr, nil
 	}
 	var fr Frame
-	err := json.Unmarshal(data, &fr)
+	err := bench.Unmarshal(data, &fr)
 	return fr, err
 }
 
@@ -86,7 +85,7 @@ func DecodeCloud(data []byte, n, dims int) (*Cloud, error) {
 	w, ok := scanCloud(data)
 	if !ok {
 		w = WireCloud{}
-		if err := json.Unmarshal(data, &w); err != nil {
+		if err := bench.Unmarshal(data, &w); err != nil {
 			return nil, err
 		}
 	}

@@ -124,14 +124,16 @@ type Config struct {
 // ring operation runs once per pipeline hop, and the engine's frontier/
 // commit/assemble files run once per input on the committed path
 // (assemble.go is Push itself: the fill and the dispatch) — as does
-// bench's ndjson.go, which every served line is read and written with. worker/attempt/protocol are the chunk protocol itself, which
-// runs once per chunk and allocates nothing there on the fault-free path.
+// bench's ndjson.go, which every served line is read and written with,
+// and atof.go, which converts each number on it. worker/attempt/protocol
+// are the chunk protocol itself, which runs once per chunk and allocates
+// nothing there on the fault-free path.
 func DefaultConfig() *Config {
 	return &Config{
 		HotPathPackages: []string{"gostats/internal/ring"},
 		HotPathFiles: map[string][]string{
 			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go", "worker.go", "attempt.go", "protocol.go"},
-			"gostats/internal/bench":  {"ndjson.go"},
+			"gostats/internal/bench":  {"ndjson.go", "atof.go"},
 		},
 		CriticalPrefixes: []string{
 			"gostats/internal/engine",

@@ -189,6 +189,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// describe this HTTP front end, not the pipelines behind it.
 	fmt.Fprintf(w, "serve/counter[handler_panics]=%d\n", s.panics.Load())
 	fmt.Fprintf(w, "serve/counter[sessions_shed]=%d\n", s.shed.Load())
+	// Lines this process decoded through encoding/json because they were
+	// not in a codec's canonical form: correct, at about three times the
+	// cost. A client that moves this by one a line should drop the
+	// whitespace from its encoder.
+	fmt.Fprintf(w, "serve/counter[decode_fallback_lines]=%d\n", bench.FallbackLines())
 	// Load signals for cluster routing (statsgate's least-loaded policy
 	// scrapes these): current session slots held, the cap, how many
 	// chunks are speculating right now across every in-flight session's

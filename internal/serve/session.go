@@ -277,7 +277,11 @@ func (ss *session) push() error {
 		if len(bytes.TrimSpace(b)) == 0 {
 			continue
 		}
-		in, err := ss.codec.DecodeInput(b)
+		// Decoded without the padding JSON allows around a value, which
+		// would cost the line the codec's fast path and nothing else. Only
+		// JSON's own whitespace goes: what else TrimSpace knows (\v, \f,
+		// U+00A0) must still reach the decoder and be refused.
+		in, err := ss.codec.DecodeInput(bytes.Trim(b, " \t\r\n"))
 		if err != nil {
 			return fmt.Errorf("%w: input line %d: %v", errBadRequest, ss.sc.Line(), err)
 		}
