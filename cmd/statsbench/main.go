@@ -4,23 +4,23 @@
 //
 //	statsbench [-only fig9,table1] [-benchmarks a,b] [-cores 14,28]
 //	           [-quality-runs N] [-tune N] [-out dir] [-v]
-//	statsbench -perf [-perf-out BENCH_streaming.json] [-perf-n 400]
-//	statsbench -workload spec.json [-perf-out BENCH_streaming.json]
+//	statsbench -workload spec.json
+//	statsbench -autotune [-perf-benchmarks a,b] [-perf-n 400]
 //
 // With no flags it reproduces every artifact (Table I, Figs. 9–16,
 // Table II) for all six benchmarks at 14 and 28 simulated cores, printing
 // to stdout and, with -out, also writing one text file per artifact.
 //
-// With -perf it instead benchmarks the repo's own native hot path: batch
-// and streaming protocol executions at 1/4/GOMAXPROCS workers, reporting
-// ns/op, B/op, allocs/op and commit/abort rates into BENCH_streaming.json
-// (see the README's Performance section).
-//
 // With -workload it replays a workload spec (internal/workload) through
-// real adaptive streaming pipelines — one per trace session — and records
-// per-benchmark commit/abort rates, autotune chunk-size trajectories, and
-// per-op cost, phase-binned by arrival time, into the report's
-// "workload" block.
+// real adaptive streaming pipelines — one per trace session — and prints
+// per-benchmark commit/abort counts and autotune chunk-size trajectories,
+// phase-binned by arrival time, as JSON: a function of the spec alone.
+//
+// With -autotune it runs batch workloads under online adaptive chunk
+// sizing and prints the engine's commit, abort, resize and overhead
+// counters. Neither mode reports a time or an allocation figure: what the
+// native path costs is measured by the repository benchmark
+// (BENCHMARK.json, benchmark/).
 //
 // All modes accept -cpuprofile/-memprofile/-pprof for diagnosis.
 package main
@@ -52,13 +52,10 @@ func main() {
 	list := flag.Bool("list", false, "list the available artifacts and exit")
 	seed := flag.Uint64("seed", 3, "nondeterminism seed")
 	inputSeed := flag.Uint64("input-seed", 1, "input-generation seed")
-	perf := flag.Bool("perf", false, "benchmark the native hot path instead of regenerating paper artifacts")
-	perfOut := flag.String("perf-out", "BENCH_streaming.json", "with -perf, write the JSON report here")
-	perfN := flag.Int("perf-n", 400, "with -perf, cap the inputs per benchmark (0: native length)")
-	perfBench := flag.String("perf-benchmarks", "facetrack,streamcluster,streamclassifier,dedupstream", "with -perf, comma-separated benchmarks to measure")
-	workloadSpec := flag.String("workload", "", "replay this workload spec through adaptive streaming pipelines and record the \"workload\" block")
-	perfRepeat := flag.Int("perf-repeat", 1, "with -perf, repeat each measured workload N times (per-op figures are averaged; use with -cpuprofile for enough samples to flamegraph)")
-	autotune := flag.Bool("autotune", false, "run batch workloads with online adaptive chunk sizing; with -perf, also adds adaptive rows to the report")
+	perfN := flag.Int("perf-n", 400, "with -autotune, cap the inputs per benchmark (0: native length)")
+	perfBench := flag.String("perf-benchmarks", "facetrack,streamcluster,streamclassifier,dedupstream", "with -autotune, comma-separated benchmarks to run")
+	workloadSpec := flag.String("workload", "", "replay this workload spec through adaptive streaming pipelines and print per-benchmark and per-phase commit/abort/resize counts as JSON")
+	autotune := flag.Bool("autotune", false, "run batch workloads with online adaptive chunk sizing and print the engine's counters")
 	prof := profiling.Register()
 	flag.Parse()
 
@@ -71,19 +68,10 @@ func main() {
 	// failing run still leaves a usable -cpuprofile behind.
 	atExit = stopProf
 
-	if *perf {
-		if err := runPerf(strings.Split(*perfBench, ","), *perfN, *seed, *inputSeed, *perfOut, *autotune, *perfRepeat); err != nil {
-			fatalf("perf: %v", err)
-		}
-		fmt.Printf("perf report written to %s\n", *perfOut)
-		return
-	}
-
 	if *workloadSpec != "" {
-		if err := runWorkload(*workloadSpec, *perfOut, *perfRepeat); err != nil {
+		if err := runWorkload(*workloadSpec, os.Stdout); err != nil {
 			fatalf("workload: %v", err)
 		}
-		fmt.Printf("workload block written to %s\n", *perfOut)
 		return
 	}
 

@@ -230,7 +230,7 @@ func recordSim(spec cluster.ArrivalSpec, path string) error {
 }
 
 // runSim compares the named policies over one workload trace and prints
-// a table (or JSON rows, the format recorded in BENCH_streaming.json).
+// a table (or JSON rows, the format of internal/cluster/testdata's goldens).
 func runSim(spec cluster.ArrivalSpec, policyList string, jsonOut bool) error {
 	var ps []cluster.RoutingPolicy
 	for _, name := range strings.Split(policyList, ",") {

@@ -5,18 +5,13 @@
 //	go run ./cmd/statslint ./...
 //	go run ./cmd/statslint -json ./... > findings.json
 //	go run ./cmd/statslint -sarif findings.sarif ./...
-//	go run ./cmd/statslint -write-baseline lint.baseline ./...
-//	go run ./cmd/statslint -baseline lint.baseline ./...
 //
-// Exit status: 0 when the tree is clean (or every finding is absorbed
-// by the baseline), 1 when any fresh diagnostic was reported, 2 on
-// usage or load errors. The -json mode emits one machine-readable
-// array of {analyzer, file, line, col, message} objects (sorted by
-// position); -sarif writes the same findings as a SARIF 2.1.0 log for
-// GitHub code scanning. -write-baseline records the current findings
-// as accepted debt; a later run with -baseline fails only on findings
-// not in that file. -stale additionally reports //statslint:allow
-// directives that no longer suppress anything.
+// Exit status: 0 when the tree is clean, 1 when any diagnostic was
+// reported, 2 on usage or load errors. The -json mode emits one
+// machine-readable array of {analyzer, file, line, col, message}
+// objects (sorted by position); -sarif writes the same findings as a
+// SARIF 2.1.0 log for GitHub code scanning. -stale additionally reports
+// //statslint:allow directives that no longer suppress anything.
 //
 // Intentional nondeterminism is waived in source with
 // //statslint:allow [analyzer] <reason>; see internal/lint.
@@ -41,8 +36,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON diagnostics on stdout")
 	only := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
 	sarifPath := flag.String("sarif", "", "write findings as a SARIF 2.1.0 log to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file; only fresh findings fail")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	stale := flag.Bool("stale", false, "also report //statslint:allow directives that no longer suppress anything")
 	flag.Usage = usage
 	flag.Parse()
@@ -97,40 +90,6 @@ func run() int {
 		diags = append(diags, res.Stale...)
 	}
 
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "statslint: %v\n", err)
-			return 2
-		}
-		werr := lint.WriteBaseline(f, cwd, diags)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "statslint: writing baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "statslint: wrote baseline with %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	absorbed := 0
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "statslint: %v\n", err)
-			return 2
-		}
-		base, err := lint.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "statslint: %s: %v\n", *baselinePath, err)
-			return 2
-		}
-		diags, absorbed = lint.FilterBaseline(base, cwd, diags)
-	}
-
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
 		if err != nil {
@@ -162,9 +121,6 @@ func run() int {
 			fmt.Println(d)
 		}
 	}
-	if absorbed > 0 {
-		fmt.Fprintf(os.Stderr, "statslint: %d baselined finding(s) suppressed\n", absorbed)
-	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "statslint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
@@ -173,7 +129,7 @@ func run() int {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: statslint [-json] [-sarif file] [-baseline file] [-write-baseline file] [-stale] [-analyzers a,b] [packages...]\n\nAnalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: statslint [-json] [-sarif file] [-stale] [-analyzers a,b] [packages...]\n\nAnalyzers:\n")
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -10,117 +11,106 @@ import (
 	"gostats/internal/workload"
 )
 
-// TestGatewayBaselineRegression re-runs the committed seed-42 simulation
-// through the workload-distribution seam and requires every figure —
-// including the decision-sequence hash — to match BENCH_streaming.json's
-// gateway block exactly. This is the refactor's equivalence gate: if the
-// Distribution/Mix indirection ever disturbs a single draw, the hash
-// moves and this test names the policy that diverged.
-func TestGatewayBaselineRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("200k-session baseline replay skipped in -short")
-	}
-	raw, err := os.ReadFile("../../BENCH_streaming.json")
-	if err != nil {
-		t.Fatalf("reading baseline: %v", err)
-	}
-	var doc struct {
-		Gateway struct {
-			Seed uint64                  `json:"seed"`
-			Rows map[string]PolicyResult `json:"rows"`
-		} `json:"gateway"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parsing baseline: %v", err)
-	}
-	if len(doc.Gateway.Rows) == 0 {
-		t.Fatal("baseline has no gateway rows")
-	}
-	// The spec the committed block's note names (statsgate -sim flags).
-	spec := ArrivalSpec{
+// baselineSpec is the seed-42 arrival spec of both committed simulations,
+// as `statsgate -sim` flags: -sim-sessions 200000 -sim-backends 8
+// -sim-slots 16 -sim-arrival 1ms -sim-duration 100ms -sim-seed 42.
+func baselineSpec() ArrivalSpec {
+	return ArrivalSpec{
 		Sessions:         200000,
 		Backends:         8,
 		SlotsPerBackend:  16,
 		MeanInterarrival: time.Millisecond,
 		MeanDuration:     100 * time.Millisecond,
 		Burst:            1,
-		Seed:             doc.Gateway.Seed,
+		Seed:             42,
 	}
-	for key, want := range doc.Gateway.Rows {
-		p, err := PolicyFor(want.Policy)
+}
+
+// simGolden runs every policy over spec, as `statsgate -sim -json` does,
+// and requires what that command prints to be the golden file byte for
+// byte — so a file edited by hand or regenerated in part fails too. On a
+// mismatch it names each policy and field that moved, decision hash first.
+func simGolden(t *testing.T, spec ArrivalSpec, file string) []PolicyResult {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("200k-session baseline replay skipped in -short")
+	}
+	var ps []RoutingPolicy
+	for _, name := range PolicyNames() {
+		p, err := PolicyFor(name)
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
+			t.Fatal(err)
 		}
-		got, err := Simulate(spec, p)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		if got.Decisions != want.Decisions {
+		ps = append(ps, p)
+	}
+	got, err := Compare(spec, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(got); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Bytes(), golden) {
+		return got
+	}
+	var want []PolicyResult
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d rows, simulated %d policies", file, len(want), len(got))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Decisions != w.Decisions {
 			t.Errorf("%s: decision hash diverged: %016x, baseline %016x — the workload seam disturbed a draw",
-				key, got.Decisions, want.Decisions)
+				g.Policy, g.Decisions, w.Decisions)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: result diverged from baseline:\n got %+v\nwant %+v", key, got, want)
+		gv, wv := reflect.ValueOf(g), reflect.ValueOf(w)
+		for f := 0; f < gv.NumField(); f++ {
+			if gf, wf := gv.Field(f).Interface(), wv.Field(f).Interface(); !reflect.DeepEqual(gf, wf) {
+				t.Errorf("%s: %s is %v, golden has %v", g.Policy, gv.Type().Field(f).Name, gf, wf)
+			}
 		}
 	}
+	if !t.Failed() {
+		t.Errorf("%s decodes to the simulated rows but is not the bytes statsgate -sim -json prints: regenerate it whole", file)
+	}
+	return got
+}
+
+// TestGatewayBaselineRegression re-runs the committed seed-42 simulation
+// through the workload-distribution seam and requires every figure —
+// including the decision-sequence hash — to match the golden file
+// exactly. This is the refactor's equivalence gate: if the
+// Distribution/Mix indirection ever disturbs a single draw, the hash
+// moves and this test names the policy that diverged. Regenerate with
+//
+//	go run ./cmd/statsgate -sim -sim-sessions 200000 -sim-backends 8 -sim-slots 16 -sim-arrival 1ms -sim-duration 100ms -sim-seed 42 -json > internal/cluster/testdata/gateway_seed42.golden.json
+func TestGatewayBaselineRegression(t *testing.T) {
+	simGolden(t, baselineSpec(), "testdata/gateway_seed42.golden.json")
 }
 
 // TestMigrateBaselineRegression is the session-mobility cost model's
 // equivalence gate, the migration analogue of the gateway test above:
-// the committed seed-42 migration block must reproduce exactly,
+// the committed seed-42 migration rows must reproduce exactly,
 // decision hash included. A moved hash means the migration draws or the
-// resume re-pick disturbed the decision sequence.
+// resume re-pick disturbed the decision sequence. Regenerate with
+//
+//	go run ./cmd/statsgate -sim -sim-sessions 200000 -sim-backends 8 -sim-slots 16 -sim-arrival 1ms -sim-duration 100ms -sim-seed 42 -sim-migrate-rate 0.05 -sim-ckpt-cost 2ms -sim-resume-cost 5ms -json > internal/cluster/testdata/migration_seed42.golden.json
 func TestMigrateBaselineRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("200k-session baseline replay skipped in -short")
-	}
-	raw, err := os.ReadFile("../../BENCH_streaming.json")
-	if err != nil {
-		t.Fatalf("reading baseline: %v", err)
-	}
-	var doc struct {
-		Migration struct {
-			Seed         uint64                  `json:"seed"`
-			Rate         float64                 `json:"migrate_rate"`
-			CkptCostNS   int64                   `json:"ckpt_cost_ns"`
-			ResumeCostNS int64                   `json:"resume_cost_ns"`
-			Rows         map[string]PolicyResult `json:"rows"`
-		} `json:"migration"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parsing baseline: %v", err)
-	}
-	if len(doc.Migration.Rows) == 0 {
-		t.Fatal("baseline has no migration rows")
-	}
-	spec := ArrivalSpec{
-		Sessions:         200000,
-		Backends:         8,
-		SlotsPerBackend:  16,
-		MeanInterarrival: time.Millisecond,
-		MeanDuration:     100 * time.Millisecond,
-		Burst:            1,
-		Seed:             doc.Migration.Seed,
-		Migration: MigrationSpec{
-			Rate:           doc.Migration.Rate,
-			CheckpointCost: time.Duration(doc.Migration.CkptCostNS),
-			ResumeCost:     time.Duration(doc.Migration.ResumeCostNS),
-		},
-	}
-	for key, want := range doc.Migration.Rows {
-		p, err := PolicyFor(want.Policy)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		got, err := Simulate(spec, p)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		if got.Migrations == 0 {
-			t.Errorf("%s: migration model drew no migrations", key)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: result diverged from baseline:\n got %+v\nwant %+v", key, got, want)
+	spec := baselineSpec()
+	spec.Migration = MigrationSpec{Rate: 0.05, CheckpointCost: 2 * time.Millisecond, ResumeCost: 5 * time.Millisecond}
+	for _, r := range simGolden(t, spec, "testdata/migration_seed42.golden.json") {
+		if r.Migrations == 0 {
+			t.Errorf("%s: migration model drew no migrations", r.Policy)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestClusterSimAccounting(t *testing.T) {
 // TestClusterSimPolicyContrast: under an overloaded cluster, round-robin and
 // least-loaded must stay near-perfectly fair, and affinity (three
 // benchmarks onto eight backends) must concentrate load — the contrast
-// the recorded BENCH_streaming.json gateway row captures.
+// the seed-42 golden rows (testdata/gateway_seed42.golden.json) capture.
 func TestClusterSimPolicyContrast(t *testing.T) {
 	spec := simSpec()
 	rr, err := Simulate(spec, RoundRobin{})

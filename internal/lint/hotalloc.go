@@ -9,10 +9,10 @@ import (
 
 // HotAlloc flags allocation sites inside hot-path functions — the code
 // that runs once per input or once per pipeline hop, where PR 7's
-// benchmark work drove allocations to near zero. benchguard catches a
-// regression only after it lands and only on the benchmarked paths;
-// this check names the allocating expression at review time, on every
-// hot function.
+// benchmark work drove allocations to near zero. TestPipelineAllocations
+// and the repository benchmark's alloc_b_per_input catch a regression
+// only after it lands and only on the paths they run; this check names
+// the allocating expression at review time, on every hot function.
 //
 // A function is hot when its package matches Config.HotPathPackages,
 // its file is listed in Config.HotPathFiles, or its doc comment carries

@@ -8,49 +8,6 @@ import (
 	"testing"
 )
 
-// TestBaselineRoundTrip pins the counted-multiset semantics: a written
-// baseline absorbs exactly the findings it recorded — per occurrence,
-// not per class — and everything else stays fresh.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := "/repo"
-	diags := []Diagnostic{
-		{Analyzer: "hotalloc", File: "/repo/a/a.go", Line: 10, Col: 2, Message: "append on the hot path may grow"},
-		{Analyzer: "hotalloc", File: "/repo/a/a.go", Line: 40, Col: 2, Message: "append on the hot path may grow"},
-		{Analyzer: "detpath", File: "/repo/b/b.go", Line: 7, Col: 1, Message: "wall-clock read time.Now"},
-	}
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, root, diags); err != nil {
-		t.Fatal(err)
-	}
-	base, err := ReadBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The recorded findings are fully absorbed, even though two share a
-	// key: the count travels with the entry.
-	fresh, absorbed := FilterBaseline(base, root, diags)
-	if len(fresh) != 0 || absorbed != 3 {
-		t.Fatalf("baseline did not absorb its own findings: fresh=%v absorbed=%d", fresh, absorbed)
-	}
-
-	// A third occurrence of the doubled finding exceeds the recorded
-	// count and stays fresh; line movement alone does not.
-	moved := append([]Diagnostic{}, diags...)
-	moved[0].Line = 11
-	extra := append(moved, Diagnostic{Analyzer: "hotalloc", File: "/repo/a/a.go", Line: 90, Col: 2, Message: "append on the hot path may grow"})
-	fresh, absorbed = FilterBaseline(base, root, extra)
-	if absorbed != 3 || len(fresh) != 1 || fresh[0].Line != 90 {
-		t.Fatalf("count semantics broken: fresh=%v absorbed=%d", fresh, absorbed)
-	}
-
-	// A brand-new finding class is always fresh.
-	fresh, _ = FilterBaseline(base, root, []Diagnostic{{Analyzer: "wirecomplete", File: "/repo/a/a.go", Line: 3, Message: "field S.X is not carried by the wire codec"}})
-	if len(fresh) != 1 {
-		t.Fatalf("new finding absorbed by unrelated baseline: %v", fresh)
-	}
-}
-
 // TestSARIFOutput checks the emitted log is valid SARIF 2.1.0 with
 // per-analyzer rules, root-relative URIs, and one result per
 // diagnostic wired to the right rule index.

@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
 )
 
 // SARIF 2.1.0 output, the static-analysis interchange format GitHub
@@ -135,4 +136,17 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
+}
+
+// relPath makes file root-relative with forward slashes, falling back
+// to the input when it is not under root.
+func relPath(root, file string) string {
+	if root == "" {
+		return filepath.ToSlash(file)
+	}
+	rel, err := filepath.Rel(root, file)
+	if err != nil {
+		return filepath.ToSlash(file)
+	}
+	return filepath.ToSlash(rel)
 }
