@@ -66,7 +66,7 @@ func main() {
 	chunk := flag.Int("chunk", 16, "inputs per chunk (initial size with -adapt)")
 	lookback := flag.Int("lookback", 4, "alternative-producer replay length k")
 	extra := flag.Int("extra", 1, "extra original states per chunk boundary")
-	workers := flag.Int("workers", 4, "per-session worker pool / speculation window")
+	workers := flag.Int("workers", engine.DefaultWorkers, "per-session worker pool / speculation window")
 	adapt := flag.Bool("adapt", false, "retune chunk size online from commit/abort feedback")
 	seed := flag.Uint64("seed", 3, "default nondeterminism seed (override per session with ?seed=)")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the producer side of the pipeline. There is no assembler
-// stage: Push groups inputs into the chunk's slab on its caller's
+// stage: Push groups inputs into the chunk's record on its caller's
 // goroutine, attaches the previous chunk's lookback window (what the
 // chunk's alternative producer will replay), and dispatches the chunk to
 // the worker pool on its last input. The producer is the single owner of
@@ -18,7 +18,7 @@ import (
 type producer struct {
 	j          int     // index of the chunk being filled
 	consumed   int     // commit outcomes consumed so far
-	buf        []Input // chunk j's slab, as long as the chunk; nil until its first input
+	buf        []Input // record j's inputs, as long as the chunk; nil until its first input
 	n          int     // inputs written into buf
 	prevWindow []Input // the lookback window chunk j-1 left behind
 }
@@ -49,7 +49,13 @@ func (p *Pipeline) Push(ctx context.Context, in Input) error {
 		if err != nil {
 			return err
 		}
-		a.buf = p.slabs.takeIn(size)[:size]
+		// With outcome j-window-1 consumed, record j is the producer's
+		// (newRecords): fill its inputs in place.
+		ck := p.record(a.j)
+		if cap(ck.inputs) < size {
+			ck.inputs = make([]Input, size)
+		}
+		a.buf = ck.inputs[:size]
 	}
 	a.buf[a.n] = in
 	a.n++
@@ -130,9 +136,7 @@ func (p *Pipeline) dispatch() error {
 	a := &p.prod
 	j, inputs := a.j, a.buf[:a.n]
 	a.buf, a.n = nil, 0
-	// Chunk j's record is free: the window let the producer get here only
-	// after chunk j-len's successor was applied (frontier.go).
-	ck := p.fr.chunk(j)
+	ck := p.record(j)
 	ck.bind(&p.proto, p.ex, nil, j, -1)
 	ck.inputs, ck.prevWindow, ck.initState, ck.fault = inputs, a.prevWindow, nil, nil
 	ck.clearResult()
@@ -160,8 +164,7 @@ func (p *Pipeline) dispatch() error {
 	if err != nil {
 		return p.endErr()
 	}
-	// The dispatched job owns the slab now, and prevWindow aliases its
-	// tail.
+	// prevWindow aliases the tail of the dispatched record's inputs.
 	a.prevWindow = p.window(inputs)
 	a.j++
 	return nil

@@ -14,8 +14,8 @@ import (
 // the speculative attempt (alternative producer → published speculative
 // copy → chunk body → original states), the recovery attempt, the fault
 // discipline around both, and the timed boundary comparison. The batch
-// runtime (batch.go), the streaming pipeline (worker.go, commit.go,
-// frontier.go) and the out-of-process worker (ChunkWorker) all run these;
+// runtime (batch.go), the streaming pipeline (worker.go, commit.go) and
+// the out-of-process worker (ChunkWorker) all run these;
 // they differ only in how chunks map to threads and where results park.
 //
 // Determinism: every RNG substream is derived purely from (seed, program,
@@ -98,33 +98,32 @@ func (pr *proto) window(chunk []Input) []Input {
 
 // verdict is one boundary's timed comparison: whether the speculative
 // state matched an original state, how many comparisons were charged,
-// and who ran the wave when (worker is -1 at the commit frontier).
+// and when the wave ran.
 type verdict struct {
-	start  time.Time
-	dur    time.Duration
-	n      int
-	worker int32
-	ok     bool
+	start time.Time
+	dur   time.Duration
+	n     int
+	ok    bool
 }
 
 // validate runs the comparison wave for one chunk boundary on ex — the
-// engine's one timed comparison. The verdict and inspected count are pure
-// functions of the states; the wall time rides along only to reach the
-// EvValidated event the caller emits, possibly from another goroutine.
-func (pr *proto) validate(ex Exec, worker int, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) verdict {
+// engine's one timed comparison, made by the side that commits. The
+// verdict and inspected count are pure functions of the states; the wall
+// time rides along only to reach the EvValidated event the caller emits.
+func (pr *proto) validate(ex Exec, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) verdict {
 	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; no protocol decision reads it
 	t0 := pr.now()
 	ok, n := matchAnyWave(ex, pr.prog, origs, origFPs, spec, specFP, haveFP)
 	//statslint:allow detpath the duration lands in the EvValidated event the commit side emits; no protocol decision reads it
-	return verdict{ok: ok, n: n, worker: int32(worker), start: t0, dur: pr.since(t0)}
+	return verdict{ok: ok, n: n, start: t0, dur: pr.since(t0)}
 }
 
 // chunkRun is one chunk's view of the protocol: where it executes, the
 // RNG substreams every attempt re-derives from, and the attempt in
 // progress. Events it emits carry worker as their worker slot. The
 // streams are embedded by value (rng.Sub), so a chunkRun that lives in
-// storage its runtime already owns — the pipeline keeps one per frontier
-// slot — costs no allocation per chunk.
+// storage its runtime already owns — the pipeline keeps one per chunk
+// record — costs no allocation per chunk.
 type chunkRun struct {
 	*proto
 	ex     Exec
@@ -235,8 +234,8 @@ func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, s
 // finish is the second half of a speculative attempt: the chunk body
 // from s, then — unless the chunk is known to be the last of a bounded
 // run — the original states its successor will be validated against
-// (origs[0] is final). outBuf and origBuf, when non-nil, are retired
-// buffers the outputs and the original states are accumulated into.
+// (origs[0] is final). outBuf and origBuf, when they have the room, are
+// the buffers the outputs and the original states are returned in.
 func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, origBuf []State) (outs []Output, final State, origs []State) {
 	c.site = SiteBody
 	s = injectAt(c.inj, SiteBody, c.j, c.n, s)

@@ -261,9 +261,9 @@ func (rt *run) worker(ex Exec, j int, start State) {
 
 		matched := false
 		if !sFault {
-			v := rt.validate(ex, j, origs, nil, spec, 0, false)
+			v := rt.validate(ex, origs, nil, spec, 0, false)
 			matched = v.ok
-			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: int(v.worker),
+			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: j,
 				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved: the replica originals and the

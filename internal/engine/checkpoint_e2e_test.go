@@ -17,6 +17,13 @@ import (
 // committed output lines, every snapshot emitted, and the final stats.
 func sessionRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
 	t.Helper()
+	return sessionRunPaced(t, name, cfg, inputs, nil)
+}
+
+// sessionRunPaced is sessionRun with a consumer that calls pace, when
+// non-nil, after taking each output, with the count so far.
+func sessionRunPaced(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input, pace func(n int)) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
+	t.Helper()
 	prog, err := bench.New(name)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +62,9 @@ func sessionRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []eng
 			break
 		}
 		lines = append(lines, line)
+		if pace != nil {
+			pace(len(lines))
+		}
 	}
 	stats, err := p.Wait()
 	if err != nil {

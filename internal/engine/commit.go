@@ -9,15 +9,11 @@ import (
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
 // mispeculation, recovered from. origFPs caches the original states'
-// fingerprint lanes for the next boundary's comparison wave; spec
-// records whether the lineage is the chunk's speculative result (only
-// then may a prevalidated verdict — computed against exactly those
-// original states — be consumed).
+// fingerprint lanes for the next boundary's comparison wave.
 type committed struct {
 	final   State
 	origs   []State
 	origFPs []uint64
-	spec    bool
 }
 
 // commit is the ordered commit stage: it reorders worker results into
@@ -36,17 +32,17 @@ func (p *Pipeline) commit() {
 	}()
 
 	// The reorder buffer: a record that arrived ahead of its turn waits
-	// in the slot it lives in.
-	pending := make([]*chunk, len(p.fr.slots))
+	// at the index it lives at.
+	pending := make([]*chunk, len(p.records))
+	mask := len(pending) - 1
 	next := 0
 	var prev committed
 	var prevInputs []Input // committed predecessor's chunk inputs
 	if rs := p.resume; rs != nil {
 		// Resume at the snapshot frontier: the decoded lineage stands in
-		// for the last committed chunk's result. spec stays false — no
-		// recorded verdict can refer to restored states — so the first
-		// boundary is validated by the inline wave, against the exact
-		// states the uninterrupted session would have held.
+		// for the last committed chunk's result, so the first boundary is
+		// validated against the exact states the uninterrupted session
+		// would have held.
 		next = rs.next
 		if len(rs.lineage) > 0 {
 			prev.final = rs.lineage[0]
@@ -67,9 +63,9 @@ func (p *Pipeline) commit() {
 			}
 			return
 		}
-		pending[uint64(ck.j)&p.fr.mask] = ck
+		pending[ck.j&mask] = ck
 		for {
-			at := uint64(next) & p.fr.mask
+			at := next & mask
 			r := pending[at]
 			if r == nil {
 				break
@@ -78,11 +74,6 @@ func (p *Pipeline) commit() {
 			if !p.applyCommit(r, &prev) {
 				return
 			}
-			// Chunk next-1's input slab is now dead: its last readers
-			// were chunk next's alternative producer (prevWindow
-			// aliases it) and chunk next's possible re-exec, both
-			// finished inside apply.
-			p.slabs.putIn(prevInputs)
 			prevInputs = r.inputs
 			next++
 		}
@@ -90,31 +81,21 @@ func (p *Pipeline) commit() {
 }
 
 // applyCommit validates, commits or recovers one chunk at the frontier
-// and emits its outputs. Validation prefers a verdict prevalidated on a
-// worker (frontier.go); when none is usable it runs the comparison wave
-// inline, with the fingerprint lanes the worker cached. A result whose
-// worker exhausted its retry budget is degraded here: the chunk abandons
-// its (dead) speculation and re-executes sequentially from the last
-// committed state, exactly like a mispeculation abort. applyCommit
+// and emits its outputs. The comparison wave runs here, on the side that
+// commits (§II-B), with the fingerprint lanes the workers cached. A result
+// whose worker exhausted its retry budget is degraded here: the chunk
+// abandons its (dead) speculation and re-executes sequentially from the
+// last committed state, exactly like a mispeculation abort. applyCommit
 // returns false if the context was canceled or the session failed
 // terminally.
 func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 	j := r.j
 	ok := r.fault == nil
 	if j > 0 {
-		// Settle the boundary's validation slot first: after this no
-		// prevalidator can be reading prev's replicas or r's spec.
-		v, have := p.fr.settle(j)
 		if r.fault == nil {
-			// A recorded verdict is consumed only when it was computed
-			// against exactly the states the inline wave would use; it is
-			// reported with the worker that ran it, so its time is charged
-			// there and not to the frontier.
-			if !have || !prev.spec {
-				v = p.validate(p.ex, -1, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
-			}
+			v := p.validate(p.ex, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
 			ok = v.ok
-			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: int(v.worker),
+			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
 				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved either way: the predecessor's replica
@@ -124,7 +105,6 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		p.pool.ReleaseReplicas(prev.origs)
 		p.pool.Release(r.spec)
 	}
-	specLineage := true
 	if !ok {
 		p.aborts.Add(1)
 		if r.fault != nil {
@@ -133,43 +113,29 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		}
 		p.emit(Event{Kind: EvAborted, Chunk: j, Worker: -1})
 		// The speculative run's states — its final (origs[0]) and its
-		// replicas — are dead. Spend the successor's validation slot
-		// before retiring them: a prevalidator may be mid-comparison
-		// against these very states, and once the slot is spent no new
-		// claim can reach them — or the record recovery is about to
-		// rewrite. (Faulted results carry none.)
-		p.fr.quiesce(j + 1)
+		// replicas — are dead. (Faulted results carry none.)
 		p.pool.releaseRun(r.final, r.origs)
 		if fault := r.recoverChunk(prev.final); fault != nil {
 			p.fail(&FaultError{Fault: fault}) //statslint:allow hotalloc fault path: boxes the terminal fault at most once per session
 			return false
 		}
-		// The recovered lineage is not the one any recorded verdict was
-		// computed against; refresh the fingerprint cache for the next
-		// boundary's inline wave.
-		specLineage = false
+		// Refresh the fingerprint cache for the next boundary's wave: the
+		// lanes the worker cached were the dead run's.
 		r.origFPs = p.fingerprints(r.origFPs, r.origs)
 	} else {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
-	outs := r.outs
-	if j > 0 {
-		// Slot j-1 has served as boundary j's predecessor for the last
-		// time; reset it for its next lap.
-		p.fr.clear(j - 1)
-	}
 	// prev aliases the record's original-state and fingerprint buffers;
-	// the record outlives its turn as predecessor (pipeline.go).
+	// the record outlives its turn as predecessor (newRecords).
 	oldFinal := prev.final
-	prev.final, prev.origs = r.final, r.origs
-	prev.origFPs, prev.spec = r.origFPs, specLineage
+	prev.final, prev.origs, prev.origFPs = r.final, r.origs, r.origFPs
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)
 
 	t1 := time.Now()
-	for _, out := range outs {
+	for _, out := range r.outs {
 		// A consumer that keeps up leaves room in the buffer: a plain
 		// non-blocking send, no selectgo. Only a full buffer needs the
 		// two-way wait.
@@ -185,20 +151,19 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		p.outputs.Add(1)
 	}
 	p.emit(Event{Kind: EvOutputs, Chunk: j, Worker: -1,
-		N: len(outs), Start: t1, Dur: time.Since(t1)})
-	// Checkpoint bookkeeping sits after the outputs are downstream (a
-	// snapshot must never cover outputs the consumer has not been offered)
-	// and before the slab recycles (byte-interval counting reads outs).
+		N: len(r.outs), Start: t1, Dur: time.Since(t1)})
+	// Checkpoint bookkeeping sits after the outputs are downstream: a
+	// snapshot must never cover outputs the consumer has not been offered.
 	if p.ckpt != nil {
-		p.ckpt.onCommit(j, r.inputs, outs, prev, ok)
+		p.ckpt.onCommit(j, r.inputs, r.outs, prev, ok)
 	}
-	// The outputs have been copied downstream; recycle the slab.
-	p.slabs.putOut(outs)
 
 	// Feed the outcome window: this both opens one speculation slot for
-	// the producer and, in commit order, drives adaptive chunk sizing.
-	// The ring's capacity exceeds the window's maximum backlog, so this
-	// push parks only if the run is being torn down.
+	// the producer and, in commit order, drives adaptive chunk sizing. It
+	// comes last, because it is also what lets the producer refill the
+	// predecessor's record (newRecords). The ring's capacity exceeds the
+	// window's maximum backlog, so this push parks only if the run is
+	// being torn down.
 	if err := p.outcomes.Push(p.ctx.Done(), ok); err != nil {
 		return false
 	}

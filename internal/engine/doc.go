@@ -11,8 +11,8 @@
 //   - BatchScheduler: one worker per chunk over a bounded input slice, on
 //     either execution substrate (Run is its body).
 //   - StreamScheduler: the bounded-queue streaming pipeline (Pipeline)
-//     with backpressure, slab recycling and optional adaptive chunk
-//     sizing, on NativeExec.
+//     with backpressure, reused chunk records and optional adaptive
+//     chunk sizing, on NativeExec.
 //   - SimScheduler: the batch protocol on the deterministic discrete-event
 //     machine (internal/machine), producing cycle-accurate traces.
 //

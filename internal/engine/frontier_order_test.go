@@ -1,9 +1,11 @@
 package engine_test
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
@@ -32,13 +34,11 @@ func (s *orderSink) Event(e engine.Event) {
 	}
 }
 
-// TestFrontierCommitOrder is the sharded frontier's end-to-end ordering
-// property: however boundary validations race on the workers — which
-// prevalidations win, lose, or bail is scheduling-dependent by design —
-// the commit/abort decisions and the output emissions are applied in
-// strict input order, exactly one decision per chunk, and the committed
-// byte sequence matches the sequential batch reference. Run under -race
-// this doubles as a concurrency check on the publish/claim/settle paths.
+// TestFrontierCommitOrder is the commit stage's end-to-end ordering
+// property: in whatever order the workers finish their chunks, the
+// commit/abort decisions and the output emissions are applied in strict
+// input order, exactly one decision per chunk, and the committed byte
+// sequence matches the sequential batch reference.
 func TestFrontierCommitOrder(t *testing.T) {
 	for _, name := range []string{"facetrack", "streamclassifier"} {
 		for _, workers := range []int{2, 3, 5} {
@@ -93,6 +93,78 @@ func TestFrontierCommitOrder(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRecordReuseStress is the net under chunk-record reuse. A record is
+// handed producer → worker → commit stage and refilled a lap later with
+// nothing guarding it but the window arithmetic (newRecords), so the test
+// makes every premature reuse either a race the detector reports or a
+// wrong byte: the smallest record arrays (Workers 1 and 2: 4 and 8
+// records), a Plan of 3-, 40- and 3-input chunks — a period of three over
+// arrays of even length, so every record meets both sizes and each of its
+// buffers is re-sliced both ways — streamclassifier so most chunks abort
+// and recovery rewrites outs and origs in place, a checkpoint at
+// every commit so the tracker reads inputs, outs and the lineage each
+// time, and a consumer slower than the two-chunk output buffer so the
+// commit stage parks while the producer and the workers run ahead. Its
+// outputs and every chunk's untimed event sequence must be those of the
+// same Plan over 32 records (Workers 8), where next to nothing is reused
+// while it could still be read.
+func TestRecordReuseStress(t *testing.T) {
+	const name, chunks = "streamclassifier", 201
+	plan, n := make([]int, chunks), 0
+	for j := range plan {
+		plan[j] = []int{3, 40, 3}[j%3]
+		n += plan[j]
+	}
+	inputs := bench.MustNew(name).Inputs(rng.New(1))
+	for len(inputs) < n {
+		inputs = append(inputs, inputs...)
+	}
+	inputs = inputs[:n]
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(workers int, pace func(int)) ([]byte, map[int][]untimed) {
+		log := &chunkLog{}
+		lines, snaps, st := sessionRunPaced(t, name, engine.StreamConfig{
+			ChunkSize: 3, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 11, Sink: log,
+			Checkpoint: engine.CheckpointConfig{EveryCommits: 1, Codec: wc},
+		}, inputs, pace)
+		if st.Chunks != chunks || st.Chunks != st.Commits+st.Aborts || st.Outputs != int64(n) {
+			t.Fatalf("workers=%d: %d chunks = %d commits + %d aborts, %d outputs; want %d chunks, %d outputs",
+				workers, st.Chunks, st.Commits, st.Aborts, st.Outputs, chunks, n)
+		}
+		if st.Aborts < chunks/2 || st.Commits < 2 || len(snaps) != chunks {
+			t.Fatalf("workers=%d: %d aborts, %d commits, %d snapshots: the session no longer stresses recovery and the tracker",
+				workers, st.Aborts, st.Commits, len(snaps))
+		}
+		t.Logf("workers=%d: %d commits, %d aborts", workers, st.Commits, st.Aborts)
+		return joinLines(lines), log.byChunk
+	}
+	slow := func(n int) {
+		if n%7 == 0 {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+
+	wantOut, wantLog := run(8, nil)
+	for _, workers := range []int{1, 2} {
+		gotOut, gotLog := run(workers, slow)
+		if !bytes.Equal(gotOut, wantOut) {
+			t.Errorf("workers=%d: committed output bytes differ from the workers=8 session's", workers)
+		}
+		if !reflect.DeepEqual(gotLog, wantLog) {
+			for j := 0; j < chunks; j++ {
+				if !reflect.DeepEqual(gotLog[j], wantLog[j]) {
+					t.Fatalf("workers=%d: chunk %d's events differ:\n got: %v\nwant: %v", workers, j, gotLog[j], wantLog[j])
+				}
+			}
+			t.Fatalf("workers=%d reported %d chunks, workers=8 %d", workers, len(gotLog), len(wantLog))
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // video frames, point blocks, sample batches — are really streams, so the
 // pipeline rebuilds the protocol as stages:
 //
-//		Push (fills the chunk's slab) → [jobs] → worker pool → [results]
+//		Push (fills the chunk's record) → [jobs] → worker pool → [results]
 //		  ▲                                                        │
 //		  └─────────── outcome window (backpressure) ──────────────┤
 //		                                                           ▼
@@ -77,9 +77,9 @@ type StreamConfig struct {
 	InnerWidth int
 	// Workers is the number of goroutines doing protocol work: each runs
 	// whole chunks — alternative producer, body and, on this substrate,
-	// the original-state replicas too — and validates boundaries ahead of
-	// the commit stage. It also sets the speculation window: at most
-	// 2*Workers chunks are in flight past the commit frontier. Default 4.
+	// the original-state replicas too. It also sets the speculation
+	// window: at most 2*Workers chunks are in flight past the commit
+	// frontier. Default DefaultWorkers.
 	Workers int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
@@ -119,12 +119,17 @@ type StreamConfig struct {
 	Runner ChunkRunner
 }
 
+// DefaultWorkers is the worker count a StreamConfig with Workers == 0
+// runs. Whatever reports or scales by a session's core count before the
+// pipeline exists reads it here.
+const DefaultWorkers = 4
+
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.InnerWidth == 0 {
 		c.InnerWidth = 1
 	}
 	if c.Workers == 0 {
-		c.Workers = 4
+		c.Workers = DefaultWorkers
 	}
 	if c.MinChunk == 0 {
 		c.MinChunk = max(1, c.ChunkSize/4)
@@ -140,8 +145,8 @@ func (c StreamConfig) withDefaults() StreamConfig {
 
 // window is the speculation window: the most chunks dispatched past the
 // commit frontier. Everything sized by chunks in flight — the outcome
-// wait in sizeFor, the jobs, results and outcomes rings, the frontier's
-// slots, the slab free lists, a snapshot's pending outcomes — reads it.
+// wait in sizeFor, the jobs, results and outcomes rings, the record
+// array, a snapshot's pending outcomes — reads it.
 func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
 
 // Validate reports configuration errors.
@@ -208,19 +213,24 @@ type StreamStats struct {
 var ErrClosed = errors.New("stream: pipeline closed")
 
 // chunk is one in-flight chunk of a pipeline: the job Push hands to the
-// worker pool, the worker's speculative result, and the protocol
-// view (chunkRun) that executes both. The records are not allocated per
-// chunk: they live in the frontier's slot array (frontier.go), chunk j in
-// slot j&mask, and travel through the jobs and results rings by pointer.
+// worker pool, the worker's speculative result, and the protocol view
+// (chunkRun) that executes both. The records are not allocated per chunk:
+// chunk j lives in Pipeline.records[j&mask], lap after lap, and travels
+// through the jobs and results rings by pointer.
 //
-// Ownership follows the hand-offs. The producer fills the job half and
-// binds the run before the jobs push; the worker that pops it fills the
-// result half and publishes it; from then on the record is read-only —
-// by the commit stage, and by prevalidators holding a claim on a slot
-// that pins it — except that recovery, at the commit stage and only
-// after the slots that could read them are spent, rewrites outs, final
-// and origs in place. The record is dead once its successor has been
-// applied, one outcome before the producer may reach the slot again.
+// A record has one owner at a time, and the rings are the hand-overs.
+// The producer fills the job half — Push writes inputs in place — and
+// binds the run, until the jobs push; the worker that pops it fills the
+// result half, until the results push; the commit stage validates it,
+// commits it or recovers it in place, and emits its outputs. Nothing is
+// shared in between but what is already immutable: the successor's
+// alternative producer replays the tail of inputs (prevWindow), which
+// nobody writes between the record's dispatch and its next lap. The
+// record stays the commit stage's while the committed lineage aliases its
+// origs and origFPs, that is until its successor has been applied.
+//
+// The buffers — inputs, outs, origs, origFPs — are the record's own: each
+// lap re-slices them, and they grow once to the largest chunk seen.
 type chunk struct {
 	chunkRun // run.j is the session-monotonic chunk index
 	p        *Pipeline
@@ -233,9 +243,8 @@ type chunk struct {
 	// The result. The snapshot the worker took is not carried: it is
 	// consumed by original-state generation and retired worker-side. A
 	// result whose worker exhausted its retry budget carries only the
-	// fault; the commit frontier degrades it to an in-place sequential
-	// re-execution. origs and origFPs keep their backing arrays from lap
-	// to lap.
+	// fault; the commit stage degrades it to an in-place sequential
+	// re-execution.
 	spec  State // speculative start state (clone), nil for chunk 0
 	outs  []Output
 	final State
@@ -244,16 +253,42 @@ type chunk struct {
 
 	// Fingerprint caches for the validation wave, computed worker-side
 	// when the program implements Fingerprinter: the lanes of spec and of
-	// each original state. They let boundary validation — prevalidated on
-	// a worker or applied inline at the frontier — compare digests without
-	// recomputing them, and they are pure functions of the states, so the
-	// validation result and inspected count are unchanged.
+	// each original state. They let the commit stage compare digests
+	// without computing them, and they are pure functions of the states,
+	// so the validation result and inspected count are unchanged.
 	specFP  uint64
 	origFPs []uint64
 	fpOK    bool
 
 	trueFinal State // recovery only: the committed predecessor's final state
 }
+
+// newRecords returns the record array for a speculation window: a power
+// of two (chunk j lives at j&mask) of at least window+2 records. Push
+// reaches record j only after sizeFor(j) has consumed outcome j-window-1.
+// The chunk the record held a lap ago is j-len <= j-window-2, so its
+// successor has been applied to the end — the outcome push is applyCommit's
+// last act — and that was the last read of anything in it: of its inputs
+// by the successor's alternative producer and by the checkpoint tracker,
+// of its origs and origFPs through the committed lineage. Nothing but
+// that arithmetic guards the reuse; the race detector over
+// TestRecordReuseStress is its net.
+func newRecords(p *Pipeline, window int) []chunk {
+	n := 2
+	for n < window+2 {
+		n <<= 1
+	}
+	recs := make([]chunk, n)
+	for i := range recs {
+		recs[i].p = p
+	}
+	return recs
+}
+
+// record returns the record chunk j lives in.
+//
+//statslint:hotpath
+func (p *Pipeline) record(j int) *chunk { return &p.records[j&(len(p.records)-1)] }
 
 // Pipeline is a running streaming STATS execution. Create with NewStream,
 // feed with Push, finish with Close, consume Outputs until closed, then
@@ -283,7 +318,7 @@ type Pipeline struct {
 	results  *ring.MPMC[*chunk]
 	outcomes *ring.SPSC[bool]
 	out      chan Output
-	fr       *frontier
+	records  []chunk       // chunk j in records[j&mask]; see newRecords
 	fper     Fingerprinter // prog's Fingerprinter extension, if any
 
 	// mu is the boundary lock, taken at chunk boundaries only. It makes
@@ -293,7 +328,6 @@ type Pipeline struct {
 	prod     producer // the chunk being filled (assemble.go)
 	ctl      *autotune.Online
 	met      *Metrics // also the first sink of the event stream, ahead of cfg.Sink
-	slabs    slabs
 	closed   atomic.Bool
 	failOnce sync.Once
 	failure  atomic.Value  // error: the terminal fault that tore the run down
@@ -387,18 +421,14 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// Two chunks of committed outputs may wait for the consumer before
 		// the commit stage does.
 		out:  make(chan Output, 2*cfg.ChunkSize),
-		fr:   newFrontier(cfg.window()),
 		ctl:  ctl,
 		met:  cfg.Metrics,
 		done: make(chan struct{}),
 	}
 	p.halt, p.haltCancel = context.WithCancel(ctx)
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, combineSinks(cfg.Metrics, cfg.Sink))
-	for i := range p.fr.slots {
-		p.fr.slots[i].ck.p = p
-	}
+	p.records = newRecords(p, cfg.window())
 	p.fper, _ = prog.(Fingerprinter)
-	p.slabs.limit = 2*cfg.window() + 4
 	p.resume = rs
 	if ctl != nil {
 		// Keep the resizes mirror consistent with a restored controller so

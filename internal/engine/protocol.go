@@ -52,8 +52,8 @@ func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat tr
 // snapshotting the state just before input index snapAt (the base the
 // original-state replicas replay from; snapAt < 0 disables the snapshot,
 // as for the last chunk of a bounded stream). The pool serves the
-// snapshot clone from retired state buffers; outBuf, when non-nil, is a
-// retired output slab the returned outputs are accumulated into (the
+// snapshot clone from retired state buffers; outBuf, when it has the
+// room, is the buffer the returned outputs are accumulated into (the
 // caller transfers ownership). It returns the outputs, the snapshot (nil
 // if disabled) and the final state.
 func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output) ([]Output, State, State) {
@@ -61,7 +61,7 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 	c.sub = c.rng.Sub(label)
 	var snapshot State
 	outs := outBuf[:0]
-	if outBuf == nil {
+	if cap(outBuf) < len(chunk) {
 		outs = make([]Output, 0, len(chunk))
 	}
 	ex.SetCat(cat)

@@ -12,13 +12,11 @@ import (
 // giving native (wall-clock) sessions the same post-mortem critical-path
 // analysis the simulator's cycle-exact traces get. Thread 0 is the commit
 // frontier (events with Worker == -1); worker pool slot w maps to thread
-// w+1 — an event is filed on the thread that spent the time, which for a
-// prevalidated boundary comparison is the worker that ran it, not the
-// frontier that later consumed the verdict. Interval categories follow
-// the paper's overhead taxonomy: the alternative producer, published state
-// copies, chunk bodies, original-state generation, validation comparisons,
-// recovery re-execution and output emission each land in their §III
-// category.
+// w+1 — an event is filed on the thread that spent the time. Interval
+// categories follow the paper's overhead taxonomy: the alternative
+// producer, published state copies, chunk bodies, original-state
+// generation, validation comparisons, recovery re-execution and output
+// emission each land in their §III category.
 //
 // A Recorder is an opt-in Sink: attach it via StreamConfig.Sink (or a
 // scheduler's Sink) only when attribution is wanted — it takes a mutex per

@@ -16,7 +16,7 @@ import (
 //
 //   - BatchScheduler: one worker thread per chunk on any Exec.
 //   - StreamScheduler: a worker pool driven through the streaming
-//     pipeline, with bounded queues and slab recycling.
+//     pipeline, with bounded queues and reused chunk records.
 //   - SimScheduler: the batch mapping on the cycle-accurate simulated
 //     machine.
 //
@@ -55,7 +55,7 @@ func (s *BatchScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repor
 
 // StreamScheduler runs the protocol by feeding the bounded slice through
 // the streaming pipeline: a fixed worker pool, bounded queues with
-// backpressure, ordered commit at the frontier, slab and state recycling.
+// backpressure, ordered commit at the frontier, record and state reuse.
 // It plans the pipeline's chunk sizes from Partition, so for the same
 // (seed, inputs, cfg) its committed outputs are byte-identical to
 // BatchScheduler's.

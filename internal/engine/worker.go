@@ -13,15 +13,6 @@ func (p *Pipeline) worker(slotID int) {
 			return
 		}
 		ck.speculate(slotID)
-		// Publish the result to the commit frontier's validation slots,
-		// then try to validate the boundaries it completes — with its
-		// predecessor and, if the successor already ran, with that — on
-		// this worker, off the commit stage's critical path. Publish
-		// happens-before the results push, so the commit stage always
-		// finds the slot occupied when it applies this chunk.
-		p.fr.publish(ck)
-		p.prevalidate(ck.j, slotID)
-		p.prevalidate(ck.j+1, slotID)
 		if err := p.results.Push(p.ctx.Done(), ck); err != nil {
 			return
 		}
@@ -92,7 +83,7 @@ func (ck *chunk) localAttempt() error {
 	ck.scrap() // whatever a faulted attempt left behind
 	var s State
 	s, ck.spec = ck.start(ck.initState, ck.prevWindow, true)
-	ck.outs, ck.final, ck.origs = ck.finish(s, ck.inputs, false, ck.p.slabs.takeOut(len(ck.inputs)), ck.origs)
+	ck.outs, ck.final, ck.origs = ck.finish(s, ck.inputs, false, ck.outs, ck.origs)
 	// Cache the validation wave's fingerprint lanes while the states
 	// are hot in cache.
 	ck.cacheFingerprints()
@@ -131,9 +122,10 @@ func (ck *chunk) scrap() {
 }
 
 // clearResult empties the record's result, keeping the buffers of its
-// original states and their fingerprints for the next run to fill.
+// outputs, original states and their fingerprints for the next run to
+// fill.
 func (ck *chunk) clearResult() {
-	ck.spec, ck.outs, ck.final, ck.origs = nil, nil, nil, ck.origs[:0]
+	ck.spec, ck.outs, ck.final, ck.origs = nil, ck.outs[:0], nil, ck.origs[:0]
 	ck.specFP, ck.origFPs, ck.fpOK = 0, ck.origFPs[:0], false
 }
 

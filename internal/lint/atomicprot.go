@@ -8,13 +8,12 @@ import (
 )
 
 // AtomicProt checks the atomic-access protocol the lock-free hot path
-// (internal/ring, the sharded commit frontier) depends on. The repo's
-// rings and frontier slots are correct only because every cross-thread
-// location is accessed through sync/atomic with a consistent discipline;
-// one plain read of an atomically-published word, or one CAS loop that
-// retries against a stale expected value, silently reintroduces the
-// races the protocol was built to exclude — and -race only catches them
-// when a test happens to interleave just so.
+// (internal/ring) depends on. The repo's rings are correct only because
+// every cross-thread location is accessed through sync/atomic with a
+// consistent discipline; one plain read of an atomically-published word,
+// or one CAS loop that retries against a stale expected value, silently
+// reintroduces the races the protocol was built to exclude — and -race
+// only catches them when a test happens to interleave just so.
 //
 // It reports:
 //
@@ -31,8 +30,8 @@ import (
 //     reassigned inside it. When the CAS fails, the next iteration
 //     compares against the same stale value and the loop either spins
 //     forever or, worse, succeeds against a value someone else already
-//     changed the meaning of. Constant expected values (state-machine
-//     transitions like CompareAndSwap(valIdle, valClaimed)) are exempt:
+//     changed the meaning of. Constant expected values (one-way
+//     transitions like closed.CompareAndSwap(false, true)) are exempt:
 //     they are not snapshots that can go stale.
 //  3. Atomics on copied structs — an atomic method call (x.count.Add(1))
 //     where the struct holding the atomic was copied by value: a value

@@ -107,9 +107,9 @@ type Config struct {
 
 	// HotPathFiles maps an import path to base filenames within it whose
 	// functions are hot — for packages where only some files carry the
-	// per-input pipeline (engine's frontier/commit/assemble vs. its
-	// setup and recovery code). Individual functions elsewhere opt in
-	// with a //statslint:hotpath doc comment.
+	// per-input pipeline (engine's commit/assemble vs. its setup and
+	// recovery code). Individual functions elsewhere opt in with a
+	// //statslint:hotpath doc comment.
 	HotPathFiles map[string][]string
 }
 
@@ -121,18 +121,19 @@ type Config struct {
 // internal/stat, internal/quality — analysis-side code whose outputs are
 // derived artifacts, not committed protocol outputs.
 // The hot-path seeds mirror where PR 7's allocation wins live: every
-// ring operation runs once per pipeline hop, and the engine's frontier/
-// commit/assemble files run once per input on the committed path
-// (assemble.go is Push itself: the fill and the dispatch) — as does
-// bench's ndjson.go, which every served line is read and written with,
-// and atof.go, which converts each number on it. worker/attempt/protocol
+// ring operation runs once per pipeline hop, and the engine's commit/
+// assemble files run once per input on the committed path (assemble.go
+// is Push itself: the fill and the dispatch; Pipeline.record, the lookup
+// both start from, sits beside the chunk type in pipeline.go and opts in
+// by directive) — as does bench's ndjson.go, which every served line is
+// read and written with, and atof.go, which converts each number on it. worker/attempt/protocol
 // are the chunk protocol itself, which runs once per chunk and allocates
 // nothing there on the fault-free path.
 func DefaultConfig() *Config {
 	return &Config{
 		HotPathPackages: []string{"gostats/internal/ring"},
 		HotPathFiles: map[string][]string{
-			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go", "worker.go", "attempt.go", "protocol.go"},
+			"gostats/internal/engine": {"commit.go", "assemble.go", "worker.go", "attempt.go", "protocol.go"},
 			"gostats/internal/bench":  {"ndjson.go", "atof.go"},
 		},
 		CriticalPrefixes: []string{

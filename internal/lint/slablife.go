@@ -9,11 +9,11 @@ import (
 )
 
 // SlabLife flags the use-after-recycle class the zero-copy state
-// lifecycle made possible: once a state or slab is handed back to a
-// recycler (StatePool.Release, slabs.putIn/putOut, sync.Pool.Put, any
-// *Pool.Release/Put/Recycle), its buffers will be overwritten by a
-// future Clone/take — every later read observes another lineage's data,
-// silently corrupting committed outputs.
+// lifecycle made possible: once a state is handed back to a recycler
+// (StatePool.Release, sync.Pool.Put, any *Pool.Release/Put/Recycle), its
+// buffers will be overwritten by a future Clone — every later read
+// observes another lineage's data, silently corrupting committed
+// outputs.
 //
 // Within each function body it tracks plain identifiers passed to a
 // recycling call and reports:
@@ -34,15 +34,12 @@ import (
 // remain the backstop for those shapes.
 var SlabLife = &Analyzer{
 	Name: "slablife",
-	Doc:  "flags pooled states and slabs used or re-released after being handed back to their recycler",
+	Doc:  "flags pooled states and buffers used or re-released after being handed back to their recycler",
 	Run:  runSlabLife,
 }
 
 // releaseNames are method names that retire their argument's buffers.
-var releaseNames = map[string]bool{
-	"Release": true, "Put": true, "Recycle": true,
-	"putIn": true, "putOut": true,
-}
+var releaseNames = map[string]bool{"Release": true, "Put": true, "Recycle": true}
 
 // recyclerReceiver reports whether the method receiver looks like a
 // recycler: its named type (or the sync.Pool type) contains Pool, Slab,

@@ -4,7 +4,7 @@
 // mutually exclusive branches) that must not be flagged.
 package slablife
 
-// Pool mirrors the engine's StatePool/slab recyclers: Release retires
+// Pool mirrors the engine's StatePool: Release retires
 // its argument's buffers into a free list.
 type Pool struct {
 	free [][]byte

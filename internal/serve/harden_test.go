@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -13,6 +15,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gostats/internal/bench"
+	"gostats/internal/checkpoint"
+	"gostats/internal/engine"
 )
 
 // TestOversizedBodyRejected: a request body beyond -max-body gets 413,
@@ -340,5 +346,111 @@ func TestKeepAliveSurvivesEarlyError(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if s := errLog.String(); strings.Contains(s, "panic") {
 		t.Fatalf("connection goroutine panicked:\n%s", s)
+	}
+}
+
+// TestKeepAliveSurvivesRefusalAfterEOF: a session refused once its whole
+// body has been read — a malformed line in a short body — must leave its
+// connection fit for the next request. Regression: the refusal poisoned
+// the connection's read deadline under the background read net/http parks
+// there after a body's EOF; that read failed, the connection's context was
+// canceled, and every later session it carried died with a 500.
+func TestKeepAliveSurvivesRefusalAfterEOF(t *testing.T) {
+	const name = "streamcluster"
+	ts := httptest.NewServer(New(baseConfig(), Options{}).Handler())
+	defer ts.Close()
+	client := ts.Client()
+	body := ndjsonBody(t, name, sessionInputs(t, name, 24))
+	for i := 0; i < 10; i++ {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{{"garbage\n", http.StatusBadRequest}, {string(body), http.StatusOK}} {
+			resp, err := client.Post(ts.URL+"/v1/stream/"+name, "application/x-ndjson", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("round %d: status %d %.200q, want %d", i, resp.StatusCode, msg, tc.want)
+			}
+		}
+	}
+}
+
+// TestSessionShapeCeilings: the parameters NewStream sizes rings, records,
+// the output channel and goroutines from are the request's to pick — by
+// query, or in the snapshot of a #resume line — so each has a ceiling, and
+// a value over it is a 400 naming the parameter before any pipeline
+// exists. A session at every ceiling is admitted, and costs what the
+// ceilings were chosen for: under 300 goroutines and 16 MB before its
+// first input.
+func TestSessionShapeCeilings(t *testing.T) {
+	const name = "streamcluster"
+	app := New(baseConfig(), Options{})
+	ts := httptest.NewServer(app.Handler())
+	defer ts.Close()
+	inputs := sessionInputs(t, name, 24)
+	body := ndjsonBody(t, name, inputs)
+
+	// A snapshot to forge from, and with it a warmed client connection.
+	lines, _ := postSession(t, ts.URL+"/v1/stream/"+name+"?ckpt=1", body)
+	_, snaps := splitControl(t, lines)
+	if len(snaps) == 0 {
+		t.Fatal("ckpt=1 session gave no snapshot")
+	}
+	snap := snaps[0]
+	snap.Workers = maxWorkers + 1
+	b64, err := checkpoint.EncodeString(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, baseline := app.met.Sessions.Load(), runtime.NumGoroutine()
+
+	for _, tc := range []struct{ query, body, names string }{
+		{"workers=100000", string(body), "workers=100000"},
+		{fmt.Sprintf("chunk=%d", maxChunk+1), string(body), "chunk="},
+		{fmt.Sprintf("lookback=%d", maxLookback+1), string(body), "lookback="},
+		{fmt.Sprintf("extra=%d", maxExtraStates+1), string(body), "extra="},
+		{"resume=1", checkpoint.ResumePrefix + b64 + "\n" + string(body), "workers="},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?"+tc.query, "application/x-ndjson", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.names) {
+			t.Errorf("?%s: status %d %.200q, want 400 naming %q", tc.query, resp.StatusCode, msg, tc.names)
+		}
+	}
+	if n := app.met.Sessions.Load() - started; n != 0 {
+		t.Errorf("the refusals started %d pipelines", n)
+	}
+	checkGoroutines(t, baseline)
+
+	atCeilings := engine.StreamConfig{Workers: maxWorkers, ChunkSize: maxChunk, Lookback: maxLookback,
+		ExtraStates: maxExtraStates, InnerWidth: maxInnerWidth}
+	var p *engine.Pipeline
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if p, err = engine.NewStream(context.Background(), bench.MustNew(name), atCeilings); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	goroutines, heap := runtime.NumGoroutine()-baseline, after.TotalAlloc-before.TotalAlloc
+	p.Close()
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("a session at every ceiling: %d goroutines, %d bytes before its first input", goroutines, heap)
+	if goroutines >= 300 || heap >= 16<<20 {
+		t.Errorf("a session at every ceiling costs %d goroutines and %d bytes before its first input, want under 300 and 16 MB", goroutines, heap)
+	}
+	_, tr := postSession(t, fmt.Sprintf("%s/v1/stream/%s?workers=%d&chunk=%d&lookback=%d&extra=%d",
+		ts.URL, name, maxWorkers, maxChunk, maxLookback, maxExtraStates), body)
+	if !tr.Done || tr.Error != "" || tr.Stats.Outputs != int64(len(inputs)) {
+		t.Errorf("session at every ceiling: trailer %+v, want %d outputs and done", tr, len(inputs))
 	}
 }

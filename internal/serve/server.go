@@ -60,6 +60,41 @@ const (
 	maxRetryAfterSeconds = 60
 )
 
+// The most a session may ask for of what NewStream sizes memory and
+// goroutines from: a goroutine and two chunk records a worker, an output
+// channel two chunks long, a buffer of ExtraStates+1 states and ChunkSize
+// inputs a record, InnerWidth-1 helpers a running chunk. A request picks
+// these — by query, or wholesale in the snapshot of a #resume line, whose
+// CRC is no MAC — so they are fixed here and not options. A session at
+// every ceiling costs 258 goroutines and 2.8 MB before its first input.
+const (
+	maxWorkers     = 256
+	maxChunk       = 1 << 16
+	maxLookback    = 1 << 16
+	maxExtraStates = 64
+	maxInnerWidth  = 64
+)
+
+// checkShape refuses a session shape over a ceiling, naming the parameter.
+// Signs are StreamConfig.Validate's business.
+func checkShape(c engine.StreamConfig) error {
+	for _, p := range [...]struct {
+		name   string
+		v, max int
+	}{
+		{"workers", c.Workers, maxWorkers},
+		{"chunk", max(c.ChunkSize, c.MaxChunk), maxChunk},
+		{"lookback", c.Lookback, maxLookback},
+		{"extra", c.ExtraStates, maxExtraStates},
+		{"inner width", c.InnerWidth, maxInnerWidth},
+	} {
+		if p.v > p.max {
+			return fmt.Errorf("%s=%d: a session may ask for at most %d", p.name, p.v, p.max)
+		}
+	}
+	return nil
+}
+
 // errBadRequest marks session failures caused by the request itself
 // (malformed or oversized input); the handler maps them to 4xx when no
 // output has been written yet.
@@ -225,7 +260,7 @@ func (s *Server) retryAfterSeconds() int {
 	if active > 0 {
 		workers := s.base.Workers
 		if workers <= 0 {
-			workers = 4 // the pipeline default
+			workers = engine.DefaultWorkers
 		}
 		occ = float64(s.met.InFlight.Load()) / float64(active*int64(checkpoint.Window(workers)))
 		occ = math.Min(occ, 1)

@@ -75,6 +75,7 @@ type session struct {
 	p        *engine.Pipeline
 	pushDone chan error
 	reading  bool // the pusher may have a body read in flight
+	body     notedBody
 
 	// Snapshots arrive synchronously from the commit stage, but a #ckpt
 	// line may only be written after every output it covers: they queue
@@ -94,6 +95,7 @@ type ckptLine struct {
 // session cap — and walks it through its phases.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ss := &session{Server: s, w: w, r: r, rc: http.NewResponseController(w)}
+	ss.body.ReadCloser, r.Body = r.Body, &ss.body
 	if s.draining.Load() {
 		ss.refuse(http.StatusServiceUnavailable, "draining")
 		return
@@ -135,11 +137,26 @@ func (ss *session) refuse(status int, msg string) bool {
 // in-handler: poison the connection read deadline, then drain whatever is
 // already buffered. Either the body hits EOF here — where finishRequest
 // still reaps the read it triggers — or every later read fails fast and
-// the connection is simply not reused.
+// the connection is simply not reused. A body already read to its end has
+// no story left, and must be left alone: net/http has parked a background
+// read on the connection by then, the poisoned deadline fails it, and that
+// cancels the context of every later request the connection carries.
 func (ss *session) dropBody() {
-	if !ss.reading && ss.rc.SetReadDeadline(time.Now()) == nil {
+	if !ss.reading && !ss.body.eof && ss.rc.SetReadDeadline(time.Now()) == nil {
 		_, _ = io.CopyN(io.Discard, ss.r.Body, 64<<10)
 	}
+}
+
+// notedBody is a request body that remembers having been read to its end.
+type notedBody struct {
+	io.ReadCloser
+	eof bool
+}
+
+func (b *notedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.eof = b.eof || err == io.EOF
+	return n, err
 }
 
 // queryParam parses the optional query parameter key into *dst. The
@@ -199,6 +216,9 @@ func (ss *session) parse() bool {
 	if err == nil {
 		err = ss.cfg.Validate()
 	}
+	if err == nil {
+		err = checkShape(ss.cfg)
+	}
 	if err == nil && (ss.ckptEvery > 0 || ss.migrate || ss.resume) {
 		ss.wire, err = bench.WireFor(ss.name)
 	}
@@ -220,6 +240,11 @@ func (ss *session) open() bool {
 	ss.sc = bench.NewLineScanner(ss.r.Body, ss.lim.MaxLine)
 	if ss.resume {
 		snap, err := readResumeLine(ss.sc)
+		if err == nil {
+			// The snapshot's shape replaces the query's (NewStream).
+			err = checkShape(engine.StreamConfig{Workers: snap.Workers, ChunkSize: snap.ChunkSize, MaxChunk: snap.MaxChunk,
+				Lookback: snap.Lookback, ExtraStates: snap.ExtraStates, InnerWidth: snap.InnerWidth})
+		}
 		if err != nil {
 			return ss.refuse(http.StatusBadRequest, err.Error())
 		}
@@ -477,7 +502,7 @@ func (ss *session) trailer(stats engine.StreamStats) Trailer {
 	if ss.rec != nil {
 		workers := ss.cfg.Workers
 		if workers == 0 {
-			workers = 4 // the pipeline default
+			workers = engine.DefaultWorkers
 		}
 		tr.Attribution = attribute(ss.rec, workers)
 	}
