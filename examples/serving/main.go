@@ -29,6 +29,8 @@ func main() {
 	ft := facetrack.NewWithParams(params)
 	feed := ft.Inputs(rng.New(1))
 
+	// A pipeline has no collector of its own; the one that should see its
+	// events is attached as the session's Sink.
 	met := engine.NewMetrics()
 	ctx := context.Background()
 	p, err := engine.NewStream(ctx, ft, engine.StreamConfig{
@@ -38,7 +40,7 @@ func main() {
 		Workers:     4,
 		Seed:        3,
 		Adapt:       true,
-		Metrics:     met,
+		Sink:        met,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,8 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"gostats/internal/engine"
 	"gostats/internal/rng"
@@ -69,12 +70,4 @@ func MustNew(name string) Benchmark {
 }
 
 // Names lists registered benchmarks in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	//statslint:allow detpath keys are sorted below before any order-sensitive use
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Sorted(maps.Keys(registry)) }

@@ -3,7 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"gostats/internal/engine"
@@ -49,15 +50,7 @@ func CodecFor(name string) (StreamCodec, error) {
 }
 
 // CodecNames lists benchmarks with stream codecs in sorted order.
-func CodecNames() []string {
-	out := make([]string, 0, len(codecs))
-	//statslint:allow detpath keys are sorted below before any order-sensitive use
-	for n := range codecs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func CodecNames() []string { return slices.Sorted(maps.Keys(codecs)) }
 
 // WireCodec extends StreamCodec with state serialization: what checkpoint
 // snapshots (the frontier lineage) and the out-of-process chunk protocol
@@ -134,12 +127,4 @@ func WireFor(name string) (WireCodec, error) {
 }
 
 // WireNames lists benchmarks with wire codecs in sorted order.
-func WireNames() []string {
-	out := make([]string, 0, len(wires))
-	//statslint:allow detpath keys are sorted below before any order-sensitive use
-	for n := range wires {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func WireNames() []string { return slices.Sorted(maps.Keys(wires)) }

@@ -19,8 +19,9 @@
 package swaptions
 
 import (
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"gostats/internal/bench"
 	"gostats/internal/engine"
@@ -346,14 +347,8 @@ func (s *Swaptions) Quality(outputs []engine.Output) float64 {
 	// Accumulate in sorted swaption order: float addition is not
 	// associative, so map-iteration order would leak into the reported
 	// quality figure (statslint:detpath caught this).
-	sws := make([]int, 0, len(final))
-	//statslint:allow detpath keys are sorted below before any order-sensitive use
-	for sw := range final {
-		sws = append(sws, sw)
-	}
-	sort.Ints(sws)
 	var errSum float64
-	for _, sw := range sws {
+	for _, sw := range slices.Sorted(maps.Keys(final)) {
 		errSum += math.Abs(final[sw] - s.TruePrice(sw))
 	}
 	return -errSum / float64(len(final))

@@ -3,7 +3,8 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -79,32 +80,15 @@ func (bm BackendMetrics) LoadGauges() (active, occupancy, maxSessions int) {
 // cluster/… sums across backends for every name seen anywhere. Backends
 // and names are emitted in sorted order so the output is stable.
 func WriteAggregate(w io.Writer, scrapes map[string]BackendMetrics) {
-	ids := make([]string, 0, len(scrapes))
-	for id := range scrapes { //statslint:allow detpath backend ids are sorted below before any line is written
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	totals := make(map[string]int64)
-	for _, id := range ids {
-		names := make([]string, 0, len(scrapes[id].Values))
-		for name := range scrapes[id].Values { //statslint:allow detpath metric names are sorted below before any line is written
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+	for _, id := range slices.Sorted(maps.Keys(scrapes)) {
+		for _, name := range slices.Sorted(maps.Keys(scrapes[id].Values)) {
 			v := scrapes[id].Values[name]
 			fmt.Fprintf(w, "backend[%s]/%s=%d\n", id, name, v)
 			totals[name] += v
 		}
 	}
-
-	names := make([]string, 0, len(totals))
-	for name := range totals { //statslint:allow detpath cluster totals are sorted below before any line is written
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(totals)) {
 		fmt.Fprintf(w, "cluster/%s=%d\n", name, totals[name])
 	}
 }

@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -114,11 +115,4 @@ func PolicyFor(name string) (RoutingPolicy, error) {
 }
 
 // PolicyNames lists the registered policies, sorted.
-func PolicyNames() []string {
-	names := make([]string, 0, len(policies))
-	for name := range policies { //statslint:allow detpath sorted before use; names never reach outputs unordered
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func PolicyNames() []string { return slices.Sorted(maps.Keys(policies)) }

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // This file is the producer side of the pipeline. There is no assembler
 // stage: Push groups inputs into the chunk's record on its caller's
@@ -94,7 +91,7 @@ func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
 	for need := j - p.cfg.window(); a.consumed < need; a.consumed++ {
 		committed, ok := p.outcomes.TryPop()
 		if !ok {
-			t0 := time.Now()
+			t0 := p.now()
 			var err error
 			if committed, err = p.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
 				if ctx.Err() != nil {
@@ -102,7 +99,7 @@ func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
 				}
 				return 0, p.endErr()
 			}
-			p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: time.Since(t0)})
+			p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: p.since(t0)})
 		}
 		if p.ctl == nil {
 			continue

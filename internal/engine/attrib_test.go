@@ -78,15 +78,6 @@ func (l *chunkLog) Event(e engine.Event) {
 	l.byChunk[e.Chunk] = append(l.byChunk[e.Chunk], untimed{e.Kind, e.N, e.M, e.Matched})
 }
 
-// sinks fans one event stream out.
-type sinks []engine.Sink
-
-func (ss sinks) Event(e engine.Event) {
-	for _, s := range ss {
-		s.Event(e)
-	}
-}
-
 // TestStreamAttribution drives a streaming session of every benchmark, at
 // every worker count, with a Recorder sink and checks the resulting
 // wall-clock trace supports the paper's full six-category decomposition:
@@ -114,7 +105,7 @@ func TestStreamAttribution(t *testing.T) {
 			var want map[int][]untimed
 			for _, workers := range []int{1, 2, 4, 8} {
 				rec, log := engine.NewRecorder(), &chunkLog{}
-				sched := &engine.StreamScheduler{Workers: workers, Sink: sinks{rec, log}}
+				sched := &engine.StreamScheduler{Workers: workers, Sink: engine.Tee(rec, log)}
 				rep, err := sched.RunSlice(b, inputs, cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"time"
-
-	"gostats/internal/ring"
-)
+import "gostats/internal/ring"
 
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
@@ -21,7 +17,6 @@ type committed struct {
 // the only stage that touches the true (committed) lineage, so it needs
 // no locks — order is enforced structurally.
 func (p *Pipeline) commit() {
-	defer p.emit(Event{Kind: EvSessionEnd, Chunk: -1, Worker: -1})
 	defer close(p.out)
 	//statslint:allow hotalloc session-scoped panic guard: the closure is built once per stage, not per input
 	defer func() {
@@ -134,7 +129,7 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)
 
-	t1 := time.Now()
+	t1 := p.now()
 	for _, out := range r.outs {
 		// A consumer that keeps up leaves room in the buffer: a plain
 		// non-blocking send, no selectgo. Only a full buffer needs the
@@ -151,7 +146,8 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		p.outputs.Add(1)
 	}
 	p.emit(Event{Kind: EvOutputs, Chunk: j, Worker: -1,
-		N: len(r.outs), Start: t1, Dur: time.Since(t1)})
+		N: len(r.outs), Start: t1, Dur: p.since(t1)})
+	p.resolved++
 	// Checkpoint bookkeeping sits after the outputs are downstream: a
 	// snapshot must never cover outputs the consumer has not been offered.
 	if p.ckpt != nil {

@@ -23,11 +23,15 @@
 // when the boundaries coincide, regardless of goroutine scheduling, worker
 // count, or which process ran a chunk.
 //
-// The engine emits one canonical event stream (Event) that every consumer
-// shares: Metrics renders the binned stage latencies and counters served
-// at statsserved /metrics, Counters aggregates protocol-level overhead
-// totals for cross-scheduler comparison, and Recorder synthesizes a
+// The engine emits one canonical event stream (Event) to whatever Sink
+// the caller attached, and to nothing when it attached none: an
+// unobserved session delivers no events and reads no clock. The
+// consumers in this package are sinks like any other — Counters
+// aggregates protocol-level overhead totals for cross-scheduler
+// comparison, Metrics is Counters plus the gauges and binned stage
+// latencies served at statsserved /metrics, and Recorder synthesizes a
 // trace.Trace from a native streaming session so internal/critpath can
 // attribute the gap to linear speedup to the paper's six overhead
-// categories for streaming sessions too, not just simulated runs.
+// categories for streaming sessions too, not just simulated runs — and
+// Tee joins several.
 package engine

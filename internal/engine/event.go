@@ -6,11 +6,13 @@ import (
 )
 
 // The engine emits one canonical event stream describing every protocol
-// action a scheduler performs. All consumers — the binned stage metrics
-// behind statsserved /metrics (Metrics), the cross-scheduler overhead
-// totals (Counters), and the trace synthesis for critical-path analysis
-// of native streaming sessions (Recorder) — read this stream; no
-// scheduler keeps private aggregation.
+// action a scheduler performs. All consumers — the cross-scheduler
+// protocol-work totals (Counters), the collector behind statsserved
+// /metrics that adds gauges and binned stage latencies to them (Metrics),
+// and the trace synthesis for critical-path analysis of native streaming
+// sessions (Recorder) — read this stream, attached as a session's Sink
+// (several through Tee); no scheduler keeps private aggregation, and none
+// attaches a consumer of its own.
 //
 // Events are small value structs delivered synchronously on the emitting
 // goroutine; sinks must be goroutine-safe and fast (the reference sinks
@@ -24,7 +26,10 @@ type Kind uint8
 
 const (
 	// EvSessionStart and EvSessionEnd bracket one scheduler run (a batch
-	// Run call or a streaming session).
+	// Run call or a streaming session). EvSessionEnd's N is the number of
+	// chunks the run announced with EvChunk and never resolved with
+	// EvOutputs: what an abandoned or failed streaming session dropped,
+	// 0 otherwise.
 	EvSessionStart Kind = iota
 	EvSessionEnd
 	// EvIngest records N inputs accepted into the protocol.
@@ -135,31 +140,32 @@ type Sink interface {
 	Event(Event)
 }
 
-// multiSink fans one event stream out to several sinks.
-type multiSink []Sink
+// tee fans one event stream out to several sinks.
+type tee []Sink
 
-func (m multiSink) Event(e Event) {
-	for _, s := range m {
+func (t tee) Event(e Event) {
+	for _, s := range t {
 		s.Event(e)
 	}
 }
 
-// combineSinks returns a sink delivering to every non-nil argument, nil
-// if none remain.
-func combineSinks(sinks ...Sink) Sink {
-	var ms multiSink
+// Tee returns a sink delivering every event to each non-nil argument, in
+// argument order: nil if none remain — a session given that sink is an
+// unobserved one — and the sink itself if one does.
+func Tee(sinks ...Sink) Sink {
+	var t tee
 	for _, s := range sinks {
 		if s != nil {
-			ms = append(ms, s)
+			t = append(t, s)
 		}
 	}
-	switch len(ms) {
+	switch len(t) {
 	case 0:
 		return nil
 	case 1:
-		return ms[0]
+		return t[0]
 	}
-	return ms
+	return t
 }
 
 // Counters aggregates the event stream into protocol-activity totals.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -17,11 +16,13 @@ import (
 // mean hides exactly the bimodality that distinguishes a healthy
 // speculative pipeline from one stalling on aborts).
 //
-// Metrics is a Sink: it renders the engine's canonical event stream, so
-// the same collector serves a streaming session, a batch run with a
-// BatchScheduler sink, or both at once. A Metrics value may be shared by
-// any number of pipelines (statsserved aggregates all sessions into one);
-// all methods are goroutine-safe.
+// Metrics is a Sink like any other: attach it as a session's
+// StreamConfig.Sink (or a scheduler's Sink; beside other sinks through
+// Tee) and it renders the engine's canonical event stream, so the same
+// collector serves a streaming session, a batch run, or both at once.
+// Nothing attaches one by default. A Metrics value may be shared by any
+// number of pipelines (statsserved aggregates all sessions into one); all
+// methods are goroutine-safe.
 
 // Stage identifies an instrumented pipeline stage.
 type Stage int
@@ -93,74 +94,53 @@ type stageBins struct {
 	totalNs [numBins]atomic.Int64
 }
 
-// Metrics collects binned stage latencies and pipeline counters from the
-// engine event stream. The zero value is NOT usable; call NewMetrics.
+// Metrics is Counters plus what a live service also wants: three gauges
+// and the binned stage latencies. The embedded Counters folds the totals
+// (read them through Snapshot); Metrics adds only what is not a running
+// total. The zero value is ready to use.
 type Metrics struct {
+	Counters
 	stages [numStages]stageBins
 
-	// Counters, aggregated across every scheduler run sharing this
-	// Metrics.
-	Inputs    atomic.Int64 // inputs ingested
-	Outputs   atomic.Int64 // outputs committed and emitted
-	Chunks    atomic.Int64 // chunks dispatched to workers
-	Commits   atomic.Int64 // chunks whose speculation committed
-	Aborts    atomic.Int64 // chunks that mispeculated and re-executed
-	Resizes   atomic.Int64 // online chunk-size changes
-	Sessions  atomic.Int64 // scheduler runs ever attached
+	// Gauges, across every scheduler run sharing this Metrics.
 	Active    atomic.Int64 // scheduler runs currently executing
-	InFlight  atomic.Int64 // chunks currently speculating
+	InFlight  atomic.Int64 // chunks announced and not yet resolved
 	ChunkSize atomic.Int64 // most recent chunk size chosen
-	Faults    atomic.Int64 // chunk faults isolated (panics, missed deadlines)
-	Retries   atomic.Int64 // faulted attempts retried after backoff
-	Degraded  atomic.Int64 // chunks degraded to sequential re-execution
 }
 
 // NewMetrics returns an empty collector.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Event implements Sink: it folds one engine event into the counters and
-// stage histograms. This is the only aggregation path — schedulers keep
-// no private metric state.
+// Event implements Sink: the embedded Counters folds the totals, and the
+// gauges and stage histograms follow the same event. EvSessionEnd settles
+// both gauges at once: the run is no longer active, and the chunks it
+// announced and dropped (N) are no longer in flight.
 func (m *Metrics) Event(e Event) {
+	m.Counters.Event(e)
 	switch e.Kind {
 	case EvSessionStart:
-		m.Sessions.Add(1)
 		m.Active.Add(1)
 		if e.N > 0 {
 			m.ChunkSize.Store(int64(e.N))
 		}
 	case EvSessionEnd:
 		m.Active.Add(-1)
-	case EvIngest:
-		m.Inputs.Add(int64(e.N))
+		m.InFlight.Add(-int64(e.N))
 	case EvIngestWait:
 		m.Observe(StageIngestWait, e.Dur)
 	case EvChunk:
-		m.Chunks.Add(1)
 		m.InFlight.Add(1)
 	case EvResize:
-		m.Resizes.Add(int64(e.M))
 		m.ChunkSize.Store(int64(e.N))
 	case EvSpeculated:
 		m.Observe(StageSpeculate, e.Dur)
 	case EvValidated:
 		m.Observe(StageValidate, e.Dur)
-	case EvCommitted:
-		m.Commits.Add(1)
-	case EvAborted:
-		m.Aborts.Add(1)
 	case EvReexec:
 		m.Observe(StageReexec, e.Dur)
 	case EvOutputs:
-		m.Outputs.Add(int64(e.N))
 		m.Observe(StageCommit, e.Dur)
 		m.InFlight.Add(-1)
-	case EvFault:
-		m.Faults.Add(1)
-	case EvRetry:
-		m.Retries.Add(1)
-	case EvDegraded:
-		m.Degraded.Add(1)
 	}
 }
 
@@ -196,8 +176,8 @@ func binLo(b int) time.Duration {
 // the bin the quantile lands in. The open-ended last bin interpolates
 // toward its recorded mean instead (the only shape information the bin
 // retains). With no observations it returns 0. The estimate's error is
-// bounded by the bin width — good enough to track tail movement across
-// runs, which is what the perf harness gates on.
+// bounded by the bin width — good enough for the p50/p95/p99 lines
+// WriteText serves at /metrics, which is who reads it.
 func (m *Metrics) Percentile(s Stage, q float64) time.Duration {
 	if q < 0 {
 		q = 0
@@ -245,42 +225,29 @@ func (m *Metrics) Percentile(s Stage, q float64) time.Duration {
 	return 0
 }
 
-// StageLatency is a stage's summarized latency distribution.
-type StageLatency struct {
-	Count         int64
-	P50, P95, P99 time.Duration
-}
-
-// Latency summarizes a stage: observation count and interpolated
-// p50/p95/p99.
-func (m *Metrics) Latency(s Stage) StageLatency {
-	return StageLatency{
-		Count: m.StageCount(s),
-		P50:   m.Percentile(s, 0.50),
-		P95:   m.Percentile(s, 0.95),
-		P99:   m.Percentile(s, 0.99),
-	}
-}
-
 // WriteText renders the collector in a stable, grep-friendly text format
 // (one line per non-empty bin plus one line per counter), the format
 // statsserved serves at /metrics.
 func (m *Metrics) WriteText(w io.Writer) error {
-	counters := []struct {
+	c := m.Snapshot()
+	// Sorted by name, here in the source.
+	for _, l := range [...]struct {
 		name string
-		v    *atomic.Int64
+		v    int64
 	}{
-		{"inputs", &m.Inputs}, {"outputs", &m.Outputs},
-		{"chunks", &m.Chunks}, {"commits", &m.Commits},
-		{"aborts", &m.Aborts}, {"resizes", &m.Resizes},
-		{"sessions", &m.Sessions}, {"active_sessions", &m.Active},
-		{"inflight_chunks", &m.InFlight}, {"chunk_size", &m.ChunkSize},
-		{"faults", &m.Faults}, {"retries", &m.Retries},
-		{"degraded_chunks", &m.Degraded},
-	}
-	sort.SliceStable(counters, func(i, j int) bool { return counters[i].name < counters[j].name })
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "stream/counter[%s]=%d\n", c.name, c.v.Load()); err != nil {
+		{"aborts", c.Aborts}, {"active_sessions", m.Active.Load()},
+		{"alt_updates", c.AltUpdates}, {"body_updates", c.BodyUpdates},
+		{"chunk_size", m.ChunkSize.Load()}, {"chunks", c.Chunks},
+		{"commits", c.Commits}, {"compares", c.Compares},
+		{"degraded_chunks", c.Degraded}, {"faults", c.Faults},
+		{"inflight_chunks", m.InFlight.Load()}, {"inputs", c.Ingested},
+		{"orig_replicas", c.OrigReplicas}, {"orig_updates", c.OrigUpdates},
+		{"outputs", c.Emitted}, {"reexec_runs", c.ReexecRuns},
+		{"reexec_updates", c.ReexecUpdates}, {"resizes", c.Resizes},
+		{"retries", c.Retries}, {"sessions", c.Sessions},
+		{"snapshots", c.Snapshots}, {"spec_copies", c.SpecCopies},
+	} {
+		if _, err := fmt.Fprintf(w, "stream/counter[%s]=%d\n", l.name, l.v); err != nil {
 			return err
 		}
 	}

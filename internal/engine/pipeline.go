@@ -52,10 +52,11 @@ import (
 // scheduling. Same seed, same inputs: byte-identical committed outputs,
 // even under -race.
 //
-// Every protocol action is reported on the engine event stream: the
-// pipeline's Metrics (and any additional StreamConfig.Sink) consume the
-// same events a batch run emits, so /metrics, overhead counters and
-// trace synthesis need no pipeline-private aggregation.
+// Every protocol action is reported on the engine event stream, to
+// StreamConfig.Sink: the same events a batch run emits, so /metrics,
+// overhead counters and trace synthesis need no pipeline-private
+// aggregation. With no sink attached nothing is emitted and no clock is
+// read; StreamStats comes from the pipeline's own atomics either way.
 //
 // Lifecycle: Close ends the input stream and drains the pipeline; cancel
 // the context to abandon it. A session runs Workers+2 goroutines — the
@@ -98,13 +99,10 @@ type StreamConfig struct {
 	// Fault configures panic isolation, per-chunk deadlines, and
 	// retry/backoff; the zero value enables isolation with defaults.
 	Fault FaultPolicy
-	// Metrics receives binned stage latencies and counters, rendered from
-	// the engine event stream. Multiple pipelines may share one collector;
-	// nil allocates a private one.
-	Metrics *Metrics
-	// Sink, when non-nil, receives the pipeline's engine events alongside
-	// Metrics (e.g. a Counters aggregate or a Recorder synthesizing a
-	// trace for critical-path analysis).
+	// Sink, when non-nil, receives the pipeline's engine events: a Metrics
+	// collector (pipelines may share one), a Counters aggregate, a Recorder
+	// synthesizing a trace for critical-path analysis, or several through
+	// Tee. Leaving it nil skips all event timing on the hot path.
 	Sink Sink
 	// Checkpoint enables periodic commit-frontier snapshots (checkpoint.go).
 	Checkpoint CheckpointConfig
@@ -136,9 +134,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	}
 	if c.MaxChunk == 0 {
 		c.MaxChunk = 4 * c.ChunkSize
-	}
-	if c.Metrics == nil {
-		c.Metrics = NewMetrics()
 	}
 	return c
 }
@@ -327,7 +322,6 @@ type Pipeline struct {
 	mu       sync.Mutex
 	prod     producer // the chunk being filled (assemble.go)
 	ctl      *autotune.Online
-	met      *Metrics // also the first sink of the event stream, ahead of cfg.Sink
 	closed   atomic.Bool
 	failOnce sync.Once
 	failure  atomic.Value  // error: the terminal fault that tore the run down
@@ -343,6 +337,7 @@ type Pipeline struct {
 	checkpoints atomic.Int64
 
 	chunks   atomic.Int64
+	resolved int64 // chunks whose EvOutputs went out: the commit stage's, then the reaper's
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is producer-owned)
@@ -422,11 +417,10 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// the commit stage does.
 		out:  make(chan Output, 2*cfg.ChunkSize),
 		ctl:  ctl,
-		met:  cfg.Metrics,
 		done: make(chan struct{}),
 	}
 	p.halt, p.haltCancel = context.WithCancel(ctx)
-	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, combineSinks(cfg.Metrics, cfg.Sink))
+	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, cfg.Sink)
 	p.records = newRecords(p, cfg.window())
 	p.fper, _ = prog.(Fingerprinter)
 	p.resume = rs
@@ -476,19 +470,22 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 
 	// The reaper closes the results ring behind the last worker — which
 	// is what ends a draining commit stage — and, once that has exited
-	// too, reconciles the shared gauges: an abandoned run drops its
-	// in-flight chunks without committing them, and each would otherwise
-	// leave the shared collector's in-flight gauge drifted upward for
-	// good.
+	// too, ends the session on the event stream. An abandoned run drops
+	// its in-flight chunks without resolving them; EvSessionEnd carries
+	// their count, or each would leave a shared collector's in-flight
+	// gauge drifted upward for good. The boundary lock waits out a
+	// dispatch that passed its halt check before the session ended: no
+	// chunk is announced after this read.
 	go func() {
 		defer close(p.done)
 		defer p.cancel() // every stage has exited; release the context
 		workers.Wait()
 		p.results.Close()
 		<-committed
-		if dropped := p.chunks.Load() - p.commits.Load() - p.aborts.Load(); dropped > 0 {
-			p.met.InFlight.Add(-dropped)
-		}
+		p.mu.Lock()
+		dropped := p.chunks.Load() - p.resolved
+		p.mu.Unlock()
+		p.emit(Event{Kind: EvSessionEnd, Chunk: -1, Worker: -1, N: int(dropped)})
 	}()
 	return p, nil
 }

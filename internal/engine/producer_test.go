@@ -504,6 +504,90 @@ func TestProducerWaitRacesPush(t *testing.T) {
 	}
 }
 
+// TestProducerAbandonSettlesGauges: a collector shared by many sessions
+// reads no chunk in flight and no session active once they have all
+// ended, however they ended. A drained session resolves every chunk it
+// announced; one abandoned with its window full — nobody reads Outputs,
+// so the producer runs as far ahead as it may and parks — announced
+// chunks that will never be resolved, and its EvSessionEnd has to take
+// them off the gauge.
+func TestProducerAbandonSettlesGauges(t *testing.T) {
+	prog, inputs := wakeInputs(t, 100)
+	m := engine.NewMetrics()
+	settled := func(what string) {
+		t.Helper()
+		if f, a := m.InFlight.Load(), m.Active.Load(); f != 0 || a != 0 {
+			t.Fatalf("after %s: %d chunks in flight, %d sessions active, want 0 and 0", what, f, a)
+		}
+	}
+	start := func(ctx context.Context, workers int) *engine.Pipeline {
+		t.Helper()
+		p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
+			ChunkSize: 4, Lookback: 2, ExtraStates: 1, Workers: workers, Seed: 3, Sink: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, workers := range []int{1, 4, 1, 4, 1, 4} {
+		p := start(context.Background(), workers)
+		within(t, "a drained session", func() {
+			go func() {
+				defer p.Close()
+				for _, in := range inputs {
+					if err := p.Push(context.Background(), in); err != nil {
+						t.Errorf("push: %v", err)
+						return
+					}
+				}
+			}()
+			for range p.Outputs() {
+			}
+			if _, err := p.Wait(); err != nil {
+				t.Errorf("Wait = %v", err)
+			}
+		})
+		settled("a drained session")
+	}
+	if c := m.Snapshot(); c.Sessions != 6 || c.Chunks != c.Commits+c.Aborts || c.Emitted != int64(6*len(inputs)) {
+		t.Fatalf("six drained sessions: %+v, want every announced chunk committed or aborted and every output out", c)
+	}
+	for _, workers := range []int{1, 4, 1, 4, 1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := start(ctx, workers)
+		pushed := make(chan error, 1)
+		go func() {
+			for i := 0; ; i++ {
+				if err := p.Push(ctx, inputs[i%len(inputs)]); err != nil {
+					pushed <- err
+					return
+				}
+			}
+		}()
+		within(t, "an abandoned session", func() {
+			// The gauge's ceiling: a window of chunks past the last
+			// outcome the producer consumed, and the one that outcome let in.
+			for m.InFlight.Load() <= int64(checkpoint.Window(workers)) {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			if _, err := p.Wait(); !errors.Is(err, context.Canceled) {
+				t.Errorf("Wait = %v, want context.Canceled", err)
+			}
+		})
+		// Read before the producer is known to be out of Push: Wait alone
+		// is the promise.
+		settled("an abandoned session")
+		if err := <-pushed; !errors.Is(err, context.Canceled) {
+			t.Errorf("the producer saw %v, want context.Canceled", err)
+		}
+	}
+	if c := m.Snapshot(); c.Sessions != 12 || c.Chunks < c.Commits+c.Aborts {
+		t.Fatalf("twelve sessions, six abandoned: %+v, want no chunk committed or aborted that was not announced", c)
+	}
+	settled("every session")
+}
+
 // TestProducerGoroutines: a live session is its worker pool, the commit
 // stage and the reaper — no assembler, no janitors — and Wait returns
 // only after the last of them is on its way out.

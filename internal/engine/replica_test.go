@@ -54,7 +54,7 @@ func sessionDigest(t *testing.T, name string, workers int) string {
 	var ctr engine.Counters
 	log := &chunkLog{}
 	cfg := engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 5}
-	rep, err := (&engine.StreamScheduler{Workers: workers, Sink: sinks{&ctr, log}}).RunSlice(b, inputs, cfg)
+	rep, err := (&engine.StreamScheduler{Workers: workers, Sink: engine.Tee(&ctr, log)}).RunSlice(b, inputs, cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}

@@ -64,10 +64,8 @@ type StreamScheduler struct {
 	Ctx context.Context
 	// Workers is the worker-pool size; 0 uses the pipeline default (4).
 	Workers int
-	// Metrics optionally aggregates stage latencies across runs.
-	Metrics *Metrics
-	// Sink, when non-nil, receives the run's engine events alongside
-	// Metrics.
+	// Sink, when non-nil, receives the run's engine events. Leaving it nil
+	// skips all event timing on the hot path.
 	Sink Sink
 }
 
@@ -86,7 +84,6 @@ func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repo
 		scfg.Plan[i] = b[1] - b[0]
 	}
 	scfg.ChunkSize = scfg.Plan[0] // Partition puts the largest chunks first
-	scfg.Metrics = s.Metrics
 	return runStream(s.Ctx, p, inputs, scfg)
 }
 

@@ -10,13 +10,16 @@ import (
 	"testing"
 
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 )
 
 // TestSessionAttribution posts one session with attrib=1 and checks the
 // trailer carries a populated six-category loss breakdown: the same
 // committed outputs as an unattributed session, plus an attribution block
 // whose categories sum to the total and whose ideal reflects workers+1
-// cores (the pool plus the commit frontier).
+// cores (the pool plus the commit frontier). The recorder joins the
+// server's sinks, it does not replace them: on a server whose base config
+// carries a Sink, that sink sees the attributed session too.
 func TestSessionAttribution(t *testing.T) {
 	cfg := baseConfig()
 	ts := httptest.NewServer(New(cfg, Options{}).Handler())
@@ -27,8 +30,30 @@ func TestSessionAttribution(t *testing.T) {
 	body := ndjsonBody(t, name, inputs)
 
 	plain, _ := runSession(t, ts.URL, name, body)
+	attributedSession(t, ts.URL, name, body, plain, cfg.Workers)
 
-	resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?attrib=1",
+	// The plain session must not pay for attribution it did not ask for.
+	_, plainTr := runSession(t, ts.URL, name, body)
+	if plainTr.Attribution != nil {
+		t.Fatal("unattributed session trailer carries an attribution block")
+	}
+
+	var ctr engine.Counters
+	cfg.Sink = &ctr
+	tapped := httptest.NewServer(New(cfg, Options{}).Handler())
+	defer tapped.Close()
+	attributedSession(t, tapped.URL, name, body, plain, cfg.Workers)
+	if got := ctr.Snapshot(); got.Ingested != int64(len(inputs)) || got.Sessions != 1 {
+		t.Fatalf("base sink saw %d inputs of %d session(s) from the attributed session, want %d of 1",
+			got.Ingested, got.Sessions, len(inputs))
+	}
+}
+
+// attributedSession posts body with attrib=1 and checks the response: the
+// output lines of plain, then a clean trailer with an attribution block.
+func attributedSession(t *testing.T, url, name string, body []byte, plain []string, workers int) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/stream/"+name+"?attrib=1",
 		"application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +102,7 @@ func TestSessionAttribution(t *testing.T) {
 	if a.Error != "" {
 		t.Fatalf("attribution error: %s", a.Error)
 	}
-	wantIdeal := float64(cfg.Workers + 1)
+	wantIdeal := float64(workers + 1)
 	if a.Ideal != wantIdeal {
 		t.Fatalf("ideal = %v, want %v (workers+frontier)", a.Ideal, wantIdeal)
 	}
@@ -101,11 +126,5 @@ func TestSessionAttribution(t *testing.T) {
 	}
 	if d := sum - a.TotalLostPct; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("categories sum to %v, totalLostPct = %v", sum, a.TotalLostPct)
-	}
-
-	// The plain session must not pay for attribution it did not ask for.
-	_, plainTr := runSession(t, ts.URL, name, body)
-	if plainTr.Attribution != nil {
-		t.Fatal("unattributed session trailer carries an attribution block")
 	}
 }

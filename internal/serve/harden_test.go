@@ -406,7 +406,7 @@ func TestSessionShapeCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started, baseline := app.met.Sessions.Load(), runtime.NumGoroutine()
+	started, baseline := app.met.Snapshot().Sessions, runtime.NumGoroutine()
 
 	for _, tc := range []struct{ query, body, names string }{
 		{"workers=100000", string(body), "workers=100000"},
@@ -425,7 +425,7 @@ func TestSessionShapeCeilings(t *testing.T) {
 			t.Errorf("?%s: status %d %.200q, want 400 naming %q", tc.query, resp.StatusCode, msg, tc.names)
 		}
 	}
-	if n := app.met.Sessions.Load() - started; n != 0 {
+	if n := app.met.Snapshot().Sessions - started; n != 0 {
 		t.Errorf("the refusals started %d pipelines", n)
 	}
 	checkGoroutines(t, baseline)

@@ -102,8 +102,9 @@ var errBadRequest = errors.New("bad request")
 
 // Server multiplexes NDJSON streaming sessions onto per-session STATS
 // pipelines. Every session clones the base pipeline config (optionally
-// overridden per request by query parameters) but shares one Metrics
-// collector, so /metrics aggregates across all sessions served.
+// overridden per request by query parameters), and with it the base
+// Sink: the server's one Metrics collector, joined to the caller's sink
+// if it gave one, so /metrics aggregates across all sessions served.
 type Server struct {
 	base engine.StreamConfig
 	met  *engine.Metrics
@@ -124,9 +125,8 @@ type Server struct {
 // New builds a Server from a base pipeline config (cloned per session)
 // and serving options.
 func New(base engine.StreamConfig, lim Options) *Server {
-	if base.Metrics == nil {
-		base.Metrics = engine.NewMetrics()
-	}
+	met := engine.NewMetrics()
+	base.Sink = engine.Tee(met, base.Sink)
 	if lim.MaxSessions == 0 {
 		lim.MaxSessions = defaultMaxSessions
 	}
@@ -142,7 +142,7 @@ func New(base engine.StreamConfig, lim Options) *Server {
 	if lim.Instance == "" {
 		lim.Instance = defaultInstance
 	}
-	s := &Server{base: base, met: base.Metrics, lim: lim}
+	s := &Server{base: base, met: met, lim: lim}
 	if lim.MaxSessions > 0 {
 		s.sem = make(chan struct{}, lim.MaxSessions)
 	}

@@ -61,7 +61,6 @@ func ndjsonBody(t *testing.T, name string, inputs []engine.Input) []byte {
 // same pipeline locally and encoding its committed outputs.
 func wantLines(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) []string {
 	t.Helper()
-	cfg.Metrics = nil // private collector; the server's is shared
 	prog, err := bench.New(name)
 	if err != nil {
 		t.Fatal(err)

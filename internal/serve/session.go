@@ -227,7 +227,7 @@ func (ss *session) parse() bool {
 	}
 	if attrib {
 		ss.rec = engine.NewRecorder()
-		ss.cfg.Sink = ss.rec
+		ss.cfg.Sink = engine.Tee(ss.cfg.Sink, ss.rec)
 	}
 	return true
 }
