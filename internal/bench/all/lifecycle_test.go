@@ -114,6 +114,58 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent checks that a clone owns its buffers: updating
+// the source leaves a Clone and a CloneInto byte-for-byte unchanged under
+// EncodeState, and updating the clones leaves the source unchanged. A
+// Clone that assigns a slice or map field instead of copying it shares
+// memory across speculative lineages, which equality tests cannot see
+// until some update writes through the alias.
+func TestCloneIsIndependent(t *testing.T) {
+	for _, name := range bench.Names() {
+		t.Run(name, func(t *testing.T) {
+			b := bench.MustNew(name)
+			rec := engine.Program(b).(engine.StateRecycler)
+			wc, err := bench.WireFor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := func(s engine.State) string {
+				raw, err := wc.EncodeState(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
+			}
+			ins := b.Inputs(rng.New(7))
+			drive := func(s engine.State, i int, label string) engine.State {
+				for k := 0; k < 6; k++ {
+					s, _ = b.Update(s, ins[(i*11+k)%len(ins)], rng.New(uint64(i)).DeriveN(label, k))
+				}
+				return s
+			}
+			states := genStates(b, 8)
+			for i, s := range states {
+				c := b.Clone(s)
+				c2 := rec.CloneInto(b.Clone(states[(i+1)%len(states)]), s)
+				cBytes, c2Bytes := enc(c), enc(c2)
+				s = drive(s, i, "src")
+				if enc(c) != cBytes {
+					t.Fatalf("state %d: updating the source changed its Clone", i)
+				}
+				if enc(c2) != c2Bytes {
+					t.Fatalf("state %d: updating the source changed its CloneInto", i)
+				}
+				sBytes := enc(s)
+				drive(c, i, "clone")
+				drive(c2, i, "cloneinto")
+				if enc(s) != sBytes {
+					t.Fatalf("state %d: updating its clones changed the source", i)
+				}
+			}
+		})
+	}
+}
+
 // Micro-benchmarks for the per-benchmark state operations the STATS hot
 // path is made of. Run with:
 //

@@ -117,14 +117,15 @@ type fpEntry struct {
 type dedupState struct {
 	// table maps chunk fingerprint → generation (segment index) it was
 	// last seen. It is the "large state": tens of thousands of entries.
-	//statslint:allow wirecomplete table is exactly the replay of the live log: DecodeState rebuilds it from the encoded log, and encoding it would iterate a map
+	// It is not encoded: it is exactly the replay of the live log, which
+	// DecodeState rebuilds it from, and encoding it would iterate a map.
 	table map[uint64]uint32
 	// log records insertions in order; head indexes the oldest live
 	// entry. Expiry pops from head (lazy deletion — a refreshed
 	// fingerprint's stale log records are skipped when popped), so no
-	// code path depends on map iteration order.
-	log []fpEntry
-	//statslint:allow wirecomplete head is 0 by construction after decode: EncodeState trims the log to the live tail [st.log[st.head:]]
+	// code path depends on map iteration order. EncodeState writes only
+	// the live tail, log[head:], so head is 0 after decode.
+	log  []fpEntry
 	head int
 	// gen counts segments processed by this lineage.
 	gen uint32

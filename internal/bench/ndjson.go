@@ -1,13 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
-	"unsafe"
 )
 
 // This file is what the eight codecs build their NDJSON lines with: Enc
@@ -150,15 +149,9 @@ type Cursor struct {
 // writes or keeps.
 func NewCursor(line []byte) Cursor { return Cursor{b: line} }
 
-// str views b as a string without copying it, for strconv, which has no
-// []byte parsers. Nothing writes the cursor's line while a view is
-// live, and strconv keeps no view past its return (its errors clone
-// their input), so the string's immutability holds.
-func str(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
-
 // Try consumes s if the line continues with it.
 func (c *Cursor) Try(s string) bool {
-	if c.bad || len(c.b)-c.i < len(s) || str(c.b[c.i:c.i+len(s)]) != s {
+	if c.bad || len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
 		return false
 	}
 	c.i += len(s)
@@ -313,7 +306,7 @@ func (c *Cursor) Float() float64 {
 			return f
 		}
 	}
-	f, err := strconv.ParseFloat(str(lit), 64)
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		c.bad = true
 		return 0
@@ -327,7 +320,7 @@ func (c *Cursor) Int() int {
 	if lit == nil {
 		return 0
 	}
-	v, err := strconv.ParseInt(str(lit), 10, strconv.IntSize)
+	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
 		c.bad = true
 		return 0
@@ -341,7 +334,7 @@ func (c *Cursor) Uint(bits int) uint64 {
 	if lit == nil {
 		return 0
 	}
-	v, err := strconv.ParseUint(str(lit), 10, bits)
+	v, err := strconv.ParseUint(string(lit), 10, bits)
 	if err != nil {
 		c.bad = true
 		return 0
@@ -380,11 +373,11 @@ func (c *Cursor) Elems(sep, end string, minBytes int) int {
 	if c.bad {
 		return 0
 	}
-	rest := str(c.b[c.i:])
-	if i := strings.Index(rest, end); i >= 0 {
+	rest := c.b[c.i:]
+	if i := bytes.Index(rest, []byte(end)); i >= 0 {
 		rest = rest[:i]
 	}
-	return min(strings.Count(rest, sep), len(rest)/minBytes) + 1
+	return min(bytes.Count(rest, []byte(sep)), len(rest)/minBytes) + 1
 }
 
 // Next walks the elements of an array whose '[' was just consumed:

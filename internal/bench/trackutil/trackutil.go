@@ -112,8 +112,9 @@ type Cloud struct {
 	Dims int
 	// ID names this state's memory region (stable cache addresses per
 	// live state; a clone gets a new ID, which is how STATS's extra
-	// states show up as locality loss in the cache simulator).
-	//statslint:allow wirecomplete ID is process-local identity: Live mints a fresh one on decode, exactly like Clone, so it is never encoded
+	// states show up as locality loss in the cache simulator). It is
+	// process-local, so it is never encoded: Live mints a fresh one on
+	// decode, exactly like Clone.
 	ID int64
 	// Age counts updates since the cloud was created or reset.
 	Age int
@@ -129,11 +130,10 @@ type Cloud struct {
 	// cache is keyed so a stale entry can never be served. Clone starts
 	// the copy with empty working storage; CloneCloudInto keeps the
 	// destination's — reusing these buffers is the point of recycling.
-	//statslint:allow wirecomplete scratchP is working storage, fully overwritten before any read; a decoded cloud rebuilds it lazily
-	scratchP []float64 // resample's next-generation particle array
-	//statslint:allow wirecomplete scratchW is working storage, fully overwritten before any read; a decoded cloud rebuilds it lazily
-	scratchW []float64 // StepT's log-weight array
-	//statslint:allow wirecomplete profiles is a derived cache keyed by ID; decode mints a new ID, so the cache must start empty
+	// None of it is encoded either: a decoded cloud rebuilds the buffers
+	// lazily and starts with an empty cache, since decode mints a new ID.
+	scratchP []float64       // resample's next-generation particle array
+	scratchW []float64       // StepT's log-weight array
 	profiles [2]cloudProfile // built access profiles, keyed by base
 }
 

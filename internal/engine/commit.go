@@ -18,10 +18,9 @@ type committed struct {
 // no locks — order is enforced structurally.
 func (p *Pipeline) commit() {
 	defer close(p.out)
-	//statslint:allow hotalloc session-scoped panic guard: the closure is built once per stage, not per input
 	defer func() {
 		if r := recover(); r != nil {
-			p.fail(&FaultError{Fault: &ChunkFault{ //statslint:allow hotalloc panic path: boxes the fault at most once per session
+			p.fail(&FaultError{Fault: &ChunkFault{
 				Chunk: -1, Site: SiteCommit, Panic: r, Stack: stack()}})
 		}
 	}()
@@ -111,7 +110,7 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		// replicas — are dead. (Faulted results carry none.)
 		p.pool.releaseRun(r.final, r.origs)
 		if fault := r.recoverChunk(prev.final); fault != nil {
-			p.fail(&FaultError{Fault: fault}) //statslint:allow hotalloc fault path: boxes the terminal fault at most once per session
+			p.fail(&FaultError{Fault: fault})
 			return false
 		}
 		// Refresh the fingerprint cache for the next boundary's wave: the

@@ -281,8 +281,6 @@ func newRecords(p *Pipeline, window int) []chunk {
 }
 
 // record returns the record chunk j lives in.
-//
-//statslint:hotpath
 func (p *Pipeline) record(j int) *chunk { return &p.records[j&(len(p.records)-1)] }
 
 // Pipeline is a running streaming STATS execution. Create with NewStream,

@@ -3,7 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
@@ -71,7 +72,8 @@ func (s *Session) Fig9() (*Fig9, error) {
 			perCore[cores] = acc
 		}
 	}
-	for cores, acc := range perCore {
+	for _, cores := range slices.Sorted(maps.Keys(perCore)) {
+		acc := perCore[cores]
 		var g [3]float64
 		for i := 0; i < 3; i++ {
 			g[i] = stat.MustGeoMean(acc[i])
@@ -93,12 +95,7 @@ func (f *Fig9) Table() *report.Table {
 	}
 	// Core counts ascending: map order would shuffle the artifact's rows
 	// from run to run.
-	counts := make([]int, 0, len(f.Geomean))
-	for cores := range f.Geomean {
-		counts = append(counts, cores)
-	}
-	sort.Ints(counts)
-	for _, cores := range counts {
+	for _, cores := range slices.Sorted(maps.Keys(f.Geomean)) {
 		g := f.Geomean[cores]
 		t.AddRow("geomean", fmt.Sprint(cores),
 			report.Speedup(g[0]), report.Speedup(g[1]), report.Speedup(g[2]))
@@ -117,11 +114,11 @@ func (f *Fig9) Render(w io.Writer) {
 			report.BarItem{Label: r.Benchmark + "/parS", Value: r.ParSTATS},
 		)
 	}
-	for cores, items := range byCores {
+	for _, cores := range slices.Sorted(maps.Keys(byCores)) {
 		bc := &report.BarChart{
 			Title: fmt.Sprintf("Fig. 9 (%d cores)", cores),
 			Unit:  "x",
-			Items: items,
+			Items: byCores[cores],
 			Max:   float64(cores),
 		}
 		bc.Render(w)
@@ -351,7 +348,7 @@ func (s *Session) Fig14() (*Fig14, error) {
 		}
 		row.ExtraPct = float64(row.ParInstr-row.SeqInstr) / float64(row.SeqInstr) * 100
 
-		partCats := map[critpath.ExtraPart][]trace.Category{
+		partCats := [critpath.NumExtraParts][]trace.Category{
 			critpath.PartSpeculativeState: {trace.CatAltProducer},
 			critpath.PartOriginalStates:   {trace.CatOrigStates},
 			critpath.PartComparisons:      {trace.CatCompare},

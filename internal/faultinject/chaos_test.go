@@ -2,7 +2,9 @@ package faultinject_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,137 @@ func (p *abortProbe) Event(e engine.Event) {
 	if !p.seen[e.Chunk] {
 		p.seen[e.Chunk] = true
 		p.aborted = append(p.aborted, e.Chunk)
+	}
+}
+
+// orderSink checks the protocol's event order chunk by chunk, on the
+// stream a run really emits:
+//
+//   - each chunk gets exactly one EvCommitted or EvAborted;
+//   - for j > 0, EvCommitted follows the chunk's EvValidated with Matched,
+//     and EvAborted follows an unmatched EvValidated or an EvDegraded;
+//   - every EvRetry and EvDegraded follows an EvFault for the same chunk;
+//   - EvOutputs follows the verdict.
+//
+// Events arrive from several goroutines, but every protocol step emits
+// before it hands its result to the step that depends on it (a ring push,
+// a condition broadcast), so arrival order under the mutex respects the
+// protocol's happens-before.
+type orderSink struct {
+	mu     sync.Mutex
+	chunks map[int]*chunkOrder
+	errs   []string
+}
+
+// chunkOrder is what one chunk has emitted so far.
+type chunkOrder struct {
+	faulted, degraded, validated, matched bool
+	verdicts                              int
+}
+
+func (o *orderSink) Event(e engine.Event) {
+	if e.Chunk < 0 {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.chunks == nil {
+		o.chunks = map[int]*chunkOrder{}
+	}
+	c := o.chunks[e.Chunk]
+	if c == nil {
+		c = &chunkOrder{}
+		o.chunks[e.Chunk] = c
+	}
+	bad := func(why string) {
+		o.errs = append(o.errs, fmt.Sprintf("chunk %d: %s %s", e.Chunk, e.Kind, why))
+	}
+	switch e.Kind {
+	case engine.EvFault:
+		c.faulted = true
+	case engine.EvRetry, engine.EvDegraded:
+		if !c.faulted {
+			bad("without an EvFault before it")
+		}
+		c.degraded = c.degraded || e.Kind == engine.EvDegraded
+	case engine.EvValidated:
+		c.validated, c.matched = true, e.Matched
+	case engine.EvCommitted, engine.EvAborted:
+		if c.verdicts++; c.verdicts > 1 {
+			bad("is a second verdict")
+		}
+		if e.Chunk > 0 && e.Kind == engine.EvCommitted && !(c.validated && c.matched) {
+			bad("without a matched EvValidated before it")
+		}
+		if e.Chunk > 0 && e.Kind == engine.EvAborted && !(c.validated && !c.matched) && !c.degraded {
+			bad("without an unmatched EvValidated or an EvDegraded before it")
+		}
+	case engine.EvOutputs:
+		if c.verdicts == 0 {
+			bad("before the verdict")
+		}
+	}
+}
+
+// problems lists every order violation, and every way the stream fails
+// to give each of the run's chunks exactly one verdict.
+func (o *orderSink) problems(chunks int) []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := append([]string(nil), o.errs...)
+	if len(o.chunks) != chunks {
+		out = append(out, fmt.Sprintf("events for %d chunks, the run made %d", len(o.chunks), chunks))
+	}
+	for j, c := range o.chunks {
+		if c.verdicts != 1 {
+			out = append(out, fmt.Sprintf("chunk %d has %d verdicts, want 1", j, c.verdicts))
+		}
+	}
+	return out
+}
+
+// TestChaosOrderSink checks the order check itself on hand-built streams:
+// each rule passes the streams the protocol allows and names the event
+// that breaks it, so a clean TestChaosEquivalence means the runs obeyed
+// the rules, not that the sink saw nothing.
+func TestChaosOrderSink(t *testing.T) {
+	ev := func(k engine.Kind, chunk int) engine.Event { return engine.Event{Kind: k, Chunk: chunk} }
+	valid := func(chunk int, ok bool) engine.Event {
+		return engine.Event{Kind: engine.EvValidated, Chunk: chunk, Matched: ok}
+	}
+	cases := []struct {
+		name   string
+		events []engine.Event
+		chunks int
+		want   string // a substring of the first problem; "" for a clean stream
+	}{
+		{"chunk 0 commits unvalidated", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvOutputs, 0)}, 1, ""},
+		{"commit after match", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true), ev(engine.EvCommitted, 1), ev(engine.EvOutputs, 1)}, 2, ""},
+		{"abort after mismatch", []engine.Event{ev(engine.EvCommitted, 0), valid(1, false), ev(engine.EvAborted, 1), ev(engine.EvOutputs, 1)}, 2, ""},
+		{"retry then degrade then abort", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvFault, 1), ev(engine.EvRetry, 1), ev(engine.EvDegraded, 1), ev(engine.EvAborted, 1)}, 2, ""},
+		{"session events ignored", []engine.Event{ev(engine.EvRetry, -1), ev(engine.EvCommitted, 0)}, 1, ""},
+		{"commit without validation", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvCommitted, 1)}, 2, "chunk 1: " + engine.EvCommitted.String() + " without a matched EvValidated"},
+		{"commit after mismatch", []engine.Event{ev(engine.EvCommitted, 0), valid(1, false), ev(engine.EvCommitted, 1)}, 2, "without a matched EvValidated"},
+		{"abort after match", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true), ev(engine.EvAborted, 1)}, 2, "without an unmatched EvValidated or an EvDegraded"},
+		{"retry without fault", []engine.Event{ev(engine.EvRetry, 0), ev(engine.EvCommitted, 0)}, 1, "without an EvFault"},
+		{"degrade without fault", []engine.Event{ev(engine.EvDegraded, 0), ev(engine.EvAborted, 0)}, 1, "without an EvFault"},
+		{"outputs before verdict", []engine.Event{ev(engine.EvOutputs, 0), ev(engine.EvCommitted, 0)}, 1, "before the verdict"},
+		{"second verdict", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvAborted, 0)}, 1, "is a second verdict"},
+		{"missing verdict", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true)}, 2, "chunk 1 has 0 verdicts"},
+		{"missing chunk", []engine.Event{ev(engine.EvCommitted, 0)}, 2, "events for 1 chunks, the run made 2"},
+	}
+	for _, tc := range cases {
+		var o orderSink
+		for _, e := range tc.events {
+			o.Event(e)
+		}
+		got := o.problems(tc.chunks)
+		switch {
+		case tc.want == "" && len(got) != 0:
+			t.Errorf("%s: clean stream flagged: %q", tc.name, got)
+		case tc.want != "" && (len(got) == 0 || !strings.Contains(got[0], tc.want)):
+			t.Errorf("%s: problems %q, want the first to contain %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -139,16 +272,20 @@ func TestChaosEquivalence(t *testing.T) {
 			sawCorrupt = sawCorrupt || corrupts
 			sawDegrade = sawDegrade || degrades
 
+			order := []*orderSink{{}, {}, {}}
 			schedulers := []engine.Scheduler{
-				&engine.BatchScheduler{},
-				&engine.StreamScheduler{Workers: 3},
-				&engine.SimScheduler{Config: machine.DefaultConfig(8)},
+				&engine.BatchScheduler{Sink: order[0]},
+				&engine.StreamScheduler{Workers: 3, Sink: order[1]},
+				&engine.SimScheduler{Config: machine.DefaultConfig(8), Sink: order[2]},
 			}
-			for _, sched := range schedulers {
+			for i, sched := range schedulers {
 				fp := plan.Wrap(b)
 				rep, err := sched.RunSlice(fp, inputs, cfg)
 				if err != nil {
 					t.Fatalf("%s under chaos: %v", sched.Name(), err)
+				}
+				for _, msg := range order[i].problems(rep.Chunks) {
+					t.Errorf("%s: %s", sched.Name(), msg)
 				}
 				if fp.Fired() == 0 {
 					t.Fatalf("%s: no planned fault fired", sched.Name())

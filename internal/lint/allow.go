@@ -144,19 +144,9 @@ func (idx allowIndex) suppressed(d Diagnostic) bool {
 }
 
 // staleDirectives returns a diagnostic for every directive that
-// suppressed nothing, provided the analyzers it scopes actually ran
-// (ran is the name set of this run's analyzers): an unscoped directive
-// is only assessable when the full registered suite ran, a scoped one
-// when all of its named analyzers did. Anything less and "unused" could
-// just mean "not checked this run".
-func (idx allowIndex) staleDirectives(fset *token.FileSet, ran map[string]bool) []Diagnostic {
-	full := true
-	for _, a := range Analyzers() {
-		if !ran[a.Name] {
-			full = false
-			break
-		}
-	}
+// suppressed nothing. The whole suite always runs, so "unused" always
+// means "no analyzer needs it".
+func (idx allowIndex) staleDirectives(fset *token.FileSet) []Diagnostic {
 	seen := map[*allowDirective]bool{}
 	var out []Diagnostic
 	for _, lines := range idx {
@@ -166,19 +156,6 @@ func (idx allowIndex) staleDirectives(fset *token.FileSet, ran map[string]bool) 
 					continue
 				}
 				seen[dir] = true
-				assessable := full
-				if dir.analyzers != nil {
-					assessable = true
-					for name := range dir.analyzers {
-						if !ran[name] {
-							assessable = false
-							break
-						}
-					}
-				}
-				if !assessable {
-					continue
-				}
 				p := fset.Position(dir.pos)
 				out = append(out, Diagnostic{
 					Analyzer: "statslint",

@@ -13,7 +13,7 @@ func parseAllowAt(t *testing.T, text string) (*allowDirective, *token.FileSet) {
 	f := fset.AddFile("x.go", -1, len(text)+10)
 	f.AddLine(0)
 	c := &ast.Comment{Slash: f.Pos(0), Text: text}
-	known := map[string]bool{"detpath": true, "slablife": true}
+	known := map[string]bool{"detpath": true, "atomicprot": true}
 	return parseAllow(c, fset, known), fset
 }
 
@@ -27,7 +27,7 @@ func TestParseAllowDirective(t *testing.T) {
 	}{
 		{"// just a comment", false, false, nil, ""},
 		{"//statslint:allow detpath keys are sorted", true, false, []string{"detpath"}, "keys are sorted"},
-		{"//statslint:allow detpath,slablife shared buffer is read-only", true, false, []string{"detpath", "slablife"}, "shared buffer is read-only"},
+		{"//statslint:allow detpath,atomicprot shared buffer is read-only", true, false, []string{"detpath", "atomicprot"}, "shared buffer is read-only"},
 		{"//statslint:allow order cannot reach outputs", true, false, nil, "order cannot reach outputs"},
 		{"//statslint:allow", true, true, nil, ""},
 		{"//statslint:allow detpath", true, true, nil, ""},
@@ -80,8 +80,8 @@ func TestAllowSuppression(t *testing.T) {
 		want bool
 	}{
 		{Diagnostic{Analyzer: "detpath", File: "x.go", Line: 10}, true},
-		{Diagnostic{Analyzer: "slablife", File: "x.go", Line: 10}, false},
-		{Diagnostic{Analyzer: "slablife", File: "x.go", Line: 20}, true},
+		{Diagnostic{Analyzer: "atomicprot", File: "x.go", Line: 10}, false},
+		{Diagnostic{Analyzer: "atomicprot", File: "x.go", Line: 20}, true},
 		{Diagnostic{Analyzer: "detpath", File: "x.go", Line: 11}, false},
 		{Diagnostic{Analyzer: "detpath", File: "y.go", Line: 10}, false},
 	}

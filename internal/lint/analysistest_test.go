@@ -1,13 +1,13 @@
 package lint
 
 // This file is the suite's analysistest-style harness: it loads a
-// testdata package (invisible to go build), runs one analyzer over it
-// with the //statslint:allow index applied — exactly the production
-// pipeline in Run — and compares the surviving diagnostics against
-// `// want "regex"` comments in the testdata source. Every analyzer's
-// test exercises both directions: at least three flagged shapes (each
-// diagnostic must be announced by a want on its line) and at least
-// three clean shapes (any diagnostic without a want fails the test).
+// testdata package (invisible to go build), runs the suite over it with
+// the //statslint:allow index applied — exactly the production pipeline,
+// Run — and compares the surviving diagnostics against `// want "regex"`
+// comments in the testdata source. Every analyzer's test exercises both
+// directions: at least three flagged shapes (each diagnostic must be
+// announced by a want on its line) and at least three clean shapes (any
+// diagnostic without a want fails the test).
 
 import (
 	"go/token"
@@ -27,11 +27,11 @@ type wantExpectation struct {
 	matched bool
 }
 
-// RunAnalyzerTest loads the single package in dir, runs a over it with
-// cfg (nil means DefaultConfig), and checks the diagnostics against the
-// want markers. Allow directives in the testdata are honored, so a test
-// can also pin down the suppression behavior.
-func RunAnalyzerTest(t *testing.T, dir string, a *Analyzer, cfg *Config) {
+// RunAnalyzerTest loads the single package in dir, runs the suite over
+// it with cfg (nil means DefaultConfig), and checks the diagnostics
+// against the want markers. Allow directives in the testdata are honored,
+// so a test can also pin down the suppression behavior.
+func RunAnalyzerTest(t *testing.T, dir string, cfg *Config) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkg, err := LoadDir(dir, ".", fset)
@@ -41,9 +41,9 @@ func RunAnalyzerTest(t *testing.T, dir string, a *Analyzer, cfg *Config) {
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("testdata in %s must type-check cleanly; got %v", dir, pkg.TypeErrors)
 	}
-	diags, err := Run(cfg, fset, []*Package{pkg}, []*Analyzer{a})
+	diags, err := Run(cfg, fset, []*Package{pkg})
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+		t.Fatalf("running the suite on %s: %v", dir, err)
 	}
 	wants := collectWants(t, fset, pkg)
 	for _, d := range diags {

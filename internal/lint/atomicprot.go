@@ -48,7 +48,6 @@ import (
 // passing structs through channels or interfaces.
 var AtomicProt = &Analyzer{
 	Name: "atomicprot",
-	Doc:  "checks the sync/atomic access protocol: no mixed plain/atomic access, no stale CAS-retry loops, no atomic ops on copied structs",
 	Run:  runAtomicProt,
 }
 

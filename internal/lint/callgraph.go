@@ -6,24 +6,16 @@ import (
 )
 
 // This file is statslint's interprocedural layer: a package-local call
-// graph with per-function summaries, computed once per package and
-// cached, so detpath and statecontract can follow flows across function
-// boundaries instead of stopping at every call.
+// graph with per-function clock-taint summaries, computed once per
+// package and cached, so detpath can follow a wall-clock value across
+// function boundaries instead of stopping at every call.
 //
-// The summaries are deliberately coarse — a handful of booleans and a
-// parameter-alias set per function — because the analyzers only need to
-// answer three questions about a callee:
-//
-//  1. does calling it hand me a wall-clock-derived value (returnsClock,
-//     elapsed)? Then the *call site* must satisfy detpath's
-//     instrumentation-only flow discipline, even when the helper's own
-//     clock read carries an allow (the allow waives the read, not every
-//     downstream use of the value);
-//  2. does its return value alias one of my arguments (aliasReturns)?
-//     Then a Clone body routing a slice field through it still aliases
-//     the buffers, and statecontract must flag the copy;
-//  3. which functions does it (transitively) call (callees)? wirecomplete
-//     walks that closure to compute codec field coverage.
+// The summaries are deliberately coarse — a few booleans per function —
+// because detpath only asks one question about a callee: does calling it
+// hand me a wall-clock-derived value (returnsClock, elapsed)? Then the
+// *call site* must satisfy detpath's instrumentation-only flow discipline,
+// even when the helper's own clock read carries an allow (the allow
+// waives the read, not every downstream use of the value).
 //
 // Scope and soundness: the graph is package-local and name-resolved
 // through go/types (so shadowing and method sets are exact), but calls
@@ -49,13 +41,6 @@ type funcSummary struct {
 	// call sites get the same elapsed-into-instrumentation discipline as
 	// time.Since.
 	elapsed bool
-	// aliasReturns holds indices of (pointer-free positional) parameters
-	// whose slice- or map-typed memory the return value may alias:
-	// `return p`, `return p[lo:hi]`, or returning through another local
-	// function that aliases. append/copy results are treated as fresh
-	// (documented limit: append can alias its argument when capacity
-	// suffices).
-	aliasReturns map[int]bool
 	// callees are the package-local functions this body calls directly.
 	callees map[*types.Func]bool
 }
@@ -119,18 +104,14 @@ func buildSummaries(p *Pass) *summarySet {
 			}
 			if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				s.decls[fn] = fd
-				s.sums[fn] = &funcSummary{
-					aliasReturns: map[int]bool{},
-					callees:      map[*types.Func]bool{},
-				}
+				s.sums[fn] = &funcSummary{callees: map[*types.Func]bool{}}
 			}
 		}
 	}
 
-	// Direct facts: clock reads, call edges, and direct param aliasing.
+	// Direct facts: clock reads and call edges.
 	for fn, fd := range s.decls {
 		sum := s.sums[fn]
-		params := paramIndex(p, fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -145,14 +126,9 @@ func buildSummaries(p *Pass) *summarySet {
 			}
 			return true
 		})
-		for _, ret := range returnStmts(fd) {
-			for _, res := range ret.Results {
-				recordAliasReturn(p, s, sum, params, res)
-			}
-		}
 	}
 
-	// Fixpoint: propagate clock taint and aliasing through local calls.
+	// Fixpoint: propagate clock taint through local calls.
 	// Facts only flip false→true, so this terminates.
 	for changed := true; changed; {
 		changed = false
@@ -163,9 +139,6 @@ func buildSummaries(p *Pass) *summarySet {
 					sum.readsClock = true
 					changed = true
 				}
-			}
-			if c := propagateAliasThroughCalls(p, s, fn); c {
-				changed = true
 			}
 		}
 	}
@@ -184,143 +157,6 @@ func buildSummaries(p *Pass) *summarySet {
 		}
 	}
 	return s
-}
-
-// paramIndex maps each named positional parameter object to its index.
-func paramIndex(p *Pass, fd *ast.FuncDecl) map[types.Object]int {
-	idx := map[types.Object]int{}
-	i := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := p.Pkg.Info.Defs[name]; obj != nil {
-				idx[obj] = i
-			}
-			i++
-		}
-	}
-	return idx
-}
-
-// returnStmts collects the return statements belonging to fd itself,
-// skipping those inside nested function literals.
-func returnStmts(fd *ast.FuncDecl) []*ast.ReturnStmt {
-	var out []*ast.ReturnStmt
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			out = append(out, n)
-		}
-		return true
-	}
-	ast.Inspect(fd.Body, walk)
-	return out
-}
-
-// recordAliasReturn marks the parameters that the returned expression
-// may alias: the parameter itself or a reslice of it, when the value is
-// slice- or map-typed.
-func recordAliasReturn(p *Pass, s *summarySet, sum *funcSummary, params map[types.Object]int, res ast.Expr) {
-	if !isSliceOrMap(p.TypeOf(res)) {
-		return
-	}
-	switch unparen(res).(type) {
-	case *ast.Ident, *ast.SliceExpr:
-		if root := rootIdent(res); root != nil {
-			if i, ok := params[p.ObjectOf(root)]; ok {
-				sum.aliasReturns[i] = true
-			}
-		}
-		// `return g(x)` where g aliases its parameter is handled in the
-		// fixpoint (propagateAliasThroughCalls), since g's summary may
-		// not be final yet on this pass.
-	}
-}
-
-// propagateAliasThroughCalls handles `return g(args...)` where g's
-// summary says the result aliases a parameter and that argument is one
-// of fn's own parameters. Returns whether anything changed.
-func propagateAliasThroughCalls(p *Pass, s *summarySet, fn *types.Func) bool {
-	fd := s.decls[fn]
-	sum := s.sums[fn]
-	params := paramIndex(p, fd)
-	changed := false
-	for _, ret := range returnStmts(fd) {
-		for _, res := range ret.Results {
-			call, ok := unparen(res).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			callee := s.localCallee(p, call)
-			if callee == nil {
-				continue
-			}
-			for j := range s.sums[callee].aliasReturns {
-				if j >= len(call.Args) {
-					continue
-				}
-				root := rootIdent(call.Args[j])
-				if root == nil {
-					continue
-				}
-				if i, ok := params[p.ObjectOf(root)]; ok && !sum.aliasReturns[i] {
-					sum.aliasReturns[i] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// callAliasesArg reports whether call's result may alias the memory of
-// its argument at index i, per the callee's summary. Used by
-// statecontract at Clone copy sites.
-func (s *summarySet) callAliasesArg(p *Pass, call *ast.CallExpr) (int, bool) {
-	callee := s.localCallee(p, call)
-	if callee == nil {
-		return 0, false
-	}
-	for j := range s.sums[callee].aliasReturns {
-		if j < len(call.Args) {
-			return j, true
-		}
-	}
-	return 0, false
-}
-
-// reachableDecls walks the package-local call graph from the given
-// roots, returning every function declaration reachable through direct
-// calls (the roots included). wirecomplete uses this as the "encode
-// path" / "decode path" closure.
-func (s *summarySet) reachableDecls(roots []*types.Func) []*ast.FuncDecl {
-	seen := map[*types.Func]bool{}
-	var order []*ast.FuncDecl
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		fd := s.decls[fn]
-		if fd == nil {
-			return
-		}
-		order = append(order, fd)
-		for callee := range s.sums[fn].callees {
-			visit(callee)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return order
 }
 
 // isTimeTime reports whether t is time.Time.

@@ -48,7 +48,6 @@ import (
 // "Static enforcement").
 var Detpath = &Analyzer{
 	Name: "detpath",
-	Doc:  "flags nondeterminism sources (map iteration order, wall clock, global rand, racy selects) in determinism-critical packages",
 	Run:  runDetpath,
 }
 

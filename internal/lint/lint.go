@@ -1,15 +1,14 @@
-// Package lint is statslint: a suite of static analyzers that enforce
-// the STATS determinism and protocol contracts at compile time.
+// Package lint is statslint: two static analyzers for the properties of
+// the STATS determinism contract that no runtime test can reach.
 //
-// The repo's load-bearing invariant — committed outputs are
-// byte-identical across batch, stream, and sim schedulers and through
-// every fault-recovery path — is otherwise guarded only by runtime
-// tests, which catch violations one input at a time and after the fact.
-// The analyzers here move the repo from "tested deterministic" to
-// "statically checked deterministic": every build can cheaply prove the
-// absence of whole classes of nondeterminism bugs (see the individual
-// analyzer docs and DESIGN.md, "Static enforcement", for what each one
-// can and cannot prove).
+// The contract — committed outputs are byte-identical across batch,
+// stream, and sim schedulers and through every fault-recovery path — is
+// checked exactly by running the program: the equivalence, chaos,
+// checkpoint round-trip, clone-independence and allocation tests. What
+// they cannot see is a nondeterminism source on a path no test input
+// happens to drive (detpath), or a plain access racing an atomic one on
+// an interleaving -race never observes (atomicprot). DESIGN.md §8 says
+// when an analyzer earns its place here.
 //
 // The framework mirrors golang.org/x/tools/go/analysis — Analyzer, Pass,
 // Diagnostic, an analysistest-style harness — but is built purely on the
@@ -36,19 +35,17 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow directives.
 	Name string
-	// Doc is a one-paragraph description shown by `statslint -help`.
-	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
 }
 
 // A Diagnostic is one finding, positioned in the original source.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String formats the diagnostic the way go vet does.
@@ -98,58 +95,32 @@ type Config struct {
 	// detpath only fires inside these. An empty prefix marks every
 	// package critical (used by tests).
 	CriticalPrefixes []string
-
-	// HotPathPackages lists import-path prefixes where every function is
-	// on the allocation-critical hot path; hotalloc flags allocation
-	// sites in all of them. An empty prefix marks every package hot
-	// (used by tests).
-	HotPathPackages []string
-
-	// HotPathFiles maps an import path to base filenames within it whose
-	// functions are hot — for packages where only some files carry the
-	// per-input pipeline (engine's commit/assemble vs. its setup and
-	// recovery code). Individual functions elsewhere opt in with a
-	// //statslint:hotpath doc comment.
-	HotPathFiles map[string][]string
 }
 
-// DefaultConfig marks the protocol engine, the benchmark programs, and
-// every other component whose behavior must be a pure function of
-// (inputs, seed) as determinism-critical. Deliberately not
-// listed: cmd/* (serving and CLI glue), internal/report, internal/
-// experiments, internal/critpath, internal/profiler, internal/trace,
-// internal/stat, internal/quality — analysis-side code whose outputs are
-// derived artifacts, not committed protocol outputs.
-// The hot-path seeds mirror where PR 7's allocation wins live: every
-// ring operation runs once per pipeline hop, and the engine's commit/
-// assemble files run once per input on the committed path (assemble.go
-// is Push itself: the fill and the dispatch; Pipeline.record, the lookup
-// both start from, sits beside the chunk type in pipeline.go and opts in
-// by directive) — as does bench's ndjson.go, which every served line is
-// read and written with, and atof.go, which converts each number on it. worker/attempt/protocol
-// are the chunk protocol itself, which runs once per chunk and allocates
-// nothing there on the fault-free path.
+// DefaultConfig marks the protocol engine, the benchmark programs, every
+// other component whose behavior must be a pure function of (inputs,
+// seed), and internal/experiments, whose rendered artifacts are compared
+// across runs, as determinism-critical. Deliberately not listed: cmd/*
+// (serving and CLI glue), internal/report, internal/critpath,
+// internal/profiler, internal/trace, internal/stat, internal/quality —
+// analysis-side code whose outputs are derived values, not committed
+// protocol outputs or artifacts in their own right.
 func DefaultConfig() *Config {
-	return &Config{
-		HotPathPackages: []string{"gostats/internal/ring"},
-		HotPathFiles: map[string][]string{
-			"gostats/internal/engine": {"commit.go", "assemble.go", "worker.go", "attempt.go", "protocol.go"},
-			"gostats/internal/bench":  {"ndjson.go", "atof.go"},
-		},
-		CriticalPrefixes: []string{
-			"gostats/internal/engine",
-			"gostats/internal/ring",
-			"gostats/internal/bench",
-			"gostats/internal/autotune",
-			"gostats/internal/rng",
-			"gostats/internal/faultinject",
-			"gostats/internal/machine",
-			"gostats/internal/memsim",
-			"gostats/internal/cluster",
-			"gostats/internal/workload",
-			"gostats/internal/checkpoint",
-			"gostats/internal/procexec",
-		}}
+	return &Config{CriticalPrefixes: []string{
+		"gostats/internal/engine",
+		"gostats/internal/ring",
+		"gostats/internal/bench",
+		"gostats/internal/autotune",
+		"gostats/internal/rng",
+		"gostats/internal/faultinject",
+		"gostats/internal/machine",
+		"gostats/internal/memsim",
+		"gostats/internal/cluster",
+		"gostats/internal/workload",
+		"gostats/internal/checkpoint",
+		"gostats/internal/procexec",
+		"gostats/internal/experiments",
+	}}
 }
 
 // IsCritical reports whether pkgPath is determinism-critical under c.
@@ -164,5 +135,5 @@ func (c *Config) IsCritical(pkgPath string) bool {
 
 // Analyzers returns the full statslint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detpath, StateContract, SlabLife, EventOrder, AtomicProt, HotAlloc, WireComplete}
+	return []*Analyzer{Detpath, AtomicProt}
 }

@@ -42,8 +42,7 @@ type Package struct {
 	TypeErrors []error
 
 	// summaries caches the interprocedural call graph and per-function
-	// summaries (callgraph.go), built lazily by the first analyzer that
-	// needs them and shared by the rest of the suite.
+	// clock-taint summaries (callgraph.go), built lazily by detpath.
 	summaries *summarySet
 }
 

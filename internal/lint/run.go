@@ -6,47 +6,26 @@ import (
 	"sort"
 )
 
-// A Result carries one suite run's findings plus the suppression audit.
-type Result struct {
-	// Diagnostics are the surviving findings (malformed allow directives
-	// included), sorted by file, line, column, and analyzer.
-	Diagnostics []Diagnostic
-	// Stale lists //statslint:allow directives that suppressed nothing,
-	// restricted to directives whose scoped analyzers actually ran (an
-	// unscoped directive is only assessed when the full suite ran). A
-	// stale allow is a contract nobody holds anymore: either the code it
-	// excused was fixed — delete it — or the analyzer stopped seeing the
-	// site and the waiver silently widened.
-	Stale []Diagnostic
-}
-
-// Run executes every analyzer over every package, applies the
+// Run executes the whole suite over every package, applies the
 // //statslint:allow suppression index, and returns the surviving
-// diagnostics sorted by file, line, column, and analyzer. cfg nil means
+// diagnostics — malformed allow directives and stale ones included —
+// sorted by file, line, column, and analyzer. cfg nil means
 // DefaultConfig.
-func Run(cfg *Config, fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := RunAll(cfg, fset, pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunAll is Run plus the suppression-staleness audit.
-func RunAll(cfg *Config, fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
+//
+// A stale directive is one that suppressed nothing: a contract nobody
+// holds anymore. Either the code it excused was fixed — delete it — or the
+// analyzer stopped seeing the site and the waiver silently widened.
+func Run(cfg *Config, fset *token.FileSet, pkgs []*Package) ([]Diagnostic, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
 	known := map[string]bool{}
-	for _, a := range analyzers {
+	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	idx, bad := buildAllowIndex(fset, pkgs, known)
-
-	var diags []Diagnostic
-	diags = append(diags, bad...)
+	idx, diags := buildAllowIndex(fset, pkgs, known)
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+		for _, a := range Analyzers() {
 			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, Config: cfg}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
@@ -58,14 +37,7 @@ func RunAll(cfg *Config, fset *token.FileSet, pkgs []*Package, analyzers []*Anal
 			}
 		}
 	}
-	sortDiagnostics(diags)
-	stale := idx.staleDirectives(fset, known)
-	sortDiagnostics(stale)
-	return &Result{Diagnostics: diags, Stale: stale}, nil
-}
-
-// sortDiagnostics orders by file, line, column, and analyzer.
-func sortDiagnostics(diags []Diagnostic) {
+	diags = append(diags, idx.staleDirectives(fset)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -79,4 +51,5 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags, nil
 }

@@ -1,7 +1,6 @@
 // Package stalecheck exercises the suppression-staleness audit: one
 // directive that earns its keep, one scoped directive that suppresses
-// nothing, and one unscoped directive that is only assessable when the
-// full suite runs.
+// nothing, and one unscoped directive that suppresses nothing.
 package stalecheck
 
 import "time"
@@ -19,11 +18,10 @@ func add(a, b int) int {
 	return a + b
 }
 
-// mul carries an unscoped directive: with only part of the suite
-// running, "unused" could just mean "not checked", so it must not be
-// reported stale.
+// mul carries an unscoped directive with nothing to suppress either: the
+// whole suite ran, so no analyzer needs it.
 //
-//statslint:allow blanket waiver kept for the partial-run test
+//statslint:allow blanket waiver no analyzer needs
 func mul(a, b int) int {
 	return a * b
 }

@@ -28,19 +28,6 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-// isSliceOrMap reports whether t's underlying type is a slice or map —
-// the reference-shaped field types a shallow copy aliases.
-func isSliceOrMap(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Map:
-		return true
-	}
-	return false
-}
-
 // isInteger reports whether t is an integer type (commutative-update
 // exemption in detpath's map-range check).
 func isInteger(t types.Type) bool {
@@ -77,24 +64,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// recvNamed returns the named type of a method call's receiver
-// expression (dereferencing pointers), or nil for package-level calls.
-func recvNamed(p *Pass, call *ast.CallExpr) *types.Named {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	t := p.TypeOf(sel.X)
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
 }
 
 // namedStruct resolves t (possibly behind a pointer) to a named type
@@ -168,14 +137,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// isPackageLevel reports whether obj is a package-scoped variable of the
-// package under analysis.
-func isPackageLevel(p *Pass, obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || p.Pkg.Types == nil {
-		return false
-	}
-	return v.Parent() == p.Pkg.Types.Scope()
 }
