@@ -13,7 +13,8 @@ import (
 // This file is the one copy of the STATS chunk protocol (§II-B, Fig. 5):
 // the speculative attempt (alternative producer → published speculative
 // copy → chunk body → original states), the recovery attempt, the fault
-// discipline around both, and the timed boundary comparison. The batch
+// discipline around both, and the timed boundary comparison, which builds
+// the replicas a cost-free executor deferred when it needs them. The batch
 // runtime (batch.go), the streaming pipeline (worker.go, commit.go) and
 // the out-of-process worker (ChunkWorker) all run these;
 // they differ only in how chunks map to threads and where results park.
@@ -143,6 +144,11 @@ type chunkRun struct {
 	site    FaultSite // protocol phase executing, for fault attribution
 	guarded Program   // prog under this attempt's deadline
 	t0      time.Time
+
+	// seed is what the replicas of the lineage this run produced are
+	// built from, while a cost-free executor defers them (originalStates).
+	// The boundary that validates against the lineage builds or drops it.
+	seed replicaSeed
 }
 
 // bind points c at chunk j of pr's session, executing on ex as worker.
@@ -234,8 +240,9 @@ func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, s
 // finish is the second half of a speculative attempt: the chunk body
 // from s, then — unless the chunk is known to be the last of a bounded
 // run — the original states its successor will be validated against
-// (origs[0] is final). outBuf and origBuf, when they have the room, are
-// the buffers the outputs and the original states are returned in.
+// (origs[0] is final; replicas a cost-free executor defers stay a seed in
+// c). outBuf and origBuf, when they have the room, are the buffers the
+// outputs and the original states are returned in.
 func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, origBuf []State) (outs []Output, final State, origs []State) {
 	c.site = SiteBody
 	s = injectAt(c.inj, SiteBody, c.j, c.n, s)
@@ -301,7 +308,8 @@ func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf 
 // origStates generates the boundary's original states from the snapshot
 // process took — final plus the configured replicas, each replaying the
 // chunk's window from snapshot with fresh nondeterminism drawn from rnd
-// (Fig. 5, cores 0–2) — and retires the snapshot.
+// (Fig. 5, cores 0–2) — or, on a cost-free executor, final and the seed
+// the replicas are built from if the boundary needs them.
 func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream, origBuf []State) []State {
 	if snapshot != nil {
 		c.emit(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
@@ -311,6 +319,68 @@ func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.St
 	origs := c.originalStates(win, snapshot, final, rnd, origBuf)
 	c.emit(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
 		N: len(origs) - 1, M: len(win), Start: t0, Dur: c.since(t0)})
-	c.pool.Release(snapshot)
 	return origs
+}
+
+// buildReplicas builds the deferred replicas of the lineage c's run
+// produced onto *origs (origs[0] is final) under the engine's fault
+// discipline, as an attempt at SiteOrigStates on the context that needs
+// them, and retires the seed. It returns the EvOrigStates reporting the
+// attempt that succeeded, for the caller to emit where its timeline has
+// room, or the fault that ended the last one: the lineage cannot be
+// completed, and the session fails.
+func (c *chunkRun) buildReplicas(ctx context.Context, origs *[]State) (Event, *ChunkFault) {
+	m := len(c.seed.window)
+	fault := c.retry(ctx, SiteOrigStates, func() error {
+		*origs = c.replicas(*origs)
+		return nil
+	})
+	c.dropSeed()
+	return Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
+		N: len(*origs) - 1, M: m, Start: c.t0, Dur: c.since(c.t0)}, fault
+}
+
+// validateLineage is the comparison wave for the boundary after c's run,
+// against the lineage that run produced (§II-B): the final state first,
+// and only if spec misses it, the replicas — built from the seed when
+// they were deferred — from index 1 on. The verdict and its inspected
+// count are the single wave's over the whole set. The wave is reported as
+// one interval and a build as the interval after it, together no longer
+// than the two took.
+func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, origFPs []uint64, spec State, specFP uint64, haveFP bool) (verdict, *ChunkFault) {
+	v := c.validate(c.ex, *origs, origFPs, spec, specFP, haveFP)
+	if v.ok || !c.deferred() {
+		return v, nil
+	}
+	built, fault := c.buildReplicas(ctx, origs)
+	if fault != nil {
+		return v, fault
+	}
+	rest := c.validate(c.ex, (*origs)[1:], nil, spec, specFP, haveFP)
+	v.ok, v.n, v.dur = rest.ok, v.n+rest.n, v.dur+rest.dur
+	built.Start = v.start.Add(v.dur)
+	c.emit(built)
+	return v, nil
+}
+
+// releaseRun retires everything a dead chunk run produced: its original
+// states, of which origs[0] is the final state — or, when the run
+// generated none (the last chunk of a bounded run), final alone — and the
+// seed of replicas it never built.
+func (c *chunkRun) releaseRun(final State, origs []State) {
+	if origs == nil {
+		c.pool.Release(final)
+	}
+	for _, o := range origs {
+		c.pool.Release(o)
+	}
+	c.dropSeed()
+}
+
+// resolved retires what a resolved boundary leaves dead of the lineage
+// c's run produced: the replicas, built or still a seed. origs[0] is the
+// run's final state and follows the committed lineage instead.
+func (c *chunkRun) resolved(origs []State) {
+	c.pool.ReleaseReplicas(origs)
+	c.dropSeed()
 }

@@ -215,7 +215,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	if dec == decisionFatal {
 		// A predecessor already failed the session; release what this
 		// chunk holds and pass the poison down the chain.
-		rt.pool.releaseRun(final, origs)
+		c.releaseRun(final, origs)
 		rt.poison(ex, j)
 		return
 	}
@@ -223,15 +223,16 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	if dec == decisionAbort || specFault != nil {
 		// Mispeculation (§III-E) or exhausted speculative retries: rerun
 		// the chunk from the true state produced by the predecessor. The
-		// speculative run's states — including its final state, origs[0] —
-		// are dead; retire them before the recovery run re-materializes
-		// the set. (A faulted speculation carries none.)
+		// speculative run's states — including its final state, origs[0],
+		// and its replicas, built or a seed — are dead; retire them before
+		// the recovery run re-materializes the set. (A faulted speculation
+		// carries none.)
 		rt.aborts.Add(1)
 		if specFault != nil {
 			rt.emit(Event{Kind: EvDegraded, Chunk: j, Worker: j, N: specFault.Attempt})
 		}
 		rt.emit(Event{Kind: EvAborted, Chunk: j, Worker: j})
-		rt.pool.releaseRun(final, origs)
+		c.releaseRun(final, origs)
 		rexFault := c.retry(context.Background(), SiteReexec, func() error {
 			outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil, nil)
 			return nil
@@ -249,7 +250,8 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	rt.emit(Event{Kind: EvOutputs, Chunk: j, Worker: j, N: len(outs)})
 
 	// Now committed: decide the successor chunk's fate by comparing its
-	// speculative state against this chunk's original states (§II-B).
+	// speculative state against this chunk's original states (§II-B),
+	// building the replicas the executor deferred only if it needs them.
 	if !last {
 		nxt := rt.slots[j+1]
 		nxt.mu.Lock(ex)
@@ -261,16 +263,22 @@ func (rt *run) worker(ex Exec, j int, start State) {
 
 		matched := false
 		if !sFault {
-			v := rt.validate(ex, origs, nil, spec, 0, false)
+			v, fault := c.validateLineage(context.Background(), &origs, nil, spec, 0, false)
+			if fault != nil {
+				rt.setFatal(&FaultError{Fault: fault})
+				rt.poison(ex, j)
+				return
+			}
 			matched = v.ok
 			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: j,
 				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
-		// The boundary is resolved: the replica originals and the
-		// successor's published speculative copy are both dead. origs[0]
-		// (this chunk's final state) lives on as the successor's recovery
-		// state. (spec is nil when the successor never published one.)
-		rt.pool.ReleaseReplicas(origs)
+		// The boundary is resolved: the replica originals, built or not,
+		// and the successor's published speculative copy are both dead.
+		// origs[0] (this chunk's final state) lives on as the successor's
+		// recovery state. (spec is nil when the successor never published
+		// one.)
+		c.resolved(origs)
 		rt.pool.Release(spec)
 		nxt.mu.Lock(ex)
 		nxt.trueFinal = final

@@ -123,7 +123,9 @@ func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth in
 }
 
 // Run executes one speculative attempt of the requested chunk. A panic in
-// the program propagates; the caller owns the fault boundary.
+// the program propagates; the caller owns the fault boundary. The reply
+// crosses a process boundary, where no seed can follow it, so it carries
+// the replicas built.
 func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
 	ex := NewNativeExec()
 	g := chunkGang(ex, w.prog, "w", req.Chunk, w.inner, w.countThread)
@@ -133,6 +135,10 @@ func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
 	c.arm(req.Attempt, SiteAltProducer)
 	s, spec := c.start(nil, req.Window, true)
 	outs, final, origs := c.finish(s, req.Inputs, false, nil, nil)
+	if c.deferred() {
+		origs = c.replicas(origs)
+		c.dropSeed()
+	}
 	return &ChunkReply{Spec: spec, Outs: outs, Final: final, Origs: origs}
 }
 
@@ -341,8 +347,20 @@ func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 	}
 }
 
-// capture serializes the frontier after chunk j committed.
+// capture serializes the frontier after chunk j committed, building the
+// lineage's deferred replicas first: the snapshot holds every original
+// state an uninterrupted session could compare against. A build that
+// faults through every retry fails the session, as it would have at the
+// next boundary.
 func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkpoint.Snapshot {
+	if run := prev.run; run.deferred() {
+		built, fault := run.buildReplicas(t.p.ctx, &prev.origs)
+		if fault != nil {
+			t.p.fail(&FaultError{Fault: fault})
+			return nil
+		}
+		run.emit(built)
+	}
 	snap := t.skeleton()
 	snap.NextChunk = j + 1
 	for i, in := range t.p.window(jobInputs) {

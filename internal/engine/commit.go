@@ -5,11 +5,14 @@ import "gostats/internal/ring"
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
 // mispeculation, recovered from. origFPs caches the original states'
-// fingerprint lanes for the next boundary's comparison wave.
+// fingerprint lanes for the next boundary's comparison wave. run is the
+// chunk run that produced the lineage, holding the seed of the replicas
+// it deferred until a boundary or a capture needs them.
 type committed struct {
 	final   State
 	origs   []State
 	origFPs []uint64
+	run     *chunkRun
 }
 
 // commit is the ordered commit stage: it reorders worker results into
@@ -36,8 +39,9 @@ func (p *Pipeline) commit() {
 		// Resume at the snapshot frontier: the decoded lineage stands in
 		// for the last committed chunk's result, so the first boundary is
 		// validated against the exact states the uninterrupted session
-		// would have held.
+		// would have held. It is complete, so its run defers nothing.
 		next = rs.next
+		prev.run = &chunkRun{proto: &p.proto, ex: p.ex}
 		if len(rs.lineage) > 0 {
 			prev.final = rs.lineage[0]
 			prev.origs = rs.lineage
@@ -76,27 +80,33 @@ func (p *Pipeline) commit() {
 
 // applyCommit validates, commits or recovers one chunk at the frontier
 // and emits its outputs. The comparison wave runs here, on the side that
-// commits (§II-B), with the fingerprint lanes the workers cached. A result
-// whose worker exhausted its retry budget is degraded here: the chunk
-// abandons its (dead) speculation and re-executes sequentially from the
-// last committed state, exactly like a mispeculation abort. applyCommit
-// returns false if the context was canceled or the session failed
-// terminally.
+// commits (§II-B), with the fingerprint lanes the workers cached; the
+// replicas the predecessor's worker deferred are built here if the wave
+// misses its final state. A result whose worker exhausted its retry
+// budget is degraded here: the chunk abandons its (dead) speculation and
+// re-executes sequentially from the last committed state, exactly like a
+// mispeculation abort. applyCommit returns false if the context was
+// canceled or the session failed terminally.
 func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 	j := r.j
 	ok := r.fault == nil
 	if j > 0 {
 		if r.fault == nil {
-			v := p.validate(p.ex, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
+			v, fault := prev.run.validateLineage(p.ctx, &prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
+			if fault != nil {
+				p.fail(&FaultError{Fault: fault})
+				return false
+			}
 			ok = v.ok
 			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
 				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved either way: the predecessor's replica
-		// originals and this chunk's published speculative copy are dead.
-		// prev.origs[0] stays live — it is prev.final, the recovery state.
-		// (A faulted result was scrapped worker-side; its spec is nil.)
-		p.pool.ReleaseReplicas(prev.origs)
+		// originals, built or not, and this chunk's published speculative
+		// copy are dead. prev.origs[0] stays live — it is prev.final, the
+		// recovery state. (A faulted result was scrapped worker-side; its
+		// spec is nil.)
+		prev.run.resolved(prev.origs)
 		p.pool.Release(r.spec)
 	}
 	if !ok {
@@ -107,8 +117,9 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		}
 		p.emit(Event{Kind: EvAborted, Chunk: j, Worker: -1})
 		// The speculative run's states — its final (origs[0]) and its
-		// replicas — are dead. (Faulted results carry none.)
-		p.pool.releaseRun(r.final, r.origs)
+		// replicas, built or a seed — are dead. (Faulted results carry
+		// none.)
+		r.releaseRun(r.final, r.origs)
 		if fault := r.recoverChunk(prev.final); fault != nil {
 			p.fail(&FaultError{Fault: fault})
 			return false
@@ -120,10 +131,13 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
-	// prev aliases the record's original-state and fingerprint buffers;
-	// the record outlives its turn as predecessor (newRecords).
+	// prev aliases the record's original-state and fingerprint buffers and
+	// its run, whose seed the next boundary or a capture builds from; the
+	// record outlives its turn as predecessor (newRecords). Whatever the
+	// run reports from here on, the frontier does.
 	oldFinal := prev.final
-	prev.final, prev.origs, prev.origFPs = r.final, r.origs, r.origFPs
+	prev.final, prev.origs, prev.origFPs, prev.run = r.final, r.origs, r.origFPs, &r.chunkRun
+	r.worker = -1
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)

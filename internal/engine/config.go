@@ -15,8 +15,10 @@ type Config struct {
 	// Lookback is k: the number of inputs an alternative producer
 	// processes before the first input of its chunk.
 	Lookback int
-	// ExtraStates is the number of additional original states generated
-	// at each chunk boundary (beyond the chunk's own final state).
+	// ExtraStates is the number of additional original states at each
+	// chunk boundary (beyond the chunk's own final state). The simulated
+	// machine generates them with every chunk; a native run builds them
+	// when the boundary's final state misses.
 	ExtraStates int
 	// InnerWidth is the gang width for the program's original TLP inside
 	// each update; 1 uses only STATS TLP.
@@ -59,7 +61,8 @@ type Report struct {
 	// ThreadsCreated counts threads the runtime spawned: chunk workers,
 	// gang helpers, and original-state replicas where the substrate gives
 	// them threads of their own (Table I: the simulated machine; a native
-	// run replays them on the chunk's worker).
+	// run replays them, when a boundary needs them, on the context that
+	// validates it).
 	ThreadsCreated int
 	// StatesCreated counts computational states materialized: initial,
 	// fresh, and cloned states (Table I).

@@ -2,7 +2,7 @@ package engine_test
 
 import (
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"gostats/internal/bench"
@@ -12,30 +12,51 @@ import (
 	"gostats/internal/rng"
 )
 
-// probe aggregates a run's engine events and notes whether the final
-// chunk aborted — the one protocol point where the streaming scheduler
-// legitimately does more work than batch (a streaming chunk never knows
-// it is last, so it always snapshots and generates original states).
+// probe aggregates a run's engine events and notes the chunks whose
+// events account for the differences in protocol work between
+// schedulers: boundaries validated on the final state alone, and chunks
+// that aborted.
 type probe struct {
-	ctr         engine.Counters
+	ctr engine.Counters
+
+	mu          sync.Mutex
+	finalMatch  []int // chunks whose EvValidated inspected one state and matched
+	aborted     []int // chunks that aborted
+	lastAborted bool
 	lastChunk   int
-	lastAborted atomic.Bool
 }
 
 func (p *probe) Event(e engine.Event) {
 	p.ctr.Event(e)
-	if e.Kind == engine.EvAborted && e.Chunk == p.lastChunk {
-		p.lastAborted.Store(true)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case e.Kind == engine.EvValidated && e.N == 1 && e.Matched:
+		p.finalMatch = append(p.finalMatch, e.Chunk)
+	case e.Kind == engine.EvAborted:
+		p.aborted = append(p.aborted, e.Chunk)
+		p.lastAborted = p.lastAborted || e.Chunk == p.lastChunk
 	}
 }
 
-// TestCrossExecutorEquivalence is the refactor's contract: all seven
+// TestCrossExecutorEquivalence is the refactor's contract: all eight
 // benchmarks, run through the batch, streaming, and simulated-machine
 // schedulers with the same seed and chunk boundaries, commit byte-identical
-// output sequences and identical protocol-overhead totals from the one
-// canonical event stream. The only tolerated difference is the streaming
-// scheduler's last-chunk original-state work, which is subtracted
-// explicitly rather than waved through.
+// output sequences and the same commits and aborts. Their protocol-work
+// totals, from the one canonical event stream, differ only where the
+// protocol lets them, and each difference is stated exactly rather than
+// waved through:
+//
+//   - A streaming chunk never knows it is last, so the stream takes one
+//     more snapshot than batch (two when the last chunk aborted and was
+//     re-executed). Both build replica original states on demand, so
+//     their replica work agrees.
+//   - The simulated machine builds every run's replicas eagerly (Fig. 5).
+//     Batch builds them only where a boundary needs them, so sim does
+//     ExtraStates replicas, each replaying the chunk's window, more for
+//     every boundary that matched on the final state, and for every
+//     non-last chunk whose speculative run aborted before a boundary
+//     could read its replicas.
 func TestCrossExecutorEquivalence(t *testing.T) {
 	names := bench.Names()
 	if len(names) != 8 {
@@ -58,17 +79,14 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 				inputs = inputs[:nInputs]
 			}
 			bounds := engine.Partition(len(inputs), cfg.Chunks)
-			last := bounds[len(bounds)-1]
-			lastSize := last[1] - last[0]
-			lastWin := cfg.Lookback
-			if lastWin > lastSize {
-				lastWin = lastSize
-			}
+			last := len(bounds) - 1
+			window := func(j int) int64 { return int64(min(cfg.Lookback, bounds[j][1]-bounds[j][0])) }
 
-			var batchCtr, simCtr engine.Counters
-			streamPr := &probe{lastChunk: len(bounds) - 1}
+			batchPr := &probe{lastChunk: last}
+			streamPr := &probe{lastChunk: last}
+			var simCtr engine.Counters
 
-			batch := &engine.BatchScheduler{Sink: &batchCtr}
+			batch := &engine.BatchScheduler{Sink: batchPr}
 			stream := &engine.StreamScheduler{Workers: 3, Sink: streamPr}
 			sim := &engine.SimScheduler{Config: machine.DefaultConfig(8), Sink: &simCtr}
 
@@ -105,24 +123,34 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 				}
 			}
 
-			// The simulated scheduler runs the same batch protocol body, so
-			// its event totals are identical, full stop.
-			bSnap, sSnap := batchCtr.Snapshot(), simCtr.Snapshot()
-			if bSnap != sSnap {
-				t.Fatalf("batch and sim counter snapshots differ:\nbatch: %+v\nsim:   %+v", bSnap, sSnap)
+			// The simulated scheduler runs the same batch protocol body, and
+			// builds the replicas the native one never needed.
+			bSnap := batchPr.ctr.Snapshot()
+			adjSim := simCtr.Snapshot()
+			eager := func(j int) {
+				adjSim.OrigReplicas -= int64(cfg.ExtraStates)
+				adjSim.OrigUpdates -= int64(cfg.ExtraStates) * window(j)
+			}
+			for _, c := range batchPr.finalMatch {
+				eager(c - 1) // the boundary before chunk c reads chunk c-1's lineage
+			}
+			for _, a := range batchPr.aborted {
+				if a != last {
+					eager(a)
+				}
+			}
+			t.Logf("%d boundaries matched on the final state, %d chunks aborted", len(batchPr.finalMatch), len(batchPr.aborted))
+			if adjSim != bSnap {
+				t.Fatalf("sim counter snapshot (eager replicas adjusted) differs from batch:\nsim:   %+v\nbatch: %+v", adjSim, bSnap)
 			}
 
 			// The streaming scheduler's totals match after subtracting the
-			// last chunk's always-generated original states and snapshot
-			// (doubled when the last chunk aborted and was re-executed).
-			extraRuns := int64(1)
-			if streamPr.lastAborted.Load() {
-				extraRuns = 2
-			}
+			// last chunk's snapshot (doubled when it was re-executed).
 			adj := streamPr.ctr.Snapshot()
-			adj.Snapshots -= extraRuns
-			adj.OrigReplicas -= extraRuns * int64(cfg.ExtraStates)
-			adj.OrigUpdates -= extraRuns * int64(cfg.ExtraStates) * int64(lastWin)
+			adj.Snapshots--
+			if streamPr.lastAborted {
+				adj.Snapshots--
+			}
 			if adj != bSnap {
 				t.Fatalf("stream counter snapshot (last-chunk adjusted) differs from batch:\nstream: %+v\nbatch:  %+v", adj, bSnap)
 			}

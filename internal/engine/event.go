@@ -52,7 +52,9 @@ const (
 	// EvSnapshot records the pre-boundary state snapshot (one state copy).
 	EvSnapshot
 	// EvOrigStates records generation of N replica original states, each
-	// replaying M window inputs (§III-B "Multiple original states").
+	// replaying M window inputs (§III-B "Multiple original states"). A
+	// native worker defers them and reports N = 0; the boundary or capture
+	// that builds them reports a second EvOrigStates for the chunk.
 	EvOrigStates
 	// EvSpeculated records the whole worker-side phase for a chunk:
 	// alternative production, body, original states. Its Dur is what the

@@ -233,26 +233,15 @@ func (sp *StatePool) Release(s State) {
 }
 
 // ReleaseReplicas retires the replica original states of a validated
-// chunk boundary — origs[1:], the extra states originalStates generated.
-// origs[0] is the chunk's own final state and follows the committed
-// lineage's lifecycle instead, so it is never released here.
+// chunk boundary — origs[1:], the extra states originalStates generated
+// or the boundary built. origs[0] is the chunk's own final state and
+// follows the committed lineage's lifecycle instead, so it is never
+// released here.
 func (sp *StatePool) ReleaseReplicas(origs []State) {
 	if len(origs) < 2 {
 		return
 	}
 	for _, o := range origs[1:] {
-		sp.Release(o)
-	}
-}
-
-// releaseRun retires everything a dead chunk run produced: its original
-// states, of which origs[0] is the final state — or, when the run
-// generated none (the last chunk of a bounded run), final alone.
-func (sp *StatePool) releaseRun(final State, origs []State) {
-	if origs == nil {
-		sp.Release(final)
-	}
-	for _, o := range origs {
 		sp.Release(o)
 	}
 }

@@ -33,14 +33,17 @@ import (
 //	    assembler stage between the caller and the worker pool.
 //	  - Workers execute the chunk's speculative attempt (attempt.go) on
 //	    NativeExec: the alternative producer replays the predecessor's
-//	    window from a cold state, the chunk body runs from that state, and
-//	    original states are generated for the successor's validation.
+//	    window from a cold state, and the chunk body runs from that state,
+//	    snapshotting it where the original-state replicas would replay
+//	    from. The replicas themselves are deferred: the record keeps the
+//	    snapshot as their seed.
 //	  - The commit stage reorders worker results into input order, validates
 //	    each chunk's speculative start state against the committed
-//	    predecessor's original states (MatchAny), and on mispeculation
-//	    re-executes the chunk in place from the true predecessor state —
-//	    exactly the §II-B protocol, so outputs are committed in input order
-//	    with batch-identical semantics.
+//	    predecessor's original states (MatchAny) — its final state first,
+//	    and the replicas, built from the seed, only if that misses — and
+//	    on mispeculation re-executes the chunk in place from the true
+//	    predecessor state — exactly the §II-B protocol, so outputs are
+//	    committed in input order with batch-identical semantics.
 //
 // Backpressure: the producer may run at most a window of chunks — two a
 // worker — ahead of the commit frontier; when the window is full, the
@@ -70,17 +73,18 @@ type StreamConfig struct {
 	ChunkSize int
 	// Lookback is k, the alternative-producer replay length (§II-B).
 	Lookback int
-	// ExtraStates is the number of additional original states generated at
-	// each chunk boundary.
+	// ExtraStates is the number of additional original states a chunk
+	// boundary compares against once the final state has missed. They are
+	// built then, at the commit stage, from the snapshot the chunk's worker
+	// kept — or by a checkpoint capture, which encodes them.
 	ExtraStates int
 	// InnerWidth is the gang width for the program's original TLP inside
 	// each update; 1 (the default 0 maps to 1) uses only STATS TLP.
 	InnerWidth int
-	// Workers is the number of goroutines doing protocol work: each runs
-	// whole chunks — alternative producer, body and, on this substrate,
-	// the original-state replicas too. It also sets the speculation
-	// window: at most 2*Workers chunks are in flight past the commit
-	// frontier. Default DefaultWorkers.
+	// Workers is the number of goroutines doing speculative protocol work:
+	// each runs whole chunks — alternative producer and body. It also sets
+	// the speculation window: at most 2*Workers chunks are in flight past
+	// the commit frontier. Default DefaultWorkers.
 	Workers int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
@@ -187,8 +191,8 @@ type StreamStats struct {
 	Reused  int64 // state clones served from retired buffers (StatePool)
 	// Threads counts the goroutines the protocol spawned chunk by chunk:
 	// gang helpers, when InnerWidth > 1. The worker pool is not in it, nor
-	// are the original-state replicas, which run on the worker that owns
-	// the chunk.
+	// are the original-state replicas, which run on the commit stage that
+	// needs them.
 	Threads int64
 
 	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
@@ -222,7 +226,9 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // alternative producer replays the tail of inputs (prevWindow), which
 // nobody writes between the record's dispatch and its next lap. The
 // record stays the commit stage's while the committed lineage aliases its
-// origs and origFPs, that is until its successor has been applied.
+// origs, origFPs and run, that is until its successor has been applied:
+// by then the boundary has built the replicas from the run's seed, or
+// retired the seed unread.
 //
 // The buffers — inputs, outs, origs, origFPs — are the record's own: each
 // lap re-slices them, and they grow once to the largest chunk seen.
@@ -235,11 +241,12 @@ type chunk struct {
 	prevWindow []Input // last k inputs of the previous chunk; nil for chunk 0
 	initState  State   // chunk 0 only: the program's initial state
 
-	// The result. The snapshot the worker took is not carried: it is
-	// consumed by original-state generation and retired worker-side. A
-	// result whose worker exhausted its retry budget carries only the
-	// fault; the commit stage degrades it to an in-place sequential
-	// re-execution.
+	// The result. The snapshot the worker took rides in the run's replica
+	// seed, and origs holds the final state alone until a boundary or a
+	// capture builds the replicas (a remote reply carries them built). A
+	// result whose worker exhausted its
+	// retry budget carries only the fault; the commit stage degrades it
+	// to an in-place sequential re-execution.
 	spec  State // speculative start state (clone), nil for chunk 0
 	outs  []Output
 	final State

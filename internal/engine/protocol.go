@@ -98,16 +98,17 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 // originalStates produces the set of original states for the chunk's
 // boundary: its own final state plus the configured replicas, each
 // re-running the last window inputs from the snapshot with fresh
-// nondeterminism drawn from rnd (Fig. 5, cores 0–2). Where a replica
-// runs is the substrate's business. On a simulated machine each gets a
-// thread of its own (spawnReplicas). On a cost-free executor replaying
-// the window costs less than spawning and joining a goroutine for it, so
-// the replicas run here, on the context that owns the chunk, one after
-// the other. RNG substreams are derived from rnd by label, so where a
-// replica runs cannot change a state. The pool serves replica start
-// clones from retired state buffers; the runtime retires them back via
-// StatePool.ReleaseReplicas once the boundary has been validated. dst,
-// when it has the room, is the buffer the set is returned in.
+// nondeterminism drawn from rnd (Fig. 5, cores 0–2). When the replicas
+// exist is the substrate's business. On a simulated machine each gets a
+// thread of its own, now (spawnReplicas), and the snapshot is retired.
+// On a cost-free executor the set is [final]: the chunk keeps the
+// snapshot, the window and rnd as its replica seed, and the boundary
+// builds the replicas (buildReplicas) only when the speculative state
+// misses final. The comparison wave checks final first and stops at the
+// first match, and RNG substreams are derived from rnd by label, so a
+// replica built then is the state it would have been now, inspected in
+// the same place. dst, when it has the room, is the buffer the set is
+// returned in.
 func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rng.Stream, dst []State) []State {
 	extra := c.extra
 	if snapshot == nil {
@@ -118,19 +119,56 @@ func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rn
 		origs = make([]State, 0, 1+extra)
 	}
 	origs = append(origs, final)
-	if extra == 0 {
+	switch {
+	case extra == 0:
+	case costFree(c.ex):
+		c.seed = replicaSeed{snapshot: snapshot, window: window, rnd: rnd}
 		return origs
+	default:
+		origs = c.spawnReplicas(window, snapshot, rnd, origs)
 	}
-	if !costFree(c.ex) {
-		return c.spawnReplicas(window, snapshot, rnd, origs)
-	}
-	for i := 0; i < extra; i++ {
-		sr := c.pool.Clone(snapshot)
+	c.pool.Release(snapshot)
+	return origs
+}
+
+// replicaSeed is what a boundary's deferred replicas are built from: the
+// snapshot the chunk took window inputs before its end, that window, and
+// the stream the replicas derive their substreams from (the chunk's
+// worker stream, or its recovery's). It lives in the chunkRun whose run
+// produced the lineage, and a nil snapshot means nothing is deferred.
+type replicaSeed struct {
+	snapshot State
+	window   []Input
+	rnd      *rng.Stream
+}
+
+// deferred reports whether the lineage c's run produced still lacks its
+// replicas.
+func (c *chunkRun) deferred() bool { return c.seed.snapshot != nil }
+
+// replicas builds the deferred replicas onto origs[:1] (origs[0] is
+// final) as originalStates would have built them on the owning context:
+// a pool clone of the snapshot each, replaying the window under the
+// attempt's guarded program with rnd.SubN("replica", i). The pool serves
+// the clones from retired state buffers; the runtime retires them back
+// via StatePool.ReleaseReplicas once the boundary has been validated.
+func (c *chunkRun) replicas(origs []State) []State {
+	sd := &c.seed
+	origs = origs[:1]
+	for i := 0; i < c.extra; i++ {
+		sr := c.pool.Clone(sd.snapshot)
 		c.countState()
-		c.sub = rnd.SubN("replica", i)
-		origs = append(origs, replay(c.ex, c.guarded, sr, window, &c.sub, trace.CatOrigStates))
+		c.sub = sd.rnd.SubN("replica", i)
+		origs = append(origs, replay(c.ex, c.guarded, sr, sd.window, &c.sub, trace.CatOrigStates))
 	}
 	return origs
+}
+
+// dropSeed retires the replica seed: its replicas have been built, or the
+// boundary was resolved without them.
+func (c *chunkRun) dropSeed() {
+	c.pool.Release(c.seed.snapshot)
+	c.seed = replicaSeed{}
 }
 
 // MatchAny is the runtime's state comparison (§II-B): it reports whether
@@ -153,26 +191,24 @@ func MatchAny(ex Exec, p Program, origs []State, spec State) bool {
 // (original states inspected before the first match, or all of them on a
 // miss — the count the event stream reports per EvValidated), over a
 // validation wave whose fingerprint lanes may have been computed ahead of
-// time: origFPs, when non-nil, holds Fingerprint(origs[i]) for every
-// original state, and specFP (valid when haveFP) holds Fingerprint(spec).
-// Cached or not, the digests are the same pure functions of the same
-// states, so the result and the inspected count do not depend on the
-// cache; it only removes recomputation from the commit frontier's
-// critical path.
+// time: origFPs holds Fingerprint(origs[i]) for a prefix of the original
+// states (the final state's, when the replicas were built after the
+// worker cached it), and specFP (valid when haveFP) holds
+// Fingerprint(spec). Cached or not, the digests are the same pure
+// functions of the same states, so the result and the inspected count do
+// not depend on the cache; it only removes recomputation from the commit
+// frontier's critical path.
 func matchAnyWave(ex Exec, p Program, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) (bool, int) {
 	ex.SetCat(trace.CatCompare)
 	fp, gated := p.(Fingerprinter)
 	if gated && !haveFP {
 		specFP = fp.Fingerprint(spec)
 	}
-	if origFPs != nil && len(origFPs) != len(origs) {
-		origFPs = nil // stale cache (recovery rebuilt the set): recompute
-	}
 	for i, o := range origs {
 		ex.Compute(p.CompareCost())
 		if gated {
 			var of uint64
-			if origFPs != nil {
+			if i < len(origFPs) {
 				of = origFPs[i]
 			} else {
 				of = fp.Fingerprint(o)

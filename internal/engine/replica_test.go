@@ -1,11 +1,11 @@
 package engine_test
 
 import (
-	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,29 +18,43 @@ import (
 )
 
 // On the native substrate a chunk's original-state replicas run on the
-// worker that owns the chunk, not on goroutines of their own. RNG
+// context that owns the chunk, not on goroutines of their own. RNG
 // substreams are derived by label, so that must change no state — and
 // nothing the protocol reports about one.
 
-// sessionDigests are, per benchmark, the SHA-256 of a 72-input, 6-chunk
-// streaming session's committed output lines, its Counters snapshot and
-// every chunk's untimed event sequence, recorded when each replica still
-// had a goroutine to itself (the tree before replicas moved onto the
-// worker). They hold at every worker count.
-var sessionDigests = map[string]string{
-	"bodytrack":         "3af7e11e24094a3efe75ef283dd5b0709f341258f0817db354aef6a12a3a6ef5",
-	"dedupstream":       "4dee9236404e31a7c52b73407bf802f700a02056f92caa04800329dac5781b67",
-	"facedet-and-track": "02eab6372512317c5f2dbd2580aad4dfd43e4121bf720d2c326455c968d6a5eb",
-	"facetrack":         "2148fc11b216ec600f3d4b1768693b77ad99f4a9038639d1d3f110319a214c7d",
-	"fluidanimate":      "b0a9826032df52a7c1d2aa1b73d5f7e2ff2bcef51500c75e0d91fdcb313e3aa3",
-	"streamclassifier":  "4050b2f4d161d4f60c3828f54191eea2d519bc082039a6e38fde86f2740826b5",
-	"streamcluster":     "dd2a1fe3737e97ccbb1522b3a8119945ee8f919db6ed51a3d282bdfc3123f8d5",
-	"swaptions":         "e9f157dcebaac13649866e25367e5291abb212756ae78eaca49e7777d2c429dd",
+// sessionOutcomes are, per benchmark, the SHA-256 of a 72-input, 6-chunk
+// streaming session's committed output lines and every chunk's verdict
+// projection, recorded while every chunk still built its replicas
+// eagerly. They hold at every worker count.
+var sessionOutcomes = map[string]string{
+	"bodytrack":         "b4475a64d04bcd3c09769fa1c3fe1e74913b842d5eb481234d1e950f5cfef8e1",
+	"dedupstream":       "aeb7ffe4f0666456f9a7f79c69af2a6bf97504c86d30e8003d711be36a15be2a",
+	"facedet-and-track": "a303bf9657e6e300ab8ffd6649c1b1595474534adfbd633ee7f818be8e3284ce",
+	"facetrack":         "0d636c1274a198a625f3b5795e7a9c0861ec6238bee8c93e7b2bb42f2f0daf18",
+	"fluidanimate":      "325f0e0a2635c82cfe25131308f11d4cd348256bf5de5346b3960c827d4421de",
+	"streamclassifier":  "689f984320e5fcdf5ae090e02afe10eac7a9c26d7a915bbd809e474f33d2ffea",
+	"streamcluster":     "7771a87193ba8e73784f86b644ff183e04f12b5529d3c153d414aa165b24060a",
+	"swaptions":         "9f91d0def2569ca3cdffacb8abc596565a9a3672b1197f04a26926db2de48c7c",
 }
 
-// sessionDigest runs one streaming session and folds everything about it
-// that must not depend on scheduling into one hash.
-func sessionDigest(t *testing.T, name string, workers int) string {
+// sessionWork are the same sessions' Counters snapshot and every chunk's
+// untimed event sequence: the protocol work, which counts only the
+// replicas a boundary actually built.
+var sessionWork = map[string]string{
+	"bodytrack":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"dedupstream":       "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"facedet-and-track": "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"facetrack":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"fluidanimate":      "c9726f7231dc0cba84e8f478790426a4133bf93d29361e27386d227878e6ded8",
+	"streamclassifier":  "03894eda2e9f14799ad92853d6a0dbbbc31e84ace83b32c96b725a4944bb2ed1",
+	"streamcluster":     "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"swaptions":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+}
+
+// sessionDigests runs one streaming session and folds everything about it
+// that must not depend on scheduling into two hashes: what it committed,
+// and the protocol work it reported.
+func sessionDigests(t *testing.T, name string, workers int) (outcomes, work string) {
 	t.Helper()
 	b := bench.MustNew(name)
 	codec, err := bench.CodecFor(name)
@@ -52,55 +66,67 @@ func sessionDigest(t *testing.T, name string, workers int) string {
 		inputs = inputs[:72]
 	}
 	var ctr engine.Counters
-	log := &chunkLog{}
+	log, verdicts := &chunkLog{}, &verdictLog{}
 	cfg := engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 5}
-	rep, err := (&engine.StreamScheduler{Workers: workers, Sink: engine.Tee(&ctr, log)}).RunSlice(b, inputs, cfg)
+	rep, err := (&engine.StreamScheduler{Workers: workers, Sink: engine.Tee(&ctr, log, verdicts)}).RunSlice(b, inputs, cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}
-	h := sha256.New()
-	for _, out := range rep.Outputs {
-		line, err := codec.EncodeOutput(out)
-		if err != nil {
+	lines := make([][]byte, len(rep.Outputs))
+	for i, out := range rep.Outputs {
+		if lines[i], err = codec.EncodeOutput(out); err != nil {
 			t.Fatal(err)
 		}
-		h.Write(line)
-		h.Write([]byte{'\n'})
 	}
+	h := sha256.New()
+	hashOutcomes(h, lines, verdicts.byChunk)
+	outcomes = fmt.Sprintf("%x", h.Sum(nil))
+	h.Reset()
 	fmt.Fprintf(h, "%+v\n", ctr.Snapshot())
-	chunks := make([]int, 0, len(log.byChunk))
-	for j := range log.byChunk {
-		chunks = append(chunks, j)
-	}
-	sort.Ints(chunks)
-	for _, j := range chunks {
-		fmt.Fprintf(h, "%d %+v\n", j, log.byChunk[j])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	hashOutcomes(h, nil, log.byChunk)
+	return outcomes, fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestReplicasOnWorkerEquivalence(t *testing.T) {
 	names := bench.Names()
-	if len(names) != len(sessionDigests) {
-		t.Fatalf("%d benchmarks registered, %d digests pinned", len(names), len(sessionDigests))
+	if len(names) != len(sessionOutcomes) || len(names) != len(sessionWork) {
+		t.Fatalf("%d benchmarks registered, %d+%d digests pinned", len(names), len(sessionOutcomes), len(sessionWork))
 	}
 	for _, name := range names {
 		for _, workers := range []int{1, 2, 4, 8} {
-			if got := sessionDigest(t, name, workers); got != sessionDigests[name] {
-				t.Errorf("%s workers=%d: session digest %s, pinned %s", name, workers, got, sessionDigests[name])
+			outcomes, work := sessionDigests(t, name, workers)
+			if outcomes != sessionOutcomes[name] {
+				t.Errorf("%s workers=%d: outcome digest %s, pinned %s", name, workers, outcomes, sessionOutcomes[name])
+			}
+			if work != sessionWork[name] {
+				t.Errorf("%s workers=%d: work digest %s, pinned %s", name, workers, work, sessionWork[name])
 			}
 		}
 	}
 }
 
-// replicaBomb panics inside the nth Update call it sees, once.
+// replicaBomb panics in the first Update of the replay that builds chunk
+// j's first replica original state, on each of its first n attempts. It
+// knows that replay by its fresh substream — the speculative run's or the
+// recovery's, whichever lineage the boundary validates against — which no
+// other Update ever sees, so where and when the build runs cannot move it.
 type replicaBomb struct {
 	bench.Benchmark
-	calls, at atomic.Int64
+	streams [2]rng.Stream
+	left    atomic.Int64
+}
+
+func newReplicaBomb(name string, seed uint64, j int, n int64) *replicaBomb {
+	b := &replicaBomb{Benchmark: bench.MustNew(name)}
+	w := rng.New(seed).Derive("stats:"+name).SubN("worker", j)
+	reorig := w.Sub("reorig")
+	b.streams = [2]rng.Stream{w.SubN("replica", 0), reorig.SubN("replica", 0)}
+	b.left.Store(n)
+	return b
 }
 
 func (b *replicaBomb) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
-	if b.calls.Add(1) == b.at.Load() {
+	if (*r == b.streams[0] || *r == b.streams[1]) && b.left.Add(-1) >= 0 {
 		panic("replica bomb")
 	}
 	return b.Benchmark.Update(s, in, r)
@@ -122,69 +148,76 @@ func (l *faultLog) Event(e engine.Event) {
 	}
 }
 
-// TestReplicaPanicIsolated blows up an Update in the middle of a
-// replica's window replay. The panic now unwinds through the worker's own
-// fault boundary instead of being carried across a join: it must still be
-// charged to original-state generation of that chunk and attempt, retried,
-// and leave the committed outputs untouched.
+// TestReplicaPanicIsolated blows up a replica original state that a
+// boundary builds because the speculative state missed the final one. The
+// side that validates builds it, under the engine's retry discipline: the
+// panic must be charged to original-state generation of the predecessor
+// chunk, retried once from that side, and leave the committed outputs
+// untouched. A bomb that fires on every attempt fails the session with a
+// FaultError, on both native schedulers, and every goroutine it started
+// is gone.
 func TestReplicaPanicIsolated(t *testing.T) {
-	const chunk, lookback = 16, 4
-	inputs := bench.MustNew("streamcluster").Inputs(rng.New(1))[:3*chunk]
-	run := func(at int64) ([]engine.Output, []engine.Event, engine.StreamStats) {
-		prog := &replicaBomb{Benchmark: bench.MustNew("streamcluster")}
-		prog.at.Store(at)
-		log := &faultLog{}
-		outs, stats := streamAll(t, prog, engine.StreamConfig{
-			ChunkSize: chunk, Lookback: lookback, ExtraStates: 1, Workers: 1, Seed: 3, Sink: log,
-			Fault: engine.FaultPolicy{RetryBase: time.Microsecond, RetryMax: time.Microsecond},
-		}, inputs)
-		return outs, log.ev, stats
-	}
-	clean, events, _ := run(0)
-	if len(events) != 0 {
-		t.Fatalf("clean run reported %v", events)
-	}
-	// One worker runs chunk 0's body, then its replica's replay, before
-	// anything else calls Update: the second replayed input is call 18.
-	outs, events, stats := run(chunk + 2)
-	if !reflect.DeepEqual(outs, clean) {
-		t.Error("outputs differ from the fault-free run")
-	}
-	want := []engine.Event{
-		{Kind: engine.EvFault, Chunk: 0, Worker: 0, N: 0, M: int(engine.SiteOrigStates)},
-		{Kind: engine.EvRetry, Chunk: 0, Worker: 0, N: 1},
-	}
-	if !reflect.DeepEqual(events, want) {
-		t.Errorf("fault events %+v, want %+v", events, want)
-	}
-	if stats.Faults != 1 || stats.Retries != 1 || stats.Degraded != 0 {
-		t.Errorf("faults/retries/degraded = %d/%d/%d, want 1/1/0", stats.Faults, stats.Retries, stats.Degraded)
-	}
-}
+	const name, seed, chunks, size = "streamclassifier", 3, 6, 16
+	inputs := bench.MustNew(name).Inputs(rng.New(1))[:chunks*size]
+	cfg := engine.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed,
+		Fault: engine.FaultPolicy{RetryBase: time.Microsecond, RetryMax: time.Microsecond}}
 
-// streamAll pushes inputs through one pipeline and returns what it
-// committed.
-func streamAll(t *testing.T, prog engine.Program, cfg engine.StreamConfig, inputs []engine.Input) ([]engine.Output, engine.StreamStats) {
-	t.Helper()
-	p, err := engine.NewStream(context.Background(), prog, cfg)
+	verdicts := &verdictLog{}
+	clean, err := (&engine.BatchScheduler{Sink: verdicts}).RunSlice(bench.MustNew(name), inputs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		defer p.Close()
-		for _, in := range inputs {
-			if p.Push(context.Background(), in) != nil {
-				return
-			}
+	// The first boundary that misses builds the lineage's replica.
+	j := -1
+	for c := 1; c < chunks && j < 0; c++ {
+		if evs := verdicts.byChunk[c]; len(evs) > 0 && evs[0].Kind == engine.EvValidated && !evs[0].Matched {
+			j = c - 1
 		}
-	}()
-	var outs []engine.Output
-	for o := range p.Outputs() {
-		outs = append(outs, o)
 	}
-	stats, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
+	if j < 0 {
+		t.Fatal("no boundary missed: the session builds no replica to bomb")
 	}
-	return outs, stats
+
+	for _, sc := range []struct {
+		sched     func(engine.Sink) engine.Scheduler
+		validator int // the worker slot the validating side reports as
+	}{
+		{func(s engine.Sink) engine.Scheduler { return &engine.BatchScheduler{Sink: s} }, j},
+		{func(s engine.Sink) engine.Scheduler { return &engine.StreamScheduler{Workers: 2, Sink: s} }, -1},
+	} {
+		var ctr engine.Counters
+		log := &faultLog{}
+		sched := sc.sched(engine.Tee(&ctr, log))
+		rep, err := sched.RunSlice(newReplicaBomb(name, seed, j, 1), inputs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", sched.Name(), err)
+		}
+		if !reflect.DeepEqual(rep.Outputs, clean.Outputs) {
+			t.Errorf("%s: outputs differ from the fault-free run", sched.Name())
+		}
+		want := []engine.Event{
+			{Kind: engine.EvFault, Chunk: j, Worker: sc.validator, N: 0, M: int(engine.SiteOrigStates)},
+			{Kind: engine.EvRetry, Chunk: j, Worker: sc.validator, N: 1},
+		}
+		if !reflect.DeepEqual(log.ev, want) {
+			t.Errorf("%s: fault events %+v, want %+v", sched.Name(), log.ev, want)
+		}
+		if s := ctr.Snapshot(); s.Faults != 1 || s.Retries != 1 || s.Degraded != 0 {
+			t.Errorf("%s: faults/retries/degraded = %d/%d/%d, want 1/1/0", sched.Name(), s.Faults, s.Retries, s.Degraded)
+		}
+
+		before := runtime.NumGoroutine()
+		sched = sc.sched(nil)
+		_, err = sched.RunSlice(newReplicaBomb(name, seed, j, 1<<30), inputs, cfg)
+		var fe *engine.FaultError
+		if !errors.As(err, &fe) || fe.Fault.Site != engine.SiteOrigStates || fe.Fault.Chunk != j {
+			t.Fatalf("%s: a bomb on every attempt ended the session with %v, want a FaultError at chunk %d's orig-states", sched.Name(), err, j)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the failed session, %d before", sched.Name(), runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }

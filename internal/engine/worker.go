@@ -28,8 +28,9 @@ func (p *Pipeline) worker(slotID int) {
 // re-execution from the last committed state.
 //
 // Unlike the batch worker, a streaming chunk never knows it is last, so
-// original states are always generated; for a session's final chunk they
-// go unused.
+// it always takes the snapshot its replicas would replay from. In process
+// the replicas stay a seed in the record until the successor's boundary
+// misses the final state; a session's final chunk never builds them.
 func (ck *chunk) speculate(slotID int) {
 	p := ck.p
 	ck.worker = slotID
@@ -117,16 +118,17 @@ func (ck *chunk) recoverAttempt() error {
 // left to the garbage collector — correctness never depends on the pool.
 func (ck *chunk) scrap() {
 	ck.pool.Release(ck.spec)
-	ck.pool.releaseRun(ck.final, ck.origs)
+	ck.releaseRun(ck.final, ck.origs)
 	ck.clearResult()
 }
 
 // clearResult empties the record's result, keeping the buffers of its
 // outputs, original states and their fingerprints for the next run to
-// fill.
+// fill, and retires a replica seed no boundary consumed.
 func (ck *chunk) clearResult() {
 	ck.spec, ck.outs, ck.final, ck.origs = nil, ck.outs[:0], nil, ck.origs[:0]
 	ck.specFP, ck.origFPs, ck.fpOK = 0, ck.origFPs[:0], false
+	ck.dropSeed()
 }
 
 // fingerprints returns the fingerprint lane of every state — in dst when
