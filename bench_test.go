@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/bench/facetrack"
 	"gostats/internal/bench/trackutil"
@@ -25,6 +26,7 @@ import (
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 	"gostats/internal/trace"
+	"gostats/internal/workload"
 )
 
 // artifactSession builds a reduced session for artifact benchmarks.
@@ -229,37 +231,58 @@ func BenchmarkStreamPipeline(b *testing.B) {
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				pl, err := engine.NewStream(ctx, ft, engine.StreamConfig{
-					ChunkSize: 16, Lookback: 4, ExtraStates: 1,
-					Workers: workers, Seed: 3,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				go func() {
-					defer pl.Close()
-					for _, in := range ins {
-						if pl.Push(ctx, in) != nil {
-							return
-						}
-					}
-				}()
-				n := 0
-				for range pl.Outputs() {
-					n++
-				}
-				if _, err := pl.Wait(); err != nil {
-					b.Fatal(err)
-				}
-				if n != len(ins) {
-					b.Fatalf("committed %d of %d inputs", n, len(ins))
-				}
-			}
-			b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "inputs/sec")
+			streamSessions(b, ft, ins, engine.StreamConfig{
+				ChunkSize: 16, Lookback: 4, ExtraStates: 1,
+				Workers: workers, Seed: 3,
+			})
 		})
 	}
+}
+
+// BenchmarkStreamclusterSession runs one session of the repository
+// benchmark's native-overhead shape per iteration: 2800 streamcluster
+// inputs, chunk 16, lookback 4, one extra state, Workers 2. Under -trace
+// it is EXPERIMENTS.md's scheduler-latency probe:
+//
+//	go test -run '^$' -bench StreamclusterSession -benchtime 60x -trace sched.trace .
+//	go tool trace -pprof=sched sched.trace > sched.pprof
+func BenchmarkStreamclusterSession(b *testing.B) {
+	prog := bench.MustNew("streamcluster")
+	streamSessions(b, prog, workload.SessionInputs(prog, 2800, 1), engine.StreamConfig{
+		ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3,
+	})
+}
+
+// streamSessions runs b.N streaming sessions of prog over ins, a producer
+// goroutine pushing while the benchmark goroutine drains Outputs, and
+// reports committed inputs per second.
+func streamSessions(b *testing.B, prog engine.Program, ins []engine.Input, cfg engine.StreamConfig) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		pl, err := engine.NewStream(ctx, prog, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		go func() {
+			defer pl.Close()
+			for _, in := range ins {
+				if pl.Push(ctx, in) != nil {
+					return
+				}
+			}
+		}()
+		n := 0
+		for range pl.Outputs() {
+			n++
+		}
+		if _, err := pl.Wait(); err != nil {
+			b.Fatal(err)
+		}
+		if n != len(ins) {
+			b.Fatalf("committed %d of %d inputs", n, len(ins))
+		}
+	}
+	b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "inputs/sec")
 }
 
 // BenchmarkNativeRuntime measures the native (goroutine) executor on the

@@ -75,7 +75,7 @@ type Snapshot struct {
 	MaxChunk    int  `json:"max_chunk,omitempty"`
 
 	// NextChunk is the index of the first chunk not yet committed; the
-	// restored producer and commit stage both start here.
+	// restored producer and commit frontier both start here.
 	NextChunk int `json:"next_chunk"`
 	// Inputs is the absolute count of committed inputs (== committed
 	// outputs; the protocol emits exactly one output per input). A
@@ -96,7 +96,7 @@ type Snapshot struct {
 	// Pending is the commit/abort outcome of the most recent committed
 	// chunks (oldest first) that the producer had not yet folded
 	// into the adaptive controller when the snapshot was taken — the
-	// in-flight window between the commit stage and the producer, at
+	// in-flight window between the commit frontier and the producer, at
 	// most Window(Workers) entries. A restored pipeline preloads its outcome
 	// queue with these so the controller sees the exact same outcome
 	// sequence at the exact same decision points.

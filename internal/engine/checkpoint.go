@@ -46,11 +46,13 @@ type CheckpointConfig struct {
 	// triggering. Counting re-encodes committed outputs, so it costs one
 	// extra encode per output; prefer EveryCommits when both would do.
 	EveryBytes int64
-	// OnSnapshot observes every emitted snapshot, synchronously from the
-	// commit stage. It must not block for long — the commit frontier is
-	// stalled while it runs — and must not retain the snapshot's slices
-	// past its return unless it treats them as immutable (they are never
-	// reused by the engine).
+	// OnSnapshot observes every emitted snapshot, synchronously on the
+	// worker holding the commit frontier (the halt snapshot on the
+	// session's reaper, after the workers exited). It must not block for
+	// long — that worker and the commit frontier are both stalled while it
+	// runs — and must not retain the snapshot's slices past its return
+	// unless it treats them as immutable (they are never reused by the
+	// engine). A panic in it fails the session at SiteCommit.
 	OnSnapshot func(*checkpoint.Snapshot)
 }
 
@@ -156,7 +158,7 @@ func (w *ChunkWorker) Release(r *ChunkReply) {
 // dropped — a resumed session re-reads them from the source, and flushing
 // them would move the boundary it will re-derive), the chunks already
 // announced drain and commit normally, and — when checkpointing is
-// configured — the commit stage emits one final snapshot before Outputs
+// configured — the frontier is captured one final time before Outputs
 // closes. Push returns ErrClosed afterwards. Halt may be called from any
 // goroutine, concurrently with Push. Halt after Close is a no-op: the
 // stream is already ending normally, boundaries included.
@@ -178,7 +180,7 @@ func (p *Pipeline) Halt() {
 func (p *Pipeline) Halted() bool { return p.halted.Load() }
 
 // resumeState is the decoded, engine-typed form of a snapshot, built once
-// in NewStream and consumed by the producer and the commit stage at start.
+// in NewStream and consumed by the producer and the frontier at start.
 type resumeState struct {
 	next       int   // first chunk to fill and commit
 	inputs     int64 // committed inputs so far (absolute)
@@ -241,9 +243,10 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 	return rs, nil
 }
 
-// ckptTracker lives in the commit stage and decides when to capture. It
-// shadows the producer's adaptive controller by folding outcomes exactly
-// as the restored producer will: the last min(commits, window) outcomes
+// ckptTracker belongs to the commit frontier — whichever worker holds the
+// role, then the reaper — and decides when to capture. It shadows the
+// producer's adaptive controller by folding outcomes exactly as the
+// restored producer will: the last min(commits, window) outcomes
 // stay pending (the restored outcome-window preload), everything older is
 // recorded into the shadow controller.
 type ckptTracker struct {
@@ -323,8 +326,8 @@ func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *co
 }
 
 // finalize emits the halt snapshot: the frontier exactly as the drain
-// left it. Called by the commit stage after its loop ends cleanly on a
-// halted pipeline; next is the first uncommitted chunk index, prevInputs
+// left it. Called by the reaper once a halted pipeline has drained
+// cleanly; next is the first uncommitted chunk index, prevInputs
 // the last committed chunk's inputs (nil when nothing committed since
 // start or resume).
 func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {

@@ -1,6 +1,6 @@
 package engine
 
-import "gostats/internal/ring"
+import "sync"
 
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
@@ -15,67 +15,113 @@ type committed struct {
 	run     *chunkRun
 }
 
-// commit is the ordered commit stage: it reorders worker results into
-// input order and applies the §II-B commit protocol chunk by chunk. It is
-// the only stage that touches the true (committed) lineage, so it needs
-// no locks — order is enforced structurally.
-func (p *Pipeline) commit() {
-	defer close(p.out)
-	defer func() {
-		if r := recover(); r != nil {
-			p.fail(&FaultError{Fault: &ChunkFault{
-				Chunk: -1, Site: SiteCommit, Panic: r, Stack: stack()}})
-		}
-	}()
+// frontier is the ordered commit frontier: a reorder buffer that puts
+// worker results back into input order, and the committed lineage the
+// §II-B commit protocol applies them against. It is a role, not a
+// goroutine. A worker that delivers a record while no other worker holds
+// the role takes it, applies every record that has arrived in order, and
+// gives it back (deliver). One holder at a time is what orders the
+// commits, so the lineage needs no lock of its own; mu only hands
+// records and the role from one worker to the next.
+type frontier struct {
+	mu sync.Mutex
+	// pending is the reorder buffer: a record that arrived ahead of its
+	// turn waits at the index it lives at.
+	pending []*chunk
+	// held says a worker holds the role. A frontier that stopped keeps it
+	// held for good, so no later deliverer applies anything.
+	held bool
 
-	// The reorder buffer: a record that arrived ahead of its turn waits
-	// at the index it lives at.
-	pending := make([]*chunk, len(p.records))
-	mask := len(pending) - 1
-	next := 0
-	var prev committed
-	var prevInputs []Input // committed predecessor's chunk inputs
-	if rs := p.resume; rs != nil {
-		// Resume at the snapshot frontier: the decoded lineage stands in
-		// for the last committed chunk's result, so the first boundary is
-		// validated against the exact states the uninterrupted session
-		// would have held. It is complete, so its run defers nothing.
-		next = rs.next
-		prev.run = &chunkRun{proto: &p.proto, ex: p.ex}
-		if len(rs.lineage) > 0 {
-			prev.final = rs.lineage[0]
-			prev.origs = rs.lineage
-			prev.origFPs = p.fingerprints(nil, rs.lineage)
-		}
+	// The holder's alone, and the reaper's once every worker has exited.
+	next       int // the first chunk not yet applied
+	prev       committed
+	prevInputs []Input // the last applied chunk's inputs; nil until one is
+}
+
+// init places the frontier before chunk 0, or at the snapshot frontier of
+// a resumed session.
+func (f *frontier) init(p *Pipeline) {
+	f.pending = make([]*chunk, len(p.records))
+	rs := p.resume
+	if rs == nil {
+		return
 	}
+	// The decoded lineage stands in for the last committed chunk's result,
+	// so the first boundary is validated against the exact states the
+	// uninterrupted session would have held. It is complete, so its run
+	// defers nothing.
+	f.next = rs.next
+	f.prev.run = &chunkRun{proto: &p.proto, ex: p.ex}
+	if len(rs.lineage) > 0 {
+		f.prev.final = rs.lineage[0]
+		f.prev.origs = rs.lineage
+		f.prev.origFPs = p.fingerprints(nil, rs.lineage)
+	}
+}
+
+// deliver hands a speculated record to the frontier. Under mu it parks
+// the record in the reorder buffer, which is the hand-over from its
+// worker to whoever applies it. If no worker holds the frontier role, the
+// caller takes it and applies records in input order until the next one
+// has not arrived; a record that arrives meanwhile is seen before the
+// role is given back, because both happen under mu.
+func (p *Pipeline) deliver(ck *chunk) {
+	f := &p.front
+	mask := len(f.pending) - 1
+	f.mu.Lock()
+	f.pending[ck.j&mask] = ck
+	if f.held {
+		f.mu.Unlock()
+		return
+	}
+	f.held = true
 	for {
-		ck, err := p.results.Pop(p.ctx.Done())
-		if err != nil {
-			// ring.ErrClosed: workers are done and the ring is drained;
-			// everything dispatched has been committed in order. On a
-			// halted session that clean drain IS the migration point:
-			// capture the frontier one last time.
-			// ring.ErrCanceled: the run was abandoned or failed.
-			if err == ring.ErrClosed && p.ckpt != nil && p.halted.Load() {
-				p.ckpt.finalize(next, prevInputs, &prev)
-			}
+		at := f.next & mask
+		r := f.pending[at]
+		if r == nil {
+			f.held = false
+			f.mu.Unlock()
 			return
 		}
-		pending[ck.j&mask] = ck
-		for {
-			at := next & mask
-			r := pending[at]
-			if r == nil {
-				break
-			}
-			pending[at] = nil
-			if !p.applyCommit(r, &prev) {
-				return
-			}
-			prevInputs = r.inputs
-			next++
+		f.pending[at] = nil
+		f.mu.Unlock()
+		if !p.apply(r) {
+			return
 		}
+		f.mu.Lock()
 	}
+}
+
+// apply commits one record at the frontier and advances it. A panic
+// there — in the protocol, a sink or a snapshot observer — fails the
+// session at SiteCommit, and apply returns false like any other stop.
+func (p *Pipeline) apply(r *chunk) (ok bool) {
+	defer p.recoverCommit()
+	f := &p.front
+	if !p.applyCommit(r, &f.prev) {
+		return false
+	}
+	f.prevInputs = r.inputs
+	f.next++
+	return true
+}
+
+// recoverCommit is the frontier's fault boundary: it turns a recovered
+// panic into the session's terminal FaultError. Defer it directly.
+func (p *Pipeline) recoverCommit() {
+	if r := recover(); r != nil {
+		p.fail(&FaultError{Fault: &ChunkFault{
+			Chunk: -1, Site: SiteCommit, Panic: r, Stack: stack()}})
+	}
+}
+
+// haltSnapshot captures the frontier of a halted session that drained
+// cleanly, one last time: that capture is its migration point. The reaper
+// calls it after every worker, and with them the role, has gone.
+func (p *Pipeline) haltSnapshot() {
+	defer p.recoverCommit()
+	f := &p.front
+	p.ckpt.finalize(f.next, f.prevInputs, &f.prev)
 }
 
 // applyCommit validates, commits or recovers one chunk at the frontier

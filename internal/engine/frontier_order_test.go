@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,14 +11,15 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
+	"gostats/internal/checkpoint"
 	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
 // orderSink records, in arrival order, the chunk index of every commit
-// decision and output emission. All decision events come from the single
-// commit-stage goroutine, but other event kinds arrive concurrently from
-// workers, so the sink locks.
+// decision and output emission. Decision events come from whichever
+// worker holds the frontier role, one holder at a time, while other event
+// kinds arrive concurrently from the other workers, so the sink locks.
 type orderSink struct {
 	mu        sync.Mutex
 	decisions []int // EvCommitted / EvAborted
@@ -34,7 +37,7 @@ func (s *orderSink) Event(e engine.Event) {
 	}
 }
 
-// TestFrontierCommitOrder is the commit stage's end-to-end ordering
+// TestFrontierCommitOrder is the commit frontier's end-to-end ordering
 // property: in whatever order the workers finish their chunks, the
 // commit/abort decisions and the output emissions are applied in strict
 // input order, exactly one decision per chunk, and the committed byte
@@ -97,8 +100,123 @@ func TestFrontierCommitOrder(t *testing.T) {
 	}
 }
 
+// panicSink counts decision events. It panics on the commitAt-th
+// EvCommitted when commitAt is set, and counts the decisions that arrive
+// after a panic at the frontier — its own, or one marked by the caller.
+type panicSink struct {
+	mu       sync.Mutex
+	commitAt int
+	commits  int
+	panicked bool
+	late     int // decision events after the panicking one
+}
+
+func (s *panicSink) Event(e engine.Event) {
+	if e.Kind != engine.EvCommitted && e.Kind != engine.EvAborted {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.panicked {
+		s.late++
+		return
+	}
+	if e.Kind == engine.EvCommitted {
+		if s.commits++; s.commits == s.commitAt {
+			s.panicked = true
+			panic("sink: a panicking commit observer")
+		}
+	}
+}
+
+// mark records that the frontier is about to panic outside the sink.
+func (s *panicSink) mark() {
+	s.mu.Lock()
+	s.panicked = true
+	s.mu.Unlock()
+}
+
+// TestFrontierPanicFailsSession: a panic on the worker holding the
+// frontier role — in a snapshot observer or a sink — fails the session at
+// SiteCommit instead of crashing the process. Push reports the FaultError
+// within a chunk, Outputs closes, no decision follows the panicking one,
+// and every goroutine of the session exits.
+func TestFrontierPanicFailsSession(t *testing.T) {
+	const chunk = 8
+	prog, inputs := wakeInputs(t, 64)
+	wc, err := bench.WireFor("streamcluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := goroutineBase()
+	for _, tc := range []struct {
+		name string
+		cfg  func(*panicSink) engine.StreamConfig
+	}{
+		{"third snapshot", func(s *panicSink) engine.StreamConfig {
+			snaps := 0 // the frontier's alone, one holder at a time
+			return engine.StreamConfig{Sink: s, Checkpoint: engine.CheckpointConfig{
+				Codec: wc, EveryCommits: 1, OnSnapshot: func(*checkpoint.Snapshot) {
+					if snaps++; snaps == 3 {
+						s.mark()
+						panic("a panicking snapshot observer")
+					}
+				}}}
+		}},
+		{"fifth commit event", func(s *panicSink) engine.StreamConfig {
+			s.commitAt = 5
+			return engine.StreamConfig{Sink: s}
+		}},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			sink := &panicSink{}
+			cfg := tc.cfg(sink)
+			cfg.ChunkSize, cfg.Lookback, cfg.ExtraStates, cfg.Workers, cfg.Seed = chunk, 4, 1, workers, 3
+			p, err := engine.NewStream(context.Background(), prog, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushed := make(chan error, 1)
+			go func() {
+				for i := 0; ; i++ {
+					if err := p.Push(context.Background(), inputs[i%len(inputs)]); err != nil {
+						pushed <- err
+						return
+					}
+				}
+			}()
+			within(t, tc.name+": a failed session's Outputs", func() {
+				for range p.Outputs() {
+				}
+			})
+			_, werr := p.Wait()
+			var fe *engine.FaultError
+			if !errors.As(werr, &fe) || fe.Fault.Site != engine.SiteCommit {
+				t.Fatalf("%s, workers=%d: Wait = %v, want a FaultError at %s", tc.name, workers, werr, engine.SiteCommit)
+			}
+			var perr error
+			within(t, tc.name+": the producer", func() { perr = <-pushed })
+			if !errors.Is(perr, werr) {
+				t.Errorf("%s, workers=%d: the producer saw %v, want the session's FaultError", tc.name, workers, perr)
+			}
+			if n, err := pushUntilErr(p, inputs[0], chunk); !errors.Is(err, werr) {
+				t.Errorf("%s, workers=%d: Push after the fault = %v after %d pushes, want the FaultError within a chunk", tc.name, workers, err, n)
+			}
+			sink.mu.Lock()
+			panicked, late := sink.panicked, sink.late
+			sink.mu.Unlock()
+			if !panicked || late != 0 {
+				t.Errorf("%s, workers=%d: panicked %t, %d decision events after the panic; want a panic and none after it", tc.name, workers, panicked, late)
+			}
+			if n := goroutines(base); n != base {
+				t.Errorf("%s, workers=%d: %d goroutines after Wait, %d before the session", tc.name, workers, n, base)
+			}
+		}
+	}
+}
+
 // TestRecordReuseStress is the net under chunk-record reuse. A record is
-// handed producer → worker → commit stage and refilled a lap later with
+// handed producer → worker → frontier and refilled a lap later with
 // nothing guarding it but the window arithmetic (newRecords), so the test
 // makes every premature reuse either a race the detector reports or a
 // wrong byte: the smallest record arrays (Workers 1 and 2: 4 and 8
@@ -108,7 +226,8 @@ func TestFrontierCommitOrder(t *testing.T) {
 // and recovery rewrites outs and origs in place, a checkpoint at
 // every commit so the tracker reads inputs, outs and the lineage each
 // time, and a consumer slower than the two-chunk output buffer so the
-// commit stage parks while the producer and the workers run ahead. Its
+// worker holding the frontier parks while the producer and the other
+// workers run ahead. Its
 // outputs and every chunk's untimed event sequence must be those of the
 // same Plan over 32 records (Workers 8), where next to nothing is reused
 // while it could still be read. A capture builds a lineage's deferred

@@ -20,11 +20,12 @@ import (
 // video frames, point blocks, sample batches — are really streams, so the
 // pipeline rebuilds the protocol as stages:
 //
-//		Push (fills the chunk's record) → [jobs] → worker pool → [results]
+//		Push (fills the chunk's record) → [jobs] → worker pool → deliver
 //		  ▲                                                        │
 //		  └─────────── outcome window (backpressure) ──────────────┤
 //		                                                           ▼
-//		                           ordered commit / abort+re-exec → Outputs
+//		   frontier role (one worker at a time): ordered commit /
+//		   abort+re-exec → Outputs
 //
 //	  - Push groups inputs into chunks on its caller's goroutine (fixed
 //	    size, or retuned online from commit/abort feedback via
@@ -37,13 +38,15 @@ import (
 //	    snapshotting it where the original-state replicas would replay
 //	    from. The replicas themselves are deferred: the record keeps the
 //	    snapshot as their seed.
-//	  - The commit stage reorders worker results into input order, validates
-//	    each chunk's speculative start state against the committed
-//	    predecessor's original states (MatchAny) — its final state first,
-//	    and the replicas, built from the seed, only if that misses — and
-//	    on mispeculation re-executes the chunk in place from the true
-//	    predecessor state — exactly the §II-B protocol, so outputs are
-//	    committed in input order with batch-identical semantics.
+//	  - The commit frontier (commit.go) is a role a worker takes, not a
+//	    goroutine: the worker that delivers a chunk while no other holds
+//	    the role applies, in input order, every chunk that has arrived. It
+//	    validates each chunk's speculative start state against the
+//	    committed predecessor's original states (MatchAny) — its final
+//	    state first, and the replicas, built from the seed, only if that
+//	    misses — and on mispeculation re-executes the chunk in place from
+//	    the true predecessor state — exactly the §II-B protocol, so outputs
+//	    are committed in input order with batch-identical semantics.
 //
 // Backpressure: the producer may run at most a window of chunks — two a
 // worker — ahead of the commit frontier; when the window is full, the
@@ -62,9 +65,10 @@ import (
 // read; StreamStats comes from the pipeline's own atomics either way.
 //
 // Lifecycle: Close ends the input stream and drains the pipeline; cancel
-// the context to abandon it. A session runs Workers+2 goroutines — the
-// pool, the commit stage and a reaper — and Wait blocks until every one
-// has exited, so no run can leak.
+// the context to abandon it. A session runs Workers+1 goroutines — the
+// pool, which also applies the frontier, and a reaper — and Wait blocks
+// until every one has exited, so no run can leak. Outputs closes once the
+// last worker has exited.
 
 // StreamConfig parameterizes a streaming pipeline.
 type StreamConfig struct {
@@ -75,16 +79,17 @@ type StreamConfig struct {
 	Lookback int
 	// ExtraStates is the number of additional original states a chunk
 	// boundary compares against once the final state has missed. They are
-	// built then, at the commit stage, from the snapshot the chunk's worker
-	// kept — or by a checkpoint capture, which encodes them.
+	// built then, at the commit frontier, from the snapshot the chunk's
+	// worker kept — or by a checkpoint capture, which encodes them.
 	ExtraStates int
 	// InnerWidth is the gang width for the program's original TLP inside
 	// each update; 1 (the default 0 maps to 1) uses only STATS TLP.
 	InnerWidth int
-	// Workers is the number of goroutines doing speculative protocol work:
-	// each runs whole chunks — alternative producer and body. It also sets
-	// the speculation window: at most 2*Workers chunks are in flight past
-	// the commit frontier. Default DefaultWorkers.
+	// Workers is the number of goroutines doing protocol work: each runs
+	// whole chunks — alternative producer and body — and, one at a time,
+	// applies the commit frontier to the chunks that have arrived. It also
+	// sets the speculation window: at most 2*Workers chunks are in flight
+	// past the commit frontier. Default DefaultWorkers.
 	Workers int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
@@ -144,8 +149,8 @@ func (c StreamConfig) withDefaults() StreamConfig {
 
 // window is the speculation window: the most chunks dispatched past the
 // commit frontier. Everything sized by chunks in flight — the outcome
-// wait in sizeFor, the jobs, results and outcomes rings, the record
-// array, a snapshot's pending outcomes — reads it.
+// wait in sizeFor, the jobs and outcomes rings, the record array and the
+// reorder buffer, a snapshot's pending outcomes — reads it.
 func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
 
 // Validate reports configuration errors.
@@ -191,8 +196,8 @@ type StreamStats struct {
 	Reused  int64 // state clones served from retired buffers (StatePool)
 	// Threads counts the goroutines the protocol spawned chunk by chunk:
 	// gang helpers, when InnerWidth > 1. The worker pool is not in it, nor
-	// are the original-state replicas, which run on the commit stage that
-	// needs them.
+	// are the original-state replicas, which run on the worker holding the
+	// frontier when a boundary needs them.
 	Threads int64
 
 	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
@@ -215,20 +220,21 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // worker pool, the worker's speculative result, and the protocol view
 // (chunkRun) that executes both. The records are not allocated per chunk:
 // chunk j lives in Pipeline.records[j&mask], lap after lap, and travels
-// through the jobs and results rings by pointer.
+// through the jobs ring and the frontier's reorder buffer by pointer.
 //
-// A record has one owner at a time, and the rings are the hand-overs.
-// The producer fills the job half — Push writes inputs in place — and
-// binds the run, until the jobs push; the worker that pops it fills the
-// result half, until the results push; the commit stage validates it,
-// commits it or recovers it in place, and emits its outputs. Nothing is
-// shared in between but what is already immutable: the successor's
-// alternative producer replays the tail of inputs (prevWindow), which
-// nobody writes between the record's dispatch and its next lap. The
-// record stays the commit stage's while the committed lineage aliases its
-// origs, origFPs and run, that is until its successor has been applied:
-// by then the boundary has built the replicas from the run's seed, or
-// retired the seed unread.
+// A record has one owner at a time. The producer fills the job half —
+// Push writes inputs in place — and binds the run, until the jobs push;
+// the worker that pops it fills the result half, until deliver parks it
+// in the reorder buffer under the frontier's lock; the frontier — whichever
+// worker holds the role when its turn comes — validates it, commits it or
+// recovers it in place, and emits its outputs. The ring and the lock are
+// the hand-overs. Nothing is shared in between but what is already
+// immutable: the successor's alternative producer replays the tail of
+// inputs (prevWindow), which nobody writes between the record's dispatch
+// and its next lap. The record stays the frontier's while the committed
+// lineage aliases its origs, origFPs and run, that is until its successor
+// has been applied: by then the boundary has built the replicas from the
+// run's seed, or retired the seed unread.
 //
 // The buffers — inputs, outs, origs, origFPs — are the record's own: each
 // lap re-slices them, and they grow once to the largest chunk seen.
@@ -244,9 +250,9 @@ type chunk struct {
 	// The result. The snapshot the worker took rides in the run's replica
 	// seed, and origs holds the final state alone until a boundary or a
 	// capture builds the replicas (a remote reply carries them built). A
-	// result whose worker exhausted its
-	// retry budget carries only the fault; the commit stage degrades it
-	// to an in-place sequential re-execution.
+	// result whose worker exhausted its retry budget carries only the
+	// fault; the frontier degrades it to an in-place sequential
+	// re-execution.
 	spec  State // speculative start state (clone), nil for chunk 0
 	outs  []Output
 	final State
@@ -255,7 +261,7 @@ type chunk struct {
 
 	// Fingerprint caches for the validation wave, computed worker-side
 	// when the program implements Fingerprinter: the lanes of spec and of
-	// each original state. They let the commit stage compare digests
+	// each original state. They let the frontier compare digests
 	// without computing them, and they are pure functions of the states,
 	// so the validation result and inspected count are unchanged.
 	specFP  uint64
@@ -303,22 +309,22 @@ type Pipeline struct {
 	cancel context.CancelFunc
 	// halt is a child of ctx that Halt cancels too: done means "dispatch
 	// nothing more", whichever of the two ended the session. The producer
-	// parks on it; workers and the commit stage park on ctx, because a
+	// parks on it; workers, the frontier among them, park on ctx, because a
 	// halted session still drains what it announced.
 	halt       context.Context
 	haltCancel context.CancelFunc
 
-	// The intra-pipeline hops are lock-free rings (internal/ring), not
+	// The hops between goroutines are lock-free rings (internal/ring), not
 	// channels: the outcome window is single-producer single-consumer,
-	// jobs and results are multi-producer/consumer on the worker-pool
-	// side. Only the public output stream stays a channel. See the
-	// package doc in internal/ring for the memory-model and parking
-	// discipline.
+	// jobs is multi-consumer on the worker-pool side. A worker hands its
+	// result to the frontier under the frontier's lock instead (commit.go).
+	// Only the public output stream stays a channel. See the package doc
+	// in internal/ring for the memory-model and parking discipline.
 	jobs     *ring.MPMC[*chunk]
-	results  *ring.MPMC[*chunk]
 	outcomes *ring.SPSC[bool]
 	out      chan Output
 	records  []chunk       // chunk j in records[j&mask]; see newRecords
+	front    frontier      // the commit frontier, applied by one worker at a time
 	fper     Fingerprinter // prog's Fingerprinter extension, if any
 
 	// mu is the boundary lock, taken at chunk boundaries only. It makes
@@ -342,7 +348,7 @@ type Pipeline struct {
 	checkpoints atomic.Int64
 
 	chunks   atomic.Int64
-	resolved int64 // chunks whose EvOutputs went out: the commit stage's, then the reaper's
+	resolved int64 // chunks whose EvOutputs went out: the frontier's, then the reaper's
 	commits  atomic.Int64
 	aborts   atomic.Int64
 	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is producer-owned)
@@ -405,21 +411,18 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		ctx:    ctx,
 		outer:  outer,
 		cancel: cancel,
-		// jobs holds one slot per in-flight chunk, like results: chunks in
-		// flight are bounded by the outcome window below, so the producer
-		// never spins or parks on this hop.
+		// jobs holds one slot per in-flight chunk: chunks in flight are
+		// bounded by the outcome window below, so the producer never spins
+		// or parks on this hop.
 		jobs: ring.NewMPMC[*chunk](cfg.window() + 1),
-		// results holds one slot per in-flight chunk so workers never
-		// block behind the commit stage's reorder buffer.
-		results: ring.NewMPMC[*chunk](cfg.window() + 1),
 		// outcomes is the speculation window: the producer consumes
 		// exactly max(0, j-window) outcomes before sizing chunk j, which
 		// both bounds chunks in flight and keeps sizing deterministic.
 		// Capacity window+2 exceeds the maximum unconsumed backlog, so
-		// the commit stage never parks here.
+		// the frontier never parks here.
 		outcomes: ring.NewSPSC[bool](cfg.window() + 2),
 		// Two chunks of committed outputs may wait for the consumer before
-		// the commit stage does.
+		// the frontier does.
 		out:  make(chan Output, 2*cfg.ChunkSize),
 		ctl:  ctl,
 		done: make(chan struct{}),
@@ -429,6 +432,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	p.records = newRecords(p, cfg.window())
 	p.fper, _ = prog.(Fingerprinter)
 	p.resume = rs
+	p.front.init(p)
 	if ctl != nil {
 		// Keep the resizes mirror consistent with a restored controller so
 		// sizeFor's delta detection doesn't re-report historical resizes.
@@ -467,26 +471,25 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 			p.worker(w)
 		}()
 	}
-	committed := make(chan struct{})
-	go func() {
-		defer close(committed)
-		p.commit()
-	}()
 
-	// The reaper closes the results ring behind the last worker — which
-	// is what ends a draining commit stage — and, once that has exited
-	// too, ends the session on the event stream. An abandoned run drops
-	// its in-flight chunks without resolving them; EvSessionEnd carries
-	// their count, or each would leave a shared collector's in-flight
-	// gauge drifted upward for good. The boundary lock waits out a
-	// dispatch that passed its halt check before the session ended: no
+	// The reaper waits out the last worker, and with it the last holder of
+	// the frontier role. A halted session that drained — no fault, no
+	// cancel, so the frontier applied every announced chunk — captures the
+	// frontier one last time: that is its migration point. Then Outputs
+	// closes, and the session ends on the event stream. An abandoned run
+	// drops its in-flight chunks without resolving them; EvSessionEnd
+	// carries their count, or each would leave a shared collector's
+	// in-flight gauge drifted upward for good. The boundary lock waits out
+	// a dispatch that passed its halt check before the session ended: no
 	// chunk is announced after this read.
 	go func() {
 		defer close(p.done)
 		defer p.cancel() // every stage has exited; release the context
 		workers.Wait()
-		p.results.Close()
-		<-committed
+		if p.ckpt != nil && p.halted.Load() && p.ctx.Err() == nil {
+			p.haltSnapshot()
+		}
+		close(p.out)
 		p.mu.Lock()
 		dropped := p.chunks.Load() - p.resolved
 		p.mu.Unlock()

@@ -26,7 +26,7 @@ import (
 // terminal fault dispatch nothing partial and stop the session taking
 // input within one chunk; a Halt that races the producer never drops a
 // chunk it announced; no push pattern moves a boundary; and a session
-// costs Workers+2 goroutines, all gone after Wait. (The TestIngestWake
+// costs Workers+1 goroutines, all gone after Wait. (The TestIngestWake
 // names date from the assembler stage these tests first covered.)
 
 // chunkSizes records the size of every chunk the producer announced.
@@ -57,6 +57,30 @@ func wakeInputs(t *testing.T, n int) (engine.Program, []engine.Input) {
 		t.Fatalf("streamcluster has %d inputs, the test wants %d", len(inputs), n)
 	}
 	return b, inputs[:n]
+}
+
+// goroutineBase is the goroutine count once it has held still for 20 ms:
+// earlier tests' goroutines exit asynchronously.
+func goroutineBase() int {
+	base := runtime.NumGoroutine()
+	for stable := 0; stable < 20; stable++ {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != base {
+			base, stable = n, 0
+		}
+	}
+	return base
+}
+
+// goroutines waits up to 5 s for the goroutine count to reach want and
+// returns the last count it read: a session's reaper is still on its way
+// out when Wait returns.
+func goroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
 }
 
 // within fails the test if f has not returned after a generous bound: a
@@ -588,35 +612,21 @@ func TestProducerAbandonSettlesGauges(t *testing.T) {
 	settled("every session")
 }
 
-// TestProducerGoroutines: a live session is its worker pool, the commit
-// stage and the reaper — no assembler, no janitors — and Wait returns
-// only after the last of them is on its way out.
+// TestProducerGoroutines: a live session is its worker pool and the
+// reaper — no assembler, no commit goroutine (a worker applies the
+// frontier), no janitors — and Wait returns only after the last of them
+// is on its way out.
 func TestProducerGoroutines(t *testing.T) {
 	prog, inputs := wakeInputs(t, 40)
-	// goroutines waits for the count to reach want; earlier tests' (and,
-	// after Wait, this session's reaper's) goroutines exit asynchronously.
-	goroutines := func(want int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		return n
-	}
-	base := runtime.NumGoroutine()
-	for stable := 0; stable < 20; stable++ {
-		time.Sleep(time.Millisecond)
-		if n := runtime.NumGoroutine(); n != base {
-			base, stable = n, 0
-		}
-	}
+	base := goroutineBase()
 	for _, w := range []int{1, 3} {
 		p, err := engine.NewStream(context.Background(), prog, engine.StreamConfig{
 			ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: w, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := goroutines(base + w + 2); n != base+w+2 {
-			t.Errorf("Workers %d: a live session runs %d goroutines, want %d", w, n-base, w+2)
+		if n := goroutines(base + w + 1); n != base+w+1 {
+			t.Errorf("Workers %d: a live session runs %d goroutines, want %d", w, n-base, w+1)
 		}
 		for _, in := range inputs {
 			if err := p.Push(context.Background(), in); err != nil {

@@ -1,11 +1,15 @@
 package engine
 
-import "context"
+import (
+	"context"
+	"runtime"
+)
 
 // worker is one member of the speculative worker pool: it pulls dispatched
-// chunks and executes them on NativeExec, out of commit order. slotID
-// identifies the pool slot for event attribution (Recorder maps it to a
-// trace thread).
+// chunks, executes them on NativeExec out of commit order, and delivers
+// each to the frontier, applying the frontier itself when no other worker
+// is (deliver). slotID identifies the pool slot for event attribution
+// (Recorder maps it to a trace thread).
 func (p *Pipeline) worker(slotID int) {
 	for {
 		ck, err := p.jobs.Pop(p.ctx.Done())
@@ -13,9 +17,15 @@ func (p *Pipeline) worker(slotID int) {
 			return
 		}
 		ck.speculate(slotID)
-		if err := p.results.Push(p.ctx.Done(), ck); err != nil {
-			return
-		}
+		p.deliver(ck)
+		// Give up the processor before the next job. A goroutine this one
+		// readied — the producer on an outcome, the Outputs consumer on a
+		// send — waits in this processor's runnext slot until this one
+		// blocks, and a worker with a job queued never blocks: without the
+		// yield the serial stages sit runnable behind the next chunk and
+		// the window drains in bursts. Which goroutine runs when is outside
+		// the determinism contract; no committed byte depends on it.
+		runtime.Gosched()
 	}
 }
 
@@ -94,7 +104,8 @@ func (ck *chunk) localAttempt() error {
 // recoverChunk re-executes a mispeculated or faulted chunk in place from
 // the true state its committed predecessor produced, leaving the new
 // outputs, final state and original states in the record. It runs at the
-// commit frontier, serializing the pipeline for the chunk's length —
+// commit frontier, on the worker holding the role, serializing the
+// pipeline for the chunk's length —
 // exactly the mispeculation cost the paper's loss decomposition charges —
 // and it is the last rung of the degradation ladder: a returned fault
 // means every attempt faulted too, and the session must fail.

@@ -182,11 +182,14 @@ func TestWorkerProcessRespawn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 chunks: respawning is lazy (a dead worker's slot is refilled by
-	// the next borrower), so every planned death needs at least two later
-	// RunChunk calls behind it — its own retry and a chunk the speculation
-	// window only admits after it commits — for its respawn to be certain.
-	inputs := truncInputs(b, 50)
+	// 20 chunks: respawning is lazy (a dead worker's slot goes back to the
+	// pool's FIFO as a spawn token, behind the live process), so every
+	// planned death needs at least two later RunChunk calls behind it for
+	// its respawn to be certain: its own retry, which may draw the live
+	// process, and a chunk the speculation window only admits after the
+	// dead one commits. With the window at 2·Workers = 6 chunks, that is
+	// chunk c+7, so the last death, at chunk 5, needs a chunk 12.
+	inputs := truncInputs(b, 100)
 	cfg := engine.StreamConfig{
 		ChunkSize: 5, Lookback: 2, ExtraStates: 1, Workers: 3, Seed: 17,
 	}

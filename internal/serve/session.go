@@ -77,9 +77,11 @@ type session struct {
 	reading  bool // the pusher may have a body read in flight
 	body     notedBody
 
-	// Snapshots arrive synchronously from the commit stage, but a #ckpt
-	// line may only be written after every output it covers: they queue
-	// here with their due output count and flushCkpt writes them.
+	// Snapshots arrive synchronously from the engine's commit frontier —
+	// whichever of its workers holds it, or its reaper for the halt
+	// snapshot — but a #ckpt line may only be written after every output
+	// it covers: they queue here with their due output count and
+	// flushCkpt writes them.
 	ckptMu     sync.Mutex
 	ckptQ      []ckptLine
 	resumeBase int64 // outputs the restored session already delivered
