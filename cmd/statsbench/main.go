@@ -21,11 +21,10 @@
 // counters. Neither mode reports a time or an allocation figure: what the
 // native path costs is measured by the repository benchmark
 // (BENCHMARK.json, benchmark/).
-//
-// All modes accept -cpuprofile/-memprofile/-pprof for diagnosis.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,57 +35,60 @@ import (
 
 	_ "gostats/internal/bench/all"
 	"gostats/internal/experiments"
-	"gostats/internal/profiling"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated artifact ids (default: all); known: table1,fig9,fig10,fig11,fig12,fig13,fig14,table2,fig16")
-	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark names (default: all)")
-	cores := flag.String("cores", "14,28", "comma-separated simulated core counts")
-	qualityRuns := flag.Int("quality-runs", 30, "runs per distribution for fig16 (paper: 200)")
-	tune := flag.Int("tune", 0, "re-run the autotuner with this evaluation budget instead of the shipped configs")
-	repeats := flag.Int("repeats", 1, "apply the paper's convergence rule to fig9 with up to N runs per point")
-	outDir := flag.String("out", "", "also write one text file per artifact into this directory")
-	csvDir := flag.String("csv", "", "also write every tabular artifact as CSV into this directory")
-	verbose := flag.Bool("v", false, "print per-run progress to stderr")
-	list := flag.Bool("list", false, "list the available artifacts and exit")
-	seed := flag.Uint64("seed", 3, "nondeterminism seed")
-	inputSeed := flag.Uint64("input-seed", 1, "input-generation seed")
-	perfN := flag.Int("perf-n", 400, "with -autotune, cap the inputs per benchmark (0: native length)")
-	perfBench := flag.String("perf-benchmarks", "facetrack,streamcluster,streamclassifier,dedupstream", "with -autotune, comma-separated benchmarks to run")
-	workloadSpec := flag.String("workload", "", "replay this workload spec through adaptive streaming pipelines and print per-benchmark and per-phase commit/abort/resize counts as JSON")
-	autotune := flag.Bool("autotune", false, "run batch workloads with online adaptive chunk sizing and print the engine's counters")
-	prof := profiling.Register()
-	flag.Parse()
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatalf("%v", err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "statsbench: %v\n", err)
+		os.Exit(1)
 	}
-	defer stopProf()
-	// fatalf exits without unwinding; flush any active profile first so a
-	// failing run still leaves a usable -cpuprofile behind.
-	atExit = stopProf
+}
+
+// run parses args and writes what the selected mode prints to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("statsbench", flag.ContinueOnError)
+	only := fs.String("only", "", "comma-separated artifact ids (default: all); known: table1,fig9,fig10,fig11,fig12,fig13,fig14,table2,fig16")
+	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark names (default: all)")
+	cores := fs.String("cores", "14,28", "comma-separated simulated core counts")
+	qualityRuns := fs.Int("quality-runs", 30, "runs per distribution for fig16 (paper: 200)")
+	tune := fs.Int("tune", 0, "re-run the autotuner with this evaluation budget instead of the shipped configs")
+	repeats := fs.Int("repeats", 1, "apply the paper's convergence rule to fig9 with up to N runs per point")
+	outDir := fs.String("out", "", "also write one text file per artifact into this directory")
+	csvDir := fs.String("csv", "", "also write every tabular artifact as CSV into this directory")
+	verbose := fs.Bool("v", false, "print per-run progress to stderr")
+	list := fs.Bool("list", false, "list the available artifacts and exit")
+	seed := fs.Uint64("seed", 3, "nondeterminism seed")
+	inputSeed := fs.Uint64("input-seed", 1, "input-generation seed")
+	perfN := fs.Int("perf-n", 400, "with -autotune, cap the inputs per benchmark (0: native length)")
+	perfBench := fs.String("perf-benchmarks", "facetrack,streamcluster,streamclassifier,dedupstream", "with -autotune, comma-separated benchmarks to run")
+	workloadSpec := fs.String("workload", "", "replay this workload spec through adaptive streaming pipelines and print per-benchmark and per-phase commit/abort/resize counts as JSON")
+	autotune := fs.Bool("autotune", false, "run batch workloads with online adaptive chunk sizing and print the engine's counters")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *workloadSpec != "" {
-		if err := runWorkload(*workloadSpec, os.Stdout); err != nil {
-			fatalf("workload: %v", err)
+		if err := runWorkload(*workloadSpec, stdout); err != nil {
+			return fmt.Errorf("workload: %w", err)
 		}
-		return
+		return nil
 	}
 
 	if *autotune {
 		if err := runAutotune(strings.Split(*perfBench, ","), *perfN, *seed, *inputSeed); err != nil {
-			fatalf("autotune: %v", err)
+			return fmt.Errorf("autotune: %w", err)
 		}
-		return
+		return nil
 	}
 
 	if *list {
 		for _, a := range experiments.Artifacts() {
-			fmt.Printf("%-22s %s\n", a.ID, a.Title)
+			fmt.Fprintf(stdout, "%-22s %s\n", a.ID, a.Title)
 		}
-		return
+		return nil
 	}
 
 	opt := experiments.Options{
@@ -102,14 +104,14 @@ func main() {
 	for _, c := range strings.Split(*cores, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(c))
 		if err != nil || v < 1 {
-			fatalf("invalid core count %q", c)
+			return fmt.Errorf("invalid core count %q", c)
 		}
 		opt.Cores = append(opt.Cores, v)
 	}
 
 	session, err := experiments.NewSession(opt)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *verbose {
 		session.SetProgress(os.Stderr)
@@ -121,7 +123,7 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			a, ok := experiments.ArtifactByID(strings.TrimSpace(id))
 			if !ok {
-				fatalf("unknown artifact %q", id)
+				return fmt.Errorf("unknown artifact %q", id)
 			}
 			sel = append(sel, a)
 		}
@@ -130,48 +132,38 @@ func main() {
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatalf("creating %s: %v", *outDir, err)
+			return fmt.Errorf("creating %s: %w", *outDir, err)
 		}
 	}
 
 	for _, a := range arts {
-		fmt.Printf("==== %s: %s ====\n", a.ID, a.Title)
-		var w io.Writer = os.Stdout
+		fmt.Fprintf(stdout, "==== %s: %s ====\n", a.ID, a.Title)
+		w := stdout
 		var f *os.File
 		if *outDir != "" {
 			var err error
 			f, err = os.Create(filepath.Join(*outDir, a.ID+".txt"))
 			if err != nil {
-				fatalf("creating artifact file: %v", err)
+				return fmt.Errorf("creating artifact file: %w", err)
 			}
-			w = io.MultiWriter(os.Stdout, f)
+			w = io.MultiWriter(stdout, f)
 		}
 		if err := a.Run(session, w); err != nil {
-			fatalf("%s: %v", a.ID, err)
+			return fmt.Errorf("%s: %w", a.ID, err)
 		}
 		if f != nil {
 			if err := f.Close(); err != nil {
-				fatalf("closing artifact file: %v", err)
+				return fmt.Errorf("closing artifact file: %w", err)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	if *csvDir != "" {
 		if err := experiments.WriteCSVs(session, *csvDir); err != nil {
-			fatalf("writing CSVs: %v", err)
+			return fmt.Errorf("writing CSVs: %w", err)
 		}
-		fmt.Printf("CSV tables written to %s\n", *csvDir)
+		fmt.Fprintf(stdout, "CSV tables written to %s\n", *csvDir)
 	}
-}
-
-// atExit runs before fatalf's os.Exit (deferred cleanups don't).
-var atExit func()
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "statsbench: "+format+"\n", args...)
-	if atExit != nil {
-		atExit()
-	}
-	os.Exit(1)
+	return nil
 }
