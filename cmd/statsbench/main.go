@@ -1,26 +1,34 @@
-// Command statsbench regenerates the paper's tables and figures.
+// Command statsbench drives the simulated machine: it regenerates the
+// paper's tables and figures, profiles single runs, and prints or retunes
+// the tuned configuration table.
 //
 // Usage:
 //
 //	statsbench [-only fig9,table1] [-benchmarks a,b] [-cores 14,28]
-//	           [-quality-runs N] [-tune N] [-out dir] [-v]
+//	           [-chunks N] [-lookback N] [-extra N] [-width N]
+//	           [-quality-runs N] [-tune N] [-repeats N] [-seed N] [-input-seed N]
+//	           [-out dir] [-csv dir] [-v]
 //	statsbench -workload spec.json
-//	statsbench -autotune [-perf-benchmarks a,b] [-perf-n 400]
 //
 // With no flags it reproduces every artifact (Table I, Figs. 9–16,
-// Table II) for all six benchmarks at 14 and 28 simulated cores, printing
-// to stdout and, with -out, also writing one text file per artifact.
+// Table II, the extensions, the per-run profile and the tuned table) for
+// the paper's six benchmarks at 14 and 28 simulated cores, printing to
+// stdout and, with -out, also writing one text file per artifact.
+//
+// The paper's method is one pipeline, and so is this command: -tune N
+// re-runs the autotuner on the training inputs (§II-C) instead of using
+// the shipped table, `-only tuned` prints the table in force, and
+// `-only profile` breaks each mode's run down and decomposes the STATS
+// runs' critical paths (§V-B). -chunks, -lookback, -extra and -width
+// override the tuned configuration field by field in every artifact (0
+// keeps the tuned value; -width sets par-STATS only).
 //
 // With -workload it replays a workload spec (internal/workload) through
 // real adaptive streaming pipelines — one per trace session — and prints
 // per-benchmark commit/abort counts and autotune chunk-size trajectories,
-// phase-binned by arrival time, as JSON: a function of the spec alone.
-//
-// With -autotune it runs batch workloads under online adaptive chunk
-// sizing and prints the engine's commit, abort, resize and overhead
-// counters. Neither mode reports a time or an allocation figure: what the
-// native path costs is measured by the repository benchmark
-// (BENCHMARK.json, benchmark/).
+// phase-binned by arrival time, as JSON: a function of the spec alone. It
+// reports no time or allocation figure: what the native path costs is
+// measured by the repository benchmark (BENCHMARK.json, benchmark/).
 package main
 
 import (
@@ -33,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gostats/internal/autotune"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/experiments"
 )
@@ -49,23 +58,30 @@ func main() {
 
 // run parses args and writes what the selected mode prints to stdout.
 func run(args []string, stdout io.Writer) error {
+	var ids []string
+	for _, a := range experiments.Artifacts() {
+		ids = append(ids, a.ID)
+	}
+	known := strings.Join(ids, ",")
+
 	fs := flag.NewFlagSet("statsbench", flag.ContinueOnError)
-	only := fs.String("only", "", "comma-separated artifact ids (default: all); known: table1,fig9,fig10,fig11,fig12,fig13,fig14,table2,fig16")
-	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark names (default: all)")
+	only := fs.String("only", "", "comma-separated artifact ids (default: all): "+known)
+	benchmarks := fs.String("benchmarks", "", "comma-separated benchmark names (default: the paper's six)")
 	cores := fs.String("cores", "14,28", "comma-separated simulated core counts")
+	var override autotune.Point
+	fs.IntVar(&override.Chunks, "chunks", 0, "STATS parallel chunks (0: tuned)")
+	fs.IntVar(&override.Lookback, "lookback", 0, "alternative-producer lookback k (0: tuned)")
+	fs.IntVar(&override.ExtraStates, "extra", 0, "extra original states per boundary (0: tuned)")
+	fs.IntVar(&override.InnerWidth, "width", 0, "par-stats inner gang width (0: tuned)")
 	qualityRuns := fs.Int("quality-runs", 30, "runs per distribution for fig16 (paper: 200)")
 	tune := fs.Int("tune", 0, "re-run the autotuner with this evaluation budget instead of the shipped configs")
 	repeats := fs.Int("repeats", 1, "apply the paper's convergence rule to fig9 with up to N runs per point")
 	outDir := fs.String("out", "", "also write one text file per artifact into this directory")
 	csvDir := fs.String("csv", "", "also write every tabular artifact as CSV into this directory")
 	verbose := fs.Bool("v", false, "print per-run progress to stderr")
-	list := fs.Bool("list", false, "list the available artifacts and exit")
 	seed := fs.Uint64("seed", 3, "nondeterminism seed")
 	inputSeed := fs.Uint64("input-seed", 1, "input-generation seed")
-	perfN := fs.Int("perf-n", 400, "with -autotune, cap the inputs per benchmark (0: native length)")
-	perfBench := fs.String("perf-benchmarks", "facetrack,streamcluster,streamclassifier,dedupstream", "with -autotune, comma-separated benchmarks to run")
 	workloadSpec := fs.String("workload", "", "replay this workload spec through adaptive streaming pipelines and print per-benchmark and per-phase commit/abort/resize counts as JSON")
-	autotune := fs.Bool("autotune", false, "run batch workloads with online adaptive chunk sizing and print the engine's counters")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -77,32 +93,17 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	if *autotune {
-		if err := runAutotune(strings.Split(*perfBench, ","), *perfN, *seed, *inputSeed); err != nil {
-			return fmt.Errorf("autotune: %w", err)
-		}
-		return nil
-	}
-
-	if *list {
-		for _, a := range experiments.Artifacts() {
-			fmt.Fprintf(stdout, "%-22s %s\n", a.ID, a.Title)
-		}
-		return nil
-	}
-
 	opt := experiments.Options{
+		Benchmarks:  splitList(*benchmarks),
 		QualityRuns: *qualityRuns,
 		TuneBudget:  *tune,
+		Override:    override,
 		Repeats:     *repeats,
 		Seed:        *seed,
 		InputSeed:   *inputSeed,
 	}
-	if *benchmarks != "" {
-		opt.Benchmarks = strings.Split(*benchmarks, ",")
-	}
-	for _, c := range strings.Split(*cores, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(c))
+	for _, c := range splitList(*cores) {
+		v, err := strconv.Atoi(c)
 		if err != nil || v < 1 {
 			return fmt.Errorf("invalid core count %q", c)
 		}
@@ -119,15 +120,14 @@ func run(args []string, stdout io.Writer) error {
 
 	arts := experiments.Artifacts()
 	if *only != "" {
-		var sel []experiments.Artifact
-		for _, id := range strings.Split(*only, ",") {
-			a, ok := experiments.ArtifactByID(strings.TrimSpace(id))
+		arts = nil
+		for _, id := range splitList(*only) {
+			a, ok := experiments.ArtifactByID(id)
 			if !ok {
-				return fmt.Errorf("unknown artifact %q", id)
+				return fmt.Errorf("unknown artifact %q (known: %s)", id, known)
 			}
-			sel = append(sel, a)
+			arts = append(arts, a)
 		}
-		arts = sel
 	}
 
 	if *outDir != "" {
@@ -166,4 +166,16 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "CSV tables written to %s\n", *csvDir)
 	}
 	return nil
+}
+
+// splitList splits a comma-separated flag value into its trimmed, non-empty
+// entries.
+func splitList(s string) []string {
+	var out []string
+	for _, e := range strings.Split(s, ",") {
+		if e = strings.TrimSpace(e); e != "" {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -7,7 +7,7 @@
 //	            [-max-sessions 64] [-session-timeout 0] [-max-body 1073741824]
 //	            [-max-line 1048576] [-chunk-deadline 0] [-retries 2]
 //	            [-retry-base 1ms] [-retry-max 250ms] [-retry-after 1s]
-//	            [-instance statsserved]
+//	            [-instance statsserved] [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64] [-input-seed 1]
 //
 // In serving mode it accepts NDJSON sessions at
@@ -19,7 +19,10 @@
 // load gauges (active sessions, speculation-window occupancy, drain state,
 // labelled by -instance) that statsgate's least-loaded policy consumes;
 // /healthz reports liveness; /readyz reports routability (not-ready while
-// draining); GET /v1/benchmarks lists the streamable workloads.
+// draining); GET /v1/benchmarks lists the streamable workloads. With
+// -pprof it also serves net/http/pprof on a second address, kept off the
+// session listener: /debug/pprof/profile for a CPU profile, /heap for the
+// heap.
 //
 // The process is bounded on every axis a client controls: concurrent
 // sessions (-max-sessions, shed with a 429 whose Retry-After hint starts
@@ -48,6 +51,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 	"os/signal"
 	"syscall"
@@ -56,7 +60,6 @@ import (
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/engine"
-	"gostats/internal/profiling"
 	"gostats/internal/serve"
 	"gostats/internal/workload"
 )
@@ -85,15 +88,8 @@ func main() {
 	inputSeed := flag.Uint64("input-seed", 1, "with -gen, input-generation seed")
 	genSpec := flag.String("gen-spec", "", "print one session of this workload spec as NDJSON and exit")
 	genSession := flag.Int("gen-session", 0, "with -gen-spec, the session sequence number to print")
-	prof := profiling.Register()
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "statsserved:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	if *gen != "" || *genSpec != "" {
 		if err := generate(*gen, *n, *inputSeed, *genSpec, *genSession); err != nil {
@@ -122,6 +118,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *pprofAddr != "" {
+		go func() { log.Printf("statsserved: pprof listener: %v", http.ListenAndServe(*pprofAddr, nil)) }()
+	}
 	app := serve.New(base, serve.Options{
 		MaxSessions:    *maxSessions,
 		SessionTimeout: *sessionTimeout,

@@ -14,8 +14,8 @@
 //
 // The benchmark is registered under "fluidanimate" but is not part of
 // the default experiment suite (matching the paper's exclusion); run it
-// with `statsbench -benchmarks fluidanimate` or `statsrun -bench
-// fluidanimate` to reproduce the exclusion finding.
+// with `statsbench -only profile -benchmarks fluidanimate` to reproduce
+// the exclusion finding.
 package fluidanimate
 
 import (

@@ -74,37 +74,28 @@ func (s *StreamScheduler) Name() string { return "stream" }
 
 // RunSlice implements Scheduler.
 func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Report, error) {
-	scfg, err := streamConfig(inputs, cfg, s.Workers, s.Sink)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("engine: empty input stream")
+	}
 	bounds := Partition(len(inputs), cfg.Chunks)
-	scfg.Plan = make([]int, len(bounds))
+	scfg := StreamConfig{
+		Plan:        make([]int, len(bounds)),
+		Lookback:    cfg.Lookback,
+		ExtraStates: cfg.ExtraStates,
+		InnerWidth:  cfg.InnerWidth,
+		Workers:     s.Workers,
+		Seed:        cfg.Seed,
+		Fault:       cfg.Fault,
+		Sink:        s.Sink,
+	}
 	for i, b := range bounds {
 		scfg.Plan[i] = b[1] - b[0]
 	}
 	scfg.ChunkSize = scfg.Plan[0] // Partition puts the largest chunks first
 	return runStream(s.Ctx, p, inputs, scfg)
-}
-
-// streamConfig is the pipeline configuration running cfg's point in the
-// design space over a bounded slice; chunk sizing is the caller's.
-func streamConfig(inputs []Input, cfg Config, workers int, sink Sink) (StreamConfig, error) {
-	if err := cfg.Validate(); err != nil {
-		return StreamConfig{}, err
-	}
-	if len(inputs) == 0 {
-		return StreamConfig{}, fmt.Errorf("engine: empty input stream")
-	}
-	return StreamConfig{
-		Lookback:    cfg.Lookback,
-		ExtraStates: cfg.ExtraStates,
-		InnerWidth:  cfg.InnerWidth,
-		Workers:     workers,
-		Seed:        cfg.Seed,
-		Fault:       cfg.Fault,
-		Sink:        sink,
-	}, nil
 }
 
 // SimScheduler runs the batch chunk mapping on the cycle-accurate
@@ -162,22 +153,6 @@ func (s *SimScheduler) Accounting() machine.Accounting {
 // Machine returns the simulated machine of the last RunSlice (nil before
 // the first).
 func (s *SimScheduler) Machine() *machine.Machine { return s.m }
-
-// RunAdaptive executes the protocol over a bounded slice through the
-// streaming pipeline with the online chunk-size controller enabled
-// (autotune.Online): cfg.Chunks only seeds the initial chunk size
-// (ceil(len/Chunks)); from there commit/abort feedback retunes it. This is
-// the batch path's "-autotune" mode — same inputs, same protocol, but the
-// chunking emerges online instead of being fixed up front.
-func RunAdaptive(ctx context.Context, p Program, inputs []Input, cfg Config, workers int, sink Sink) (*Report, error) {
-	scfg, err := streamConfig(inputs, cfg, workers, sink)
-	if err != nil {
-		return nil, err
-	}
-	scfg.ChunkSize = (len(inputs) + cfg.Chunks - 1) / cfg.Chunks
-	scfg.Adapt = true
-	return runStream(ctx, p, inputs, scfg)
-}
 
 // runStream drives one pipeline session over a bounded slice and folds
 // the result into a batch-shaped Report.

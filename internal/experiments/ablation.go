@@ -56,15 +56,9 @@ func (s *Session) ablationRun(name string, cores int,
 	if err != nil {
 		return AblationRow{}, err
 	}
-	tc, err := s.tunedFor(name, cores)
+	cfg, err := s.cfgFor(name, profiler.ModeParSTATS, cores)
 	if err != nil {
 		return AblationRow{}, err
-	}
-	cfg := engine.Config{
-		Chunks:      tc.ParSTATS.Chunks,
-		Lookback:    tc.ParSTATS.Lookback,
-		ExtraStates: tc.ParSTATS.ExtraStates,
-		InnerWidth:  tc.ParSTATS.InnerWidth,
 	}
 	if mutateCfg != nil {
 		mutateCfg(&cfg)
@@ -213,50 +207,4 @@ func (s *Session) pick(names ...string) []string {
 		}
 	}
 	return out
-}
-
-// ablationArtifacts returns the extension artifacts.
-func ablationArtifacts() []Artifact {
-	return []Artifact{
-		{"scaling", "Scaling (extension) — STATS speedup vs cores", func(s *Session, w io.Writer) error {
-			a, err := s.Scaling()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			return nil
-		}},
-		{"ablation-copy", "Ablation (extension) — state-copy bandwidth", func(s *Session, w io.Writer) error {
-			a, err := s.AblationCopy()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			return nil
-		}},
-		{"ablation-sync", "Ablation (extension) — synchronization cost", func(s *Session, w io.Writer) error {
-			a, err := s.AblationSync()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			return nil
-		}},
-		{"ablation-lookback", "Ablation (extension) — lookback k", func(s *Session, w io.Writer) error {
-			a, err := s.AblationLookback()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			return nil
-		}},
-		{"ablation-extrastates", "Ablation (extension) — extra original states", func(s *Session, w io.Writer) error {
-			a, err := s.AblationExtraStates()
-			if err != nil {
-				return err
-			}
-			a.Render(w)
-			return nil
-		}},
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gostats/internal/autotune"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/critpath"
 	"gostats/internal/profiler"
@@ -252,7 +253,7 @@ func TestFig16(t *testing.T) {
 
 func TestArtifactRegistry(t *testing.T) {
 	arts := Artifacts()
-	want := []string{"table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table2", "fig16", "scaling", "ablation-copy", "ablation-sync", "ablation-lookback", "ablation-extrastates"}
+	want := []string{"table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table2", "fig16", "scaling", "ablation-copy", "ablation-sync", "ablation-lookback", "ablation-extrastates", "profile", "tuned"}
 	if len(arts) != len(want) {
 		t.Fatalf("artifacts = %d", len(arts))
 	}
@@ -413,5 +414,66 @@ func TestFig9WithRepeats(t *testing.T) {
 	}
 	if len(f.Rows) != 1 || f.Rows[0].SeqSTATS <= 0 {
 		t.Fatalf("rows = %+v", f.Rows)
+	}
+}
+
+// TestTunedRoundTripsShippedTable requires the tuned artifact, with no
+// tuning budget and no override, to print shippedTuned's declaration in
+// tuned.go byte for byte: the artifact is how a retuned table is
+// regenerated, so what it prints must be what the file holds.
+func TestTunedRoundTripsShippedTable(t *testing.T) {
+	src, err := os.ReadFile("tuned.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(src, []byte("var shippedTuned = "))
+	end := bytes.Index(src[start:], []byte("\n}\n"))
+	if start < 0 || end < 0 {
+		t.Fatal("tuned.go: no shippedTuned declaration")
+	}
+	want := string(src[start : start+end+3])
+
+	s, err := NewSession(Options{Cores: []int{14, 28}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := ArtifactByID("tuned")
+	if !ok {
+		t.Fatal("no tuned artifact")
+	}
+	var out bytes.Buffer
+	if err := a.Run(s, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		t.Fatalf("tuned artifact prints\n%s\ntuned.go declares\n%s", out.String(), want)
+	}
+}
+
+// TestTunedOverrideFieldByField holds the STATS config overrides to their
+// contract: a positive field replaces the tuned value in both STATS modes,
+// zero keeps it, and the width reaches par-STATS only.
+func TestTunedOverrideFieldByField(t *testing.T) {
+	s, err := NewSession(Options{
+		Benchmarks: []string{"bodytrack"},
+		Override:   autotune.Point{Lookback: 9, InnerWidth: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := s.tunedFor("bodytrack", 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := shippedTuned[tunedKey{"bodytrack", 28}]
+	want := TunedConfig{
+		SeqSTATS: autotune.Point{Chunks: shipped.SeqSTATS.Chunks, Lookback: 9, ExtraStates: shipped.SeqSTATS.ExtraStates, InnerWidth: 1},
+		ParSTATS: autotune.Point{Chunks: shipped.ParSTATS.Chunks, Lookback: 9, ExtraStates: shipped.ParSTATS.ExtraStates, InnerWidth: 4},
+	}
+	if tc != want {
+		t.Fatalf("overridden config %+v, want %+v", tc, want)
+	}
+	if _, err := NewSession(Options{Override: autotune.Point{Chunks: -1}}); err == nil {
+		t.Fatal("negative override accepted")
 	}
 }

@@ -130,87 +130,39 @@ type Artifact struct {
 	Run   func(s *Session, w io.Writer) error
 }
 
-// Artifacts lists every table and figure in paper order, followed by the
-// ablation extensions.
+// Artifacts lists every table and figure in paper order, the ablation
+// extensions, then the per-run profile and the tuned table.
 func Artifacts() []Artifact {
-	return append(paperArtifacts(), ablationArtifacts()...)
+	return []Artifact{
+		artifact("table1", "Table I — threads and states", (*Session).Table1),
+		artifact("fig9", "Fig. 9 — speedups by TLP source", (*Session).Fig9),
+		artifact("fig10", "Fig. 10 — loss breakdown (combined TLP)", (*Session).Fig10),
+		artifact("fig11", "Fig. 11 — extra computation breakdown (combined TLP)", (*Session).Fig11),
+		artifact("fig12", "Fig. 12 — loss breakdown (STATS TLP only)", (*Session).Fig12),
+		artifact("fig13", "Fig. 13 — extra computation breakdown (STATS TLP only)", (*Session).Fig13),
+		artifact("fig14", "Figs. 14/15 — extra instructions and their breakdown", (*Session).Fig14),
+		artifact("table2", "Table II — cache and branch behaviour", (*Session).Table2),
+		artifact("fig16", "Fig. 16 — output quality distributions", (*Session).Fig16),
+		artifact("scaling", "Scaling (extension) — STATS speedup vs cores", (*Session).Scaling),
+		artifact("ablation-copy", "Ablation (extension) — state-copy bandwidth", (*Session).AblationCopy),
+		artifact("ablation-sync", "Ablation (extension) — synchronization cost", (*Session).AblationSync),
+		artifact("ablation-lookback", "Ablation (extension) — lookback k", (*Session).AblationLookback),
+		artifact("ablation-extrastates", "Ablation (extension) — extra original states", (*Session).AblationExtraStates),
+		artifact("profile", "Profile — each mode's accounting, critical path and what-ifs", (*Session).Profile),
+		{"tuned", "Tuned configurations — the shippedTuned table", (*Session).Tuned},
+	}
 }
 
-func paperArtifacts() []Artifact {
-	return []Artifact{
-		{"table1", "Table I — threads and states", func(s *Session, w io.Writer) error {
-			r, err := s.Table1()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig9", "Fig. 9 — speedups by TLP source", func(s *Session, w io.Writer) error {
-			r, err := s.Fig9()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig10", "Fig. 10 — loss breakdown (combined TLP)", func(s *Session, w io.Writer) error {
-			r, err := s.Fig10()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig11", "Fig. 11 — extra computation breakdown (combined TLP)", func(s *Session, w io.Writer) error {
-			r, err := s.Fig11()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig12", "Fig. 12 — loss breakdown (STATS TLP only)", func(s *Session, w io.Writer) error {
-			r, err := s.Fig12()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig13", "Fig. 13 — extra computation breakdown (STATS TLP only)", func(s *Session, w io.Writer) error {
-			r, err := s.Fig13()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig14", "Figs. 14/15 — extra instructions and their breakdown", func(s *Session, w io.Writer) error {
-			r, err := s.Fig14()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"table2", "Table II — cache and branch behaviour", func(s *Session, w io.Writer) error {
-			r, err := s.Table2()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig16", "Fig. 16 — output quality distributions", func(s *Session, w io.Writer) error {
-			r, err := s.Fig16()
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-	}
+// artifact registers a result that renders itself.
+func artifact[R interface{ Render(io.Writer) }](id, title string, compute func(*Session) (R, error)) Artifact {
+	return Artifact{id, title, func(s *Session, w io.Writer) error {
+		r, err := compute(s)
+		if err != nil {
+			return err
+		}
+		r.Render(w)
+		return nil
+	}}
 }
 
 // ArtifactByID finds an artifact.

@@ -524,16 +524,11 @@ func (s *Session) Table2() (*Table2, error) {
 		if err != nil {
 			return nil, err
 		}
-		tc, err := s.tunedFor(name, cores)
+		cfg, err := s.cfgFor(name, profiler.ModeSeqSTATS, cores)
 		if err != nil {
 			return nil, err
 		}
-		row.STATS.Mem, err = runMem(profiler.ModeSeqSTATS, cores, engine.Config{
-			Chunks:      tc.SeqSTATS.Chunks,
-			Lookback:    tc.SeqSTATS.Lookback,
-			ExtraStates: tc.SeqSTATS.ExtraStates,
-			InnerWidth:  1,
-		})
+		row.STATS.Mem, err = runMem(profiler.ModeSeqSTATS, cores, cfg)
 		if err != nil {
 			return nil, err
 		}

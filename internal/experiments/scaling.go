@@ -40,7 +40,7 @@ func (s *Session) Scaling() (*Scaling, error) {
 		}
 		// Borrow the tuned short-memory settings from the largest
 		// configured core count.
-		tc, err := s.tunedFor(name, s.opt.MaxCores())
+		tuned, err := s.cfgFor(name, profiler.ModeSeqSTATS, s.opt.MaxCores())
 		if err != nil {
 			return nil, err
 		}
@@ -49,8 +49,8 @@ func (s *Session) Scaling() (*Scaling, error) {
 			// Respect the tuned chunk ceiling: if the autotuner backed off
 			// below the core count (mispeculation avoidance), scale that
 			// ceiling proportionally.
-			if tc.SeqSTATS.Chunks < s.opt.MaxCores() {
-				scaled := tc.SeqSTATS.Chunks * nc / s.opt.MaxCores()
+			if tuned.Chunks < s.opt.MaxCores() {
+				scaled := tuned.Chunks * nc / s.opt.MaxCores()
 				if scaled < 1 {
 					scaled = 1
 				}
@@ -58,13 +58,9 @@ func (s *Session) Scaling() (*Scaling, error) {
 					chunks = scaled
 				}
 			}
-			r, err := s.run(runKey{bench: name, mode: profiler.ModeSeqSTATS, cores: nc, chunksOverride: chunks},
-				engine.Config{
-					Chunks:      chunks,
-					Lookback:    tc.SeqSTATS.Lookback,
-					ExtraStates: tc.SeqSTATS.ExtraStates,
-					InnerWidth:  1,
-				})
+			cfg := tuned
+			cfg.Chunks = chunks
+			r, err := s.run(runKey{bench: name, mode: profiler.ModeSeqSTATS, cores: nc, chunksOverride: chunks}, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 
+	"gostats/internal/autotune"
 	"gostats/internal/bench"
 	"gostats/internal/engine"
 	"gostats/internal/profiler"
@@ -36,6 +37,11 @@ type Options struct {
 	// evaluations per benchmark instead of using the shipped tuned
 	// configurations.
 	TuneBudget int
+	// Override replaces the tuned STATS configuration field by field in
+	// every artifact: each positive field wins over the tuned value, zero
+	// keeps it. InnerWidth applies to par-STATS only, since seq-STATS runs
+	// at width 1 and the original program at its own width.
+	Override autotune.Point
 	// Repeats, when above 1, applies the paper's §IV-B convergence rule
 	// to the Fig. 9 speedups: each (benchmark, mode, cores) point is
 	// re-run with fresh seeds (up to Repeats runs, stopping early once
@@ -107,6 +113,9 @@ type Session struct {
 // NewSession builds a session; it fails on unknown benchmark names.
 func NewSession(opt Options) (*Session, error) {
 	opt = opt.withDefaults()
+	if o := opt.Override; o.Chunks < 0 || o.Lookback < 0 || o.ExtraStates < 0 || o.InnerWidth < 0 {
+		return nil, fmt.Errorf("experiments: negative override %s", o)
+	}
 	s := &Session{
 		opt:      opt,
 		benches:  map[string]bench.Benchmark{},
@@ -155,16 +164,20 @@ func (s *Session) cfgFor(name string, mode profiler.Mode, cores int) (engine.Con
 	if err != nil {
 		return engine.Config{}, err
 	}
-	pt := tc.SeqSTATS
 	if mode == profiler.ModeParSTATS {
-		pt = tc.ParSTATS
+		return configOf(tc.ParSTATS), nil
 	}
+	return configOf(tc.SeqSTATS), nil
+}
+
+// configOf is the engine configuration at a point of the design space.
+func configOf(pt autotune.Point) engine.Config {
 	return engine.Config{
 		Chunks:      pt.Chunks,
 		Lookback:    pt.Lookback,
 		ExtraStates: pt.ExtraStates,
 		InnerWidth:  pt.InnerWidth,
-	}, nil
+	}
 }
 
 // modeRun returns (cached) a run in the given mode with the tuned
@@ -192,16 +205,11 @@ func (s *Session) modeMedian(name string, mode profiler.Mode, cores int) (int64,
 // forcedChunksRun is the Fig. 12 variant: STATS TLP only, with exactly
 // `chunks` parallel chunks.
 func (s *Session) forcedChunksRun(name string, cores, chunks int) (*profiler.Result, error) {
-	tc, err := s.tunedFor(name, cores)
+	cfg, err := s.cfgFor(name, profiler.ModeSeqSTATS, cores)
 	if err != nil {
 		return nil, err
 	}
-	cfg := engine.Config{
-		Chunks:      chunks,
-		Lookback:    tc.SeqSTATS.Lookback,
-		ExtraStates: tc.SeqSTATS.ExtraStates,
-		InnerWidth:  1,
-	}
+	cfg.Chunks = chunks
 	return s.run(runKey{bench: name, mode: profiler.ModeSeqSTATS, cores: cores, chunksOverride: chunks}, cfg)
 }
 

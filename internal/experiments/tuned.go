@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"gostats/internal/autotune"
 	"gostats/internal/bench"
@@ -24,9 +25,10 @@ type tunedKey struct {
 	cores int
 }
 
-// shippedTuned holds the configurations found by `statstune -all`
-// (recorded in EXPERIMENTS.md). Regenerate with `statsbench -tune N` or
-// `statstune`.
+// shippedTuned holds the autotuner's picks at a budget of 40 evaluations
+// per search, validated on the native inputs among its top candidates
+// (EXPERIMENTS.md). `statsbench -only tuned -tune 40` prints a fresh
+// search's table as this declaration.
 var shippedTuned = map[tunedKey]TunedConfig{
 	{"bodytrack", 14}: {
 		SeqSTATS: autotune.Point{Chunks: 14, Lookback: 2, ExtraStates: 0, InnerWidth: 1},
@@ -80,39 +82,77 @@ var shippedTuned = map[tunedKey]TunedConfig{
 
 // tunedFor returns the configuration for (benchmark, cores): retuned live
 // when the session has a tuning budget, the shipped table otherwise, and
-// a heuristic fallback for unlisted core counts.
+// a heuristic fallback for unlisted core counts; then the session's
+// Override, field by field.
 func (s *Session) tunedFor(name string, cores int) (TunedConfig, error) {
 	key := tunedKey{name, cores}
 	if tc, ok := s.tuned[key]; ok {
 		return tc, nil
 	}
-	if s.opt.TuneBudget > 0 {
-		tc, err := TuneBenchmark(s.benches[name], cores, s.opt.TuneBudget, s.opt.InputSeed, s.opt.Seed)
-		if err != nil {
+	tc, shipped := shippedTuned[key]
+	switch {
+	case s.opt.TuneBudget > 0:
+		var err error
+		if tc, err = TuneBenchmark(s.benches[name], cores, s.opt.TuneBudget, s.opt.InputSeed, s.opt.Seed); err != nil {
 			return TunedConfig{}, err
 		}
-		s.tuned[key] = tc
-		return tc, nil
+	case !shipped:
+		// Heuristic fallback for unlisted core counts.
+		pt := autotune.Point{
+			Chunks:      engine.MaxChunks(s.inputLen[name], cores, 1),
+			Lookback:    6,
+			ExtraStates: 1,
+			InnerWidth:  1,
+		}
+		tc = TunedConfig{SeqSTATS: pt, ParSTATS: pt}
+		if w := s.benches[name].MaxInnerWidth(); w > 1 && cores >= 2*2 {
+			tc.ParSTATS.InnerWidth = 2
+			tc.ParSTATS.Chunks = engine.MaxChunks(s.inputLen[name], cores, 2)
+		}
 	}
-	if tc, ok := shippedTuned[key]; ok {
-		s.tuned[key] = tc
-		return tc, nil
+	o := s.opt.Override
+	for _, pt := range []*autotune.Point{&tc.SeqSTATS, &tc.ParSTATS} {
+		if o.Chunks > 0 {
+			pt.Chunks = o.Chunks
+		}
+		if o.Lookback > 0 {
+			pt.Lookback = o.Lookback
+		}
+		if o.ExtraStates > 0 {
+			pt.ExtraStates = o.ExtraStates
+		}
 	}
-	// Heuristic fallback for unlisted core counts.
-	b := s.benches[name]
-	pt := autotune.Point{
-		Chunks:      engine.MaxChunks(s.inputLen[name], cores, 1),
-		Lookback:    6,
-		ExtraStates: 1,
-		InnerWidth:  1,
-	}
-	tc := TunedConfig{SeqSTATS: pt, ParSTATS: pt}
-	if w := b.MaxInnerWidth(); w > 1 && cores >= 2*2 {
-		tc.ParSTATS.InnerWidth = 2
-		tc.ParSTATS.Chunks = engine.MaxChunks(s.inputLen[name], cores, 2)
+	if o.InnerWidth > 0 {
+		tc.ParSTATS.InnerWidth = o.InnerWidth
 	}
 	s.tuned[key] = tc
 	return tc, nil
+}
+
+// Tuned writes the session's configuration for every benchmark and core
+// count as the declaration of shippedTuned: with no tuning budget and no
+// Override it prints the shipped table back, with -tune N the table a
+// fresh search found, ready to replace it.
+func (s *Session) Tuned(w io.Writer) error {
+	point := func(field string, p autotune.Point) {
+		fmt.Fprintf(w, "\t\t%s: autotune.Point{Chunks: %d, Lookback: %d, ExtraStates: %d, InnerWidth: %d},\n",
+			field, p.Chunks, p.Lookback, p.ExtraStates, p.InnerWidth)
+	}
+	fmt.Fprintln(w, "var shippedTuned = map[tunedKey]TunedConfig{")
+	for _, name := range s.opt.Benchmarks {
+		for _, cores := range s.opt.Cores {
+			tc, err := s.tunedFor(name, cores)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "\t{%q, %d}: {\n", name, cores)
+			point("SeqSTATS", tc.SeqSTATS)
+			point("ParSTATS", tc.ParSTATS)
+			fmt.Fprintln(w, "\t},")
+		}
+	}
+	fmt.Fprintln(w, "}")
+	return nil
 }
 
 // TuneBenchmark runs the autotuner for one benchmark at one core count,
@@ -149,13 +189,8 @@ func TrainingObjective(b bench.Benchmark, training []engine.Input, cores int, se
 	return func(p autotune.Point) float64 {
 		total := 0.0
 		for _, s := range []uint64{seed, seed*2654435761 + 97} {
-			cfg := engine.Config{
-				Chunks:      p.Chunks,
-				Lookback:    p.Lookback,
-				ExtraStates: p.ExtraStates,
-				InnerWidth:  p.InnerWidth,
-				Seed:        s,
-			}
+			cfg := configOf(p)
+			cfg.Seed = s
 			m := machine.New(machine.DefaultConfig(cores))
 			var runErr error
 			if err := m.Run("main", func(th *machine.Thread) {

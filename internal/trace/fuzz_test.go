@@ -1,37 +1,6 @@
 package trace
 
-import (
-	"strings"
-	"testing"
-)
-
-// FuzzReadJSON hardens the trace deserializer against malformed input
-// (statsprof reads user-provided trace files).
-func FuzzReadJSON(f *testing.F) {
-	tr := New()
-	tr.Record(0, CatChunkWork, 0, 100, "c0")
-	tr.Record(1, CatSyncWait, 0, 50, "")
-	tr.AddEdge(EdgeWake, 0, 40, 1, 50)
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sb.String())
-	f.Add(`{}`)
-	f.Add(`{"intervals": null, "edges": [], "threads": -1, "span": -5}`)
-	f.Add(`{"intervals": [{"thread": 1e9}]}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		got, err := ReadJSON(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decodes must survive validation or be rejected by it —
-		// never panic.
-		_ = got.Validate()
-		_ = got.CyclesByCategory()
-		_ = got.BusyCycles()
-	})
-}
+import "testing"
 
 // FuzzRecordTimeline hardens the timeline renderer against arbitrary
 // interval patterns.

@@ -10,9 +10,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -98,12 +96,12 @@ func (c Category) Overhead() bool { return c != CatChunkWork && c != CatSeqCode 
 // Interval is one contiguous span of a thread's time attributed to a
 // category. Start and End are in simulated cycles.
 type Interval struct {
-	Thread int      `json:"thread"`
-	Cat    Category `json:"cat"`
-	Start  int64    `json:"start"`
-	End    int64    `json:"end"`
+	Thread int
+	Cat    Category
+	Start  int64
+	End    int64
 	// Tag carries free-form provenance, e.g. "chunk3" or "replica1".
-	Tag string `json:"tag,omitempty"`
+	Tag string
 }
 
 // Duration returns the interval length in cycles.
@@ -140,21 +138,21 @@ func (k EdgeKind) String() string {
 // Edge is a cross-thread happens-before constraint: the point (FromThread,
 // FromTime) must precede (ToThread, ToTime).
 type Edge struct {
-	Kind       EdgeKind `json:"kind"`
-	FromThread int      `json:"fromThread"`
-	FromTime   int64    `json:"fromTime"`
-	ToThread   int      `json:"toThread"`
-	ToTime     int64    `json:"toTime"`
+	Kind       EdgeKind
+	FromThread int
+	FromTime   int64
+	ToThread   int
+	ToTime     int64
 }
 
 // Trace is the complete record of one simulated run.
 type Trace struct {
-	Intervals []Interval `json:"intervals"`
-	Edges     []Edge     `json:"edges"`
+	Intervals []Interval
+	Edges     []Edge
 	// Threads is the number of threads that appear in the trace.
-	Threads int `json:"threads"`
+	Threads int
 	// Span is the observed makespan in cycles.
-	Span int64 `json:"span"`
+	Span int64
 
 	// lastIdx maps a thread to its most recently recorded interval so
 	// adjacent same-category slices (quantum-granular execution) merge
@@ -274,20 +272,4 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON serializes the trace for offline inspection (cmd/statsprof).
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// ReadJSON deserializes a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return &t, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,34 +117,6 @@ func TestValidateAcceptsGoodTrace(t *testing.T) {
 	tr.AddEdge(EdgeSpawn, 0, 10, 1, 15)
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tr := New()
-	tr.Record(0, CatChunkWork, 0, 42, "c0")
-	tr.Record(1, CatCompare, 5, 9, "")
-	tr.AddEdge(EdgeCommit, 0, 42, 1, 42)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Span != tr.Span || got.Threads != tr.Threads ||
-		len(got.Intervals) != len(tr.Intervals) || len(got.Edges) != len(tr.Edges) {
-		t.Fatalf("round trip mismatch: got %+v want %+v", got, tr)
-	}
-	if got.Intervals[0] != tr.Intervals[0] || got.Edges[0] != tr.Edges[0] {
-		t.Fatal("round trip altered contents")
-	}
-}
-
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("garbage JSON accepted")
 	}
 }
 
