@@ -522,30 +522,38 @@ var errAttemptAborted = errors.New("statsgate: attempt aborted")
 // proxy attempts. Bytes read from the client are retained until
 // release(), so an attempt that a backend sheds — always before it has
 // produced output, and in practice before it has consumed much input —
-// can be replayed in full to the next backend. After release() (first
-// output byte relayed: no more re-routes) the winning view reads
-// straight through and nothing further is retained, so a long session
-// costs no replay memory.
+// can be replayed in full to the next backend. release() (first output
+// byte relayed: no more re-routes) keeps only what the winning view has
+// not read yet; the winner reads that, then straight through, and nothing
+// further is retained, so a long session costs no replay memory.
+//
+// Retained bytes live in fixed-size blocks, never in one growing slice:
+// each source read lands in a block of its own, or — a short read that
+// fits — in the room left in the last one, so a retained byte is copied
+// at most once, and never again as the window grows. A block that release(),
+// trimToLine() or killAll() (the session's end) drops goes back to a
+// pool shared by every session.
 //
 // Reads of the underlying body are serialized by the reading flag, with
 // mu dropped during the (possibly blocking) source read itself, so
 // bookkeeping calls like release() and killAll() never wait on a client
 // that has paused uploading. A shed attempt's transport that is still
 // mid-read when the gateway moves on deposits whatever it consumed into
-// buf, where the successor view picks it up in order — no byte is lost
-// or reordered.
+// the window, where the successor view picks it up in order — no byte is
+// lost or reordered. The block a source read fills belongs to that read
+// until it lands, so nothing can recycle it under the read.
 type replayReader struct {
 	mu       sync.Mutex
-	cond     *sync.Cond // signals reading falling false / buf growth
+	cond     *sync.Cond // signals reading falling false / new bytes landing
 	src      io.Reader
-	reading  bool  // a source read is in flight (mu dropped)
-	start    int64 // absolute offset of buf[0]
-	buf      []byte
-	err      error // terminal src error, sticky
+	reading  bool    // a source read is in flight (mu dropped)
+	start    int64   // absolute offset of the first retained byte
+	end      int64   // absolute offset just past the last byte read from src
+	blocks   []block // the retained bytes [start, end), in order
+	err      error   // terminal src error, sticky
 	released bool
 	winner   *replayView // sole view allowed to read post-release
 	dead     bool        // killAll: every view refuses further reads
-	tmp      []byte
 
 	// Input-line bookkeeping for checkpointed sessions (trackLines): nl
 	// holds the absolute offset just past each retained non-blank line's
@@ -555,12 +563,26 @@ type replayReader struct {
 	// input count) onto byte offsets, so trimToLine can bound retained
 	// memory by checkpoint lag and viewAtLine can start a resume body
 	// exactly at an input-line boundary. Checkpointed sessions never
-	// release(), so every byte flows through buf and is seen here.
+	// release(), so every byte lands in the window and is seen here.
 	track   bool
 	nl      []int64
 	nlBase  int64
 	midLine bool // the current unterminated line has non-blank content
 }
+
+// blockSize is one source read's room, and a retained block's size.
+const blockSize = 32 << 10
+
+// blockPool holds the blocks no session retains.
+var blockPool = sync.Pool{New: func() any { return new([blockSize]byte) }}
+
+// block is buf[lo:hi], a run of retained bytes.
+type block struct {
+	buf    *[blockSize]byte
+	lo, hi int
+}
+
+func (b block) bytes() []byte { return b.buf[b.lo:b.hi] }
 
 func newReplayReader(src io.Reader) *replayReader {
 	rr := &replayReader{src: src}
@@ -578,7 +600,7 @@ func (rr *replayReader) trackLines() {
 	rr.mu.Unlock()
 }
 
-// recordLines folds a freshly-buffered chunk (whose first byte sits at
+// recordLines folds a freshly-landed chunk (whose first byte sits at
 // absolute offset base) into the line index. Caller holds mu.
 func (rr *replayReader) recordLines(b []byte, base int64) {
 	for i, c := range b {
@@ -594,6 +616,62 @@ func (rr *replayReader) recordLines(b []byte, base int64) {
 			rr.midLine = true
 		}
 	}
+}
+
+// land appends the n bytes a source read put in buf to the window, and
+// returns buf to the pool unless it became the window's last block.
+// Bytes landing after killAll are nobody's. Caller holds mu.
+func (rr *replayReader) land(buf *[blockSize]byte, n int) {
+	if n > 0 && !rr.dead {
+		if rr.track {
+			rr.recordLines(buf[:n], rr.end)
+		}
+		rr.end += int64(n)
+		if k := len(rr.blocks); k > 0 && blockSize-rr.blocks[k-1].hi >= n {
+			last := &rr.blocks[k-1]
+			last.hi += copy(last.buf[last.hi:], buf[:n])
+		} else {
+			rr.blocks = append(rr.blocks, block{buf: buf, hi: n})
+			return
+		}
+	}
+	blockPool.Put(buf)
+}
+
+// drop stops retaining the bytes before off, recycling every block that
+// holds nothing else. Caller holds mu.
+func (rr *replayReader) drop(off int64) {
+	off = min(off, rr.end)
+	if off <= rr.start {
+		return
+	}
+	k := 0
+	for ; k < len(rr.blocks); k++ {
+		b := &rr.blocks[k]
+		n := int64(b.hi - b.lo)
+		if rr.start+n > off {
+			b.lo += int(off - rr.start)
+			break
+		}
+		rr.start += n
+		blockPool.Put(b.buf)
+	}
+	rr.blocks = slices.Delete(rr.blocks, 0, k)
+	rr.start = off
+}
+
+// copyAt copies retained bytes from absolute offset off, at most to the
+// end of the block that holds it. Caller holds mu; start <= off < end.
+func (rr *replayReader) copyAt(p []byte, off int64) int {
+	pos := rr.start
+	for _, b := range rr.blocks {
+		bs := b.bytes()
+		if off < pos+int64(len(bs)) {
+			return copy(p, bs[off-pos:])
+		}
+		pos += int64(len(bs))
+	}
+	return 0
 }
 
 // trimToLine discards retained bytes before the start of input line n
@@ -612,16 +690,14 @@ func (rr *replayReader) trimToLine(n int64) {
 	if idx >= int64(len(rr.nl)) {
 		return // frontier past what has been read; nothing safe to cut
 	}
-	cut := rr.nl[idx]
-	rr.buf = append([]byte(nil), rr.buf[cut-rr.start:]...)
-	rr.nl = append([]int64(nil), rr.nl[idx+1:]...)
-	rr.start = cut
+	rr.drop(rr.nl[idx])
+	rr.nl = rr.nl[:copy(rr.nl, rr.nl[idx+1:])]
 	rr.nlBase = n
 }
 
 // viewAtLine returns a view whose reads start at input line n — the
 // inputs a resumed session still needs. n is the latest checkpoint
-// frontier, which trimToLine has made the retained-buffer origin.
+// frontier, which trimToLine has made the retained-window origin.
 func (rr *replayReader) viewAtLine(n int64) *replayView {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -633,21 +709,23 @@ func (rr *replayReader) viewAtLine(n int64) *replayView {
 }
 
 // release pins the winning view and stops retaining replayed bytes:
-// re-routing is over. Never blocks on client I/O.
+// re-routing is over. What the winner has not read yet stays until it
+// has. Never blocks on client I/O.
 func (rr *replayReader) release(winner *replayView) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	rr.released = true
 	rr.winner = winner
-	rr.start += int64(len(rr.buf))
-	rr.buf = nil
+	rr.drop(winner.off)
 }
 
-// killAll makes every view (current and stale) refuse further reads.
+// killAll makes every view (current and stale) refuse further reads, and
+// recycles the window.
 func (rr *replayReader) killAll() {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
 	rr.dead = true
+	rr.drop(rr.end)
 	rr.cond.Broadcast()
 }
 
@@ -688,9 +766,12 @@ func (v *replayView) Read(p []byte) (int, error) {
 			// which the proxy loop never does.
 			return 0, errors.New("statsgate: replay window released")
 		}
-		if v.off < rr.start+int64(len(rr.buf)) {
-			n := copy(p, rr.buf[v.off-rr.start:])
+		if v.off < rr.end {
+			n := rr.copyAt(p, v.off)
 			v.off += int64(n)
+			if rr.released {
+				rr.drop(v.off) // only the winner reads now
+			}
 			return n, nil
 		}
 		if rr.err != nil {
@@ -698,7 +779,7 @@ func (v *replayView) Read(p []byte) (int, error) {
 		}
 		if rr.reading {
 			// Another view's source read is in flight; when it lands its
-			// bytes in buf (or errors out), re-check from the top.
+			// bytes in the window (or errors out), re-check from the top.
 			rr.cond.Wait()
 			continue
 		}
@@ -710,7 +791,8 @@ func (v *replayView) Read(p []byte) (int, error) {
 			n, err := rr.src.Read(p)
 			rr.mu.Lock()
 			rr.reading = false
-			rr.start += int64(n)
+			rr.end += int64(n)
+			rr.start = rr.end
 			v.off += int64(n)
 			if err != nil {
 				rr.err = err
@@ -724,24 +806,16 @@ func (v *replayView) Read(p []byte) (int, error) {
 			}
 			continue
 		}
-		// Pull a fresh chunk into the shared buffer, mu dropped during
-		// the read; even if this view is abandoned mid-read, the bytes
-		// are retained for successors.
-		if rr.tmp == nil {
-			rr.tmp = make([]byte, 32<<10) // on first use: a refused session never reads
-		}
+		// Pull a fresh block into the window, mu dropped during the read;
+		// even if this view is abandoned mid-read, the bytes are retained
+		// for successors.
+		buf := blockPool.Get().(*[blockSize]byte)
 		rr.reading = true
 		rr.mu.Unlock()
-		n, err := rr.src.Read(rr.tmp)
+		n, err := rr.src.Read(buf[:])
 		rr.mu.Lock()
 		rr.reading = false
-		if n > 0 {
-			base := rr.start + int64(len(rr.buf))
-			rr.buf = append(rr.buf, rr.tmp[:n]...)
-			if rr.track {
-				rr.recordLines(rr.tmp[:n], base)
-			}
-		}
+		rr.land(buf, n)
 		if err != nil {
 			rr.err = err
 		}

@@ -6,7 +6,7 @@ package bench
 
 // eiselLemire64 and the rows of powersOfTen are taken from the Go
 // toolchain's strconv/eisel_lemire.go (the license above is Go's, at
-// https://go.dev/LICENSE); decimalToFloat, around them, is this
+// https://go.dev/LICENSE); clinger, before them, is this
 // repository's. strconv has no entry point that takes digits already
 // gathered, and gathering them is what Cursor.Float has to do anyway to
 // check JSON's number grammar, so the conversion is repeated here and the
@@ -17,28 +17,28 @@ import (
 	"math/bits"
 )
 
-// decimalToFloat returns the float64 nearest man·10^exp10, negated if
-// neg, by the two exact methods strconv.ParseFloat tries first. Each
-// either gives the correctly rounded result or declines, so a result
-// from here equals ParseFloat's bit for bit; ok is false for what
-// neither settles — an exponent outside the table, a value half-way
-// between two floats, a subnormal, an overflow — and the caller hands
-// those literals to ParseFloat.
-func decimalToFloat(man uint64, exp10 int, neg bool) (f float64, ok bool) {
-	// Clinger's fast path: a mantissa below 2^53 and a power of ten up to
-	// 1e22 are both exact float64s, so one multiplication or division
-	// rounds once, correctly.
-	if man>>53 == 0 && -22 <= exp10 && exp10 <= 22 {
-		f = float64(man)
-		if neg {
-			f = -f
-		}
-		if exp10 < 0 {
-			return f / pow10[-exp10], true
-		}
-		return f * pow10[exp10], true
+// clinger returns the float64 nearest man·10^exp10, negated if neg, by
+// Clinger's fast path, the first exact method strconv.ParseFloat tries: a
+// mantissa below 2^53 and a power of ten up to 1e22 are both exact
+// float64s, so one multiplication or division rounds once, correctly. It
+// is small enough to inline, which keeps the common literal free of a
+// call; what it declines goes to eiselLemire64, the second method. Each
+// either gives the correctly rounded result or declines, so a result from
+// either equals ParseFloat's bit for bit; what neither settles — an
+// exponent outside the table, a value half-way between two floats, a
+// subnormal, an overflow — the caller hands to ParseFloat.
+func clinger(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	if man>>53 != 0 || exp10 < -22 || exp10 > 22 {
+		return 0, false
 	}
-	return eiselLemire64(man, exp10, neg)
+	f = float64(int64(man))
+	if neg {
+		f = -f
+	}
+	if exp10 < 0 {
+		return f / pow10[-exp10], true
+	}
+	return f * pow10[exp10], true
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.

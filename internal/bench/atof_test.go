@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -160,6 +161,66 @@ func TestPowersOfTen(t *testing.T) {
 		}
 		if got := 217706 * e >> 16; got != log2 {
 			t.Errorf("1e%d: 217706*e>>16 = %d, floor(log2) = %d", e, got, log2)
+		}
+	}
+}
+
+// TestCursorFloatWordSteps holds the eight-digit step of Cursor.Float's
+// fraction loop to strconv.ParseFloat at its edges: every literal alone
+// (so it ends at the end of the line) and before a comma. Dropping the
+// step's man < 1e11 guard fails "guard/9999.9999999999999999" among
+// others: the mantissa crosses 1e11 inside the fraction's first word, and
+// a second step overflows it.
+func TestCursorFloatWordSteps(t *testing.T) {
+	const ds = "1234567890123456789012345678901234567890"
+	var cases [][2]string // name, literal
+	add := func(name, lit string) { cases = append(cases, [2]string{name, lit}) }
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 19, 20, 25} {
+		add(fmt.Sprintf("run%d", n), "0."+ds[:n])
+		add(fmt.Sprintf("run%d/int", n), "-42."+ds[:n])
+		add(fmt.Sprintf("run%d/exp", n), "9."+ds[len(ds)-n:]+"e-7")
+	}
+	// A literal whose last word ends it exactly: at the end of the line
+	// alone, before a separator in checkFloat's second reading.
+	add("boundary/8", "0.87654321")
+	add("boundary/16", "0.8765432187654321")
+	add("boundary/24", "0.876543218765432187654321")
+	// Zeros ahead of the first significant digit, across a word: they
+	// only scale, so the guard must not count them.
+	add("zeros/12", "0.0000000000001234567890123456789")
+	add("zeros/16", "0.00000000000000001")
+	add("zeros/8", "0.0000000012345678901234567890")
+	add("zeros/7", "-0.0000000123456789012345678901234")
+	add("zeros/all", "0.0000000000000000000000000")
+	// The integer part sets how much room the mantissa has left.
+	add("guard/1234.5678901234567890", "1234.5678901234567890")
+	add("guard/9999.9999999999999999", "9999.9999999999999999")
+	add("guard/999.9999999999999999", "999.9999999999999999")
+	add("guard/int11", "12345678901.2345678912345678")
+	add("guard/int12", "123456789012.12345678")
+	add("guard/int19", "1234567890123456789.12345678")
+	for _, c := range cases {
+		t.Run(c[0], func(t *testing.T) { checkFloat(t, c[1]) })
+	}
+
+	// A byte just outside '0'..'9' at each position of the fraction's first
+	// two words ends the literal there: the step must see it, the byte
+	// loop take the digits before it, and a fraction of no digits fail.
+	for _, bad := range []byte{'/', ':', 0x80, 0xFF} {
+		for p := 0; p < 16; p++ {
+			lit := "0." + ds[:p] + string([]byte{bad}) + ds[p:20]
+			c := NewCursor([]byte(lit))
+			got := c.Float()
+			if p == 0 {
+				if !c.bad {
+					t.Errorf("Float(%q) took a fraction of no digits", lit)
+				}
+				continue
+			}
+			want, _ := strconv.ParseFloat(lit[:2+p], 64)
+			if c.bad || c.i != 2+p || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Float(%q) = %v, stopped at %d; want %v, stopped at %d", lit, got, c.i, want, 2+p)
+			}
 		}
 	}
 }

@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 )
@@ -219,21 +221,70 @@ func (c *Cursor) number() []byte {
 // are at most 18, and 19 always fit a uint64.
 const manRoom = 1e18
 
+// notDigits maps each byte of v that is '0' to '9' to zero and every
+// other byte to non-zero. A byte is a digit iff its high nibble is 3 and
+// adding 6 leaves it 3 (so its low nibble is at most 9). A byte of 0xFA
+// and up carries into the next byte, but is not a digit itself, so the
+// result is still zero iff all eight are digits, and exact up to the
+// first that is not.
+func notDigits(v uint64) uint64 {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return (v&hi | (v+0x0606060606060606)&hi>>4) ^ 0x3333333333333333
+}
+
+// digitRun is how many bytes of v come before its first non-digit, given
+// x = notDigits(v) != 0: the top bit of every non-zero byte of x, found
+// without a carry between bytes, and the lowest of them counted.
+func digitRun(x uint64) int {
+	const low7 = 0x7F7F7F7F7F7F7F7F
+	return bits.TrailingZeros64((x&low7+low7|x)&^low7) >> 3
+}
+
+// pow10Int holds the powers of ten a digitRun can scale by.
+var pow10Int = [8]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}
+
+// eightDigitsValue folds eight ASCII digits, loaded little-endian (the
+// first digit in the low byte), into their value in three multiplies: one
+// forms the four two-digit pairs, and two more weigh the pairs by 10^6,
+// 10^4, 10^2 and 1 and sum them in the high half.
+func eightDigitsValue(v uint64) uint64 {
+	const (
+		mask = 0x000000FF000000FF
+		mul1 = 100 + 1000000<<32 // pairs 0 and 2 of the four
+		mul2 = 1 + 10000<<32     // pairs 1 and 3
+	)
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // each even byte holds its digit pair's value, 0 to 99
+	return uint64(uint32((v&mask*mul1 + v>>16&mask*mul2) >> 32))
+}
+
 // Float reads a number to the float64 encoding/json reads it to, which
-// is strconv.ParseFloat's. One walk over the literal checks JSON's
-// grammar — strconv accepts more than JSON does (hex, underscores, "+1",
-// "Inf", "01", "1.") — and gathers what the conversion needs: the first
-// 19 significant digits as an integer, the power of ten that scales it,
-// and whether any non-zero digit was left out. decimalToFloat converts
-// that exactly or declines; what it declines, and a literal whose
-// digits did not all fit, goes to ParseFloat as the slice just
-// delimited, the way a codec hands a line it does not take to
-// json.Unmarshal.
+// is strconv.ParseFloat's.
 func (c *Cursor) Float() float64 {
 	if c.bad {
 		return 0
 	}
-	b, i := c.b, c.i
+	f, end, ok := readFloat(c.b, c.i)
+	if !ok {
+		c.bad = true
+		return 0
+	}
+	c.i = end
+	return f
+}
+
+// readFloat reads the number at b[start:] and returns it and the index
+// after it, or ok false if there is no JSON number there that float64 can
+// hold. One walk over the literal checks JSON's grammar — strconv accepts
+// more than JSON does (hex, underscores, "+1", "Inf", "01", "1.") — and
+// gathers what the conversion needs: the first 19 significant digits as
+// an integer, the power of ten that scales it, and whether any non-zero
+// digit was left out. clinger, then eiselLemire64, converts that exactly
+// or declines; what both decline, and a literal whose digits did not all
+// fit, goes to ParseFloat as the slice just delimited, the way a codec
+// hands a line it does not take to json.Unmarshal.
+func readFloat(b []byte, start int) (f float64, end int, ok bool) {
+	i := start
 	neg := i < len(b) && b[i] == '-'
 	if neg {
 		i++
@@ -256,12 +307,29 @@ func (c *Cursor) Float() float64 {
 		}
 	}
 	if i == first || b[first] == '0' && i > first+1 {
-		c.bad = true // no digits, or a leading zero
-		return 0
+		return 0, 0, false // no digits, or a leading zero
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		first = i
+		// Eight digits a step while all eight are kept: below 1e11 the
+		// mantissa has at most 11 digits, so it ends the step with at most
+		// 19 — the digits the byte loop would have kept one at a time. A
+		// word that ends the run takes its digits in the same step: moved
+		// to the top of the word over '0's, they fold the same way.
+		for man < 1e11 && len(b)-i >= 8 {
+			v := binary.LittleEndian.Uint64(b[i:])
+			if x := notDigits(v); x != 0 {
+				n := digitRun(x)
+				man = man*pow10Int[n] + eightDigitsValue(v<<(64-8*uint(n))|0x3030303030303030>>(8*uint(n)))
+				exp10 -= n
+				i += n
+				break
+			}
+			man = man*1e8 + eightDigitsValue(v)
+			exp10 -= 8
+			i += 8
+		}
 		for ; i < len(b) && b[i]-'0' <= 9; i++ {
 			d := uint64(b[i] - '0')
 			if man < manRoom {
@@ -272,8 +340,7 @@ func (c *Cursor) Float() float64 {
 			}
 		}
 		if i == first {
-			c.bad = true
-			return 0
+			return 0, 0, false
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
@@ -291,27 +358,24 @@ func (c *Cursor) Float() float64 {
 			}
 		}
 		if i == first {
-			c.bad = true
-			return 0
+			return 0, 0, false
 		}
 		if eneg {
 			e = -e
 		}
 		exp10 += e
 	}
-	lit := b[c.i:i]
-	c.i = i
 	if exact {
-		if f, ok := decimalToFloat(man, exp10, neg); ok {
-			return f
+		f, ok := clinger(man, exp10, neg)
+		if !ok {
+			f, ok = eiselLemire64(man, exp10, neg)
+		}
+		if ok {
+			return f, i, true
 		}
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		c.bad = true
-		return 0
-	}
-	return f
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, i, err == nil
 }
 
 // Int reads an integer that fits an int.
@@ -351,14 +415,32 @@ func (c *Cursor) Bool() bool {
 	return false
 }
 
-// Floats reads an array of exactly len(dst) numbers into dst.
+// Floats reads an array of exactly len(dst) numbers into dst. The line
+// and the index stay in locals for the walk; after a mismatch what is
+// left of dst is zero, as the Float calls it stands for would leave it.
 func (c *Cursor) Floats(dst []float64) {
-	c.Lit("[")
-	for i := range dst {
-		c.Comma(i)
-		dst[i] = c.Float()
+	if !c.tryByte('[') {
+		c.bad = true
 	}
-	c.Lit("]")
+	ok, b, i := !c.bad, c.b, c.i
+	for k := range dst {
+		if ok && k > 0 {
+			ok = i < len(b) && b[i] == ','
+			i++
+		}
+		if ok {
+			dst[k], i, ok = readFloat(b, i)
+		}
+		if !ok {
+			c.bad = true
+			clear(dst[k:])
+			return
+		}
+	}
+	c.i = i
+	if !c.tryByte(']') {
+		c.bad = true
+	}
 }
 
 // Elems sizes the slice for the array whose '[' was just consumed. Its

@@ -1,6 +1,7 @@
 package streamcluster
 
 import (
+	"bytes"
 	"fmt"
 
 	"gostats/internal/bench"
@@ -33,14 +34,18 @@ func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	return blk, nil
 }
 
+// scanBlock sizes Points by the line's '[': one opens each point, and
+// 2+k more open the two outer arrays and Truth's rows. A canonical line
+// has no '[' elsewhere, so the count is exact there, and the cap keeps a
+// line of brackets from asking for more than its length could hold.
 func scanBlock(data []byte) (blk Block, ok bool) {
 	c := bench.NewCursor(data)
 	c.Lit(`{"Points":[`)
-	blk.Points = make([][dims]float64, 0, c.Elems("],", "]]", pointBytes))
+	n := bytes.Count(data, []byte("[")) - 2 - k
+	blk.Points = make([][dims]float64, 0, max(0, min(n, len(data)/pointBytes)))
 	for i := 0; c.Next(i); i++ {
-		var p [dims]float64
-		c.Floats(p[:])
-		blk.Points = append(blk.Points, p)
+		blk.Points = append(blk.Points, [dims]float64{})
+		c.Floats(blk.Points[i][:])
 	}
 	c.Lit(`,"Truth":`)
 	scanCenters(&c, &blk.Truth)

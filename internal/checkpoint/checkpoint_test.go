@@ -2,8 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,4 +168,73 @@ func TestCheckpointValidate(t *testing.T) {
 func restamp(raw []byte) {
 	crc := crc32.Checksum(raw[4:len(raw)-4], castagnoli)
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc)
+}
+
+// envelope frames payload the way Encode does, with a valid CRC, so a
+// fuzzed payload reaches the JSON decoder instead of failing the CRC.
+func envelope(payload []byte) []byte {
+	buf := append([]byte(nil), magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, Version)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(magic):], castagnoli))
+}
+
+// sameSnapshot is reflect.DeepEqual up to what the payload cannot tell
+// apart: an omitempty slice that is empty encodes as one that is nil.
+func sameSnapshot(a, b *Snapshot) bool {
+	norm := func(s Snapshot) Snapshot {
+		if len(s.PrevWindow) == 0 {
+			s.PrevWindow = nil
+		}
+		if len(s.Lineage) == 0 {
+			s.Lineage = nil
+		}
+		if len(s.Pending) == 0 {
+			s.Pending = nil
+		}
+		return s
+	}
+	return reflect.DeepEqual(norm(*a), norm(*b))
+}
+
+// FuzzCheckpointDecode: whatever arrives as a snapshot — an envelope, its
+// base64 form on a #ckpt or #resume line, or a payload inside a valid
+// envelope — Decode and DecodeString return a snapshot or an error, never
+// a panic, and a snapshot they return re-encodes to an envelope that
+// decodes to the same snapshot.
+func FuzzCheckpointDecode(f *testing.F) {
+	payload, err := json.Marshal(sampleSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw := envelope(payload)
+	f.Add(payload)
+	f.Add(raw)
+	f.Add([]byte(base64.StdEncoding.EncodeToString(raw)))
+	f.Add([]byte(`{"benchmark":"x","workers":1,"prev_window":[],"pending":[]}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"lineage":[null,""],"controller":{"history":null}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, try := range []func() (*Snapshot, error){
+			func() (*Snapshot, error) { return Decode(data) },
+			func() (*Snapshot, error) { return DecodeString(string(data)) },
+			func() (*Snapshot, error) { return Decode(envelope(data)) },
+		} {
+			s, err := try()
+			if err != nil {
+				continue
+			}
+			again, err := Encode(s)
+			if err != nil {
+				t.Fatalf("a decoded snapshot does not encode: %v", err)
+			}
+			back, err := Decode(again)
+			if err != nil {
+				t.Fatalf("a re-encoded snapshot does not decode: %v", err)
+			}
+			if !sameSnapshot(s, back) {
+				t.Fatalf("round trip changed the snapshot:\n%+v\n%+v", s, back)
+			}
+		}
+	})
 }
