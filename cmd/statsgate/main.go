@@ -8,14 +8,12 @@
 //	          [-rate 0] [-burst 1] [-probe-interval 500ms]
 //	          [-probe-fails 2] [-grace 15s]
 //	          [-migrate] [-ckpt-every 32]
-//	statsgate -sim [-sim-policies roundrobin,leastloaded,affinity]
-//	          [-sim-sessions 1000000] [-sim-backends 8] [-sim-slots 64]
-//	          [-sim-arrival 2ms] [-sim-duration 250ms]
-//	          [-sim-rate 0] [-sim-burst 1] [-sim-seed 1] [-json]
+//	statsgate -sim (-workload spec.json | -sim-replay trace.ndjson)
+//	          [-sim-policies roundrobin,leastloaded,affinity]
+//	          [-sim-backends 8] [-sim-slots 64] [-rate 0] [-burst 1]
 //	          [-sim-migrate-rate 0] [-sim-ckpt-cost 2ms]
-//	          [-sim-resume-cost 5ms]
-//	          [-workload spec.json] [-sim-record trace.ndjson]
-//	          [-sim-replay trace.ndjson]
+//	          [-sim-resume-cost 5ms] [-json]
+//	statsgate -workload spec.json -sim-record trace.ndjson
 //
 // In serving mode it proxies full-duplex NDJSON sessions at
 // POST /v1/stream/{benchmark} to a backend chosen by -policy, admits
@@ -40,16 +38,15 @@
 // table, and SIGTERM drains like statsserved.
 //
 // With -sim it instead runs the deterministic discrete-event cluster
-// simulator over a synthetic arrival spec — the same policy and
-// admission code as the live path, at million-session scale in seconds
-// — and prints a per-policy comparison (throughput, shed rate, Jain
-// fairness). Same seed, same spec: identical decisions and metrics,
-// run after run. The arrival process comes from the -sim-* flags
-// (exponential laws), or from a workload spec file (-workload, see
-// internal/workload: arbitrary distributions, mixes, modulators), or
-// verbatim from a recorded trace (-sim-replay). -sim-record writes the
-// trace the run would generate as NDJSON without simulating, so a
-// synthetic spec can be frozen, inspected, and replayed elsewhere.
+// simulator — the same policy and admission code as the live path, at
+// million-session scale in seconds — and prints a per-policy comparison
+// (throughput, shed rate, Jain fairness). The simulator replays a
+// workload trace: the one internal/workload.Generate expands from
+// -workload, or a recorded one from -sim-replay. It is the trace
+// `statsload -spec` would drive against a live gateway, so a simulated
+// and a live run can be compared on identical traffic. -rate and -burst
+// set the simulated gateway's token bucket as they set the live one's.
+// -sim-record writes the spec's trace as NDJSON and exits.
 // -sim-migrate-rate turns on the session-mobility cost model: that
 // fraction of sessions halt mid-service, hold their source slot for
 // -sim-ckpt-cost while the checkpoint is cut, and resume on another
@@ -79,8 +76,8 @@ func main() {
 	addr := flag.String("addr", ":8427", "listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required unless -sim)")
 	policyName := flag.String("policy", "roundrobin", "routing policy: "+strings.Join(cluster.PolicyNames(), ", "))
-	rate := flag.Float64("rate", 0, "admission rate in sessions/s (0: unlimited)")
-	burst := flag.Float64("burst", 1, "admission burst size")
+	rate := flag.Float64("rate", 0, "admission rate in sessions/s, live or simulated (0: unlimited)")
+	burst := flag.Float64("burst", 1, "admission burst size, live or simulated")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz+/metrics probe interval")
 	probeFails := flag.Int("probe-fails", 2, "consecutive probe failures before a backend is down")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
@@ -89,34 +86,26 @@ func main() {
 
 	sim := flag.Bool("sim", false, "run the deterministic cluster simulator instead of serving")
 	simPolicies := flag.String("sim-policies", strings.Join(cluster.PolicyNames(), ","), "policies to compare")
-	simSessions := flag.Int("sim-sessions", 1_000_000, "session arrivals to simulate")
 	simBackends := flag.Int("sim-backends", 8, "simulated backends")
 	simSlots := flag.Int("sim-slots", 64, "session slots per simulated backend (-max-sessions)")
-	simArrival := flag.Duration("sim-arrival", 2*time.Millisecond, "mean session interarrival")
-	simDuration := flag.Duration("sim-duration", 250*time.Millisecond, "mean session duration")
-	simRate := flag.Float64("sim-rate", 0, "simulated admission rate in sessions/s (0: unlimited)")
-	simBurst := flag.Float64("sim-burst", 1, "simulated admission burst")
-	simSeed := flag.Uint64("sim-seed", 1, "workload trace seed")
 	simMigRate := flag.Float64("sim-migrate-rate", 0, "with -sim, probability a session migrates mid-service (0: model off)")
 	simCkptCost := flag.Duration("sim-ckpt-cost", 2*time.Millisecond, "with -sim-migrate-rate, source-slot time to cut the halt checkpoint")
 	simResumeCost := flag.Duration("sim-resume-cost", 5*time.Millisecond, "with -sim-migrate-rate, destination delay to restore the snapshot")
-	simWorkload := flag.String("workload", "", "with -sim, workload spec file replacing the -sim-arrival/-sim-duration exponential laws")
-	simRecord := flag.String("sim-record", "", "write the simulator's workload trace as NDJSON to this file and exit (no simulation)")
-	simReplay := flag.String("sim-replay", "", "with -sim, replay a recorded NDJSON workload trace instead of generating arrivals")
+	simWorkload := flag.String("workload", "", "with -sim, workload spec file whose generated trace the simulator replays")
+	simRecord := flag.String("sim-record", "", "write the -workload spec's trace as NDJSON to this file and exit (no simulation)")
+	simReplay := flag.String("sim-replay", "", "with -sim, recorded NDJSON workload trace to replay instead of -workload")
 	jsonOut := flag.Bool("json", false, "with -sim, print results as JSON")
 	flag.Parse()
 
 	if *sim || *simRecord != "" {
-		mig := cluster.MigrationSpec{Rate: *simMigRate,
-			CheckpointCost: *simCkptCost, ResumeCost: *simResumeCost}
-		spec, err := simSpec(*simSessions, *simBackends, *simSlots,
-			*simArrival, *simDuration, *simRate, *simBurst, *simSeed,
-			*simWorkload, *simReplay, mig)
+		tr, err := simTrace(*simWorkload, *simReplay)
 		if err == nil {
 			if *simRecord != "" {
-				err = recordSim(spec, *simRecord)
+				err = recordSim(tr, *simRecord)
 			} else {
-				err = runSim(spec, *simPolicies, *jsonOut)
+				c := cluster.Cluster{Backends: *simBackends, SlotsPerBackend: *simSlots, Rate: *rate, Burst: *burst,
+					Migration: cluster.MigrationSpec{Rate: *simMigRate, CheckpointCost: *simCkptCost, ResumeCost: *simResumeCost}}
+				err = runSim(tr, c, *simPolicies, *jsonOut)
 			}
 		}
 		if err != nil {
@@ -173,55 +162,25 @@ func main() {
 	}
 }
 
-// simSpec assembles the simulator's ArrivalSpec from flags, a workload
-// spec file, or a recorded trace — the three arrival sources share one
-// validation path (ArrivalSpec.Normalized).
-func simSpec(sessions, backends, slots int, arrival, duration time.Duration,
-	rate, burst float64, seed uint64, workloadPath, replayPath string,
-	mig cluster.MigrationSpec) (cluster.ArrivalSpec, error) {
-	if workloadPath != "" && replayPath != "" {
-		return cluster.ArrivalSpec{}, fmt.Errorf("-workload and -sim-replay are mutually exclusive")
-	}
-	if workloadPath != "" {
-		ws, err := workload.Load(workloadPath)
-		if err != nil {
-			return cluster.ArrivalSpec{}, err
-		}
-		spec, err := cluster.SpecFromWorkload(ws, backends, slots, rate, burst)
-		if err != nil {
-			return cluster.ArrivalSpec{}, err
-		}
-		spec.Migration = mig
-		return spec, nil
-	}
-	spec := cluster.ArrivalSpec{
-		Sessions:         sessions,
-		Backends:         backends,
-		SlotsPerBackend:  slots,
-		MeanInterarrival: arrival,
-		MeanDuration:     duration,
-		Rate:             rate,
-		Burst:            burst,
-		Seed:             seed,
-		Migration:        mig,
+// simTrace loads the simulator's traffic: the trace workload.Generate
+// expands from a spec file, or a recorded trace replayed verbatim.
+func simTrace(specPath, replayPath string) (*workload.Trace, error) {
+	if (specPath == "") == (replayPath == "") {
+		return nil, fmt.Errorf("-sim needs exactly one of -workload and -sim-replay")
 	}
 	if replayPath != "" {
-		tr, err := workload.LoadTrace(replayPath)
-		if err != nil {
-			return cluster.ArrivalSpec{}, err
-		}
-		spec.Trace = tr
+		return workload.LoadTrace(replayPath)
 	}
-	return spec, nil
+	spec, err := workload.Load(specPath)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Generate(spec)
 }
 
-// recordSim freezes the trace the simulator would generate for spec as
-// NDJSON, without running any policy over it.
-func recordSim(spec cluster.ArrivalSpec, path string) error {
-	tr, err := cluster.Record(spec)
-	if err != nil {
-		return err
-	}
+// recordSim freezes the simulator's trace as NDJSON, without running any
+// policy over it.
+func recordSim(tr *workload.Trace, path string) error {
 	if err := tr.WriteFile(path); err != nil {
 		return err
 	}
@@ -231,7 +190,7 @@ func recordSim(spec cluster.ArrivalSpec, path string) error {
 
 // runSim compares the named policies over one workload trace and prints
 // a table (or JSON rows, the format of internal/cluster/testdata's goldens).
-func runSim(spec cluster.ArrivalSpec, policyList string, jsonOut bool) error {
+func runSim(tr *workload.Trace, c cluster.Cluster, policyList string, jsonOut bool) error {
 	var ps []cluster.RoutingPolicy
 	for _, name := range strings.Split(policyList, ",") {
 		name = strings.TrimSpace(name)
@@ -247,7 +206,7 @@ func runSim(spec cluster.ArrivalSpec, policyList string, jsonOut bool) error {
 	if len(ps) == 0 {
 		return fmt.Errorf("no policies in %q", policyList)
 	}
-	rows, err := cluster.Compare(spec, ps)
+	rows, err := cluster.Compare(tr, c, ps)
 	if err != nil {
 		return err
 	}

@@ -164,3 +164,24 @@ func TestClusterParseAndAggregate(t *testing.T) {
 		t.Fatal("aggregate output not stable across renders")
 	}
 }
+
+// FuzzParseMetrics: ParseMetrics takes any bytes a backend sends without
+// panicking, and one scrape rendered by WriteAggregate parses back with
+// each cluster/<name> equal to the scrape's value.
+func FuzzParseMetrics(f *testing.F) {
+	f.Add("stream/counter[inputs]=40\nserve/counter[sessions_shed]=1\n" +
+		"serve/instance=b0\nserve/gauge[active_sessions]=3\n" +
+		"stream/stage[commit]/time[0,1us)=12 0.000004\nnot a metric\n")
+	f.Add(" a = 1\r\nb=-9223372036854775808\n=5\nc=+7\nd==1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		bm := ParseMetrics(text)
+		var sb strings.Builder
+		WriteAggregate(&sb, map[string]BackendMetrics{"b0": bm})
+		again := ParseMetrics(sb.String())
+		for name, v := range bm.Values {
+			if got, ok := again.Values["cluster/"+name]; !ok || got != v {
+				t.Fatalf("cluster/%s re-parsed as %d (present %v), scrape had %d\n%s", name, got, ok, v, sb.String())
+			}
+		}
+	})
+}

@@ -13,11 +13,13 @@
 // liveness instrumentation that never reaches a routing decision's
 // inputs beyond the health state it reports.
 //
-// The simulator (Simulate, Compare) replays a synthetic arrival spec
-// against N virtual backends through the same Registry and
-// RoutingPolicy code as the live gateway, using internal/machine's
-// event-queue style (a binary heap ordered by virtual time with
-// insertion-order tie-breaks) and internal/rng seeded streams — so
-// routing and admission policies can be compared at million-session
-// scale on a laptop, bit-reproducibly.
+// The simulator (Simulate, Compare) replays a workload trace — the
+// sessions internal/workload.Generate expands from a spec, or a recorded
+// trace file — against a Cluster of virtual backends through the same
+// Registry and RoutingPolicy code as the live gateway, using
+// internal/machine's event-queue style (a binary heap ordered by virtual
+// time with insertion-order tie-breaks) — so routing and admission
+// policies can be compared at million-session scale on a laptop,
+// bit-reproducibly, on the very traffic statsload drives at a live
+// gateway.
 package cluster

@@ -9,62 +9,24 @@ import (
 	"gostats/internal/workload"
 )
 
-// ArrivalSpec describes a synthetic session workload for the cluster
-// simulator: when sessions arrive, what they run, how long they hold a
-// backend slot, and the cluster they hit. Interarrival and service times
-// come from pluggable workload.Distributions (exponential around the
-// configured means by default), drawn from seeded internal/rng streams,
-// so a (spec, seed) pair names exactly one workload trace — the same
-// trace every policy under comparison replays.
-type ArrivalSpec struct {
-	// Sessions is the number of session arrivals to generate.
-	Sessions int
+// Cluster is the shape of a simulated cluster. The traffic it serves is
+// a workload.Trace, so one recorded trace can be replayed against many
+// shapes and policies, and against the live gateway.
+type Cluster struct {
 	// Backends is the number of simulated statsserved processes.
 	Backends int
 	// SlotsPerBackend mirrors -max-sessions: a backend at its slot cap
 	// sheds the session back to the gateway, which re-routes it.
 	SlotsPerBackend int
-	// MeanInterarrival and MeanDuration are the exponential means of
-	// session spacing and session service time (virtual time), used when
-	// Arrival/Duration are nil.
-	MeanInterarrival time.Duration
-	MeanDuration     time.Duration
-	// Benchmarks is the workload mix, drawn uniformly per session when
-	// Mix is nil. Empty means a representative three-codec mix.
-	Benchmarks []string
 	// Rate and Burst parameterize the gateway token bucket in tokens
 	// per (virtual) second; Rate <= 0 disables admission control.
 	Rate, Burst float64
-	// Seed selects one workload trace.
-	Seed uint64
-
-	// Arrival and Duration override the interarrival and service-time
-	// laws. Nil defaults to workload.Exp over the means above — which
-	// reproduces the pre-workload-layer simulator draw for draw, bit for
-	// bit (the refactor's equivalence gate).
-	Arrival  workload.Distribution
-	Duration workload.Distribution
-	// Mix overrides the per-session benchmark choice; nil is a uniform
-	// mix over Benchmarks.
-	Mix *workload.Mix
-	// Modulators shape the arrival rate over virtual time (bursty
-	// on/off, diurnal). Specs, not built Modulators: each Simulate call
-	// builds fresh instances so one policy's run cannot leak modulator
-	// phase state into the next — that would break Compare's
-	// same-trace-per-policy guarantee.
-	Modulators []workload.ModSpec
-	// Trace replays a recorded session trace instead of generating one:
-	// arrival times, benchmarks and durations come from the trace and
-	// the generator streams go untouched. Sessions is overridden by the
-	// trace's length.
-	Trace *workload.Trace
-
 	// Migration models checkpointed session mobility (statsgate
 	// -migrate): a fraction of sessions halt mid-service, pay a
 	// checkpoint cost on their source backend, and resume — after a
 	// resume cost — on another backend the policy picks. Zero Rate
-	// disables the model and leaves every baseline trace and decision
-	// hash untouched.
+	// disables the model and leaves every baseline decision hash
+	// untouched.
 	Migration MigrationSpec
 }
 
@@ -87,86 +49,33 @@ type MigrationSpec struct {
 // Enabled reports whether the model draws any migrations at all.
 func (m MigrationSpec) Enabled() bool { return m.Rate > 0 }
 
-func (s ArrivalSpec) withDefaults() ArrivalSpec {
-	if s.Backends <= 0 {
-		s.Backends = 4
+// validate reports a cluster shape the simulator cannot run, or a trace
+// it cannot replay: a session needs a positive slot-hold time.
+func (c Cluster) validate(tr *workload.Trace) error {
+	if c.Backends <= 0 || c.SlotsPerBackend <= 0 {
+		return fmt.Errorf("cluster: need positive Backends and SlotsPerBackend, got %d and %d", c.Backends, c.SlotsPerBackend)
 	}
-	if s.SlotsPerBackend <= 0 {
-		s.SlotsPerBackend = 64
+	if c.Migration.Rate < 0 || c.Migration.Rate > 1 {
+		return fmt.Errorf("cluster: Migration.Rate %v outside [0, 1]", c.Migration.Rate)
 	}
-	if s.MeanInterarrival <= 0 {
-		s.MeanInterarrival = 2 * time.Millisecond
-	}
-	if s.MeanDuration <= 0 {
-		s.MeanDuration = 250 * time.Millisecond
-	}
-	if len(s.Benchmarks) == 0 {
-		s.Benchmarks = []string{"facetrack", "streamcluster", "streamclassifier"}
-	}
-	if s.Arrival == nil {
-		s.Arrival = workload.Exp(float64(s.MeanInterarrival))
-	}
-	if s.Duration == nil {
-		s.Duration = workload.Exp(float64(s.MeanDuration))
-	}
-	if s.Mix == nil {
-		s.Mix = workload.UniformMix(s.Benchmarks)
-	}
-	if s.Trace != nil {
-		s.Sessions = len(s.Trace.Sessions)
-	}
-	return s
-}
-
-// Validate reports spec errors. It is distribution-aware and runs on the
-// defaulted spec — the single validation point shared by Simulate,
-// Record, and statsgate's flag/spec parsing (via Normalized).
-func (s ArrivalSpec) Validate() error {
-	if s.Sessions <= 0 {
-		return fmt.Errorf("cluster: Sessions must be positive, got %d", s.Sessions)
-	}
-	if s.Backends < 0 || s.SlotsPerBackend < 0 {
-		return fmt.Errorf("cluster: negative Backends/SlotsPerBackend")
-	}
-	if s.Arrival != nil {
-		if err := s.Arrival.Validate(); err != nil {
-			return fmt.Errorf("cluster: arrival: %w", err)
-		}
-	}
-	if s.Duration != nil {
-		if err := s.Duration.Validate(); err != nil {
-			return fmt.Errorf("cluster: duration: %w", err)
-		}
-	}
-	for i, m := range s.Modulators {
-		if err := m.Validate(); err != nil {
-			return fmt.Errorf("cluster: modulator %d: %w", i, err)
-		}
-	}
-	if s.Migration.Rate < 0 || s.Migration.Rate > 1 {
-		return fmt.Errorf("cluster: Migration.Rate %v outside [0, 1]", s.Migration.Rate)
-	}
-	if s.Migration.CheckpointCost < 0 || s.Migration.ResumeCost < 0 {
+	if c.Migration.CheckpointCost < 0 || c.Migration.ResumeCost < 0 {
 		return fmt.Errorf("cluster: negative migration costs")
 	}
-	return nil
-}
-
-// Normalized returns the spec with defaults applied, validated. Callers
-// that need to fail fast on bad flags or spec files (statsgate) use this
-// instead of duplicating the checks.
-func (s ArrivalSpec) Normalized() (ArrivalSpec, error) {
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return ArrivalSpec{}, err
+	if len(tr.Sessions) == 0 {
+		return fmt.Errorf("cluster: trace %q has no sessions", tr.Name)
 	}
-	return s, nil
+	for i, s := range tr.Sessions {
+		if s.DurationNS <= 0 {
+			return fmt.Errorf("cluster: trace session %d has duration_ns %d; the simulator needs a positive slot-hold time (give the spec a duration law)", i, s.DurationNS)
+		}
+	}
+	return nil
 }
 
 // PolicyResult summarizes one policy's run over a workload trace.
 type PolicyResult struct {
 	Policy   string `json:"policy"`
-	Sessions int    `json:"sessions"` // arrivals generated
+	Sessions int    `json:"sessions"` // arrivals replayed
 	// Admitted sessions passed the token bucket; Completed ran to
 	// departure on some backend.
 	Admitted  int `json:"admitted"`
@@ -188,7 +97,7 @@ type PolicyResult struct {
 	Fairness   float64 `json:"jain_fairness"`
 	PerBackend []int   `json:"per_backend"`
 	// Migrations counts sessions halted mid-service and resumed on
-	// another backend under spec.Migration; omitted (0) when the model
+	// another backend under Cluster.Migration; omitted (0) when the model
 	// is off, so baseline result files are byte-stable.
 	Migrations int64 `json:"migrations,omitempty"`
 	// Decisions is an FNV-1a hash over the full routing decision
@@ -220,50 +129,34 @@ func (h simHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *simHeap) Push(x any)   { *h = append(*h, x.(*simEvent)) }
 func (h *simHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// Simulate replays spec's workload trace against a simulated cluster
-// under policy. The decision path is the live gateway's: token-bucket
-// admission at virtual arrival time, policy Pick over ready backends,
-// shed-and-re-route when the picked backend is at its slot cap, session
-// slots freed at exponential departure times. Same spec, same policy ⇒
-// identical PolicyResult, bit for bit.
-func Simulate(spec ArrivalSpec, policy RoutingPolicy) (PolicyResult, error) {
-	spec, err := spec.Normalized()
-	if err != nil {
+// Simulate replays a workload trace against a simulated cluster under
+// policy. The decision path is the live gateway's: token-bucket
+// admission at each session's arrival time, policy Pick over ready
+// backends, shed-and-re-route when the picked backend is at its slot
+// cap, session slots freed after the trace's durations. Same trace,
+// same cluster, same policy ⇒ identical PolicyResult, bit for bit.
+func Simulate(tr *workload.Trace, c Cluster, policy RoutingPolicy) (PolicyResult, error) {
+	if err := c.validate(tr); err != nil {
 		return PolicyResult{}, err
 	}
-
-	backends := make([]Backend, spec.Backends)
+	sessions := tr.Sessions
+	backends := make([]Backend, c.Backends)
+	index := make(map[string]int, c.Backends) // backend ID → PerBackend slot
 	for i := range backends {
 		backends[i] = Backend{ID: fmt.Sprintf("sim-%03d", i)}
+		index[backends[i].ID] = i
 	}
 	reg := NewRegistry(backends...)
-	bucket := NewTokenBucket(spec.Rate, spec.Burst)
-
-	root := rng.New(spec.Seed)
-	arrivals := root.Derive("cluster-arrivals")
-	durations := root.Derive("cluster-durations")
-	mix := root.Derive("cluster-mix")
-	// Modulators are built per Simulate call from their specs: they carry
-	// evolving phase state, and every policy in a Compare must replay the
-	// identical arrival trace.
-	mods, err := workload.BuildModulators(spec.Modulators, root.Derive("cluster-modulator"))
-	if err != nil {
-		return PolicyResult{}, err
-	}
-	// The migration stream is derived only when the model is on: Derive
-	// never advances the parent, so an off model provably touches no RNG
-	// state the baseline streams see.
+	bucket := NewTokenBucket(c.Rate, c.Burst)
+	// The migration stream is derived only when the model is on, from the
+	// trace's seed: an off model touches no RNG state at all.
 	var migRoot *rng.Stream
-	if spec.Migration.Enabled() {
-		migRoot = root.Derive("cluster-migration")
+	if c.Migration.Enabled() {
+		migRoot = rng.New(tr.Seed).Derive("cluster-migration")
 	}
 
-	res := PolicyResult{Policy: policy.Name(), Sessions: spec.Sessions,
-		PerBackend: make([]int, spec.Backends)}
-	index := make(map[string]int, spec.Backends) // backend ID → PerBackend slot
-	for i, b := range backends {
-		index[b.ID] = i
-	}
+	res := PolicyResult{Policy: policy.Name(), Sessions: len(sessions),
+		PerBackend: make([]int, c.Backends)}
 	hash := uint64(14695981039346656037)
 	mixHash := func(vs ...uint64) {
 		for _, v := range vs {
@@ -289,6 +182,27 @@ func Simulate(spec ArrivalSpec, policy RoutingPolicy) (PolicyResult, error) {
 			res.PerBackend[index[id]]++
 		}
 	}
+	// place starts session seq on the first candidate the policy picks
+	// that has a free slot. A backend at its cap is the live path's 429:
+	// account the shed, drop it from the candidates, let the policy pick
+	// again. It reports false once every candidate has shed.
+	place := func(seq uint64, benchmark string, candidates []Backend) (string, bool) {
+		key := SessionKey{Benchmark: benchmark, Seq: seq}
+		for len(candidates) > 0 {
+			i := policy.Pick(candidates, key)
+			b := candidates[i]
+			if b.InFlight < c.SlotsPerBackend {
+				reg.StartSession(b.ID)
+				reg.MarkRouted(b.ID)
+				return b.ID, true
+			}
+			reg.MarkShed(b.ID)
+			res.Reroutes++
+			mixHash(seq, rendezvousWeight("shed", b.ID), 2)
+			candidates = append(candidates[:i:i], candidates[i+1:]...)
+		}
+		return "", false
+	}
 	// resume fires at a migrating session's halt point: the source slot
 	// (held through the checkpoint cut) frees, and the policy picks a
 	// backend to resume on for ResumeCost plus the remaining service
@@ -299,7 +213,6 @@ func Simulate(spec ArrivalSpec, policy RoutingPolicy) (PolicyResult, error) {
 			reg.EndSession(src)
 			res.Migrations++
 			mixHash(seq, rendezvousWeight("halt", src), 4)
-			key := SessionKey{Benchmark: benchmark, Seq: seq}
 			candidates := reg.Ready()
 			for i := range candidates {
 				if candidates[i].ID == src {
@@ -307,110 +220,56 @@ func Simulate(spec ArrivalSpec, policy RoutingPolicy) (PolicyResult, error) {
 					break
 				}
 			}
-			for len(candidates) > 0 {
-				i := policy.Pick(candidates, key)
-				b := candidates[i]
-				if b.InFlight >= spec.SlotsPerBackend {
-					reg.MarkShed(b.ID)
-					res.Reroutes++
-					mixHash(seq, rendezvousWeight("shed", b.ID), 2)
-					candidates = append(candidates[:i:i], candidates[i+1:]...)
-					continue
-				}
-				reg.StartSession(b.ID)
-				reg.MarkRouted(b.ID)
-				schedule(now+int64(spec.Migration.ResumeCost)+remaining, depart(b.ID))
-				mixHash(seq, rendezvousWeight("resume", b.ID), 5)
+			id, ok := place(seq, benchmark, candidates)
+			if !ok {
+				// Nowhere to resume: the session is lost mid-stream, the
+				// simulator's analogue of the gateway's stranded session.
+				res.ShedCapacity++
+				mixHash(seq, ^uint64(0), 6)
 				return
 			}
-			// Nowhere to resume: the session is lost mid-stream, the
-			// simulator's analogue of the gateway's stranded session.
-			res.ShedCapacity++
-			mixHash(seq, ^uint64(0), 6)
+			schedule(now+int64(c.Migration.ResumeCost)+remaining, depart(id))
+			mixHash(seq, rendezvousWeight("resume", id), 5)
 		}
 	}
 
+	// arrive schedules the next arrival before routing this one, so the
+	// event order — and with it every tie between an arrival and a
+	// departure — is fixed by the trace, not by routing outcomes.
 	var arrive func(seq uint64)
-	// nextSession yields session seq's benchmark and duration and
-	// schedules the following arrival — drawn through the distribution
-	// seam, or replayed verbatim from a recorded trace. The generator
-	// schedules the next arrival before drawing this session's fields so
-	// the trace (arrival times, benchmarks, durations) is independent of
-	// routing outcomes; per-stream draw order is one arrival gap (except
-	// for the last session), one mix pick, one duration per session —
-	// the order the simulator has always used, which is what keeps the
-	// seed-42 gateway baseline bit-identical across the refactor.
-	nextSession := func(seq uint64) (string, int64) {
-		if seq+1 < uint64(spec.Sessions) {
-			gap := int64(spec.Arrival.Sample(arrivals))
-			if len(mods) > 0 {
-				gap = workload.ScaleGap(gap, workload.Factor(mods, now))
-			}
-			schedule(now+gap, func(int64) { arrive(seq + 1) })
-		}
-		return spec.Mix.Pick(mix), int64(spec.Duration.Sample(durations))
-	}
-	if spec.Trace != nil {
-		tr := spec.Trace.Sessions
-		nextSession = func(seq uint64) (string, int64) {
-			if seq+1 < uint64(spec.Sessions) {
-				schedule(tr[seq+1].At, func(int64) { arrive(seq + 1) })
-			}
-			return tr[seq].Benchmark, tr[seq].DurationNS
-		}
-	}
 	arrive = func(seq uint64) {
-		benchmark, dur := nextSession(seq)
-
+		s := sessions[seq]
+		if next := seq + 1; next < uint64(len(sessions)) {
+			schedule(sessions[next].At, func(int64) { arrive(next) })
+		}
 		if ok, _ := bucket.Admit(time.Duration(now)); !ok {
 			res.ShedAdmission++
 			mixHash(seq, ^uint64(0), 0)
 			return
 		}
 		res.Admitted++
-		key := SessionKey{Benchmark: benchmark, Seq: seq}
-		candidates := reg.Ready()
-		routed := false
-		for len(candidates) > 0 {
-			i := policy.Pick(candidates, key)
-			b := candidates[i]
-			if b.InFlight >= spec.SlotsPerBackend {
-				// The backend's 429: account the shed, drop it from the
-				// candidate set, let the policy pick again.
-				reg.MarkShed(b.ID)
-				res.Reroutes++
-				mixHash(seq, rendezvousWeight("shed", b.ID), 2)
-				candidates = append(candidates[:i:i], candidates[i+1:]...)
-				continue
-			}
-			reg.StartSession(b.ID)
-			reg.MarkRouted(b.ID)
-			mixHash(seq, rendezvousWeight("route", b.ID), 1)
-			routed = true
-			if m := spec.Migration; m.Enabled() {
-				// One draw stream per session seq: whether it migrates
-				// and where in its service time the halt lands.
-				if r := migRoot.DeriveN("session", int(seq)); r.Bool(m.Rate) {
-					runFor := int64(r.Float64() * float64(dur))
-					schedule(now+runFor+int64(m.CheckpointCost),
-						resume(seq, benchmark, b.ID, dur-runFor))
-					break
-				}
-			}
-			schedule(now+dur, depart(b.ID))
-			break
-		}
-		if !routed {
+		id, ok := place(seq, s.Benchmark, reg.Ready())
+		if !ok {
 			res.ShedCapacity++
 			mixHash(seq, ^uint64(0), 3)
+			return
 		}
+		mixHash(seq, rendezvousWeight("route", id), 1)
+		dur := s.DurationNS
+		if m := c.Migration; m.Enabled() {
+			// One draw stream per session seq: whether it migrates and
+			// where in its service time the halt lands.
+			if r := migRoot.DeriveN("session", int(seq)); r.Bool(m.Rate) {
+				runFor := int64(r.Float64() * float64(dur))
+				schedule(now+runFor+int64(m.CheckpointCost),
+					resume(seq, s.Benchmark, id, dur-runFor))
+				return
+			}
+		}
+		schedule(now+dur, depart(id))
 	}
 
-	first := int64(0)
-	if spec.Trace != nil && len(spec.Trace.Sessions) > 0 {
-		first = spec.Trace.Sessions[0].At
-	}
-	schedule(first, func(int64) { arrive(0) })
+	schedule(sessions[0].At, func(int64) { arrive(0) })
 	heap.Init(&events)
 	for events.Len() > 0 {
 		e := heap.Pop(&events).(*simEvent)
@@ -422,17 +281,17 @@ func Simulate(spec ArrivalSpec, policy RoutingPolicy) (PolicyResult, error) {
 	if now > 0 {
 		res.Throughput = float64(res.Completed) / time.Duration(now).Seconds()
 	}
-	res.ShedRate = float64(res.ShedAdmission+res.ShedCapacity) / float64(spec.Sessions)
+	res.ShedRate = float64(res.ShedAdmission+res.ShedCapacity) / float64(len(sessions))
 	res.Fairness = jain(res.PerBackend)
 	res.Decisions = hash
 	return res, nil
 }
 
-// Compare runs every policy against the same workload trace.
-func Compare(spec ArrivalSpec, policies []RoutingPolicy) ([]PolicyResult, error) {
+// Compare runs every policy against the same trace and cluster.
+func Compare(tr *workload.Trace, c Cluster, policies []RoutingPolicy) ([]PolicyResult, error) {
 	out := make([]PolicyResult, 0, len(policies))
 	for _, p := range policies {
-		r, err := Simulate(spec, p)
+		r, err := Simulate(tr, c, p)
 		if err != nil {
 			return nil, err
 		}

@@ -4,33 +4,45 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"gostats/internal/workload"
 )
 
-func simSpec() ArrivalSpec {
-	return ArrivalSpec{
-		Sessions:         20000,
-		Backends:         8,
-		SlotsPerBackend:  16,
-		MeanInterarrival: time.Millisecond,
-		MeanDuration:     100 * time.Millisecond,
-		Seed:             42,
+// expSpec is the gateway baseline's traffic at another size and seed:
+// exponential 1 ms arrivals and 100 ms sessions over a uniform mix of
+// three benchmarks.
+func expSpec(sessions int, seed uint64) *workload.Spec {
+	return &workload.Spec{
+		Name: "exp", Seed: seed, Sessions: sessions,
+		Arrival:  workload.DistSpec{Dist: "exponential", Mean: workload.Duration(time.Millisecond)},
+		Duration: workload.DistSpec{Dist: "exponential", Mean: workload.Duration(100 * time.Millisecond)},
+		Mix: []workload.MixEntry{
+			{Benchmark: "facetrack"}, {Benchmark: "streamcluster"}, {Benchmark: "streamclassifier"},
+		},
 	}
 }
 
-// TestClusterSimDeterministic: same seed + same arrival spec ⇒ identical
+// simCluster is the baseline's cluster shape, overloaded by 20 000
+// sessions of expSpec traffic.
+var simCluster = Cluster{Backends: 8, SlotsPerBackend: 16}
+
+func simTrace(t testing.TB) *workload.Trace { return generate(t, expSpec(20000, 42)) }
+
+// TestClusterSimDeterministic: same trace + same cluster ⇒ identical
 // routing decisions (the Decisions hash) and identical summary metrics,
 // run to run, for every registered policy.
 func TestClusterSimDeterministic(t *testing.T) {
+	tr := simTrace(t)
 	for _, name := range PolicyNames() {
 		p, err := PolicyFor(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := Simulate(simSpec(), p)
+		a, err := Simulate(tr, simCluster, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Simulate(simSpec(), p)
+		b, err := Simulate(tr, simCluster, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,13 +58,11 @@ func TestClusterSimDeterministic(t *testing.T) {
 // TestClusterSimSeedsDiffer: a different seed is a different workload trace —
 // the decision hash must move (or the hash is vacuous).
 func TestClusterSimSeedsDiffer(t *testing.T) {
-	spec := simSpec()
-	a, err := Simulate(spec, RoundRobin{})
+	a, err := Simulate(simTrace(t), simCluster, RoundRobin{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Seed++
-	b, err := Simulate(spec, RoundRobin{})
+	b, err := Simulate(generate(t, expSpec(20000, 43)), simCluster, RoundRobin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +75,12 @@ func TestClusterSimSeedsDiffer(t *testing.T) {
 // sessions equal admitted-minus-capacity-shed, the per-backend counts
 // sum to completed, and fairness is a valid Jain index.
 func TestClusterSimAccounting(t *testing.T) {
-	spec := simSpec()
-	spec.Rate, spec.Burst = 800, 50 // force some admission sheds too
+	tr := simTrace(t)
+	c := simCluster
+	c.Rate, c.Burst = 800, 50 // force some admission sheds too
 	for _, name := range PolicyNames() {
 		p, _ := PolicyFor(name)
-		r, err := Simulate(spec, p)
+		r, err := Simulate(tr, c, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +97,7 @@ func TestClusterSimAccounting(t *testing.T) {
 		if sum != r.Completed {
 			t.Fatalf("%s: per-backend sum %d != completed %d", name, sum, r.Completed)
 		}
-		if r.Fairness < 1/float64(spec.Backends)-1e-9 || r.Fairness > 1+1e-9 {
+		if r.Fairness < 1/float64(c.Backends)-1e-9 || r.Fairness > 1+1e-9 {
 			t.Fatalf("%s: Jain index %f out of range", name, r.Fairness)
 		}
 		if r.Throughput <= 0 || r.Elapsed <= 0 {
@@ -100,16 +111,16 @@ func TestClusterSimAccounting(t *testing.T) {
 // benchmarks onto eight backends) must concentrate load — the contrast
 // the seed-42 golden rows (testdata/gateway_seed42.golden.json) capture.
 func TestClusterSimPolicyContrast(t *testing.T) {
-	spec := simSpec()
-	rr, err := Simulate(spec, RoundRobin{})
+	tr := simTrace(t)
+	rr, err := Simulate(tr, simCluster, RoundRobin{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ll, err := Simulate(spec, LeastLoaded{})
+	ll, err := Simulate(tr, simCluster, LeastLoaded{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff, err := Simulate(spec, Affinity{})
+	aff, err := Simulate(tr, simCluster, Affinity{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +146,7 @@ func TestClusterCompareSharesTrace(t *testing.T) {
 		p, _ := PolicyFor(name)
 		ps = append(ps, p)
 	}
-	rows, err := Compare(simSpec(), ps)
+	rows, err := Compare(simTrace(t), simCluster, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +167,14 @@ func TestClusterCompareSharesTrace(t *testing.T) {
 // (migrated sessions complete once, on their final backend; a session
 // with nowhere to resume is a capacity shed).
 func TestClusterSimMigrateModel(t *testing.T) {
-	base, err := Simulate(simSpec(), LeastLoaded{})
+	tr := simTrace(t)
+	base, err := Simulate(tr, simCluster, LeastLoaded{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := simSpec()
+	off := simCluster
 	off.Migration = MigrationSpec{Rate: 0, CheckpointCost: 5 * time.Millisecond, ResumeCost: 5 * time.Millisecond}
-	offRes, err := Simulate(off, LeastLoaded{})
+	offRes, err := Simulate(tr, off, LeastLoaded{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,22 +182,22 @@ func TestClusterSimMigrateModel(t *testing.T) {
 		t.Fatalf("Rate 0 model disturbed the baseline:\n base %+v\n  off %+v", base, offRes)
 	}
 
-	on := simSpec()
+	on := simCluster
 	on.Migration = MigrationSpec{Rate: 0.1, CheckpointCost: 2 * time.Millisecond, ResumeCost: 5 * time.Millisecond}
 	for _, name := range PolicyNames() {
 		p, _ := PolicyFor(name)
-		a, err := Simulate(on, p)
+		a, err := Simulate(tr, on, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Simulate(on, p)
+		b, err := Simulate(tr, on, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: migration model not deterministic:\n%+v\n%+v", name, a, b)
 		}
-		want := on.Migration.Rate * float64(on.Sessions)
+		want := on.Migration.Rate * float64(len(tr.Sessions))
 		if f := float64(a.Migrations); f < 0.8*want || f > 1.2*want {
 			t.Fatalf("%s: %d migrations, want about %.0f", name, a.Migrations, want)
 		}
@@ -206,9 +218,17 @@ func TestClusterSimMigrateModel(t *testing.T) {
 	}
 }
 
-// TestClusterSimRejectsBadSpec: zero sessions is an error, not a hang.
+// TestClusterSimRejectsBadSpec: an empty trace or a cluster without
+// backends or slots is an error, not a hang or a division by zero.
 func TestClusterSimRejectsBadSpec(t *testing.T) {
-	if _, err := Simulate(ArrivalSpec{}, RoundRobin{}); err == nil {
-		t.Fatal("empty spec did not error")
+	if _, err := Simulate(&workload.Trace{}, simCluster, RoundRobin{}); err == nil {
+		t.Fatal("empty trace did not error")
+	}
+	tr := generate(t, expSpec(10, 1))
+	for _, c := range []Cluster{{}, {Backends: 2}, {SlotsPerBackend: 2},
+		{Backends: 2, SlotsPerBackend: 2, Migration: MigrationSpec{Rate: 1.5}}} {
+		if _, err := Simulate(tr, c, RoundRobin{}); err == nil {
+			t.Errorf("%+v: bad cluster did not error", c)
+		}
 	}
 }

@@ -8,14 +8,14 @@ import (
 )
 
 // Distribution is one positive-valued random law, sampled from a seeded
-// stream the caller owns. Samples are in the caller's unit — the cluster
-// simulator and the trace generator use virtual nanoseconds, the session
-// length distribution uses input counts — and Mean reports the law's
-// analytic mean in that same unit.
+// stream the caller owns. Samples are in the caller's unit — arrival
+// gaps and slot-hold durations are virtual nanoseconds, session lengths
+// are input counts — and Mean reports the law's analytic mean in that
+// same unit.
 //
 // Implementations must be stateless value types: the same Distribution
-// may be sampled from several streams concurrently (one per Simulate
-// call), so all evolving state lives in the *rng.Stream.
+// may be sampled from several streams concurrently, so all evolving
+// state lives in the *rng.Stream.
 type Distribution interface {
 	// Sample draws one value >= 0 using r.
 	Sample(r *rng.Stream) float64
@@ -25,17 +25,15 @@ type Distribution interface {
 	Validate() error
 }
 
-// Exponential is the memoryless law the cluster simulator has always
-// used for interarrival gaps and service times. Sample is exactly
-// r.ExpFloat64() * Mean — the expression the simulator inlined before
-// this package existed — so refactored callers reproduce their historic
-// draws bit for bit.
+// Exponential is the memoryless law: exponential interarrival gaps make
+// the arrival process Poisson. Sample is exactly r.ExpFloat64() * Mean,
+// one draw per sample.
 type Exponential struct {
 	MeanV float64 `json:"mean"`
 }
 
-// Exp builds an Exponential with the given mean.
-func Exp(mean float64) Exponential { return Exponential{MeanV: mean} }
+// exp builds an Exponential with the given mean.
+func exp(mean float64) Exponential { return Exponential{MeanV: mean} }
 
 // Sample implements Distribution.
 func (e Exponential) Sample(r *rng.Stream) float64 { return r.ExpFloat64() * e.MeanV }

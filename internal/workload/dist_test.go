@@ -56,7 +56,7 @@ func TestDistributionMoments(t *testing.T) {
 		mean     float64
 		variance float64
 	}{
-		{"exponential", Exp(100), 100, 100 * 100},
+		{"exponential", exp(100), 100, 100 * 100},
 		{"deterministic", Deterministic{Value: 42}, 42, 0},
 		{"gamma", Gamma{K: gammaShape, MeanV: 100}, 100, 100 * 100 / gammaShape},
 		{"gamma-subexponential", Gamma{K: 0.5, MeanV: 100}, 100, 100 * 100 / 0.5},
@@ -82,7 +82,7 @@ func TestDistributionMoments(t *testing.T) {
 // sequence; a different seed yields a different one.
 func TestDistributionDeterminism(t *testing.T) {
 	laws := []Distribution{
-		Exp(10), Gamma{K: 2, MeanV: 10}, Weibull{K: 0.8, MeanV: 10}, Poisson{Lambda: 12},
+		exp(10), Gamma{K: 2, MeanV: 10}, Weibull{K: 0.8, MeanV: 10}, Poisson{Lambda: 12},
 	}
 	for _, d := range laws {
 		ra, rb, rc := rng.New(3), rng.New(3), rng.New(4)
@@ -105,13 +105,14 @@ func TestDistributionDeterminism(t *testing.T) {
 	}
 }
 
-// TestExponentialMatchesLegacyDraw pins the bit-identity contract the
-// cluster refactor rests on: Exponential.Sample must be exactly
-// r.ExpFloat64() * mean, the expression the simulator used inline.
+// TestExponentialMatchesLegacyDraw pins Exponential.Sample to the closed
+// form r.ExpFloat64() * mean, one draw per sample: every recorded
+// exponential trace, the seed-42 cluster goldens among them, was drawn
+// with it.
 func TestExponentialMatchesLegacyDraw(t *testing.T) {
 	mean := 250.0
-	a, b := rng.New(42).Derive("cluster-arrivals"), rng.New(42).Derive("cluster-arrivals")
-	d := Exp(mean)
+	a, b := rng.New(42).Derive("workload-arrivals"), rng.New(42).Derive("workload-arrivals")
+	d := exp(mean)
 	for i := 0; i < 1000; i++ {
 		if got, want := d.Sample(a), b.ExpFloat64()*mean; got != want {
 			t.Fatalf("draw %d: Sample = %v, legacy expression = %v", i, got, want)
@@ -133,7 +134,7 @@ func TestPoissonIsInteger(t *testing.T) {
 // TestDistributionValidate: bad parameters are rejected, good accepted.
 func TestDistributionValidate(t *testing.T) {
 	bad := []Distribution{
-		Exp(0), Exp(-1), Exp(math.NaN()),
+		exp(0), exp(-1), exp(math.NaN()),
 		Deterministic{Value: -1},
 		Gamma{K: 0, MeanV: 1}, Gamma{K: 1, MeanV: 0},
 		Weibull{K: -1, MeanV: 1}, Weibull{K: 1, MeanV: math.NaN()},
@@ -145,7 +146,7 @@ func TestDistributionValidate(t *testing.T) {
 		}
 	}
 	good := []Distribution{
-		Exp(1), Deterministic{Value: 0}, Gamma{K: 0.5, MeanV: 2},
+		exp(1), Deterministic{Value: 0}, Gamma{K: 0.5, MeanV: 2},
 		Weibull{K: 3, MeanV: 1}, Poisson{Lambda: 0.5},
 	}
 	for _, d := range good {

@@ -12,10 +12,10 @@ import (
 // divided by it). Factors compose multiplicatively across modulators.
 //
 // Modulators may carry evolving state (the on/off Markov chain advances a
-// phase schedule), so each Simulate or Generate run must build its own
-// instances from ModSpecs — sharing a built Modulator across runs would
-// leak one run's phase history into the next. The contract is monotonic
-// time: Factor must be called with non-decreasing now values.
+// phase schedule), so each Generate run builds its own instances from
+// ModSpecs — sharing a built Modulator across runs would leak one run's
+// phase history into the next. The contract is monotonic time: Factor
+// must be called with non-decreasing now values.
 type Modulator interface {
 	Factor(now int64) float64
 }
@@ -145,10 +145,10 @@ func (m ModSpec) Build(r *rng.Stream) (Modulator, error) {
 	}
 }
 
-// BuildModulators builds every spec, deriving one child stream per
+// buildModulators builds every spec, deriving one child stream per
 // modulator from r so adding a modulator never disturbs the draws of the
 // ones before it.
-func BuildModulators(specs []ModSpec, r *rng.Stream) ([]Modulator, error) {
+func buildModulators(specs []ModSpec, r *rng.Stream) ([]Modulator, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -163,9 +163,9 @@ func BuildModulators(specs []ModSpec, r *rng.Stream) ([]Modulator, error) {
 	return out, nil
 }
 
-// Factor multiplies every modulator's factor at now, floored at 1e-3 so
+// factor multiplies every modulator's factor at now, floored at 1e-3 so
 // a deep lull slows arrivals 1000x instead of stopping virtual time.
-func Factor(mods []Modulator, now int64) float64 {
+func factor(mods []Modulator, now int64) float64 {
 	f := 1.0
 	for _, m := range mods {
 		f *= m.Factor(now)
@@ -176,13 +176,13 @@ func Factor(mods []Modulator, now int64) float64 {
 	return f
 }
 
-// ScaleGap divides an interarrival gap by the rate factor, preserving
+// scaleGap divides an interarrival gap by the rate factor f, preserving
 // gap >= 0 and guarding the int64 conversion.
-func ScaleGap(gap int64, factor float64) int64 {
-	if factor == 1 {
+func scaleGap(gap int64, f float64) int64 {
+	if f == 1 {
 		return gap
 	}
-	scaled := float64(gap) / factor
+	scaled := float64(gap) / f
 	if scaled > math.MaxInt64/2 {
 		return math.MaxInt64 / 2
 	}

@@ -57,7 +57,7 @@ func (d DistSpec) Build() (Distribution, error) {
 	var dist Distribution
 	switch d.Dist {
 	case "exponential":
-		dist = Exp(float64(d.Mean))
+		dist = exp(float64(d.Mean))
 	case "deterministic":
 		dist = Deterministic{Value: float64(d.Mean)}
 	case "gamma":
@@ -87,18 +87,17 @@ type MixEntry struct {
 }
 
 // Mix picks a benchmark per session. The uniform case (no explicit
-// weights) draws exactly one r.Intn(n) — the draw shape the cluster
-// simulator has always used, preserved so refactored callers reproduce
-// their historic traces bit for bit. Weighted mixes draw one r.Float64()
-// against the cumulative weights.
+// weights) draws one r.Intn(n); weighted mixes draw one r.Float64()
+// against the cumulative weights. Either way a pick is one draw, so the
+// mix stream stays in step with the session index.
 type Mix struct {
 	names   []string
 	cum     []float64 // cumulative weights; nil for the uniform fast path
 	uniform bool
 }
 
-// UniformMix builds an equal-weight mix over names in the given order.
-func UniformMix(names []string) *Mix {
+// uniformMix builds an equal-weight mix over names in the given order.
+func uniformMix(names []string) *Mix {
 	return &Mix{names: append([]string(nil), names...), uniform: true}
 }
 
@@ -122,7 +121,7 @@ func NewMix(entries []MixEntry) (*Mix, error) {
 		}
 	}
 	if !weighted {
-		return UniformMix(names), nil
+		return uniformMix(names), nil
 	}
 	cum := make([]float64, len(entries))
 	total := 0.0

@@ -14,7 +14,8 @@ import (
 // since the trace epoch), what it runs, how long it holds a slot, how
 // many inputs it streams, and the seed that regenerates its exact input
 // stream. DurationNS and Inputs are both optional — the cluster
-// simulator records durations, the live generator records lengths.
+// simulator replays durations, the live load generator lengths — and a
+// spec without the matching law leaves them zero.
 type Session struct {
 	Seq        int    `json:"seq"`
 	At         int64  `json:"at_ns"`
@@ -78,8 +79,10 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadTrace parses a trace from its NDJSON form, checking the header's
-// session count against the body.
+// ReadTrace parses a trace from its NDJSON form. A trace is replayed as
+// a clock, so it is checked as one: the header's session count must
+// match the body, each session's seq must be its index, and no session
+// may arrive before the one ahead of it (or before the epoch).
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -93,15 +96,24 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return nil, fmt.Errorf("workload: bad trace header: %w", err)
 	}
-	t := &Trace{Name: hdr.Trace, Seed: hdr.Seed, Sessions: make([]Session, 0, hdr.Sessions)}
+	t := &Trace{Name: hdr.Trace, Seed: hdr.Seed}
+	prev := int64(0)
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
+		i := len(t.Sessions)
 		var s Session
 		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			return nil, fmt.Errorf("workload: bad trace line %d: %w", len(t.Sessions)+2, err)
+			return nil, fmt.Errorf("workload: bad trace line %d: %w", i+2, err)
 		}
+		if s.Seq != i {
+			return nil, fmt.Errorf("workload: trace session %d has seq %d", i, s.Seq)
+		}
+		if s.At < prev {
+			return nil, fmt.Errorf("workload: trace session %d arrives at %d ns, before %d ns", i, s.At, prev)
+		}
+		prev = s.At
 		t.Sessions = append(t.Sessions, s)
 	}
 	if err := sc.Err(); err != nil {
@@ -132,12 +144,12 @@ func LoadTrace(path string) (*Trace, error) {
 // durations and input counts from their distributions when set, and one
 // derived seed per session so each session's input stream regenerates
 // independently. The trace is a pure function of the spec — same spec,
-// same bytes.
+// same bytes — and the only place a spec becomes sessions: the cluster
+// simulator, statsload and statsbench all consume its output.
 //
-// Stream labels are "workload-*", deliberately distinct from the cluster
-// simulator's "cluster-*" streams: a cluster spec refactored onto this
-// package keeps its historic draws (see cluster.Record), while specs
-// generated here own a namespace of their own.
+// Each field draws from its own stream derived from the spec's seed, so
+// adding a duration or length law to a spec leaves its arrival times and
+// mix picks where they were.
 func Generate(spec *Spec) (*Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -168,7 +180,7 @@ func Generate(spec *Spec) (*Trace, error) {
 	lengths := root.Derive("workload-lengths")
 	picks := root.Derive("workload-mix")
 	seeds := root.Derive("workload-seeds")
-	mods, err := BuildModulators(spec.Modulators, root.Derive("workload-modulator"))
+	mods, err := buildModulators(spec.Modulators, root.Derive("workload-modulator"))
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +203,7 @@ func Generate(spec *Spec) (*Trace, error) {
 		if seq+1 < spec.Sessions {
 			gap := int64(arrival.Sample(arrivals))
 			if len(mods) > 0 {
-				gap = ScaleGap(gap, Factor(mods, now))
+				gap = scaleGap(gap, factor(mods, now))
 			}
 			if gap < 0 {
 				gap = 0

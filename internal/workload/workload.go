@@ -3,14 +3,14 @@
 // shaping, multi-client session specs with per-connection benchmark
 // mixes, and an NDJSON trace format for deterministic record/replay.
 //
-// Three previously disjoint paths converge here: the cluster simulator's
-// exponential draws (internal/cluster), statsserved's -gen input
-// generator, and statsbench's fixed per-benchmark inputs. All of them now
-// draw from workload.Distribution values over seeded internal/rng
-// streams, so a (spec, seed) pair names exactly one workload — the same
-// sessions, the same arrival times, the same inputs, run after run — and
-// any generated workload can be captured once (Trace) and replayed
-// byte-identically in tests and CI.
+// Generate is the only code that turns a spec into sessions. The cluster
+// simulator (internal/cluster) replays its trace, statsload paces it
+// against a live server, statsserved -gen regenerates one session's
+// body, and statsbench -workload replays it in process. Every draw comes
+// from a workload.Distribution over seeded internal/rng streams, so a
+// spec names exactly one workload — the same sessions, the same arrival
+// times, the same inputs, run after run — and any generated workload can
+// be captured once (Trace) and replayed byte-identically anywhere.
 //
 // Determinism contract: nothing in this package reads a clock or any
 // other ambient source. Every random draw comes from an *rng.Stream the

@@ -52,11 +52,11 @@ func TestMixWeightedProportions(t *testing.T) {
 
 func TestMixUniformSingleDraw(t *testing.T) {
 	// The uniform fast path must consume exactly one Intn-sized draw per
-	// pick: the draw shape the cluster simulator's historic traces
-	// depend on. Two streams, one picking and one replicating the raw
-	// Intn, must stay in lockstep.
+	// pick, so every recorded uniform-mix trace regenerates pick for
+	// pick. Two streams, one picking and one replicating the raw Intn,
+	// must stay in lockstep.
 	names := []string{"a", "b", "c"}
-	mix := UniformMix(names)
+	mix := uniformMix(names)
 	pick, raw := rng.New(9).Derive("mix"), rng.New(9).Derive("mix")
 	for i := 0; i < 1000; i++ {
 		if got, want := mix.Pick(pick), names[raw.Intn(len(names))]; got != want {
@@ -126,17 +126,17 @@ func TestFactorFloorAndScaleGap(t *testing.T) {
 	deep := []Modulator{&Diurnal{PeriodNS: 10, Depth: 0.99999}}
 	// Whatever the modulators report, the composite factor never reaches 0.
 	for now := int64(0); now < 100; now++ {
-		if f := Factor(deep, now); f < 1e-3 {
+		if f := factor(deep, now); f < 1e-3 {
 			t.Fatalf("composite factor %v below the 1e-3 floor", f)
 		}
 	}
-	if got := ScaleGap(1000, 1); got != 1000 {
+	if got := scaleGap(1000, 1); got != 1000 {
 		t.Errorf("identity factor changed the gap: %d", got)
 	}
-	if got := ScaleGap(1000, 2); got != 500 {
+	if got := scaleGap(1000, 2); got != 500 {
 		t.Errorf("factor 2 should halve the gap, got %d", got)
 	}
-	if got := ScaleGap(math.MaxInt64/4, 1e-9); got != math.MaxInt64/2 {
+	if got := scaleGap(math.MaxInt64/4, 1e-9); got != math.MaxInt64/2 {
 		t.Errorf("overflow guard: got %d, want MaxInt64/2", got)
 	}
 }
