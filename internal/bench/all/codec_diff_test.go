@@ -132,7 +132,7 @@ func diffInput(t *testing.T, c bench.StreamCodec, in engine.Input) {
 
 // TestCodecsMatchEncodingJSON runs a Workers:1 session of every benchmark
 // with a checkpoint at every commit, and checks every input, every
-// committed output and every lineage state at every commit: what the
+// committed output and every lineage state and replica seed at every commit: what the
 // encoder wrote is what json.Marshal writes, and what the decoder read is
 // what json.Unmarshal reads.
 func TestCodecsMatchEncodingJSON(t *testing.T) {
@@ -160,6 +160,9 @@ func TestCodecsMatchEncodingJSON(t *testing.T) {
 			cfg := engine.StreamConfig{Seed: 3, ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 1}
 			cfg.Checkpoint = engine.CheckpointConfig{Codec: wc, EveryCommits: 1, OnSnapshot: func(s *checkpoint.Snapshot) {
 				states = append(states, s.Lineage...)
+				if s.ReplicaSeed != nil {
+					states = append(states, s.ReplicaSeed)
+				}
 			}}
 			p, err := engine.NewStream(context.Background(), b, cfg)
 			if err != nil {

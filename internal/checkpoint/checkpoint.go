@@ -7,8 +7,9 @@
 // needs to produce byte-identical remaining outputs fits in a few fields:
 // the session parameters (which fix every rng derivation), the index of
 // the next chunk to dispatch, the committed-state lineage at the frontier
-// (final state plus the extra original-state replicas the next boundary
-// validation will compare against), the previous chunk's lookback window,
+// (the final state, plus either the extra original-state replicas the
+// next boundary validation may compare against or the state they are
+// re-derived from), the previous chunk's lookback window,
 // and the adaptive controller's decision state. Nothing else is captured
 // — in-flight speculative work is deliberately discarded, because the
 // determinism contract makes it free to re-derive (DESIGN.md §12).
@@ -16,7 +17,7 @@
 // Wire format (everything little-endian):
 //
 //	magic   [4]byte  "STCP"
-//	version uint32   currently 1
+//	version uint32   currently 2
 //	length  uint32   payload byte count
 //	payload []byte   JSON-encoded Snapshot
 //	crc     uint32   CRC-32C (Castagnoli) over version|length|payload
@@ -34,15 +35,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 
 	"gostats/internal/autotune"
 )
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 2 carries an
+// unbuilt lineage as its replica seed (Snapshot.ReplicaSeed); version 1
+// envelopes are rejected.
+const Version = 2
 
 // magic identifies a snapshot envelope.
 var magic = [4]byte{'S', 'T', 'C', 'P'}
+
+// header is the envelope's byte count before the payload: magic, version,
+// length.
+const header = len(magic) + 4 + 4
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -89,9 +97,21 @@ type Snapshot struct {
 	PrevWindow [][]byte `json:"prev_window,omitempty"`
 	// Lineage is the committed-state lineage at the frontier
 	// (codec-encoded states): Lineage[0] is the committed final state,
-	// the rest are the extra original-state replicas boundary validation
-	// compares speculative states against. Empty when NextChunk is 0.
+	// the rest are the ExtraStates original-state replicas boundary
+	// validation compares speculative states against — or, when
+	// ReplicaSeed is set, nothing: the replicas were never built. Empty
+	// when NextChunk is 0.
 	Lineage [][]byte `json:"lineage,omitempty"`
+	// ReplicaSeed is what the lineage's unbuilt replicas are re-derived
+	// from (codec-encoded): the committed chunk's state len(PrevWindow)
+	// inputs before its end. A resumed frontier replays PrevWindow from
+	// it, as the chunk would have, only if a boundary misses the final
+	// state. Set only with ExtraStates >= 1 and Lineage [final].
+	ReplicaSeed []byte `json:"replica_seed,omitempty"`
+	// Reorig says the replicas derive from the chunk's recovery stream —
+	// it was re-executed after a mispeculation — rather than from its
+	// worker stream. Meaningful only with ReplicaSeed.
+	Reorig bool `json:"reorig,omitempty"`
 
 	// Pending is the commit/abort outcome of the most recent committed
 	// chunks (oldest first) that the producer had not yet folded
@@ -124,37 +144,191 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("checkpoint: negative inputs %d", s.Inputs)
 	case s.Workers < 0:
 		return fmt.Errorf("checkpoint: negative workers %d", s.Workers)
-	case s.NextChunk == 0 && (len(s.Lineage) > 0 || len(s.PrevWindow) > 0):
-		return fmt.Errorf("checkpoint: next_chunk 0 cannot carry lineage or window")
-	case s.NextChunk > 0 && len(s.Lineage) == 0:
-		return fmt.Errorf("checkpoint: next_chunk %d without committed lineage", s.NextChunk)
+	case s.ExtraStates < 0:
+		return fmt.Errorf("checkpoint: negative extra_states %d", s.ExtraStates)
+	case s.NextChunk == 0 && (len(s.Lineage) > 0 || len(s.PrevWindow) > 0 || len(s.ReplicaSeed) > 0):
+		return fmt.Errorf("checkpoint: next_chunk 0 cannot carry lineage, replica seed or window")
+	case s.Reorig && len(s.ReplicaSeed) == 0:
+		return fmt.Errorf("checkpoint: reorig without a replica seed")
+	case len(s.ReplicaSeed) > 0 && (len(s.Lineage) != 1 || s.ExtraStates < 1):
+		return fmt.Errorf("checkpoint: a replica seed needs lineage [final] and extra_states >= 1, have %d states and %d", len(s.Lineage), s.ExtraStates)
+	case s.NextChunk > 0 && len(s.ReplicaSeed) == 0 && len(s.Lineage) != 1+s.ExtraStates:
+		return fmt.Errorf("checkpoint: next_chunk %d needs a lineage of 1+%d states, have %d", s.NextChunk, s.ExtraStates, len(s.Lineage))
 	case len(s.Pending) > Window(s.Workers):
 		return fmt.Errorf("checkpoint: %d pending outcomes exceed the window of %d workers", len(s.Pending), s.Workers)
 	}
 	return nil
 }
 
-// Encode serializes the snapshot into a self-describing envelope.
+// Encode serializes the snapshot into a self-describing envelope. One
+// walk over the fields sizes the envelope and a second fills it, so the
+// envelope is the only allocation when the snapshot does not adapt: the
+// payload is json.Marshal(s) byte for byte, but only Controller — and a
+// benchmark name JSON would escape — goes through encoding/json. Ints and
+// bools are written directly and the codec-encoded byte strings are
+// base64'd straight into the envelope.
 func Encode(s *Snapshot) ([]byte, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encode payload: %w", err)
+	var name, ctl []byte
+	if !plainJSON(s.Benchmark) {
+		name, _ = json.Marshal(s.Benchmark) // a string always marshals
 	}
-	buf := make([]byte, 0, len(magic)+12+len(payload))
-	buf = append(buf, magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	crc := crc32.Checksum(buf[len(magic):], castagnoli)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf, nil
+	if s.Controller != nil {
+		var err error
+		if ctl, err = json.Marshal(s.Controller); err != nil {
+			return nil, fmt.Errorf("checkpoint: encode payload: %w", err)
+		}
+	}
+	size := writer{dry: true}
+	size.payload(s, name, ctl)
+	w := writer{buf: make([]byte, 0, header+size.n+4)}
+	w.buf = append(w.buf, magic[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(size.n))
+	w.payload(s, name, ctl)
+	crc := crc32.Checksum(w.buf[len(magic):], castagnoli)
+	return binary.LittleEndian.AppendUint32(w.buf, crc), nil
+}
+
+// writer appends a snapshot's JSON payload to buf or, dry, only counts
+// its bytes in n.
+type writer struct {
+	buf []byte
+	n   int
+	dry bool
+}
+
+func (w *writer) raw(s string) {
+	if w.dry {
+		w.n += len(s)
+	} else {
+		w.buf = append(w.buf, s...)
+	}
+}
+
+func (w *writer) bytes(b []byte) {
+	if w.dry {
+		w.n += len(b)
+	} else {
+		w.buf = append(w.buf, b...)
+	}
+}
+
+func (w *writer) int(key string, v int64) {
+	var digits [20]byte
+	w.raw(key)
+	w.bytes(strconv.AppendInt(digits[:0], v, 10))
+}
+
+// blob writes b as encoding/json writes a []byte: base64 in quotes, or
+// null for a nil slice.
+func (w *writer) blob(b []byte) {
+	if b == nil {
+		w.raw("null")
+		return
+	}
+	w.raw(`"`)
+	if w.dry {
+		w.n += base64.StdEncoding.EncodedLen(len(b))
+	} else {
+		w.buf = base64.StdEncoding.AppendEncode(w.buf, b)
+	}
+	w.raw(`"`)
+}
+
+// blobs writes an omitempty [][]byte field.
+func (w *writer) blobs(key string, v [][]byte) {
+	if len(v) == 0 {
+		return
+	}
+	w.raw(key)
+	for i, b := range v {
+		w.sep(i)
+		w.blob(b)
+	}
+	w.raw("]")
+}
+
+// sep opens an array before element 0 and separates every later one.
+func (w *writer) sep(i int) {
+	if i == 0 {
+		w.raw("[")
+	} else {
+		w.raw(",")
+	}
+}
+
+// payload writes s's fields in declaration order, with their tags'
+// names and omitempty rules. name and ctl are encoding/json's forms of
+// Benchmark (nil when it needs no escaping) and Controller (nil when
+// absent).
+func (w *writer) payload(s *Snapshot, name, ctl []byte) {
+	w.raw(`{"benchmark":`)
+	if name == nil {
+		w.raw(`"`)
+		w.raw(s.Benchmark)
+		w.raw(`"`)
+	} else {
+		w.bytes(name)
+	}
+	var digits [20]byte
+	w.raw(`,"seed":`)
+	w.bytes(strconv.AppendUint(digits[:0], s.Seed, 10))
+	w.int(`,"chunk_size":`, int64(s.ChunkSize))
+	w.int(`,"lookback":`, int64(s.Lookback))
+	w.int(`,"extra_states":`, int64(s.ExtraStates))
+	w.int(`,"inner_width":`, int64(s.InnerWidth))
+	w.int(`,"workers":`, int64(s.Workers))
+	if s.Adapt {
+		w.raw(`,"adapt":true`)
+	}
+	if s.MinChunk != 0 {
+		w.int(`,"min_chunk":`, int64(s.MinChunk))
+	}
+	if s.MaxChunk != 0 {
+		w.int(`,"max_chunk":`, int64(s.MaxChunk))
+	}
+	w.int(`,"next_chunk":`, int64(s.NextChunk))
+	w.int(`,"inputs":`, s.Inputs)
+	w.blobs(`,"prev_window":`, s.PrevWindow)
+	w.blobs(`,"lineage":`, s.Lineage)
+	if len(s.ReplicaSeed) > 0 {
+		w.raw(`,"replica_seed":`)
+		w.blob(s.ReplicaSeed)
+	}
+	if s.Reorig {
+		w.raw(`,"reorig":true`)
+	}
+	if len(s.Pending) > 0 {
+		w.raw(`,"pending":`)
+		for i, ok := range s.Pending {
+			w.sep(i)
+			w.raw(strconv.FormatBool(ok))
+		}
+		w.raw("]")
+	}
+	if ctl != nil {
+		w.raw(`,"controller":`)
+		w.bytes(ctl)
+	}
+	w.raw("}")
+}
+
+// plainJSON reports whether encoding/json writes s as itself in quotes:
+// printable ASCII with nothing it escapes.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Decode parses and verifies an envelope. Corruption anywhere in the
 // guarded region (version, length, payload) fails the CRC; a snapshot is
 // either restored whole or rejected.
 func Decode(data []byte) (*Snapshot, error) {
-	const header = 4 + 4 + 4 // magic, version, length
 	if len(data) < header+4 {
 		return nil, fmt.Errorf("checkpoint: envelope truncated (%d bytes)", len(data))
 	}

@@ -133,14 +133,16 @@ func TestCheckpointVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	// Bump the version and re-stamp a valid CRC: the decoder must reject
-	// on version, not CRC.
-	mut := append([]byte(nil), raw...)
-	mut[4] = 2
-	restamp(mut)
-	_, err = Decode(mut)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("want version error, got %v", err)
+	// Stamp the previous and the next version with a valid CRC: the
+	// decoder must reject on version, not CRC. A version 1 envelope — its
+	// lineage always built, its payload otherwise alike — is not read.
+	for _, v := range []uint32{Version - 1, Version + 1} {
+		mut := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(mut[4:], v)
+		restamp(mut)
+		if _, err := Decode(mut); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: want version error, got %v", v, err)
+		}
 	}
 }
 
@@ -151,15 +153,86 @@ func TestCheckpointValidate(t *testing.T) {
 		{Benchmark: "x", NextChunk: 0, Lineage: [][]byte{{1}}},
 		{Benchmark: "x", NextChunk: 3},
 		{Benchmark: "x", Workers: 1, Pending: make([]bool, Window(1)+1)},
+		{Benchmark: "x", ExtraStates: -1},
+		// The lineage's shape: final plus ExtraStates replicas, or final
+		// and the seed they are built from.
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}, {3}}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}, {2}}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}}, ReplicaSeed: []byte{4}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}},
+		{Benchmark: "x", NextChunk: 0, ExtraStates: 1, ReplicaSeed: []byte{4}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}}, Reorig: true},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, s)
 		}
 	}
-	ok := &Snapshot{Benchmark: "x", Workers: 2, NextChunk: 0}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("Validate rejected fresh snapshot: %v", err)
+	for i, s := range []*Snapshot{
+		{Benchmark: "x", Workers: 2, NextChunk: 0},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: [][]byte{{1}, {2}, {3}}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}, Reorig: true},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("case %d: Validate rejected %+v: %v", i, s, err)
+		}
+	}
+}
+
+// TestCheckpointEncodeMatchesMarshal: Encode writes the payload itself, and it
+// must be the bytes json.Marshal writes — Decode is json.Unmarshal — for
+// every field's zero, nil and omitempty case, negative numbers, and a
+// benchmark name JSON escapes.
+func TestCheckpointEncodeMatchesMarshal(t *testing.T) {
+	seeded := sampleSnapshot()
+	seeded.Lineage, seeded.ReplicaSeed, seeded.Reorig = seeded.Lineage[:1], []byte(`{"sum":1}`), true
+	for i, s := range []*Snapshot{
+		sampleSnapshot(),
+		seeded,
+		{},
+		{Benchmark: "a\"<b>&\u2028\x01\xff", Seed: 1<<64 - 1, ChunkSize: -1, MinChunk: -2, Inputs: -1 << 63},
+		{Benchmark: "x", PrevWindow: [][]byte{nil, {}}, Lineage: [][]byte{{0xff, 0xfe, 0}}, Pending: []bool{false}},
+		{Benchmark: "x", PrevWindow: [][]byte{}, Lineage: [][]byte{}, ReplicaSeed: []byte{}, Pending: []bool{},
+			Controller: &autotune.OnlineState{}},
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := raw[header : len(raw)-4]; !bytes.Equal(got, want) {
+			t.Errorf("case %d: payload\n got %s\nwant %s", i, got, want)
+		}
+		if len(raw) != cap(raw) {
+			t.Errorf("case %d: envelope of %d bytes in a buffer of %d", i, len(raw), cap(raw))
+		}
+	}
+}
+
+// TestCheckpointEncodeAllocs: framing a dedupstream-sized snapshot — a 36 KB final
+// state and seed, a two-input window of 16 KB inputs — allocates the
+// envelope and nothing else.
+func TestCheckpointEncodeAllocs(t *testing.T) {
+	blob := func(n int) []byte { return bytes.Repeat([]byte(`[1,2]`), n/5) }
+	s := &Snapshot{Benchmark: "dedupstream", Seed: 3, ChunkSize: 16, Lookback: 2, ExtraStates: 1,
+		InnerWidth: 1, Workers: 2, NextChunk: 40, Inputs: 640,
+		PrevWindow:  [][]byte{blob(16 << 10), blob(16 << 10)},
+		Lineage:     [][]byte{blob(36 << 10)},
+		ReplicaSeed: blob(36 << 10),
+		Pending:     []bool{true, false, true},
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Encode made %v allocations, want the envelope's one", n)
 	}
 }
 
@@ -201,8 +274,8 @@ func sameSnapshot(a, b *Snapshot) bool {
 // FuzzCheckpointDecode: whatever arrives as a snapshot — an envelope, its
 // base64 form on a #ckpt or #resume line, or a payload inside a valid
 // envelope — Decode and DecodeString return a snapshot or an error, never
-// a panic, and a snapshot they return re-encodes to an envelope that
-// decodes to the same snapshot.
+// a panic, and a snapshot they return re-encodes to an envelope whose
+// payload is json.Marshal's bytes and that decodes to the same snapshot.
 func FuzzCheckpointDecode(f *testing.F) {
 	payload, err := json.Marshal(sampleSnapshot())
 	if err != nil {
@@ -213,7 +286,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(raw)
 	f.Add([]byte(base64.StdEncoding.EncodeToString(raw)))
 	f.Add([]byte(`{"benchmark":"x","workers":1,"prev_window":[],"pending":[]}`))
-	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"lineage":[null,""],"controller":{"history":null}}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""],"controller":{"history":null}}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":["WzFd"],"lineage":["e30="],"replica_seed":"e30=","reorig":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){
 			func() (*Snapshot, error) { return Decode(data) },
@@ -227,6 +301,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			again, err := Encode(s)
 			if err != nil {
 				t.Fatalf("a decoded snapshot does not encode: %v", err)
+			}
+			if want, _ := json.Marshal(s); !bytes.Equal(again[header:len(again)-4], want) {
+				t.Fatalf("Encode's payload differs from json.Marshal:\n got %s\nwant %s", again[header:len(again)-4], want)
 			}
 			back, err := Decode(again)
 			if err != nil {

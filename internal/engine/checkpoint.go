@@ -186,13 +186,16 @@ type resumeState struct {
 	inputs     int64 // committed inputs so far (absolute)
 	prevWindow []Input
 	lineage    []State // [0] is the frontier final state
+	seed       State   // the lineage's replica seed; nil when it is built
+	reorig     bool    // the seed's replicas derive from the recovery stream
 	pending    []bool  // outcome preload for the producer's window
 	ctl        *autotune.OnlineState
-	// rawWindow/rawLineage keep the snapshot's encoded forms so a session
-	// that halts before committing anything new can re-emit its resume
-	// point without re-encoding.
+	// rawWindow, rawLineage and rawSeed keep the snapshot's encoded forms
+	// so a session that halts before committing anything new can re-emit
+	// its resume point without re-encoding.
 	rawWindow  [][]byte
 	rawLineage [][]byte
+	rawSeed    []byte
 }
 
 // buildResume validates and decodes a snapshot against prog and the
@@ -220,8 +223,10 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 		inputs:     snap.Inputs,
 		pending:    append([]bool(nil), snap.Pending...),
 		ctl:        snap.Controller,
+		reorig:     snap.Reorig,
 		rawWindow:  snap.PrevWindow,
 		rawLineage: snap.Lineage,
+		rawSeed:    snap.ReplicaSeed,
 	}
 	for i, raw := range snap.PrevWindow {
 		in, err := codec.DecodeInput(raw)
@@ -236,6 +241,13 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 			return nil, fmt.Errorf("stream: snapshot lineage state %d: %w", i, err)
 		}
 		rs.lineage = append(rs.lineage, s)
+	}
+	if len(snap.ReplicaSeed) > 0 {
+		s, err := codec.DecodeState(snap.ReplicaSeed)
+		if err != nil {
+			return nil, fmt.Errorf("stream: snapshot replica seed: %w", err)
+		}
+		rs.seed = s
 	}
 	if rs.next > 0 && len(rs.prevWindow) == 0 {
 		return nil, fmt.Errorf("stream: snapshot at chunk %d has no lookback window", rs.next)
@@ -254,13 +266,11 @@ type ckptTracker struct {
 	cfg        CheckpointConfig
 	shadow     *autotune.Online // nil when the session does not adapt
 	pending    []bool
-	inputs     int64 // committed inputs, absolute across resumes
-	commitsAcc int   // commits since the last capture
-	bytesAcc   int64 // encoded output bytes since the last capture
-	resumeNext int   // frontier chunk index this session resumed at
-	baseWindow [][]byte
-	baseLine   [][]byte
-	err        error // first encode failure; checkpointing disabled after
+	inputs     int64        // committed inputs, absolute across resumes
+	commitsAcc int          // commits since the last capture
+	bytesAcc   int64        // encoded output bytes since the last capture
+	base       *resumeState // the snapshot this session resumed from, if any
+	err        error        // first encode failure; checkpointing disabled after
 }
 
 // newCkptTracker builds the tracker, restoring its shadow state when the
@@ -281,9 +291,7 @@ func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
 	if rs != nil {
 		t.pending = append([]bool(nil), rs.pending...)
 		t.inputs = rs.inputs
-		t.resumeNext = rs.next
-		t.baseWindow = rs.rawWindow
-		t.baseLine = rs.rawLineage
+		t.base = rs
 	}
 	return t, nil
 }
@@ -335,13 +343,14 @@ func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 		return
 	}
 	var snap *checkpoint.Snapshot
-	if next == t.resumeNext {
+	if rs := t.base; next == 0 || rs != nil && next == rs.next {
 		// Nothing newly committed: re-emit the resume point (or, on a
 		// fresh session, an empty chunk-0 snapshot).
 		snap = t.skeleton()
-		snap.NextChunk = t.resumeNext
-		snap.PrevWindow = t.baseWindow
-		snap.Lineage = t.baseLine
+		if rs != nil {
+			snap.NextChunk, snap.PrevWindow, snap.Lineage = rs.next, rs.rawWindow, rs.rawLineage
+			snap.ReplicaSeed, snap.Reorig = rs.rawSeed, rs.reorig
+		}
 	} else {
 		snap = t.capture(next-1, prevInputs, prev)
 	}
@@ -350,20 +359,11 @@ func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 	}
 }
 
-// capture serializes the frontier after chunk j committed, building the
-// lineage's deferred replicas first: the snapshot holds every original
-// state an uninterrupted session could compare against. A build that
-// faults through every retry fails the session, as it would have at the
-// next boundary.
+// capture serializes the frontier after chunk j committed. A lineage
+// whose replicas were never built is written as its final state and the
+// replica seed, which a resumed frontier builds them from on a miss, as
+// the uninterrupted session would; a built lineage is written whole.
 func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkpoint.Snapshot {
-	if run := prev.run; run.deferred() {
-		built, fault := run.buildReplicas(t.p.ctx, &prev.origs)
-		if fault != nil {
-			t.p.fail(&FaultError{Fault: fault})
-			return nil
-		}
-		run.emit(built)
-	}
 	snap := t.skeleton()
 	snap.NextChunk = j + 1
 	for i, in := range t.p.window(jobInputs) {
@@ -381,6 +381,14 @@ func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkp
 			return nil
 		}
 		snap.Lineage = append(snap.Lineage, b)
+	}
+	if run := prev.run; run.deferred() {
+		b, err := t.cfg.Codec.EncodeState(run.seed.snapshot)
+		if err != nil {
+			t.disable(fmt.Errorf("checkpoint: encode replica seed: %w", err))
+			return nil
+		}
+		snap.ReplicaSeed, snap.Reorig = b, run.seedReorig()
 	}
 	return snap
 }

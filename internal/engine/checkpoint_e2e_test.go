@@ -3,6 +3,8 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -328,6 +330,75 @@ func TestCheckpointHaltResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeVerdicts resumes at every snapshot and holds the
+// resumed tail to the uninterrupted session chunk by chunk: the
+// comparisons each EvValidated charged and whether one matched, then
+// EvCommitted or EvAborted. Outputs alone can hide a replica rebuilt
+// from the wrong stream — the chunk aborts and its re-execution commits
+// the same bytes — while the verdict cannot. The sessions are
+// TestLineageDigests' with a replica match (dedupstream) and with
+// re-executed lineages (both), so snapshots carry replica seeds from
+// worker and recovery streams, and resumed first boundaries build from
+// them.
+func TestCheckpointResumeVerdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resumes a session per commit boundary")
+	}
+	var seeds, reorigs, replicaMatches, misses int
+	for _, name := range []string{"dedupstream", "streamcluster"} {
+		inputs := bench.MustNew(name).Inputs(rng.New(1))[:72]
+		wc, err := bench.WireFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			ref := &verdictLog{}
+			cfg := engine.StreamConfig{ChunkSize: 4, Lookback: 2, ExtraStates: 2, Workers: workers, Seed: 5, Sink: ref,
+				Checkpoint: engine.CheckpointConfig{Codec: wc, EveryCommits: 1}}
+			lines, snaps, _ := sessionRun(t, name, cfg, inputs)
+			want := joinLines(lines)
+			for _, snap := range snaps {
+				if len(snap.ReplicaSeed) > 0 {
+					seeds++
+					if snap.Reorig {
+						reorigs++
+					}
+					if evs := ref.byChunk[snap.NextChunk]; len(evs) > 0 && !(evs[0].Matched && evs[0].N == 1) {
+						// The resumed first boundary missed the final state:
+						// it builds the replicas from the snapshot's seed.
+						if evs[0].Matched {
+							replicaMatches++
+						} else {
+							misses++
+						}
+					}
+				}
+				got := &verdictLog{}
+				tail, _, _ := sessionRun(t, name, engine.StreamConfig{Sink: got,
+					Resume: &engine.ResumeConfig{Snap: reseal(t, snap), Codec: wc}}, inputs[snap.Inputs:])
+				if !bytes.Equal(joinLines(append(append([][]byte{}, lines[:snap.Inputs]...), tail...)), want) {
+					t.Errorf("%s workers=%d: resume at chunk %d diverged from the uninterrupted outputs", name, workers, snap.NextChunk)
+				}
+				for j := range got.byChunk {
+					if j < snap.NextChunk {
+						t.Errorf("%s workers=%d: resume at chunk %d decided chunk %d", name, workers, snap.NextChunk, j)
+					}
+				}
+				for j, evs := range ref.byChunk {
+					if j >= snap.NextChunk && !reflect.DeepEqual(got.byChunk[j], evs) {
+						t.Errorf("%s workers=%d: resume at chunk %d: chunk %d's verdict %v, uninterrupted %v",
+							name, workers, snap.NextChunk, j, got.byChunk[j], evs)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d snapshots carried a replica seed, %d from a recovery stream; %d resumed first boundaries matched a replica built from one, %d missed them all", seeds, reorigs, replicaMatches, misses)
+	if reorigs == 0 || replicaMatches == 0 || misses == 0 {
+		t.Error("the sessions no longer resume from recovery seeds, or onto boundaries that build and match or miss replicas")
+	}
+}
+
 // TestCheckpointResumeValidation pins the resume guardrails: a snapshot
 // for the wrong benchmark and a resume without a codec must be rejected
 // at construction, not discovered mid-stream.
@@ -367,5 +438,70 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	if _, err := engine.NewStream(context.Background(), prog,
 		engine.StreamConfig{Resume: &engine.ResumeConfig{Snap: snap}}); err == nil {
 		t.Fatal("resume accepted a nil codec")
+	}
+}
+
+// BenchmarkCheckpointCapture sizes checkpoint capture without the
+// repository benchmark: an op is one steady-state dedupstream session —
+// the native-state workload's shape, up to 900 inputs at chunk 16,
+// lookback 4, one extra state, Workers 2 — that frames a snapshot every
+// two commits with checkpoint.Encode (every=2), or takes none (off). The
+// difference between the two is what capture and framing cost a session,
+// in ns/op and B/op.
+//
+//	go test -run '^$' -bench CheckpointCapture -benchtime 20x ./internal/engine
+func BenchmarkCheckpointCapture(b *testing.B) {
+	const name = "dedupstream"
+	prog := bench.MustNew(name)
+	inputs := prog.Inputs(rng.New(1))
+	inputs = inputs[:min(len(inputs), 900)]
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, every := range []int{2, 0} {
+		label := "off"
+		if every > 0 {
+			label = fmt.Sprintf("every=%d", every)
+		}
+		b.Run(label, func(b *testing.B) {
+			cfg := engine.StreamConfig{ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3}
+			var snaps, framed int
+			if every > 0 {
+				cfg.Checkpoint = engine.CheckpointConfig{Codec: wc, EveryCommits: every,
+					OnSnapshot: func(s *checkpoint.Snapshot) {
+						raw, err := checkpoint.Encode(s)
+						if err != nil {
+							b.Error(err)
+						}
+						snaps, framed = snaps+1, framed+len(raw)
+					}}
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := engine.NewStream(ctx, prog, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				go func() {
+					defer p.Close()
+					for _, in := range inputs {
+						if p.Push(ctx, in) != nil {
+							return
+						}
+					}
+				}()
+				for range p.Outputs() {
+				}
+				if _, err := p.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if snaps > 0 {
+				b.ReportMetric(float64(snaps)/float64(b.N), "snapshots/op")
+				b.ReportMetric(float64(framed)/float64(snaps), "B/snapshot")
+			}
+		})
 	}
 }

@@ -7,7 +7,7 @@ import "sync"
 // mispeculation, recovered from. origFPs caches the original states'
 // fingerprint lanes for the next boundary's comparison wave. run is the
 // chunk run that produced the lineage, holding the seed of the replicas
-// it deferred until a boundary or a capture needs them.
+// it deferred until a boundary needs them; a capture encodes the seed.
 type committed struct {
 	final   State
 	origs   []State
@@ -43,20 +43,22 @@ type frontier struct {
 func (f *frontier) init(p *Pipeline) {
 	f.pending = make([]*chunk, len(p.records))
 	rs := p.resume
-	if rs == nil {
+	if rs == nil || rs.next == 0 {
 		return
 	}
 	// The decoded lineage stands in for the last committed chunk's result,
-	// so the first boundary is validated against the exact states the
-	// uninterrupted session would have held. It is complete, so its run
-	// defers nothing.
+	// and its run is bound to that chunk and holds its replica seed, if
+	// the snapshot carried one. So the first boundary is validated against
+	// the exact states the uninterrupted session would have held, and
+	// builds the replicas only on a miss, as that session would have.
 	f.next = rs.next
-	f.prev.run = &chunkRun{proto: &p.proto, ex: p.ex}
-	if len(rs.lineage) > 0 {
-		f.prev.final = rs.lineage[0]
-		f.prev.origs = rs.lineage
-		f.prev.origFPs = p.fingerprints(nil, rs.lineage)
+	run := &chunkRun{}
+	run.bind(&p.proto, p.ex, nil, rs.next-1, -1)
+	if rs.seed != nil {
+		run.reseed(rs.seed, rs.prevWindow, rs.reorig)
 	}
+	f.prev = committed{final: rs.lineage[0], origs: rs.lineage,
+		origFPs: p.fingerprints(nil, rs.lineage), run: run}
 }
 
 // deliver hands a speculated record to the frontier. Under mu it parks
@@ -178,9 +180,9 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
 	// prev aliases the record's original-state and fingerprint buffers and
-	// its run, whose seed the next boundary or a capture builds from; the
-	// record outlives its turn as predecessor (newRecords). Whatever the
-	// run reports from here on, the frontier does.
+	// its run, whose seed the next boundary builds from and a capture
+	// encodes; the record outlives its turn as predecessor (newRecords).
+	// Whatever the run reports from here on, the frontier does.
 	oldFinal := prev.final
 	prev.final, prev.origs, prev.origFPs, prev.run = r.final, r.origs, r.origFPs, &r.chunkRun
 	r.worker = -1

@@ -53,8 +53,8 @@ const (
 	EvSnapshot
 	// EvOrigStates records generation of N replica original states, each
 	// replaying M window inputs (§III-B "Multiple original states"). A
-	// native worker defers them and reports N = 0; the boundary or capture
-	// that builds them reports a second EvOrigStates for the chunk.
+	// native worker defers them and reports N = 0; the boundary that builds
+	// them reports a second EvOrigStates for the chunk.
 	EvOrigStates
 	// EvSpeculated records the whole worker-side phase for a chunk:
 	// alternative production, body, original states. Its Dur is what the

@@ -119,7 +119,7 @@ const (
 	// SiteBody is the speculative chunk body.
 	SiteBody
 	// SiteOrigStates is original-state generation (including its replica
-	// threads, and the replicas a boundary or capture builds on demand).
+	// threads, and the replicas a boundary builds on demand).
 	SiteOrigStates
 	// SiteReexec is recovery re-execution from the true predecessor state.
 	SiteReexec

@@ -230,11 +230,13 @@ func TestFrontierPanicFailsSession(t *testing.T) {
 // workers run ahead. Its
 // outputs and every chunk's untimed event sequence must be those of the
 // same Plan over 32 records (Workers 8), where next to nothing is reused
-// while it could still be read. A capture builds a lineage's deferred
-// replicas, so the plan runs a second time without checkpoints: there a
-// record keeps its replica seed until its successor's boundary builds or
-// drops it, and a record whose seed outlived its turn would hand the
-// snapshot to the next lap.
+// while it could still be read. A record keeps its replica seed until its
+// successor's boundary builds or drops it, and a capture encodes the
+// seed's snapshot in between without building anything, so a record
+// whose seed outlived its turn would hand the snapshot to the next lap or
+// to the tracker. The plan runs a second time without checkpoints, where
+// only the boundary reads the seed and the frontier never stalls on a
+// capture.
 func TestRecordReuseStress(t *testing.T) {
 	const name, chunks = "streamclassifier", 201
 	plan, n := make([]int, chunks), 0

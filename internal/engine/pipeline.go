@@ -80,7 +80,7 @@ type StreamConfig struct {
 	// ExtraStates is the number of additional original states a chunk
 	// boundary compares against once the final state has missed. They are
 	// built then, at the commit frontier, from the snapshot the chunk's
-	// worker kept — or by a checkpoint capture, which encodes them.
+	// worker kept; a checkpoint capture encodes that snapshot instead.
 	ExtraStates int
 	// InnerWidth is the gang width for the program's original TLP inside
 	// each update; 1 (the default 0 maps to 1) uses only STATS TLP.
@@ -248,8 +248,8 @@ type chunk struct {
 	initState  State   // chunk 0 only: the program's initial state
 
 	// The result. The snapshot the worker took rides in the run's replica
-	// seed, and origs holds the final state alone until a boundary or a
-	// capture builds the replicas (a remote reply carries them built). A
+	// seed, and origs holds the final state alone until a boundary builds
+	// the replicas (a remote reply carries them built). A
 	// result whose worker exhausted its retry budget carries only the
 	// fault; the frontier degrades it to an in-place sequential
 	// re-execution.
@@ -278,7 +278,8 @@ type chunk struct {
 // successor has been applied to the end — the outcome push is applyCommit's
 // last act — and that was the last read of anything in it: of its inputs
 // by the successor's alternative producer and by the checkpoint tracker,
-// of its origs and origFPs through the committed lineage. Nothing but
+// of its origs, origFPs and replica seed through the committed lineage
+// (the tracker encodes the seed). Nothing but
 // that arithmetic guards the reuse; the race detector over
 // TestRecordReuseStress is its net.
 func newRecords(p *Pipeline, window int) []chunk {

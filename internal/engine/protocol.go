@@ -146,6 +146,23 @@ type replicaSeed struct {
 // replicas.
 func (c *chunkRun) deferred() bool { return c.seed.snapshot != nil }
 
+// seedReorig reports whether the deferred replicas derive from the
+// recovery stream rather than the worker stream: whether the lineage
+// came from a re-execution.
+func (c *chunkRun) seedReorig() bool { return c.seed.rnd == &c.reorig }
+
+// reseed restores a replica seed a checkpoint carried into c, bound to
+// the chunk whose lineage it is: the replicas then derive from the same
+// stream, worker or recovery, as that chunk's own would have.
+func (c *chunkRun) reseed(snapshot State, window []Input, reorig bool) {
+	rnd := &c.rng
+	if reorig {
+		c.reorig = c.rng.Sub("reorig")
+		rnd = &c.reorig
+	}
+	c.seed = replicaSeed{snapshot: snapshot, window: window, rnd: rnd}
+}
+
 // replicas builds the deferred replicas onto origs[:1] (origs[0] is
 // final) as originalStates would have built them on the owning context:
 // a pool clone of the snapshot each, replaying the window under the

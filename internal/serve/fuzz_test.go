@@ -17,6 +17,7 @@ func FuzzResumePrologue(f *testing.F) {
 	b64, err := checkpoint.EncodeString(&checkpoint.Snapshot{
 		Benchmark: "streamcluster", Seed: 7, ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 3,
 		NextChunk: 2, Inputs: 16, Lineage: [][]byte{[]byte(`{"k":1}`)}, PrevWindow: [][]byte{[]byte(`[1,2]`)},
+		ReplicaSeed: []byte(`{"k":0}`),
 	})
 	if err != nil {
 		f.Fatal(err)
