@@ -132,9 +132,9 @@ func diffInput(t *testing.T, c bench.StreamCodec, in engine.Input) {
 
 // TestCodecsMatchEncodingJSON runs a Workers:1 session of every benchmark
 // with a checkpoint at every commit, and checks every input, every
-// committed output and every lineage state and replica seed at every commit: what the
-// encoder wrote is what json.Marshal writes, and what the decoder read is
-// what json.Unmarshal reads.
+// committed output, every lineage state and replica seed and every framed
+// snapshot at every commit: what the encoder wrote is what json.Marshal
+// writes, and what the decoder read is what json.Unmarshal reads.
 func TestCodecsMatchEncodingJSON(t *testing.T) {
 	for _, name := range bench.WireNames() {
 		t.Run(name, func(t *testing.T) {
@@ -156,12 +156,22 @@ func TestCodecsMatchEncodingJSON(t *testing.T) {
 			} else {
 				ins = ins[:min(len(ins), 512)]
 			}
-			var states [][]byte
+			var states []json.RawMessage
 			cfg := engine.StreamConfig{Seed: 3, ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 1}
 			cfg.Checkpoint = engine.CheckpointConfig{Codec: wc, EveryCommits: 1, OnSnapshot: func(s *checkpoint.Snapshot) {
 				states = append(states, s.Lineage...)
 				if s.ReplicaSeed != nil {
 					states = append(states, s.ReplicaSeed)
+				}
+				// The snapshot embeds the encodings as they are, so its
+				// payload — between the envelope's 12-byte header and 4-byte
+				// CRC — is json.Marshal's only if they are in its form.
+				// It runs on the frontier's worker, so it reports with Errorf.
+				raw, err := checkpoint.Encode(s)
+				if err != nil {
+					t.Errorf("checkpoint.Encode: %v", err)
+				} else if want, _ := json.Marshal(s); !bytes.Equal(raw[12:len(raw)-4], want) {
+					t.Errorf("snapshot payload differs from json.Marshal:\n got %.200s\nwant %.200s", raw[12:len(raw)-4], want)
 				}
 			}}
 			p, err := engine.NewStream(context.Background(), b, cfg)

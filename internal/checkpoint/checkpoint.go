@@ -17,16 +17,17 @@
 // Wire format (everything little-endian):
 //
 //	magic   [4]byte  "STCP"
-//	version uint32   currently 2
+//	version uint32   currently 3
 //	length  uint32   payload byte count
 //	payload []byte   JSON-encoded Snapshot
 //	crc     uint32   CRC-32C (Castagnoli) over version|length|payload
 //
 // The JSON payload keeps the format self-describing (fields are named,
-// unknown fields are ignored on decode, states are opaque codec-encoded
-// byte strings); the binary envelope gives cheap integrity and version
-// gating before any JSON is parsed. A snapshot that fails the CRC or
-// carries an unknown version is rejected, never partially applied.
+// unknown fields are ignored on decode, states and inputs are the codec's
+// own JSON documents, embedded as values); the binary envelope gives cheap
+// integrity and version gating before any JSON is parsed. A snapshot that
+// fails the CRC or carries an unknown version is rejected, never partially
+// applied.
 package checkpoint
 
 import (
@@ -40,10 +41,11 @@ import (
 	"gostats/internal/autotune"
 )
 
-// Version is the current snapshot format version. Version 2 carries an
-// unbuilt lineage as its replica seed (Snapshot.ReplicaSeed); version 1
-// envelopes are rejected.
-const Version = 2
+// Version is the current snapshot format version. Version 2 carried an
+// unbuilt lineage as its replica seed (Snapshot.ReplicaSeed); version 3
+// embeds every codec encoding as a JSON value instead of a base64 string.
+// Older envelopes are rejected.
+const Version = 3
 
 // magic identifies a snapshot envelope.
 var magic = [4]byte{'S', 'T', 'C', 'P'}
@@ -56,9 +58,11 @@ const header = len(magic) + 4 + 4
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot is a session's resumable core at a commit boundary. All state
-// and input fields hold the benchmark wire codec's encodings (one JSON
-// document per entry), so the snapshot layer itself never needs to know
-// benchmark types.
+// and input fields hold the benchmark wire codec's encodings, one JSON
+// document per entry, so the snapshot layer itself never needs to know
+// benchmark types. The payload embeds each as the JSON value it is, so an
+// entry must be one: in encoding/json's compact form, as every WireCodec
+// writes it, for the payload to be json.Marshal's bytes.
 type Snapshot struct {
 	// Benchmark is the registered benchmark name; a snapshot can only be
 	// restored into a pipeline running the same program.
@@ -94,20 +98,20 @@ type Snapshot struct {
 	// PrevWindow is the lookback window of the last committed chunk
 	// (codec-encoded inputs): what chunk NextChunk's alternative producer
 	// replays. Empty when NextChunk is 0.
-	PrevWindow [][]byte `json:"prev_window,omitempty"`
+	PrevWindow []json.RawMessage `json:"prev_window,omitempty"`
 	// Lineage is the committed-state lineage at the frontier
 	// (codec-encoded states): Lineage[0] is the committed final state,
 	// the rest are the ExtraStates original-state replicas boundary
 	// validation compares speculative states against — or, when
 	// ReplicaSeed is set, nothing: the replicas were never built. Empty
 	// when NextChunk is 0.
-	Lineage [][]byte `json:"lineage,omitempty"`
+	Lineage []json.RawMessage `json:"lineage,omitempty"`
 	// ReplicaSeed is what the lineage's unbuilt replicas are re-derived
 	// from (codec-encoded): the committed chunk's state len(PrevWindow)
 	// inputs before its end. A resumed frontier replays PrevWindow from
 	// it, as the chunk would have, only if a boundary misses the final
 	// state. Set only with ExtraStates >= 1 and Lineage [final].
-	ReplicaSeed []byte `json:"replica_seed,omitempty"`
+	ReplicaSeed json.RawMessage `json:"replica_seed,omitempty"`
 	// Reorig says the replicas derive from the chunk's recovery stream —
 	// it was re-executed after a mispeculation — rather than from its
 	// worker stream. Meaningful only with ReplicaSeed.
@@ -165,8 +169,10 @@ func (s *Snapshot) Validate() error {
 // envelope is the only allocation when the snapshot does not adapt: the
 // payload is json.Marshal(s) byte for byte, but only Controller — and a
 // benchmark name JSON would escape — goes through encoding/json. Ints and
-// bools are written directly and the codec-encoded byte strings are
-// base64'd straight into the envelope.
+// bools are written directly and the codec encodings are copied in as
+// they are. Encode rejects an empty encoding, which has no JSON form, but
+// does not parse the others: Decode does, and the codecs' differential
+// tests hold them to encoding/json's form.
 func Encode(s *Snapshot) ([]byte, error) {
 	var name, ctl []byte
 	if !plainJSON(s.Benchmark) {
@@ -180,6 +186,9 @@ func Encode(s *Snapshot) ([]byte, error) {
 	}
 	size := writer{dry: true}
 	size.payload(s, name, ctl)
+	if size.empty {
+		return nil, fmt.Errorf("checkpoint: encode payload: an empty codec encoding")
+	}
 	w := writer{buf: make([]byte, 0, header+size.n+4)}
 	w.buf = append(w.buf, magic[:]...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
@@ -190,11 +199,12 @@ func Encode(s *Snapshot) ([]byte, error) {
 }
 
 // writer appends a snapshot's JSON payload to buf or, dry, only counts
-// its bytes in n.
+// its bytes in n. empty records an encoding with no bytes.
 type writer struct {
-	buf []byte
-	n   int
-	dry bool
+	buf   []byte
+	n     int
+	dry   bool
+	empty bool
 }
 
 func (w *writer) raw(s string) {
@@ -219,31 +229,26 @@ func (w *writer) int(key string, v int64) {
 	w.bytes(strconv.AppendInt(digits[:0], v, 10))
 }
 
-// blob writes b as encoding/json writes a []byte: base64 in quotes, or
-// null for a nil slice.
-func (w *writer) blob(b []byte) {
+// value writes a codec encoding as encoding/json writes a
+// json.RawMessage: as it is, or null for a nil one.
+func (w *writer) value(b json.RawMessage) {
 	if b == nil {
 		w.raw("null")
 		return
 	}
-	w.raw(`"`)
-	if w.dry {
-		w.n += base64.StdEncoding.EncodedLen(len(b))
-	} else {
-		w.buf = base64.StdEncoding.AppendEncode(w.buf, b)
-	}
-	w.raw(`"`)
+	w.empty = w.empty || len(b) == 0
+	w.bytes(b)
 }
 
-// blobs writes an omitempty [][]byte field.
-func (w *writer) blobs(key string, v [][]byte) {
+// values writes an omitempty []json.RawMessage field.
+func (w *writer) values(key string, v []json.RawMessage) {
 	if len(v) == 0 {
 		return
 	}
 	w.raw(key)
 	for i, b := range v {
 		w.sep(i)
-		w.blob(b)
+		w.value(b)
 	}
 	w.raw("]")
 }
@@ -289,11 +294,11 @@ func (w *writer) payload(s *Snapshot, name, ctl []byte) {
 	}
 	w.int(`,"next_chunk":`, int64(s.NextChunk))
 	w.int(`,"inputs":`, s.Inputs)
-	w.blobs(`,"prev_window":`, s.PrevWindow)
-	w.blobs(`,"lineage":`, s.Lineage)
+	w.values(`,"prev_window":`, s.PrevWindow)
+	w.values(`,"lineage":`, s.Lineage)
 	if len(s.ReplicaSeed) > 0 {
 		w.raw(`,"replica_seed":`)
-		w.blob(s.ReplicaSeed)
+		w.bytes(s.ReplicaSeed)
 	}
 	if s.Reorig {
 		w.raw(`,"reorig":true`)

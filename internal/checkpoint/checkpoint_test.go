@@ -27,14 +27,23 @@ func sampleSnapshot() *Snapshot {
 		MaxChunk:    32,
 		NextChunk:   5,
 		Inputs:      40,
-		PrevWindow:  [][]byte{[]byte(`{"i":37}`), []byte(`{"i":38}`), []byte(`{"i":39}`)},
-		Lineage:     [][]byte{[]byte(`{"sum":1.5}`), []byte(`{"sum":1.25}`)},
+		PrevWindow:  raws(`{"i":37}`, `{"i":38}`, `{"i":39}`),
+		Lineage:     raws(`{"sum":1.5}`, `{"sum":1.25}`),
 		Pending:     []bool{true, true, false},
 		Controller: &autotune.OnlineState{
 			Size: 8, EpochN: 3, Aborts: 1, Outcomes: 35, Resizes: 2, Grows: 1, Shrinks: 1,
 			History: []autotune.SizeChange{{Outcome: 0, Size: 8}, {Outcome: 16, Size: 12}, {Outcome: 24, Size: 8}},
 		},
 	}
+}
+
+// raws builds a list of codec encodings.
+func raws(docs ...string) []json.RawMessage {
+	v := make([]json.RawMessage, len(docs))
+	for i, d := range docs {
+		v[i] = json.RawMessage(d)
+	}
+	return v
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -134,8 +143,9 @@ func TestCheckpointVersionGate(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	// Stamp the previous and the next version with a valid CRC: the
-	// decoder must reject on version, not CRC. A version 1 envelope — its
-	// lineage always built, its payload otherwise alike — is not read.
+	// decoder must reject on version, not CRC. A version 2 envelope — its
+	// codec encodings base64 strings, its payload otherwise alike — is not
+	// read.
 	for _, v := range []uint32{Version - 1, Version + 1} {
 		mut := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(mut[4:], v)
@@ -148,21 +158,21 @@ func TestCheckpointVersionGate(t *testing.T) {
 
 func TestCheckpointValidate(t *testing.T) {
 	bad := []*Snapshot{
-		{Benchmark: "", NextChunk: 1, Lineage: [][]byte{{1}}},
+		{Benchmark: "", NextChunk: 1, Lineage: raws("1")},
 		{Benchmark: "x", NextChunk: -1},
-		{Benchmark: "x", NextChunk: 0, Lineage: [][]byte{{1}}},
+		{Benchmark: "x", NextChunk: 0, Lineage: raws("1")},
 		{Benchmark: "x", NextChunk: 3},
 		{Benchmark: "x", Workers: 1, Pending: make([]bool, Window(1)+1)},
 		{Benchmark: "x", ExtraStates: -1},
 		// The lineage's shape: final plus ExtraStates replicas, or final
 		// and the seed they are built from.
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}, {3}}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}, {2}}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}}, ReplicaSeed: []byte{4}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}},
-		{Benchmark: "x", NextChunk: 0, ExtraStates: 1, ReplicaSeed: []byte{4}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}, {2}}, Reorig: true},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: raws("1")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: raws("1", "2", "3")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: raws("1", "2")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: raws("1", "2"), ReplicaSeed: json.RawMessage("4")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: raws("1"), ReplicaSeed: json.RawMessage("4")},
+		{Benchmark: "x", NextChunk: 0, ExtraStates: 1, ReplicaSeed: json.RawMessage("4")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: raws("1", "2"), Reorig: true},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -171,10 +181,10 @@ func TestCheckpointValidate(t *testing.T) {
 	}
 	for i, s := range []*Snapshot{
 		{Benchmark: "x", Workers: 2, NextChunk: 0},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: [][]byte{{1}}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: [][]byte{{1}, {2}, {3}}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}},
-		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: [][]byte{{1}}, ReplicaSeed: []byte{4}, Reorig: true},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 0, Lineage: raws("1")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: raws("1", "2", "3")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 2, Lineage: raws("1"), ReplicaSeed: json.RawMessage("4")},
+		{Benchmark: "x", NextChunk: 3, ExtraStates: 1, Lineage: raws("1"), ReplicaSeed: json.RawMessage("4"), Reorig: true},
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("case %d: Validate rejected %+v: %v", i, s, err)
@@ -184,19 +194,21 @@ func TestCheckpointValidate(t *testing.T) {
 
 // TestCheckpointEncodeMatchesMarshal: Encode writes the payload itself, and it
 // must be the bytes json.Marshal writes — Decode is json.Unmarshal — for
-// every field's zero, nil and omitempty case, negative numbers, and a
-// benchmark name JSON escapes.
+// every field's zero, nil and omitempty case, negative numbers, a
+// benchmark name JSON escapes, and codec encodings of every JSON kind. An
+// empty encoding has no JSON form: both refuse it.
 func TestCheckpointEncodeMatchesMarshal(t *testing.T) {
 	seeded := sampleSnapshot()
-	seeded.Lineage, seeded.ReplicaSeed, seeded.Reorig = seeded.Lineage[:1], []byte(`{"sum":1}`), true
+	seeded.Lineage, seeded.ReplicaSeed, seeded.Reorig = seeded.Lineage[:1], json.RawMessage(`{"sum":1}`), true
 	for i, s := range []*Snapshot{
 		sampleSnapshot(),
 		seeded,
 		{},
 		{Benchmark: "a\"<b>&\u2028\x01\xff", Seed: 1<<64 - 1, ChunkSize: -1, MinChunk: -2, Inputs: -1 << 63},
-		{Benchmark: "x", PrevWindow: [][]byte{nil, {}}, Lineage: [][]byte{{0xff, 0xfe, 0}}, Pending: []bool{false}},
-		{Benchmark: "x", PrevWindow: [][]byte{}, Lineage: [][]byte{}, ReplicaSeed: []byte{}, Pending: []bool{},
-			Controller: &autotune.OnlineState{}},
+		{Benchmark: "x", PrevWindow: []json.RawMessage{nil, json.RawMessage("null")},
+			Lineage: raws(`[1,{"a":[]},"\u003c\\"]`, `-0.5e-7`, `true`), Pending: []bool{false}},
+		{Benchmark: "x", PrevWindow: []json.RawMessage{}, Lineage: []json.RawMessage{}, ReplicaSeed: json.RawMessage{},
+			Pending: []bool{}, Controller: &autotune.OnlineState{}},
 	} {
 		want, err := json.Marshal(s)
 		if err != nil {
@@ -213,18 +225,32 @@ func TestCheckpointEncodeMatchesMarshal(t *testing.T) {
 			t.Errorf("case %d: envelope of %d bytes in a buffer of %d", i, len(raw), cap(raw))
 		}
 	}
+	for i, s := range []*Snapshot{
+		{Benchmark: "x", PrevWindow: []json.RawMessage{{}}},
+		{Benchmark: "x", NextChunk: 1, Lineage: []json.RawMessage{json.RawMessage("1"), {}}},
+	} {
+		if _, err := json.Marshal(s); err == nil {
+			t.Errorf("empty case %d: json.Marshal accepted an empty encoding", i)
+		}
+		if _, err := Encode(s); err == nil {
+			t.Errorf("empty case %d: Encode accepted an empty encoding", i)
+		}
+	}
 }
 
-// TestCheckpointEncodeAllocs: framing a dedupstream-sized snapshot — a 36 KB final
-// state and seed, a two-input window of 16 KB inputs — allocates the
-// envelope and nothing else.
+// TestCheckpointEncodeAllocs: framing a dedupstream-sized snapshot — a
+// four-input window of 22 KB inputs, a 23 KB final state and an 18 KB
+// seed — allocates the envelope and nothing else.
 func TestCheckpointEncodeAllocs(t *testing.T) {
-	blob := func(n int) []byte { return bytes.Repeat([]byte(`[1,2]`), n/5) }
-	s := &Snapshot{Benchmark: "dedupstream", Seed: 3, ChunkSize: 16, Lookback: 2, ExtraStates: 1,
+	doc := func(n int) json.RawMessage {
+		return json.RawMessage("[" + strings.Repeat("1,", n/2) + "1]")
+	}
+	in := doc(22 << 10)
+	s := &Snapshot{Benchmark: "dedupstream", Seed: 3, ChunkSize: 16, Lookback: 4, ExtraStates: 1,
 		InnerWidth: 1, Workers: 2, NextChunk: 40, Inputs: 640,
-		PrevWindow:  [][]byte{blob(16 << 10), blob(16 << 10)},
-		Lineage:     [][]byte{blob(36 << 10)},
-		ReplicaSeed: blob(36 << 10),
+		PrevWindow:  []json.RawMessage{in, in, in, in},
+		Lineage:     []json.RawMessage{doc(23 << 10)},
+		ReplicaSeed: doc(18 << 10),
 		Pending:     []bool{true, false, true},
 	}
 	if n := testing.AllocsPerRun(20, func() {
@@ -271,11 +297,39 @@ func sameSnapshot(a, b *Snapshot) bool {
 	return reflect.DeepEqual(norm(*a), norm(*b))
 }
 
+// canonical is what json.Marshal makes of a JSON document: compact, with
+// <, > and & (and U+2028, U+2029) escaped.
+func canonical(doc []byte) []byte {
+	var c bytes.Buffer
+	if err := json.Compact(&c, doc); err != nil {
+		return nil
+	}
+	var h bytes.Buffer
+	json.HTMLEscape(&h, c.Bytes())
+	return h.Bytes()
+}
+
+// allCanonical reports whether every codec encoding s carries is in
+// json.Marshal's form.
+func allCanonical(s *Snapshot) bool {
+	for _, list := range [][]json.RawMessage{s.PrevWindow, s.Lineage, {s.ReplicaSeed}} {
+		for _, doc := range list {
+			if doc != nil && !bytes.Equal(canonical(doc), doc) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // FuzzCheckpointDecode: whatever arrives as a snapshot — an envelope, its
 // base64 form on a #ckpt or #resume line, or a payload inside a valid
 // envelope — Decode and DecodeString return a snapshot or an error, never
-// a panic, and a snapshot they return re-encodes to an envelope whose
-// payload is json.Marshal's bytes and that decodes to the same snapshot.
+// a panic, and a snapshot they return re-encodes to an envelope that
+// decodes to the same snapshot. Its payload is json.Marshal's bytes when
+// the codec encodings are in json.Marshal's form, as codecs write them;
+// Decode keeps an encoding's bytes as they arrived, spaces and all, and
+// then the payload is json.Marshal's once made canonical.
 func FuzzCheckpointDecode(f *testing.F) {
 	payload, err := json.Marshal(sampleSnapshot())
 	if err != nil {
@@ -287,7 +341,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(base64.StdEncoding.EncodeToString(raw)))
 	f.Add([]byte(`{"benchmark":"x","workers":1,"prev_window":[],"pending":[]}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""],"controller":{"history":null}}`))
-	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":["WzFd"],"lineage":["e30="],"replica_seed":"e30=","reorig":true}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":[[1]],"lineage":[{"a":"<"}],"replica_seed":{},"reorig":true}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"lineage":[ { "a" : [ 1 , 2 ] } ],"prev_window":["\u2028"]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){
 			func() (*Snapshot, error) { return Decode(data) },
@@ -302,8 +357,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("a decoded snapshot does not encode: %v", err)
 			}
-			if want, _ := json.Marshal(s); !bytes.Equal(again[header:len(again)-4], want) {
-				t.Fatalf("Encode's payload differs from json.Marshal:\n got %s\nwant %s", again[header:len(again)-4], want)
+			got := again[header : len(again)-4]
+			if !allCanonical(s) {
+				got = canonical(got)
+			}
+			if want, _ := json.Marshal(s); !bytes.Equal(got, want) {
+				t.Fatalf("Encode's payload differs from json.Marshal:\n got %s\nwant %s", got, want)
 			}
 			back, err := Decode(again)
 			if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"gostats/internal/autotune"
@@ -22,9 +23,10 @@ import (
 // re-derived identically on resume.
 
 // SessionCodec serializes one benchmark's inputs, outputs, and states for
-// checkpoints and the out-of-process chunk protocol. bench.WireCodec
-// satisfies it; the engine keeps only the interface so it never depends
-// on benchmark packages.
+// checkpoints and the out-of-process chunk protocol. Each encoding is one
+// JSON document in encoding/json's compact form: both embed it in their
+// own JSON as a value. bench.WireCodec satisfies it; the engine keeps
+// only the interface so it never depends on benchmark packages.
 type SessionCodec interface {
 	DecodeInput(data []byte) (Input, error)
 	EncodeInput(in Input) ([]byte, error)
@@ -193,9 +195,9 @@ type resumeState struct {
 	// rawWindow, rawLineage and rawSeed keep the snapshot's encoded forms
 	// so a session that halts before committing anything new can re-emit
 	// its resume point without re-encoding.
-	rawWindow  [][]byte
-	rawLineage [][]byte
-	rawSeed    []byte
+	rawWindow  []json.RawMessage
+	rawLineage []json.RawMessage
+	rawSeed    json.RawMessage
 }
 
 // buildResume validates and decodes a snapshot against prog and the
@@ -366,7 +368,9 @@ func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkpoint.Snapshot {
 	snap := t.skeleton()
 	snap.NextChunk = j + 1
-	for i, in := range t.p.window(jobInputs) {
+	window := t.p.window(jobInputs)
+	snap.PrevWindow = make([]json.RawMessage, 0, len(window))
+	for i, in := range window {
 		b, err := t.cfg.Codec.EncodeInput(in)
 		if err != nil {
 			t.disable(fmt.Errorf("checkpoint: encode window input %d: %w", i, err))

@@ -42,30 +42,30 @@ var outcomeDigests = map[string]string{
 // framed bytes of the snapshot taken at every commit of that session. A
 // snapshot records its session's worker count, so each count has its own.
 var snapshotDigests = map[string]string{
-	"bodytrack/1":         "d1025900e44d542b01bb12318e3935e74616b4b4109f69c9ef4bc8e40985e7c1",
-	"bodytrack/2":         "f4d0856c1197eed403233756615f3273994a11568a066af3e26c40589de1acce",
-	"bodytrack/4":         "b860aae310125726e6ba7c6fd16367f2cfa12d014b6288b5365986523c4c257b",
-	"dedupstream/1":       "94991349a6fa46a008696f1269525e7eab9d0ac86ddd68f99199c84388e238d6",
-	"dedupstream/2":       "57e5f4832357adbfaea3cd4a6bf01dfef990e7aec8bec2a596106ca5e9b40069",
-	"dedupstream/4":       "0c32dccfa91fbdc77420798a8205925d9b7541ac34bd9dbecbfa4b5bae964d00",
-	"facedet-and-track/1": "207eef7fc52f8f8f46b5e2879b7b33ba9859492ee81e0a5b69c2d8e4243205de",
-	"facedet-and-track/2": "5eb4977cccecd88af5761d113876b0151c0f8700818a43162286f5e7596c693c",
-	"facedet-and-track/4": "19bb20a55525a24f1dfb110c660675998380a5f3820b8434e038e2ebca2d4740",
-	"facetrack/1":         "dee144a4e39c90f0168fb171443669b7ffb24250fa3efb8c331a4a89dce8ccfe",
-	"facetrack/2":         "8ba0b0914018a90db1324e4ff8573bb692c5c0650acd94539c2dad093d765be6",
-	"facetrack/4":         "d685e88f7551ca39ee33678dce5fc40f34d5636deca88ad598d7da0fbf428bfb",
-	"fluidanimate/1":      "b324c25a811b332a695fe1d77744f40bb9fa7a149690bf5d36ca020ab08c1688",
-	"fluidanimate/2":      "f5c6cb05ca0a492c4291a817e19a5243a1cf74170be5c5c8e38808671bb25de1",
-	"fluidanimate/4":      "2d5cb6483e4c427d7ac0fcb2dec1e7c1a81f20cb8639dda91708daaf7037515b",
-	"streamclassifier/1":  "5470205a0bd6dc9cd0a48bf99c2a810cdbd3c80dd9cab0c19dbc4d0702ffc1fe",
-	"streamclassifier/2":  "faaffba699ae6e1b0ed880002a105d5b064e5d520bd17faf4569093efa591b46",
-	"streamclassifier/4":  "505a5c4172b83a0df52fa5d44a226d86cab1133106328b10f2db39988397f798",
-	"streamcluster/1":     "db0c5da0f8cc71a39d5ae38249174872cbba6235ac100ad48c160234416b0717",
-	"streamcluster/2":     "8e7afea2d09f88756fc7f439d885bba6b3ea1f53ec1bbe6e639a8cfc4865f007",
-	"streamcluster/4":     "b27b6b5044b079cda39cdc35b05c7f255b6905eb812b8fc52620ef2b36c0f7e4",
-	"swaptions/1":         "4ab68d485ebc7a68c24c57a3d8178e793d2e6a3e89611d956ae5f401dd2465e5",
-	"swaptions/2":         "5d3243d24de0e167ecf8224762702b52330dd7b33cf18523cb4a2ac1b4d7f8f6",
-	"swaptions/4":         "adf77e270c52c798285d9de2afc87df640dc8c2c06af3708a6b1a5d2ae42aa8c",
+	"bodytrack/1":         "6b3f185ede3300398054b0bd3365d9e0c7d6f0528027cdd1dd565948c63879ed",
+	"bodytrack/2":         "832722603bf3c6989adac8074ffad2c37b5eceb1d6b2682a4cd549698e448aa6",
+	"bodytrack/4":         "e66fa44922037401bba6e00354576eba67d5deb4a22cda60614b396882ff6cf7",
+	"dedupstream/1":       "4c75b9a5f1b49aa51795aa7c24ffa5e4c0bd16b9ae2f35ea6492016204445ba6",
+	"dedupstream/2":       "a67f61339f24bb8b147081cbd3c231691ee7f213ad07dafd1dac9e6a56a11a41",
+	"dedupstream/4":       "f45418d9e18af682bc12204a20a7a29cf23e96d85dc18dc9e01b082582d44584",
+	"facedet-and-track/1": "71a7118543cde3f8598df2e34db6676cfd4093c61da3b7aed71b3e60f9c13484",
+	"facedet-and-track/2": "6137eab763e2fcbae27a520d7a6b7c57b4f3be39407c4b1d85526eb798363585",
+	"facedet-and-track/4": "97e41a32deda7b9256814445931fc7b9481372823f2dcb812dc02de6b1828fe3",
+	"facetrack/1":         "f34911e38b6cb27258a3433ac8077d33e1821243215019cf3cbfca5fbe4c0978",
+	"facetrack/2":         "7bd33dd8ce1fad59382cee50ff3c1d58615a74cdaab721dacea2e89a450bb5e1",
+	"facetrack/4":         "694af55deaaa38d61a59408af46add7e64b0eb6835955446562d08dc7be9e920",
+	"fluidanimate/1":      "2c2b49c143f80d11544d1b36202939c9e2f46ee9b9e25439267d183edca270ed",
+	"fluidanimate/2":      "d2c94acfeee2e1288c11c29b08fe95dd5610d4a4fd75c38bb20db63988483558",
+	"fluidanimate/4":      "93d685951ffc8cbea49891e0d83cceaf19469185a7860013f443ddcb33b1fd60",
+	"streamclassifier/1":  "513be77d711cf71dfdd22034e04f5c66fd640d2537531402a98a3aac073ea6ba",
+	"streamclassifier/2":  "b3bc7695fa2863f3266731a2dc556f2c2b6ac0476696f54830697de94d3c76c0",
+	"streamclassifier/4":  "a0655e82e351e180f91b43bade1847a3ae6fdb646cf792f6b0adf03bee0254d7",
+	"streamcluster/1":     "47c471b60cc510ffdda4d36b4a23a490abfe125b1ae5bb7a94b7a293fe7971c8",
+	"streamcluster/2":     "a96eb9585cc428103bbfac89ebc15dd99793601a1dba9fb501bb66b062d29599",
+	"streamcluster/4":     "13d9770bb6d106946c5c0bcb0b687a3f62165645fd4e41ca5cccc148a7261ce2",
+	"swaptions/1":         "1b254bdc192ff287ab13a4eeb6b2d9505222e6bd325b7b8f475d2c6e54ec0cdb",
+	"swaptions/2":         "fdaf677211f65f4da02fe17369cc2cde1d4d731bd399c3d1bab0903aebb9e4fb",
+	"swaptions/4":         "82dbc23b13562628fb953e80c6cc7f91fa43e337d0f343ee97e50679871bef48",
 }
 
 // verdictLog keeps, per chunk, the events that decide it: EvValidated
