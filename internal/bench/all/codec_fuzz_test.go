@@ -98,7 +98,7 @@ func FuzzStreamCodecs(f *testing.F) {
 // DecodeState, whose bytes come from a client's #resume line or a worker
 // process's reply, and DecodeOutput — with arbitrary lines. Neither may
 // panic. A state that is accepted must be one the program can run on:
-// it fingerprints, takes one Update on a real input, and encodes to a
+// it takes one Update on a real input, and encodes to a
 // line that decodes and encodes back to itself. An accepted output
 // agrees with json.Unmarshal and re-encodes as json.Marshal would.
 func FuzzWireCodecs(f *testing.F) {
@@ -179,7 +179,6 @@ func FuzzWireCodecs(f *testing.F) {
 		if err != nil {
 			return
 		}
-		engine.Program(fx.b).(engine.Fingerprinter).Fingerprint(st)
 		st, _ = fx.b.Update(st, fx.in, rng.New(5))
 		enc1, err := fx.wc.EncodeState(st)
 		if err != nil {

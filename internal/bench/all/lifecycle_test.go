@@ -42,47 +42,9 @@ func genStates(b bench.Benchmark, n int) []engine.State {
 	return states[:n]
 }
 
-// TestDigestGatedMatchAnyAgreesWithMatch is the Fingerprinter soundness
-// property test: over 1k randomized state pairs per benchmark,
-// digest-gated MatchAny (the production path) must agree exactly with the
-// deep Match, and digest incompatibility must imply a Match miss.
-func TestDigestGatedMatchAnyAgreesWithMatch(t *testing.T) {
-	const pairs = 1000
-	for _, name := range bench.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			b := bench.MustNew(name)
-			fp, ok := engine.Program(b).(engine.Fingerprinter)
-			if !ok {
-				t.Fatalf("%s does not implement engine.Fingerprinter", name)
-			}
-			states := genStates(b, 64)
-			ex := engine.NewNativeExec()
-			pick := rng.New(99).Derive(name)
-			rejected := 0
-			for i := 0; i < pairs; i++ {
-				a := states[pick.Intn(len(states))]
-				c := states[pick.Intn(len(states))]
-				deep := b.Match(a, c)
-				gated := engine.MatchAny(ex, b, []engine.State{a}, c)
-				if deep != gated {
-					t.Fatalf("pair %d: MatchAny = %v, deep Match = %v", i, gated, deep)
-				}
-				if !engine.DigestsMayMatch(fp.Fingerprint(a), fp.Fingerprint(c)) {
-					rejected++
-					if deep {
-						t.Fatalf("pair %d: digest rejected a matching pair (unsound fingerprint)", i)
-					}
-				}
-			}
-			t.Logf("%s: %d/%d pairs digest-rejected", name, rejected, pairs)
-		})
-	}
-}
-
 // TestCloneIntoMatchesClone checks the StateRecycler contract: a
-// CloneInto into a retired state is indistinguishable (under Match, the
-// digest, and a further update) from a fresh Clone.
+// CloneInto into a retired state is indistinguishable under Match from a
+// fresh Clone.
 func TestCloneIntoMatchesClone(t *testing.T) {
 	for _, name := range bench.Names() {
 		name := name
@@ -92,7 +54,6 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement engine.StateRecycler", name)
 			}
-			fp := engine.Program(b).(engine.Fingerprinter)
 			states := genStates(b, 8)
 			for i, src := range states {
 				retired := states[(i+1)%len(states)] // arbitrary dead buffer
@@ -100,9 +61,6 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 				plain := b.Clone(src)
 				if !b.Match(recycled, plain) {
 					t.Fatalf("state %d: CloneInto result does not Match a plain Clone", i)
-				}
-				if fp.Fingerprint(recycled) != fp.Fingerprint(plain) {
-					t.Fatalf("state %d: CloneInto and Clone fingerprints differ", i)
 				}
 				// nil dst must behave like Clone.
 				fromNil := rec.CloneInto(nil, src)
@@ -210,21 +168,6 @@ func BenchmarkMatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = bm.Match(s1, s2)
-			}
-		})
-	}
-}
-
-func BenchmarkMatchAnyGated(b *testing.B) {
-	for _, name := range bench.Names() {
-		bm := bench.MustNew(name)
-		s1, s2 := benchStates(bm)
-		origs := []engine.State{s1}
-		ex := engine.NewNativeExec()
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = engine.MatchAny(ex, bm, origs, s2)
 			}
 		})
 	}

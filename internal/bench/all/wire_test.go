@@ -12,8 +12,8 @@ import (
 // TestCheckpointWireStateRoundTrip is the WireCodec contract test behind
 // checkpointing and out-of-process chunk execution: every registered
 // benchmark must serialize state such that Decode(Encode(s)) is
-// bit-equivalent to s — same Match verdict, same fingerprint, and the
-// same future under identical further updates. Re-encoding the decoded
+// bit-equivalent to s — same Match verdict and the same future under
+// identical further updates. Re-encoding the decoded
 // state must also reproduce the exact bytes, so snapshots are stable
 // across save/restore cycles.
 func TestCheckpointWireStateRoundTrip(t *testing.T) {
@@ -35,7 +35,6 @@ func TestCheckpointWireStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := engine.Program(b).(engine.Fingerprinter)
 			states := genStates(b, 16)
 			ins := b.Inputs(rng.New(7))
 			for i, s := range states {
@@ -49,9 +48,6 @@ func TestCheckpointWireStateRoundTrip(t *testing.T) {
 				}
 				if !b.Match(dec, s) {
 					t.Fatalf("state %d: decoded state does not Match the original", i)
-				}
-				if fp.Fingerprint(dec) != fp.Fingerprint(s) {
-					t.Fatalf("state %d: decoded fingerprint differs", i)
 				}
 				raw2, err := wc.EncodeState(dec)
 				if err != nil {

@@ -136,15 +136,6 @@ func (b *BodyTrack) CloneInto(dst, src engine.State) engine.State {
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements engine.Fingerprinter: the leading pose-estimate
-// coordinates quantized at MatchTol. Match bounds the estimates'
-// Euclidean distance by MatchTol, which bounds every coordinate
-// difference by MatchTol, so matching clouds are always
-// digest-compatible.
-func (b *BodyTrack) Fingerprint(stv engine.State) uint64 {
-	return stv.(*trackutil.Cloud).Digest(b.p.MatchTol)
-}
-
 // Match accepts speculative clouds whose pose estimate is within
 // MatchTol of an original state's estimate.
 func (b *BodyTrack) Match(av, bv engine.State) bool {

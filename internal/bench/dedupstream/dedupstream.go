@@ -373,20 +373,6 @@ func (d *DedupStream) Match(a, b engine.State) bool {
 	return float64(inter)/float64(union) >= d.p.MatchJaccard
 }
 
-// Fingerprint implements engine.Fingerprinter with conservative lanes:
-// the recent-set size's log2 (Jaccard >= 1/2 bounds the size ratio by 2,
-// so matching states differ by at most one cell) and the duplicate-rate
-// estimator quantized at its own tolerance. Both lanes are implied by
-// Match, so digest incompatibility always means a deep-match miss.
-func (d *DedupStream) Fingerprint(stv engine.State) uint64 {
-	st := stv.(*dedupState)
-	recent := d.recentSet(st)
-	return engine.PackLanes(
-		engine.QuantizeLane(math.Log2(float64(len(recent)+1)), 1.0),
-		engine.QuantizeLane(st.emaDup, d.p.EMATol),
-	)
-}
-
 // StateBytes charges the native-scale serialized table (Table I
 // convention: the state the runtime forwards). ~12 bytes per entry at
 // native chunking of the native segment size.

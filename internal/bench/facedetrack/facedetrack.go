@@ -144,12 +144,6 @@ func (f *FaceDetTrack) CloneInto(dst, src engine.State) engine.State {
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements engine.Fingerprinter: box-estimate coordinates
-// quantized at MatchTol, as for facetrack.
-func (f *FaceDetTrack) Fingerprint(stv engine.State) uint64 {
-	return stv.(*trackutil.Cloud).Digest(f.p.MatchTol)
-}
-
 // Match compares box estimates, as for facetrack.
 func (f *FaceDetTrack) Match(av, bv engine.State) bool {
 	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)

@@ -124,13 +124,6 @@ func (f *FaceTrack) CloneInto(dst, src engine.State) engine.State {
 	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
 }
 
-// Fingerprint implements engine.Fingerprinter: face-box estimate
-// coordinates quantized at MatchTol (a bound on each coordinate's
-// difference under Match's Euclidean-distance test).
-func (f *FaceTrack) Fingerprint(stv engine.State) uint64 {
-	return stv.(*trackutil.Cloud).Digest(f.p.MatchTol)
-}
-
 // Match compares face-box estimates: the paper's "average Euclidean
 // distance between the boxes containing the detected faces".
 func (f *FaceTrack) Match(av, bv engine.State) bool {

@@ -172,23 +172,6 @@ func (f *FluidAnimate) CloneInto(dst, src engine.State) engine.State {
 	return d
 }
 
-// Fingerprint implements engine.Fingerprinter: the field's mean x and y
-// velocities quantized at MatchTol. The mean absolute per-cell
-// difference is bounded by the RMS distance Match tests, so matching
-// fields are always digest-compatible.
-func (f *FluidAnimate) Fingerprint(stv engine.State) uint64 {
-	st := stv.(*field)
-	var mx, my float64
-	for i := 0; i < cells; i++ {
-		mx += st.vx[i]
-		my += st.vy[i]
-	}
-	return engine.PackLanes(
-		engine.QuantizeLane(mx/cells, f.p.MatchTol),
-		engine.QuantizeLane(my/cells, f.p.MatchTol),
-	)
-}
-
 // Match compares fields by RMS distance. Because the field integrates
 // the whole force history, a fresh-start lineage essentially never
 // matches — mispeculation by construction.

@@ -57,7 +57,7 @@ func CodecNames() []string { return slices.Sorted(maps.Keys(codecs)) }
 // (speculative/final/original states) need that a served session does
 // not. The contract is stronger than "round-trips": DecodeState must
 // yield a state that is bit-equivalent to the original under Update,
-// Fingerprint, and EncodeState — float64 fields must survive exactly and
+// Match, and EncodeState — float64 fields must survive exactly and
 // any internal derived structure (caches, hash tables) must be rebuilt to
 // the same observable contents. That is what makes a resumed or remotely
 // executed session byte-identical to an uninterrupted in-process one.

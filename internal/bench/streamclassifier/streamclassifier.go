@@ -173,34 +173,6 @@ func (s *StreamClassifier) CloneInto(dst, src engine.State) engine.State {
 	return d
 }
 
-// Fingerprint implements engine.Fingerprinter: the first four coordinates
-// of the normalized weight vector, quantized at sqrt(2*(1-MatchCos)).
-// Two unit vectors with cosine >= MatchCos are within that Euclidean
-// distance, which bounds every coordinate difference — so matching
-// states are always digest-compatible. The zero vector (which Match
-// treats specially) gets a sentinel lane far outside the unit ball.
-func (s *StreamClassifier) Fingerprint(stv engine.State) uint64 {
-	w := stv.(*sgdState).w
-	var n float64
-	for d := 0; d < features; d++ {
-		n += w[d] * w[d]
-	}
-	if n == 0 {
-		return engine.PackLanes(engine.ExactLane(1 << 12))
-	}
-	cell := math.Sqrt(2 * (1 - s.p.MatchCos))
-	if cell <= 0 {
-		return 0 // exact-cosine tolerance: disable gating, always deep-match
-	}
-	inv := 1 / math.Sqrt(n)
-	return engine.PackLanes(
-		engine.QuantizeLane(w[0]*inv, cell),
-		engine.QuantizeLane(w[1]*inv, cell),
-		engine.QuantizeLane(w[2]*inv, cell),
-		engine.QuantizeLane(w[3]*inv, cell),
-	)
-}
-
 // Match accepts weight vectors whose cosine similarity is at least
 // MatchCos (direction defines the classifier; scale does not).
 func (s *StreamClassifier) Match(a, b engine.State) bool {

@@ -195,25 +195,6 @@ func (s *StreamCluster) CloneInto(dst, src engine.State) engine.State {
 	return d
 }
 
-// Fingerprint implements engine.Fingerprinter: the centroid of the k
-// centers, one lane per dimension, quantized at MatchTol/k. The centroid
-// is permutation-invariant, and under the best-permutation matching each
-// centroid coordinate moves by at most (sum of per-center distances)/k ≤
-// MatchTol/k — so matching states are always digest-compatible.
-func (s *StreamCluster) Fingerprint(stv engine.State) uint64 {
-	st := stv.(*clusterState)
-	cell := s.p.MatchTol / k
-	var lanes [dims]int64
-	for d := 0; d < dims; d++ {
-		var m float64
-		for i := 0; i < k; i++ {
-			m += st.centers[i][d]
-		}
-		lanes[d] = engine.QuantizeLane(m/k, cell)
-	}
-	return engine.PackLanes(lanes[0], lanes[1], lanes[2], lanes[3])
-}
-
 // Match compares center sets under the best of all k! assignments (k=3:
 // 6 permutations), ignoring the count.
 func (s *StreamCluster) Match(a, b engine.State) bool {

@@ -224,21 +224,6 @@ func (s *Swaptions) CloneInto(dst, src engine.State) engine.State {
 	return d
 }
 
-// Fingerprint implements engine.Fingerprinter. Match's mean tolerance is
-// relative to the original estimate's magnitude, so the mean itself has
-// no state-independent quantization cell; the digest instead encodes the
-// discrete preconditions — the swaption index and estimator emptiness —
-// which Match requires to be equal, via ExactLane so any difference is
-// digest-incompatible.
-func (s *Swaptions) Fingerprint(st engine.State) uint64 {
-	e := st.(*estState)
-	var empty int64
-	if e.n == 0 {
-		empty = 1
-	}
-	return engine.PackLanes(engine.ExactLane(int64(e.sw)), engine.ExactLane(empty))
-}
-
 // Match accepts a speculative estimator whose mean is within MatchRelTol
 // (relative) of an original one. An absolute tolerance (rather than one
 // scaled by the speculative state's own standard error) forces

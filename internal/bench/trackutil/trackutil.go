@@ -18,7 +18,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -277,33 +276,6 @@ func (w WireCloud) Live() (*Cloud, error) {
 		Age:  w.Age,
 		Cold: w.Cold,
 	}, nil
-}
-
-// Digest summarizes the cloud for digest-gated validation
-// (engine.Fingerprinter): the leading coordinates of the posterior-mean
-// estimate, quantized at cell. Trackers match on the Euclidean distance
-// between estimates, and each coordinate of that distance is bounded by
-// it — so with cell set to the tracker's match tolerance, two clouds
-// that Match always land within one quantization step per lane, which is
-// exactly the conservativeness engine.DigestsMayMatch requires.
-func (c *Cloud) Digest(cell float64) uint64 {
-	lanes := c.Dims
-	if lanes > 4 {
-		lanes = 4
-	}
-	var est [4]float64
-	for i := 0; i < c.N; i++ {
-		w := c.W[i]
-		base := i * c.Dims
-		for d := 0; d < lanes; d++ {
-			est[d] += w * c.P[base+d]
-		}
-	}
-	var packed [4]int64
-	for d := 0; d < lanes; d++ {
-		packed[d] = engine.QuantizeLane(est[d], cell)
-	}
-	return engine.PackLanes(packed[0], packed[1], packed[2], packed[3])
 }
 
 // Profile returns the cloud's memory-access profile for the given base,

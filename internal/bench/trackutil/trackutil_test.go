@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -279,20 +278,6 @@ func TestDeterministicSteps(t *testing.T) {
 		if a[d] != b[d] {
 			t.Fatal("identical seeds produced different estimates")
 		}
-	}
-}
-
-func TestDigestSeparatesDistantClouds(t *testing.T) {
-	r := rng.New(5)
-	near := NewCloud(64, 4, []float64{1, 1, 1, 1}, 0.01, r)
-	nearTwin := NewCloud(64, 4, []float64{1.05, 1, 1, 1}, 0.01, r)
-	far := NewCloud(64, 4, []float64{40, -7, 3, 0}, 0.01, r)
-	cell := 0.5
-	if !engine.DigestsMayMatch(near.Digest(cell), nearTwin.Digest(cell)) {
-		t.Fatal("clouds 0.05 apart must be digest-compatible at cell 0.5")
-	}
-	if engine.DigestsMayMatch(near.Digest(cell), far.Digest(cell)) {
-		t.Fatal("clouds tens of units apart must be digest-incompatible")
 	}
 }
 

@@ -6,50 +6,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func TestDigestsMayMatchLaneAdjacency(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b []int64
-		want bool
-	}{
-		{"identical", []int64{5, -3, 0, 7}, []int64{5, -3, 0, 7}, true},
-		{"one-step-up", []int64{5, -3, 0, 7}, []int64{6, -3, 0, 7}, true},
-		{"one-step-down", []int64{5, -3, 0, 7}, []int64{5, -4, 0, 7}, true},
-		{"all-lanes-adjacent", []int64{1, 2, 3, 4}, []int64{0, 3, 2, 5}, true},
-		{"two-steps", []int64{5, -3, 0, 7}, []int64{7, -3, 0, 7}, false},
-		{"far-lane", []int64{5, -3, 0, 7}, []int64{5, -3, 100, 7}, false},
-		{"negative-boundary", []int64{0, 0, 0, 0}, []int64{-1, 0, 0, 0}, true},
-		{"exact-lane-differs", []int64{engine.ExactLane(2)}, []int64{engine.ExactLane(3)}, false},
-		{"exact-lane-same", []int64{engine.ExactLane(2)}, []int64{engine.ExactLane(2)}, true},
-	}
-	for _, c := range cases {
-		got := engine.DigestsMayMatch(engine.PackLanes(c.a...), engine.PackLanes(c.b...))
-		if got != c.want {
-			t.Errorf("%s: engine.DigestsMayMatch(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
-		}
-		// Compatibility is symmetric.
-		rev := engine.DigestsMayMatch(engine.PackLanes(c.b...), engine.PackLanes(c.a...))
-		if rev != got {
-			t.Errorf("%s: engine.DigestsMayMatch not symmetric", c.name)
-		}
-	}
-}
-
-func TestQuantizeLaneNeighborsWithinCell(t *testing.T) {
-	// Two values within one cell of each other must quantize to the same
-	// or adjacent lanes — the property the Fingerprinter soundness
-	// arguments rest on.
-	cell := 0.45
-	for _, v := range []float64{-3.2, -0.4499, 0, 0.1, 2.25, 100.0} {
-		for _, d := range []float64{-cell, -cell / 2, 0, cell / 3, cell} {
-			qa, qb := engine.QuantizeLane(v, cell), engine.QuantizeLane(v+d, cell)
-			if diff := qa - qb; diff < -1 || diff > 1 {
-				t.Errorf("engine.QuantizeLane(%v)=%d vs engine.QuantizeLane(%v)=%d: more than one step apart", v, qa, v+d, qb)
-			}
-		}
-	}
-}
-
 // poolProg is a minimal recycling program: its state is a one-element
 // buffer so reuse is observable through pointer identity.
 type poolProg struct{ engine.Program }

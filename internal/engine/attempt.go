@@ -111,10 +111,10 @@ type verdict struct {
 // engine's one timed comparison, made by the side that commits. The
 // verdict and inspected count are pure functions of the states; the wall
 // time rides along only to reach the EvValidated event the caller emits.
-func (pr *proto) validate(ex Exec, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) verdict {
+func (pr *proto) validate(ex Exec, origs []State, spec State) verdict {
 	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; no protocol decision reads it
 	t0 := pr.now()
-	ok, n := matchAnyWave(ex, pr.prog, origs, origFPs, spec, specFP, haveFP)
+	ok, n := matchAnyWave(ex, pr.prog, origs, spec)
 	//statslint:allow detpath the duration lands in the EvValidated event the commit side emits; no protocol decision reads it
 	return verdict{ok: ok, n: n, start: t0, dur: pr.since(t0)}
 }
@@ -347,8 +347,8 @@ func (c *chunkRun) buildReplicas(ctx context.Context, origs *[]State) (Event, *C
 // count are the single wave's over the whole set. The wave is reported as
 // one interval and a build as the interval after it, together no longer
 // than the two took.
-func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, origFPs []uint64, spec State, specFP uint64, haveFP bool) (verdict, *ChunkFault) {
-	v := c.validate(c.ex, *origs, origFPs, spec, specFP, haveFP)
+func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, spec State) (verdict, *ChunkFault) {
+	v := c.validate(c.ex, *origs, spec)
 	if v.ok || !c.deferred() {
 		return v, nil
 	}
@@ -356,7 +356,7 @@ func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, origFPs 
 	if fault != nil {
 		return v, fault
 	}
-	rest := c.validate(c.ex, (*origs)[1:], nil, spec, specFP, haveFP)
+	rest := c.validate(c.ex, (*origs)[1:], spec)
 	v.ok, v.n, v.dur = rest.ok, v.n+rest.n, v.dur+rest.dur
 	built.Start = v.start.Add(v.dur)
 	c.emit(built)

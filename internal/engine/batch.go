@@ -263,7 +263,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 
 		matched := false
 		if !sFault {
-			v, fault := c.validateLineage(context.Background(), &origs, nil, spec, 0, false)
+			v, fault := c.validateLineage(context.Background(), &origs, spec)
 			if fault != nil {
 				rt.setFatal(&FaultError{Fault: fault})
 				rt.poison(ex, j)

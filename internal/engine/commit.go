@@ -4,15 +4,13 @@ import "sync"
 
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
-// mispeculation, recovered from. origFPs caches the original states'
-// fingerprint lanes for the next boundary's comparison wave. run is the
-// chunk run that produced the lineage, holding the seed of the replicas
-// it deferred until a boundary needs them; a capture encodes the seed.
+// mispeculation, recovered from. run is the chunk run that produced the
+// lineage, holding the seed of the replicas it deferred until a boundary
+// needs them; a capture encodes the seed.
 type committed struct {
-	final   State
-	origs   []State
-	origFPs []uint64
-	run     *chunkRun
+	final State
+	origs []State
+	run   *chunkRun
 }
 
 // frontier is the ordered commit frontier: a reorder buffer that puts
@@ -57,8 +55,7 @@ func (f *frontier) init(p *Pipeline) {
 	if rs.seed != nil {
 		run.reseed(rs.seed, rs.prevWindow, rs.reorig)
 	}
-	f.prev = committed{final: rs.lineage[0], origs: rs.lineage,
-		origFPs: p.fingerprints(nil, rs.lineage), run: run}
+	f.prev = committed{final: rs.lineage[0], origs: rs.lineage, run: run}
 }
 
 // deliver hands a speculated record to the frontier. Under mu it parks
@@ -128,19 +125,18 @@ func (p *Pipeline) haltSnapshot() {
 
 // applyCommit validates, commits or recovers one chunk at the frontier
 // and emits its outputs. The comparison wave runs here, on the side that
-// commits (§II-B), with the fingerprint lanes the workers cached; the
-// replicas the predecessor's worker deferred are built here if the wave
-// misses its final state. A result whose worker exhausted its retry
-// budget is degraded here: the chunk abandons its (dead) speculation and
-// re-executes sequentially from the last committed state, exactly like a
-// mispeculation abort. applyCommit returns false if the context was
+// commits (§II-B); the replicas the predecessor's worker deferred are
+// built here if the wave misses its final state. A result whose worker
+// exhausted its retry budget is degraded here: the chunk abandons its
+// (dead) speculation and re-executes sequentially from the last committed
+// state, exactly like a mispeculation abort. applyCommit returns false if the context was
 // canceled or the session failed terminally.
 func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 	j := r.j
 	ok := r.fault == nil
 	if j > 0 {
 		if r.fault == nil {
-			v, fault := prev.run.validateLineage(p.ctx, &prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
+			v, fault := prev.run.validateLineage(p.ctx, &prev.origs, r.spec)
 			if fault != nil {
 				p.fail(&FaultError{Fault: fault})
 				return false
@@ -172,19 +168,16 @@ func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
 			p.fail(&FaultError{Fault: fault})
 			return false
 		}
-		// Refresh the fingerprint cache for the next boundary's wave: the
-		// lanes the worker cached were the dead run's.
-		r.origFPs = p.fingerprints(r.origFPs, r.origs)
 	} else {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
-	// prev aliases the record's original-state and fingerprint buffers and
-	// its run, whose seed the next boundary builds from and a capture
-	// encodes; the record outlives its turn as predecessor (newRecords).
-	// Whatever the run reports from here on, the frontier does.
+	// prev aliases the record's original-state buffer and its run, whose
+	// seed the next boundary builds from and a capture encodes; the record
+	// outlives its turn as predecessor (newRecords). Whatever the run
+	// reports from here on, the frontier does.
 	oldFinal := prev.final
-	prev.final, prev.origs, prev.origFPs, prev.run = r.final, r.origs, r.origFPs, &r.chunkRun
+	prev.final, prev.origs, prev.run = r.final, r.origs, &r.chunkRun
 	r.worker = -1
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)

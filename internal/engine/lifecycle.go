@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -15,19 +14,15 @@ import (
 // gap to linear speedup to exactly that extra computation: state copying,
 // multiple-original-state generation, and state comparison. On the native
 // executor those costs are real CPU and allocator work, so programs may
-// opt in to two fast paths:
+// opt in to recycling: StateRecycler lets the runtime copy a state into a
+// retired state's buffers instead of allocating a fresh clone, and
+// FreshRecycler rebuilds a cold state the same way (StatePool below keeps
+// the free list).
 //
-//   - StateRecycler lets the runtime copy a state into a retired state's
-//     buffers instead of allocating a fresh clone (StatePool below keeps
-//     the free list).
-//   - Fingerprinter lets MatchAny reject definitely-non-matching original
-//     states with an integer digest comparison and run the deep Match
-//     only on digest-compatible pairs.
-//
-// Neither fast path may change observable behavior: CloneInto must be
-// semantically identical to Clone, and a fingerprint must be conservative
-// (see DigestsMayMatch), so committed outputs, simulated cost accounting,
-// and trace attribution stay bit-identical with and without them.
+// Recycling may not change observable behavior: CloneInto must be
+// semantically identical to Clone and FreshInto to Fresh, so committed
+// outputs, simulated cost accounting, and trace attribution stay
+// bit-identical with and without it.
 
 // StateRecycler is an optional Program extension: programs whose states
 // can be deep-copied into a retired state's buffers implement it to make
@@ -58,63 +53,12 @@ type FreshRecycler interface {
 	FreshInto(dst State, r *rng.Stream) State
 }
 
-// Fingerprinter is an optional Program extension: a digest over the
-// match-relevant summary of a state, packed as up to four 16-bit lanes
-// (PackLanes). The contract is conservativeness with respect to Match:
-//
-//	p.Match(a, b) ⇒ DigestsMayMatch(p.Fingerprint(a), p.Fingerprint(b))
-//
-// i.e. each lane must quantize a scalar summary whose difference between
-// any two Match-ing states is at most the lane's quantization cell
-// (QuantizeLane), or encode a discrete property through ExactLane. Under
-// that contract MatchAny may skip the deep Match whenever digests are
-// incompatible without ever changing its result.
-type Fingerprinter interface {
-	Fingerprint(s State) uint64
-}
-
-// QuantizeLane quantizes a scalar summary into a digest lane: values
-// within cell of each other land in the same or adjacent cells, which is
-// what DigestsMayMatch treats as compatible. cell must be at least the
-// maximum difference the summary can have between two states that Match.
-func QuantizeLane(v, cell float64) int64 {
-	return int64(math.Floor(v / cell))
-}
-
-// ExactLane encodes a discrete property (an index, a flag) into a lane
-// such that different values are always digest-incompatible: doubling
-// puts distinct values at least two cells apart.
-func ExactLane(v int64) int64 { return 2 * v }
-
-// PackLanes packs up to four lane values into a digest, 16 bits each.
-// Lanes keep only their low 16 bits; the wraparound cannot produce false
-// rejections (two in-range values one cell apart stay one apart mod 2^16)
-// — at worst an aliased pair looks compatible and falls back to the deep
-// Match.
-func PackLanes(lanes ...int64) uint64 {
-	var d uint64
-	for i, v := range lanes {
-		if i == 4 {
-			break
-		}
-		d |= (uint64(v) & 0xFFFF) << (16 * uint(i))
-	}
-	return d
-}
-
-// DigestsMayMatch reports whether two digests could belong to matching
-// states: every 16-bit lane must be within one quantization step. Callers
-// use the contrapositive — incompatible digests prove the states do not
-// Match.
-func DigestsMayMatch(a, b uint64) bool {
-	for shift := uint(0); shift < 64; shift += 16 {
-		d := uint16(a>>shift) - uint16(b>>shift)
-		if d != 0 && d != 1 && d != 0xFFFF {
-			return false
-		}
-	}
-	return true
-}
+// Fingerprinter is a retired extension. No program implements it, and the
+// engine never asserts it: a boundary is validated by the deep Match
+// alone. It stays declared only because the repository benchmark's
+// tracing wrapper still names it; the next change to that benchmark drops
+// it.
+type Fingerprinter interface{ Fingerprint(s State) uint64 }
 
 // PoolStats counts a StatePool's traffic.
 type PoolStats struct {

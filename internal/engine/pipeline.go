@@ -232,12 +232,12 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // immutable: the successor's alternative producer replays the tail of
 // inputs (prevWindow), which nobody writes between the record's dispatch
 // and its next lap. The record stays the frontier's while the committed
-// lineage aliases its origs, origFPs and run, that is until its successor
-// has been applied: by then the boundary has built the replicas from the
-// run's seed, or retired the seed unread.
+// lineage aliases its origs and run, that is until its successor has been
+// applied: by then the boundary has built the replicas from the run's
+// seed, or retired the seed unread.
 //
-// The buffers — inputs, outs, origs, origFPs — are the record's own: each
-// lap re-slices them, and they grow once to the largest chunk seen.
+// The buffers — inputs, outs, origs — are the record's own: each lap
+// re-slices them, and they grow once to the largest chunk seen.
 type chunk struct {
 	chunkRun // run.j is the session-monotonic chunk index
 	p        *Pipeline
@@ -259,15 +259,6 @@ type chunk struct {
 	origs []State
 	fault *ChunkFault // retries exhausted; all other result fields are dead
 
-	// Fingerprint caches for the validation wave, computed worker-side
-	// when the program implements Fingerprinter: the lanes of spec and of
-	// each original state. They let the frontier compare digests
-	// without computing them, and they are pure functions of the states,
-	// so the validation result and inspected count are unchanged.
-	specFP  uint64
-	origFPs []uint64
-	fpOK    bool
-
 	trueFinal State // recovery only: the committed predecessor's final state
 }
 
@@ -278,7 +269,7 @@ type chunk struct {
 // successor has been applied to the end — the outcome push is applyCommit's
 // last act — and that was the last read of anything in it: of its inputs
 // by the successor's alternative producer and by the checkpoint tracker,
-// of its origs, origFPs and replica seed through the committed lineage
+// of its origs and replica seed through the committed lineage
 // (the tracker encodes the seed). Nothing but
 // that arithmetic guards the reuse; the race detector over
 // TestRecordReuseStress is its net.
@@ -324,9 +315,8 @@ type Pipeline struct {
 	jobs     *ring.MPMC[*chunk]
 	outcomes *ring.SPSC[bool]
 	out      chan Output
-	records  []chunk       // chunk j in records[j&mask]; see newRecords
-	front    frontier      // the commit frontier, applied by one worker at a time
-	fper     Fingerprinter // prog's Fingerprinter extension, if any
+	records  []chunk  // chunk j in records[j&mask]; see newRecords
+	front    frontier // the commit frontier, applied by one worker at a time
 
 	// mu is the boundary lock, taken at chunk boundaries only. It makes
 	// the producer's "announce + jobs push" one step against Halt's jobs
@@ -431,7 +421,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	p.halt, p.haltCancel = context.WithCancel(ctx)
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, cfg.Sink)
 	p.records = newRecords(p, cfg.window())
-	p.fper, _ = prog.(Fingerprinter)
 	p.resume = rs
 	p.front.init(p)
 	if ctl != nil {

@@ -191,49 +191,18 @@ func (c *chunkRun) dropSeed() {
 // MatchAny is the runtime's state comparison (§II-B): it reports whether
 // spec matches at least one of the original states, charging one
 // comparison per state inspected and stopping at the first match.
-//
-// When the program implements Fingerprinter, MatchAny gates each deep
-// Match behind a digest comparison: incompatible digests prove the pair
-// cannot Match (the Fingerprinter contract), so the deep comparison is
-// skipped. The simulated CompareCost is still charged per state inspected
-// either way — on the simulated machine a comparison costs what the
-// model says it costs — so traces, critical-path attribution, and the
-// returned result are identical with and without the digest fast path.
 func MatchAny(ex Exec, p Program, origs []State, spec State) bool {
-	ok, _ := matchAnyWave(ex, p, origs, nil, spec, 0, false)
+	ok, _ := matchAnyWave(ex, p, origs, spec)
 	return ok
 }
 
-// matchAnyWave is MatchAny plus the number of comparisons charged
-// (original states inspected before the first match, or all of them on a
-// miss — the count the event stream reports per EvValidated), over a
-// validation wave whose fingerprint lanes may have been computed ahead of
-// time: origFPs holds Fingerprint(origs[i]) for a prefix of the original
-// states (the final state's, when the replicas were built after the
-// worker cached it), and specFP (valid when haveFP) holds
-// Fingerprint(spec). Cached or not, the digests are the same pure
-// functions of the same states, so the result and the inspected count do
-// not depend on the cache; it only removes recomputation from the commit
-// frontier's critical path.
-func matchAnyWave(ex Exec, p Program, origs []State, origFPs []uint64, spec State, specFP uint64, haveFP bool) (bool, int) {
+// matchAnyWave is MatchAny plus the number of comparisons charged:
+// original states inspected before the first match, or all of them on a
+// miss — the count the event stream reports per EvValidated.
+func matchAnyWave(ex Exec, p Program, origs []State, spec State) (bool, int) {
 	ex.SetCat(trace.CatCompare)
-	fp, gated := p.(Fingerprinter)
-	if gated && !haveFP {
-		specFP = fp.Fingerprint(spec)
-	}
 	for i, o := range origs {
 		ex.Compute(p.CompareCost())
-		if gated {
-			var of uint64
-			if i < len(origFPs) {
-				of = origFPs[i]
-			} else {
-				of = fp.Fingerprint(o)
-			}
-			if !DigestsMayMatch(of, specFP) {
-				continue
-			}
-		}
 		if p.Match(o, spec) {
 			return true, i + 1
 		}

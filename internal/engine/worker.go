@@ -84,7 +84,6 @@ func (ck *chunk) remoteAttempt() error {
 		return err
 	}
 	ck.spec, ck.outs, ck.final, ck.origs = reply.Spec, reply.Outs, reply.Final, reply.Origs
-	ck.cacheFingerprints()
 	ck.speculated(len(ck.inputs))
 	return nil
 }
@@ -95,9 +94,6 @@ func (ck *chunk) localAttempt() error {
 	var s State
 	s, ck.spec = ck.start(ck.initState, ck.prevWindow, true)
 	ck.outs, ck.final, ck.origs = ck.finish(s, ck.inputs, false, ck.outs, ck.origs)
-	// Cache the validation wave's fingerprint lanes while the states
-	// are hot in cache.
-	ck.cacheFingerprints()
 	return nil
 }
 
@@ -134,38 +130,9 @@ func (ck *chunk) scrap() {
 }
 
 // clearResult empties the record's result, keeping the buffers of its
-// outputs, original states and their fingerprints for the next run to
-// fill, and retires a replica seed no boundary consumed.
+// outputs and original states for the next run to fill, and retires a
+// replica seed no boundary consumed.
 func (ck *chunk) clearResult() {
 	ck.spec, ck.outs, ck.final, ck.origs = nil, ck.outs[:0], nil, ck.origs[:0]
-	ck.specFP, ck.origFPs, ck.fpOK = 0, ck.origFPs[:0], false
 	ck.dropSeed()
-}
-
-// fingerprints returns the fingerprint lane of every state — in dst when
-// it has the room — or nil when the program publishes none. The boundary
-// comparisons reuse the cached lanes instead of recomputing them; they
-// are pure functions of the states, so the validation result and
-// inspected count are unchanged.
-func (p *Pipeline) fingerprints(dst []uint64, states []State) []uint64 {
-	if p.fper == nil {
-		return nil
-	}
-	if cap(dst) < len(states) {
-		dst = make([]uint64, len(states))
-	}
-	dst = dst[:len(states)]
-	for i, s := range states {
-		dst[i] = p.fper.Fingerprint(s)
-	}
-	return dst
-}
-
-// cacheFingerprints fills the record's fingerprint lanes from its states.
-func (ck *chunk) cacheFingerprints() {
-	p := ck.p
-	if p.fper != nil && ck.spec != nil {
-		ck.specFP, ck.fpOK = p.fper.Fingerprint(ck.spec), true
-	}
-	ck.origFPs = p.fingerprints(ck.origFPs, ck.origs)
 }

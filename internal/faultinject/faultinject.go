@@ -176,10 +176,10 @@ type Program struct {
 }
 
 // Wrap attaches the plan to prog. The wrapper deliberately hides prog's
-// optional hot-path interfaces (StateRecycler, Fingerprinter): chaos runs
-// measure recovery correctness, not allocator traffic, and dropping the
-// fast paths exercises the portable code. Committed outputs are
-// unaffected by either.
+// optional recycling interfaces (StateRecycler, FreshRecycler): chaos runs
+// measure recovery correctness, not allocator traffic, and dropping
+// recycling exercises the portable code. Committed outputs are unaffected
+// either way.
 func (p *Plan) Wrap(prog engine.Program) *Program {
 	return &Program{Program: prog, plan: p}
 }

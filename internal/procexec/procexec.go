@@ -328,7 +328,7 @@ func (p *Pool) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.C
 		p.fail(pr)
 		return nil, fmt.Errorf("procexec: chunk %d: worker error: %s", req.Chunk, reply.Err)
 	}
-	out, err := p.decode(reply)
+	out, err := p.decode(req, reply)
 	if err != nil {
 		p.fail(pr)
 		return nil, fmt.Errorf("procexec: chunk %d: %w", req.Chunk, err)
@@ -359,11 +359,20 @@ func (p *Pool) fail(pr *proc) {
 	p.slots <- nil
 }
 
-// decode translates a wire reply into live engine values. Origs[0] is
-// aliased as Final, mirroring the in-process result layout.
-func (p *Pool) decode(reply *wireReply) (*engine.ChunkReply, error) {
-	if len(reply.Origs) == 0 {
-		return nil, fmt.Errorf("reply has no original states")
+// decode translates a wire reply to req into live engine values. Origs[0]
+// is aliased as Final, mirroring the in-process result layout. A reply
+// that parses but does not have req's shape — one output per input, the
+// final state plus the session's replicas, a speculative state exactly
+// when the chunk has a predecessor — is refused like a garbled one: the
+// frontier would commit too few outputs, or fail in Match on a nil state.
+func (p *Pool) decode(req engine.ChunkRequest, reply *wireReply) (*engine.ChunkReply, error) {
+	switch {
+	case len(reply.Outs) != len(req.Inputs):
+		return nil, fmt.Errorf("reply has %d outputs for %d inputs", len(reply.Outs), len(req.Inputs))
+	case len(reply.Origs) != 1+p.cfg.Session.ExtraStates:
+		return nil, fmt.Errorf("reply has %d original states, the session has %d", len(reply.Origs), 1+p.cfg.Session.ExtraStates)
+	case (len(reply.Spec) > 0) != (req.Chunk > 0):
+		return nil, fmt.Errorf("reply to chunk %d has speculative state %t", req.Chunk, len(reply.Spec) > 0)
 	}
 	out := &engine.ChunkReply{
 		Outs:  make([]engine.Output, len(reply.Outs)),
