@@ -6,8 +6,8 @@
 //	            [-workers 4] [-adapt] [-seed 3] [-grace 15s]
 //	            [-max-sessions 64] [-session-timeout 0] [-max-body 1073741824]
 //	            [-max-line 1048576] [-chunk-deadline 0] [-retries 2]
-//	            [-retry-base 1ms] [-retry-max 250ms] [-retry-after 1s]
-//	            [-instance statsserved] [-pprof localhost:6060]
+//	            [-retry-after 1s] [-instance statsserved]
+//	            [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64] [-input-seed 1]
 //
 // In serving mode it accepts NDJSON sessions at
@@ -31,9 +31,9 @@
 // (-session-timeout), request body size (-max-body, 413), and NDJSON
 // line length (-max-line, 400). Inside a session the engine's fault
 // layer isolates worker panics and missed per-chunk deadlines
-// (-chunk-deadline), retrying with exponential backoff (-retries,
-// -retry-base, -retry-max) before degrading to sequential re-execution
-// — committed outputs stay byte-identical throughout. On SIGTERM or
+// (-chunk-deadline), retrying with exponential backoff from 1ms up to
+// 250ms (-retries) before degrading to sequential re-execution —
+// committed outputs stay byte-identical throughout. On SIGTERM or
 // SIGINT the server turns /readyz not-ready, stops accepting sessions,
 // and drains in-flight ones for -grace before force-closing.
 //
@@ -79,8 +79,6 @@ func main() {
 	maxLine := flag.Int("max-line", 0, "NDJSON input line cap in bytes (0: default 1 MiB)")
 	chunkDeadline := flag.Duration("chunk-deadline", 0, "per-chunk execution deadline; a missed deadline faults and retries the chunk (0: none)")
 	retries := flag.Int("retries", 0, "retry budget per faulted chunk before degrading to sequential re-execution (0: default 2)")
-	retryBase := flag.Duration("retry-base", 0, "initial retry backoff (0: default 1ms)")
-	retryMax := flag.Duration("retry-max", 0, "retry backoff ceiling (0: default 250ms)")
 	retryAfter := flag.Duration("retry-after", 0, "base Retry-After hint on 429 sheds, scaled by window occupancy (0: default 1s)")
 	instance := flag.String("instance", "", "instance label exported in /metrics for gateway aggregation (default \"statsserved\")")
 	gen := flag.String("gen", "", "print this benchmark's inputs as NDJSON to stdout and exit")
@@ -109,8 +107,6 @@ func main() {
 		Fault: engine.FaultPolicy{
 			ChunkDeadline: *chunkDeadline,
 			MaxRetries:    *retries,
-			RetryBase:     *retryBase,
-			RetryMax:      *retryMax,
 		},
 	}
 	if err := base.Validate(); err != nil {

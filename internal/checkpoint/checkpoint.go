@@ -17,7 +17,7 @@
 // Wire format (everything little-endian):
 //
 //	magic   [4]byte  "STCP"
-//	version uint32   currently 3
+//	version uint32   currently 4
 //	length  uint32   payload byte count
 //	payload []byte   JSON-encoded Snapshot
 //	crc     uint32   CRC-32C (Castagnoli) over version|length|payload
@@ -43,9 +43,10 @@ import (
 
 // Version is the current snapshot format version. Version 2 carried an
 // unbuilt lineage as its replica seed (Snapshot.ReplicaSeed); version 3
-// embeds every codec encoding as a JSON value instead of a base64 string.
-// Older envelopes are rejected.
-const Version = 3
+// embeds every codec encoding as a JSON value instead of a base64 string;
+// version 4 drops the inner gang width from the session shape, since a
+// native pipeline runs no gang. Older envelopes are rejected.
+const Version = 4
 
 // magic identifies a snapshot envelope.
 var magic = [4]byte{'S', 'T', 'C', 'P'}
@@ -80,7 +81,6 @@ type Snapshot struct {
 	ChunkSize   int  `json:"chunk_size"`
 	Lookback    int  `json:"lookback"`
 	ExtraStates int  `json:"extra_states"`
-	InnerWidth  int  `json:"inner_width"`
 	Workers     int  `json:"workers"`
 	Adapt       bool `json:"adapt,omitempty"`
 	MinChunk    int  `json:"min_chunk,omitempty"`
@@ -281,7 +281,6 @@ func (w *writer) payload(s *Snapshot, name, ctl []byte) {
 	w.int(`,"chunk_size":`, int64(s.ChunkSize))
 	w.int(`,"lookback":`, int64(s.Lookback))
 	w.int(`,"extra_states":`, int64(s.ExtraStates))
-	w.int(`,"inner_width":`, int64(s.InnerWidth))
 	w.int(`,"workers":`, int64(s.Workers))
 	if s.Adapt {
 		w.raw(`,"adapt":true`)

@@ -20,7 +20,6 @@ func sampleSnapshot() *Snapshot {
 		ChunkSize:   8,
 		Lookback:    3,
 		ExtraStates: 1,
-		InnerWidth:  1,
 		Workers:     3,
 		Adapt:       true,
 		MinChunk:    2,
@@ -143,9 +142,9 @@ func TestCheckpointVersionGate(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	// Stamp the previous and the next version with a valid CRC: the
-	// decoder must reject on version, not CRC. A version 2 envelope — its
-	// codec encodings base64 strings, its payload otherwise alike — is not
-	// read.
+	// decoder must reject on version, not CRC. A version 3 envelope — its
+	// session shape carrying an inner gang width, its payload otherwise
+	// alike — is not read.
 	for _, v := range []uint32{Version - 1, Version + 1} {
 		mut := append([]byte(nil), raw...)
 		binary.LittleEndian.PutUint32(mut[4:], v)
@@ -247,7 +246,7 @@ func TestCheckpointEncodeAllocs(t *testing.T) {
 	}
 	in := doc(22 << 10)
 	s := &Snapshot{Benchmark: "dedupstream", Seed: 3, ChunkSize: 16, Lookback: 4, ExtraStates: 1,
-		InnerWidth: 1, Workers: 2, NextChunk: 40, Inputs: 640,
+		Workers: 2, NextChunk: 40, Inputs: 640,
 		PrevWindow:  []json.RawMessage{in, in, in, in},
 		Lineage:     []json.RawMessage{doc(23 << 10)},
 		ReplicaSeed: doc(18 << 10),
@@ -343,6 +342,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""],"controller":{"history":null}}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":[[1]],"lineage":[{"a":"<"}],"replica_seed":{},"reorig":true}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"lineage":[ { "a" : [ 1 , 2 ] } ],"prev_window":["\u2028"]}`))
+	f.Add([]byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"inner_width":64,"workers":2,"next_chunk":0,"inputs":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){
 			func() (*Snapshot, error) { return Decode(data) },

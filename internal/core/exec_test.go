@@ -104,7 +104,9 @@ func TestSimExecDelegation(t *testing.T) {
 
 func TestNativeRuntimeParallelismRace(t *testing.T) {
 	// Exercise the full native execution model under the race detector:
-	// gangs, replicas, commit chain, abort path.
+	// chunk threads, replicas, commit chain, abort path. The inner width
+	// is accepted and runs no gang: a native executor charges no cost for
+	// one to share.
 	p := easyProg()
 	p.parInstr = 100
 	p.grain = 4

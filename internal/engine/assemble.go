@@ -134,7 +134,7 @@ func (p *Pipeline) dispatch() error {
 	j, inputs := a.j, a.buf[:a.n]
 	a.buf, a.n = nil, 0
 	ck := p.record(j)
-	ck.bind(&p.proto, p.ex, nil, j, -1)
+	ck.bind(&p.proto, p.ex, j, -1)
 	ck.inputs, ck.prevWindow, ck.initState, ck.fault = inputs, a.prevWindow, nil, nil
 	ck.clearResult()
 	if j == 0 {

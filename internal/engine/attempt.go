@@ -128,11 +128,10 @@ func (pr *proto) validate(ex Exec, origs []State, spec State) verdict {
 type chunkRun struct {
 	*proto
 	ex     Exec
-	g      *gang
+	g      *gang // the chunk's original-TLP gang; nil unless ex charges cost
 	j      int
 	worker int
 	rng    rng.Stream // the chunk's worker stream: derived from, never drawn from
-	jit    rng.Stream // gang share jitter; simulated cost only
 	// sub is the substream of the phase executing — "fresh", "altprod",
 	// "body" or "reexec", then one "replica" after the other. The phases
 	// of one attempt run in sequence on the owning context, so one slot
@@ -152,10 +151,9 @@ type chunkRun struct {
 }
 
 // bind points c at chunk j of pr's session, executing on ex as worker.
-func (c *chunkRun) bind(pr *proto, ex Exec, g *gang, j, worker int) {
-	c.proto, c.ex, c.g, c.j, c.worker = pr, ex, g, j, worker
+func (c *chunkRun) bind(pr *proto, ex Exec, j, worker int) {
+	c.proto, c.ex, c.g, c.j, c.worker = pr, ex, nil, j, worker
 	c.rng = pr.root.SubN("worker", j)
-	c.jit = c.rng.Sub("jitter")
 }
 
 // arm begins attempt n at site: a fresh deadline, a fresh clock.

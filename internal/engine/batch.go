@@ -165,10 +165,10 @@ func (rt *run) chunkInputs(j int) []Input {
 // recovery too fails the session (with a structured error, never a
 // process crash).
 func (rt *run) worker(ex Exec, j int, start State) {
-	g := chunkGang(ex, rt.prog, "w", j, rt.cfg.InnerWidth, rt.countThread)
-	defer g.Close(ex)
 	var c chunkRun
-	c.bind(&rt.proto, ex, g, j, j)
+	c.bind(&rt.proto, ex, j, j)
+	c.g = chunkGang(ex, rt.prog, j, rt.cfg.InnerWidth, &c.rng, rt.countThread)
+	defer c.g.Close(ex)
 	inputs := rt.chunkInputs(j)
 	last := j == len(rt.bounds)-1
 	rt.emit(Event{Kind: EvChunk, Chunk: j, Worker: j, N: len(inputs)})
@@ -327,7 +327,8 @@ func RunSequential(ex Exec, p Program, inputs []Input, seed uint64) *Report {
 
 // RunOriginal executes the program with only its original TLP (the black
 // bars of Fig. 9): a sequential outer loop whose updates run on a gang of
-// the given width.
+// the given width — on an executor that charges cost; a cost-free one
+// runs no gang and spawns nothing.
 func RunOriginal(ex Exec, p Program, inputs []Input, width int, seed uint64) *Report {
 	return runPlain(ex, p, inputs, width, seed)
 }
@@ -339,16 +340,15 @@ func runPlain(ex Exec, p Program, inputs []Input, width int, seed uint64) *Repor
 
 	ex.SetCat(trace.CatChunkWork)
 	threads := 0
-	g := newGang(ex, p.Name()+"-orig", width, func() { threads++ })
+	g := newGang(ex, p.Name()+"-orig", width, root.Sub("jitter"), func() { threads++ })
 	s := p.Initial(root.Derive("init"))
-	jit := root.Derive("jitter")
 	upd := root.Derive("updates")
 	outs := make([]Output, 0, len(inputs))
 	for _, in := range inputs {
 		uw := p.UpdateCost(in, s)
 		var out Output
 		s, out = p.Update(s, in, upd)
-		g.Run(ex, uw, trace.CatChunkWork, jit, uw.ShareJitter)
+		g.Run(ex, uw, trace.CatChunkWork)
 		outs = append(outs, out)
 	}
 	g.Close(ex)

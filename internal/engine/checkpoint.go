@@ -114,14 +114,11 @@ type ChunkRunner interface {
 // (internal/procexec serves it over a pipe). Its replies are the ones
 // ChunkRunner promises: byte-identical to what a pool worker of a
 // pipeline with the same seed and shape produces for the same request.
-type ChunkWorker struct {
-	proto
-	inner int
-}
+type ChunkWorker struct{ proto }
 
 // NewChunkWorker binds p to a session's seed and shape.
-func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth int) *ChunkWorker {
-	w := &ChunkWorker{inner: innerWidth}
+func NewChunkWorker(p Program, seed uint64, lookback, extraStates int) *ChunkWorker {
+	w := &ChunkWorker{}
 	w.init(p, seed, lookback, extraStates, FaultPolicy{}, nil)
 	return w
 }
@@ -131,11 +128,8 @@ func NewChunkWorker(p Program, seed uint64, lookback, extraStates, innerWidth in
 // crosses a process boundary, where no seed can follow it, so it carries
 // the replicas built.
 func (w *ChunkWorker) Run(req ChunkRequest) *ChunkReply {
-	ex := NewNativeExec()
-	g := chunkGang(ex, w.prog, "w", req.Chunk, w.inner, w.countThread)
-	defer g.Close(ex)
 	var c chunkRun
-	c.bind(&w.proto, ex, g, req.Chunk, -1)
+	c.bind(&w.proto, NewNativeExec(), req.Chunk, -1)
 	c.arm(req.Attempt, SiteAltProducer)
 	s, spec := c.start(nil, req.Window, true)
 	outs, final, origs := c.finish(s, req.Inputs, false, nil, nil)
@@ -407,7 +401,6 @@ func (t *ckptTracker) skeleton() *checkpoint.Snapshot {
 		ChunkSize:   cfg.ChunkSize,
 		Lookback:    cfg.Lookback,
 		ExtraStates: cfg.ExtraStates,
-		InnerWidth:  cfg.InnerWidth,
 		Workers:     cfg.Workers,
 		Adapt:       cfg.Adapt,
 		MinChunk:    cfg.MinChunk,

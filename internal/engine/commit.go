@@ -51,7 +51,7 @@ func (f *frontier) init(p *Pipeline) {
 	// builds the replicas only on a miss, as that session would have.
 	f.next = rs.next
 	run := &chunkRun{}
-	run.bind(&p.proto, p.ex, nil, rs.next-1, -1)
+	run.bind(&p.proto, p.ex, rs.next-1, -1)
 	if rs.seed != nil {
 		run.reseed(rs.seed, rs.prevWindow, rs.reorig)
 	}

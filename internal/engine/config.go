@@ -21,7 +21,9 @@ type Config struct {
 	// when the boundary's final state misses.
 	ExtraStates int
 	// InnerWidth is the gang width for the program's original TLP inside
-	// each update; 1 uses only STATS TLP.
+	// each update; 1 uses only STATS TLP. Only an executor that charges
+	// cost runs a gang: on a cost-free one the helpers would compute
+	// nothing, so there the width is validated and otherwise ignored.
 	InnerWidth int
 	// Seed selects one nondeterministic execution.
 	Seed uint64
@@ -59,10 +61,11 @@ type Report struct {
 	// input length).
 	Chunks int
 	// ThreadsCreated counts threads the runtime spawned: chunk workers,
-	// gang helpers, and original-state replicas where the substrate gives
-	// them threads of their own (Table I: the simulated machine; a native
-	// run replays them, when a boundary needs them, on the context that
-	// validates it).
+	// plus gang helpers and original-state replicas where the substrate
+	// charges for them (Table I: the simulated machine; a native run has
+	// no gang and replays the replicas, when a boundary needs them, on the
+	// context that validates it). StreamScheduler's fixed pool spawns
+	// nothing per chunk and reports 0.
 	ThreadsCreated int
 	// StatesCreated counts computational states materialized: initial,
 	// fresh, and cloned states (Table I).

@@ -15,9 +15,11 @@ import (
 // versions fork/join worker threads per frame. The per-update kernel
 // round-trips are what makes the original TLP's synchronization overhead
 // emerge in the simulation. A nil *gang is valid and runs everything on
-// the calling context (width 1).
+// the calling context: width 1, or an executor that charges no cost, where
+// helpers would meet at a barrier every update to compute nothing.
 type gang struct {
 	width   int
+	jit     rng.Stream // share jitter; simulated cost only
 	mu      Mutex
 	start   Cond
 	doneCv  Cond
@@ -31,13 +33,15 @@ type gang struct {
 }
 
 // newGang spawns width-1 helper threads, reporting each spawn through
-// counter. A width of 1 returns nil (no gang needed).
-func newGang(ex Exec, name string, width int, counter func()) *gang {
-	if width <= 1 {
+// counter; jit is the stream the per-share jitter draws from. A width of
+// 1 or a cost-free executor returns nil (no gang needed).
+func newGang(ex Exec, name string, width int, jit rng.Stream, counter func()) *gang {
+	if width <= 1 || costFree(ex) {
 		return nil
 	}
 	g := &gang{
 		width:  width,
+		jit:    jit,
 		mu:     ex.NewMutex(),
 		shares: make([]machine.Work, width-1),
 		cat:    trace.CatChunkWork,
@@ -53,13 +57,14 @@ func newGang(ex Exec, name string, width int, counter func()) *gang {
 	return g
 }
 
-// chunkGang is newGang for chunk j's gang, named "<program>-<role><j>";
+// chunkGang is newGang for chunk j's gang, named "<program>-w<j>", its
+// jitter drawn from the "jitter" substream of the chunk's worker stream;
 // the name is built only when there are helpers to carry it.
-func chunkGang(ex Exec, p Program, role string, j, width int, counter func()) *gang {
-	if width <= 1 {
+func chunkGang(ex Exec, p Program, j, width int, worker *rng.Stream, counter func()) *gang {
+	if width <= 1 || costFree(ex) {
 		return nil
 	}
-	return newGang(ex, fmt.Sprintf("%s-%s%d", p.Name(), role, j), width, counter)
+	return newGang(ex, fmt.Sprintf("%s-w%d", p.Name(), j), width, worker.Sub("jitter"), counter)
 }
 
 func (g *gang) helper(he Exec, i int) {
@@ -91,7 +96,7 @@ func (g *gang) helper(he Exec, i int) {
 // master, the parallel part split across min(width, Grain) contexts with
 // per-share jitter (input-dependent latency variation, a §III-A imbalance
 // source).
-func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, jitterAmt float64) {
+func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category) {
 	ex.SetCat(cat)
 	ex.Compute(uw.Serial)
 	w := uw.Grain
@@ -112,7 +117,7 @@ func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, 
 	for i := range g.shares {
 		if i < w-1 {
 			share := uw.Parallel
-			share.Instr = int64(jit.Jitter(float64(per), jitterAmt))
+			share.Instr = int64(g.jit.Jitter(float64(per), uw.ShareJitter))
 			g.shares[i] = share
 		} else {
 			g.shares[i] = machine.Work{}
@@ -124,7 +129,7 @@ func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category, jit *rng.Stream, 
 	g.mu.Unlock(ex)
 
 	my := uw.Parallel
-	my.Instr = int64(jit.Jitter(float64(per), jitterAmt))
+	my.Instr = int64(g.jit.Jitter(float64(per), uw.ShareJitter))
 	ex.Compute(my)
 
 	g.mu.Lock(ex)

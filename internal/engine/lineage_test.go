@@ -42,30 +42,30 @@ var outcomeDigests = map[string]string{
 // framed bytes of the snapshot taken at every commit of that session. A
 // snapshot records its session's worker count, so each count has its own.
 var snapshotDigests = map[string]string{
-	"bodytrack/1":         "6b3f185ede3300398054b0bd3365d9e0c7d6f0528027cdd1dd565948c63879ed",
-	"bodytrack/2":         "832722603bf3c6989adac8074ffad2c37b5eceb1d6b2682a4cd549698e448aa6",
-	"bodytrack/4":         "e66fa44922037401bba6e00354576eba67d5deb4a22cda60614b396882ff6cf7",
-	"dedupstream/1":       "4c75b9a5f1b49aa51795aa7c24ffa5e4c0bd16b9ae2f35ea6492016204445ba6",
-	"dedupstream/2":       "a67f61339f24bb8b147081cbd3c231691ee7f213ad07dafd1dac9e6a56a11a41",
-	"dedupstream/4":       "f45418d9e18af682bc12204a20a7a29cf23e96d85dc18dc9e01b082582d44584",
-	"facedet-and-track/1": "71a7118543cde3f8598df2e34db6676cfd4093c61da3b7aed71b3e60f9c13484",
-	"facedet-and-track/2": "6137eab763e2fcbae27a520d7a6b7c57b4f3be39407c4b1d85526eb798363585",
-	"facedet-and-track/4": "97e41a32deda7b9256814445931fc7b9481372823f2dcb812dc02de6b1828fe3",
-	"facetrack/1":         "f34911e38b6cb27258a3433ac8077d33e1821243215019cf3cbfca5fbe4c0978",
-	"facetrack/2":         "7bd33dd8ce1fad59382cee50ff3c1d58615a74cdaab721dacea2e89a450bb5e1",
-	"facetrack/4":         "694af55deaaa38d61a59408af46add7e64b0eb6835955446562d08dc7be9e920",
-	"fluidanimate/1":      "2c2b49c143f80d11544d1b36202939c9e2f46ee9b9e25439267d183edca270ed",
-	"fluidanimate/2":      "d2c94acfeee2e1288c11c29b08fe95dd5610d4a4fd75c38bb20db63988483558",
-	"fluidanimate/4":      "93d685951ffc8cbea49891e0d83cceaf19469185a7860013f443ddcb33b1fd60",
-	"streamclassifier/1":  "513be77d711cf71dfdd22034e04f5c66fd640d2537531402a98a3aac073ea6ba",
-	"streamclassifier/2":  "b3bc7695fa2863f3266731a2dc556f2c2b6ac0476696f54830697de94d3c76c0",
-	"streamclassifier/4":  "a0655e82e351e180f91b43bade1847a3ae6fdb646cf792f6b0adf03bee0254d7",
-	"streamcluster/1":     "47c471b60cc510ffdda4d36b4a23a490abfe125b1ae5bb7a94b7a293fe7971c8",
-	"streamcluster/2":     "a96eb9585cc428103bbfac89ebc15dd99793601a1dba9fb501bb66b062d29599",
-	"streamcluster/4":     "13d9770bb6d106946c5c0bcb0b687a3f62165645fd4e41ca5cccc148a7261ce2",
-	"swaptions/1":         "1b254bdc192ff287ab13a4eeb6b2d9505222e6bd325b7b8f475d2c6e54ec0cdb",
-	"swaptions/2":         "fdaf677211f65f4da02fe17369cc2cde1d4d731bd399c3d1bab0903aebb9e4fb",
-	"swaptions/4":         "82dbc23b13562628fb953e80c6cc7f91fa43e337d0f343ee97e50679871bef48",
+	"bodytrack/1":         "e9afc1cc39176d805b8a5059a7399d809ef31b89d0fca4c2d66772b559f7c701",
+	"bodytrack/2":         "f73b409d01425c8e701cf047066fef3d3b44807d194440680c3685f0082d578e",
+	"bodytrack/4":         "6f9a354eb2ab9c10b403037e562a72984befb181fb598cf88dc46d189eaa791f",
+	"dedupstream/1":       "b633c47ffc9cd1f25e67110e59b597029bdf7fa96689a2e853fae95de089c3f3",
+	"dedupstream/2":       "6a7e504a1ddb2dee56939c416dfc1e12f5867bc83167cb2ca6436a8cff47c7a4",
+	"dedupstream/4":       "08c3d07217764848933e8c9a942fc65811b9d3834a28bb565b4c6b9e71dee07d",
+	"facedet-and-track/1": "c9af6ede88cc96ad5aa92e0a01bb4695f98a3539b250f84b024620523f292b04",
+	"facedet-and-track/2": "5ed06df9c9f7bf758402d349ead38b585960a908eb6a6dc39659f8ca8eea8bd8",
+	"facedet-and-track/4": "c5519f780202b058b22cd84d5ea1334629335ef0fd2b346f2f50f6d1cc9c23b6",
+	"facetrack/1":         "6ad2b5ffa1adbfdc6f9e0c11b07674f52dfae0bad32abf8cf5b870f6b3bb87ed",
+	"facetrack/2":         "fd887f4f32c179eade104cbcd2dd1ca128b281b274d38bada2c22d975004a80f",
+	"facetrack/4":         "b69148369e0af746f4f37fa918c7b8a9bd4cd14bca4e9564859e603e4cdfa913",
+	"fluidanimate/1":      "600a80c96a0e2a90395f84cc2fbca08c75ac9777f8df6b50f1bc73fe7f39aeb5",
+	"fluidanimate/2":      "a02dc514fc18ae4438c791c996297d0660d58378769f3235f7539edd301c72ae",
+	"fluidanimate/4":      "2ca0b2f0a01a1066e52ae2e58c00cc7eb4756720f9378ba86668f5f94342946f",
+	"streamclassifier/1":  "8cc6526700a2cb753a7ca108f690a090c361d86cf95578cb5ebe4cf6b9ae8e02",
+	"streamclassifier/2":  "10499c63a622472e26153450ae33d1fcdda8d16d1316bc2514bb1ecd72a625b5",
+	"streamclassifier/4":  "dacaabc0b76f58149230d3dcdcf10014e00accc689f206527e341069ecdee2be",
+	"streamcluster/1":     "0851c36846aece7f3092d3c6e441e08ce3a6e91c0d87a21fd2c2ba89a267a683",
+	"streamcluster/2":     "7ecfa6460e81ad116da5d120eaf5dbc0f9aa7ac7f7c8014f0276dcb6a3459f0e",
+	"streamcluster/4":     "8c95dd5af2e52143132a9a02003a1759786f639b9be1617c8bc2c9a9cd908620",
+	"swaptions/1":         "f6b04c6257e30c2bf276ab27f1b6841adacd308086c29ddc56e53373bfde84be",
+	"swaptions/2":         "fdfd8ec109554d10d3cf1b7da60c9d40b7a895e593370a3f8846abd6c59fac44",
+	"swaptions/4":         "172b769e7abd124b06c7709b03670eb9604948819e47b653723c6f122fe64252",
 }
 
 // verdictLog keeps, per chunk, the events that decide it: EvValidated

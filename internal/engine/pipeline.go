@@ -82,9 +82,6 @@ type StreamConfig struct {
 	// built then, at the commit frontier, from the snapshot the chunk's
 	// worker kept; a checkpoint capture encodes that snapshot instead.
 	ExtraStates int
-	// InnerWidth is the gang width for the program's original TLP inside
-	// each update; 1 (the default 0 maps to 1) uses only STATS TLP.
-	InnerWidth int
 	// Workers is the number of goroutines doing protocol work: each runs
 	// whole chunks — alternative producer and body — and, one at a time,
 	// applies the commit frontier to the chunks that have arrived. It also
@@ -132,9 +129,6 @@ type StreamConfig struct {
 const DefaultWorkers = 4
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.InnerWidth == 0 {
-		c.InnerWidth = 1
-	}
 	if c.Workers == 0 {
 		c.Workers = DefaultWorkers
 	}
@@ -145,6 +139,30 @@ func (c StreamConfig) withDefaults() StreamConfig {
 		c.MaxChunk = 4 * c.ChunkSize
 	}
 	return c
+}
+
+// WithShape returns c with the session shape snap carries: the fields a
+// pipeline resumed from snap adopts in place of its own.
+func (c StreamConfig) WithShape(snap *checkpoint.Snapshot) StreamConfig {
+	c.ChunkSize, c.Lookback, c.ExtraStates = snap.ChunkSize, snap.Lookback, snap.ExtraStates
+	c.Workers, c.Seed = snap.Workers, snap.Seed
+	c.Adapt, c.MinChunk, c.MaxChunk = snap.Adapt, snap.MinChunk, snap.MaxChunk
+	return c
+}
+
+// LargestChunk is the most inputs one chunk of a pipeline under c can
+// hold: ChunkSize, every Plan entry and, with Adapt, the adaptive bounds
+// after defaults.
+func (c StreamConfig) LargestChunk() int {
+	c = c.withDefaults()
+	n := c.ChunkSize
+	for _, k := range c.Plan {
+		n = max(n, k)
+	}
+	if c.Adapt {
+		n = max(n, c.MinChunk, c.MaxChunk)
+	}
+	return n
 }
 
 // window is the speculation window: the most chunks dispatched past the
@@ -164,8 +182,8 @@ func (c StreamConfig) Validate() error {
 	if c.ExtraStates < 0 {
 		return fmt.Errorf("stream: ExtraStates must be >= 0, got %d", c.ExtraStates)
 	}
-	if c.InnerWidth < 0 || c.Workers < 0 {
-		return fmt.Errorf("stream: negative InnerWidth/Workers")
+	if c.Workers < 0 {
+		return fmt.Errorf("stream: Workers must be >= 0, got %d", c.Workers)
 	}
 	if c.MinChunk < 0 || (c.MaxChunk > 0 && c.MaxChunk < c.MinChunk) {
 		return fmt.Errorf("stream: bad adaptive bounds [%d,%d]", c.MinChunk, c.MaxChunk)
@@ -194,11 +212,6 @@ type StreamStats struct {
 	Resizes int64 // online chunk-size changes
 	States  int64 // computational states materialized
 	Reused  int64 // state clones served from retired buffers (StatePool)
-	// Threads counts the goroutines the protocol spawned chunk by chunk:
-	// gang helpers, when InnerWidth > 1. The worker pool is not in it, nor
-	// are the original-state replicas, which run on the worker holding the
-	// frontier when a boundary needs them.
-	Threads int64
 
 	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
 	Retries  int64 // faulted attempts retried after backoff
@@ -354,10 +367,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// The snapshot's session shape wins wholesale: resuming under
 		// different parameters would move chunk boundaries and break the
 		// byte-identity the resume contract promises.
-		snap := cfg.Resume.Snap
-		cfg.ChunkSize, cfg.Lookback, cfg.ExtraStates = snap.ChunkSize, snap.Lookback, snap.ExtraStates
-		cfg.InnerWidth, cfg.Workers, cfg.Seed = snap.InnerWidth, snap.Workers, snap.Seed
-		cfg.Adapt, cfg.MinChunk, cfg.MaxChunk = snap.Adapt, snap.MinChunk, snap.MaxChunk
+		cfg = cfg.WithShape(cfg.Resume.Snap)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -572,7 +582,6 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 		Resizes: p.resizes.Load(),
 		States:  p.states.Load(),
 		Reused:  p.pool.Stats().Reused,
-		Threads: p.threads.Load(),
 
 		Faults:   p.faults.Load(),
 		Retries:  p.retries.Load(),

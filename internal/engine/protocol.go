@@ -65,9 +65,9 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 		outs = make([]Output, 0, len(chunk))
 	}
 	ex.SetCat(cat)
-	// With no gang and a cost-discarding executor the per-input cost
-	// model feeds nothing: Update itself is the work.
-	if costFree(ex) && c.g == nil {
+	// On a cost-discarding executor, which runs no gang, the per-input
+	// cost model feeds nothing: Update itself is the work.
+	if costFree(ex) {
 		for i, in := range chunk {
 			if i == snapAt {
 				snapshot = c.pool.Clone(s)
@@ -89,7 +89,7 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 		uw := p.UpdateCost(in, s)
 		var out Output
 		s, out = p.Update(s, in, &c.sub)
-		c.g.Run(ex, uw, cat, &c.jit, uw.ShareJitter)
+		c.g.Run(ex, uw, cat)
 		outs = append(outs, out)
 	}
 	return outs, snapshot, s

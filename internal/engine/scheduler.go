@@ -58,7 +58,8 @@ func (s *BatchScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repor
 // backpressure, ordered commit at the frontier, record and state reuse.
 // It plans the pipeline's chunk sizes from Partition, so for the same
 // (seed, inputs, cfg) its committed outputs are byte-identical to
-// BatchScheduler's.
+// BatchScheduler's. The pipeline runs on NativeExec, which runs no gang,
+// so cfg's inner width does not reach it.
 type StreamScheduler struct {
 	// Ctx bounds the run; nil uses context.Background().
 	Ctx context.Context
@@ -85,7 +86,6 @@ func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repo
 		Plan:        make([]int, len(bounds)),
 		Lookback:    cfg.Lookback,
 		ExtraStates: cfg.ExtraStates,
-		InnerWidth:  cfg.InnerWidth,
 		Workers:     s.Workers,
 		Seed:        cfg.Seed,
 		Fault:       cfg.Fault,
@@ -190,12 +190,11 @@ func runStream(ctx context.Context, p Program, inputs []Input, scfg StreamConfig
 		return nil, pushErr
 	}
 	return &Report{
-		Outputs:        outs,
-		Commits:        int(stats.Commits),
-		Aborts:         int(stats.Aborts),
-		Chunks:         int(stats.Chunks),
-		ThreadsCreated: int(stats.Threads),
-		StatesCreated:  int(stats.States),
-		StateBytes:     p.StateBytes(),
+		Outputs:       outs,
+		Commits:       int(stats.Commits),
+		Aborts:        int(stats.Aborts),
+		Chunks:        int(stats.Chunks),
+		StatesCreated: int(stats.States),
+		StateBytes:    p.StateBytes(),
 	}, nil
 }

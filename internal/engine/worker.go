@@ -63,8 +63,6 @@ func (ck *chunk) speculate(slotID int) {
 		p.degraded.Add(1)
 		p.emit(Event{Kind: EvDegraded, Chunk: ck.j, Worker: slotID, N: fault.Attempt})
 	}
-	ck.g = chunkGang(p.ex, p.prog, "w", ck.j, p.cfg.InnerWidth, p.countThread)
-	defer ck.g.Close(p.ex)
 	if ck.fault = ck.retry(p.ctx, SiteAltProducer, ck.localAttempt); ck.fault != nil {
 		ck.scrap()
 	}
@@ -106,11 +104,8 @@ func (ck *chunk) localAttempt() error {
 // and it is the last rung of the degradation ladder: a returned fault
 // means every attempt faulted too, and the session must fail.
 func (ck *chunk) recoverChunk(trueFinal State) *ChunkFault {
-	p := ck.p
 	ck.worker, ck.trueFinal = -1, trueFinal
-	ck.g = chunkGang(p.ex, p.prog, "x", ck.j, p.cfg.InnerWidth, p.countThread)
-	defer ck.g.Close(p.ex)
-	return ck.retry(p.ctx, SiteReexec, ck.recoverAttempt)
+	return ck.retry(ck.p.ctx, SiteReexec, ck.recoverAttempt)
 }
 
 // recoverAttempt is one recovery attempt. The speculative outputs and

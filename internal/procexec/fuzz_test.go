@@ -34,11 +34,11 @@ func newReplyFixture(tb testing.TB, name string) replyFixture {
 		raws = append(raws, raw)
 	}
 	var s workerSession
-	if reply, _ := s.handle(mustMarshal(tb, wireRequest{Op: "hello", Benchmark: name, Seed: 7, Lookback: 2, Extra: 1, Inner: 1})); !reply.OK {
+	if reply, _ := s.handle(mustMarshal(tb, wireRequest{Op: "hello", Benchmark: name, Seed: 7, Lookback: 2, Extra: 1})); !reply.OK {
 		tb.Fatalf("%s: hello refused: %s", name, reply.Err)
 	}
 	fx := replyFixture{
-		pool:   &Pool{cfg: Config{Codec: codec, Session: Session{Benchmark: name, Seed: 7, Lookback: 2, ExtraStates: 1, InnerWidth: 1}}},
+		pool:   &Pool{cfg: Config{Codec: codec, Session: Session{Benchmark: name, Seed: 7, Lookback: 2, ExtraStates: 1}}},
 		inputs: 3,
 	}
 	fx.chunk0, _ = s.handle(mustMarshal(tb, wireRequest{Op: "chunk", Chunk: 0, Inputs: raws[2:]}))
@@ -165,7 +165,7 @@ func FuzzWorkerRequest(f *testing.F) {
 			}
 			raws = append(raws, raw)
 		}
-		hello, err := json.Marshal(wireRequest{Op: "hello", Benchmark: name, Seed: 7, Lookback: 2, Extra: 1, Inner: 1})
+		hello, err := json.Marshal(wireRequest{Op: "hello", Benchmark: name, Seed: 7, Lookback: 2, Extra: 1})
 		if err != nil {
 			f.Fatal(err)
 		}

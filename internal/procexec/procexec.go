@@ -51,7 +51,10 @@ type Session struct {
 	Lookback int
 	// ExtraStates is the number of extra original-state replicas.
 	ExtraStates int
-	// InnerWidth is the chunk-body gang width (the program's original TLP).
+	// InnerWidth is ignored: a worker process runs chunks on a cost-free
+	// executor, which runs no gang, and the hello does not carry it. It
+	// stays declared only because the repository benchmark's worker-pool
+	// probe still sets it; the next change to that benchmark drops it.
 	InnerWidth int
 }
 
@@ -82,7 +85,6 @@ type wireRequest struct {
 	Seed      uint64 `json:"seed,omitempty"`
 	Lookback  int    `json:"lookback,omitempty"`
 	Extra     int    `json:"extra,omitempty"`
-	Inner     int    `json:"inner,omitempty"`
 
 	Chunk  int               `json:"chunk,omitempty"`
 	Window []json.RawMessage `json:"window,omitempty"`
@@ -212,7 +214,7 @@ func (p *Pool) spawn() (*proc, error) {
 	p.spawns.Add(1)
 	s := p.cfg.Session
 	hello := wireRequest{Op: "hello", Benchmark: s.Benchmark, Seed: s.Seed,
-		Lookback: s.Lookback, Extra: s.ExtraStates, Inner: s.InnerWidth}
+		Lookback: s.Lookback, Extra: s.ExtraStates}
 	reply, err := pr.exchange(hello)
 	if err != nil {
 		pr.kill()

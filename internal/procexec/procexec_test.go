@@ -36,17 +36,13 @@ func newPool(t *testing.T, name string, cfg engine.StreamConfig, procs int, plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := cfg.InnerWidth
-	if inner == 0 {
-		inner = 1
-	}
 	pool, err := procexec.NewPool(procexec.Config{
 		Command: []string{os.Args[0]},
 		Env:     []string{"STATSWORKER_CHILD=1"},
 		Procs:   procs,
 		Session: procexec.Session{
 			Benchmark: name, Seed: cfg.Seed, Lookback: cfg.Lookback,
-			ExtraStates: cfg.ExtraStates, InnerWidth: inner,
+			ExtraStates: cfg.ExtraStates,
 		},
 		Codec: wc,
 		Plan:  plan,

@@ -129,16 +129,15 @@ func newWorkerSession(req wireRequest) (*workerSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each replica and each gang helper is a thread per chunk; a count
-	// beyond maxWidth is a corrupted frame, not a session shape.
-	const maxWidth = 1 << 10
-	if req.Lookback <= 0 || req.Extra < 0 || req.Extra > maxWidth || req.Inner < 0 || req.Inner > maxWidth {
-		return nil, fmt.Errorf("session shape out of range: lookback %d, extra %d, inner %d",
-			req.Lookback, req.Extra, req.Inner)
+	// Each replica is a state per chunk; a count beyond maxExtra is a
+	// corrupted frame, not a session shape.
+	const maxExtra = 1 << 10
+	if req.Lookback <= 0 || req.Extra < 0 || req.Extra > maxExtra {
+		return nil, fmt.Errorf("session shape out of range: lookback %d, extra %d", req.Lookback, req.Extra)
 	}
 	return &workerSession{
 		codec: codec,
-		run:   engine.NewChunkWorker(prog, req.Seed, req.Lookback, req.Extra, req.Inner),
+		run:   engine.NewChunkWorker(prog, req.Seed, req.Lookback, req.Extra),
 	}, nil
 }
 

@@ -382,8 +382,8 @@ func TestKeepAliveSurvivesRefusalAfterEOF(t *testing.T) {
 // TestSessionShapeCeilings: the parameters NewStream sizes rings, records,
 // the output channel and goroutines from are the request's to pick — by
 // query, or in the snapshot of a #resume line — so each has a ceiling, and
-// a value over it is a 400 naming the parameter before any pipeline
-// exists. A session at every ceiling is admitted, and costs what the
+// a value over it (for the chunk, the largest an adaptive session can
+// grow to) is a 400 naming the parameter before any pipeline exists. A session at every ceiling is admitted, and costs what the
 // ceilings were chosen for: under 300 goroutines and 16 MB before its
 // first input.
 func TestSessionShapeCeilings(t *testing.T) {
@@ -400,20 +400,27 @@ func TestSessionShapeCeilings(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("ckpt=1 session gave no snapshot")
 	}
-	snap := snaps[0]
-	snap.Workers = maxWorkers + 1
-	b64, err := checkpoint.EncodeString(snap)
-	if err != nil {
-		t.Fatal(err)
+	resume := func(forge func(*checkpoint.Snapshot)) string {
+		snap := *snaps[0]
+		forge(&snap)
+		b64, err := checkpoint.EncodeString(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checkpoint.ResumePrefix + b64 + "\n" + string(body)
 	}
 	started, baseline := app.met.Snapshot().Sessions, runtime.NumGoroutine()
 
 	for _, tc := range []struct{ query, body, names string }{
 		{"workers=100000", string(body), "workers=100000"},
 		{fmt.Sprintf("chunk=%d", maxChunk+1), string(body), "chunk="},
+		{fmt.Sprintf("chunk=%d&adapt=1", maxChunk), string(body), "chunk="},
 		{fmt.Sprintf("lookback=%d", maxLookback+1), string(body), "lookback="},
 		{fmt.Sprintf("extra=%d", maxExtraStates+1), string(body), "extra="},
-		{"resume=1", checkpoint.ResumePrefix + b64 + "\n" + string(body), "workers="},
+		{"resume=1", resume(func(s *checkpoint.Snapshot) { s.Workers = maxWorkers + 1 }), "workers="},
+		{"resume=1", resume(func(s *checkpoint.Snapshot) {
+			s.ChunkSize, s.Adapt, s.MinChunk, s.MaxChunk = maxChunk, true, 0, 0
+		}), "chunk="},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?"+tc.query, "application/x-ndjson", strings.NewReader(tc.body))
 		if err != nil {
@@ -431,11 +438,11 @@ func TestSessionShapeCeilings(t *testing.T) {
 	checkGoroutines(t, baseline)
 
 	atCeilings := engine.StreamConfig{Workers: maxWorkers, ChunkSize: maxChunk, Lookback: maxLookback,
-		ExtraStates: maxExtraStates, InnerWidth: maxInnerWidth}
-	var p *engine.Pipeline
+		ExtraStates: maxExtraStates}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if p, err = engine.NewStream(context.Background(), bench.MustNew(name), atCeilings); err != nil {
+	p, err := engine.NewStream(context.Background(), bench.MustNew(name), atCeilings)
+	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

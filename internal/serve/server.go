@@ -62,31 +62,32 @@ const (
 
 // The most a session may ask for of what NewStream sizes memory and
 // goroutines from: a goroutine and two chunk records a worker, an output
-// channel two chunks long, a buffer of ExtraStates+1 states and ChunkSize
-// inputs a record, InnerWidth-1 helpers a running chunk. A request picks
-// these — by query, or wholesale in the snapshot of a #resume line, whose
-// CRC is no MAC — so they are fixed here and not options. A session at
-// every ceiling costs 258 goroutines and 2.8 MB before its first input.
+// channel two chunks long, a buffer of ExtraStates+1 states and up to the
+// largest chunk's inputs a record. A request picks these — by query, or
+// wholesale in the snapshot of a #resume line, whose CRC is no MAC — so
+// they are fixed here and not options. A session at every ceiling costs
+// 257 goroutines (its workers and a reaper) and 2.8 MB before its first
+// input, and spawns no more as it runs.
 const (
 	maxWorkers     = 256
 	maxChunk       = 1 << 16
 	maxLookback    = 1 << 16
 	maxExtraStates = 64
-	maxInnerWidth  = 64
 )
 
 // checkShape refuses a session shape over a ceiling, naming the parameter.
-// Signs are StreamConfig.Validate's business.
+// Signs are StreamConfig.Validate's business. The chunk ceiling bounds the
+// largest chunk the pipeline can reach, which an adaptive session's
+// defaulted bounds put above its initial size.
 func checkShape(c engine.StreamConfig) error {
 	for _, p := range [...]struct {
 		name   string
 		v, max int
 	}{
 		{"workers", c.Workers, maxWorkers},
-		{"chunk", max(c.ChunkSize, c.MaxChunk), maxChunk},
+		{"chunk", c.LargestChunk(), maxChunk},
 		{"lookback", c.Lookback, maxLookback},
 		{"extra", c.ExtraStates, maxExtraStates},
-		{"inner width", c.InnerWidth, maxInnerWidth},
 	} {
 		if p.v > p.max {
 			return fmt.Errorf("%s=%d: a session may ask for at most %d", p.name, p.v, p.max)

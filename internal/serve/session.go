@@ -244,8 +244,7 @@ func (ss *session) open() bool {
 		snap, err := readResumeLine(ss.sc)
 		if err == nil {
 			// The snapshot's shape replaces the query's (NewStream).
-			err = checkShape(engine.StreamConfig{Workers: snap.Workers, ChunkSize: snap.ChunkSize, MaxChunk: snap.MaxChunk,
-				Lookback: snap.Lookback, ExtraStates: snap.ExtraStates, InnerWidth: snap.InnerWidth})
+			err = checkShape(ss.cfg.WithShape(snap))
 		}
 		if err != nil {
 			return ss.refuse(http.StatusBadRequest, err.Error())
