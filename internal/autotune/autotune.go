@@ -11,6 +11,13 @@
 // produced improvements. Evaluations are memoized; the budget counts
 // unique configurations evaluated, matching the paper's "number of
 // configurations analyzed varied from 89 to 342" (§IV-B).
+//
+// Online is the run-time half: it retunes a streaming session's chunk
+// size from commit/abort outcomes by one fixed rule. Outcomes are taken
+// in tumbling epochs of 8; an epoch whose abort rate is at least 0.25
+// grows the size ×1.5, one whose rate is at most 0.05 shrinks it ÷1.5,
+// and the size stays within the session's [Min, Max]. Those bounds and
+// the initial size are its whole configuration.
 package autotune
 
 import (

@@ -10,50 +10,30 @@ import "fmt"
 // is the feedback half of the tuner: a deterministic controller that
 // retunes the chunk size from those outcomes while the pipeline runs.
 //
-// The policy follows the paper's speculation economics (§II-B, §III-E):
+// The rule follows the paper's speculation economics (§II-B, §III-E):
 // aborts waste a whole chunk of re-execution, so a mispeculation spike is
 // answered by growing chunks (fewer, cheaper-to-validate boundaries, more
 // lookback amortization), while a clean commit streak shrinks chunks back
-// toward the configured target to expose more parallelism. Decisions are
-// a pure function of the outcome sequence — no clocks, no sampling — so a
-// pipeline that feeds outcomes in commit order stays bit-reproducible.
+// toward Min to expose more parallelism. The rule is fixed: its
+// constants below are not configuration. Decisions are a pure function
+// of the outcome sequence — no clocks, no sampling — so a pipeline that
+// feeds outcomes in commit order stays bit-reproducible.
+const (
+	epoch     = 8    // outcomes per decision epoch
+	abortHigh = 0.25 // epoch abort rate at or above which the size grows
+	abortLow  = 0.05 // epoch abort rate at or below which the size shrinks
+	step      = 1.5  // multiplicative resize factor
+)
 
-// OnlineConfig parameterizes the online chunk-size controller.
+// OnlineConfig bounds the online chunk-size controller.
 type OnlineConfig struct {
 	// Initial is the starting chunk size (inputs per chunk).
 	Initial int
 	// Min and Max bound the chunk size the controller may choose.
 	Min, Max int
-	// Window is the number of consecutive chunk outcomes per decision
-	// epoch (tumbling, not sliding). Default 8.
-	Window int
-	// AbortHigh is the per-epoch abort rate at or above which the chunk
-	// size grows. Default 0.25.
-	AbortHigh float64
-	// AbortLow is the abort rate at or below which the chunk size shrinks
-	// back toward Min. Default 0.05 (an epoch of clean commits).
-	AbortLow float64
-	// Step is the multiplicative resize factor. Default 1.5.
-	Step float64
-	// OnResize, when set, observes every size change synchronously
-	// (from, to) — an observation hook for live trajectory collection.
-	// It must not call back into the controller.
-	OnResize func(from, to int)
 }
 
 func (c OnlineConfig) withDefaults() OnlineConfig {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.AbortHigh == 0 {
-		c.AbortHigh = 0.25
-	}
-	if c.AbortLow == 0 {
-		c.AbortLow = 0.05
-	}
-	if c.Step <= 1 {
-		c.Step = 1.5
-	}
 	if c.Min < 1 {
 		c.Min = 1
 	}
@@ -85,8 +65,6 @@ type Online struct {
 	aborts   int // aborts in the current epoch
 	outcomes int // total outcomes recorded (trajectory x-axis)
 	resizes  int
-	grows    int
-	shrinks  int
 	history  []SizeChange
 }
 
@@ -112,58 +90,44 @@ func NewOnline(cfg OnlineConfig) (*Online, error) {
 	return &Online{cfg: cfg, size: size, history: []SizeChange{{Outcome: 0, Size: size}}}, nil
 }
 
-// Record feeds one chunk outcome (in commit order). Every Window outcomes
-// the controller closes the epoch and may resize.
-func (o *Online) Record(committed bool) {
+// Record feeds one chunk outcome (in commit order) and reports whether it
+// changed the chunk size. Every epoch outcomes the controller closes the
+// epoch and may resize.
+func (o *Online) Record(committed bool) bool {
 	o.epochN++
 	o.outcomes++
 	if !committed {
 		o.aborts++
 	}
-	if o.epochN < o.cfg.Window {
-		return
+	if o.epochN < epoch {
+		return false
 	}
 	rate := float64(o.aborts) / float64(o.epochN)
 	o.epochN, o.aborts = 0, 0
+	next := o.size
 	switch {
-	case rate >= o.cfg.AbortHigh:
-		next := clampInt(int(float64(o.size)*o.cfg.Step+0.5), o.cfg.Min, o.cfg.Max)
-		if next != o.size {
-			o.resize(next)
-			o.grows++
-		}
-	case rate <= o.cfg.AbortLow:
-		next := clampInt(int(float64(o.size)/o.cfg.Step), o.cfg.Min, o.cfg.Max)
-		if next != o.size {
-			o.resize(next)
-			o.shrinks++
-		}
+	case rate >= abortHigh:
+		next = clampInt(int(float64(o.size)*step+0.5), o.cfg.Min, o.cfg.Max)
+	case rate <= abortLow:
+		next = clampInt(int(float64(o.size)/step), o.cfg.Min, o.cfg.Max)
 	}
-}
-
-// resize applies a size change, records the trajectory point, and fires
-// the observation hook.
-func (o *Online) resize(next int) {
-	from := o.size
+	if next == o.size {
+		return false
+	}
 	o.size = next
 	o.resizes++
 	if len(o.history) >= historyCap {
 		o.history = o.history[1:]
 	}
 	o.history = append(o.history, SizeChange{Outcome: o.outcomes, Size: next})
-	if o.cfg.OnResize != nil {
-		o.cfg.OnResize(from, next)
-	}
+	return true
 }
 
 // ChunkSize returns the size the next chunk should use.
 func (o *Online) ChunkSize() int { return o.size }
 
-// Resizes returns how many times the controller changed the chunk size
-// (and the grow/shrink split), for metrics and tests.
-func (o *Online) Resizes() (total, grows, shrinks int) {
-	return o.resizes, o.grows, o.shrinks
-}
+// Resizes returns how many times the controller changed the chunk size.
+func (o *Online) Resizes() int { return o.resizes }
 
 // History returns a copy of the chunk-size trajectory: the initial size
 // plus one point per resize, capped at the most recent 512 changes. Like
@@ -183,8 +147,6 @@ type OnlineState struct {
 	Aborts   int          `json:"aborts"`
 	Outcomes int          `json:"outcomes"`
 	Resizes  int          `json:"resizes"`
-	Grows    int          `json:"grows"`
-	Shrinks  int          `json:"shrinks"`
 	History  []SizeChange `json:"history"`
 }
 
@@ -197,8 +159,6 @@ func (o *Online) Snapshot() *OnlineState {
 		Aborts:   o.aborts,
 		Outcomes: o.outcomes,
 		Resizes:  o.resizes,
-		Grows:    o.grows,
-		Shrinks:  o.shrinks,
 		History:  append([]SizeChange(nil), o.history...),
 	}
 }
@@ -206,8 +166,7 @@ func (o *Online) Snapshot() *OnlineState {
 // RestoreOnline rebuilds a controller from a snapshot so that feeding it
 // the outcome suffix of an interrupted session reproduces the exact
 // decision sequence of the uninterrupted one. cfg must be the session's
-// original controller configuration (the snapshot holds decisions, not
-// policy).
+// original controller bounds (the snapshot holds decisions, not bounds).
 func RestoreOnline(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 	if st == nil {
 		return NewOnline(cfg)
@@ -219,8 +178,8 @@ func RestoreOnline(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 	if st.Size < cfg.Min || st.Size > cfg.Max {
 		return nil, fmt.Errorf("autotune: restored size %d outside [%d, %d]", st.Size, cfg.Min, cfg.Max)
 	}
-	if st.EpochN < 0 || st.EpochN >= cfg.Window || st.Aborts < 0 || st.Aborts > st.EpochN {
-		return nil, fmt.Errorf("autotune: restored epoch counters invalid (epoch_n=%d aborts=%d window=%d)", st.EpochN, st.Aborts, cfg.Window)
+	if st.EpochN < 0 || st.EpochN >= epoch || st.Aborts < 0 || st.Aborts > st.EpochN {
+		return nil, fmt.Errorf("autotune: restored epoch counters invalid (epoch_n=%d aborts=%d epoch=%d)", st.EpochN, st.Aborts, epoch)
 	}
 	o := &Online{
 		cfg:      cfg,
@@ -229,8 +188,6 @@ func RestoreOnline(cfg OnlineConfig, st *OnlineState) (*Online, error) {
 		aborts:   st.Aborts,
 		outcomes: st.Outcomes,
 		resizes:  st.Resizes,
-		grows:    st.Grows,
-		shrinks:  st.Shrinks,
 		history:  append([]SizeChange(nil), st.History...),
 	}
 	if len(o.history) == 0 {

@@ -12,7 +12,7 @@ import (
 // both copies the identical outcome suffix, and demand the decision
 // trajectories stay identical.
 func TestCheckpointControllerRestore(t *testing.T) {
-	cfg := OnlineConfig{Initial: 8, Min: 2, Max: 64, Window: 4}
+	cfg := OnlineConfig{Initial: 8, Min: 2, Max: 64}
 	r := rng.New(99).Derive("outcomes")
 	for _, cut := range []int{0, 1, 3, 4, 7, 40, 99} {
 		live, err := NewOnline(cfg)
@@ -40,20 +40,18 @@ func TestCheckpointControllerRestore(t *testing.T) {
 		if !reflect.DeepEqual(live.History(), restored.History()) {
 			t.Fatalf("cut %d: histories diverged\nlive:     %v\nrestored: %v", cut, live.History(), restored.History())
 		}
-		lt, lg, ls := live.Resizes()
-		rt, rg, rs := restored.Resizes()
-		if lt != rt || lg != rg || ls != rs {
-			t.Fatalf("cut %d: resize counters diverged", cut)
+		if live.Resizes() != restored.Resizes() {
+			t.Fatalf("cut %d: resize totals diverged (%d vs %d)", cut, live.Resizes(), restored.Resizes())
 		}
 	}
 }
 
 func TestCheckpointControllerRestoreRejectsInvalid(t *testing.T) {
-	cfg := OnlineConfig{Initial: 8, Min: 2, Max: 64, Window: 4}
+	cfg := OnlineConfig{Initial: 8, Min: 2, Max: 64}
 	for i, st := range []*OnlineState{
 		{Size: 1},                       // below Min
 		{Size: 128},                     // above Max
-		{Size: 8, EpochN: 4},            // full epoch never survives Record
+		{Size: 8, EpochN: 8},            // full epoch never survives Record
 		{Size: 8, EpochN: 2, Aborts: 3}, // more aborts than outcomes
 	} {
 		if _, err := RestoreOnline(cfg, st); err == nil {

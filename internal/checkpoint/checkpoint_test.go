@@ -30,7 +30,7 @@ func sampleSnapshot() *Snapshot {
 		Lineage:     raws(`{"sum":1.5}`, `{"sum":1.25}`),
 		Pending:     []bool{true, true, false},
 		Controller: &autotune.OnlineState{
-			Size: 8, EpochN: 3, Aborts: 1, Outcomes: 35, Resizes: 2, Grows: 1, Shrinks: 1,
+			Size: 8, EpochN: 3, Aborts: 1, Outcomes: 35, Resizes: 2,
 			History: []autotune.SizeChange{{Outcome: 0, Size: 8}, {Outcome: 16, Size: 12}, {Outcome: 24, Size: 8}},
 		},
 	}
@@ -77,6 +77,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(raw, raw2) {
 		t.Fatalf("encode not deterministic")
+	}
+
+	// An adaptive snapshot written before the controller lost its
+	// grow/shrink split carries "grows" and "shrinks": they decode as
+	// unknown fields, and the controller validates and restores.
+	payload := raw[header : len(raw)-4]
+	parent := bytes.Replace(payload, []byte(`"resizes":2,`), []byte(`"resizes":2,"grows":1,"shrinks":1,`), 1)
+	if bytes.Equal(parent, payload) {
+		t.Fatal("the sample controller has no resizes field to extend")
+	}
+	old, err := Decode(envelope(parent))
+	if err != nil {
+		t.Fatalf("Decode of a controller with grows/shrinks: %v", err)
+	}
+	if !reflect.DeepEqual(old.Controller, want.Controller) {
+		t.Fatalf("controller with grows/shrinks: got %+v want %+v", old.Controller, want.Controller)
+	}
+	ctl, err := autotune.RestoreOnline(autotune.OnlineConfig{Initial: old.ChunkSize, Min: old.MinChunk, Max: old.MaxChunk}, old.Controller)
+	if err != nil {
+		t.Fatalf("RestoreOnline of a controller with grows/shrinks: %v", err)
+	}
+	if ctl.Resizes() != 2 || ctl.ChunkSize() != 8 {
+		t.Fatalf("restored controller: %d resizes, size %d", ctl.Resizes(), ctl.ChunkSize())
 	}
 }
 
@@ -342,6 +365,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""],"controller":{"history":null}}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":[[1]],"lineage":[{"a":"<"}],"replica_seed":{},"reorig":true}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"lineage":[ { "a" : [ 1 , 2 ] } ],"prev_window":["\u2028"]}`))
+	// An adaptive snapshot from before "grows" and "shrinks" left the controller.
+	f.Add([]byte(`{"benchmark":"x","workers":1,"adapt":true,"min_chunk":2,"max_chunk":32,"pending":[true],"controller":{"size":8,"epoch_n":3,"aborts":1,"outcomes":35,"resizes":2,"grows":1,"shrinks":1,"history":[{"outcome":0,"size":8},{"outcome":16,"size":12}]}}`))
 	f.Add([]byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"inner_width":64,"workers":2,"next_chunk":0,"inputs":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){

@@ -15,17 +15,15 @@ import (
 type Prober struct {
 	// Registry receives health transitions and load-gauge updates.
 	Registry *Registry
-	// Client performs the probes; nil uses a client with Timeout.
-	Client *http.Client
-	// Interval between probe rounds (default 500ms).
+	// Interval between probe rounds (default 500ms). One probe request
+	// may take Interval, at most 2s.
 	Interval time.Duration
-	// Timeout bounds one probe request (default Interval, capped 2s).
-	Timeout time.Duration
 	// FailThreshold is how many consecutive failed rounds turn a
 	// backend Down (default 2). One success brings it straight back.
 	FailThreshold int
 
-	fails map[string]int
+	client *http.Client
+	fails  map[string]int
 }
 
 // withDefaults resolves zero fields; called once per Run/ProbeOnce.
@@ -33,17 +31,11 @@ func (p *Prober) withDefaults() {
 	if p.Interval <= 0 {
 		p.Interval = 500 * time.Millisecond
 	}
-	if p.Timeout <= 0 {
-		p.Timeout = p.Interval
-		if p.Timeout > 2*time.Second {
-			p.Timeout = 2 * time.Second
-		}
-	}
 	if p.FailThreshold <= 0 {
 		p.FailThreshold = 2
 	}
-	if p.Client == nil {
-		p.Client = &http.Client{Timeout: p.Timeout}
+	if p.client == nil {
+		p.client = &http.Client{Timeout: min(p.Interval, 2*time.Second)}
 	}
 	if p.fails == nil {
 		p.fails = make(map[string]int)
@@ -113,13 +105,11 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 
 // get performs one bounded probe request.
 func (p *Prober) get(ctx context.Context, url string) (string, int, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return "", 0, err
 	}
-	resp, err := p.Client.Do(req)
+	resp, err := p.client.Do(req)
 	if err != nil {
 		return "", 0, err
 	}

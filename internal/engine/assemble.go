@@ -104,14 +104,11 @@ func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
 		if p.ctl == nil {
 			continue
 		}
-		p.mu.Lock() // Wait may be reading the controller
-		p.ctl.Record(committed)
-		n, _, _ := p.ctl.Resizes()
+		p.mu.Lock() // Wait and StatsSnapshot may be reading the controller
+		resized := p.ctl.Record(committed)
 		p.mu.Unlock()
-		if delta := int64(n) - p.resizes.Load(); delta > 0 {
-			p.resizes.Store(int64(n))
-			p.emit(Event{Kind: EvResize, Chunk: j, Worker: -1,
-				N: p.ctl.ChunkSize(), M: int(delta)})
+		if resized {
+			p.emit(Event{Kind: EvResize, Chunk: j, Worker: -1, N: p.ctl.ChunkSize(), M: 1})
 		}
 	}
 	if j < len(p.cfg.Plan) {

@@ -41,13 +41,8 @@ type CheckpointConfig struct {
 	// Required when checkpointing is enabled.
 	Codec SessionCodec
 	// EveryCommits emits a snapshot each time this many chunks have
-	// committed since the last one. 0 disables commit-count triggering.
+	// committed since the last one. 0 emits none but the halt snapshot.
 	EveryCommits int
-	// EveryBytes emits a snapshot each time this many encoded output
-	// bytes have been committed since the last one. 0 disables byte
-	// triggering. Counting re-encodes committed outputs, so it costs one
-	// extra encode per output; prefer EveryCommits when both would do.
-	EveryBytes int64
 	// OnSnapshot observes every emitted snapshot, synchronously on the
 	// worker holding the commit frontier (the halt snapshot on the
 	// session's reaper, after the workers exited). It must not block for
@@ -59,7 +54,7 @@ type CheckpointConfig struct {
 }
 
 func (c CheckpointConfig) enabled() bool {
-	return c.EveryCommits > 0 || c.EveryBytes > 0 || c.OnSnapshot != nil
+	return c.EveryCommits > 0 || c.OnSnapshot != nil
 }
 
 // ResumeConfig restores a pipeline from a snapshot. The pipeline adopts
@@ -69,8 +64,7 @@ func (c CheckpointConfig) enabled() bool {
 // the caller feeds the input stream from snapshot index Inputs onward.
 type ResumeConfig struct {
 	Snap *checkpoint.Snapshot
-	// Codec decodes the snapshot's states and window inputs. Defaults to
-	// Checkpoint.Codec.
+	// Codec decodes the snapshot's states and window inputs.
 	Codec SessionCodec
 }
 
@@ -199,9 +193,6 @@ type resumeState struct {
 func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 	snap := cfg.Resume.Snap
 	codec := cfg.Resume.Codec
-	if codec == nil {
-		codec = cfg.Checkpoint.Codec
-	}
 	if snap == nil {
 		return nil, fmt.Errorf("stream: Resume.Snap is nil")
 	}
@@ -264,7 +255,6 @@ type ckptTracker struct {
 	pending    []bool
 	inputs     int64        // committed inputs, absolute across resumes
 	commitsAcc int          // commits since the last capture
-	bytesAcc   int64        // encoded output bytes since the last capture
 	base       *resumeState // the snapshot this session resumed from, if any
 	err        error        // first encode failure; checkpointing disabled after
 }
@@ -278,7 +268,7 @@ func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
 		if rs != nil {
 			st = rs.ctl
 		}
-		shadow, err := autotune.RestoreOnline(p.onlineConfig(), st)
+		shadow, err := autotune.RestoreOnline(p.cfg.online(), st)
 		if err != nil {
 			return nil, err
 		}
@@ -306,22 +296,7 @@ func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *co
 	}
 	t.inputs += int64(len(outs))
 	t.commitsAcc++
-	if t.err != nil {
-		return
-	}
-	if t.cfg.EveryBytes > 0 {
-		for _, out := range outs {
-			b, err := t.cfg.Codec.EncodeOutput(out)
-			if err != nil {
-				t.disable(err)
-				return
-			}
-			t.bytesAcc += int64(len(b)) + 1
-		}
-	}
-	due := (t.cfg.EveryCommits > 0 && t.commitsAcc >= t.cfg.EveryCommits) ||
-		(t.cfg.EveryBytes > 0 && t.bytesAcc >= t.cfg.EveryBytes)
-	if !due {
+	if t.err != nil || t.cfg.EveryCommits == 0 || t.commitsAcc < t.cfg.EveryCommits {
 		return
 	}
 	if snap := t.capture(j, jobInputs, prev); snap != nil {
@@ -416,7 +391,7 @@ func (t *ckptTracker) skeleton() *checkpoint.Snapshot {
 
 // deliver hands a snapshot to the session's observer and counts it.
 func (t *ckptTracker) deliver(snap *checkpoint.Snapshot) {
-	t.commitsAcc, t.bytesAcc = 0, 0
+	t.commitsAcc = 0
 	t.p.checkpoints.Add(1)
 	if t.cfg.OnSnapshot != nil {
 		t.cfg.OnSnapshot(snap)
@@ -440,14 +415,4 @@ func (p *Pipeline) CheckpointErr() error {
 		return nil
 	}
 	return p.ckpt.err
-}
-
-// onlineConfig is the adaptive controller configuration shared by the
-// producer's controller and the tracker's shadow.
-func (p *Pipeline) onlineConfig() autotune.OnlineConfig {
-	return autotune.OnlineConfig{
-		Initial: p.cfg.ChunkSize,
-		Min:     p.cfg.MinChunk,
-		Max:     p.cfg.MaxChunk,
-	}
 }

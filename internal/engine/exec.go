@@ -19,8 +19,6 @@ type Exec interface {
 	Copy(bytes int64, srcLoc int, tag string)
 	// SetCat switches the accounting category for subsequent work.
 	SetCat(c trace.Category)
-	// WithCat runs fn under category c.
-	WithCat(c trace.Category, fn func())
 	// Spawn starts a new context running fn and returns a join handle.
 	Spawn(name string, fn func(Exec)) Handle
 	// Join blocks until the handle's context finishes.
@@ -76,9 +74,6 @@ func (e *SimExec) Copy(bytes int64, srcLoc int, tag string) {
 // SetCat switches the simulated thread's accounting category.
 func (e *SimExec) SetCat(c trace.Category) { e.th.SetCat(c) }
 
-// WithCat runs fn under category c.
-func (e *SimExec) WithCat(c trace.Category, fn func()) { e.th.WithCat(c, fn) }
-
 // Spawn creates a simulated thread.
 func (e *SimExec) Spawn(name string, fn func(Exec)) Handle {
 	return e.th.Spawn(name, func(t *machine.Thread) { fn(&SimExec{th: t}) })
@@ -130,9 +125,6 @@ func (e *NativeExec) Copy(int64, int, string) {}
 
 // SetCat is a no-op on native.
 func (e *NativeExec) SetCat(trace.Category) {}
-
-// WithCat runs fn.
-func (e *NativeExec) WithCat(_ trace.Category, fn func()) { fn() }
 
 // Spawn runs fn on a new goroutine.
 func (e *NativeExec) Spawn(name string, fn func(Exec)) Handle {

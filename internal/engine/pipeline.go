@@ -171,6 +171,12 @@ func (c StreamConfig) LargestChunk() int {
 // reorder buffer, a snapshot's pending outcomes — reads it.
 func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
 
+// online is the adaptive controller's bounds, for the producer's
+// controller and the checkpoint tracker's shadow alike.
+func (c StreamConfig) online() autotune.OnlineConfig {
+	return autotune.OnlineConfig{Initial: c.ChunkSize, Min: c.MinChunk, Max: c.MaxChunk}
+}
+
 // Validate reports configuration errors.
 func (c StreamConfig) Validate() error {
 	if c.ChunkSize < 1 {
@@ -193,11 +199,11 @@ func (c StreamConfig) Validate() error {
 			return fmt.Errorf("stream: Plan[%d] must be >= 1, got %d", i, n)
 		}
 	}
-	if c.Checkpoint.EveryCommits < 0 || c.Checkpoint.EveryBytes < 0 {
-		return fmt.Errorf("stream: negative Checkpoint intervals")
+	if c.Checkpoint.EveryCommits < 0 {
+		return fmt.Errorf("stream: negative Checkpoint.EveryCommits")
 	}
-	if (c.Checkpoint.EveryCommits > 0 || c.Checkpoint.EveryBytes > 0) && c.Checkpoint.Codec == nil {
-		return fmt.Errorf("stream: Checkpoint intervals need a Checkpoint.Codec")
+	if c.Checkpoint.EveryCommits > 0 && c.Checkpoint.Codec == nil {
+		return fmt.Errorf("stream: Checkpoint.EveryCommits needs a Checkpoint.Codec")
 	}
 	return c.Fault.validate("stream")
 }
@@ -333,7 +339,8 @@ type Pipeline struct {
 
 	// mu is the boundary lock, taken at chunk boundaries only. It makes
 	// the producer's "announce + jobs push" one step against Halt's jobs
-	// close, and it guards ctl, which the producer writes and Wait reads.
+	// close, and it guards ctl, which the producer writes and Wait and
+	// StatsSnapshot read.
 	mu       sync.Mutex
 	prod     producer // the chunk being filled (assemble.go)
 	ctl      *autotune.Online
@@ -355,7 +362,6 @@ type Pipeline struct {
 	resolved int64 // chunks whose EvOutputs went out: the frontier's, then the reaper's
 	commits  atomic.Int64
 	aborts   atomic.Int64
-	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is producer-owned)
 	degraded atomic.Int64
 }
 
@@ -395,11 +401,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 			st = rs.ctl
 		}
 		var err error
-		ctl, err = autotune.RestoreOnline(autotune.OnlineConfig{
-			Initial: cfg.ChunkSize,
-			Min:     cfg.MinChunk,
-			Max:     cfg.MaxChunk,
-		}, st)
+		ctl, err = autotune.RestoreOnline(cfg.online(), st)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -433,12 +435,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	p.records = newRecords(p, cfg.window())
 	p.resume = rs
 	p.front.init(p)
-	if ctl != nil {
-		// Keep the resizes mirror consistent with a restored controller so
-		// sizeFor's delta detection doesn't re-report historical resizes.
-		n, _, _ := ctl.Resizes()
-		p.resizes.Store(int64(n))
-	}
 	if rs != nil {
 		// Resume at the snapshot frontier: the first chunk to fill is the
 		// first uncommitted one and its window was decoded from the
@@ -571,15 +567,16 @@ func (p *Pipeline) Wait() (StreamStats, error) {
 }
 
 // StatsSnapshot returns the pipeline's counters at this instant; it may
-// be called while the pipeline runs.
+// be called while the pipeline runs, but not from an event sink: on an
+// adaptive session it takes the boundary lock, which the producer holds
+// while it emits EvChunk.
 func (p *Pipeline) StatsSnapshot() StreamStats {
-	return StreamStats{
+	st := StreamStats{
 		Inputs:  p.inputs.Load(),
 		Outputs: p.outputs.Load(),
 		Chunks:  p.chunks.Load(),
 		Commits: p.commits.Load(),
 		Aborts:  p.aborts.Load(),
-		Resizes: p.resizes.Load(),
 		States:  p.states.Load(),
 		Reused:  p.pool.Stats().Reused,
 
@@ -589,4 +586,10 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 
 		Checkpoints: p.checkpoints.Load(),
 	}
+	if p.ctl != nil {
+		p.mu.Lock() // the producer writes the controller
+		st.Resizes = int64(p.ctl.Resizes())
+		p.mu.Unlock()
+	}
+	return st
 }
