@@ -2,10 +2,8 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -26,6 +24,9 @@ import (
 // truncated than ping-ponged forever.
 const maxCrashResumes = 3
 
+// fetchTimeout bounds the gateway's GETs of a backend.
+const fetchTimeout = 2 * time.Second
+
 // gateway is the statsgate front door: it admits sessions through a
 // token bucket, picks a backend with the configured routing policy,
 // proxies the full-duplex NDJSON session, and — when a backend sheds
@@ -36,12 +37,11 @@ type gateway struct {
 	policy cluster.RoutingPolicy
 	bucket *cluster.TokenBucket
 	client *http.Client
-	met    *cluster.GateMetrics
+	met    cluster.GateMetrics
 
-	epoch    time.Time     // token-bucket clock origin
-	seq      atomic.Uint64 // admission sequence numbers for SessionKey
-	draining atomic.Bool
-	panics   atomic.Int64
+	front cluster.Front // /healthz, /readyz (flipped by startDrain), panic recovery
+	epoch time.Time     // token-bucket clock origin
+	seq   atomic.Uint64 // admission sequence numbers for SessionKey
 
 	// migrate switches sessions to the checkpointed protocol: backends
 	// are asked for #ckpt lines every ckptEvery commits, and a session a
@@ -63,84 +63,46 @@ func newGateway(reg *cluster.Registry, policy cluster.RoutingPolicy, bucket *clu
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		met:   &cluster.GateMetrics{},
+		front: cluster.Front{Name: "statsgate"},
 		epoch: time.Now(),
 	}
 }
 
 func (g *gateway) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/backends", g.handleBackends)
 	mux.HandleFunc("GET /v1/benchmarks", g.handleBenchmarks)
 	mux.HandleFunc("POST /v1/stream/{benchmark}", g.handleStream)
-	return g.recovered(mux)
-}
-
-// recovered mirrors statsserved's outermost middleware.
-func (g *gateway) recovered(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			g.panics.Add(1)
-			log.Printf("statsgate: panic in %s %s: %v", r.Method, r.URL.Path, v)
-			http.Error(w, "internal error", http.StatusInternalServerError)
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return g.front.Handler(mux)
 }
 
 // startDrain flips /readyz not-ready and refuses new sessions, like
 // statsserved: in-flight proxied sessions run to completion under the
 // caller's grace period.
-func (g *gateway) startDrain() { g.draining.Store(true) }
+func (g *gateway) startDrain() { g.front.StartDrain() }
 
-func (g *gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (g *gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if g.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
-
-// handleMetrics renders the gateway's own counters, a routing table
-// summary per backend, then a live aggregation of every reachable
-// backend's /metrics: per-backend lines under backend[instance]/ and
-// cluster-wide sums under cluster/.
+// handleMetrics renders the gateway's own counters and routing table,
+// then a live aggregation of every reachable backend's /metrics:
+// per-backend lines under backend[instance]/ and cluster-wide sums under
+// cluster/.
 func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	g.met.WriteText(w)
-	fmt.Fprintf(w, "gate/counter[handler_panics]=%d\n", g.panics.Load())
-
-	scrapes := make(map[string]cluster.BackendMetrics)
-	for _, b := range g.reg.Snapshots() {
-		fmt.Fprintf(w, "gate/backend[%s]/routed=%d shed=%d inflight=%d health=%s\n",
-			b.ID, b.Routed, b.Shed, b.InFlight, b.Health)
+	page := make(map[string]int64, 512)
+	backends := g.reg.Snapshots()
+	g.met.Put(page, backends)
+	page["gate/counter[handler_panics]"] = g.front.Panics()
+	for _, b := range backends {
 		if b.Health == cluster.Down || b.Addr == "" {
 			continue
 		}
-		text, status, err := g.fetch(r.Context(), b.Addr+"/metrics")
+		text, status, err := cluster.Get(r.Context(), b.Addr+"/metrics", fetchTimeout)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
-		scrapes[b.ID] = cluster.ParseMetrics(text)
+		cluster.Aggregate(page, b.ID, cluster.ParseMetrics(text).Values)
 	}
-	cluster.WriteAggregate(w, scrapes)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	cluster.WriteMetrics(w, cluster.BackendMetrics{Values: page})
 }
 
 func (g *gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
@@ -169,7 +131,7 @@ func (g *gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 // handleBenchmarks forwards discovery to the first ready backend.
 func (g *gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.reg.Ready() {
-		text, status, err := g.fetch(r.Context(), b.Addr+"/v1/benchmarks")
+		text, status, err := cluster.Get(r.Context(), b.Addr+"/v1/benchmarks", fetchTimeout)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -178,22 +140,6 @@ func (g *gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Error(w, "no ready backend", http.StatusBadGateway)
-}
-
-func (g *gateway) fetch(ctx context.Context, url string) (string, int, error) {
-	rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
-	if err != nil {
-		return "", 0, err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	return string(raw), resp.StatusCode, err
 }
 
 // handleStream proxies one streaming session. Shed-and-re-route
@@ -225,7 +171,7 @@ func (g *gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	if g.draining.Load() {
+	if g.front.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -384,7 +330,6 @@ func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.Respo
 	// Anything else is the session's answer. Relay it: status and content
 	// type once, then the body. Full duplex first: outputs flow while the
 	// client is still uploading inputs.
-	g.met.Routed.Add(1)
 	g.reg.MarkRouted(b.ID)
 	lines := g.migrate && resp.StatusCode == http.StatusOK
 	if !lines {

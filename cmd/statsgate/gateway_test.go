@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,8 +175,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// activeSessions scrapes a backend's active-session gauge.
-func activeSessions(t *testing.T, base string) int {
+// scrape parses a /metrics page.
+func scrape(t *testing.T, base string) cluster.BackendMetrics {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -186,7 +187,13 @@ func activeSessions(t *testing.T, base string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, _, _ := cluster.ParseMetrics(string(raw)).LoadGauges()
+	return cluster.ParseMetrics(string(raw))
+}
+
+// activeSessions scrapes a backend's active-session gauge.
+func activeSessions(t *testing.T, base string) int {
+	t.Helper()
+	active, _, _ := scrape(t, base).LoadGauges()
 	return active
 }
 
@@ -222,7 +229,7 @@ func TestGateProxiesDeterministically(t *testing.T) {
 			}
 			_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
 			_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
-			g, reg, gts := newGate(t, policy, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+			_, reg, gts := newGate(t, policy, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 			const rounds = 2
 			var wg sync.WaitGroup
@@ -257,7 +264,7 @@ func TestGateProxiesDeterministically(t *testing.T) {
 			wg.Wait()
 
 			total := int64(rounds * len(sessions))
-			if got := g.met.Routed.Load(); got != total {
+			if got := scrape(t, gts.URL).Values["gate/counter[sessions_routed]"]; got != total {
 				t.Fatalf("gate routed %d sessions, want %d", got, total)
 			}
 			var routed int64
@@ -540,6 +547,58 @@ func TestGateMetricsAggregate(t *testing.T) {
 	for _, b := range table.Backends {
 		if b.Health != "ready" || b.Routed != 1 {
 			t.Fatalf("backend row = %+v", b)
+		}
+	}
+}
+
+// TestMetricsPagesParse: every non-empty line of a live statsserved
+// page and a live statsgate page, taken after a session has filled the
+// stage histograms, is read back by ParseMetrics with its value, and no
+// name appears twice; the backend's page carries the load gauges the
+// gateway routes by.
+func TestMetricsPagesParse(t *testing.T) {
+	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL)
+	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 40))
+	if status, _, tr, _ := postSession(t, gts.URL, "facetrack", body); status != http.StatusOK || !tr.Done {
+		t.Fatalf("session: status %d trailer %+v", status, tr)
+	}
+	for _, base := range []string{ts0.URL, gts.URL} {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm := cluster.ParseMetrics(string(raw))
+		seen := map[string]bool{}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if line == "" {
+				continue
+			}
+			name, val, _ := strings.Cut(line, "=")
+			v, ok := bm.Values[name]
+			switch {
+			case seen[name]:
+				t.Errorf("%s: %q appears twice", base, name)
+			case name == "serve/instance" && bm.Instance == val:
+			case !ok || strconv.FormatInt(v, 10) != val:
+				t.Errorf("%s: line %q parsed as %d (present %v)", base, line, v, ok)
+			}
+			seen[name] = true
+		}
+		if !bytes.Contains(raw, []byte("stream/stage[speculate]/time[")) {
+			t.Errorf("%s: no stage bins on the page:\n%s", base, raw)
+		}
+		if base == ts0.URL {
+			_, okA := bm.Values["serve/gauge[active_sessions]"]
+			_, okO := bm.Values["serve/gauge[window_occupancy]"]
+			if active, occ, maxSessions := bm.LoadGauges(); !okA || !okO || active != 0 || occ != 0 || maxSessions != 64 {
+				t.Errorf("idle backend's load gauges %d %d %d (present %v %v), want 0 0 64", active, occ, maxSessions, okA, okO)
+			}
 		}
 	}
 }

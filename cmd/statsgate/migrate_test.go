@@ -124,7 +124,7 @@ func TestGateMigrateMidSession(t *testing.T) {
 	if _, err := pw.Write(firstHalf); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session streaming on b0", func() bool { return g.met.Routed.Load() >= 1 })
+	waitFor(t, "session streaming on b0", func() bool { return reg.Snapshots()[0].Routed >= 1 })
 
 	// Drain b0: the serve layer halts the session at its commit frontier,
 	// emits the final #ckpt and #migrate, and the gateway must resume on

@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"gostats/internal/bench/facetrack"
+	"gostats/internal/cluster"
 	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
@@ -75,7 +76,9 @@ func main() {
 		stats.Inputs, stats.Chunks, stats.Commits, stats.Aborts, stats.Resizes)
 	fmt.Printf("tracking quality (mean -err): %.4f\n", ft.Quality(toOutputs(results)))
 	fmt.Println("\nstage metrics (binstat-style):")
-	met.WriteText(os.Stdout)
+	page := map[string]int64{}
+	met.Put(page)
+	cluster.WriteMetrics(os.Stdout, cluster.BackendMetrics{Values: page})
 }
 
 func toOutputs(rs []facetrack.Result) []interface{} {

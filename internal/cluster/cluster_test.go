@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 func testBackends(n int) []Backend {
@@ -125,12 +127,15 @@ func TestClusterTokenBucket(t *testing.T) {
 	}
 }
 
-// TestClusterParseAndAggregate: scrapes parse into load gauges plus an instance
-// label, and WriteAggregate emits stable per-backend and summed lines.
+// TestClusterParseAndAggregate: scrapes parse into load gauges plus an
+// instance label, stage bins parse like any other line, and Aggregate
+// adds per-backend values and cluster/ sums of everything but the
+// quantile estimates.
 func TestClusterParseAndAggregate(t *testing.T) {
 	scrape := "stream/counter[inputs]=40\nserve/counter[sessions_shed]=1\n" +
 		"serve/instance=b0\nserve/gauge[active_sessions]=3\n" +
 		"serve/gauge[window_occupancy]=9\nserve/gauge[max_sessions]=64\n" +
+		"stream/stage[commit]/time[1µs,2µs)/count=12\nstream/stage[commit]/p50_ns=1500\n" +
 		"stream/stage[commit]/time[0,1us)=12 0.000004\nnot a metric\n"
 	bm := ParseMetrics(scrape)
 	if bm.Instance != "b0" {
@@ -140,48 +145,109 @@ func TestClusterParseAndAggregate(t *testing.T) {
 	if active != 3 || occ != 9 || maxs != 64 {
 		t.Fatalf("gauges = %d %d %d", active, occ, maxs)
 	}
-	if _, ok := bm.Values["stream/stage[commit]/time[0,1us)"]; ok {
-		t.Fatal("histogram line must not parse as a counter")
+	if len(bm.Values) != 7 || bm.Values["stream/stage[commit]/time[1µs,2µs)/count"] != 12 {
+		t.Fatalf("values %v: want 7, the bin among them", bm.Values)
 	}
 
-	other := ParseMetrics("stream/counter[inputs]=2\nserve/instance=b1\n")
-	var sb strings.Builder
-	WriteAggregate(&sb, map[string]BackendMetrics{"b0": bm, "b1": other})
-	out := sb.String()
-	for _, want := range []string{
-		"backend[b0]/stream/counter[inputs]=40",
-		"backend[b1]/stream/counter[inputs]=2",
-		"cluster/stream/counter[inputs]=42",
-		"cluster/serve/gauge[active_sessions]=3",
+	other := ParseMetrics("stream/counter[inputs]=2\nstream/stage[commit]/p50_ns=9000\nserve/instance=b1\n")
+	page := map[string]int64{}
+	Aggregate(page, "b0", bm.Values)
+	Aggregate(page, "b1", other.Values)
+	for name, want := range map[string]int64{
+		"backend[b0]/stream/counter[inputs]":               40,
+		"backend[b1]/stream/counter[inputs]":               2,
+		"cluster/stream/counter[inputs]":                   42,
+		"cluster/serve/gauge[active_sessions]":             3,
+		"cluster/stream/stage[commit]/time[1µs,2µs)/count": 12,
+		"backend[b1]/stream/stage[commit]/p50_ns":          9000,
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("aggregate missing %q:\n%s", want, out)
+		if got, ok := page[name]; !ok || got != want {
+			t.Errorf("aggregate %s = %d (present %v), want %d", name, got, ok, want)
 		}
 	}
-	again := &strings.Builder{}
-	WriteAggregate(again, map[string]BackendMetrics{"b0": bm, "b1": other})
-	if again.String() != out {
-		t.Fatal("aggregate output not stable across renders")
+	if v, ok := page["cluster/stream/stage[commit]/p50_ns"]; ok {
+		t.Errorf("cluster/ sums quantiles: p50 %d", v)
+	}
+}
+
+// TestClusterWriteMetrics: a page is the instance line, then the values
+// sorted by name; the gateway's own values count sessions routed once,
+// in the registry, and a rename carries a backend's counts with it.
+func TestClusterWriteMetrics(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteMetrics(&sb, BackendMetrics{Instance: "b0", Values: map[string]int64{"b": -1, "a": 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sb.String(), "serve/instance=b0\na=2\nb=-1\n"; got != want {
+		t.Fatalf("page %q, want %q", got, want)
+	}
+
+	reg := NewRegistry(testBackends(2)...)
+	reg.MarkRouted("a")
+	reg.MarkRouted("b")
+	reg.MarkShed("b")
+	reg.Rename("b", "b1")
+	var m GateMetrics
+	m.Reroutes.Add(1)
+	page := map[string]int64{}
+	m.Put(page, reg.Snapshots())
+	for name, want := range map[string]int64{
+		"gate/counter[sessions_routed]": 2,
+		"gate/counter[reroutes]":        1,
+		"gate/backend[b1]/routed":       1,
+		"gate/backend[b1]/shed":         1,
+		"gate/backend[a]/health":        int64(Ready),
+	} {
+		if got, ok := page[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
 	}
 }
 
 // FuzzParseMetrics: ParseMetrics takes any bytes a backend sends without
-// panicking, and one scrape rendered by WriteAggregate parses back with
-// each cluster/<name> equal to the scrape's value.
+// panicking; WriteMetrics is its inverse, on what it parsed and on any
+// pair with a writable name; and a scrape aggregated as one backend
+// parses back with each cluster/<name> equal to the scrape's value.
 func FuzzParseMetrics(f *testing.F) {
-	f.Add("stream/counter[inputs]=40\nserve/counter[sessions_shed]=1\n" +
-		"serve/instance=b0\nserve/gauge[active_sessions]=3\n" +
-		"stream/stage[commit]/time[0,1us)=12 0.000004\nnot a metric\n")
-	f.Add(" a = 1\r\nb=-9223372036854775808\n=5\nc=+7\nd==1\n")
-	f.Fuzz(func(t *testing.T, text string) {
+	f.Add("stream/counter[inputs]=40\nserve/counter[sessions_shed]=1\n"+
+		"serve/instance=b0\nserve/gauge[active_sessions]=3\n"+
+		"stream/stage[commit]/time[0,1us)=12 0.000004\nnot a metric\n", "x", int64(1))
+	f.Add(" a = 1\r\nb=-9223372036854775808\n=5\nc=+7\nd==1\n", "stream/stage[commit]/p99_ns", int64(-3))
+	f.Fuzz(func(t *testing.T, text, name string, v int64) {
 		bm := ParseMetrics(text)
+		if writable(name) {
+			bm.Values[name] = v
+		}
 		var sb strings.Builder
-		WriteAggregate(&sb, map[string]BackendMetrics{"b0": bm})
+		if err := WriteMetrics(&sb, bm); err != nil {
+			t.Fatal(err)
+		}
+		if again := ParseMetrics(sb.String()); again.Instance != bm.Instance || !maps.Equal(again.Values, bm.Values) {
+			t.Fatalf("page %q parsed back as %+v, written from %+v", sb.String(), again, bm)
+		}
+
+		page := map[string]int64{}
+		Aggregate(page, "b0", bm.Values)
+		sb.Reset()
+		if err := WriteMetrics(&sb, BackendMetrics{Values: page}); err != nil {
+			t.Fatal(err)
+		}
 		again := ParseMetrics(sb.String())
 		for name, v := range bm.Values {
-			if got, ok := again.Values["cluster/"+name]; !ok || got != v {
+			if got, ok := again.Values["backend[b0]/"+name]; !ok || got != v {
+				t.Fatalf("backend[b0]/%s re-parsed as %d (present %v), scrape had %d\n%s", name, got, ok, v, sb.String())
+			}
+			if got, ok := again.Values["cluster/"+name]; ok == isQuantile(name) || ok && got != v {
 				t.Fatalf("cluster/%s re-parsed as %d (present %v), scrape had %d\n%s", name, got, ok, v, sb.String())
 			}
 		}
 	})
+}
+
+// writable reports whether WriteMetrics can render a value named name:
+// a non-empty name that starts with no space, holds no '=' or line
+// break, and is not the instance label's.
+func writable(name string) bool {
+	return name != "" && name == strings.TrimLeftFunc(name, unicode.IsSpace) &&
+		!strings.ContainsAny(name, "=\n") && name != instanceName
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"maps"
 	"slices"
@@ -10,10 +9,24 @@ import (
 	"sync/atomic"
 )
 
+// A /metrics page is text, one name=value line per value: the name is
+// everything left of the first '=', the value a decimal int64. Every
+// page statsserved and statsgate serve is rendered by WriteMetrics and
+// read by ParseMetrics, its inverse. The one line whose value is not an
+// integer is serve/instance, a backend's label.
+//
+// A name is a path: a scope (stream, serve, gate, backend[id], cluster),
+// then a kind with its label in brackets (counter[…], gauge[…],
+// stage[…]), then for a stage histogram the bin and the field (count,
+// total_ns). A last segment p<q>_ns is an estimated quantile, the one
+// kind of value a sum across backends does not mean anything for.
+
+// instanceName is the label line's name.
+const instanceName = "serve/instance"
+
 // GateMetrics counts what the gateway itself did, as opposed to the
-// backend metrics it aggregates. Rendered first in statsgate's /metrics.
+// backend metrics it aggregates.
 type GateMetrics struct {
-	Routed        atomic.Int64 // sessions handed to a backend
 	Reroutes      atomic.Int64 // backend sheds retried on another backend
 	Migrations    atomic.Int64 // sessions resumed on another backend mid-stream
 	ShedAdmission atomic.Int64 // sessions 429d by the token bucket
@@ -21,49 +34,75 @@ type GateMetrics struct {
 	BackendErrors atomic.Int64 // transport errors talking to backends
 }
 
-// WriteText renders the gateway counters, one machine-parseable line
-// each, in the same name=value grammar statsserved uses.
-func (m *GateMetrics) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "gate/counter[backend_errors]=%d\n", m.BackendErrors.Load())
-	fmt.Fprintf(w, "gate/counter[migrations]=%d\n", m.Migrations.Load())
-	fmt.Fprintf(w, "gate/counter[reroutes]=%d\n", m.Reroutes.Load())
-	fmt.Fprintf(w, "gate/counter[sessions_routed]=%d\n", m.Routed.Load())
-	fmt.Fprintf(w, "gate/counter[sessions_shed_admission]=%d\n", m.ShedAdmission.Load())
-	fmt.Fprintf(w, "gate/counter[sessions_shed_capacity]=%d\n", m.ShedCapacity.Load())
+// Put adds the gateway's own values to page: its counters, one
+// gate/backend[id]/ line per routing-table field of every backend
+// (health as its Health code), and sessions_routed, the sum of the
+// backends' routed counts.
+func (m *GateMetrics) Put(page map[string]int64, backends []Backend) {
+	page["gate/counter[backend_errors]"] = m.BackendErrors.Load()
+	page["gate/counter[migrations]"] = m.Migrations.Load()
+	page["gate/counter[reroutes]"] = m.Reroutes.Load()
+	page["gate/counter[sessions_shed_admission]"] = m.ShedAdmission.Load()
+	page["gate/counter[sessions_shed_capacity]"] = m.ShedCapacity.Load()
+	var routed int64
+	for _, b := range backends {
+		row := "gate/backend[" + b.ID + "]/"
+		page[row+"routed"] = b.Routed
+		page[row+"shed"] = b.Shed
+		page[row+"inflight"] = int64(b.InFlight)
+		page[row+"health"] = int64(b.Health)
+		routed += b.Routed
+	}
+	page["gate/counter[sessions_routed]"] = routed
 }
 
-// BackendMetrics is one backend's parsed /metrics scrape.
+// BackendMetrics is one page: a backend's /metrics scrape as parsed, or
+// the values a server is about to write.
 type BackendMetrics struct {
-	// Instance is the backend's serve/instance label ("" if the scrape
+	// Instance is the backend's serve/instance label ("" if the page
 	// carried none).
 	Instance string
-	// Values holds every name=integer line of the scrape —
-	// stream/counter[...], serve/counter[...], serve/gauge[...] — keyed
-	// by the full name left of '='. Stage-histogram lines (which carry
-	// two fields) are skipped; counters, not latency shapes, are what
-	// cluster-level aggregation can meaningfully sum.
+	// Values holds every other line of the page, keyed by the full name
+	// left of '='.
 	Values map[string]int64
 }
 
-// ParseMetrics parses a statsserved /metrics body. Unparseable lines are
-// skipped: the scrape format is owned by this repo, but a gateway must
-// tolerate version skew across backends.
+// WriteMetrics renders bm as a page: the serve/instance line first when
+// Instance is set, then one line per value, sorted by name. A name must
+// not start with a space or hold '=' or a line break; then
+// ParseMetrics reads back exactly bm.
+func WriteMetrics(w io.Writer, bm BackendMetrics) error {
+	var buf []byte
+	if bm.Instance != "" {
+		buf = append(append(append(buf, instanceName+"="...), bm.Instance...), '\n')
+	}
+	for _, name := range slices.Sorted(maps.Keys(bm.Values)) {
+		buf = append(append(buf, name...), '=')
+		buf = append(strconv.AppendInt(buf, bm.Values[name], 10), '\n')
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// ParseMetrics parses a page. Lines that do not parse are skipped: the
+// page format is owned by this repo, but a gateway must tolerate
+// version skew across backends.
 func ParseMetrics(text string) BackendMetrics {
-	bm := BackendMetrics{Values: make(map[string]int64)}
-	for _, line := range strings.Split(text, "\n") {
+	bm := BackendMetrics{Values: make(map[string]int64, strings.Count(text, "\n"))}
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		name, val, ok := strings.Cut(strings.TrimSpace(line), "=")
 		if !ok || name == "" {
 			continue
 		}
-		if name == "serve/instance" {
+		if name == instanceName {
 			bm.Instance = val
 			continue
 		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			continue
+		if n, err := strconv.ParseInt(val, 10, 64); err == nil {
+			bm.Values[name] = n
 		}
-		bm.Values[name] = n
 	}
 	return bm
 }
@@ -75,20 +114,21 @@ func (bm BackendMetrics) LoadGauges() (active, occupancy, maxSessions int) {
 		int(bm.Values["serve/gauge[max_sessions]"])
 }
 
-// WriteAggregate renders a set of backend scrapes as cluster-level
-// metrics: per-backend lines prefixed backend[instance]/, then
-// cluster/… sums across backends for every name seen anywhere. Backends
-// and names are emitted in sorted order so the output is stable.
-func WriteAggregate(w io.Writer, scrapes map[string]BackendMetrics) {
-	totals := make(map[string]int64)
-	for _, id := range slices.Sorted(maps.Keys(scrapes)) {
-		for _, name := range slices.Sorted(maps.Keys(scrapes[id].Values)) {
-			v := scrapes[id].Values[name]
-			fmt.Fprintf(w, "backend[%s]/%s=%d\n", id, name, v)
-			totals[name] += v
+// Aggregate adds one backend's scraped values to page, each under
+// backend[id]/ and, quantile estimates apart, summed under cluster/
+// with every other backend's.
+func Aggregate(page map[string]int64, id string, values map[string]int64) {
+	for _, name := range slices.Sorted(maps.Keys(values)) {
+		v := values[name]
+		page["backend["+id+"]/"+name] = v
+		if !isQuantile(name) {
+			page["cluster/"+name] += v
 		}
 	}
-	for _, name := range slices.Sorted(maps.Keys(totals)) {
-		fmt.Fprintf(w, "cluster/%s=%d\n", name, totals[name])
-	}
+}
+
+// isQuantile reports whether name's last segment is p<q>_ns.
+func isQuantile(name string) bool {
+	last := name[strings.LastIndexByte(name, '/')+1:]
+	return strings.HasPrefix(last, "p") && strings.HasSuffix(last, "_ns")
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -22,8 +23,7 @@ type Prober struct {
 	// backend Down (default 2). One success brings it straight back.
 	FailThreshold int
 
-	client *http.Client
-	fails  map[string]int
+	fails map[string]int
 }
 
 // withDefaults resolves zero fields; called once per Run/ProbeOnce.
@@ -33,9 +33,6 @@ func (p *Prober) withDefaults() {
 	}
 	if p.FailThreshold <= 0 {
 		p.FailThreshold = 2
-	}
-	if p.client == nil {
-		p.client = &http.Client{Timeout: min(p.Interval, 2*time.Second)}
 	}
 	if p.fails == nil {
 		p.fails = make(map[string]int)
@@ -73,7 +70,8 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 	if b.Addr == "" {
 		return // simulated backend; health is driven by the simulator
 	}
-	_, status, err := p.get(ctx, b.Addr+"/readyz")
+	timeout := min(p.Interval, 2*time.Second)
+	_, status, err := Get(ctx, b.Addr+"/readyz", timeout)
 	switch {
 	case err != nil:
 		p.fails[b.ID]++
@@ -91,7 +89,7 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 		p.Registry.SetHealth(b.ID, Draining)
 	}
 
-	if text, status, err := p.get(ctx, b.Addr+"/metrics"); err == nil && status == http.StatusOK {
+	if text, status, err := Get(ctx, b.Addr+"/metrics", timeout); err == nil && status == http.StatusOK {
 		bm := ParseMetrics(text)
 		p.Registry.Rename(b.ID, bm.Instance)
 		id := b.ID
@@ -103,20 +101,28 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 	}
 }
 
-// get performs one bounded probe request.
-func (p *Prober) get(ctx context.Context, url string) (string, int, error) {
+// maxBody bounds the body Get reads. A body over it is refused whole: a
+// page cut short could end in a line that parses as a smaller number.
+const maxBody = 4 << 20
+
+// Get fetches url within timeout and returns its body and status. It is
+// the one GET the gateway makes of a backend: the prober's /readyz and
+// /metrics, and the gateway's /metrics and /v1/benchmarks.
+func Get(ctx context.Context, url string, timeout time.Duration) (string, int, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return "", 0, err
 	}
-	resp, err := p.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return "", resp.StatusCode, err
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
+	if err == nil && len(raw) > maxBody {
+		err = errors.New("cluster: response body over 4 MiB")
 	}
-	return string(raw), resp.StatusCode, nil
+	return string(raw), resp.StatusCode, err
 }

@@ -188,7 +188,7 @@ func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *
 		if n >= c.pol.MaxRetries {
 			return fault
 		}
-		d := c.pol.backoff(n, &c.rng)
+		d := backoff(n, &c.rng)
 		c.retries.Add(1)
 		c.emit(Event{Kind: EvRetry, Chunk: c.j, Worker: c.worker, N: n + 1, Dur: d})
 		if !sleepCtx(ctx, d) {

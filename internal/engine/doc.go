@@ -1,6 +1,6 @@
 // Package engine owns the STATS speculation protocol (§II of the paper):
 // chunking, alternative-producer speculative states, multiple original
-// states, digest-gated validation, ordered commit/abort with in-place
+// states, validation by one deep Match, ordered commit/abort with in-place
 // re-execution, and state recycling.
 //
 // The protocol exists once (attempt.go: the speculative attempt, the

@@ -38,36 +38,24 @@ type FaultPolicy struct {
 	// 0 means the default (DefaultMaxRetries), negative disables retries
 	// (a single fault immediately degrades or aborts).
 	MaxRetries int
-	// RetryBase and RetryMax bound the exponential backoff between
-	// attempts (base*2^attempt, jittered ±50%, capped at max). Zero
-	// values take the defaults.
-	RetryBase, RetryMax time.Duration
 }
 
-// Fault-policy defaults.
+// The default retry budget, and the exponential backoff between attempts
+// (retryBase*2^attempt, jittered ±50%, capped at retryMax).
 const (
 	DefaultMaxRetries = 2
-	DefaultRetryBase  = time.Millisecond
-	DefaultRetryMax   = 250 * time.Millisecond
+	retryBase         = time.Millisecond
+	retryMax          = 250 * time.Millisecond
 )
 
-// normalized maps the zero value onto defaults and negative MaxRetries
-// onto zero retries.
+// normalized maps the zero MaxRetries onto the default and a negative
+// one onto zero retries.
 func (f FaultPolicy) normalized() FaultPolicy {
 	switch {
 	case f.MaxRetries == 0:
 		f.MaxRetries = DefaultMaxRetries
 	case f.MaxRetries < 0:
 		f.MaxRetries = 0
-	}
-	if f.RetryBase <= 0 {
-		f.RetryBase = DefaultRetryBase
-	}
-	if f.RetryMax <= 0 {
-		f.RetryMax = DefaultRetryMax
-	}
-	if f.RetryMax < f.RetryBase {
-		f.RetryMax = f.RetryBase
 	}
 	return f
 }
@@ -78,35 +66,26 @@ func (f FaultPolicy) validate(scope string) error {
 	if f.ChunkDeadline < 0 {
 		return fmt.Errorf("%s: Fault.ChunkDeadline must be >= 0, got %s", scope, f.ChunkDeadline)
 	}
-	if f.RetryBase < 0 || f.RetryMax < 0 {
-		return fmt.Errorf("%s: negative Fault.RetryBase/RetryMax", scope)
-	}
 	return nil
 }
 
 // backoff returns the delay before re-attempt attempt+1: exponential in
-// the attempt index, jittered ±50%, capped at RetryMax. The jitter
+// the attempt index, jittered ±50%, capped at retryMax. The jitter
 // draw comes from a stream derived from parent with the attempt index
 // folded into the label, so consecutive retries of one chunk get
 // independent jitter (deriving the same label fresh each attempt would
 // replay the same first draw every time) while a recorded fault plan
 // still replays every delay bit for bit: the whole schedule is a pure
 // function of (seed, chunk, attempt).
-func (f FaultPolicy) backoff(attempt int, parent *rng.Stream) time.Duration {
-	d := f.RetryBase
-	for i := 0; i < attempt && d < f.RetryMax; i++ {
+func backoff(attempt int, parent *rng.Stream) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > f.RetryMax {
-		d = f.RetryMax
-	}
+	d = min(d, retryMax)
 	// Jitter into [d/2, 3d/2), then re-cap.
 	jit := parent.DeriveN("faultbackoff", attempt)
-	d = d/2 + time.Duration(jit.Float64()*float64(d))
-	if d > f.RetryMax {
-		d = f.RetryMax
-	}
-	return d
+	return min(d/2+time.Duration(jit.Float64()*float64(d)), retryMax)
 }
 
 // FaultSite locates a fault within the chunk protocol.

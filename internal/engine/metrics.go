@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -14,7 +13,9 @@ import (
 // locks, allocation, and formatting regardless of how many inputs flow
 // through, while still exposing the latency *shape* of every stage (a
 // mean hides exactly the bimodality that distinguishes a healthy
-// speculative pipeline from one stalling on aborts).
+// speculative pipeline from one stalling on aborts). Put hands every
+// value over by name; the caller renders them (statsserved through
+// cluster.WriteMetrics).
 //
 // Metrics is a Sink like any other: attach it as a session's
 // StreamConfig.Sink (or a scheduler's Sink; beside other sinks through
@@ -56,7 +57,7 @@ var stageNames = [numStages]string{
 // String returns the stage's metrics name.
 func (s Stage) String() string {
 	if s < 0 || s >= numStages {
-		return fmt.Sprintf("stage-%d", int(s))
+		return "stage-" + strconv.Itoa(int(s))
 	}
 	return stageNames[s]
 }
@@ -78,14 +79,11 @@ func binFor(d time.Duration) int {
 
 // binLabel renders a bin's half-open range.
 func binLabel(b int) string {
-	if b == 0 {
-		return "[0,1us)"
+	hi := "inf"
+	if b < numBins-1 {
+		hi = (time.Duration(1<<b) * time.Microsecond).String()
 	}
-	lo := time.Duration(1<<(b-1)) * time.Microsecond
-	if b == numBins-1 {
-		return fmt.Sprintf("[%s,inf)", lo)
-	}
-	return fmt.Sprintf("[%s,%s)", lo, time.Duration(1<<b)*time.Microsecond)
+	return "[" + binLo(b).String() + "," + hi + ")"
 }
 
 // stageBins is one stage's histogram.
@@ -176,8 +174,8 @@ func binLo(b int) time.Duration {
 // the bin the quantile lands in. The open-ended last bin interpolates
 // toward its recorded mean instead (the only shape information the bin
 // retains). With no observations it returns 0. The estimate's error is
-// bounded by the bin width — good enough for the p50/p95/p99 lines
-// WriteText serves at /metrics, which is who reads it.
+// bounded by the bin width — good enough for the p50/p95/p99 values
+// Put hands over, which is who reads it.
 func (m *Metrics) Percentile(s Stage, q float64) time.Duration {
 	if q < 0 {
 		q = 0
@@ -225,56 +223,43 @@ func (m *Metrics) Percentile(s Stage, q float64) time.Duration {
 	return 0
 }
 
-// WriteText renders the collector in a stable, grep-friendly text format
-// (one line per non-empty bin plus one line per counter), the format
-// statsserved serves at /metrics.
-func (m *Metrics) WriteText(w io.Writer) error {
+// Put adds every value the collector holds to page, keyed by /metrics
+// name: the protocol totals as stream/counter[…], the session and
+// chunk-size gauges as stream/gauge[…], and per stage each non-empty
+// bin's observation count and total nanoseconds, then the p50, p95 and
+// p99 estimates in nanoseconds. InFlight is left to the caller: serve
+// reports it as its window occupancy.
+func (m *Metrics) Put(page map[string]int64) {
 	c := m.Snapshot()
-	// Sorted by name, here in the source.
-	for _, l := range [...]struct {
-		name string
-		v    int64
-	}{
-		{"aborts", c.Aborts}, {"active_sessions", m.Active.Load()},
-		{"alt_updates", c.AltUpdates}, {"body_updates", c.BodyUpdates},
-		{"chunk_size", m.ChunkSize.Load()}, {"chunks", c.Chunks},
-		{"commits", c.Commits}, {"compares", c.Compares},
-		{"degraded_chunks", c.Degraded}, {"faults", c.Faults},
-		{"inflight_chunks", m.InFlight.Load()}, {"inputs", c.Ingested},
-		{"orig_replicas", c.OrigReplicas}, {"orig_updates", c.OrigUpdates},
-		{"outputs", c.Emitted}, {"reexec_runs", c.ReexecRuns},
-		{"reexec_updates", c.ReexecUpdates}, {"resizes", c.Resizes},
-		{"retries", c.Retries}, {"sessions", c.Sessions},
-		{"snapshots", c.Snapshots}, {"spec_copies", c.SpecCopies},
+	for name, v := range map[string]int64{
+		"aborts": c.Aborts, "alt_updates": c.AltUpdates,
+		"body_updates": c.BodyUpdates, "chunks": c.Chunks,
+		"commits": c.Commits, "compares": c.Compares,
+		"degraded_chunks": c.Degraded, "faults": c.Faults,
+		"inputs": c.Ingested, "orig_replicas": c.OrigReplicas,
+		"orig_updates": c.OrigUpdates, "outputs": c.Emitted,
+		"reexec_runs": c.ReexecRuns, "reexec_updates": c.ReexecUpdates,
+		"resizes": c.Resizes, "retries": c.Retries,
+		"sessions": c.Sessions, "snapshots": c.Snapshots,
+		"spec_copies": c.SpecCopies,
 	} {
-		if _, err := fmt.Fprintf(w, "stream/counter[%s]=%d\n", l.name, l.v); err != nil {
-			return err
-		}
+		page["stream/counter["+name+"]"] = v
 	}
+	page["stream/gauge[active_sessions]"] = m.Active.Load()
+	page["stream/gauge[chunk_size]"] = m.ChunkSize.Load()
 	for s := Stage(0); s < numStages; s++ {
+		stage := "stream/stage[" + stageNames[s] + "]/"
 		for b := 0; b < numBins; b++ {
-			n := m.stages[s].count[b].Load()
-			if n == 0 {
-				continue
-			}
-			tot := time.Duration(m.stages[s].totalNs[b].Load())
-			if _, err := fmt.Fprintf(w, "stream/stage[%s]/time%s=%d %.6f\n",
-				stageNames[s], binLabel(b), n, tot.Seconds()); err != nil {
-				return err
+			if n := m.stages[s].count[b].Load(); n > 0 {
+				bin := stage + "time" + binLabel(b) + "/"
+				page[bin+"count"] = n
+				page[bin+"total_ns"] = m.stages[s].totalNs[b].Load()
 			}
 		}
-		if m.StageCount(s) == 0 {
-			continue
-		}
-		for _, pq := range []struct {
-			label string
-			q     float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			if _, err := fmt.Fprintf(w, "stream/stage[%s]/%s=%.6f\n",
-				stageNames[s], pq.label, m.Percentile(s, pq.q).Seconds()); err != nil {
-				return err
-			}
+		if m.StageCount(s) > 0 {
+			page[stage+"p50_ns"] = int64(m.Percentile(s, 0.50))
+			page[stage+"p95_ns"] = int64(m.Percentile(s, 0.95))
+			page[stage+"p99_ns"] = int64(m.Percentile(s, 0.99))
 		}
 	}
-	return nil
 }

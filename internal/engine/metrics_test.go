@@ -1,9 +1,6 @@
 package engine_test
 
 import (
-	"bytes"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,11 +10,11 @@ import (
 	"gostats/internal/rng"
 )
 
-// TestMetricsWriteTextCounters: a Metrics folds the totals a Counters
-// beside it folds, and renders each as one stream/counter line, the
-// lines sorted by name (the table is sorted in the source, not at run
-// time) with the gauges among them.
-func TestMetricsWriteTextCounters(t *testing.T) {
+// TestMetricsPut: a Metrics folds the totals a Counters beside it
+// folds and hands each over as one stream/counter value, beside two
+// gauges and, per observed stage, integer bins that add up to its count
+// and ordered quantiles in nanoseconds.
+func TestMetricsPut(t *testing.T) {
 	b := bench.MustNew("streamclassifier")
 	inputs := b.Inputs(rng.New(1))[:64]
 	m, ctr := engine.NewMetrics(), &engine.Counters{}
@@ -29,29 +26,38 @@ func TestMetricsWriteTextCounters(t *testing.T) {
 	if got := m.Snapshot(); got != c || c.Ingested != 64 || c.ReexecUpdates == 0 {
 		t.Fatalf("Metrics folded %+v, the Counters beside it %+v; want the same, 64 inputs and some re-execution", got, c)
 	}
-	var buf bytes.Buffer
-	if err := m.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if name, ok := strings.CutPrefix(line, "stream/counter["); ok {
-			names = append(names, name[:strings.Index(name, "]")])
+	page := map[string]int64{}
+	m.Put(page)
+	counters := 0
+	for name := range page {
+		if strings.HasPrefix(name, "stream/counter[") {
+			counters++
 		}
 	}
-	if len(names) != 22 || !slices.IsSorted(names) {
-		t.Errorf("counter lines %v: want 22, sorted", names)
+	if counters != 19 {
+		t.Errorf("%d counters, want 19:\n%v", counters, page)
 	}
-	for _, want := range []string{
-		"stream/counter[active_sessions]=0\n", "stream/counter[inflight_chunks]=0\n",
-		fmt.Sprintf("stream/counter[chunk_size]=%d\n", len(inputs)/8),
-		"stream/counter[inputs]=64\n", "stream/counter[outputs]=64\n", "stream/counter[sessions]=1\n",
-		fmt.Sprintf("stream/counter[orig_updates]=%d\n", c.OrigUpdates),
-		fmt.Sprintf("stream/counter[spec_copies]=%d\n", c.SpecCopies),
-		fmt.Sprintf("stream/counter[reexec_updates]=%d\n", c.ReexecUpdates),
+	for name, want := range map[string]int64{
+		"stream/gauge[active_sessions]": 0, "stream/gauge[chunk_size]": int64(len(inputs) / 8),
+		"stream/counter[inputs]": 64, "stream/counter[outputs]": 64, "stream/counter[sessions]": 1,
+		"stream/counter[orig_updates]": c.OrigUpdates, "stream/counter[spec_copies]": c.SpecCopies,
+		"stream/counter[reexec_updates]": c.ReexecUpdates,
 	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("WriteText lacks %q:\n%s", want, buf.String())
+		if got, ok := page[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	for _, s := range []engine.Stage{engine.StageSpeculate, engine.StageValidate, engine.StageCommit, engine.StageReexec} {
+		stage := "stream/stage[" + s.String() + "]/"
+		var n int64
+		for name, v := range page {
+			if rest, ok := strings.CutPrefix(name, stage+"time["); ok && strings.HasSuffix(rest, ")/count") {
+				n += v
+			}
+		}
+		p50, p95, p99 := page[stage+"p50_ns"], page[stage+"p95_ns"], page[stage+"p99_ns"]
+		if n == 0 || n != m.StageCount(s) || p50 != int64(m.Percentile(s, 0.5)) || p50 > p95 || p95 > p99 {
+			t.Errorf("%s: bins count %d of %d, quantiles %d %d %d", s, n, m.StageCount(s), p50, p95, p99)
 		}
 	}
 }

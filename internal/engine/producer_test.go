@@ -240,8 +240,7 @@ func TestProducerFaultStopsInput(t *testing.T) {
 	)
 	sizes := &chunkSizes{}
 	p, err := engine.NewStream(context.Background(), plan.Wrap(prog), engine.StreamConfig{
-		ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3, Sink: sizes,
-		Fault: engine.FaultPolicy{RetryBase: 100 * time.Microsecond, RetryMax: time.Millisecond}})
+		ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3, Sink: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}

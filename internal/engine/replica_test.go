@@ -159,8 +159,7 @@ func (l *faultLog) Event(e engine.Event) {
 func TestReplicaPanicIsolated(t *testing.T) {
 	const name, seed, chunks, size = "streamclassifier", 3, 6, 16
 	inputs := bench.MustNew(name).Inputs(rng.New(1))[:chunks*size]
-	cfg := engine.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed,
-		Fault: engine.FaultPolicy{RetryBase: time.Microsecond, RetryMax: time.Microsecond}}
+	cfg := engine.Config{Chunks: chunks, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
 
 	verdicts := &verdictLog{}
 	clean, err := (&engine.BatchScheduler{Sink: verdicts}).RunSlice(bench.MustNew(name), inputs, cfg)

@@ -8,7 +8,7 @@ import (
 )
 
 // Scheduler runs the full STATS protocol — chunking, alternative
-// producers, multiple original states, digest-gated validation,
+// producers, multiple original states, deep-Match validation,
 // commit/abort with in-place re-execution, state recycling — over a
 // bounded input slice. The protocol itself lives in this package's
 // primitives; a Scheduler only decides how chunks are mapped onto

@@ -188,10 +188,6 @@ const (
 func chaosConfig() engine.Config {
 	return engine.Config{
 		Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: chaosSeed,
-		Fault: engine.FaultPolicy{
-			RetryBase: 100 * time.Microsecond,
-			RetryMax:  2 * time.Millisecond,
-		},
 	}
 }
 
@@ -356,8 +352,6 @@ func TestChaosSlowChunkTripsDeadline(t *testing.T) {
 		Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: chaosSeed,
 		Fault: engine.FaultPolicy{
 			ChunkDeadline: 500 * time.Millisecond,
-			RetryBase:     100 * time.Microsecond,
-			RetryMax:      2 * time.Millisecond,
 		},
 	}
 	baseline, err := (&engine.BatchScheduler{}).RunSlice(b, inputs, cfg)
@@ -410,7 +404,6 @@ func TestChaosTerminalFaultIsStructured(t *testing.T) {
 	)
 	cfg := engine.Config{
 		Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: chaosSeed,
-		Fault: engine.FaultPolicy{RetryBase: 100 * time.Microsecond, RetryMax: time.Millisecond},
 	}
 	schedulers := []engine.Scheduler{
 		&engine.BatchScheduler{},

@@ -236,22 +236,20 @@ func TestSessionTimeoutEndsSession(t *testing.T) {
 // and a counted event, not a crashed connection goroutine.
 func TestPanicMiddlewareRecovers(t *testing.T) {
 	app := New(baseConfig(), Options{})
-	h := app.recovered(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic("handler bug")
-	}))
+	mux := http.NewServeMux()
+	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("handler bug") })
+	h := app.front.Handler(mux)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("recovered panic: status %d, want 500", rec.Code)
 	}
-	if app.panics.Load() != 1 {
-		t.Fatalf("panic counter = %d, want 1", app.panics.Load())
+	if app.front.Panics() != 1 {
+		t.Fatalf("panic counter = %d, want 1", app.front.Panics())
 	}
 
-	var buf bytes.Buffer
-	app.met.WriteText(&buf) // engine counters; the serve counters are appended by the endpoint
 	mrec := httptest.NewRecorder()
-	app.handleMetrics(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	app.Handler().ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if !strings.Contains(mrec.Body.String(), "serve/counter[handler_panics]=1") {
 		t.Fatalf("/metrics does not count the panic:\n%s", mrec.Body.String())
 	}

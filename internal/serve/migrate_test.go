@@ -193,7 +193,7 @@ func TestServeResumeRejectsMisshapenState(t *testing.T) {
 			t.Errorf("resume with state %s: status %d %.200q, want 400", state, resp.StatusCode, msg)
 		}
 	}
-	if n := app.panics.Load(); n != 0 {
+	if n := app.front.Panics(); n != 0 {
 		t.Errorf("%d handler panics: a misshapen state reached Update", n)
 	}
 }

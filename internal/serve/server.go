@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net/http"
 	"sync"
@@ -19,6 +18,7 @@ import (
 
 	"gostats/internal/bench"
 	"gostats/internal/checkpoint"
+	"gostats/internal/cluster"
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
 )
@@ -111,10 +111,9 @@ type Server struct {
 	met  *engine.Metrics
 	lim  Options
 
-	sem      chan struct{} // session slots; acquiring may not block
-	draining atomic.Bool   // readiness gate flipped by StartDrain
-	shed     atomic.Int64  // sessions rejected at the cap
-	panics   atomic.Int64  // handler panics recovered by the middleware
+	front cluster.Front // /healthz, /readyz (flipped by StartDrain), panic recovery
+	sem   chan struct{} // session slots; acquiring may not block
+	shed  atomic.Int64  // sessions rejected at the cap
 
 	// halters holds the pipelines of in-flight migrate=1 sessions;
 	// StartDrain halts each at its commit frontier so the session emits a
@@ -143,47 +142,21 @@ func New(base engine.StreamConfig, lim Options) *Server {
 	if lim.Instance == "" {
 		lim.Instance = defaultInstance
 	}
-	s := &Server{base: base, met: met, lim: lim}
+	s := &Server{base: base, met: met, lim: lim, front: cluster.Front{Name: "statsserved"}}
 	if lim.MaxSessions > 0 {
 		s.sem = make(chan struct{}, lim.MaxSessions)
 	}
 	return s
 }
 
-// Handler returns the server's HTTP surface, wrapped in panic recovery.
+// Handler returns the server's HTTP surface inside the shared front-end
+// shell: /healthz, /readyz and panic recovery.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
 	mux.HandleFunc("POST /v1/stream/{benchmark}", s.handleStream)
-	return s.recovered(mux)
-}
-
-// recovered is the outermost middleware: a panic escaping any handler is
-// counted and answered with a 500 instead of tearing down the
-// connection-serving goroutine silently. http.ErrAbortHandler is the
-// net/http-sanctioned way to abort a response and is re-raised.
-func (s *Server) recovered(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			s.panics.Add(1)
-			log.Printf("statsserved: panic in %s %s: %v", r.Method, r.URL.Path, v)
-			// Best effort: if the response has started this write fails,
-			// and net/http closes the connection mid-body, which a
-			// streaming client sees as a truncated session (no trailer).
-			http.Error(w, "internal error", http.StatusInternalServerError)
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return s.front.Handler(mux)
 }
 
 // StartDrain flips the server into draining mode: /readyz turns not-ready
@@ -193,58 +166,39 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 // frontier: each finishes its in-flight chunks, emits a final checkpoint
 // line, and ends with a #migrate marker the gateway resumes from.
 func (s *Server) StartDrain() {
-	s.draining.Store(true)
+	s.front.StartDrain()
 	s.halters.Range(func(k, _ any) bool {
 		k.(*engine.Pipeline).Halt()
 		return true
 	})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is the routability signal, distinct from /healthz
-// liveness: a draining process is still alive (don't restart it) but must
-// not receive new sessions.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
-
+// handleMetrics serves the engine collector's values beside the serving
+// layer's own, which describe this HTTP front end, not the pipelines
+// behind it. The gauges are the load signal statsgate's least-loaded
+// policy scrapes: session slots held, the cap, chunks speculating right
+// now across every in-flight session's window, and whether this process
+// is draining; serve/instance tells backends apart once a gateway
+// aggregates several.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.WriteText(w)
-	// Serving-layer counters, kept out of the engine collector: they
-	// describe this HTTP front end, not the pipelines behind it.
-	fmt.Fprintf(w, "serve/counter[handler_panics]=%d\n", s.panics.Load())
-	fmt.Fprintf(w, "serve/counter[sessions_shed]=%d\n", s.shed.Load())
+	page := make(map[string]int64, 128)
+	s.met.Put(page)
+	page["serve/counter[handler_panics]"] = s.front.Panics()
+	page["serve/counter[sessions_shed]"] = s.shed.Load()
 	// Lines this process decoded through encoding/json because they were
 	// not in a codec's canonical form: correct, at about three times the
 	// cost. A client that moves this by one a line should drop the
 	// whitespace from its encoder.
-	fmt.Fprintf(w, "serve/counter[decode_fallback_lines]=%d\n", bench.FallbackLines())
-	// Load signals for cluster routing (statsgate's least-loaded policy
-	// scrapes these): current session slots held, the cap, how many
-	// chunks are speculating right now across every in-flight session's
-	// window, and whether this process is draining. One line each,
-	// machine-parseable as serve/gauge[name]=value; serve/instance
-	// distinguishes backends once a gateway aggregates several of them.
-	fmt.Fprintf(w, "serve/instance=%s\n", s.lim.Instance)
-	fmt.Fprintf(w, "serve/gauge[active_sessions]=%d\n", len(s.sem))
-	fmt.Fprintf(w, "serve/gauge[max_sessions]=%d\n", cap(s.sem))
-	fmt.Fprintf(w, "serve/gauge[window_occupancy]=%d\n", s.met.InFlight.Load())
-	draining := 0
-	if s.draining.Load() {
-		draining = 1
+	page["serve/counter[decode_fallback_lines]"] = int64(bench.FallbackLines())
+	page["serve/gauge[active_sessions]"] = int64(len(s.sem))
+	page["serve/gauge[max_sessions]"] = int64(cap(s.sem))
+	page["serve/gauge[window_occupancy]"] = s.met.InFlight.Load()
+	page["serve/gauge[draining]"] = 0
+	if s.front.Draining() {
+		page["serve/gauge[draining]"] = 1
 	}
-	fmt.Fprintf(w, "serve/gauge[draining]=%d\n", draining)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	cluster.WriteMetrics(w, cluster.BackendMetrics{Instance: s.lim.Instance, Values: page})
 }
 
 // retryAfterSeconds computes the Retry-After hint sent with a 429 shed.

@@ -98,7 +98,7 @@ type ckptLine struct {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	ss := &session{Server: s, w: w, r: r, rc: http.NewResponseController(w)}
 	ss.body.ReadCloser, r.Body = r.Body, &ss.body
-	if s.draining.Load() {
+	if s.front.Draining() {
 		ss.refuse(http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -275,7 +275,7 @@ func (ss *session) open() bool {
 		// Register for drain-halt, then re-check: a StartDrain that raced
 		// past registration must still halt this session.
 		ss.halters.Store(p, struct{}{})
-		if ss.draining.Load() {
+		if ss.front.Draining() {
 			p.Halt()
 		}
 	}
