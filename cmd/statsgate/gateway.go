@@ -92,7 +92,7 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.met.Put(page, backends)
 	page["gate/counter[handler_panics]"] = g.front.Panics()
 	for _, b := range backends {
-		if b.Health == cluster.Down || b.Addr == "" {
+		if b.Health == cluster.Down {
 			continue
 		}
 		text, status, err := cluster.Get(r.Context(), b.Addr+"/metrics", fetchTimeout)

@@ -8,9 +8,9 @@ import (
 // TokenBucket is the gateway's admission controller: sessions spend one
 // token each; tokens refill at Rate per second up to Burst. The clock is
 // explicit — Admit takes the current instant as a duration from an
-// arbitrary epoch — so the same bucket code runs against wall time in
-// the live gateway and virtual time in the simulator, and a sequence of
-// (now) instants fully determines every decision.
+// arbitrary epoch — so a sequence of (now) instants fully determines
+// every decision: the gateway feeds it wall time, its tests feed it
+// chosen instants, and the bucket itself reads no clock (detpath).
 type TokenBucket struct {
 	rate  float64 // tokens per second; <= 0 disables admission control
 	burst float64

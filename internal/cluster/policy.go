@@ -16,8 +16,7 @@ type SessionKey struct {
 	// by one per admitted session. Policies use it instead of internal
 	// mutable state so that a decision is a pure function of
 	// (candidates, key): replaying the same arrival sequence replays the
-	// same decisions, which is what makes the simulator's comparisons —
-	// and its regression tests — exact.
+	// same decisions, which is what lets the gateway's tests pin them.
 	Seq uint64
 }
 

@@ -67,9 +67,6 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 // failures decide Down, and a /metrics scrape refreshes the load gauges
 // and the backend's instance label.
 func (p *Prober) probe(ctx context.Context, b Backend) {
-	if b.Addr == "" {
-		return // simulated backend; health is driven by the simulator
-	}
 	timeout := min(p.Interval, 2*time.Second)
 	_, status, err := Get(ctx, b.Addr+"/readyz", timeout)
 	switch {

@@ -39,10 +39,9 @@ type Backend struct {
 	// ID is the stable identity used in metrics and policy tie-breaks:
 	// the backend's -instance label when known, else its address.
 	ID string
-	// Addr is the backend's base URL ("http://host:port"); empty for
-	// simulated backends.
+	// Addr is the backend's base URL ("http://host:port").
 	Addr string
-	// Health is the latest probed (or simulated) routability state.
+	// Health is the latest probed routability state.
 	Health Health
 
 	// InFlight is the number of sessions this gateway routed here that
@@ -79,7 +78,7 @@ func (b Backend) Load() int {
 
 // Registry tracks the backend set. All methods are goroutine-safe; all
 // slice-returning methods use registration order, so every consumer —
-// policies, metrics, the simulator — sees backends in one deterministic
+// policies and metrics alike — sees backends in one deterministic
 // order regardless of map or scheduling nondeterminism.
 type Registry struct {
 	mu    sync.Mutex
@@ -130,7 +129,7 @@ func (r *Registry) Ready() []Backend {
 	return out
 }
 
-// SetHealth records a probed (or simulated) health transition.
+// SetHealth records a probed health transition.
 func (r *Registry) SetHealth(id string, h Health) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

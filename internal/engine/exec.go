@@ -50,7 +50,7 @@ type Cond interface {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated executor
+// Executor on the simulated machine
 
 // SimExec adapts a machine.Thread to the Exec interface.
 type SimExec struct {

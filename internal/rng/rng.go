@@ -3,7 +3,7 @@
 //
 // Every source of nondeterminism in the system — benchmark updates,
 // autotuner decisions, scheduler tie-breaks, synthetic memory streams —
-// draws from a Stream derived from a root seed, so whole-simulation runs
+// draws from a Stream derived from a root seed, so whole simulated runs
 // are bit-reproducible while still modelling the nondeterminism the paper
 // studies (different seeds model different executions of the original
 // nondeterministic program).

@@ -9,9 +9,8 @@ import (
 
 // Distribution is one positive-valued random law, sampled from a seeded
 // stream the caller owns. Samples are in the caller's unit — arrival
-// gaps and slot-hold durations are virtual nanoseconds, session lengths
-// are input counts — and Mean reports the law's analytic mean in that
-// same unit.
+// gaps are virtual nanoseconds, session lengths are input counts — and
+// Mean reports the law's analytic mean in that same unit.
 //
 // Implementations must be stateless value types: the same Distribution
 // may be sampled from several streams concurrently, so all evolving

@@ -21,7 +21,7 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add(gen.Bytes())
 	f.Add([]byte(`{"trace":"t","seed":1,"sessions":2}
-{"seq":0,"at_ns":0,"benchmark":"a","duration_ns":5}
+{"seq":0,"at_ns":0,"benchmark":"a","inputs":5}
 
 {"seq":1,"at_ns":0,"benchmark":"b","inputs":3,"seed":9}
 `))
@@ -98,7 +98,7 @@ func cheapToGenerate(s *Spec) bool {
 	if s.Sessions > 64 {
 		return false
 	}
-	for _, d := range []DistSpec{s.Arrival, s.Duration, s.Length} {
+	for _, d := range []DistSpec{s.Arrival, s.Length} {
 		switch {
 		case float64(d.Mean) > 1e8,
 			d.Dist == "poisson" && (d.Lambda > 1e4 || float64(d.Mean) > 1e4),

@@ -21,7 +21,7 @@ type Modulator interface {
 }
 
 // Diurnal is a sinusoidal rate profile: 1 + Depth*sin(2π·now/Period),
-// the classic day/night load curve compressed to the simulation's
+// the classic day/night load curve compressed to the workload's
 // timescale. Depth in [0,1); the factor stays positive.
 type Diurnal struct {
 	PeriodNS float64

@@ -154,26 +154,25 @@ func (m *Mix) Pick(r *rng.Stream) string {
 func (m *Mix) Names() []string { return append([]string(nil), m.names...) }
 
 // Spec is a complete multi-client workload description — the file format
-// statsgate -sim -workload, statsbench -workload and statsload share.
+// statsload, statsbench -workload and statsserved -gen-spec share.
 //
-// Arrival spaces session starts; Duration is how long a session holds a
-// backend slot (cluster simulation); Length is how many inputs a live
-// session streams (load generation). Either or both of Duration/Length
-// may be set depending on the consumer. Modulators shape the arrival
-// rate over virtual time.
+// Arrival spaces session starts; Length is how many inputs a session
+// streams (unset: each benchmark's full native stream). Modulators shape
+// the arrival rate over virtual time. A session holds its backend for as
+// long as its inputs take to run, so a spec has no duration law: older
+// spec files that carry one still parse, and the field is ignored.
 type Spec struct {
 	Name       string     `json:"name"`
 	Seed       uint64     `json:"seed"`
 	Sessions   int        `json:"sessions"`
 	Arrival    DistSpec   `json:"arrival"`
-	Duration   DistSpec   `json:"duration,omitempty"`
 	Length     DistSpec   `json:"length,omitempty"`
 	Mix        []MixEntry `json:"mix"`
 	Modulators []ModSpec  `json:"modulators,omitempty"`
 }
 
 // Validate reports spec errors — the single validation point every
-// consumer (cluster sim, statsbench, statsload, statsserved -gen) shares.
+// consumer (statsbench, statsload, statsserved -gen-spec) shares.
 func (s *Spec) Validate() error {
 	if s.Sessions <= 0 {
 		return fmt.Errorf("workload: sessions must be positive, got %d", s.Sessions)
@@ -183,11 +182,6 @@ func (s *Spec) Validate() error {
 	}
 	if _, err := s.Arrival.Build(); err != nil {
 		return fmt.Errorf("workload: arrival: %w", err)
-	}
-	if !s.Duration.Zero() {
-		if _, err := s.Duration.Build(); err != nil {
-			return fmt.Errorf("workload: duration: %w", err)
-		}
 	}
 	if !s.Length.Zero() {
 		if _, err := s.Length.Build(); err != nil {

@@ -11,18 +11,17 @@ import (
 )
 
 // Session is one recorded session: when it arrives (virtual nanoseconds
-// since the trace epoch), what it runs, how long it holds a slot, how
-// many inputs it streams, and the seed that regenerates its exact input
-// stream. DurationNS and Inputs are both optional — the cluster
-// simulator replays durations, the live load generator lengths — and a
-// spec without the matching law leaves them zero.
+// since the trace epoch), what it runs, how many inputs it streams, and
+// the seed that regenerates its exact input stream. Inputs is zero when
+// the spec has no length law (the full native stream). Reading skips any
+// field Session does not declare, so a trace recorded with extra
+// per-session fields still replays.
 type Session struct {
-	Seq        int    `json:"seq"`
-	At         int64  `json:"at_ns"`
-	Benchmark  string `json:"benchmark"`
-	DurationNS int64  `json:"duration_ns,omitempty"`
-	Inputs     int    `json:"inputs,omitempty"`
-	Seed       uint64 `json:"seed,omitempty"`
+	Seq       int    `json:"seq"`
+	At        int64  `json:"at_ns"`
+	Benchmark string `json:"benchmark"`
+	Inputs    int    `json:"inputs,omitempty"`
+	Seed      uint64 `json:"seed,omitempty"`
 }
 
 // Trace is a recorded workload: a header plus one Session per line. The
@@ -140,16 +139,16 @@ func LoadTrace(path string) (*Trace, error) {
 }
 
 // Generate expands a spec into its full session trace: arrival times from
-// the (modulated) arrival distribution, benchmarks from the mix, slot
-// durations and input counts from their distributions when set, and one
-// derived seed per session so each session's input stream regenerates
-// independently. The trace is a pure function of the spec — same spec,
-// same bytes — and the only place a spec becomes sessions: the cluster
-// simulator, statsload and statsbench all consume its output.
+// the (modulated) arrival distribution, benchmarks from the mix, input
+// counts from the length distribution when set, and one derived seed per
+// session so each session's input stream regenerates independently. The
+// trace is a pure function of the spec — same spec, same bytes — and the
+// only place a spec becomes sessions: statsload, statsbench -workload and
+// statsserved -gen-spec all consume its output.
 //
 // Each field draws from its own stream derived from the spec's seed, so
-// adding a duration or length law to a spec leaves its arrival times and
-// mix picks where they were.
+// adding a length law to a spec leaves its arrival times and mix picks
+// where they were.
 func Generate(spec *Spec) (*Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -158,12 +157,7 @@ func Generate(spec *Spec) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	var duration, length Distribution
-	if !spec.Duration.Zero() {
-		if duration, err = spec.Duration.Build(); err != nil {
-			return nil, err
-		}
-	}
+	var length Distribution
 	if !spec.Length.Zero() {
 		if length, err = spec.Length.Build(); err != nil {
 			return nil, err
@@ -176,7 +170,6 @@ func Generate(spec *Spec) (*Trace, error) {
 
 	root := rng.New(spec.Seed)
 	arrivals := root.Derive("workload-arrivals")
-	durations := root.Derive("workload-durations")
 	lengths := root.Derive("workload-lengths")
 	picks := root.Derive("workload-mix")
 	seeds := root.Derive("workload-seeds")
@@ -189,9 +182,6 @@ func Generate(spec *Spec) (*Trace, error) {
 	now := int64(0)
 	for seq := 0; seq < spec.Sessions; seq++ {
 		s := Session{Seq: seq, At: now, Benchmark: mix.Pick(picks), Seed: seeds.Uint64()}
-		if duration != nil {
-			s.DurationNS = int64(duration.Sample(durations))
-		}
 		if length != nil {
 			n := int(length.Sample(lengths))
 			if n < 1 {

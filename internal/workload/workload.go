@@ -1,12 +1,12 @@
 // Package workload is the repo's single load-generation layer: pluggable
-// arrival/duration distributions, rate modulators for nonstationary
+// arrival and length distributions, rate modulators for nonstationary
 // shaping, multi-client session specs with per-connection benchmark
 // mixes, and an NDJSON trace format for deterministic record/replay.
 //
-// Generate is the only code that turns a spec into sessions. The cluster
-// simulator (internal/cluster) replays its trace, statsload paces it
-// against a live server, statsserved -gen regenerates one session's
-// body, and statsbench -workload replays it in process. Every draw comes
+// Generate is the only code that turns a spec into sessions. statsload
+// paces its trace against a live server (or replays a recorded one),
+// statsserved -gen-spec regenerates one session's body, and statsbench
+// -workload replays it in process. Every draw comes
 // from a workload.Distribution over seeded internal/rng streams, so a
 // spec names exactly one workload — the same sessions, the same arrival
 // times, the same inputs, run after run — and any generated workload can
