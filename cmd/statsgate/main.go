@@ -6,8 +6,7 @@
 //	statsgate -backends http://h1:8417,http://h2:8417 [-addr :8427]
 //	          [-policy roundrobin|leastloaded|affinity]
 //	          [-rate 0] [-burst 1] [-probe-interval 500ms]
-//	          [-probe-fails 2] [-grace 15s]
-//	          [-migrate] [-ckpt-every 32]
+//	          [-grace 15s] [-migrate] [-ckpt-every 32]
 //
 // It proxies full-duplex NDJSON sessions at POST /v1/stream/{benchmark}
 // to a backend chosen by -policy, admits
@@ -18,9 +17,9 @@
 // has streamed, the session is pinned and bytes are relayed untouched,
 // so committed outputs are byte-identical to a direct statsserved run.
 // Backend health comes from /readyz probes every -probe-interval
-// (draining backends stop receiving new sessions; -probe-fails
-// consecutive failures mark a backend down) and load signals from each
-// backend's /metrics gauges. With -migrate, sessions run under the
+// (draining backends stop receiving new sessions; two consecutive
+// failures mark a backend down) and load signals from each backend's
+// /metrics gauges. With -migrate, sessions run under the
 // checkpointed protocol: backends interleave #ckpt snapshot lines every
 // -ckpt-every commits, the gateway consumes them (trimming its replay
 // buffer to the checkpoint frontier), and a session whose backend drains
@@ -54,7 +53,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "admission rate in sessions/s (0: unlimited)")
 	burst := flag.Float64("burst", 1, "admission burst size")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz+/metrics probe interval")
-	probeFails := flag.Int("probe-fails", 2, "consecutive probe failures before a backend is down")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
 	migrate := flag.Bool("migrate", false, "checkpoint sessions and resume them on another backend when theirs drains or dies (session mobility)")
 	ckptEvery := flag.Int("ckpt-every", 32, "with -migrate, commits between session checkpoints")
@@ -80,7 +78,7 @@ func main() {
 	reg := cluster.NewRegistry(bs...)
 	g := newGateway(reg, policy, cluster.NewTokenBucket(*rate, *burst))
 	g.migrate, g.ckptEvery = *migrate, *ckptEvery
-	prober := &cluster.Prober{Registry: reg, Interval: *probeInterval, FailThreshold: *probeFails}
+	prober := &cluster.Prober{Registry: reg, Interval: *probeInterval}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

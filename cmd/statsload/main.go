@@ -55,14 +55,13 @@ func main() {
 	target := flag.String("target", "http://localhost:8417", "statsserved or statsgate base URL")
 	speedup := flag.Float64("speedup", 1, "divide virtual interarrival gaps by this factor")
 	maxConc := flag.Int("max-concurrent", 16, "cap on in-flight sessions (pacing skews once saturated)")
-	adapt := flag.Bool("adapt", true, "request adaptive chunk sizing (adapt=1), so trailers carry chunk-size trajectories")
 	sessionTimeout := flag.Duration("session-timeout", 2*time.Minute, "per-session HTTP timeout")
 	outPath := flag.String("out", "", "also write the JSON summary here")
 	verbose := flag.Bool("v", false, "log each session as it completes")
 	flag.Parse()
 
 	if err := run(*specPath, *replayPath, *recordPath, *target, *speedup,
-		*maxConc, *adapt, *sessionTimeout, *outPath, *verbose); err != nil {
+		*maxConc, *sessionTimeout, *outPath, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "statsload:", err)
 		os.Exit(1)
 	}
@@ -96,7 +95,7 @@ type loadReport struct {
 }
 
 func run(specPath, replayPath, recordPath, target string, speedup float64,
-	maxConc int, adapt bool, sessionTimeout time.Duration, outPath string, verbose bool) error {
+	maxConc int, sessionTimeout time.Duration, outPath string, verbose bool) error {
 	if (specPath == "") == (replayPath == "") {
 		return fmt.Errorf("exactly one of -spec and -replay is required")
 	}
@@ -150,7 +149,7 @@ func run(specPath, replayPath, recordPath, target string, speedup float64,
 		go func(s workload.Session) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tr, err := runSession(client, target, s, adapt)
+			tr, err := runSession(client, target, s)
 			mu.Lock()
 			defer mu.Unlock()
 			r := rows[s.Benchmark]
@@ -228,16 +227,14 @@ func run(specPath, replayPath, recordPath, target string, speedup float64,
 }
 
 // runSession regenerates one trace session's input stream, streams it to
-// the target, and returns the response trailer.
-func runSession(client *http.Client, target string, s workload.Session, adapt bool) (*serve.Trailer, error) {
+// the target with adaptive chunk sizing, so its trailer carries a
+// chunk-size trajectory, and returns the response trailer.
+func runSession(client *http.Client, target string, s workload.Session) (*serve.Trailer, error) {
 	var body bytes.Buffer
 	if err := workload.WriteSessionNDJSON(&body, s); err != nil {
 		return nil, err
 	}
-	url := fmt.Sprintf("%s/v1/stream/%s?seed=%d", target, s.Benchmark, s.Seed)
-	if adapt {
-		url += "&adapt=1"
-	}
+	url := fmt.Sprintf("%s/v1/stream/%s?seed=%d&adapt=1", target, s.Benchmark, s.Seed)
 	resp, err := client.Post(url, "application/x-ndjson", &body)
 	if err != nil {
 		return nil, err

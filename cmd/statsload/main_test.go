@@ -19,7 +19,7 @@ import (
 func drive(t *testing.T, target, spec, replay, record string) loadReport {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(spec, replay, record, target, 1, 4, true, time.Minute, out, false); err != nil {
+	if err := run(spec, replay, record, target, 1, 4, time.Minute, out, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)

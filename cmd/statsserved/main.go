@@ -2,18 +2,21 @@
 //
 // Usage:
 //
-//	statsserved [-addr :8417] [-chunk 16] [-lookback 4] [-extra 1]
-//	            [-workers 4] [-adapt] [-seed 3] [-grace 15s]
-//	            [-max-sessions 64] [-session-timeout 0] [-max-body 1073741824]
+//	statsserved [-addr :8417] [-chunk 16] [-lookback 4] [-workers 4]
+//	            [-adapt] [-grace 15s] [-max-sessions 64]
+//	            [-session-timeout 0] [-max-body 1073741824]
 //	            [-max-line 1048576] [-chunk-deadline 0] [-retries 2]
 //	            [-retry-after 1s] [-instance statsserved]
 //	            [-pprof localhost:6060]
-//	statsserved -gen facetrack [-n 64] [-input-seed 1]
+//	statsserved -gen facetrack [-n 64]
+//	statsserved -gen-spec examples/workload/nonstationary.json [-gen-session 0]
 //
 // In serving mode it accepts NDJSON sessions at
 // POST /v1/stream/{benchmark}: each request-body line is one benchmark
 // input, each response line one committed output (in input order), and
-// the final line a JSON trailer with the session's statistics. Concurrent
+// the final line a JSON trailer with the session's statistics. A session
+// runs with one extra original state per chunk boundary and, unless it
+// names its own (?seed=, ?extra=), nondeterminism seed 3. Concurrent
 // sessions run on independent pipelines; /metrics aggregates binned stage
 // latencies and counters across all of them and exports the cluster-routing
 // load gauges (active sessions, speculation-window occupancy, drain state,
@@ -37,12 +40,13 @@
 // SIGINT the server turns /readyz not-ready, stops accepting sessions,
 // and drains in-flight ones for -grace before force-closing.
 //
-// With -gen it instead prints a benchmark's native input stream as NDJSON
-// to stdout — a ready-made session body for curl. With -gen-spec it
-// prints one session of a workload spec (internal/workload) instead:
-// -gen-session selects the session by sequence number, and the body is
-// the exact input stream that session's trace line names (benchmark,
-// length, seed), so a spec names every session byte-for-byte.
+// With -gen it instead prints a benchmark's native input stream, drawn
+// with input seed 1, as NDJSON to stdout — a ready-made session body for
+// curl. With -gen-spec it prints one session of a workload spec
+// (internal/workload) instead: -gen-session selects the session by
+// sequence number, and the body is the exact input stream that session's
+// trace line names (benchmark, length, seed), so a spec names every
+// session byte-for-byte.
 package main
 
 import (
@@ -68,10 +72,8 @@ func main() {
 	addr := flag.String("addr", ":8417", "listen address")
 	chunk := flag.Int("chunk", 16, "inputs per chunk (initial size with -adapt)")
 	lookback := flag.Int("lookback", 4, "alternative-producer replay length k")
-	extra := flag.Int("extra", 1, "extra original states per chunk boundary")
 	workers := flag.Int("workers", engine.DefaultWorkers, "per-session worker pool / speculation window")
 	adapt := flag.Bool("adapt", false, "retune chunk size online from commit/abort feedback")
-	seed := flag.Uint64("seed", 3, "default nondeterminism seed (override per session with ?seed=)")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap, excess shed with 429 (0: default 64)")
 	sessionTimeout := flag.Duration("session-timeout", 0, "per-session wall-clock limit (0: none)")
@@ -83,14 +85,13 @@ func main() {
 	instance := flag.String("instance", "", "instance label exported in /metrics for gateway aggregation (default \"statsserved\")")
 	gen := flag.String("gen", "", "print this benchmark's inputs as NDJSON to stdout and exit")
 	n := flag.Int("n", 0, "with -gen, cap the number of input lines (0: native length)")
-	inputSeed := flag.Uint64("input-seed", 1, "with -gen, input-generation seed")
 	genSpec := flag.String("gen-spec", "", "print one session of this workload spec as NDJSON and exit")
 	genSession := flag.Int("gen-session", 0, "with -gen-spec, the session sequence number to print")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *gen != "" || *genSpec != "" {
-		if err := generate(*gen, *n, *inputSeed, *genSpec, *genSession); err != nil {
+		if err := generate(*gen, *n, *genSpec, *genSession); err != nil {
 			fmt.Fprintln(os.Stderr, "statsserved:", err)
 			os.Exit(1)
 		}
@@ -100,10 +101,10 @@ func main() {
 	base := engine.StreamConfig{
 		ChunkSize:   *chunk,
 		Lookback:    *lookback,
-		ExtraStates: *extra,
+		ExtraStates: 1,
 		Workers:     *workers,
 		Adapt:       *adapt,
-		Seed:        *seed,
+		Seed:        3,
 		Fault: engine.FaultPolicy{
 			ChunkDeadline: *chunkDeadline,
 			MaxRetries:    *retries,
@@ -155,7 +156,7 @@ func main() {
 // generate prints a session body as NDJSON through the workload layer:
 // either a benchmark's native input stream (-gen) or one session of a
 // workload spec's generated trace (-gen-spec/-gen-session).
-func generate(name string, n int, seed uint64, specPath string, session int) error {
+func generate(name string, n int, specPath string, session int) error {
 	if specPath != "" {
 		spec, err := workload.Load(specPath)
 		if err != nil {
@@ -179,5 +180,5 @@ func generate(name string, n int, seed uint64, specPath string, session int) err
 	if err != nil {
 		return err
 	}
-	return workload.WriteNDJSON(os.Stdout, codec, workload.SessionInputs(b, n, seed))
+	return workload.WriteNDJSON(os.Stdout, codec, workload.SessionInputs(b, n, 1))
 }

@@ -103,21 +103,26 @@ func TestClusterPolicies(t *testing.T) {
 }
 
 // TestClusterTokenBucket: burst admits, an empty bucket sheds with a positive
-// Retry-After, refill follows the explicit clock, rate<=0 disables.
+// Retry-After, refill follows the explicit clock, rate<=0 disables. The
+// clock starts at the epoch and late after it: a bucket refills by the
+// time since its last admission, not by the time since the epoch.
 func TestClusterTokenBucket(t *testing.T) {
-	b := NewTokenBucket(10, 2) // 10 tokens/s, burst 2
-	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
-		if ok, _ := b.Admit(now); !ok {
-			t.Fatalf("burst admit %d refused", i)
+	for _, start := range []time.Duration{0, 10 * time.Second} {
+		b := NewTokenBucket(10, 2) // 10 tokens/s, burst 2
+		now := start
+		for i := 0; i < 2; i++ {
+			if ok, _ := b.Admit(now); !ok {
+				t.Fatalf("start %s: burst admit %d refused", start, i)
+			}
 		}
-	}
-	ok, retry := b.Admit(now)
-	if ok || retry <= 0 || retry > 100*time.Millisecond {
-		t.Fatalf("empty bucket: ok=%v retry=%s", ok, retry)
-	}
-	if ok, _ := b.Admit(now + retry); !ok {
-		t.Fatal("bucket did not refill after the advertised wait")
+		now += time.Millisecond
+		ok, retry := b.Admit(now)
+		if ok || retry <= 0 || retry > 100*time.Millisecond {
+			t.Fatalf("start %s: empty bucket: ok=%v retry=%s", start, ok, retry)
+		}
+		if ok, _ := b.Admit(now + retry); !ok {
+			t.Fatalf("start %s: bucket did not refill after the advertised wait", start)
+		}
 	}
 	unlimited := NewTokenBucket(0, 0)
 	for i := 0; i < 100; i++ {

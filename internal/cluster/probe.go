@@ -19,20 +19,18 @@ type Prober struct {
 	// Interval between probe rounds (default 500ms). One probe request
 	// may take Interval, at most 2s.
 	Interval time.Duration
-	// FailThreshold is how many consecutive failed rounds turn a
-	// backend Down (default 2). One success brings it straight back.
-	FailThreshold int
 
 	fails map[string]int
 }
+
+// failThreshold is how many consecutive failed rounds turn a backend
+// Down. One success brings it straight back.
+const failThreshold = 2
 
 // withDefaults resolves zero fields; called once per Run/ProbeOnce.
 func (p *Prober) withDefaults() {
 	if p.Interval <= 0 {
 		p.Interval = 500 * time.Millisecond
-	}
-	if p.FailThreshold <= 0 {
-		p.FailThreshold = 2
 	}
 	if p.fails == nil {
 		p.fails = make(map[string]int)
@@ -72,7 +70,7 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 	switch {
 	case err != nil:
 		p.fails[b.ID]++
-		if p.fails[b.ID] >= p.FailThreshold {
+		if p.fails[b.ID] >= failThreshold {
 			p.Registry.SetHealth(b.ID, Down)
 		}
 		return

@@ -10,12 +10,12 @@ import (
 	"gostats/internal/workload"
 )
 
-// modulatedSpec exercises every workload seam at once: a non-exponential
-// arrival law, a length law, a weighted mix and both modulator kinds.
+// modulatedSpec exercises every workload seam at once: an arrival law, a
+// length law, a weighted mix and both modulator kinds.
 func modulatedSpec() *workload.Spec {
 	return &workload.Spec{
 		Name: "modulated", Seed: 7, Sessions: 5000,
-		Arrival: workload.DistSpec{Dist: "gamma", Mean: workload.Duration(time.Millisecond), Shape: 2},
+		Arrival: workload.DistSpec{Dist: "exponential", Mean: workload.Duration(time.Millisecond)},
 		Length:  workload.DistSpec{Dist: "poisson", Lambda: 64},
 		Mix: []workload.MixEntry{
 			{Benchmark: "facetrack", Weight: 3},

@@ -31,12 +31,6 @@ func sampleMoments(t *testing.T, d Distribution, seed uint64, n int) (float64, f
 // within fails unless got is within tol (fractional) of want.
 func within(t *testing.T, what string, got, want, tol float64) {
 	t.Helper()
-	if want == 0 {
-		if got != 0 {
-			t.Errorf("%s = %v, want exactly 0", what, got)
-		}
-		return
-	}
 	if diff := math.Abs(got-want) / want; diff > tol {
 		t.Errorf("%s = %v, want %v (±%.0f%%); off by %.1f%%", what, got, want, tol*100, diff*100)
 	}
@@ -47,9 +41,6 @@ func within(t *testing.T, what string, got, want, tol float64) {
 // standard error well inside the 3% tolerance for these parameters.
 func TestDistributionMoments(t *testing.T) {
 	const n = 200_000
-	gammaShape, weibullShape := 2.5, 1.5
-	wg := math.Gamma(1 + 1/weibullShape)
-	wg2 := math.Gamma(1 + 2/weibullShape)
 	cases := []struct {
 		name     string
 		d        Distribution
@@ -57,13 +48,6 @@ func TestDistributionMoments(t *testing.T) {
 		variance float64
 	}{
 		{"exponential", exp(100), 100, 100 * 100},
-		{"deterministic", Deterministic{Value: 42}, 42, 0},
-		{"gamma", Gamma{K: gammaShape, MeanV: 100}, 100, 100 * 100 / gammaShape},
-		{"gamma-subexponential", Gamma{K: 0.5, MeanV: 100}, 100, 100 * 100 / 0.5},
-		// Weibull variance: scale²(Γ(1+2/k) − Γ(1+1/k)²) with
-		// scale = mean/Γ(1+1/k).
-		{"weibull", Weibull{K: weibullShape, MeanV: 100}, 100,
-			(100 / wg) * (100 / wg) * (wg2 - wg*wg)},
 		{"poisson", Poisson{Lambda: 75}, 75, 75},
 	}
 	for _, tc := range cases {
@@ -81,9 +65,7 @@ func TestDistributionMoments(t *testing.T) {
 // TestDistributionDeterminism: the same (law, seed) yields the same draw
 // sequence; a different seed yields a different one.
 func TestDistributionDeterminism(t *testing.T) {
-	laws := []Distribution{
-		exp(10), Gamma{K: 2, MeanV: 10}, Weibull{K: 0.8, MeanV: 10}, Poisson{Lambda: 12},
-	}
+	laws := []Distribution{exp(10), Poisson{Lambda: 12}}
 	for _, d := range laws {
 		ra, rb, rc := rng.New(3), rng.New(3), rng.New(4)
 		same, diff := true, true
@@ -133,22 +115,13 @@ func TestPoissonIsInteger(t *testing.T) {
 
 // TestDistributionValidate: bad parameters are rejected, good accepted.
 func TestDistributionValidate(t *testing.T) {
-	bad := []Distribution{
-		exp(0), exp(-1), exp(math.NaN()),
-		Deterministic{Value: -1},
-		Gamma{K: 0, MeanV: 1}, Gamma{K: 1, MeanV: 0},
-		Weibull{K: -1, MeanV: 1}, Weibull{K: 1, MeanV: math.NaN()},
-		Poisson{Lambda: 0},
-	}
+	bad := []Distribution{exp(0), exp(-1), exp(math.NaN()), Poisson{Lambda: 0}}
 	for _, d := range bad {
 		if err := d.Validate(); err == nil {
 			t.Errorf("%T%+v: Validate accepted bad parameters", d, d)
 		}
 	}
-	good := []Distribution{
-		exp(1), Deterministic{Value: 0}, Gamma{K: 0.5, MeanV: 2},
-		Weibull{K: 3, MeanV: 1}, Poisson{Lambda: 0.5},
-	}
+	good := []Distribution{exp(1), Poisson{Lambda: 0.5}}
 	for _, d := range good {
 		if err := d.Validate(); err != nil {
 			t.Errorf("%T%+v: Validate rejected good parameters: %v", d, d, err)

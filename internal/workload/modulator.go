@@ -26,26 +26,23 @@ type Modulator interface {
 type Diurnal struct {
 	PeriodNS float64
 	Depth    float64
-	// PhaseFrac rotates the curve's starting point by a fraction of the
-	// period, so mixes can stagger several diurnal components.
-	PhaseFrac float64
 }
 
-// Factor implements Modulator.
+// Factor implements Modulator. The parenthesised quotient fixes the
+// rounding every recorded modulated trace was drawn with.
 func (d *Diurnal) Factor(now int64) float64 {
-	return 1 + d.Depth*math.Sin(2*math.Pi*(float64(now)/d.PeriodNS+d.PhaseFrac))
+	return 1 + d.Depth*math.Sin(2*math.Pi*(float64(now)/d.PeriodNS))
 }
 
-// OnOff is a two-state Markov-modulated rate: bursts of factor OnFactor
-// lasting Exp(OnMeanNS), separated by lulls of factor OffFactor lasting
-// Exp(OffMeanNS). Phase changes are drawn lazily from the modulator's own
-// stream as virtual time advances past them, so the phase schedule is a
-// pure function of (seed, phase index) and independent of how often
-// Factor is polled.
+// OnOff is a two-state Markov-modulated rate: bursts at the base rate
+// (factor 1) lasting Exp(OnMeanNS), separated by lulls of factor
+// OffFactor lasting Exp(OffMeanNS). Phase changes are drawn lazily from
+// the modulator's own stream as virtual time advances past them, so the
+// phase schedule is a pure function of (seed, phase index) and
+// independent of how often Factor is polled.
 type OnOff struct {
 	OnMeanNS  float64
 	OffMeanNS float64
-	OnFactor  float64
 	OffFactor float64
 
 	r    *rng.Stream
@@ -74,7 +71,7 @@ func (m *OnOff) Factor(now int64) float64 {
 		m.next += gap
 	}
 	if m.on {
-		return m.OnFactor
+		return 1
 	}
 	return m.OffFactor
 }
@@ -87,11 +84,10 @@ type ModSpec struct {
 	// Diurnal.
 	Period Duration `json:"period,omitempty"`
 	Depth  float64  `json:"depth,omitempty"`
-	Phase  float64  `json:"phase,omitempty"`
-	// OnOff. Factors default to 1 (on) and 0.1 (off).
+	// OnOff. The off factor defaults to 0.1; the on phase runs at the
+	// base rate.
 	OnMean    Duration `json:"on_mean,omitempty"`
 	OffMean   Duration `json:"off_mean,omitempty"`
-	OnFactor  float64  `json:"on_factor,omitempty"`
 	OffFactor float64  `json:"off_factor,omitempty"`
 }
 
@@ -109,8 +105,8 @@ func (m ModSpec) Validate() error {
 		if !(float64(m.OnMean) > 0) || !(float64(m.OffMean) > 0) {
 			return fmt.Errorf("workload: onoff modulator needs positive on_mean and off_mean")
 		}
-		if m.OnFactor < 0 || m.OffFactor < 0 {
-			return fmt.Errorf("workload: onoff factors must be >= 0")
+		if m.OffFactor < 0 {
+			return fmt.Errorf("workload: onoff off_factor must be >= 0")
 		}
 	default:
 		return fmt.Errorf("workload: unknown modulator kind %q (want diurnal or onoff)", m.Kind)
@@ -126,19 +122,15 @@ func (m ModSpec) Build(r *rng.Stream) (Modulator, error) {
 	}
 	switch m.Kind {
 	case "diurnal":
-		return &Diurnal{PeriodNS: float64(m.Period), Depth: m.Depth, PhaseFrac: m.Phase}, nil
+		return &Diurnal{PeriodNS: float64(m.Period), Depth: m.Depth}, nil
 	default: // "onoff", by Validate
-		on, off := m.OnFactor, m.OffFactor
-		if on == 0 {
-			on = 1
-		}
+		off := m.OffFactor
 		if off == 0 {
 			off = 0.1
 		}
 		return &OnOff{
 			OnMeanNS:  float64(m.OnMean),
 			OffMeanNS: float64(m.OffMean),
-			OnFactor:  on,
 			OffFactor: off,
 			r:         r,
 		}, nil

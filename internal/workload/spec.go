@@ -39,13 +39,11 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 }
 
 // DistSpec is the serializable description of one Distribution. Dist
-// selects the law; Mean is the analytic mean (a duration for time-valued
-// laws, a plain count for length laws), Shape parameterizes gamma and
-// weibull, Lambda is the poisson mean (Mean is accepted as an alias).
+// selects the law: "exponential" takes its Mean (a duration for arrival
+// gaps), "poisson" its Lambda (a plain count for session lengths).
 type DistSpec struct {
 	Dist   string   `json:"dist"`
 	Mean   Duration `json:"mean,omitempty"`
-	Shape  float64  `json:"shape,omitempty"`
 	Lambda float64  `json:"lambda,omitempty"`
 }
 
@@ -58,20 +56,10 @@ func (d DistSpec) Build() (Distribution, error) {
 	switch d.Dist {
 	case "exponential":
 		dist = exp(float64(d.Mean))
-	case "deterministic":
-		dist = Deterministic{Value: float64(d.Mean)}
-	case "gamma":
-		dist = Gamma{K: d.Shape, MeanV: float64(d.Mean)}
-	case "weibull":
-		dist = Weibull{K: d.Shape, MeanV: float64(d.Mean)}
 	case "poisson":
-		l := d.Lambda
-		if l == 0 {
-			l = float64(d.Mean)
-		}
-		dist = Poisson{Lambda: l}
+		dist = Poisson{Lambda: d.Lambda}
 	default:
-		return nil, fmt.Errorf("workload: unknown distribution %q (want exponential, deterministic, gamma, weibull or poisson)", d.Dist)
+		return nil, fmt.Errorf("workload: unknown distribution %q (want exponential or poisson)", d.Dist)
 	}
 	if err := dist.Validate(); err != nil {
 		return nil, err

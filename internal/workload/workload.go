@@ -1,7 +1,8 @@
-// Package workload is the repo's single load-generation layer: pluggable
-// arrival and length distributions, rate modulators for nonstationary
-// shaping, multi-client session specs with per-connection benchmark
-// mixes, and an NDJSON trace format for deterministic record/replay.
+// Package workload is the repo's single load-generation layer:
+// exponential arrival and poisson length distributions, rate modulators
+// for nonstationary shaping, multi-client session specs with
+// per-connection benchmark mixes, and an NDJSON trace format for
+// deterministic record/replay.
 //
 // Generate is the only code that turns a spec into sessions. statsload
 // paces its trace against a live server (or replays a recorded one),

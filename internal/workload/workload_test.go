@@ -147,7 +147,7 @@ func TestModSpecValidate(t *testing.T) {
 		{Kind: "diurnal"},                       // no period
 		{Kind: "diurnal", Period: 10, Depth: 1}, // depth out of range
 		{Kind: "onoff", OnMean: 10},             // no off mean
-		{Kind: "onoff", OnMean: 10, OffMean: 10, OnFactor: -1},
+		{Kind: "onoff", OnMean: 10, OffMean: 10, OffFactor: -1},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
@@ -179,10 +179,13 @@ func TestSpecParseValidate(t *testing.T) {
 		t.Fatalf("a duration law changed the trace:\n%s\n%s", a, b)
 	}
 	bad := map[string]string{
-		"no sessions":  `{"name":"t","arrival":{"dist":"exponential","mean":1},"mix":[{"benchmark":"a"}]}`,
-		"no arrival":   `{"name":"t","sessions":5,"mix":[{"benchmark":"a"}]}`,
-		"unknown dist": `{"name":"t","sessions":5,"arrival":{"dist":"zipf","mean":1},"mix":[{"benchmark":"a"}]}`,
-		"empty mix":    `{"name":"t","sessions":5,"arrival":{"dist":"exponential","mean":1},"mix":[]}`,
+		"no sessions":   `{"name":"t","arrival":{"dist":"exponential","mean":1},"mix":[{"benchmark":"a"}]}`,
+		"no arrival":    `{"name":"t","sessions":5,"mix":[{"benchmark":"a"}]}`,
+		"unknown dist":  `{"name":"t","sessions":5,"arrival":{"dist":"zipf","mean":1},"mix":[{"benchmark":"a"}]}`,
+		"gamma arrival": `{"name":"t","sessions":5,"arrival":{"dist":"gamma","mean":1,"shape":2},"mix":[{"benchmark":"a"}]}`,
+		"poisson length by mean": `{"name":"t","sessions":5,"arrival":{"dist":"exponential","mean":1},
+		  "length":{"dist":"poisson","mean":50},"mix":[{"benchmark":"a"}]}`,
+		"empty mix": `{"name":"t","sessions":5,"arrival":{"dist":"exponential","mean":1},"mix":[]}`,
 		"bad modulator": `{"name":"t","sessions":5,"arrival":{"dist":"exponential","mean":1},
 		  "mix":[{"benchmark":"a"}],"modulators":[{"kind":"diurnal"}]}`,
 	}
@@ -193,12 +196,12 @@ func TestSpecParseValidate(t *testing.T) {
 	}
 }
 
-// testSpec exercises every seam of Generate at once: a non-exponential
-// arrival law, a length law, a weighted mix and both modulator kinds.
+// testSpec exercises every seam of Generate at once: an arrival law, a
+// length law, a weighted mix and both modulator kinds.
 func testSpec() *Spec {
 	return &Spec{
 		Name: "roundtrip", Seed: 17, Sessions: 200,
-		Arrival: DistSpec{Dist: "gamma", Mean: Duration(2 * time.Millisecond), Shape: 2},
+		Arrival: DistSpec{Dist: "exponential", Mean: Duration(2 * time.Millisecond)},
 		Length:  DistSpec{Dist: "poisson", Lambda: 64},
 		Mix: []MixEntry{
 			{Benchmark: "facetrack", Weight: 2},
