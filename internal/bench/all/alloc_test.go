@@ -109,6 +109,23 @@ func raceDetector() bool {
 	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
+// TestMatchAllocatesNothing pins every benchmark's Match, the comparison
+// the commit frontier makes at each boundary, to no heap allocation: its
+// scratch lives on the stack, so validation adds nothing to a session's
+// garbage at any worker count.
+func TestMatchAllocatesNothing(t *testing.T) {
+	for _, name := range bench.Names() {
+		b := bench.MustNew(name)
+		states := genStates(b, 6)
+		for i := range states {
+			x, y := states[i], states[(i+1)%len(states)]
+			if n := allocs(func() { b.Match(x, y) }); n != 0 {
+				t.Errorf("%s: Match of states %d and %d allocates %v objects, want 0", name, i, (i+1)%len(states), n)
+			}
+		}
+	}
+}
+
 // TestPipelineAllocations pins what the engine itself allocates for a
 // chunk on the fault-free path: nothing. A warmed pipeline's heap objects
 // and bytes per chunk, less those the kernel allocates for the same inputs

@@ -139,8 +139,7 @@ func (b *BodyTrack) CloneInto(dst, src engine.State) engine.State {
 // Match accepts speculative clouds whose pose estimate is within
 // MatchTol of an original state's estimate.
 func (b *BodyTrack) Match(av, bv engine.State) bool {
-	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
-	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= b.p.MatchTol
+	return trackutil.EstimateDist(av.(*trackutil.Cloud), bv.(*trackutil.Cloud)) <= b.p.MatchTol
 }
 
 // StateBytes is 500,000 (Table I): 1250 particles x 50 dims x 8 bytes.

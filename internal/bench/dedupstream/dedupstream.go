@@ -24,6 +24,7 @@ package dedupstream
 
 import (
 	"math"
+	"slices"
 
 	"gostats/internal/bench"
 	"gostats/internal/engine"
@@ -334,39 +335,57 @@ func (d *DedupStream) CloneInto(dst, src engine.State) engine.State {
 	return t
 }
 
-// recentSet collects the fingerprints seen within the last RecentWindow
-// segments, by scanning the log tail (never the map).
-func (d *DedupStream) recentSet(st *dedupState) map[uint64]struct{} {
+// recentScratch is the stack room for one state's recent run in Match:
+// twice the most a default-size stream has logged in a RecentWindow of
+// four segments (238 records over 900 segments). A longer run spills to
+// the heap through append and is counted the same.
+const recentScratch = 512
+
+// recent appends to buf the fingerprints logged within the last
+// RecentWindow segments, by scanning the log tail (never the map), and
+// returns them sorted without duplicates. It writes only buf.
+func (d *DedupStream) recent(st *dedupState, buf []uint64) []uint64 {
 	win := uint32(d.p.RecentWindow)
-	set := make(map[uint64]struct{}, 4*d.p.SegmentBytes/d.p.AvgChunk)
 	for i := len(st.log) - 1; i >= st.head; i-- {
 		e := st.log[i]
 		if st.gen-e.gen >= win {
 			break
 		}
-		set[e.fp] = struct{}{}
+		buf = append(buf, e.fp)
 	}
-	return set
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // Match accepts states whose recent-fingerprint sets overlap (Jaccard >=
 // MatchJaccard) and whose duplicate-rate estimators agree within EMATol.
 // Recency is what makes this sound under the short-memory property: a
 // fresh lineage replayed over the lookback window indexes the same
-// recent chunks as the original, up to admission sampling.
+// recent chunks as the original, up to admission sampling. The two sets
+// are sorted runs in stack scratch, intersected by one merge walk, so a
+// call allocates nothing and keeps nothing: one program serves
+// concurrent sessions.
 func (d *DedupStream) Match(a, b engine.State) bool {
 	sa, sb := a.(*dedupState), b.(*dedupState)
 	if math.Abs(sa.emaDup-sb.emaDup) > d.p.EMATol {
 		return false
 	}
-	ra, rb := d.recentSet(sa), d.recentSet(sb)
+	var bufA, bufB [recentScratch]uint64
+	ra, rb := d.recent(sa, bufA[:0]), d.recent(sb, bufB[:0])
 	if len(ra) == 0 || len(rb) == 0 {
 		return len(ra) == len(rb)
 	}
 	inter := 0
-	for fp := range ra { //statslint:allow detpath set intersection: the count is order-insensitive
-		if _, ok := rb[fp]; ok {
+	for i, j := 0, 0; i < len(ra) && j < len(rb); {
+		switch {
+		case ra[i] < rb[j]:
+			i++
+		case ra[i] > rb[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
 	union := len(ra) + len(rb) - inter

@@ -146,8 +146,7 @@ func (f *FaceDetTrack) CloneInto(dst, src engine.State) engine.State {
 
 // Match compares box estimates, as for facetrack.
 func (f *FaceDetTrack) Match(av, bv engine.State) bool {
-	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
-	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= f.p.MatchTol
+	return trackutil.EstimateDist(av.(*trackutil.Cloud), bv.(*trackutil.Cloud)) <= f.p.MatchTol
 }
 
 // StateBytes is 8,000 (Table I).

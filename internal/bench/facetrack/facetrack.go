@@ -127,8 +127,7 @@ func (f *FaceTrack) CloneInto(dst, src engine.State) engine.State {
 // Match compares face-box estimates: the paper's "average Euclidean
 // distance between the boxes containing the detected faces".
 func (f *FaceTrack) Match(av, bv engine.State) bool {
-	ca, cb := av.(*trackutil.Cloud), bv.(*trackutil.Cloud)
-	return trackutil.Dist(ca.Estimate(), cb.Estimate()) <= f.p.MatchTol
+	return trackutil.EstimateDist(av.(*trackutil.Cloud), bv.(*trackutil.Cloud)) <= f.p.MatchTol
 }
 
 // StateBytes is 8,000 (Table I).

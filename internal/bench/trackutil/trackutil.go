@@ -388,8 +388,11 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 }
 
 // Estimate returns the weighted mean pose.
-func (c *Cloud) Estimate() []float64 {
-	est := make([]float64, c.Dims)
+func (c *Cloud) Estimate() []float64 { return c.estimateInto(make([]float64, c.Dims)) }
+
+// estimateInto accumulates the weighted mean pose into est, which holds
+// c.Dims zeros, and returns it.
+func (c *Cloud) estimateInto(est []float64) []float64 {
 	for i := 0; i < c.N; i++ {
 		w := c.W[i]
 		for d := 0; d < c.Dims; d++ {
@@ -397,6 +400,27 @@ func (c *Cloud) Estimate() []float64 {
 		}
 	}
 	return est
+}
+
+// stackDims is the widest pose EstimateDist keeps on the stack; the
+// widest tracker's, bodytrack's, is 50. A wider cloud's estimates spill
+// to the heap.
+const stackDims = 64
+
+// EstimateDist is Dist(a.Estimate(), b.Estimate()), bit for bit, with
+// both estimates accumulated into stack arrays: the trackers' Match
+// allocates nothing.
+func EstimateDist(a, b *Cloud) float64 {
+	var ea, eb [stackDims]float64
+	return Dist(a.estimateInto(zeros(ea[:], a.Dims)), b.estimateInto(zeros(eb[:], b.Dims)))
+}
+
+// zeros returns n zeros: buf's, when it is long enough.
+func zeros(buf []float64, n int) []float64 {
+	if n > len(buf) {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Spread returns the root-mean-square particle distance from the mean, a

@@ -202,6 +202,28 @@ func TestDist(t *testing.T) {
 	}
 }
 
+// TestEstimateDistIsDistOfEstimates holds EstimateDist to the expression
+// the trackers' Match used to spell out, bit for bit, at the trackers'
+// widths and at one past the stack arrays, where the estimates spill.
+func TestEstimateDistIsDistOfEstimates(t *testing.T) {
+	r := rng.New(9)
+	for _, dims := range []int{1, 5, 50, stackDims, stackDims + 1} {
+		fr := Frame{Obs: make([]float64, dims), Quality: 1}
+		for i := 0; i < 6; i++ {
+			a := NewCloud(40, dims, nil, 3, r)
+			b := NewCloud(40, dims, nil, 0.2, r)
+			a.Step(fr, 0.1, 0.3, r)
+			want := Dist(a.Estimate(), b.Estimate())
+			if got := EstimateDist(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("dims %d: EstimateDist = %v, Dist of the estimates = %v", dims, got, want)
+			}
+			if got := EstimateDist(a, a); got != 0 {
+				t.Errorf("dims %d: a cloud is %v from itself", dims, got)
+			}
+		}
+	}
+}
+
 func TestStateProfileRenamesStateRegion(t *testing.T) {
 	base := memsim.AccessProfile{
 		Name: "x",
