@@ -16,13 +16,14 @@
 // size from commit/abort outcomes by one fixed rule. Outcomes are taken
 // in tumbling epochs of 8; an epoch whose abort rate is at least 0.25
 // grows the size ×1.5, one whose rate is at most 0.05 shrinks it ÷1.5,
-// and the size stays within the session's [Min, Max]. Those bounds and
-// the initial size are its whole configuration.
+// and the size stays within a quarter to four times the initial size.
+// The initial size is its whole configuration.
 package autotune
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gostats/internal/rng"
@@ -94,19 +95,10 @@ func (s Space) Validate() error {
 
 // Contains reports whether p lies in the space.
 func (s Space) Contains(p Point) bool {
-	return containsInt(s.ChunkCandidates, p.Chunks) &&
+	return slices.Contains(s.ChunkCandidates, p.Chunks) &&
 		p.Lookback >= 1 && p.Lookback <= s.MaxLookback &&
 		p.ExtraStates >= 0 && p.ExtraStates <= s.MaxExtraStates &&
-		containsInt(s.WidthCandidates, p.InnerWidth)
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
+		slices.Contains(s.WidthCandidates, p.InnerWidth)
 }
 
 // Size returns the number of points in the space.
@@ -169,7 +161,7 @@ func Tune(space Space, obj Objective, budget int, seed uint64, seedPoints ...Poi
 	// mid-range parameters, so every region of the principal dimension is
 	// visited (OpenTuner similarly seeds with defaults).
 	mid := Point{
-		Lookback:    clampInt((space.MaxLookback+1)/2, 1, space.MaxLookback),
+		Lookback:    (space.MaxLookback + 1) / 2, // within [1, MaxLookback]
 		ExtraStates: space.MaxExtraStates / 2,
 		InnerWidth:  space.WidthCandidates[0],
 	}
@@ -314,9 +306,9 @@ func (t *tuner) proposeMutate() (Point, bool) {
 		case 0:
 			p.Chunks = t.shiftCandidate(t.space.ChunkCandidates, p.Chunks, t.rnd.Intn(3)-1)
 		case 1:
-			p.Lookback = clampInt(p.Lookback+t.rnd.Intn(9)-4, 1, t.space.MaxLookback)
+			p.Lookback = min(max(p.Lookback+t.rnd.Intn(9)-4, 1), t.space.MaxLookback)
 		case 2:
-			p.ExtraStates = clampInt(p.ExtraStates+t.rnd.Intn(3)-1, 0, t.space.MaxExtraStates)
+			p.ExtraStates = min(max(p.ExtraStates+t.rnd.Intn(3)-1, 0), t.space.MaxExtraStates)
 		case 3:
 			p.InnerWidth = t.shiftCandidate(t.space.WidthCandidates, p.InnerWidth, t.rnd.Intn(3)-1)
 		}
@@ -341,11 +333,11 @@ func (t *tuner) proposeNeighbor() (Point, bool) {
 		p.Chunks = t.shiftCandidate(t.space.ChunkCandidates, p.Chunks, dc)
 		for _, dl := range []int{-2, -1, 0, 1, 2} {
 			q := p
-			q.Lookback = clampInt(p.Lookback+dl, 1, t.space.MaxLookback)
+			q.Lookback = min(max(p.Lookback+dl, 1), t.space.MaxLookback)
 			add(q)
 			for _, de := range []int{-1, 1} {
 				r := q
-				r.ExtraStates = clampInt(q.ExtraStates+de, 0, t.space.MaxExtraStates)
+				r.ExtraStates = min(max(q.ExtraStates+de, 0), t.space.MaxExtraStates)
 				add(r)
 			}
 		}
@@ -372,17 +364,7 @@ func (t *tuner) shiftCandidate(list []int, v, delta int) int {
 			break
 		}
 	}
-	return list[clampInt(idx+delta, 0, len(list)-1)]
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return list[min(max(idx+delta, 0), len(list)-1)]
 }
 
 func lessPoint(a, b Point) bool {

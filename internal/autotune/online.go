@@ -14,9 +14,10 @@ import "fmt"
 // aborts waste a whole chunk of re-execution, so a mispeculation spike is
 // answered by growing chunks (fewer, cheaper-to-validate boundaries, more
 // lookback amortization), while a clean commit streak shrinks chunks back
-// toward Min to expose more parallelism. The rule is fixed: its
-// constants below are not configuration. Decisions are a pure function
-// of the outcome sequence — no clocks, no sampling — so a pipeline that
+// toward the lower bound to expose more parallelism. The rule is fixed:
+// its constants below and its bounds, a quarter to four times the
+// initial size, are not configuration. Decisions are a pure function of
+// the outcome sequence — no clocks, no sampling — so a pipeline that
 // feeds outcomes in commit order stays bit-reproducible.
 const (
 	epoch     = 8    // outcomes per decision epoch
@@ -25,41 +26,16 @@ const (
 	step      = 1.5  // multiplicative resize factor
 )
 
-// OnlineConfig bounds the online chunk-size controller.
-type OnlineConfig struct {
-	// Initial is the starting chunk size (inputs per chunk).
-	Initial int
-	// Min and Max bound the chunk size the controller may choose.
-	Min, Max int
-}
-
-func (c OnlineConfig) withDefaults() OnlineConfig {
-	if c.Min < 1 {
-		c.Min = 1
-	}
-	if c.Max < c.Min {
-		c.Max = c.Min
-	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c OnlineConfig) Validate() error {
-	if c.Initial < 1 {
-		return fmt.Errorf("autotune: online Initial must be >= 1, got %d", c.Initial)
-	}
-	if c.Min > 0 && c.Max > 0 && c.Min > c.Max {
-		return fmt.Errorf("autotune: online Min %d > Max %d", c.Min, c.Max)
-	}
-	return nil
-}
+// bounds is the range the controller keeps a session of initial size
+// within: a quarter to four times it, never below one input.
+func bounds(initial int) (lo, hi int) { return max(1, initial/4), 4 * initial }
 
 // Online retunes the streaming chunk size from commit/abort outcomes. It
 // is NOT goroutine-safe by design: determinism requires a single owner
 // (the pipeline's producer, inside Push) that records outcomes in commit
 // order and reads ChunkSize at deterministic points between records.
 type Online struct {
-	cfg      OnlineConfig
+	lo, hi   int // bounds(initial size)
 	size     int
 	epochN   int // outcomes in the current epoch
 	aborts   int // aborts in the current epoch
@@ -80,14 +56,13 @@ type SizeChange struct {
 // drops its oldest points rather than growing without bound.
 const historyCap = 512
 
-// NewOnline builds a controller. Initial is clamped into [Min, Max].
-func NewOnline(cfg OnlineConfig) (*Online, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewOnline builds a controller that starts at initial inputs a chunk.
+func NewOnline(initial int) (*Online, error) {
+	if initial < 1 {
+		return nil, fmt.Errorf("autotune: online initial size must be >= 1, got %d", initial)
 	}
-	cfg = cfg.withDefaults()
-	size := clampInt(cfg.Initial, cfg.Min, cfg.Max)
-	return &Online{cfg: cfg, size: size, history: []SizeChange{{Outcome: 0, Size: size}}}, nil
+	lo, hi := bounds(initial)
+	return &Online{lo: lo, hi: hi, size: initial, history: []SizeChange{{Outcome: 0, Size: initial}}}, nil
 }
 
 // Record feeds one chunk outcome (in commit order) and reports whether it
@@ -107,9 +82,9 @@ func (o *Online) Record(committed bool) bool {
 	next := o.size
 	switch {
 	case rate >= abortHigh:
-		next = clampInt(int(float64(o.size)*step+0.5), o.cfg.Min, o.cfg.Max)
+		next = min(int(float64(o.size)*step+0.5), o.hi)
 	case rate <= abortLow:
-		next = clampInt(int(float64(o.size)/step), o.cfg.Min, o.cfg.Max)
+		next = max(int(float64(o.size)/step), o.lo)
 	}
 	if next == o.size {
 		return false
@@ -165,33 +140,23 @@ func (o *Online) Snapshot() *OnlineState {
 
 // RestoreOnline rebuilds a controller from a snapshot so that feeding it
 // the outcome suffix of an interrupted session reproduces the exact
-// decision sequence of the uninterrupted one. cfg must be the session's
-// original controller bounds (the snapshot holds decisions, not bounds).
-func RestoreOnline(cfg OnlineConfig, st *OnlineState) (*Online, error) {
-	if st == nil {
-		return NewOnline(cfg)
+// decision sequence of the uninterrupted one. initial must be the
+// session's initial size (the snapshot holds decisions, not bounds).
+func RestoreOnline(initial int, st *OnlineState) (*Online, error) {
+	o, err := NewOnline(initial)
+	if err != nil || st == nil {
+		return o, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if st.Size < cfg.Min || st.Size > cfg.Max {
-		return nil, fmt.Errorf("autotune: restored size %d outside [%d, %d]", st.Size, cfg.Min, cfg.Max)
+	if st.Size < o.lo || st.Size > o.hi {
+		return nil, fmt.Errorf("autotune: restored size %d outside [%d, %d]", st.Size, o.lo, o.hi)
 	}
 	if st.EpochN < 0 || st.EpochN >= epoch || st.Aborts < 0 || st.Aborts > st.EpochN {
 		return nil, fmt.Errorf("autotune: restored epoch counters invalid (epoch_n=%d aborts=%d epoch=%d)", st.EpochN, st.Aborts, epoch)
 	}
-	o := &Online{
-		cfg:      cfg,
-		size:     st.Size,
-		epochN:   st.EpochN,
-		aborts:   st.Aborts,
-		outcomes: st.Outcomes,
-		resizes:  st.Resizes,
-		history:  append([]SizeChange(nil), st.History...),
-	}
-	if len(o.history) == 0 {
-		o.history = []SizeChange{{Outcome: 0, Size: o.size}}
+	o.size, o.epochN, o.aborts = st.Size, st.EpochN, st.Aborts
+	o.outcomes, o.resizes = st.Outcomes, st.Resizes
+	if len(st.History) > 0 {
+		o.history = append([]SizeChange(nil), st.History...)
 	}
 	return o, nil
 }

@@ -17,7 +17,7 @@
 // Wire format (everything little-endian):
 //
 //	magic   [4]byte  "STCP"
-//	version uint32   currently 4
+//	version uint32   currently 5
 //	length  uint32   payload byte count
 //	payload []byte   JSON-encoded Snapshot
 //	crc     uint32   CRC-32C (Castagnoli) over version|length|payload
@@ -45,8 +45,9 @@ import (
 // unbuilt lineage as its replica seed (Snapshot.ReplicaSeed); version 3
 // embeds every codec encoding as a JSON value instead of a base64 string;
 // version 4 drops the inner gang width from the session shape, since a
-// native pipeline runs no gang. Older envelopes are rejected.
-const Version = 4
+// native pipeline runs no gang; version 5 drops the adaptive bounds,
+// which follow from the chunk size. Older envelopes are rejected.
+const Version = 5
 
 // magic identifies a snapshot envelope.
 var magic = [4]byte{'S', 'T', 'C', 'P'}
@@ -83,8 +84,6 @@ type Snapshot struct {
 	ExtraStates int  `json:"extra_states"`
 	Workers     int  `json:"workers"`
 	Adapt       bool `json:"adapt,omitempty"`
-	MinChunk    int  `json:"min_chunk,omitempty"`
-	MaxChunk    int  `json:"max_chunk,omitempty"`
 
 	// NextChunk is the index of the first chunk not yet committed; the
 	// restored producer and commit frontier both start here.
@@ -284,12 +283,6 @@ func (w *writer) payload(s *Snapshot, name, ctl []byte) {
 	w.int(`,"workers":`, int64(s.Workers))
 	if s.Adapt {
 		w.raw(`,"adapt":true`)
-	}
-	if s.MinChunk != 0 {
-		w.int(`,"min_chunk":`, int64(s.MinChunk))
-	}
-	if s.MaxChunk != 0 {
-		w.int(`,"max_chunk":`, int64(s.MaxChunk))
 	}
 	w.int(`,"next_chunk":`, int64(s.NextChunk))
 	w.int(`,"inputs":`, s.Inputs)

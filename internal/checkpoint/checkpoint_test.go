@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -22,8 +23,6 @@ func sampleSnapshot() *Snapshot {
 		ExtraStates: 1,
 		Workers:     3,
 		Adapt:       true,
-		MinChunk:    2,
-		MaxChunk:    32,
 		NextChunk:   5,
 		Inputs:      40,
 		PrevWindow:  raws(`{"i":37}`, `{"i":38}`, `{"i":39}`),
@@ -94,7 +93,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(old.Controller, want.Controller) {
 		t.Fatalf("controller with grows/shrinks: got %+v want %+v", old.Controller, want.Controller)
 	}
-	ctl, err := autotune.RestoreOnline(autotune.OnlineConfig{Initial: old.ChunkSize, Min: old.MinChunk, Max: old.MaxChunk}, old.Controller)
+	ctl, err := autotune.RestoreOnline(old.ChunkSize, old.Controller)
 	if err != nil {
 		t.Fatalf("RestoreOnline of a controller with grows/shrinks: %v", err)
 	}
@@ -164,16 +163,37 @@ func TestCheckpointVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	// Stamp the previous and the next version with a valid CRC: the
-	// decoder must reject on version, not CRC. A version 3 envelope — its
-	// session shape carrying an inner gang width, its payload otherwise
-	// alike — is not read.
-	for _, v := range []uint32{Version - 1, Version + 1} {
-		mut := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint32(mut[4:], v)
+	// Stamp older versions and the next one with a valid CRC: the decoder
+	// must reject on version, not CRC. A version 4 envelope — its session
+	// shape carrying the adaptive bounds, its payload otherwise alike — is
+	// not read, nor is a version 3 one, which also carried an inner gang
+	// width.
+	payload := raw[header : len(raw)-4]
+	v4 := bytes.Replace(payload, []byte(`"adapt":true,`), []byte(`"adapt":true,"min_chunk":2,"max_chunk":32,`), 1)
+	if bytes.Equal(v4, payload) {
+		t.Fatal("the sample snapshot has no adapt field to extend")
+	}
+	v3 := bytes.Replace(v4, []byte(`"workers":`), []byte(`"inner_width":1,"workers":`), 1)
+	for _, c := range []struct {
+		v       uint32
+		payload []byte
+	}{{Version - 2, v3}, {Version - 1, v4}, {Version + 1, payload}} {
+		mut := envelope(c.payload)
+		binary.LittleEndian.PutUint32(mut[4:], c.v)
 		restamp(mut)
-		if _, err := Decode(mut); err == nil || !strings.Contains(err.Error(), "version") {
-			t.Fatalf("version %d: want version error, got %v", v, err)
+		if _, err := Decode(mut); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", c.v)) {
+			t.Fatalf("version %d: want an error naming the version, got %v", c.v, err)
+		}
+	}
+	// The same keys stray in a current payload are unknown fields: they
+	// decode ignored, to the snapshot without them.
+	for _, stray := range [][]byte{v4, v3} {
+		got, err := Decode(envelope(stray))
+		if err != nil {
+			t.Fatalf("Decode of a current payload with stray shape keys: %v", err)
+		}
+		if !sameSnapshot(got, sampleSnapshot()) {
+			t.Fatalf("stray shape keys changed the snapshot: got %+v", got)
 		}
 	}
 }
@@ -226,7 +246,7 @@ func TestCheckpointEncodeMatchesMarshal(t *testing.T) {
 		sampleSnapshot(),
 		seeded,
 		{},
-		{Benchmark: "a\"<b>&\u2028\x01\xff", Seed: 1<<64 - 1, ChunkSize: -1, MinChunk: -2, Inputs: -1 << 63},
+		{Benchmark: "a\"<b>&\u2028\x01\xff", Seed: 1<<64 - 1, ChunkSize: -1, Lookback: -2, Inputs: -1 << 63},
 		{Benchmark: "x", PrevWindow: []json.RawMessage{nil, json.RawMessage("null")},
 			Lineage: raws(`[1,{"a":[]},"\u003c\\"]`, `-0.5e-7`, `true`), Pending: []bool{false}},
 		{Benchmark: "x", PrevWindow: []json.RawMessage{}, Lineage: []json.RawMessage{}, ReplicaSeed: json.RawMessage{},
@@ -368,6 +388,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// An adaptive snapshot from before "grows" and "shrinks" left the controller.
 	f.Add([]byte(`{"benchmark":"x","workers":1,"adapt":true,"min_chunk":2,"max_chunk":32,"pending":[true],"controller":{"size":8,"epoch_n":3,"aborts":1,"outcomes":35,"resizes":2,"grows":1,"shrinks":1,"history":[{"outcome":0,"size":8},{"outcome":16,"size":12}]}}`))
 	f.Add([]byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"inner_width":64,"workers":2,"next_chunk":0,"inputs":0}`))
+	// A version 4 envelope, the last to carry the adaptive bounds.
+	v4 := []byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"workers":2,"adapt":true,"min_chunk":4,"max_chunk":64,"next_chunk":0,"inputs":0}`)
+	f.Add(v4)
+	v4env := envelope(v4)
+	binary.LittleEndian.PutUint32(v4env[len(magic):], Version-1)
+	restamp(v4env)
+	f.Add(v4env)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){
 			func() (*Snapshot, error) { return Decode(data) },

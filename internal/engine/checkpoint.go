@@ -268,7 +268,7 @@ func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
 		if rs != nil {
 			st = rs.ctl
 		}
-		shadow, err := autotune.RestoreOnline(p.cfg.online(), st)
+		shadow, err := autotune.RestoreOnline(p.cfg.ChunkSize, st)
 		if err != nil {
 			return nil, err
 		}
@@ -378,8 +378,6 @@ func (t *ckptTracker) skeleton() *checkpoint.Snapshot {
 		ExtraStates: cfg.ExtraStates,
 		Workers:     cfg.Workers,
 		Adapt:       cfg.Adapt,
-		MinChunk:    cfg.MinChunk,
-		MaxChunk:    cfg.MaxChunk,
 		Inputs:      t.inputs,
 		Pending:     append([]bool(nil), t.pending...),
 	}

@@ -199,7 +199,7 @@ func TestCheckpointAdaptiveResume(t *testing.T) {
 	}
 	cfg := engine.StreamConfig{
 		ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 31,
-		Adapt: true, MinChunk: 2, MaxChunk: 24,
+		Adapt:      true,
 		Checkpoint: engine.CheckpointConfig{Codec: wc, EveryCommits: 1},
 	}
 	ref, snaps, refStats := sessionRun(t, name, cfg, inputs)

@@ -42,30 +42,30 @@ var outcomeDigests = map[string]string{
 // framed bytes of the snapshot taken at every commit of that session. A
 // snapshot records its session's worker count, so each count has its own.
 var snapshotDigests = map[string]string{
-	"bodytrack/1":         "e9afc1cc39176d805b8a5059a7399d809ef31b89d0fca4c2d66772b559f7c701",
-	"bodytrack/2":         "f73b409d01425c8e701cf047066fef3d3b44807d194440680c3685f0082d578e",
-	"bodytrack/4":         "6f9a354eb2ab9c10b403037e562a72984befb181fb598cf88dc46d189eaa791f",
-	"dedupstream/1":       "b633c47ffc9cd1f25e67110e59b597029bdf7fa96689a2e853fae95de089c3f3",
-	"dedupstream/2":       "6a7e504a1ddb2dee56939c416dfc1e12f5867bc83167cb2ca6436a8cff47c7a4",
-	"dedupstream/4":       "08c3d07217764848933e8c9a942fc65811b9d3834a28bb565b4c6b9e71dee07d",
-	"facedet-and-track/1": "c9af6ede88cc96ad5aa92e0a01bb4695f98a3539b250f84b024620523f292b04",
-	"facedet-and-track/2": "5ed06df9c9f7bf758402d349ead38b585960a908eb6a6dc39659f8ca8eea8bd8",
-	"facedet-and-track/4": "c5519f780202b058b22cd84d5ea1334629335ef0fd2b346f2f50f6d1cc9c23b6",
-	"facetrack/1":         "6ad2b5ffa1adbfdc6f9e0c11b07674f52dfae0bad32abf8cf5b870f6b3bb87ed",
-	"facetrack/2":         "fd887f4f32c179eade104cbcd2dd1ca128b281b274d38bada2c22d975004a80f",
-	"facetrack/4":         "b69148369e0af746f4f37fa918c7b8a9bd4cd14bca4e9564859e603e4cdfa913",
-	"fluidanimate/1":      "600a80c96a0e2a90395f84cc2fbca08c75ac9777f8df6b50f1bc73fe7f39aeb5",
-	"fluidanimate/2":      "a02dc514fc18ae4438c791c996297d0660d58378769f3235f7539edd301c72ae",
-	"fluidanimate/4":      "2ca0b2f0a01a1066e52ae2e58c00cc7eb4756720f9378ba86668f5f94342946f",
-	"streamclassifier/1":  "8cc6526700a2cb753a7ca108f690a090c361d86cf95578cb5ebe4cf6b9ae8e02",
-	"streamclassifier/2":  "10499c63a622472e26153450ae33d1fcdda8d16d1316bc2514bb1ecd72a625b5",
-	"streamclassifier/4":  "dacaabc0b76f58149230d3dcdcf10014e00accc689f206527e341069ecdee2be",
-	"streamcluster/1":     "0851c36846aece7f3092d3c6e441e08ce3a6e91c0d87a21fd2c2ba89a267a683",
-	"streamcluster/2":     "7ecfa6460e81ad116da5d120eaf5dbc0f9aa7ac7f7c8014f0276dcb6a3459f0e",
-	"streamcluster/4":     "8c95dd5af2e52143132a9a02003a1759786f639b9be1617c8bc2c9a9cd908620",
-	"swaptions/1":         "f6b04c6257e30c2bf276ab27f1b6841adacd308086c29ddc56e53373bfde84be",
-	"swaptions/2":         "fdfd8ec109554d10d3cf1b7da60c9d40b7a895e593370a3f8846abd6c59fac44",
-	"swaptions/4":         "172b769e7abd124b06c7709b03670eb9604948819e47b653723c6f122fe64252",
+	"bodytrack/1":         "b574e9371601c000ee3947e2f0310baf102b68b7edf036e202bcee81b7b3e03d",
+	"bodytrack/2":         "4960e8c277c5230e90114acb99c1ee7bd254182498aa4f206265a120a2135aae",
+	"bodytrack/4":         "7dbd82fee7f1a4789bccc240a08d82ff9adcc76ce52784b19b7b59db70efc934",
+	"dedupstream/1":       "0c3863239b69f6d8ca9598ebf55efa6ff6c7da396d23997dc6491fe6da7dcba7",
+	"dedupstream/2":       "e31e1ad0d46563673a1a7d8e529cdcdf029edfcc8d10f5ff6f1e786688319133",
+	"dedupstream/4":       "282eae7548b2e8af38b18187540b8bdc406c228594fb9751ab7254504da625f1",
+	"facedet-and-track/1": "a9e4d6a73cfe036278067f12d8d79ea02fed12fb529860b5549e556db0109d8f",
+	"facedet-and-track/2": "cab9f2f8685c20981f8c32a5797dbf015a8f9659ccf9467968d6b8f09e97d166",
+	"facedet-and-track/4": "6476ede267ff2ceb70c6ada727fbeb612180bb06e68625f2d1844d91ebc3584d",
+	"facetrack/1":         "7fdcba3b57700cb46793ffad18b600aa4654d5e456b234fd19de1dd2a358d554",
+	"facetrack/2":         "585cd7eff0aa12024849f4025a92bcd031a04b96cf176c76ae36bef93276395b",
+	"facetrack/4":         "e67b299736b44a5fbfc44fab70c00a4d97345a921cfc8be9f9b91cecf4378646",
+	"fluidanimate/1":      "acf90c778f668b05a390e2a857cb6aed293c01b1eb8f659b23fb1ca34d9e1604",
+	"fluidanimate/2":      "6bbcbef66e01c00896d5b1d552180e220a23b97d0dbceb3573680cb02d1c0279",
+	"fluidanimate/4":      "f2fbc4883c82d04f365542282cb39cd48b11fed315fd679453ac58b4ae99b368",
+	"streamclassifier/1":  "41852bf9519eb3e219b0a829011736727f877d8b0dc37b2934cd6f5031470071",
+	"streamclassifier/2":  "2f7ceb09ef60dc114b74d101158ab9b15c2a3862c24c8a2facd75bc063249196",
+	"streamclassifier/4":  "d9ba92ed2e80005fc33153442b42be334dfe3cdab17f8151d3dcdaacc9d3a211",
+	"streamcluster/1":     "40d9e60feeec38a0dc2a0e50459f097d344af613ba2a4f76f808846fb69377e1",
+	"streamcluster/2":     "22bcd02ef8e3f115d59d62c68d1b25fb2732517bf218b89dd019f27f7458c104",
+	"streamcluster/4":     "7ec3f96b3b1d3381156f42fee315c3bc2e5f2a247ff4c4f28151f4bcc33b510f",
+	"swaptions/1":         "483323e94b944db35ffdc867ab9e5a7001c76a8888ad7a3890468ed17380988f",
+	"swaptions/2":         "62962a1ec3d6d26d0b3873bbaa42db1f5cb5d8b262addaa4805c73ddd7ad72b0",
+	"swaptions/4":         "f19e7c12066e4518edf02e6efeb64482a7a1cc67eaf2e797995858532b33226d",
 }
 
 // verdictLog keeps, per chunk, the events that decide it: EvValidated

@@ -90,7 +90,8 @@ type StreamConfig struct {
 	Workers int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
-	// Adapt enables online chunk-size retuning from commit/abort feedback.
+	// Adapt enables online chunk-size retuning from commit/abort feedback,
+	// within a quarter to four times ChunkSize (autotune.Online).
 	Adapt bool
 	// Plan, when non-empty, fixes the sizes of the first len(Plan) chunks
 	// explicitly, overriding ChunkSize and the adaptive controller for
@@ -99,9 +100,6 @@ type StreamConfig struct {
 	// which is what makes a streamed bounded slice byte-identical to a
 	// batch run. Backpressure and outcome consumption are unaffected.
 	Plan []int
-	// MinChunk and MaxChunk bound adaptive sizing (defaults: max(1,
-	// ChunkSize/4) and 4*ChunkSize).
-	MinChunk, MaxChunk int
 	// Fault configures panic isolation, per-chunk deadlines, and
 	// retry/backoff; the zero value enables isolation with defaults.
 	Fault FaultPolicy
@@ -132,12 +130,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Workers == 0 {
 		c.Workers = DefaultWorkers
 	}
-	if c.MinChunk == 0 {
-		c.MinChunk = max(1, c.ChunkSize/4)
-	}
-	if c.MaxChunk == 0 {
-		c.MaxChunk = 4 * c.ChunkSize
-	}
 	return c
 }
 
@@ -145,22 +137,20 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // pipeline resumed from snap adopts in place of its own.
 func (c StreamConfig) WithShape(snap *checkpoint.Snapshot) StreamConfig {
 	c.ChunkSize, c.Lookback, c.ExtraStates = snap.ChunkSize, snap.Lookback, snap.ExtraStates
-	c.Workers, c.Seed = snap.Workers, snap.Seed
-	c.Adapt, c.MinChunk, c.MaxChunk = snap.Adapt, snap.MinChunk, snap.MaxChunk
+	c.Workers, c.Seed, c.Adapt = snap.Workers, snap.Seed, snap.Adapt
 	return c
 }
 
 // LargestChunk is the most inputs one chunk of a pipeline under c can
-// hold: ChunkSize, every Plan entry and, with Adapt, the adaptive bounds
-// after defaults.
+// hold: ChunkSize, every Plan entry and, with Adapt, the controller's
+// ceiling of four times ChunkSize.
 func (c StreamConfig) LargestChunk() int {
-	c = c.withDefaults()
 	n := c.ChunkSize
 	for _, k := range c.Plan {
 		n = max(n, k)
 	}
 	if c.Adapt {
-		n = max(n, c.MinChunk, c.MaxChunk)
+		n = max(n, 4*c.ChunkSize)
 	}
 	return n
 }
@@ -170,12 +160,6 @@ func (c StreamConfig) LargestChunk() int {
 // wait in sizeFor, the jobs and outcomes rings, the record array and the
 // reorder buffer, a snapshot's pending outcomes — reads it.
 func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
-
-// online is the adaptive controller's bounds, for the producer's
-// controller and the checkpoint tracker's shadow alike.
-func (c StreamConfig) online() autotune.OnlineConfig {
-	return autotune.OnlineConfig{Initial: c.ChunkSize, Min: c.MinChunk, Max: c.MaxChunk}
-}
 
 // Validate reports configuration errors.
 func (c StreamConfig) Validate() error {
@@ -190,9 +174,6 @@ func (c StreamConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("stream: Workers must be >= 0, got %d", c.Workers)
-	}
-	if c.MinChunk < 0 || (c.MaxChunk > 0 && c.MaxChunk < c.MinChunk) {
-		return fmt.Errorf("stream: bad adaptive bounds [%d,%d]", c.MinChunk, c.MaxChunk)
 	}
 	for i, n := range c.Plan {
 		if n < 1 {
@@ -401,7 +382,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 			st = rs.ctl
 		}
 		var err error
-		ctl, err = autotune.RestoreOnline(cfg.online(), st)
+		ctl, err = autotune.RestoreOnline(cfg.ChunkSize, st)
 		if err != nil {
 			cancel()
 			return nil, err

@@ -387,7 +387,7 @@ func TestProducerHaltRacesPush(t *testing.T) {
 	}{
 		{"streamcluster", engine.StreamConfig{ChunkSize: 5, Lookback: 2, ExtraStates: 1, Workers: 2, Seed: 41}},
 		{"streamclassifier", engine.StreamConfig{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 31,
-			Adapt: true, MinChunk: 2, MaxChunk: 24}},
+			Adapt: true}},
 	} {
 		b := bench.MustNew(tc.name)
 		inputs := b.Inputs(rng.New(3))[:72]
@@ -482,7 +482,7 @@ func TestProducerWaitRacesPush(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		p, err := engine.NewStream(ctx, b, engine.StreamConfig{
 			ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 31,
-			Adapt: true, MinChunk: 2, MaxChunk: 24})
+			Adapt: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // primitives; a Scheduler only decides how chunks are mapped onto
 // execution resources:
 //
-//   - BatchScheduler: one worker thread per chunk on any Exec.
+//   - BatchScheduler: one worker thread per chunk on NativeExec.
 //   - StreamScheduler: a worker pool driven through the streaming
 //     pipeline, with bounded queues and reused chunk records.
 //   - SimScheduler: the batch mapping on the cycle-accurate simulated
@@ -32,10 +32,9 @@ type Scheduler interface {
 }
 
 // BatchScheduler runs the protocol with one worker thread per chunk, the
-// paper's original execution shape (§II-B, Fig. 5).
+// paper's original execution shape (§II-B, Fig. 5), on a fresh
+// NativeExec.
 type BatchScheduler struct {
-	// Exec is the execution substrate; nil uses a fresh NativeExec.
-	Exec Exec
 	// Sink, when non-nil, receives the run's engine events. Leaving it nil
 	// skips all event timing on the hot path.
 	Sink Sink
@@ -46,11 +45,7 @@ func (s *BatchScheduler) Name() string { return "batch" }
 
 // RunSlice implements Scheduler.
 func (s *BatchScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Report, error) {
-	ex := s.Exec
-	if ex == nil {
-		ex = NewNativeExec()
-	}
-	return runBatch(ex, p, inputs, cfg, s.Sink)
+	return runBatch(NewNativeExec(), p, inputs, cfg, s.Sink)
 }
 
 // StreamScheduler runs the protocol by feeding the bounded slice through

@@ -275,10 +275,3 @@ func (s *Session) medianCycles(name string, mode profiler.Mode, cores int, cfg e
 	}
 	return med, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

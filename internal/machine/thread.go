@@ -13,9 +13,7 @@ type Work struct {
 	// Instr is the charged instruction count (native-scale, per the
 	// benchmark's cost model).
 	Instr int64
-	// CPI overrides the machine's BaseCPI when positive.
-	CPI float64
-	// ForceCycles, when positive, replaces Instr*CPI as the base latency
+	// ForceCycles, when positive, replaces Instr*BaseCPI as the base latency
 	// (used for fixed-cost operations such as state copies). Instructions
 	// are still accounted.
 	ForceCycles int64
@@ -201,13 +199,9 @@ type computeReq struct {
 // modelled with the configured quantum.
 func (t *Thread) Compute(w Work) {
 	m := t.m
-	cpi := w.CPI
-	if cpi <= 0 {
-		cpi = m.cfg.BaseCPI
-	}
 	base := w.ForceCycles
 	if base <= 0 {
-		base = int64(float64(w.Instr) * cpi)
+		base = int64(float64(w.Instr) * m.cfg.BaseCPI)
 	}
 	if w.Instr < 0 {
 		panic("machine: negative instruction count")

@@ -155,7 +155,7 @@ func TestWorkerProcessAdaptiveEquivalence(t *testing.T) {
 	inputs := truncInputs(b, 60)
 	cfg := engine.StreamConfig{
 		ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 4, Seed: 21,
-		Adapt: true, MinChunk: 2, MaxChunk: 24,
+		Adapt: true,
 	}
 	want, _ := encodeRun(t, name, cfg, inputs)
 	remote := cfg

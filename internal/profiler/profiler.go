@@ -59,11 +59,9 @@ type Spec struct {
 	// Cores is the simulated core count (the paper uses 14 and 28).
 	Cores int
 	// Cfg is the STATS configuration (STATS modes only). Its InnerWidth
-	// is forced to 1 for ModeSeqSTATS.
+	// is forced to 1 for ModeSeqSTATS. ModeOriginal's gang width is the
+	// benchmark's MaxInnerWidth capped at Cores.
 	Cfg engine.Config
-	// Width is the gang width for ModeOriginal (defaults to the
-	// benchmark's MaxInnerWidth capped at Cores).
-	Width int
 	// InputSeed selects the input data (fixed across modes, like the
 	// paper's native inputs); Seed selects the nondeterministic execution.
 	InputSeed, Seed uint64
@@ -72,15 +70,10 @@ type Spec struct {
 	// Memory, when non-nil, attaches the cache/branch simulator
 	// (Table II runs).
 	Memory *memsim.Config
-	// MachineSeed perturbs scheduler tie-breaking.
-	MachineSeed uint64
 	// MachineConfig overrides the default platform model (ablation
-	// studies); its Cores field is forced to Cores.
+	// studies); its Cores field is forced to Cores and its Seed, which
+	// breaks scheduler ties, to 1.
 	MachineConfig *machine.Config
-	// EventSink, when non-nil, receives the engine event stream of STATS
-	// runs (ModeSeqSTATS/ModeParSTATS), e.g. an engine.Counters for
-	// cross-executor overhead accounting. Ignored by the other modes.
-	EventSink engine.Sink
 }
 
 // Result is one run's measurements.
@@ -113,7 +106,7 @@ func Run(spec Spec) (*Result, error) {
 			mcfg.Sockets = machine.DefaultConfig(spec.Cores).Sockets
 		}
 	}
-	mcfg.Seed = spec.MachineSeed + 1
+	mcfg.Seed = 1
 	var opts []machine.Option
 	res := &Result{Spec: spec}
 	if spec.CollectTrace {
@@ -142,13 +135,7 @@ func Run(spec Spec) (*Result, error) {
 				res.Report = engine.RunSequential(ex, spec.Bench, inputs, spec.Seed)
 				return
 			}
-			width := spec.Width
-			if width <= 0 {
-				width = spec.Bench.MaxInnerWidth()
-			}
-			if width > spec.Cores {
-				width = spec.Cores
-			}
+			width := min(spec.Bench.MaxInnerWidth(), spec.Cores)
 			res.Report = engine.RunOriginal(ex, spec.Bench, inputs, width, spec.Seed)
 		})
 		if err != nil {
@@ -165,7 +152,7 @@ func Run(spec Spec) (*Result, error) {
 		if spec.Mode == ModeSeqSTATS {
 			cfg.InnerWidth = 1
 		}
-		sim := &engine.SimScheduler{Config: mcfg, Options: opts, Sink: spec.EventSink}
+		sim := &engine.SimScheduler{Config: mcfg, Options: opts}
 		res.Report, runErr = sim.RunSlice(spec.Bench, inputs, cfg)
 		if runErr != nil {
 			return nil, fmt.Errorf("profiler: %s/%s: %w", spec.Bench.Name(), spec.Mode, runErr)

@@ -417,7 +417,7 @@ func TestSessionShapeCeilings(t *testing.T) {
 		{fmt.Sprintf("extra=%d", maxExtraStates+1), string(body), "extra="},
 		{"resume=1", resume(func(s *checkpoint.Snapshot) { s.Workers = maxWorkers + 1 }), "workers="},
 		{"resume=1", resume(func(s *checkpoint.Snapshot) {
-			s.ChunkSize, s.Adapt, s.MinChunk, s.MaxChunk = maxChunk, true, 0, 0
+			s.ChunkSize, s.Adapt = maxChunk, true
 		}), "chunk="},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?"+tc.query, "application/x-ndjson", strings.NewReader(tc.body))

@@ -78,7 +78,7 @@ const (
 // checkShape refuses a session shape over a ceiling, naming the parameter.
 // Signs are StreamConfig.Validate's business. The chunk ceiling bounds the
 // largest chunk the pipeline can reach, which an adaptive session's
-// defaulted bounds put above its initial size.
+// controller may grow to four times its initial size.
 func checkShape(c engine.StreamConfig) error {
 	for _, p := range [...]struct {
 		name   string

@@ -76,7 +76,7 @@ func TestStreamingDeterminism(t *testing.T) {
 			}
 			cfg := engine.StreamConfig{
 				ChunkSize: 7, Lookback: 3, ExtraStates: 1, Workers: 4, Seed: 13,
-				Adapt: true, MinChunk: 2, MaxChunk: 28,
+				Adapt: true,
 			}
 			first := encodeRun(t, name, cfg, inputs)
 			second := encodeRun(t, name, cfg, inputs)

@@ -181,7 +181,7 @@ func TestAdaptiveGrowsChunksUnderAborts(t *testing.T) {
 	ctx := context.Background()
 	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
 		ChunkSize: 4, Lookback: 2, ExtraStates: 0, Workers: 4, Seed: 5,
-		Adapt: true, MinChunk: 2, MaxChunk: 64,
+		Adapt: true,
 	})
 	if err != nil {
 		t.Fatal(err)
