@@ -285,17 +285,18 @@ func streamSessions(b *testing.B, prog engine.Program, ins []engine.Input, cfg e
 	b.ReportMetric(float64(len(ins)*b.N)/b.Elapsed().Seconds(), "inputs/sec")
 }
 
-// BenchmarkNativeRuntime measures the native (goroutine) executor on the
-// toy quickstart-style program.
+// BenchmarkNativeRuntime measures the native runtime, the streaming
+// pipeline with a worker per chunk, on a short facetrack sequence.
 func BenchmarkNativeRuntime(b *testing.B) {
 	p := facetrack.Default()
 	p.Frames = 100
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
 	cfg := engine.Config{Chunks: 4, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	batch := &engine.BatchScheduler{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(engine.NewNativeExec(), ft, ins, cfg); err != nil {
+		if _, err := batch.RunSlice(ft, ins, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

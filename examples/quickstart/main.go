@@ -80,7 +80,7 @@ func main() {
 	// 1. Run natively (real goroutines): the library as an actual
 	//    parallelization runtime.
 	start := time.Now()
-	rep, err := engine.Run(engine.NewNativeExec(), smoother{}, inputs, cfg)
+	rep, err := (&engine.BatchScheduler{}).RunSlice(smoother{}, inputs, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -89,15 +89,15 @@ func main() {
 
 	// 2. Run on the simulated machine to measure the speedup the model
 	//    would deliver on an 8-core platform.
-	simTime := func(fn func(ex engine.Exec)) int64 {
+	simTime := func(fn func(ex *engine.SimExec)) int64 {
 		m := machine.New(machine.DefaultConfig(8))
 		if err := m.Run("main", func(th *machine.Thread) { fn(engine.NewSimExec(th)) }); err != nil {
 			panic(err)
 		}
 		return m.Now()
 	}
-	seq := simTime(func(ex engine.Exec) { engine.RunSequential(ex, smoother{}, inputs, 42) })
-	par := simTime(func(ex engine.Exec) {
+	seq := simTime(func(ex *engine.SimExec) { engine.RunSequential(ex, smoother{}, inputs, 42) })
+	par := simTime(func(ex *engine.SimExec) {
 		if _, err := engine.Run(ex, smoother{}, inputs, cfg); err != nil {
 			panic(err)
 		}

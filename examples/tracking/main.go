@@ -33,9 +33,8 @@ func main() {
 	fmt.Printf("tracking %d frames, state = %d bytes of particles\n\n", len(inputs), b.StateBytes())
 
 	// Sequential reference (native execution, real computation).
-	ex := engine.NewNativeExec()
 	t0 := time.Now()
-	seqRep := engine.RunSequential(ex, b, inputs, 7)
+	seqRep := engine.RunSequential(engine.NewNativeExec(), b, inputs, 7)
 	seqWall := time.Since(t0)
 	fmt.Printf("sequential: quality %.3f (mean pose error), %v\n", -b.Quality(seqRep.Outputs), seqWall)
 
@@ -47,13 +46,13 @@ func main() {
 	// alternative producers and replicas.)
 	cfg := engine.Config{Chunks: 6, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 7}
 	t0 = time.Now()
-	rep, err := engine.Run(ex, b, inputs, cfg)
+	rep, err := (&engine.BatchScheduler{}).RunSlice(b, inputs, cfg)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("STATS:      quality %.3f, %v on %d CPU(s); %d/%d chunks committed (%d aborted)\n",
 		-b.Quality(rep.Outputs), time.Since(t0), runtime.NumCPU(), rep.Commits, rep.Chunks, rep.Aborts)
-	fmt.Printf("            threads %d, states %d\n\n", rep.ThreadsCreated, rep.StatesCreated)
+	fmt.Printf("            states %d\n\n", rep.StatesCreated)
 
 	// Where do mispeculations come from? Chunk boundaries that fall inside
 	// occlusions: an alternative producer starting cold during an

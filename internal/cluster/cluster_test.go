@@ -102,6 +102,29 @@ func TestClusterPolicies(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedRotatesTies: between probes every idle backend scores
+// zero, so least-loaded must spread tied sessions by admission sequence
+// rather than send them all to one backend — and a unique least-loaded
+// backend still wins whatever the sequence number.
+func TestLeastLoadedRotatesTies(t *testing.T) {
+	cands := testBackends(3)
+	got := map[string]int{}
+	for seq := uint64(0); seq < 60; seq++ {
+		got[cands[(LeastLoaded{}).Pick(cands, SessionKey{Seq: seq})].ID]++
+	}
+	if got["a"] != 20 || got["b"] != 20 || got["c"] != 20 {
+		t.Fatalf("60 tied sessions over 3 idle backends went %v, want 20 each", got)
+	}
+
+	cands[0].InFlight = 2
+	cands[2].Active = 1
+	for seq := uint64(0); seq < 60; seq++ {
+		if i := (LeastLoaded{}).Pick(cands, SessionKey{Seq: seq}); cands[i].ID != "b" {
+			t.Fatalf("seq %d: picked %s over the unique least-loaded b", seq, cands[i].ID)
+		}
+	}
+}
+
 // TestClusterTokenBucket: burst admits, an empty bucket sheds with a positive
 // Retry-After, refill follows the explicit clock, rate<=0 disables. The
 // clock starts at the epoch and late after it: a bucket refills by the

@@ -45,20 +45,33 @@ func (RoundRobin) Pick(candidates []Backend, key SessionKey) int {
 // LeastLoaded routes to the backend with the smallest load score:
 // sessions in flight from this gateway plus the backend's scraped
 // active-session and speculation-window-occupancy gauges (Backend.Load).
-// Ties break by ID so equal-load choices are stable.
+// Between probes the scores of idle backends tie, so ties rotate by
+// admission sequence: of the t least-loaded candidates, Pick takes the
+// (Seq mod t)-th in registration order.
 type LeastLoaded struct{}
 
 func (LeastLoaded) Name() string { return "leastloaded" }
 
 func (LeastLoaded) Pick(candidates []Backend, key SessionKey) int {
-	best := 0
-	for i := 1; i < len(candidates); i++ {
-		li, lb := candidates[i].Load(), candidates[best].Load()
-		if li < lb || (li == lb && candidates[i].ID < candidates[best].ID) {
-			best = i
+	least, ties := candidates[0].Load(), 0
+	for _, b := range candidates {
+		switch l := b.Load(); {
+		case l < least:
+			least, ties = l, 1
+		case l == least:
+			ties++
 		}
 	}
-	return best
+	k := key.Seq % uint64(ties)
+	for i := 0; ; i++ {
+		if candidates[i].Load() != least {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
 }
 
 // Affinity routes every session of one benchmark to the same backend via

@@ -91,7 +91,7 @@ func easyProg() *toyProg {
 	return &toyProg{decay: 0.5, noise: 0.01, tol: 5, updInstr: 20_000, parInstr: 0, grain: 1}
 }
 
-func simRun(t *testing.T, cores int, fn func(ex engine.Exec)) (*machine.Machine, *trace.Trace) {
+func simRun(t *testing.T, cores int, fn func(ex *engine.SimExec)) (*machine.Machine, *trace.Trace) {
 	t.Helper()
 	tr := trace.New()
 	m := machine.New(machine.DefaultConfig(cores), machine.WithTrace(tr))
@@ -153,7 +153,7 @@ func TestSequentialOutputsAllInputs(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(50)
 	var rep *engine.Report
-	m, _ := simRun(t, 1, func(ex engine.Exec) {
+	m, _ := simRun(t, 1, func(ex *engine.SimExec) {
 		rep = engine.RunSequential(ex, p, ins, 1)
 	})
 	if len(rep.Outputs) != 50 {
@@ -170,7 +170,7 @@ func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 	cfg := engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 1, Seed: 7}
 	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex engine.Exec) {
+	simRun(t, 8, func(ex *engine.SimExec) {
 		rep, err = engine.Run(ex, p, ins, cfg)
 	})
 	if err != nil {
@@ -190,11 +190,11 @@ func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 func TestStatsSpeedsUpOverSequential(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(400)
-	mSeq, _ := simRun(t, 1, func(ex engine.Exec) { engine.RunSequential(ex, p, ins, 1) })
+	mSeq, _ := simRun(t, 1, func(ex *engine.SimExec) { engine.RunSequential(ex, p, ins, 1) })
 	cfg := engine.Config{Chunks: 8, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: 7}
 	var rep *engine.Report
 	var err error
-	mPar, _ := simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
+	mPar, _ := simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestNeverMatchAbortsEverySpeculation(t *testing.T) {
 	cfg := engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
+	simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,8 @@ func TestAbortedRunMatchesSequentialSemantics(t *testing.T) {
 	ins := toyInputs(60)
 	var seq, par *engine.Report
 	var err error
-	simRun(t, 1, func(ex engine.Exec) { seq = engine.RunSequential(ex, p, ins, 1) })
-	simRun(t, 4, func(ex engine.Exec) {
+	simRun(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	simRun(t, 4, func(ex *engine.SimExec) {
 		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 9})
 	})
 	if err != nil {
@@ -257,8 +257,8 @@ func TestCommittedOutputsAreSpeculative(t *testing.T) {
 	ins := toyInputs(100)
 	var seq, par *engine.Report
 	var err error
-	simRun(t, 1, func(ex engine.Exec) { seq = engine.RunSequential(ex, p, ins, 1) })
-	simRun(t, 8, func(ex engine.Exec) {
+	simRun(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	simRun(t, 8, func(ex *engine.SimExec) {
 		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 11})
 	})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestThreadAndStateCounts(t *testing.T) {
 	cfg := engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 2, InnerWidth: 2, Seed: 1}
 	var rep *engine.Report
 	var err error
-	simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
+	simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +303,8 @@ func TestInnerTLPReducesMakespan(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 16
 	ins := toyInputs(40)
-	m1, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 1, 1) })
-	m4, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 4, 1) })
+	m1, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 1, 1) })
+	m4, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 4, 1) })
 	sp := float64(m1.Now()) / float64(m4.Now())
 	if sp < 2 {
 		t.Fatalf("4-wide gang speedup only %.2fx", sp)
@@ -316,8 +316,8 @@ func TestGrainLimitsGangWidth(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 2 // only 2-way parallel
 	ins := toyInputs(30)
-	m2, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 2, 1) })
-	m8, _ := simRun(t, 8, func(ex engine.Exec) { engine.RunOriginal(ex, p, ins, 8, 1) })
+	m2, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 2, 1) })
+	m8, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 8, 1) })
 	// Width 8 cannot beat width 2 by much when grain is 2.
 	if float64(m2.Now())/float64(m8.Now()) > 1.3 {
 		t.Fatalf("grain-2 update sped up too much at width 8: %d vs %d", m2.Now(), m8.Now())
@@ -328,7 +328,7 @@ func TestTraceContainsStatsPhases(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(100)
 	var err error
-	_, tr := simRun(t, 8, func(ex engine.Exec) {
+	_, tr := simRun(t, 8, func(ex *engine.SimExec) {
 		_, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 1, Seed: 5})
 	})
 	if err != nil {
@@ -351,7 +351,7 @@ func TestLookbackLargerThanChunkClamps(t *testing.T) {
 	ins := toyInputs(12)
 	var rep *engine.Report
 	var err error
-	simRun(t, 4, func(ex engine.Exec) {
+	simRun(t, 4, func(ex *engine.SimExec) {
 		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 100, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	})
 	if err != nil {
@@ -367,7 +367,7 @@ func TestMoreChunksThanInputsCaps(t *testing.T) {
 	ins := toyInputs(5)
 	var rep *engine.Report
 	var err error
-	simRun(t, 4, func(ex engine.Exec) {
+	simRun(t, 4, func(ex *engine.SimExec) {
 		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 50, Lookback: 1, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	})
 	if err != nil {
@@ -384,7 +384,7 @@ func TestMoreChunksThanInputsCaps(t *testing.T) {
 func TestEmptyInputsRejected(t *testing.T) {
 	p := easyProg()
 	var err error
-	simRun(t, 2, func(ex engine.Exec) {
+	simRun(t, 2, func(ex *engine.SimExec) {
 		_, err = engine.Run(ex, p, nil, engine.Config{Chunks: 2, Lookback: 1, InnerWidth: 1})
 	})
 	if err == nil {
@@ -395,7 +395,7 @@ func TestEmptyInputsRejected(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	p := easyProg()
 	var err error
-	simRun(t, 2, func(ex engine.Exec) {
+	simRun(t, 2, func(ex *engine.SimExec) {
 		_, err = engine.Run(ex, p, toyInputs(4), engine.Config{Chunks: 0, Lookback: 1, InnerWidth: 1})
 	})
 	if err == nil {
@@ -410,7 +410,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	runOnce := func() (int64, float64) {
 		var rep *engine.Report
 		var err error
-		m, _ := simRun(t, 8, func(ex engine.Exec) { rep, err = engine.Run(ex, p, ins, cfg) })
+		m, _ := simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestDifferentSeedsDifferentNondeterminism(t *testing.T) {
 	ins := toyInputs(100)
 	out := func(seed uint64) float64 {
 		var rep *engine.Report
-		simRun(t, 4, func(ex engine.Exec) {
+		simRun(t, 4, func(ex *engine.SimExec) {
 			rep, _ = engine.Run(ex, p, ins, engine.Config{Chunks: 2, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: seed})
 		})
 		return rep.Outputs[99].(float64)
@@ -443,7 +443,7 @@ func TestNativeExecutorRunsModel(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(200)
 	cfg := engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 2, Seed: 13}
-	rep, err := engine.Run(engine.NewNativeExec(), p, ins, cfg)
+	rep, err := (&engine.BatchScheduler{}).RunSlice(p, ins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

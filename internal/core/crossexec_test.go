@@ -10,16 +10,18 @@ import (
 
 // TestSimAndNativeProduceIdenticalOutputs: the execution model's
 // nondeterminism comes only from per-worker rng streams derived from the
-// config seed, so the simulated and native executors must produce
-// bit-identical outputs for the same configuration — the executor changes
-// *when* things run, never *what* they compute.
+// config seed, so the native runtime (the streaming pipeline, here with a
+// worker per chunk) must produce bit-identical outputs to the simulated
+// machine's batch body, an independent runtime, for the same
+// configuration — the executor changes *when* things run, never *what*
+// they compute.
 func TestSimAndNativeProduceIdenticalOutputs(t *testing.T) {
 	p := easyProg()
 	p.noise = 0.3
 	ins := toyInputs(160)
 	cfg := engine.Config{Chunks: 5, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 99}
 
-	nat, err := engine.Run(engine.NewNativeExec(), p, ins, cfg)
+	nat, err := (&engine.BatchScheduler{}).RunSlice(p, ins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestOutputsFiniteUnderHeavyNoise(t *testing.T) {
 	p.noise = 50
 	p.tol = 1e9 // commit everything
 	ins := toyInputs(60)
-	rep, err := engine.Run(engine.NewNativeExec(), p, ins, engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 5})
+	rep, err := (&engine.BatchScheduler{}).RunSlice(p, ins, engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

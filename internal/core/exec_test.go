@@ -1,49 +1,12 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/trace"
 )
-
-func TestNativeExecSpawnJoin(t *testing.T) {
-	ex := engine.NewNativeExec()
-	var ran atomic.Int32
-	var hs []engine.Handle
-	for i := 0; i < 16; i++ {
-		hs = append(hs, ex.Spawn("w", func(child engine.Exec) {
-			ran.Add(1)
-		}))
-	}
-	for _, h := range hs {
-		ex.Join(h)
-	}
-	if ran.Load() != 16 {
-		t.Fatalf("ran = %d", ran.Load())
-	}
-}
-
-func TestNativeExecMutexCond(t *testing.T) {
-	ex := engine.NewNativeExec()
-	mu := ex.NewMutex()
-	cond := ex.NewCond(mu)
-	ready := false
-	h := ex.Spawn("waiter", func(child engine.Exec) {
-		mu.Lock(child)
-		for !ready {
-			cond.Wait(child)
-		}
-		mu.Unlock(child)
-	})
-	mu.Lock(ex)
-	ready = true
-	cond.Broadcast(ex)
-	mu.Unlock(ex)
-	ex.Join(h) // must not hang
-}
 
 func TestNativeExecNoOps(t *testing.T) {
 	ex := engine.NewNativeExec()
@@ -70,20 +33,6 @@ func TestSimExecDelegation(t *testing.T) {
 		ex.SetCat(trace.CatAltProducer)
 		ex.Compute(machine.Work{Instr: 1000})
 		ex.Copy(800, -1, "s")
-		var childLoc int
-		h := ex.Spawn("child", func(c engine.Exec) {
-			c.Compute(machine.Work{Instr: 500})
-			childLoc = c.Loc()
-		})
-		ex.Join(h)
-		if childLoc < 0 || childLoc >= 4 {
-			t.Errorf("child loc %d", childLoc)
-		}
-		mu := ex.NewMutex()
-		cond := ex.NewCond(mu)
-		mu.Lock(ex)
-		cond.Signal(ex) // empty signal: cheap, must not block
-		mu.Unlock(ex)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +47,10 @@ func TestSimExecDelegation(t *testing.T) {
 }
 
 func TestNativeRuntimeParallelismRace(t *testing.T) {
-	// Exercise the full native execution model under the race detector:
-	// chunk threads, replicas, commit chain, abort path. The inner width
-	// is accepted and runs no gang: a native executor charges no cost for
-	// one to share.
+	// Exercise the native runtime under the race detector: a worker per
+	// chunk, replicas, the commit frontier, the abort path. The inner
+	// width is accepted and runs no gang: a native executor charges no
+	// cost for one to share.
 	p := easyProg()
 	p.parInstr = 100
 	p.grain = 4
@@ -109,7 +58,7 @@ func TestNativeRuntimeParallelismRace(t *testing.T) {
 	p.tol = 0.01 // force some aborts
 	ins := toyInputs(150)
 	for seed := uint64(1); seed <= 4; seed++ {
-		rep, err := engine.Run(engine.NewNativeExec(), p, ins, engine.Config{
+		rep, err := (&engine.BatchScheduler{}).RunSlice(p, ins, engine.Config{
 			Chunks: 5, Lookback: 6, ExtraStates: 2, InnerWidth: 3, Seed: seed,
 		})
 		if err != nil {

@@ -133,12 +133,12 @@ func TestGangHelperPanicPropagates(t *testing.T) {
 // pure the retry commits outputs byte-identical to a fault-free run.
 func TestTransientUpdatePanicIsolated(t *testing.T) {
 	cfg := engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
-	clean, err := engine.Run(engine.NewNativeExec(), easyProg(), toyInputs(40), cfg)
+	clean, err := (&engine.BatchScheduler{}).RunSlice(easyProg(), toyInputs(40), cfg)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 15}
-	rep, err := engine.Run(engine.NewNativeExec(), f, toyInputs(40), cfg)
+	rep, err := (&engine.BatchScheduler{}).RunSlice(f, toyInputs(40), cfg)
 	if err != nil {
 		t.Fatalf("transient panic not isolated: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestTransientUpdatePanicIsolated(t *testing.T) {
 func TestPersistentPanicReturnsFaultError(t *testing.T) {
 	f := &faultyProg{toyProg: easyProg(), panicOnUpdate: 15, persistent: true}
 	cfg := engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 1}
-	_, err := engine.Run(engine.NewNativeExec(), f, toyInputs(40), cfg)
+	_, err := (&engine.BatchScheduler{}).RunSlice(f, toyInputs(40), cfg)
 	var fe *engine.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want *engine.FaultError, got %T: %v", err, err)

@@ -14,9 +14,9 @@ import (
 // the speculative attempt (alternative producer → published speculative
 // copy → chunk body → original states), the recovery attempt, the fault
 // discipline around both, and the timed boundary comparison, which builds
-// the replicas a cost-free executor deferred when it needs them. The batch
-// runtime (batch.go), the streaming pipeline (worker.go, commit.go) and
-// the out-of-process worker (ChunkWorker) all run these;
+// the replicas a cost-free executor deferred when it needs them. The
+// simulated batch body (batch.go), the streaming pipeline (worker.go,
+// commit.go) and the out-of-process worker (ChunkWorker) all run these;
 // they differ only in how chunks map to threads and where results park.
 //
 // Determinism: every RNG substream is derived purely from (seed, program,
@@ -203,7 +203,7 @@ func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *
 // later chunk runs the alternative producer over the predecessor's
 // lookback window (§III-B "Generating speculative states") and, with
 // wantSpec, clones the result for the boundary validation. The caller
-// parks the clone where its runtime validates — the batch runtime
+// parks the clone where its runtime validates — the simulated batch body
 // publishes it at once, to be checked while the body runs — then calls
 // finish.
 func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, spec State) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gostats/internal/machine"
 	"gostats/internal/rng"
 	"gostats/internal/trace"
 )
@@ -27,8 +28,8 @@ const (
 // speculative state its worker publishes for checking, and the commit
 // decision (plus recovery state) its predecessor publishes back.
 type slot struct {
-	mu Mutex
-	cv Cond
+	mu *machine.Mutex
+	cv *machine.Cond
 
 	spec      State
 	specReady bool
@@ -63,16 +64,18 @@ func (rt *run) setFatal(err error) {
 	rt.fatalOnce.Do(func() { rt.fatalErr = err })
 }
 
-// Run executes the STATS execution model for p over inputs on the given
-// executor, returning the ordered outputs and resource/commit statistics.
-// Must be called from an executor context (for SimExec, from inside
-// machine.Run). Run is the BatchScheduler body; use BatchScheduler to
-// also receive the engine event stream.
-func Run(ex Exec, p Program, inputs []Input, cfg Config) (*Report, error) {
+// Run executes the STATS execution model for p over inputs on the
+// simulated machine's batch body — one thread per chunk, commit decisions
+// passed down a mutex/cond chain (§II-B, Fig. 5) — returning the ordered
+// outputs and resource/commit statistics. Must be called from inside
+// machine.Run. Use SimScheduler to also receive the engine event stream;
+// the native runtime is the streaming pipeline (BatchScheduler,
+// StreamScheduler).
+func Run(ex *SimExec, p Program, inputs []Input, cfg Config) (*Report, error) {
 	return runBatch(ex, p, inputs, cfg, nil)
 }
 
-func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Report, error) {
+func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -100,9 +103,10 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 	// (first state copy of Fig. 6 happens here). ---
 	ex.SetCat(trace.CatSetup)
 	ex.Compute(p.SetupWork(chunks))
+	m := ex.th.Machine()
 	for j := range rt.slots {
-		mu := ex.NewMutex()
-		rt.slots[j] = &slot{mu: mu, cv: ex.NewCond(mu), srcLoc: -1}
+		mu := m.NewMutex()
+		rt.slots[j] = &slot{mu: mu, cv: m.NewCond(mu), srcLoc: -1}
 	}
 	rt.slots[0].dec = decisionCommit
 	initial := rt.initial()
@@ -112,20 +116,20 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 
 	// --- Spawn one worker per chunk. ---
 	ex.SetCat(trace.CatChunkWork)
-	handles := make([]Handle, chunks)
+	handles := make([]*machine.Thread, chunks)
 	for j := 0; j < chunks; j++ {
 		j := j
 		var start State
 		if j == 0 {
 			start = initial
 		}
-		handles[j] = ex.Spawn(fmt.Sprintf("%s-w%d", p.Name(), j), func(we Exec) {
+		handles[j] = ex.spawn(fmt.Sprintf("%s-w%d", p.Name(), j), func(we *SimExec) {
 			rt.worker(we, j, start)
 		})
 		rt.countThread()
 	}
 	for _, h := range handles {
-		ex.Join(h)
+		ex.th.Join(h)
 	}
 
 	// --- Teardown and post-region sequential code. ---
@@ -164,7 +168,7 @@ func (rt *run) chunkInputs(j int) []Input {
 // demands it, and the decision for the successor. Only a fault in the
 // recovery too fails the session (with a structured error, never a
 // process crash).
-func (rt *run) worker(ex Exec, j int, start State) {
+func (rt *run) worker(ex *SimExec, j int, start State) {
 	var c chunkRun
 	c.bind(&rt.proto, ex, j, j)
 	c.g = chunkGang(ex, rt.prog, j, rt.cfg.InnerWidth, &c.rng, rt.countThread)
@@ -205,12 +209,12 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	dec, tf, srcLoc := decisionCommit, State(nil), -1
 	if j > 0 {
 		sl := rt.slots[j]
-		sl.mu.Lock(ex)
+		sl.mu.Lock(ex.th)
 		for sl.dec == decisionPending {
-			sl.cv.Wait(ex)
+			sl.cv.Wait(ex.th)
 		}
 		dec, tf, srcLoc = sl.dec, sl.trueFinal, sl.srcLoc
-		sl.mu.Unlock(ex)
+		sl.mu.Unlock(ex.th)
 	}
 	if dec == decisionFatal {
 		// A predecessor already failed the session; release what this
@@ -224,7 +228,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 		// Mispeculation (§III-E) or exhausted speculative retries: rerun
 		// the chunk from the true state produced by the predecessor. The
 		// speculative run's states — including its final state, origs[0],
-		// and its replicas, built or a seed — are dead; retire them before
+		// and its replicas — are dead; retire them before
 		// the recovery run re-materializes the set. (A faulted speculation
 		// carries none.)
 		rt.aborts.Add(1)
@@ -254,12 +258,12 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	// building the replicas the executor deferred only if it needs them.
 	if !last {
 		nxt := rt.slots[j+1]
-		nxt.mu.Lock(ex)
+		nxt.mu.Lock(ex.th)
 		for !nxt.specReady {
-			nxt.cv.Wait(ex)
+			nxt.cv.Wait(ex.th)
 		}
 		spec, sFault := nxt.spec, nxt.specFault
-		nxt.mu.Unlock(ex)
+		nxt.mu.Unlock(ex.th)
 
 		matched := false
 		if !sFault {
@@ -280,7 +284,7 @@ func (rt *run) worker(ex Exec, j int, start State) {
 		// one.)
 		c.resolved(origs)
 		rt.pool.Release(spec)
-		nxt.mu.Lock(ex)
+		nxt.mu.Lock(ex.th)
 		nxt.trueFinal = final
 		nxt.srcLoc = ex.Loc()
 		if matched {
@@ -288,35 +292,35 @@ func (rt *run) worker(ex Exec, j int, start State) {
 		} else {
 			nxt.dec = decisionAbort
 		}
-		nxt.cv.Broadcast(ex)
-		nxt.mu.Unlock(ex)
+		nxt.cv.Broadcast(ex.th)
+		nxt.mu.Unlock(ex.th)
 	}
 }
 
 // publish hands chunk j's speculative copy to its predecessor — or, with
 // fault set, the news that none will ever come.
-func (rt *run) publish(ex Exec, j int, spec State, fault bool) {
+func (rt *run) publish(ex *SimExec, j int, spec State, fault bool) {
 	sl := rt.slots[j]
-	sl.mu.Lock(ex)
+	sl.mu.Lock(ex.th)
 	sl.spec = spec
 	sl.specReady = true
 	sl.specFault = fault
-	sl.cv.Broadcast(ex)
-	sl.mu.Unlock(ex)
+	sl.cv.Broadcast(ex.th)
+	sl.mu.Unlock(ex.th)
 }
 
 // poison propagates a fatal failure to chunk j+1's decision slot so the
 // rest of the chain unwinds instead of deadlocking on a decision that
 // will never be published.
-func (rt *run) poison(ex Exec, j int) {
+func (rt *run) poison(ex *SimExec, j int) {
 	if j == len(rt.bounds)-1 {
 		return
 	}
 	nxt := rt.slots[j+1]
-	nxt.mu.Lock(ex)
+	nxt.mu.Lock(ex.th)
 	nxt.dec = decisionFatal
-	nxt.cv.Broadcast(ex)
-	nxt.mu.Unlock(ex)
+	nxt.cv.Broadcast(ex.th)
+	nxt.mu.Unlock(ex.th)
 }
 
 // RunSequential executes the original sequential program (the Fig. 9

@@ -60,12 +60,13 @@ type Report struct {
 	// Chunks is the number of chunks actually created (capped by the
 	// input length).
 	Chunks int
-	// ThreadsCreated counts threads the runtime spawned: chunk workers,
-	// plus gang helpers and original-state replicas where the substrate
-	// charges for them (Table I: the simulated machine; a native run has
-	// no gang and replays the replicas, when a boundary needs them, on the
-	// context that validates it). StreamScheduler's fixed pool spawns
-	// nothing per chunk and reports 0.
+	// ThreadsCreated counts the simulated threads a run spawned: chunk
+	// workers, gang helpers and original-state replicas (Table I), and
+	// gang helpers for RunOriginal on the simulated machine. A native run
+	// is the streaming pipeline, whose fixed pool spawns nothing per chunk
+	// (it has no gang and replays the replicas, when a boundary needs
+	// them, on the context that validates it): BatchScheduler and
+	// StreamScheduler report 0.
 	ThreadsCreated int
 	// StatesCreated counts computational states materialized: initial,
 	// fresh, and cloned states (Table I).

@@ -6,15 +6,20 @@
 // The protocol exists once (attempt.go: the speculative attempt, the
 // recovery attempt, the fault/retry discipline and the timed boundary
 // comparison, over the primitives in protocol.go) and is driven through
-// a pluggable Scheduler, which decides only how chunks map to threads:
+// a pluggable Scheduler, which decides only how chunks map to threads.
+// There is one native runtime, the bounded-queue streaming pipeline
+// (Pipeline) on NativeExec, and one simulated one, the batch body (Run)
+// on SimExec; Exec itself is only cost accounting:
 //
-//   - BatchScheduler: one worker per chunk over a bounded input slice, on
-//     either execution substrate (Run is its body).
-//   - StreamScheduler: the bounded-queue streaming pipeline (Pipeline)
-//     with backpressure, reused chunk records and optional adaptive
-//     chunk sizing, on NativeExec.
-//   - SimScheduler: the batch protocol on the deterministic discrete-event
-//     machine (internal/machine), producing cycle-accurate traces.
+//   - BatchScheduler: the pipeline with one worker per chunk over a
+//     bounded input slice; it spawns no per-chunk goroutine.
+//   - StreamScheduler: the pipeline with a worker pool of any size,
+//     backpressure, reused chunk records and optional adaptive chunk
+//     sizing.
+//   - SimScheduler: the batch body, one thread per chunk, on the
+//     deterministic discrete-event machine (internal/machine), producing
+//     cycle-accurate traces — the independent reference the pipeline's
+//     outputs are checked against.
 //
 // All three run that one attempt with the same RNG derivations keyed by
 // chunk index, as does ChunkWorker, the body of an out-of-process

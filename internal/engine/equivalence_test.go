@@ -42,19 +42,21 @@ func (p *probe) Event(e engine.Event) {
 // TestCrossExecutorEquivalence is the refactor's contract: all eight
 // benchmarks, run through the batch, streaming, and simulated-machine
 // schedulers with the same seed and chunk boundaries, commit byte-identical
-// output sequences and the same commits and aborts. Their protocol-work
-// totals, from the one canonical event stream, differ only where the
-// protocol lets them, and each difference is stated exactly rather than
+// output sequences and the same commits and aborts. Batch and stream are
+// both the streaming pipeline, at a worker per chunk and at three
+// workers, so their protocol-work totals, from the one canonical event
+// stream, are exactly equal. The simulated machine runs the independent
+// batch body, and its totals differ from the pipeline's only where the
+// protocol lets them; each difference is stated exactly rather than
 // waved through:
 //
-//   - A streaming chunk never knows it is last, so the stream takes one
-//     more snapshot than batch (two when the last chunk aborted and was
-//     re-executed). Both build replica original states on demand, so
-//     their replica work agrees.
+//   - A pipeline chunk never knows it is last, so the pipeline takes one
+//     more snapshot than the batch body (two when the last chunk aborted
+//     and was re-executed).
 //   - The simulated machine builds every run's replicas eagerly (Fig. 5).
-//     Batch builds them only where a boundary needs them, so sim does
-//     ExtraStates replicas, each replaying the chunk's window, more for
-//     every boundary that matched on the final state, and for every
+//     The pipeline builds them only where a boundary needs them, so sim
+//     does ExtraStates replicas, each replaying the chunk's window, more
+//     for every boundary that matched on the final state, and for every
 //     non-last chunk whose speculative run aborted before a boundary
 //     could read its replicas.
 func TestCrossExecutorEquivalence(t *testing.T) {
@@ -123,9 +125,16 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 				}
 			}
 
-			// The simulated scheduler runs the same batch protocol body, and
-			// builds the replicas the native one never needed.
+			// Batch and stream run the same pipeline at different worker
+			// counts: their totals agree exactly.
 			bSnap := batchPr.ctr.Snapshot()
+			if sSnap := streamPr.ctr.Snapshot(); sSnap != bSnap {
+				t.Fatalf("stream counter snapshot differs from batch:\nstream: %+v\nbatch:  %+v", sSnap, bSnap)
+			}
+
+			// The simulated scheduler's totals, less the replicas it built
+			// eagerly, are the pipeline's less the last chunk's snapshot
+			// (doubled when it was re-executed).
 			adjSim := simCtr.Snapshot()
 			eager := func(j int) {
 				adjSim.OrigReplicas -= int64(cfg.ExtraStates)
@@ -139,24 +148,18 @@ func TestCrossExecutorEquivalence(t *testing.T) {
 					eager(a)
 				}
 			}
+			adjNative := bSnap
+			adjNative.Snapshots--
+			if batchPr.lastAborted {
+				adjNative.Snapshots--
+			}
 			t.Logf("%d boundaries matched on the final state, %d chunks aborted", len(batchPr.finalMatch), len(batchPr.aborted))
-			if adjSim != bSnap {
-				t.Fatalf("sim counter snapshot (eager replicas adjusted) differs from batch:\nsim:   %+v\nbatch: %+v", adjSim, bSnap)
+			if adjSim != adjNative {
+				t.Fatalf("sim counter snapshot (eager replicas adjusted) differs from the pipeline's (last chunk adjusted):\nsim:      %+v\npipeline: %+v", adjSim, adjNative)
 			}
-
-			// The streaming scheduler's totals match after subtracting the
-			// last chunk's snapshot (doubled when it was re-executed).
-			adj := streamPr.ctr.Snapshot()
-			adj.Snapshots--
-			if streamPr.lastAborted {
-				adj.Snapshots--
-			}
-			if adj != bSnap {
-				t.Fatalf("stream counter snapshot (last-chunk adjusted) differs from batch:\nstream: %+v\nbatch:  %+v", adj, bSnap)
-			}
-			if adj.Overheads() != bSnap.Overheads() {
-				t.Fatalf("overhead totals differ:\nstream: %+v\nbatch:  %+v",
-					adj.Overheads(), bSnap.Overheads())
+			if adjSim.Overheads() != adjNative.Overheads() {
+				t.Fatalf("overhead totals differ:\nsim:      %+v\npipeline: %+v",
+					adjSim.Overheads(), adjNative.Overheads())
 			}
 		})
 	}

@@ -123,7 +123,7 @@ type Event struct {
 	// Chunk is the protocol chunk index, or -1 for session-scoped events.
 	Chunk int
 	// Worker is the executing worker slot for worker-side events (the
-	// streaming pool index, or the chunk index for the batch scheduler);
+	// streaming pool index, or the chunk index for the simulated batch body);
 	// -1 for frontier/session events.
 	Worker int
 	// N and M are kind-specific counts.

@@ -1,15 +1,17 @@
 package engine
 
 import (
-	"sync"
-
 	"gostats/internal/machine"
 	"gostats/internal/trace"
 )
 
-// Exec abstracts the execution substrate the runtime drives: the
-// simulated machine (SimExec) for the paper's experiments, or plain
-// goroutines (NativeExec) for real use.
+// Exec is the cost accounting of the substrate the protocol runs on: the
+// simulated machine (SimExec) for the paper's experiments, which charges
+// every unit of modelled work to a virtual thread, or plain goroutines
+// (NativeExec) for real use, where the real computation inside Update is
+// the cost and every charge is a no-op. Threads and locks are not part of
+// it: the simulated batch body (Run) spawns and synchronizes machine
+// threads directly, and the native runtime is the streaming pipeline.
 type Exec interface {
 	// Compute charges w to the calling context (no-op on native — there
 	// the real computation inside Update is the cost).
@@ -19,34 +21,8 @@ type Exec interface {
 	Copy(bytes int64, srcLoc int, tag string)
 	// SetCat switches the accounting category for subsequent work.
 	SetCat(c trace.Category)
-	// Spawn starts a new context running fn and returns a join handle.
-	Spawn(name string, fn func(Exec)) Handle
-	// Join blocks until the handle's context finishes.
-	Join(h Handle)
-	// NewMutex and NewCond create blocking primitives usable from any
-	// context of the same substrate.
-	NewMutex() Mutex
-	NewCond(mu Mutex) Cond
 	// Loc returns a locality hint (simulated core id; 0 on native).
 	Loc() int
-}
-
-// Handle identifies a spawned context for joining.
-type Handle interface{}
-
-// Mutex is a substrate-independent mutual-exclusion lock. Methods take
-// the calling Exec because the simulator needs to know which virtual
-// thread blocks.
-type Mutex interface {
-	Lock(e Exec)
-	Unlock(e Exec)
-}
-
-// Cond is a substrate-independent condition variable.
-type Cond interface {
-	Wait(e Exec)
-	Signal(e Exec)
-	Broadcast(e Exec)
 }
 
 // ---------------------------------------------------------------------------
@@ -74,44 +50,22 @@ func (e *SimExec) Copy(bytes int64, srcLoc int, tag string) {
 // SetCat switches the simulated thread's accounting category.
 func (e *SimExec) SetCat(c trace.Category) { e.th.SetCat(c) }
 
-// Spawn creates a simulated thread.
-func (e *SimExec) Spawn(name string, fn func(Exec)) Handle {
-	return e.th.Spawn(name, func(t *machine.Thread) { fn(&SimExec{th: t}) })
-}
-
-// Join waits for a spawned simulated thread.
-func (e *SimExec) Join(h Handle) { e.th.Join(h.(*machine.Thread)) }
-
-// NewMutex creates a simulated mutex.
-func (e *SimExec) NewMutex() Mutex { return &simMutex{mu: e.th.Machine().NewMutex()} }
-
-// NewCond creates a simulated condition variable.
-func (e *SimExec) NewCond(mu Mutex) Cond {
-	sm := mu.(*simMutex)
-	return &simCond{c: e.th.Machine().NewCond(sm.mu)}
-}
-
 // Loc returns the simulated core id.
 func (e *SimExec) Loc() int { return e.th.Core() }
 
-type simMutex struct{ mu *machine.Mutex }
-
-func (m *simMutex) Lock(e Exec)   { m.mu.Lock(e.(*SimExec).th) }
-func (m *simMutex) Unlock(e Exec) { m.mu.Unlock(e.(*SimExec).th) }
-
-type simCond struct{ c *machine.Cond }
-
-func (c *simCond) Wait(e Exec)      { c.c.Wait(e.(*SimExec).th) }
-func (c *simCond) Signal(e Exec)    { c.c.Signal(e.(*SimExec).th) }
-func (c *simCond) Broadcast(e Exec) { c.c.Broadcast(e.(*SimExec).th) }
+// spawn starts a simulated thread running fn on an executor of its own;
+// the caller joins it through e.th.
+func (e *SimExec) spawn(name string, fn func(*SimExec)) *machine.Thread {
+	return e.th.Spawn(name, func(t *machine.Thread) { fn(&SimExec{th: t}) })
+}
 
 // ---------------------------------------------------------------------------
 // Native executor
 
-// NativeExec runs the execution model on real goroutines: cost charges
-// are no-ops and the benchmark's actual computation provides the work.
-// It makes the library usable as a real parallelization runtime (the
-// examples use it).
+// NativeExec is the cost accounting of real goroutines: every charge is a
+// no-op and the benchmark's actual computation provides the work. The
+// streaming pipeline runs the protocol on it, and RunSequential and
+// RunOriginal accept it for native baselines.
 type NativeExec struct{}
 
 // NewNativeExec returns a native executor.
@@ -126,55 +80,19 @@ func (e *NativeExec) Copy(int64, int, string) {}
 // SetCat is a no-op on native.
 func (e *NativeExec) SetCat(trace.Category) {}
 
-// Spawn runs fn on a new goroutine.
-func (e *NativeExec) Spawn(name string, fn func(Exec)) Handle {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn(&NativeExec{})
-	}()
-	return done
-}
-
-// Join waits for the goroutine to finish.
-func (e *NativeExec) Join(h Handle) { <-h.(chan struct{}) }
-
-// NewMutex returns a sync.Mutex-backed lock.
-func (e *NativeExec) NewMutex() Mutex { return &nativeMutex{} }
-
-// NewCond returns a sync.Cond-backed condition variable.
-func (e *NativeExec) NewCond(mu Mutex) Cond {
-	nm := mu.(*nativeMutex)
-	return &nativeCond{c: sync.NewCond(&nm.mu)}
-}
-
 // Loc returns 0: native threads have no stable core identity.
 func (e *NativeExec) Loc() int { return 0 }
 
-// CostFree marks the executor as one whose Compute/Copy/SetCat charges
-// are no-ops, so protocol loops may skip building the cost models they
-// would feed to them (see costFree).
-func (e *NativeExec) CostFree() bool { return true }
-
-// costFree reports whether ex discards cost charges entirely. The
-// protocol primitives use it to skip UpdateCost and the Compute calls
-// on their per-input hot paths: on such an executor those calls consume
-// CPU and produce nothing — the real computation inside Update is the
-// cost. The skip draws no RNG and touches no state, so executions are
-// bit-identical with and without it; the simulated executor does not
-// implement the marker and keeps full accounting.
+// costFree reports whether ex discards cost charges entirely, that is,
+// whether it is anything but the simulated machine. It is the one place
+// the substrate decides behaviour. The protocol primitives use it to skip
+// UpdateCost and the Compute calls on their per-input hot paths: on such
+// an executor those calls consume CPU and produce nothing — the real
+// computation inside Update is the cost. The skip draws no RNG and
+// touches no state, so executions are bit-identical with and without it.
+// Only a charging executor runs an inner gang or spawns replica threads,
+// and those take their machine thread from the *SimExec this admits.
 func costFree(ex Exec) bool {
-	cf, ok := ex.(interface{ CostFree() bool })
-	return ok && cf.CostFree()
+	_, sim := ex.(*SimExec)
+	return !sim
 }
-
-type nativeMutex struct{ mu sync.Mutex }
-
-func (m *nativeMutex) Lock(Exec)   { m.mu.Lock() }
-func (m *nativeMutex) Unlock(Exec) { m.mu.Unlock() }
-
-type nativeCond struct{ c *sync.Cond }
-
-func (c *nativeCond) Wait(Exec)      { c.c.Wait() }
-func (c *nativeCond) Signal(Exec)    { c.c.Signal() }
-func (c *nativeCond) Broadcast(Exec) { c.c.Broadcast() }

@@ -18,8 +18,8 @@ import (
 // deadline, becomes a chunk *fault* rather than a process death. Faulted
 // attempts are retried with exponential backoff and jitter; when retries
 // exhaust, the runtime degrades to sequential re-execution from the last
-// committed state (the streaming frontier's recovery path, or the batch
-// abort path), and only if that too faults does the whole session fail
+// committed state (the streaming frontier's recovery path, or the
+// simulated batch body's abort path), and only if that too faults does the whole session fail
 // with a structured FaultError — the process itself never crashes.
 //
 // Determinism is preserved throughout: a retried attempt re-derives the

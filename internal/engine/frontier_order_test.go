@@ -13,6 +13,7 @@ import (
 	_ "gostats/internal/bench/all"
 	"gostats/internal/checkpoint"
 	"gostats/internal/engine"
+	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
 
@@ -41,7 +42,8 @@ func (s *orderSink) Event(e engine.Event) {
 // property: in whatever order the workers finish their chunks, the
 // commit/abort decisions and the output emissions are applied in strict
 // input order, exactly one decision per chunk, and the committed byte
-// sequence matches the sequential batch reference.
+// sequence matches the batch reference — the simulated machine's batch
+// body, the one runtime independent of the pipeline.
 func TestFrontierCommitOrder(t *testing.T) {
 	for _, name := range []string{"facetrack", "streamclassifier"} {
 		for _, workers := range []int{2, 3, 5} {
@@ -57,7 +59,7 @@ func TestFrontierCommitOrder(t *testing.T) {
 					}
 					cfg := engine.Config{Chunks: 8, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: seed}
 
-					ref, err := (&engine.BatchScheduler{}).RunSlice(b, inputs, cfg)
+					ref, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(b, inputs, cfg)
 					if err != nil {
 						t.Fatalf("batch reference: %v", err)
 					}

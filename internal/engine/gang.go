@@ -15,21 +15,21 @@ import (
 // versions fork/join worker threads per frame. The per-update kernel
 // round-trips are what makes the original TLP's synchronization overhead
 // emerge in the simulation. A nil *gang is valid and runs everything on
-// the calling context: width 1, or an executor that charges no cost, where
-// helpers would meet at a barrier every update to compute nothing.
+// the calling context: width 1, or any executor but the simulated one,
+// where helpers would meet at a barrier every update to compute nothing.
 type gang struct {
 	width   int
 	jit     rng.Stream // share jitter; simulated cost only
-	mu      Mutex
-	start   Cond
-	doneCv  Cond
+	mu      *machine.Mutex
+	start   *machine.Cond
+	doneCv  *machine.Cond
 	epoch   int64
 	shares  []machine.Work
 	cat     trace.Category
 	done    int
 	active  int
 	stop    bool
-	handles []Handle
+	handles []*machine.Thread
 }
 
 // newGang spawns width-1 helper threads, reporting each spawn through
@@ -39,18 +39,20 @@ func newGang(ex Exec, name string, width int, jit rng.Stream, counter func()) *g
 	if width <= 1 || costFree(ex) {
 		return nil
 	}
+	se := ex.(*SimExec)
+	m := se.th.Machine()
 	g := &gang{
 		width:  width,
 		jit:    jit,
-		mu:     ex.NewMutex(),
+		mu:     m.NewMutex(),
 		shares: make([]machine.Work, width-1),
 		cat:    trace.CatChunkWork,
 	}
-	g.start = ex.NewCond(g.mu)
-	g.doneCv = ex.NewCond(g.mu)
+	g.start = m.NewCond(g.mu)
+	g.doneCv = m.NewCond(g.mu)
 	for i := 0; i < width-1; i++ {
 		i := i
-		h := ex.Spawn(fmt.Sprintf("%s-g%d", name, i), func(he Exec) { g.helper(he, i) })
+		h := se.th.Spawn(fmt.Sprintf("%s-g%d", name, i), func(th *machine.Thread) { g.helper(th, i) })
 		g.handles = append(g.handles, h)
 		counter()
 	}
@@ -67,27 +69,27 @@ func chunkGang(ex Exec, p Program, j, width int, worker *rng.Stream, counter fun
 	return newGang(ex, fmt.Sprintf("%s-w%d", p.Name(), j), width, worker.Sub("jitter"), counter)
 }
 
-func (g *gang) helper(he Exec, i int) {
+func (g *gang) helper(th *machine.Thread, i int) {
 	var seen int64
-	g.mu.Lock(he)
+	g.mu.Lock(th)
 	for {
 		for g.epoch == seen && !g.stop {
-			g.start.Wait(he)
+			g.start.Wait(th)
 		}
 		if g.stop {
-			g.mu.Unlock(he)
+			g.mu.Unlock(th)
 			return
 		}
 		seen = g.epoch
 		w := g.shares[i]
 		cat := g.cat
-		g.mu.Unlock(he)
-		he.SetCat(cat)
-		he.Compute(w)
-		g.mu.Lock(he)
+		g.mu.Unlock(th)
+		th.SetCat(cat)
+		th.Compute(w)
+		g.mu.Lock(th)
 		g.done++
 		if g.done == g.active {
-			g.doneCv.Signal(he)
+			g.doneCv.Signal(th)
 		}
 	}
 }
@@ -111,7 +113,8 @@ func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category) {
 		w = g.width
 	}
 	per := uw.Parallel.Instr / int64(w)
-	g.mu.Lock(ex)
+	th := ex.(*SimExec).th
+	g.mu.Lock(th)
 	g.cat = cat
 	g.active = g.width - 1
 	for i := range g.shares {
@@ -125,18 +128,18 @@ func (g *gang) Run(ex Exec, uw UpdateWork, cat trace.Category) {
 	}
 	g.epoch++
 	g.done = 0
-	g.start.Broadcast(ex)
-	g.mu.Unlock(ex)
+	g.start.Broadcast(th)
+	g.mu.Unlock(th)
 
 	my := uw.Parallel
 	my.Instr = int64(g.jit.Jitter(float64(per), uw.ShareJitter))
 	ex.Compute(my)
 
-	g.mu.Lock(ex)
+	g.mu.Lock(th)
 	for g.done < g.active {
-		g.doneCv.Wait(ex)
+		g.doneCv.Wait(th)
 	}
-	g.mu.Unlock(ex)
+	g.mu.Unlock(th)
 }
 
 // Close stops and joins the helpers.
@@ -144,12 +147,13 @@ func (g *gang) Close(ex Exec) {
 	if g == nil {
 		return
 	}
-	g.mu.Lock(ex)
+	th := ex.(*SimExec).th
+	g.mu.Lock(th)
 	g.stop = true
-	g.start.Broadcast(ex)
-	g.mu.Unlock(ex)
+	g.start.Broadcast(th)
+	g.mu.Unlock(th)
 	for _, h := range g.handles {
-		ex.Join(h)
+		th.Join(h)
 	}
 }
 
@@ -158,9 +162,9 @@ func (g *gang) Close(ex Exec) {
 // the shape of Fig. 5 on a substrate that charges for the work, where
 // the replicas' overlap with each other is part of what is measured.
 func (c *chunkRun) spawnReplicas(window []Input, snapshot State, rnd *rng.Stream, origs []State) []State {
-	ex, p := c.ex, c.guarded
+	ex, p := c.ex.(*SimExec), c.guarded
 	results := make([]State, c.extra)
-	handles := make([]Handle, c.extra)
+	handles := make([]*machine.Thread, c.extra)
 	myLoc := ex.Loc()
 	// A panic on a replica thread cannot unwind into the owning worker's
 	// recover; capture the first one here and re-raise it on the worker
@@ -170,7 +174,7 @@ func (c *chunkRun) spawnReplicas(window []Input, snapshot State, rnd *rng.Stream
 	for i := range results {
 		i := i
 		rr := rnd.DeriveN("replica", i)
-		handles[i] = ex.Spawn(fmt.Sprintf("%s-r%d.%d", p.Name(), c.j, i), func(re Exec) {
+		handles[i] = ex.spawn(fmt.Sprintf("%s-r%d.%d", p.Name(), c.j, i), func(re *SimExec) {
 			defer func() {
 				if r := recover(); r != nil {
 					rf.CompareAndSwap(nil, &replicaFault{val: r, stack: stack()})
@@ -185,7 +189,7 @@ func (c *chunkRun) spawnReplicas(window []Input, snapshot State, rnd *rng.Stream
 		c.countThread()
 	}
 	for _, h := range handles {
-		ex.Join(h)
+		ex.th.Join(h)
 	}
 	if f := rf.Load(); f != nil {
 		panic(f)

@@ -11,14 +11,15 @@ import (
 
 // TestNativeRunsNoGang: the original-TLP gang only charges simulated
 // cost, so a cost-free executor runs none. A native run asked for width 8
-// spawns one thread a chunk and nothing more, and commits what it commits
-// at width 1; a native original-TLP run spawns no thread at all.
+// spawns no thread at all — the native runtime is the streaming pipeline,
+// whose goroutines are not threads of the model — and commits what it
+// commits at width 1; a native original-TLP run spawns no thread either.
 func TestNativeRunsNoGang(t *testing.T) {
 	const name = "streamcluster"
 	p := bench.MustNew(name)
 	inputs := p.Inputs(rng.New(1))[:200]
 	run := func(width int) *engine.Report {
-		rep, err := engine.Run(engine.NewNativeExec(), p, inputs,
+		rep, err := (&engine.BatchScheduler{}).RunSlice(p, inputs,
 			engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: width, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -26,8 +27,8 @@ func TestNativeRunsNoGang(t *testing.T) {
 		return rep
 	}
 	narrow, wide := run(1), run(8)
-	if wide.ThreadsCreated != wide.Chunks {
-		t.Errorf("width 8: %d threads for %d chunks, want one a chunk", wide.ThreadsCreated, wide.Chunks)
+	if wide.ThreadsCreated != 0 {
+		t.Errorf("width 8: %d threads for %d chunks, want 0", wide.ThreadsCreated, wide.Chunks)
 	}
 	if !reflect.DeepEqual(wide.Outputs, narrow.Outputs) {
 		t.Errorf("width 8 committed other outputs than width 1")

@@ -15,8 +15,8 @@ import (
 // This file is the streaming side of the engine: the STATS speculation
 // protocol over an unbounded input stream instead of a fixed slice.
 //
-// The batch scheduler partitions a complete input slice into chunks and
-// spawns one worker per chunk. The workloads the paper parallelizes —
+// The simulated batch body (Run) partitions a complete input slice into
+// chunks and spawns one thread per chunk. The workloads the paper parallelizes —
 // video frames, point blocks, sample batches — are really streams, so the
 // pipeline rebuilds the protocol as stages:
 //
@@ -96,9 +96,8 @@ type StreamConfig struct {
 	// Plan, when non-empty, fixes the sizes of the first len(Plan) chunks
 	// explicitly, overriding ChunkSize and the adaptive controller for
 	// those indices (later chunks fall back to them). StreamScheduler uses
-	// it to reproduce the batch scheduler's Partition boundaries exactly,
-	// which is what makes a streamed bounded slice byte-identical to a
-	// batch run. Backpressure and outcome consumption are unaffected.
+	// it to reproduce Partition's boundaries exactly, which is what makes
+	// a streamed bounded slice byte-identical to a simulated batch run. Backpressure and outcome consumption are unaffected.
 	Plan []int
 	// Fault configures panic isolation, per-chunk deadlines, and
 	// retry/backoff; the zero value enables isolation with defaults.

@@ -9,8 +9,8 @@ import (
 // alternative production, chunk execution, original-state generation, and
 // speculation validation. attempt.go composes them into the one chunk
 // attempt every runtime executes; their Exec call sequences and RNG
-// derivations are exactly those of the original batch runtime, which keeps
-// simulated executions bit-reproducible.
+// derivations are exactly those of the simulated machine's batch body,
+// which keeps simulated executions bit-reproducible.
 
 // speculativeState runs an alternative producer (§III-B "Generating
 // speculative states"): it builds the speculative start state for a chunk

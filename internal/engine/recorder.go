@@ -97,7 +97,7 @@ func (r *Recorder) Event(e Event) {
 
 // edge adds the pending commit-dependence edge for a chunk, if any: the
 // worker finished speculating before the frontier could act on the result.
-// Only frontier-side events consume it; batch runs (no frontier thread)
+// Only frontier-side events consume it; simulated batch runs (no frontier thread)
 // leave the map to be discarded with the Recorder.
 func (r *Recorder) edge(chunk, toThread int, toTime int64) {
 	if toThread != recThread(-1) {

@@ -152,7 +152,8 @@ func (l *faultLog) Event(e engine.Event) {
 // boundary builds because the speculative state missed the final one. The
 // side that validates builds it, under the engine's retry discipline: the
 // panic must be charged to original-state generation of the predecessor
-// chunk, retried once from that side, and leave the committed outputs
+// chunk, retried once from that side (the commit frontier, which reports
+// worker -1 on both native schedulers), and leave the committed outputs
 // untouched. A bomb that fires on every attempt fails the session with a
 // FaultError, on both native schedulers, and every goroutine it started
 // is gone.
@@ -177,16 +178,13 @@ func TestReplicaPanicIsolated(t *testing.T) {
 		t.Fatal("no boundary missed: the session builds no replica to bomb")
 	}
 
-	for _, sc := range []struct {
-		sched     func(engine.Sink) engine.Scheduler
-		validator int // the worker slot the validating side reports as
-	}{
-		{func(s engine.Sink) engine.Scheduler { return &engine.BatchScheduler{Sink: s} }, j},
-		{func(s engine.Sink) engine.Scheduler { return &engine.StreamScheduler{Workers: 2, Sink: s} }, -1},
+	for _, newSched := range []func(engine.Sink) engine.Scheduler{
+		func(s engine.Sink) engine.Scheduler { return &engine.BatchScheduler{Sink: s} },
+		func(s engine.Sink) engine.Scheduler { return &engine.StreamScheduler{Workers: 2, Sink: s} },
 	} {
 		var ctr engine.Counters
 		log := &faultLog{}
-		sched := sc.sched(engine.Tee(&ctr, log))
+		sched := newSched(engine.Tee(&ctr, log))
 		rep, err := sched.RunSlice(newReplicaBomb(name, seed, j, 1), inputs, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
@@ -195,8 +193,8 @@ func TestReplicaPanicIsolated(t *testing.T) {
 			t.Errorf("%s: outputs differ from the fault-free run", sched.Name())
 		}
 		want := []engine.Event{
-			{Kind: engine.EvFault, Chunk: j, Worker: sc.validator, N: 0, M: int(engine.SiteOrigStates)},
-			{Kind: engine.EvRetry, Chunk: j, Worker: sc.validator, N: 1},
+			{Kind: engine.EvFault, Chunk: j, Worker: -1, N: 0, M: int(engine.SiteOrigStates)},
+			{Kind: engine.EvRetry, Chunk: j, Worker: -1, N: 1},
 		}
 		if !reflect.DeepEqual(log.ev, want) {
 			t.Errorf("%s: fault events %+v, want %+v", sched.Name(), log.ev, want)
@@ -206,7 +204,7 @@ func TestReplicaPanicIsolated(t *testing.T) {
 		}
 
 		before := runtime.NumGoroutine()
-		sched = sc.sched(nil)
+		sched = newSched(nil)
 		_, err = sched.RunSlice(newReplicaBomb(name, seed, j, 1<<30), inputs, cfg)
 		var fe *engine.FaultError
 		if !errors.As(err, &fe) || fe.Fault.Site != engine.SiteOrigStates || fe.Fault.Chunk != j {

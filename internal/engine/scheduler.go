@@ -12,13 +12,15 @@ import (
 // commit/abort with in-place re-execution, state recycling — over a
 // bounded input slice. The protocol itself lives in this package's
 // primitives; a Scheduler only decides how chunks are mapped onto
-// execution resources:
+// execution resources. There is one native runtime, the streaming
+// pipeline, and one simulated one, the batch body (Run):
 //
-//   - BatchScheduler: one worker thread per chunk on NativeExec.
-//   - StreamScheduler: a worker pool driven through the streaming
-//     pipeline, with bounded queues and reused chunk records.
-//   - SimScheduler: the batch mapping on the cycle-accurate simulated
-//     machine.
+//   - BatchScheduler: the pipeline with one worker per chunk.
+//   - StreamScheduler: the pipeline with a worker pool of any size,
+//     bounded queues and reused chunk records.
+//   - SimScheduler: one thread per chunk on the cycle-accurate simulated
+//     machine, the independent reference the pipeline is checked
+//     against.
 //
 // Every scheduler emits the same canonical event stream for the same
 // protocol decisions, and — for matching chunk boundaries and seed —
@@ -31,9 +33,10 @@ type Scheduler interface {
 	RunSlice(p Program, inputs []Input, cfg Config) (*Report, error)
 }
 
-// BatchScheduler runs the protocol with one worker thread per chunk, the
-// paper's original execution shape (§II-B, Fig. 5), on a fresh
-// NativeExec.
+// BatchScheduler runs the protocol with one worker per chunk, the
+// paper's original execution shape (§II-B, Fig. 5): it is the streaming
+// pipeline with min(Chunks, len(inputs)) workers, so it spawns no
+// per-chunk goroutine and reports no threads.
 type BatchScheduler struct {
 	// Sink, when non-nil, receives the run's engine events. Leaving it nil
 	// skips all event timing on the hot path.
@@ -45,7 +48,7 @@ func (s *BatchScheduler) Name() string { return "batch" }
 
 // RunSlice implements Scheduler.
 func (s *BatchScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Report, error) {
-	return runBatch(NewNativeExec(), p, inputs, cfg, s.Sink)
+	return (&StreamScheduler{Workers: min(cfg.Chunks, len(inputs)), Sink: s.Sink}).RunSlice(p, inputs, cfg)
 }
 
 // StreamScheduler runs the protocol by feeding the bounded slice through
@@ -53,8 +56,9 @@ func (s *BatchScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repor
 // backpressure, ordered commit at the frontier, record and state reuse.
 // It plans the pipeline's chunk sizes from Partition, so for the same
 // (seed, inputs, cfg) its committed outputs are byte-identical to
-// BatchScheduler's. The pipeline runs on NativeExec, which runs no gang,
-// so cfg's inner width does not reach it.
+// SimScheduler's, and to BatchScheduler's at any worker count. The
+// pipeline runs on NativeExec, which runs no gang, so cfg's inner width
+// does not reach it.
 type StreamScheduler struct {
 	// Ctx bounds the run; nil uses context.Background().
 	Ctx context.Context

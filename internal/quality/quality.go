@@ -43,6 +43,7 @@ func Distributions(b bench.Benchmark, cfg engine.Config, runs int, inputSeed, se
 	inputs := b.Inputs(rng.New(inputSeed))
 	sw := &Sweep{Benchmark: b.Name()}
 	ex := engine.NewNativeExec()
+	batch := &engine.BatchScheduler{}
 	for i := 0; i < runs; i++ {
 		s := seed + uint64(i)*104729
 		rep := engine.RunSequential(ex, b, inputs, s)
@@ -50,7 +51,7 @@ func Distributions(b bench.Benchmark, cfg engine.Config, runs int, inputSeed, se
 
 		c := cfg
 		c.Seed = s
-		prep, err := engine.Run(ex, b, inputs, c)
+		prep, err := batch.RunSlice(b, inputs, c)
 		if err != nil {
 			return nil, fmt.Errorf("quality: STATS run %d: %w", i, err)
 		}
