@@ -180,13 +180,7 @@ func BenchmarkSTATSRuntimeFacetrack(b *testing.B) {
 	cfg := engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := machine.New(machine.DefaultConfig(8))
-		err := m.Run("main", func(th *machine.Thread) {
-			if _, err := engine.Run(engine.NewSimExec(th), ft, ins, cfg); err != nil {
-				b.Error(err)
-			}
-		})
-		if err != nil {
+		if _, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(ft, ins, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,14 +193,9 @@ func BenchmarkCritpathWhatIf(b *testing.B) {
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
 	tr := trace.New()
-	m := machine.New(machine.DefaultConfig(8), machine.WithTrace(tr))
-	err := m.Run("main", func(th *machine.Thread) {
-		if _, err := engine.Run(engine.NewSimExec(th), ft, ins,
-			engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
-			b.Error(err)
-		}
-	})
-	if err != nil {
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(8), Options: []machine.Option{machine.WithTrace(tr)}}
+	if _, err := sim.RunSlice(ft, ins,
+		engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
 		b.Fatal(err)
 	}
 	an, err := critpath.New(tr)

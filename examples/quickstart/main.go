@@ -89,19 +89,18 @@ func main() {
 
 	// 2. Run on the simulated machine to measure the speedup the model
 	//    would deliver on an 8-core platform.
-	simTime := func(fn func(ex *engine.SimExec)) int64 {
-		m := machine.New(machine.DefaultConfig(8))
-		if err := m.Run("main", func(th *machine.Thread) { fn(engine.NewSimExec(th)) }); err != nil {
-			panic(err)
-		}
-		return m.Now()
+	m := machine.New(machine.DefaultConfig(8))
+	if err := m.Run("main", func(th *machine.Thread) {
+		engine.RunSequential(engine.NewSimExec(th), smoother{}, inputs, 42)
+	}); err != nil {
+		panic(err)
 	}
-	seq := simTime(func(ex *engine.SimExec) { engine.RunSequential(ex, smoother{}, inputs, 42) })
-	par := simTime(func(ex *engine.SimExec) {
-		if _, err := engine.Run(ex, smoother{}, inputs, cfg); err != nil {
-			panic(err)
-		}
-	})
+	seq := m.Now()
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(8)}
+	if _, err := sim.RunSlice(smoother{}, inputs, cfg); err != nil {
+		panic(err)
+	}
+	par := sim.Cycles()
 	fmt.Printf("simulated: sequential %.1fM cycles, STATS %.1fM cycles -> speedup %.2fx on 8 cores\n",
 		float64(seq)/1e6, float64(par)/1e6, float64(seq)/float64(par))
 }

@@ -33,14 +33,11 @@ func main() {
 	objective := func(p autotune.Point) float64 {
 		cfg := engine.Config{Chunks: p.Chunks, Lookback: p.Lookback,
 			ExtraStates: p.ExtraStates, InnerWidth: p.InnerWidth, Seed: 5}
-		m := machine.New(machine.DefaultConfig(cores))
-		var runErr error
-		if err := m.Run("main", func(th *machine.Thread) {
-			_, runErr = engine.Run(engine.NewSimExec(th), b, training, cfg)
-		}); err != nil || runErr != nil {
+		sim := &engine.SimScheduler{Config: machine.DefaultConfig(cores)}
+		if _, err := sim.RunSlice(b, training, cfg); err != nil {
 			return 1e18
 		}
-		return float64(m.Now())
+		return float64(sim.Cycles())
 	}
 	space := autotune.DefaultSpace(len(training), cores, b.MaxInnerWidth())
 	res, err := autotune.Tune(space, objective, 60, 1)
@@ -54,21 +51,19 @@ func main() {
 		ExtraStates: res.Best.ExtraStates, InnerWidth: res.Best.InnerWidth, Seed: 5}
 
 	run := func(stats bool) (cycles, instr int64, quality float64) {
+		if stats {
+			sim := &engine.SimScheduler{Config: machine.DefaultConfig(cores)}
+			rep, err := sim.RunSlice(b, inputs, cfg)
+			if err != nil {
+				panic(err)
+			}
+			return sim.Cycles(), sim.Accounting().TotalInstr(), b.Quality(rep.Outputs)
+		}
 		m := machine.New(machine.DefaultConfig(cores))
 		var rep *engine.Report
-		err := m.Run("main", func(th *machine.Thread) {
-			ex := engine.NewSimExec(th)
-			if stats {
-				var runErr error
-				rep, runErr = engine.Run(ex, b, inputs, cfg)
-				if runErr != nil {
-					panic(runErr)
-				}
-			} else {
-				rep = engine.RunSequential(ex, b, inputs, 5)
-			}
-		})
-		if err != nil {
+		if err := m.Run("main", func(th *machine.Thread) {
+			rep = engine.RunSequential(engine.NewSimExec(th), b, inputs, 5)
+		}); err != nil {
 			panic(err)
 		}
 		return m.Now(), m.Accounting().TotalInstr(), b.Quality(rep.Outputs)

@@ -70,18 +70,17 @@ func main() {
 // simCycles measures a run on the simulated machine (nil cfg =
 // sequential).
 func simCycles(b *bodytrack.BodyTrack, inputs []engine.Input, cfg *engine.Config) int64 {
-	m := machine.New(machine.DefaultConfig(16))
-	err := m.Run("main", func(th *machine.Thread) {
-		ex := engine.NewSimExec(th)
-		if cfg == nil {
-			engine.RunSequential(ex, b, inputs, 7)
-			return
-		}
-		if _, err := engine.Run(ex, b, inputs, *cfg); err != nil {
+	if cfg != nil {
+		sim := &engine.SimScheduler{Config: machine.DefaultConfig(16)}
+		if _, err := sim.RunSlice(b, inputs, *cfg); err != nil {
 			panic(err)
 		}
-	})
-	if err != nil {
+		return sim.Cycles()
+	}
+	m := machine.New(machine.DefaultConfig(16))
+	if err := m.Run("main", func(th *machine.Thread) {
+		engine.RunSequential(engine.NewSimExec(th), b, inputs, 7)
+	}); err != nil {
 		panic(err)
 	}
 	return m.Now()

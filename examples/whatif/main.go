@@ -39,15 +39,11 @@ func main() {
 
 	// Traced STATS run.
 	tr := trace.New()
-	parM := machine.New(machine.DefaultConfig(cores), machine.WithTrace(tr))
-	var rep *engine.Report
-	must(parM.Run("main", func(th *machine.Thread) {
-		var err error
-		rep, err = engine.Run(engine.NewSimExec(th), b, inputs, cfg)
-		must(err)
-	}))
+	par := &engine.SimScheduler{Config: machine.DefaultConfig(cores), Options: []machine.Option{machine.WithTrace(tr)}}
+	rep, err := par.RunSlice(b, inputs, cfg)
+	must(err)
 	fmt.Printf("%s on %d cores: %.2fx speedup, %d/%d chunks committed\n\n",
-		b.Name(), cores, float64(seqM.Now())/float64(parM.Now()), rep.Commits, rep.Chunks)
+		b.Name(), cores, float64(seqM.Now())/float64(par.Cycles()), rep.Commits, rep.Chunks)
 
 	// The execution timeline (the paper's Fig. 5, rendered from the trace).
 	tr.RenderTimeline(os.Stdout, 100)

@@ -169,17 +169,10 @@ func TestQualityOrdering(t *testing.T) {
 func TestEndToEndMostlyCommits(t *testing.T) {
 	b := small()
 	ins := b.Inputs(rng.New(20))
-	m := machine.New(machine.DefaultConfig(8))
-	var rep *engine.Report
-	var rerr error
-	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = engine.Run(engine.NewSimExec(th), b, ins,
-			engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 21})
-	}); err != nil {
+	rep, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(b, ins,
+		engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 2, InnerWidth: 1, Seed: 21})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if rerr != nil {
-		t.Fatal(rerr)
 	}
 	if rep.Commits < 3 {
 		t.Fatalf("bodytrack aborted too much: %d/%d commits", rep.Commits, rep.Chunks)
@@ -194,17 +187,12 @@ func TestCombinedTLPFasterThanSeqSTATS(t *testing.T) {
 	b := small()
 	ins := b.Inputs(rng.New(22))
 	runWith := func(width int) int64 {
-		m := machine.New(machine.DefaultConfig(16))
-		if err := m.Run("main", func(th *machine.Thread) {
-			_, err := engine.Run(engine.NewSimExec(th), b, ins,
-				engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: width, Seed: 3})
-			if err != nil {
-				t.Error(err)
-			}
-		}); err != nil {
+		sim := &engine.SimScheduler{Config: machine.DefaultConfig(16)}
+		if _, err := sim.RunSlice(b, ins,
+			engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: width, Seed: 3}); err != nil {
 			t.Fatal(err)
 		}
-		return m.Now()
+		return sim.Cycles()
 	}
 	seqStats, parStats := runWith(1), runWith(4)
 	if parStats >= seqStats {

@@ -134,17 +134,10 @@ func TestEndToEndFewerChunksFewerAborts(t *testing.T) {
 	f := New()
 	ins := f.Inputs(rng.New(17))
 	runWith := func(chunks int) *engine.Report {
-		m := machine.New(machine.DefaultConfig(8))
-		var rep *engine.Report
-		var rerr error
-		if err := m.Run("main", func(th *machine.Thread) {
-			rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
-				engine.Config{Chunks: chunks, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
-		}); err != nil {
+		rep, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(f, ins,
+			engine.Config{Chunks: chunks, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+		if err != nil {
 			t.Fatal(err)
-		}
-		if rerr != nil {
-			t.Fatal(rerr)
 		}
 		return rep
 	}

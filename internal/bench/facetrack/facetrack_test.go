@@ -143,17 +143,10 @@ func TestEndToEndMispeculationPresent(t *testing.T) {
 	// counts some chunks must abort.
 	f := New()
 	ins := f.Inputs(rng.New(11))
-	m := machine.New(machine.DefaultConfig(8))
-	var rep *engine.Report
-	var rerr error
-	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
-			engine.Config{Chunks: 28, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
-	}); err != nil {
+	rep, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(f, ins,
+		engine.Config{Chunks: 28, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if rerr != nil {
-		t.Fatal(rerr)
 	}
 	if rep.Aborts == 0 {
 		t.Fatal("28-chunk facetrack run had no mispeculation")

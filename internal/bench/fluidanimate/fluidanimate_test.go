@@ -93,24 +93,18 @@ func TestSTATSGainsNothing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(machine.DefaultConfig(8))
-	var rep *engine.Report
-	var rerr error
-	if err := m.Run("main", func(th *machine.Thread) {
-		rep, rerr = engine.Run(engine.NewSimExec(th), f, ins,
-			engine.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3})
-	}); err != nil {
+	par := &engine.SimScheduler{Config: machine.DefaultConfig(8)}
+	rep, err := par.RunSlice(f, ins,
+		engine.Config{Chunks: 8, Lookback: 10, ExtraStates: 1, InnerWidth: 1, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if rerr != nil {
-		t.Fatal(rerr)
 	}
 	// Nearly every speculation aborts (the very first boundary can match
 	// while the field is still close to rest).
 	if rep.Aborts < rep.Chunks-2 {
 		t.Fatalf("expected nearly every speculation to abort, got %d/%d aborts", rep.Aborts, rep.Chunks-1)
 	}
-	sp := float64(mSeq.Now()) / float64(m.Now())
+	sp := float64(mSeq.Now()) / float64(par.Cycles())
 	if sp > 1.3 {
 		t.Fatalf("fluidanimate sped up %.2fx under STATS; the paper excluded it for gaining nothing", sp)
 	}

@@ -173,22 +173,16 @@ func TestEndToEndChunkedSavesInstructions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mPar := machine.New(machine.DefaultConfig(8))
-	var rep *engine.Report
-	var rerr error
-	if err := mPar.Run("main", func(th *machine.Thread) {
-		rep, rerr = engine.Run(engine.NewSimExec(th), s, ins,
-			engine.Config{Chunks: 14, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 5})
-	}); err != nil {
+	par := &engine.SimScheduler{Config: machine.DefaultConfig(8)}
+	rep, err := par.RunSlice(s, ins,
+		engine.Config{Chunks: 14, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
-	}
-	if rerr != nil {
-		t.Fatal(rerr)
 	}
 	if rep.Commits < 12 {
 		t.Fatalf("too many aborts: %d/%d commits", rep.Commits, rep.Chunks)
 	}
-	seqI, parI := mSeq.Accounting().TotalInstr(), mPar.Accounting().TotalInstr()
+	seqI, parI := mSeq.Accounting().TotalInstr(), par.Accounting().TotalInstr()
 	if parI >= seqI {
 		t.Fatalf("STATS executed MORE instructions: %d vs %d", parI, seqI)
 	}

@@ -186,14 +186,7 @@ func TestEndToEndSTATSCommits(t *testing.T) {
 	s := small()
 	ins := s.Inputs(rng.New(8))
 	cfg := engine.Config{Chunks: 4, Lookback: 6, ExtraStates: 2, InnerWidth: 1, Seed: 9}
-	var rep *engine.Report
-	var err error
-	m := machine.New(machine.DefaultConfig(8))
-	if runErr := m.Run("main", func(th *machine.Thread) {
-		rep, err = engine.Run(engine.NewSimExec(th), s, ins, cfg)
-	}); runErr != nil {
-		t.Fatal(runErr)
-	}
+	rep, err := (&engine.SimScheduler{Config: machine.DefaultConfig(8)}).RunSlice(s, ins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,17 +64,10 @@ func (rt *run) setFatal(err error) {
 	rt.fatalOnce.Do(func() { rt.fatalErr = err })
 }
 
-// Run executes the STATS execution model for p over inputs on the
-// simulated machine's batch body — one thread per chunk, commit decisions
-// passed down a mutex/cond chain (§II-B, Fig. 5) — returning the ordered
-// outputs and resource/commit statistics. Must be called from inside
-// machine.Run. Use SimScheduler to also receive the engine event stream;
-// the native runtime is the streaming pipeline (BatchScheduler,
-// StreamScheduler).
-func Run(ex *SimExec, p Program, inputs []Input, cfg Config) (*Report, error) {
-	return runBatch(ex, p, inputs, cfg, nil)
-}
-
+// runBatch executes the STATS execution model for p over inputs as the
+// simulated machine's batch body, returning the ordered outputs and
+// resource/commit statistics. SimScheduler is its one caller, from inside
+// machine.Run.
 func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,4 +1,4 @@
-package core
+package engine_test
 
 import (
 	"math"
@@ -91,14 +91,27 @@ func easyProg() *toyProg {
 	return &toyProg{decay: 0.5, noise: 0.01, tol: 5, updInstr: 20_000, parInstr: 0, grain: 1}
 }
 
-func simRun(t *testing.T, cores int, fn func(ex *engine.SimExec)) (*machine.Machine, *trace.Trace) {
+// simPlain runs fn — a sequential or original-TLP baseline — on a fresh
+// simulated machine and returns its makespan.
+func simPlain(t *testing.T, cores int, fn func(ex *engine.SimExec)) int64 {
 	t.Helper()
-	tr := trace.New()
-	m := machine.New(machine.DefaultConfig(cores), machine.WithTrace(tr))
+	m := machine.New(machine.DefaultConfig(cores))
 	if err := m.Run("main", func(th *machine.Thread) { fn(engine.NewSimExec(th)) }); err != nil {
 		t.Fatal(err)
 	}
-	return m, tr
+	return m.Now()
+}
+
+// simStats runs the STATS model over ins on the simulated batch body and
+// returns the report and the makespan.
+func simStats(t *testing.T, cores int, p engine.Program, ins []engine.Input, cfg engine.Config) (*engine.Report, int64) {
+	t.Helper()
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(cores)}
+	rep, err := sim.RunSlice(p, ins, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, sim.Cycles()
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -119,47 +132,17 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestPartitionProperties(t *testing.T) {
-	f := func(n16, k8 uint8) bool {
-		n := int(n16) + 1
-		k := int(k8)%(n+2) + 1
-		b := engine.Partition(n, k)
-		if len(b) > n || len(b) < 1 {
-			return false
-		}
-		prev := 0
-		minSz, maxSz := n+1, 0
-		for _, bb := range b {
-			if bb[0] != prev || bb[1] <= bb[0] {
-				return false
-			}
-			sz := bb[1] - bb[0]
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			prev = bb[1]
-		}
-		return prev == n && maxSz-minSz <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSequentialOutputsAllInputs(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(50)
 	var rep *engine.Report
-	m, _ := simRun(t, 1, func(ex *engine.SimExec) {
+	cycles := simPlain(t, 1, func(ex *engine.SimExec) {
 		rep = engine.RunSequential(ex, p, ins, 1)
 	})
 	if len(rep.Outputs) != 50 {
 		t.Fatalf("got %d outputs", len(rep.Outputs))
 	}
-	if m.Now() == 0 {
+	if cycles == 0 {
 		t.Fatal("sequential run took no time")
 	}
 }
@@ -167,15 +150,7 @@ func TestSequentialOutputsAllInputs(t *testing.T) {
 func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(120)
-	cfg := engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 1, Seed: 7}
-	var rep *engine.Report
-	var err error
-	simRun(t, 8, func(ex *engine.SimExec) {
-		rep, err = engine.Run(ex, p, ins, cfg)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 8, p, ins, engine.Config{Chunks: 4, Lookback: 10, ExtraStates: 2, InnerWidth: 1, Seed: 7})
 	if len(rep.Outputs) != 120 {
 		t.Fatalf("got %d outputs, want 120", len(rep.Outputs))
 	}
@@ -190,18 +165,12 @@ func TestStatsRunCommitsAndOrdersOutputs(t *testing.T) {
 func TestStatsSpeedsUpOverSequential(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(400)
-	mSeq, _ := simRun(t, 1, func(ex *engine.SimExec) { engine.RunSequential(ex, p, ins, 1) })
-	cfg := engine.Config{Chunks: 8, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: 7}
-	var rep *engine.Report
-	var err error
-	mPar, _ := simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := simPlain(t, 1, func(ex *engine.SimExec) { engine.RunSequential(ex, p, ins, 1) })
+	rep, par := simStats(t, 8, p, ins, engine.Config{Chunks: 8, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: 7})
 	if rep.Aborts > 1 {
 		t.Fatalf("unexpected aborts: %d", rep.Aborts)
 	}
-	speedup := float64(mSeq.Now()) / float64(mPar.Now())
+	speedup := float64(seq) / float64(par)
 	if speedup < 3 {
 		t.Fatalf("8-chunk STATS speedup only %.2fx", speedup)
 	}
@@ -211,13 +180,7 @@ func TestNeverMatchAbortsEverySpeculation(t *testing.T) {
 	p := easyProg()
 	p.neverMatch = true
 	ins := toyInputs(80)
-	cfg := engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 3}
-	var rep *engine.Report
-	var err error
-	simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 8, p, ins, engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 3})
 	if rep.Aborts != 3 || rep.Commits != 1 {
 		t.Fatalf("never-match: commits %d aborts %d, want 1/3", rep.Commits, rep.Aborts)
 	}
@@ -232,15 +195,9 @@ func TestAbortedRunMatchesSequentialSemantics(t *testing.T) {
 	// sequential execution exactly.
 	p := &toyProg{decay: 0.9, noise: 0, tol: 0, neverMatch: true, updInstr: 1000}
 	ins := toyInputs(60)
-	var seq, par *engine.Report
-	var err error
-	simRun(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
-	simRun(t, 4, func(ex *engine.SimExec) {
-		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 9})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var seq *engine.Report
+	simPlain(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	par, _ := simStats(t, 4, p, ins, engine.Config{Chunks: 4, Lookback: 5, ExtraStates: 1, InnerWidth: 1, Seed: 9})
 	for i := range seq.Outputs {
 		a, b := seq.Outputs[i].(float64), par.Outputs[i].(float64)
 		if math.Abs(a-b) > 1e-9 {
@@ -255,15 +212,9 @@ func TestCommittedOutputsAreSpeculative(t *testing.T) {
 	// sequential run but stay within the short-memory envelope.
 	p := easyProg()
 	ins := toyInputs(100)
-	var seq, par *engine.Report
-	var err error
-	simRun(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
-	simRun(t, 8, func(ex *engine.SimExec) {
-		par, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 11})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var seq *engine.Report
+	simPlain(t, 1, func(ex *engine.SimExec) { seq = engine.RunSequential(ex, p, ins, 1) })
+	par, _ := simStats(t, 8, p, ins, engine.Config{Chunks: 4, Lookback: 12, ExtraStates: 2, InnerWidth: 1, Seed: 11})
 	// Outputs near the end of the stream must agree within the Match
 	// tolerance envelope (semantics preservation in the nondeterministic
 	// sense of §II-B).
@@ -277,13 +228,7 @@ func TestCommittedOutputsAreSpeculative(t *testing.T) {
 func TestThreadAndStateCounts(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(90)
-	cfg := engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 2, InnerWidth: 2, Seed: 1}
-	var rep *engine.Report
-	var err error
-	simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 8, p, ins, engine.Config{Chunks: 3, Lookback: 5, ExtraStates: 2, InnerWidth: 2, Seed: 1})
 	// 3 workers + 3 gang helpers (width-1 each) + 2 boundaries * 2 replicas.
 	want := 3 + 3*1 + 2*2
 	if rep.ThreadsCreated != want {
@@ -303,9 +248,9 @@ func TestInnerTLPReducesMakespan(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 16
 	ins := toyInputs(40)
-	m1, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 1, 1) })
-	m4, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 4, 1) })
-	sp := float64(m1.Now()) / float64(m4.Now())
+	m1 := simPlain(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 1, 1) })
+	m4 := simPlain(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 4, 1) })
+	sp := float64(m1) / float64(m4)
 	if sp < 2 {
 		t.Fatalf("4-wide gang speedup only %.2fx", sp)
 	}
@@ -316,22 +261,20 @@ func TestGrainLimitsGangWidth(t *testing.T) {
 	p.parInstr = 400_000
 	p.grain = 2 // only 2-way parallel
 	ins := toyInputs(30)
-	m2, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 2, 1) })
-	m8, _ := simRun(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 8, 1) })
+	m2 := simPlain(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 2, 1) })
+	m8 := simPlain(t, 8, func(ex *engine.SimExec) { engine.RunOriginal(ex, p, ins, 8, 1) })
 	// Width 8 cannot beat width 2 by much when grain is 2.
-	if float64(m2.Now())/float64(m8.Now()) > 1.3 {
-		t.Fatalf("grain-2 update sped up too much at width 8: %d vs %d", m2.Now(), m8.Now())
+	if float64(m2)/float64(m8) > 1.3 {
+		t.Fatalf("grain-2 update sped up too much at width 8: %d vs %d", m2, m8)
 	}
 }
 
 func TestTraceContainsStatsPhases(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(100)
-	var err error
-	_, tr := simRun(t, 8, func(ex *engine.SimExec) {
-		_, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 1, Seed: 5})
-	})
-	if err != nil {
+	tr := trace.New()
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(8), Options: []machine.Option{machine.WithTrace(tr)}}
+	if _, err := sim.RunSlice(p, ins, engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 1, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	by := tr.CyclesByCategory()
@@ -349,14 +292,7 @@ func TestTraceContainsStatsPhases(t *testing.T) {
 func TestLookbackLargerThanChunkClamps(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(12)
-	var rep *engine.Report
-	var err error
-	simRun(t, 4, func(ex *engine.SimExec) {
-		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 4, Lookback: 100, ExtraStates: 1, InnerWidth: 1, Seed: 2})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 4, p, ins, engine.Config{Chunks: 4, Lookback: 100, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	if len(rep.Outputs) != 12 {
 		t.Fatalf("got %d outputs", len(rep.Outputs))
 	}
@@ -365,14 +301,7 @@ func TestLookbackLargerThanChunkClamps(t *testing.T) {
 func TestMoreChunksThanInputsCaps(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(5)
-	var rep *engine.Report
-	var err error
-	simRun(t, 4, func(ex *engine.SimExec) {
-		rep, err = engine.Run(ex, p, ins, engine.Config{Chunks: 50, Lookback: 1, ExtraStates: 1, InnerWidth: 1, Seed: 2})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 4, p, ins, engine.Config{Chunks: 50, Lookback: 1, ExtraStates: 1, InnerWidth: 1, Seed: 2})
 	if rep.Chunks != 5 {
 		t.Fatalf("Chunks = %d, want capped to 5", rep.Chunks)
 	}
@@ -382,23 +311,15 @@ func TestMoreChunksThanInputsCaps(t *testing.T) {
 }
 
 func TestEmptyInputsRejected(t *testing.T) {
-	p := easyProg()
-	var err error
-	simRun(t, 2, func(ex *engine.SimExec) {
-		_, err = engine.Run(ex, p, nil, engine.Config{Chunks: 2, Lookback: 1, InnerWidth: 1})
-	})
-	if err == nil {
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(2)}
+	if _, err := sim.RunSlice(easyProg(), nil, engine.Config{Chunks: 2, Lookback: 1, InnerWidth: 1}); err == nil {
 		t.Fatal("empty input stream accepted")
 	}
 }
 
 func TestInvalidConfigRejected(t *testing.T) {
-	p := easyProg()
-	var err error
-	simRun(t, 2, func(ex *engine.SimExec) {
-		_, err = engine.Run(ex, p, toyInputs(4), engine.Config{Chunks: 0, Lookback: 1, InnerWidth: 1})
-	})
-	if err == nil {
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(2)}
+	if _, err := sim.RunSlice(easyProg(), toyInputs(4), engine.Config{Chunks: 0, Lookback: 1, InnerWidth: 1}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -408,13 +329,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	ins := toyInputs(100)
 	cfg := engine.Config{Chunks: 4, Lookback: 8, ExtraStates: 2, InnerWidth: 2, Seed: 42}
 	runOnce := func() (int64, float64) {
-		var rep *engine.Report
-		var err error
-		m, _ := simRun(t, 8, func(ex *engine.SimExec) { rep, err = engine.Run(ex, p, ins, cfg) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Now(), rep.Outputs[99].(float64)
+		rep, cycles := simStats(t, 8, p, ins, cfg)
+		return cycles, rep.Outputs[99].(float64)
 	}
 	t1, o1 := runOnce()
 	t2, o2 := runOnce()
@@ -428,10 +344,7 @@ func TestDifferentSeedsDifferentNondeterminism(t *testing.T) {
 	p.noise = 0.5
 	ins := toyInputs(100)
 	out := func(seed uint64) float64 {
-		var rep *engine.Report
-		simRun(t, 4, func(ex *engine.SimExec) {
-			rep, _ = engine.Run(ex, p, ins, engine.Config{Chunks: 2, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: seed})
-		})
+		rep, _ := simStats(t, 4, p, ins, engine.Config{Chunks: 2, Lookback: 8, ExtraStates: 1, InnerWidth: 1, Seed: seed})
 		return rep.Outputs[99].(float64)
 	}
 	if out(1) == out(2) {
@@ -525,12 +438,9 @@ func TestPropertyCommitsPlusAbortsEqualsChunks(t *testing.T) {
 			Seed:        seed,
 		}
 		ins := toyInputs(60)
-		var rep *engine.Report
-		var err error
-		m := machine.New(machine.DefaultConfig(4))
-		if runErr := m.Run("main", func(th *machine.Thread) {
-			rep, err = engine.Run(engine.NewSimExec(th), p, ins, cfg)
-		}); runErr != nil || err != nil {
+		sim := &engine.SimScheduler{Config: machine.DefaultConfig(4)}
+		rep, err := sim.RunSlice(p, ins, cfg)
+		if err != nil {
 			return false
 		}
 		return rep.Commits+rep.Aborts == rep.Chunks && len(rep.Outputs) == 60

@@ -19,18 +19,15 @@ import (
 // committed output lines, every snapshot emitted, and the final stats.
 func sessionRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
 	t.Helper()
-	return sessionRunPaced(t, name, cfg, inputs, nil)
+	return sessionRunPaced(t, bench.MustNew(name), cfg, inputs, nil)
 }
 
-// sessionRunPaced is sessionRun with a consumer that calls pace, when
-// non-nil, after taking each output, with the count so far.
-func sessionRunPaced(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input, pace func(n int)) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
+// sessionRunPaced is sessionRun over prog, a benchmark or a wrapper of
+// one, with a consumer that calls pace, when non-nil, after taking each
+// output, with the count so far.
+func sessionRunPaced(t *testing.T, prog engine.Program, cfg engine.StreamConfig, inputs []engine.Input, pace func(n int)) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
 	t.Helper()
-	prog, err := bench.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := bench.WireFor(name)
+	wc, err := bench.WireFor(prog.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +128,9 @@ func TestCheckpointEveryBoundary(t *testing.T) {
 		{"dedupstream", 1},
 		{"dedupstream", 4},
 	} {
-		tc := tc
-		t.Run(tc.name+"/workers="+string(rune('0'+tc.workers)), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/workers=%d", tc.name, tc.workers), func(t *testing.T) {
 			t.Parallel()
-			b, err := bench.New(tc.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := b.Inputs(rng.New(3))
+			inputs := bench.MustNew(tc.name).Inputs(rng.New(3))
 			if len(inputs) > 48 {
 				inputs = inputs[:48]
 			}

@@ -1,4 +1,4 @@
-package core
+package engine_test
 
 import (
 	"math"
@@ -25,17 +25,7 @@ func TestSimAndNativeProduceIdenticalOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sim *engine.Report
-	m := machine.New(machine.DefaultConfig(8))
-	if err := m.Run("main", func(th *machine.Thread) {
-		var runErr error
-		sim, runErr = engine.Run(engine.NewSimExec(th), p, ins, cfg)
-		if runErr != nil {
-			t.Error(runErr)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	sim, _ := simStats(t, 8, p, ins, cfg)
 
 	if nat.Commits != sim.Commits || nat.Aborts != sim.Aborts {
 		t.Fatalf("commit behaviour differs: native %d/%d, sim %d/%d",
@@ -77,17 +67,7 @@ func TestSequentialCrossExecutorIdentical(t *testing.T) {
 func TestOneInputPerChunk(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(6)
-	var rep *engine.Report
-	var err error
-	m := machine.New(machine.DefaultConfig(8))
-	if runErr := m.Run("main", func(th *machine.Thread) {
-		rep, err = engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 2, InnerWidth: 1, Seed: 1})
-	}); runErr != nil {
-		t.Fatal(runErr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 8, p, ins, engine.Config{Chunks: 6, Lookback: 4, ExtraStates: 2, InnerWidth: 1, Seed: 1})
 	if rep.Chunks != 6 || len(rep.Outputs) != 6 {
 		t.Fatalf("degenerate chunking broken: %+v", rep)
 	}
@@ -100,31 +80,14 @@ func TestGangWiderThanMachine(t *testing.T) {
 	p.parInstr = 100_000
 	p.grain = 16
 	ins := toyInputs(20)
-	m := machine.New(machine.DefaultConfig(2))
-	if err := m.Run("main", func(th *machine.Thread) {
-		if _, err := engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 6, Seed: 1}); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	simStats(t, 2, p, ins, engine.Config{Chunks: 2, Lookback: 2, ExtraStates: 0, InnerWidth: 6, Seed: 1})
 }
 
 // TestManyReplicas: more replica threads than cores per boundary.
 func TestManyReplicas(t *testing.T) {
 	p := easyProg()
 	ins := toyInputs(40)
-	var rep *engine.Report
-	m := machine.New(machine.DefaultConfig(2))
-	if err := m.Run("main", func(th *machine.Thread) {
-		var runErr error
-		rep, runErr = engine.Run(engine.NewSimExec(th), p, ins, engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 3, InnerWidth: 1, Seed: 1})
-		if runErr != nil {
-			t.Error(runErr)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := simStats(t, 2, p, ins, engine.Config{Chunks: 4, Lookback: 4, ExtraStates: 3, InnerWidth: 1, Seed: 1})
 	// 4 workers + 3 boundaries x 3 replicas.
 	if rep.ThreadsCreated != 4+9 {
 		t.Fatalf("threads = %d, want 13", rep.ThreadsCreated)

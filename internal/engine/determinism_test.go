@@ -2,58 +2,350 @@ package engine_test
 
 import (
 	"bytes"
-	"context"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/engine"
+	"gostats/internal/faultinject"
+	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
+
+// matrixSeed is every session's seed. Every session validates a boundary
+// over a one-input window against the final state and one replica
+// (Lookback 1, ExtraStates 1): the cheapest shape that still has replicas
+// to build, eagerly or from a seed.
+const matrixSeed = 5
+
+// matrixShapes gives a benchmark's chunk size and chunk count, by what an
+// input costs; the rest run 9 chunks of 4. The two that take microseconds
+// run 32 chunks: enough for the adaptive controller at 8 workers, whose
+// window is 16 chunks, to close an epoch of 8 outcomes and resize. The
+// two that take milliseconds run few, and bodytrack, whose 500 kB state
+// makes a checkpoint cost as much as its chunks, small ones.
+var matrixShapes = map[string]struct{ size, chunks int }{
+	"streamcluster": {4, 32}, "streamclassifier": {4, 32}, "swaptions": {4, 2}, "bodytrack": {2, 3},
+}
+
+// matrixRow is one configuration of the determinism matrix.
+type matrixRow struct {
+	workers int  // the pipeline's pool size; 0 is the simulated batch body
+	adapt   bool // adaptive chunk sizing (pipeline only)
+	faults  bool // a seeded plan of transient panics
+	resume  bool // resumed from every checkpoint (pipeline only)
+}
+
+func (r matrixRow) String() string {
+	s := "sim"
+	if r.workers > 0 {
+		s = fmt.Sprintf("w%d", r.workers)
+	}
+	for _, axis := range []struct {
+		on      bool
+		yes, no string
+	}{{r.adapt, "adaptive", "fixed"}, {r.faults, "faults", "clean"}, {r.resume, "resumed", "straight"}} {
+		if axis.on {
+			s += "/" + axis.yes
+		} else {
+			s += "/" + axis.no
+		}
+	}
+	return s
+}
+
+// risk names the path most likely to break the row, the one a failure
+// there points at first.
+func (r matrixRow) risk() string {
+	switch {
+	case r.resume:
+		return "reseed: a resumed frontier builds its first boundary's replicas from the snapshot's seed"
+	case r.adapt:
+		return "outcome-window lag: the controller sizes chunk j from the outcomes up to chunk j-2·Workers"
+	case r.workers == 8:
+		return "frontier-role hand-off: whichever of eight workers delivers applies the commits"
+	case r.faults:
+		return "retry: a faulted attempt re-derives its streams from the chunk index"
+	case r.workers == 0:
+		return "eager replicas: the simulated body builds every replica on a machine thread of its own"
+	}
+	return "deferred replicas: a boundary builds them only when the final state misses"
+}
+
+// matrixRows lists the rows; short leaves out the resumed ones.
+func matrixRows(short bool) []matrixRow {
+	rows := []matrixRow{{}, {faults: true}}
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, adapt := range []bool{false, true} {
+			for _, faults := range []bool{false, true} {
+				rows = append(rows, matrixRow{workers: w, adapt: adapt, faults: faults})
+				if !short {
+					rows = append(rows, matrixRow{workers: w, adapt: adapt, faults: faults, resume: true})
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// matrixOutcome is what one run of a row committed.
+type matrixOutcome struct {
+	digest  string            // SHA-256 of the committed lines in wire encoding
+	byChunk map[int][]untimed // each chunk's verdict: EvValidated, then EvCommitted or EvAborted
+	cycles  int64             // the simulated makespan; 0 on the pipeline
+	resizes int64
+	aborts  int
+	fired   int64 // injected faults that fired
+	// seededResumes counts the resumes whose first boundary missed the
+	// final state, so the resumed frontier built the replicas from the
+	// snapshot's seed.
+	seededResumes int
+}
+
+func digestLines(lines [][]byte) string {
+	h := sha256.New()
+	hashOutcomes(h, lines, nil)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// matrixBench is one benchmark's fixture.
+type matrixBench struct {
+	name   string
+	prog   engine.Program
+	wc     bench.WireCodec
+	inputs []engine.Input
+	size   int // inputs a chunk
+	chunks int
+	// every is a resumed row's checkpoint cadence: one or two captures a
+	// session, none at its last commit unless it has only two chunks.
+	every int
+	plan  *faultinject.Plan
+}
+
+func newMatrixBench(t *testing.T, name string) *matrixBench {
+	t.Helper()
+	b := bench.MustNew(name)
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, ok := matrixShapes[name]
+	if !ok {
+		shape.size, shape.chunks = 4, 9
+	}
+	return &matrixBench{name: name, prog: b, wc: wc, size: shape.size, chunks: shape.chunks,
+		every: shape.chunks/3 + 1, inputs: b.Inputs(rng.New(1))[:shape.size*shape.chunks],
+		plan: transientPlan(name, 4*shape.chunks)}
+}
+
+// transientPlan is a plan like the chaos suite's, of transient faults
+// only: chunk 0's body panics once, and a sixth of the later chunks panic
+// once at a protocol site drawn from the seed. The retry re-executes
+// cleanly, so the plan must not move a committed byte or a verdict. It
+// covers the chunk indices an adaptive session shrunk to a quarter of the
+// chunk size can reach.
+func transientPlan(name string, chunks int) *faultinject.Plan {
+	r := rng.New(matrixSeed).Derive("matrix-faults:" + name)
+	sites := []engine.FaultSite{engine.SiteAltProducer, engine.SiteBody, engine.SiteOrigStates, engine.SiteReexec}
+	faults := []faultinject.Fault{{Site: engine.SiteBody, Chunk: 0, Kind: faultinject.Panic}}
+	for c := 1; c < chunks; c++ {
+		if r.Float64() < 1.0/6 {
+			faults = append(faults, faultinject.Fault{Site: sites[r.Intn(len(sites))], Chunk: c, Kind: faultinject.Panic})
+		}
+	}
+	return faultinject.New(faults...)
+}
+
+// program is the benchmark the row runs, wrapped in a fresh injector when
+// the row injects faults.
+func (mb *matrixBench) program(row matrixRow) (engine.Program, func() int64) {
+	if !row.faults {
+		return mb.prog, func() int64 { return 0 }
+	}
+	fp := mb.plan.Wrap(mb.prog)
+	return fp, fp.Fired
+}
+
+// sim runs the simulated batch body over the fixture at seed.
+func (mb *matrixBench) sim(t *testing.T, row matrixRow, seed uint64) matrixOutcome {
+	t.Helper()
+	prog, fired := mb.program(row)
+	log := &verdictLog{}
+	sim := &engine.SimScheduler{Config: machine.DefaultConfig(8), Sink: log}
+	rep, err := sim.RunSlice(prog, mb.inputs, engine.Config{
+		Chunks: mb.chunks, Lookback: 1, ExtraStates: 1, InnerWidth: 2, Seed: seed})
+	if err != nil {
+		t.Fatalf("%s %s: %v", mb.name, row, err)
+	}
+	if rep.Commits+rep.Aborts != rep.Chunks {
+		t.Errorf("%s %s: %d commits + %d aborts != %d chunks", mb.name, row, rep.Commits, rep.Aborts, rep.Chunks)
+	}
+	lines := make([][]byte, len(rep.Outputs))
+	for i, out := range rep.Outputs {
+		if lines[i], err = mb.wc.EncodeOutput(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return matrixOutcome{digest: digestLines(lines), byChunk: log.byChunk, cycles: sim.Cycles(),
+		aborts: rep.Aborts, fired: fired()}
+}
+
+// pipeline runs the streaming pipeline over the fixture; a resumed row
+// also resumes a fresh session from every snapshot and holds the
+// concatenation to the uninterrupted bytes and the resumed verdicts to
+// the uninterrupted ones.
+func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
+	t.Helper()
+	prog, fired := mb.program(row)
+	log := &verdictLog{}
+	cfg := engine.StreamConfig{ChunkSize: mb.size, Lookback: 1, ExtraStates: 1,
+		Workers: row.workers, Seed: matrixSeed, Adapt: row.adapt, Sink: log}
+	if row.resume {
+		cfg.Checkpoint = engine.CheckpointConfig{Codec: mb.wc, EveryCommits: mb.every}
+	}
+	lines, snaps, st := sessionRunPaced(t, prog, cfg, mb.inputs, nil)
+	if st.Commits+st.Aborts != st.Chunks {
+		t.Errorf("%s %s: %d commits + %d aborts != %d chunks", mb.name, row, st.Commits, st.Aborts, st.Chunks)
+	}
+	o := matrixOutcome{digest: digestLines(lines), byChunk: log.byChunk,
+		resizes: st.Resizes, aborts: int(st.Aborts), fired: fired()}
+	if row.resume && len(snaps) == 0 {
+		t.Errorf("%s %s: no snapshot to resume from", mb.name, row)
+	}
+	for _, snap := range snaps {
+		at, done := snap.NextChunk, int(snap.Inputs)
+		if done == len(mb.inputs) {
+			continue // taken after the last input: nothing left to resume
+		}
+		rlog := &verdictLog{}
+		rprog, _ := mb.program(row)
+		tail, _, rst := sessionRunPaced(t, rprog, engine.StreamConfig{Sink: rlog,
+			Resume: &engine.ResumeConfig{Snap: snap, Codec: mb.wc}}, mb.inputs[done:], nil)
+		if got := digestLines(append(lines[:done:done], tail...)); got != o.digest {
+			t.Errorf("%s %s: resumed at chunk %d, committed %s, uninterrupted %s", mb.name, row, at, got, o.digest)
+		}
+		if rst.Commits+rst.Aborts != rst.Chunks {
+			t.Errorf("%s %s: resumed at chunk %d, %d commits + %d aborts != %d chunks", mb.name, row, at, rst.Commits, rst.Aborts, rst.Chunks)
+		}
+		for j, evs := range rlog.byChunk {
+			if j < at || !reflect.DeepEqual(evs, log.byChunk[j]) {
+				t.Errorf("%s %s: resumed at chunk %d, chunk %d's verdict %v, uninterrupted %v", mb.name, row, at, j, evs, log.byChunk[j])
+			}
+		}
+		if len(rlog.byChunk) != len(log.byChunk)-at {
+			t.Errorf("%s %s: resumed at chunk %d decided %d chunks, uninterrupted %d after it", mb.name, row, at, len(rlog.byChunk), len(log.byChunk)-at)
+		}
+		if evs := log.byChunk[at]; len(evs) > 0 && evs[0].Kind == engine.EvValidated && !(evs[0].Matched && evs[0].N == 1) {
+			o.seededResumes++
+		}
+	}
+	return o
+}
+
+// TestDeterminismMatrix is the determinism contract of PAPER.md §II-B as
+// one table: committed outputs are a pure function of the seed, the
+// inputs and the chunk boundaries. Per benchmark, each row — runtime (the
+// simulated batch body, the independent reference, or the pipeline at 1,
+// 2, 4 or 8 workers) × chunk sizing (fixed, or adaptive on the pipeline)
+// × faults (none, or a seeded plan of transient panics) × path (straight,
+// or on the pipeline resumed from every checkpoint) — runs twice and must
+// commit the same bytes with the same verdicts, Commits+Aborts == Chunks,
+// and on the simulated machine the same makespan. One difference is a
+// nondeterminism bug, reported with the row's riskiest path.
+//
+// Across rows, every fixed-sizing row commits the simulated row's bytes
+// and verdicts: the input counts are whole chunks, so Partition and a
+// fixed ChunkSize cut the same boundaries. An adaptive row commits what
+// its straight fault-free twin at the same Workers commits (the window,
+// 2·Workers chunks, decides which outcomes the controller has seen). And
+// the simulated row at seed+1 must commit other bytes: a runtime that
+// ignored its seed would pass every other check. No benchmark is exempt:
+// every one's Update draws on its stream, and its committed bytes move
+// with the seed.
+//
+// -short leaves out the resumed rows.
+func TestDeterminismMatrix(t *testing.T) {
+	names := bench.Names()
+	if len(names) != 8 {
+		t.Fatalf("expected 8 registered benchmarks, have %d: %v", len(names), names)
+	}
+	rows := matrixRows(testing.Short())
+	var mu sync.Mutex // guards the three below, summed over the benchmarks
+	resized := map[int]bool{}
+	var aborts, seededResumes int
+	// The axes only check what sessions exercise.
+	t.Cleanup(func() {
+		if aborts == 0 {
+			t.Error("no row aborted a chunk: recovery is unexercised")
+		}
+		for _, w := range []int{1, 2, 4, 8} {
+			if !resized[w] {
+				t.Errorf("no adaptive session at %d workers resized its chunks", w)
+			}
+		}
+		if !testing.Short() && seededResumes == 0 {
+			t.Error("no resumed first boundary built its replicas from the snapshot's seed")
+		}
+	})
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			mb := newMatrixBench(t, name)
+			got := make(map[matrixRow]matrixOutcome, len(rows))
+			for _, row := range rows {
+				run := func() matrixOutcome {
+					if row.workers == 0 {
+						return mb.sim(t, row, matrixSeed)
+					}
+					return mb.pipeline(t, row)
+				}
+				first, second := run(), run()
+				if first.digest != second.digest || !reflect.DeepEqual(first.byChunk, second.byChunk) || first.cycles != second.cycles {
+					t.Errorf("%s %s: two runs diverged (bytes %s vs %s, %d vs %d cycles); riskiest path: %s",
+						name, row, first.digest, second.digest, first.cycles, second.cycles, row.risk())
+				}
+				if row.faults && first.fired == 0 {
+					t.Errorf("%s %s: no planned fault fired", name, row)
+				}
+				got[row] = first
+				mu.Lock()
+				aborts += first.aborts
+				seededResumes += first.seededResumes
+				resized[row.workers] = resized[row.workers] || row.adapt && first.resizes > 0
+				mu.Unlock()
+			}
+			ref := got[matrixRow{}]
+			for _, row := range rows {
+				twin, want := matrixRow{}, ref
+				if row.adapt {
+					twin = matrixRow{workers: row.workers, adapt: true}
+					want = got[twin]
+				}
+				if o := got[row]; o.digest != want.digest || !reflect.DeepEqual(o.byChunk, want.byChunk) {
+					t.Errorf("%s %s: committed %s, %s committed %s (or the verdicts differ); riskiest path: %s",
+						name, row, o.digest, twin, want.digest, row.risk())
+				}
+			}
+			if o := mb.sim(t, matrixRow{}, matrixSeed+1); o.digest == ref.digest {
+				t.Errorf("%s: seed %d committed the bytes of seed %d", name, matrixSeed+1, matrixSeed)
+			}
+		})
+	}
+}
 
 // encodeRun streams inputs through a fresh pipeline and returns the
 // committed outputs in the benchmark's wire encoding, one line each.
 func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) []byte {
 	t.Helper()
-	prog, err := bench.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, err := bench.CodecFor(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	p, err := engine.NewStream(ctx, prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		defer p.Close()
-		for _, in := range inputs {
-			if p.Push(ctx, in) != nil {
-				return
-			}
-		}
-	}()
-	var buf bytes.Buffer
-	for out := range p.Outputs() {
-		line, err := codec.EncodeOutput(out)
-		if err != nil {
-			t.Error(err)
-			break
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	stats, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lines, _, stats := sessionRun(t, name, cfg, inputs)
 	if int(stats.Outputs) != len(inputs) {
 		t.Fatalf("%s: %d outputs for %d inputs", name, stats.Outputs, len(inputs))
 	}
-	return buf.Bytes()
+	return joinLines(lines)
 }
 
 // TestStreamingDeterminism is the reproducibility guarantee the package
@@ -66,11 +358,7 @@ func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engi
 func TestStreamingDeterminism(t *testing.T) {
 	for _, name := range []string{"facetrack", "streamcluster", "streamclassifier", "dedupstream"} {
 		t.Run(name, func(t *testing.T) {
-			b, err := bench.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := b.Inputs(rng.New(9))
+			inputs := bench.MustNew(name).Inputs(rng.New(9))
 			if len(inputs) > 90 {
 				inputs = inputs[:90]
 			}
@@ -97,11 +385,7 @@ func TestStreamingDeterminism(t *testing.T) {
 // are a function of (seed, inputs, chunk boundaries) alone.
 func TestStreamingDeterminismAcrossWorkerCounts(t *testing.T) {
 	name := "streamcluster"
-	b, err := bench.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := b.Inputs(rng.New(9))[:60]
+	inputs := bench.MustNew(name).Inputs(rng.New(9))[:60]
 	// Fixed chunk size: adaptive sizing consumes outcomes at a
 	// Workers-dependent lag, so boundaries (legitimately) shift with the
 	// window; with sizing fixed, the committed bytes must not.

@@ -8,8 +8,8 @@
 // comparison, over the primitives in protocol.go) and is driven through
 // a pluggable Scheduler, which decides only how chunks map to threads.
 // There is one native runtime, the bounded-queue streaming pipeline
-// (Pipeline) on NativeExec, and one simulated one, the batch body (Run)
-// on SimExec; Exec itself is only cost accounting:
+// (Pipeline) on NativeExec, and one simulated one, the batch body
+// (SimScheduler) on SimExec; Exec itself is only cost accounting:
 //
 //   - BatchScheduler: the pipeline with one worker per chunk over a
 //     bounded input slice; it spawns no per-chunk goroutine.

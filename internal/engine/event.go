@@ -25,8 +25,8 @@ import (
 type Kind uint8
 
 const (
-	// EvSessionStart and EvSessionEnd bracket one scheduler run (a batch
-	// Run call or a streaming session). EvSessionEnd's N is the number of
+	// EvSessionStart and EvSessionEnd bracket one scheduler run (a simulated
+	// batch run or a streaming session). EvSessionEnd's N is the number of
 	// chunks the run announced with EvChunk and never resolved with
 	// EvOutputs: what an abandoned or failed streaming session dropped,
 	// 0 otherwise.

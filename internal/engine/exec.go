@@ -10,8 +10,9 @@ import (
 // every unit of modelled work to a virtual thread, or plain goroutines
 // (NativeExec) for real use, where the real computation inside Update is
 // the cost and every charge is a no-op. Threads and locks are not part of
-// it: the simulated batch body (Run) spawns and synchronizes machine
-// threads directly, and the native runtime is the streaming pipeline.
+// it: the simulated batch body (SimScheduler) spawns and synchronizes
+// machine threads directly, and the native runtime is the streaming
+// pipeline.
 type Exec interface {
 	// Compute charges w to the calling context (no-op on native — there
 	// the real computation inside Update is the cost).

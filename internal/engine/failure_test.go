@@ -1,4 +1,4 @@
-package core
+package engine_test
 
 import (
 	"errors"
@@ -58,16 +58,11 @@ func (f *faultyProg) UpdateCost(in engine.Input, s engine.State) engine.UpdateWo
 }
 
 // runFaulty executes the STATS model on the simulated machine and returns
-// the machine error (the runtime must never hang on injected failures).
+// its error (the runtime must never hang on injected failures).
 func runFaulty(t *testing.T, f *faultyProg, cfg engine.Config) error {
 	t.Helper()
-	m := machine.New(machine.DefaultConfig(4))
-	return m.Run("main", func(th *machine.Thread) {
-		_, err := engine.Run(engine.NewSimExec(th), f, toyInputs(40), cfg)
-		if err != nil {
-			panic(err)
-		}
-	})
+	_, err := (&engine.SimScheduler{Config: machine.DefaultConfig(4)}).RunSlice(f, toyInputs(40), cfg)
+	return err
 }
 
 // A persistent worker panic exhausts the retry budget, the degraded

@@ -258,7 +258,7 @@ func TestRecordReuseStress(t *testing.T) {
 
 	run := func(workers int, pace func(int), ckpt engine.CheckpointConfig) ([]byte, map[int][]untimed) {
 		log := &chunkLog{}
-		lines, snaps, st := sessionRunPaced(t, name, engine.StreamConfig{
+		lines, snaps, st := sessionRunPaced(t, bench.MustNew(name), engine.StreamConfig{
 			ChunkSize: 3, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 11, Sink: log,
 			Checkpoint: ckpt,
 		}, inputs, pace)

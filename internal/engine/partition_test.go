@@ -1,7 +1,8 @@
-package core
+package engine_test
 
 import (
 	"testing"
+	"testing/quick"
 
 	"gostats/internal/engine"
 )
@@ -39,4 +40,34 @@ func FuzzPartition(f *testing.F) {
 			t.Fatalf("engine.Partition(%d,%d) uneven: %d..%d", n, k, minSz, maxSz)
 		}
 	})
+}
+
+func TestPartitionProperties(t *testing.T) {
+	f := func(n16, k8 uint8) bool {
+		n := int(n16) + 1
+		k := int(k8)%(n+2) + 1
+		b := engine.Partition(n, k)
+		if len(b) > n || len(b) < 1 {
+			return false
+		}
+		prev := 0
+		minSz, maxSz := n+1, 0
+		for _, bb := range b {
+			if bb[0] != prev || bb[1] <= bb[0] {
+				return false
+			}
+			sz := bb[1] - bb[0]
+			if sz < minSz {
+				minSz = sz
+			}
+			if sz > maxSz {
+				maxSz = sz
+			}
+			prev = bb[1]
+		}
+		return prev == n && maxSz-minSz <= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

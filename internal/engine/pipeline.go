@@ -15,7 +15,7 @@ import (
 // This file is the streaming side of the engine: the STATS speculation
 // protocol over an unbounded input stream instead of a fixed slice.
 //
-// The simulated batch body (Run) partitions a complete input slice into
+// The simulated batch body (SimScheduler) partitions a complete input slice into
 // chunks and spawns one thread per chunk. The workloads the paper parallelizes —
 // video frames, point blocks, sample batches — are really streams, so the
 // pipeline rebuilds the protocol as stages:

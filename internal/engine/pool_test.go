@@ -1,4 +1,4 @@
-package core
+package engine_test
 
 import (
 	"testing"

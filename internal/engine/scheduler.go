@@ -13,7 +13,7 @@ import (
 // bounded input slice. The protocol itself lives in this package's
 // primitives; a Scheduler only decides how chunks are mapped onto
 // execution resources. There is one native runtime, the streaming
-// pipeline, and one simulated one, the batch body (Run):
+// pipeline, and one simulated one, the batch body:
 //
 //   - BatchScheduler: the pipeline with one worker per chunk.
 //   - StreamScheduler: the pipeline with a worker pool of any size,
@@ -97,10 +97,12 @@ func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repo
 	return runStream(s.Ctx, p, inputs, scfg)
 }
 
-// SimScheduler runs the batch chunk mapping on the cycle-accurate
-// simulated machine (package machine). It is not goroutine-safe: each
-// RunSlice builds a fresh machine, kept accessible through Cycles and
-// Accounting until the next run.
+// SimScheduler runs the batch body — one machine thread per chunk, commit
+// decisions passed down a mutex/cond chain (§II-B, Fig. 5) — on the
+// cycle-accurate simulated machine (package machine); it is the body's one
+// entry point. It is not goroutine-safe: each RunSlice builds a fresh
+// machine, kept accessible through Cycles, Accounting and Machine until
+// the next run.
 type SimScheduler struct {
 	// Config is the simulated platform; zero-value Cores is rejected, use
 	// machine.DefaultConfig.

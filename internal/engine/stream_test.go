@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -12,59 +11,6 @@ import (
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 )
-
-// toyProg mirrors the core tests' minimal short-memory program:
-// v' = decay*v + in + noise, with a configurable Match tolerance.
-type toyProg struct {
-	decay, noise, tol float64
-	neverMatch        bool
-}
-
-type toyState struct {
-	v float64
-	n int
-}
-
-func (p *toyProg) Name() string                       { return "toy" }
-func (p *toyProg) Initial(r *rng.Stream) engine.State { return &toyState{v: 100} }
-func (p *toyProg) Fresh(r *rng.Stream) engine.State   { return &toyState{} }
-
-func (p *toyProg) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
-	st := s.(*toyState)
-	st.v = p.decay*st.v + in.(float64) + p.noise*(2*r.Float64()-1)
-	st.n++
-	return st, st.v
-}
-
-func (p *toyProg) Clone(s engine.State) engine.State {
-	c := *s.(*toyState)
-	return &c
-}
-
-func (p *toyProg) Match(a, b engine.State) bool {
-	if p.neverMatch {
-		return false
-	}
-	return math.Abs(a.(*toyState).v-b.(*toyState).v) <= p.tol
-}
-
-func (p *toyProg) StateBytes() int64 { return 16 }
-func (p *toyProg) UpdateCost(engine.Input, engine.State) engine.UpdateWork {
-	return engine.UpdateWork{Grain: 1}
-}
-func (p *toyProg) CompareCost() machine.Work     { return machine.Work{} }
-func (p *toyProg) SetupWork(int) machine.Work    { return machine.Work{} }
-func (p *toyProg) TeardownWork(int) machine.Work { return machine.Work{} }
-func (p *toyProg) PreRegionWork() machine.Work   { return machine.Work{} }
-func (p *toyProg) PostRegionWork() machine.Work  { return machine.Work{} }
-
-func toyInputs(n int) []engine.Input {
-	ins := make([]engine.Input, n)
-	for i := range ins {
-		ins[i] = float64(i%7) + 1
-	}
-	return ins
-}
 
 // collect pushes every input, closes the pipeline, and gathers the
 // committed output sequence.
@@ -96,7 +42,7 @@ func collect(t *testing.T, ctx context.Context, p *engine.Pipeline, inputs []eng
 }
 
 // TestStreamMatchesBatchRun is the pipeline's semantic anchor: with chunk
-// boundaries matching engine.Run's partition, the streaming committed
+// boundaries matching the batch partition, the streaming committed
 // output sequence is IDENTICAL to the batch runtime's — the simulated
 // machine's batch body, the one runtime independent of the pipeline — for
 // a real benchmark with real nondeterminism and occasional mispeculation.

@@ -191,14 +191,11 @@ func TrainingObjective(b bench.Benchmark, training []engine.Input, cores int, se
 		for _, s := range []uint64{seed, seed*2654435761 + 97} {
 			cfg := configOf(p)
 			cfg.Seed = s
-			m := machine.New(machine.DefaultConfig(cores))
-			var runErr error
-			if err := m.Run("main", func(th *machine.Thread) {
-				_, runErr = engine.Run(engine.NewSimExec(th), b, training, cfg)
-			}); err != nil || runErr != nil {
+			sim := &engine.SimScheduler{Config: machine.DefaultConfig(cores)}
+			if _, err := sim.RunSlice(b, training, cfg); err != nil {
 				return float64(int64(1) << 62)
 			}
-			total += float64(m.Now())
+			total += float64(sim.Cycles())
 		}
 		return total / 2
 	}
