@@ -502,8 +502,8 @@ type replayReader struct {
 
 	// Input-line bookkeeping for checkpointed sessions (trackLines): nl
 	// holds the absolute offset just past each retained non-blank line's
-	// newline — non-blank because that is what the backend's pusher
-	// counts as an input — and nlBase is how many such lines trimming
+	// newline — non-blank (checkpoint.IsJSONSpace) because that is what
+	// the backend's pusher counts as an input — and nlBase is how many such lines trimming
 	// already discarded. Together they map the checkpoint frontier (an
 	// input count) onto byte offsets, so trimToLine can bound retained
 	// memory by checkpoint lag and viewAtLine can start a resume body
@@ -549,14 +549,14 @@ func (rr *replayReader) trackLines() {
 // absolute offset base) into the line index. Caller holds mu.
 func (rr *replayReader) recordLines(b []byte, base int64) {
 	for i, c := range b {
-		switch c {
-		case '\n':
+		switch {
+		case c == '\n':
 			if rr.midLine {
 				rr.nl = append(rr.nl, base+int64(i)+1)
 				rr.midLine = false
 			}
-		case ' ', '\t', '\r':
-			// whitespace keeps a line blank
+		case checkpoint.IsJSONSpace(c):
+			// JSON whitespace keeps a line blank, as it does for the backend
 		default:
 			rr.midLine = true
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"gostats/internal/checkpoint"
 )
 
 // TestReplayReleaseKeepsUnreadTail: a source read pulls more into the
@@ -52,7 +54,9 @@ func (r *shortReader) Read(p []byte) (int, error) {
 }
 
 // replaySource is a session body of n input lines of varying length, some
-// of them blank (whitespace only), which the line index must not count.
+// of them blank (JSON whitespace only), which the line index must not
+// count, and some of other whitespace, which the backend decodes as an
+// input and refuses, and which the index must count.
 func replaySource(n int, seed byte) []byte {
 	var b []byte
 	x := uint32(seed) + 1
@@ -61,6 +65,8 @@ func replaySource(n int, seed byte) []byte {
 		switch x >> 28 {
 		case 0:
 			b = append(b, " \t\r\n"...)
+		case 1:
+			b = append(b, " \v\f\n"...)
 		default:
 			for j := 0; j < int(x>>16&0x7FF)+1; j++ {
 				b = append(b, 'a'+byte(j%26))
@@ -76,13 +82,13 @@ func lineEnds(src []byte) []int64 {
 	var ends []int64
 	content := false
 	for i, c := range src {
-		switch c {
-		case '\n':
+		switch {
+		case c == '\n':
 			if content {
 				ends = append(ends, int64(i)+1)
 			}
 			content = false
-		case ' ', '\t', '\r':
+		case checkpoint.IsJSONSpace(c):
 		default:
 			content = true
 		}

@@ -52,7 +52,9 @@ func newSample(t *testing.T, name string) (s sample) {
 // TestCodecAllocations pins what the hand-written codecs are for. Every
 // decoder must take its own encoder's line without encoding/json — seen
 // from outside as allocating less than the same line behind a space,
-// which json.Unmarshal decodes — and the hot ones have absolute budgets.
+// which json.Unmarshal decodes — and the hot ones have absolute budgets,
+// the reusing halves a served line goes through (bench.ReusingCodec)
+// among them.
 func TestCodecAllocations(t *testing.T) {
 	for _, name := range bench.WireNames() {
 		t.Run(name, func(t *testing.T) {
@@ -85,6 +87,32 @@ func TestCodecAllocations(t *testing.T) {
 	}
 	if n := allocs(func() { _, _ = sc.wc.EncodeOutput(sc.out) }); n > 1 {
 		t.Errorf("streamcluster EncodeOutput: %v allocations, want at most 1 (the line)", n)
+	}
+	// The reusing halves, as a served line runs them: a line decoded into
+	// the input its record slot retires keeps only the interface box, and
+	// an output appended to the session's line buffer allocates nothing.
+	for _, name := range []string{"streamcluster", "streamclassifier", "dedupstream"} {
+		s := newSample(t, name)
+		rc := s.wc.(bench.ReusingCodec)
+		spare, err := s.wc.DecodeInput(s.inLine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := allocs(func() { _, _ = rc.DecodeInputInto(s.inLine, spare) }); n > 1 {
+			t.Errorf("%s DecodeInputInto with a spare: %v allocations, want at most 1 (the interface box)", name, n)
+		}
+	}
+	for _, name := range bench.WireNames() {
+		s := newSample(t, name)
+		rc, ok := s.wc.(bench.ReusingCodec)
+		if !ok {
+			t.Errorf("%s: codec is not a bench.ReusingCodec", name)
+			continue
+		}
+		dst := make([]byte, 0, 4*len(s.outLine))
+		if n := allocs(func() { _, _ = rc.AppendOutput(dst, s.out) }); n != 0 {
+			t.Errorf("%s AppendOutput with room: %v allocations, want 0", name, n)
+		}
 	}
 	dd := newSample(t, "dedupstream")
 	if n := allocs(func() { _, _ = dd.wc.EncodeState(dd.st) }); n > 1 {

@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"gostats/internal/bench"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
 
 // BenchmarkDecodeInput is the serial stage of a served session, alone:
-// each codec's DecodeInput over its benchmark's seed-42 request lines,
-// in order, reported per line and as MB/s of NDJSON read.
+// each codec's DecodeInputInto over its benchmark's seed-42 request
+// lines, in order, each decoded into the input decoded before it, as a
+// served line is into the input its record slot retires; reported per
+// line and as MB/s of NDJSON read.
 func BenchmarkDecodeInput(b *testing.B) {
 	for _, name := range bench.WireNames() {
 		b.Run(name, func(b *testing.B) {
@@ -27,11 +30,13 @@ func BenchmarkDecodeInput(b *testing.B) {
 				lines = append(lines, line)
 				total += len(line)
 			}
+			rc := bench.Reusing(wc)
+			var spare engine.Input
 			b.SetBytes(int64(total / len(lines)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := wc.DecodeInput(lines[i%len(lines)]); err != nil {
+				if spare, err = rc.DecodeInputInto(lines[i%len(lines)], spare); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,9 +20,20 @@ import (
 // to a fixed point, which is what makes a served session reproducible
 // from its request log even when clients send semantically odd but
 // syntactically valid lines.
+//
+// The reusing halves a served session runs (bench.ReusingCodec) are held
+// to the allocating ones. A line decoded into a spare — an input of
+// another shape whose storage the decoder may overwrite: the sample
+// input, with its slices grown to twice their length or cut to one
+// element — decodes as it does fresh, by reflect.DeepEqual and by its
+// re-encoded bytes, whatever the spare held. And AppendOutput onto a
+// non-empty buffer, with room or without, keeps the buffer's bytes and
+// appends exactly EncodeOutput's: for the sample output, and for the line
+// itself when it decodes as an output.
 func FuzzStreamCodecs(f *testing.F) {
 	names := bench.CodecNames()
 	samples := make([]engine.Input, len(names))
+	outs := make([]engine.Output, len(names))
 	// Seed with genuine encoded inputs from each streamable benchmark,
 	// plus structural edge cases.
 	for idx, name := range names {
@@ -33,6 +44,7 @@ func FuzzStreamCodecs(f *testing.F) {
 		}
 		ins := b.Inputs(rng.New(7))
 		samples[idx] = ins[0]
+		_, outs[idx] = b.Update(b.Initial(rng.New(1)), ins[0], rng.New(2))
 		for k := 0; k < 3 && k < len(ins); k++ {
 			line, err := c.EncodeInput(ins[k*len(ins)/3])
 			if err != nil {
@@ -62,10 +74,32 @@ func FuzzStreamCodecs(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rc := bench.Reusing(codec)
+		for _, out := range appendables(t, name, outs[idx], line) {
+			checkAppendOutput(t, name, rc, codec, out, line)
+		}
 		want, refErr := refDecode(samples[idx], line)
 		in, err := codec.DecodeInput(line)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%s: DecodeInput error %v, json.Unmarshal error %v\n%q", name, err, refErr, line)
+		}
+		for _, n := range []func(int) int{func(n int) int { return 2 * n }, func(int) int { return 1 }} {
+			spare := reshaped(samples[idx], n)
+			got, spareErr := rc.DecodeInputInto(line, spare)
+			if (spareErr == nil) != (err == nil) {
+				t.Fatalf("%s: DecodeInputInto error %v, DecodeInput error %v\n%q", name, spareErr, err, line)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, in) {
+				t.Fatalf("%s: decoded into a spare, %q differs from its fresh decoding:\n got %#v\nwant %#v", name, line, got, in)
+			}
+			a, errA := codec.EncodeInput(got)
+			b, errB := codec.EncodeInput(in)
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("%s: decoded into a spare, %q re-encodes as %s (%v), fresh as %s (%v)", name, line, a, errA, b, errB)
+			}
 		}
 		if err != nil {
 			return // rejecting malformed input is fine
@@ -92,6 +126,62 @@ func FuzzStreamCodecs(f *testing.F) {
 			t.Fatalf("%s: unstable round-trip:\n first: %s\nsecond: %s", name, enc1, enc2)
 		}
 	})
+}
+
+// reshaped returns a copy of in, on storage of its own, whose slice
+// fields hold n(len) elements: the old ones over again, so every element
+// a decoder fails to overwrite is a stale non-zero one.
+func reshaped(in engine.Input, n func(int) int) engine.Input {
+	v := reflect.New(reflect.TypeOf(in)).Elem()
+	v.Set(reflect.ValueOf(in))
+	for i := 0; i < v.NumField(); i++ {
+		fv := v.Field(i)
+		if fv.Kind() != reflect.Slice || fv.Len() == 0 {
+			continue
+		}
+		k := n(fv.Len())
+		s := reflect.MakeSlice(fv.Type(), k, k)
+		for j := 0; j < k; j++ {
+			s.Index(j).Set(fv.Index(j % fv.Len()))
+		}
+		fv.Set(s)
+	}
+	return v.Interface()
+}
+
+// appendables is the outputs a fuzzed line's AppendOutput checks run on:
+// the sample output, and the line decoded as an output when it is one.
+func appendables(t *testing.T, name string, sample engine.Output, line []byte) []engine.Output {
+	t.Helper()
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := wc.DecodeOutput(line); err == nil {
+		return []engine.Output{sample, out}
+	}
+	return []engine.Output{sample}
+}
+
+// checkAppendOutput appends out to a buffer holding line and a marker,
+// once with room to spare and once with none.
+func checkAppendOutput(t *testing.T, name string, rc bench.ReusingCodec, codec bench.StreamCodec, out engine.Output, line []byte) {
+	t.Helper()
+	want, err := codec.EncodeOutput(out)
+	prefix := append([]byte("#"), line...)
+	for _, room := range []int{0, len(want) + 64} {
+		dst := append(make([]byte, 0, len(prefix)+room), prefix...)
+		got, appendErr := rc.AppendOutput(dst, out)
+		if (appendErr == nil) != (err == nil) {
+			t.Fatalf("%s: AppendOutput error %v, EncodeOutput error %v", name, appendErr, err)
+		}
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(got[:min(len(got), len(prefix))], prefix) || !bytes.Equal(got[min(len(got), len(prefix)):], want) {
+			t.Fatalf("%s: AppendOutput onto %q (room %d) wrote %q, want the prefix and %s", name, prefix, room, got, want)
+		}
+	}
 }
 
 // FuzzWireCodecs drives the other two decoders of every wire codec —

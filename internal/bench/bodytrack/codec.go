@@ -18,8 +18,12 @@ func init() {
 // state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
-	fr, err := trackutil.DecodeFrame(data)
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto reuses the spare frame's Obs and True.
+func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error) {
+	fr, _ := spare.(trackutil.Frame)
+	fr, err := trackutil.DecodeFrame(data, fr)
 	if err != nil {
 		return nil, fmt.Errorf("bodytrack: bad frame: %w", err)
 	}
@@ -34,12 +38,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return trackutil.EncodeFrame(fr)
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	res, ok := out.(Result)
 	if !ok {
 		return nil, fmt.Errorf("bodytrack: output is %T, want Result", out)
 	}
-	e := bench.NewEnc(64 + bench.FloatLen*len(res.Est))
+	e := bench.AppendEnc(dst, 64+bench.FloatLen*len(res.Est))
 	e.Lit(`{"Frame":`)
 	e.Int(res.Frame)
 	e.Lit(`,"Est":`)
@@ -66,7 +72,7 @@ func scanResult(data []byte) (res Result, ok bool) {
 	c.Lit(`{"Frame":`)
 	res.Frame = c.Int()
 	c.Lit(`,"Est":`)
-	res.Est = c.FloatSlice()
+	res.Est = c.FloatSlice(nil)
 	c.Lit(`,"Err":`)
 	res.Err = c.Float()
 	c.Lit("}")

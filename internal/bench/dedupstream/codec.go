@@ -18,23 +18,27 @@ func init() {
 // index as state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
-	if seg, ok := scanSegment(data); ok {
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto reuses the spare Segment's Data.
+func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error) {
+	seg, _ := spare.(Segment)
+	if scanSegment(data, &seg) {
 		return seg, nil
 	}
-	var seg Segment
-	if err := bench.Unmarshal(data, &seg); err != nil {
+	var fresh Segment
+	if err := bench.Unmarshal(data, &fresh); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
 	}
-	return seg, nil
+	return fresh, nil
 }
 
-func scanSegment(data []byte) (seg Segment, ok bool) {
+func scanSegment(data []byte, seg *Segment) bool {
 	c := bench.NewCursor(data)
 	c.Lit(`{"data":`)
-	seg.Data = c.Base64()
+	seg.Data = c.Base64(seg.Data)
 	c.Lit("}")
-	return seg, c.End()
+	return c.End()
 }
 
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
@@ -49,12 +53,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return e.Bytes()
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	ss, ok := out.(SegmentStats)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: output is %T, want SegmentStats", out)
 	}
-	e := bench.NewEnc(128)
+	e := bench.AppendEnc(dst, 128)
 	e.Lit(`{"chunks":`)
 	e.Int(ss.Chunks)
 	e.Lit(`,"dup_bytes":`)

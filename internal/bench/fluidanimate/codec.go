@@ -17,7 +17,10 @@ func init() {
 // state for checkpoints and out-of-process chunk execution.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto has no storage to reuse: an input is a few scalars.
+func (codec) DecodeInputInto(data []byte, _ engine.Input) (engine.Input, error) {
 	if f, ok := scanForce(data); ok {
 		return f, nil
 	}
@@ -64,12 +67,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return e.Bytes()
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	se, ok := out.(StepEnergy)
 	if !ok {
 		return nil, fmt.Errorf("fluidanimate: output is %T, want StepEnergy", out)
 	}
-	e := bench.NewEnc(64)
+	e := bench.AppendEnc(dst, 64)
 	e.Lit(`{"Step":`)
 	e.Int(se.Step)
 	e.Lit(`,"Energy":`)

@@ -69,6 +69,26 @@ type Enc struct {
 // usual size, so the line is one allocation.
 func NewEnc(n int) Enc { return Enc{b: make([]byte, 0, n)} }
 
+// AppendEnc returns an Enc that writes after dst's bytes, with room for n
+// more: none is allocated when dst already has it, one buffer otherwise.
+func AppendEnc(dst []byte, n int) Enc {
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	return Enc{b: dst}
+}
+
+// Reuse returns s emptied, or a new slice if s is nil or holds less than
+// n: where a decoder that may reuse a spare's storage appends what a line
+// holds. Never nil, as a fresh decoder's make is not, so the two decode a
+// line to the same value; no element of s is visible in it until written.
+func Reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // Lit writes s as is: punctuation and keys.
 func (e *Enc) Lit(s string) {
 	n := len(e.b)
@@ -480,21 +500,23 @@ func (c *Cursor) Next(i int) bool {
 	return false
 }
 
-// FloatSlice reads an array of numbers of any length. Like
-// encoding/json, it returns an empty non-nil slice for [].
-func (c *Cursor) FloatSlice() []float64 {
+// FloatSlice reads an array of numbers of any length into dst's storage
+// when it has room (Reuse). Like encoding/json, it returns an empty
+// non-nil slice for [].
+func (c *Cursor) FloatSlice(dst []float64) []float64 {
 	c.Lit("[")
-	out := make([]float64, 0, c.Elems(",", "]", 2))
+	out := Reuse(dst, c.Elems(",", "]", 2))
 	for i := 0; c.Next(i); i++ {
 		out = append(out, c.Float())
 	}
 	return out
 }
 
-// Base64 reads a string of standard base64 and returns its bytes.
-// Escapes and anything else outside the alphabet fail; the one thing
-// base64 skips that JSON forbids, a raw CR or LF, is refused here.
-func (c *Cursor) Base64() []byte {
+// Base64 reads a string of standard base64 and returns its bytes, in
+// dst's storage when it has room (Reuse). Escapes and anything else
+// outside the alphabet fail; the one thing base64 skips that JSON
+// forbids, a raw CR or LF, is refused here.
+func (c *Cursor) Base64(dst []byte) []byte {
 	c.Lit(`"`)
 	if c.bad {
 		return nil
@@ -513,7 +535,8 @@ func (c *Cursor) Base64() []byte {
 	if c.bad {
 		return nil
 	}
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n := base64.StdEncoding.DecodedLen(len(src))
+	out := Reuse(dst, n)[:n]
 	n, err := base64.StdEncoding.Decode(out, src)
 	if err != nil {
 		c.bad = true

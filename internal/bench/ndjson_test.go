@@ -101,7 +101,7 @@ func TestCursorShapes(t *testing.T) {
 		var want []float64
 		refErr := json.Unmarshal([]byte(lit), &want)
 		c := NewCursor([]byte(lit))
-		got := c.FloatSlice()
+		got := c.FloatSlice(nil)
 		// null and whitespace are JSON the cursor leaves to the fallback.
 		canonical := lit != "null" && !strings.Contains(lit, " ")
 		if ok := c.End(); ok != (refErr == nil && canonical) || ok && !reflect.DeepEqual(got, want) {
@@ -115,7 +115,7 @@ func TestCursorShapes(t *testing.T) {
 		var want []byte
 		refErr := json.Unmarshal([]byte(lit), &want)
 		c := NewCursor([]byte(lit))
-		got := c.Base64()
+		got := c.Base64(nil)
 		// Escapes are JSON the cursor leaves to the fallback.
 		canonical := !strings.Contains(lit, `\`)
 		if ok := c.End(); ok != (refErr == nil && canonical) || ok && !reflect.DeepEqual(got, want) {
@@ -154,10 +154,10 @@ func TestCursorShapes(t *testing.T) {
 	// After a mismatch every read is a no-op and nothing is taken.
 	c = NewCursor([]byte(`{"a":1}`))
 	c.Lit(`{"b":`)
-	if c.Float() != 0 || c.Try(`{"a":`) || c.Next(0) || c.Next(1) || c.Bool() || c.Base64() != nil || c.Elems(",", "]", 2) != 0 || c.End() {
+	if c.Float() != 0 || c.Try(`{"a":`) || c.Next(0) || c.Next(1) || c.Bool() || c.Base64(nil) != nil || c.Elems(",", "]", 2) != 0 || c.End() {
 		t.Errorf("a failed cursor kept reading")
 	}
-	if s := c.FloatSlice(); len(s) != 0 {
+	if s := c.FloatSlice(nil); len(s) != 0 {
 		t.Errorf("a failed cursor read %v", s)
 	}
 }

@@ -28,6 +28,57 @@ type StreamCodec interface {
 	EncodeOutput(out engine.Output) ([]byte, error)
 }
 
+// ReusingCodec is the optional half of a StreamCodec that lets a served
+// line allocate almost nothing: decoding into storage a retired input
+// already holds, encoding onto a buffer the caller keeps. Every codec in
+// the tree has it, and its DecodeInput and EncodeOutput are one-line
+// wrappers over these two, so each codec keeps one decoder body and one
+// encoder body. Reusing pairs it with a forwarding fallback for codecs
+// that lack it.
+//
+// A codec may reuse a spare only if its kernel keeps no reference into an
+// input after Update returns, in its state or in its output
+// (engine.StateDependence.Update): the serving layer decodes each line
+// into the input its pipeline record slot retires (engine's
+// Pipeline.PushFrom), and TestDeterminismMatrix's wire-ingest row holds
+// every benchmark to it.
+type ReusingCodec interface {
+	// DecodeInputInto is DecodeInput that may reuse the slices spare — an
+	// input of this codec's type, or nil — points to, and overwrite them.
+	// The result equals DecodeInput's (reflect.DeepEqual), whatever spare
+	// held: no element of spare survives into it unless the line says so.
+	DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error)
+	// AppendOutput appends EncodeOutput's line to dst and returns the
+	// extended buffer, or nil and the error EncodeOutput would return.
+	AppendOutput(dst []byte, out engine.Output) ([]byte, error)
+}
+
+// Reusing returns c's own ReusingCodec, or, for a codec that only
+// forwards the allocating methods (a wrapper that times them, say), one
+// that decodes with DecodeInput, ignoring the spare, and appends
+// EncodeOutput's line.
+func Reusing(c StreamCodec) ReusingCodec {
+	if rc, ok := c.(ReusingCodec); ok {
+		return rc
+	}
+	return allocating{c}
+}
+
+// allocating is Reusing's fallback.
+type allocating struct{ c StreamCodec }
+
+func (a allocating) DecodeInputInto(data []byte, _ engine.Input) (engine.Input, error) {
+	return a.c.DecodeInput(data)
+}
+
+func (a allocating) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
+	b, err := a.c.EncodeOutput(out)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, b...), nil
+}
+
 var codecs = map[string]func() StreamCodec{}
 
 // RegisterCodec adds a stream codec under the benchmark's registered

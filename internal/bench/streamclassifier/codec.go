@@ -21,35 +21,39 @@ type codec struct{}
 // sampleBytes is the least one encoded sample can occupy, comma included.
 const sampleBytes = 2*features + 2
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
-	if blk, ok := scanBlock(data); ok {
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto reuses the spare Block's X and Y.
+func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error) {
+	blk, _ := spare.(Block)
+	if scanBlock(data, &blk) {
 		return blk, nil
 	}
-	var blk Block
-	if err := bench.Unmarshal(data, &blk); err != nil {
+	var fresh Block
+	if err := bench.Unmarshal(data, &fresh); err != nil {
 		return nil, fmt.Errorf("streamclassifier: bad block: %w", err)
 	}
-	return blk, nil
+	return fresh, nil
 }
 
-func scanBlock(data []byte) (blk Block, ok bool) {
+func scanBlock(data []byte, blk *Block) bool {
 	c := bench.NewCursor(data)
 	c.Lit(`{"X":[`)
-	blk.X = make([][features]float64, 0, c.Elems("],", "]]", sampleBytes))
+	blk.X = bench.Reuse(blk.X, c.Elems("],", "]]", sampleBytes))
 	for i := 0; c.Next(i); i++ {
 		var x [features]float64
 		c.Floats(x[:])
 		blk.X = append(blk.X, x)
 	}
 	c.Lit(`,"Y":[`)
-	blk.Y = make([]int, 0, c.Elems(",", "]", 2))
+	blk.Y = bench.Reuse(blk.Y, c.Elems(",", "]", 2))
 	for i := 0; c.Next(i); i++ {
 		blk.Y = append(blk.Y, c.Int())
 	}
 	c.Lit(`,"TruthW":`)
 	c.Floats(blk.TruthW[:])
 	c.Lit("}")
-	return blk, c.End()
+	return c.End()
 }
 
 func (codec) EncodeInput(in engine.Input) ([]byte, error) {
@@ -86,12 +90,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return e.Bytes()
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	ba, ok := out.(BlockAccuracy)
 	if !ok {
 		return nil, fmt.Errorf("streamclassifier: output is %T, want BlockAccuracy", out)
 	}
-	e := bench.NewEnc(40)
+	e := bench.AppendEnc(dst, 40)
 	e.Lit(`{"Accuracy":`)
 	e.Float(ba.Accuracy)
 	e.Lit("}")

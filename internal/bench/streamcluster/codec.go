@@ -23,26 +23,30 @@ type codec struct{}
 // pointBytes is the least one encoded point can occupy, comma included.
 const pointBytes = 2*dims + 2
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
-	if blk, ok := scanBlock(data); ok {
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto reuses the spare Block's Points.
+func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error) {
+	blk, _ := spare.(Block)
+	if scanBlock(data, &blk) {
 		return blk, nil
 	}
-	var blk Block
-	if err := bench.Unmarshal(data, &blk); err != nil {
+	var fresh Block
+	if err := bench.Unmarshal(data, &fresh); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
 	}
-	return blk, nil
+	return fresh, nil
 }
 
 // scanBlock sizes Points by the line's '[': one opens each point, and
 // 2+k more open the two outer arrays and Truth's rows. A canonical line
 // has no '[' elsewhere, so the count is exact there, and the cap keeps a
 // line of brackets from asking for more than its length could hold.
-func scanBlock(data []byte) (blk Block, ok bool) {
+func scanBlock(data []byte, blk *Block) bool {
 	c := bench.NewCursor(data)
 	c.Lit(`{"Points":[`)
 	n := bytes.Count(data, []byte("[")) - 2 - k
-	blk.Points = make([][dims]float64, 0, max(0, min(n, len(data)/pointBytes)))
+	blk.Points = bench.Reuse(blk.Points, max(0, min(n, len(data)/pointBytes)))
 	for i := 0; c.Next(i); i++ {
 		blk.Points = append(blk.Points, [dims]float64{})
 		c.Floats(blk.Points[i][:])
@@ -50,7 +54,7 @@ func scanBlock(data []byte) (blk Block, ok bool) {
 	c.Lit(`,"Truth":`)
 	scanCenters(&c, &blk.Truth)
 	c.Lit("}")
-	return blk, c.End()
+	return c.End()
 }
 
 func scanCenters(c *bench.Cursor, m *[k][dims]float64) {
@@ -94,12 +98,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return e.Bytes()
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	bc, ok := out.(BlockCost)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: output is %T, want BlockCost", out)
 	}
-	e := bench.NewEnc(32)
+	e := bench.AppendEnc(dst, 32)
 	e.Lit(`{"Cost":`)
 	e.Float(bc.Cost)
 	e.Lit("}")

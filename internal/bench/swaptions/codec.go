@@ -17,7 +17,10 @@ func init() {
 // out-of-process chunk execution — the raw 24-byte estimator as state.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (engine.Input, error) {
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
+
+// DecodeInputInto has no storage to reuse: an input is a few scalars.
+func (codec) DecodeInputInto(data []byte, _ engine.Input) (engine.Input, error) {
 	if b, ok := scanBatch(data); ok {
 		return b, nil
 	}
@@ -56,12 +59,14 @@ func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	return e.Bytes()
 }
 
-func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+func (codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
 	p, ok := out.(Price)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: output is %T, want Price", out)
 	}
-	e := bench.NewEnc(96)
+	e := bench.AppendEnc(dst, 96)
 	e.Lit(`{"Swaption":`)
 	e.Int(p.Swaption)
 	e.Lit(`,"Estimate":`)

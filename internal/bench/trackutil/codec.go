@@ -30,30 +30,30 @@ func EncodeFrame(fr Frame) ([]byte, error) {
 }
 
 // DecodeFrame parses an EncodeFrame line, or any other JSON form of a
-// Frame.
-func DecodeFrame(data []byte) (Frame, error) {
-	if fr, ok := scanFrame(data); ok {
-		return fr, nil
+// Frame, reusing spare's Obs and True when the line is canonical.
+func DecodeFrame(data []byte, spare Frame) (Frame, error) {
+	if scanFrame(data, &spare) {
+		return spare, nil
 	}
 	var fr Frame
 	err := bench.Unmarshal(data, &fr)
 	return fr, err
 }
 
-func scanFrame(data []byte) (fr Frame, ok bool) {
+func scanFrame(data []byte, fr *Frame) bool {
 	c := bench.NewCursor(data)
 	c.Lit(`{"Index":`)
 	fr.Index = c.Int()
 	c.Lit(`,"Obs":`)
-	fr.Obs = c.FloatSlice()
+	fr.Obs = c.FloatSlice(fr.Obs)
 	c.Lit(`,"True":`)
-	fr.True = c.FloatSlice()
+	fr.True = c.FloatSlice(fr.True)
 	c.Lit(`,"Quality":`)
 	fr.Quality = c.Float()
 	c.Lit(`,"Occluded":`)
 	fr.Occluded = c.Bool()
 	c.Lit("}")
-	return fr, c.End()
+	return c.End()
 }
 
 // EncodeCloud renders the cloud's wire form as one line.
@@ -98,9 +98,9 @@ func DecodeCloud(data []byte, n, dims int) (*Cloud, error) {
 func scanCloud(data []byte) (w WireCloud, ok bool) {
 	c := bench.NewCursor(data)
 	c.Lit(`{"p":`)
-	w.P = c.FloatSlice()
+	w.P = c.FloatSlice(nil)
 	c.Lit(`,"w":`)
-	w.W = c.FloatSlice()
+	w.W = c.FloatSlice(nil)
 	c.Lit(`,"n":`)
 	w.N = c.Int()
 	c.Lit(`,"dims":`)

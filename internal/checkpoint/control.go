@@ -17,6 +17,27 @@ const (
 	MigrateLine  = "#migrate"
 )
 
+// IsJSONSpace reports whether c is whitespace JSON allows around a value:
+// space, tab, CR or LF. It is the one definition of a blank session line,
+// a line of nothing else. The backend's pusher skips such a line and
+// counts every other one as an input, and the gateway's line index counts
+// the same lines, so a resume body starts at the line the backend's input
+// count names. Any other byte — \v, \f, U+0085, U+00A0 — makes a line an
+// input, which the benchmark's decoder then refuses.
+func IsJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// TrimJSONSpace returns line without the JSON whitespace around it: empty
+// iff the line is blank.
+func TrimJSONSpace(line []byte) []byte {
+	for len(line) > 0 && IsJSONSpace(line[0]) {
+		line = line[1:]
+	}
+	for len(line) > 0 && IsJSONSpace(line[len(line)-1]) {
+		line = line[:len(line)-1]
+	}
+	return line
+}
+
 // Control is what ParseControl found on a session line.
 type Control int
 

@@ -35,6 +35,19 @@ type producer struct {
 // Push and Close form the producer side of the pipeline and must not be
 // called concurrently with each other; Halt may be called from anywhere.
 func (p *Pipeline) Push(ctx context.Context, in Input) error {
+	return p.PushFrom(ctx, func(Input) (Input, error) { return in, nil })
+}
+
+// PushFrom is Push with the input built in place: build receives spare,
+// the input the slot it fills held one lap of the record array ago — or
+// nil, the first time round — and returns the input to ingest. The spare
+// is read by nobody any more (newRecords), so build may write into the
+// storage it points to, as a codec decoding a wire line into it does
+// (bench.ReusingCodec), provided every input this pipeline ingested came
+// from such a build: an input a caller handed Push may still be the
+// caller's. A build error is returned as is, and the call consumed
+// nothing. Otherwise PushFrom is Push, with the same contract.
+func (p *Pipeline) PushFrom(ctx context.Context, build func(spare Input) (Input, error)) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
@@ -53,6 +66,10 @@ func (p *Pipeline) Push(ctx context.Context, in Input) error {
 			ck.inputs = make([]Input, size)
 		}
 		a.buf = ck.inputs[:size]
+	}
+	in, err := build(a.buf[a.n])
+	if err != nil {
+		return err
 	}
 	a.buf[a.n] = in
 	a.n++

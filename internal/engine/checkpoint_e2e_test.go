@@ -19,18 +19,30 @@ import (
 // committed output lines, every snapshot emitted, and the final stats.
 func sessionRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
 	t.Helper()
-	return sessionRunPaced(t, bench.MustNew(name), cfg, inputs, nil)
+	return sessionRunPaced(t, bench.MustNew(name), cfg, inputs, nil, false)
 }
 
 // sessionRunPaced is sessionRun over prog, a benchmark or a wrapper of
 // one, with a consumer that calls pace, when non-nil, after taking each
-// output, with the count so far.
-func sessionRunPaced(t *testing.T, prog engine.Program, cfg engine.StreamConfig, inputs []engine.Input, pace func(n int)) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
+// output, with the count so far. With wire set, the producer ingests each
+// input the way a served session does: as its wire line, decoded into the
+// input its record slot retires (Pipeline.PushFrom).
+func sessionRunPaced(t *testing.T, prog engine.Program, cfg engine.StreamConfig, inputs []engine.Input, pace func(n int), wire bool) ([][]byte, []*checkpoint.Snapshot, engine.StreamStats) {
 	t.Helper()
 	wc, err := bench.WireFor(prog.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var lines [][]byte
+	if wire {
+		lines = make([][]byte, len(inputs))
+		for i, in := range inputs {
+			if lines[i], err = wc.EncodeInput(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rc := bench.Reusing(wc)
 	var mu sync.Mutex
 	var snaps []*checkpoint.Snapshot
 	if cfg.Checkpoint.Codec != nil {
@@ -47,22 +59,30 @@ func sessionRunPaced(t *testing.T, prog engine.Program, cfg engine.StreamConfig,
 	}
 	go func() {
 		defer p.Close()
-		for _, in := range inputs {
-			if p.Push(ctx, in) != nil {
+		for i, in := range inputs {
+			var err error
+			if wire {
+				err = p.PushFrom(ctx, func(spare engine.Input) (engine.Input, error) {
+					return rc.DecodeInputInto(lines[i], spare)
+				})
+			} else {
+				err = p.Push(ctx, in)
+			}
+			if err != nil {
 				return
 			}
 		}
 	}()
-	var lines [][]byte
+	var outs [][]byte
 	for out := range p.Outputs() {
 		line, err := wc.EncodeOutput(out)
 		if err != nil {
 			t.Error(err)
 			break
 		}
-		lines = append(lines, line)
+		outs = append(outs, line)
 		if pace != nil {
-			pace(len(lines))
+			pace(len(outs))
 		}
 	}
 	stats, err := p.Wait()
@@ -72,7 +92,7 @@ func sessionRunPaced(t *testing.T, prog engine.Program, cfg engine.StreamConfig,
 	if err := p.CheckpointErr(); err != nil {
 		t.Fatalf("checkpointing disabled itself: %v", err)
 	}
-	return lines, snaps, stats
+	return outs, snaps, stats
 }
 
 // resumeRun restores snap into a fresh pipeline, feeds it the input

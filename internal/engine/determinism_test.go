@@ -38,6 +38,9 @@ type matrixRow struct {
 	adapt   bool // adaptive chunk sizing (pipeline only)
 	faults  bool // a seeded plan of transient panics
 	resume  bool // resumed from every checkpoint (pipeline only)
+	// wire ingests each input as its wire line decoded into the input its
+	// record slot retires, as a served session does (pipeline only).
+	wire bool
 }
 
 func (r matrixRow) String() string {
@@ -48,7 +51,7 @@ func (r matrixRow) String() string {
 	for _, axis := range []struct {
 		on      bool
 		yes, no string
-	}{{r.adapt, "adaptive", "fixed"}, {r.faults, "faults", "clean"}, {r.resume, "resumed", "straight"}} {
+	}{{r.adapt, "adaptive", "fixed"}, {r.faults, "faults", "clean"}, {r.resume, "resumed", "straight"}, {r.wire, "wire", "native"}} {
 		if axis.on {
 			s += "/" + axis.yes
 		} else {
@@ -62,6 +65,8 @@ func (r matrixRow) String() string {
 // there points at first.
 func (r matrixRow) risk() string {
 	switch {
+	case r.wire:
+		return "spare reuse: a line decodes into the storage of an input one lap of the record array ago, which a kernel that kept it would see change"
 	case r.resume:
 		return "reseed: a resumed frontier builds its first boundary's replicas from the snapshot's seed"
 	case r.adapt:
@@ -78,7 +83,7 @@ func (r matrixRow) risk() string {
 
 // matrixRows lists the rows; short leaves out the resumed ones.
 func matrixRows(short bool) []matrixRow {
-	rows := []matrixRow{{}, {faults: true}}
+	rows := []matrixRow{{}, {faults: true}, {workers: 2, wire: true}}
 	for _, w := range []int{1, 2, 4, 8} {
 		for _, adapt := range []bool{false, true} {
 			for _, faults := range []bool{false, true} {
@@ -207,7 +212,7 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 	if row.resume {
 		cfg.Checkpoint = engine.CheckpointConfig{Codec: mb.wc, EveryCommits: mb.every}
 	}
-	lines, snaps, st := sessionRunPaced(t, prog, cfg, mb.inputs, nil)
+	lines, snaps, st := sessionRunPaced(t, prog, cfg, mb.inputs, nil, row.wire)
 	if st.Commits+st.Aborts != st.Chunks {
 		t.Errorf("%s %s: %d commits + %d aborts != %d chunks", mb.name, row, st.Commits, st.Aborts, st.Chunks)
 	}
@@ -224,7 +229,7 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 		rlog := &verdictLog{}
 		rprog, _ := mb.program(row)
 		tail, _, rst := sessionRunPaced(t, rprog, engine.StreamConfig{Sink: rlog,
-			Resume: &engine.ResumeConfig{Snap: snap, Codec: mb.wc}}, mb.inputs[done:], nil)
+			Resume: &engine.ResumeConfig{Snap: snap, Codec: mb.wc}}, mb.inputs[done:], nil, row.wire)
 		if got := digestLines(append(lines[:done:done], tail...)); got != o.digest {
 			t.Errorf("%s %s: resumed at chunk %d, committed %s, uninterrupted %s", mb.name, row, at, got, o.digest)
 		}
@@ -252,14 +257,18 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 // simulated batch body, the independent reference, or the pipeline at 1,
 // 2, 4 or 8 workers) × chunk sizing (fixed, or adaptive on the pipeline)
 // × faults (none, or a seeded plan of transient panics) × path (straight,
-// or on the pipeline resumed from every checkpoint) — runs twice and must
+// or on the pipeline resumed from every checkpoint), plus one row at 2
+// workers that ingests wire lines decoded into spares, the inputs their
+// record slots retire (bench.ReusingCodec) — runs twice and must
 // commit the same bytes with the same verdicts, Commits+Aborts == Chunks,
 // and on the simulated machine the same makespan. One difference is a
 // nondeterminism bug, reported with the row's riskiest path.
 //
 // Across rows, every fixed-sizing row commits the simulated row's bytes
 // and verdicts: the input counts are whole chunks, so Partition and a
-// fixed ChunkSize cut the same boundaries. An adaptive row commits what
+// fixed ChunkSize cut the same boundaries. The wire row is one of them,
+// so a kernel that kept a reference into an input past Update, which a
+// later line's decoding then overwrote, fails it. An adaptive row commits what
 // its straight fault-free twin at the same Workers commits (the window,
 // 2·Workers chunks, decides which outcomes the controller has seen). And
 // the simulated row at seed+1 must commit other bytes: a runtime that

@@ -232,7 +232,12 @@ func TestFrontierPanicFailsSession(t *testing.T) {
 // workers run ahead. Its
 // outputs and every chunk's untimed event sequence must be those of the
 // same Plan over 32 records (Workers 8), where next to nothing is reused
-// while it could still be read. A record keeps its replica seed until its
+// while it could still be read. The stressed sessions ingest wire lines,
+// each decoded into the input its record slot retires, as a served
+// session does (Pipeline.PushFrom), so the detector also watches the
+// storage those inputs point to: a decode into a Block the lap before
+// still reads is a race, and a stale sample a wrong byte. The reference
+// session pushes the native inputs. A record keeps its replica seed until its
 // successor's boundary builds or drops it, and a capture encodes the
 // seed's snapshot in between without building anything, so a record
 // whose seed outlived its turn would hand the snapshot to the next lap or
@@ -256,12 +261,12 @@ func TestRecordReuseStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(workers int, pace func(int), ckpt engine.CheckpointConfig) ([]byte, map[int][]untimed) {
+	run := func(workers int, pace func(int), ckpt engine.CheckpointConfig, wire bool) ([]byte, map[int][]untimed) {
 		log := &chunkLog{}
 		lines, snaps, st := sessionRunPaced(t, bench.MustNew(name), engine.StreamConfig{
 			ChunkSize: 3, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 11, Sink: log,
 			Checkpoint: ckpt,
-		}, inputs, pace)
+		}, inputs, pace, wire)
 		if st.Chunks != chunks || st.Chunks != st.Commits+st.Aborts || st.Outputs != int64(n) {
 			t.Fatalf("workers=%d: %d chunks = %d commits + %d aborts, %d outputs; want %d chunks, %d outputs",
 				workers, st.Chunks, st.Commits, st.Aborts, st.Outputs, chunks, n)
@@ -284,9 +289,9 @@ func TestRecordReuseStress(t *testing.T) {
 	}
 
 	for _, ckpt := range []engine.CheckpointConfig{{EveryCommits: 1, Codec: wc}, {}} {
-		wantOut, wantLog := run(8, nil, ckpt)
+		wantOut, wantLog := run(8, nil, ckpt, false)
 		for _, workers := range []int{1, 2} {
-			gotOut, gotLog := run(workers, slow, ckpt)
+			gotOut, gotLog := run(workers, slow, ckpt, true)
 			if !bytes.Equal(gotOut, wantOut) {
 				t.Errorf("workers=%d checkpoints=%t: committed output bytes differ from the workers=8 session's", workers, ckpt.Codec != nil)
 			}

@@ -269,9 +269,13 @@ type chunk struct {
 // last act — and that was the last read of anything in it: of its inputs
 // by the successor's alternative producer and by the checkpoint tracker,
 // of its origs and replica seed through the committed lineage
-// (the tracker encodes the seed). Nothing but
-// that arithmetic guards the reuse; the race detector over
-// TestRecordReuseStress is its net.
+// (the tracker encodes the seed). The same holds for the storage an input
+// points to: PushFrom hands the input a slot held a lap ago to the build
+// that refills the slot, which may decode the next line into it
+// (bench.ReusingCodec), so no program may keep an input past Update
+// (StateDependence.Update). Nothing but that arithmetic guards the reuse;
+// the race detector over TestRecordReuseStress, which ingests wire lines
+// decoded into those spares, is its net.
 func newRecords(p *Pipeline, window int) []chunk {
 	n := 2
 	for n < window+2 {

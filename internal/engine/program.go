@@ -32,6 +32,11 @@ type StateDependence interface {
 	// Update performs one state update: it consumes state s and input in,
 	// returning the successor state and the output for in. Update owns s
 	// and may mutate it. r is the source of the program's nondeterminism.
+	// Update only borrows in: neither the state nor the output may keep a
+	// reference into it once Update returns. A pipeline may decode a later
+	// input into the storage in points to as soon as the chunk after in's
+	// has committed (Pipeline.PushFrom), while an output is still queued
+	// for its consumer.
 	Update(s State, in Input, r *rng.Stream) (State, Output)
 	// Clone deep-copies a state (the state-copy operator of §III-B).
 	Clone(s State) State

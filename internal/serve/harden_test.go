@@ -74,6 +74,49 @@ func TestOversizedLineRejected(t *testing.T) {
 	}
 }
 
+// TestBlankLineIsJSONWhitespaceOnly: a body line is blank, and skipped,
+// only when it holds nothing but JSON's whitespace — space, tab, CR —
+// which is also all statsgate's line index counts as blank. A line of
+// \v, \f, U+0085 or U+00A0 is an input the decoder refuses: a 400 when it
+// comes first, the trailer's error when outputs have already streamed.
+func TestBlankLineIsJSONWhitespaceOnly(t *testing.T) {
+	ts := httptest.NewServer(New(baseConfig(), Options{}).Handler())
+	defer ts.Close()
+	const name = "streamcluster"
+	inputs := sessionInputs(t, name, 3)
+	lines := strings.Split(strings.TrimSuffix(string(ndjsonBody(t, name, inputs)), "\n"), "\n")
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/stream/"+name, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	// JSON whitespace between, before and after inputs: all three commit.
+	outs, tr := runSession(t, ts.URL, name, []byte(" \t\r\n"+lines[0]+"\n\n \n"+lines[1]+"\r\n\t\n"+lines[2]+"\n \n"))
+	if len(outs) != 3 || !tr.Done || tr.Error != "" {
+		t.Fatalf("JSON-whitespace lines between inputs: %d outputs, trailer %+v; want 3, done", len(outs), tr)
+	}
+
+	for _, ws := range []string{"\v", "\f", "\u0085", "\u00a0", " \v\t"} {
+		code, body := post(ws + "\n" + strings.Join(lines, "\n") + "\n")
+		if code != http.StatusBadRequest || !strings.Contains(body, "input line 1") {
+			t.Errorf("body led by a %q line: status %d, %q; want 400 naming input line 1", ws, code, body)
+		}
+		code, body = post(lines[0] + "\n" + ws + "\n" + lines[1] + "\n" + lines[2] + "\n")
+		if code == http.StatusOK && (strings.Contains(body, `"done":true`) || !strings.Contains(body, "input line 2")) {
+			t.Errorf("a %q line between inputs: status 200, %q; want the trailer to refuse input line 2", ws, body)
+		}
+		if code != http.StatusOK && (code != http.StatusBadRequest || !strings.Contains(body, "input line 2")) {
+			t.Errorf("a %q line between inputs: status %d, %q; want 400 naming input line 2", ws, code, body)
+		}
+	}
+}
+
 // TestSessionCapShedsWith429: with -max-sessions 1 a second concurrent
 // session is shed with 429 and a Retry-After hint, the shed shows up in
 // /metrics, and the slot frees once the first session ends.

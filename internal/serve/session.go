@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -61,8 +60,8 @@ type session struct {
 
 	name      string
 	prog      bench.Benchmark
-	codec     bench.StreamCodec
-	wire      bench.WireCodec // set iff the session checkpoints or resumes
+	codec     bench.ReusingCodec // the benchmark's, or a fallback over its allocating methods
+	wire      bench.WireCodec    // set iff the session checkpoints or resumes
 	cfg       engine.StreamConfig
 	rec       *engine.Recorder // attrib=1: the trailer carries its breakdown
 	ckptEvery int
@@ -84,8 +83,9 @@ type session struct {
 	// flushCkpt writes them.
 	ckptMu     sync.Mutex
 	ckptQ      []ckptLine
-	resumeBase int64 // outputs the restored session already delivered
-	written    int64 // output lines written (control lines excluded)
+	resumeBase int64  // outputs the restored session already delivered
+	written    int64  // output lines written (control lines excluded)
+	line       []byte // pump's one output line, encoded in place each time
 }
 
 type ckptLine struct {
@@ -190,11 +190,12 @@ func (ss *session) parse() bool {
 	}
 	ss.r.Body = http.MaxBytesReader(ss.w, ss.r.Body, ss.lim.MaxBody)
 
-	var err error
 	ss.name = ss.r.PathValue("benchmark")
-	if ss.codec, err = bench.CodecFor(ss.name); err != nil {
+	codec, err := bench.CodecFor(ss.name)
+	if err != nil {
 		return ss.refuse(http.StatusNotFound, err.Error())
 	}
+	ss.codec = bench.Reusing(codec)
 	if ss.prog, err = bench.New(ss.name); err != nil {
 		return ss.refuse(http.StatusNotFound, err.Error())
 	}
@@ -293,25 +294,33 @@ func (ss *session) unwind() {
 }
 
 // push is the single producer. It owns Push and Close, decoding body
-// lines until EOF or error. Oversized lines stop it with a typed error
-// instead of buffering without bound. It continues the scanner the
-// resume prologue may already have read a control line from.
+// lines until EOF or error, each into the input its record slot retires
+// (Pipeline.PushFrom), so a line reuses the storage of one a lap of the
+// record array ago. Oversized lines stop it with a typed error instead of
+// buffering without bound. It continues the scanner the resume prologue
+// may already have read a control line from.
 func (ss *session) push() error {
 	defer ss.p.Close()
 	for ss.sc.Scan() {
-		b := ss.sc.Bytes()
-		if len(bytes.TrimSpace(b)) == 0 {
+		// Decoded without the padding JSON allows around a value, which
+		// would cost the line the codec's fast path and nothing else. A
+		// line of nothing but that padding is blank and skipped; any other
+		// byte makes it an input, which the codec refuses if it is not one.
+		b := checkpoint.TrimJSONSpace(ss.sc.Bytes())
+		if len(b) == 0 {
 			continue
 		}
-		// Decoded without the padding JSON allows around a value, which
-		// would cost the line the codec's fast path and nothing else. Only
-		// JSON's own whitespace goes: what else TrimSpace knows (\v, \f,
-		// U+00A0) must still reach the decoder and be refused.
-		in, err := ss.codec.DecodeInput(bytes.Trim(b, " \t\r\n"))
-		if err != nil {
-			return fmt.Errorf("%w: input line %d: %v", errBadRequest, ss.sc.Line(), err)
+		err := ss.p.PushFrom(ss.ctx, func(spare engine.Input) (engine.Input, error) {
+			in, err := ss.codec.DecodeInputInto(b, spare)
+			if err != nil {
+				return nil, fmt.Errorf("%w: input line %d: %v", errBadRequest, ss.sc.Line(), err)
+			}
+			return in, nil
+		})
+		if errors.Is(err, errBadRequest) {
+			return err
 		}
-		if err := ss.p.Push(ss.ctx, in); err != nil {
+		if err != nil {
 			return fmt.Errorf("input line %d: %w", ss.sc.Line(), err)
 		}
 	}
@@ -346,12 +355,13 @@ func (ss *session) pump() {
 		if !ok {
 			break
 		}
-		b, err := ss.codec.EncodeOutput(o)
+		b, err := ss.codec.AppendOutput(ss.line[:0], o)
 		if err != nil {
 			ss.err = err
 			ss.cancel() // abandon the session; unwind drains the rest
 			break
 		}
+		ss.line = b
 		ss.writeLine(b)
 		ss.written++
 		ss.flushCkpt()
@@ -550,7 +560,7 @@ func (ss *session) finish(tr Trailer) {
 // Input lines follow it from the snapshot frontier onward.
 func readResumeLine(sc *bench.LineScanner) (*checkpoint.Snapshot, error) {
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+		line := checkpoint.TrimJSONSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
