@@ -13,11 +13,14 @@ import (
 // This file is the one copy of the STATS chunk protocol (§II-B, Fig. 5):
 // the speculative attempt (alternative producer → published speculative
 // copy → chunk body → original states), the recovery attempt, the fault
-// discipline around both, and the timed boundary comparison, which builds
-// the replicas a cost-free executor deferred when it needs them. The
-// simulated batch body (batch.go), the streaming pipeline (worker.go,
-// commit.go) and the out-of-process worker (ChunkWorker) all run these;
-// they differ only in how chunks map to threads and where results park.
+// discipline around both, and the commit step — the boundary (the timed
+// comparison, which builds the replicas a cost-free executor deferred
+// when it needs them, and the retirement of what it leaves dead) and the
+// settlement (commit, or abort and recovery), with the session's
+// commit/abort tallies and its terminal-error latch. The simulated batch
+// body (batch.go), the streaming pipeline (worker.go, commit.go) and the
+// out-of-process worker (ChunkWorker) all run these; they differ only in
+// how chunks map to threads and where results park.
 //
 // Determinism: every RNG substream is derived purely from (seed, program,
 // chunk index) — root = New(seed).Derive("stats:"+name), per chunk
@@ -39,6 +42,15 @@ type proto struct {
 	lookback, extra int
 
 	states, threads, faults, retries atomic.Int64
+	commits, aborts, degraded        atomic.Int64
+
+	// The terminal-error latch: the first fault fail records wins, and stop
+	// — a pipeline's cancel, nil on the simulated machine — tears the
+	// session's stages down. It is one word, not a sync.Once beside an
+	// atomic.Value: a Pipeline embeds proto, and with 24 bytes more its
+	// per-session allocation moves from the 768 B size class to 896 B.
+	failure atomic.Pointer[FaultError]
+	stop    func()
 }
 
 func (pr *proto) init(p Program, seed uint64, lookback, extra int, fault FaultPolicy, sink Sink) {
@@ -74,6 +86,22 @@ func (pr *proto) since(t0 time.Time) time.Duration {
 	}
 	//statslint:allow detpath instrumentation helper: durations land in Event fields, never in outputs
 	return time.Since(t0)
+}
+
+// fail records fault, which fault tolerance could not absorb, as the
+// session's terminal error (the first one wins) and stops the session.
+func (pr *proto) fail(fault *ChunkFault) {
+	if pr.failure.CompareAndSwap(nil, &FaultError{Fault: fault}) && pr.stop != nil {
+		pr.stop()
+	}
+}
+
+// failErr returns the terminal error recorded by fail, or nil.
+func (pr *proto) failErr() error {
+	if e := pr.failure.Load(); e != nil {
+		return e
+	}
+	return nil
 }
 
 // countState and countThread are the accounting hooks the chunk
@@ -359,6 +387,51 @@ func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, spec Sta
 	built.Start = v.start.Add(v.dur)
 	c.emit(built)
 	return v, nil
+}
+
+// boundary decides the boundary after c's run (§II-B): the successor's
+// published speculative copy spec against the lineage c's run produced.
+// The validating run reports the verdict. Then the boundary is resolved
+// either way: the replicas, built or a seed, and spec are dead; origs[0],
+// c's final state, lives on as the successor's recovery state. A
+// successor that published nothing (spec nil: its retry budget ran out
+// first) misses without a comparison. A fault means the replicas could
+// not be built, and the session fails.
+func (c *chunkRun) boundary(ctx context.Context, origs *[]State, spec State) (ok bool, fault *ChunkFault) {
+	if spec != nil {
+		var v verdict
+		if v, fault = c.validateLineage(ctx, origs, spec); fault != nil {
+			return false, fault
+		}
+		ok = v.ok
+		c.emit(Event{Kind: EvValidated, Chunk: c.j + 1, Worker: c.worker,
+			N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
+	}
+	c.resolved(*origs)
+	c.pool.Release(spec)
+	return ok, nil
+}
+
+// settle commits chunk c on its boundary's verdict ok, or aborts it
+// (§III-E): the speculative run's states — final and origs, or none when
+// fault, the spent retry budget that degraded the chunk, scrapped them —
+// are retired, and recovery re-executes the chunk from the true state
+// under the engine's fault discipline. A returned fault means every
+// recovery attempt faulted too, and the session must fail.
+func (c *chunkRun) settle(ctx context.Context, ok bool, fault *ChunkFault, final State, origs []State, recovery func() error) *ChunkFault {
+	if ok {
+		c.commits.Add(1)
+		c.emit(Event{Kind: EvCommitted, Chunk: c.j, Worker: c.worker})
+		return nil
+	}
+	c.aborts.Add(1)
+	if fault != nil {
+		c.degraded.Add(1)
+		c.emit(Event{Kind: EvDegraded, Chunk: c.j, Worker: c.worker, N: fault.Attempt})
+	}
+	c.emit(Event{Kind: EvAborted, Chunk: c.j, Worker: c.worker})
+	c.releaseRun(final, origs)
+	return c.retry(ctx, SiteReexec, recovery)
 }
 
 // releaseRun retires everything a dead chunk run produced: its original

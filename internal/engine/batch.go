@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"gostats/internal/machine"
 	"gostats/internal/rng"
@@ -25,25 +23,26 @@ const (
 )
 
 // slot carries the cross-chunk coordination state for one chunk: the
-// speculative state its worker publishes for checking, and the commit
-// decision (plus recovery state) its predecessor publishes back.
+// speculative state its worker publishes for checking — nil when the
+// worker exhausted its retries without one, which the predecessor's
+// boundary decides as a miss — and the commit decision (plus recovery
+// state) its predecessor publishes back.
 type slot struct {
 	mu *machine.Mutex
 	cv *machine.Cond
 
 	spec      State
 	specReady bool
-	// specFault marks that the worker exhausted its retries without ever
-	// publishing a speculative state; the predecessor decides abort
-	// without a comparison and the worker recovers from the true state.
-	specFault bool
 
 	dec       decision
 	trueFinal State
 	srcLoc    int
 }
 
-// run holds one execution of the STATS model.
+// run holds one execution of the STATS model on the simulated machine:
+// the protocol (its tallies and terminal-error latch included), the
+// partition, and the slot chain through which each chunk's thread hands
+// its successor the boundary's decision.
 type run struct {
 	proto
 	cfg    Config
@@ -51,17 +50,6 @@ type run struct {
 	bounds [][2]int
 	slots  []*slot
 	outs   [][]Output
-
-	commits atomic.Int64
-	aborts  atomic.Int64
-
-	fatalOnce sync.Once
-	fatalErr  error // terminal fault; read only after the workers join
-}
-
-// setFatal records the session's terminal error (first one wins).
-func (rt *run) setFatal(err error) {
-	rt.fatalOnce.Do(func() { rt.fatalErr = err })
 }
 
 // runBatch executes the STATS execution model for p over inputs as the
@@ -143,8 +131,8 @@ func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*R
 		rep.Outputs = append(rep.Outputs, outs...)
 	}
 	rt.emit(Event{Kind: EvSessionEnd, Chunk: -1, Worker: -1})
-	if rt.fatalErr != nil {
-		return nil, rt.fatalErr
+	if err := rt.failErr(); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -157,10 +145,10 @@ func (rt *run) chunkInputs(j int) []Input {
 
 // worker runs the lifecycle of chunk j (§II-B and Fig. 5 of the paper) on
 // its own thread: the speculative attempt, the wait for its own commit
-// decision, recovery if that decision (or an exhausted retry budget)
-// demands it, and the decision for the successor. Only a fault in the
-// recovery too fails the session (with a structured error, never a
-// process crash).
+// decision, settlement — recovery if that decision (or an exhausted retry
+// budget) demands it — and the boundary that decides the successor. Only
+// a fault in the recovery too fails the session (with a structured error,
+// never a process crash).
 func (rt *run) worker(ex *SimExec, j int, start State) {
 	var c chunkRun
 	c.bind(&rt.proto, ex, j, j)
@@ -185,7 +173,7 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 		if spec != nil {
 			// Publish it before the body runs, so the predecessor can check
 			// it while this worker speculatively computes the chunk.
-			rt.publish(ex, j, spec, false)
+			rt.publish(ex, j, spec)
 			published = true
 		}
 		outs, final, origs = c.finish(s, inputs, last, nil, nil)
@@ -193,9 +181,9 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 	})
 	if specFault != nil && j > 0 && !published {
 		// The predecessor is (or will be) waiting on a speculative state
-		// that will never arrive; mark the slot faulted so it decides
-		// abort without a comparison instead of blocking forever.
-		rt.publish(ex, j, nil, true)
+		// that will never arrive; tell it none will, so it decides abort
+		// without a comparison instead of blocking forever.
+		rt.publish(ex, j, nil)
 	}
 
 	// Wait for this chunk's own commit decision (program order).
@@ -217,66 +205,40 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 		return
 	}
 
-	if dec == decisionAbort || specFault != nil {
-		// Mispeculation (§III-E) or exhausted speculative retries: rerun
-		// the chunk from the true state produced by the predecessor. The
-		// speculative run's states — including its final state, origs[0],
-		// and its replicas — are dead; retire them before
-		// the recovery run re-materializes the set. (A faulted speculation
-		// carries none.)
-		rt.aborts.Add(1)
-		if specFault != nil {
-			rt.emit(Event{Kind: EvDegraded, Chunk: j, Worker: j, N: specFault.Attempt})
-		}
-		rt.emit(Event{Kind: EvAborted, Chunk: j, Worker: j})
-		c.releaseRun(final, origs)
-		rexFault := c.retry(context.Background(), SiteReexec, func() error {
-			outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil, nil)
-			return nil
-		})
-		if rexFault != nil {
-			rt.setFatal(&FaultError{Fault: rexFault})
-			rt.poison(ex, j)
-			return
-		}
-	} else {
-		rt.commits.Add(1)
-		rt.emit(Event{Kind: EvCommitted, Chunk: j, Worker: j})
+	// Commit, or — on mispeculation (§III-E) or exhausted speculative
+	// retries — rerun the chunk from the true state the predecessor
+	// produced.
+	ok := dec == decisionCommit && specFault == nil
+	if fault := c.settle(context.Background(), ok, specFault, final, origs, func() error {
+		outs, final, origs = c.reexec(tf, srcLoc, inputs, last, nil, nil)
+		return nil
+	}); fault != nil {
+		rt.fail(fault)
+		rt.poison(ex, j)
+		return
 	}
 	rt.outs[j] = outs
 	rt.emit(Event{Kind: EvOutputs, Chunk: j, Worker: j, N: len(outs)})
 
 	// Now committed: decide the successor chunk's fate by comparing its
-	// speculative state against this chunk's original states (§II-B),
-	// building the replicas the executor deferred only if it needs them.
+	// speculative state against this chunk's original states (§II-B).
+	// origs[0] (this chunk's final state) lives on as the successor's
+	// recovery state.
 	if !last {
 		nxt := rt.slots[j+1]
 		nxt.mu.Lock(ex.th)
 		for !nxt.specReady {
 			nxt.cv.Wait(ex.th)
 		}
-		spec, sFault := nxt.spec, nxt.specFault
+		spec := nxt.spec
 		nxt.mu.Unlock(ex.th)
 
-		matched := false
-		if !sFault {
-			v, fault := c.validateLineage(context.Background(), &origs, spec)
-			if fault != nil {
-				rt.setFatal(&FaultError{Fault: fault})
-				rt.poison(ex, j)
-				return
-			}
-			matched = v.ok
-			rt.emit(Event{Kind: EvValidated, Chunk: j + 1, Worker: j,
-				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
+		matched, fault := c.boundary(context.Background(), &origs, spec)
+		if fault != nil {
+			rt.fail(fault)
+			rt.poison(ex, j)
+			return
 		}
-		// The boundary is resolved: the replica originals, built or not,
-		// and the successor's published speculative copy are both dead.
-		// origs[0] (this chunk's final state) lives on as the successor's
-		// recovery state. (spec is nil when the successor never published
-		// one.)
-		c.resolved(origs)
-		rt.pool.Release(spec)
 		nxt.mu.Lock(ex.th)
 		nxt.trueFinal = final
 		nxt.srcLoc = ex.Loc()
@@ -291,13 +253,12 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 }
 
 // publish hands chunk j's speculative copy to its predecessor — or, with
-// fault set, the news that none will ever come.
-func (rt *run) publish(ex *SimExec, j int, spec State, fault bool) {
+// spec nil, the news that none will ever come.
+func (rt *run) publish(ex *SimExec, j int, spec State) {
 	sl := rt.slots[j]
 	sl.mu.Lock(ex.th)
 	sl.spec = spec
 	sl.specReady = true
-	sl.specFault = fault
 	sl.cv.Broadcast(ex.th)
 	sl.mu.Unlock(ex.th)
 }

@@ -20,7 +20,10 @@ import (
 // lineage, previous window, controller state). Worker rng streams are
 // derived per chunk index — never advanced across chunks — so no stream
 // positions exist to capture; in-flight speculative work is discarded and
-// re-derived identically on resume.
+// re-derived identically on resume. A restored frontier is a frontier like
+// any other: every snapshot, the one a halt takes before anything new has
+// committed included, is captured from it, never copied from the bytes it
+// was restored from.
 
 // SessionCodec serializes one benchmark's inputs, outputs, and states for
 // checkpoints and the out-of-process chunk protocol. Each encoding is one
@@ -180,12 +183,6 @@ type resumeState struct {
 	reorig     bool    // the seed's replicas derive from the recovery stream
 	pending    []bool  // outcome preload for the producer's window
 	ctl        *autotune.OnlineState
-	// rawWindow, rawLineage and rawSeed keep the snapshot's encoded forms
-	// so a session that halts before committing anything new can re-emit
-	// its resume point without re-encoding.
-	rawWindow  []json.RawMessage
-	rawLineage []json.RawMessage
-	rawSeed    json.RawMessage
 }
 
 // buildResume validates and decodes a snapshot against prog and the
@@ -206,14 +203,11 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 		return nil, fmt.Errorf("stream: Resume needs a SessionCodec to decode the snapshot")
 	}
 	rs := &resumeState{
-		next:       snap.NextChunk,
-		inputs:     snap.Inputs,
-		pending:    append([]bool(nil), snap.Pending...),
-		ctl:        snap.Controller,
-		reorig:     snap.Reorig,
-		rawWindow:  snap.PrevWindow,
-		rawLineage: snap.Lineage,
-		rawSeed:    snap.ReplicaSeed,
+		next:    snap.NextChunk,
+		inputs:  snap.Inputs,
+		pending: append([]bool(nil), snap.Pending...),
+		ctl:     snap.Controller,
+		reorig:  snap.Reorig,
 	}
 	for i, raw := range snap.PrevWindow {
 		in, err := codec.DecodeInput(raw)
@@ -253,10 +247,9 @@ type ckptTracker struct {
 	cfg        CheckpointConfig
 	shadow     *autotune.Online // nil when the session does not adapt
 	pending    []bool
-	inputs     int64        // committed inputs, absolute across resumes
-	commitsAcc int          // commits since the last capture
-	base       *resumeState // the snapshot this session resumed from, if any
-	err        error        // first encode failure; checkpointing disabled after
+	inputs     int64 // committed inputs, absolute across resumes
+	commitsAcc int   // commits since the last capture
+	err        error // first encode failure; checkpointing disabled after
 }
 
 // newCkptTracker builds the tracker, restoring its shadow state when the
@@ -277,7 +270,6 @@ func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
 	if rs != nil {
 		t.pending = append([]bool(nil), rs.pending...)
 		t.inputs = rs.inputs
-		t.base = rs
 	}
 	return t, nil
 }
@@ -306,22 +298,18 @@ func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *co
 
 // finalize emits the halt snapshot: the frontier exactly as the drain
 // left it. Called by the reaper once a halted pipeline has drained
-// cleanly; next is the first uncommitted chunk index, prevInputs
-// the last committed chunk's inputs (nil when nothing committed since
-// start or resume).
+// cleanly; next is the first uncommitted chunk index, prevInputs the last
+// committed chunk's inputs. A session that committed nothing emits an
+// empty chunk-0 snapshot; one resumed that committed nothing since is
+// captured like any other, from the frontier the snapshot restored, and
+// re-emits its resume point.
 func (t *ckptTracker) finalize(next int, prevInputs []Input, prev *committed) {
 	if t.err != nil {
 		return
 	}
 	var snap *checkpoint.Snapshot
-	if rs := t.base; next == 0 || rs != nil && next == rs.next {
-		// Nothing newly committed: re-emit the resume point (or, on a
-		// fresh session, an empty chunk-0 snapshot).
+	if next == 0 {
 		snap = t.skeleton()
-		if rs != nil {
-			snap.NextChunk, snap.PrevWindow, snap.Lineage = rs.next, rs.rawWindow, rs.rawLineage
-			snap.ReplicaSeed, snap.Reorig = rs.rawSeed, rs.reorig
-		}
 	} else {
 		snap = t.capture(next-1, prevInputs, prev)
 	}

@@ -320,6 +320,86 @@ func TestCheckpointHaltResume(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("halted+resumed session diverged from uninterrupted run")
 	}
+
+	// Halt right after resume: a session resumed from any mid-session
+	// snapshot and halted before it is fed anything re-captures the
+	// frontier the snapshot restored. That capture must encode byte for
+	// byte as the resume point, and a session resumed from it must still
+	// reproduce the uninterrupted tail.
+	for _, name := range []string{"dedupstream", "streamcluster"} {
+		inputs := bench.MustNew(name).Inputs(rng.New(3))
+		if len(inputs) > 60 {
+			inputs = inputs[:60]
+		}
+		wc, err := bench.WireFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := base
+		cfg.Checkpoint = engine.CheckpointConfig{Codec: wc, EveryCommits: 1}
+		ref, snaps, _ := sessionRun(t, name, cfg, inputs)
+		want := joinLines(ref)
+		points := 0
+		for i, snap := range snaps {
+			if snap.Inputs >= int64(len(inputs)) {
+				continue
+			}
+			points++
+			at, err := checkpoint.Encode(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			halt := haltAtResume(t, name, reseal(t, snap))
+			again, err := checkpoint.Encode(halt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(at, again) {
+				t.Fatalf("%s: halt right after resume at snapshot %d (chunk %d) captured %d bytes, not its %d-byte resume point",
+					name, i, snap.NextChunk, len(again), len(at))
+			}
+			tail := resumeRun(t, name, reseal(t, halt), inputs)
+			got := joinLines(append(append([][]byte{}, ref[:snap.Inputs]...), tail...))
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%s: resume from the halt at snapshot %d diverged from the uninterrupted run", name, i)
+			}
+		}
+		if points < 8 {
+			t.Fatalf("%s: %d mid-session resume points, want at least 8", name, points)
+		}
+	}
+}
+
+// haltAtResume restores snap into a fresh pipeline, halts it before
+// pushing anything, and returns the one snapshot the halt emits.
+func haltAtResume(t *testing.T, name string, snap *checkpoint.Snapshot) *checkpoint.Snapshot {
+	t.Helper()
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*checkpoint.Snapshot
+	p, err := engine.NewStream(context.Background(), bench.MustNew(name), engine.StreamConfig{
+		Resume:     &engine.ResumeConfig{Snap: snap, Codec: wc},
+		Checkpoint: engine.CheckpointConfig{Codec: wc, OnSnapshot: func(s *checkpoint.Snapshot) { got = append(got, s) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Halt()
+	for range p.Outputs() {
+		t.Fatal("a session halted before any input committed an output")
+	}
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckpointErr(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("halt right after resume emitted %d snapshots, want 1", len(got))
+	}
+	return got[0]
 }
 
 // TestCheckpointResumeVerdicts resumes at every snapshot and holds the

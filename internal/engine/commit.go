@@ -33,7 +33,7 @@ type frontier struct {
 	// The holder's alone, and the reaper's once every worker has exited.
 	next       int // the first chunk not yet applied
 	prev       committed
-	prevInputs []Input // the last applied chunk's inputs; nil until one is
+	prevInputs []Input // the last applied chunk's inputs, or the snapshot's window
 }
 
 // init places the frontier before chunk 0, or at the snapshot frontier of
@@ -48,8 +48,10 @@ func (f *frontier) init(p *Pipeline) {
 	// and its run is bound to that chunk and holds its replica seed, if
 	// the snapshot carried one. So the first boundary is validated against
 	// the exact states the uninterrupted session would have held, and
-	// builds the replicas only on a miss, as that session would have.
-	f.next = rs.next
+	// builds the replicas only on a miss, as that session would have. The
+	// snapshot's window stands in for that chunk's inputs, so a halt before
+	// anything new commits re-captures the resume point.
+	f.next, f.prevInputs = rs.next, rs.prevWindow
 	run := &chunkRun{}
 	run.bind(&p.proto, p.ex, rs.next-1, -1)
 	if rs.seed != nil {
@@ -97,7 +99,7 @@ func (p *Pipeline) deliver(ck *chunk) {
 func (p *Pipeline) apply(r *chunk) (ok bool) {
 	defer p.recoverCommit()
 	f := &p.front
-	if !p.applyCommit(r, &f.prev) {
+	if !p.applyCommit(r) {
 		return false
 	}
 	f.prevInputs = r.inputs
@@ -109,8 +111,7 @@ func (p *Pipeline) apply(r *chunk) (ok bool) {
 // panic into the session's terminal FaultError. Defer it directly.
 func (p *Pipeline) recoverCommit() {
 	if r := recover(); r != nil {
-		p.fail(&FaultError{Fault: &ChunkFault{
-			Chunk: -1, Site: SiteCommit, Panic: r, Stack: stack()}})
+		p.fail(&ChunkFault{Chunk: -1, Site: SiteCommit, Panic: r, Stack: stack()})
 	}
 }
 
@@ -123,62 +124,39 @@ func (p *Pipeline) haltSnapshot() {
 	p.ckpt.finalize(f.next, f.prevInputs, &f.prev)
 }
 
-// applyCommit validates, commits or recovers one chunk at the frontier
-// and emits its outputs. The comparison wave runs here, on the side that
-// commits (§II-B); the replicas the predecessor's worker deferred are
-// built here if the wave misses its final state. A result whose worker
-// exhausted its retry budget is degraded here: the chunk abandons its
-// (dead) speculation and re-executes sequentially from the last committed
-// state, exactly like a mispeculation abort. applyCommit returns false if the context was
-// canceled or the session failed terminally.
-func (p *Pipeline) applyCommit(r *chunk, prev *committed) bool {
-	j := r.j
+// applyCommit decides one chunk at the frontier through the protocol's
+// commit step (attempt.go): the committed predecessor's run validates its
+// boundary, building the replicas it deferred if the comparison misses
+// its final state, and the chunk commits or aborts and re-executes in
+// place from the last committed state. A result whose worker exhausted
+// its retry budget carries no speculative copy; it misses its boundary
+// and is degraded the same way. Then the frontier emits the chunk's
+// outputs. applyCommit returns false if the context was canceled or the
+// session failed terminally.
+func (p *Pipeline) applyCommit(r *chunk) bool {
+	j, prev := r.j, &p.front.prev
 	ok := r.fault == nil
 	if j > 0 {
-		if r.fault == nil {
-			v, fault := prev.run.validateLineage(p.ctx, &prev.origs, r.spec)
-			if fault != nil {
-				p.fail(&FaultError{Fault: fault})
-				return false
-			}
-			ok = v.ok
-			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
-				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
-		}
-		// The boundary is resolved either way: the predecessor's replica
-		// originals, built or not, and this chunk's published speculative
-		// copy are dead. prev.origs[0] stays live — it is prev.final, the
-		// recovery state. (A faulted result was scrapped worker-side; its
-		// spec is nil.)
-		prev.run.resolved(prev.origs)
-		p.pool.Release(r.spec)
-	}
-	if !ok {
-		p.aborts.Add(1)
-		if r.fault != nil {
-			p.degraded.Add(1)
-			p.emit(Event{Kind: EvDegraded, Chunk: j, Worker: -1, N: r.fault.Attempt})
-		}
-		p.emit(Event{Kind: EvAborted, Chunk: j, Worker: -1})
-		// The speculative run's states — its final (origs[0]) and its
-		// replicas, built or a seed — are dead. (Faulted results carry
-		// none.)
-		r.releaseRun(r.final, r.origs)
-		if fault := r.recoverChunk(prev.final); fault != nil {
-			p.fail(&FaultError{Fault: fault})
+		var fault *ChunkFault
+		if ok, fault = prev.run.boundary(p.ctx, &prev.origs, r.spec); fault != nil {
+			p.fail(fault)
 			return false
 		}
-	} else {
-		p.commits.Add(1)
-		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
+	}
+	// Whatever the run reports from here on, the frontier does. Recovery
+	// re-executes the chunk on the worker holding the role, serializing the
+	// pipeline for the chunk's length — exactly the mispeculation cost the
+	// paper's loss decomposition charges.
+	r.worker = -1
+	if fault := r.settle(p.ctx, ok, r.fault, r.final, r.origs, r.recoverAttempt); fault != nil {
+		p.fail(fault)
+		return false
 	}
 	// prev aliases the record's original-state buffer and its run, whose
 	// seed the next boundary builds from and a capture encodes; the record
-	// outlives its turn as predecessor (newRecords). Whatever the run
-	// reports from here on, the frontier does.
+	// outlives its turn as predecessor (newRecords).
 	oldFinal := prev.final
 	prev.final, prev.origs, prev.run = r.final, r.origs, &r.chunkRun
-	r.worker = -1
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)

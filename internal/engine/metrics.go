@@ -92,8 +92,8 @@ type stageBins struct {
 	totalNs [numBins]atomic.Int64
 }
 
-// Metrics is Counters plus what a live service also wants: three gauges
-// and the binned stage latencies. The embedded Counters folds the totals
+// Metrics is Counters plus what a live service also wants: two gauges and
+// the binned stage latencies. The embedded Counters folds the totals
 // (read them through Snapshot); Metrics adds only what is not a running
 // total. The zero value is ready to use.
 type Metrics struct {
@@ -101,9 +101,8 @@ type Metrics struct {
 	stages [numStages]stageBins
 
 	// Gauges, across every scheduler run sharing this Metrics.
-	Active    atomic.Int64 // scheduler runs currently executing
-	InFlight  atomic.Int64 // chunks announced and not yet resolved
-	ChunkSize atomic.Int64 // most recent chunk size chosen
+	Active   atomic.Int64 // scheduler runs currently executing
+	InFlight atomic.Int64 // chunks announced and not yet resolved
 }
 
 // NewMetrics returns an empty collector.
@@ -118,9 +117,6 @@ func (m *Metrics) Event(e Event) {
 	switch e.Kind {
 	case EvSessionStart:
 		m.Active.Add(1)
-		if e.N > 0 {
-			m.ChunkSize.Store(int64(e.N))
-		}
 	case EvSessionEnd:
 		m.Active.Add(-1)
 		m.InFlight.Add(-int64(e.N))
@@ -128,8 +124,6 @@ func (m *Metrics) Event(e Event) {
 		m.Observe(StageIngestWait, e.Dur)
 	case EvChunk:
 		m.InFlight.Add(1)
-	case EvResize:
-		m.ChunkSize.Store(int64(e.N))
 	case EvSpeculated:
 		m.Observe(StageSpeculate, e.Dur)
 	case EvValidated:
@@ -246,7 +240,6 @@ func (m *Metrics) Put(page map[string]int64) {
 		page["stream/counter["+name+"]"] = v
 	}
 	page["stream/gauge[active_sessions]"] = m.Active.Load()
-	page["stream/gauge[chunk_size]"] = m.ChunkSize.Load()
 	for s := Stage(0); s < numStages; s++ {
 		stage := "stream/stage[" + stageNames[s] + "]/"
 		for b := 0; b < numBins; b++ {

@@ -38,8 +38,8 @@ func TestMetricsPut(t *testing.T) {
 		t.Errorf("%d counters, want 19:\n%v", counters, page)
 	}
 	for name, want := range map[string]int64{
-		"stream/gauge[active_sessions]": 0, "stream/gauge[chunk_size]": int64(len(inputs) / 8),
-		"stream/counter[inputs]": 64, "stream/counter[outputs]": 64, "stream/counter[sessions]": 1,
+		"stream/gauge[active_sessions]": 0, "stream/counter[sessions]": 1,
+		"stream/counter[inputs]": 64, "stream/counter[outputs]": 64,
 		"stream/counter[orig_updates]": c.OrigUpdates, "stream/counter[spec_copies]": c.SpecCopies,
 		"stream/counter[reexec_updates]": c.ReexecUpdates,
 	} {

@@ -62,7 +62,8 @@ import (
 // StreamConfig.Sink: the same events a batch run emits, so /metrics,
 // overhead counters and trace synthesis need no pipeline-private
 // aggregation. With no sink attached nothing is emitted and no clock is
-// read; StreamStats comes from the pipeline's own atomics either way.
+// read; StreamStats comes from the protocol's and the pipeline's own
+// atomics either way.
 //
 // Lifecycle: Close ends the input stream and drains the pipeline; cancel
 // the context to abandon it. A session runs Workers+1 goroutines — the
@@ -257,8 +258,6 @@ type chunk struct {
 	final State
 	origs []State
 	fault *ChunkFault // retries exhausted; all other result fields are dead
-
-	trueFinal State // recovery only: the committed predecessor's final state
 }
 
 // newRecords returns the record array for a speculation window: a power
@@ -325,13 +324,11 @@ type Pipeline struct {
 	// the producer's "announce + jobs push" one step against Halt's jobs
 	// close, and it guards ctl, which the producer writes and Wait and
 	// StatsSnapshot read.
-	mu       sync.Mutex
-	prod     producer // the chunk being filled (assemble.go)
-	ctl      *autotune.Online
-	closed   atomic.Bool
-	failOnce sync.Once
-	failure  atomic.Value  // error: the terminal fault that tore the run down
-	done     chan struct{} // closed by the reaper, after every other goroutine exited
+	mu     sync.Mutex
+	prod   producer // the chunk being filled (assemble.go)
+	ctl    *autotune.Online
+	closed atomic.Bool
+	done   chan struct{} // closed by the reaper, after every other goroutine exited
 
 	// Checkpointed-session machinery (checkpoint.go).
 	halted atomic.Bool
@@ -344,9 +341,6 @@ type Pipeline struct {
 
 	chunks   atomic.Int64
 	resolved int64 // chunks whose EvOutputs went out: the frontier's, then the reaper's
-	commits  atomic.Int64
-	aborts   atomic.Int64
-	degraded atomic.Int64
 }
 
 // NewStream starts a pipeline for prog. The context governs the whole
@@ -416,6 +410,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	}
 	p.halt, p.haltCancel = context.WithCancel(ctx)
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, cfg.Sink)
+	p.stop = cancel // a terminal fault tears every stage down promptly
 	p.records = newRecords(p, cfg.window())
 	p.resume = rs
 	p.front.init(p)
@@ -440,7 +435,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		}
 		p.ckpt = t
 	}
-	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1, N: cfg.ChunkSize})
+	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1})
 
 	var workers sync.WaitGroup
 	workers.Add(cfg.Workers)
@@ -478,23 +473,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	return p, nil
 }
 
-// fail records the run's terminal error (first one wins) and cancels the
-// pipeline context, tearing every stage down promptly.
-func (p *Pipeline) fail(err error) {
-	p.failOnce.Do(func() {
-		p.failure.Store(err)
-		p.cancel()
-	})
-}
-
-// failErr returns the terminal error recorded by fail, or nil.
-func (p *Pipeline) failErr() error {
-	if err, ok := p.failure.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
 // endErr is why a session that stopped taking input did.
 func (p *Pipeline) endErr() error {
 	if err := p.failErr(); err != nil {
@@ -513,8 +491,7 @@ func (p *Pipeline) endErr() error {
 func (p *Pipeline) initialState() State {
 	defer func() {
 		if r := recover(); r != nil {
-			p.fail(&FaultError{Fault: &ChunkFault{
-				Chunk: -1, Site: SiteAssemble, Panic: r, Stack: stack()}})
+			p.fail(&ChunkFault{Chunk: -1, Site: SiteAssemble, Panic: r, Stack: stack()})
 		}
 	}()
 	s := p.initial()

@@ -95,23 +95,14 @@ func (ck *chunk) localAttempt() error {
 	return nil
 }
 
-// recoverChunk re-executes a mispeculated or faulted chunk in place from
-// the true state its committed predecessor produced, leaving the new
-// outputs, final state and original states in the record. It runs at the
-// commit frontier, on the worker holding the role, serializing the
-// pipeline for the chunk's length —
-// exactly the mispeculation cost the paper's loss decomposition charges —
-// and it is the last rung of the degradation ladder: a returned fault
-// means every attempt faulted too, and the session must fail.
-func (ck *chunk) recoverChunk(trueFinal State) *ChunkFault {
-	ck.worker, ck.trueFinal = -1, trueFinal
-	return ck.retry(ck.p.ctx, SiteReexec, ck.recoverAttempt)
-}
-
-// recoverAttempt is one recovery attempt. The speculative outputs and
-// original states are dead on abort; their buffers are reused.
+// recoverAttempt is one recovery attempt, made by the worker holding the
+// commit frontier: it re-executes the chunk in place from the committed
+// predecessor's final state, which the frontier's lineage holds until the
+// chunk is applied, leaving the new outputs, final state and original
+// states in the record. The speculative outputs and original states are
+// dead on abort; their buffers are reused.
 func (ck *chunk) recoverAttempt() error {
-	ck.outs, ck.final, ck.origs = ck.reexec(ck.trueFinal, -1, ck.inputs, false, ck.outs, ck.origs)
+	ck.outs, ck.final, ck.origs = ck.reexec(ck.p.front.prev.final, -1, ck.inputs, false, ck.outs, ck.origs)
 	return nil
 }
 

@@ -129,6 +129,33 @@ func TestServeCheckpointResume(t *testing.T) {
 			t.Fatalf("resumed line %d = %q, want %q", i, got[i], want[i])
 		}
 	}
+
+	// The snapshot's shape replaces the query's, the worker count too: an
+	// attributed resume of a one-worker snapshot on a server whose base is
+	// three workers reports its breakdown against the two cores that ran
+	// it (one worker plus the frontier), not the base's four.
+	lines, _ = postSession(t, ts.URL+"/v1/stream/"+name+"?ckpt=2&workers=1", body)
+	_, snaps = splitControl(t, lines)
+	snap = snaps[len(snaps)/2]
+	if snap.Workers != 1 || cfg.Workers == 1 {
+		t.Fatalf("snapshot at %d workers, server base %d: the case needs 1 against another", snap.Workers, cfg.Workers)
+	}
+	if b64, err = checkpoint.EncodeString(snap); err != nil {
+		t.Fatal(err)
+	}
+	resumeBody.Reset()
+	resumeBody.WriteString(checkpoint.ResumePrefix + b64 + "\n")
+	resumeBody.Write(ndjsonBody(t, name, inputs[snap.Inputs:]))
+	tail, tr3 := postSession(t, ts2.URL+"/v1/stream/"+name+"?resume=1&attrib=1", resumeBody.Bytes())
+	if !tr3.Done || tr3.Error != "" || tr3.Attribution == nil {
+		t.Fatalf("attributed resumed session trailer: %+v", tr3)
+	}
+	if want := float64(snap.Workers + 1); tr3.Attribution.Ideal != want {
+		t.Fatalf("resumed one-worker session: attribution ideal %v, want %v", tr3.Attribution.Ideal, want)
+	}
+	if strings.Join(tail, "\n") != strings.Join(want[snap.Inputs:], "\n") {
+		t.Fatal("attributed resume of a one-worker snapshot diverged from the uninterrupted outputs")
+	}
 }
 
 // TestServeResumeRejectsBadPrologue covers the resume=1 error surface: a

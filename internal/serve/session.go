@@ -244,8 +244,10 @@ func (ss *session) open() bool {
 	if ss.resume {
 		snap, err := readResumeLine(ss.sc)
 		if err == nil {
-			// The snapshot's shape replaces the query's (NewStream).
-			err = checkShape(ss.cfg.WithShape(snap))
+			// The snapshot's shape replaces the query's, here as in
+			// NewStream: the trailer reports against the shape that ran.
+			ss.cfg = ss.cfg.WithShape(snap)
+			err = checkShape(ss.cfg)
 		}
 		if err != nil {
 			return ss.refuse(http.StatusBadRequest, err.Error())
