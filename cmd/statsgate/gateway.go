@@ -28,7 +28,7 @@ const maxCrashResumes = 3
 const fetchTimeout = 2 * time.Second
 
 // gateway is the statsgate front door: it admits sessions through a
-// token bucket, picks a backend with the configured routing policy,
+// token bucket, picks a backend with the routing policy (round-robin),
 // proxies the full-duplex NDJSON session, and — when a backend sheds
 // with 429/503 before any output byte has reached the client — replays
 // the consumed request bytes to the next backend the policy picks.
@@ -84,7 +84,7 @@ func (g *gateway) startDrain() { g.front.StartDrain() }
 
 // handleMetrics renders the gateway's own counters and routing table,
 // then a live aggregation of every reachable backend's /metrics:
-// per-backend lines under backend[instance]/ and cluster-wide sums under
+// per-backend lines under backend[id]/ and cluster-wide sums under
 // cluster/.
 func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	page := make(map[string]int64, 512)
@@ -107,19 +107,16 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (g *gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	type row struct {
-		ID        string `json:"id"`
-		Addr      string `json:"addr"`
-		Health    string `json:"health"`
-		InFlight  int    `json:"inFlight"`
-		Active    int    `json:"active"`
-		Occupancy int    `json:"occupancy"`
-		Routed    int64  `json:"routed"`
-		Shed      int64  `json:"shed"`
+		ID       string `json:"id"`
+		Addr     string `json:"addr"`
+		Health   string `json:"health"`
+		InFlight int    `json:"inFlight"`
+		Routed   int64  `json:"routed"`
+		Shed     int64  `json:"shed"`
 	}
 	rows := []row{}
 	for _, b := range g.reg.Snapshots() {
-		rows = append(rows, row{b.ID, b.Addr, b.Health.String(),
-			b.InFlight, b.Active, b.Occupancy, b.Routed, b.Shed})
+		rows = append(rows, row{b.ID, b.Addr, b.Health.String(), b.InFlight, b.Routed, b.Shed})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func newBackend(t *testing.T, opt serve.Options) (*serve.Server, *httptest.Serve
 }
 
 // newGate fronts the given backend URLs with a statsgate handler. IDs
-// are b0, b1, ... in argument order, matching each backend's -instance.
+// are b0, b1, ... in argument order.
 func newGate(t *testing.T, policy cluster.RoutingPolicy, bucket *cluster.TokenBucket,
 	addrs ...string) (*gateway, *cluster.Registry, *httptest.Server) {
 	t.Helper()
@@ -193,11 +194,10 @@ func scrape(t *testing.T, base string) cluster.BackendMetrics {
 // activeSessions scrapes a backend's active-session gauge.
 func activeSessions(t *testing.T, base string) int {
 	t.Helper()
-	active, _, _ := scrape(t, base).LoadGauges()
-	return active
+	return int(scrape(t, base).Values["serve/gauge[active_sessions]"])
 }
 
-// TestGateProxiesDeterministically: for every routing policy, concurrent
+// TestGateProxiesDeterministically: under round-robin routing, concurrent
 // sessions over three benchmarks through a two-backend gateway must
 // return exactly the lines a direct statsserved run returns — the
 // determinism invariant does not care which backend served a session or
@@ -211,7 +211,7 @@ func TestGateProxiesDeterministically(t *testing.T) {
 		{"streamcluster", 50},
 		{"streamclassifier", 40},
 	}
-	_, direct := newBackend(t, serve.Options{Instance: "direct"})
+	_, direct := newBackend(t, serve.Options{})
 	want := make(map[string][]string, len(sessions))
 	for _, s := range sessions {
 		status, lines, tr, _ := postSession(t, direct.URL, s.name, ndjsonBody(t, s.name, sessionInputs(t, s.name, s.n)))
@@ -221,14 +221,14 @@ func TestGateProxiesDeterministically(t *testing.T) {
 		want[s.name] = lines
 	}
 
-	for _, policyName := range cluster.PolicyNames() {
+	for _, policyName := range []string{"roundrobin"} {
 		t.Run(policyName, func(t *testing.T) {
 			policy, err := cluster.PolicyFor(policyName)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
-			_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+			_, ts0 := newBackend(t, serve.Options{})
+			_, ts1 := newBackend(t, serve.Options{})
 			_, reg, gts := newGate(t, policy, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 			const rounds = 2
@@ -283,8 +283,8 @@ func TestGateProxiesDeterministically(t *testing.T) {
 // gateway must replay the session to the other backend and still return
 // byte-identical output.
 func TestGateReroutesShedSession(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1, Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1})
+	_, ts1 := newBackend(t, serve.Options{})
 	g, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 	release := holdSession(t, ts0.URL)
@@ -335,8 +335,8 @@ func TestGateReroutesShedSession(t *testing.T) {
 // TestGateShedsWhenClusterFull: when every backend refuses, the gateway
 // sheds to the client with 429 and the soonest backend Retry-After hint.
 func TestGateShedsWhenClusterFull(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1, Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{MaxSessions: 1, Instance: "b1"})
+	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1})
+	_, ts1 := newBackend(t, serve.Options{MaxSessions: 1})
 	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 	holdSession(t, ts0.URL)
@@ -361,7 +361,7 @@ func TestGateShedsWhenClusterFull(t *testing.T) {
 // TestGateAdmissionControl: the gateway's own token bucket sheds before
 // touching any backend, with a Retry-After derived from the refill rate.
 func TestGateAdmissionControl(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, ts0 := newBackend(t, serve.Options{})
 	g, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0.001, 1), ts0.URL)
 
 	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 16))
@@ -389,8 +389,8 @@ func TestGateAdmissionControl(t *testing.T) {
 // in-flight session on the draining one runs to completion with
 // byte-identical output.
 func TestGateDrainMidRun(t *testing.T) {
-	b0, ts0 := newBackend(t, serve.Options{Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+	b0, ts0 := newBackend(t, serve.Options{})
+	_, ts1 := newBackend(t, serve.Options{})
 	_, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 	inputs := sessionInputs(t, "facetrack", 32)
@@ -484,12 +484,85 @@ func TestGateDrainMidRun(t *testing.T) {
 	waitFor(t, "session accounting settled", func() bool { return reg.Snapshots()[0].InFlight == 0 })
 }
 
+// TestGateKnowsBackendsByAddress: two backends at the default
+// serve.Options, registered the way main registers -backends (by address
+// alone), keep their addresses as IDs through a probe round, leave the
+// ready set one at a time as they drain, and get one routing-table row
+// each on the gate's page. A probe round is one /readyz GET a backend
+// and no /metrics GET.
+func TestGateKnowsBackendsByAddress(t *testing.T) {
+	var apps [2]*serve.Server
+	var urls [2]string
+	var readyz, metrics [2]atomic.Int64
+	for i := range apps {
+		apps[i] = serve.New(baseConfig(), serve.Options{})
+		h := apps[i].Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/readyz":
+				readyz[i].Add(1)
+			case "/metrics":
+				metrics[i].Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	reg := cluster.NewRegistry(cluster.Backend{Addr: urls[0]}, cluster.Backend{Addr: urls[1]})
+	g := newGateway(reg, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0))
+	gts := httptest.NewServer(g.handler())
+	t.Cleanup(func() {
+		gts.Close()
+		g.client.CloseIdleConnections()
+	})
+	prober := &cluster.Prober{Registry: reg, Interval: 50 * time.Millisecond}
+	probed := func(round int64) {
+		t.Helper()
+		for i := range urls {
+			if r, m := readyz[i].Load(), metrics[i].Load(); r != round || m != 0 {
+				t.Fatalf("after %d probe rounds %s got %d /readyz and %d /metrics GETs, want %d and 0",
+					round, urls[i], r, m, round)
+			}
+		}
+	}
+
+	prober.ProbeOnce(context.Background())
+	probed(1)
+	for i, b := range reg.Snapshots() {
+		if b.ID != urls[i] || b.Health != cluster.Ready {
+			t.Fatalf("backend %d after a probe = %+v, want ID %s and ready", i, b, urls[i])
+		}
+	}
+
+	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 16))
+	for i := 0; i < 2; i++ { // seq 0 → the first backend, seq 1 → the second
+		if status, _, tr, _ := postSession(t, gts.URL, "facetrack", body); status != http.StatusOK || !tr.Done {
+			t.Fatalf("session %d: status %d trailer %+v", i, status, tr)
+		}
+	}
+
+	apps[0].StartDrain()
+	prober.ProbeOnce(context.Background())
+	probed(2)
+	if ready := reg.Ready(); len(ready) != 1 || ready[0].ID != urls[1] {
+		t.Fatalf("ready backends after draining %s = %v, want [%s]", urls[0], ready, urls[1])
+	}
+
+	page := scrape(t, gts.URL).Values
+	for _, u := range urls {
+		if got, ok := page["gate/backend["+u+"]/routed"]; !ok || got != 1 {
+			t.Errorf("gate/backend[%s]/routed = %d (present %v), want 1", u, got, ok)
+		}
+	}
+}
+
 // TestGateMetricsAggregate: the gateway /metrics page carries its own
 // counters, the routing table, each backend's scrape under
-// backend[instance]/, and cluster-wide sums that add up.
+// backend[id]/, and cluster-wide sums that add up.
 func TestGateMetricsAggregate(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+	_, ts0 := newBackend(t, serve.Options{})
+	_, ts1 := newBackend(t, serve.Options{})
 	_, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 
 	const n = 24
@@ -554,10 +627,9 @@ func TestGateMetricsAggregate(t *testing.T) {
 // TestMetricsPagesParse: every non-empty line of a live statsserved
 // page and a live statsgate page, taken after a session has filled the
 // stage histograms, is read back by ParseMetrics with its value, and no
-// name appears twice; the backend's page carries the load gauges the
-// gateway routes by.
+// name appears twice; the backend's page carries its operator gauges.
 func TestMetricsPagesParse(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, ts0 := newBackend(t, serve.Options{})
 	_, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL)
 	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 40))
 	if status, _, tr, _ := postSession(t, gts.URL, "facetrack", body); status != http.StatusOK || !tr.Done {
@@ -584,7 +656,6 @@ func TestMetricsPagesParse(t *testing.T) {
 			switch {
 			case seen[name]:
 				t.Errorf("%s: %q appears twice", base, name)
-			case name == "serve/instance" && bm.Instance == val:
 			case !ok || strconv.FormatInt(v, 10) != val:
 				t.Errorf("%s: line %q parsed as %d (present %v)", base, line, v, ok)
 			}
@@ -594,10 +665,10 @@ func TestMetricsPagesParse(t *testing.T) {
 			t.Errorf("%s: no stage bins on the page:\n%s", base, raw)
 		}
 		if base == ts0.URL {
-			_, okA := bm.Values["serve/gauge[active_sessions]"]
-			_, okO := bm.Values["serve/gauge[window_occupancy]"]
-			if active, occ, maxSessions := bm.LoadGauges(); !okA || !okO || active != 0 || occ != 0 || maxSessions != 64 {
-				t.Errorf("idle backend's load gauges %d %d %d (present %v %v), want 0 0 64", active, occ, maxSessions, okA, okO)
+			active, okA := bm.Values["serve/gauge[active_sessions]"]
+			occ, okO := bm.Values["serve/gauge[window_occupancy]"]
+			if maxSessions := bm.Values["serve/gauge[max_sessions]"]; !okA || !okO || active != 0 || occ != 0 || maxSessions != 64 {
+				t.Errorf("idle backend's gauges %d %d %d (present %v %v), want 0 0 64", active, occ, maxSessions, okA, okO)
 			}
 		}
 	}
@@ -607,7 +678,7 @@ func TestMetricsPagesParse(t *testing.T) {
 // /readyz and new sessions are refused with 503 while the handler stays
 // up for in-flight work.
 func TestGateDrainsItself(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, ts0 := newBackend(t, serve.Options{})
 	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL)
 
 	if resp, err := http.Get(gts.URL + "/readyz"); err != nil || resp.StatusCode != http.StatusOK {

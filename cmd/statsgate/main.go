@@ -4,31 +4,31 @@
 // Usage:
 //
 //	statsgate -backends http://h1:8417,http://h2:8417 [-addr :8427]
-//	          [-policy roundrobin|leastloaded|affinity]
 //	          [-rate 0] [-burst 1] [-probe-interval 500ms]
 //	          [-grace 15s] [-migrate] [-ckpt-every 32]
 //
 // It proxies full-duplex NDJSON sessions at POST /v1/stream/{benchmark}
-// to a backend chosen by -policy, admits
-// them through a token bucket (-rate tokens/s, -burst; 429 +
-// Retry-After when empty), and re-routes a session that a backend sheds
-// with 429/503 — always before any output byte — to the next backend
-// the policy picks, replaying the consumed request bytes. Once output
-// has streamed, the session is pinned and bytes are relayed untouched,
-// so committed outputs are byte-identical to a direct statsserved run.
-// Backend health comes from /readyz probes every -probe-interval
-// (draining backends stop receiving new sessions; two consecutive
-// failures mark a backend down) and load signals from each backend's
-// /metrics gauges. With -migrate, sessions run under the
-// checkpointed protocol: backends interleave #ckpt snapshot lines every
-// -ckpt-every commits, the gateway consumes them (trimming its replay
-// buffer to the checkpoint frontier), and a session whose backend drains
-// mid-stream — halting at its commit frontier with a #migrate marker —
-// or dies outright is resumed from the latest checkpoint on the next
-// backend the policy picks. The client sees one uninterrupted stream,
-// byte-identical to an unmigrated run. GET /metrics aggregates every backend's
-// counters into cluster-wide sums, GET /v1/backends shows the routing
-// table, and SIGTERM drains like statsserved.
+// to the ready backends in round-robin order, admits them through a
+// token bucket (-rate tokens/s, -burst; 429 + Retry-After when empty),
+// and re-routes a session that a backend sheds with 429/503 — always
+// before any output byte — to the next backend in that order, replaying
+// the consumed request bytes. Once output has streamed, the session is
+// pinned and bytes are relayed untouched, so committed outputs are
+// byte-identical to a direct statsserved run.
+// Backend health comes from one /readyz probe per backend every
+// -probe-interval (draining backends stop receiving new sessions; two
+// consecutive failures mark a backend down). A backend is known by its
+// -backends address, in the routing table and in /metrics. With
+// -migrate, sessions run under the checkpointed protocol: backends
+// interleave #ckpt snapshot lines every -ckpt-every commits, the gateway
+// consumes them (trimming its replay buffer to the checkpoint frontier),
+// and a session whose backend drains mid-stream — halting at its commit
+// frontier with a #migrate marker — or dies outright is resumed from the
+// latest checkpoint on the next ready backend. The client sees one
+// uninterrupted stream, byte-identical to an unmigrated run. GET
+// /metrics aggregates every backend's counters into cluster-wide sums,
+// GET /v1/backends shows the routing table, and SIGTERM drains like
+// statsserved.
 package main
 
 import (
@@ -49,20 +49,14 @@ import (
 func main() {
 	addr := flag.String("addr", ":8427", "listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
-	policyName := flag.String("policy", "roundrobin", "routing policy: "+strings.Join(cluster.PolicyNames(), ", "))
 	rate := flag.Float64("rate", 0, "admission rate in sessions/s (0: unlimited)")
 	burst := flag.Float64("burst", 1, "admission burst size")
-	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz+/metrics probe interval")
+	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz probe interval")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
 	migrate := flag.Bool("migrate", false, "checkpoint sessions and resume them on another backend when theirs drains or dies (session mobility)")
 	ckptEvery := flag.Int("ckpt-every", 32, "with -migrate, commits between session checkpoints")
 	flag.Parse()
 
-	policy, err := cluster.PolicyFor(*policyName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "statsgate:", err)
-		os.Exit(1)
-	}
 	var bs []cluster.Backend
 	for _, a := range strings.Split(*backends, ",") {
 		a = strings.TrimRight(strings.TrimSpace(a), "/")
@@ -76,7 +70,7 @@ func main() {
 	}
 
 	reg := cluster.NewRegistry(bs...)
-	g := newGateway(reg, policy, cluster.NewTokenBucket(*rate, *burst))
+	g := newGateway(reg, cluster.RoundRobin{}, cluster.NewTokenBucket(*rate, *burst))
 	g.migrate, g.ckptEvery = *migrate, *ckptEvery
 	prober := &cluster.Prober{Registry: reg, Interval: *probeInterval}
 
@@ -87,7 +81,7 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: g.handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("statsgate listening on %s (policy %s, %d backends)", *addr, policy.Name(), len(bs))
+	log.Printf("statsgate listening on %s (%d backends)", *addr, len(bs))
 
 	select {
 	case err := <-errc:

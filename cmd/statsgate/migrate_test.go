@@ -37,8 +37,8 @@ func newMigrateGate(t *testing.T, ckptEvery int, addrs ...string) (*gateway, *cl
 // exactly the plain session's lines — every #ckpt consumed, no
 // migration, trailer intact.
 func TestGateMigrateCleanSession(t *testing.T) {
-	_, direct := newBackend(t, serve.Options{Instance: "direct"})
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, direct := newBackend(t, serve.Options{})
+	_, ts0 := newBackend(t, serve.Options{})
 	g, _, gts := newMigrateGate(t, 2, ts0.URL)
 
 	inputs := sessionInputs(t, "streamcluster", 40)
@@ -79,9 +79,9 @@ func TestGateMigrateCleanSession(t *testing.T) {
 // never migrated, ending in a Done trailer.
 func TestGateMigrateMidSession(t *testing.T) {
 	name := "dedupstream"
-	_, direct := newBackend(t, serve.Options{Instance: "direct"})
-	b0, ts0 := newBackend(t, serve.Options{Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+	_, direct := newBackend(t, serve.Options{})
+	b0, ts0 := newBackend(t, serve.Options{})
+	_, ts1 := newBackend(t, serve.Options{})
 	g, reg, gts := newMigrateGate(t, 2, ts0.URL, ts1.URL)
 
 	inputs := sessionInputs(t, name, 60)
@@ -195,8 +195,8 @@ func (f flushCounter) Unwrap() http.ResponseWriter { return f.ResponseWriter }
 func TestGateRelayFlushesWhenIdle(t *testing.T) {
 	const name = "streamcluster"
 	cfg := baseConfig()
-	_, direct := newBackend(t, serve.Options{Instance: "direct"})
-	_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+	_, direct := newBackend(t, serve.Options{})
+	_, ts0 := newBackend(t, serve.Options{})
 	g, _, _ := newMigrateGate(t, 2, ts0.URL)
 	var flushes atomic.Int64
 	h := g.handler()

@@ -60,7 +60,7 @@ func TestGateRefusalReachesStreamingClient(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts0 := newBackend(t, serve.Options{Instance: "b0"})
+			_, ts0 := newBackend(t, serve.Options{})
 			g := newGateway(cluster.NewRegistry(cluster.Backend{ID: "b0", Addr: ts0.URL}), cluster.RoundRobin{}, tc.bucket)
 			h := g.handler()
 			returned := make(chan struct{}, 2)
@@ -105,8 +105,8 @@ func TestGateRefusalReachesStreamingClient(t *testing.T) {
 // flowing from the second backend without the client sending another
 // byte — then finish byte-identical to a direct run.
 func TestGateRefusedBackendReroutesStreamingClient(t *testing.T) {
-	b0, ts0 := newBackend(t, serve.Options{Instance: "b0"})
-	_, ts1 := newBackend(t, serve.Options{Instance: "b1"})
+	b0, ts0 := newBackend(t, serve.Options{})
+	_, ts1 := newBackend(t, serve.Options{})
 	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
 	b0.StartDrain() // no probe round: the registry still offers b0, first
 

@@ -6,8 +6,7 @@
 //	            [-adapt] [-grace 15s] [-max-sessions 64]
 //	            [-session-timeout 0] [-max-body 1073741824]
 //	            [-max-line 1048576] [-chunk-deadline 0] [-retries 2]
-//	            [-retry-after 1s] [-instance statsserved]
-//	            [-pprof localhost:6060]
+//	            [-retry-after 1s] [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64]
 //	statsserved -gen-spec examples/workload/nonstationary.json [-gen-session 0]
 //
@@ -18,9 +17,8 @@
 // runs with one extra original state per chunk boundary and, unless it
 // names its own (?seed=, ?extra=), nondeterminism seed 3. Concurrent
 // sessions run on independent pipelines; /metrics aggregates binned stage
-// latencies and counters across all of them and exports the cluster-routing
-// load gauges (active sessions, speculation-window occupancy, drain state,
-// labelled by -instance) that statsgate's least-loaded policy consumes;
+// latencies and counters across all of them, beside the front end's own
+// gauges (active sessions, speculation-window occupancy, drain state);
 // /healthz reports liveness; /readyz reports routability (not-ready while
 // draining); GET /v1/benchmarks lists the streamable workloads. With
 // -pprof it also serves net/http/pprof on a second address, kept off the
@@ -82,7 +80,6 @@ func main() {
 	chunkDeadline := flag.Duration("chunk-deadline", 0, "per-chunk execution deadline; a missed deadline faults and retries the chunk (0: none)")
 	retries := flag.Int("retries", 0, "retry budget per faulted chunk before degrading to sequential re-execution (0: default 2)")
 	retryAfter := flag.Duration("retry-after", 0, "base Retry-After hint on 429 sheds, scaled by window occupancy (0: default 1s)")
-	instance := flag.String("instance", "", "instance label exported in /metrics for gateway aggregation (default \"statsserved\")")
 	gen := flag.String("gen", "", "print this benchmark's inputs as NDJSON to stdout and exit")
 	n := flag.Int("n", 0, "with -gen, cap the number of input lines (0: native length)")
 	genSpec := flag.String("gen-spec", "", "print one session of this workload spec as NDJSON and exit")
@@ -124,7 +121,6 @@ func main() {
 		MaxBody:        *maxBody,
 		MaxLine:        *maxLine,
 		RetryAfterBase: *retryAfter,
-		Instance:       *instance,
 	})
 	srv := &http.Server{Addr: *addr, Handler: app.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

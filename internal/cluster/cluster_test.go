@@ -18,7 +18,7 @@ func testBackends(n int) []Backend {
 
 // TestClusterRegistryOrderAndAccounting: snapshots come back in registration
 // order regardless of update order, and session accounting moves the
-// load counters routing policies read.
+// in-flight, routed and shed counters.
 func TestClusterRegistryOrderAndAccounting(t *testing.T) {
 	reg := NewRegistry(testBackends(3)...)
 	reg.StartSession("c")
@@ -29,14 +29,13 @@ func TestClusterRegistryOrderAndAccounting(t *testing.T) {
 	reg.EndSession("c")
 	reg.MarkShed("b")
 	reg.SetHealth("b", Draining)
-	reg.UpdateLoad("a", 5, 12, 64)
 
 	snaps := reg.Snapshots()
 	if got := []string{snaps[0].ID, snaps[1].ID, snaps[2].ID}; got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("snapshot order %v, want [a b c]", got)
 	}
-	if snaps[0].InFlight != 1 || snaps[0].Active != 5 || snaps[0].Occupancy != 12 || snaps[0].MaxSessions != 64 {
-		t.Fatalf("backend a load = %+v", snaps[0])
+	if snaps[0].InFlight != 1 {
+		t.Fatalf("backend a accounting = %+v", snaps[0])
 	}
 	if snaps[2].InFlight != 1 || snaps[2].Routed != 2 {
 		t.Fatalf("backend c accounting = %+v", snaps[2])
@@ -51,76 +50,30 @@ func TestClusterRegistryOrderAndAccounting(t *testing.T) {
 	}
 }
 
-// TestClusterPolicies: each policy's decision is a pure function of
-// (candidates, key); least-loaded tracks the load signal; affinity is
-// sticky per benchmark and survives candidate removal (rendezvous).
+// TestClusterPolicies: roundrobin's decision is a pure function of
+// (candidates, key), the admission sequence modulo the candidates, and
+// it is the one name PolicyFor resolves.
 func TestClusterPolicies(t *testing.T) {
 	cands := testBackends(4)
 	cands[1].InFlight = 3
-	cands[2].Active = 1
 	key := SessionKey{Benchmark: "facetrack", Seq: 7}
 
-	for _, name := range PolicyNames() {
-		p, err := PolicyFor(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := p.Pick(cands, key)
-		for i := 0; i < 10; i++ {
-			if got := p.Pick(cands, key); got != first {
-				t.Fatalf("%s: Pick not deterministic: %d then %d", name, first, got)
-			}
+	p, err := PolicyFor("roundrobin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := p.Pick(cands, key)
+	for i := 0; i < 10; i++ {
+		if got := p.Pick(cands, key); got != first {
+			t.Fatalf("roundrobin: Pick not deterministic: %d then %d", first, got)
 		}
 	}
-
-	if got := (RoundRobin{}).Pick(cands, SessionKey{Seq: 6}); got != 2 {
+	if got := p.Pick(cands, SessionKey{Seq: 6}); got != 2 {
 		t.Fatalf("roundrobin seq 6 over 4 = %d, want 2", got)
 	}
-	if got := (LeastLoaded{}).Pick(cands, key); cands[got].ID != "a" && cands[got].ID != "d" {
-		t.Fatalf("leastloaded picked loaded backend %s", cands[got].ID)
-	}
-	cands[0].Occupancy = 40 // ≈10 sessions' worth of chunks
-	if got := (LeastLoaded{}).Pick(cands, key); cands[got].ID != "d" {
-		t.Fatalf("leastloaded ignored occupancy, picked %s", cands[got].ID)
-	}
-
-	aff := Affinity{}
-	home := aff.Pick(cands, key)
-	if aff.Pick(cands, SessionKey{Benchmark: "facetrack", Seq: 999}) != home {
-		t.Fatal("affinity not sticky across sessions of one benchmark")
-	}
-	// Remove a non-home candidate: the home backend must not move
-	// (rendezvous hashing's minimal-disruption property).
-	drop := (home + 1) % len(cands)
-	smaller := append(append([]Backend{}, cands[:drop]...), cands[drop+1:]...)
-	if smaller[aff.Pick(smaller, key)].ID != cands[home].ID {
-		t.Fatal("affinity moved benchmark off its home when an unrelated backend left")
-	}
-
-	if _, err := PolicyFor("nosuch"); err == nil {
-		t.Fatal("PolicyFor(nosuch) did not error")
-	}
-}
-
-// TestLeastLoadedRotatesTies: between probes every idle backend scores
-// zero, so least-loaded must spread tied sessions by admission sequence
-// rather than send them all to one backend — and a unique least-loaded
-// backend still wins whatever the sequence number.
-func TestLeastLoadedRotatesTies(t *testing.T) {
-	cands := testBackends(3)
-	got := map[string]int{}
-	for seq := uint64(0); seq < 60; seq++ {
-		got[cands[(LeastLoaded{}).Pick(cands, SessionKey{Seq: seq})].ID]++
-	}
-	if got["a"] != 20 || got["b"] != 20 || got["c"] != 20 {
-		t.Fatalf("60 tied sessions over 3 idle backends went %v, want 20 each", got)
-	}
-
-	cands[0].InFlight = 2
-	cands[2].Active = 1
-	for seq := uint64(0); seq < 60; seq++ {
-		if i := (LeastLoaded{}).Pick(cands, SessionKey{Seq: seq}); cands[i].ID != "b" {
-			t.Fatalf("seq %d: picked %s over the unique least-loaded b", seq, cands[i].ID)
+	for _, name := range []string{"nosuch", "leastloaded", "affinity"} {
+		if _, err := PolicyFor(name); err == nil {
+			t.Fatalf("PolicyFor(%s) did not error", name)
 		}
 	}
 }
@@ -155,10 +108,11 @@ func TestClusterTokenBucket(t *testing.T) {
 	}
 }
 
-// TestClusterParseAndAggregate: scrapes parse into load gauges plus an
-// instance label, stage bins parse like any other line, and Aggregate
-// adds per-backend values and cluster/ sums of everything but the
-// quantile estimates.
+// TestClusterParseAndAggregate: scrapes parse into integer values, stage
+// bins like any other line, a line whose value is not an integer (an
+// older backend's serve/instance label among them) is skipped, and
+// Aggregate adds per-backend values and cluster/ sums of everything but
+// the quantile estimates.
 func TestClusterParseAndAggregate(t *testing.T) {
 	scrape := "stream/counter[inputs]=40\nserve/counter[sessions_shed]=1\n" +
 		"serve/instance=b0\nserve/gauge[active_sessions]=3\n" +
@@ -166,18 +120,17 @@ func TestClusterParseAndAggregate(t *testing.T) {
 		"stream/stage[commit]/time[1µs,2µs)/count=12\nstream/stage[commit]/p50_ns=1500\n" +
 		"stream/stage[commit]/time[0,1us)=12 0.000004\nnot a metric\n"
 	bm := ParseMetrics(scrape)
-	if bm.Instance != "b0" {
-		t.Fatalf("instance %q", bm.Instance)
+	if bm.Values["serve/gauge[active_sessions]"] != 3 || bm.Values["serve/gauge[window_occupancy]"] != 9 {
+		t.Fatalf("gauges %v", bm.Values)
 	}
-	active, occ, maxs := bm.LoadGauges()
-	if active != 3 || occ != 9 || maxs != 64 {
-		t.Fatalf("gauges = %d %d %d", active, occ, maxs)
+	if _, ok := bm.Values["serve/instance"]; ok {
+		t.Fatal("a non-integer line parsed")
 	}
 	if len(bm.Values) != 7 || bm.Values["stream/stage[commit]/time[1µs,2µs)/count"] != 12 {
 		t.Fatalf("values %v: want 7, the bin among them", bm.Values)
 	}
 
-	other := ParseMetrics("stream/counter[inputs]=2\nstream/stage[commit]/p50_ns=9000\nserve/instance=b1\n")
+	other := ParseMetrics("stream/counter[inputs]=2\nstream/stage[commit]/p50_ns=9000\n")
 	page := map[string]int64{}
 	Aggregate(page, "b0", bm.Values)
 	Aggregate(page, "b1", other.Values)
@@ -198,15 +151,15 @@ func TestClusterParseAndAggregate(t *testing.T) {
 	}
 }
 
-// TestClusterWriteMetrics: a page is the instance line, then the values
-// sorted by name; the gateway's own values count sessions routed once,
-// in the registry, and a rename carries a backend's counts with it.
+// TestClusterWriteMetrics: a page is the values sorted by name, and the
+// gateway's own values count sessions routed once, in the registry,
+// under each backend's registered ID.
 func TestClusterWriteMetrics(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteMetrics(&sb, BackendMetrics{Instance: "b0", Values: map[string]int64{"b": -1, "a": 2}}); err != nil {
+	if err := WriteMetrics(&sb, BackendMetrics{Values: map[string]int64{"b": -1, "a": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sb.String(), "serve/instance=b0\na=2\nb=-1\n"; got != want {
+	if got, want := sb.String(), "a=2\nb=-1\n"; got != want {
 		t.Fatalf("page %q, want %q", got, want)
 	}
 
@@ -214,7 +167,6 @@ func TestClusterWriteMetrics(t *testing.T) {
 	reg.MarkRouted("a")
 	reg.MarkRouted("b")
 	reg.MarkShed("b")
-	reg.Rename("b", "b1")
 	var m GateMetrics
 	m.Reroutes.Add(1)
 	page := map[string]int64{}
@@ -222,8 +174,8 @@ func TestClusterWriteMetrics(t *testing.T) {
 	for name, want := range map[string]int64{
 		"gate/counter[sessions_routed]": 2,
 		"gate/counter[reroutes]":        1,
-		"gate/backend[b1]/routed":       1,
-		"gate/backend[b1]/shed":         1,
+		"gate/backend[b]/routed":        1,
+		"gate/backend[b]/shed":          1,
 		"gate/backend[a]/health":        int64(Ready),
 	} {
 		if got, ok := page[name]; !ok || got != want {
@@ -250,7 +202,7 @@ func FuzzParseMetrics(f *testing.F) {
 		if err := WriteMetrics(&sb, bm); err != nil {
 			t.Fatal(err)
 		}
-		if again := ParseMetrics(sb.String()); again.Instance != bm.Instance || !maps.Equal(again.Values, bm.Values) {
+		if again := ParseMetrics(sb.String()); !maps.Equal(again.Values, bm.Values) {
 			t.Fatalf("page %q parsed back as %+v, written from %+v", sb.String(), again, bm)
 		}
 
@@ -273,9 +225,9 @@ func FuzzParseMetrics(f *testing.F) {
 }
 
 // writable reports whether WriteMetrics can render a value named name:
-// a non-empty name that starts with no space, holds no '=' or line
-// break, and is not the instance label's.
+// a non-empty name that starts with no space and holds no '=' or line
+// break.
 func writable(name string) bool {
 	return name != "" && name == strings.TrimLeftFunc(name, unicode.IsSpace) &&
-		!strings.ContainsAny(name, "=\n") && name != instanceName
+		!strings.ContainsAny(name, "=\n")
 }

@@ -1,7 +1,7 @@
 // Package cluster is the decision core of the statsgate front door: a
-// backend registry with health and load tracking, pluggable routing
-// policies, token-bucket admission control, and metrics aggregation
-// across backends.
+// backend registry keyed by each backend's address, with health and
+// session accounting, round-robin routing, token-bucket admission
+// control, and metrics aggregation across backends.
 //
 // The package is deliberately split from cmd/statsgate along the
 // determinism boundary: every routing and admission decision here is a

@@ -12,17 +12,13 @@ import (
 // A /metrics page is text, one name=value line per value: the name is
 // everything left of the first '=', the value a decimal int64. Every
 // page statsserved and statsgate serve is rendered by WriteMetrics and
-// read by ParseMetrics, its inverse. The one line whose value is not an
-// integer is serve/instance, a backend's label.
+// read by ParseMetrics, its inverse.
 //
 // A name is a path: a scope (stream, serve, gate, backend[id], cluster),
 // then a kind with its label in brackets (counter[…], gauge[…],
 // stage[…]), then for a stage histogram the bin and the field (count,
 // total_ns). A last segment p<q>_ns is an estimated quantile, the one
 // kind of value a sum across backends does not mean anything for.
-
-// instanceName is the label line's name.
-const instanceName = "serve/instance"
 
 // GateMetrics counts what the gateway itself did, as opposed to the
 // backend metrics it aggregates.
@@ -59,23 +55,16 @@ func (m *GateMetrics) Put(page map[string]int64, backends []Backend) {
 // BackendMetrics is one page: a backend's /metrics scrape as parsed, or
 // the values a server is about to write.
 type BackendMetrics struct {
-	// Instance is the backend's serve/instance label ("" if the page
-	// carried none).
-	Instance string
-	// Values holds every other line of the page, keyed by the full name
-	// left of '='.
+	// Values holds every line of the page, keyed by the full name left
+	// of '='.
 	Values map[string]int64
 }
 
-// WriteMetrics renders bm as a page: the serve/instance line first when
-// Instance is set, then one line per value, sorted by name. A name must
-// not start with a space or hold '=' or a line break; then
+// WriteMetrics renders bm as a page, one line per value, sorted by name.
+// A name must not start with a space or hold '=' or a line break; then
 // ParseMetrics reads back exactly bm.
 func WriteMetrics(w io.Writer, bm BackendMetrics) error {
 	var buf []byte
-	if bm.Instance != "" {
-		buf = append(append(append(buf, instanceName+"="...), bm.Instance...), '\n')
-	}
 	for _, name := range slices.Sorted(maps.Keys(bm.Values)) {
 		buf = append(append(buf, name...), '=')
 		buf = append(strconv.AppendInt(buf, bm.Values[name], 10), '\n')
@@ -96,22 +85,11 @@ func ParseMetrics(text string) BackendMetrics {
 		if !ok || name == "" {
 			continue
 		}
-		if name == instanceName {
-			bm.Instance = val
-			continue
-		}
 		if n, err := strconv.ParseInt(val, 10, 64); err == nil {
 			bm.Values[name] = n
 		}
 	}
 	return bm
-}
-
-// LoadGauges extracts the routing load signal from a scrape.
-func (bm BackendMetrics) LoadGauges() (active, occupancy, maxSessions int) {
-	return int(bm.Values["serve/gauge[active_sessions]"]),
-		int(bm.Values["serve/gauge[window_occupancy]"]),
-		int(bm.Values["serve/gauge[max_sessions]"])
 }
 
 // Aggregate adds one backend's scraped values to page, each under

@@ -1,16 +1,11 @@
 package cluster
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-	"strings"
-)
+import "fmt"
 
 // SessionKey identifies one admission attempt to a routing policy.
 type SessionKey struct {
 	// Benchmark is the session's workload name (the {benchmark} path
-	// element) — the affinity policy's hash input.
+	// element).
 	Benchmark string
 	// Seq is the gateway-assigned admission sequence number, increasing
 	// by one per admitted session. Policies use it instead of internal
@@ -32,8 +27,9 @@ type RoutingPolicy interface {
 	Pick(candidates []Backend, key SessionKey) int
 }
 
-// RoundRobin spreads sessions uniformly by admission sequence. It is the
-// baseline policy: blind to load, perfectly fair in expectation.
+// RoundRobin spreads sessions uniformly by admission sequence, blind to
+// load. Load awareness belongs to a backend's own admission, which knows
+// its idle cores exactly; the gate could only guess from a stale scrape.
 type RoundRobin struct{}
 
 func (RoundRobin) Name() string { return "roundrobin" }
@@ -42,89 +38,12 @@ func (RoundRobin) Pick(candidates []Backend, key SessionKey) int {
 	return int(key.Seq % uint64(len(candidates)))
 }
 
-// LeastLoaded routes to the backend with the smallest load score:
-// sessions in flight from this gateway plus the backend's scraped
-// active-session and speculation-window-occupancy gauges (Backend.Load).
-// Between probes the scores of idle backends tie, so ties rotate by
-// admission sequence: of the t least-loaded candidates, Pick takes the
-// (Seq mod t)-th in registration order.
-type LeastLoaded struct{}
-
-func (LeastLoaded) Name() string { return "leastloaded" }
-
-func (LeastLoaded) Pick(candidates []Backend, key SessionKey) int {
-	least, ties := candidates[0].Load(), 0
-	for _, b := range candidates {
-		switch l := b.Load(); {
-		case l < least:
-			least, ties = l, 1
-		case l == least:
-			ties++
-		}
-	}
-	k := key.Seq % uint64(ties)
-	for i := 0; ; i++ {
-		if candidates[i].Load() != least {
-			continue
-		}
-		if k == 0 {
-			return i
-		}
-		k--
-	}
-}
-
-// Affinity routes every session of one benchmark to the same backend via
-// highest-random-weight (rendezvous) hashing over (benchmark, backend
-// ID): warm per-benchmark state (codec buffers, state pools, autotune
-// history) stays on one process, and when a backend leaves only its own
-// benchmarks move. Re-routes fall through to the next-highest weight.
-type Affinity struct{}
-
-func (Affinity) Name() string { return "affinity" }
-
-func (Affinity) Pick(candidates []Backend, key SessionKey) int {
-	best, bestW := 0, uint64(0)
-	for i, b := range candidates {
-		w := rendezvousWeight(key.Benchmark, b.ID)
-		if i == 0 || w > bestW || (w == bestW && b.ID < candidates[best].ID) {
-			best, bestW = i, w
-		}
-	}
-	return best
-}
-
-// rendezvousWeight is FNV-1a over the (benchmark, backend) pair.
-func rendezvousWeight(benchmark, id string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(benchmark); i++ {
-		h = (h ^ uint64(benchmark[i])) * prime
-	}
-	h = (h ^ 0xff) * prime // separator: ("ab","c") ≠ ("a","bc")
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * prime
-	}
-	return h
-}
-
-// policies maps names to constructors; a fresh value per call keeps any
-// future stateful policy from being shared across gateways.
-var policies = map[string]func() RoutingPolicy{
-	"roundrobin":  func() RoutingPolicy { return RoundRobin{} },
-	"leastloaded": func() RoutingPolicy { return LeastLoaded{} },
-	"affinity":    func() RoutingPolicy { return Affinity{} },
-}
-
-// PolicyFor returns the named routing policy.
+// PolicyFor returns the named routing policy. roundrobin is the only
+// one: a policy that reads load from a probe's scrape decides from
+// numbers older than the sessions it routes (DESIGN.md §9).
 func PolicyFor(name string) (RoutingPolicy, error) {
-	mk, ok := policies[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown routing policy %q (have %s)",
-			name, strings.Join(PolicyNames(), ", "))
+	if name != (RoundRobin{}).Name() {
+		return nil, fmt.Errorf("cluster: unknown routing policy %q (have roundrobin)", name)
 	}
-	return mk(), nil
+	return RoundRobin{}, nil
 }
-
-// PolicyNames lists the registered policies, sorted.
-func PolicyNames() []string { return slices.Sorted(maps.Keys(policies)) }

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// Prober keeps a Registry's health and load signals current by polling
-// each backend's /readyz and /metrics. It is the one wall-clock consumer
-// in this package: probe cadence shifts *when* health transitions are
-// observed, never *what* a policy decides from a given registry state,
-// so the determinism contract of the decision core is untouched.
+// Prober keeps a Registry's health current by polling each backend's
+// /readyz: a probe round is one GET a backend. It is the one wall-clock
+// consumer in this package: probe cadence shifts *when* health
+// transitions are observed, never *what* the policy decides from a given
+// registry state, so the determinism contract of the decision core is
+// untouched.
 type Prober struct {
-	// Registry receives health transitions and load-gauge updates.
+	// Registry receives health transitions.
 	Registry *Registry
 	// Interval between probe rounds (default 500ms). One probe request
 	// may take Interval, at most 2s.
@@ -61,19 +62,16 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 	}
 }
 
-// probe checks one backend: /readyz decides Ready vs Draining, repeated
-// failures decide Down, and a /metrics scrape refreshes the load gauges
-// and the backend's instance label.
+// probe checks one backend: /readyz decides Ready vs Draining, and
+// repeated failures decide Down.
 func (p *Prober) probe(ctx context.Context, b Backend) {
-	timeout := min(p.Interval, 2*time.Second)
-	_, status, err := Get(ctx, b.Addr+"/readyz", timeout)
+	_, status, err := Get(ctx, b.Addr+"/readyz", min(p.Interval, 2*time.Second))
 	switch {
 	case err != nil:
 		p.fails[b.ID]++
 		if p.fails[b.ID] >= failThreshold {
 			p.Registry.SetHealth(b.ID, Down)
 		}
-		return
 	case status == http.StatusOK:
 		p.fails[b.ID] = 0
 		p.Registry.SetHealth(b.ID, Ready)
@@ -83,17 +81,6 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 		p.fails[b.ID] = 0
 		p.Registry.SetHealth(b.ID, Draining)
 	}
-
-	if text, status, err := Get(ctx, b.Addr+"/metrics", timeout); err == nil && status == http.StatusOK {
-		bm := ParseMetrics(text)
-		p.Registry.Rename(b.ID, bm.Instance)
-		id := b.ID
-		if bm.Instance != "" {
-			id = bm.Instance
-		}
-		active, occ, maxSessions := bm.LoadGauges()
-		p.Registry.UpdateLoad(id, active, occ, maxSessions)
-	}
 }
 
 // maxBody bounds the body Get reads. A body over it is refused whole: a
@@ -101,8 +88,8 @@ func (p *Prober) probe(ctx context.Context, b Backend) {
 const maxBody = 4 << 20
 
 // Get fetches url within timeout and returns its body and status. It is
-// the one GET the gateway makes of a backend: the prober's /readyz and
-// /metrics, and the gateway's /metrics and /v1/benchmarks.
+// the one GET the gateway makes of a backend: the prober's /readyz, and
+// the gateway's /metrics and /v1/benchmarks.
 func Get(ctx context.Context, url string, timeout time.Duration) (string, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

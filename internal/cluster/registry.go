@@ -33,11 +33,12 @@ func (h Health) String() string {
 }
 
 // Backend is one statsserved process as the gateway sees it: identity,
-// health, and the load signals routing policies consume. Values are
-// snapshots — Registry methods return copies, never shared pointers.
+// health, and this gateway's session accounting. Values are snapshots —
+// Registry methods return copies, never shared pointers.
 type Backend struct {
-	// ID is the stable identity used in metrics and policy tie-breaks:
-	// the backend's -instance label when known, else its address.
+	// ID is the backend's identity in metrics and the routing table: the
+	// ID it was registered with, its address unless the caller chose
+	// one. It never changes.
 	ID string
 	// Addr is the backend's base URL ("http://host:port").
 	Addr string
@@ -45,17 +46,8 @@ type Backend struct {
 	Health Health
 
 	// InFlight is the number of sessions this gateway routed here that
-	// have not finished — the real-time component of the load signal,
-	// updated at session start/end rather than at probe cadence.
+	// have not finished.
 	InFlight int
-	// Active and Occupancy are the backend's own serve/gauge readings
-	// from its last /metrics scrape: session slots held (including
-	// sessions routed by other gateways) and chunks currently
-	// speculating across its sessions' speculation windows.
-	Active    int
-	Occupancy int
-	// MaxSessions is the backend's scraped session cap (0 if unknown).
-	MaxSessions int
 
 	// Routed counts sessions ever sent here; Shed counts the times this
 	// backend refused one with 429/503 and the gateway re-routed.
@@ -63,22 +55,9 @@ type Backend struct {
 	Shed   int64
 }
 
-// Load is the scalar a least-loaded policy minimizes: sessions in
-// flight from this gateway plus the backend's own reported slots and
-// window occupancy. Occupancy is normalized by the typical speculation
-// window so one busy session does not outweigh several idle ones.
-func (b Backend) Load() int {
-	occ := b.Occupancy / 4 // ≈ sessions' worth of in-flight chunks
-	active := b.Active
-	if b.InFlight > active {
-		active = b.InFlight
-	}
-	return active + occ
-}
-
 // Registry tracks the backend set. All methods are goroutine-safe; all
 // slice-returning methods use registration order, so every consumer —
-// policies and metrics alike — sees backends in one deterministic
+// the policy and metrics alike — sees backends in one deterministic
 // order regardless of map or scheduling nondeterminism.
 type Registry struct {
 	mu    sync.Mutex
@@ -138,43 +117,8 @@ func (r *Registry) SetHealth(id string, h Health) {
 	}
 }
 
-// UpdateLoad records a /metrics scrape's load gauges.
-func (r *Registry) UpdateLoad(id string, active, occupancy, maxSessions int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b, ok := r.by[id]; ok {
-		b.Active, b.Occupancy, b.MaxSessions = active, occupancy, maxSessions
-	}
-}
-
-// Rename rebinds a backend to the instance label its /metrics reported,
-// keeping registration order; it is a no-op if the label is empty,
-// unchanged, or already taken by another backend, or while sessions are
-// in flight (their EndSession still holds the old ID).
-func (r *Registry) Rename(id, instance string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.by[id]
-	if !ok || instance == "" || instance == id || b.InFlight > 0 {
-		return
-	}
-	if _, taken := r.by[instance]; taken {
-		return
-	}
-	delete(r.by, id)
-	b.ID = instance
-	r.by[instance] = b
-	for i, oid := range r.order {
-		if oid == id {
-			r.order[i] = instance
-		}
-	}
-}
-
-// StartSession accounts a proxy attempt in flight to id. Attempts count
-// toward the load signal immediately — before the backend has even
-// answered — so a burst of admissions spreads instead of piling onto
-// whichever backend looked idle at the last probe.
+// StartSession accounts a proxy attempt in flight to id, from before the
+// backend has answered until EndSession.
 func (r *Registry) StartSession(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -42,7 +42,7 @@ import (
 //	    goroutine: the worker that delivers a chunk while no other holds
 //	    the role applies, in input order, every chunk that has arrived. It
 //	    validates each chunk's speculative start state against the
-//	    committed predecessor's original states (MatchAny) — its final
+//	    committed predecessor's original states (matchAnyWave) — its final
 //	    state first, and the replicas, built from the seed, only if that
 //	    misses — and on mispeculation re-executes the chunk in place from
 //	    the true predecessor state — exactly the §II-B protocol, so outputs

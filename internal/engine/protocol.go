@@ -188,17 +188,12 @@ func (c *chunkRun) dropSeed() {
 	c.seed = replicaSeed{}
 }
 
-// MatchAny is the runtime's state comparison (§II-B): it reports whether
-// spec matches at least one of the original states, charging one
-// comparison per state inspected and stopping at the first match.
-func MatchAny(ex Exec, p Program, origs []State, spec State) bool {
-	ok, _ := matchAnyWave(ex, p, origs, spec)
-	return ok
-}
-
-// matchAnyWave is MatchAny plus the number of comparisons charged:
-// original states inspected before the first match, or all of them on a
-// miss — the count the event stream reports per EvValidated.
+// matchAnyWave is the runtime's state comparison (§II-B): it reports
+// whether spec matches at least one of the original states, charging one
+// comparison per state inspected and stopping at the first match, and
+// returns the number of comparisons charged: original states inspected
+// before the first match, or all of them on a miss — the count the event
+// stream reports per EvValidated.
 func matchAnyWave(ex Exec, p Program, origs []State, spec State) (bool, int) {
 	ex.SetCat(trace.CatCompare)
 	for i, o := range origs {

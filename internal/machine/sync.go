@@ -82,9 +82,6 @@ func (mu *Mutex) releaseForWait(t *Thread) {
 	mu.m.wakeBlockedExtra(t, w, "mutex-handoff", mu.m.cfg.KernelWakeCost)
 }
 
-// Held reports whether t currently holds the mutex.
-func (mu *Mutex) Held(t *Thread) bool { return mu.holder == t }
-
 // wakeBlockedExtra schedules w's resumption after the wake latency plus
 // extraLat, recording its wait interval and the happens-before edge.
 func (m *Machine) wakeBlockedExtra(waker, w *Thread, tag string, extraLat int64) {

@@ -1,6 +1,6 @@
 // Package serve implements the statsserved HTTP service: NDJSON
 // streaming STATS sessions at POST /v1/stream/{benchmark}, aggregated
-// /metrics with cluster-routing load gauges, /healthz liveness, /readyz
+// /metrics with the front end's own gauges, /healthz liveness, /readyz
 // routability with SIGTERM drain, and bounded-everything hardening. It
 // lives outside cmd/statsserved so that statsgate's integration tests can
 // run real in-process backends.
@@ -23,8 +23,8 @@ import (
 	"gostats/internal/engine"
 )
 
-// Options bounds what one statsserved process will accept and labels it
-// for cluster aggregation. Zero values select the defaults in New; every
+// Options bounds what one statsserved process will accept. Zero values
+// select the defaults in New; every
 // limit exists so a single misbehaving client — an unbounded body, an
 // endless line, a session that never finishes, or too many sessions at
 // once — degrades into a clean HTTP error instead of unbounded memory or
@@ -46,17 +46,12 @@ type Options struct {
 	// sheds, scaled up by current speculation-window occupancy (see
 	// retryAfterSeconds). 0 means the default (1s).
 	RetryAfterBase time.Duration
-	// Instance labels this process in /metrics (the serve/instance line)
-	// so a gateway aggregating several backends can tell them apart. ""
-	// means the default ("statsserved").
-	Instance string
 }
 
 const (
 	defaultMaxSessions   = 64
 	defaultMaxBody       = 1 << 30
 	defaultRetryAfter    = time.Second
-	defaultInstance      = "statsserved"
 	maxRetryAfterSeconds = 60
 )
 
@@ -139,9 +134,6 @@ func New(base engine.StreamConfig, lim Options) *Server {
 	if lim.RetryAfterBase == 0 {
 		lim.RetryAfterBase = defaultRetryAfter
 	}
-	if lim.Instance == "" {
-		lim.Instance = defaultInstance
-	}
 	s := &Server{base: base, met: met, lim: lim, front: cluster.Front{Name: "statsserved"}}
 	if lim.MaxSessions > 0 {
 		s.sem = make(chan struct{}, lim.MaxSessions)
@@ -175,11 +167,10 @@ func (s *Server) StartDrain() {
 
 // handleMetrics serves the engine collector's values beside the serving
 // layer's own, which describe this HTTP front end, not the pipelines
-// behind it. The gauges are the load signal statsgate's least-loaded
-// policy scrapes: session slots held, the cap, chunks speculating right
-// now across every in-flight session's window, and whether this process
-// is draining; serve/instance tells backends apart once a gateway
-// aggregates several.
+// behind it. The gauges are for the operator: session slots held, the
+// cap, chunks speculating right now across every in-flight session's
+// window, and whether this process is draining. A gateway knows the
+// backend by its address, so the page carries no label of its own.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	page := make(map[string]int64, 128)
 	s.met.Put(page)
@@ -198,7 +189,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		page["serve/gauge[draining]"] = 1
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	cluster.WriteMetrics(w, cluster.BackendMetrics{Instance: s.lim.Instance, Values: page})
+	cluster.WriteMetrics(w, cluster.BackendMetrics{Values: page})
 }
 
 // retryAfterSeconds computes the Retry-After hint sent with a 429 shed.
@@ -267,7 +258,10 @@ type Attribution struct {
 
 // attribute folds a session recorder into the trailer's attribution.
 func attribute(rec *engine.Recorder, workers int) *Attribution {
-	cores := workers + 1 // worker pool plus the commit frontier
+	// The worker pool plus the Recorder's thread 0, where it files the
+	// commit frontier's events. The frontier is a role a worker takes,
+	// not a goroutine of its own.
+	cores := workers + 1
 	b, err := rec.Breakdown(cores)
 	if err != nil {
 		return &Attribution{Error: err.Error()}
