@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"gostats/internal/lint"
 )
 
 // goTestValueFlags are the go test flags the workflow passes a value to,
@@ -239,5 +241,31 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 				t.Errorf("%s.%s is fuzzed by no CI step", dir, name)
 			}
 		}
+	}
+}
+
+// TestCIFusedStepCoversCriticalPackages: the workflow's fused
+// multiply-add check cross-compiles exactly the determinism-critical
+// packages statslint knows (lint.DefaultConfig().CriticalPrefixes), so a
+// package added to that list is checked for fused products too.
+func TestCIFusedStepCoversCriticalPackages(t *testing.T) {
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), `pkgs="`); ok {
+			listed = strings.Fields(strings.TrimSuffix(rest, `"`))
+		}
+	}
+	var want []string
+	for _, p := range lint.DefaultConfig().CriticalPrefixes {
+		want = append(want, "./"+strings.TrimPrefix(p, "gostats/")+"/...")
+	}
+	slices.Sort(listed)
+	slices.Sort(want)
+	if !slices.Equal(listed, want) {
+		t.Errorf("the fused multiply-add step builds %v, the critical packages are %v", listed, want)
 	}
 }

@@ -5,8 +5,8 @@
 //	statsserved [-addr :8417] [-chunk 16] [-lookback 4] [-workers 4]
 //	            [-adapt] [-grace 15s] [-max-sessions 64]
 //	            [-session-timeout 0] [-max-body 1073741824]
-//	            [-max-line 1048576] [-chunk-deadline 0] [-retries 2]
-//	            [-retry-after 1s] [-pprof localhost:6060]
+//	            [-max-line 1048576] [-retry-after 1s]
+//	            [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64]
 //	statsserved -gen-spec examples/workload/nonstationary.json [-gen-session 0]
 //
@@ -28,13 +28,13 @@
 // The process is bounded on every axis a client controls: concurrent
 // sessions (-max-sessions, shed with a 429 whose Retry-After hint starts
 // at -retry-after and grows with speculation-window occupancy), session
-// lifetime
-// (-session-timeout), request body size (-max-body, 413), and NDJSON
-// line length (-max-line, 400). Inside a session the engine's fault
-// layer isolates worker panics and missed per-chunk deadlines
-// (-chunk-deadline), retrying with exponential backoff from 1ms up to
-// 250ms (-retries) before degrading to sequential re-execution —
-// committed outputs stay byte-identical throughout. On SIGTERM or
+// lifetime (-session-timeout, the one wall-clock limit: it ends a
+// session and never changes its bytes), request body size (-max-body,
+// 413), and NDJSON line length (-max-line, 400). Inside a session the
+// engine's fault layer isolates worker panics, retrying a faulted chunk
+// at once up to engine.MaxRetries times before degrading it to
+// sequential re-execution — committed outputs stay byte-identical
+// throughout. On SIGTERM or
 // SIGINT the server turns /readyz not-ready, stops accepting sessions,
 // and drains in-flight ones for -grace before force-closing.
 //
@@ -77,8 +77,6 @@ func main() {
 	sessionTimeout := flag.Duration("session-timeout", 0, "per-session wall-clock limit (0: none)")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0: default 1 GiB)")
 	maxLine := flag.Int("max-line", 0, "NDJSON input line cap in bytes (0: default 1 MiB)")
-	chunkDeadline := flag.Duration("chunk-deadline", 0, "per-chunk execution deadline; a missed deadline faults and retries the chunk (0: none)")
-	retries := flag.Int("retries", 0, "retry budget per faulted chunk before degrading to sequential re-execution (0: default 2)")
 	retryAfter := flag.Duration("retry-after", 0, "base Retry-After hint on 429 sheds, scaled by window occupancy (0: default 1s)")
 	gen := flag.String("gen", "", "print this benchmark's inputs as NDJSON to stdout and exit")
 	n := flag.Int("n", 0, "with -gen, cap the number of input lines (0: native length)")
@@ -102,10 +100,6 @@ func main() {
 		Workers:     *workers,
 		Adapt:       *adapt,
 		Seed:        3,
-		Fault: engine.FaultPolicy{
-			ChunkDeadline: *chunkDeadline,
-			MaxRetries:    *retries,
-		},
 	}
 	if err := base.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "statsserved:", err)

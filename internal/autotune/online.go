@@ -82,7 +82,7 @@ func (o *Online) Record(committed bool) bool {
 	next := o.size
 	switch {
 	case rate >= abortHigh:
-		next = min(int(float64(o.size)*step+0.5), o.hi)
+		next = min(int(float64(float64(o.size)*step)+0.5), o.hi)
 	case rate <= abortLow:
 		next = max(int(float64(o.size)/step), o.lo)
 	}

@@ -266,7 +266,7 @@ func (d *DedupStream) Update(stv engine.State, in engine.Input, r *rng.Stream) (
 // Weight 0.4 converges from a cold start to within EMATol of a warm
 // lineage inside the protocol's lookback (1-0.6^4 ≈ 0.87).
 func (d *DedupStream) updateEMA(st *dedupState, frac float64) {
-	st.emaDup = 0.6*st.emaDup + 0.4*frac
+	st.emaDup = float64(0.6*st.emaDup) + float64(0.4*frac)
 }
 
 // expire pops expired log entries and deletes table entries that still

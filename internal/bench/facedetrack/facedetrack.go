@@ -116,7 +116,7 @@ func (f *FaceDetTrack) Update(stv engine.State, in engine.Input, r *rng.Stream) 
 		// Detector succeeds: a near-deterministic box around the face.
 		det := make([]float64, poseDims)
 		for d := range det {
-			det[d] = fr.Obs[d] + 0.002*r.NormFloat64()
+			det[d] = fr.Obs[d] + float64(0.002*r.NormFloat64())
 		}
 		c.Recenter(det, f.p.DetectRecenterSpread, r)
 		est = det

@@ -122,8 +122,8 @@ func (f *FluidAnimate) Update(stv engine.State, in engine.Input, r *rng.Stream) 
 		for dx := -1; dx <= 1; dx++ {
 			x, y := (fr.X+dx+gridW)%gridW, (fr.Y+dy+gridH)%gridH
 			i := y*gridW + x
-			st.vx[i] += fr.FX * (1 + f.p.ForceNoise*r.NormFloat64())
-			st.vy[i] += fr.FY * (1 + f.p.ForceNoise*r.NormFloat64())
+			st.vx[i] += float64(fr.FX * (1 + float64(f.p.ForceNoise*r.NormFloat64())))
+			st.vy[i] += float64(fr.FY * (1 + float64(f.p.ForceNoise*r.NormFloat64())))
 		}
 	}
 	// Viscosity: blend each cell with its 4-neighborhood (Jacobi step).
@@ -136,15 +136,15 @@ func (f *FluidAnimate) Update(stv engine.State, in engine.Input, r *rng.Stream) 
 			rt := y*gridW + (x+1)%gridW
 			u := ((y-1+gridH)%gridH)*gridW + x
 			d := ((y+1)%gridH)*gridW + x
-			nvx[i] = (1-v)*st.vx[i] + v*0.25*(st.vx[l]+st.vx[rt]+st.vx[u]+st.vx[d])
-			nvy[i] = (1-v)*st.vy[i] + v*0.25*(st.vy[l]+st.vy[rt]+st.vy[u]+st.vy[d])
+			nvx[i] = float64((1-v)*st.vx[i]) + float64(v*0.25*(st.vx[l]+st.vx[rt]+st.vx[u]+st.vx[d]))
+			nvy[i] = float64((1-v)*st.vy[i]) + float64(v*0.25*(st.vy[l]+st.vy[rt]+st.vy[u]+st.vy[d]))
 		}
 	}
 	var energy float64
 	for i := 0; i < cells; i++ {
 		st.vx[i] = nvx[i] * f.p.Damping
 		st.vy[i] = nvy[i] * f.p.Damping
-		energy += st.vx[i]*st.vx[i] + st.vy[i]*st.vy[i]
+		energy += float64(st.vx[i]*st.vx[i]) + float64(st.vy[i]*st.vy[i])
 	}
 	return st, StepEnergy{Step: fr.Step, Energy: energy}
 }
@@ -181,7 +181,7 @@ func (f *FluidAnimate) Match(a, b engine.State) bool {
 	for i := 0; i < cells; i++ {
 		dx := fa.vx[i] - fb.vx[i]
 		dy := fa.vy[i] - fb.vy[i]
-		sum += dx*dx + dy*dy
+		sum += float64(dx*dx) + float64(dy*dy)
 	}
 	return math.Sqrt(sum/float64(cells)) <= f.p.MatchTol
 }

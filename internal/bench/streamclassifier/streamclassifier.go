@@ -121,7 +121,7 @@ func (s *StreamClassifier) Update(stv engine.State, in engine.Input, r *rng.Stre
 		x, y := blk.X[i], float64(blk.Y[i])
 		var dot float64
 		for d := 0; d < features; d++ {
-			dot += st.w[d] * x[d]
+			dot += float64(st.w[d] * x[d])
 		}
 		if dot*y > 0 {
 			correctPre++
@@ -138,15 +138,15 @@ func (s *StreamClassifier) Update(stv engine.State, in engine.Input, r *rng.Stre
 				lr = 0.004
 			}
 			for d := 0; d < features; d++ {
-				st.w[d] += lr * y * x[d]
+				st.w[d] += float64(lr * y * x[d])
 			}
 		}
 		st.n++
 	}
 	acc := float64(correctPre) / float64(len(blk.X))
-	st.errRate = 0.8*st.errRate + 0.2*(1-acc)
+	st.errRate = float64(0.8*st.errRate) + float64(0.2*(1-acc))
 	// Accumulate boundary prototypes up to the budget.
-	st.protos += 0.05 * float64(len(blk.X))
+	st.protos += float64(0.05 * float64(len(blk.X)))
 	if st.protos > 300 {
 		st.protos = 300
 	}
@@ -179,9 +179,9 @@ func (s *StreamClassifier) Match(a, b engine.State) bool {
 	wa, wb := a.(*sgdState).w, b.(*sgdState).w
 	var dot, na, nb float64
 	for d := 0; d < features; d++ {
-		dot += wa[d] * wb[d]
-		na += wa[d] * wa[d]
-		nb += wb[d] * wb[d]
+		dot += float64(wa[d] * wb[d])
+		na += float64(wa[d] * wa[d])
+		nb += float64(wb[d] * wb[d])
 	}
 	if na == 0 || nb == 0 {
 		return na == nb
@@ -267,7 +267,7 @@ func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []engine.Input {
 	ins := make([]engine.Input, blocks)
 	for b := 0; b < blocks; b++ {
 		for d := range w {
-			wvel[d] = 0.98*wvel[d] + 0.24*s.p.Drift*r.NormFloat64()
+			wvel[d] = float64(0.98*wvel[d]) + float64(0.24*s.p.Drift*r.NormFloat64())
 			w[d] += wvel[d]
 		}
 		normalize(&w)
@@ -280,7 +280,7 @@ func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []engine.Input {
 			var dot float64
 			for d := 0; d < features; d++ {
 				blk.X[i][d] = r.NormFloat64()
-				dot += blk.X[i][d] * w[d]
+				dot += float64(blk.X[i][d] * w[d])
 			}
 			y := 1
 			if dot < 0 {
@@ -299,7 +299,7 @@ func (s *StreamClassifier) inputs(r *rng.Stream, blocks int) []engine.Input {
 func normalize(w *[features]float64) {
 	var n float64
 	for _, v := range w {
-		n += v * v
+		n += float64(v * v)
 	}
 	n = math.Sqrt(n)
 	if n == 0 {

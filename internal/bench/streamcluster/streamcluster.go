@@ -129,7 +129,7 @@ func dist2(a, b [dims]float64) float64 {
 	var sum float64
 	for d := 0; d < dims; d++ {
 		diff := a[d] - b[d]
-		sum += diff * diff
+		sum += float64(diff * diff)
 	}
 	return sum
 }
@@ -156,7 +156,7 @@ func (s *StreamCluster) Update(stv engine.State, in engine.Input, r *rng.Stream)
 			lr = 0.006
 		}
 		for d := 0; d < dims; d++ {
-			st.centers[best][d] += lr * (p[d] - st.centers[best][d])
+			st.centers[best][d] += float64(lr * (p[d] - st.centers[best][d]))
 		}
 		st.n++
 		// Outlier: randomized reseeding (facility opening).
@@ -172,7 +172,7 @@ func (s *StreamCluster) Update(stv engine.State, in engine.Input, r *rng.Stream)
 		}
 	}
 	avg := cost / float64(len(blk.Points))
-	st.lag = 0.85*st.lag + 0.15*avg
+	st.lag = float64(0.85*st.lag) + float64(0.15*avg)
 	return st, BlockCost{Cost: avg}
 }
 
@@ -240,7 +240,7 @@ func (s *StreamCluster) UpdateCost(in engine.Input, stv engine.State) engine.Upd
 	factor := 1.0
 	if st, ok := stv.(*clusterState); ok {
 		if excess := st.lag - 0.13; excess > 0 {
-			factor += 2.5 * excess
+			factor += float64(2.5 * excess)
 		}
 	}
 	instr := int64(float64(s.p.NativePointsPerBlock*dims*k*48) * factor)
@@ -298,7 +298,7 @@ func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []engine.Input {
 	for b := 0; b < blocks; b++ {
 		for i := 0; i < k; i++ {
 			for d := 0; d < dims; d++ {
-				vel[i][d] = 0.98*vel[i][d] + 0.04*s.p.Drift*r.NormFloat64()
+				vel[i][d] = float64(0.98*vel[i][d]) + float64(0.04*s.p.Drift*r.NormFloat64())
 				truth[i][d] += vel[i][d]
 			}
 		}
@@ -306,7 +306,7 @@ func (s *StreamCluster) inputs(r *rng.Stream, blocks int) []engine.Input {
 		for j := range blk.Points {
 			c := truth[r.Intn(k)]
 			for d := 0; d < dims; d++ {
-				blk.Points[j][d] = c[d] + 0.05*r.NormFloat64()
+				blk.Points[j][d] = c[d] + float64(0.05*r.NormFloat64())
 			}
 		}
 		ins[b] = blk

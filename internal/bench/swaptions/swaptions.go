@@ -107,7 +107,7 @@ func New() *Swaptions { return NewWithParams(Default()) }
 func NewWithParams(p Params) *Swaptions {
 	s := &Swaptions{p: p}
 	for i := range s.strike {
-		s.strike[i] = 0.02 + 0.005*float64(i)
+		s.strike[i] = 0.02 + float64(0.005*float64(i))
 	}
 	return s
 }
@@ -137,9 +137,9 @@ func (s *Swaptions) swaptionPayoff(sw int, r *rng.Stream) float64 {
 	dt := 1.0 / float64(s.p.Steps)
 	rt := r0
 	for i := 0; i < s.p.Steps; i++ {
-		rt += a*(b-rt)*dt + sigma*math.Sqrt(dt)*r.NormFloat64()
+		rt += float64(a*(b-rt)*dt) + float64(sigma*math.Sqrt(dt)*r.NormFloat64())
 	}
-	S := 0.06 - 0.8*rt
+	S := 0.06 - float64(0.8*rt)
 	if v := S - s.strike[sw%len(s.strike)]; v > 0 {
 		return v
 	}
@@ -155,15 +155,15 @@ func (s *Swaptions) TruePrice(sw int) float64 {
 		r0          = 0.03
 	)
 	// Vasicek terminal moments at T = 1.
-	m := b + (r0-b)*math.Exp(-a)
+	m := b + float64((r0-b)*math.Exp(-a))
 	v := sigma * sigma / (2 * a) * (1 - math.Exp(-2*a))
-	mean := 0.06 - 0.8*m
+	mean := 0.06 - float64(0.8*m)
 	sd := 0.8 * math.Sqrt(v)
 	k := s.strike[sw%len(s.strike)]
 	d := (mean - k) / sd
 	phi := math.Exp(-d*d/2) / math.Sqrt(2*math.Pi)
 	Phi := 0.5 * math.Erfc(-d/math.Sqrt2)
-	return (mean-k)*Phi + sd*phi
+	return float64((mean-k)*Phi) + float64(sd*phi)
 }
 
 // Update simulates one batch and folds it into the estimator.
@@ -176,7 +176,7 @@ func (s *Swaptions) Update(st engine.State, in engine.Input, r *rng.Stream) (eng
 	for i := 0; i < s.p.RealSimsPerBatch; i++ {
 		p := s.swaptionPayoff(batch.Swaption, r)
 		e.sum += p
-		e.sumSq += p * p
+		e.sumSq += float64(p * p)
 		e.n++
 	}
 	return e, Price{Swaption: batch.Swaption, Estimate: e.mean(), N: e.n}
@@ -194,7 +194,7 @@ func (e *estState) stderr() float64 {
 		return math.Inf(1)
 	}
 	m := e.mean()
-	variance := e.sumSq/e.n - m*m
+	variance := e.sumSq/e.n - float64(m*m)
 	if variance < 0 {
 		variance = 0
 	}

@@ -78,7 +78,7 @@ func GenTrajectory(r *rng.Stream, cfg TrajConfig) []Frame {
 	frames := make([]Frame, cfg.Frames)
 	for f := 0; f < cfg.Frames; f++ {
 		for d := 0; d < cfg.Dims; d++ {
-			vel[d] = 0.92*vel[d] + cfg.Speed*0.4*r.NormFloat64()
+			vel[d] = float64(0.92*vel[d]) + float64(cfg.Speed*0.4*r.NormFloat64())
 			pos[d] += vel[d]
 		}
 		fr := Frame{
@@ -92,7 +92,7 @@ func GenTrajectory(r *rng.Stream, cfg TrajConfig) []Frame {
 			fr.Quality = 0.02
 		}
 		for d := 0; d < cfg.Dims; d++ {
-			fr.Obs[d] = pos[d] + cfg.ObsNoise*r.NormFloat64()
+			fr.Obs[d] = pos[d] + float64(cfg.ObsNoise*r.NormFloat64())
 		}
 		frames[f] = fr
 	}
@@ -163,7 +163,7 @@ func NewCloud(n, dims int, center []float64, spread float64, r *rng.Stream) *Clo
 			if center != nil {
 				base = center[d]
 			}
-			c.P[i*dims+d] = base + spread*r.NormFloat64()
+			c.P[i*dims+d] = base + float64(spread*r.NormFloat64())
 		}
 		c.W[i] = 1 / float64(n)
 	}
@@ -189,7 +189,7 @@ func FreshCloudInto(dst *Cloud, n, dims int, center []float64, spread float64, r
 			if center != nil {
 				base = center[d]
 			}
-			dst.P[i*dims+d] = base + spread*r.NormFloat64()
+			dst.P[i*dims+d] = base + float64(spread*r.NormFloat64())
 		}
 		dst.W[i] = 1 / float64(n)
 	}
@@ -316,7 +316,7 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 		// particles from the observation on the first informative frame.
 		for i := 0; i < c.N; i++ {
 			for d := 0; d < dims; d++ {
-				c.P[i*dims+d] = fr.Obs[d] + 4*obsNoise*r.NormFloat64()
+				c.P[i*dims+d] = fr.Obs[d] + float64(4*obsNoise*r.NormFloat64())
 			}
 			c.W[i] = 1 / float64(c.N)
 		}
@@ -331,20 +331,20 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 	// fast motion and recover after occlusions).
 	diffuse := procNoise * 3.4641016151377544 // 2*sqrt(3)*sigma over [0,1)
 	for i := range c.P {
-		c.P[i] += diffuse * (r.Float64() - 0.5)
+		c.P[i] += float64(diffuse * (r.Float64() - 0.5))
 	}
 	if fr.Quality > 0.5 {
 		inject := c.N / 5
 		for j := 0; j < inject; j++ {
 			i := r.Intn(c.N)
 			for d := 0; d < dims; d++ {
-				c.P[i*dims+d] = fr.Obs[d] + 1.5*obsNoise*r.NormFloat64()
+				c.P[i*dims+d] = fr.Obs[d] + float64(1.5*obsNoise*r.NormFloat64())
 			}
 		}
 	}
 	// Weight: tempered Gaussian likelihood, flattened by observation
 	// quality.
-	sigmaE := obsNoise * temper
+	sigmaE := float64(obsNoise * temper)
 	inv := fr.Quality / (2 * sigmaE * sigmaE)
 	var maxLogW float64 = math.Inf(-1)
 	if cap(c.scratchW) < c.N {
@@ -355,7 +355,7 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 		var d2 float64
 		for d := 0; d < dims; d++ {
 			diff := c.P[i*dims+d] - fr.Obs[d]
-			d2 += diff * diff
+			d2 += float64(diff * diff)
 		}
 		logw[i] = -d2 * inv
 		if logw[i] > maxLogW {
@@ -377,7 +377,7 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 		w := c.W[i]
 		base := i * dims
 		for d := 0; d < dims; d++ {
-			est[d] += w * c.P[base+d]
+			est[d] += float64(w * c.P[base+d])
 		}
 	}
 	// Systematic resampling with a random phase (the tracker's
@@ -396,7 +396,7 @@ func (c *Cloud) estimateInto(est []float64) []float64 {
 	for i := 0; i < c.N; i++ {
 		w := c.W[i]
 		for d := 0; d < c.Dims; d++ {
-			est[d] += w * c.P[i*c.Dims+d]
+			est[d] += float64(w * c.P[i*c.Dims+d])
 		}
 	}
 	return est
@@ -431,7 +431,7 @@ func (c *Cloud) Spread() float64 {
 	for i := 0; i < c.N; i++ {
 		for d := 0; d < c.Dims; d++ {
 			diff := c.P[i*c.Dims+d] - est[d]
-			sum += diff * diff
+			sum += float64(diff * diff)
 		}
 	}
 	return math.Sqrt(sum / float64(c.N))
@@ -442,7 +442,7 @@ func (c *Cloud) Spread() float64 {
 func (c *Cloud) Recenter(pose []float64, spread float64, r *rng.Stream) {
 	for i := 0; i < c.N; i++ {
 		for d := 0; d < c.Dims; d++ {
-			c.P[i*c.Dims+d] = pose[d] + spread*r.NormFloat64()
+			c.P[i*c.Dims+d] = pose[d] + float64(spread*r.NormFloat64())
 		}
 		c.W[i] = 1 / float64(c.N)
 	}
@@ -457,11 +457,11 @@ func (c *Cloud) resample(r *rng.Stream) {
 	}
 	newP := c.scratchP[:len(c.P)]
 	step := 1.0 / float64(n)
-	u := r.Float64() * step
+	u := float64(r.Float64() * step)
 	var cum float64
 	j := 0
 	for i := 0; i < n; i++ {
-		target := u + float64(i)*step
+		target := u + float64(float64(i)*step)
 		for cum+c.W[j] < target && j < n-1 {
 			cum += c.W[j]
 			j++
@@ -481,7 +481,7 @@ func Dist(a, b []float64) float64 {
 	var sum float64
 	for d := range a {
 		diff := a[d] - b[d]
-		sum += diff * diff
+		sum += float64(diff * diff)
 	}
 	return math.Sqrt(sum)
 }

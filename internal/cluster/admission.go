@@ -40,7 +40,7 @@ func (b *TokenBucket) Admit(now time.Duration) (ok bool, retryAfter time.Duratio
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if now > b.last {
-		b.tokens += (now - b.last).Seconds() * b.rate
+		b.tokens += float64((now - b.last).Seconds() * b.rate)
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -35,9 +34,8 @@ type proto struct {
 	prog Program
 	root *rng.Stream
 	pool *StatePool
-	sink Sink        // nil: no events, and no clock reads
-	inj  Injector    // prog's fault injector, if it carries one
-	pol  FaultPolicy // normalized
+	sink Sink     // nil: no events, and no clock reads
+	inj  Injector // prog's fault injector, if it carries one
 
 	lookback, extra int
 
@@ -53,13 +51,12 @@ type proto struct {
 	stop    func()
 }
 
-func (pr *proto) init(p Program, seed uint64, lookback, extra int, fault FaultPolicy, sink Sink) {
+func (pr *proto) init(p Program, seed uint64, lookback, extra int, sink Sink) {
 	pr.prog = p
 	pr.root = rng.New(seed).Derive("stats:" + p.Name())
 	pr.pool = NewStatePool(p)
 	pr.sink = sink
 	pr.inj, _ = p.(Injector)
-	pr.pol = fault.normalized()
 	pr.lookback, pr.extra = lookback, extra
 }
 
@@ -167,10 +164,9 @@ type chunkRun struct {
 	sub, reorig rng.Stream
 
 	// The attempt in progress (arm).
-	n       int
-	site    FaultSite // protocol phase executing, for fault attribution
-	guarded Program   // prog under this attempt's deadline
-	t0      time.Time
+	n    int
+	site FaultSite // protocol phase executing, for fault attribution
+	t0   time.Time
 
 	// seed is what the replicas of the lineage this run produced are
 	// built from, while a cost-free executor defers them (originalStates).
@@ -184,27 +180,25 @@ func (c *chunkRun) bind(pr *proto, ex Exec, j, worker int) {
 	c.rng = pr.root.SubN("worker", j)
 }
 
-// arm begins attempt n at site: a fresh deadline, a fresh clock.
+// arm begins attempt n at site, with a fresh clock.
 func (c *chunkRun) arm(n int, site FaultSite) {
 	c.n, c.site = n, site
-	c.guarded = guardProgram(c.prog, c.pol.ChunkDeadline)
 	//statslint:allow detpath the attempt's start time only reaches the Start/Dur of the EvSpeculated or EvReexec event that closes it
 	c.t0 = c.now()
 }
 
 // retry is the engine's fault discipline: it runs fn as attempt 0, 1, …
 // of the chunk under panic isolation until one completes, reporting each
-// fault (a panic, a missed deadline, or an error fn returns) as EvFault
-// and sleeping the policy's jittered backoff between attempts. It
-// returns nil on success, or the last fault once the retry budget is
-// spent or ctx ends — what to degrade to is the caller's decision.
+// fault (a panic, or an error fn returns) as EvFault and re-attempting at
+// once. It returns nil on success, or the last fault once MaxRetries
+// re-attempts are spent or ctx ends — what to degrade to is the caller's
+// decision.
 func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *ChunkFault {
 	for n := 0; ; n++ {
 		c.arm(n, site)
 		fault, err := runProtected(c.j, n, &c.site, fn)
 		if fault == nil && err != nil {
-			fault = &ChunkFault{Chunk: c.j, Site: c.site, Attempt: n,
-				Deadline: errors.Is(err, context.DeadlineExceeded), Panic: err}
+			fault = &ChunkFault{Chunk: c.j, Site: c.site, Attempt: n, Panic: err}
 		}
 		if fault == nil || ctx.Err() != nil {
 			// Done — or the run is being torn down, and there is nobody
@@ -213,15 +207,11 @@ func (c *chunkRun) retry(ctx context.Context, site FaultSite, fn func() error) *
 		}
 		c.faults.Add(1)
 		c.emit(Event{Kind: EvFault, Chunk: c.j, Worker: c.worker, N: n, M: int(fault.Site)})
-		if n >= c.pol.MaxRetries {
+		if n >= MaxRetries {
 			return fault
 		}
-		d := backoff(n, &c.rng)
 		c.retries.Add(1)
-		c.emit(Event{Kind: EvRetry, Chunk: c.j, Worker: c.worker, N: n + 1, Dur: d})
-		if !sleepCtx(ctx, d) {
-			return fault
-		}
+		c.emit(Event{Kind: EvRetry, Chunk: c.j, Worker: c.worker, N: n + 1})
 	}
 }
 

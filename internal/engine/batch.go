@@ -68,7 +68,7 @@ func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*R
 		inputs: inputs,
 		bounds: Partition(len(inputs), cfg.Chunks),
 	}
-	rt.init(p, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, sink)
+	rt.init(p, cfg.Seed, cfg.Lookback, cfg.ExtraStates, sink)
 	chunks := len(rt.bounds)
 	rt.slots = make([]*slot, chunks)
 	rt.outs = make([][]Output, chunks)

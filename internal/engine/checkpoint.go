@@ -116,7 +116,7 @@ type ChunkWorker struct{ proto }
 // NewChunkWorker binds p to a session's seed and shape.
 func NewChunkWorker(p Program, seed uint64, lookback, extraStates int) *ChunkWorker {
 	w := &ChunkWorker{}
-	w.init(p, seed, lookback, extraStates, FaultPolicy{}, nil)
+	w.init(p, seed, lookback, extraStates, nil)
 	return w
 }
 

@@ -27,9 +27,6 @@ type Config struct {
 	InnerWidth int
 	// Seed selects one nondeterministic execution.
 	Seed uint64
-	// Fault configures panic isolation, per-chunk deadlines, and
-	// retry/backoff; the zero value enables isolation with defaults.
-	Fault FaultPolicy
 }
 
 // Validate reports configuration errors.
@@ -46,7 +43,7 @@ func (c Config) Validate() error {
 	if c.InnerWidth < 1 {
 		return fmt.Errorf("engine: InnerWidth must be >= 1, got %d", c.InnerWidth)
 	}
-	return c.Fault.validate("engine")
+	return nil
 }
 
 // Report describes one run of the execution model.

@@ -71,15 +71,17 @@ const (
 	EvReexec
 	// EvOutputs records N committed outputs emitted in input order.
 	EvOutputs
-	// EvFault records a fault isolated on chunk Chunk: a panic or missed
-	// deadline at protocol site M (a FaultSite) during attempt N.
+	// EvFault records a fault isolated on chunk Chunk: a panic (or an
+	// executor's error) at protocol site M (a FaultSite) during attempt N.
 	EvFault
-	// EvRetry records a faulted chunk being re-attempted: N is the next
-	// attempt index, Dur the backoff delay before it.
+	// EvRetry records a faulted chunk being re-attempted at once: N is the
+	// next attempt index.
 	EvRetry
-	// EvDegraded records a chunk whose worker-side retries exhausted being
-	// degraded to sequential re-execution from the last committed state;
-	// N is the attempt index the degraded run executes as.
+	// EvDegraded records a chunk whose retries exhausted on one rung being
+	// degraded to the next — remote to in-process, or speculative to
+	// sequential re-execution from the last committed state. N is the
+	// index of the rung's last faulted attempt, MaxRetries; the next rung
+	// starts again at attempt 0.
 	EvDegraded
 
 	numKinds
@@ -248,9 +250,9 @@ type CounterSnapshot struct {
 	ReexecRuns    int64 // mispeculation recoveries (each one recovery copy)
 	ReexecUpdates int64 // inputs re-executed during recovery
 
-	Faults   int64 // chunk faults isolated (panics, missed deadlines)
-	Retries  int64 // faulted attempts retried after backoff
-	Degraded int64 // chunks degraded to sequential re-execution
+	Faults   int64 // chunk faults isolated (panics, dead worker processes)
+	Retries  int64 // faulted attempts re-attempted
+	Degraded int64 // chunks degraded down the executor ladder (remote→local, speculative→sequential)
 }
 
 // Snapshot returns the totals at this instant.

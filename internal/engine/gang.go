@@ -162,7 +162,7 @@ func (g *gang) Close(ex Exec) {
 // the shape of Fig. 5 on a substrate that charges for the work, where
 // the replicas' overlap with each other is part of what is measured.
 func (c *chunkRun) spawnReplicas(window []Input, snapshot State, rnd *rng.Stream, origs []State) []State {
-	ex, p := c.ex.(*SimExec), c.guarded
+	ex, p := c.ex.(*SimExec), c.prog
 	results := make([]State, c.extra)
 	handles := make([]*machine.Thread, c.extra)
 	myLoc := ex.Loc()

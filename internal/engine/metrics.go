@@ -181,7 +181,7 @@ func (m *Metrics) Percentile(s Stage, q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	var cum float64
 	for b := 0; b < numBins; b++ {
 		c := float64(m.stages[s].count[b].Load())

@@ -47,8 +47,8 @@ func OracleRegionCycles(p Program, inputs []Input, chunks, width, cores int, cpi
 			if w > width {
 				w = width
 			}
-			chunkCycles += float64(uw.Serial.Instr)*cpi + float64(uw.Parallel.Instr)*cpi/float64(w)
-			total += float64(uw.Total()) * cpi
+			chunkCycles += float64(float64(uw.Serial.Instr)*cpi) + float64(uw.Parallel.Instr)*cpi/float64(w)
+			total += float64(float64(uw.Total()) * cpi)
 		}
 		if chunkCycles > maxChunk {
 			maxChunk = chunkCycles

@@ -100,9 +100,6 @@ type StreamConfig struct {
 	// it to reproduce Partition's boundaries exactly, which is what makes
 	// a streamed bounded slice byte-identical to a simulated batch run. Backpressure and outcome consumption are unaffected.
 	Plan []int
-	// Fault configures panic isolation, per-chunk deadlines, and
-	// retry/backoff; the zero value enables isolation with defaults.
-	Fault FaultPolicy
 	// Sink, when non-nil, receives the pipeline's engine events: a Metrics
 	// collector (pipelines may share one), a Counters aggregate, a Recorder
 	// synthesizing a trace for critical-path analysis, or several through
@@ -186,7 +183,7 @@ func (c StreamConfig) Validate() error {
 	if c.Checkpoint.EveryCommits > 0 && c.Checkpoint.Codec == nil {
 		return fmt.Errorf("stream: Checkpoint.EveryCommits needs a Checkpoint.Codec")
 	}
-	return c.Fault.validate("stream")
+	return nil
 }
 
 // StreamStats summarizes one pipeline run.
@@ -200,8 +197,8 @@ type StreamStats struct {
 	States  int64 // computational states materialized
 	Reused  int64 // state clones served from retired buffers (StatePool)
 
-	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
-	Retries  int64 // faulted attempts retried after backoff
+	Faults   int64 // chunk faults isolated (panics, dead worker processes)
+	Retries  int64 // faulted attempts re-attempted
 	Degraded int64 // chunks degraded down the executor ladder (remote→local, speculative→sequential)
 
 	Checkpoints int64 // commit-frontier snapshots emitted
@@ -409,7 +406,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		done: make(chan struct{}),
 	}
 	p.halt, p.haltCancel = context.WithCancel(ctx)
-	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Fault, cfg.Sink)
+	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Sink)
 	p.stop = cancel // a terminal fault tears every stage down promptly
 	p.records = newRecords(p, cfg.window())
 	p.resume = rs

@@ -24,7 +24,7 @@ func (c *chunkRun) speculativeState(window []Input) State {
 	s := c.pool.Fresh(&c.sub)
 	c.countState()
 	c.sub = c.rng.Sub("altprod")
-	return replay(c.ex, c.guarded, s, window, &c.sub, trace.CatAltProducer)
+	return replay(c.ex, c.prog, s, window, &c.sub, trace.CatAltProducer)
 }
 
 // replay advances s over window — the lookback replay both the
@@ -57,7 +57,7 @@ func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat tr
 // caller transfers ownership). It returns the outputs, the snapshot (nil
 // if disabled) and the final state.
 func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output) ([]Output, State, State) {
-	ex, p := c.ex, c.guarded
+	ex, p := c.ex, c.prog
 	c.sub = c.rng.Sub(label)
 	var snapshot State
 	outs := outBuf[:0]
@@ -165,8 +165,8 @@ func (c *chunkRun) reseed(snapshot State, window []Input, reorig bool) {
 
 // replicas builds the deferred replicas onto origs[:1] (origs[0] is
 // final) as originalStates would have built them on the owning context:
-// a pool clone of the snapshot each, replaying the window under the
-// attempt's guarded program with rnd.SubN("replica", i). The pool serves
+// a pool clone of the snapshot each, replaying the window with
+// rnd.SubN("replica", i). The pool serves
 // the clones from retired state buffers; the runtime retires them back
 // via StatePool.ReleaseReplicas once the boundary has been validated.
 func (c *chunkRun) replicas(origs []State) []State {
@@ -176,7 +176,7 @@ func (c *chunkRun) replicas(origs []State) []State {
 		sr := c.pool.Clone(sd.snapshot)
 		c.countState()
 		c.sub = sd.rnd.SubN("replica", i)
-		origs = append(origs, replay(c.ex, c.guarded, sr, sd.window, &c.sub, trace.CatOrigStates))
+		origs = append(origs, replay(c.ex, c.prog, sr, sd.window, &c.sub, trace.CatOrigStates))
 	}
 	return origs
 }

@@ -87,7 +87,6 @@ func (s *StreamScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Repo
 		ExtraStates: cfg.ExtraStates,
 		Workers:     s.Workers,
 		Seed:        cfg.Seed,
-		Fault:       cfg.Fault,
 		Sink:        s.Sink,
 	}
 	for i, b := range bounds {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"runtime"
-)
+import "runtime"
 
 // worker is one member of the speculative worker pool: it pulls dispatched
 // chunks, executes them on NativeExec out of commit order, and delivers
@@ -45,8 +42,8 @@ func (ck *chunk) speculate(slotID int) {
 	p := ck.p
 	ck.worker = slotID
 	if p.cfg.Runner != nil {
-		// Executor failures — a dead or wedged worker process, a reply that
-		// would not parse — are SiteProc faults of the same discipline.
+		// Executor failures — a dead worker process, a reply that would
+		// not parse — are SiteProc faults of the same discipline.
 		fault := ck.retry(p.ctx, SiteProc, ck.remoteAttempt)
 		if fault == nil {
 			return
@@ -71,13 +68,8 @@ func (ck *chunk) speculate(slotID int) {
 // remoteAttempt is one speculative attempt through the external executor.
 func (ck *chunk) remoteAttempt() error {
 	p := ck.p
-	ctx, cancel := p.ctx, context.CancelFunc(func() {})
-	if p.pol.ChunkDeadline > 0 {
-		ctx, cancel = context.WithTimeout(p.ctx, p.pol.ChunkDeadline)
-	}
-	reply, err := p.cfg.Runner.RunChunk(ctx, ChunkRequest{
+	reply, err := p.cfg.Runner.RunChunk(p.ctx, ChunkRequest{
 		Chunk: ck.j, Attempt: ck.n, Window: ck.prevWindow, Inputs: ck.inputs})
-	cancel()
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
@@ -47,7 +46,8 @@ func (p *abortProbe) Event(e engine.Event) {
 //   - each chunk gets exactly one EvCommitted or EvAborted;
 //   - for j > 0, EvCommitted follows the chunk's EvValidated with Matched,
 //     and EvAborted follows an unmatched EvValidated or an EvDegraded;
-//   - every EvRetry and EvDegraded follows an EvFault for the same chunk;
+//   - every EvRetry and EvDegraded follows an EvFault for the same chunk,
+//     and an EvDegraded names the last faulted attempt, MaxRetries;
 //   - EvOutputs follows the verdict.
 //
 // Events arrive from several goroutines, but every protocol step emits
@@ -89,6 +89,9 @@ func (o *orderSink) Event(e engine.Event) {
 	case engine.EvRetry, engine.EvDegraded:
 		if !c.faulted {
 			bad("without an EvFault before it")
+		}
+		if e.Kind == engine.EvDegraded && e.N != engine.MaxRetries {
+			bad(fmt.Sprintf("names attempt %d, want the spent budget %d", e.N, engine.MaxRetries))
 		}
 		c.degraded = c.degraded || e.Kind == engine.EvDegraded
 	case engine.EvValidated:
@@ -136,6 +139,7 @@ func TestChaosOrderSink(t *testing.T) {
 	valid := func(chunk int, ok bool) engine.Event {
 		return engine.Event{Kind: engine.EvValidated, Chunk: chunk, Matched: ok}
 	}
+	degrade := func(chunk, n int) engine.Event { return engine.Event{Kind: engine.EvDegraded, Chunk: chunk, N: n} }
 	cases := []struct {
 		name   string
 		events []engine.Event
@@ -145,13 +149,14 @@ func TestChaosOrderSink(t *testing.T) {
 		{"chunk 0 commits unvalidated", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvOutputs, 0)}, 1, ""},
 		{"commit after match", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true), ev(engine.EvCommitted, 1), ev(engine.EvOutputs, 1)}, 2, ""},
 		{"abort after mismatch", []engine.Event{ev(engine.EvCommitted, 0), valid(1, false), ev(engine.EvAborted, 1), ev(engine.EvOutputs, 1)}, 2, ""},
-		{"retry then degrade then abort", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvFault, 1), ev(engine.EvRetry, 1), ev(engine.EvDegraded, 1), ev(engine.EvAborted, 1)}, 2, ""},
+		{"retry then degrade then abort", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvFault, 1), ev(engine.EvRetry, 1), degrade(1, engine.MaxRetries), ev(engine.EvAborted, 1)}, 2, ""},
 		{"session events ignored", []engine.Event{ev(engine.EvRetry, -1), ev(engine.EvCommitted, 0)}, 1, ""},
 		{"commit without validation", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvCommitted, 1)}, 2, "chunk 1: " + engine.EvCommitted.String() + " without a matched EvValidated"},
 		{"commit after mismatch", []engine.Event{ev(engine.EvCommitted, 0), valid(1, false), ev(engine.EvCommitted, 1)}, 2, "without a matched EvValidated"},
 		{"abort after match", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true), ev(engine.EvAborted, 1)}, 2, "without an unmatched EvValidated or an EvDegraded"},
 		{"retry without fault", []engine.Event{ev(engine.EvRetry, 0), ev(engine.EvCommitted, 0)}, 1, "without an EvFault"},
-		{"degrade without fault", []engine.Event{ev(engine.EvDegraded, 0), ev(engine.EvAborted, 0)}, 1, "without an EvFault"},
+		{"degrade without fault", []engine.Event{degrade(0, engine.MaxRetries), ev(engine.EvAborted, 0)}, 1, "without an EvFault"},
+		{"degrade before the budget is spent", []engine.Event{ev(engine.EvFault, 0), degrade(0, 0), ev(engine.EvAborted, 0)}, 1, "names attempt 0"},
 		{"outputs before verdict", []engine.Event{ev(engine.EvOutputs, 0), ev(engine.EvCommitted, 0)}, 1, "before the verdict"},
 		{"second verdict", []engine.Event{ev(engine.EvCommitted, 0), ev(engine.EvAborted, 0)}, 1, "is a second verdict"},
 		{"missing verdict", []engine.Event{ev(engine.EvCommitted, 0), valid(1, true)}, 2, "chunk 1 has 0 verdicts"},
@@ -175,16 +180,8 @@ func TestChaosOrderSink(t *testing.T) {
 const (
 	chaosInputs = 72
 	chaosSeed   = 5
-	chaosSlow   = 50 * time.Millisecond
 )
 
-// chaosConfig leaves ChunkDeadline unset: a wall-clock deadline tight
-// enough to catch an injected stall would also trip on heavy benchmarks
-// (and on the simulated executor, which serializes chunk bodies), turning
-// naturally-committing chunks into degraded ones and changing committed
-// bytes. The equivalence matrix therefore treats Slow faults as pure
-// latency; TestChaosSlowChunkTripsDeadline covers the deadline path with
-// generous margins on a fast benchmark.
 func chaosConfig() engine.Config {
 	return engine.Config{
 		Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: chaosSeed,
@@ -205,8 +202,8 @@ func chaosInputsFor(t *testing.T, name string) (engine.Program, []engine.Input) 
 }
 
 // chaosPlan builds a fault schedule that the engine must absorb without
-// changing a single committed byte: transient panics and a stall
-// (retried transparently), plus — at chunks that abort even fault-free —
+// changing a single committed byte: transient panics (retried
+// transparently), plus — at chunks that abort even fault-free —
 // a corrupted speculative state, a panic during recovery re-execution,
 // and a retry-exhausting panic that forces the degraded sequential
 // fallback. Persistent faults are confined to naturally-aborting chunks
@@ -222,7 +219,6 @@ func chaosPlan(nChunks int, aborted []int) (*faultinject.Plan, bool, bool) {
 		{Site: engine.SiteBody, Chunk: 0, Kind: faultinject.Panic},
 		{Site: engine.SiteAltProducer, Chunk: altPanicChunk, Kind: faultinject.Panic},
 		{Site: engine.SiteOrigStates, Chunk: nChunks - 2, Kind: faultinject.Panic},
-		{Site: engine.SiteBody, Chunk: nChunks - 1, Kind: faultinject.Slow, Delay: chaosSlow},
 	}
 	corrupts, degrades := false, false
 	if len(aborted) > 0 {
@@ -236,15 +232,15 @@ func chaosPlan(nChunks int, aborted []int) (*faultinject.Plan, bool, bool) {
 		degrades = true
 		faults = append(faults, faultinject.Fault{
 			Site: engine.SiteBody, Chunk: aborted[1], Kind: faultinject.Panic,
-			Attempts: engine.DefaultMaxRetries + 1,
+			Attempts: engine.MaxRetries + 1,
 		})
 	}
 	return faultinject.New(faults...), corrupts, degrades
 }
 
 // TestChaosEquivalence is the robustness contract: with seeded faults
-// injected — panics at every protocol site, a stall tripping the chunk
-// deadline, corrupted speculative states, exhausted retry budgets — all
+// injected — panics at every protocol site, corrupted speculative
+// states, exhausted retry budgets — all
 // eight benchmarks on all three schedulers commit outputs byte-identical
 // to the fault-free run, with identical commit/abort decisions, and the
 // process never crashes.
@@ -312,7 +308,7 @@ func TestChaosEquivalence(t *testing.T) {
 }
 
 // TestChaosFaultCountersSurface checks the event stream reports what the
-// fault layer did: isolated faults, retries after backoff, and degraded
+// fault layer did: isolated faults, immediate retries, and degraded
 // chunks all land in the canonical counters.
 func TestChaosFaultCountersSurface(t *testing.T) {
 	b, inputs := chaosInputsFor(t, "facetrack")
@@ -337,59 +333,6 @@ func TestChaosFaultCountersSurface(t *testing.T) {
 	}
 	if degrades && snap.Degraded == 0 {
 		t.Error("degraded fallback ran but was not counted")
-	}
-}
-
-// TestChaosSlowChunkTripsDeadline exercises the deadline path on its
-// own: a stall far beyond the per-chunk deadline on an otherwise fast
-// benchmark faults the attempt, the retry re-executes without the stall,
-// and the committed bytes match the fault-free run. Native schedulers
-// only — wall-clock deadlines are meaningless under the simulated
-// executor, which serializes chunk bodies onto machine threads.
-func TestChaosSlowChunkTripsDeadline(t *testing.T) {
-	b, inputs := chaosInputsFor(t, "facetrack")
-	cfg := engine.Config{
-		Chunks: 6, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: chaosSeed,
-		Fault: engine.FaultPolicy{
-			ChunkDeadline: 500 * time.Millisecond,
-		},
-	}
-	baseline, err := (&engine.BatchScheduler{}).RunSlice(b, inputs, cfg)
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
-	plan := faultinject.New(faultinject.Fault{
-		Site: engine.SiteBody, Chunk: cfg.Chunks - 1, Kind: faultinject.Slow,
-		Delay: 2 * time.Second,
-	})
-	for _, mk := range []struct {
-		name string
-		make func(engine.Sink) engine.Scheduler
-	}{
-		{"batch", func(s engine.Sink) engine.Scheduler { return &engine.BatchScheduler{Sink: s} }},
-		{"stream", func(s engine.Sink) engine.Scheduler { return &engine.StreamScheduler{Workers: 3, Sink: s} }},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			fp := plan.Wrap(b)
-			var ctr engine.Counters
-			rep, err := mk.make(&ctr).RunSlice(fp, inputs, cfg)
-			if err != nil {
-				t.Fatalf("run with stalled chunk: %v", err)
-			}
-			if fp.Slows.Load() == 0 {
-				t.Fatal("planned stall never fired")
-			}
-			snap := ctr.Snapshot()
-			if snap.Faults == 0 {
-				t.Fatal("stall beyond the chunk deadline raised no fault")
-			}
-			if snap.Retries == 0 {
-				t.Fatal("deadline fault was not retried")
-			}
-			if !reflect.DeepEqual(rep.Outputs, baseline.Outputs) {
-				t.Fatal("outputs differ after deadline-triggered retry")
-			}
-		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic, seeded fault plans for
 // chaos-testing the STATS engine.
 //
-// A Plan is a fixed set of faults — panics, stalls, corrupted speculative
+// A Plan is a fixed set of faults — panics and corrupted speculative
 // states — keyed by (protocol site, chunk index, attempt). Wrapping a
 // Program with a plan attaches it at the engine's Injector seam: every
 // scheduler (batch, streaming, simulated) consults the injector at the
@@ -11,13 +11,10 @@
 // engine's retry/degrade machinery absorbs the faults and the committed
 // outputs stay byte-identical to the fault-free run.
 //
-// The three fault kinds map onto the engine's fault domains:
+// The two fault kinds map onto the engine's fault domains:
 //
 //   - Panic: a crash inside the chunk protocol. The engine isolates it
-//     and retries the attempt.
-//   - Slow: a stall, injected as a real sleep. With a per-chunk deadline
-//     configured (FaultPolicy.ChunkDeadline) the attempt faults and is
-//     retried; without one it only adds latency.
+//     and retries the attempt at once.
 //   - Corrupt: a wrong-but-well-formed speculative start state (a cold
 //     Fresh state substituted for the alternative producer's output,
 //     before it is published). Boundary validation rejects it and the
@@ -33,7 +30,6 @@ package faultinject
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"gostats/internal/engine"
 	"gostats/internal/rng"
@@ -45,8 +41,6 @@ type Kind uint8
 const (
 	// Panic crashes the protocol attempt with a recognizable value.
 	Panic Kind = iota
-	// Slow stalls the attempt by Delay of wall-clock time.
-	Slow
 	// Corrupt substitutes a cold Fresh state for the speculative start
 	// state before it is published (SiteAltProducer, chunk > 0 only).
 	Corrupt
@@ -57,8 +51,6 @@ func (k Kind) String() string {
 	switch k {
 	case Panic:
 		return "panic"
-	case Slow:
-		return "slow"
 	case Corrupt:
 		return "corrupt"
 	}
@@ -80,8 +72,6 @@ type Fault struct {
 	// degrade to sequential re-execution, and a large-enough value at
 	// SiteReexec makes the fault terminal (a structured session failure).
 	Attempts int
-	// Delay is the stall length for Slow faults.
-	Delay time.Duration
 }
 
 type planKey struct {
@@ -115,10 +105,10 @@ func New(faults ...Fault) *Plan {
 
 // Seeded derives a pseudo-random plan over chunks [0, chunks): each chunk
 // faults with probability rate, with the kind and site drawn from the
-// seed. Slow faults stall for delay. The plan is a pure function of its
-// arguments — two Seeded calls with the same inputs build the same plan,
-// and the same plan injects identically under every scheduler.
-func Seeded(seed uint64, chunks int, rate float64, delay time.Duration) *Plan {
+// seed. The plan is a pure function of its arguments — two Seeded calls
+// with the same inputs build the same plan, and the same plan injects
+// identically under every scheduler.
+func Seeded(seed uint64, chunks int, rate float64) *Plan {
 	var faults []Fault
 	root := rng.New(seed).Derive("faultinject")
 	for c := 0; c < chunks; c++ {
@@ -126,7 +116,7 @@ func Seeded(seed uint64, chunks int, rate float64, delay time.Duration) *Plan {
 		if r.Float64() >= rate {
 			continue
 		}
-		f := Fault{Chunk: c, Delay: delay}
+		f := Fault{Chunk: c}
 		switch r.Intn(3) {
 		case 0:
 			f.Kind = Panic
@@ -137,7 +127,7 @@ func Seeded(seed uint64, chunks int, rate float64, delay time.Duration) *Plan {
 				engine.SiteOrigStates, engine.SiteReexec,
 			}[r.Intn(4)]
 		case 1:
-			f.Kind = Slow
+			f.Kind = Panic
 			f.Site = engine.SiteBody
 		default:
 			if c == 0 {
@@ -171,8 +161,8 @@ type Program struct {
 	engine.Program
 	plan *Plan
 
-	// Panics, Slows, and Corrupts count fired injections by kind.
-	Panics, Slows, Corrupts atomic.Int64
+	// Panics and Corrupts count fired injections by kind.
+	Panics, Corrupts atomic.Int64
 }
 
 // Wrap attaches the plan to prog. The wrapper deliberately hides prog's
@@ -200,9 +190,6 @@ func (fp *Program) Inject(site engine.FaultSite, chunk, attempt int, s engine.St
 			fp.Panics.Add(1)
 			panic(fmt.Sprintf("faultinject: planned panic (chunk %d, site %s, attempt %d)",
 				chunk, site, attempt))
-		case Slow:
-			fp.Slows.Add(1)
-			time.Sleep(f.Delay)
 		case Corrupt:
 			if s == nil {
 				continue // a site that carries no state; nothing to corrupt
@@ -219,5 +206,5 @@ func (fp *Program) Inject(site engine.FaultSite, chunk, attempt int, s engine.St
 
 // Fired reports the total injections that actually fired.
 func (fp *Program) Fired() int64 {
-	return fp.Panics.Load() + fp.Slows.Load() + fp.Corrupts.Load()
+	return fp.Panics.Load() + fp.Corrupts.Load()
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
@@ -15,15 +14,15 @@ import (
 )
 
 func TestSeededPlanIsDeterministic(t *testing.T) {
-	a := faultinject.Seeded(11, 32, 0.5, time.Millisecond)
-	b := faultinject.Seeded(11, 32, 0.5, time.Millisecond)
+	a := faultinject.Seeded(11, 32, 0.5)
+	b := faultinject.Seeded(11, 32, 0.5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two Seeded plans from the same arguments differ")
 	}
 	if a.Len() == 0 {
 		t.Fatal("seeded plan at rate 0.5 over 32 chunks scheduled no faults")
 	}
-	c := faultinject.Seeded(12, 32, 0.5, time.Millisecond)
+	c := faultinject.Seeded(12, 32, 0.5)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical plans")
 	}

@@ -5,19 +5,20 @@ import "gostats/internal/rng"
 // ProcKind enumerates process-level fault kinds for the out-of-process
 // chunk executor (internal/procexec). Unlike the in-protocol kinds above,
 // these kill, wedge, or corrupt the worker *process*: the parent observes
-// them only through the transport (EOF, deadline, unparseable reply) and
-// must recover by killing, respawning, and re-deriving the chunk — or by
-// degrading to the in-process path. Committed outputs stay byte-identical
-// through every recovery route.
+// them only through the transport (EOF, an ended context, unparseable
+// reply) and must recover by killing, respawning, and re-deriving the
+// chunk — or by degrading to the in-process path. Committed outputs stay
+// byte-identical through every recovery route.
 type ProcKind uint8
 
 const (
 	// ProcKill makes the worker exit mid-chunk without replying. The
 	// parent sees a truncated stream and retries on a fresh process.
 	ProcKill ProcKind = iota
-	// ProcHang makes the worker wedge and never reply. Recovery requires
-	// a per-chunk deadline (FaultPolicy.ChunkDeadline); the parent times
-	// the attempt out, kills the process, and retries.
+	// ProcHang makes the worker wedge and never reply. The engine sets
+	// no deadline of its own: recovery needs a RunChunk context that
+	// ends — the session's, or one a caller's ChunkRunner bounds — on
+	// which the pool kills the process and the engine retries.
 	ProcHang
 	// ProcGarbage makes the worker reply with a non-protocol line. The
 	// parent rejects it, kills the process, and retries.

@@ -1,8 +1,14 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +95,58 @@ func TestAllowSuppression(t *testing.T) {
 		if got := idx.suppressed(tc.d); got != tc.want {
 			t.Errorf("suppressed(%+v) = %v, want %v", tc.d, got, tc.want)
 		}
+	}
+}
+
+// maxAllows is how many //statslint:allow directives the module may hold
+// outside the linter itself: each is a place the design argues with its
+// own rules. A change that removes one lowers this number; a change that
+// adds one raises it in its own diff.
+const maxAllows = 7
+
+// TestAllowRatchet counts the allow directives in the module's Go files,
+// outside internal/lint and cmd/statslint (whose testdata and docs spell
+// them on purpose), and fails when there are more than maxAllows.
+func TestAllowRatchet(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var found []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			rel, _ := filepath.Rel(root, path)
+			skip := rel == filepath.Join("internal", "lint") || rel == filepath.Join("cmd", "statslint") ||
+				rel != "." && strings.HasPrefix(d.Name(), ".")
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && rel != "." {
+				skip = true // a nested module is not this module
+			}
+			if skip {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if parseAllow(c, fset, nil) != nil {
+					found = append(found, fmt.Sprintf("%s: %s", fset.Position(c.Pos()), c.Text))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) > maxAllows {
+		t.Errorf("%d //statslint:allow directives, at most %d allowed:\n%s", len(found), maxAllows, strings.Join(found, "\n"))
 	}
 }

@@ -285,9 +285,9 @@ func (s *System) processMemory(core int, instr int64, p AccessProfile) Result {
 		LLCAccesses: float64(l3a) * scale,
 		LLCMisses:   float64(l3m) * scale,
 	}
-	stall := c.L1DMisses*float64(s.cfg.L2Lat-s.cfg.L1Lat) +
-		c.L2Misses*float64(s.cfg.LLCLat-s.cfg.L2Lat) +
-		c.LLCMisses*float64(s.cfg.MemLat-s.cfg.LLCLat)
+	stall := float64(c.L1DMisses*float64(s.cfg.L2Lat-s.cfg.L1Lat)) +
+		float64(c.L2Misses*float64(s.cfg.LLCLat-s.cfg.L2Lat)) +
+		float64(c.LLCMisses*float64(s.cfg.MemLat-s.cfg.LLCLat))
 	return Result{
 		ExtraCycles: int64(stall * s.cfg.StallOverlap),
 		Counters:    c,

@@ -15,11 +15,11 @@
 // executors.
 //
 // Process death is an expected event, not an error: a worker that dies
-// mid-chunk (EOF), wedges (deadline), or replies garbage is killed and
-// lazily respawned, and the chunk is retried on a fresh process — the
-// retry re-derives identical bytes. The engine's SiteProc fault domain
-// supplies the retry/backoff/degrade discipline; this package only
-// reports transport failures. Benchmarks must be registered by the
+// mid-chunk (EOF), is still running when RunChunk's context ends, or
+// replies garbage is killed and lazily respawned, and the chunk is
+// retried on a fresh process — the retry re-derives identical bytes. The
+// engine's SiteProc fault domain supplies the retry/degrade discipline;
+// this package only reports transport failures. Benchmarks must be registered by the
 // embedding binary (blank-import gostats/internal/bench/all).
 package procexec
 
@@ -265,9 +265,9 @@ func (pr *proc) exchange(req wireRequest) (*wireReply, error) {
 
 // RunChunk implements engine.ChunkRunner: encode the request, borrow a
 // worker, exchange, decode. Any transport failure — spawn error, dead
-// process, deadline, unparseable reply — is returned as an error for the
-// engine's SiteProc retry discipline; the borrowed slot is recycled as a
-// fresh-spawn token.
+// process, an ended context, unparseable reply — is returned as an error
+// for the engine's SiteProc retry discipline; the borrowed slot is
+// recycled as a fresh-spawn token.
 func (p *Pool) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.ChunkReply, error) {
 	wreq := wireRequest{Op: "chunk", Chunk: req.Chunk}
 	var err error

@@ -54,6 +54,20 @@ func newPool(t *testing.T, name string, cfg engine.StreamConfig, procs int, plan
 	return pool
 }
 
+// attemptTimeout bounds every RunChunk of a pool by d. The engine sets no
+// deadline of its own, so a test that wedges a worker gives each attempt
+// one: when it ends, the pool kills the process and the engine retries.
+type attemptTimeout struct {
+	*procexec.Pool
+	d time.Duration
+}
+
+func (r attemptTimeout) RunChunk(ctx context.Context, req engine.ChunkRequest) (*engine.ChunkReply, error) {
+	ctx, cancel := context.WithTimeout(ctx, r.d)
+	defer cancel()
+	return r.Pool.RunChunk(ctx, req)
+}
+
 // encodeRun streams inputs through a pipeline and returns the committed
 // outputs in wire encoding plus the final stats.
 func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engine.Input) ([]byte, engine.StreamStats) {
@@ -211,7 +225,7 @@ func TestWorkerProcessRespawn(t *testing.T) {
 }
 
 // TestWorkerProcessHangDeadline wedges a worker at a planned chunk; the
-// per-chunk deadline must fire, the watchdog kill the process, and the
+// attempt's deadline must fire, the watchdog kill the process, and the
 // retried chunk commit identical bytes.
 func TestWorkerProcessHangDeadline(t *testing.T) {
 	if testing.Short() {
@@ -229,8 +243,7 @@ func TestWorkerProcessHangDeadline(t *testing.T) {
 	want, _ := encodeRun(t, name, cfg, inputs)
 	plan := faultinject.NewProc(faultinject.ProcFault{Chunk: 2, Kind: faultinject.ProcHang})
 	remote := cfg
-	remote.Fault = engine.FaultPolicy{ChunkDeadline: 2 * time.Second}
-	remote.Runner = newPool(t, name, cfg, 2, plan)
+	remote.Runner = attemptTimeout{newPool(t, name, cfg, 2, plan), 2 * time.Second}
 	got, stats := encodeRun(t, name, remote, inputs)
 	if !bytes.Equal(want, got) {
 		t.Fatal("run with wedged worker process diverged from clean run")
@@ -259,7 +272,6 @@ func TestWorkerProcessDegrade(t *testing.T) {
 	want, _ := encodeRun(t, name, cfg, inputs)
 	plan := faultinject.NewProc(faultinject.ProcFault{Chunk: 2, Kind: faultinject.ProcKill, Attempts: 10})
 	remote := cfg
-	remote.Fault = engine.FaultPolicy{MaxRetries: 1}
 	remote.Runner = newPool(t, name, cfg, 2, plan)
 	got, stats := encodeRun(t, name, remote, inputs)
 	if !bytes.Equal(want, got) {
@@ -293,8 +305,7 @@ func TestWorkerProcessChaos(t *testing.T) {
 		t.Fatal("seeded plan is empty; pick a different seed")
 	}
 	remote := cfg
-	remote.Fault = engine.FaultPolicy{ChunkDeadline: 2 * time.Second, MaxRetries: 3}
-	remote.Runner = newPool(t, name, cfg, 2, plan)
+	remote.Runner = attemptTimeout{newPool(t, name, cfg, 2, plan), 2 * time.Second}
 	got, stats := encodeRun(t, name, remote, inputs)
 	if !bytes.Equal(want, got) {
 		t.Fatal("chaos run diverged from fault-free in-process run")

@@ -65,7 +65,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 			os.Exit(3)
 		case actHang:
 			// A timer loop, not select{}, so the runtime's deadlock detector
-			// stays quiet. The parent's chunk deadline fires and it kills
+			// stays quiet. When the parent's RunChunk context ends, it kills
 			// this process.
 			for {
 				time.Sleep(time.Hour)

@@ -124,10 +124,12 @@ func TestPropertyConcurrentDerivationIsRaceFreeAndPure(t *testing.T) {
 	}
 }
 
-// TestPropertyAttemptIndexedBackoffDrawsDiffer pins the property the
-// engine's retry backoff relies on (FaultPolicy.backoff): deriving with
-// the attempt index folded in gives each retry its own jitter draw,
-// whereas re-deriving the same label replays the first draw forever.
+// TestPropertyAttemptIndexedBackoffDrawsDiffer pins what a caller that
+// wants a fresh draw per attempt must do: deriving with the attempt index
+// folded in (DeriveN) gives each attempt its own draw, whereas
+// re-deriving the same label replays the first draw forever. The engine
+// relies on the second half: a retried chunk attempt re-derives its
+// streams by label and so replays the same bytes.
 func TestPropertyAttemptIndexedBackoffDrawsDiffer(t *testing.T) {
 	parent := New(99)
 

@@ -133,7 +133,7 @@ func (r *Stream) Intn(n int) int {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Stream) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // NormFloat64 returns a standard normal variate using the polar
@@ -146,7 +146,7 @@ func (r *Stream) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			f := math.Sqrt(-2 * math.Log(s) / s)
 			r.spare = v * f
@@ -192,5 +192,5 @@ func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 // It is used to model run-to-run latency variation of nondeterministic
 // work (the paper's benchmarks have input-dependent update latencies).
 func (r *Stream) Jitter(v float64, amount float64) float64 {
-	return v * (1 + amount*(2*r.Float64()-1))
+	return v * (1 + float64(amount*(2*r.Float64()-1)))
 }

@@ -31,7 +31,7 @@ type Diurnal struct {
 // Factor implements Modulator. The parenthesised quotient fixes the
 // rounding every recorded modulated trace was drawn with.
 func (d *Diurnal) Factor(now int64) float64 {
-	return 1 + d.Depth*math.Sin(2*math.Pi*(float64(now)/d.PeriodNS))
+	return 1 + float64(d.Depth*math.Sin(2*math.Pi*(float64(now)/d.PeriodNS)))
 }
 
 // OnOff is a two-state Markov-modulated rate: bursts at the base rate
