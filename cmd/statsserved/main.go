@@ -5,8 +5,7 @@
 //	statsserved [-addr :8417] [-chunk 16] [-lookback 4] [-workers 4]
 //	            [-adapt] [-grace 15s] [-max-sessions 64]
 //	            [-session-timeout 0] [-max-body 1073741824]
-//	            [-max-line 1048576] [-retry-after 1s]
-//	            [-pprof localhost:6060]
+//	            [-max-line 1048576] [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64]
 //	statsserved -gen-spec examples/workload/nonstationary.json [-gen-session 0]
 //
@@ -27,7 +26,7 @@
 //
 // The process is bounded on every axis a client controls: concurrent
 // sessions (-max-sessions, shed with a 429 whose Retry-After hint starts
-// at -retry-after and grows with speculation-window occupancy), session
+// at 1s and grows with speculation-window occupancy), session
 // lifetime (-session-timeout, the one wall-clock limit: it ends a
 // session and never changes its bytes), request body size (-max-body,
 // 413), and NDJSON line length (-max-line, 400). Inside a session the
@@ -77,7 +76,6 @@ func main() {
 	sessionTimeout := flag.Duration("session-timeout", 0, "per-session wall-clock limit (0: none)")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0: default 1 GiB)")
 	maxLine := flag.Int("max-line", 0, "NDJSON input line cap in bytes (0: default 1 MiB)")
-	retryAfter := flag.Duration("retry-after", 0, "base Retry-After hint on 429 sheds, scaled by window occupancy (0: default 1s)")
 	gen := flag.String("gen", "", "print this benchmark's inputs as NDJSON to stdout and exit")
 	n := flag.Int("n", 0, "with -gen, cap the number of input lines (0: native length)")
 	genSpec := flag.String("gen-spec", "", "print one session of this workload spec as NDJSON and exit")
@@ -114,7 +112,6 @@ func main() {
 		SessionTimeout: *sessionTimeout,
 		MaxBody:        *maxBody,
 		MaxLine:        *maxLine,
-		RetryAfterBase: *retryAfter,
 	})
 	srv := &http.Server{Addr: *addr, Handler: app.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

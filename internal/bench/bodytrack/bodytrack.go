@@ -58,16 +58,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: a different sequence at a
-// comparable scale (so occlusion-driven mispeculation appears during
-// tuning).
-func Training() Params {
-	p := Default()
-	p.Frames = 180
-	p.Occlusions = 2
-	return p
-}
-
 // BodyTrack is the benchmark implementation.
 type BodyTrack struct {
 	p Params

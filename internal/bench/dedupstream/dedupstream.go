@@ -85,14 +85,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: a different stream at ~3/4
-// scale.
-func Training() Params {
-	p := Default()
-	p.Segments = p.Segments * 3 / 4
-	return p
-}
-
 // Segment is one input: a block of stream bytes to deduplicate.
 type Segment struct {
 	Data []byte `json:"data"`

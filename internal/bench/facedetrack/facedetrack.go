@@ -61,15 +61,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: a different video at a
-// comparable scale with the same occlusion density.
-func Training() Params {
-	p := Default()
-	p.Frames = 800
-	p.Occlusions = 8
-	return p
-}
-
 // FaceDetTrack is the benchmark implementation.
 type FaceDetTrack struct {
 	p Params

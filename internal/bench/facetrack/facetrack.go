@@ -55,15 +55,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: a different video at a
-// comparable scale with the same occlusion density.
-func Training() Params {
-	p := Default()
-	p.Frames = 450
-	p.Occlusions = 4
-	return p
-}
-
 // FaceTrack is the benchmark implementation.
 type FaceTrack struct {
 	p Params

@@ -65,13 +65,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload.
-func Training() Params {
-	p := Default()
-	p.Steps = 375
-	return p
-}
-
 // Force is one input: a localized impulse applied to the fluid this
 // timestep.
 type Force struct {

@@ -58,14 +58,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: different data at a
-// comparable scale.
-func Training() Params {
-	p := Default()
-	p.Blocks = 1600
-	return p
-}
-
 // Block is one labeled input block.
 type Block struct {
 	X [][features]float64

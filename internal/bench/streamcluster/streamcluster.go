@@ -65,14 +65,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: different data at a
-// comparable scale, so lineage-aging effects appear during tuning too.
-func Training() Params {
-	p := Default()
-	p.Blocks = 2000
-	return p
-}
-
 // Block is one input: a batch of points drawn around the hidden centers.
 type Block struct {
 	Points [][dims]float64

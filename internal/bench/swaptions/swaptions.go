@@ -63,15 +63,6 @@ func Default() Params {
 	}
 }
 
-// Training returns the autotuning workload: different data at a
-// comparable scale, so tuned configurations transfer to the native
-// inputs (§IV-C: training inputs "are different from the native inputs").
-func Training() Params {
-	p := Default()
-	p.BatchesPerSwaption = 96
-	return p
-}
-
 // Batch is one input: a block of Monte-Carlo paths for one swaption.
 type Batch struct {
 	Swaption int
@@ -187,18 +178,6 @@ func (e *estState) mean() float64 {
 		return 0
 	}
 	return e.sum / e.n
-}
-
-func (e *estState) stderr() float64 {
-	if e.n < 2 {
-		return math.Inf(1)
-	}
-	m := e.mean()
-	variance := e.sumSq/e.n - float64(m*m)
-	if variance < 0 {
-		variance = 0
-	}
-	return math.Sqrt(variance / e.n)
 }
 
 // Price is the output after each batch.

@@ -161,4 +161,12 @@ func TestPersistentPanicReturnsFaultError(t *testing.T) {
 	if cf.Panic == nil || !strings.Contains(err.Error(), "injected update failure") {
 		t.Fatalf("fault lost the panic value: %+v", cf)
 	}
+	if !strings.Contains(err.Error(), " panic at ") {
+		t.Fatalf("a recovered panic must read as one: %v", err)
+	}
+	// An executor's returned error carries no stack and reads as an error.
+	transport := &engine.ChunkFault{Chunk: 3, Site: engine.SiteProc, Panic: errors.New("read: EOF")}
+	if got, want := transport.Error(), "engine: chunk 3 error at proc (attempt 0): read: EOF"; got != want {
+		t.Fatalf("executor error reads %q, want %q", got, want)
+	}
 }

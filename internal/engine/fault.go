@@ -87,10 +87,15 @@ type ChunkFault struct {
 	Stack   []byte
 }
 
-// Error implements error.
+// Error implements error. Only a recovered panic carries a Stack, so a
+// fault without one is an error an executor returned.
 func (f *ChunkFault) Error() string {
-	return fmt.Sprintf("engine: chunk %d panic at %s (attempt %d): %v",
-		f.Chunk, f.Site, f.Attempt, f.Panic)
+	kind := "error"
+	if f.Stack != nil {
+		kind = "panic"
+	}
+	return fmt.Sprintf("engine: chunk %d %s at %s (attempt %d): %v",
+		f.Chunk, kind, f.Site, f.Attempt, f.Panic)
 }
 
 // FaultError is the terminal session error: every retry and the final

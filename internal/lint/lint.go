@@ -99,12 +99,13 @@ type Config struct {
 
 // DefaultConfig marks the protocol engine, the benchmark programs, every
 // other component whose behavior must be a pure function of (inputs,
-// seed), and internal/experiments, whose rendered artifacts are compared
-// across runs, as determinism-critical. Deliberately not listed: cmd/*
+// seed), internal/experiments, whose rendered artifacts are compared
+// across runs, and internal/stat, whose histograms those artifacts are
+// built from, as determinism-critical. Deliberately not listed: cmd/*
 // (serving and CLI glue), internal/report, internal/critpath,
-// internal/profiler, internal/trace, internal/stat, internal/quality —
-// analysis-side code whose outputs are derived values, not committed
-// protocol outputs or artifacts in their own right.
+// internal/profiler, internal/trace, internal/quality — analysis-side
+// code whose outputs are derived values, not committed protocol outputs
+// or artifacts in their own right.
 func DefaultConfig() *Config {
 	return &Config{CriticalPrefixes: []string{
 		"gostats/internal/engine",
@@ -120,6 +121,7 @@ func DefaultConfig() *Config {
 		"gostats/internal/checkpoint",
 		"gostats/internal/procexec",
 		"gostats/internal/experiments",
+		"gostats/internal/stat",
 	}}
 }
 

@@ -1,35 +1,36 @@
-// Package atomicprot exercises the atomicprot analyzer: mixed
-// plain/atomic access, stale CAS-retry loops, and atomic operations on
-// by-value copies, each in flagged and clean form.
+// Package atomicprot exercises the atomicprot analyzer — function-style
+// atomics and stale CAS-retry loops — in flagged and clean form, and go
+// vet's copylocks pass, which owns atomic operations on by-value copies.
+// Each copy line carries a trailing comment naming vet's report there.
 package atomicprot
 
 import "sync/atomic"
 
 // --- flagged shapes ---
 
-// counter's n is accessed with function-style atomics, so every other
-// access must be too.
+// counter's n is accessed with function-style atomics, which leave
+// room for the plain accesses below to race them.
 type counter struct {
 	n uint64
 }
 
 func (c *counter) Inc() {
-	atomic.AddUint64(&c.n, 1)
+	atomic.AddUint64(&c.n, 1) // want `function-style atomic.AddUint64`
 }
 
 func (c *counter) Reset() {
-	c.n = 0 // want `plain access to field "n"`
+	c.n = 0
 }
 
 // hits is a package-level var with the same mixed-access bug.
 var hits uint64
 
 func Record() {
-	atomic.AddUint64(&hits, 1)
+	atomic.AddUint64(&hits, 1) // want `function-style atomic.AddUint64`
 }
 
 func Hits() uint64 {
-	return hits // want `plain access to "hits"`
+	return hits
 }
 
 // bumpStale snapshots the expected value once, outside the loop: a
@@ -44,28 +45,28 @@ func bumpStale(v *atomic.Uint64) {
 }
 
 // gauge holds a typed atomic, so copying it by value splits the
-// synchronization domain.
+// synchronization domain: go vet reports each copy below.
 type gauge struct {
 	val atomic.Int64
 }
 
-func (g gauge) Bump() {
-	g.val.Add(1) // want `atomic Add on by-value receiver "g"`
+func (g gauge) Bump() { // vet: Bump passes lock by value
+	g.val.Add(1)
 }
 
-func drain(g gauge) int64 {
-	return g.val.Load() // want `atomic Load on by-value parameter "g"`
+func drain(g gauge) int64 { // vet: drain passes lock by value
+	return g.val.Load()
 }
 
 func snapshot(p *gauge) int64 {
-	c := *p
-	return c.val.Load() // want `atomic Load on local copy "c"`
+	c := *p // vet: assignment copies lock value to c
+	return c.val.Load()
 }
 
 // --- clean shapes ---
 
-// newCounter writes plainly before the value is published: constructors
-// are exempt from the mixed-access rule.
+// newCounter writes plainly and calls no atomic function: nothing to
+// flag.
 func newCounter(start uint64) *counter {
 	c := &counter{}
 	c.n = start

@@ -87,20 +87,6 @@ func namedStruct(t types.Type) (*types.TypeName, *types.Struct) {
 	return n.Obj(), s
 }
 
-// structField returns the field object a selector expression selects, or
-// nil when it is not a direct (possibly embedded) struct field access.
-func structField(p *Pass, sel *ast.SelectorExpr) *types.Var {
-	s, ok := p.Pkg.Info.Selections[sel]
-	if ok {
-		if s.Kind() == types.FieldVal {
-			return s.Obj().(*types.Var)
-		}
-		return nil
-	}
-	// Qualified identifiers (pkg.Var) land in Uses, not Selections.
-	return nil
-}
-
 // funcName lowers a function declaration's name for substring matching;
 // methods get "recvtype.name".
 func funcName(decl *ast.FuncDecl) string {

@@ -70,7 +70,9 @@ func TestSTATSImprovesClusteringQuality(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	b := swaptions.NewWithParams(swaptions.Training())
+	p := swaptions.Default()
+	p.BatchesPerSwaption = 96
+	b := swaptions.NewWithParams(p)
 	if _, err := Distributions(b, engine.Config{Chunks: 1, Lookback: 1, InnerWidth: 1}, 0, 1, 1); err == nil {
 		t.Fatal("zero runs accepted")
 	}

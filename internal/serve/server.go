@@ -42,16 +42,12 @@ type Options struct {
 	// MaxLine caps one NDJSON input line in bytes. 0 means
 	// bench.DefaultMaxLine.
 	MaxLine int
-	// RetryAfterBase is the base Retry-After hint attached to 429 session
-	// sheds, scaled up by current speculation-window occupancy (see
-	// retryAfterSeconds). 0 means the default (1s).
-	RetryAfterBase time.Duration
 }
 
 const (
 	defaultMaxSessions   = 64
 	defaultMaxBody       = 1 << 30
-	defaultRetryAfter    = time.Second
+	retryAfterBase       = time.Second
 	maxRetryAfterSeconds = 60
 )
 
@@ -131,9 +127,6 @@ func New(base engine.StreamConfig, lim Options) *Server {
 	if lim.MaxLine == 0 {
 		lim.MaxLine = bench.DefaultMaxLine
 	}
-	if lim.RetryAfterBase == 0 {
-		lim.RetryAfterBase = defaultRetryAfter
-	}
 	s := &Server{base: base, met: met, lim: lim, front: cluster.Front{Name: "statsserved"}}
 	if lim.MaxSessions > 0 {
 		s.sem = make(chan struct{}, lim.MaxSessions)
@@ -193,14 +186,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // retryAfterSeconds computes the Retry-After hint sent with a 429 shed.
-// The flag-tunable base (-retry-after) is scaled by how saturated the
-// in-flight sessions' speculation windows are: a server whose sessions
-// all have full windows (InFlight chunks ≈ active·Window(Workers)) is further
+// The 1s base is scaled by how saturated the in-flight sessions'
+// speculation windows are: a server whose sessions all have full
+// windows (InFlight chunks ≈ active·Window(Workers)) is further
 // from freeing a session slot than one shedding on a brief spike, so its
 // clients — and the gateway using this hint to schedule re-routes — back
 // off for up to twice the base. Clamped to [1s, 60s].
 func (s *Server) retryAfterSeconds() int {
-	base := s.lim.RetryAfterBase.Seconds()
 	active := s.met.Active.Load()
 	occ := 0.0
 	if active > 0 {
@@ -211,7 +203,7 @@ func (s *Server) retryAfterSeconds() int {
 		occ = float64(s.met.InFlight.Load()) / float64(active*int64(checkpoint.Window(workers)))
 		occ = math.Min(occ, 1)
 	}
-	secs := int(math.Ceil(base * (1 + occ)))
+	secs := int(math.Ceil(retryAfterBase.Seconds() * (1 + occ)))
 	if secs < 1 {
 		secs = 1
 	}

@@ -33,7 +33,7 @@ func Variance(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return ss / float64(n-1)
 }
@@ -58,14 +58,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // GeoMean returns the geometric mean of xs. Non-positive entries are
@@ -178,7 +178,7 @@ func NewHistogram(xs []float64, bins int) Histogram {
 	}
 	width := (hi - lo) / float64(bins)
 	for i := range h.Edges {
-		h.Edges[i] = lo + width*float64(i)
+		h.Edges[i] = lo + float64(width*float64(i))
 	}
 	for _, x := range xs {
 		b := int((x - lo) / width)
