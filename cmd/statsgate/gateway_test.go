@@ -103,7 +103,13 @@ func ndjsonBody(t *testing.T, name string, inputs []engine.Input) []byte {
 // Retry-After header (set on sheds).
 func postSession(t *testing.T, base, name string, body []byte) (int, []string, serve.Trailer, string) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/stream/"+name, "application/x-ndjson", bytes.NewReader(body))
+	return postSessionVia(t, http.DefaultClient, base, name, body)
+}
+
+// postSessionVia is postSession through the given client.
+func postSessionVia(t *testing.T, client *http.Client, base, name string, body []byte) (int, []string, serve.Trailer, string) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/stream/"+name, "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ func TestGateProxiesDeterministically(t *testing.T) {
 }
 
 // TestGateReroutesShedSession: a backend at its session cap answers 429
-// (with an occupancy-scaled Retry-After) before any output byte; the
+// (with a computed Retry-After) before any output byte; the
 // gateway must replay the session to the other backend and still return
 // byte-identical output.
 func TestGateReroutesShedSession(t *testing.T) {

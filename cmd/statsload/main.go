@@ -6,16 +6,14 @@
 //
 //	statsload -spec examples/workload/nonstationary.json
 //	          [-target http://localhost:8417] [-speedup 1]
-//	          [-max-concurrent 16] [-record trace.ndjson]
-//	          [-session-timeout 2m] [-out report.json] [-v]
-//	statsload -replay trace.ndjson [...]
+//	          [-max-concurrent 16] [-session-timeout 2m]
+//	          [-out report.json] [-v]
 //
-// With -spec it expands the spec into its deterministic session trace
-// (internal/workload.Generate): each trace line names a benchmark, an
-// input count, and a seed that regenerates the session's exact input
-// stream. With -replay it drives a previously recorded trace instead —
-// the same sessions, byte for byte. -record freezes the generated trace
-// to a file so a run can be replayed later or on another host.
+// It expands the spec into its deterministic session trace
+// (internal/workload.Generate): each session names a benchmark, an input
+// count, and a seed that regenerates the session's exact input stream.
+// The spec alone names the run: the same spec drives the same sessions,
+// byte for byte, on any host.
 //
 // Sessions are launched at their trace arrival times (divided by
 // -speedup), each as one POST /v1/stream/{benchmark}?seed=N&adapt=1
@@ -49,9 +47,7 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "workload spec file to expand and drive")
-	replayPath := flag.String("replay", "", "recorded workload trace to drive instead of -spec")
-	recordPath := flag.String("record", "", "with -spec, also write the generated trace here")
+	specPath := flag.String("spec", "", "workload spec file to expand and drive (required)")
 	target := flag.String("target", "http://localhost:8417", "statsserved or statsgate base URL")
 	speedup := flag.Float64("speedup", 1, "divide virtual interarrival gaps by this factor")
 	maxConc := flag.Int("max-concurrent", 16, "cap on in-flight sessions (pacing skews once saturated)")
@@ -60,8 +56,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log each session as it completes")
 	flag.Parse()
 
-	if err := run(*specPath, *replayPath, *recordPath, *target, *speedup,
-		*maxConc, *sessionTimeout, *outPath, *verbose); err != nil {
+	if err := run(*specPath, *target, *speedup, *maxConc, *sessionTimeout, *outPath, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "statsload:", err)
 		os.Exit(1)
 	}
@@ -84,7 +79,7 @@ type loadRow struct {
 
 // loadReport is the -out schema.
 type loadReport struct {
-	Trace     string             `json:"trace"`
+	Trace     string             `json:"trace"` // the spec's name
 	Seed      uint64             `json:"seed"`
 	Target    string             `json:"target"`
 	Speedup   float64            `json:"speedup"`
@@ -94,10 +89,10 @@ type loadReport struct {
 	Rows      map[string]loadRow `json:"rows"`
 }
 
-func run(specPath, replayPath, recordPath, target string, speedup float64,
-	maxConc int, sessionTimeout time.Duration, outPath string, verbose bool) error {
-	if (specPath == "") == (replayPath == "") {
-		return fmt.Errorf("exactly one of -spec and -replay is required")
+func run(specPath, target string, speedup float64, maxConc int,
+	sessionTimeout time.Duration, outPath string, verbose bool) error {
+	if specPath == "" {
+		return fmt.Errorf("-spec is required")
 	}
 	if speedup <= 0 {
 		return fmt.Errorf("-speedup must be positive, got %g", speedup)
@@ -106,26 +101,13 @@ func run(specPath, replayPath, recordPath, target string, speedup float64,
 		maxConc = 1
 	}
 
-	var trace *workload.Trace
-	if specPath != "" {
-		spec, err := workload.Load(specPath)
-		if err != nil {
-			return err
-		}
-		if trace, err = workload.Generate(spec); err != nil {
-			return err
-		}
-		if recordPath != "" {
-			if err := trace.WriteFile(recordPath); err != nil {
-				return err
-			}
-			fmt.Printf("recorded %d sessions to %s\n", len(trace.Sessions), recordPath)
-		}
-	} else {
-		var err error
-		if trace, err = workload.LoadTrace(replayPath); err != nil {
-			return err
-		}
+	spec, err := workload.Load(specPath)
+	if err != nil {
+		return err
+	}
+	trace, err := workload.Generate(spec)
+	if err != nil {
+		return err
 	}
 
 	client := &http.Client{Timeout: sessionTimeout}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -12,14 +11,13 @@ import (
 
 	"gostats/internal/engine"
 	"gostats/internal/serve"
-	"gostats/internal/workload"
 )
 
 // drive runs statsload against target and returns its -out report.
-func drive(t *testing.T, target, spec, replay, record string) loadReport {
+func drive(t *testing.T, target, spec string) loadReport {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(spec, replay, record, target, 1, 4, time.Minute, out, false); err != nil {
+	if err := run(spec, target, 1, 4, time.Minute, out, false); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -47,51 +45,22 @@ func sameRun(t *testing.T, what string, got, want loadReport) {
 }
 
 // TestSpecRecordReplay drives an in-process statsserved with a small
-// spec, recording its trace, then replays the recording: both runs must
-// report the same rows. A trace in the older format, whose lines also
-// carry a slot-hold time per session (testdata/small_durations.ndjson,
-// small.json's trace recorded with a duration law in the spec), must
-// load and give the same rows too.
+// spec twice: both runs must report the same rows, because the spec
+// alone names every session's benchmark, length and input bytes.
 func TestSpecRecordReplay(t *testing.T) {
 	app := serve.New(engine.StreamConfig{ChunkSize: 8, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 7}, serve.Options{})
 	ts := httptest.NewServer(app.Handler())
 	t.Cleanup(ts.Close)
 
-	rec := filepath.Join(t.TempDir(), "trace.ndjson")
-	spec := drive(t, ts.URL, "testdata/small.json", "", rec)
-	if spec.Sessions != 4 || spec.Failures != 0 || len(spec.Rows) != 3 {
-		t.Fatalf("spec run: %d sessions, %d failures, %d rows; want 4, 0 and one row per benchmark",
-			spec.Sessions, spec.Failures, len(spec.Rows))
+	spec := drive(t, ts.URL, "testdata/small.json")
+	if spec.Trace != "small" || spec.Sessions != 4 || spec.Failures != 0 || len(spec.Rows) != 3 {
+		t.Fatalf("spec run: trace %q, %d sessions, %d failures, %d rows; want small, 4, 0 and one row per benchmark",
+			spec.Trace, spec.Sessions, spec.Failures, len(spec.Rows))
 	}
 	for name, r := range spec.Rows {
 		if r.Inputs == 0 || r.Outputs != r.Inputs || r.Commits+r.Aborts == 0 {
 			t.Errorf("%s: %d inputs, %d outputs, %d commits, %d aborts", name, r.Inputs, r.Outputs, r.Commits, r.Aborts)
 		}
 	}
-	sameRun(t, "replay", drive(t, ts.URL, "", rec, ""), spec)
-
-	older := "testdata/small_durations.ndjson"
-	sameRun(t, "older-format replay", drive(t, ts.URL, "", older, ""), spec)
-	a, err := workload.LoadTrace(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.LoadTrace(older)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("the older trace reads as other sessions:\n%+v\n%+v", b.Sessions, a.Sessions)
-	}
-	recRaw, err := os.ReadFile(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRaw, err := os.ReadFile(older)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(recRaw, oldRaw) {
-		t.Error("the older trace is byte-identical to a new recording: it no longer tests an extra field")
-	}
+	sameRun(t, "second run", drive(t, ts.URL, "testdata/small.json"), spec)
 }

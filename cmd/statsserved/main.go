@@ -25,8 +25,8 @@
 // heap.
 //
 // The process is bounded on every axis a client controls: concurrent
-// sessions (-max-sessions, shed with a 429 whose Retry-After hint starts
-// at 1s and grows with speculation-window occupancy), session
+// sessions (-max-sessions, shed with a 429 whose Retry-After hint is 1s,
+// or 2s while any session has a chunk in flight), session
 // lifetime (-session-timeout, the one wall-clock limit: it ends a
 // session and never changes its bytes), request body size (-max-body,
 // 413), and NDJSON line length (-max-line, 400). Inside a session the

@@ -103,56 +103,6 @@ func New(faults ...Fault) *Plan {
 	return p
 }
 
-// Seeded derives a pseudo-random plan over chunks [0, chunks): each chunk
-// faults with probability rate, with the kind and site drawn from the
-// seed. The plan is a pure function of its arguments — two Seeded calls
-// with the same inputs build the same plan, and the same plan injects
-// identically under every scheduler.
-func Seeded(seed uint64, chunks int, rate float64) *Plan {
-	var faults []Fault
-	root := rng.New(seed).Derive("faultinject")
-	for c := 0; c < chunks; c++ {
-		r := root.DeriveN("chunk", c)
-		if r.Float64() >= rate {
-			continue
-		}
-		f := Fault{Chunk: c}
-		switch r.Intn(3) {
-		case 0:
-			f.Kind = Panic
-			// Spread panics across the protocol sites, including recovery
-			// re-execution (which only fires for chunks that abort).
-			f.Site = []engine.FaultSite{
-				engine.SiteAltProducer, engine.SiteBody,
-				engine.SiteOrigStates, engine.SiteReexec,
-			}[r.Intn(4)]
-		case 1:
-			f.Kind = Panic
-			f.Site = engine.SiteBody
-		default:
-			if c == 0 {
-				// Chunk 0 commits without validation; fall back to a panic.
-				f.Kind = Panic
-				f.Site = engine.SiteBody
-			} else {
-				f.Kind = Corrupt
-				f.Site = engine.SiteAltProducer
-			}
-		}
-		faults = append(faults, f)
-	}
-	return New(faults...)
-}
-
-// Len reports how many faults the plan schedules.
-func (p *Plan) Len() int {
-	n := 0
-	for _, fs := range p.faults {
-		n += len(fs)
-	}
-	return n
-}
-
 // Program is a Program with a fault plan attached; it implements
 // engine.Injector, so every engine scheduler consults the plan. The
 // injection counters record what actually fired (atomic — workers inject

@@ -13,21 +13,6 @@ import (
 	"gostats/internal/rng"
 )
 
-func TestSeededPlanIsDeterministic(t *testing.T) {
-	a := faultinject.Seeded(11, 32, 0.5)
-	b := faultinject.Seeded(11, 32, 0.5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two Seeded plans from the same arguments differ")
-	}
-	if a.Len() == 0 {
-		t.Fatal("seeded plan at rate 0.5 over 32 chunks scheduled no faults")
-	}
-	c := faultinject.Seeded(12, 32, 0.5)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical plans")
-	}
-}
-
 func TestInjectFiresOnPlannedAttemptsOnly(t *testing.T) {
 	prog, err := bench.New("facetrack")
 	if err != nil {

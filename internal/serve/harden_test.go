@@ -190,6 +190,27 @@ func TestSessionCapShedsWith429(t *testing.T) {
 	checkGoroutines(t, baseline)
 }
 
+// TestRetryAfterHint pins the shed hint to its two values: 1 s while no
+// active session has a chunk in flight, 2 s once one does.
+func TestRetryAfterHint(t *testing.T) {
+	s := New(baseConfig(), Options{})
+	if got := s.retryAfterSeconds(); got != 1 {
+		t.Fatalf("idle server: Retry-After %d, want 1", got)
+	}
+	s.met.Active.Add(1)
+	if got := s.retryAfterSeconds(); got != 1 {
+		t.Fatalf("active session, no chunk in flight: Retry-After %d, want 1", got)
+	}
+	s.met.InFlight.Add(1)
+	if got := s.retryAfterSeconds(); got != 2 {
+		t.Fatalf("one chunk in flight: Retry-After %d, want 2", got)
+	}
+	s.met.InFlight.Add(1 << 20)
+	if got := s.retryAfterSeconds(); got != 2 {
+		t.Fatalf("every window full and more: Retry-After %d, want 2", got)
+	}
+}
+
 // TestReadyzFlipsOnDrain: /readyz is the routability gate — ready until
 // startDrain, then 503, with new sessions refused while /healthz stays
 // green (a draining process is alive, just not routable).

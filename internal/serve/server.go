@@ -10,14 +10,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gostats/internal/bench"
-	"gostats/internal/checkpoint"
 	"gostats/internal/cluster"
 	"gostats/internal/critpath"
 	"gostats/internal/engine"
@@ -45,10 +43,8 @@ type Options struct {
 }
 
 const (
-	defaultMaxSessions   = 64
-	defaultMaxBody       = 1 << 30
-	retryAfterBase       = time.Second
-	maxRetryAfterSeconds = 60
+	defaultMaxSessions = 64
+	defaultMaxBody     = 1 << 30
 )
 
 // The most a session may ask for of what NewStream sizes memory and
@@ -185,32 +181,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteMetrics(w, cluster.BackendMetrics{Values: page})
 }
 
-// retryAfterSeconds computes the Retry-After hint sent with a 429 shed.
-// The 1s base is scaled by how saturated the in-flight sessions'
-// speculation windows are: a server whose sessions all have full
-// windows (InFlight chunks ≈ active·Window(Workers)) is further
-// from freeing a session slot than one shedding on a brief spike, so its
-// clients — and the gateway using this hint to schedule re-routes — back
-// off for up to twice the base. Clamped to [1s, 60s].
+// retryAfterSeconds is the Retry-After hint sent with a 429 shed: 1s, or
+// 2s when any active session has a chunk in flight. A server whose
+// sessions are speculating is further from freeing a session slot than
+// one shedding on a brief spike, so its clients — and the gateway using
+// this hint to schedule re-routes — back off for twice as long.
 func (s *Server) retryAfterSeconds() int {
-	active := s.met.Active.Load()
-	occ := 0.0
-	if active > 0 {
-		workers := s.base.Workers
-		if workers <= 0 {
-			workers = engine.DefaultWorkers
-		}
-		occ = float64(s.met.InFlight.Load()) / float64(active*int64(checkpoint.Window(workers)))
-		occ = math.Min(occ, 1)
+	if s.met.Active.Load() > 0 && s.met.InFlight.Load() > 0 {
+		return 2
 	}
-	secs := int(math.Ceil(retryAfterBase.Seconds() * (1 + occ)))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxRetryAfterSeconds {
-		secs = maxRetryAfterSeconds
-	}
-	return secs
+	return 1
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {

@@ -88,9 +88,9 @@ func TestDistributionDeterminism(t *testing.T) {
 }
 
 // TestExponentialMatchesLegacyDraw pins Exponential.Sample to the closed
-// form r.ExpFloat64() * mean, one draw per sample: every recorded
-// exponential trace, the one behind the nonstationary golden among them,
-// was drawn with it.
+// form r.ExpFloat64() * mean, one draw per sample: every exponential
+// spec, the one behind the nonstationary golden among them, has always
+// generated its arrivals with it.
 func TestExponentialMatchesLegacyDraw(t *testing.T) {
 	mean := 250.0
 	a, b := rng.New(42).Derive("workload-arrivals"), rng.New(42).Derive("workload-arrivals")

@@ -29,7 +29,8 @@ type Diurnal struct {
 }
 
 // Factor implements Modulator. The parenthesised quotient fixes the
-// rounding every recorded modulated trace was drawn with.
+// rounding, so a modulated spec keeps generating the sessions it always
+// has.
 func (d *Diurnal) Factor(now int64) float64 {
 	return 1 + float64(d.Depth*math.Sin(2*math.Pi*(float64(now)/d.PeriodNS)))
 }

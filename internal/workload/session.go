@@ -12,8 +12,8 @@ import (
 
 // SessionInputs regenerates one session's input stream: the first n
 // inputs of the benchmark's native stream under the session's seed. A
-// trace line's (Benchmark, Inputs, Seed) triple therefore names the exact
-// bytes the session will stream — record once, replay anywhere.
+// session's (Benchmark, Inputs, Seed) triple therefore names the exact
+// bytes it will stream, wherever it is regenerated.
 //
 // n <= 0 or beyond the native length means the full native stream.
 func SessionInputs(b bench.Benchmark, n int, seed uint64) []engine.Input {
@@ -43,7 +43,7 @@ func WriteNDJSON(w io.Writer, codec bench.StreamCodec, inputs []engine.Input) er
 	return bw.Flush()
 }
 
-// WriteSessionNDJSON regenerates a trace session's input stream and
+// WriteSessionNDJSON regenerates a session's input stream and
 // writes it as an NDJSON body. It is the -gen path of statsserved and
 // the per-session body builder of statsload.
 func WriteSessionNDJSON(w io.Writer, s Session) error {

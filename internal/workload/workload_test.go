@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -52,9 +51,9 @@ func TestMixWeightedProportions(t *testing.T) {
 
 func TestMixUniformSingleDraw(t *testing.T) {
 	// The uniform fast path must consume exactly one Intn-sized draw per
-	// pick, so every recorded uniform-mix trace regenerates pick for
-	// pick. Two streams, one picking and one replicating the raw Intn,
-	// must stay in lockstep.
+	// pick, so every uniform-mix spec keeps generating the same picks.
+	// Two streams, one picking and one replicating the raw Intn, must
+	// stay in lockstep.
 	names := []string{"a", "b", "c"}
 	mix := uniformMix(names)
 	pick, raw := rng.New(9).Derive("mix"), rng.New(9).Derive("mix")
@@ -175,8 +174,8 @@ func TestSpecParseValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spec with a duration law rejected: %v", err)
 	}
-	if a, b := traceBytes(t, s), traceBytes(t, o); !bytes.Equal(a, b) {
-		t.Fatalf("a duration law changed the trace:\n%s\n%s", a, b)
+	if a, b := generated(t, s), generated(t, o); !reflect.DeepEqual(a, b) {
+		t.Fatalf("a duration law changed the trace:\n%+v\n%+v", a, b)
 	}
 	bad := map[string]string{
 		"no sessions":   `{"name":"t","arrival":{"dist":"exponential","mean":1},"mix":[{"benchmark":"a"}]}`,
@@ -215,48 +214,37 @@ func testSpec() *Spec {
 	}
 }
 
+// modulatedSpec is testSpec at scale: 5000 sessions, long enough for
+// both modulators to change phase many times.
+func modulatedSpec() *Spec {
+	return &Spec{
+		Name: "modulated", Seed: 7, Sessions: 5000,
+		Arrival: DistSpec{Dist: "exponential", Mean: Duration(time.Millisecond)},
+		Length:  DistSpec{Dist: "poisson", Lambda: 64},
+		Mix: []MixEntry{
+			{Benchmark: "facetrack", Weight: 3},
+			{Benchmark: "dedupstream", Weight: 1},
+		},
+		Modulators: []ModSpec{
+			{Kind: "diurnal", Period: Duration(time.Second), Depth: 0.5},
+			{Kind: "onoff", OnMean: Duration(200 * time.Millisecond),
+				OffMean: Duration(100 * time.Millisecond), OffFactor: 0.25},
+		},
+	}
+}
+
 // TestGenerateDeterministicAndByteStable: Generate is a pure function of
-// the spec, its serialization is byte-stable, and a write→read round
-// trip reproduces the trace exactly.
+// the spec. Two runs of one spec give equal traces, session for session,
+// so a spec is all it takes to name a workload.
 func TestGenerateDeterministicAndByteStable(t *testing.T) {
-	spec := testSpec()
-	a, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two Generate runs of the same spec differ")
-	}
-
-	var buf1, buf2 bytes.Buffer
-	if _, err := a.WriteTo(&buf1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatal("trace serialization not byte-stable")
-	}
-
-	rt, err := ReadTrace(bytes.NewReader(buf1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Name != a.Name || rt.Seed != a.Seed || !reflect.DeepEqual(rt.Sessions, a.Sessions) {
-		t.Fatal("trace round trip changed the trace")
-	}
-	// And the round-tripped trace re-serializes to the same bytes.
-	var buf3 bytes.Buffer
-	if _, err := rt.WriteTo(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf3.Bytes()) {
-		t.Fatal("read→write round trip changed the bytes")
+	for _, spec := range []*Spec{testSpec(), modulatedSpec()} {
+		a, b := generated(t, spec), generated(t, spec)
+		if len(a) != spec.Sessions {
+			t.Fatalf("%s: %d sessions, want %d", spec.Name, len(a), spec.Sessions)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: two Generate runs of the same spec differ", spec.Name)
+		}
 	}
 }
 
@@ -289,19 +277,5 @@ func TestGenerateShape(t *testing.T) {
 	}
 	if len(seeds) != spec.Sessions {
 		t.Errorf("only %d distinct session seeds for %d sessions", len(seeds), spec.Sessions)
-	}
-}
-
-// TestReadTraceHeaderMismatch: ReadTrace refuses an empty trace and one
-// whose header miscounts its sessions.
-func TestReadTraceHeaderMismatch(t *testing.T) {
-	in := `{"trace":"x","seed":1,"sessions":3}
-{"seq":0,"at_ns":0,"benchmark":"a"}
-`
-	if _, err := ReadTrace(strings.NewReader(in)); err == nil {
-		t.Error("header promising 3 sessions accepted with 1")
-	}
-	if _, err := ReadTrace(strings.NewReader("")); err == nil {
-		t.Error("empty trace accepted")
 	}
 }
