@@ -119,8 +119,9 @@ func inBubble(f func(n *memNet)) {
 // TestGateMigrateMidSessionInBubble is TestGateMigrateMidSession with
 // synctest.Wait where the original polls: once the first half of the
 // body is in and the stack has settled, the session is on b0; once b0
-// drains and the stack settles again, it has moved to b1, exactly once.
-// The client's bytes are the same as a session that never moved.
+// drains and the stack settles again, it has moved to b1, exactly once,
+// with no time passed. The client's bytes are the same as a session
+// that never moved.
 func TestGateMigrateMidSessionInBubble(t *testing.T) {
 	inBubble(func(n *memNet) {
 		const name = "dedupstream"
@@ -130,7 +131,7 @@ func TestGateMigrateMidSessionInBubble(t *testing.T) {
 			cluster.Backend{ID: "b0", Addr: n.serve("b0", b0.Handler())},
 			cluster.Backend{ID: "b1", Addr: n.serve("b1", serve.New(baseConfig(), serve.Options{}).Handler())},
 		)
-		g := newGateway(reg, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0))
+		g := newGateway(reg)
 		g.migrate, g.ckptEvery, g.client = true, 2, n.client()
 		gate := n.serve("gate", g.handler())
 		client := n.client()
@@ -170,15 +171,18 @@ func TestGateMigrateMidSessionInBubble(t *testing.T) {
 			t.Fatalf("session settled with b0 routed %d times, want 1", got)
 		}
 
-		// A halted backend may hold its response open until the gateway
-		// closes the request body or serve's one-second halt grace runs
-		// out, while the gateway waits for the halt trailer that ends it.
-		// The bubble's clock passes that second at once.
+		// The gateway hands the session off at #migrate, so no timer has
+		// to fire for it: the stack settles with the migration done and
+		// the bubble's clock where it was. Waiting for b0's halt trailer
+		// instead would wait out serve's one-second halt grace.
+		mark := time.Now()
 		b0.StartDrain()
-		time.Sleep(2 * time.Second)
 		synctest.Wait()
 		if got := g.met.Migrations.Load(); got != 1 {
 			t.Fatalf("drained b0 settled with %d migrations, want 1", got)
+		}
+		if waited := time.Since(mark); waited != 0 {
+			t.Fatalf("the hand-off waited %s on the bubble's clock, want 0", waited)
 		}
 
 		if _, err := pw.Write(ndjsonBody(t, name, inputs[40:])); err != nil {
@@ -203,6 +207,123 @@ func TestGateMigrateMidSessionInBubble(t *testing.T) {
 		}
 		if strings.HasPrefix(got[0], "#") || reg.Snapshots()[1].Routed < 1 {
 			t.Fatalf("session did not reach b1 cleanly: first line %q, b1 routed %d", got[0], reg.Snapshots()[1].Routed)
+		}
+	})
+}
+
+// TestGateDrainMidRunInBubble is TestGateDrainMidRun with the gateway's
+// own probe loop running over the memNet, and synctest.Wait where the
+// original polls: b0 drains while a session it serves is mid-run, one
+// probe interval later the registry offers only b1, new sessions land
+// there, and the in-flight session finishes on b0 byte-identical to a
+// direct run. The probe loop ends with the test, as every goroutine in
+// the bubble must.
+func TestGateDrainMidRunInBubble(t *testing.T) {
+	inBubble(func(n *memNet) {
+		const name = "facetrack"
+		const interval = 100 * time.Millisecond
+		b0 := serve.New(baseConfig(), serve.Options{})
+		b1 := n.serve("b1", serve.New(baseConfig(), serve.Options{}).Handler())
+		reg := cluster.NewRegistry(
+			cluster.Backend{ID: "b0", Addr: n.serve("b0", b0.Handler())},
+			cluster.Backend{ID: "b1", Addr: b1},
+		)
+		g := newGateway(reg)
+		g.client = n.client()
+		gate := n.serve("gate", g.handler())
+		client := n.client()
+		defer client.CloseIdleConnections()
+		defer g.client.CloseIdleConnections()
+		ctx, cancel := context.WithCancel(context.Background())
+		probing := make(chan struct{})
+		go func() {
+			defer close(probing)
+			g.probeLoop(ctx, interval)
+		}()
+		defer func() {
+			cancel()
+			<-probing
+		}()
+
+		inputs := sessionInputs(t, name, 32)
+		_, want, _, _ := postSessionVia(t, client, b1, name, ndjsonBody(t, name, inputs))
+
+		// Session seq 0: round-robin routes it to b0. Feed half the
+		// inputs, then keep the body open so it is mid-run at the drain.
+		pr, pw := io.Pipe()
+		defer pw.Close() // a failed check must not leave the gateway reading
+		req, err := http.NewRequest(http.MethodPost, gate+"/v1/stream/"+name, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make(chan []string, 1)
+		go func() {
+			defer close(lines)
+			resp, err := client.Do(req)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				return
+			}
+			defer resp.Body.Close()
+			var got []string
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+			for sc.Scan() {
+				got = append(got, sc.Text())
+			}
+			lines <- got
+		}()
+		if _, err := pw.Write(ndjsonBody(t, name, inputs[:16])); err != nil {
+			t.Fatal(err)
+		}
+		synctest.Wait()
+		if got := reg.Snapshots()[0].Routed; got != 1 {
+			t.Fatalf("session settled with b0 routed %d times, want 1", got)
+		}
+
+		// The drain: /readyz flips to 503, the next probe round sees it,
+		// and the registry stops offering b0 to new sessions.
+		b0.StartDrain()
+		time.Sleep(interval)
+		synctest.Wait()
+		if ready := reg.Ready(); len(ready) != 1 || ready[0].ID != "b1" {
+			t.Fatalf("ready backends a probe interval after the drain = %v, want [b1]", ready)
+		}
+
+		for i := 0; i < 3; i++ {
+			status, _, tr, _ := postSessionVia(t, client, gate, name, ndjsonBody(t, name, inputs))
+			if status != http.StatusOK || !tr.Done || tr.Error != "" {
+				t.Fatalf("post-drain session %d: status %d trailer %+v", i, status, tr)
+			}
+		}
+		if snaps := reg.Snapshots(); snaps[0].Routed != 1 || snaps[1].Routed != 3 {
+			t.Fatalf("routed b0=%d b1=%d, want 1 and 3: draining backend took a new session",
+				snaps[0].Routed, snaps[1].Routed)
+		}
+
+		// The in-flight session on the draining backend finishes untouched.
+		if _, err := pw.Write(ndjsonBody(t, name, inputs[16:])); err != nil {
+			t.Fatal(err)
+		}
+		pw.Close()
+		got, ok := <-lines
+		if !ok {
+			t.Fatal("mid-drain session failed")
+		}
+		if len(got) != len(want)+1 {
+			t.Fatalf("mid-drain session: %d lines, want %d outputs + trailer", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("mid-drain line %d differs:\n got %s\nwant %s", i, got[i], want[i])
+			}
+		}
+		var tr serve.Trailer
+		if err := json.Unmarshal([]byte(got[len(got)-1]), &tr); err != nil || !tr.Done || tr.Error != "" {
+			t.Fatalf("mid-drain trailer %q (%v)", got[len(got)-1], err)
+		}
+		synctest.Wait()
+		if inFlight := reg.Snapshots()[0].InFlight; inFlight != 0 {
+			t.Fatalf("b0 settled with %d sessions in flight, want 0", inFlight)
 		}
 	})
 }

@@ -27,36 +27,32 @@ const maxCrashResumes = 3
 // fetchTimeout bounds the gateway's GETs of a backend.
 const fetchTimeout = 2 * time.Second
 
-// gateway is the statsgate front door: it admits sessions through a
-// token bucket, picks a backend with the routing policy (round-robin),
-// proxies the full-duplex NDJSON session, and — when a backend sheds
-// with 429/503 before any output byte has reached the client — replays
-// the consumed request bytes to the next backend the policy picks.
+// gateway is the statsgate front door: it picks a ready backend
+// round-robin, proxies the full-duplex NDJSON session, and — when a
+// backend sheds with 429/503 before any output byte has reached the
+// client — replays the consumed request bytes to the next backend in
+// that order. Its probe loop keeps the registry's health current.
 type gateway struct {
 	reg    *cluster.Registry
-	policy cluster.RoutingPolicy
-	bucket *cluster.TokenBucket
-	client *http.Client
+	client *http.Client // every request the gateway makes: sessions, probes, fetches
 	met    cluster.GateMetrics
 
-	front cluster.Front // /healthz, /readyz (flipped by startDrain), panic recovery
-	epoch time.Time     // token-bucket clock origin
-	seq   atomic.Uint64 // admission sequence numbers for SessionKey
+	front cluster.Front  // /healthz, /readyz (flipped by startDrain), panic recovery
+	seq   atomic.Uint64  // admission sequence numbers for SessionKey
+	fails map[string]int // consecutive failed probes a backend; the probe round's own
 
 	// migrate switches sessions to the checkpointed protocol: backends
 	// are asked for #ckpt lines every ckptEvery commits, and a session a
 	// backend halts (#migrate, typically on drain) — or loses outright —
-	// is resumed from its latest checkpoint on the next backend the
-	// policy picks, invisibly to the client.
+	// is resumed from its latest checkpoint on the next backend in
+	// round-robin order, invisibly to the client.
 	migrate   bool
 	ckptEvery int
 }
 
-func newGateway(reg *cluster.Registry, policy cluster.RoutingPolicy, bucket *cluster.TokenBucket) *gateway {
+func newGateway(reg *cluster.Registry) *gateway {
 	return &gateway{
-		reg:    reg,
-		policy: policy,
-		bucket: bucket,
+		reg: reg,
 		// One shared transport: backend connections are long-lived
 		// streams, so allow plenty of idle conns per backend host.
 		client: &http.Client{Transport: &http.Transport{
@@ -64,7 +60,7 @@ func newGateway(reg *cluster.Registry, policy cluster.RoutingPolicy, bucket *clu
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		front: cluster.Front{Name: "statsgate"},
-		epoch: time.Now(),
+		fails: make(map[string]int),
 	}
 }
 
@@ -95,7 +91,7 @@ func (g *gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if b.Health == cluster.Down {
 			continue
 		}
-		text, status, err := cluster.Get(r.Context(), b.Addr+"/metrics", fetchTimeout)
+		text, status, err := g.get(r.Context(), b.Addr+"/metrics", fetchTimeout)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -119,16 +115,13 @@ func (g *gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, row{b.ID, b.Addr, b.Health.String(), b.InFlight, b.Routed, b.Shed})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"policy":   g.policy.Name(),
-		"backends": rows,
-	})
+	json.NewEncoder(w).Encode(map[string][]row{"backends": rows})
 }
 
 // handleBenchmarks forwards discovery to the first ready backend.
 func (g *gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.reg.Ready() {
-		text, status, err := cluster.Get(r.Context(), b.Addr+"/v1/benchmarks", fetchTimeout)
+		text, status, err := g.get(r.Context(), b.Addr+"/v1/benchmarks", fetchTimeout)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -144,7 +137,7 @@ func (g *gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 // or that cannot be reached at all, does so before emitting any output
 // byte — statsserved decides those before reading the body — so the
 // gateway replays the already-consumed request bytes to the next
-// backend the policy picks. Once the first output byte has been relayed
+// backend in round-robin order. Once the first output byte has been relayed
 // the session is pinned: failures after that point surface to the
 // client exactly as the backend produced them, preserving the
 // determinism contract (committed NDJSON bytes are the backend's,
@@ -170,12 +163,6 @@ func (g *gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	if g.front.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if ok, wait := g.bucket.Admit(time.Since(g.epoch)); !ok {
-		g.met.ShedAdmission.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(wait))
-		http.Error(w, "cluster admission rate exceeded", http.StatusTooManyRequests)
 		return
 	}
 	if g.migrate {
@@ -218,7 +205,7 @@ func (g *gateway) route(w http.ResponseWriter, r *http.Request,
 		migrated = false
 		candidates := g.reg.Ready()
 		for len(candidates) > 0 && !migrated {
-			i := g.policy.Pick(candidates, key)
+			i := cluster.RoundRobin{}.Pick(candidates, key)
 			outcome, hint := g.attempt(w, r, rc, candidates[i], rr, key.Benchmark, st)
 			switch outcome {
 			case attemptDone:
@@ -366,9 +353,9 @@ func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.Respo
 // relayLines is the checkpointed relay: output lines go to the client
 // whole, #ckpt lines are recorded (and trim the replay window to the
 // checkpoint frontier — retained request memory is bounded by checkpoint
-// lag, not session length), and #migrate plus the halt trailer are
-// consumed. Outputs a resumed backend recomputes below what the client
-// already has are skipped.
+// lag, not session length), and #migrate hands the session off. Outputs
+// a resumed backend recomputes below what the client already has are
+// skipped.
 func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 	from io.Reader, rr *replayReader, st *relayState) (outcome int) {
 	// Outputs below what the client already received are recomputed by a
@@ -378,7 +365,6 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 		skip = st.relayed - st.frontier
 	}
 	br := bufio.NewReaderSize(from, 64<<10)
-	migrating := false
 	// Flush when the backend has nothing more buffered, not per line: what
 	// one backend write carried — a committed chunk's outputs — leaves in
 	// one write, and an interactive client still sees every line before
@@ -398,15 +384,11 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 		}
 		line, rerr := br.ReadString('\n')
 		if rerr != nil {
-			// Stream over. A clean EOF after #migrate is the handoff; a clean
-			// EOF otherwise means the trailer went out whole and the session is
-			// complete. Anything else — a transport error, or a torn final line
-			// (never relayed: client lines stay whole) — is a lost backend,
-			// resumable iff a checkpoint is in hand.
-			switch {
-			case rerr == io.EOF && len(line) == 0 && migrating:
-				return attemptMigrate
-			case rerr == io.EOF && len(line) == 0:
+			// Stream over. A clean EOF means the trailer went out whole and
+			// the session is complete. Anything else — a transport error, or
+			// a torn final line (never relayed: client lines stay whole) — is
+			// a lost backend, resumable iff a checkpoint is in hand.
+			if rerr == io.EOF && len(line) == 0 {
 				return attemptDone
 			}
 			g.met.BackendErrors.Add(1)
@@ -426,13 +408,11 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 				rr.trimToLine(snap.Inputs)
 			}
 		case kind == checkpoint.Migrate:
-			migrating = true
-		case migrating:
-			// The halt trailer — the last line the backend writes, and
-			// the client gets the final backend's instead. Hand off now
-			// rather than waiting for EOF: the backend holds its side
-			// open until we close the request body, and closing it (the
-			// deferred Body.Close) is what releases the backend.
+			// The backend halted at its commit frontier, and its final
+			// #ckpt came before this line: hand off now. Its halt trailer,
+			// which the client never gets, follows only once its read of
+			// the request body ends: at attempt's deferred closes, or else
+			// at serve's one-second halt grace. Waiting for it would stall.
 			return attemptMigrate
 		case skip > 0:
 			skip--
@@ -444,16 +424,6 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 			st.relayed++
 		}
 	}
-}
-
-// retryAfterSeconds renders a wait as a whole-second Retry-After value,
-// rounding up so a client never retries early.
-func retryAfterSeconds(wait time.Duration) string {
-	s := int((wait + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }
 
 // errAttemptAborted stops a shed attempt's transport from consuming

@@ -5,7 +5,7 @@ package main
 // httptest listeners. The load-bearing assertion everywhere is the
 // STATS determinism contract surviving the extra hop: committed NDJSON
 // output lines through the gateway are byte-identical to a direct
-// statsserved run of the same session, whichever backend the policy
+// statsserved run of the same session, whichever backend round-robin
 // picked and however many re-routes happened on the way.
 
 import (
@@ -48,15 +48,14 @@ func newBackend(t *testing.T, opt serve.Options) (*serve.Server, *httptest.Serve
 
 // newGate fronts the given backend URLs with a statsgate handler. IDs
 // are b0, b1, ... in argument order.
-func newGate(t *testing.T, policy cluster.RoutingPolicy, bucket *cluster.TokenBucket,
-	addrs ...string) (*gateway, *cluster.Registry, *httptest.Server) {
+func newGate(t *testing.T, addrs ...string) (*gateway, *cluster.Registry, *httptest.Server) {
 	t.Helper()
 	bs := make([]cluster.Backend, len(addrs))
 	for i, a := range addrs {
 		bs[i] = cluster.Backend{ID: fmt.Sprintf("b%d", i), Addr: a}
 	}
 	reg := cluster.NewRegistry(bs...)
-	g := newGateway(reg, policy, bucket)
+	g := newGateway(reg)
 	ts := httptest.NewServer(g.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -227,61 +226,55 @@ func TestGateProxiesDeterministically(t *testing.T) {
 		want[s.name] = lines
 	}
 
-	for _, policyName := range []string{"roundrobin"} {
-		t.Run(policyName, func(t *testing.T) {
-			policy, err := cluster.PolicyFor(policyName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, ts0 := newBackend(t, serve.Options{})
-			_, ts1 := newBackend(t, serve.Options{})
-			_, reg, gts := newGate(t, policy, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	t.Run("roundrobin", func(t *testing.T) {
+		_, ts0 := newBackend(t, serve.Options{})
+		_, ts1 := newBackend(t, serve.Options{})
+		_, reg, gts := newGate(t, ts0.URL, ts1.URL)
 
-			const rounds = 2
-			var wg sync.WaitGroup
-			for round := 0; round < rounds; round++ {
-				for _, s := range sessions {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						body := ndjsonBody(t, s.name, sessionInputs(t, s.name, s.n))
-						status, lines, tr, _ := postSession(t, gts.URL, s.name, body)
-						if status != http.StatusOK {
-							t.Errorf("%s: status %d", s.name, status)
+		const rounds = 2
+		var wg sync.WaitGroup
+		for round := 0; round < rounds; round++ {
+			for _, s := range sessions {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					body := ndjsonBody(t, s.name, sessionInputs(t, s.name, s.n))
+					status, lines, tr, _ := postSession(t, gts.URL, s.name, body)
+					if status != http.StatusOK {
+						t.Errorf("%s: status %d", s.name, status)
+						return
+					}
+					if !tr.Done || tr.Error != "" {
+						t.Errorf("%s: trailer %+v", s.name, tr)
+					}
+					if len(lines) != len(want[s.name]) {
+						t.Errorf("%s: %d output lines, want %d", s.name, len(lines), len(want[s.name]))
+						return
+					}
+					for i := range lines {
+						if lines[i] != want[s.name][i] {
+							t.Errorf("%s: line %d differs through gateway:\n got %s\nwant %s",
+								s.name, i, lines[i], want[s.name][i])
 							return
 						}
-						if !tr.Done || tr.Error != "" {
-							t.Errorf("%s: trailer %+v", s.name, tr)
-						}
-						if len(lines) != len(want[s.name]) {
-							t.Errorf("%s: %d output lines, want %d", s.name, len(lines), len(want[s.name]))
-							return
-						}
-						for i := range lines {
-							if lines[i] != want[s.name][i] {
-								t.Errorf("%s: line %d differs through gateway:\n got %s\nwant %s",
-									s.name, i, lines[i], want[s.name][i])
-								return
-							}
-						}
-					}()
-				}
+					}
+				}()
 			}
-			wg.Wait()
+		}
+		wg.Wait()
 
-			total := int64(rounds * len(sessions))
-			if got := scrape(t, gts.URL).Values["gate/counter[sessions_routed]"]; got != total {
-				t.Fatalf("gate routed %d sessions, want %d", got, total)
-			}
-			var routed int64
-			for _, b := range reg.Snapshots() {
-				routed += b.Routed
-			}
-			if routed != total {
-				t.Fatalf("registry accounts %d routed sessions, want %d", routed, total)
-			}
-		})
-	}
+		total := int64(rounds * len(sessions))
+		if got := scrape(t, gts.URL).Values["gate/counter[sessions_routed]"]; got != total {
+			t.Fatalf("gate routed %d sessions, want %d", got, total)
+		}
+		var routed int64
+		for _, b := range reg.Snapshots() {
+			routed += b.Routed
+		}
+		if routed != total {
+			t.Fatalf("registry accounts %d routed sessions, want %d", routed, total)
+		}
+	})
 }
 
 // TestGateReroutesShedSession: a backend at its session cap answers 429
@@ -291,7 +284,7 @@ func TestGateProxiesDeterministically(t *testing.T) {
 func TestGateReroutesShedSession(t *testing.T) {
 	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1})
 	_, ts1 := newBackend(t, serve.Options{})
-	g, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	g, reg, gts := newGate(t, ts0.URL, ts1.URL)
 
 	release := holdSession(t, ts0.URL)
 	waitFor(t, "b0 slot held", func() bool { return activeSessions(t, ts0.URL) == 1 })
@@ -343,7 +336,7 @@ func TestGateReroutesShedSession(t *testing.T) {
 func TestGateShedsWhenClusterFull(t *testing.T) {
 	_, ts0 := newBackend(t, serve.Options{MaxSessions: 1})
 	_, ts1 := newBackend(t, serve.Options{MaxSessions: 1})
-	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	g, _, gts := newGate(t, ts0.URL, ts1.URL)
 
 	holdSession(t, ts0.URL)
 	holdSession(t, ts1.URL)
@@ -364,31 +357,6 @@ func TestGateShedsWhenClusterFull(t *testing.T) {
 	}
 }
 
-// TestGateAdmissionControl: the gateway's own token bucket sheds before
-// touching any backend, with a Retry-After derived from the refill rate.
-func TestGateAdmissionControl(t *testing.T) {
-	_, ts0 := newBackend(t, serve.Options{})
-	g, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0.001, 1), ts0.URL)
-
-	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 16))
-	if status, _, tr, _ := postSession(t, gts.URL, "facetrack", body); status != http.StatusOK || !tr.Done {
-		t.Fatalf("burst session: status %d trailer %+v", status, tr)
-	}
-	status, _, _, retryAfter := postSession(t, gts.URL, "facetrack", body)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("second session: status %d, want 429", status)
-	}
-	if secs, err := strconv.Atoi(retryAfter); err != nil || secs < 1 {
-		t.Fatalf("Retry-After = %q, want integer >= 1", retryAfter)
-	}
-	if g.met.ShedAdmission.Load() != 1 {
-		t.Fatalf("shed_admission = %d, want 1", g.met.ShedAdmission.Load())
-	}
-	if reg.Snapshots()[0].Routed != 1 {
-		t.Fatal("admission shed must not reach a backend")
-	}
-}
-
 // TestGateDrainMidRun: a backend flips /readyz to draining while a
 // session it serves is still streaming. After one probe round the
 // gateway routes every new session to the healthy backend, and the
@@ -397,7 +365,7 @@ func TestGateAdmissionControl(t *testing.T) {
 func TestGateDrainMidRun(t *testing.T) {
 	b0, ts0 := newBackend(t, serve.Options{})
 	_, ts1 := newBackend(t, serve.Options{})
-	_, reg, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	g, reg, gts := newGate(t, ts0.URL, ts1.URL)
 
 	inputs := sessionInputs(t, "facetrack", 32)
 	_, want, _, _ := postSession(t, ts1.URL, "facetrack", ndjsonBody(t, "facetrack", inputs))
@@ -445,11 +413,10 @@ func TestGateDrainMidRun(t *testing.T) {
 	// the session is a re-route, not a mid-run drain.
 	waitFor(t, "session admitted on b0", func() bool { return activeSessions(t, ts0.URL) == 1 })
 
-	// The drain: /readyz flips to 503, the prober observes it, and the
+	// The drain: /readyz flips to 503, a probe round observes it, and the
 	// registry stops offering b0 to new sessions.
 	b0.StartDrain()
-	prober := &cluster.Prober{Registry: reg, Interval: 50 * time.Millisecond}
-	prober.ProbeOnce(context.Background())
+	g.probeRound(context.Background(), fetchTimeout)
 	if ready := reg.Ready(); len(ready) != 1 || ready[0].ID != "b1" {
 		t.Fatalf("ready backends after drain = %v, want [b1]", ready)
 	}
@@ -516,13 +483,12 @@ func TestGateKnowsBackendsByAddress(t *testing.T) {
 		urls[i] = ts.URL
 	}
 	reg := cluster.NewRegistry(cluster.Backend{Addr: urls[0]}, cluster.Backend{Addr: urls[1]})
-	g := newGateway(reg, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0))
+	g := newGateway(reg)
 	gts := httptest.NewServer(g.handler())
 	t.Cleanup(func() {
 		gts.Close()
 		g.client.CloseIdleConnections()
 	})
-	prober := &cluster.Prober{Registry: reg, Interval: 50 * time.Millisecond}
 	probed := func(round int64) {
 		t.Helper()
 		for i := range urls {
@@ -533,7 +499,7 @@ func TestGateKnowsBackendsByAddress(t *testing.T) {
 		}
 	}
 
-	prober.ProbeOnce(context.Background())
+	g.probeRound(context.Background(), fetchTimeout)
 	probed(1)
 	for i, b := range reg.Snapshots() {
 		if b.ID != urls[i] || b.Health != cluster.Ready {
@@ -549,7 +515,7 @@ func TestGateKnowsBackendsByAddress(t *testing.T) {
 	}
 
 	apps[0].StartDrain()
-	prober.ProbeOnce(context.Background())
+	g.probeRound(context.Background(), fetchTimeout)
 	probed(2)
 	if ready := reg.Ready(); len(ready) != 1 || ready[0].ID != urls[1] {
 		t.Fatalf("ready backends after draining %s = %v, want [%s]", urls[0], ready, urls[1])
@@ -569,7 +535,7 @@ func TestGateKnowsBackendsByAddress(t *testing.T) {
 func TestGateMetricsAggregate(t *testing.T) {
 	_, ts0 := newBackend(t, serve.Options{})
 	_, ts1 := newBackend(t, serve.Options{})
-	_, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	_, _, gts := newGate(t, ts0.URL, ts1.URL)
 
 	const n = 24
 	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", n))
@@ -605,7 +571,6 @@ func TestGateMetricsAggregate(t *testing.T) {
 	}
 
 	var table struct {
-		Policy   string `json:"policy"`
 		Backends []struct {
 			ID     string `json:"id"`
 			Health string `json:"health"`
@@ -620,7 +585,7 @@ func TestGateMetricsAggregate(t *testing.T) {
 	if err := json.NewDecoder(tresp.Body).Decode(&table); err != nil {
 		t.Fatal(err)
 	}
-	if table.Policy != "roundrobin" || len(table.Backends) != 2 {
+	if len(table.Backends) != 2 {
 		t.Fatalf("backends table = %+v", table)
 	}
 	for _, b := range table.Backends {
@@ -636,7 +601,7 @@ func TestGateMetricsAggregate(t *testing.T) {
 // name appears twice; the backend's page carries its operator gauges.
 func TestMetricsPagesParse(t *testing.T) {
 	_, ts0 := newBackend(t, serve.Options{})
-	_, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL)
+	_, _, gts := newGate(t, ts0.URL)
 	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 40))
 	if status, _, tr, _ := postSession(t, gts.URL, "facetrack", body); status != http.StatusOK || !tr.Done {
 		t.Fatalf("session: status %d trailer %+v", status, tr)
@@ -685,7 +650,7 @@ func TestMetricsPagesParse(t *testing.T) {
 // up for in-flight work.
 func TestGateDrainsItself(t *testing.T) {
 	_, ts0 := newBackend(t, serve.Options{})
-	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL)
+	g, _, gts := newGate(t, ts0.URL)
 
 	if resp, err := http.Get(gts.URL + "/readyz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz before drain: %v %v", resp, err)

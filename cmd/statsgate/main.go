@@ -4,26 +4,27 @@
 // Usage:
 //
 //	statsgate -backends http://h1:8417,http://h2:8417 [-addr :8427]
-//	          [-rate 0] [-burst 1] [-probe-interval 500ms]
-//	          [-grace 15s] [-migrate] [-ckpt-every 32]
+//	          [-probe-interval 500ms] [-grace 15s] [-migrate] [-ckpt-every 32]
 //
 // It proxies full-duplex NDJSON sessions at POST /v1/stream/{benchmark}
-// to the ready backends in round-robin order, admits them through a
-// token bucket (-rate tokens/s, -burst; 429 + Retry-After when empty),
-// and re-routes a session that a backend sheds with 429/503 — always
-// before any output byte — to the next backend in that order, replaying
-// the consumed request bytes. Once output has streamed, the session is
-// pinned and bytes are relayed untouched, so committed outputs are
-// byte-identical to a direct statsserved run.
+// to the ready backends in round-robin order and re-routes a session
+// that a backend sheds with 429/503 — always before any output byte — to
+// the next backend in that order, replaying the consumed request bytes.
+// When every backend sheds it, the gateway answers 429 with the soonest
+// Retry-After any backend gave; it has no admission control of its own.
+// Once output has streamed, the session is pinned and bytes are relayed
+// untouched, so committed outputs are byte-identical to a direct
+// statsserved run.
 // Backend health comes from one /readyz probe per backend every
-// -probe-interval (draining backends stop receiving new sessions; two
-// consecutive failures mark a backend down). A backend is known by its
-// -backends address, in the routing table and in /metrics. With
-// -migrate, sessions run under the checkpointed protocol: backends
-// interleave #ckpt snapshot lines every -ckpt-every commits, the gateway
-// consumes them (trimming its replay buffer to the checkpoint frontier),
-// and a session whose backend drains mid-stream — halting at its commit
-// frontier with a #migrate marker — or dies outright is resumed from the
+// -probe-interval, on the same HTTP client as the sessions (draining
+// backends stop receiving new sessions; two consecutive failures mark a
+// backend down). A backend is known by its -backends address, in the
+// routing table and in /metrics. With -migrate, sessions run under the
+// checkpointed protocol: backends interleave #ckpt snapshot lines every
+// -ckpt-every commits, the gateway consumes them (trimming its replay
+// buffer to the checkpoint frontier), and a session whose backend drains
+// mid-stream — halting at its commit frontier with a #migrate marker,
+// where the gateway hands it off — or dies outright is resumed from the
 // latest checkpoint on the next ready backend. The client sees one
 // uninterrupted stream, byte-identical to an unmigrated run. GET
 // /metrics aggregates every backend's counters into cluster-wide sums,
@@ -49,8 +50,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8427", "listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
-	rate := flag.Float64("rate", 0, "admission rate in sessions/s (0: unlimited)")
-	burst := flag.Float64("burst", 1, "admission burst size")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz probe interval")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
 	migrate := flag.Bool("migrate", false, "checkpoint sessions and resume them on another backend when theirs drains or dies (session mobility)")
@@ -64,19 +63,21 @@ func main() {
 			bs = append(bs, cluster.Backend{Addr: a})
 		}
 	}
-	if len(bs) == 0 {
+	switch {
+	case len(bs) == 0:
 		fmt.Fprintln(os.Stderr, "statsgate: -backends is required")
+		os.Exit(1)
+	case *probeInterval <= 0:
+		fmt.Fprintln(os.Stderr, "statsgate: -probe-interval must be positive")
 		os.Exit(1)
 	}
 
-	reg := cluster.NewRegistry(bs...)
-	g := newGateway(reg, cluster.RoundRobin{}, cluster.NewTokenBucket(*rate, *burst))
+	g := newGateway(cluster.NewRegistry(bs...))
 	g.migrate, g.ckptEvery = *migrate, *ckptEvery
-	prober := &cluster.Prober{Registry: reg, Interval: *probeInterval}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go prober.Run(ctx)
+	go g.probeLoop(ctx, *probeInterval)
 
 	srv := &http.Server{Addr: *addr, Handler: g.handler()}
 	errc := make(chan error, 1)

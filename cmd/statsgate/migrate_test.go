@@ -26,7 +26,7 @@ import (
 // checkpointed-session protocol.
 func newMigrateGate(t *testing.T, ckptEvery int, addrs ...string) (*gateway, *cluster.Registry, *httptest.Server) {
 	t.Helper()
-	g, reg, ts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), addrs...)
+	g, reg, ts := newGate(t, addrs...)
 	g.migrate = true
 	g.ckptEvery = ckptEvery
 	return g, reg, ts

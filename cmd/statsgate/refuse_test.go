@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -39,31 +40,31 @@ type answer struct {
 }
 
 // TestGateRefusalReachesStreamingClient: the gateway's own refusals —
-// draining, admission — must reach a client that holds its request body
-// open, and the handler must return without waiting for that body.
+// draining, and the 429 when every backend sheds — must reach a client
+// that holds its request body open, and the handler must return without
+// waiting for that body.
 func TestGateRefusalReachesStreamingClient(t *testing.T) {
 	line := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 1))
 	cases := []struct {
 		name   string
-		bucket *cluster.TokenBucket
-		before func(t *testing.T, g *gateway, url string)
+		opt    serve.Options
+		before func(t *testing.T, g *gateway, backend string)
 		want   int
 	}{
-		{name: "draining", bucket: cluster.NewTokenBucket(0, 0), want: http.StatusServiceUnavailable,
+		{name: "draining", want: http.StatusServiceUnavailable,
 			before: func(_ *testing.T, g *gateway, _ string) { g.startDrain() }},
-		{name: "admission", bucket: cluster.NewTokenBucket(0.001, 1), want: http.StatusTooManyRequests,
-			before: func(t *testing.T, _ *gateway, url string) { // spend the only token
-				if status, _, _, _ := postSession(t, url, "facetrack", line); status != http.StatusOK {
-					t.Fatalf("burst session: status %d", status)
-				}
+		{name: "capacity", opt: serve.Options{MaxSessions: 1}, want: http.StatusTooManyRequests,
+			before: func(t *testing.T, _ *gateway, backend string) { // fill the only backend
+				holdSession(t, backend)
+				waitFor(t, "b0 slot held", func() bool { return activeSessions(t, backend) == 1 })
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts0 := newBackend(t, serve.Options{})
-			g := newGateway(cluster.NewRegistry(cluster.Backend{ID: "b0", Addr: ts0.URL}), cluster.RoundRobin{}, tc.bucket)
+			_, ts0 := newBackend(t, tc.opt)
+			g := newGateway(cluster.NewRegistry(cluster.Backend{ID: "b0", Addr: ts0.URL}))
 			h := g.handler()
-			returned := make(chan struct{}, 2)
+			returned := make(chan struct{}, 1)
 			gts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				h.ServeHTTP(w, r)
 				returned <- struct{}{}
@@ -72,10 +73,7 @@ func TestGateRefusalReachesStreamingClient(t *testing.T) {
 				gts.Close()
 				g.client.CloseIdleConnections()
 			})
-			tc.before(t, g, gts.URL)
-			for len(returned) > 0 {
-				<-returned
-			}
+			tc.before(t, g, ts0.URL)
 
 			_, got := openPost(t, gts.URL+"/v1/stream/facetrack", line)
 			select {
@@ -86,6 +84,11 @@ func TestGateRefusalReachesStreamingClient(t *testing.T) {
 				a.resp.Body.Close()
 				if a.resp.StatusCode != tc.want {
 					t.Fatalf("status %d, want %d", a.resp.StatusCode, tc.want)
+				}
+				if ra := a.resp.Header.Get("Retry-After"); tc.want == http.StatusTooManyRequests {
+					if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+						t.Fatalf("429 Retry-After = %q, want integer >= 1", ra)
+					}
 				}
 			case <-time.After(time.Second):
 				t.Fatalf("no %d within 1s: the refusal is stuck behind the open request body", tc.want)
@@ -99,15 +102,15 @@ func TestGateRefusalReachesStreamingClient(t *testing.T) {
 	}
 }
 
-// TestGateRefusedBackendReroutesStreamingClient: the first backend the
-// policy picks is draining and sheds while the client is still uploading.
-// The shed must come back through the open body and the session must be
-// flowing from the second backend without the client sending another
-// byte — then finish byte-identical to a direct run.
+// TestGateRefusedBackendReroutesStreamingClient: the first backend
+// round-robin picks is draining and sheds while the client is still
+// uploading. The shed must come back through the open body and the
+// session must be flowing from the second backend without the client
+// sending another byte — then finish byte-identical to a direct run.
 func TestGateRefusedBackendReroutesStreamingClient(t *testing.T) {
 	b0, ts0 := newBackend(t, serve.Options{})
 	_, ts1 := newBackend(t, serve.Options{})
-	g, _, gts := newGate(t, cluster.RoundRobin{}, cluster.NewTokenBucket(0, 0), ts0.URL, ts1.URL)
+	g, _, gts := newGate(t, ts0.URL, ts1.URL)
 	b0.StartDrain() // no probe round: the registry still offers b0, first
 
 	body := ndjsonBody(t, "facetrack", sessionInputs(t, "facetrack", 24))

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-	"time"
 	"unicode"
 )
 
@@ -74,36 +73,6 @@ func TestClusterPolicies(t *testing.T) {
 	for _, name := range []string{"nosuch", "leastloaded", "affinity"} {
 		if _, err := PolicyFor(name); err == nil {
 			t.Fatalf("PolicyFor(%s) did not error", name)
-		}
-	}
-}
-
-// TestClusterTokenBucket: burst admits, an empty bucket sheds with a positive
-// Retry-After, refill follows the explicit clock, rate<=0 disables. The
-// clock starts at the epoch and late after it: a bucket refills by the
-// time since its last admission, not by the time since the epoch.
-func TestClusterTokenBucket(t *testing.T) {
-	for _, start := range []time.Duration{0, 10 * time.Second} {
-		b := NewTokenBucket(10, 2) // 10 tokens/s, burst 2
-		now := start
-		for i := 0; i < 2; i++ {
-			if ok, _ := b.Admit(now); !ok {
-				t.Fatalf("start %s: burst admit %d refused", start, i)
-			}
-		}
-		now += time.Millisecond
-		ok, retry := b.Admit(now)
-		if ok || retry <= 0 || retry > 100*time.Millisecond {
-			t.Fatalf("start %s: empty bucket: ok=%v retry=%s", start, ok, retry)
-		}
-		if ok, _ := b.Admit(now + retry); !ok {
-			t.Fatalf("start %s: bucket did not refill after the advertised wait", start)
-		}
-	}
-	unlimited := NewTokenBucket(0, 0)
-	for i := 0; i < 100; i++ {
-		if ok, _ := unlimited.Admit(0); !ok {
-			t.Fatal("rate<=0 must admit everything")
 		}
 	}
 }

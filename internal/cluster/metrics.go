@@ -25,7 +25,6 @@ import (
 type GateMetrics struct {
 	Reroutes      atomic.Int64 // backend sheds retried on another backend
 	Migrations    atomic.Int64 // sessions resumed on another backend mid-stream
-	ShedAdmission atomic.Int64 // sessions 429d by the token bucket
 	ShedCapacity  atomic.Int64 // sessions 429d with every backend refusing
 	BackendErrors atomic.Int64 // transport errors talking to backends
 }
@@ -38,7 +37,6 @@ func (m *GateMetrics) Put(page map[string]int64, backends []Backend) {
 	page["gate/counter[backend_errors]"] = m.BackendErrors.Load()
 	page["gate/counter[migrations]"] = m.Migrations.Load()
 	page["gate/counter[reroutes]"] = m.Reroutes.Load()
-	page["gate/counter[sessions_shed_admission]"] = m.ShedAdmission.Load()
 	page["gate/counter[sessions_shed_capacity]"] = m.ShedCapacity.Load()
 	var routed int64
 	for _, b := range backends {

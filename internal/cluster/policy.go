@@ -2,6 +2,10 @@ package cluster
 
 import "fmt"
 
+// RoutingPolicy, PolicyFor, RoundRobin and SessionKey are what the
+// repository benchmark (benchmark/probes.go, cluster.pick_ns) times a
+// routing decision through; the gateway itself calls RoundRobin{}.Pick.
+
 // SessionKey identifies one admission attempt to a routing policy.
 type SessionKey struct {
 	// Benchmark is the session's workload name (the {benchmark} path

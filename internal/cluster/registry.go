@@ -14,7 +14,7 @@ const (
 	// Draining means /readyz reports the backend is shutting down:
 	// in-flight sessions finish, new ones must route away.
 	Draining
-	// Down means consecutive probe failures crossed the prober's
+	// Down means consecutive probe failures crossed the gateway's
 	// threshold: the process is unreachable or dead.
 	Down
 )
@@ -57,7 +57,7 @@ type Backend struct {
 
 // Registry tracks the backend set. All methods are goroutine-safe; all
 // slice-returning methods use registration order, so every consumer —
-// the policy and metrics alike — sees backends in one deterministic
+// routing and metrics alike — sees backends in one deterministic
 // order regardless of map or scheduling nondeterminism.
 type Registry struct {
 	mu    sync.Mutex
@@ -66,7 +66,7 @@ type Registry struct {
 }
 
 // NewRegistry builds a registry over the given backends (usually from
-// -backends). Backends start Ready; the prober downgrades them.
+// -backends). Backends start Ready; the gateway's probes downgrade them.
 func NewRegistry(backends ...Backend) *Registry {
 	r := &Registry{by: make(map[string]*Backend, len(backends))}
 	for _, b := range backends {
