@@ -54,6 +54,19 @@ func compareGolden(t *testing.T, got []byte, path string) {
 	t.Fatalf("%s: output has %d lines, golden has %d", path, len(g), len(w))
 }
 
+// TestTrackersGolden pins the two tracking benchmarks TestArtifactsGolden
+// leaves out, bodytrack and facedet-and-track, on the artifacts that run
+// them through the simulator and the quality study (~5 s). Regenerate with
+//
+//	go run ./cmd/statsbench -only table1,fig9,fig10,fig16 -benchmarks bodytrack,facedet-and-track -cores 4 -quality-runs 2 > cmd/statsbench/testdata/trackers.golden.txt
+func TestTrackersGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-only", "table1,fig9,fig10,fig16", "-benchmarks", "bodytrack,facedet-and-track", "-cores", "4", "-quality-runs", "2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, out.Bytes(), "testdata/trackers.golden.txt")
+}
+
 // TestProfileGolden pins the profile artifact the way TestArtifactsGolden
 // pins the paper's: each mode's accounting, critical path and what-if
 // makespans at the golden configuration. Regenerate with
