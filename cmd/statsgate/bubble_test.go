@@ -208,6 +208,12 @@ func TestGateMigrateMidSessionInBubble(t *testing.T) {
 		if strings.HasPrefix(got[0], "#") || reg.Snapshots()[1].Routed < 1 {
 			t.Fatalf("session did not reach b1 cleanly: first line %q, b1 routed %d", got[0], reg.Snapshots()[1].Routed)
 		}
+		// A planned hand-off takes b0 off the ready set at #migrate, so the
+		// resume goes straight to b1: no wasted pick of b0, no shed, no
+		// error.
+		if rer, errs, shed := g.met.Reroutes.Load(), g.met.BackendErrors.Load(), reg.Snapshots()[0].Shed; rer != 0 || errs != 0 || shed != 0 {
+			t.Fatalf("clean drain hand-off: reroutes=%d backend_errors=%d b0 shed=%d, want 0 each", rer, errs, shed)
+		}
 	})
 }
 
@@ -324,6 +330,70 @@ func TestGateDrainMidRunInBubble(t *testing.T) {
 		synctest.Wait()
 		if inFlight := reg.Snapshots()[0].InFlight; inFlight != 0 {
 			t.Fatalf("b0 settled with %d sessions in flight, want 0", inFlight)
+		}
+	})
+}
+
+// TestGateReroutesShedSessionInBubble is TestGateReroutesShedSession with
+// synctest.Wait where the original polls: b0 runs at MaxSessions 1 with
+// its slot held, so of two sessions through the gateway the one
+// round-robin offers b0 first is shed there and re-routed to b1, and
+// both come back byte-identical to a direct run.
+func TestGateReroutesShedSessionInBubble(t *testing.T) {
+	inBubble(func(n *memNet) {
+		const name = "facetrack"
+		b0 := n.serve("b0", serve.New(baseConfig(), serve.Options{MaxSessions: 1}).Handler())
+		b1 := n.serve("b1", serve.New(baseConfig(), serve.Options{}).Handler())
+		reg := cluster.NewRegistry(cluster.Backend{ID: "b0", Addr: b0}, cluster.Backend{ID: "b1", Addr: b1})
+		g := newGateway(reg)
+		g.client = n.client()
+		gate := n.serve("gate", g.handler())
+		client := n.client()
+		defer client.CloseIdleConnections()
+		defer g.client.CloseIdleConnections()
+
+		// Hold b0's one slot with a session whose body stays open.
+		pr, pw := io.Pipe()
+		defer pw.Close()
+		req, err := http.NewRequest(http.MethodPost, b0+"/v1/stream/"+name, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make(chan struct{})
+		go func() {
+			defer close(held)
+			if resp, err := client.Do(req); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+		defer func() { pw.Close(); <-held }()
+		synctest.Wait()
+		if status, _, _, _ := postSessionVia(t, client, b0, name, nil); status != http.StatusTooManyRequests {
+			t.Fatalf("direct post to b0 with its slot held: status %d, want 429", status)
+		}
+
+		inputs := sessionInputs(t, name, 40)
+		body := ndjsonBody(t, name, inputs)
+		_, want, _, _ := postSessionVia(t, client, b1, name, body)
+		for i := 0; i < 2; i++ {
+			status, lines, tr, _ := postSessionVia(t, client, gate, name, body)
+			if status != http.StatusOK || !tr.Done || tr.Error != "" {
+				t.Fatalf("session %d: status %d trailer %+v", i, status, tr)
+			}
+			if len(lines) != len(want) {
+				t.Fatalf("session %d: %d lines, want %d", i, len(lines), len(want))
+			}
+			for j := range lines {
+				if lines[j] != want[j] {
+					t.Fatalf("session %d line %d differs after re-route:\n got %s\nwant %s", i, j, lines[j], want[j])
+				}
+			}
+		}
+		snaps := reg.Snapshots()
+		if rer := g.met.Reroutes.Load(); rer != 1 || snaps[0].Shed != 1 || snaps[0].Routed != 0 || snaps[1].Routed != 2 {
+			t.Fatalf("reroutes=%d b0 shed=%d routed=%d b1 routed=%d, want 1, 1, 0 and 2",
+				rer, snaps[0].Shed, snaps[0].Routed, snaps[1].Routed)
 		}
 	})
 }

@@ -212,7 +212,7 @@ func (g *gateway) route(w http.ResponseWriter, r *http.Request,
 				return
 			case attemptMigrate:
 				g.met.Migrations.Add(1)
-				migrated = true // re-snapshot Ready: the halted backend is on its way out
+				migrated = true // re-snapshot Ready, which relayLines took the halted backend off
 			case attemptShed:
 				if hint > 0 {
 					hints = append(hints, hint)
@@ -331,7 +331,7 @@ func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.Respo
 		st.started = true
 	}
 	if lines {
-		return g.relayLines(w, rc, resp.Body, rr, st), 0
+		return g.relayLines(w, rc, resp.Body, rr, st, b.ID), 0
 	}
 	// The plain relay: the backend's bytes untouched, a flush per read so
 	// committed outputs stream to the client as the backend emits them.
@@ -355,9 +355,9 @@ func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.Respo
 // checkpoint frontier — retained request memory is bounded by checkpoint
 // lag, not session length), and #migrate hands the session off. Outputs
 // a resumed backend recomputes below what the client already has are
-// skipped.
+// skipped. id is the backend relayed from.
 func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
-	from io.Reader, rr *replayReader, st *relayState) (outcome int) {
+	from io.Reader, rr *replayReader, st *relayState, id string) (outcome int) {
 	// Outputs below what the client already received are recomputed by a
 	// resumed backend (frontier ≤ relayed); drop them.
 	var skip int64
@@ -413,6 +413,9 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 			// which the client never gets, follows only once its read of
 			// the request body ends: at attempt's deferred closes, or else
 			// at serve's one-second halt grace. Waiting for it would stall.
+			// The backend is draining: route re-reads Ready before the next
+			// probe round can say so, and must not pick it again.
+			g.reg.SetHealth(id, cluster.Draining)
 			return attemptMigrate
 		case skip > 0:
 			skip--

@@ -62,9 +62,9 @@ func main() {
 
 	// Consumer: committed outputs arrive in input order while later
 	// chunks are still speculating.
-	var results []facetrack.Result
+	var results []engine.Output
 	for out := range p.Outputs() {
-		results = append(results, out.(facetrack.Result))
+		results = append(results, out)
 	}
 	stats, err := p.Wait()
 	if err != nil {
@@ -74,17 +74,9 @@ func main() {
 
 	fmt.Printf("streamed %d frames through %d chunks: %d committed, %d aborted, %d chunk-size retunes\n",
 		stats.Inputs, stats.Chunks, stats.Commits, stats.Aborts, stats.Resizes)
-	fmt.Printf("tracking quality (mean -err): %.4f\n", ft.Quality(toOutputs(results)))
+	fmt.Printf("tracking quality (mean -err): %.4f\n", ft.Quality(results))
 	fmt.Println("\nstage metrics (binstat-style):")
 	page := map[string]int64{}
 	met.Put(page)
 	cluster.WriteMetrics(os.Stdout, cluster.BackendMetrics{Values: page})
-}
-
-func toOutputs(rs []facetrack.Result) []interface{} {
-	outs := make([]interface{}, len(rs))
-	for i, r := range rs {
-		outs[i] = r
-	}
-	return outs
 }

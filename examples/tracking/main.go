@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gostats/internal/bench/bodytrack"
+	"gostats/internal/bench/trackutil"
 	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
@@ -69,7 +70,7 @@ func main() {
 
 // simCycles measures a run on the simulated machine (nil cfg =
 // sequential).
-func simCycles(b *bodytrack.BodyTrack, inputs []engine.Input, cfg *engine.Config) int64 {
+func simCycles(b *trackutil.Tracker, inputs []engine.Input, cfg *engine.Config) int64 {
 	if cfg != nil {
 		sim := &engine.SimScheduler{Config: machine.DefaultConfig(16)}
 		if _, err := sim.RunSlice(b, inputs, *cfg); err != nil {

@@ -43,10 +43,9 @@ var stateMirrors = map[string]func() any{
 	"facedet-and-track": func() any { return new(trackutil.WireCloud) },
 	"swaptions": func() any {
 		return new(struct {
-			Sum   float64 `json:"sum"`
-			SumSq float64 `json:"sum_sq"`
-			N     float64 `json:"n"`
-			Sw    int     `json:"sw"`
+			Sum float64 `json:"sum"`
+			N   float64 `json:"n"`
+			Sw  int     `json:"sw"`
 		})
 	},
 	"streamcluster": func() any {

@@ -1,5 +1,7 @@
-// Package bench defines the benchmark contract for the six workloads the
-// paper evaluates (§IV-C) and a registry the tools and experiments use.
+// Package bench defines the benchmark contract and a registry the tools
+// and experiments use. Eight workloads are registered: the six the paper
+// evaluates (§IV-C), fluidanimate, which it excludes for lacking the
+// short-memory property, and dedupstream, a large-state pipeline.
 //
 // The original study runs PARSEC 3.0 benchmarks (plus two OpenCV-based
 // face trackers) compiled by STATS. This reproduction implements each

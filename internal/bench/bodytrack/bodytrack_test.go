@@ -10,7 +10,7 @@ import (
 	"gostats/internal/rng"
 )
 
-func small() *BodyTrack {
+func small() *trackutil.Tracker {
 	p := Default()
 	p.Frames = 60
 	p.Occlusions = 1
@@ -34,7 +34,7 @@ func TestTrackerFollowsPose(t *testing.T) {
 		var out engine.Output
 		st, out = b.Update(st, in, r)
 		if !fr.Occluded {
-			clearErr += out.(Result).Err
+			clearErr += out.(trackutil.Result).Err
 			clearN++
 		}
 	}
@@ -156,8 +156,8 @@ func TestCostScale(t *testing.T) {
 
 func TestQualityOrdering(t *testing.T) {
 	b := small()
-	good := []engine.Output{Result{Err: 0.1}, Result{Err: 0.2}}
-	bad := []engine.Output{Result{Err: 2.0}, Result{Err: 3.0}}
+	good := []engine.Output{trackutil.Result{Err: 0.1}, trackutil.Result{Err: 0.2}}
+	bad := []engine.Output{trackutil.Result{Err: 2.0}, trackutil.Result{Err: 3.0}}
 	if b.Quality(good) <= b.Quality(bad) {
 		t.Fatal("quality ordering wrong")
 	}

@@ -9,7 +9,7 @@ import (
 	"gostats/internal/rng"
 )
 
-func small() *FaceDetTrack {
+func small() *trackutil.Tracker {
 	p := Default()
 	p.Frames = 200
 	p.Occlusions = 2
@@ -37,7 +37,7 @@ func TestDetectorHandlesClearFrames(t *testing.T) {
 		fr := in.(trackutil.Frame)
 		var out engine.Output
 		st, out = f.Update(st, in, r)
-		res := out.(Result)
+		res := out.(trackutil.Result)
 		if res.Detected != !fr.Occluded {
 			t.Fatalf("frame %d: Detected=%v but Occluded=%v", fr.Index, res.Detected, fr.Occluded)
 		}
@@ -70,7 +70,7 @@ func TestFilterCoversOcclusion(t *testing.T) {
 	for _, in := range ins {
 		var out engine.Output
 		st, out = f.Update(st, in, r)
-		if e := out.(Result).Err; e > worst {
+		if e := out.(trackutil.Result).Err; e > worst {
 			worst = e
 		}
 	}
@@ -94,8 +94,8 @@ func TestRecoveryAfterOcclusion(t *testing.T) {
 		if prevOccluded && !fr.Occluded {
 			// First frame after occlusion: detector must re-lock to the
 			// observation-noise floor (obsNoise * sqrt(5 dims) ~= 0.13).
-			if out.(Result).Err > 0.3 {
-				t.Fatalf("detector did not re-lock after occlusion: err %g", out.(Result).Err)
+			if out.(trackutil.Result).Err > 0.3 {
+				t.Fatalf("detector did not re-lock after occlusion: err %g", out.(trackutil.Result).Err)
 			}
 		}
 		prevOccluded = fr.Occluded
@@ -155,8 +155,8 @@ func TestEndToEndFewerChunksFewerAborts(t *testing.T) {
 
 func TestQualityOrdering(t *testing.T) {
 	f := small()
-	good := []engine.Output{Result{Err: 0.05}}
-	bad := []engine.Output{Result{Err: 0.8}}
+	good := []engine.Output{trackutil.Result{Err: 0.05}}
+	bad := []engine.Output{trackutil.Result{Err: 0.8}}
 	if f.Quality(good) <= f.Quality(bad) {
 		t.Fatal("quality ordering wrong")
 	}

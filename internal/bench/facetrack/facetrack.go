@@ -14,17 +14,12 @@
 package facetrack
 
 import (
-	"math"
-
-	"gostats/internal/bench"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/engine"
-	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("facetrack", func() bench.Benchmark { return New() }) }
+func init() { trackutil.Register(New) }
 
 const (
 	particles = 200
@@ -55,74 +50,53 @@ func Default() Params {
 	}
 }
 
-// FaceTrack is the benchmark implementation.
-type FaceTrack struct {
-	p Params
-}
-
 // New builds the native-scale benchmark.
-func New() *FaceTrack { return NewWithParams(Default()) }
+func New() *trackutil.Tracker { return NewWithParams(Default()) }
 
-// NewWithParams builds a custom-scale benchmark.
-func NewWithParams(p Params) *FaceTrack { return &FaceTrack{p: p} }
-
-// Name implements engine.Program.
-func (f *FaceTrack) Name() string { return "facetrack" }
-
-// Describe implements bench.Benchmark.
-func (f *FaceTrack) Describe() string {
-	return "particle-filter face tracker over a 600-frame video with occlusions"
+// NewWithParams builds a custom-scale benchmark: one filter step a frame
+// on an 8,000-byte state (Table I), trained on a different video at ~3/4
+// scale with the same occlusion density.
+func NewWithParams(p Params) *trackutil.Tracker {
+	native := trackutil.TrajConfig{
+		Frames:     p.Frames,
+		Dims:       poseDims,
+		Speed:      0.03,
+		ObsNoise:   p.ObsNoise,
+		Occlusions: p.Occlusions,
+		OccMin:     p.OccMin,
+		OccMax:     p.OccMax,
+	}
+	training := native
+	training.Frames = p.Frames * 3 / 4
+	training.Occlusions = p.Occlusions * 3 / 4
+	return &trackutil.Tracker{
+		BenchName:     "facetrack",
+		Description:   "particle-filter face tracker over a 600-frame video with occlusions",
+		Particles:     particles,
+		Dims:          poseDims,
+		InitialSpread: 0.03,
+		FreshSpread:   2.0,
+		MatchTol:      p.MatchTol,
+		Native:        native,
+		Training:      training,
+		Step: func(c *trackutil.Cloud, fr trackutil.Frame, r *rng.Stream) ([]float64, *trackutil.Detection) {
+			return c.Step(fr, p.ProcNoise, p.ObsNoise, r), nil
+		},
+		// One native tracking pass over the frame; 30% of it (color
+		// conversion, resampling) is serial.
+		Cost: func(trackutil.Frame) trackutil.Cost {
+			return trackutil.Cost{Instr: p.NativeInstrPerFrame, SerialFrac: 0.30, Profile: &faceProfile, Grain: 4, ShareJitter: 0.10}
+		},
+		StateRegion:   "facetrack.state.",
+		CompareInstr:  20_000,
+		SetupInstr:    [2]int64{200_000, 50_000},
+		TeardownInstr: [2]int64{60_000, 15_000},
+		PreInstr:      30_000_000, // video open and decode setup
+		PostInstr:     22_000_000, // writing the annotated video
+		// The tracker's per-frame work parallelizes only modestly.
+		InnerWidth: 4,
+	}
 }
-
-// Initial locks on the known first-frame face box.
-func (f *FaceTrack) Initial(r *rng.Stream) engine.State {
-	return trackutil.NewCloud(particles, poseDims, nil, 0.03, r)
-}
-
-// Fresh scatters guesses over the frame.
-func (f *FaceTrack) Fresh(r *rng.Stream) engine.State {
-	return trackutil.NewCloud(particles, poseDims, nil, 2.0, r)
-}
-
-// FreshInto implements engine.FreshRecycler: Fresh rebuilt into a retired
-// cloud's buffers, with the identical draw sequence.
-func (f *FaceTrack) FreshInto(dst engine.State, r *rng.Stream) engine.State {
-	d, _ := dst.(*trackutil.Cloud)
-	return trackutil.FreshCloudInto(d, particles, poseDims, nil, 2.0, r)
-}
-
-// Update runs one filter step.
-func (f *FaceTrack) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
-	c := stv.(*trackutil.Cloud)
-	fr := in.(trackutil.Frame)
-	est := c.Step(fr, f.p.ProcNoise, f.p.ObsNoise, r)
-	return c, Result{Frame: fr.Index, Est: est, Err: trackutil.Dist(est, fr.True)}
-}
-
-// Result is the per-frame output.
-type Result struct {
-	Frame int
-	Est   []float64
-	Err   float64
-}
-
-// Clone deep-copies the 8 KB particle set.
-func (f *FaceTrack) Clone(stv engine.State) engine.State { return stv.(*trackutil.Cloud).Clone() }
-
-// CloneInto implements engine.StateRecycler.
-func (f *FaceTrack) CloneInto(dst, src engine.State) engine.State {
-	d, _ := dst.(*trackutil.Cloud)
-	return trackutil.CloneCloudInto(d, src.(*trackutil.Cloud))
-}
-
-// Match compares face-box estimates: the paper's "average Euclidean
-// distance between the boxes containing the detected faces".
-func (f *FaceTrack) Match(av, bv engine.State) bool {
-	return trackutil.EstimateDist(av.(*trackutil.Cloud), bv.(*trackutil.Cloud)) <= f.p.MatchTol
-}
-
-// StateBytes is 8,000 (Table I).
-func (f *FaceTrack) StateBytes() int64 { return particles * poseDims * 8 }
 
 // faceProfile targets the paper's facetrack rates (Table II): L1D ~13%,
 // L2 ~34-44%, low LLC miss rate, BR ~1.2%. The per-state particle buffer
@@ -140,88 +114,3 @@ var faceProfile = memsim.AccessProfile{
 	BranchBias:  0.988,
 	BranchSites: 10,
 }
-
-// UpdateCost charges one native tracking pass over the frame.
-func (f *FaceTrack) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWork {
-	instr := f.p.NativeInstrPerFrame
-	serial := int64(float64(instr) * 0.30) // color conversion, resampling
-	var access *memsim.AccessProfile
-	if c, ok := stv.(*trackutil.Cloud); ok {
-		access = c.Profile(&faceProfile, "facetrack.state.", f.StateBytes())
-	}
-	return engine.UpdateWork{
-		Serial:      machine.Work{Instr: serial, Access: access},
-		Parallel:    machine.Work{Instr: instr - serial, Access: access},
-		Grain:       4,
-		ShareJitter: 0.10,
-	}
-}
-
-// CompareCost covers comparing two 8 KB states.
-func (f *FaceTrack) CompareCost() machine.Work { return machine.Work{Instr: 20_000} }
-
-// SetupWork models runtime allocation.
-func (f *FaceTrack) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 200_000 + int64(chunks)*50_000}
-}
-
-// TeardownWork frees it.
-func (f *FaceTrack) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 60_000 + int64(chunks)*15_000}
-}
-
-// PreRegionWork is video open/decode setup.
-func (f *FaceTrack) PreRegionWork() machine.Work { return machine.Work{Instr: 30_000_000} }
-
-// PostRegionWork writes the annotated video.
-func (f *FaceTrack) PostRegionWork() machine.Work { return machine.Work{Instr: 22_000_000} }
-
-// Inputs generates the native 600-frame video.
-func (f *FaceTrack) Inputs(r *rng.Stream) []engine.Input {
-	return framesToInputs(trackutil.GenTrajectory(r.Derive("native"), trackutil.TrajConfig{
-		Frames:     f.p.Frames,
-		Dims:       poseDims,
-		Speed:      0.03,
-		ObsNoise:   f.p.ObsNoise,
-		Occlusions: f.p.Occlusions,
-		OccMin:     f.p.OccMin,
-		OccMax:     f.p.OccMax,
-	}))
-}
-
-// TrainingInputs is a different video at ~3/4 scale with the same
-// occlusion density.
-func (f *FaceTrack) TrainingInputs(r *rng.Stream) []engine.Input {
-	return framesToInputs(trackutil.GenTrajectory(r.Derive("training"), trackutil.TrajConfig{
-		Frames:     f.p.Frames * 3 / 4,
-		Dims:       poseDims,
-		Speed:      0.03,
-		ObsNoise:   f.p.ObsNoise,
-		Occlusions: f.p.Occlusions * 3 / 4,
-		OccMin:     f.p.OccMin,
-		OccMax:     f.p.OccMax,
-	}))
-}
-
-func framesToInputs(frames []trackutil.Frame) []engine.Input {
-	ins := make([]engine.Input, len(frames))
-	for i, fr := range frames {
-		ins[i] = fr
-	}
-	return ins
-}
-
-// Quality is minus the mean box distance to ground truth (§IV-C).
-func (f *FaceTrack) Quality(outputs []engine.Output) float64 {
-	if len(outputs) == 0 {
-		return math.Inf(-1)
-	}
-	var sum float64
-	for _, o := range outputs {
-		sum += o.(Result).Err
-	}
-	return -sum / float64(len(outputs))
-}
-
-// MaxInnerWidth: the tracker's per-frame work parallelizes only modestly.
-func (f *FaceTrack) MaxInnerWidth() int { return 4 }

@@ -9,7 +9,7 @@ import (
 	"gostats/internal/rng"
 )
 
-func small() *FaceTrack {
+func small() *trackutil.Tracker {
 	p := Default()
 	p.Frames = 150
 	p.Occlusions = 2
@@ -56,10 +56,10 @@ func TestOcclusionDegradesTracking(t *testing.T) {
 		var out engine.Output
 		st, out = f.Update(st, in, r)
 		if fr.Occluded {
-			occErr += out.(Result).Err
+			occErr += out.(trackutil.Result).Err
 			occN++
 		} else {
-			clearErr += out.(Result).Err
+			clearErr += out.(trackutil.Result).Err
 			clearN++
 		}
 	}

@@ -102,12 +102,13 @@ func scanPrice(data []byte) (p Price, ok bool) {
 
 // wireState is estState's serialized form. The shortest decimal that
 // round-trips a float64 is what goes on the wire, so a decoded estimator
-// is bit-identical.
+// is bit-identical. A state line from before the estimator lost its sum
+// of squares still decodes: its "sum_sq" goes to Unmarshal, which skips
+// the unknown key.
 type wireState struct {
-	Sum   float64 `json:"sum"`
-	SumSq float64 `json:"sum_sq"`
-	N     float64 `json:"n"`
-	Sw    int     `json:"sw"`
+	Sum float64 `json:"sum"`
+	N   float64 `json:"n"`
+	Sw  int     `json:"sw"`
 }
 
 func (codec) EncodeState(s engine.State) ([]byte, error) {
@@ -118,8 +119,6 @@ func (codec) EncodeState(s engine.State) ([]byte, error) {
 	e := bench.NewEnc(128)
 	e.Lit(`{"sum":`)
 	e.Float(st.sum)
-	e.Lit(`,"sum_sq":`)
-	e.Float(st.sumSq)
 	e.Lit(`,"n":`)
 	e.Float(st.n)
 	e.Lit(`,"sw":`)
@@ -143,8 +142,6 @@ func scanState(data []byte) (w wireState, ok bool) {
 	c := bench.NewCursor(data)
 	c.Lit(`{"sum":`)
 	w.Sum = c.Float()
-	c.Lit(`,"sum_sq":`)
-	w.SumSq = c.Float()
 	c.Lit(`,"n":`)
 	w.N = c.Float()
 	c.Lit(`,"sw":`)
@@ -154,5 +151,5 @@ func scanState(data []byte) (w wireState, ok bool) {
 }
 
 func (w wireState) live() *estState {
-	return &estState{sum: w.Sum, sumSq: w.SumSq, n: w.N, sw: w.Sw}
+	return &estState{sum: w.Sum, n: w.N, sw: w.Sw}
 }

@@ -3,8 +3,9 @@
 // 32M paths each... restructured, as STATS does, into a stream of
 // simulation batches chained by a state dependence.
 //
-// The computational state is the running Monte-Carlo estimator
-// (sum, sum of squares, count — 24 bytes, matching Table I). Each input
+// The computational state is the running Monte-Carlo estimator, charged
+// at the original's 24 bytes (sum, sum of squares, count: Table I); nothing
+// here reads a sum of squares, so it keeps the sum and count. Each input
 // is one batch of path simulations for one swaption; Update prices the
 // batch under a Vasicek short-rate model and folds it into the estimator.
 // Nondeterminism comes from the random paths. The short-memory property
@@ -75,9 +76,8 @@ type Batch struct {
 // estState is the 24-byte running estimator (Table I: swaptions state
 // size 24 bytes).
 type estState struct {
-	sum   float64
-	sumSq float64
-	n     float64
+	sum float64
+	n   float64
 	// sw tracks which swaption the estimator currently accumulates; a
 	// swaption switch resets it. Not counted in StateBytes: it mirrors
 	// the loop index of the original program.
@@ -167,7 +167,6 @@ func (s *Swaptions) Update(st engine.State, in engine.Input, r *rng.Stream) (eng
 	for i := 0; i < s.p.RealSimsPerBatch; i++ {
 		p := s.swaptionPayoff(batch.Swaption, r)
 		e.sum += p
-		e.sumSq += float64(p * p)
 		e.n++
 	}
 	return e, Price{Swaption: batch.Swaption, Estimate: e.mean(), N: e.n}
@@ -220,7 +219,7 @@ func (s *Swaptions) Match(a, b engine.State) bool {
 	return math.Abs(ea.mean()-eb.mean()) <= s.p.MatchRelTol*scale
 }
 
-// StateBytes is 24: sum, sum of squares, count (Table I).
+// StateBytes is the original's 24: sum, sum of squares, count (Table I).
 func (s *Swaptions) StateBytes() int64 { return 24 }
 
 // simProfile targets the paper's swaptions rates (Table II): L1D ~1.6%,

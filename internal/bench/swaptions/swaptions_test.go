@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gostats/internal/bench"
 	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
@@ -215,5 +216,31 @@ func TestDeterministicUpdates(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("updates with identical streams diverged")
+	}
+}
+
+// TestDecodeStateTakesOldSumSq keeps snapshots from before the estimator
+// lost its sum of squares resumable: their state line carries "sum_sq",
+// which the scanner does not take, and the bench.Unmarshal fallback
+// decodes it with the key skipped.
+func TestDecodeStateTakesOldSumSq(t *testing.T) {
+	old := []byte(`{"sum":21.934533789768285,"sum_sq":0.6103515625,"n":1600,"sw":2}`)
+	before := bench.FallbackLines()
+	st, err := codec{}.DecodeState(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bench.FallbackLines() - before; n != 1 {
+		t.Fatalf("the old line went through Unmarshal %d times, want 1", n)
+	}
+	if got, want := *st.(*estState), (estState{sum: 21.934533789768285, n: 1600, sw: 2}); got != want {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+	line, err := codec{}.EncodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"sum":21.934533789768285,"n":1600,"sw":2}`; string(line) != want {
+		t.Fatalf("re-encoded %s, want %s", line, want)
 	}
 }

@@ -4,40 +4,29 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
+	"gostats/internal/engine"
 )
 
-// The three trackers share their input and state types, so they share
-// those halves of their codecs: a Frame per request line and a WireCloud
-// per state line, written as encoding/json writes them. Decoders read
-// that form with a bench.Cursor and leave every other line to
-// bench.Unmarshal.
+// codec streams a tracker over NDJSON: one Frame per request line, one
+// Result per committed output line, and the particle cloud's WireCloud as
+// state for checkpoints and out-of-process chunk execution. Lines are
+// written as encoding/json writes them; decoders read that form with a
+// bench.Cursor and leave every other line to bench.Unmarshal.
+type codec struct{ t *Tracker }
 
-// EncodeFrame renders fr as one line.
-func EncodeFrame(fr Frame) ([]byte, error) {
-	e := bench.NewEnc(64 + bench.FloatLen*(len(fr.Obs)+len(fr.True)+1))
-	e.Lit(`{"Index":`)
-	e.Int(fr.Index)
-	e.Lit(`,"Obs":`)
-	e.Floats(fr.Obs)
-	e.Lit(`,"True":`)
-	e.Floats(fr.True)
-	e.Lit(`,"Quality":`)
-	e.Float(fr.Quality)
-	e.Lit(`,"Occluded":`)
-	e.Bool(fr.Occluded)
-	e.Lit("}")
-	return e.Bytes()
-}
+func (c codec) DecodeInput(data []byte) (engine.Input, error) { return c.DecodeInputInto(data, nil) }
 
-// DecodeFrame parses an EncodeFrame line, or any other JSON form of a
-// Frame, reusing spare's Obs and True when the line is canonical.
-func DecodeFrame(data []byte, spare Frame) (Frame, error) {
-	if scanFrame(data, &spare) {
-		return spare, nil
+// DecodeInputInto reuses the spare frame's Obs and True.
+func (c codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, error) {
+	fr, _ := spare.(Frame)
+	if scanFrame(data, &fr) {
+		return fr, nil
 	}
-	var fr Frame
-	err := bench.Unmarshal(data, &fr)
-	return fr, err
+	fr = Frame{}
+	if err := bench.Unmarshal(data, &fr); err != nil {
+		return nil, fmt.Errorf("%s: bad frame: %w", c.t.BenchName, err)
+	}
+	return fr, nil
 }
 
 func scanFrame(data []byte, fr *Frame) bool {
@@ -56,43 +45,117 @@ func scanFrame(data []byte, fr *Frame) bool {
 	return c.End()
 }
 
-// EncodeCloud renders the cloud's wire form as one line.
-func EncodeCloud(c *Cloud) ([]byte, error) {
-	w := c.Wire()
-	e := bench.NewEnc(64 + bench.FloatLen*(len(w.P)+len(w.W)))
+func (c codec) EncodeInput(in engine.Input) ([]byte, error) {
+	fr, ok := in.(Frame)
+	if !ok {
+		return nil, fmt.Errorf("%s: input is %T, want trackutil.Frame", c.t.BenchName, in)
+	}
+	e := bench.NewEnc(64 + bench.FloatLen*(len(fr.Obs)+len(fr.True)+1))
+	e.Lit(`{"Index":`)
+	e.Int(fr.Index)
+	e.Lit(`,"Obs":`)
+	e.Floats(fr.Obs)
+	e.Lit(`,"True":`)
+	e.Floats(fr.True)
+	e.Lit(`,"Quality":`)
+	e.Float(fr.Quality)
+	e.Lit(`,"Occluded":`)
+	e.Bool(fr.Occluded)
+	e.Lit("}")
+	return e.Bytes()
+}
+
+func (c codec) EncodeOutput(out engine.Output) ([]byte, error) { return c.AppendOutput(nil, out) }
+
+// AppendOutput writes the Detected key only for a Result that has a
+// Detection, as encoding/json does for the nil embedded pointer.
+func (c codec) AppendOutput(dst []byte, out engine.Output) ([]byte, error) {
+	res, ok := out.(Result)
+	if !ok {
+		return nil, fmt.Errorf("%s: output is %T, want trackutil.Result", c.t.BenchName, out)
+	}
+	e := bench.AppendEnc(dst, 64+bench.FloatLen*len(res.Est))
+	e.Lit(`{"Frame":`)
+	e.Int(res.Frame)
+	e.Lit(`,"Est":`)
+	e.Floats(res.Est)
+	e.Lit(`,"Err":`)
+	e.Float(res.Err)
+	if res.Detection != nil {
+		e.Lit(`,"Detected":`)
+		e.Bool(res.Detected)
+	}
+	e.Lit("}")
+	return e.Bytes()
+}
+
+func (c codec) DecodeOutput(data []byte) (engine.Output, error) {
+	if res, ok := scanResult(data); ok {
+		return res, nil
+	}
+	var res Result
+	if err := bench.Unmarshal(data, &res); err != nil {
+		return nil, fmt.Errorf("%s: bad result: %w", c.t.BenchName, err)
+	}
+	return res, nil
+}
+
+func scanResult(data []byte) (res Result, ok bool) {
+	c := bench.NewCursor(data)
+	c.Lit(`{"Frame":`)
+	res.Frame = c.Int()
+	c.Lit(`,"Est":`)
+	res.Est = c.FloatSlice(nil)
+	c.Lit(`,"Err":`)
+	res.Err = c.Float()
+	if c.Try(`,"Detected":`) {
+		res.Detection = &Detection{Detected: c.Bool()}
+	}
+	c.Lit("}")
+	return res, c.End()
+}
+
+func (c codec) EncodeState(s engine.State) ([]byte, error) {
+	cl, ok := s.(*Cloud)
+	if !ok {
+		return nil, fmt.Errorf("%s: state is %T, want *trackutil.Cloud", c.t.BenchName, s)
+	}
+	e := bench.NewEnc(64 + bench.FloatLen*(len(cl.P)+len(cl.W)))
 	e.Lit(`{"p":`)
-	e.Floats(w.P)
+	e.Floats(cl.P)
 	e.Lit(`,"w":`)
-	e.Floats(w.W)
+	e.Floats(cl.W)
 	e.Lit(`,"n":`)
-	e.Int(w.N)
+	e.Int(cl.N)
 	e.Lit(`,"dims":`)
-	e.Int(w.Dims)
+	e.Int(cl.Dims)
 	e.Lit(`,"age":`)
-	e.Int(w.Age)
-	if w.Cold {
+	e.Int(cl.Age)
+	if cl.Cold {
 		e.Lit(`,"cold":true`)
 	}
 	e.Lit("}")
 	return e.Bytes()
 }
 
-// DecodeCloud parses an EncodeCloud line, or any other JSON form of a
-// WireCloud, into a live cloud of n particles by dims dimensions — the
-// one shape a tracker's states have, and the only one its Update can
-// step against its frames.
-func DecodeCloud(data []byte, n, dims int) (*Cloud, error) {
+// DecodeState takes a cloud of the tracker's own shape only: the one its
+// Update can step against its frames.
+func (c codec) DecodeState(data []byte) (engine.State, error) {
 	w, ok := scanCloud(data)
 	if !ok {
 		w = WireCloud{}
 		if err := bench.Unmarshal(data, &w); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: bad state: %w", c.t.BenchName, err)
 		}
 	}
-	if w.N != n || w.Dims != dims {
-		return nil, fmt.Errorf("cloud is %d particles x %d dims, want %d x %d", w.N, w.Dims, n, dims)
+	if w.N != c.t.Particles || w.Dims != c.t.Dims {
+		return nil, fmt.Errorf("%s: bad state: cloud is %d particles x %d dims, want %d x %d", c.t.BenchName, w.N, w.Dims, c.t.Particles, c.t.Dims)
 	}
-	return w.Live()
+	cl, err := w.Live()
+	if err != nil {
+		return nil, fmt.Errorf("%s: bad state: %w", c.t.BenchName, err)
+	}
+	return cl, nil
 }
 
 func scanCloud(data []byte) (w WireCloud, ok bool) {

@@ -1,8 +1,9 @@
-// Package trackutil provides the shared substrate of the three tracking
+// Package trackutil is the one tracker behind the three tracking
 // benchmarks (bodytrack, facetrack, facedet-and-track): synthetic
-// observation sequences standing in for the paper's image/video inputs,
-// and a generic particle filter standing in for the PARSEC/OpenCV
-// trackers.
+// observation sequences standing in for the paper's image/video inputs, a
+// generic particle filter standing in for the PARSEC/OpenCV trackers, and
+// Tracker, the bench.Benchmark over them with its codec. Each benchmark's
+// package is a Tracker's parameters, update step and cost.
 //
 // The substitution preserves what the paper's characterization depends
 // on: per-frame nondeterministic state updates (random particle
@@ -150,36 +151,18 @@ type cloudProfile struct {
 // NewCloud creates a cloud of n particles spread around center with the
 // given standard deviation (a wide spread models a cold tracker).
 func NewCloud(n, dims int, center []float64, spread float64, r *rng.Stream) *Cloud {
-	c := &Cloud{
-		P:    make([]float64, n*dims),
-		W:    make([]float64, n),
-		N:    n,
-		Dims: dims,
-		ID:   idCounter.Add(1),
-	}
-	for i := 0; i < n; i++ {
-		for d := 0; d < dims; d++ {
-			base := 0.0
-			if center != nil {
-				base = center[d]
-			}
-			c.P[i*dims+d] = base + float64(spread*r.NormFloat64())
-		}
-		c.W[i] = 1 / float64(n)
-	}
-	c.Cold = spread > 0.5
-	return c
+	return FreshCloudInto(nil, n, dims, center, spread, r)
 }
 
 // FreshCloudInto rebuilds a cold cloud into dst's buffers, drawing from
 // r exactly as NewCloud(n, dims, center, spread, r) would — same draws,
 // same order — so the resulting cloud is indistinguishable from a fresh
 // allocation. dst may be nil or of a smaller shape, in which case this
-// degrades to NewCloud. dst keeps its scratch buffers and drops its
-// profile cache (the cache is keyed by ID, which changes).
+// allocates. dst keeps its scratch buffers and drops its profile cache
+// (the cache is keyed by ID, which changes).
 func FreshCloudInto(dst *Cloud, n, dims int, center []float64, spread float64, r *rng.Stream) *Cloud {
 	if dst == nil || cap(dst.P) < n*dims || cap(dst.W) < n {
-		return NewCloud(n, dims, center, spread, r)
+		dst = &Cloud{P: make([]float64, n*dims), W: make([]float64, n)}
 	}
 	dst.P = dst.P[:n*dims]
 	dst.W = dst.W[:n]
@@ -203,32 +186,20 @@ func FreshCloudInto(dst *Cloud, n, dims int, center []float64, spread float64, r
 }
 
 // Clone deep-copies the cloud, assigning a fresh region ID.
-func (c *Cloud) Clone() *Cloud {
-	return &Cloud{
-		P:    append([]float64(nil), c.P...),
-		W:    append([]float64(nil), c.W...),
-		N:    c.N,
-		Dims: c.Dims,
-		ID:   idCounter.Add(1),
-		Age:  c.Age,
-		Cold: c.Cold,
-	}
-}
+func (c *Cloud) Clone() *Cloud { return CloneCloudInto(nil, c) }
 
 // CloneCloudInto deep-copies src into dst's buffers, assigning a fresh
-// region ID exactly as Clone does (the clone is a new live state and
-// must occupy its own simulated cache region). dst may be nil or of a
-// smaller shape, in which case this degrades to src.Clone(). dst keeps
-// its scratch buffers and drops its profile cache — the cache is keyed
-// by ID, which just changed.
+// region ID (the clone is a new live state and must occupy its own
+// simulated cache region). dst may be nil or of a smaller shape, in which
+// case the copy is a new cloud with empty working storage. dst keeps its
+// scratch buffers and drops its profile cache — the cache is keyed by ID,
+// which just changed.
 func CloneCloudInto(dst, src *Cloud) *Cloud {
 	if dst == nil || cap(dst.P) < len(src.P) || cap(dst.W) < len(src.W) {
-		return src.Clone()
+		dst = &Cloud{}
 	}
-	dst.P = dst.P[:len(src.P)]
-	copy(dst.P, src.P)
-	dst.W = dst.W[:len(src.W)]
-	copy(dst.W, src.W)
+	dst.P = append(dst.P[:0], src.P...)
+	dst.W = append(dst.W[:0], src.W...)
 	dst.N = src.N
 	dst.Dims = src.Dims
 	dst.ID = idCounter.Add(1)
@@ -252,12 +223,6 @@ type WireCloud struct {
 	Cold bool      `json:"cold,omitempty"`
 }
 
-// Wire converts the cloud to its serialized form. The wire form aliases
-// the cloud's slices; marshal it before the cloud steps again.
-func (c *Cloud) Wire() WireCloud {
-	return WireCloud{P: c.P, W: c.W, N: c.N, Dims: c.Dims, Age: c.Age, Cold: c.Cold}
-}
-
 // Live rebuilds a cloud from its wire form, assigning a fresh region ID.
 // The wire form comes from outside the process (a client's #resume
 // line, a worker's reply), so its shape is checked here: every loop over
@@ -267,15 +232,7 @@ func (w WireCloud) Live() (*Cloud, error) {
 	if w.N < 0 || w.Dims < 0 || len(w.W) != w.N || (w.N > 0 && w.Dims > len(w.P)) || len(w.P) != w.N*w.Dims {
 		return nil, fmt.Errorf("cloud says n=%d dims=%d but carries %d coordinates and %d weights", w.N, w.Dims, len(w.P), len(w.W))
 	}
-	return &Cloud{
-		P:    append([]float64(nil), w.P...),
-		W:    append([]float64(nil), w.W...),
-		N:    w.N,
-		Dims: w.Dims,
-		ID:   idCounter.Add(1),
-		Age:  w.Age,
-		Cold: w.Cold,
-	}, nil
+	return (&Cloud{P: w.P, W: w.W, N: w.N, Dims: w.Dims, Age: w.Age, Cold: w.Cold}).Clone(), nil
 }
 
 // Profile returns the cloud's memory-access profile for the given base,

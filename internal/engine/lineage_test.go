@@ -63,9 +63,9 @@ var snapshotDigests = map[string]string{
 	"streamcluster/1":     "40d9e60feeec38a0dc2a0e50459f097d344af613ba2a4f76f808846fb69377e1",
 	"streamcluster/2":     "22bcd02ef8e3f115d59d62c68d1b25fb2732517bf218b89dd019f27f7458c104",
 	"streamcluster/4":     "7ec3f96b3b1d3381156f42fee315c3bc2e5f2a247ff4c4f28151f4bcc33b510f",
-	"swaptions/1":         "483323e94b944db35ffdc867ab9e5a7001c76a8888ad7a3890468ed17380988f",
-	"swaptions/2":         "62962a1ec3d6d26d0b3873bbaa42db1f5cb5d8b262addaa4805c73ddd7ad72b0",
-	"swaptions/4":         "f19e7c12066e4518edf02e6efeb64482a7a1cc67eaf2e797995858532b33226d",
+	"swaptions/1":         "237cc761d5e681a9d8347d98bde0765a5e575fd30c2ae7b41c14273d0a330c17",
+	"swaptions/2":         "d7cb299be82a0b35cdbf6c5d1bb8bf3f9eed11df2575f54eda45283ca6fedc30",
+	"swaptions/4":         "bae3480863021dd14de44c3f8a4d8332c7731e2231130b218852b4d676232824",
 }
 
 // verdictLog keeps, per chunk, the events that decide it: EvValidated
