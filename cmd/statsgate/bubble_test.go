@@ -397,3 +397,93 @@ func TestGateReroutesShedSessionInBubble(t *testing.T) {
 		}
 	})
 }
+
+// TestGateRefusalReachesStreamingClientInBubble is
+// TestGateRefusalReachesStreamingClient with synctest.Wait where the
+// original waits out a one-second timer: a client that holds its request
+// body open gets the gateway's own refusal — the 503 of a draining gate,
+// and the 429, with a Retry-After, when its one backend's slot is held —
+// and the handler has returned, once the stack has settled and with no
+// time passed.
+func TestGateRefusalReachesStreamingClientInBubble(t *testing.T) {
+	const name = "facetrack"
+	line := ndjsonBody(t, name, sessionInputs(t, name, 1))
+	for _, tc := range []struct {
+		name string
+		opt  serve.Options
+		want int
+	}{
+		{"draining", serve.Options{}, http.StatusServiceUnavailable},
+		{"capacity", serve.Options{MaxSessions: 1}, http.StatusTooManyRequests},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inBubble(func(n *memNet) {
+				b0 := n.serve("b0", serve.New(baseConfig(), tc.opt).Handler())
+				g := newGateway(cluster.NewRegistry(cluster.Backend{ID: "b0", Addr: b0}))
+				g.client = n.client()
+				h := g.handler()
+				returned := make(chan struct{})
+				gate := n.serve("gate", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					h.ServeHTTP(w, r)
+					close(returned)
+				}))
+				client := n.client()
+				defer client.CloseIdleConnections()
+				defer g.client.CloseIdleConnections()
+
+				// open posts body to url and holds the request body open
+				// until the returned function closes it and waits for the
+				// exchange to end.
+				open := func(url string, body []byte) (<-chan answer, func()) {
+					pr, pw := io.Pipe()
+					req, err := http.NewRequest(http.MethodPost, url, pr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					go pw.Write(body)
+					got, done := make(chan answer, 1), make(chan struct{})
+					go func() {
+						defer close(done)
+						resp, err := client.Do(req)
+						got <- answer{resp, err}
+						if err == nil {
+							io.Copy(io.Discard, resp.Body)
+							resp.Body.Close()
+						}
+					}()
+					return got, func() { pw.Close(); <-done }
+				}
+
+				if tc.want == http.StatusServiceUnavailable {
+					g.startDrain()
+				} else {
+					_, release := open(b0+"/v1/stream/"+name, nil)
+					defer release()
+					synctest.Wait()
+				}
+				got, release := open(gate+"/v1/stream/"+name, line)
+				defer release()
+				synctest.Wait()
+				select {
+				case a := <-got:
+					if a.err != nil {
+						t.Fatal(a.err)
+					}
+					if a.resp.StatusCode != tc.want {
+						t.Fatalf("status %d, want %d", a.resp.StatusCode, tc.want)
+					}
+					if ra := a.resp.Header.Get("Retry-After"); tc.want == http.StatusTooManyRequests && ra != "1" {
+						t.Fatalf("429 Retry-After = %q, want 1, the backend's hint while its one session has no chunk in flight", ra)
+					}
+				default:
+					t.Fatalf("no %d once the stack settled: the refusal is stuck behind the open request body", tc.want)
+				}
+				select {
+				case <-returned:
+				default:
+					t.Fatal("the gateway's handler had not returned once the stack settled, with the client body open")
+				}
+			})
+		})
+	}
+}

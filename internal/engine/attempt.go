@@ -172,12 +172,40 @@ type chunkRun struct {
 	// built from, while a cost-free executor defers them (originalStates).
 	// The boundary that validates against the lineage builds or drops it.
 	seed replicaSeed
+
+	// doomed is set once the boundary before the chunk has missed while
+	// its speculative body may still run: a cost-free body stops at its
+	// next input (processChunk). held, when non-nil, keeps the speculative
+	// run's events for the chunk's verdict instead of emitting them.
+	doomed atomic.Bool
+	held   *heldEvents
+}
+
+// heldEvents is what one speculative attempt reports — its body, snapshot,
+// original states and the attempt as a whole — kept until the chunk's
+// verdict in storage the runtime already owns.
+type heldEvents struct {
+	ev [4]Event
+	n  int
+}
+
+// report emits e, or holds it for the chunk's verdict.
+func (c *chunkRun) report(e Event) {
+	if h := c.held; h != nil {
+		if h.n < len(h.ev) {
+			h.ev[h.n] = e
+			h.n++
+		}
+		return
+	}
+	c.emit(e)
 }
 
 // bind points c at chunk j of pr's session, executing on ex as worker.
 func (c *chunkRun) bind(pr *proto, ex Exec, j, worker int) {
-	c.proto, c.ex, c.g, c.j, c.worker = pr, ex, nil, j, worker
+	c.proto, c.ex, c.g, c.j, c.worker, c.held = pr, ex, nil, j, worker, nil
 	c.rng = pr.root.SubN("worker", j)
+	c.doomed.Store(false)
 }
 
 // arm begins attempt n at site, with a fresh clock.
@@ -258,13 +286,25 @@ func (c *chunkRun) start(initial State, prevWindow []Input, wantSpec bool) (s, s
 // run — the original states its successor will be validated against
 // (origs[0] is final; replicas a cost-free executor defers stay a seed in
 // c). outBuf and origBuf, when they have the room, are the buffers the
-// outputs and the original states are returned in.
+// outputs and the original states are returned in. A body squashed by
+// doomed returns fewer outputs than inputs, and origs is [final].
 func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, origBuf []State) (outs []Output, final State, origs []State) {
 	c.site = SiteBody
 	s = injectAt(c.inj, SiteBody, c.j, c.n, s)
 	t0 := c.now()
 	outs, snapshot, final := c.process(s, inputs, last, false, outBuf)
-	c.emit(Event{Kind: EvBody, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: t0, Dur: c.since(t0)})
+	c.report(Event{Kind: EvBody, Chunk: c.j, Worker: c.worker, N: len(outs), Start: t0, Dur: c.since(t0)})
+	if len(outs) < len(inputs) {
+		// The boundary before the chunk missed while the body ran: nobody
+		// will read this lineage. The snapshot goes, and the partial final
+		// state alone stands in for the original states the abort retires.
+		// The orig-states fault site is passed all the same, so which
+		// planned faults fire does not depend on when the squash came.
+		c.site = SiteOrigStates
+		injectAt(c.inj, SiteOrigStates, c.j, c.n, nil)
+		c.pool.Release(snapshot)
+		return outs, final, append(origBuf[:0], final)
+	}
 	if !last {
 		c.site = SiteOrigStates
 		injectAt(c.inj, SiteOrigStates, c.j, c.n, nil)
@@ -276,7 +316,7 @@ func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, o
 
 // speculated reports the end of a successful worker-side attempt.
 func (c *chunkRun) speculated(inputs int) {
-	c.emit(Event{Kind: EvSpeculated, Chunk: c.j, Worker: c.worker,
+	c.report(Event{Kind: EvSpeculated, Chunk: c.j, Worker: c.worker,
 		N: inputs, Start: c.t0, Dur: c.since(c.t0)})
 }
 
@@ -314,11 +354,11 @@ func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf 
 	if !last {
 		snapAt = len(inputs) - len(c.window(inputs))
 	}
-	label, cat := "body", trace.CatChunkWork
+	label, cat, squash := "body", trace.CatChunkWork, &c.doomed
 	if recovery {
-		label, cat = "reexec", trace.CatReexec
+		label, cat, squash = "reexec", trace.CatReexec, nil
 	}
-	return c.processChunk(inputs, snapAt, s, label, cat, outBuf)
+	return c.processChunk(inputs, snapAt, s, label, cat, outBuf, squash)
 }
 
 // origStates generates the boundary's original states from the snapshot
@@ -328,12 +368,12 @@ func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf 
 // the replicas are built from if the boundary needs them.
 func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream, origBuf []State) []State {
 	if snapshot != nil {
-		c.emit(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
+		c.report(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
 	}
 	win := c.window(inputs)
 	t0 := c.now()
 	origs := c.originalStates(win, snapshot, final, rnd, origBuf)
-	c.emit(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
+	c.report(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
 		N: len(origs) - 1, M: len(win), Start: t0, Dur: c.since(t0)})
 	return origs
 }
@@ -381,24 +421,34 @@ func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, spec Sta
 
 // boundary decides the boundary after c's run (§II-B): the successor's
 // published speculative copy spec against the lineage c's run produced.
-// The validating run reports the verdict. Then the boundary is resolved
-// either way: the replicas, built or a seed, and spec are dead; origs[0],
-// c's final state, lives on as the successor's recovery state. A
-// successor that published nothing (spec nil: its retry budget ran out
-// first) misses without a comparison. A fault means the replicas could
-// not be built, and the session fails.
-func (c *chunkRun) boundary(ctx context.Context, origs *[]State, spec State) (ok bool, fault *ChunkFault) {
+// The validating run reports the verdict: to the sink at once, or, with
+// held non-nil, into *held, for the caller to report with the successor's
+// speculative events at its verdict (a successor that published nothing
+// leaves it zero). Then the boundary is resolved either way: the
+// replicas, built or a seed, and spec are dead; origs[0], c's final
+// state, lives on as the successor's recovery state. A successor that
+// published nothing (spec nil: its retry budget ran out first) misses
+// without a comparison. A fault means the replicas could not be built,
+// and the session fails.
+func (c *chunkRun) boundary(ctx context.Context, origs *[]State, spec State, held *Event) (ok bool, fault *ChunkFault) {
+	var e Event
 	if spec != nil {
 		var v verdict
 		if v, fault = c.validateLineage(ctx, origs, spec); fault != nil {
 			return false, fault
 		}
 		ok = v.ok
-		c.emit(Event{Kind: EvValidated, Chunk: c.j + 1, Worker: c.worker,
-			N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
+		e = Event{Kind: EvValidated, Chunk: c.j + 1, Worker: c.worker,
+			N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur}
 	}
 	c.resolved(*origs)
 	c.pool.Release(spec)
+	switch {
+	case held != nil:
+		*held = e
+	case spec != nil:
+		c.emit(e)
+	}
 	return ok, nil
 }
 

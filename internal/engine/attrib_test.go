@@ -167,6 +167,51 @@ func checkRecorded(t *testing.T, rec *engine.Recorder, workers int) {
 	}
 }
 
+// seqLog sums what a native session's sequential estimate should count:
+// the inputs and time of every committed body and every re-execution.
+type seqLog struct {
+	mu     sync.Mutex
+	inputs int
+	ns     int64
+}
+
+func (l *seqLog) Event(e engine.Event) {
+	if e.Kind != engine.EvBody && e.Kind != engine.EvReexec {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.inputs += e.N
+	l.ns += e.Dur.Nanoseconds()
+}
+
+// TestSeqEstimateCountsEachInputOnce pins Recorder.SeqEstimateNs on a
+// seeded session with aborts: each input counts once, in the body of the
+// chunk that committed it or in the re-execution of the chunk that
+// aborted, and an aborted chunk's speculative body, which the session
+// reports as EvSquashed, not at all.
+func TestSeqEstimateCountsEachInputOnce(t *testing.T) {
+	b := bench.MustNew("streamclassifier")
+	inputs := b.Inputs(rng.New(1))[:96]
+	cfg := engine.Config{Chunks: 8, Lookback: 4, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	for _, workers := range []int{1, 2} {
+		rec, log := engine.NewRecorder(), &seqLog{}
+		rep, err := (&engine.StreamScheduler{Workers: workers, Sink: engine.Tee(rec, log)}).RunSlice(b, inputs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Aborts == 0 || rep.Commits < 2 {
+			t.Fatalf("workers=%d: %d commits, %d aborts: the session no longer mixes both", workers, rep.Commits, rep.Aborts)
+		}
+		if log.inputs != len(inputs) {
+			t.Errorf("workers=%d: committed bodies and re-executions ran %d inputs, the session has %d", workers, log.inputs, len(inputs))
+		}
+		if got := rec.SeqEstimateNs(); got != log.ns || got <= 0 {
+			t.Errorf("workers=%d: SeqEstimateNs = %d, committed bodies and re-executions took %d ns", workers, got, log.ns)
+		}
+	}
+}
+
 // TestRecorderOutOfOrderArrival pins the recorder's time origin: workers
 // deliver events out of start order, so the first event to arrive need
 // not be the earliest, and the trace must still begin at time zero with
@@ -197,6 +242,35 @@ func TestRecorderOutOfOrderArrival(t *testing.T) {
 	}
 	if again := rec.Trace(); again.Span != tr.Span || again.Intervals[0] != tr.Intervals[0] {
 		t.Fatal("a second Trace call moved the origin again")
+	}
+}
+
+// TestRecorderEarlyVerdictEdge pins where a chunk's commit-dependence
+// edge lands when its boundary was decided while its body still ran: not
+// on the validation, which started before the worker was done, but on
+// the frontier's first act on the chunk after it, the re-execution.
+func TestRecorderEarlyVerdictEdge(t *testing.T) {
+	const us = time.Microsecond
+	base := time.Now()
+	rec := engine.NewRecorder()
+	for _, e := range []engine.Event{
+		{Kind: engine.EvSquashed, Chunk: 1, Worker: 0, N: 4, Ran: 2, Start: base, Dur: 10 * us},
+		{Kind: engine.EvValidated, Chunk: 1, Worker: -1, N: 2, Start: base.Add(5 * us), Dur: us},
+		{Kind: engine.EvReexec, Chunk: 1, Worker: -1, N: 4, Start: base.Add(12 * us), Dur: 4 * us},
+		{Kind: engine.EvOutputs, Chunk: 1, Worker: -1, N: 4, Start: base.Add(16 * us), Dur: us},
+	} {
+		rec.Event(e)
+	}
+	tr := rec.Trace()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("recorded trace invalid: %v", err)
+	}
+	want := trace.Edge{Kind: trace.EdgeCommit, FromThread: 1, FromTime: int64(10 * us), ToThread: 0, ToTime: int64(12 * us)}
+	if len(tr.Edges) != 1 || tr.Edges[0] != want {
+		t.Fatalf("edges = %+v, want [%+v]", tr.Edges, want)
+	}
+	if got := rec.SeqEstimateNs(); got != int64(4*us) {
+		t.Fatalf("SeqEstimateNs = %d, want the re-execution's %d: the squashed body counts nothing", got, int64(4*us))
 	}
 }
 

@@ -233,7 +233,7 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 		spec := nxt.spec
 		nxt.mu.Unlock(ex.th)
 
-		matched, fault := c.boundary(context.Background(), &origs, spec)
+		matched, fault := c.boundary(context.Background(), &origs, spec, nil)
 		if fault != nil {
 			rt.fail(fault)
 			rt.poison(ex, j)

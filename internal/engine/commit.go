@@ -30,7 +30,9 @@ type frontier struct {
 	// held for good, so no later deliverer applies anything.
 	held bool
 
-	// The holder's alone, and the reaper's once every worker has exited.
+	// The holder's alone, and the reaper's once every worker has exited;
+	// a worker that finds the role free reads next under mu
+	// (decidePublished).
 	next       int // the first chunk not yet applied
 	prev       committed
 	prevInputs []Input // the last applied chunk's inputs, or the snapshot's window
@@ -65,7 +67,9 @@ func (f *frontier) init(p *Pipeline) {
 // worker to whoever applies it. If no worker holds the frontier role, the
 // caller takes it and applies records in input order until the next one
 // has not arrived; a record that arrives meanwhile is seen before the
-// role is given back, because both happen under mu.
+// role is given back, because both happen under mu. Before it gives the
+// role back, the holder decides the next chunk's boundary if that chunk's
+// copy is published (undecided).
 func (p *Pipeline) deliver(ck *chunk) {
 	f := &p.front
 	mask := len(f.pending) - 1
@@ -80,6 +84,14 @@ func (p *Pipeline) deliver(ck *chunk) {
 		at := f.next & mask
 		r := f.pending[at]
 		if r == nil {
+			if d := p.undecided(); d != nil {
+				f.mu.Unlock()
+				if !p.decide(d) {
+					return
+				}
+				f.mu.Lock()
+				continue
+			}
 			f.held = false
 			f.mu.Unlock()
 			return
@@ -91,6 +103,80 @@ func (p *Pipeline) deliver(ck *chunk) {
 		}
 		f.mu.Lock()
 	}
+}
+
+// decidePublished is the publishing worker's way to an early verdict: if
+// the chunk it published is the next to apply and no worker holds the
+// role, it takes the role, decides the chunk's boundary and gives the
+// role back. The role holder's way is deliver's: it looks for a published
+// copy before it gives the role back. Both look under mu, the worker after
+// it published and the holder in the step that gives the role back, so
+// one of them sees the other's side, and the boundary of a chunk whose
+// copy is published after its predecessor was applied is always decided
+// before the chunk arrives. A record delivered while the worker holds the
+// role is a later chunk's, which waits for ck's anyway.
+func (p *Pipeline) decidePublished(ck *chunk) {
+	f := &p.front
+	f.mu.Lock()
+	if f.held || f.next != ck.j {
+		f.mu.Unlock()
+		return
+	}
+	f.held = true
+	f.mu.Unlock()
+	if d := p.undecided(); d != nil && !p.decide(d) {
+		return
+	}
+	f.mu.Lock()
+	f.held = false
+	f.mu.Unlock()
+}
+
+// undecided returns the record of the next chunk to apply if its boundary
+// is decidable and not yet decided: the predecessor is applied, and the
+// chunk's copy is published — in this lap of the record array, which pub
+// tells apart from a copy a lap ago by its chunk index. The caller holds
+// the role.
+func (p *Pipeline) undecided() *chunk {
+	j := p.front.next
+	r := p.record(j)
+	if j == 0 || r.pub.Load() != int64(j) || r.decided == j {
+		return nil
+	}
+	return r
+}
+
+// decide decides the boundary before chunk r, whose predecessor is
+// applied, on the worker holding the role (§II-B): r's published copy, or
+// nothing if its worker never published one, against the committed
+// lineage, whose run builds the replicas it deferred if the final state
+// misses. The verdict and its EvValidated stay in r for applyCommit to act
+// on and report; on a miss, r's body is squashed if it still runs. The
+// boundary is decided once a lap, either as soon as it is decidable or
+// when r is applied, on the same states either way, so the verdict and
+// what the lineage reports do not depend on when. A fault or a panic
+// fails the session, and decide returns false like apply.
+func (p *Pipeline) decide(r *chunk) (ok bool) {
+	defer p.recoverCommit()
+	var spec State
+	if r.pub.Load() == int64(r.j) {
+		spec, r.spec = r.spec, nil
+	}
+	var held *Event // nil without a sink: the boundary emits to nobody
+	if r.ev != nil {
+		held = &r.ev.validated
+	}
+	prev := &p.front.prev
+	matched, fault := prev.run.boundary(p.ctx, &prev.origs, spec, held)
+	if fault != nil {
+		p.fail(fault)
+		return false
+	}
+	r.decided, r.matched = r.j, matched
+	if !matched {
+		r.doomed.Store(true)
+	}
+	return true
 }
 
 // apply commits one record at the frontier and advances it. A panic
@@ -126,28 +212,29 @@ func (p *Pipeline) haltSnapshot() {
 
 // applyCommit decides one chunk at the frontier through the protocol's
 // commit step (attempt.go): the committed predecessor's run validates its
-// boundary, building the replicas it deferred if the comparison misses
-// its final state, and the chunk commits or aborts and re-executes in
-// place from the last committed state. A result whose worker exhausted
-// its retry budget carries no speculative copy; it misses its boundary
-// and is degraded the same way. Then the frontier emits the chunk's
+// boundary, unless decide already has, building the replicas it deferred
+// if the comparison misses its final state, and the chunk commits or
+// aborts and re-executes in place from the last committed state. A result
+// whose worker exhausted its retry budget aborts whatever its boundary
+// says and is degraded the same way. Then the frontier emits the chunk's
 // outputs. applyCommit returns false if the context was canceled or the
 // session failed terminally.
 func (p *Pipeline) applyCommit(r *chunk) bool {
 	j, prev := r.j, &p.front.prev
 	ok := r.fault == nil
 	if j > 0 {
-		var fault *ChunkFault
-		if ok, fault = prev.run.boundary(p.ctx, &prev.origs, r.spec); fault != nil {
-			p.fail(fault)
+		if r.decided != j && !p.decide(r) {
 			return false
 		}
+		ok = ok && r.matched
 	}
-	// Whatever the run reports from here on, the frontier does. Recovery
-	// re-executes the chunk on the worker holding the role, serializing the
-	// pipeline for the chunk's length — exactly the mispeculation cost the
-	// paper's loss decomposition charges.
-	r.worker = -1
+	// The speculative run is reported at its verdict, and whatever the run
+	// reports from here on, the frontier does. Recovery re-executes the
+	// chunk on the worker holding the role, serializing the pipeline for
+	// the chunk's length — exactly the mispeculation cost the paper's loss
+	// decomposition charges.
+	r.reportRun(ok)
+	r.worker, r.held = -1, nil
 	if fault := r.settle(p.ctx, ok, r.fault, r.final, r.origs, r.recoverAttempt); fault != nil {
 		p.fail(fault)
 		return false

@@ -16,10 +16,25 @@ import (
 //
 // Events are small value structs delivered synchronously on the emitting
 // goroutine; sinks must be goroutine-safe and fast (the reference sinks
-// use only atomic adds on the hot path). Wall-clock fields (Start, Dur)
-// are populated only by the native schedulers and only when a sink is
-// attached; on the simulated substrate timing lives in the machine trace
-// instead.
+// use only atomic adds on the hot path). Wall-clock fields (Start, Dur,
+// Ran) are populated only by the native schedulers and only when a sink
+// is attached; on the simulated substrate timing lives in the machine
+// trace instead.
+//
+// A chunk's speculative events are reported at its verdict. On the
+// pipeline the boundary before a chunk can be decided while the chunk's
+// body still runs, and a miss squashes the body where it stands, so how
+// much of it ran is timing. The worker therefore holds the events of its
+// speculative run (EvBody, EvSnapshot, EvOrigStates, EvSpeculated) in the
+// chunk's record, and the boundary holds its EvValidated there too; the
+// commit frontier reports them when it applies the chunk. A committed
+// chunk reports them as they happened, then EvValidated; an aborted one
+// reports one EvSquashed in their place, then EvValidated. So each
+// chunk's untimed event sequence is a function of its verdict alone,
+// whatever the schedule. Holding allocates nothing per chunk: a session
+// with a sink allocates the storage once, beside its chunk records, and a
+// session with no sink holds nothing. The simulated batch body squashes
+// nothing and emits every event as it happens.
 
 // Kind identifies a protocol event.
 type Kind uint8
@@ -83,6 +98,12 @@ const (
 	// index of the rung's last faulted attempt, MaxRetries; the next rung
 	// starts again at attempt 0.
 	EvDegraded
+	// EvSquashed records an aborted chunk's speculative run, reported at
+	// its verdict in place of the run's EvBody, EvSnapshot, EvOrigStates
+	// and EvSpeculated. N is the chunk's inputs. How far the body got
+	// before the frontier squashed it is timing: Ran inputs, in the body's
+	// Start and Dur (zero when the attempt never reached the body).
+	EvSquashed
 
 	numKinds
 )
@@ -108,6 +129,7 @@ var kindNames = [numKinds]string{
 	EvFault:         "fault",
 	EvRetry:         "retry",
 	EvDegraded:      "degraded",
+	EvSquashed:      "squashed",
 }
 
 // String returns the kind's event-stream name.
@@ -133,9 +155,11 @@ type Event struct {
 	// Matched is EvValidated's verdict.
 	Matched bool
 	// Start and Dur delimit the phase in wall-clock time; zero on the
-	// simulated substrate or when timing was not collected.
+	// simulated substrate or when timing was not collected. Ran is
+	// timing too: the inputs an EvSquashed run's body processed.
 	Start time.Time
 	Dur   time.Duration
+	Ran   int
 }
 
 // Sink consumes the engine's event stream. Implementations must be safe
@@ -205,6 +229,11 @@ func (c *Counters) Event(e Event) {
 		c.specCopies.Add(1)
 	case EvBody:
 		c.bodyUpdates.Add(int64(e.N))
+	case EvSquashed:
+		// The body and snapshot the run was dispatched to do: how much of
+		// it ran is timing, which no total reads.
+		c.bodyUpdates.Add(int64(e.N))
+		c.snapshots.Add(1)
 	case EvSnapshot:
 		c.snapshots.Add(1)
 	case EvOrigStates:
@@ -241,11 +270,11 @@ type CounterSnapshot struct {
 	Aborts   int64 // speculations aborted
 
 	AltUpdates    int64 // inputs replayed by alternative producers
-	BodyUpdates   int64 // inputs processed by speculative chunk bodies
+	BodyUpdates   int64 // inputs dispatched to speculative chunk bodies (a squashed one counts whole)
 	OrigReplicas  int64 // replica original states generated
 	OrigUpdates   int64 // inputs replayed by original-state replicas
 	SpecCopies    int64 // speculative start states published (state copies)
-	Snapshots     int64 // pre-boundary snapshots taken (state copies)
+	Snapshots     int64 // pre-boundary snapshots taken (state copies; a squashed run counts its one)
 	Compares      int64 // state comparisons charged
 	ReexecRuns    int64 // mispeculation recoveries (each one recovery copy)
 	ReexecUpdates int64 // inputs re-executed during recovery

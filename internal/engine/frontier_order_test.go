@@ -243,7 +243,11 @@ func TestFrontierPanicFailsSession(t *testing.T) {
 // whose seed outlived its turn would hand the snapshot to the next lap or
 // to the tracker. The plan runs a second time without checkpoints, where
 // only the boundary reads the seed and the frontier never stalls on a
-// capture.
+// capture. Most boundaries miss, so most records also change hands early:
+// the frontier decides a chunk's boundary from its published copy while
+// its worker still owns the record, and a doomed body stops and hands the
+// record back. At one worker the worker that publishes decides, so every
+// doomed body stops before its first input.
 func TestRecordReuseStress(t *testing.T) {
 	const name, chunks = "streamclassifier", 201
 	plan, n := make([]int, chunks), 0
@@ -262,10 +266,10 @@ func TestRecordReuseStress(t *testing.T) {
 	}
 
 	run := func(workers int, pace func(int), ckpt engine.CheckpointConfig, wire bool) ([]byte, map[int][]untimed) {
-		log := &chunkLog{}
+		log, sq := &chunkLog{}, &squashLog{}
 		lines, snaps, st := sessionRunPaced(t, bench.MustNew(name), engine.StreamConfig{
-			ChunkSize: 3, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 11, Sink: log,
-			Checkpoint: ckpt,
+			ChunkSize: 3, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 11,
+			Sink: engine.Tee(log, sq), Checkpoint: ckpt,
 		}, inputs, pace, wire)
 		if st.Chunks != chunks || st.Chunks != st.Commits+st.Aborts || st.Outputs != int64(n) {
 			t.Fatalf("workers=%d: %d chunks = %d commits + %d aborts, %d outputs; want %d chunks, %d outputs",
@@ -279,7 +283,16 @@ func TestRecordReuseStress(t *testing.T) {
 			t.Fatalf("workers=%d: %d aborts, %d commits, %d snapshots: the session no longer stresses recovery and the tracker",
 				workers, st.Aborts, st.Commits, len(snaps))
 		}
-		t.Logf("workers=%d: %d commits, %d aborts", workers, st.Commits, st.Aborts)
+		short := 0
+		for _, e := range sq.ev {
+			if e.Ran < e.N {
+				short++
+			}
+		}
+		if workers == 1 && short != int(st.Aborts) {
+			t.Fatalf("workers=1: %d of %d aborted chunks' bodies stopped short, want all", short, st.Aborts)
+		}
+		t.Logf("workers=%d: %d commits, %d aborts, %d doomed bodies stopped short", workers, st.Commits, st.Aborts, short)
 		return joinLines(lines), log.byChunk
 	}
 	slow := func(n int) {

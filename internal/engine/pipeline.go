@@ -46,7 +46,13 @@ import (
 //	    state first, and the replicas, built from the seed, only if that
 //	    misses — and on mispeculation re-executes the chunk in place from
 //	    the true predecessor state — exactly the §II-B protocol, so outputs
-//	    are committed in input order with batch-identical semantics.
+//	    are committed in input order with batch-identical semantics. A
+//	    boundary is decided as soon as it is decidable: once the
+//	    predecessor is applied and the chunk's worker has published its
+//	    speculative copy, whichever of the two comes second decides it
+//	    (commit.go, decide). On a miss the chunk's body, if it still runs,
+//	    stops at its next input and the record comes back to the frontier
+//	    to be re-executed.
 //
 // Backpressure: the producer may run at most a window of chunks — two a
 // worker — ahead of the commit frontier; when the window is full, the
@@ -233,6 +239,17 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // applied: by then the boundary has built the replicas from the run's
 // seed, or retired the seed unread.
 //
+// One thing changes hands early: the speculative copy. The worker
+// publishes spec by storing the chunk's index in pub, and from then on
+// the copy is the frontier's — no retry of the worker releases or
+// replaces it — so the boundary before the chunk can be decided while the
+// body runs (commit.go, decide). The frontier writes the verdict into the
+// record's verdict fields, which the worker never touches, and on a miss
+// sets the run's doomed flag, which the body reads between inputs; the
+// record itself comes back to the frontier through deliver as always.
+// pub holds a chunk index, not a flag the next lap's dispatch resets, so
+// a copy published a lap ago is never taken for this lap's.
+//
 // The buffers — inputs, outs, origs — are the record's own: each lap
 // re-slices them, and they grow once to the largest chunk seen.
 type chunk struct {
@@ -248,13 +265,31 @@ type chunk struct {
 	// seed, and origs holds the final state alone until a boundary builds
 	// the replicas (a remote reply carries them built). A
 	// result whose worker exhausted its retry budget carries only the
-	// fault; the frontier degrades it to an in-place sequential
-	// re-execution.
-	spec  State // speculative start state (clone), nil for chunk 0
+	// fault and, if it got that far, the published copy; the frontier
+	// degrades it to an in-place sequential re-execution.
+	spec  State // speculative start state (clone), the frontier's once published
+	pub   atomic.Int64
 	outs  []Output
 	final State
 	origs []State
 	fault *ChunkFault // retries exhausted; all other result fields are dead
+
+	// The verdict on the boundary before the chunk: decided is the chunk
+	// it was decided for and matched its outcome. The frontier role's alone.
+	decided int
+	matched bool
+
+	// ev holds the chunk's events for its verdict; nil without a sink.
+	ev *chunkEvents
+}
+
+// chunkEvents is what a chunk reports at its verdict: its speculative
+// run's events, which the worker holds, and the boundary's EvValidated,
+// which the frontier holds. A session with a sink allocates one for each
+// record, once.
+type chunkEvents struct {
+	run       heldEvents
+	validated Event
 }
 
 // newRecords returns the record array for a speculation window: a power
@@ -278,8 +313,15 @@ func newRecords(p *Pipeline, window int) []chunk {
 		n <<= 1
 	}
 	recs := make([]chunk, n)
+	var evs []chunkEvents
+	if p.sink != nil {
+		evs = make([]chunkEvents, n)
+	}
 	for i := range recs {
 		recs[i].p = p
+		if evs != nil {
+			recs[i].ev = &evs[i]
+		}
 	}
 	return recs
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"gostats/internal/rng"
 	"gostats/internal/trace"
 )
@@ -55,8 +57,10 @@ func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat tr
 // snapshot clone from retired state buffers; outBuf, when it has the
 // room, is the buffer the returned outputs are accumulated into (the
 // caller transfers ownership). It returns the outputs, the snapshot (nil
-// if disabled) and the final state.
-func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output) ([]Output, State, State) {
+// if disabled) and the final state. With squash non-nil, a cost-free run
+// checks it before each input and stops once it is set: fewer outputs
+// than inputs say how far the run got.
+func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output, squash *atomic.Bool) ([]Output, State, State) {
 	ex, p := c.ex, c.prog
 	c.sub = c.rng.Sub(label)
 	var snapshot State
@@ -69,6 +73,9 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 	// cost model feeds nothing: Update itself is the work.
 	if costFree(ex) {
 		for i, in := range chunk {
+			if squash != nil && squash.Load() {
+				break
+			}
 			if i == snapAt {
 				snapshot = c.pool.Clone(s)
 				c.countState()

@@ -76,6 +76,12 @@ func (r *Recorder) Event(e Event) {
 	case EvBody:
 		r.tr.Record(th, trace.CatChunkWork, start, end, "")
 		r.seqNs += end - start
+	case EvSquashed:
+		// An aborted chunk's body, as far as it ran: the time is the
+		// worker's, the work is lost, and the frontier waited for the
+		// record to come back.
+		r.tr.Record(th, trace.CatChunkWork, start, end, "")
+		r.done[e.Chunk] = recPoint{thread: th, at: e.Start.Add(e.Dur)}
 	case EvOrigStates:
 		r.tr.Record(th, trace.CatOrigStates, start, end, "")
 	case EvSpeculated:
@@ -85,21 +91,25 @@ func (r *Recorder) Event(e Event) {
 		r.done[e.Chunk] = recPoint{thread: th, at: e.Start.Add(e.Dur)}
 	case EvValidated:
 		r.tr.Record(th, trace.CatCompare, start, end, "")
-		r.edge(e.Chunk, th, start)
+		r.edge(e.Chunk, th, start, false)
 	case EvReexec:
 		r.tr.Record(th, trace.CatReexec, start, end, "")
-		r.edge(e.Chunk, th, start)
+		r.seqNs += end - start
+		r.edge(e.Chunk, th, start, false)
 	case EvOutputs:
 		r.tr.Record(th, trace.CatSyncWait, start, end, "")
-		r.edge(e.Chunk, th, start)
+		r.edge(e.Chunk, th, start, true)
 	}
 }
 
 // edge adds the pending commit-dependence edge for a chunk, if any: the
 // worker finished speculating before the frontier could act on the result.
 // Only frontier-side events consume it; simulated batch runs (no frontier thread)
-// leave the map to be discarded with the Recorder.
-func (r *Recorder) edge(chunk, toThread int, toTime int64) {
+// leave the map to be discarded with the Recorder. A boundary decided
+// early is timed before the speculation it decides has ended, so an event
+// that starts before that end leaves the edge to a later one, unless it
+// is the chunk's last, its EvOutputs.
+func (r *Recorder) edge(chunk, toThread int, toTime int64, last bool) {
 	if toThread != recThread(-1) {
 		return
 	}
@@ -107,11 +117,14 @@ func (r *Recorder) edge(chunk, toThread int, toTime int64) {
 	if !ok {
 		return
 	}
+	from := d.at.Sub(r.t0).Nanoseconds()
+	if from > toTime && !last {
+		return
+	}
 	delete(r.done, chunk)
 	// Clock readings from different goroutines; clamp to keep the edge
 	// well-formed.
-	from := min(d.at.Sub(r.t0).Nanoseconds(), toTime)
-	r.tr.AddEdge(trace.EdgeCommit, d.thread, from, toThread, toTime)
+	r.tr.AddEdge(trace.EdgeCommit, d.thread, min(from, toTime), toThread, toTime)
 }
 
 // Trace returns the trace accumulated so far, with its earliest point at
@@ -151,10 +164,13 @@ func (r *Recorder) rebase() {
 }
 
 // SeqEstimateNs estimates the sequential execution time in nanoseconds as
-// the sum of committed chunk-body work — each input processed exactly once
-// with no speculation machinery around it. It is the seqCycles input the
-// critical-path decomposition needs for a native session, where no
-// separate sequential run exists.
+// the sum of the work that produced the committed outputs — each input
+// counted once, in the body of the chunk that committed it (EvBody) or
+// the re-execution of the chunk that aborted (EvReexec), with no
+// speculation machinery around it. An aborted chunk's speculative body
+// (EvSquashed) is not counted. It is the seqCycles input the critical-path
+// decomposition needs for a native session, where no separate sequential
+// run exists.
 func (r *Recorder) SeqEstimateNs() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -31,8 +31,9 @@ func (p *Pipeline) worker(slotID int) {
 // configured, then in-process — each rung under the engine's one retry
 // discipline (chunkRun.retry), and byte-identical whichever succeeds.
 // When the in-process budget exhausts too, the record carries only the
-// fault; the commit frontier degrades the chunk to sequential
-// re-execution from the last committed state.
+// fault and the copy, if one was published; the commit frontier degrades
+// the chunk to sequential re-execution from the last committed state.
+// With a sink attached, the run's events are held for the verdict.
 //
 // Unlike the batch worker, a streaming chunk never knows it is last, so
 // it always takes the snapshot its replicas would replay from. In process
@@ -41,6 +42,9 @@ func (p *Pipeline) worker(slotID int) {
 func (ck *chunk) speculate(slotID int) {
 	p := ck.p
 	ck.worker = slotID
+	if ck.ev != nil {
+		ck.held = &ck.ev.run
+	}
 	if p.cfg.Runner != nil {
 		// Executor failures — a dead worker process, a reply that would
 		// not parse — are SiteProc faults of the same discipline.
@@ -73,18 +77,60 @@ func (ck *chunk) remoteAttempt() error {
 	if err != nil {
 		return err
 	}
-	ck.spec, ck.outs, ck.final, ck.origs = reply.Spec, reply.Outs, reply.Final, reply.Origs
+	ck.outs, ck.final, ck.origs = reply.Outs, reply.Final, reply.Origs
+	ck.publish(reply.Spec)
 	ck.speculated(len(ck.inputs))
 	return nil
 }
 
-// localAttempt is one in-process speculative attempt.
+// localAttempt is one in-process speculative attempt. The speculative
+// copy is published once: a retry regenerates the state the body runs
+// from and leaves the copy, which is the frontier's by then, alone.
 func (ck *chunk) localAttempt() error {
 	ck.scrap() // whatever a faulted attempt left behind
-	var s State
-	s, ck.spec = ck.start(ck.initState, ck.prevWindow, true)
+	s, spec := ck.start(ck.initState, ck.prevWindow, ck.pub.Load() != int64(ck.j))
+	ck.publish(spec)
 	ck.outs, ck.final, ck.origs = ck.finish(s, ck.inputs, false, ck.outs, ck.origs)
 	return nil
+}
+
+// publish hands the chunk's speculative copy, if it has one, to the
+// frontier, and decides the boundary before the chunk at once if the
+// frontier can (decidePublished): a body whose boundary missed then never
+// starts.
+func (ck *chunk) publish(spec State) {
+	if spec == nil {
+		return
+	}
+	ck.spec = spec
+	ck.pub.Store(int64(ck.j))
+	ck.p.decidePublished(ck)
+}
+
+// reportRun reports the chunk's speculative run at its verdict ok: the
+// events its worker held — or, on an abort, one EvSquashed in their place,
+// timed by the body's event — then the boundary's EvValidated.
+func (ck *chunk) reportRun(ok bool) {
+	if ck.ev == nil {
+		return
+	}
+	h := &ck.ev.run
+	if ok {
+		for _, e := range h.ev[:h.n] {
+			ck.emit(e)
+		}
+	} else {
+		sq := Event{Kind: EvSquashed, Chunk: ck.j, Worker: ck.worker, N: len(ck.inputs)}
+		for _, e := range h.ev[:h.n] {
+			if e.Kind == EvBody {
+				sq.Ran, sq.Start, sq.Dur = e.N, e.Start, e.Dur
+			}
+		}
+		ck.emit(sq)
+	}
+	if v := ck.ev.validated; v.Kind == EvValidated {
+		ck.emit(v)
+	}
 }
 
 // recoverAttempt is one recovery attempt, made by the worker holding the
@@ -99,18 +145,22 @@ func (ck *chunk) recoverAttempt() error {
 }
 
 // scrap retires the states a faulted attempt materialized before it
-// failed. States lost mid-phase (a snapshot, a half-built replica) are
-// left to the garbage collector — correctness never depends on the pool.
+// failed, but not a published copy, which is the frontier's. States lost
+// mid-phase (a snapshot, a half-built replica) are left to the garbage
+// collector — correctness never depends on the pool.
 func (ck *chunk) scrap() {
-	ck.pool.Release(ck.spec)
 	ck.releaseRun(ck.final, ck.origs)
 	ck.clearResult()
 }
 
 // clearResult empties the record's result, keeping the buffers of its
 // outputs and original states for the next run to fill, and retires a
-// replica seed no boundary consumed.
+// replica seed no boundary consumed and the events of a run no verdict
+// reported.
 func (ck *chunk) clearResult() {
-	ck.spec, ck.outs, ck.final, ck.origs = nil, ck.outs[:0], nil, ck.origs[:0]
+	ck.outs, ck.final, ck.origs = ck.outs[:0], nil, ck.origs[:0]
+	if ck.ev != nil {
+		ck.ev.run.n = 0
+	}
 	ck.dropSeed()
 }

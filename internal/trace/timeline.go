@@ -77,7 +77,7 @@ func (t *Trace) RenderTimeline(w io.Writer, width int) {
 				b1 = width - 1
 			}
 			for b := b0; b <= b1; b++ {
-				lo := float64(b) * bucket
+				lo := float64(float64(b) * bucket)
 				hi := lo + bucket
 				s, e := float64(iv.Start), float64(iv.End)
 				if s < lo {
