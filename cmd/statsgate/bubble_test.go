@@ -17,12 +17,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
 
+	"gostats/internal/bench"
 	"gostats/internal/cluster"
 	"gostats/internal/serve"
 )
@@ -486,4 +488,161 @@ func TestGateRefusalReachesStreamingClientInBubble(t *testing.T) {
 			})
 		})
 	}
+}
+
+// ckptTap watches the #ckpt lines a backend writes: it counts them and,
+// right after the line that makes the count at, drains the backend.
+type ckptTap struct {
+	mu    sync.Mutex
+	seen  int
+	at    int // 0: never drain
+	drain func()
+}
+
+// handler wraps a backend's handler so its responses pass the tap.
+func (tp *ckptTap) handler(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(&tappedWriter{ResponseWriter: w, tap: tp, lineStart: true}, r)
+	})
+}
+
+// count is how many #ckpt lines the backend has written.
+func (tp *ckptTap) count() int {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	return tp.seen
+}
+
+// tappedWriter is one response through a ckptTap. A control line is the
+// one kind of line that starts with '#', and until the drain the only
+// control line a backend writes is #ckpt; a write may end anywhere in a
+// line.
+type tappedWriter struct {
+	http.ResponseWriter
+	tap       *ckptTap
+	lineStart bool
+	armed     bool // in the line that reached tap.at
+}
+
+func (w *tappedWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(b)
+	fire := false
+	w.tap.mu.Lock()
+	for _, c := range b[:n] {
+		if w.lineStart && c == '#' {
+			w.tap.seen++
+			w.armed = w.tap.seen == w.tap.at
+		}
+		if c == '\n' && w.armed {
+			w.armed, fire = false, true
+		}
+		w.lineStart = c == '\n'
+	}
+	w.tap.mu.Unlock()
+	if fire {
+		w.tap.drain()
+	}
+	return n, err
+}
+
+// Unwrap lets the backend's ResponseController reach the connection.
+func (w *tappedWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestGateDrainAtEveryCheckpointInBubble drains a migrating session's
+// backend right after each of the checkpoints it writes, for every
+// streamable benchmark: a short session at ckpt=1, its body held open, so
+// b0 writes one #ckpt a commit, and for each index k a bubble in which b0
+// drains right after its k-th. Wherever the drain falls, the session moves
+// to b1 exactly once, the client's bytes are a direct run's, and the
+// bubble ends with no goroutine left.
+func TestGateDrainAtEveryCheckpointInBubble(t *testing.T) {
+	const inputs = 3 * 8 // three chunks of baseConfig's
+	for _, name := range bench.CodecNames() {
+		body := ndjsonBody(t, name, sessionInputs(t, name, inputs))
+		// session runs body through a gateway in front of a tapped b0 and
+		// a plain b1, holding the body open until the stack has settled
+		// once after the drain, and returns the client's lines, a direct
+		// run's, the migrations and the #ckpt lines b0 wrote by the first
+		// settling. They leave the bubble on a channel: what a bubbled
+		// goroutine wrote, the race detector sees read after synctest.Run
+		// only through a synchronizing operation.
+		session := func(at int) (got, want []string, migrations int64, ckpts int) {
+			type result struct {
+				got, want  []string
+				migrations int64
+				ckpts      int
+			}
+			res := make(chan result, 1)
+			inBubble(func(n *memNet) {
+				_, want, _, _ := postSessionVia(t, n.client(), n.serve("direct", serve.New(baseConfig(), serve.Options{}).Handler()), name, body)
+				b0 := serve.New(baseConfig(), serve.Options{})
+				tap := &ckptTap{at: at, drain: b0.StartDrain}
+				reg := cluster.NewRegistry(
+					cluster.Backend{ID: "b0", Addr: n.serve("b0", tap.handler(b0.Handler()))},
+					cluster.Backend{ID: "b1", Addr: n.serve("b1", serve.New(baseConfig(), serve.Options{}).Handler())},
+				)
+				g := newGateway(reg)
+				g.migrate, g.ckptEvery, g.client = true, 1, n.client()
+				gate := n.serve("gate", g.handler())
+				client := n.client()
+				defer client.CloseIdleConnections()
+				defer g.client.CloseIdleConnections()
+
+				pr, pw := io.Pipe()
+				defer pw.Close()
+				req, err := http.NewRequest(http.MethodPost, gate+"/v1/stream/"+name, pr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := make(chan []string, 1)
+				go func() {
+					defer close(lines)
+					resp, err := client.Do(req)
+					if err != nil || resp.StatusCode != http.StatusOK {
+						return
+					}
+					defer resp.Body.Close()
+					var got []string
+					sc := bufio.NewScanner(resp.Body)
+					sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+					for sc.Scan() {
+						got = append(got, sc.Text())
+					}
+					lines <- got
+				}()
+				if _, err := pw.Write(body); err != nil {
+					t.Fatal(err)
+				}
+				synctest.Wait()
+				ckpts := tap.count()
+				pw.Close()
+				res <- result{<-lines, want, g.met.Migrations.Load(), ckpts}
+			})
+			r := <-res
+			return r.got, r.want, r.migrations, r.ckpts
+		}
+
+		got, want, migrations, ckpts := session(0)
+		if ckpts < 2 || migrations != 0 || !sameOutputs(got, want) {
+			t.Fatalf("%s undrained: %d #ckpt lines, %d migrations, outputs match %v; want at least 2, 0 and true",
+				name, ckpts, migrations, sameOutputs(got, want))
+		}
+		for k := 1; k <= ckpts; k++ {
+			got, want, migrations, _ := session(k)
+			if migrations != 1 || !sameOutputs(got, want) {
+				t.Errorf("%s drained after #ckpt %d of %d: %d migrations, outputs match %v; want 1 and true",
+					name, k, ckpts, migrations, sameOutputs(got, want))
+			}
+		}
+	}
+}
+
+// sameOutputs reports whether got is want's output lines and then a
+// trailer that says the session is done.
+func sameOutputs(got, want []string) bool {
+	if len(got) != len(want)+1 || !slices.Equal(got[:len(want)], want) {
+		return false
+	}
+	var tr serve.Trailer
+	return json.Unmarshal([]byte(got[len(want)]), &tr) == nil && tr.Done && tr.Error == "" && !tr.Migrated
 }

@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -63,12 +64,8 @@ func main() {
 			bs = append(bs, cluster.Backend{Addr: a})
 		}
 	}
-	switch {
-	case len(bs) == 0:
-		fmt.Fprintln(os.Stderr, "statsgate: -backends is required")
-		os.Exit(1)
-	case *probeInterval <= 0:
-		fmt.Fprintln(os.Stderr, "statsgate: -probe-interval must be positive")
+	if err := checkFlags(bs, *probeInterval, *ckptEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "statsgate:", err)
 		os.Exit(1)
 	}
 
@@ -98,4 +95,20 @@ func main() {
 			srv.Close()
 		}
 	}
+}
+
+// checkFlags refuses, naming the flag, what the gateway cannot run with:
+// no backend, a probe interval that is not positive, or a negative
+// checkpoint period, which no number of commits is. (A period of 0 asks
+// for no periodic checkpoint: a session then moves only at a drain.)
+func checkFlags(bs []cluster.Backend, probeInterval time.Duration, ckptEvery int) error {
+	switch {
+	case len(bs) == 0:
+		return errors.New("-backends is required")
+	case probeInterval <= 0:
+		return errors.New("-probe-interval must be positive")
+	case ckptEvery < 0:
+		return errors.New("-ckpt-every must not be negative")
+	}
+	return nil
 }

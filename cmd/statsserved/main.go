@@ -104,15 +104,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *pprofAddr != "" {
-		go func() { log.Printf("statsserved: pprof listener: %v", http.ListenAndServe(*pprofAddr, nil)) }()
-	}
-	app := serve.New(base, serve.Options{
+	lim := serve.Options{
 		MaxSessions:    *maxSessions,
 		SessionTimeout: *sessionTimeout,
 		MaxBody:        *maxBody,
 		MaxLine:        *maxLine,
-	})
+	}
+	if err := checkLimits(lim); err != nil {
+		fmt.Fprintln(os.Stderr, "statsserved:", err)
+		os.Exit(1)
+	}
+
+	if *pprofAddr != "" {
+		go func() { log.Printf("statsserved: pprof listener: %v", http.ListenAndServe(*pprofAddr, nil)) }()
+	}
+	app := serve.New(base, lim)
 	srv := &http.Server{Addr: *addr, Handler: app.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -138,6 +144,26 @@ func main() {
 			srv.Close()
 		}
 	}
+}
+
+// checkLimits refuses a negative limit flag, naming it. serve.New reads a
+// non-positive limit as its default, which is not what a negative value
+// asks for, so the command says so before it serves.
+func checkLimits(lim serve.Options) error {
+	for _, l := range [...]struct {
+		flag string
+		v    int64
+	}{
+		{"max-sessions", int64(lim.MaxSessions)},
+		{"session-timeout", int64(lim.SessionTimeout)},
+		{"max-body", lim.MaxBody},
+		{"max-line", int64(lim.MaxLine)},
+	} {
+		if l.v < 0 {
+			return fmt.Errorf("-%s must not be negative", l.flag)
+		}
+	}
+	return nil
 }
 
 // generate prints a session body as NDJSON through the workload layer:

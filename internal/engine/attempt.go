@@ -122,28 +122,6 @@ func (pr *proto) window(chunk []Input) []Input {
 	return chunk[len(chunk)-k:]
 }
 
-// verdict is one boundary's timed comparison: whether the speculative
-// state matched an original state, how many comparisons were charged,
-// and when the wave ran.
-type verdict struct {
-	start time.Time
-	dur   time.Duration
-	n     int
-	ok    bool
-}
-
-// validate runs the comparison wave for one chunk boundary on ex — the
-// engine's one timed comparison, made by the side that commits. The
-// verdict and inspected count are pure functions of the states; the wall
-// time rides along only to reach the EvValidated event the caller emits.
-func (pr *proto) validate(ex Exec, origs []State, spec State) verdict {
-	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; no protocol decision reads it
-	t0 := pr.now()
-	ok, n := matchAnyWave(ex, pr.prog, origs, spec)
-	//statslint:allow detpath the duration lands in the EvValidated event the commit side emits; no protocol decision reads it
-	return verdict{ok: ok, n: n, start: t0, dur: pr.since(t0)}
-}
-
 // chunkRun is one chunk's view of the protocol: where it executes, the
 // RNG substreams every attempt re-derives from, and the attempt in
 // progress. Events it emits carry worker as their worker slot. The
@@ -156,22 +134,22 @@ type chunkRun struct {
 	g      *gang // the chunk's original-TLP gang; nil unless ex charges cost
 	j      int
 	worker int
-	rng    rng.Stream // the chunk's worker stream: derived from, never drawn from
 	// sub is the substream of the phase executing — "fresh", "altprod",
-	// "body" or "reexec", then one "replica" after the other. The phases
-	// of one attempt run in sequence on the owning context, so one slot
-	// serves them all. reorig parents a recovery's replica streams.
-	sub, reorig rng.Stream
-
-	// The attempt in progress (arm).
-	n    int
-	site FaultSite // protocol phase executing, for fault attribution
-	t0   time.Time
+	// "body" or "reexec", then one "replica" after the other — derived
+	// from the chunk's worker stream (stream). The phases of one attempt
+	// run in sequence on the owning context, so one slot serves them all.
+	sub rng.Stream
 
 	// seed is what the replicas of the lineage this run produced are
 	// built from, while a cost-free executor defers them (originalStates).
 	// The boundary that validates against the lineage builds or drops it.
 	seed replicaSeed
+
+	// The attempt in progress (arm). opened holds its start, in the
+	// Start of the event that closes it.
+	n      int
+	opened Event
+	site   FaultSite // protocol phase executing, for fault attribution
 
 	// doomed is set once the boundary before the chunk has missed while
 	// its speculative body may still run: a cost-free body stops at its
@@ -204,15 +182,25 @@ func (c *chunkRun) report(e Event) {
 // bind points c at chunk j of pr's session, executing on ex as worker.
 func (c *chunkRun) bind(pr *proto, ex Exec, j, worker int) {
 	c.proto, c.ex, c.g, c.j, c.worker, c.held = pr, ex, nil, j, worker, nil
-	c.rng = pr.root.SubN("worker", j)
 	c.doomed.Store(false)
+}
+
+// stream returns the chunk's worker stream, or with reorig its
+// recovery's: the parents of every substream the chunk's phases draw
+// from. Both are derived from, never drawn from, so the chunk re-derives
+// them where it needs them instead of keeping them.
+func (c *chunkRun) stream(reorig bool) rng.Stream {
+	w := c.root.SubN("worker", c.j)
+	if reorig {
+		return w.Sub("reorig")
+	}
+	return w
 }
 
 // arm begins attempt n at site, with a fresh clock.
 func (c *chunkRun) arm(n int, site FaultSite) {
 	c.n, c.site = n, site
-	//statslint:allow detpath the attempt's start time only reaches the Start/Dur of the EvSpeculated or EvReexec event that closes it
-	c.t0 = c.now()
+	c.opened = Event{Start: c.now()}
 }
 
 // retry is the engine's fault discipline: it runs fn as attempt 0, 1, …
@@ -308,7 +296,7 @@ func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, o
 	if !last {
 		c.site = SiteOrigStates
 		injectAt(c.inj, SiteOrigStates, c.j, c.n, nil)
-		origs = c.origStates(inputs, snapshot, final, &c.rng, origBuf)
+		origs = c.origStates(inputs, snapshot, final, false, origBuf)
 	}
 	c.speculated(len(inputs))
 	return outs, final, origs
@@ -317,7 +305,7 @@ func (c *chunkRun) finish(s State, inputs []Input, last bool, outBuf []Output, o
 // speculated reports the end of a successful worker-side attempt.
 func (c *chunkRun) speculated(inputs int) {
 	c.report(Event{Kind: EvSpeculated, Chunk: c.j, Worker: c.worker,
-		N: inputs, Start: c.t0, Dur: c.since(c.t0)})
+		N: inputs, Start: c.opened.Start, Dur: c.since(c.opened.Start)})
 }
 
 // reexec is a recovery attempt (§III-E): it re-runs the chunk from a
@@ -338,10 +326,9 @@ func (c *chunkRun) reexec(trueFinal State, srcLoc int, inputs []Input, last bool
 		c.ex.Copy(c.prog.StateBytes(), srcLoc, c.prog.Name()+".recover")
 	}
 	outs, snapshot, final := c.process(s, inputs, last, true, outBuf)
-	c.emit(Event{Kind: EvReexec, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: c.t0, Dur: c.since(c.t0)})
+	c.emit(Event{Kind: EvReexec, Chunk: c.j, Worker: c.worker, N: len(inputs), Start: c.opened.Start, Dur: c.since(c.opened.Start)})
 	if !last {
-		c.reorig = c.rng.Sub("reorig")
-		origs = c.origStates(inputs, snapshot, final, &c.reorig, origBuf)
+		origs = c.origStates(inputs, snapshot, final, true, origBuf)
 	}
 	return outs, final, origs
 }
@@ -363,16 +350,17 @@ func (c *chunkRun) process(s State, inputs []Input, last, recovery bool, outBuf 
 
 // origStates generates the boundary's original states from the snapshot
 // process took — final plus the configured replicas, each replaying the
-// chunk's window from snapshot with fresh nondeterminism drawn from rnd
-// (Fig. 5, cores 0–2) — or, on a cost-free executor, final and the seed
-// the replicas are built from if the boundary needs them.
-func (c *chunkRun) origStates(inputs []Input, snapshot, final State, rnd *rng.Stream, origBuf []State) []State {
+// chunk's window from snapshot with fresh nondeterminism drawn from the
+// worker stream, or with reorig the recovery's (Fig. 5, cores 0–2) — or,
+// on a cost-free executor, final and the seed the replicas are built from
+// if the boundary needs them.
+func (c *chunkRun) origStates(inputs []Input, snapshot, final State, reorig bool, origBuf []State) []State {
 	if snapshot != nil {
 		c.report(Event{Kind: EvSnapshot, Chunk: c.j, Worker: c.worker})
 	}
 	win := c.window(inputs)
 	t0 := c.now()
-	origs := c.originalStates(win, snapshot, final, rnd, origBuf)
+	origs := c.originalStates(win, snapshot, final, reorig, origBuf)
 	c.report(Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
 		N: len(origs) - 1, M: len(win), Start: t0, Dur: c.since(t0)})
 	return origs
@@ -393,63 +381,63 @@ func (c *chunkRun) buildReplicas(ctx context.Context, origs *[]State) (Event, *C
 	})
 	c.dropSeed()
 	return Event{Kind: EvOrigStates, Chunk: c.j, Worker: c.worker,
-		N: len(*origs) - 1, M: m, Start: c.t0, Dur: c.since(c.t0)}, fault
+		N: len(*origs) - 1, M: m, Start: c.opened.Start, Dur: c.since(c.opened.Start)}, fault
+}
+
+// validate runs the comparison wave for the boundary after c's run on
+// c's executor — the engine's one timed comparison, made by the side
+// that commits — and returns the EvValidated that reports it. The
+// verdict and inspected count are pure functions of the states; the wall
+// time rides along in the event only.
+func (c *chunkRun) validate(origs []State, spec State) Event {
+	t0 := c.now()
+	ok, n := matchAnyWave(c.ex, c.prog, origs, spec)
+	return Event{Kind: EvValidated, Chunk: c.j + 1, Worker: c.worker,
+		N: n, Matched: ok, Start: t0, Dur: c.since(t0)}
 }
 
 // validateLineage is the comparison wave for the boundary after c's run,
 // against the lineage that run produced (§II-B): the final state first,
 // and only if spec misses it, the replicas — built from the seed when
-// they were deferred — from index 1 on. The verdict and its inspected
-// count are the single wave's over the whole set. The wave is reported as
-// one interval and a build as the interval after it, together no longer
-// than the two took.
-func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, spec State) (verdict, *ChunkFault) {
-	v := c.validate(c.ex, *origs, spec)
-	if v.ok || !c.deferred() {
+// they were deferred — from index 1 on. The returned EvValidated carries
+// the single wave's verdict and inspected count over the whole set. The
+// wave is reported as one interval and a build as the interval after it,
+// together no longer than the two took.
+func (c *chunkRun) validateLineage(ctx context.Context, origs *[]State, spec State) (Event, *ChunkFault) {
+	v := c.validate(*origs, spec)
+	if v.Matched || !c.deferred() {
 		return v, nil
 	}
 	built, fault := c.buildReplicas(ctx, origs)
 	if fault != nil {
 		return v, fault
 	}
-	rest := c.validate(c.ex, (*origs)[1:], spec)
-	v.ok, v.n, v.dur = rest.ok, v.n+rest.n, v.dur+rest.dur
-	built.Start = v.start.Add(v.dur)
+	rest := c.validate((*origs)[1:], spec)
+	v.Matched, v.N, v.Dur = rest.Matched, v.N+rest.N, v.Dur+rest.Dur
+	built.Start = v.Start.Add(v.Dur)
 	c.emit(built)
 	return v, nil
 }
 
 // boundary decides the boundary after c's run (§II-B): the successor's
 // published speculative copy spec against the lineage c's run produced.
-// The validating run reports the verdict: to the sink at once, or, with
-// held non-nil, into *held, for the caller to report with the successor's
-// speculative events at its verdict (a successor that published nothing
-// leaves it zero). Then the boundary is resolved either way: the
-// replicas, built or a seed, and spec are dead; origs[0], c's final
-// state, lives on as the successor's recovery state. A successor that
-// published nothing (spec nil: its retry budget ran out first) misses
-// without a comparison. A fault means the replicas could not be built,
-// and the session fails.
-func (c *chunkRun) boundary(ctx context.Context, origs *[]State, spec State, held *Event) (ok bool, fault *ChunkFault) {
-	var e Event
+// It returns the verdict as the EvValidated that reports it, for the
+// caller to emit: at once, or with the successor's speculative events at
+// its verdict. A successor that published nothing (spec nil: its retry
+// budget ran out first) misses without a comparison, and the event is
+// zero. Then the boundary is resolved either way: the replicas, built or
+// a seed, and spec are dead; origs[0], c's final state, lives on as the
+// successor's recovery state. A fault means the replicas could not be
+// built, and the session fails.
+func (c *chunkRun) boundary(ctx context.Context, origs *[]State, spec State) (v Event, fault *ChunkFault) {
 	if spec != nil {
-		var v verdict
 		if v, fault = c.validateLineage(ctx, origs, spec); fault != nil {
-			return false, fault
+			return v, fault
 		}
-		ok = v.ok
-		e = Event{Kind: EvValidated, Chunk: c.j + 1, Worker: c.worker,
-			N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur}
 	}
 	c.resolved(*origs)
 	c.pool.Release(spec)
-	switch {
-	case held != nil:
-		*held = e
-	case spec != nil:
-		c.emit(e)
-	}
-	return ok, nil
+	return v, nil
 }
 
 // settle commits chunk c on its boundary's verdict ok, or aborts it

@@ -152,7 +152,8 @@ func (rt *run) chunkInputs(j int) []Input {
 func (rt *run) worker(ex *SimExec, j int, start State) {
 	var c chunkRun
 	c.bind(&rt.proto, ex, j, j)
-	c.g = chunkGang(ex, rt.prog, j, rt.cfg.InnerWidth, &c.rng, rt.countThread)
+	w := c.stream(false)
+	c.g = chunkGang(ex, rt.prog, j, rt.cfg.InnerWidth, &w, rt.countThread)
 	defer c.g.Close(ex)
 	inputs := rt.chunkInputs(j)
 	last := j == len(rt.bounds)-1
@@ -233,16 +234,19 @@ func (rt *run) worker(ex *SimExec, j int, start State) {
 		spec := nxt.spec
 		nxt.mu.Unlock(ex.th)
 
-		matched, fault := c.boundary(context.Background(), &origs, spec, nil)
+		v, fault := c.boundary(context.Background(), &origs, spec)
 		if fault != nil {
 			rt.fail(fault)
 			rt.poison(ex, j)
 			return
 		}
+		if spec != nil {
+			c.emit(v)
+		}
 		nxt.mu.Lock(ex.th)
 		nxt.trueFinal = final
 		nxt.srcLoc = ex.Loc()
-		if matched {
+		if v.Matched {
 			nxt.dec = decisionCommit
 		} else {
 			nxt.dec = decisionAbort

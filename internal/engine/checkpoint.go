@@ -349,7 +349,7 @@ func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkp
 			t.disable(fmt.Errorf("checkpoint: encode replica seed: %w", err))
 			return nil
 		}
-		snap.ReplicaSeed, snap.Reorig = b, run.seedReorig()
+		snap.ReplicaSeed, snap.Reorig = b, run.seed.reorig
 	}
 	return snap
 }

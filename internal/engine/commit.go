@@ -16,11 +16,12 @@ type committed struct {
 // frontier is the ordered commit frontier: a reorder buffer that puts
 // worker results back into input order, and the committed lineage the
 // §II-B commit protocol applies them against. It is a role, not a
-// goroutine. A worker that delivers a record while no other worker holds
-// the role takes it, applies every record that has arrived in order, and
-// gives it back (deliver). One holder at a time is what orders the
-// commits, so the lineage needs no lock of its own; mu only hands
-// records and the role from one worker to the next.
+// goroutine. A worker that delivers a record, or publishes a speculative
+// copy, while no other worker holds the role takes it, applies every
+// record that has arrived in order, decides a boundary that has become
+// decidable, and gives it back (deliver). One holder at a time is what
+// orders the commits, so the lineage needs no lock of its own; mu only
+// hands records and the role from one worker to the next.
 type frontier struct {
 	mu sync.Mutex
 	// pending is the reorder buffer: a record that arrived ahead of its
@@ -30,9 +31,7 @@ type frontier struct {
 	// held for good, so no later deliverer applies anything.
 	held bool
 
-	// The holder's alone, and the reaper's once every worker has exited;
-	// a worker that finds the role free reads next under mu
-	// (decidePublished).
+	// The holder's alone, and the reaper's once every worker has exited.
 	next       int // the first chunk not yet applied
 	prev       committed
 	prevInputs []Input // the last applied chunk's inputs, or the snapshot's window
@@ -57,24 +56,31 @@ func (f *frontier) init(p *Pipeline) {
 	run := &chunkRun{}
 	run.bind(&p.proto, p.ex, rs.next-1, -1)
 	if rs.seed != nil {
-		run.reseed(rs.seed, rs.prevWindow, rs.reorig)
+		run.seed = replicaSeed{snapshot: rs.seed, window: rs.prevWindow, reorig: rs.reorig}
 	}
 	f.prev = committed{final: rs.lineage[0], origs: rs.lineage, run: run}
 }
 
-// deliver hands a speculated record to the frontier. Under mu it parks
-// the record in the reorder buffer, which is the hand-over from its
-// worker to whoever applies it. If no worker holds the frontier role, the
-// caller takes it and applies records in input order until the next one
-// has not arrived; a record that arrives meanwhile is seen before the
-// role is given back, because both happen under mu. Before it gives the
-// role back, the holder decides the next chunk's boundary if that chunk's
-// copy is published (undecided).
+// deliver hands a record to the frontier and takes the role if it is
+// free. ck is a speculated record, which deliver parks in the reorder
+// buffer under mu: the hand-over from its worker to whoever applies it.
+// A worker that has just published its speculative copy delivers nil and
+// parks nothing. If no worker holds the role, the caller takes it and
+// applies records in input order until the next one has not arrived; a
+// record that arrives meanwhile is seen before the role is given back,
+// because both happen under mu. Before it gives the role back, the holder
+// decides the next chunk's boundary if that chunk's copy is published
+// (undecided). The publisher looks after it published, and the holder in
+// the step that gives the role back, both under mu, so one of them sees
+// the other's side: the boundary of a chunk whose copy is published after
+// its predecessor was applied is decided before the chunk arrives.
 func (p *Pipeline) deliver(ck *chunk) {
 	f := &p.front
 	mask := len(f.pending) - 1
 	f.mu.Lock()
-	f.pending[ck.j&mask] = ck
+	if ck != nil {
+		f.pending[ck.j&mask] = ck
+	}
 	if f.held {
 		f.mu.Unlock()
 		return
@@ -105,33 +111,6 @@ func (p *Pipeline) deliver(ck *chunk) {
 	}
 }
 
-// decidePublished is the publishing worker's way to an early verdict: if
-// the chunk it published is the next to apply and no worker holds the
-// role, it takes the role, decides the chunk's boundary and gives the
-// role back. The role holder's way is deliver's: it looks for a published
-// copy before it gives the role back. Both look under mu, the worker after
-// it published and the holder in the step that gives the role back, so
-// one of them sees the other's side, and the boundary of a chunk whose
-// copy is published after its predecessor was applied is always decided
-// before the chunk arrives. A record delivered while the worker holds the
-// role is a later chunk's, which waits for ck's anyway.
-func (p *Pipeline) decidePublished(ck *chunk) {
-	f := &p.front
-	f.mu.Lock()
-	if f.held || f.next != ck.j {
-		f.mu.Unlock()
-		return
-	}
-	f.held = true
-	f.mu.Unlock()
-	if d := p.undecided(); d != nil && !p.decide(d) {
-		return
-	}
-	f.mu.Lock()
-	f.held = false
-	f.mu.Unlock()
-}
-
 // undecided returns the record of the next chunk to apply if its boundary
 // is decidable and not yet decided: the predecessor is applied, and the
 // chunk's copy is published — in this lap of the record array, which pub
@@ -140,7 +119,7 @@ func (p *Pipeline) decidePublished(ck *chunk) {
 func (p *Pipeline) undecided() *chunk {
 	j := p.front.next
 	r := p.record(j)
-	if j == 0 || r.pub.Load() != int64(j) || r.decided == j {
+	if j == 0 || r.pub.Load() != int64(j) || r.verdict.Chunk == j {
 		return nil
 	}
 	return r
@@ -150,8 +129,8 @@ func (p *Pipeline) undecided() *chunk {
 // applied, on the worker holding the role (§II-B): r's published copy, or
 // nothing if its worker never published one, against the committed
 // lineage, whose run builds the replicas it deferred if the final state
-// misses. The verdict and its EvValidated stay in r for applyCommit to act
-// on and report; on a miss, r's body is squashed if it still runs. The
+// misses. The verdict, the EvValidated that reports it, stays in r for
+// applyCommit to act on and report; on a miss, r's body is squashed if it still runs. The
 // boundary is decided once a lap, either as soon as it is decidable or
 // when r is applied, on the same states either way, so the verdict and
 // what the lineage reports do not depend on when. A fault or a panic
@@ -162,18 +141,15 @@ func (p *Pipeline) decide(r *chunk) (ok bool) {
 	if r.pub.Load() == int64(r.j) {
 		spec, r.spec = r.spec, nil
 	}
-	var held *Event // nil without a sink: the boundary emits to nobody
-	if r.ev != nil {
-		held = &r.ev.validated
-	}
 	prev := &p.front.prev
-	matched, fault := prev.run.boundary(p.ctx, &prev.origs, spec, held)
+	v, fault := prev.run.boundary(p.ctx, &prev.origs, spec)
 	if fault != nil {
 		p.fail(fault)
 		return false
 	}
-	r.decided, r.matched = r.j, matched
-	if !matched {
+	r.verdict = v
+	r.verdict.Chunk = r.j // a chunk that published no copy is decided too
+	if !v.Matched {
 		r.doomed.Store(true)
 	}
 	return true
@@ -223,10 +199,10 @@ func (p *Pipeline) applyCommit(r *chunk) bool {
 	j, prev := r.j, &p.front.prev
 	ok := r.fault == nil
 	if j > 0 {
-		if r.decided != j && !p.decide(r) {
+		if r.verdict.Chunk != j && !p.decide(r) {
 			return false
 		}
-		ok = ok && r.matched
+		ok = ok && r.verdict.Matched
 	}
 	// The speculative run is reported at its verdict, and whatever the run
 	// reports from here on, the frontier does. Recovery re-executes the

@@ -26,7 +26,8 @@ import (
 // body still runs, and a miss squashes the body where it stands, so how
 // much of it ran is timing. The worker therefore holds the events of its
 // speculative run (EvBody, EvSnapshot, EvOrigStates, EvSpeculated) in the
-// chunk's record, and the boundary holds its EvValidated there too; the
+// chunk's record, and the record keeps the boundary's verdict, which is
+// the EvValidated that reports it (chunkRun.boundary returns it); the
 // commit frontier reports them when it applies the chunk. A committed
 // chunk reports them as they happened, then EvValidated; an aborted one
 // reports one EvSquashed in their place, then EvValidated. So each
@@ -34,7 +35,8 @@ import (
 // whatever the schedule. Holding allocates nothing per chunk: a session
 // with a sink allocates the storage once, beside its chunk records, and a
 // session with no sink holds nothing. The simulated batch body squashes
-// nothing and emits every event as it happens.
+// nothing and emits every event as it happens, the EvValidated its
+// boundary returns included.
 
 // Kind identifies a protocol event.
 type Kind uint8
@@ -144,6 +146,9 @@ func (k Kind) String() string {
 // Kind (see the Kind constants).
 type Event struct {
 	Kind Kind
+	// Matched is EvValidated's verdict. It sits beside Kind, where it
+	// costs no word of its own: a chunk record holds two Events.
+	Matched bool
 	// Chunk is the protocol chunk index, or -1 for session-scoped events.
 	Chunk int
 	// Worker is the executing worker slot for worker-side events (the
@@ -152,8 +157,6 @@ type Event struct {
 	Worker int
 	// N and M are kind-specific counts.
 	N, M int
-	// Matched is EvValidated's verdict.
-	Matched bool
 	// Start and Dur delimit the phase in wall-clock time; zero on the
 	// simulated substrate or when timing was not collected. Ran is
 	// timing too: the inputs an EvSquashed run's body processed.

@@ -244,7 +244,7 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // the copy is the frontier's — no retry of the worker releases or
 // replaces it — so the boundary before the chunk can be decided while the
 // body runs (commit.go, decide). The frontier writes the verdict into the
-// record's verdict fields, which the worker never touches, and on a miss
+// record's verdict, which the worker never touches, and on a miss
 // sets the run's doomed flag, which the body reads between inputs; the
 // record itself comes back to the frontier through deliver as always.
 // pub holds a chunk index, not a flag the next lap's dispatch resets, so
@@ -252,6 +252,13 @@ var ErrClosed = errors.New("stream: pipeline closed")
 //
 // The buffers — inputs, outs, origs — are the record's own: each lap
 // re-slices them, and they grow once to the largest chunk seen.
+//
+// A record is 504 bytes, and newRecords allocates them all at once. Eight
+// more, and with its malloc header the array of a two-worker session no
+// longer fits the 4096-byte size class: 1280 bytes more a session, 10
+// an input over a 128-input session. So the run re-derives its worker
+// stream (chunkRun.stream) instead of keeping it, and the verdict's Chunk
+// says which lap it belongs to.
 type chunk struct {
 	chunkRun // run.j is the session-monotonic chunk index
 	p        *Pipeline
@@ -274,22 +281,17 @@ type chunk struct {
 	origs []State
 	fault *ChunkFault // retries exhausted; all other result fields are dead
 
-	// The verdict on the boundary before the chunk: decided is the chunk
-	// it was decided for and matched its outcome. The frontier role's alone.
-	decided int
-	matched bool
+	// verdict is the verdict on the boundary before the chunk, as the
+	// EvValidated that reports it (a zero Kind when the chunk published
+	// no copy: a miss with no comparison), and its Chunk is the chunk it
+	// was reached for: a verdict a lap ago names another. The frontier
+	// role's alone.
+	verdict Event
 
-	// ev holds the chunk's events for its verdict; nil without a sink.
-	ev *chunkEvents
-}
-
-// chunkEvents is what a chunk reports at its verdict: its speculative
-// run's events, which the worker holds, and the boundary's EvValidated,
-// which the frontier holds. A session with a sink allocates one for each
-// record, once.
-type chunkEvents struct {
-	run       heldEvents
-	validated Event
+	// ev holds the speculative run's events for the chunk's verdict; nil
+	// without a sink. A session with a sink allocates one for each record,
+	// once.
+	ev *heldEvents
 }
 
 // newRecords returns the record array for a speculation window: a power
@@ -313,9 +315,9 @@ func newRecords(p *Pipeline, window int) []chunk {
 		n <<= 1
 	}
 	recs := make([]chunk, n)
-	var evs []chunkEvents
+	var evs []heldEvents
 	if p.sink != nil {
-		evs = make([]chunkEvents, n)
+		evs = make([]heldEvents, n)
 	}
 	for i := range recs {
 		recs[i].p = p

@@ -22,10 +22,11 @@ import (
 // retired state's buffers when it can (FreshRecycler).
 func (c *chunkRun) speculativeState(window []Input) State {
 	c.ex.SetCat(trace.CatAltProducer)
-	c.sub = c.rng.Sub("fresh")
+	w := c.stream(false)
+	c.sub = w.Sub("fresh")
 	s := c.pool.Fresh(&c.sub)
 	c.countState()
-	c.sub = c.rng.Sub("altprod")
+	c.sub = w.Sub("altprod")
 	return replay(c.ex, c.prog, s, window, &c.sub, trace.CatAltProducer)
 }
 
@@ -62,7 +63,8 @@ func replay(ex Exec, p Program, s State, window []Input, rnd *rng.Stream, cat tr
 // than inputs say how far the run got.
 func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string, cat trace.Category, outBuf []Output, squash *atomic.Bool) ([]Output, State, State) {
 	ex, p := c.ex, c.prog
-	c.sub = c.rng.Sub(label)
+	w := c.stream(false)
+	c.sub = w.Sub(label)
 	var snapshot State
 	outs := outBuf[:0]
 	if cap(outBuf) < len(chunk) {
@@ -105,18 +107,18 @@ func (c *chunkRun) processChunk(chunk []Input, snapAt int, s State, label string
 // originalStates produces the set of original states for the chunk's
 // boundary: its own final state plus the configured replicas, each
 // re-running the last window inputs from the snapshot with fresh
-// nondeterminism drawn from rnd (Fig. 5, cores 0–2). When the replicas
-// exist is the substrate's business. On a simulated machine each gets a
-// thread of its own, now (spawnReplicas), and the snapshot is retired.
-// On a cost-free executor the set is [final]: the chunk keeps the
-// snapshot, the window and rnd as its replica seed, and the boundary
-// builds the replicas (buildReplicas) only when the speculative state
-// misses final. The comparison wave checks final first and stops at the
-// first match, and RNG substreams are derived from rnd by label, so a
-// replica built then is the state it would have been now, inspected in
-// the same place. dst, when it has the room, is the buffer the set is
-// returned in.
-func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rng.Stream, dst []State) []State {
+// nondeterminism drawn from the chunk's worker stream, or with reorig its
+// recovery's (Fig. 5, cores 0–2). When the replicas exist is the
+// substrate's business. On a simulated machine each gets a thread of its
+// own, now (spawnReplicas), and the snapshot is retired. On a cost-free
+// executor the set is [final]: the chunk keeps the snapshot, the window
+// and reorig as its replica seed, and the boundary builds the replicas
+// (buildReplicas) only when the speculative state misses final. The
+// comparison wave checks final first and stops at the first match, and
+// RNG substreams are derived from the stream by label, so a replica built
+// then is the state it would have been now, inspected in the same place.
+// dst, when it has the room, is the buffer the set is returned in.
+func (c *chunkRun) originalStates(window []Input, snapshot, final State, reorig bool, dst []State) []State {
 	extra := c.extra
 	if snapshot == nil {
 		extra = 0
@@ -129,10 +131,11 @@ func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rn
 	switch {
 	case extra == 0:
 	case costFree(c.ex):
-		c.seed = replicaSeed{snapshot: snapshot, window: window, rnd: rnd}
+		c.seed = replicaSeed{snapshot: snapshot, window: window, reorig: reorig}
 		return origs
 	default:
-		origs = c.spawnReplicas(window, snapshot, rnd, origs)
+		rnd := c.stream(reorig)
+		origs = c.spawnReplicas(window, snapshot, &rnd, origs)
 	}
 	c.pool.Release(snapshot)
 	return origs
@@ -140,49 +143,34 @@ func (c *chunkRun) originalStates(window []Input, snapshot, final State, rnd *rn
 
 // replicaSeed is what a boundary's deferred replicas are built from: the
 // snapshot the chunk took window inputs before its end, that window, and
-// the stream the replicas derive their substreams from (the chunk's
-// worker stream, or its recovery's). It lives in the chunkRun whose run
-// produced the lineage, and a nil snapshot means nothing is deferred.
+// which stream the replicas derive their substreams from: the chunk's
+// worker stream, or with reorig its recovery's, the lineage having come
+// from a re-execution. It lives in the chunkRun whose run produced the
+// lineage, and a nil snapshot means nothing is deferred.
 type replicaSeed struct {
 	snapshot State
 	window   []Input
-	rnd      *rng.Stream
+	reorig   bool
 }
 
 // deferred reports whether the lineage c's run produced still lacks its
 // replicas.
 func (c *chunkRun) deferred() bool { return c.seed.snapshot != nil }
 
-// seedReorig reports whether the deferred replicas derive from the
-// recovery stream rather than the worker stream: whether the lineage
-// came from a re-execution.
-func (c *chunkRun) seedReorig() bool { return c.seed.rnd == &c.reorig }
-
-// reseed restores a replica seed a checkpoint carried into c, bound to
-// the chunk whose lineage it is: the replicas then derive from the same
-// stream, worker or recovery, as that chunk's own would have.
-func (c *chunkRun) reseed(snapshot State, window []Input, reorig bool) {
-	rnd := &c.rng
-	if reorig {
-		c.reorig = c.rng.Sub("reorig")
-		rnd = &c.reorig
-	}
-	c.seed = replicaSeed{snapshot: snapshot, window: window, rnd: rnd}
-}
-
 // replicas builds the deferred replicas onto origs[:1] (origs[0] is
 // final) as originalStates would have built them on the owning context:
 // a pool clone of the snapshot each, replaying the window with
-// rnd.SubN("replica", i). The pool serves
-// the clones from retired state buffers; the runtime retires them back
-// via StatePool.ReleaseReplicas once the boundary has been validated.
+// SubN("replica", i) of the seed's stream. The pool serves the clones
+// from retired state buffers; the runtime retires them back via
+// StatePool.ReleaseReplicas once the boundary has been validated.
 func (c *chunkRun) replicas(origs []State) []State {
 	sd := &c.seed
+	rnd := c.stream(sd.reorig)
 	origs = origs[:1]
 	for i := 0; i < c.extra; i++ {
 		sr := c.pool.Clone(sd.snapshot)
 		c.countState()
-		c.sub = sd.rnd.SubN("replica", i)
+		c.sub = rnd.SubN("replica", i)
 		origs = append(origs, replay(c.ex, c.prog, sr, sd.window, &c.sub, trace.CatOrigStates))
 	}
 	return origs

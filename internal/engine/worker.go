@@ -42,9 +42,7 @@ func (p *Pipeline) worker(slotID int) {
 func (ck *chunk) speculate(slotID int) {
 	p := ck.p
 	ck.worker = slotID
-	if ck.ev != nil {
-		ck.held = &ck.ev.run
-	}
+	ck.held = ck.ev
 	if p.cfg.Runner != nil {
 		// Executor failures — a dead worker process, a reply that would
 		// not parse — are SiteProc faults of the same discipline.
@@ -95,26 +93,26 @@ func (ck *chunk) localAttempt() error {
 }
 
 // publish hands the chunk's speculative copy, if it has one, to the
-// frontier, and decides the boundary before the chunk at once if the
-// frontier can (decidePublished): a body whose boundary missed then never
-// starts.
+// frontier, and takes the role if it is free (deliver), to decide the
+// boundary before the chunk at once if it is decidable: a body whose
+// boundary missed then never starts.
 func (ck *chunk) publish(spec State) {
 	if spec == nil {
 		return
 	}
 	ck.spec = spec
 	ck.pub.Store(int64(ck.j))
-	ck.p.decidePublished(ck)
+	ck.p.deliver(nil)
 }
 
 // reportRun reports the chunk's speculative run at its verdict ok: the
 // events its worker held — or, on an abort, one EvSquashed in their place,
 // timed by the body's event — then the boundary's EvValidated.
 func (ck *chunk) reportRun(ok bool) {
-	if ck.ev == nil {
+	h := ck.ev
+	if h == nil {
 		return
 	}
-	h := &ck.ev.run
 	if ok {
 		for _, e := range h.ev[:h.n] {
 			ck.emit(e)
@@ -128,8 +126,8 @@ func (ck *chunk) reportRun(ok bool) {
 		}
 		ck.emit(sq)
 	}
-	if v := ck.ev.validated; v.Kind == EvValidated {
-		ck.emit(v)
+	if ck.verdict.Kind == EvValidated {
+		ck.emit(ck.verdict)
 	}
 }
 
@@ -160,7 +158,7 @@ func (ck *chunk) scrap() {
 func (ck *chunk) clearResult() {
 	ck.outs, ck.final, ck.origs = ck.outs[:0], nil, ck.origs[:0]
 	if ck.ev != nil {
-		ck.ev.run.n = 0
+		ck.ev.n = 0
 	}
 	ck.dropSeed()
 }

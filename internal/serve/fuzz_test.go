@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 
-	"gostats/internal/bench"
 	"gostats/internal/checkpoint"
 )
 
@@ -36,7 +36,7 @@ func FuzzResumePrologue(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		snap, err := readResumeLine(bench.NewLineScanner(bytes.NewReader(body), 256<<10))
+		snap, err := readResumeLine(bufio.NewReader(bytes.NewReader(body)))
 		if (snap == nil) == (err == nil) {
 			t.Fatalf("readResumeLine = %v, %v: want exactly one", snap, err)
 		}
@@ -50,7 +50,7 @@ func FuzzResumePrologue(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
-		snap2, err := readResumeLine(bench.NewLineScanner(strings.NewReader(checkpoint.ResumePrefix+again+"\n"), 256<<10))
+		snap2, err := readResumeLine(bufio.NewReader(strings.NewReader(checkpoint.ResumePrefix + again + "\n")))
 		if err != nil {
 			t.Fatalf("re-encoded #resume line rejected: %v", err)
 		}

@@ -190,6 +190,32 @@ func TestSessionCapShedsWith429(t *testing.T) {
 	checkGoroutines(t, baseline)
 }
 
+// TestNegativeLimitsAreDefaults: a negative limit cannot switch itself
+// off. Every Options field at -1 serves as the zero Options do: the
+// session cap is the default's, and a session runs to its trailer instead
+// of being refused for its body or its lines.
+func TestNegativeLimitsAreDefaults(t *testing.T) {
+	ts := httptest.NewServer(New(baseConfig(), Options{
+		MaxSessions: -1, SessionTimeout: -1, MaxBody: -1, MaxLine: -1}).Handler())
+	defer ts.Close()
+
+	inputs := sessionInputs(t, "facetrack", 8)
+	outs, tr := runSession(t, ts.URL, "facetrack", ndjsonBody(t, "facetrack", inputs))
+	if len(outs) != len(inputs) || !tr.Done {
+		t.Fatalf("%d outputs for %d inputs, trailer %+v", len(outs), len(inputs), tr)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("serve/gauge[max_sessions]=%d\n", defaultMaxSessions)
+	if !strings.Contains(string(page), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, page)
+	}
+}
+
 // TestRetryAfterHint pins the shed hint to its two values: 1 s while no
 // active session has a chunk in flight, 2 s once one does.
 func TestRetryAfterHint(t *testing.T) {

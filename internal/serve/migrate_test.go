@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"gostats/internal/bench"
 	"gostats/internal/checkpoint"
 )
 
@@ -155,6 +156,37 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 	if strings.Join(tail, "\n") != strings.Join(want[snap.Inputs:], "\n") {
 		t.Fatal("attributed resume of a one-worker snapshot diverged from the uninterrupted outputs")
+	}
+}
+
+// TestServeResumesLongSnapshot: a #resume line carries a snapshot, not an
+// input, and -max-line does not bound it. A bodytrack snapshot is larger
+// than the default input line cap, and its resume must still run to the
+// uninterrupted session's tail.
+func TestServeResumesLongSnapshot(t *testing.T) {
+	name := "bodytrack"
+	cfg := baseConfig()
+	ts := httptest.NewServer(New(cfg, Options{}).Handler())
+	defer ts.Close()
+
+	inputs := sessionInputs(t, name, 3*cfg.ChunkSize)
+	want := wantLines(t, name, cfg, inputs)
+	lines, _ := postSession(t, ts.URL+"/v1/stream/"+name+"?ckpt=1", ndjsonBody(t, name, inputs))
+	_, snaps := splitControl(t, lines)
+	snap := snaps[0]
+	b64, err := checkpoint.EncodeString(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(checkpoint.ResumePrefix+b64) <= bench.DefaultMaxLine {
+		t.Fatalf("the #resume line is %d bytes: the case needs one over the %d-byte input line cap",
+			len(checkpoint.ResumePrefix+b64), bench.DefaultMaxLine)
+	}
+	body := append([]byte(checkpoint.ResumePrefix+b64+"\n"), ndjsonBody(t, name, inputs[snap.Inputs:])...)
+	tail, tr := postSession(t, ts.URL+"/v1/stream/"+name+"?resume=1", body)
+	if !tr.Done || tr.Error != "" || strings.Join(tail, "\n") != strings.Join(want[snap.Inputs:], "\n") {
+		t.Fatalf("resumed from chunk %d: trailer %+v, tail matches %v", snap.NextChunk, tr,
+			strings.Join(tail, "\n") == strings.Join(want[snap.Inputs:], "\n"))
 	}
 }
 

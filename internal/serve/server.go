@@ -21,23 +21,23 @@ import (
 	"gostats/internal/engine"
 )
 
-// Options bounds what one statsserved process will accept. Zero values
-// select the defaults in New; every
-// limit exists so a single misbehaving client — an unbounded body, an
-// endless line, a session that never finishes, or too many sessions at
-// once — degrades into a clean HTTP error instead of unbounded memory or
-// goroutine growth.
+// Options bounds what one statsserved process will accept. Zero or
+// negative values select the defaults in New; every limit exists so a
+// single misbehaving client — an unbounded body, an endless line, a
+// session that never finishes, or too many sessions at once — degrades
+// into a clean HTTP error instead of unbounded memory or goroutine
+// growth.
 type Options struct {
 	// MaxSessions caps concurrent streaming sessions; excess requests
-	// are shed with 429. 0 means the default (64).
+	// are shed with 429. 0 or less means the default (64).
 	MaxSessions int
-	// SessionTimeout bounds one session's wall-clock lifetime. 0 means
-	// no timeout.
+	// SessionTimeout bounds one session's wall-clock lifetime. 0 or less
+	// means no timeout.
 	SessionTimeout time.Duration
-	// MaxBody caps a session request body in bytes. 0 means the default
-	// (1 GiB).
+	// MaxBody caps a session request body in bytes. 0 or less means the
+	// default (1 GiB).
 	MaxBody int64
-	// MaxLine caps one NDJSON input line in bytes. 0 means
+	// MaxLine caps one NDJSON input line in bytes. 0 or less means
 	// bench.DefaultMaxLine.
 	MaxLine int
 }
@@ -114,20 +114,18 @@ type Server struct {
 func New(base engine.StreamConfig, lim Options) *Server {
 	met := engine.NewMetrics()
 	base.Sink = engine.Tee(met, base.Sink)
-	if lim.MaxSessions == 0 {
+	// A limit cannot switch itself off: a non-positive one is the default.
+	if lim.MaxSessions <= 0 {
 		lim.MaxSessions = defaultMaxSessions
 	}
-	if lim.MaxBody == 0 {
+	if lim.MaxBody <= 0 {
 		lim.MaxBody = defaultMaxBody
 	}
-	if lim.MaxLine == 0 {
+	if lim.MaxLine <= 0 {
 		lim.MaxLine = bench.DefaultMaxLine
 	}
-	s := &Server{base: base, met: met, lim: lim, front: cluster.Front{Name: "statsserved"}}
-	if lim.MaxSessions > 0 {
-		s.sem = make(chan struct{}, lim.MaxSessions)
-	}
-	return s
+	return &Server{base: base, met: met, lim: lim, front: cluster.Front{Name: "statsserved"},
+		sem: make(chan struct{}, lim.MaxSessions)}
 }
 
 // Handler returns the server's HTTP surface inside the shared front-end

@@ -80,9 +80,12 @@ type session struct {
 	// whichever of its workers holds it, or its reaper for the halt
 	// snapshot — but a #ckpt line may only be written after every output
 	// it covers: they queue here with their due output count and
-	// flushCkpt writes them.
+	// flushCkpt writes them. ckptKick wakes an idle pump for a snapshot
+	// queued after the last output it wrote; nil when the session does
+	// not checkpoint.
 	ckptMu     sync.Mutex
 	ckptQ      []ckptLine
+	ckptKick   chan struct{}
 	resumeBase int64  // outputs the restored session already delivered
 	written    int64  // output lines written (control lines excluded)
 	line       []byte // pump's one output line, encoded in place each time
@@ -102,16 +105,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		ss.refuse(http.StatusServiceUnavailable, "draining")
 		return
 	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.shed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			ss.refuse(http.StatusTooManyRequests, "session capacity reached")
-			return
-		}
+	select {
+	case s.sem <- struct{}{}:
+		defer func() { <-s.sem }()
+	default:
+		s.shed.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		ss.refuse(http.StatusTooManyRequests, "session capacity reached")
+		return
 	}
 	if ss.parse() && ss.open() {
 		defer ss.unwind()
@@ -238,11 +239,13 @@ func (ss *session) parse() bool {
 // open reads the resume prologue, starts the pipeline, and registers a
 // migrate=1 session for drain-halt.
 func (ss *session) open() bool {
-	// The line scanner is shared between the resume prologue (which must
-	// read the #resume line before the pipeline exists) and the pusher.
-	ss.sc = bench.NewLineScanner(ss.r.Body, ss.lim.MaxLine)
+	// The resume prologue is read before the pipeline exists, and the
+	// pusher's line scanner goes on from where it stopped.
+	body := io.Reader(ss.r.Body)
 	if ss.resume {
-		snap, err := readResumeLine(ss.sc)
+		br := bufio.NewReader(ss.r.Body)
+		body = br
+		snap, err := readResumeLine(br)
 		if err == nil {
 			// The snapshot's shape replaces the query's, here as in
 			// NewStream: the trailer reports against the shape that ran.
@@ -257,7 +260,9 @@ func (ss *session) open() bool {
 	}
 	if ss.ckptEvery > 0 || ss.migrate {
 		ss.cfg.Checkpoint = engine.CheckpointConfig{Codec: ss.wire, EveryCommits: ss.ckptEvery, OnSnapshot: ss.queueCkpt}
+		ss.ckptKick = make(chan struct{}, 1)
 	}
+	ss.sc = bench.NewLineScanner(body, ss.lim.MaxLine)
 
 	// The session lives inside the request context — a client disconnect
 	// or a forced server close tears the pipeline down — further bounded
@@ -352,7 +357,15 @@ func (ss *session) pump() {
 		case o, ok = <-outs:
 		default:
 			ss.flush()
-			o, ok = <-outs
+			select {
+			case o, ok = <-outs:
+			case <-ss.ckptKick:
+				// A snapshot came after the outputs it covers had all been
+				// written: it is due now, not at the next output, which a
+				// client that pauses its upload may not cause for long.
+				ss.flushCkpt()
+				continue
+			}
 		}
 		if !ok {
 			break
@@ -416,6 +429,10 @@ func (ss *session) queueCkpt(snap *checkpoint.Snapshot) {
 	ss.ckptMu.Lock()
 	ss.ckptQ = append(ss.ckptQ, ckptLine{due: snap.Inputs - ss.resumeBase, b64: b64})
 	ss.ckptMu.Unlock()
+	select {
+	case ss.ckptKick <- struct{}{}:
+	default: // a kick is pending already
+	}
 }
 
 // flushCkpt writes every queued #ckpt line whose covered outputs have all
@@ -557,13 +574,37 @@ func (ss *session) finish(tr Trailer) {
 	}
 }
 
-// readResumeLine consumes a resume=1 session's first body line, which
-// must be a "#resume <base64>" control line, and decodes its snapshot.
-// Input lines follow it from the snapshot frontier onward.
-func readResumeLine(sc *bench.LineScanner) (*checkpoint.Snapshot, error) {
-	for sc.Scan() {
-		line := checkpoint.TrimJSONSpace(sc.Bytes())
-		if len(line) == 0 {
+// maxResumeLine bounds a resume=1 session's #resume line. The line
+// carries a snapshot, not an input, so -max-line does not bound it: a
+// bodytrack snapshot at statsserved's defaults is 3.4 MB, over the
+// default 1 MiB input line.
+const maxResumeLine = 64 << 20
+
+// readResumeLine consumes a resume=1 session's first non-blank body line
+// from br, which must be a "#resume <base64>" control line of at most
+// maxResumeLine bytes, and decodes its snapshot. Input lines follow it
+// from the snapshot frontier onward, and br is left at the first.
+func readResumeLine(br *bufio.Reader) (*checkpoint.Snapshot, error) {
+	for {
+		var line []byte
+		var err error
+		for {
+			var frag []byte
+			frag, err = br.ReadSlice('\n')
+			if line = append(line, frag...); len(line) > maxResumeLine+1 { // +1: the newline
+				return nil, fmt.Errorf("resume line: %w (%d bytes)", bench.ErrLineTooLong, maxResumeLine)
+			}
+			if err != bufio.ErrBufferFull {
+				break
+			}
+		}
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("reading resume line: %v", err)
+		}
+		if line = checkpoint.TrimJSONSpace(line); len(line) == 0 {
+			if err == io.EOF {
+				return nil, errors.New("resume=1 session has an empty body")
+			}
 			continue
 		}
 		kind, b64 := checkpoint.ParseControl(string(line))
@@ -576,8 +617,4 @@ func readResumeLine(sc *bench.LineScanner) (*checkpoint.Snapshot, error) {
 		}
 		return snap, nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading resume line: %v", err)
-	}
-	return nil, errors.New("resume=1 session has an empty body")
 }
