@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,10 +41,11 @@ type memNet struct {
 // memListener is one memNet host. Accept waits on a channel, which a
 // bubble counts as durably blocked; a socket's accept is not.
 type memListener struct {
-	host  string
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
+	host     string
+	conns    chan net.Conn
+	done     chan struct{}
+	once     sync.Once
+	accepted []net.Conn // server ends handed to Accept; memNet.mu guards it
 }
 
 func (l *memListener) Accept() (net.Conn, error) {
@@ -90,11 +92,27 @@ func (n *memNet) dial(ctx context.Context, _, addr string) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.conns <- server:
+		n.mu.Lock()
+		l.accepted = append(l.accepted, server)
+		n.mu.Unlock()
 		return client, nil
 	case <-l.done:
 		return nil, errors.New("memnet: " + addr + " is closed")
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// cut closes the server end of every connection host has accepted: to
+// its peers, the network failing under whatever is in flight.
+func (n *memNet) cut(host string) {
+	n.mu.Lock()
+	l := n.hosts[host+":80"]
+	conns := l.accepted
+	l.accepted = nil
+	n.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
 	}
 }
 
@@ -490,13 +508,21 @@ func TestGateRefusalReachesStreamingClientInBubble(t *testing.T) {
 	}
 }
 
-// ckptTap watches the #ckpt lines a backend writes: it counts them and,
-// right after the line that makes the count at, drains the backend.
+// ckptTap watches the lines a backend writes. By default it counts the
+// #ckpt lines and, right after the line that makes the count at, drains
+// the backend. With cut set it counts every line instead and, right after
+// the at-th (at 0: once the status line is out, before any line), calls
+// cut: nothing the response writes after that line reaches the gateway.
 type ckptTap struct {
 	mu    sync.Mutex
 	seen  int
-	at    int // 0: never drain
+	at    int // draining, 0 never drains; cutting, below 0 never cuts
 	drain func()
+	cut   func()
+	// What a cut tap saw through the at-th line: whether it cut, and how
+	// many #ckpt lines and other lines (outputs or the trailer) went out.
+	fired          bool
+	ckpts, outputs int
 }
 
 // handler wraps a backend's handler so its responses pass the tap.
@@ -506,7 +532,7 @@ func (tp *ckptTap) handler(h http.Handler) http.Handler {
 	})
 }
 
-// count is how many #ckpt lines the backend has written.
+// count is how many lines the tap has counted.
 func (tp *ckptTap) count() int {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -521,26 +547,54 @@ type tappedWriter struct {
 	http.ResponseWriter
 	tap       *ckptTap
 	lineStart bool
-	armed     bool // in the line that reached tap.at
+	control   bool // the current line starts with '#'
 }
 
 func (w *tappedWriter) Write(b []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(b)
-	fire := false
-	w.tap.mu.Lock()
-	for _, c := range b[:n] {
-		if w.lineStart && c == '#' {
-			w.tap.seen++
-			w.armed = w.tap.seen == w.tap.at
-		}
-		if c == '\n' && w.armed {
-			w.armed, fire = false, true
+	tp := w.tap
+	tp.mu.Lock()
+	end, fire := len(b), false
+	if tp.cut != nil && tp.at == 0 && !tp.fired {
+		end, fire = 0, true
+	}
+	for i := 0; i < end; i++ {
+		c := b[i]
+		if w.lineStart {
+			w.control = c == '#'
 		}
 		w.lineStart = c == '\n'
+		if !w.lineStart || (tp.cut == nil && !w.control) {
+			continue
+		}
+		tp.seen++
+		if tp.cut != nil && tp.seen <= tp.at {
+			if w.control {
+				tp.ckpts++
+			} else {
+				tp.outputs++
+			}
+		}
+		if tp.seen == tp.at {
+			fire = true
+			if tp.cut != nil {
+				end = i + 1
+			}
+		}
 	}
-	w.tap.mu.Unlock()
-	if fire {
-		w.tap.drain()
+	tp.fired = tp.fired || fire
+	tp.mu.Unlock()
+	n, err := w.ResponseWriter.Write(b[:end])
+	switch {
+	case !fire:
+	case tp.cut == nil:
+		tp.drain()
+	default:
+		// Everything through the at-th line leaves before the cut.
+		_ = http.NewResponseController(w.ResponseWriter).Flush()
+		tp.cut()
+		if err == nil {
+			err = io.ErrClosedPipe
+		}
 	}
 	return n, err
 }
@@ -645,4 +699,93 @@ func sameOutputs(got, want []string) bool {
 	}
 	var tr serve.Trailer
 	return json.Unmarshal([]byte(got[len(want)]), &tr) == nil && tr.Done && tr.Error == "" && !tr.Migrated
+}
+
+// TestGateBackendCutAtEveryLineInBubble loses a migrating session's
+// backend mid-stream: a short session at ckpt=1, and for each k a bubble
+// in which b0's connection is cut right after the k-th line of its
+// response (k 0: right after the status line). What the gateway does
+// depends only on what had reached it by then. With a #ckpt in hand it
+// resumes from it, once, and the client's bytes are a direct run's; with
+// no line at all it re-routes the whole session, and the client's bytes
+// are again a direct run's; with outputs relayed but no checkpoint it
+// ends the client's stream after them, without a trailer. Each way the
+// loss is one backend error, and the bubble ends with no goroutine left.
+func TestGateBackendCutAtEveryLineInBubble(t *testing.T) {
+	const inputs = 3 * 8 // three chunks of baseConfig's
+	// A small-state benchmark and a tracker: under -race every benchmark
+	// would take minutes.
+	for _, name := range []string{"streamcluster", "facetrack"} {
+		body := ndjsonBody(t, name, sessionInputs(t, name, inputs))
+		type result struct {
+			got, want                         []string
+			fired                             bool
+			ckpts, outputs, lines             int
+			migrations, reroutes, backendErrs int64
+		}
+		// session runs body through a gateway in front of a tapped b0 and
+		// a plain b1, cutting b0 after its at-th line (at < 0: never).
+		session := func(at int) result {
+			res := make(chan result, 1)
+			inBubble(func(n *memNet) {
+				_, want, _, _ := postSessionVia(t, n.client(), n.serve("direct", serve.New(baseConfig(), serve.Options{}).Handler()), name, body)
+				tap := &ckptTap{at: at, cut: func() { n.cut("b0") }}
+				reg := cluster.NewRegistry(
+					cluster.Backend{ID: "b0", Addr: n.serve("b0", tap.handler(serve.New(baseConfig(), serve.Options{}).Handler()))},
+					cluster.Backend{ID: "b1", Addr: n.serve("b1", serve.New(baseConfig(), serve.Options{}).Handler())},
+				)
+				g := newGateway(reg)
+				g.migrate, g.ckptEvery, g.client = true, 1, n.client()
+				gate := n.serve("gate", g.handler())
+				client := n.client()
+				defer client.CloseIdleConnections()
+				defer g.client.CloseIdleConnections()
+
+				var got []string
+				resp, err := client.Post(gate+"/v1/stream/"+name, "application/x-ndjson", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+				} else {
+					sc := bufio.NewScanner(resp.Body)
+					sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+					for sc.Scan() {
+						got = append(got, sc.Text())
+					}
+					resp.Body.Close()
+				}
+				synctest.Wait()
+				tap.mu.Lock()
+				defer tap.mu.Unlock()
+				res <- result{got, want, tap.fired, tap.ckpts, tap.outputs, tap.seen,
+					g.met.Migrations.Load(), g.met.Reroutes.Load(), g.met.BackendErrors.Load()}
+			})
+			return <-res
+		}
+
+		whole := session(-1)
+		if whole.fired || whole.migrations+whole.reroutes+whole.backendErrs != 0 || !sameOutputs(whole.got, whole.want) {
+			t.Fatalf("%s uncut: migrations=%d reroutes=%d backend_errors=%d, outputs match %v; want 0s and true",
+				name, whole.migrations, whole.reroutes, whole.backendErrs, sameOutputs(whole.got, whole.want))
+		}
+		for k := 0; k <= whole.lines; k++ {
+			r := session(k)
+			var ok bool
+			var outcome string
+			switch {
+			case !r.fired: // this run wrote fewer lines than the uncut one
+				outcome, ok = "uncut", r.migrations+r.reroutes+r.backendErrs == 0 && sameOutputs(r.got, r.want)
+			case r.ckpts > 0:
+				outcome, ok = "resumed", r.migrations == 1 && r.reroutes == 0 && r.backendErrs == 1 && sameOutputs(r.got, r.want)
+			case r.outputs == 0:
+				outcome, ok = "re-routed", r.migrations == 0 && r.reroutes == 1 && r.backendErrs == 1 && sameOutputs(r.got, r.want)
+			default:
+				outcome, ok = "truncated", r.migrations == 0 && r.reroutes == 0 && r.backendErrs == 1 &&
+					len(r.got) == r.outputs && slices.Equal(r.got, r.want[:r.outputs])
+			}
+			if !ok {
+				t.Errorf("%s cut after line %d of %d (%d #ckpt, %d outputs before it), %s: migrations=%d reroutes=%d backend_errors=%d, %d client lines for %d outputs",
+					name, k, whole.lines, r.ckpts, r.outputs, outcome, r.migrations, r.reroutes, r.backendErrs, len(r.got), len(r.want))
+			}
+		}
+	}
 }

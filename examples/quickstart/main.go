@@ -56,11 +56,15 @@ func (smoother) StateBytes() int64 { return 8 }
 func (smoother) UpdateCost(engine.Input, engine.State) engine.UpdateWork {
 	return engine.UpdateWork{Serial: machine.Work{Instr: 200_000}, Grain: 1}
 }
-func (smoother) CompareCost() machine.Work         { return machine.Work{Instr: 100} }
-func (smoother) SetupWork(chunks int) machine.Work { return machine.Work{Instr: int64(chunks) * 1000} }
-func (smoother) TeardownWork(int) machine.Work     { return machine.Work{Instr: 1000} }
-func (smoother) PreRegionWork() machine.Work       { return machine.Work{Instr: 100_000} }
-func (smoother) PostRegionWork() machine.Work      { return machine.Work{Instr: 100_000} }
+func (smoother) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		Compare:  machine.Work{Instr: 100},
+		Setup:    engine.ChunkCost{PerChunk: 1000},
+		Teardown: engine.ChunkCost{Fixed: 1000},
+		Pre:      machine.Work{Instr: 100_000},
+		Post:     machine.Work{Instr: 100_000},
+	}
+}
 
 func main() {
 	// The input stream: a noisy ramp.

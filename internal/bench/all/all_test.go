@@ -11,10 +11,10 @@ import (
 )
 
 // TestRegistryComplete smoke-tests the full suite through the registry:
-// every benchmark must construct, describe itself, generate inputs,
-// round-trip them through a sequential native run, and score the outputs
-// with a finite quality — the minimum contract every tool and experiment
-// in the repo assumes.
+// every benchmark must construct, describe itself, have a codec that
+// serializes states, generate inputs, round-trip them through a
+// sequential native run, and score the outputs with a finite quality —
+// the minimum contract every tool and experiment in the repo assumes.
 func TestRegistryComplete(t *testing.T) {
 	names := bench.Names()
 	if len(names) == 0 {
@@ -34,6 +34,9 @@ func TestRegistryComplete(t *testing.T) {
 			}
 			if b.MaxInnerWidth() < 1 {
 				t.Errorf("MaxInnerWidth() = %d", b.MaxInnerWidth())
+			}
+			if _, err := bench.WireFor(name); err != nil {
+				t.Error(err)
 			}
 
 			inputs := b.Inputs(rng.New(1))

@@ -56,7 +56,7 @@ func newSample(t *testing.T, name string) (s sample) {
 // the reusing halves a served line goes through (bench.ReusingCodec)
 // among them.
 func TestCodecAllocations(t *testing.T) {
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		t.Run(name, func(t *testing.T) {
 			s := newSample(t, name)
 			for _, d := range []struct {
@@ -102,7 +102,7 @@ func TestCodecAllocations(t *testing.T) {
 			t.Errorf("%s DecodeInputInto with a spare: %v allocations, want at most 1 (the interface box)", name, n)
 		}
 	}
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		s := newSample(t, name)
 		rc, ok := s.wc.(bench.ReusingCodec)
 		if !ok {

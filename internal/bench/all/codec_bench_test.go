@@ -14,7 +14,7 @@ import (
 // served line is into the input its record slot retires; reported per
 // line and as MB/s of NDJSON read.
 func BenchmarkDecodeInput(b *testing.B) {
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		b.Run(name, func(b *testing.B) {
 			wc, err := bench.WireFor(name)
 			if err != nil {

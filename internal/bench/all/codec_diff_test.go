@@ -135,7 +135,7 @@ func diffInput(t *testing.T, c bench.StreamCodec, in engine.Input) {
 // snapshot at every commit: what the encoder wrote is what json.Marshal
 // writes, and what the decoder read is what json.Unmarshal reads.
 func TestCodecsMatchEncodingJSON(t *testing.T) {
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		t.Run(name, func(t *testing.T) {
 			b := bench.MustNew(name)
 			wc, err := bench.WireFor(name)

@@ -192,7 +192,7 @@ func checkAppendOutput(t *testing.T, name string, rc bench.ReusingCodec, codec b
 // line that decodes and encodes back to itself. An accepted output
 // agrees with json.Unmarshal and re-encodes as json.Marshal would.
 func FuzzWireCodecs(f *testing.F) {
-	names := bench.WireNames()
+	names := bench.CodecNames()
 	type fixture struct {
 		b   bench.Benchmark
 		wc  bench.WireCodec

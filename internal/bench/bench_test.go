@@ -113,13 +113,14 @@ func TestContractAllBenchmarks(t *testing.T) {
 			if uw.Grain < 1 {
 				t.Error("grain < 1")
 			}
-			if b.CompareCost().Instr <= 0 {
+			rc := b.RegionCosts()
+			if rc.Compare.Instr <= 0 {
 				t.Error("non-positive compare cost")
 			}
-			if b.SetupWork(4).Instr <= 0 || b.TeardownWork(4).Instr <= 0 {
+			if rc.Setup.Work(4).Instr <= 0 || rc.Teardown.Work(4).Instr <= 0 {
 				t.Error("non-positive setup/teardown")
 			}
-			if b.PreRegionWork().Instr <= 0 || b.PostRegionWork().Instr <= 0 {
+			if rc.Pre.Instr <= 0 || rc.Post.Instr <= 0 {
 				t.Error("non-positive pre/post region work")
 			}
 		})

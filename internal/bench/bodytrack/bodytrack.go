@@ -16,6 +16,8 @@ package bodytrack
 
 import (
 	"gostats/internal/bench/trackutil"
+	"gostats/internal/engine"
+	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -95,12 +97,19 @@ func NewWithParams(p Params) *trackutil.Tracker {
 		Cost: func(trackutil.Frame) trackutil.Cost {
 			return trackutil.Cost{Instr: p.NativeInstrPerFrame, SerialFrac: 0.12, Profile: &bodyProfile, Grain: 32, ShareJitter: 0.08}
 		},
-		StateRegion:   "bodytrack.state.",
-		CompareInstr:  450_000,
-		SetupInstr:    [2]int64{400_000, 120_000},
-		TeardownInstr: [2]int64{100_000, 40_000},
-		PreInstr:      60_000_000, // camera calibration and model loading
-		PostInstr:     45_000_000, // rendering the overlaid output sequence
+		StateRegion: "bodytrack.state.",
+		Costs: engine.RegionCosts{
+			// Comparing two clouds' statistics.
+			Compare: machine.Work{Instr: 450_000},
+			// Runtime allocation (large states make it visible), and
+			// freeing the states.
+			Setup:    engine.ChunkCost{Fixed: 400_000, PerChunk: 120_000},
+			Teardown: engine.ChunkCost{Fixed: 100_000, PerChunk: 40_000},
+			// Camera calibration and model loading.
+			Pre: machine.Work{Instr: 60_000_000},
+			// Rendering the overlaid output sequence.
+			Post: machine.Work{Instr: 45_000_000},
+		},
 		// The pthread bodytrack parallelizes particle likelihood evaluation.
 		InnerWidth: 8,
 	}

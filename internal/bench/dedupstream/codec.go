@@ -8,11 +8,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func init() {
-	bench.RegisterCodec("dedupstream", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("dedupstream", func() bench.WireCodec { return codec{} })
-}
-
 // codec streams dedupstream over NDJSON: one base64 Segment per request
 // line, one SegmentStats per committed output line, and the fingerprint
 // index as state for checkpoints and out-of-process chunk execution.
@@ -26,11 +21,7 @@ func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, err
 	if scanSegment(data, &seg) {
 		return seg, nil
 	}
-	var fresh Segment
-	if err := bench.Unmarshal(data, &fresh); err != nil {
-		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
-	}
-	return fresh, nil
+	return bench.Fallback[Segment](data, "dedupstream", "bad segment")
 }
 
 func scanSegment(data []byte, seg *Segment) bool {
@@ -77,11 +68,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if ss, ok := scanStats(data); ok {
 		return ss, nil
 	}
-	var ss SegmentStats
-	if err := bench.Unmarshal(data, &ss); err != nil {
-		return nil, fmt.Errorf("dedupstream: bad segment stats: %w", err)
-	}
-	return ss, nil
+	return bench.Fallback[SegmentStats](data, "dedupstream", "bad segment stats")
 }
 
 func scanStats(data []byte) (ss SegmentStats, ok bool) {

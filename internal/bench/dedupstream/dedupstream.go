@@ -33,7 +33,10 @@ import (
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("dedupstream", func() bench.Benchmark { return New() }) }
+func init() {
+	bench.Register("dedupstream", func() bench.Benchmark { return New() })
+	bench.RegisterCodec("dedupstream", func() bench.StreamCodec { return codec{} })
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -422,26 +425,21 @@ func (d *DedupStream) UpdateCost(in engine.Input, stv engine.State) engine.Updat
 	}
 }
 
-// CompareCost covers two recent-set scans and the intersection.
-func (d *DedupStream) CompareCost() machine.Work {
-	return machine.Work{Instr: 2_400_000, Access: &dedupProfile}
+// RegionCosts implements engine.CostModel.
+func (d *DedupStream) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		// Two recent-set scans and the intersection.
+		Compare: machine.Work{Instr: 2_400_000, Access: &dedupProfile},
+		// Index allocation.
+		Setup: engine.ChunkCost{Fixed: 900_000, PerChunk: 120_000},
+		// Freeing it.
+		Teardown: engine.ChunkCost{Fixed: 250_000, PerChunk: 30_000},
+		// Container open and manifest load.
+		Pre: machine.Work{Instr: 30_000_000},
+		// Recipe serialization.
+		Post: machine.Work{Instr: 18_000_000},
+	}
 }
-
-// SetupWork models index allocation.
-func (d *DedupStream) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 900_000 + int64(chunks)*120_000}
-}
-
-// TeardownWork frees it.
-func (d *DedupStream) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 250_000 + int64(chunks)*30_000}
-}
-
-// PreRegionWork is container open and manifest load.
-func (d *DedupStream) PreRegionWork() machine.Work { return machine.Work{Instr: 30_000_000} }
-
-// PostRegionWork is recipe serialization.
-func (d *DedupStream) PostRegionWork() machine.Work { return machine.Work{Instr: 18_000_000} }
 
 // MaxInnerWidth: chunk fingerprinting within a segment parallelizes a
 // little once boundaries are known; the boundary scan itself does not.

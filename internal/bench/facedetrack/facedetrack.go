@@ -16,6 +16,8 @@ package facedetrack
 
 import (
 	"gostats/internal/bench/trackutil"
+	"gostats/internal/engine"
+	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -108,12 +110,19 @@ func NewWithParams(p Params) *trackutil.Tracker {
 			}
 			return k
 		},
-		StateRegion:   "facedet.state.",
-		CompareInstr:  20_000,
-		SetupInstr:    [2]int64{200_000, 50_000},
-		TeardownInstr: [2]int64{60_000, 15_000},
-		PreInstr:      40_000_000, // loading the cascade and opening the video
-		PostInstr:     28_000_000, // writing the annotated video
+		StateRegion: "facedet.state.",
+		Costs: engine.RegionCosts{
+			// Comparing two clouds' statistics.
+			Compare: machine.Work{Instr: 20_000},
+			// Runtime allocation (large states make it visible), and
+			// freeing the states.
+			Setup:    engine.ChunkCost{Fixed: 200_000, PerChunk: 50_000},
+			Teardown: engine.ChunkCost{Fixed: 60_000, PerChunk: 15_000},
+			// Loading the cascade and opening the video.
+			Pre: machine.Work{Instr: 40_000_000},
+			// Writing the annotated video.
+			Post: machine.Work{Instr: 28_000_000},
+		},
 		// The detector's multi-scale windows parallelize.
 		InnerWidth: 8,
 	}

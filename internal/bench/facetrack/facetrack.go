@@ -15,6 +15,8 @@ package facetrack
 
 import (
 	"gostats/internal/bench/trackutil"
+	"gostats/internal/engine"
+	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -87,12 +89,19 @@ func NewWithParams(p Params) *trackutil.Tracker {
 		Cost: func(trackutil.Frame) trackutil.Cost {
 			return trackutil.Cost{Instr: p.NativeInstrPerFrame, SerialFrac: 0.30, Profile: &faceProfile, Grain: 4, ShareJitter: 0.10}
 		},
-		StateRegion:   "facetrack.state.",
-		CompareInstr:  20_000,
-		SetupInstr:    [2]int64{200_000, 50_000},
-		TeardownInstr: [2]int64{60_000, 15_000},
-		PreInstr:      30_000_000, // video open and decode setup
-		PostInstr:     22_000_000, // writing the annotated video
+		StateRegion: "facetrack.state.",
+		Costs: engine.RegionCosts{
+			// Comparing two clouds' statistics.
+			Compare: machine.Work{Instr: 20_000},
+			// Runtime allocation (large states make it visible), and
+			// freeing the states.
+			Setup:    engine.ChunkCost{Fixed: 200_000, PerChunk: 50_000},
+			Teardown: engine.ChunkCost{Fixed: 60_000, PerChunk: 15_000},
+			// Video open and decode setup.
+			Pre: machine.Work{Instr: 30_000_000},
+			// Writing the annotated video.
+			Post: machine.Work{Instr: 22_000_000},
+		},
 		// The tracker's per-frame work parallelizes only modestly.
 		InnerWidth: 4,
 	}

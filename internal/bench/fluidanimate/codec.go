@@ -7,11 +7,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func init() {
-	bench.RegisterCodec("fluidanimate", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("fluidanimate", func() bench.WireCodec { return codec{} })
-}
-
 // codec streams fluidanimate over NDJSON: one Force per request line, one
 // StepEnergy per committed output line, and the 64 KB velocity field as
 // state for checkpoints and out-of-process chunk execution.
@@ -24,11 +19,7 @@ func (codec) DecodeInputInto(data []byte, _ engine.Input) (engine.Input, error) 
 	if f, ok := scanForce(data); ok {
 		return f, nil
 	}
-	var f Force
-	if err := bench.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("fluidanimate: bad force: %w", err)
-	}
-	return f, nil
+	return bench.Fallback[Force](data, "fluidanimate", "bad force")
 }
 
 func scanForce(data []byte) (f Force, ok bool) {
@@ -87,11 +78,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if se, ok := scanEnergy(data); ok {
 		return se, nil
 	}
-	var se StepEnergy
-	if err := bench.Unmarshal(data, &se); err != nil {
-		return nil, fmt.Errorf("fluidanimate: bad step energy: %w", err)
-	}
-	return se, nil
+	return bench.Fallback[StepEnergy](data, "fluidanimate", "bad step energy")
 }
 
 func scanEnergy(data []byte) (se StepEnergy, ok bool) {

@@ -28,7 +28,10 @@ import (
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("fluidanimate", func() bench.Benchmark { return New() }) }
+func init() {
+	bench.Register("fluidanimate", func() bench.Benchmark { return New() })
+	bench.RegisterCodec("fluidanimate", func() bench.StreamCodec { return codec{} })
+}
 
 const (
 	gridW = 64
@@ -207,24 +210,21 @@ func (f *FluidAnimate) UpdateCost(in engine.Input, stv engine.State) engine.Upda
 	}
 }
 
-// CompareCost covers the 64 KB field comparison.
-func (f *FluidAnimate) CompareCost() machine.Work { return machine.Work{Instr: 60_000} }
-
-// SetupWork models runtime allocation.
-func (f *FluidAnimate) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 250_000 + int64(chunks)*60_000}
+// RegionCosts implements engine.CostModel.
+func (f *FluidAnimate) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		// The 64 KB field comparison.
+		Compare: machine.Work{Instr: 60_000},
+		// Runtime allocation.
+		Setup: engine.ChunkCost{Fixed: 250_000, PerChunk: 60_000},
+		// Freeing it.
+		Teardown: engine.ChunkCost{Fixed: 80_000, PerChunk: 20_000},
+		// Loading the scene.
+		Pre: machine.Work{Instr: 30_000_000},
+		// Writing the final fluid state.
+		Post: machine.Work{Instr: 20_000_000},
+	}
 }
-
-// TeardownWork frees it.
-func (f *FluidAnimate) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 80_000 + int64(chunks)*20_000}
-}
-
-// PreRegionWork loads the scene.
-func (f *FluidAnimate) PreRegionWork() machine.Work { return machine.Work{Instr: 30_000_000} }
-
-// PostRegionWork writes the final fluid state.
-func (f *FluidAnimate) PostRegionWork() machine.Work { return machine.Work{Instr: 20_000_000} }
 
 // Inputs generates the native force sequence: a stirring pattern with
 // drifting position.

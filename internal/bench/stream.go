@@ -120,7 +120,8 @@ func CodecNames() []string { return slices.Sorted(maps.Keys(codecs)) }
 // decoder reads that one canonical form with a Cursor. Any other line —
 // whitespace, reordered or case-folded keys, unknown fields, escapes,
 // null — goes to Unmarshal below, the fallback at the bottom of every
-// decoder and the only call into encoding/json outside tests. So the
+// decoder (through Fallback in the input and output decoders) and the
+// only call into encoding/json outside tests. So the
 // lines accepted and the values decoded are encoding/json's by
 // construction, and internal/bench/all's differential tests and fuzz
 // targets check the rest against it. strconv stands in two places:
@@ -152,30 +153,32 @@ func Unmarshal(data []byte, v any) error {
 	return json.Unmarshal(data, v)
 }
 
+// Fallback is the tail of an input or output decoder: it decodes a line
+// the Cursor declined into a fresh T with Unmarshal, and wraps an error
+// as "<name>: <what>: <error>".
+func Fallback[T any](data []byte, name, what string) (any, error) {
+	var v T
+	if err := Unmarshal(data, &v); err != nil {
+		return nil, fmt.Errorf("%s: %s: %w", name, what, err)
+	}
+	return v, nil
+}
+
 // FallbackLines reports how many lines this process has decoded with
 // Unmarshal rather than with a Cursor.
 func FallbackLines() uint64 { return fallbackLines.Load() }
 
-var wires = map[string]func() WireCodec{}
-
-// RegisterWire adds a wire codec under the benchmark's registered name.
-// Like Register, it panics on duplicates.
-func RegisterWire(name string, ctor func() WireCodec) {
-	if _, dup := wires[name]; dup {
-		panic(fmt.Sprintf("bench: duplicate wire codec %q", name))
-	}
-	wires[name] = ctor
-}
-
-// WireFor instantiates the wire codec registered for name. Not every
-// benchmark has one; the error lists those that do.
+// WireFor instantiates the codec registered for name as a WireCodec.
+// Every benchmark's codec serializes states; a forwarding codec
+// registered under a name of its own need not.
 func WireFor(name string) (WireCodec, error) {
-	ctor, ok := wires[name]
-	if !ok {
-		return nil, fmt.Errorf("bench: no wire codec for %q (have %v)", name, WireNames())
+	c, err := CodecFor(name)
+	if err != nil {
+		return nil, err
 	}
-	return ctor(), nil
+	wc, ok := c.(WireCodec)
+	if !ok {
+		return nil, fmt.Errorf("bench: the codec for %q serializes no states", name)
+	}
+	return wc, nil
 }
-
-// WireNames lists benchmarks with wire codecs in sorted order.
-func WireNames() []string { return slices.Sorted(maps.Keys(wires)) }

@@ -7,11 +7,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func init() {
-	bench.RegisterCodec("streamclassifier", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("streamclassifier", func() bench.WireCodec { return codec{} })
-}
-
 // codec streams streamclassifier over NDJSON: one labeled Block per
 // request line, one BlockAccuracy per committed output line, and the
 // 104-byte weight state for checkpoints and out-of-process chunk
@@ -29,11 +24,7 @@ func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, err
 	if scanBlock(data, &blk) {
 		return blk, nil
 	}
-	var fresh Block
-	if err := bench.Unmarshal(data, &fresh); err != nil {
-		return nil, fmt.Errorf("streamclassifier: bad block: %w", err)
-	}
-	return fresh, nil
+	return bench.Fallback[Block](data, "streamclassifier", "bad block")
 }
 
 func scanBlock(data []byte, blk *Block) bool {
@@ -108,11 +99,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if ba, ok := scanAccuracy(data); ok {
 		return ba, nil
 	}
-	var ba BlockAccuracy
-	if err := bench.Unmarshal(data, &ba); err != nil {
-		return nil, fmt.Errorf("streamclassifier: bad block accuracy: %w", err)
-	}
-	return ba, nil
+	return bench.Fallback[BlockAccuracy](data, "streamclassifier", "bad block accuracy")
 }
 
 func scanAccuracy(data []byte) (ba BlockAccuracy, ok bool) {

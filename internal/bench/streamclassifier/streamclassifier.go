@@ -29,7 +29,10 @@ import (
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("streamclassifier", func() bench.Benchmark { return New() }) }
+func init() {
+	bench.Register("streamclassifier", func() bench.Benchmark { return New() })
+	bench.RegisterCodec("streamclassifier", func() bench.StreamCodec { return codec{} })
+}
 
 const features = 12
 
@@ -217,25 +220,22 @@ func (s *StreamClassifier) UpdateCost(in engine.Input, stv engine.State) engine.
 	}
 }
 
-// CompareCost covers the cosine comparison of two 104-byte states.
-func (s *StreamClassifier) CompareCost() machine.Work { return machine.Work{Instr: 3_000} }
-
-// SetupWork models runtime allocation.
-func (s *StreamClassifier) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 150_000 + int64(chunks)*30_000}
+// RegionCosts implements engine.CostModel.
+func (s *StreamClassifier) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		// The cosine comparison of two 104-byte states.
+		Compare: machine.Work{Instr: 3_000},
+		// Runtime allocation.
+		Setup: engine.ChunkCost{Fixed: 150_000, PerChunk: 30_000},
+		// Freeing it.
+		Teardown: engine.ChunkCost{Fixed: 40_000, PerChunk: 8_000},
+		// Feature extraction and stream setup: large, per the paper's
+		// finding that streamclassifier is limited by sequential code.
+		Pre: machine.Work{Instr: 55_000_000},
+		// The final model evaluation and report.
+		Post: machine.Work{Instr: 28_000_000},
+	}
 }
-
-// TeardownWork frees it.
-func (s *StreamClassifier) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 40_000 + int64(chunks)*8_000}
-}
-
-// PreRegionWork is feature extraction and stream setup: large, per the
-// paper's finding that streamclassifier is limited by sequential code.
-func (s *StreamClassifier) PreRegionWork() machine.Work { return machine.Work{Instr: 55_000_000} }
-
-// PostRegionWork is the final model evaluation and report.
-func (s *StreamClassifier) PostRegionWork() machine.Work { return machine.Work{Instr: 28_000_000} }
 
 // Inputs generates the native stream with a slowly rotating boundary.
 func (s *StreamClassifier) Inputs(r *rng.Stream) []engine.Input {

@@ -8,11 +8,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func init() {
-	bench.RegisterCodec("streamcluster", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("streamcluster", func() bench.WireCodec { return codec{} })
-}
-
 // codec streams streamcluster over NDJSON: one point Block per request
 // line, one BlockCost per committed output line, and the 104-byte center
 // state for checkpoints and out-of-process chunk execution. Encoders
@@ -31,11 +26,7 @@ func (codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, err
 	if scanBlock(data, &blk) {
 		return blk, nil
 	}
-	var fresh Block
-	if err := bench.Unmarshal(data, &fresh); err != nil {
-		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
-	}
-	return fresh, nil
+	return bench.Fallback[Block](data, "streamcluster", "bad block")
 }
 
 // scanBlock sizes Points by the line's '[': one opens each point, and
@@ -116,11 +107,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if bc, ok := scanCost(data); ok {
 		return bc, nil
 	}
-	var bc BlockCost
-	if err := bench.Unmarshal(data, &bc); err != nil {
-		return nil, fmt.Errorf("streamcluster: bad block cost: %w", err)
-	}
-	return bc, nil
+	return bench.Fallback[BlockCost](data, "streamcluster", "bad block cost")
 }
 
 func scanCost(data []byte) (bc BlockCost, ok bool) {

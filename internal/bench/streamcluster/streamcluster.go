@@ -29,7 +29,10 @@ import (
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("streamcluster", func() bench.Benchmark { return New() }) }
+func init() {
+	bench.Register("streamcluster", func() bench.Benchmark { return New() })
+	bench.RegisterCodec("streamcluster", func() bench.StreamCodec { return codec{} })
+}
 
 const (
 	k    = 3 // centers
@@ -245,26 +248,23 @@ func (s *StreamCluster) UpdateCost(in engine.Input, stv engine.State) engine.Upd
 	}
 }
 
-// CompareCost covers the 6-permutation 104-byte comparison.
-func (s *StreamCluster) CompareCost() machine.Work { return machine.Work{Instr: 4_000} }
-
-// SetupWork models the runtime structure allocation.
-func (s *StreamCluster) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 150_000 + int64(chunks)*30_000}
+// RegionCosts implements engine.CostModel.
+func (s *StreamCluster) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		// The 6-permutation 104-byte comparison.
+		Compare: machine.Work{Instr: 4_000},
+		// Allocating the runtime structures.
+		Setup: engine.ChunkCost{Fixed: 150_000, PerChunk: 30_000},
+		// Freeing them.
+		Teardown: engine.ChunkCost{Fixed: 40_000, PerChunk: 8_000},
+		// Stream setup and input parsing: substantial, per the paper's
+		// finding that streamcluster is limited by code outside the STATS
+		// region.
+		Pre: machine.Work{Instr: 70_000_000},
+		// Writing the clustering output.
+		Post: machine.Work{Instr: 35_000_000},
+	}
 }
-
-// TeardownWork frees it.
-func (s *StreamCluster) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 40_000 + int64(chunks)*8_000}
-}
-
-// PreRegionWork is the stream setup and input parsing: substantial, per
-// the paper's finding that streamcluster is limited by code outside the
-// STATS region.
-func (s *StreamCluster) PreRegionWork() machine.Work { return machine.Work{Instr: 70_000_000} }
-
-// PostRegionWork writes the clustering output.
-func (s *StreamCluster) PostRegionWork() machine.Work { return machine.Work{Instr: 35_000_000} }
 
 // Inputs generates the native stream from 3 drifting Gaussian clusters.
 func (s *StreamCluster) Inputs(r *rng.Stream) []engine.Input {

@@ -7,11 +7,6 @@ import (
 	"gostats/internal/engine"
 )
 
-func init() {
-	bench.RegisterCodec("swaptions", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("swaptions", func() bench.WireCodec { return codec{} })
-}
-
 // codec streams swaptions over NDJSON: one Batch per request line, one
 // Price per committed output line, and — for checkpoints and
 // out-of-process chunk execution — the raw 24-byte estimator as state.
@@ -24,11 +19,7 @@ func (codec) DecodeInputInto(data []byte, _ engine.Input) (engine.Input, error) 
 	if b, ok := scanBatch(data); ok {
 		return b, nil
 	}
-	var b Batch
-	if err := bench.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("swaptions: bad batch: %w", err)
-	}
-	return b, nil
+	return bench.Fallback[Batch](data, "swaptions", "bad batch")
 }
 
 func scanBatch(data []byte) (b Batch, ok bool) {
@@ -81,11 +72,7 @@ func (codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if p, ok := scanPrice(data); ok {
 		return p, nil
 	}
-	var p Price
-	if err := bench.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("swaptions: bad price: %w", err)
-	}
-	return p, nil
+	return bench.Fallback[Price](data, "swaptions", "bad price")
 }
 
 func scanPrice(data []byte) (p Price, ok bool) {

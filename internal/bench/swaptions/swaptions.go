@@ -31,7 +31,10 @@ import (
 	"gostats/internal/rng"
 )
 
-func init() { bench.Register("swaptions", func() bench.Benchmark { return New() }) }
+func init() {
+	bench.Register("swaptions", func() bench.Benchmark { return New() })
+	bench.RegisterCodec("swaptions", func() bench.StreamCodec { return codec{} })
+}
 
 // Params sizes the workload.
 type Params struct {
@@ -252,24 +255,21 @@ func (s *Swaptions) UpdateCost(in engine.Input, st engine.State) engine.UpdateWo
 	}
 }
 
-// CompareCost covers the 24-byte state comparison.
-func (s *Swaptions) CompareCost() machine.Work { return machine.Work{Instr: 2_000} }
-
-// SetupWork and TeardownWork model the runtime structures.
-func (s *Swaptions) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: 200_000 + int64(chunks)*40_000}
+// RegionCosts implements engine.CostModel.
+func (s *Swaptions) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		// The 24-byte state comparison.
+		Compare: machine.Work{Instr: 2_000},
+		// Allocating the runtime structures.
+		Setup: engine.ChunkCost{Fixed: 200_000, PerChunk: 40_000},
+		// Freeing them.
+		Teardown: engine.ChunkCost{Fixed: 50_000, PerChunk: 10_000},
+		// Argument parsing and term-structure setup.
+		Pre: machine.Work{Instr: 18_000_000},
+		// Printing the prices.
+		Post: machine.Work{Instr: 9_000_000},
+	}
 }
-
-// TeardownWork frees them.
-func (s *Swaptions) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: 50_000 + int64(chunks)*10_000}
-}
-
-// PreRegionWork is argument parsing and term-structure setup.
-func (s *Swaptions) PreRegionWork() machine.Work { return machine.Work{Instr: 18_000_000} }
-
-// PostRegionWork prints the prices.
-func (s *Swaptions) PostRegionWork() machine.Work { return machine.Work{Instr: 9_000_000} }
 
 // Inputs generates the native batch stream: swaptions in sequence, each
 // split into batches.

@@ -22,11 +22,7 @@ func (c codec) DecodeInputInto(data []byte, spare engine.Input) (engine.Input, e
 	if scanFrame(data, &fr) {
 		return fr, nil
 	}
-	fr = Frame{}
-	if err := bench.Unmarshal(data, &fr); err != nil {
-		return nil, fmt.Errorf("%s: bad frame: %w", c.t.BenchName, err)
-	}
-	return fr, nil
+	return bench.Fallback[Frame](data, c.t.BenchName, "bad frame")
 }
 
 func scanFrame(data []byte, fr *Frame) bool {
@@ -93,11 +89,7 @@ func (c codec) DecodeOutput(data []byte) (engine.Output, error) {
 	if res, ok := scanResult(data); ok {
 		return res, nil
 	}
-	var res Result
-	if err := bench.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("%s: bad result: %w", c.t.BenchName, err)
-	}
-	return res, nil
+	return bench.Fallback[Result](data, c.t.BenchName, "bad result")
 }
 
 func scanResult(data []byte) (res Result, ok bool) {

@@ -33,12 +33,9 @@ type Tracker struct {
 	// of the cloud's own region in the cost's access profile.
 	Cost        func(fr Frame) Cost
 	StateRegion string
-	// CompareInstr, PreInstr and PostInstr are CompareCost's,
-	// PreRegionWork's and PostRegionWork's instructions; SetupInstr and
-	// TeardownInstr are {fixed, per chunk}.
-	CompareInstr, PreInstr, PostInstr int64
-	SetupInstr, TeardownInstr         [2]int64
-	InnerWidth                        int
+	// Costs are what the tracker charges around its updates.
+	Costs      engine.RegionCosts
+	InnerWidth int
 }
 
 // Cost is one Update's charge: Instr instructions, SerialFrac of them
@@ -72,7 +69,6 @@ func Register(newTracker func() *Tracker) {
 	c := codec{newTracker()}
 	bench.Register(c.t.BenchName, func() bench.Benchmark { return newTracker() })
 	bench.RegisterCodec(c.t.BenchName, func() bench.StreamCodec { return c })
-	bench.RegisterWire(c.t.BenchName, func() bench.WireCodec { return c })
 }
 
 // Name implements engine.Program.
@@ -142,24 +138,8 @@ func (t *Tracker) UpdateCost(in engine.Input, stv engine.State) engine.UpdateWor
 	}
 }
 
-// CompareCost covers comparing two particle sets' statistics.
-func (t *Tracker) CompareCost() machine.Work { return machine.Work{Instr: t.CompareInstr} }
-
-// SetupWork models runtime allocation (large states make it visible).
-func (t *Tracker) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: t.SetupInstr[0] + int64(chunks)*t.SetupInstr[1]}
-}
-
-// TeardownWork frees the states.
-func (t *Tracker) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: t.TeardownInstr[0] + int64(chunks)*t.TeardownInstr[1]}
-}
-
-// PreRegionWork is model loading and opening the video.
-func (t *Tracker) PreRegionWork() machine.Work { return machine.Work{Instr: t.PreInstr} }
-
-// PostRegionWork writes the annotated output sequence.
-func (t *Tracker) PostRegionWork() machine.Work { return machine.Work{Instr: t.PostInstr} }
+// RegionCosts returns Costs.
+func (t *Tracker) RegionCosts() engine.RegionCosts { return t.Costs }
 
 // Inputs generates the native synthetic sequence.
 func (t *Tracker) Inputs(r *rng.Stream) []engine.Input {

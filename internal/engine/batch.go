@@ -77,13 +77,14 @@ func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*R
 	rt.emit(Event{Kind: EvIngest, Chunk: -1, Worker: -1, N: len(inputs)})
 
 	// --- Sequential code before the STATS region (§III-D). ---
+	rc := p.RegionCosts()
 	ex.SetCat(trace.CatSeqCode)
-	ex.Compute(p.PreRegionWork())
+	ex.Compute(rc.Pre)
 
 	// --- Setup: allocate runtime structures, prepare the initial state
 	// (first state copy of Fig. 6 happens here). ---
 	ex.SetCat(trace.CatSetup)
-	ex.Compute(p.SetupWork(chunks))
+	ex.Compute(rc.Setup.Work(chunks))
 	m := ex.th.Machine()
 	for j := range rt.slots {
 		mu := m.NewMutex()
@@ -115,9 +116,9 @@ func runBatch(ex *SimExec, p Program, inputs []Input, cfg Config, sink Sink) (*R
 
 	// --- Teardown and post-region sequential code. ---
 	ex.SetCat(trace.CatSetup)
-	ex.Compute(p.TeardownWork(chunks))
+	ex.Compute(rc.Teardown.Work(chunks))
 	ex.SetCat(trace.CatSeqCode)
-	ex.Compute(p.PostRegionWork())
+	ex.Compute(rc.Post)
 
 	rep := &Report{
 		Chunks:         chunks,
@@ -297,8 +298,9 @@ func RunOriginal(ex Exec, p Program, inputs []Input, width int, seed uint64) *Re
 
 func runPlain(ex Exec, p Program, inputs []Input, width int, seed uint64) *Report {
 	root := rng.New(seed).Derive("plain:" + p.Name())
+	rc := p.RegionCosts()
 	ex.SetCat(trace.CatSeqCode)
-	ex.Compute(p.PreRegionWork())
+	ex.Compute(rc.Pre)
 
 	ex.SetCat(trace.CatChunkWork)
 	threads := 0
@@ -316,7 +318,7 @@ func runPlain(ex Exec, p Program, inputs []Input, width int, seed uint64) *Repor
 	g.Close(ex)
 
 	ex.SetCat(trace.CatSeqCode)
-	ex.Compute(p.PostRegionWork())
+	ex.Compute(rc.Post)
 	return &Report{
 		Outputs:        outs,
 		Chunks:         1,

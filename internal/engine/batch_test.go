@@ -68,15 +68,15 @@ func (p *toyProg) UpdateCost(in engine.Input, s engine.State) engine.UpdateWork 
 	}
 }
 
-func (p *toyProg) CompareCost() machine.Work { return machine.Work{Instr: 50} }
-func (p *toyProg) SetupWork(chunks int) machine.Work {
-	return machine.Work{Instr: int64(1000 * chunks)}
+func (p *toyProg) RegionCosts() engine.RegionCosts {
+	return engine.RegionCosts{
+		Compare:  machine.Work{Instr: 50},
+		Setup:    engine.ChunkCost{PerChunk: 1000},
+		Teardown: engine.ChunkCost{PerChunk: 200},
+		Pre:      machine.Work{Instr: p.preInstr},
+		Post:     machine.Work{Instr: p.postInstr},
+	}
 }
-func (p *toyProg) TeardownWork(chunks int) machine.Work {
-	return machine.Work{Instr: int64(200 * chunks)}
-}
-func (p *toyProg) PreRegionWork() machine.Work  { return machine.Work{Instr: p.preInstr} }
-func (p *toyProg) PostRegionWork() machine.Work { return machine.Work{Instr: p.postInstr} }
 
 func toyInputs(n int) []engine.Input {
 	ins := make([]engine.Input, n)
@@ -321,6 +321,18 @@ func TestInvalidConfigRejected(t *testing.T) {
 	sim := &engine.SimScheduler{Config: machine.DefaultConfig(2)}
 	if _, err := sim.RunSlice(easyProg(), toyInputs(4), engine.Config{Chunks: 0, Lookback: 1, InnerWidth: 1}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// An invalid platform is an error of RunSlice, not a panic of the
+// machine it would build.
+func TestInvalidPlatformRejected(t *testing.T) {
+	sim := &engine.SimScheduler{}
+	if _, err := sim.RunSlice(easyProg(), toyInputs(4), engine.Config{Chunks: 2, Lookback: 1, InnerWidth: 1}); err == nil {
+		t.Fatal("zero-core platform accepted")
+	}
+	if sim.Cycles() != 0 {
+		t.Errorf("Cycles() = %d after a refused run, want 0", sim.Cycles())
 	}
 }
 

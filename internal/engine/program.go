@@ -75,17 +75,29 @@ type CostModel interface {
 	// UpdateCost returns the cost of Update(s, in, ...). It is consulted
 	// before the update runs.
 	UpdateCost(in Input, s State) UpdateWork
-	// CompareCost returns the cost of one Match call.
-	CompareCost() machine.Work
-	// SetupWork returns the cost of allocating/initializing the runtime
-	// support structures for the given chunk count (§III-B "Setup").
-	SetupWork(chunks int) machine.Work
-	// TeardownWork returns the cost of freeing them.
-	TeardownWork(chunks int) machine.Work
-	// PreRegionWork and PostRegionWork are the program's sequential code
-	// outside the STATS region (§III-D).
-	PreRegionWork() machine.Work
-	PostRegionWork() machine.Work
+	// RegionCosts returns the program's constant costs around the updates.
+	RegionCosts() RegionCosts
+}
+
+// RegionCosts are the costs a program charges apart from its updates:
+// the state comparison, the runtime's setup and teardown (§III-B) and the
+// sequential code outside the STATS region (§III-D).
+type RegionCosts struct {
+	// Compare is one Match call.
+	Compare machine.Work
+	// Setup allocates and initializes the runtime support structures;
+	// Teardown frees them.
+	Setup, Teardown ChunkCost
+	// Pre and Post are the sequential code before and after the region.
+	Pre, Post machine.Work
+}
+
+// ChunkCost is a fixed instruction count plus one per chunk.
+type ChunkCost struct{ Fixed, PerChunk int64 }
+
+// Work is the cost for the given chunk count.
+func (c ChunkCost) Work(chunks int) machine.Work {
+	return machine.Work{Instr: c.Fixed + int64(chunks)*c.PerChunk}
 }
 
 // Program bundles the semantic and cost views of a benchmark.

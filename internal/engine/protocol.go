@@ -186,13 +186,18 @@ func (c *chunkRun) dropSeed() {
 // matchAnyWave is the runtime's state comparison (§II-B): it reports
 // whether spec matches at least one of the original states, charging one
 // comparison per state inspected and stopping at the first match, and
-// returns the number of comparisons charged: original states inspected
+// returns the number of comparisons made: original states inspected
 // before the first match, or all of them on a miss — the count the event
-// stream reports per EvValidated.
+// stream reports per EvValidated. Only a charging executor reads the
+// comparison's cost; a cost-free one charges nothing.
 func matchAnyWave(ex Exec, p Program, origs []State, spec State) (bool, int) {
 	ex.SetCat(trace.CatCompare)
+	var rc RegionCosts
+	if !costFree(ex) {
+		rc = p.RegionCosts()
+	}
 	for i, o := range origs {
-		ex.Compute(p.CompareCost())
+		ex.Compute(rc.Compare)
 		if p.Match(o, spec) {
 			return true, i + 1
 		}

@@ -121,10 +121,13 @@ func (s *SimScheduler) Name() string { return "sim" }
 
 // RunSlice implements Scheduler.
 func (s *SimScheduler) RunSlice(p Program, inputs []Input, cfg Config) (*Report, error) {
-	s.m = machine.New(s.Config, s.Options...)
+	var err error
+	if s.m, err = machine.NewChecked(s.Config, s.Options...); err != nil {
+		return nil, err
+	}
 	var rep *Report
 	var runErr error
-	err := s.m.Run("main", func(th *machine.Thread) {
+	err = s.m.Run("main", func(th *machine.Thread) {
 		rep, runErr = runBatch(NewSimExec(th), p, inputs, cfg, s.Sink)
 	})
 	if err != nil {

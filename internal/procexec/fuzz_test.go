@@ -99,7 +99,7 @@ func TestPoolDecodeRefusesWrongShape(t *testing.T) {
 // is not the first. Seeded with real replies for every benchmark whose
 // states are small enough for the fuzzer to mutate well.
 func FuzzPoolReply(f *testing.F) {
-	names := bench.WireNames()
+	names := bench.CodecNames()
 	fix := make([]replyFixture, len(names))
 	for i, name := range names {
 		fix[i] = newReplyFixture(f, name)

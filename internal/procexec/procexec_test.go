@@ -126,7 +126,7 @@ func TestWorkerProcessEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	for _, name := range bench.WireNames() {
+	for _, name := range bench.CodecNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -128,8 +128,11 @@ func Run(spec Spec) (*Result, error) {
 	var runErr error
 	switch spec.Mode {
 	case ModeSequential, ModeOriginal:
-		m := machine.New(mcfg, opts...)
-		err := m.Run("main", func(th *machine.Thread) {
+		m, err := machine.NewChecked(mcfg, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("profiler: %s/%s: %w", spec.Bench.Name(), spec.Mode, err)
+		}
+		err = m.Run("main", func(th *machine.Thread) {
 			ex := engine.NewSimExec(th)
 			if spec.Mode == ModeSequential {
 				res.Report = engine.RunSequential(ex, spec.Bench, inputs, spec.Seed)

@@ -7,6 +7,7 @@ import (
 	_ "gostats/internal/bench/all"
 	"gostats/internal/bench/swaptions"
 	"gostats/internal/engine"
+	"gostats/internal/machine"
 	"gostats/internal/memsim"
 	"gostats/internal/trace"
 )
@@ -123,6 +124,18 @@ func TestValidationErrors(t *testing.T) {
 	bad.Cfg.Chunks = 0
 	if _, err := Run(bad); err == nil {
 		t.Fatal("invalid STATS config accepted")
+	}
+}
+
+// A platform machine.Config refuses is an error in every mode, not a
+// panic.
+func TestInvalidPlatformErrors(t *testing.T) {
+	for _, mode := range []Mode{ModeSequential, ModeOriginal, ModeSeqSTATS, ModeParSTATS} {
+		spec := baseSpec(mode, 4)
+		spec.MachineConfig = &machine.Config{} // Quantum, BaseCPI and the copy rate are zero
+		if _, err := Run(spec); err == nil {
+			t.Errorf("%s: invalid platform accepted", mode)
+		}
 	}
 }
 
