@@ -242,10 +242,23 @@ func BenchmarkStreamclusterSession(b *testing.B) {
 	})
 }
 
+// BenchmarkStreamclassifierSession is BenchmarkStreamclusterSession's
+// twin over native-overhead's other kernel: 2200 streamclassifier inputs
+// in the same shape. Its boundaries abort far more often, so the STATS
+// pass runs more Update calls an input, and whatever a call allocates
+// shows in B/op many times over.
+func BenchmarkStreamclassifierSession(b *testing.B) {
+	prog := bench.MustNew("streamclassifier")
+	streamSessions(b, prog, workload.SessionInputs(prog, 2200, 1), engine.StreamConfig{
+		ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3,
+	})
+}
+
 // streamSessions runs b.N streaming sessions of prog over ins, a producer
 // goroutine pushing while the benchmark goroutine drains Outputs, and
-// reports committed inputs per second.
+// reports committed inputs per second and the allocations of a session.
 func streamSessions(b *testing.B, prog engine.Program, ins []engine.Input, cfg engine.StreamConfig) {
+	b.ReportAllocs()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		pl, err := engine.NewStream(ctx, prog, cfg)

@@ -710,7 +710,9 @@ func sameOutputs(got, want []string) bool {
 // no line at all it re-routes the whole session, and the client's bytes
 // are again a direct run's; with outputs relayed but no checkpoint it
 // ends the client's stream after them, without a trailer. Each way the
-// loss is one backend error, and the bubble ends with no goroutine left.
+// loss is one backend error. A cut after the trailer loses nothing: the
+// session is over, with no migration and no backend error. The bubble
+// ends with no goroutine left.
 func TestGateBackendCutAtEveryLineInBubble(t *testing.T) {
 	const inputs = 3 * 8 // three chunks of baseConfig's
 	// A small-state benchmark and a tracker: under -race every benchmark
@@ -774,6 +776,8 @@ func TestGateBackendCutAtEveryLineInBubble(t *testing.T) {
 			switch {
 			case !r.fired: // this run wrote fewer lines than the uncut one
 				outcome, ok = "uncut", r.migrations+r.reroutes+r.backendErrs == 0 && sameOutputs(r.got, r.want)
+			case k == whole.lines: // the cut came after the trailer: the session was over
+				outcome, ok = "done", r.migrations+r.reroutes+r.backendErrs == 0 && sameOutputs(r.got, r.want)
 			case r.ckpts > 0:
 				outcome, ok = "resumed", r.migrations == 1 && r.reroutes == 0 && r.backendErrs == 1 && sameOutputs(r.got, r.want)
 			case r.outputs == 0:

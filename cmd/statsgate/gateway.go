@@ -353,9 +353,9 @@ func (g *gateway) attempt(w http.ResponseWriter, r *http.Request, rc *http.Respo
 // relayLines is the checkpointed relay: output lines go to the client
 // whole, #ckpt lines are recorded (and trim the replay window to the
 // checkpoint frontier — retained request memory is bounded by checkpoint
-// lag, not session length), and #migrate hands the session off. Outputs
-// a resumed backend recomputes below what the client already has are
-// skipped. id is the backend relayed from.
+// lag, not session length), #migrate hands the session off, and the
+// trailer ends it. Outputs a resumed backend recomputes below what the
+// client already has are skipped. id is the backend relayed from.
 func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 	from io.Reader, rr *replayReader, st *relayState, id string) (outcome int) {
 	// Outputs below what the client already received are recomputed by a
@@ -384,10 +384,11 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 		}
 		line, rerr := br.ReadString('\n')
 		if rerr != nil {
-			// Stream over. A clean EOF means the trailer went out whole and
-			// the session is complete. Anything else — a transport error, or
-			// a torn final line (never relayed: client lines stay whole) — is
-			// a lost backend, resumable iff a checkpoint is in hand.
+			// Stream over before its trailer. A clean EOF means the backend
+			// ended the response itself, with nothing left to resume.
+			// Anything else — a transport error, or a torn final line (never
+			// relayed: client lines stay whole) — is a lost backend,
+			// resumable iff a checkpoint is in hand.
 			if rerr == io.EOF && len(line) == 0 {
 				return attemptDone
 			}
@@ -417,6 +418,17 @@ func (g *gateway) relayLines(w http.ResponseWriter, rc *http.ResponseController,
 			// probe round can say so, and must not pick it again.
 			g.reg.SetHealth(id, cluster.Draining)
 			return attemptMigrate
+		case checkpoint.IsTrailer(line):
+			// The session is over, whatever its outcome. Relay the trailer
+			// and read out the response's end so the connection can be
+			// reused; an error there loses nothing the client needs.
+			if _, werr := io.WriteString(w, line); werr != nil {
+				return attemptDone
+			}
+			dirty = true
+			flush()
+			_, _ = io.Copy(io.Discard, br)
+			return attemptDone
 		case skip > 0:
 			skip--
 		default:

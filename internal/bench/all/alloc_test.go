@@ -154,6 +154,73 @@ func TestMatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestUpdateAllocations pins every benchmark's steady-state Update to
+// the output it returns (engine.StateDependence's contract): its heap
+// objects and bytes per call, the least of three rounds over the same
+// inputs once a pass over them has built every lazy buffer. A kernel's
+// allocations ride along with every extra Update the protocol runs, so a
+// scratch buffer made per call shows here as one object more. An 8-byte
+// output box is half a 16-byte block, or a block of its own under the
+// race detector; facedet-and-track's one-byte Detection is a sixteenth of
+// one, or 16 bytes under the race detector. Bodytrack's two are its
+// 50-float estimate (416 bytes) and the Result holding it (48), and the
+// trackers' detector and estimate outputs are 48 bytes each.
+func TestUpdateAllocations(t *testing.T) {
+	const (
+		warm, timed = 32, 32 // inputs
+		rounds      = 3
+	)
+	pins := []struct {
+		name             string
+		objects          float64 // per call
+		bytes, raceBytes float64 // per call
+	}{
+		{"bodytrack", 2, 464, 464},
+		{"dedupstream", 1, 32, 32},
+		{"facedet-and-track", 3, 97, 112},
+		{"facetrack", 2, 96, 96},
+		{"fluidanimate", 1, 16, 16},
+		{"streamclassifier", 1, 8, 16},
+		{"streamcluster", 1, 8, 16},
+		{"swaptions", 1, 24, 24},
+	}
+	var names []string
+	for _, tc := range pins {
+		names = append(names, tc.name)
+	}
+	if !slices.Equal(names, bench.Names()) {
+		t.Fatalf("pins cover %v, the registry holds %v", names, bench.Names())
+	}
+	for _, tc := range pins {
+		b := bench.MustNew(tc.name)
+		ins := workload.SessionInputs(b, warm+timed, 11)
+		s, r := b.Initial(rng.New(3)), rng.New(3)
+		pass := func(ins []engine.Input) {
+			for _, in := range ins {
+				s, _ = b.Update(s, in, r)
+			}
+		}
+		pass(ins)
+		objects, bytes := heapDelta(func() { pass(ins[warm:]) })
+		for round := 1; round < rounds; round++ {
+			o, by := heapDelta(func() { pass(ins[warm:]) })
+			objects, bytes = min(objects, o), min(bytes, by)
+		}
+		wantBytes := tc.bytes
+		if raceDetector() {
+			wantBytes = tc.raceBytes
+		}
+		perObjects, perBytes := float64(objects)/timed, float64(bytes)/timed
+		t.Logf("%s: %.2f heap objects and %.1f bytes per Update", tc.name, perObjects, perBytes)
+		// A 16-byte block the round's first small object lands in may
+		// have been opened before it.
+		if perObjects > tc.objects || perBytes > wantBytes+16.0/timed {
+			t.Errorf("%s: %.2f heap objects and %.1f bytes per Update (%d and %d over %d calls), want at most %.0f and %.0f",
+				tc.name, perObjects, perBytes, objects, bytes, timed, tc.objects, wantBytes)
+		}
+	}
+}
+
 // TestPipelineAllocations pins what the engine itself allocates for a
 // chunk on the fault-free path: nothing. A warmed pipeline's heap objects
 // and bytes per chunk, less those the kernel allocates for the same inputs

@@ -88,9 +88,11 @@ func NewWithParams(p Params) *trackutil.Tracker {
 		// Two annealing layers with tempered likelihoods: in 50 dimensions
 		// an untempered Gaussian likelihood degenerates onto a single
 		// particle, which is exactly why the original bodytrack anneals.
+		// Only the second layer's estimate is the frame's output, so the
+		// first builds none.
 		Step: func(c *trackutil.Cloud, fr trackutil.Frame, r *rng.Stream) ([]float64, *trackutil.Detection) {
-			c.StepT(fr, p.ProcNoise, p.ObsNoise, 5, r)
-			return c.StepT(fr, p.ProcNoise*0.4, p.ObsNoise, 2.5, r), nil
+			c.StepT(fr, p.ProcNoise, p.ObsNoise, 5, nil, r)
+			return c.StepT(fr, p.ProcNoise*0.4, p.ObsNoise, 2.5, make([]float64, poseDims), r), nil
 		},
 		// One native annealed filter pass; 12% of it (resampling and image
 		// pyramid setup) is serial.

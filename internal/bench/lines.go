@@ -32,23 +32,31 @@ type LineScanner struct {
 	err   error
 }
 
+// LineBuffer is the most a LineScanner starts with; bufio grows the
+// buffer on demand, up to the line limit.
+const LineBuffer = 64 << 10
+
 // NewLineScanner wraps r with a per-line limit of limit bytes
 // (DefaultMaxLine when limit <= 0). A line of exactly limit bytes still
 // scans; the first longer line stops the scanner with an error wrapping
-// ErrLineTooLong.
-func NewLineScanner(r io.Reader, limit int) *LineScanner {
+// ErrLineTooLong. The scanner starts on buf's storage when it has room
+// for min(limit, LineBuffer) bytes, and on a new buffer otherwise (nil
+// buf), so a caller that reads many bodies can hand one buffer on; a
+// longer line moves the scanner to a buffer of its own.
+func NewLineScanner(r io.Reader, limit int, buf []byte) *LineScanner {
 	if limit <= 0 {
 		limit = DefaultMaxLine
 	}
 	sc := bufio.NewScanner(r)
-	initial := limit
-	if initial > 64<<10 {
-		initial = 64 << 10 // start small; bufio grows the buffer on demand
+	initial := min(limit, LineBuffer)
+	if cap(buf) < initial {
+		buf = make([]byte, 0, initial)
 	}
 	// The scanner's buffer must also hold the line terminator before the
 	// split function can find it, so a line of exactly limit bytes needs
-	// limit+1 bytes of buffer.
-	sc.Buffer(make([]byte, 0, initial), limit+1)
+	// limit+1 bytes of buffer. A buffer larger than that would raise the
+	// limit (bufio takes the larger of the two), so it is cut to initial.
+	sc.Buffer(buf[:0:initial], limit+1)
 	return &LineScanner{sc: sc, limit: limit}
 }
 

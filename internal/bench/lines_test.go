@@ -8,7 +8,7 @@ import (
 
 func TestLineScannerReadsBoundedLines(t *testing.T) {
 	in := "alpha\n" + strings.Repeat("b", 32) + "\n\ngamma\n"
-	sc := NewLineScanner(strings.NewReader(in), 32)
+	sc := NewLineScanner(strings.NewReader(in), 32, nil)
 	var got []string
 	for sc.Scan() {
 		got = append(got, string(sc.Bytes()))
@@ -31,30 +31,33 @@ func TestLineScannerReadsBoundedLines(t *testing.T) {
 }
 
 func TestLineScannerRejectsOversizedLine(t *testing.T) {
-	in := "ok\n" + strings.Repeat("x", 33) + "\nnever-reached\n"
-	sc := NewLineScanner(strings.NewReader(in), 32)
-	if !sc.Scan() || string(sc.Bytes()) != "ok" {
-		t.Fatal("first line did not scan")
-	}
-	if sc.Scan() {
-		t.Fatalf("oversized line scanned: %q", sc.Bytes())
-	}
-	err := sc.Err()
-	if !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("want ErrLineTooLong, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error does not locate the offending line: %v", err)
-	}
-	// The scanner stays stopped.
-	if sc.Scan() {
-		t.Fatal("scanner resumed after a terminal error")
+	// A buffer with more room than the limit must not raise it.
+	for _, buf := range [][]byte{nil, make([]byte, 0, LineBuffer)} {
+		in := "ok\n" + strings.Repeat("x", 33) + "\nnever-reached\n"
+		sc := NewLineScanner(strings.NewReader(in), 32, buf)
+		if !sc.Scan() || string(sc.Bytes()) != "ok" {
+			t.Fatal("first line did not scan")
+		}
+		if sc.Scan() {
+			t.Fatalf("oversized line scanned (buffer of %d): %q", cap(buf), sc.Bytes())
+		}
+		err := sc.Err()
+		if !errors.Is(err, ErrLineTooLong) {
+			t.Fatalf("want ErrLineTooLong, got %v", err)
+		}
+		if !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("error does not locate the offending line: %v", err)
+		}
+		// The scanner stays stopped.
+		if sc.Scan() {
+			t.Fatal("scanner resumed after a terminal error")
+		}
 	}
 }
 
 func TestLineScannerDefaultLimit(t *testing.T) {
 	long := strings.Repeat("y", DefaultMaxLine+1)
-	sc := NewLineScanner(strings.NewReader(long), 0)
+	sc := NewLineScanner(strings.NewReader(long), 0, nil)
 	if sc.Scan() {
 		t.Fatal("line beyond DefaultMaxLine scanned")
 	}

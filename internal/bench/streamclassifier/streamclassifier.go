@@ -106,11 +106,23 @@ func (s *StreamClassifier) Initial(r *rng.Stream) engine.State { return &sgdStat
 // Fresh is identical: SGD needs no history.
 func (s *StreamClassifier) Fresh(r *rng.Stream) engine.State { return &sgdState{errRate: 0.5} }
 
-// Update runs one randomized SGD pass over the block.
+// stackPoints is the largest block Update permutes in an array on its
+// stack, four times the native block; a larger one allocates its order.
+const stackPoints = 64
+
+// Update runs one randomized SGD pass over the block. It allocates only
+// its output's box, unless the block has more than stackPoints points.
 func (s *StreamClassifier) Update(stv engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := stv.(*sgdState)
 	blk := in.(Block)
-	order := r.Perm(len(blk.X))
+	var stack [stackPoints]int
+	var order []int
+	if len(blk.X) <= stackPoints {
+		order = stack[:len(blk.X)]
+	} else {
+		order = make([]int, len(blk.X))
+	}
+	r.Perm(order)
 	correctPre := 0
 	for _, i := range order {
 		x, y := blk.X[i], float64(blk.Y[i])

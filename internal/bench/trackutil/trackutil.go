@@ -258,15 +258,18 @@ func (c *Cloud) Profile(base *memsim.AccessProfile, stateName string, stateBytes
 // Step runs one predict-weight-resample cycle against the frame and
 // returns the posterior mean estimate.
 func (c *Cloud) Step(fr Frame, procNoise, obsNoise float64, r *rng.Stream) []float64 {
-	return c.StepT(fr, procNoise, obsNoise, 1, r)
+	return c.StepT(fr, procNoise, obsNoise, 1, make([]float64, c.Dims), r)
 }
 
 // StepT is Step with a likelihood temperature: the weighting uses
 // obsNoise*temper as its standard deviation while proposals (cold
 // initialization and observation injection) keep the true obsNoise
 // scale. High-dimensional trackers anneal with temper > 1 to avoid
-// weight degeneracy.
-func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stream) []float64 {
+// weight degeneracy. The posterior mean accumulates into est, which
+// holds c.Dims zeros, and StepT returns it; a nil est skips the
+// estimate (an annealing layer whose estimate nobody reads) and draws
+// exactly the same numbers.
+func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, est []float64, r *rng.Stream) []float64 {
 	dims := c.Dims
 	if c.Cold && fr.Quality > 0.5 {
 		// Likelihood-based initialization: a cold tracker proposes its
@@ -328,9 +331,11 @@ func (c *Cloud) StepT(fr Frame, procNoise, obsNoise, temper float64, r *rng.Stre
 	// (i outer, d inner) with the normalized weights, exactly as
 	// Estimate would after a separate normalize loop — bitwise-identical
 	// results, one fewer sweep over P and W.
-	est := make([]float64, dims)
 	for i := 0; i < c.N; i++ {
 		c.W[i] /= sum
+		if est == nil {
+			continue
+		}
 		w := c.W[i]
 		base := i * dims
 		for d := 0; d < dims; d++ {

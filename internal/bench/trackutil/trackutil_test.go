@@ -131,8 +131,8 @@ func TestHighDimensionalTemperedLock(t *testing.T) {
 			obs[d] = truth[d] + 0.1*r.NormFloat64()
 		}
 		fr := Frame{Obs: obs, True: truth, Quality: 1}
-		c.StepT(fr, 0.035, 0.1, 5, r)
-		est := c.StepT(fr, 0.014, 0.1, 2.5, r)
+		c.StepT(fr, 0.035, 0.1, 5, nil, r)
+		est := c.StepT(fr, 0.014, 0.1, 2.5, make([]float64, 50), r)
 		if f >= 2 {
 			if d := Dist(est, obs); d > 0.5 {
 				t.Fatalf("frame %d estimate %g from obs; tempered lock failed", f, d)

@@ -17,6 +17,16 @@ const (
 	MigrateLine  = "#migrate"
 )
 
+// TrailerPrefix starts a session response's last line, its trailer (the
+// JSON of serve.Trailer, whose first field is "done"), and no other line
+// of it: an output is a benchmark's own object, none of which starts
+// with that key. The trailer ends the session: nothing the backend's
+// connection does after it is a lost session.
+const TrailerPrefix = `{"done":`
+
+// IsTrailer reports whether a response line is the session's trailer.
+func IsTrailer(line string) bool { return strings.HasPrefix(line, TrailerPrefix) }
+
 // IsJSONSpace reports whether c is whitespace JSON allows around a value:
 // space, tab, CR or LF. It is the one definition of a blank session line,
 // a line of nothing else. The backend's pusher skips such a line and

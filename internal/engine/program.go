@@ -36,7 +36,9 @@ type StateDependence interface {
 	// reference into it once Update returns. A pipeline may decode a later
 	// input into the storage in points to as soon as the chunk after in's
 	// has committed (Pipeline.PushFrom), while an output is still queued
-	// for its consumer.
+	// for its consumer. Once its state's buffers exist, a call allocates
+	// nothing beyond the output it returns: every extra Update the
+	// protocol runs would repeat the garbage.
 	Update(s State, in Input, r *rng.Stream) (State, Output)
 	// Clone deep-copies a state (the state-copy operator of §III-B).
 	Clone(s State) State

@@ -166,15 +166,16 @@ func (r *Stream) ExpFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p with a pseudo-random permutation of [0, len(p)),
+// overwriting whatever it held. It draws Intn(1), Intn(2), ...,
+// Intn(len(p)) and allocates nothing, so a caller may pass storage of
+// its own, on its stack.
+func (r *Stream) Perm(p []int) {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

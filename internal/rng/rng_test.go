@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -198,16 +199,82 @@ func TestExpFloat64Mean(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	for n := 0; n < 50; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
+		// Stale contents: Perm overwrites every slot.
+		p := make([]int, n)
+		for i := range p {
+			p[i] = 7 * i
 		}
+		r.Perm(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
+				t.Fatalf("Perm of %d = %v is not a permutation", n, p)
 			}
 			seen[v] = true
+		}
+	}
+}
+
+// TestPermDraws pins Perm to the permutations, and the stream position,
+// of the allocating form it replaced: the FNV-1a hash of the permutation
+// and the stream's next Uint64 after it, for three seeds and sizes from
+// 0 through 200. 65 is one past streamclassifier's stack array, the
+// largest block its Update permutes without allocating. A changed draw
+// here moves every streamclassifier output.
+func TestPermDraws(t *testing.T) {
+	for _, tc := range []struct {
+		seed       uint64
+		n          int
+		hash, next uint64
+	}{
+		{1, 0, 0xcbf29ce484222325, 0xb3f2af6d0fc710c5},
+		{1, 1, 0xaf63bd4c8601b7df, 0x853b559647364cea},
+		{1, 2, 0x8328707b4eb6e3a, 0x92f89756082a4514},
+		{1, 16, 0x34f52ba55d17c767, 0x1498c2c122087c87},
+		{1, 64, 0xdc050ea3c6929f6f, 0x9436a47fa3eb824b},
+		{1, 65, 0x1428140886e5b36d, 0xe9c9b34bb1ae2a6a},
+		{1, 200, 0x62f798c4ef0860c9, 0x74a8d0218d376b8d},
+		{7, 0, 0xcbf29ce484222325, 0xb358faf74ef9765a},
+		{7, 1, 0xaf63bd4c8601b7df, 0x475c3d964f482cd2},
+		{7, 2, 0x82f2207b4e88cc4, 0xd6f1d349952c7996},
+		{7, 16, 0x256b939c34582acb, 0x41b6f599f3da5dbf},
+		{7, 64, 0x8f63bbfe4bf8fa5d, 0x5bf07bcc4ed9d19b},
+		{7, 65, 0xc78fae89f7948bb7, 0xf5d3acc4fe1d1e6b},
+		{7, 200, 0x41e6f11a217827c3, 0x4ea67d0d94786ce7},
+		{42, 0, 0xcbf29ce484222325, 0x15780b2e0c2ec716},
+		{42, 1, 0xaf63bd4c8601b7df, 0x6104d9866d113a7e},
+		{42, 2, 0x82f2207b4e88cc4, 0xae17533239e499a1},
+		{42, 16, 0x19a18cc0e36c00b5, 0x9de4159eda9cef95},
+		{42, 64, 0x1077be30d77abda1, 0x125c1354bb1738f2},
+		{42, 65, 0x28e35b7740fd7c3, 0x2c0162ba54980a8d},
+		{42, 200, 0x3f37666500731293, 0xf09803221eb0c5ba},
+	} {
+		r := New(tc.seed)
+		p := make([]int, tc.n)
+		r.Perm(p)
+		h := uint64(14695981039346656037)
+		for _, v := range p {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+		if next := r.Uint64(); h != tc.hash || next != tc.next {
+			t.Errorf("seed %d, n %d: hash %#x and next draw %#x, want %#x and %#x", tc.seed, tc.n, h, next, tc.hash, tc.next)
+		}
+	}
+	p := make([]int, 16)
+	New(1).Perm(p)
+	if want := []int{6, 3, 1, 7, 2, 9, 5, 8, 14, 13, 10, 11, 12, 0, 15, 4}; !slices.Equal(p, want) {
+		t.Errorf("seed 1, n 16: %v, want %v", p, want)
+	}
+}
+
+// TestPermAllocatesNothing holds Perm to the caller's storage: filling a
+// slice, of any size, allocates nothing.
+func TestPermAllocatesNothing(t *testing.T) {
+	r := New(5)
+	for _, n := range []int{0, 1, 16, 65, 200} {
+		p := make([]int, n)
+		if a := testing.AllocsPerRun(20, func() { r.Perm(p) }); a != 0 {
+			t.Errorf("Perm of %d: %v allocations, want 0", n, a)
 		}
 	}
 }

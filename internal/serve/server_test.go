@@ -16,6 +16,7 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
+	"gostats/internal/checkpoint"
 	"gostats/internal/engine"
 	"gostats/internal/rng"
 )
@@ -338,5 +339,52 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "input line 1") {
 		t.Fatalf("malformed input: body %q does not locate the bad line", b)
+	}
+}
+
+// TestTrailerIsCheckpointTrailer holds the trailer to the one definition
+// the gateway recognises it by (checkpoint.IsTrailer): every marshalled
+// Trailer starts with checkpoint.TrailerPrefix, and in a checkpointed
+// session of every streamable benchmark the last line is the one line
+// that does.
+func TestTrailerIsCheckpointTrailer(t *testing.T) {
+	for _, tr := range []Trailer{
+		{},
+		{Done: true, Benchmark: "streamcluster"},
+		{Error: "input line 3: bad", Migrated: true},
+		{Done: true, Attribution: &Attribution{Error: "no events"}},
+	} {
+		b, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkpoint.IsTrailer(string(b)) {
+			t.Errorf("trailer %s does not start with %s", b, checkpoint.TrailerPrefix)
+		}
+	}
+
+	ts := httptest.NewServer(New(baseConfig(), Options{}).Handler())
+	defer ts.Close()
+	for _, name := range bench.CodecNames() {
+		body := ndjsonBody(t, name, sessionInputs(t, name, 16))
+		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?ckpt=1", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+		var lines []string
+		for sc.Scan() {
+			lines = append(lines, sc.Text())
+		}
+		resp.Body.Close()
+		if err := sc.Err(); err != nil || len(lines) == 0 {
+			t.Fatalf("%s: %d lines, %v", name, len(lines), err)
+		}
+		for i, line := range lines {
+			if last := i == len(lines)-1; checkpoint.IsTrailer(line) != last {
+				t.Errorf("%s: line %d of %d reads as a trailer %v: %.80s", name, i+1, len(lines), !last, line)
+			}
+		}
 	}
 }

@@ -69,6 +69,7 @@ type session struct {
 	resume    bool
 
 	sc       *bench.LineScanner
+	lineBuf  *[bench.LineBuffer]byte // sc's first buffer, from lineBufs
 	ctx      context.Context
 	cancel   context.CancelFunc
 	p        *engine.Pipeline
@@ -262,7 +263,8 @@ func (ss *session) open() bool {
 		ss.cfg.Checkpoint = engine.CheckpointConfig{Codec: ss.wire, EveryCommits: ss.ckptEvery, OnSnapshot: ss.queueCkpt}
 		ss.ckptKick = make(chan struct{}, 1)
 	}
-	ss.sc = bench.NewLineScanner(body, ss.lim.MaxLine)
+	ss.lineBuf = lineBufs.Get().(*[bench.LineBuffer]byte)
+	ss.sc = bench.NewLineScanner(body, ss.lim.MaxLine, ss.lineBuf[:])
 
 	// The session lives inside the request context — a client disconnect
 	// or a forced server close tears the pipeline down — further bounded
@@ -290,14 +292,22 @@ func (ss *session) open() bool {
 	return true
 }
 
+// lineBufs holds the line buffers no session's scanner reads into.
+var lineBufs = sync.Pool{New: func() any { return new([bench.LineBuffer]byte) }}
+
 // unwind runs whatever path leaves an opened session: cancel, drain the
-// output channel, and wait for every pipeline goroutine.
+// output channel, and wait for every pipeline goroutine. The scanner's
+// first buffer goes back to the pool unless a body read into it may
+// still be in flight. A scanner that outgrew it no longer reads into it.
 func (ss *session) unwind() {
 	ss.cancel()
 	ss.halters.Delete(ss.p)
 	for range ss.p.Outputs() {
 	}
 	ss.p.Wait()
+	if !ss.reading {
+		lineBufs.Put(ss.lineBuf)
+	}
 }
 
 // push is the single producer. It owns Push and Close, decoding body
