@@ -31,11 +31,13 @@ import (
 )
 
 // memNet is an in-memory network: each host is a listener whose
-// connections are net.Pipe ends, and dial hands the other end to it.
+// connections are net.Pipe ends, or with tcp set tcpPipe ends, and dial
+// hands the other end to it.
 type memNet struct {
 	mu      sync.Mutex
 	hosts   map[string]*memListener
 	servers []*http.Server
+	tcp     bool
 }
 
 // memListener is one memNet host. Accept waits on a channel, which a
@@ -90,6 +92,9 @@ func (n *memNet) dial(ctx context.Context, _, addr string) (net.Conn, error) {
 		return nil, errors.New("memnet: no host " + addr)
 	}
 	client, server := net.Pipe()
+	if n.tcp {
+		client, server = tcpPipe("client", memAddr(addr))
+	}
 	select {
 	case l.conns <- server:
 		n.mu.Lock()

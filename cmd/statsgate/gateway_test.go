@@ -319,11 +319,11 @@ func TestGateReroutesShedSession(t *testing.T) {
 		}
 	}
 	if got := g.met.Reroutes.Load(); got != 2 {
-		t.Fatalf("reroutes = %d, want 2", got)
+		t.Fatalf("reroutes = %d, want 2 (backend_errors = %d)", got, g.met.BackendErrors.Load())
 	}
 	snaps := reg.Snapshots()
 	if snaps[0].Shed != 2 || snaps[0].Routed != 0 {
-		t.Fatalf("b0 shed=%d routed=%d, want shed=2 routed=0", snaps[0].Shed, snaps[0].Routed)
+		t.Fatalf("b0 shed=%d routed=%d, want shed=2 routed=0 (backend_errors = %d)", snaps[0].Shed, snaps[0].Routed, g.met.BackendErrors.Load())
 	}
 	if snaps[1].Routed != 4 {
 		t.Fatalf("b1 routed=%d, want 4", snaps[1].Routed)

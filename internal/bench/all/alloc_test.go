@@ -367,3 +367,93 @@ func TestPipelineAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionAllocations pins what one more session costs: a 128-input
+// streamcluster session in the shape of a native-overhead one, started
+// after warm sessions of the same shape, less what the kernel allocates
+// for the same inputs in a bare Update loop. The figure holds the
+// session's fixed cost — its Pipeline handle, contexts, output channel,
+// state pool and goroutines, and the closed jobs ring's reopened channel
+// — and its eight chunks' share of TestPipelineAllocations' per-chunk
+// work. The rest of a session's skeleton, the record array with its
+// buffers, the reorder buffer and the rings, is the storage the last
+// session of the shape handed back. Forty runs read 60.0–61.4 objects
+// and 3992–4400 bytes (sixteen under the race detector, 60.5–63.2 and
+// 4308–4712); with the skeleton built per session they read 96.0 and
+// 14 114, and with only the jobs ring made per session again 65.0–65.6
+// and 4744–4850. The noise is one-sided, so the least of the rounds is
+// the figure, a round being the mean of several sessions.
+func TestSessionAllocations(t *testing.T) {
+	const (
+		inputs   = 128
+		warm     = 3
+		sessions = 8 // a round
+		rounds   = 5
+	)
+	objBudget, byteBudget := 64.0, 4600.0
+	if raceDetector() {
+		objBudget, byteBudget = 66, 5300
+	}
+	b := bench.MustNew("streamcluster")
+	ins := workload.SessionInputs(b, inputs, 11)
+	if len(ins) != inputs {
+		t.Fatalf("streamcluster has %d inputs, the test wants %d", len(ins), inputs)
+	}
+	kernelObjects, kernelBytes := heapDelta(func() {
+		s, r := b.Initial(rng.New(3)), rng.New(3)
+		for _, in := range ins {
+			s, _ = b.Update(s, in, r)
+		}
+	})
+	cfg := engine.StreamConfig{ChunkSize: 16, Lookback: 4, ExtraStates: 1, Workers: 2, Seed: 3}
+	ctx := context.Background()
+	var pushed sync.WaitGroup
+	session := func() {
+		p, err := engine.NewStream(ctx, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushed.Add(1)
+		go func() {
+			defer pushed.Done()
+			defer p.Close()
+			for _, in := range ins {
+				if p.Push(ctx, in) != nil {
+					return
+				}
+			}
+		}()
+		n := 0
+		for range p.Outputs() {
+			n++
+		}
+		// The producer's Close has returned before the next session starts,
+		// so this one's storage is back on the free list by then.
+		pushed.Wait()
+		if st, err := p.Wait(); err != nil || n != inputs || st.Faults != 0 {
+			t.Fatalf("session: %d outputs, %d faults, %v; want %d outputs", n, st.Faults, err, inputs)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		session()
+	}
+	round := func() {
+		for i := 0; i < sessions; i++ {
+			session()
+		}
+	}
+	objects, bytes := heapDelta(round)
+	for r := 1; r < rounds; r++ {
+		o, by := heapDelta(round)
+		objects, bytes = min(objects, o), min(bytes, by)
+	}
+	perObjects := float64(objects)/sessions - float64(kernelObjects)
+	perBytes := float64(bytes)/sessions - float64(kernelBytes)
+	t.Logf("%.1f heap objects and %.0f bytes per session beyond the kernel's own (kernel %d and %d)", perObjects, perBytes, kernelObjects, kernelBytes)
+	if perObjects > objBudget {
+		t.Errorf("%.1f heap objects per session beyond the kernel's own, want at most %.0f", perObjects, objBudget)
+	}
+	if perBytes > byteBudget {
+		t.Errorf("%.0f heap bytes per session beyond the kernel's own, want at most %.0f", perBytes, byteBudget)
+	}
+}

@@ -40,8 +40,8 @@ func (p *Pipeline) Push(ctx context.Context, in Input) error {
 
 // PushFrom is Push with the input built in place: build receives spare,
 // the input the slot it fills held one lap of the record array ago — or
-// nil, the first time round — and returns the input to ingest. The spare
-// is read by nobody any more (newRecords), so build may write into the
+// nil in the session's first lap — and returns the input to ingest. The
+// spare is read by nobody any more (recordsFor), so build may write into the
 // storage it points to, as a codec decoding a wire line into it does
 // (bench.ReusingCodec), provided every input this pipeline ingested came
 // from such a build: an input a caller handed Push may still be the
@@ -60,7 +60,7 @@ func (p *Pipeline) PushFrom(ctx context.Context, build func(spare Input) (Input,
 			return err
 		}
 		// With outcome j-window-1 consumed, record j is the producer's
-		// (newRecords): fill its inputs in place.
+		// (recordsFor): fill its inputs in place.
 		ck := p.record(a.j)
 		if cap(ck.inputs) < size {
 			ck.inputs = make([]Input, size)
@@ -83,18 +83,21 @@ func (p *Pipeline) PushFrom(ctx context.Context, build func(spare Input) (Input,
 
 // Close ends the input stream: the final partial chunk is flushed and the
 // pipeline drains. Push returns ErrClosed afterwards. Close is
-// idempotent.
+// idempotent. After Halt it flushes nothing, but it still ends the
+// producer's part in the session: the session's storage goes to the next
+// session once Close has returned and the pipeline has drained, and a
+// session whose producer never calls Close keeps it.
 func (p *Pipeline) Close() {
-	if !p.closed.CompareAndSwap(false, true) {
-		return
+	if p.closed.CompareAndSwap(false, true) {
+		if p.prod.n > 0 {
+			// No sizing decision is needed for the tail, so no outcome wait
+			// either. A session that is already dead announces nothing; Wait
+			// reports why.
+			_ = p.dispatch()
+		}
+		p.store.jobs.Close()
 	}
-	if p.prod.n > 0 {
-		// No sizing decision is needed for the tail, so no outcome wait
-		// either. A session that is already dead announces nothing; Wait
-		// reports why.
-		_ = p.dispatch()
-	}
-	p.jobs.Close()
+	p.end(producerEnded)
 }
 
 // sizeFor decides chunk j's size. Before deciding it consumes commit
@@ -106,11 +109,11 @@ func (p *Pipeline) Close() {
 func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
 	a := &p.prod
 	for need := j - p.cfg.window(); a.consumed < need; a.consumed++ {
-		committed, ok := p.outcomes.TryPop()
+		committed, ok := p.store.outcomes.TryPop()
 		if !ok {
 			t0 := p.now()
 			var err error
-			if committed, err = p.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
+			if committed, err = p.store.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
 				if ctx.Err() != nil {
 					return 0, ctx.Err()
 				}
@@ -170,7 +173,7 @@ func (p *Pipeline) dispatch() error {
 	// every chunk the window admits, so the push never waits.
 	p.chunks.Add(1)
 	p.emit(Event{Kind: EvChunk, Chunk: j, Worker: -1, N: len(inputs)})
-	err := p.jobs.Push(p.halt.Done(), ck)
+	err := p.store.jobs.Push(p.halt.Done(), ck)
 	p.mu.Unlock()
 	if err != nil {
 		return p.endErr()

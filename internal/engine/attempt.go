@@ -45,8 +45,8 @@ type proto struct {
 	// The terminal-error latch: the first fault fail records wins, and stop
 	// — a pipeline's cancel, nil on the simulated machine — tears the
 	// session's stages down. It is one word, not a sync.Once beside an
-	// atomic.Value: a Pipeline embeds proto, and with 24 bytes more its
-	// per-session allocation moves from the 768 B size class to 896 B.
+	// atomic.Value: a Pipeline embeds proto, and the handle is what every
+	// session allocates anew (680 bytes, in the 704-byte size class).
 	failure atomic.Pointer[FaultError]
 	stop    func()
 }

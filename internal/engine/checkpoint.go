@@ -161,10 +161,14 @@ func (p *Pipeline) Halt() {
 	}
 	p.halted.Store(true)
 	// Under the boundary lock: a chunk the producer has announced is in
-	// the jobs ring before the ring closes (assemble.go).
+	// the jobs ring before the ring closes (assemble.go). A session that
+	// a cancel or a fault ended meanwhile may have handed its storage
+	// back already (end): then there is no ring of its own to close.
 	p.mu.Lock()
 	p.haltCancel() // releases a producer parked on the window
-	p.jobs.Close()
+	if p.store != nil {
+		p.store.jobs.Close()
+	}
 	p.mu.Unlock()
 }
 

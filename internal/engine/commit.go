@@ -40,7 +40,7 @@ type frontier struct {
 // init places the frontier before chunk 0, or at the snapshot frontier of
 // a resumed session.
 func (f *frontier) init(p *Pipeline) {
-	f.pending = make([]*chunk, len(p.records))
+	f.pending = p.store.pending
 	rs := p.resume
 	if rs == nil || rs.next == 0 {
 		return
@@ -217,7 +217,7 @@ func (p *Pipeline) applyCommit(r *chunk) bool {
 	}
 	// prev aliases the record's original-state buffer and its run, whose
 	// seed the next boundary builds from and a capture encodes; the record
-	// outlives its turn as predecessor (newRecords).
+	// outlives its turn as predecessor (recordsFor).
 	oldFinal := prev.final
 	prev.final, prev.origs, prev.run = r.final, r.origs, &r.chunkRun
 	// The old frontier state has served as recovery base for the last
@@ -252,10 +252,10 @@ func (p *Pipeline) applyCommit(r *chunk) bool {
 	// Feed the outcome window: this both opens one speculation slot for
 	// the producer and, in commit order, drives adaptive chunk sizing. It
 	// comes last, because it is also what lets the producer refill the
-	// predecessor's record (newRecords). The ring's capacity exceeds the
+	// predecessor's record (recordsFor). The ring's capacity exceeds the
 	// window's maximum backlog, so this push parks only if the run is
 	// being torn down.
-	if err := p.outcomes.Push(p.ctx.Done(), ok); err != nil {
+	if err := p.store.outcomes.Push(p.ctx.Done(), ok); err != nil {
 		return false
 	}
 	return true

@@ -219,7 +219,7 @@ func TestFrontierPanicFailsSession(t *testing.T) {
 
 // TestRecordReuseStress is the net under chunk-record reuse. A record is
 // handed producer → worker → frontier and refilled a lap later with
-// nothing guarding it but the window arithmetic (newRecords), so the test
+// nothing guarding it but the window arithmetic (recordsFor), so the test
 // makes every premature reuse either a race the detector reports or a
 // wrong byte: the smallest record arrays (Workers 1 and 2: 4 and 8
 // records), a Plan of 3-, 40- and 3-input chunks — a period of three over

@@ -9,6 +9,7 @@ import (
 
 	"gostats/internal/autotune"
 	"gostats/internal/checkpoint"
+	"gostats/internal/freelist"
 	"gostats/internal/ring"
 )
 
@@ -251,14 +252,10 @@ var ErrClosed = errors.New("stream: pipeline closed")
 // a copy published a lap ago is never taken for this lap's.
 //
 // The buffers — inputs, outs, origs — are the record's own: each lap
-// re-slices them, and they grow once to the largest chunk seen.
-//
-// A record is 504 bytes, and newRecords allocates them all at once. Eight
-// more, and with its malloc header the array of a two-worker session no
-// longer fits the 4096-byte size class: 1280 bytes more a session, 10
-// an input over a 128-input session. So the run re-derives its worker
-// stream (chunkRun.stream) instead of keeping it, and the verdict's Chunk
-// says which lap it belongs to.
+// re-slices them, and they grow once to the largest chunk seen. They
+// outlive the session too: the record array is part of the storage a
+// session that has ended hands to the next one (sessionStore), and a
+// record arrives there as a fresh one that keeps only its buffers.
 type chunk struct {
 	chunkRun // run.j is the session-monotonic chunk index
 	p        *Pipeline
@@ -294,42 +291,140 @@ type chunk struct {
 	ev *heldEvents
 }
 
-// newRecords returns the record array for a speculation window: a power
-// of two (chunk j lives at j&mask) of at least window+2 records. Push
-// reaches record j only after sizeFor(j) has consumed outcome j-window-1.
-// The chunk the record held a lap ago is j-len <= j-window-2, so its
-// successor has been applied to the end — the outcome push is applyCommit's
-// last act — and that was the last read of anything in it: of its inputs
-// by the successor's alternative producer and by the checkpoint tracker,
-// of its origs and replica seed through the committed lineage
-// (the tracker encodes the seed). The same holds for the storage an input
-// points to: PushFrom hands the input a slot held a lap ago to the build
-// that refills the slot, which may decode the next line into it
+// recordsFor returns the length of the record array for a speculation
+// window: a power of two (chunk j lives at j&mask) of at least window+2
+// records. Push reaches record j only after sizeFor(j) has consumed
+// outcome j-window-1. The chunk the record held a lap ago is j-len <=
+// j-window-2, so its successor has been applied to the end — the outcome
+// push is applyCommit's last act — and that was the last read of anything
+// in it: of its inputs by the successor's alternative producer and by the
+// checkpoint tracker, of its origs and replica seed through the committed
+// lineage (the tracker encodes the seed). The same holds for the storage
+// an input points to: PushFrom hands the input a slot held a lap ago to
+// the build that refills the slot, which may decode the next line into it
 // (bench.ReusingCodec), so no program may keep an input past Update
 // (StateDependence.Update). Nothing but that arithmetic guards the reuse;
 // the race detector over TestRecordReuseStress, which ingests wire lines
 // decoded into those spares, is its net.
-func newRecords(p *Pipeline, window int) []chunk {
+func recordsFor(window int) int {
 	n := 2
 	for n < window+2 {
 		n <<= 1
 	}
-	recs := make([]chunk, n)
-	var evs []heldEvents
-	if p.sink != nil {
-		evs = make([]heldEvents, n)
-	}
-	for i := range recs {
-		recs[i].p = p
-		if evs != nil {
-			recs[i].ev = &evs[i]
+	return n
+}
+
+// sessionStore is the storage a session's skeleton runs on: the record
+// array with the buffers each record grew, the held-event storage, the
+// frontier's reorder buffer and the jobs and outcomes rings. NewStream
+// takes one from stores, or allocates one when none of the session's
+// window is there; a session that has fully ended hands its store back
+// (Pipeline.end) with every record a fresh one but for its buffers,
+// both rings empty and open, and nothing of the session referenced.
+//
+// The hops between goroutines are lock-free rings (internal/ring), not
+// channels: the outcome window is single-producer single-consumer, jobs
+// is multi-consumer on the worker-pool side. A worker hands its result
+// to the frontier under the frontier's lock instead (commit.go). See the
+// package doc in internal/ring for the memory-model and parking
+// discipline.
+type sessionStore struct {
+	window   int
+	records  []chunk      // chunk j in records[j&mask]; see recordsFor
+	evs      []heldEvents // one a record; nil until a session with a sink takes the store
+	pending  []*chunk     // the frontier's reorder buffer
+	jobs     *ring.MPMC[*chunk]
+	outcomes *ring.SPSC[bool]
+}
+
+// stores holds the session stores no session runs on, keyed by window.
+// A store is as large as its window and the largest chunks its records
+// met, so only those of a window up to keptWindow are put back, with the
+// buffers of a record that met chunks larger than keptChunk dropped.
+var stores freelist.List[sessionStore]
+
+const (
+	keptWindow = 32
+	keptChunk  = 256
+)
+
+// takeStore returns a store for a speculation window of window chunks and
+// binds its records to p, their event storage included when p has a sink.
+func takeStore(p *Pipeline, window int) *sessionStore {
+	s := stores.Get(window)
+	if s == nil {
+		n := recordsFor(window)
+		s = &sessionStore{
+			window:  window,
+			records: make([]chunk, n),
+			pending: make([]*chunk, n),
+			// jobs holds one slot per in-flight chunk: chunks in flight are
+			// bounded by the outcome window, so the producer never spins or
+			// parks on this hop.
+			jobs: ring.NewMPMC[*chunk](window + 1),
+			// outcomes is the speculation window: the producer consumes
+			// exactly max(0, j-window) outcomes before sizing chunk j, which
+			// both bounds chunks in flight and keeps sizing deterministic.
+			// Capacity window+2 exceeds the maximum unconsumed backlog, so
+			// the frontier never parks here.
+			outcomes: ring.NewSPSC[bool](window + 2),
 		}
 	}
-	return recs
+	if p.sink != nil && s.evs == nil {
+		s.evs = make([]heldEvents, len(s.records))
+	}
+	for i := range s.records {
+		s.records[i].p = p
+		if p.sink != nil {
+			s.records[i].ev = &s.evs[i]
+		}
+	}
+	return s
+}
+
+// putStore resets s, which no goroutine of its last session touches any
+// more, and hands it to the next session of its window.
+func putStore(s *sessionStore) {
+	if s.window > keptWindow {
+		return
+	}
+	for i := range s.records {
+		s.records[i].reset()
+	}
+	clear(s.evs)
+	clear(s.pending)
+	s.jobs.Reset()
+	s.outcomes.Reset()
+	stores.Put(s.window, s)
+}
+
+// reset restores every field of the record to a fresh record's value but
+// its buffers, which it empties: no lap identity — the published copy's
+// chunk index in pub, the verdict's Chunk, doomed, the replica seed —
+// and no input, output or state of the session that used it. The next
+// session numbers its chunks from 0 again, so a pub or a verdict left
+// over would be taken for its own chunk j's, and an input left in a slot
+// would be handed to its PushFrom as a spare that may still be the last
+// caller's.
+func (ck *chunk) reset() {
+	*ck = chunk{inputs: kept(ck.inputs), outs: kept(ck.outs), origs: kept(ck.origs)}
+}
+
+// kept returns buf emptied, for a record of the next session to grow
+// from, or nil if buf has grown past keptChunk.
+func kept[T any](buf []T) []T {
+	if cap(buf) > keptChunk {
+		return nil
+	}
+	clear(buf[:cap(buf)])
+	return buf[:0]
 }
 
 // record returns the record chunk j lives in.
-func (p *Pipeline) record(j int) *chunk { return &p.records[j&(len(p.records)-1)] }
+func (p *Pipeline) record(j int) *chunk {
+	recs := p.store.records
+	return &recs[j&(len(recs)-1)]
+}
 
 // Pipeline is a running streaming STATS execution. Create with NewStream,
 // feed with Push, finish with Close, consume Outputs until closed, then
@@ -349,25 +444,22 @@ type Pipeline struct {
 	halt       context.Context
 	haltCancel context.CancelFunc
 
-	// The hops between goroutines are lock-free rings (internal/ring), not
-	// channels: the outcome window is single-producer single-consumer,
-	// jobs is multi-consumer on the worker-pool side. A worker hands its
-	// result to the frontier under the frontier's lock instead (commit.go).
-	// Only the public output stream stays a channel. See the package doc
-	// in internal/ring for the memory-model and parking discipline.
-	jobs     *ring.MPMC[*chunk]
-	outcomes *ring.SPSC[bool]
-	out      chan Output
-	records  []chunk  // chunk j in records[j&mask]; see newRecords
-	front    frontier // the commit frontier, applied by one worker at a time
+	// store holds the rings, the records and the reorder buffer until
+	// the session has ended at both its ends, the producer's Close and the
+	// reaper (end). Only the public output stream is a channel.
+	store *sessionStore
+	out   chan Output
+	front frontier // the commit frontier, applied by one worker at a time
 
-	// mu is the boundary lock, taken at chunk boundaries only. It makes
-	// the producer's "announce + jobs push" one step against Halt's jobs
-	// close, and it guards ctl, which the producer writes and Wait and
-	// StatsSnapshot read.
+	// mu is the boundary lock, taken at chunk boundaries and at the
+	// session's two ends only. It makes the producer's "announce + jobs
+	// push" one step against Halt's jobs close, and that close one step
+	// against the store's hand-back (end), and it guards ctl, which the
+	// producer writes and Wait and StatsSnapshot read, and ended.
 	mu     sync.Mutex
 	prod   producer // the chunk being filled (assemble.go)
 	ctl    *autotune.Online
+	ended  uint8 // the ends of the session done with its storage (end)
 	closed atomic.Bool
 	done   chan struct{} // closed by the reaper, after every other goroutine exited
 
@@ -433,16 +525,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		ctx:    ctx,
 		outer:  outer,
 		cancel: cancel,
-		// jobs holds one slot per in-flight chunk: chunks in flight are
-		// bounded by the outcome window below, so the producer never spins
-		// or parks on this hop.
-		jobs: ring.NewMPMC[*chunk](cfg.window() + 1),
-		// outcomes is the speculation window: the producer consumes
-		// exactly max(0, j-window) outcomes before sizing chunk j, which
-		// both bounds chunks in flight and keeps sizing deterministic.
-		// Capacity window+2 exceeds the maximum unconsumed backlog, so
-		// the frontier never parks here.
-		outcomes: ring.NewSPSC[bool](cfg.window() + 2),
 		// Two chunks of committed outputs may wait for the consumer before
 		// the frontier does.
 		out:  make(chan Output, 2*cfg.ChunkSize),
@@ -452,7 +534,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	p.halt, p.haltCancel = context.WithCancel(ctx)
 	p.init(prog, cfg.Seed, cfg.Lookback, cfg.ExtraStates, cfg.Sink)
 	p.stop = cancel // a terminal fault tears every stage down promptly
-	p.records = newRecords(p, cfg.window())
+	p.store = takeStore(p, cfg.window())
 	p.resume = rs
 	p.front.init(p)
 	if rs != nil {
@@ -465,7 +547,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// cannot fail.
 		p.prod = producer{j: rs.next, consumed: rs.next - len(rs.pending), prevWindow: rs.prevWindow}
 		for _, ok := range rs.pending {
-			p.outcomes.TryPush(ok)
+			p.store.outcomes.TryPush(ok)
 		}
 	}
 	if cfg.Checkpoint.enabled() {
@@ -497,7 +579,8 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	// carries their count, or each would leave a shared collector's
 	// in-flight gauge drifted upward for good. The boundary lock waits out
 	// a dispatch that passed its halt check before the session ended: no
-	// chunk is announced after this read.
+	// chunk is announced after this read. Then the reaper is done with
+	// the session's storage.
 	go func() {
 		defer close(p.done)
 		defer p.cancel() // every stage has exited; release the context
@@ -510,8 +593,43 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		dropped := p.chunks.Load() - p.resolved
 		p.mu.Unlock()
 		p.emit(Event{Kind: EvSessionEnd, Chunk: -1, Worker: -1, N: int(dropped)})
+		p.end(reaperEnded)
 	}()
 	return p, nil
+}
+
+// The two ends of a session, as bits of Pipeline.ended.
+const (
+	producerEnded uint8 = 1 << iota // Close has run: no Push touches the storage again
+	reaperEnded                     // every worker has exited, and the reaper is done
+)
+
+// end records that one end of the session is done with its storage; once
+// both are, it hands the storage to the next session of its shape. A
+// session whose producer never calls Close keeps it, for the collector.
+//
+// Nothing of the session reads the storage by then: the workers, and with
+// them the frontier role, have exited; the reaper has captured the
+// frontier and emitted its last event; the producer has closed, and a
+// Push after Close returns ErrClosed before it looks at a record. Halt
+// closes the jobs ring under the boundary lock, under which the handle
+// drops its references here: the handle outlives the session — Halted,
+// CheckpointErr and the stats are read after Wait — and must not reach
+// into storage another session runs on.
+func (p *Pipeline) end(side uint8) {
+	p.mu.Lock()
+	s := p.store
+	if p.ended |= side; p.ended != producerEnded|reaperEnded {
+		s = nil
+	} else {
+		p.store = nil
+		p.front.pending, p.front.prev, p.front.prevInputs = nil, committed{}, nil
+		p.prod = producer{}
+	}
+	p.mu.Unlock()
+	if s != nil {
+		putStore(s)
+	}
 }
 
 // endErr is why a session that stopped taking input did.

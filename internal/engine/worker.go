@@ -9,7 +9,7 @@ import "runtime"
 // (Recorder maps it to a trace thread).
 func (p *Pipeline) worker(slotID int) {
 	for {
-		ck, err := p.jobs.Pop(p.ctx.Done())
+		ck, err := p.store.jobs.Pop(p.ctx.Done())
 		if err != nil {
 			return
 		}

@@ -204,3 +204,22 @@ func (q *MPMC[T]) Close() {
 		close(q.closeCh)
 	}
 }
+
+// Reset returns the ring to the state NewMPMC leaves it in: empty and
+// open, at the same capacity. It is for a ring nobody uses any more:
+// every Push, Pop and Close has returned, and happened before Reset.
+func (q *MPMC[T]) Reset() {
+	var zero T
+	for i := range q.buf {
+		q.buf[i].v = zero
+		q.buf[i].seq.Store(uint64(i))
+	}
+	q.enq.Store(0)
+	q.deq.Store(0)
+	if q.closed.Load() {
+		q.closeCh = make(chan struct{})
+		q.closed.Store(false)
+	}
+	q.notEmpty.reset()
+	q.notFull.reset()
+}

@@ -91,6 +91,15 @@ func (g *gate) wake() {
 	}
 }
 
+// reset takes back a wake token nobody consumed, for a ring being reset
+// with no waiter left.
+func (g *gate) reset() {
+	select {
+	case <-g.ch:
+	default:
+	}
+}
+
 // pad keeps the producer and consumer cursor groups on separate cache
 // lines so cross-core cursor traffic does not false-share.
 type pad [64]byte

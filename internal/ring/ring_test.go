@@ -342,3 +342,52 @@ func TestRingMPMCCancelWhileBlocked(t *testing.T) {
 		t.Fatalf("canceled Pop: %v, want ErrCanceled", err)
 	}
 }
+
+// TestRingResetReopens: a ring closed with elements left in it, reset,
+// is an empty open ring of the same capacity again, and both sides work
+// on it from the first cursor position, laps included.
+func TestRingResetReopens(t *testing.T) {
+	s := NewSPSC[int](4)
+	m := NewMPMC[int](4)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3; i++ {
+			if !s.TryPush(i) || !m.TryPush(i) {
+				t.Fatalf("round %d: push %d refused", round, i)
+			}
+		}
+		if v, ok := s.TryPop(); !ok || v != 0 {
+			t.Fatalf("round %d: SPSC pop = %d, %v; want 0", round, v, ok)
+		}
+		s.Close()
+		m.Close()
+		s.Reset()
+		m.Reset()
+		if s.Len() != 0 || m.Len() != 0 || s.Cap() != 4 || m.Cap() != 4 {
+			t.Fatalf("round %d after Reset: Len %d and %d, Cap %d and %d; want 0, 0, 4, 4", round, s.Len(), m.Len(), s.Cap(), m.Cap())
+		}
+		if _, ok := s.TryPop(); ok {
+			t.Fatalf("round %d: SPSC pops an element from before Reset", round)
+		}
+		if _, ok := m.TryPop(); ok {
+			t.Fatalf("round %d: MPMC pops an element from before Reset", round)
+		}
+		// Two laps through the buffer on the reopened rings.
+		for i := 0; i < 8; i++ {
+			if s.Push(nil, i) != nil || m.Push(nil, i) != nil {
+				t.Fatalf("round %d: push %d after Reset failed", round, i)
+			}
+			sv, serr := s.Pop(nil)
+			mv, merr := m.Pop(nil)
+			if serr != nil || merr != nil || sv != i || mv != i {
+				t.Fatalf("round %d: pop after Reset = %d, %v and %d, %v; want %d", round, sv, serr, mv, merr, i)
+			}
+		}
+	}
+	// A reset ring closes again: parked callers must still wake.
+	done := make(chan error, 1)
+	go func() { _, err := m.Pop(nil); done <- err }()
+	m.Close()
+	if err := <-done; err != ErrClosed {
+		t.Fatalf("Pop on a reset ring closed under it: %v, want ErrClosed", err)
+	}
+}

@@ -207,3 +207,19 @@ func (q *SPSC[T]) Close() {
 		close(q.closeCh)
 	}
 }
+
+// Reset returns the ring to the state NewSPSC leaves it in: empty and
+// open, at the same capacity. It is for a ring nobody uses any more:
+// both sides' last calls have returned, and happened before Reset.
+func (q *SPSC[T]) Reset() {
+	clear(q.buf)
+	q.head.Store(0)
+	q.tail.Store(0)
+	q.cachedHead, q.cachedTail = 0, 0
+	if q.closed.Load() {
+		q.closeCh = make(chan struct{})
+		q.closed.Store(false)
+	}
+	q.notEmpty.reset()
+	q.notFull.reset()
+}

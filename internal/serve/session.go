@@ -17,6 +17,7 @@ import (
 	"gostats/internal/bench"
 	"gostats/internal/checkpoint"
 	"gostats/internal/engine"
+	"gostats/internal/freelist"
 )
 
 // phase is where a session stands. It only moves forward, and it decides
@@ -31,11 +32,12 @@ const (
 	done                   // ran to completion
 )
 
-// haltDrainGrace bounds how long a halted session waits for its client
-// to see #migrate, stop uploading, and close the request body. Long
-// enough for a round trip to a well-behaved client; short enough that a
-// stuck one cannot pin the draining server.
-const haltDrainGrace = time.Second
+// drainGrace bounds how long a session that has told its client to stop
+// — a refusal, or a halt's #migrate — goes on taking the client's body
+// bytes, for the client to see the answer, stop uploading, and close the
+// request body. Long enough for a round trip to a well-behaved client;
+// short enough that a stuck one cannot pin the server.
+const drainGrace = time.Second
 
 // session is one streaming request: NDJSON inputs in the request body,
 // committed NDJSON outputs in the response, a trailer line last. Outputs
@@ -53,7 +55,7 @@ type session struct {
 	w     http.ResponseWriter
 	r     *http.Request
 	rc    *http.ResponseController
-	out   *bufio.Writer // made by start
+	out   *bufio.Writer // from writers, by start
 	dirty bool          // out holds lines not yet flushed to the client
 	phase phase
 	err   error // first failure of an admitted session
@@ -124,20 +126,36 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // refuse is the exit of a session that has written nothing: a plain
 // status and message. It reports false so a phase can return it.
+//
+// The client may still be sending its body, and the status must neither
+// wait for that body nor lose the race with it. Left to itself, net/http
+// drains the unread body before it writes the status line, which holds
+// the status back from a client that keeps its body open; a Connection:
+// close response skips that drain, and the status goes out at once. The
+// connection is not reused, but it is not closed at once either: closing
+// it under body bytes still arriving resets it, and a client still
+// writing then has its write fail, which Go's transport reports in place
+// of a response that has already arrived — a gateway counts a backend
+// error where it should re-route a shed session. So net/http's
+// post-handler drain takes the rest of the body, until the client, having
+// read the status, closes, or the read deadline drainGrace ahead. A body
+// the pusher may be reading, or has read to its end, is left alone, as
+// in dropBody.
 func (ss *session) refuse(status int, msg string) bool {
 	ss.phase = failed
-	ss.dropBody()
+	if !ss.reading && !ss.body.eof && ss.rc.SetReadDeadline(time.Now().Add(drainGrace)) == nil {
+		ss.w.Header().Set("Connection", "close")
+	}
 	http.Error(ss.w, msg, status)
 	return false
 }
 
-// dropBody ends the request-body story of a session that is not going to
-// read the rest of it, with the client possibly still sending. Left to
-// net/http's post-handler cleanup the unread bytes misbehave: the
-// pre-response drain blocks a status line against a client that holds
-// its body open, and (with full duplex on) a drain that reaches EOF after
-// the handler's pending reads were aborted re-arms a background read
-// nothing cancels, panicking the next keep-alive read. So finish it
+// dropBody ends the request-body story of a session that failed after it
+// streamed output, with the client possibly still sending. Left to
+// net/http's post-handler cleanup the unread bytes misbehave: with full
+// duplex on, a drain that reaches EOF after the handler's pending reads
+// were aborted re-arms a background read nothing cancels, panicking the
+// next keep-alive read. So finish it
 // in-handler: poison the connection read deadline, then drain whatever is
 // already buffered. Either the body hits EOF here — where finishRequest
 // still reaps the read it triggers — or every later read fails fast and
@@ -263,7 +281,9 @@ func (ss *session) open() bool {
 		ss.cfg.Checkpoint = engine.CheckpointConfig{Codec: ss.wire, EveryCommits: ss.ckptEvery, OnSnapshot: ss.queueCkpt}
 		ss.ckptKick = make(chan struct{}, 1)
 	}
-	ss.lineBuf = lineBufs.Get().(*[bench.LineBuffer]byte)
+	if ss.lineBuf = lineBufs.Get(0); ss.lineBuf == nil {
+		ss.lineBuf = new([bench.LineBuffer]byte)
+	}
 	ss.sc = bench.NewLineScanner(body, ss.lim.MaxLine, ss.lineBuf[:])
 
 	// The session lives inside the request context — a client disconnect
@@ -292,13 +312,20 @@ func (ss *session) open() bool {
 	return true
 }
 
-// lineBufs holds the line buffers no session's scanner reads into.
-var lineBufs = sync.Pool{New: func() any { return new([bench.LineBuffer]byte) }}
+// lineBufs holds the line buffers no session's scanner reads into, and
+// writers the response writers no session writes through: free lists a
+// collection between two requests leaves as they are, unlike a sync.Pool.
+var (
+	lineBufs freelist.List[[bench.LineBuffer]byte]
+	writers  freelist.List[bufio.Writer]
+)
 
 // unwind runs whatever path leaves an opened session: cancel, drain the
 // output channel, and wait for every pipeline goroutine. The scanner's
-// first buffer goes back to the pool unless a body read into it may
+// first buffer goes back to its free list unless a body read into it may
 // still be in flight. A scanner that outgrew it no longer reads into it.
+// The response writer goes back to its own: the trailer has been flushed
+// through it by now, and it lets go of the response.
 func (ss *session) unwind() {
 	ss.cancel()
 	ss.halters.Delete(ss.p)
@@ -306,7 +333,11 @@ func (ss *session) unwind() {
 	}
 	ss.p.Wait()
 	if !ss.reading {
-		lineBufs.Put(ss.lineBuf)
+		lineBufs.Put(0, ss.lineBuf)
+	}
+	if ss.out != nil {
+		ss.out.Reset(nil)
+		writers.Put(0, ss.out)
 	}
 }
 
@@ -406,7 +437,11 @@ func (ss *session) pump() {
 func (ss *session) start() {
 	_ = ss.rc.EnableFullDuplex()
 	ss.w.Header().Set("Content-Type", "application/x-ndjson")
-	ss.out = bufio.NewWriter(ss.w)
+	if ss.out = writers.Get(0); ss.out != nil {
+		ss.out.Reset(ss.w)
+	} else {
+		ss.out = bufio.NewWriter(ss.w)
+	}
 	ss.phase = streaming
 }
 
@@ -484,7 +519,7 @@ func (ss *session) close() {
 		ss.writeLine([]byte(checkpoint.MigrateLine))
 		ss.flush()
 		ss.phase = halted
-		_ = ss.rc.SetReadDeadline(time.Now().Add(haltDrainGrace))
+		_ = ss.rc.SetReadDeadline(time.Now().Add(drainGrace))
 	}
 
 	// The pusher can be blocked reading a body the client holds open; when
