@@ -24,11 +24,11 @@
 // keeps the tuned value; -width sets par-STATS only).
 //
 // With -workload it replays a workload spec (internal/workload) through
-// real adaptive streaming pipelines — one per trace session — and prints
-// per-benchmark commit/abort counts and autotune chunk-size trajectories,
-// phase-binned by arrival time, as JSON: a function of the spec alone. It
-// reports no time or allocation figure: what the native path costs is
-// measured by the repository benchmark (BENCHMARK.json, benchmark/).
+// real streaming pipelines — one per trace session — and prints
+// per-benchmark commit/abort counts, phase-binned by arrival time, as
+// JSON: a function of the spec alone. It reports no time or allocation
+// figure: what the native path costs is measured by the repository
+// benchmark (BENCHMARK.json, benchmark/).
 package main
 
 import (
@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "print per-run progress to stderr")
 	seed := fs.Uint64("seed", 3, "nondeterminism seed")
 	inputSeed := fs.Uint64("input-seed", 1, "input-generation seed")
-	workloadSpec := fs.String("workload", "", "replay this workload spec through adaptive streaming pipelines and print per-benchmark and per-phase commit/abort/resize counts as JSON")
+	workloadSpec := fs.String("workload", "", "replay this workload spec through streaming pipelines and print per-benchmark and per-phase commit/abort counts as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

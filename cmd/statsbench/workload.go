@@ -14,13 +14,12 @@ import (
 // The -workload mode replays a workload spec (internal/workload) through
 // real streaming pipelines: the spec's trace names every session
 // (benchmark, length, seed, arrival time), each session runs on its own
-// adaptive pipeline, and the report records what the protocol did under
-// that load — commits, aborts and the autotune chunk-size trajectory —
-// aggregated per benchmark and binned by arrival phase so nonstationary
-// specs (modulators) show their shape. Every field is a function of the
-// spec alone, whatever the schedule: the report carries no time, no
-// allocation figure and no pool-reuse count, which is what lets
-// TestWorkloadGolden hold it to the byte. What a session costs is the
+// pipeline, and the report records what the protocol did under that load
+// — commits and aborts — aggregated per benchmark and binned by arrival
+// phase so nonstationary specs (modulators) show their shape. Every field
+// is a function of the spec alone, whatever the schedule: the report
+// carries no time, no allocation figure and no pool-reuse count, which is
+// what lets TestWorkloadGolden hold it to the byte. What a session costs is the
 // repository benchmark's question (BENCHMARK.json), asked as a ratio.
 
 // workloadRow aggregates every session of one benchmark under one spec.
@@ -30,13 +29,6 @@ type workloadRow struct {
 	Commits    int64   `json:"commits"`
 	Aborts     int64   `json:"aborts"`
 	CommitRate float64 `json:"commit_rate"`
-	Resizes    int64   `json:"resizes"`
-	// Chunk-size trajectory envelope across the benchmark's sessions:
-	// the smallest and largest size autotune ever chose, and the size
-	// the last session ended on.
-	ChunkMin   int `json:"chunk_min"`
-	ChunkMax   int `json:"chunk_max"`
-	ChunkFinal int `json:"chunk_final"`
 }
 
 // workloadPhase is one arrival-time bin of the trace: the sessions whose
@@ -52,7 +44,6 @@ type workloadPhase struct {
 	Commits    int64   `json:"commits"`
 	Aborts     int64   `json:"aborts"`
 	CommitRate float64 `json:"commit_rate"`
-	Resizes    int64   `json:"resizes"`
 }
 
 // workloadReport is what -workload prints; Rows is keyed by benchmark.
@@ -68,7 +59,7 @@ type workloadReport struct {
 const workloadPhases = 4
 
 // runWorkload generates the spec's trace, runs every session on a fresh
-// adaptive streaming pipeline, and writes the aggregated report to w as
+// streaming pipeline, and writes the aggregated report to w as
 // indented JSON.
 func runWorkload(specPath string, w io.Writer) error {
 	spec, err := workload.Load(specPath)
@@ -107,22 +98,13 @@ func runWorkload(specPath string, w io.Writer) error {
 		r.Inputs += int(stats.Inputs)
 		r.Commits += stats.Commits
 		r.Aborts += stats.Aborts
-		r.Resizes += stats.Resizes
 		r.CommitRate = commitRate(r.Commits, r.Aborts)
-		for _, pt := range stats.Trajectory {
-			if r.ChunkMin == 0 || pt.Size < r.ChunkMin {
-				r.ChunkMin = pt.Size
-			}
-			r.ChunkMax = max(r.ChunkMax, pt.Size)
-			r.ChunkFinal = pt.Size
-		}
 
 		ph := &rep.Phases[min(int(s.At*workloadPhases/span), workloadPhases-1)]
 		ph.Sessions++
 		ph.Inputs += int(stats.Inputs)
 		ph.Commits += stats.Commits
 		ph.Aborts += stats.Aborts
-		ph.Resizes += stats.Resizes
 		ph.CommitRate = commitRate(ph.Commits, ph.Aborts)
 	}
 
@@ -136,8 +118,8 @@ func commitRate(commits, aborts int64) float64 {
 	return float64(commits) / float64(max(1, commits+aborts))
 }
 
-// runWorkloadSession runs one trace session on a fresh adaptive pipeline
-// and returns its drained stats.
+// runWorkloadSession runs one trace session on a fresh pipeline and
+// returns its drained stats.
 func runWorkloadSession(s workload.Session) (engine.StreamStats, error) {
 	b, err := bench.New(s.Benchmark)
 	if err != nil {
@@ -150,7 +132,6 @@ func runWorkloadSession(s workload.Session) (engine.StreamStats, error) {
 		Lookback:    4,
 		ExtraStates: 1,
 		Workers:     4,
-		Adapt:       true,
 		Seed:        s.Seed,
 	})
 	if err != nil {

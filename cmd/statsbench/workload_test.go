@@ -9,13 +9,12 @@ import (
 	"testing"
 )
 
-// TestWorkloadGolden replays the example spec through real adaptive
-// pipelines and requires what `statsbench -workload` would print to be the
-// committed golden file, byte for byte: sessions, inputs, commits, aborts,
-// resizes and the chunk-size envelope per benchmark and per arrival phase
-// are a function of the spec alone, at any GOMAXPROCS and under -race. The
-// bytes are compared, not the decoded values, so a golden edited by hand or
-// regenerated in part fails too. Regenerate with
+// TestWorkloadGolden replays the example spec through real pipelines and
+// requires what `statsbench -workload` would print to be the committed
+// golden file, byte for byte: sessions, inputs, commits and aborts per
+// benchmark and per arrival phase are a function of the spec alone, at
+// any GOMAXPROCS and under -race. The bytes are compared, not the decoded
+// values, so a golden edited by hand or regenerated in part fails too. Regenerate with
 //
 //	go run ./cmd/statsbench -workload examples/workload/nonstationary.json > cmd/statsbench/testdata/nonstationary.golden.json
 func TestWorkloadGolden(t *testing.T) {

@@ -16,12 +16,11 @@
 // byte for byte, on any host.
 //
 // Sessions are launched at their trace arrival times (divided by
-// -speedup), each as one POST /v1/stream/{benchmark}?seed=N&adapt=1
-// whose body is the session's input stream and whose response trailer
-// carries the pipeline's stats — including the autotune chunk-size
-// trajectory. statsload aggregates trailers per benchmark (sessions,
-// inputs, commit/abort rates, resize counts, chunk-size envelope) and
-// prints a summary; -out also writes it as JSON.
+// -speedup), each as one POST /v1/stream/{benchmark}?seed=N whose body is
+// the session's input stream and whose response trailer carries the
+// pipeline's stats. statsload aggregates trailers per benchmark
+// (sessions, inputs, commit/abort rates) and prints a summary; -out also
+// writes it as JSON.
 //
 // The pacing loop reads the wall clock — this is serving-side glue, like
 // the rest of cmd/*, not determinism-critical protocol code. Everything
@@ -72,9 +71,6 @@ type loadRow struct {
 	Commits    int64   `json:"commits"`
 	Aborts     int64   `json:"aborts"`
 	CommitRate float64 `json:"commit_rate"`
-	Resizes    int64   `json:"resizes"`
-	ChunkMin   int     `json:"chunk_min,omitempty"`
-	ChunkMax   int     `json:"chunk_max,omitempty"`
 }
 
 // loadReport is the -out schema.
@@ -97,8 +93,8 @@ func run(specPath, target string, speedup float64, maxConc int,
 	if speedup <= 0 {
 		return fmt.Errorf("-speedup must be positive, got %g", speedup)
 	}
-	if maxConc < 1 {
-		maxConc = 1
+	if err := checkLimits(maxConc, sessionTimeout); err != nil {
+		return err
 	}
 
 	spec, err := workload.Load(specPath)
@@ -152,18 +148,9 @@ func run(specPath, target string, speedup float64, maxConc int,
 			r.Outputs += tr.Stats.Outputs
 			r.Commits += tr.Stats.Commits
 			r.Aborts += tr.Stats.Aborts
-			r.Resizes += tr.Stats.Resizes
-			for _, pt := range tr.Stats.Trajectory {
-				if r.ChunkMin == 0 || pt.Size < r.ChunkMin {
-					r.ChunkMin = pt.Size
-				}
-				if pt.Size > r.ChunkMax {
-					r.ChunkMax = pt.Size
-				}
-			}
 			if verbose {
-				fmt.Fprintf(os.Stderr, "session %d (%s): %d outputs, commit %d abort %d, %d resizes\n",
-					s.Seq, s.Benchmark, tr.Stats.Outputs, tr.Stats.Commits, tr.Stats.Aborts, tr.Stats.Resizes)
+				fmt.Fprintf(os.Stderr, "session %d (%s): %d outputs, commit %d abort %d\n",
+					s.Seq, s.Benchmark, tr.Stats.Outputs, tr.Stats.Commits, tr.Stats.Aborts)
 			}
 		}(s)
 	}
@@ -184,12 +171,8 @@ func run(specPath, target string, speedup float64, maxConc int,
 		r := rows[name]
 		r.CommitRate = float64(r.Commits) / float64(max64(1, r.Commits+r.Aborts))
 		rep.Rows[name] = *r
-		chunks := ""
-		if r.ChunkMax > 0 {
-			chunks = fmt.Sprintf("  chunks [%d..%d]", r.ChunkMin, r.ChunkMax)
-		}
-		fmt.Printf("%-18s sessions=%-3d failures=%-2d inputs=%-7d commit %.2f  resizes %-4d%s\n",
-			name, r.Sessions, r.Failures, r.Inputs, r.CommitRate, r.Resizes, chunks)
+		fmt.Printf("%-18s sessions=%-3d failures=%-2d inputs=%-7d commit %.2f\n",
+			name, r.Sessions, r.Failures, r.Inputs, r.CommitRate)
 	}
 	fmt.Printf("%d sessions in %s (%d failed)\n", rep.Sessions, elapsed.Round(time.Millisecond), failures)
 
@@ -209,14 +192,13 @@ func run(specPath, target string, speedup float64, maxConc int,
 }
 
 // runSession regenerates one trace session's input stream, streams it to
-// the target with adaptive chunk sizing, so its trailer carries a
-// chunk-size trajectory, and returns the response trailer.
+// the target, and returns the response trailer.
 func runSession(client *http.Client, target string, s workload.Session) (*serve.Trailer, error) {
 	var body bytes.Buffer
 	if err := workload.WriteSessionNDJSON(&body, s); err != nil {
 		return nil, err
 	}
-	url := fmt.Sprintf("%s/v1/stream/%s?seed=%d&adapt=1", target, s.Benchmark, s.Seed)
+	url := fmt.Sprintf("%s/v1/stream/%s?seed=%d", target, s.Benchmark, s.Seed)
 	resp, err := client.Post(url, "application/x-ndjson", &body)
 	if err != nil {
 		return nil, err
@@ -249,6 +231,19 @@ func runSession(client *http.Client, target string, s workload.Session) (*serve.
 		return nil, fmt.Errorf("session did not drain: %s", tr.Error)
 	}
 	return &tr, nil
+}
+
+// checkLimits refuses a limit flag that would otherwise be read as
+// something else, naming the flag: fewer than one session in flight, and
+// a negative session timeout, which http.Client reads as none.
+func checkLimits(maxConc int, sessionTimeout time.Duration) error {
+	if maxConc < 1 {
+		return fmt.Errorf("-max-concurrent must be at least 1, got %d", maxConc)
+	}
+	if sessionTimeout < 0 {
+		return fmt.Errorf("-session-timeout must not be negative, got %s", sessionTimeout)
+	}
+	return nil
 }
 
 func max64(a, b int64) int64 {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,4 +64,30 @@ func TestSpecRecordReplay(t *testing.T) {
 		}
 	}
 	sameRun(t, "second run", drive(t, ts.URL, "testdata/small.json"), spec)
+}
+
+// TestCheckLimitsRefusesBad: a -max-concurrent below one or a negative
+// -session-timeout is refused at start, naming the flag, where the run
+// would have read them as one session and as no timeout. A zero timeout,
+// http.Client's "none", and positive limits pass.
+func TestCheckLimitsRefusesBad(t *testing.T) {
+	for _, tc := range []struct {
+		maxConc int
+		timeout time.Duration
+		flag    string // "" when the limits pass
+	}{
+		{16, 2 * time.Minute, ""},
+		{1, 0, ""},
+		{0, time.Minute, "-max-concurrent"},
+		{-5, time.Minute, "-max-concurrent"},
+		{4, -time.Second, "-session-timeout"},
+	} {
+		err := checkLimits(tc.maxConc, tc.timeout)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%d, %s: refused: %v", tc.maxConc, tc.timeout, err)
+		case tc.flag != "" && (err == nil || !strings.Contains(err.Error(), tc.flag+" ")):
+			t.Errorf("%d, %s: error %v, want one naming %s", tc.maxConc, tc.timeout, err, tc.flag)
+		}
+	}
 }

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	statsserved [-addr :8417] [-chunk 16] [-lookback 4] [-workers 4]
-//	            [-adapt] [-grace 15s] [-max-sessions 64]
+//	            [-grace 15s] [-max-sessions 64]
 //	            [-session-timeout 0] [-max-body 1073741824]
 //	            [-max-line 1048576] [-pprof localhost:6060]
 //	statsserved -gen facetrack [-n 64]
@@ -67,10 +67,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8417", "listen address")
-	chunk := flag.Int("chunk", 16, "inputs per chunk (initial size with -adapt)")
+	chunk := flag.Int("chunk", 16, "inputs per chunk")
 	lookback := flag.Int("lookback", 4, "alternative-producer replay length k")
 	workers := flag.Int("workers", engine.DefaultWorkers, "per-session worker pool / speculation window")
-	adapt := flag.Bool("adapt", false, "retune chunk size online from commit/abort feedback")
 	grace := flag.Duration("grace", 15*time.Second, "drain period for in-flight sessions on SIGTERM")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap, excess shed with 429 (0: default 64)")
 	sessionTimeout := flag.Duration("session-timeout", 0, "per-session wall-clock limit (0: none)")
@@ -96,7 +95,6 @@ func main() {
 		Lookback:    *lookback,
 		ExtraStates: 1,
 		Workers:     *workers,
-		Adapt:       *adapt,
 		Seed:        3,
 	}
 	if err := base.Validate(); err != nil {

@@ -6,8 +6,6 @@
 //     deliver them, while committed outputs stream back concurrently;
 //   - the speculation window exerts backpressure instead of buffering
 //     without bound;
-//   - the online controller retunes the chunk size from commit/abort
-//     feedback mid-stream;
 //   - the binned stage metrics show where the wall-clock time went.
 //
 // Run with: go run ./examples/serving
@@ -40,7 +38,6 @@ func main() {
 		ExtraStates: 1,
 		Workers:     4,
 		Seed:        3,
-		Adapt:       true,
 		Sink:        met,
 	})
 	if err != nil {
@@ -72,8 +69,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("streamed %d frames through %d chunks: %d committed, %d aborted, %d chunk-size retunes\n",
-		stats.Inputs, stats.Chunks, stats.Commits, stats.Aborts, stats.Resizes)
+	fmt.Printf("streamed %d frames through %d chunks: %d committed, %d aborted\n",
+		stats.Inputs, stats.Chunks, stats.Commits, stats.Aborts)
 	fmt.Printf("tracking quality (mean -err): %.4f\n", ft.Quality(results))
 	fmt.Println("\nstage metrics (binstat-style):")
 	page := map[string]int64{}

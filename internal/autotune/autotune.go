@@ -12,12 +12,9 @@
 // unique configurations evaluated, matching the paper's "number of
 // configurations analyzed varied from 89 to 342" (§IV-B).
 //
-// Online is the run-time half: it retunes a streaming session's chunk
-// size from commit/abort outcomes by one fixed rule. Outcomes are taken
-// in tumbling epochs of 8; an epoch whose abort rate is at least 0.25
-// grows the size ×1.5, one whose rate is at most 0.05 shrinks it ÷1.5,
-// and the size stays within a quarter to four times the initial size.
-// The initial size is its whole configuration.
+// Like OpenTuner in the paper, the tuner is offline: it runs on training
+// inputs before deployment, and a streaming session runs the one shape it
+// is given, with no feedback from its own commit/abort outcomes.
 package autotune
 
 import (

@@ -232,10 +232,8 @@ func TestUpdateAllocations(t *testing.T) {
 // streams and replica hand-offs stopped being allocated per chunk) and
 // 200–216 bytes; one object more per chunk in the engine fails, and so do
 // a tenth more bytes. The producer side is inside the measurement: Push
-// fills and dispatches every chunk, parks on the speculation window with a
-// cancellable context of its own, and — in the adaptive case, pinned to
-// the same boundaries — records an outcome into the controller under the
-// boundary lock once a chunk. The facetrack row is the configuration of
+// fills and dispatches every chunk and parks on the speculation window
+// with a cancellable context of its own. The facetrack row is the configuration of
 // BenchmarkStreamPipeline/workers=4: 20.1 objects and 809 bytes, or 887
 // when the third round still had to clone one state more. The last row
 // pins what a record's own buffers are for: its Plan repeats chunk sizes
@@ -266,19 +264,17 @@ func TestPipelineAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		b              bench.Benchmark
 		workers        int
-		adapt          bool
 		sizes          []int   // the chunk sizes, repeated
 		warm, timed    int     // chunks a round; whole periods of sizes
 		objects, bytes float64 // budgets per chunk beyond the kernel's own
 	}{
-		{sc, 1, false, fixed, warm, timed, 13, scBytes},
-		{sc, 2, false, fixed, warm, timed, 13, scBytes},
-		{sc, 2, true, fixed, warm, timed, 13, scBytes},
-		{ft, 4, false, fixed, warm, timed, 21, 889},
-		{sc, 2, false, []int{4, 64, 4}, 30, 84, 12, planBytes},
+		{sc, 1, fixed, warm, timed, 13, scBytes},
+		{sc, 2, fixed, warm, timed, 13, scBytes},
+		{ft, 4, fixed, warm, timed, 21, 889},
+		{sc, 2, []int{4, 64, 4}, 30, 84, 12, planBytes},
 	} {
 		b, workers, warm, timed := tc.b, tc.workers, tc.warm, tc.timed
-		row := fmt.Sprintf("%s workers=%d adapt=%v sizes=%v", b.Name(), workers, tc.adapt, tc.sizes)
+		row := fmt.Sprintf("%s workers=%d sizes=%v", b.Name(), workers, tc.sizes)
 		period := len(tc.sizes)
 		plan, warmIn, timedLen := make([]int, warm+rounds*timed), 0, 0
 		for j := range plan {
@@ -290,11 +286,8 @@ func TestPipelineAllocations(t *testing.T) {
 				timedLen += plan[j]
 			}
 		}
-		if period == 1 && !tc.adapt {
-			// ChunkSize says the same. An adaptive row keeps the whole
-			// plan: it fixes every size while the controller still
-			// records every outcome.
-			plan = nil
+		if period == 1 {
+			plan = nil // ChunkSize says the same
 		}
 		inputs := workload.SessionInputs(b, warmIn+timedLen, 11)
 		if len(inputs) != warmIn+timedLen {
@@ -310,8 +303,7 @@ func TestPipelineAllocations(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		p, err := engine.NewStream(ctx, b, engine.StreamConfig{
-			ChunkSize: chunkSize, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 3,
-			Adapt: tc.adapt})
+			ChunkSize: chunkSize, Plan: plan, Lookback: 4, ExtraStates: 1, Workers: workers, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

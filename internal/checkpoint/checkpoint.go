@@ -9,15 +9,14 @@
 // the next chunk to dispatch, the committed-state lineage at the frontier
 // (the final state, plus either the extra original-state replicas the
 // next boundary validation may compare against or the state they are
-// re-derived from), the previous chunk's lookback window,
-// and the adaptive controller's decision state. Nothing else is captured
-// — in-flight speculative work is deliberately discarded, because the
+// re-derived from) and the previous chunk's lookback window. Nothing
+// else is captured — in-flight speculative work is deliberately discarded, because the
 // determinism contract makes it free to re-derive (DESIGN.md §12).
 //
 // Wire format (everything little-endian):
 //
 //	magic   [4]byte  "STCP"
-//	version uint32   currently 5
+//	version uint32   currently 6
 //	length  uint32   payload byte count
 //	payload []byte   JSON-encoded Snapshot
 //	crc     uint32   CRC-32C (Castagnoli) over version|length|payload
@@ -37,8 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strconv"
-
-	"gostats/internal/autotune"
 )
 
 // Version is the current snapshot format version. Version 2 carried an
@@ -46,8 +43,10 @@ import (
 // embeds every codec encoding as a JSON value instead of a base64 string;
 // version 4 drops the inner gang width from the session shape, since a
 // native pipeline runs no gang; version 5 drops the adaptive bounds,
-// which follow from the chunk size. Older envelopes are rejected.
-const Version = 5
+// which follow from the chunk size; version 6 drops the adaptive flag, the
+// pending outcomes and the controller state, with the online chunk-size
+// controller they fed. Older envelopes are rejected.
+const Version = 6
 
 // magic identifies a snapshot envelope.
 var magic = [4]byte{'S', 'T', 'C', 'P'}
@@ -79,11 +78,10 @@ type Snapshot struct {
 	// decisions. A resumed pipeline adopts these wholesale — resuming
 	// under different parameters would change chunk boundaries and break
 	// byte-identity.
-	ChunkSize   int  `json:"chunk_size"`
-	Lookback    int  `json:"lookback"`
-	ExtraStates int  `json:"extra_states"`
-	Workers     int  `json:"workers"`
-	Adapt       bool `json:"adapt,omitempty"`
+	ChunkSize   int `json:"chunk_size"`
+	Lookback    int `json:"lookback"`
+	ExtraStates int `json:"extra_states"`
+	Workers     int `json:"workers"`
 
 	// NextChunk is the index of the first chunk not yet committed; the
 	// restored producer and commit frontier both start here.
@@ -115,26 +113,7 @@ type Snapshot struct {
 	// it was re-executed after a mispeculation — rather than from its
 	// worker stream. Meaningful only with ReplicaSeed.
 	Reorig bool `json:"reorig,omitempty"`
-
-	// Pending is the commit/abort outcome of the most recent committed
-	// chunks (oldest first) that the producer had not yet folded
-	// into the adaptive controller when the snapshot was taken — the
-	// in-flight window between the commit frontier and the producer, at
-	// most Window(Workers) entries. A restored pipeline preloads its outcome
-	// queue with these so the controller sees the exact same outcome
-	// sequence at the exact same decision points.
-	Pending []bool `json:"pending,omitempty"`
-	// Controller is the adaptive chunk-size controller's state with all
-	// Pending outcomes excluded; nil when the session does not adapt.
-	Controller *autotune.OnlineState `json:"controller,omitempty"`
 }
-
-// Window is the speculation window of a session with the given worker
-// count: the most chunks its pipeline keeps in flight past the commit
-// frontier, and so the most outcomes a snapshot can hold pending. Two
-// chunks a worker: one executing, one queued behind it, so a worker that
-// finishes never waits for the frontier to open its next slot.
-func Window(workers int) int { return 2 * workers }
 
 // Validate checks internal consistency of a decoded snapshot.
 func (s *Snapshot) Validate() error {
@@ -157,34 +136,25 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("checkpoint: a replica seed needs lineage [final] and extra_states >= 1, have %d states and %d", len(s.Lineage), s.ExtraStates)
 	case s.NextChunk > 0 && len(s.ReplicaSeed) == 0 && len(s.Lineage) != 1+s.ExtraStates:
 		return fmt.Errorf("checkpoint: next_chunk %d needs a lineage of 1+%d states, have %d", s.NextChunk, s.ExtraStates, len(s.Lineage))
-	case len(s.Pending) > Window(s.Workers):
-		return fmt.Errorf("checkpoint: %d pending outcomes exceed the window of %d workers", len(s.Pending), s.Workers)
 	}
 	return nil
 }
 
 // Encode serializes the snapshot into a self-describing envelope. One
 // walk over the fields sizes the envelope and a second fills it, so the
-// envelope is the only allocation when the snapshot does not adapt: the
-// payload is json.Marshal(s) byte for byte, but only Controller — and a
-// benchmark name JSON would escape — goes through encoding/json. Ints and
-// bools are written directly and the codec encodings are copied in as
+// envelope is the only allocation: the payload is json.Marshal(s) byte
+// for byte, but only a benchmark name JSON would escape goes through
+// encoding/json. Ints and bools are written directly and the codec encodings are copied in as
 // they are. Encode rejects an empty encoding, which has no JSON form, but
 // does not parse the others: Decode does, and the codecs' differential
 // tests hold them to encoding/json's form.
 func Encode(s *Snapshot) ([]byte, error) {
-	var name, ctl []byte
+	var name []byte
 	if !plainJSON(s.Benchmark) {
 		name, _ = json.Marshal(s.Benchmark) // a string always marshals
 	}
-	if s.Controller != nil {
-		var err error
-		if ctl, err = json.Marshal(s.Controller); err != nil {
-			return nil, fmt.Errorf("checkpoint: encode payload: %w", err)
-		}
-	}
 	size := writer{dry: true}
-	size.payload(s, name, ctl)
+	size.payload(s, name)
 	if size.empty {
 		return nil, fmt.Errorf("checkpoint: encode payload: an empty codec encoding")
 	}
@@ -192,7 +162,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	w.buf = append(w.buf, magic[:]...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(size.n))
-	w.payload(s, name, ctl)
+	w.payload(s, name)
 	crc := crc32.Checksum(w.buf[len(magic):], castagnoli)
 	return binary.LittleEndian.AppendUint32(w.buf, crc), nil
 }
@@ -245,27 +215,20 @@ func (w *writer) values(key string, v []json.RawMessage) {
 		return
 	}
 	w.raw(key)
+	w.raw("[")
 	for i, b := range v {
-		w.sep(i)
+		if i > 0 {
+			w.raw(",")
+		}
 		w.value(b)
 	}
 	w.raw("]")
 }
 
-// sep opens an array before element 0 and separates every later one.
-func (w *writer) sep(i int) {
-	if i == 0 {
-		w.raw("[")
-	} else {
-		w.raw(",")
-	}
-}
-
 // payload writes s's fields in declaration order, with their tags'
-// names and omitempty rules. name and ctl are encoding/json's forms of
-// Benchmark (nil when it needs no escaping) and Controller (nil when
-// absent).
-func (w *writer) payload(s *Snapshot, name, ctl []byte) {
+// names and omitempty rules. name is encoding/json's form of Benchmark,
+// nil when it needs no escaping.
+func (w *writer) payload(s *Snapshot, name []byte) {
 	w.raw(`{"benchmark":`)
 	if name == nil {
 		w.raw(`"`)
@@ -281,9 +244,6 @@ func (w *writer) payload(s *Snapshot, name, ctl []byte) {
 	w.int(`,"lookback":`, int64(s.Lookback))
 	w.int(`,"extra_states":`, int64(s.ExtraStates))
 	w.int(`,"workers":`, int64(s.Workers))
-	if s.Adapt {
-		w.raw(`,"adapt":true`)
-	}
 	w.int(`,"next_chunk":`, int64(s.NextChunk))
 	w.int(`,"inputs":`, s.Inputs)
 	w.values(`,"prev_window":`, s.PrevWindow)
@@ -294,18 +254,6 @@ func (w *writer) payload(s *Snapshot, name, ctl []byte) {
 	}
 	if s.Reorig {
 		w.raw(`,"reorig":true`)
-	}
-	if len(s.Pending) > 0 {
-		w.raw(`,"pending":`)
-		for i, ok := range s.Pending {
-			w.sep(i)
-			w.raw(strconv.FormatBool(ok))
-		}
-		w.raw("]")
-	}
-	if ctl != nil {
-		w.raw(`,"controller":`)
-		w.bytes(ctl)
 	}
 	w.raw("}")
 }

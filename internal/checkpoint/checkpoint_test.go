@@ -10,8 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"gostats/internal/autotune"
 )
 
 func sampleSnapshot() *Snapshot {
@@ -22,16 +20,10 @@ func sampleSnapshot() *Snapshot {
 		Lookback:    3,
 		ExtraStates: 1,
 		Workers:     3,
-		Adapt:       true,
 		NextChunk:   5,
 		Inputs:      40,
 		PrevWindow:  raws(`{"i":37}`, `{"i":38}`, `{"i":39}`),
 		Lineage:     raws(`{"sum":1.5}`, `{"sum":1.25}`),
-		Pending:     []bool{true, true, false},
-		Controller: &autotune.OnlineState{
-			Size: 8, EpochN: 3, Aborts: 1, Outcomes: 35, Resizes: 2,
-			History: []autotune.SizeChange{{Outcome: 0, Size: 8}, {Outcome: 16, Size: 12}, {Outcome: 24, Size: 8}},
-		},
 	}
 }
 
@@ -63,12 +55,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(got.PrevWindow) != 3 || !bytes.Equal(got.PrevWindow[2], want.PrevWindow[2]) {
 		t.Fatalf("window mismatch: %q", got.PrevWindow)
 	}
-	if got.Controller == nil || got.Controller.Size != 8 || len(got.Controller.History) != 3 {
-		t.Fatalf("controller mismatch: %+v", got.Controller)
-	}
-	if len(got.Pending) != 3 || got.Pending[2] {
-		t.Fatalf("pending mismatch: %v", got.Pending)
-	}
 	// Encoding is deterministic: same snapshot, same bytes.
 	raw2, err := Encode(got)
 	if err != nil {
@@ -76,29 +62,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(raw, raw2) {
 		t.Fatalf("encode not deterministic")
-	}
-
-	// An adaptive snapshot written before the controller lost its
-	// grow/shrink split carries "grows" and "shrinks": they decode as
-	// unknown fields, and the controller validates and restores.
-	payload := raw[header : len(raw)-4]
-	parent := bytes.Replace(payload, []byte(`"resizes":2,`), []byte(`"resizes":2,"grows":1,"shrinks":1,`), 1)
-	if bytes.Equal(parent, payload) {
-		t.Fatal("the sample controller has no resizes field to extend")
-	}
-	old, err := Decode(envelope(parent))
-	if err != nil {
-		t.Fatalf("Decode of a controller with grows/shrinks: %v", err)
-	}
-	if !reflect.DeepEqual(old.Controller, want.Controller) {
-		t.Fatalf("controller with grows/shrinks: got %+v want %+v", old.Controller, want.Controller)
-	}
-	ctl, err := autotune.RestoreOnline(old.ChunkSize, old.Controller)
-	if err != nil {
-		t.Fatalf("RestoreOnline of a controller with grows/shrinks: %v", err)
-	}
-	if ctl.Resizes() != 2 || ctl.ChunkSize() != 8 {
-		t.Fatalf("restored controller: %d resizes, size %d", ctl.Resizes(), ctl.ChunkSize())
 	}
 }
 
@@ -164,20 +127,21 @@ func TestCheckpointVersionGate(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	// Stamp older versions and the next one with a valid CRC: the decoder
-	// must reject on version, not CRC. A version 4 envelope — its session
-	// shape carrying the adaptive bounds, its payload otherwise alike — is
-	// not read, nor is a version 3 one, which also carried an inner gang
-	// width.
+	// must reject on version, not CRC. A version 5 envelope — an adaptive
+	// session's, with the controller state and the pending outcomes, its
+	// payload otherwise alike — is not read, nor is a version 4 one, which
+	// also carried the adaptive bounds.
 	payload := raw[header : len(raw)-4]
-	v4 := bytes.Replace(payload, []byte(`"adapt":true,`), []byte(`"adapt":true,"min_chunk":2,"max_chunk":32,`), 1)
-	if bytes.Equal(v4, payload) {
-		t.Fatal("the sample snapshot has no adapt field to extend")
+	v5 := bytes.Replace(payload, []byte(`"next_chunk":`), []byte(`"adapt":true,"next_chunk":`), 1)
+	v5 = append(v5[:len(v5)-1:len(v5)-1], `,"pending":[true,true,false],"controller":{"size":8,"epoch_n":3,"aborts":1,"outcomes":35,"resizes":2,"history":[{"outcome":0,"size":8},{"outcome":16,"size":12}]}}`...)
+	v4 := bytes.Replace(v5, []byte(`"adapt":true,`), []byte(`"adapt":true,"min_chunk":2,"max_chunk":32,`), 1)
+	if bytes.Equal(v4, v5) {
+		t.Fatal("the version 5 payload has no adapt field to extend")
 	}
-	v3 := bytes.Replace(v4, []byte(`"workers":`), []byte(`"inner_width":1,"workers":`), 1)
 	for _, c := range []struct {
 		v       uint32
 		payload []byte
-	}{{Version - 2, v3}, {Version - 1, v4}, {Version + 1, payload}} {
+	}{{Version - 2, v4}, {Version - 1, v5}, {Version + 1, payload}} {
 		mut := envelope(c.payload)
 		binary.LittleEndian.PutUint32(mut[4:], c.v)
 		restamp(mut)
@@ -187,7 +151,7 @@ func TestCheckpointVersionGate(t *testing.T) {
 	}
 	// The same keys stray in a current payload are unknown fields: they
 	// decode ignored, to the snapshot without them.
-	for _, stray := range [][]byte{v4, v3} {
+	for _, stray := range [][]byte{v5, v4} {
 		got, err := Decode(envelope(stray))
 		if err != nil {
 			t.Fatalf("Decode of a current payload with stray shape keys: %v", err)
@@ -204,7 +168,6 @@ func TestCheckpointValidate(t *testing.T) {
 		{Benchmark: "x", NextChunk: -1},
 		{Benchmark: "x", NextChunk: 0, Lineage: raws("1")},
 		{Benchmark: "x", NextChunk: 3},
-		{Benchmark: "x", Workers: 1, Pending: make([]bool, Window(1)+1)},
 		{Benchmark: "x", ExtraStates: -1},
 		// The lineage's shape: final plus ExtraStates replicas, or final
 		// and the seed they are built from.
@@ -248,9 +211,8 @@ func TestCheckpointEncodeMatchesMarshal(t *testing.T) {
 		{},
 		{Benchmark: "a\"<b>&\u2028\x01\xff", Seed: 1<<64 - 1, ChunkSize: -1, Lookback: -2, Inputs: -1 << 63},
 		{Benchmark: "x", PrevWindow: []json.RawMessage{nil, json.RawMessage("null")},
-			Lineage: raws(`[1,{"a":[]},"\u003c\\"]`, `-0.5e-7`, `true`), Pending: []bool{false}},
-		{Benchmark: "x", PrevWindow: []json.RawMessage{}, Lineage: []json.RawMessage{}, ReplicaSeed: json.RawMessage{},
-			Pending: []bool{}, Controller: &autotune.OnlineState{}},
+			Lineage: raws(`[1,{"a":[]},"\u003c\\"]`, `-0.5e-7`, `true`)},
+		{Benchmark: "x", PrevWindow: []json.RawMessage{}, Lineage: []json.RawMessage{}, ReplicaSeed: json.RawMessage{}},
 	} {
 		want, err := json.Marshal(s)
 		if err != nil {
@@ -293,7 +255,6 @@ func TestCheckpointEncodeAllocs(t *testing.T) {
 		PrevWindow:  []json.RawMessage{in, in, in, in},
 		Lineage:     []json.RawMessage{doc(23 << 10)},
 		ReplicaSeed: doc(18 << 10),
-		Pending:     []bool{true, false, true},
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if _, err := Encode(s); err != nil {
@@ -330,9 +291,6 @@ func sameSnapshot(a, b *Snapshot) bool {
 		}
 		if len(s.Lineage) == 0 {
 			s.Lineage = nil
-		}
-		if len(s.Pending) == 0 {
-			s.Pending = nil
 		}
 		return s
 	}
@@ -381,20 +339,21 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(payload)
 	f.Add(raw)
 	f.Add([]byte(base64.StdEncoding.EncodeToString(raw)))
-	f.Add([]byte(`{"benchmark":"x","workers":1,"prev_window":[],"pending":[]}`))
-	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""],"controller":{"history":null}}`))
+	f.Add([]byte(`{"benchmark":"x","workers":1,"prev_window":[],"lineage":[]}`))
+	f.Add([]byte(`{"benchmark":"x","next_chunk":1,"extra_states":1,"lineage":[null,""]}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"extra_states":2,"prev_window":[[1]],"lineage":[{"a":"<"}],"replica_seed":{},"reorig":true}`))
 	f.Add([]byte(`{"benchmark":"x","next_chunk":2,"lineage":[ { "a" : [ 1 , 2 ] } ],"prev_window":["\u2028"]}`))
-	// An adaptive snapshot from before "grows" and "shrinks" left the controller.
-	f.Add([]byte(`{"benchmark":"x","workers":1,"adapt":true,"min_chunk":2,"max_chunk":32,"pending":[true],"controller":{"size":8,"epoch_n":3,"aborts":1,"outcomes":35,"resizes":2,"grows":1,"shrinks":1,"history":[{"outcome":0,"size":8},{"outcome":16,"size":12}]}}`))
 	f.Add([]byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"inner_width":64,"workers":2,"next_chunk":0,"inputs":0}`))
-	// A version 4 envelope, the last to carry the adaptive bounds.
-	v4 := []byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"workers":2,"adapt":true,"min_chunk":4,"max_chunk":64,"next_chunk":0,"inputs":0}`)
-	f.Add(v4)
-	v4env := envelope(v4)
-	binary.LittleEndian.PutUint32(v4env[len(magic):], Version-1)
-	restamp(v4env)
-	f.Add(v4env)
+	// A version 5 envelope, the last to carry the adaptive flag, the
+	// pending outcomes and the controller state.
+	v5 := []byte(`{"benchmark":"x","seed":1,"chunk_size":16,"lookback":4,"extra_states":1,"workers":2,"adapt":true,"next_chunk":0,"inputs":0,"pending":[true],"controller":{"size":8,"epoch_n":3,"aborts":1,"outcomes":35,"resizes":2,"history":[{"outcome":0,"size":8},{"outcome":16,"size":12}]}}`)
+	f.Add(v5)
+	// A version 4 payload, which carried the adaptive bounds as well.
+	f.Add([]byte(`{"benchmark":"x","workers":1,"adapt":true,"min_chunk":2,"max_chunk":32,"pending":[]}`))
+	v5env := envelope(v5)
+	binary.LittleEndian.PutUint32(v5env[len(magic):], Version-1)
+	restamp(v5env)
+	f.Add(v5env)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, try := range []func() (*Snapshot, error){
 			func() (*Snapshot, error) { return Decode(data) },

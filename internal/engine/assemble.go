@@ -7,8 +7,7 @@ import "context"
 // goroutine, attaches the previous chunk's lookback window (what the
 // chunk's alternative producer will replay), and dispatches the chunk to
 // the worker pool on its last input. The producer is the single owner of
-// the outcome window that implements backpressure and the only writer of
-// the online chunk-size controller.
+// the outcome window that implements backpressure.
 
 // producer is the chunk being filled. It belongs to the one goroutine
 // that calls Push and Close.
@@ -102,40 +101,25 @@ func (p *Pipeline) Close() {
 
 // sizeFor decides chunk j's size. Before deciding it consumes commit
 // outcomes until exactly max(0, j-window) have been seen. That wait is
-// the speculation window — at most window chunks run past the commit
-// frontier — and it is also what makes adaptive sizing deterministic:
-// the decision for chunk j reads a fixed, scheduling-independent prefix
-// of the outcome sequence, never "whatever has committed by now".
+// the speculation window: at most window chunks run past the commit
+// frontier.
 func (p *Pipeline) sizeFor(ctx context.Context, j int) (int, error) {
 	a := &p.prod
 	for need := j - p.cfg.window(); a.consumed < need; a.consumed++ {
-		committed, ok := p.store.outcomes.TryPop()
-		if !ok {
-			t0 := p.now()
-			var err error
-			if committed, err = p.store.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
-				if ctx.Err() != nil {
-					return 0, ctx.Err()
-				}
-				return 0, p.endErr()
-			}
-			p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: p.since(t0)})
-		}
-		if p.ctl == nil {
+		if _, ok := p.store.outcomes.TryPop(); ok {
 			continue
 		}
-		p.mu.Lock() // Wait and StatsSnapshot may be reading the controller
-		resized := p.ctl.Record(committed)
-		p.mu.Unlock()
-		if resized {
-			p.emit(Event{Kind: EvResize, Chunk: j, Worker: -1, N: p.ctl.ChunkSize(), M: 1})
+		t0 := p.now()
+		if _, err := p.store.outcomes.Pop(ctx.Done(), p.halt.Done()); err != nil {
+			if ctx.Err() != nil {
+				return 0, ctx.Err()
+			}
+			return 0, p.endErr()
 		}
+		p.emit(Event{Kind: EvIngestWait, Chunk: -1, Worker: -1, Start: t0, Dur: p.since(t0)})
 	}
 	if j < len(p.cfg.Plan) {
 		return p.cfg.Plan[j], nil
-	}
-	if p.ctl != nil {
-		return p.ctl.ChunkSize(), nil
 	}
 	return p.cfg.ChunkSize, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"gostats/internal/autotune"
 	"gostats/internal/checkpoint"
 )
 
@@ -17,13 +16,13 @@ import (
 //
 // The one structural fact that makes this small: at a commit boundary the
 // session's entire future is determined by (seed, session shape, frontier
-// lineage, previous window, controller state). Worker rng streams are
-// derived per chunk index — never advanced across chunks — so no stream
-// positions exist to capture; in-flight speculative work is discarded and
-// re-derived identically on resume. A restored frontier is a frontier like
-// any other: every snapshot, the one a halt takes before anything new has
-// committed included, is captured from it, never copied from the bytes it
-// was restored from.
+// lineage, previous window). Worker rng streams are derived per chunk
+// index — never advanced across chunks — so no stream positions exist to
+// capture; in-flight speculative work is discarded and re-derived
+// identically on resume. A restored frontier is a frontier like any other:
+// every snapshot, the one a halt takes before anything new has committed
+// included, is captured from it, never copied from the bytes it was
+// restored from.
 
 // SessionCodec serializes one benchmark's inputs, outputs, and states for
 // checkpoints and the out-of-process chunk protocol. Each encoding is one
@@ -185,8 +184,6 @@ type resumeState struct {
 	lineage    []State // [0] is the frontier final state
 	seed       State   // the lineage's replica seed; nil when it is built
 	reorig     bool    // the seed's replicas derive from the recovery stream
-	pending    []bool  // outcome preload for the producer's window
-	ctl        *autotune.OnlineState
 }
 
 // buildResume validates and decodes a snapshot against prog and the
@@ -206,13 +203,7 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 	if codec == nil {
 		return nil, fmt.Errorf("stream: Resume needs a SessionCodec to decode the snapshot")
 	}
-	rs := &resumeState{
-		next:    snap.NextChunk,
-		inputs:  snap.Inputs,
-		pending: append([]bool(nil), snap.Pending...),
-		ctl:     snap.Controller,
-		reorig:  snap.Reorig,
-	}
+	rs := &resumeState{next: snap.NextChunk, inputs: snap.Inputs, reorig: snap.Reorig}
 	for i, raw := range snap.PrevWindow {
 		in, err := codec.DecodeInput(raw)
 		if err != nil {
@@ -241,55 +232,20 @@ func buildResume(prog Program, cfg StreamConfig) (*resumeState, error) {
 }
 
 // ckptTracker belongs to the commit frontier — whichever worker holds the
-// role, then the reaper — and decides when to capture. It shadows the
-// producer's adaptive controller by folding outcomes exactly as the
-// restored producer will: the last min(commits, window) outcomes
-// stay pending (the restored outcome-window preload), everything older is
-// recorded into the shadow controller.
+// role, then the reaper — and decides when to capture.
 type ckptTracker struct {
 	p          *Pipeline
 	cfg        CheckpointConfig
-	shadow     *autotune.Online // nil when the session does not adapt
-	pending    []bool
 	inputs     int64 // committed inputs, absolute across resumes
 	commitsAcc int   // commits since the last capture
 	err        error // first encode failure; checkpointing disabled after
-}
-
-// newCkptTracker builds the tracker, restoring its shadow state when the
-// pipeline itself is a resume.
-func newCkptTracker(p *Pipeline, rs *resumeState) (*ckptTracker, error) {
-	t := &ckptTracker{p: p, cfg: p.cfg.Checkpoint}
-	if p.cfg.Adapt {
-		var st *autotune.OnlineState
-		if rs != nil {
-			st = rs.ctl
-		}
-		shadow, err := autotune.RestoreOnline(p.cfg.ChunkSize, st)
-		if err != nil {
-			return nil, err
-		}
-		t.shadow = shadow
-	}
-	if rs != nil {
-		t.pending = append([]bool(nil), rs.pending...)
-		t.inputs = rs.inputs
-	}
-	return t, nil
 }
 
 // onCommit observes one applied chunk at the frontier (commit or
 // recovered abort — either way its outputs are now committed) and
 // captures a snapshot when an interval is due. Called with the chunk's
 // job inputs and the just-updated lineage still live.
-func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *committed, committedOK bool) {
-	t.pending = append(t.pending, committedOK)
-	for len(t.pending) > t.p.cfg.window() {
-		if t.shadow != nil {
-			t.shadow.Record(t.pending[0])
-		}
-		t.pending = t.pending[1:]
-	}
+func (t *ckptTracker) onCommit(j int, jobInputs []Input, outs []Output, prev *committed) {
 	t.inputs += int64(len(outs))
 	t.commitsAcc++
 	if t.err != nil || t.cfg.EveryCommits == 0 || t.commitsAcc < t.cfg.EveryCommits {
@@ -358,25 +314,19 @@ func (t *ckptTracker) capture(j int, jobInputs []Input, prev *committed) *checkp
 	return snap
 }
 
-// skeleton fills the session-shape and controller fields common to every
-// snapshot of this pipeline.
+// skeleton fills the session-shape fields common to every snapshot of
+// this pipeline, and the committed input count.
 func (t *ckptTracker) skeleton() *checkpoint.Snapshot {
 	cfg := t.p.cfg
-	snap := &checkpoint.Snapshot{
+	return &checkpoint.Snapshot{
 		Benchmark:   t.p.prog.Name(),
 		Seed:        cfg.Seed,
 		ChunkSize:   cfg.ChunkSize,
 		Lookback:    cfg.Lookback,
 		ExtraStates: cfg.ExtraStates,
 		Workers:     cfg.Workers,
-		Adapt:       cfg.Adapt,
 		Inputs:      t.inputs,
-		Pending:     append([]bool(nil), t.pending...),
 	}
-	if t.shadow != nil {
-		snap.Controller = t.shadow.Snapshot()
-	}
-	return snap
 }
 
 // deliver hands a snapshot to the session's observer and counts it.

@@ -185,57 +185,6 @@ func TestCheckpointEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestCheckpointAdaptiveResume repeats the boundary property with
-// adaptive chunk sizing: the snapshot carries the controller state, and a
-// resumed session must re-derive the exact chunk boundaries — hence the
-// exact bytes — the uninterrupted session chose, and report its resize
-// count and trajectory. The session is long enough, and its window short
-// enough, that the controller closes epochs and resizes: snapshots before
-// and after a resize carry different controllers.
-func TestCheckpointAdaptiveResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resumes a session per commit boundary")
-	}
-	name := "streamclassifier"
-	b, err := bench.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := b.Inputs(rng.New(3))
-	if len(inputs) > 240 {
-		inputs = inputs[:240]
-	}
-	wc, err := bench.WireFor(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.StreamConfig{
-		ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 31,
-		Adapt:      true,
-		Checkpoint: engine.CheckpointConfig{Codec: wc, EveryCommits: 1},
-	}
-	ref, snaps, refStats := sessionRun(t, name, cfg, inputs)
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots emitted")
-	}
-	if refStats.Resizes == 0 {
-		t.Fatalf("the controller never resized (trajectory %v)", refStats.Trajectory)
-	}
-	want := joinLines(ref)
-	for i, snap := range snaps {
-		rcfg := engine.StreamConfig{Resume: &engine.ResumeConfig{Snap: reseal(t, snap), Codec: wc}}
-		tail, _, st := sessionRun(t, name, rcfg, inputs[snap.Inputs:])
-		got := joinLines(append(append([][]byte{}, ref[:snap.Inputs]...), tail...))
-		if !bytes.Equal(want, got) {
-			t.Fatalf("adaptive resume at snapshot %d diverged", i)
-		}
-		if st.Resizes != refStats.Resizes || !reflect.DeepEqual(st.Trajectory, refStats.Trajectory) {
-			t.Fatalf("adaptive resume at snapshot %d: %d resizes %v, uninterrupted %d %v",
-				i, st.Resizes, st.Trajectory, refStats.Resizes, refStats.Trajectory)
-		}
-	}
-}
-
 // TestCheckpointHaltResume is the session-migration primitive, minus the
 // gateway: halt a live session at the commit frontier, take the final
 // snapshot the drain emits, restore it elsewhere, and feed the input

@@ -246,12 +246,11 @@ func (p *Pipeline) applyCommit(r *chunk) bool {
 	// Checkpoint bookkeeping sits after the outputs are downstream: a
 	// snapshot must never cover outputs the consumer has not been offered.
 	if p.ckpt != nil {
-		p.ckpt.onCommit(j, r.inputs, r.outs, prev, ok)
+		p.ckpt.onCommit(j, r.inputs, r.outs, prev)
 	}
 
-	// Feed the outcome window: this both opens one speculation slot for
-	// the producer and, in commit order, drives adaptive chunk sizing. It
-	// comes last, because it is also what lets the producer refill the
+	// Feed the outcome window: this opens one speculation slot for the
+	// producer. It comes last, because it is also what lets the producer refill the
 	// predecessor's record (recordsFor). The ring's capacity exceeds the
 	// window's maximum backlog, so this push parks only if the run is
 	// being torn down.

@@ -24,8 +24,8 @@ const matrixSeed = 5
 
 // matrixShapes gives a benchmark's chunk size and chunk count, by what an
 // input costs; the rest run 9 chunks of 4. The two that take microseconds
-// run 32 chunks: enough for the adaptive controller at 8 workers, whose
-// window is 16 chunks, to close an epoch of 8 outcomes and resize. The
+// run 32 chunks: twice the speculation window at 8 workers, 16 chunks, so
+// even there the producer waits on commit outcomes for half of them. The
 // two that take milliseconds run few, and bodytrack, whose 500 kB state
 // makes a checkpoint cost as much as its chunks, small ones.
 var matrixShapes = map[string]struct{ size, chunks int }{
@@ -35,7 +35,6 @@ var matrixShapes = map[string]struct{ size, chunks int }{
 // matrixRow is one configuration of the determinism matrix.
 type matrixRow struct {
 	workers int  // the pipeline's pool size; 0 is the simulated batch body
-	adapt   bool // adaptive chunk sizing (pipeline only)
 	faults  bool // a seeded plan of transient panics
 	resume  bool // resumed from every checkpoint (pipeline only)
 	// wire ingests each input as its wire line decoded into the input its
@@ -51,7 +50,7 @@ func (r matrixRow) String() string {
 	for _, axis := range []struct {
 		on      bool
 		yes, no string
-	}{{r.adapt, "adaptive", "fixed"}, {r.faults, "faults", "clean"}, {r.resume, "resumed", "straight"}, {r.wire, "wire", "native"}} {
+	}{{r.faults, "faults", "clean"}, {r.resume, "resumed", "straight"}, {r.wire, "wire", "native"}} {
 		if axis.on {
 			s += "/" + axis.yes
 		} else {
@@ -69,8 +68,6 @@ func (r matrixRow) risk() string {
 		return "spare reuse: a line decodes into the storage of an input one lap of the record array ago, which a kernel that kept it would see change"
 	case r.resume:
 		return "reseed: a resumed frontier builds its first boundary's replicas from the snapshot's seed"
-	case r.adapt:
-		return "outcome-window lag: the controller sizes chunk j from the outcomes up to chunk j-2·Workers"
 	case r.workers == 8:
 		return "frontier-role hand-off: whichever of eight workers delivers applies the commits"
 	case r.faults:
@@ -85,12 +82,10 @@ func (r matrixRow) risk() string {
 func matrixRows(short bool) []matrixRow {
 	rows := []matrixRow{{}, {faults: true}, {workers: 2, wire: true}}
 	for _, w := range []int{1, 2, 4, 8} {
-		for _, adapt := range []bool{false, true} {
-			for _, faults := range []bool{false, true} {
-				rows = append(rows, matrixRow{workers: w, adapt: adapt, faults: faults})
-				if !short {
-					rows = append(rows, matrixRow{workers: w, adapt: adapt, faults: faults, resume: true})
-				}
+		for _, faults := range []bool{false, true} {
+			rows = append(rows, matrixRow{workers: w, faults: faults})
+			if !short {
+				rows = append(rows, matrixRow{workers: w, faults: faults, resume: true})
 			}
 		}
 	}
@@ -102,7 +97,6 @@ type matrixOutcome struct {
 	digest  string            // SHA-256 of the committed lines in wire encoding
 	byChunk map[int][]untimed // each chunk's verdict: EvValidated, then EvCommitted or EvAborted
 	cycles  int64             // the simulated makespan; 0 on the pipeline
-	resizes int64
 	aborts  int
 	fired   int64 // injected faults that fired
 	// seededResumes counts the resumes whose first boundary missed the
@@ -144,15 +138,13 @@ func newMatrixBench(t *testing.T, name string) *matrixBench {
 	}
 	return &matrixBench{name: name, prog: b, wc: wc, size: shape.size, chunks: shape.chunks,
 		every: shape.chunks/3 + 1, inputs: b.Inputs(rng.New(1))[:shape.size*shape.chunks],
-		plan: transientPlan(name, 4*shape.chunks)}
+		plan: transientPlan(name, shape.chunks)}
 }
 
 // transientPlan is a plan like the chaos suite's, of transient faults
 // only: chunk 0's body panics once, and a sixth of the later chunks panic
 // once at a protocol site drawn from the seed. The retry re-executes
-// cleanly, so the plan must not move a committed byte or a verdict. It
-// covers the chunk indices an adaptive session shrunk to a quarter of the
-// chunk size can reach.
+// cleanly, so the plan must not move a committed byte or a verdict.
 func transientPlan(name string, chunks int) *faultinject.Plan {
 	r := rng.New(matrixSeed).Derive("matrix-faults:" + name)
 	sites := []engine.FaultSite{engine.SiteAltProducer, engine.SiteBody, engine.SiteOrigStates, engine.SiteReexec}
@@ -208,7 +200,7 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 	prog, fired := mb.program(row)
 	log := &verdictLog{}
 	cfg := engine.StreamConfig{ChunkSize: mb.size, Lookback: 1, ExtraStates: 1,
-		Workers: row.workers, Seed: matrixSeed, Adapt: row.adapt, Sink: log}
+		Workers: row.workers, Seed: matrixSeed, Sink: log}
 	if row.resume {
 		cfg.Checkpoint = engine.CheckpointConfig{Codec: mb.wc, EveryCommits: mb.every}
 	}
@@ -217,7 +209,7 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 		t.Errorf("%s %s: %d commits + %d aborts != %d chunks", mb.name, row, st.Commits, st.Aborts, st.Chunks)
 	}
 	o := matrixOutcome{digest: digestLines(lines), byChunk: log.byChunk,
-		resizes: st.Resizes, aborts: int(st.Aborts), fired: fired()}
+		aborts: int(st.Aborts), fired: fired()}
 	if row.resume && len(snaps) == 0 {
 		t.Errorf("%s %s: no snapshot to resume from", mb.name, row)
 	}
@@ -255,8 +247,7 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 // one table: committed outputs are a pure function of the seed, the
 // inputs and the chunk boundaries. Per benchmark, each row — runtime (the
 // simulated batch body, the independent reference, or the pipeline at 1,
-// 2, 4 or 8 workers) × chunk sizing (fixed, or adaptive on the pipeline)
-// × faults (none, or a seeded plan of transient panics) × path (straight,
+// 2, 4 or 8 workers) × faults (none, or a seeded plan of transient panics) × path (straight,
 // or on the pipeline resumed from every checkpoint), plus one row at 2
 // workers that ingests wire lines decoded into spares, the inputs their
 // record slots retire (bench.ReusingCodec) — runs twice and must
@@ -264,14 +255,11 @@ func (mb *matrixBench) pipeline(t *testing.T, row matrixRow) matrixOutcome {
 // and on the simulated machine the same makespan. One difference is a
 // nondeterminism bug, reported with the row's riskiest path.
 //
-// Across rows, every fixed-sizing row commits the simulated row's bytes
-// and verdicts: the input counts are whole chunks, so Partition and a
-// fixed ChunkSize cut the same boundaries. The wire row is one of them,
-// so a kernel that kept a reference into an input past Update, which a
-// later line's decoding then overwrote, fails it. An adaptive row commits what
-// its straight fault-free twin at the same Workers commits (the window,
-// 2·Workers chunks, decides which outcomes the controller has seen). And
-// the simulated row at seed+1 must commit other bytes: a runtime that
+// Across rows, every row commits the simulated row's bytes and verdicts:
+// the input counts are whole chunks, so Partition and a fixed ChunkSize
+// cut the same boundaries. The wire row is one of them, so a kernel that
+// kept a reference into an input past Update, which a later line's
+// decoding then overwrote, fails it. And the simulated row at seed+1 must commit other bytes: a runtime that
 // ignored its seed would pass every other check. No benchmark is exempt:
 // every one's Update draws on its stream, and its committed bytes move
 // with the seed.
@@ -283,18 +271,12 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Fatalf("expected 8 registered benchmarks, have %d: %v", len(names), names)
 	}
 	rows := matrixRows(testing.Short())
-	var mu sync.Mutex // guards the three below, summed over the benchmarks
-	resized := map[int]bool{}
+	var mu sync.Mutex // guards the two below, summed over the benchmarks
 	var aborts, seededResumes int
 	// The axes only check what sessions exercise.
 	t.Cleanup(func() {
 		if aborts == 0 {
 			t.Error("no row aborted a chunk: recovery is unexercised")
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			if !resized[w] {
-				t.Errorf("no adaptive session at %d workers resized its chunks", w)
-			}
 		}
 		if !testing.Short() && seededResumes == 0 {
 			t.Error("no resumed first boundary built its replicas from the snapshot's seed")
@@ -324,19 +306,13 @@ func TestDeterminismMatrix(t *testing.T) {
 				mu.Lock()
 				aborts += first.aborts
 				seededResumes += first.seededResumes
-				resized[row.workers] = resized[row.workers] || row.adapt && first.resizes > 0
 				mu.Unlock()
 			}
 			ref := got[matrixRow{}]
 			for _, row := range rows {
-				twin, want := matrixRow{}, ref
-				if row.adapt {
-					twin = matrixRow{workers: row.workers, adapt: true}
-					want = got[twin]
-				}
-				if o := got[row]; o.digest != want.digest || !reflect.DeepEqual(o.byChunk, want.byChunk) {
+				if o := got[row]; o.digest != ref.digest || !reflect.DeepEqual(o.byChunk, ref.byChunk) {
 					t.Errorf("%s %s: committed %s, %s committed %s (or the verdicts differ); riskiest path: %s",
-						name, row, o.digest, twin, want.digest, row.risk())
+						name, row, o.digest, matrixRow{}, ref.digest, row.risk())
 				}
 			}
 			if o := mb.sim(t, matrixRow{}, matrixSeed+1); o.digest == ref.digest {
@@ -360,7 +336,7 @@ func encodeRun(t *testing.T, name string, cfg engine.StreamConfig, inputs []engi
 // TestStreamingDeterminism is the reproducibility guarantee the package
 // documents: same seed, same input stream → byte-identical committed
 // outputs, run after run, for real benchmarks with real nondeterminism,
-// concurrency, mispeculation, and adaptive chunk sizing all enabled.
+// concurrency and mispeculation enabled.
 // Scheduling may reorder every internal event; the committed sequence
 // must not notice. (-race runs of this test double as the proof that the
 // determinism is not an artifact of accidental synchronization.)
@@ -373,7 +349,6 @@ func TestStreamingDeterminism(t *testing.T) {
 			}
 			cfg := engine.StreamConfig{
 				ChunkSize: 7, Lookback: 3, ExtraStates: 1, Workers: 4, Seed: 13,
-				Adapt: true,
 			}
 			first := encodeRun(t, name, cfg, inputs)
 			second := encodeRun(t, name, cfg, inputs)
@@ -395,9 +370,6 @@ func TestStreamingDeterminism(t *testing.T) {
 func TestStreamingDeterminismAcrossWorkerCounts(t *testing.T) {
 	name := "streamcluster"
 	inputs := bench.MustNew(name).Inputs(rng.New(9))[:60]
-	// Fixed chunk size: adaptive sizing consumes outcomes at a
-	// Workers-dependent lag, so boundaries (legitimately) shift with the
-	// window; with sizing fixed, the committed bytes must not.
 	base := engine.StreamConfig{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Seed: 21}
 	var want []byte
 	for _, workers := range []int{1, 2, 5} {

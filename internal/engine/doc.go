@@ -14,8 +14,7 @@
 //   - BatchScheduler: the pipeline with one worker per chunk over a
 //     bounded input slice; it spawns no per-chunk goroutine.
 //   - StreamScheduler: the pipeline with a worker pool of any size,
-//     backpressure, reused chunk records and optional adaptive chunk
-//     sizing.
+//     backpressure and reused chunk records.
 //   - SimScheduler: the batch body, one thread per chunk, on the
 //     deterministic discrete-event machine (internal/machine), producing
 //     cycle-accurate traces — the independent reference the pipeline's

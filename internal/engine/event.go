@@ -55,9 +55,6 @@ const (
 	EvIngestWait
 	// EvChunk records chunk Chunk entering execution with N inputs.
 	EvChunk
-	// EvResize records the adaptive controller changing the chunk size
-	// to N.
-	EvResize
 	// EvAltProduced records an alternative producer replaying N lookback
 	// inputs from a cold state (§III-B "Generating speculative states").
 	EvAltProduced
@@ -116,7 +113,6 @@ var kindNames = [numKinds]string{
 	EvIngest:        "ingest",
 	EvIngestWait:    "ingest-wait",
 	EvChunk:         "chunk",
-	EvResize:        "resize",
 	EvAltProduced:   "alt-produced",
 	EvSpecPublished: "spec-published",
 	EvBody:          "body",
@@ -206,8 +202,7 @@ func Tee(sinks ...Sink) Sink {
 // equivalence test relies on this. All methods are goroutine-safe.
 type Counters struct {
 	sessions, ingested, emitted         atomic.Int64
-	chunks, resizes                     atomic.Int64
-	commits, aborts                     atomic.Int64
+	chunks, commits, aborts             atomic.Int64
 	altUpdates, bodyUpdates             atomic.Int64
 	origReplicas, origUpdates           atomic.Int64
 	specCopies, snapshots               atomic.Int64
@@ -224,8 +219,6 @@ func (c *Counters) Event(e Event) {
 		c.ingested.Add(int64(e.N))
 	case EvChunk:
 		c.chunks.Add(1)
-	case EvResize:
-		c.resizes.Add(int64(e.M))
 	case EvAltProduced:
 		c.altUpdates.Add(int64(e.N))
 	case EvSpecPublished:
@@ -268,7 +261,6 @@ type CounterSnapshot struct {
 	Ingested int64 // inputs accepted
 	Emitted  int64 // committed outputs emitted
 	Chunks   int64 // chunks executed
-	Resizes  int64 // adaptive chunk-size changes
 	Commits  int64 // speculations committed
 	Aborts   int64 // speculations aborted
 
@@ -294,7 +286,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Ingested:      c.ingested.Load(),
 		Emitted:       c.emitted.Load(),
 		Chunks:        c.chunks.Load(),
-		Resizes:       c.resizes.Load(),
 		Commits:       c.commits.Load(),
 		Aborts:        c.aborts.Load(),
 		AltUpdates:    c.altUpdates.Load(),

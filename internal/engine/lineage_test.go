@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -42,30 +43,30 @@ var outcomeDigests = map[string]string{
 // framed bytes of the snapshot taken at every commit of that session. A
 // snapshot records its session's worker count, so each count has its own.
 var snapshotDigests = map[string]string{
-	"bodytrack/1":         "b574e9371601c000ee3947e2f0310baf102b68b7edf036e202bcee81b7b3e03d",
-	"bodytrack/2":         "4960e8c277c5230e90114acb99c1ee7bd254182498aa4f206265a120a2135aae",
-	"bodytrack/4":         "7dbd82fee7f1a4789bccc240a08d82ff9adcc76ce52784b19b7b59db70efc934",
-	"dedupstream/1":       "0c3863239b69f6d8ca9598ebf55efa6ff6c7da396d23997dc6491fe6da7dcba7",
-	"dedupstream/2":       "e31e1ad0d46563673a1a7d8e529cdcdf029edfcc8d10f5ff6f1e786688319133",
-	"dedupstream/4":       "282eae7548b2e8af38b18187540b8bdc406c228594fb9751ab7254504da625f1",
-	"facedet-and-track/1": "a9e4d6a73cfe036278067f12d8d79ea02fed12fb529860b5549e556db0109d8f",
-	"facedet-and-track/2": "cab9f2f8685c20981f8c32a5797dbf015a8f9659ccf9467968d6b8f09e97d166",
-	"facedet-and-track/4": "6476ede267ff2ceb70c6ada727fbeb612180bb06e68625f2d1844d91ebc3584d",
-	"facetrack/1":         "7fdcba3b57700cb46793ffad18b600aa4654d5e456b234fd19de1dd2a358d554",
-	"facetrack/2":         "585cd7eff0aa12024849f4025a92bcd031a04b96cf176c76ae36bef93276395b",
-	"facetrack/4":         "e67b299736b44a5fbfc44fab70c00a4d97345a921cfc8be9f9b91cecf4378646",
-	"fluidanimate/1":      "acf90c778f668b05a390e2a857cb6aed293c01b1eb8f659b23fb1ca34d9e1604",
-	"fluidanimate/2":      "6bbcbef66e01c00896d5b1d552180e220a23b97d0dbceb3573680cb02d1c0279",
-	"fluidanimate/4":      "f2fbc4883c82d04f365542282cb39cd48b11fed315fd679453ac58b4ae99b368",
-	"streamclassifier/1":  "41852bf9519eb3e219b0a829011736727f877d8b0dc37b2934cd6f5031470071",
-	"streamclassifier/2":  "2f7ceb09ef60dc114b74d101158ab9b15c2a3862c24c8a2facd75bc063249196",
-	"streamclassifier/4":  "d9ba92ed2e80005fc33153442b42be334dfe3cdab17f8151d3dcdaacc9d3a211",
-	"streamcluster/1":     "40d9e60feeec38a0dc2a0e50459f097d344af613ba2a4f76f808846fb69377e1",
-	"streamcluster/2":     "22bcd02ef8e3f115d59d62c68d1b25fb2732517bf218b89dd019f27f7458c104",
-	"streamcluster/4":     "7ec3f96b3b1d3381156f42fee315c3bc2e5f2a247ff4c4f28151f4bcc33b510f",
-	"swaptions/1":         "237cc761d5e681a9d8347d98bde0765a5e575fd30c2ae7b41c14273d0a330c17",
-	"swaptions/2":         "d7cb299be82a0b35cdbf6c5d1bb8bf3f9eed11df2575f54eda45283ca6fedc30",
-	"swaptions/4":         "bae3480863021dd14de44c3f8a4d8332c7731e2231130b218852b4d676232824",
+	"bodytrack/1":         "2bf3505970441d5376981bd5b3e94af1f2f25d037da51c119c954d1ced910a7b",
+	"bodytrack/2":         "cb7dba37f94d6757d8808650fdfaae52f8a022cc91b7ce26cf0f0d84e13ed816",
+	"bodytrack/4":         "e7b8941ef599f24a9490fe21b2cfe9571466c5a8038ee020e2fb41f16f5b9640",
+	"dedupstream/1":       "fa4ecdaad19e790bc061167b9ce392d41357db396f15dc82e7ea13ae62305a71",
+	"dedupstream/2":       "b621a96b38842de81d57f52d004f3db84368614fe7555e765ce39911e8b2aac2",
+	"dedupstream/4":       "e1a77ea949cdfbc289760cb90ffd2d139279009e872f4e4156fe6a96908a5f8f",
+	"facedet-and-track/1": "5734a31605371ecf9962ea5053f8c8a94cafe1c3432f8eaa778e323906790145",
+	"facedet-and-track/2": "bcb7e70ccb5a9140b36ab80894239fc95848253e0e65751ad07f7debdaf37008",
+	"facedet-and-track/4": "e34b6a655e805681aa719a0a6a7bec9ed38e70f541642023e185e3470a436c40",
+	"facetrack/1":         "b9d619f247668ddcce8b18bdfae208a6ec33a35653eb7ebf6d45bf267c1aa986",
+	"facetrack/2":         "67af448f7bb343a96fa1c4899acc549f9ee06dc52309a584f6ced8b59e0f901f",
+	"facetrack/4":         "dffd26b0ad918c2c7a06c805776c922c2083f6ebd0e63418e496810a1bda5416",
+	"fluidanimate/1":      "22587588d16907c4436c2aaba6cc2ae4a7a9cd7b1c4b006758bba0c50339d4ee",
+	"fluidanimate/2":      "7c53a6cb7731dfc67f821b5d54fa17677eac780a36438229e270a81c5e5a5485",
+	"fluidanimate/4":      "a5991e4388b2ad434d7af70ffd2e85869213d1afcc784c538abe4621964bc828",
+	"streamclassifier/1":  "18463427aa0b69bf1ea23e91c90c1b0c124fa7fe940c497189c2507f26b0c502",
+	"streamclassifier/2":  "aaca43ffb9ad73a497b696075ff5e53f470fd5708e27e847ea0fdd621ea4a13a",
+	"streamclassifier/4":  "7eff5f31ae5f5905e3eafe1d28549fbf7e63dee57e4fc3745a52436fd6a6853f",
+	"streamcluster/1":     "3981de1c3f3068fabe0aabb11de7aa725d1febe03fb83aec04dfda0abb00dd6f",
+	"streamcluster/2":     "2070b7282df2639c5100d4023c1b68785a5abd30ae4552ec45b2dbf060c7d8a1",
+	"streamcluster/4":     "0dcaf2afadcaa0bfcf7e1646456ba3901c8801dd1a421c22c5141317abb9c98a",
+	"swaptions/1":         "7ace2c02959cdaa9a65ee1a01330a8e8a445ba5d8173851011c6fa63dee43458",
+	"swaptions/2":         "af2a393f546f8a76f1750153047c8234cbde6927ef35eed631556f7e0aad118b",
+	"swaptions/4":         "ca7114a291713e1a2eaf24e3dde4fa9123be1a906eebbc44df3a0bb322fcc390",
 }
 
 // verdictLog keeps, per chunk, the events that decide it: EvValidated
@@ -124,15 +125,7 @@ func hashOutcomes(h hash.Hash, lines [][]byte, byChunk map[int][]untimed) {
 // framed bytes.
 func lineageDigest(t *testing.T, name string, workers int) (outcomes, snapshots string, log *verdictLog) {
 	t.Helper()
-	inputs := bench.MustNew(name).Inputs(rng.New(1))
-	if len(inputs) > 72 {
-		inputs = inputs[:72]
-	}
-	wc, err := bench.WireFor(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.StreamConfig{ChunkSize: 4, Lookback: 2, ExtraStates: 2, Workers: workers, Seed: 5}
+	inputs, cfg, wc := lineageSession(t, name, workers)
 
 	plain := &verdictLog{}
 	cfg.Sink = plain
@@ -157,6 +150,21 @@ func lineageDigest(t *testing.T, name string, workers int) (outcomes, snapshots 
 		framed.Write(b)
 	}
 	return fmt.Sprintf("%x", want.Sum(nil)), fmt.Sprintf("%x", framed.Sum(nil)), plain
+}
+
+// lineageSession is the shape lineageDigest runs a benchmark in: its
+// first 72 inputs in chunks of 4, with a lookback of 2 and 2 replicas.
+func lineageSession(t *testing.T, name string, workers int) ([]engine.Input, engine.StreamConfig, bench.WireCodec) {
+	t.Helper()
+	inputs := bench.MustNew(name).Inputs(rng.New(1))
+	if len(inputs) > 72 {
+		inputs = inputs[:72]
+	}
+	wc, err := bench.WireFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inputs, engine.StreamConfig{ChunkSize: 4, Lookback: 2, ExtraStates: 2, Workers: workers, Seed: 5}, wc
 }
 
 func TestLineageDigests(t *testing.T) {
@@ -184,5 +192,43 @@ func TestLineageDigests(t *testing.T) {
 	// The digests only guard the deferred path if sessions take it.
 	if final == 0 || replica == 0 || missed == 0 {
 		t.Errorf("verdict split %d/%d/%d: every kind of boundary must occur", final, replica, missed)
+	}
+}
+
+// TestSnapshotIgnoresWorkerCount: a snapshot records its session's worker
+// count and nothing else of the schedule. Every benchmark's session in
+// lineageDigest's shape, with a snapshot at every commit, frames the same
+// bytes at 1, 2 and 4 workers once Workers is cleared: the speculation
+// window, 2·Workers chunks, reaches no other field.
+func TestSnapshotIgnoresWorkerCount(t *testing.T) {
+	for _, name := range bench.Names() {
+		var want [][]byte
+		for _, workers := range []int{1, 2, 4} {
+			inputs, cfg, wc := lineageSession(t, name, workers)
+			cfg.Checkpoint = engine.CheckpointConfig{EveryCommits: 1, Codec: wc}
+			_, snaps, _ := sessionRun(t, name, cfg, inputs)
+			framed := make([][]byte, len(snaps))
+			for i, snap := range snaps {
+				snap.Workers = 0
+				var err error
+				if framed[i], err = checkpoint.Encode(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want == nil {
+				want = framed
+				continue
+			}
+			if len(framed) != len(want) {
+				t.Errorf("%s workers=%d: %d snapshots, %d at workers=1", name, workers, len(framed), len(want))
+				continue
+			}
+			for i := range framed {
+				if !bytes.Equal(framed[i], want[i]) {
+					t.Errorf("%s workers=%d: snapshot %d differs from workers=1's beyond the worker count", name, workers, i)
+					break
+				}
+			}
+		}
 	}
 }

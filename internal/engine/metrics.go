@@ -233,9 +233,8 @@ func (m *Metrics) Put(page map[string]int64) {
 		"inputs": c.Ingested, "orig_replicas": c.OrigReplicas,
 		"orig_updates": c.OrigUpdates, "outputs": c.Emitted,
 		"reexec_runs": c.ReexecRuns, "reexec_updates": c.ReexecUpdates,
-		"resizes": c.Resizes, "retries": c.Retries,
-		"sessions": c.Sessions, "snapshots": c.Snapshots,
-		"spec_copies": c.SpecCopies,
+		"retries": c.Retries, "sessions": c.Sessions,
+		"snapshots": c.Snapshots, "spec_copies": c.SpecCopies,
 	} {
 		page["stream/counter["+name+"]"] = v
 	}

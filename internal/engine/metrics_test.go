@@ -34,8 +34,8 @@ func TestMetricsPut(t *testing.T) {
 			counters++
 		}
 	}
-	if counters != 19 {
-		t.Errorf("%d counters, want 19:\n%v", counters, page)
+	if counters != 18 {
+		t.Errorf("%d counters, want 18:\n%v", counters, page)
 	}
 	for name, want := range map[string]int64{
 		"stream/gauge[active_sessions]": 0, "stream/counter[sessions]": 1,

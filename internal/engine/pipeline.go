@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gostats/internal/autotune"
 	"gostats/internal/checkpoint"
 	"gostats/internal/freelist"
 	"gostats/internal/ring"
@@ -28,10 +27,9 @@ import (
 //		   frontier role (one worker at a time): ordered commit /
 //		   abort+re-exec → Outputs
 //
-//	  - Push groups inputs into chunks on its caller's goroutine (fixed
-//	    size, or retuned online from commit/abort feedback via
-//	    autotune.Online) and dispatches each with the previous chunk's
-//	    lookback window (assemble.go). There is no ingest queue and no
+//	  - Push groups inputs into fixed-size chunks on its caller's
+//	    goroutine and dispatches each with the previous chunk's lookback
+//	    window (assemble.go). There is no ingest queue and no
 //	    assembler stage between the caller and the worker pool.
 //	  - Workers execute the chunk's speculative attempt (attempt.go) on
 //	    NativeExec: the alternative producer replays the predecessor's
@@ -58,10 +56,9 @@ import (
 // Backpressure: the producer may run at most a window of chunks — two a
 // worker — ahead of the commit frontier; when the window is full, the
 // Push that would start the next chunk blocks until the frontier moves.
-// Chunk-size decisions read only outcomes behind the frontier, and chunk
-// boundaries are a function of the producer's own input sequence, which
-// makes them — and therefore the whole committed output sequence — a
-// pure function of (seed, input sequence), independent of goroutine
+// Chunk boundaries are a function of the producer's own input sequence,
+// which makes them — and therefore the whole committed output sequence —
+// a pure function of (seed, input sequence), independent of goroutine
 // scheduling. Same seed, same inputs: byte-identical committed outputs,
 // even under -race.
 //
@@ -80,8 +77,7 @@ import (
 
 // StreamConfig parameterizes a streaming pipeline.
 type StreamConfig struct {
-	// ChunkSize is the number of inputs per chunk (the initial size when
-	// Adapt is enabled).
+	// ChunkSize is the number of inputs per chunk.
 	ChunkSize int
 	// Lookback is k, the alternative-producer replay length (§II-B).
 	Lookback int
@@ -98,14 +94,11 @@ type StreamConfig struct {
 	Workers int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
-	// Adapt enables online chunk-size retuning from commit/abort feedback,
-	// within a quarter to four times ChunkSize (autotune.Online).
-	Adapt bool
 	// Plan, when non-empty, fixes the sizes of the first len(Plan) chunks
-	// explicitly, overriding ChunkSize and the adaptive controller for
-	// those indices (later chunks fall back to them). StreamScheduler uses
-	// it to reproduce Partition's boundaries exactly, which is what makes
-	// a streamed bounded slice byte-identical to a simulated batch run. Backpressure and outcome consumption are unaffected.
+	// explicitly, overriding ChunkSize for those indices (later chunks
+	// fall back to it). StreamScheduler uses it to reproduce Partition's
+	// boundaries exactly, which is what makes a streamed bounded slice
+	// byte-identical to a simulated batch run. Backpressure is unaffected.
 	Plan []int
 	// Sink, when non-nil, receives the pipeline's engine events: a Metrics
 	// collector (pipelines may share one), a Counters aggregate, a Recorder
@@ -141,29 +134,17 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // pipeline resumed from snap adopts in place of its own.
 func (c StreamConfig) WithShape(snap *checkpoint.Snapshot) StreamConfig {
 	c.ChunkSize, c.Lookback, c.ExtraStates = snap.ChunkSize, snap.Lookback, snap.ExtraStates
-	c.Workers, c.Seed, c.Adapt = snap.Workers, snap.Seed, snap.Adapt
+	c.Workers, c.Seed = snap.Workers, snap.Seed
 	return c
 }
 
-// LargestChunk is the most inputs one chunk of a pipeline under c can
-// hold: ChunkSize, every Plan entry and, with Adapt, the controller's
-// ceiling of four times ChunkSize.
-func (c StreamConfig) LargestChunk() int {
-	n := c.ChunkSize
-	for _, k := range c.Plan {
-		n = max(n, k)
-	}
-	if c.Adapt {
-		n = max(n, 4*c.ChunkSize)
-	}
-	return n
-}
-
 // window is the speculation window: the most chunks dispatched past the
-// commit frontier. Everything sized by chunks in flight — the outcome
-// wait in sizeFor, the jobs and outcomes rings, the record array and the
-// reorder buffer, a snapshot's pending outcomes — reads it.
-func (c StreamConfig) window() int { return checkpoint.Window(c.Workers) }
+// commit frontier, two a worker — one executing, one queued behind it, so
+// a worker that finishes never waits for the frontier to open its next
+// slot. Everything sized by chunks in flight — the outcome wait in
+// sizeFor, the jobs and outcomes rings, the record array and the reorder
+// buffer — reads it. Chunk sizes and snapshots do not.
+func (c StreamConfig) window() int { return 2 * c.Workers }
 
 // Validate reports configuration errors.
 func (c StreamConfig) Validate() error {
@@ -200,7 +181,6 @@ type StreamStats struct {
 	Chunks  int64 // chunks dispatched
 	Commits int64 // speculations committed
 	Aborts  int64 // speculations aborted and re-executed
-	Resizes int64 // online chunk-size changes
 	States  int64 // computational states materialized
 	Reused  int64 // state clones served from retired buffers (StatePool)
 
@@ -209,12 +189,6 @@ type StreamStats struct {
 	Degraded int64 // chunks degraded down the executor ladder (remote→local, speculative→sequential)
 
 	Checkpoints int64 // commit-frontier snapshots emitted
-
-	// Trajectory is the online controller's chunk-size history (initial
-	// size plus one point per resize), present only on adaptive sessions
-	// after the pipeline drained. It flows into the serving trailer, so
-	// load generators can record how autotune responded to the workload.
-	Trajectory []autotune.SizeChange `json:"Trajectory,omitempty"`
 }
 
 // ErrClosed is returned by Push after Close or Halt.
@@ -454,12 +428,10 @@ type Pipeline struct {
 	// mu is the boundary lock, taken at chunk boundaries and at the
 	// session's two ends only. It makes the producer's "announce + jobs
 	// push" one step against Halt's jobs close, and that close one step
-	// against the store's hand-back (end), and it guards ctl, which the
-	// producer writes and Wait and StatsSnapshot read, and ended.
+	// against the store's hand-back (end), and it guards ended.
 	mu     sync.Mutex
 	prod   producer // the chunk being filled (assemble.go)
-	ctl    *autotune.Online
-	ended  uint8 // the ends of the session done with its storage (end)
+	ended  uint8    // the ends of the session done with its storage (end)
 	closed atomic.Bool
 	done   chan struct{} // closed by the reaper, after every other goroutine exited
 
@@ -505,20 +477,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	outer := ctx
 	ctx, cancel := context.WithCancel(outer)
 
-	var ctl *autotune.Online
-	if cfg.Adapt {
-		var st *autotune.OnlineState
-		if rs != nil {
-			st = rs.ctl
-		}
-		var err error
-		ctl, err = autotune.RestoreOnline(cfg.ChunkSize, st)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-	}
-
 	p := &Pipeline{
 		cfg:    cfg,
 		ex:     NewNativeExec(),
@@ -528,7 +486,6 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// Two chunks of committed outputs may wait for the consumer before
 		// the frontier does.
 		out:  make(chan Output, 2*cfg.ChunkSize),
-		ctl:  ctl,
 		done: make(chan struct{}),
 	}
 	p.halt, p.haltCancel = context.WithCancel(ctx)
@@ -540,23 +497,15 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	if rs != nil {
 		// Resume at the snapshot frontier: the first chunk to fill is the
 		// first uncommitted one and its window was decoded from the
-		// snapshot. Preload the outcome window with the snapshot's pending
-		// outcomes: the restored producer consumes them at exactly the
-		// decision points the uninterrupted one would have. At most window
-		// entries (snapshot-validated), so TryPush on a window+2 ring
-		// cannot fail.
-		p.prod = producer{j: rs.next, consumed: rs.next - len(rs.pending), prevWindow: rs.prevWindow}
-		for _, ok := range rs.pending {
-			p.store.outcomes.TryPush(ok)
-		}
+		// snapshot. Every chunk before it has committed, so none of its
+		// outcomes is still to come: the window is empty.
+		p.prod = producer{j: rs.next, consumed: rs.next, prevWindow: rs.prevWindow}
 	}
 	if cfg.Checkpoint.enabled() {
-		t, err := newCkptTracker(p, rs)
-		if err != nil {
-			cancel()
-			return nil, err
+		p.ckpt = &ckptTracker{p: p, cfg: cfg.Checkpoint}
+		if rs != nil {
+			p.ckpt.inputs = rs.inputs
 		}
-		p.ckpt = t
 	}
 	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1})
 
@@ -670,14 +619,6 @@ func (p *Pipeline) Outputs() <-chan Output { return p.out }
 func (p *Pipeline) Wait() (StreamStats, error) {
 	<-p.done
 	st := p.StatsSnapshot()
-	if p.ctl != nil {
-		// The controller's writer is the producer, and nothing here waited
-		// for it: an abandoned session's caller drains and waits while its
-		// pusher may still be inside Push.
-		p.mu.Lock()
-		st.Trajectory = p.ctl.History()
-		p.mu.Unlock()
-	}
 	if err := p.failErr(); err != nil {
 		return st, err
 	}
@@ -687,11 +628,9 @@ func (p *Pipeline) Wait() (StreamStats, error) {
 }
 
 // StatsSnapshot returns the pipeline's counters at this instant; it may
-// be called while the pipeline runs, but not from an event sink: on an
-// adaptive session it takes the boundary lock, which the producer holds
-// while it emits EvChunk.
+// be called while the pipeline runs, from an event sink too.
 func (p *Pipeline) StatsSnapshot() StreamStats {
-	st := StreamStats{
+	return StreamStats{
 		Inputs:  p.inputs.Load(),
 		Outputs: p.outputs.Load(),
 		Chunks:  p.chunks.Load(),
@@ -706,10 +645,4 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 
 		Checkpoints: p.checkpoints.Load(),
 	}
-	if p.ctl != nil {
-		p.mu.Lock() // the producer writes the controller
-		st.Resizes = int64(p.ctl.Resizes())
-		p.mu.Unlock()
-	}
-	return st
 }

@@ -386,8 +386,7 @@ func TestProducerHaltRacesPush(t *testing.T) {
 		cfg  engine.StreamConfig
 	}{
 		{"streamcluster", engine.StreamConfig{ChunkSize: 5, Lookback: 2, ExtraStates: 1, Workers: 2, Seed: 41}},
-		{"streamclassifier", engine.StreamConfig{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 31,
-			Adapt: true}},
+		{"streamclassifier", engine.StreamConfig{ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 3, Seed: 31}},
 	} {
 		b := bench.MustNew(tc.name)
 		inputs := b.Inputs(rng.New(3))[:72]
@@ -472,8 +471,7 @@ func TestProducerHaltRacesPush(t *testing.T) {
 }
 
 // TestProducerWaitRacesPush is serve's unwind: one goroutine cancels,
-// drains Outputs and calls Wait while the other is still inside Push — on
-// an adaptive session, where Wait reads the controller Push writes. The
+// drains Outputs and calls Wait while the other is still inside Push. The
 // race detector is the assertion.
 func TestProducerWaitRacesPush(t *testing.T) {
 	b := bench.MustNew("streamclassifier")
@@ -481,8 +479,7 @@ func TestProducerWaitRacesPush(t *testing.T) {
 	for _, drain := range []int{-1, 0, 7, 40, 200} {
 		ctx, cancel := context.WithCancel(context.Background())
 		p, err := engine.NewStream(ctx, b, engine.StreamConfig{
-			ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 31,
-			Adapt: true})
+			ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 2, Seed: 31})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,12 +510,8 @@ func TestProducerWaitRacesPush(t *testing.T) {
 			cancel()
 			for range p.Outputs() {
 			}
-			st, err := p.Wait()
-			if !errors.Is(err, context.Canceled) {
+			if _, err := p.Wait(); !errors.Is(err, context.Canceled) {
 				t.Errorf("Wait = %v, want context.Canceled", err)
-			}
-			if len(st.Trajectory) == 0 {
-				t.Error("an adaptive session reported no trajectory")
 			}
 			if err := <-pushed; !errors.Is(err, context.Canceled) {
 				t.Errorf("the producer saw %v, want context.Canceled", err)
@@ -588,9 +581,10 @@ func TestProducerAbandonSettlesGauges(t *testing.T) {
 			}
 		}()
 		within(t, "an abandoned session", func() {
-			// The gauge's ceiling: a window of chunks past the last
-			// outcome the producer consumed, and the one that outcome let in.
-			for m.InFlight.Load() <= int64(checkpoint.Window(workers)) {
+			// The gauge's ceiling: a window of 2·workers chunks past the
+			// last outcome the producer consumed, and the one that outcome
+			// let in.
+			for m.InFlight.Load() <= int64(2*workers) {
 				time.Sleep(time.Millisecond)
 			}
 			cancel()

@@ -41,16 +41,17 @@ var sessionOutcomes = map[string]string{
 // untimed event sequence: the protocol work, which counts only the
 // replicas a boundary actually built. An aborted chunk reports its
 // speculative run as one EvSquashed, so the two benchmarks that abort
-// here were re-pinned when that event replaced the run's four.
+// here were re-pinned when that event replaced the run's four. All were
+// re-pinned when CounterSnapshot lost its Resizes field, which read 0.
 var sessionWork = map[string]string{
-	"bodytrack":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
-	"dedupstream":       "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
-	"facedet-and-track": "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
-	"facetrack":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
-	"fluidanimate":      "a9b819c716e0f588121601be607a4a0c0f26b50d48c7cb9a2543f4bd9cef8847",
-	"streamclassifier":  "ffad42136623f34b90071d7b59af03e5340b6d791a2a768a81602f0afe625ea4",
-	"streamcluster":     "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
-	"swaptions":         "31881d3603874b64e2518f15cd303fcc563b53b3f3867320f2a69c1ba1485f75",
+	"bodytrack":         "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
+	"dedupstream":       "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
+	"facedet-and-track": "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
+	"facetrack":         "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
+	"fluidanimate":      "01beb89fe8ce568a94a4f1a7ed3f2b93ce3490384475b7ba345ed44a79842db0",
+	"streamclassifier":  "e97d1ec3abe92a0deb4fbed3b7ffa48a8cc5df87cdbbad51728cbe10e546e759",
+	"streamcluster":     "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
+	"swaptions":         "18d42aab07553ed934e90c59eaa3e56192fc905365b170678bf88954394d7676",
 }
 
 // sessionDigests runs one streaming session and folds everything about it

@@ -100,8 +100,8 @@ func runReuse(t *testing.T, name string, cfg engine.StreamConfig, inputs []engin
 // commits. Each shape's reference runs on an emptied free list; then the
 // shapes run back to back, twice round, and all at once, twice each:
 // Workers 1, 2 and 4 (records of 4, 8 and 16), so some shapes share a
-// store and some do not, fixed and adaptive, a Plan, with and without a
-// sink, and checkpointing. Each must commit its reference's bytes, and a
+// store and some do not, a Plan, with and without a sink, and
+// checkpointing. Each must commit its reference's bytes, and a
 // session with a sink report its reference's events chunk by chunk.
 //
 // The next session numbers its chunks from 0 again, so a record handed
@@ -144,8 +144,6 @@ func TestSessionStorageReuse(t *testing.T) {
 		{"w1/sink", shape(1, sink)},
 		{"w1/plan", shape(1, func(c *engine.StreamConfig) { c.Plan = []int{25, 9, 26} })},
 		{"w2", shape(2, nil)},
-		{"w2/adapt", shape(2, func(c *engine.StreamConfig) { c.Adapt = true })},
-		{"w2/adapt/sink", shape(2, func(c *engine.StreamConfig) { c.Adapt = true; sink(c) })},
 		{"w4", shape(4, nil)},
 		{"w4/checkpoint", shape(4, func(c *engine.StreamConfig) { c.Checkpoint = engine.CheckpointConfig{Codec: wc, EveryCommits: 2} })},
 	}

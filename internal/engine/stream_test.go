@@ -117,35 +117,6 @@ func TestAbortsRecoverInOrder(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGrowsChunksUnderAborts checks the autotune feedback loop:
-// a mispeculation storm must trigger online chunk-size growth, without
-// perturbing output correctness.
-func TestAdaptiveGrowsChunksUnderAborts(t *testing.T) {
-	prog := &toyProg{decay: 0.9, neverMatch: true}
-	inputs := toyInputs(300)
-	seq := engine.RunSequential(engine.NewNativeExec(), prog, inputs, 5)
-
-	ctx := context.Background()
-	p, err := engine.NewStream(ctx, prog, engine.StreamConfig{
-		ChunkSize: 4, Lookback: 2, ExtraStates: 0, Workers: 4, Seed: 5,
-		Adapt: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, stats := collect(t, ctx, p, inputs)
-
-	if stats.Resizes == 0 {
-		t.Fatalf("all-abort stream produced no chunk-size retunes (chunks=%d aborts=%d)",
-			stats.Chunks, stats.Aborts)
-	}
-	for i := range outs {
-		if outs[i].(float64) != seq.Outputs[i].(float64) {
-			t.Fatalf("output %d: stream %v != sequential %v", i, outs[i], seq.Outputs[i])
-		}
-	}
-}
-
 // TestBackpressureBlocksPush wedges the downstream (nobody consumes
 // Outputs) and checks that Push eventually blocks instead of buffering
 // unboundedly, and that the blocked Push honors its context.

@@ -153,33 +153,6 @@ func TestWorkerProcessEquivalence(t *testing.T) {
 	}
 }
 
-// TestWorkerProcessAdaptiveEquivalence repeats the equivalence check with
-// adaptive chunk sizing: the autotuner moves chunk boundaries, and every
-// resized chunk must still round-trip through worker processes
-// byte-identically.
-func TestWorkerProcessAdaptiveEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	name := "streamcluster"
-	b, err := bench.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := truncInputs(b, 60)
-	cfg := engine.StreamConfig{
-		ChunkSize: 6, Lookback: 3, ExtraStates: 1, Workers: 4, Seed: 21,
-		Adapt: true,
-	}
-	want, _ := encodeRun(t, name, cfg, inputs)
-	remote := cfg
-	remote.Runner = newPool(t, name, cfg, 2, nil)
-	got, _ := encodeRun(t, name, remote, inputs)
-	if !bytes.Equal(want, got) {
-		t.Fatal("adaptive multi-process run diverged from in-process run")
-	}
-}
-
 // TestWorkerProcessRespawn kills a worker process mid-session at planned
 // chunks and verifies the pool respawns workers, the chunks are retried
 // on fresh processes, and the committed bytes never notice.

@@ -470,8 +470,8 @@ func TestKeepAliveSurvivesRefusalAfterEOF(t *testing.T) {
 // TestSessionShapeCeilings: the parameters NewStream sizes rings, records,
 // the output channel and goroutines from are the request's to pick — by
 // query, or in the snapshot of a #resume line — so each has a ceiling, and
-// a value over it (for the chunk, the largest an adaptive session can
-// grow to) is a 400 naming the parameter before any pipeline exists. A session at every ceiling is admitted, and costs what the
+// a value over it is a 400 naming the parameter before any pipeline
+// exists. A session at every ceiling is admitted, and costs what the
 // ceilings were chosen for: under 300 goroutines and 16 MB before its
 // first input.
 func TestSessionShapeCeilings(t *testing.T) {
@@ -502,13 +502,10 @@ func TestSessionShapeCeilings(t *testing.T) {
 	for _, tc := range []struct{ query, body, names string }{
 		{"workers=100000", string(body), "workers=100000"},
 		{fmt.Sprintf("chunk=%d", maxChunk+1), string(body), "chunk="},
-		{fmt.Sprintf("chunk=%d&adapt=1", maxChunk), string(body), "chunk="},
 		{fmt.Sprintf("lookback=%d", maxLookback+1), string(body), "lookback="},
 		{fmt.Sprintf("extra=%d", maxExtraStates+1), string(body), "extra="},
 		{"resume=1", resume(func(s *checkpoint.Snapshot) { s.Workers = maxWorkers + 1 }), "workers="},
-		{"resume=1", resume(func(s *checkpoint.Snapshot) {
-			s.ChunkSize, s.Adapt = maxChunk, true
-		}), "chunk="},
+		{"resume=1", resume(func(s *checkpoint.Snapshot) { s.ChunkSize = maxChunk + 1 }), "chunk="},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/stream/"+name+"?"+tc.query, "application/x-ndjson", strings.NewReader(tc.body))
 		if err != nil {

@@ -63,16 +63,14 @@ const (
 )
 
 // checkShape refuses a session shape over a ceiling, naming the parameter.
-// Signs are StreamConfig.Validate's business. The chunk ceiling bounds the
-// largest chunk the pipeline can reach, which an adaptive session's
-// controller may grow to four times its initial size.
+// Signs are StreamConfig.Validate's business.
 func checkShape(c engine.StreamConfig) error {
 	for _, p := range [...]struct {
 		name   string
 		v, max int
 	}{
 		{"workers", c.Workers, maxWorkers},
-		{"chunk", c.LargestChunk(), maxChunk},
+		{"chunk", c.ChunkSize, maxChunk},
 		{"lookback", c.Lookback, maxLookback},
 		{"extra", c.ExtraStates, maxExtraStates},
 	} {

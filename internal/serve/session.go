@@ -228,7 +228,6 @@ func (ss *session) parse() bool {
 	queryParam(q, &err, "lookback", &ss.cfg.Lookback, strconv.Atoi)
 	queryParam(q, &err, "extra", &ss.cfg.ExtraStates, strconv.Atoi)
 	queryParam(q, &err, "workers", &ss.cfg.Workers, strconv.Atoi)
-	queryParam(q, &err, "adapt", &ss.cfg.Adapt, strconv.ParseBool)
 	queryParam(q, &err, "attrib", &attrib, strconv.ParseBool)
 	queryParam(q, &err, "ckpt", &ss.ckptEvery, strconv.Atoi)
 	queryParam(q, &err, "migrate", &ss.migrate, strconv.ParseBool)
